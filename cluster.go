@@ -2,7 +2,6 @@ package dvecap
 
 import (
 	"fmt"
-	"math"
 
 	"dvecap/internal/core"
 	"dvecap/internal/estimator"
@@ -150,8 +149,8 @@ func (c *Cluster) AddServer(id string, spec ServerSpec) error {
 	if _, dup := c.serverIdx[id]; dup {
 		return fmt.Errorf("dvecap: duplicate server %q", id)
 	}
-	if !(spec.CapacityMbps > 0) { // rejects NaN too
-		return fmt.Errorf("dvecap: server %q capacity %v, want > 0", id, spec.CapacityMbps)
+	if !repair.FinitePos(spec.CapacityMbps) {
+		return fmt.Errorf("dvecap: server %q capacity %v, want finite > 0", id, spec.CapacityMbps)
 	}
 	c.serverIdx[id] = len(c.serverIDs)
 	c.serverIDs = append(c.serverIDs, id)
@@ -194,8 +193,8 @@ func (c *Cluster) AddClient(id string, spec ClientSpec) error {
 	if _, ok := c.zoneIdx[spec.Zone]; !ok {
 		return fmt.Errorf("dvecap: client %q: %w %q", id, ErrUnknownZone, spec.Zone)
 	}
-	if !(spec.BandwidthMbps > 0) { // rejects NaN too
-		return fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want > 0", id, spec.BandwidthMbps)
+	if !repair.FinitePos(spec.BandwidthMbps) {
+		return fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want finite > 0", id, spec.BandwidthMbps)
 	}
 	if spec.Coord != nil {
 		if spec.RTTRow != nil {
@@ -229,7 +228,7 @@ func (c *Cluster) SetZoneAdjacency(zone1, zone2 string, weightMbps float64) erro
 	if a == b {
 		return fmt.Errorf("dvecap: self-adjacency on zone %q", zone1)
 	}
-	if !(weightMbps >= 0) || math.IsInf(weightMbps, 1) { // rejects NaN too
+	if !repair.FiniteNonNeg(weightMbps) {
 		return fmt.Errorf("dvecap: adjacency (%q,%q) weight %v, want finite >= 0", zone1, zone2, weightMbps)
 	}
 	if a > b {
@@ -260,7 +259,7 @@ func (c *Cluster) SetZoneAdjacency(zone1, zone2 string, weightMbps float64) erro
 // SetTrafficWeight sets the builder-level traffic weight λ ≥ 0 (default 0,
 // term off). The WithTrafficWeight option overrides it per Solve/Open.
 func (c *Cluster) SetTrafficWeight(w float64) error {
-	if !(w >= 0) || math.IsInf(w, 1) { // rejects NaN too
+	if !repair.FiniteNonNeg(w) {
 		return fmt.Errorf("dvecap: traffic weight %v, want finite >= 0", w)
 	}
 	if c.pre != nil {
@@ -514,7 +513,7 @@ func (c *Cluster) problemTrafficFor(cfg config) (*core.Problem, error) {
 	}
 	q := *p
 	if cfg.trafficSet {
-		if !(cfg.trafficW >= 0) || math.IsInf(cfg.trafficW, 1) { // rejects NaN too
+		if !repair.FiniteNonNeg(cfg.trafficW) {
 			return nil, fmt.Errorf("dvecap: traffic weight %v, want finite >= 0", cfg.trafficW)
 		}
 		q.TrafficWeight = cfg.trafficW
@@ -550,8 +549,8 @@ func (c *Cluster) resolveSparseRTTs(owner string, rtts map[string]float64) ([]in
 		if _, ok := c.serverIdx[sid]; !ok {
 			return nil, nil, fmt.Errorf("dvecap: client %q RTT: %w %q", owner, ErrUnknownServer, sid)
 		}
-		if !(d >= 0) {
-			return nil, nil, fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want >= 0", owner, sid, d)
+		if !repair.FiniteNonNeg(d) {
+			return nil, nil, fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want finite >= 0", owner, sid, d)
 		}
 	}
 	var srvs []int32
@@ -705,7 +704,6 @@ func (c *Cluster) openSession(algorithm string, cfg config) (*ClusterSession, er
 		driftPQoS:   cfg.drift,
 		driftSpread: cfg.spread,
 		tracer:      telemetry.NewTracer(cfg.traceW),
-		tele:        cfg.tele,
 	}, nil
 }
 

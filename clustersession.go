@@ -42,15 +42,13 @@ type ClusterSession struct {
 	overflow    OverflowPolicy
 	driftPQoS   float64
 	driftSpread float64
-	dur         *durable
+	dur         *repair.Journal
 
 	// tracer streams one JSON line per mutation when the session was opened
 	// WithTraceLog; nil otherwise. On recovered sessions it attaches only
 	// AFTER the log tail has replayed, so a restart does not re-trace
-	// pre-crash events; tele is the WithTelemetry registry, kept for the
-	// durability layer's checkpoint/recovery series.
+	// pre-crash events.
 	tracer *telemetry.Tracer
-	tele   *telemetry.Registry
 }
 
 // span opens a trace span around one session mutation. Defer the returned
@@ -178,8 +176,8 @@ func (s *ClusterSession) Join(id string, spec ClientSpec) (err error) {
 	}
 	// The journal records the RESOLVED dense row (not the spec's map form):
 	// replay must see identical inputs regardless of which form the caller
-	// used. journal encodes immediately, so row aliasing rowBuf is fine.
-	if err := s.journal(&repair.Event{Op: repair.OpJoin, ID: id, Zone: spec.Zone, RT: rt, Row: row}); err != nil {
+	// used. Append encodes immediately, so row aliasing rowBuf is fine.
+	if err := s.dur.Append(&repair.Event{Op: repair.OpJoin, ID: id, Zone: spec.Zone, RT: rt, Row: row}); err != nil {
 		return err
 	}
 	if err := s.binding.Join(id, z, rt, row); err != nil {
@@ -199,8 +197,8 @@ func (s *ClusterSession) resolveJoin(id string, spec ClientSpec) (zone int, rt f
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	if !(spec.BandwidthMbps > 0) { // rejects NaN too
-		return 0, 0, nil, fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want > 0", id, spec.BandwidthMbps)
+	if !repair.FinitePos(spec.BandwidthMbps) {
+		return 0, 0, nil, fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want finite > 0", id, spec.BandwidthMbps)
 	}
 	row, err = resolveRTTRow(id, spec, s.binding.ServerNames(), s.binding.ServerIndexOf, s.rowBuf)
 	if err != nil {
@@ -237,7 +235,7 @@ func (s *ClusterSession) JoinBatch(joins []ClientJoin) (err error) {
 	for x, cj := range joins {
 		zoneIDs[x] = cj.Spec.Zone
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpJoinBatch, IDs: ids, Zones: zoneIDs, RTs: rts, Rows: css}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpJoinBatch, IDs: ids, Zones: zoneIDs, RTs: rts, Rows: css}); err != nil {
 		return err
 	}
 	if err := s.binding.JoinBatch(ids, zones, rts, css); err != nil {
@@ -250,7 +248,7 @@ func (s *ClusterSession) JoinBatch(joins []ClientJoin) (err error) {
 // becomes available for reuse.
 func (s *ClusterSession) Leave(id string) (err error) {
 	defer s.span("leave", "id", id)(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpLeave, ID: id}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpLeave, ID: id}); err != nil {
 		return err
 	}
 	if err := s.binding.Leave(id); err != nil {
@@ -267,7 +265,7 @@ func (s *ClusterSession) Move(id, zone string) (err error) {
 	if err != nil {
 		return err
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpMove, ID: id, Zone: zone}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpMove, ID: id, Zone: zone}); err != nil {
 		return err
 	}
 	if err := s.binding.Move(id, z); err != nil {
@@ -283,7 +281,7 @@ func (s *ClusterSession) Move(id, zone string) (err error) {
 // ID) means no client left.
 func (s *ClusterSession) LeaveBatch(ids []string) (err error) {
 	defer s.span("leave_batch", "n", len(ids))(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpLeaveBatch, IDs: ids}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpLeaveBatch, IDs: ids}); err != nil {
 		return err
 	}
 	if err := s.binding.LeaveBatch(ids); err != nil {
@@ -310,7 +308,7 @@ func (s *ClusterSession) MoveBatch(ids []string, zones []string) (err error) {
 		}
 		zs[x] = z
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpMoveBatch, IDs: ids, Zones: zones}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpMoveBatch, IDs: ids, Zones: zones}); err != nil {
 		return err
 	}
 	if err := s.binding.MoveBatch(ids, zs); err != nil {
@@ -346,8 +344,8 @@ func (s *ClusterSession) addServer(id string, spec ServerSpec, spare bool) error
 	if id == "" {
 		return fmt.Errorf("dvecap: empty server ID")
 	}
-	if !(spec.CapacityMbps > 0) { // rejects NaN too
-		return fmt.Errorf("dvecap: server %q capacity %v, want > 0", id, spec.CapacityMbps)
+	if !repair.FinitePos(spec.CapacityMbps) {
+		return fmt.Errorf("dvecap: server %q capacity %v, want finite > 0", id, spec.CapacityMbps)
 	}
 	names := s.binding.ServerNames()
 	ss := make([]float64, len(names))
@@ -356,8 +354,8 @@ func (s *ClusterSession) addServer(id string, spec ServerSpec, spare bool) error
 		if !ok {
 			return fmt.Errorf("dvecap: server %q missing RTT to server %q", id, sid)
 		}
-		if !(d >= 0) {
-			return fmt.Errorf("dvecap: server %q RTT to %q is %v ms, want >= 0", id, sid, d)
+		if !repair.FiniteNonNeg(d) {
+			return fmt.Errorf("dvecap: server %q RTT to %q is %v ms, want finite >= 0", id, sid, d)
 		}
 		ss[i] = d
 	}
@@ -373,9 +371,14 @@ func (s *ClusterSession) addServer(id string, spec ServerSpec, spare bool) error
 		}
 		return fmt.Errorf("dvecap: server %q RTT: %w %q", id, ErrUnknownServer, sid)
 	}
+	for cid, d := range spec.ClientRTTs {
+		if !repair.FiniteNonNeg(d) {
+			return fmt.Errorf("dvecap: server %q RTT from client %q is %v ms, want finite >= 0", id, cid, d)
+		}
+	}
 	// Journaled form: the resolved dense inter-server row (current server
 	// order) — replay rebuilds the map against the same order.
-	if err := s.journal(&repair.Event{Op: repair.OpAddServer, Server: id, Capacity: spec.CapacityMbps, Row: ss, ClientRTTs: spec.ClientRTTs, Spare: spare}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpAddServer, Server: id, Capacity: spec.CapacityMbps, Row: ss, ClientRTTs: spec.ClientRTTs, Spare: spare}); err != nil {
 		return err
 	}
 	// Clients absent from ClientRTTs: dense sessions pin the unmeasured
@@ -403,7 +406,7 @@ func (s *ClusterSession) addServer(id string, spec ServerSpec, spare bool) error
 // stable.
 func (s *ClusterSession) RemoveServer(id string) (err error) {
 	defer s.span("server_remove", "server", id)(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpRemoveServer, Server: id}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpRemoveServer, Server: id}); err != nil {
 		return err
 	}
 	if err := s.binding.RemoveServer(id); err != nil {
@@ -422,7 +425,7 @@ func (s *ClusterSession) RemoveServer(id string) (err error) {
 // RemoveServer retires it, or UncordonServer returns it to service.
 func (s *ClusterSession) DrainServer(id string) (err error) {
 	defer s.span("server_drain", "server", id)(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpDrainServer, Server: id}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpDrainServer, Server: id}); err != nil {
 		return err
 	}
 	if err := s.binding.DrainServer(id); err != nil {
@@ -436,7 +439,7 @@ func (s *ClusterSession) DrainServer(id string) (err error) {
 // server is not draining.
 func (s *ClusterSession) UncordonServer(id string) (err error) {
 	defer s.span("server_uncordon", "server", id)(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpUncordon, Server: id}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpUncordon, Server: id}); err != nil {
 		return err
 	}
 	if err := s.binding.UncordonServer(id); err != nil {
@@ -459,13 +462,13 @@ func (s *ClusterSession) AddZone(id string, spec ZoneSpec) (err error) {
 		if _, err := s.zone(zid); err != nil {
 			return err
 		}
-		if !(w > 0) || math.IsInf(w, 1) { // rejects NaN too
+		if !repair.FinitePos(w) {
 			return fmt.Errorf("dvecap: zone %q adjacency to %q weight %v, want finite > 0", id, zid, w)
 		}
 		neighbors = append(neighbors, zid)
 	}
 	sort.Strings(neighbors)
-	if err := s.journal(&repair.Event{Op: repair.OpAddZone, Zone: id, Host: spec.Host}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpAddZone, Zone: id, Host: spec.Host}); err != nil {
 		return err
 	}
 	if err := s.binding.AddZone(id, spec.Host); err != nil {
@@ -496,7 +499,7 @@ func (s *ClusterSession) SetZoneAdjacency(zone1, zone2 string, weightMbps float6
 	if err != nil {
 		return err
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpSetAdjacency, Zone: zone1, Zone2: zone2, Weight: weightMbps}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpSetAdjacency, Zone: zone1, Zone2: zone2, Weight: weightMbps}); err != nil {
 		return err
 	}
 	if err := s.planner().SetAdjacency(z1, z2, weightMbps); err != nil {
@@ -515,7 +518,7 @@ func (s *ClusterSession) AddAdjacencyWeight(zone1, zone2 string, deltaMbps float
 	if err != nil {
 		return err
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpAddAdjacency, Zone: zone1, Zone2: zone2, Weight: deltaMbps}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpAddAdjacency, Zone: zone1, Zone2: zone2, Weight: deltaMbps}); err != nil {
 		return err
 	}
 	if err := s.planner().AddAdjacency(z1, z2, deltaMbps); err != nil {
@@ -538,8 +541,7 @@ func (s *ClusterSession) adjacencyPair(zone1, zone2 string, w float64, zeroOK bo
 	if z1 == z2 {
 		return 0, 0, fmt.Errorf("dvecap: self-adjacency on zone %q", zone1)
 	}
-	ok := w > 0 || (zeroOK && w == 0)
-	if !ok || math.IsInf(w, 1) {
+	if !(repair.FinitePos(w) || (zeroOK && w == 0)) {
 		return 0, 0, fmt.Errorf("dvecap: adjacency (%q,%q) weight %v out of range", zone1, zone2, w)
 	}
 	return z1, z2, nil
@@ -561,7 +563,7 @@ func (s *ClusterSession) TrafficCost() float64 { return s.planner().TrafficCost(
 // stable.
 func (s *ClusterSession) RetireZone(id string) (err error) {
 	defer s.span("zone_retire", "zone", id)(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpRetireZone, Zone: id}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpRetireZone, Zone: id}); err != nil {
 		return err
 	}
 	if err := s.binding.RetireZone(id); err != nil {
@@ -615,7 +617,7 @@ func (s *ClusterSession) UpdateDelays(id string, rtts map[string]float64) (err e
 	}
 	// Journaled as the MERGED dense row: replay must not depend on what the
 	// row held before the crash-era partial refresh.
-	if err := s.journal(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: s.rowBuf}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: s.rowBuf}); err != nil {
 		return err
 	}
 	if err := s.binding.UpdateDelays(id, s.rowBuf); err != nil {
@@ -633,7 +635,7 @@ func (s *ClusterSession) UpdateDelayRow(id string, rtts []float64) (err error) {
 			return err
 		}
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: rtts}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: rtts}); err != nil {
 		return err
 	}
 	if err := s.binding.UpdateDelays(id, rtts); err != nil {
@@ -651,15 +653,15 @@ func (s *ClusterSession) UpdateDelayRow(id string, rtts []float64) (err error) {
 func (s *ClusterSession) UpdateServerDelays(server string, rtts map[string]float64) (err error) {
 	defer s.span("delay_column", "server", server, "n", len(rtts))(&err)
 	for cid, d := range rtts {
-		if !(d >= 0) {
-			return fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want >= 0", cid, server, d)
+		if !repair.FiniteNonNeg(d) {
+			return fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want finite >= 0", cid, server, d)
 		}
 	}
 	if len(rtts) == 0 {
 		// Validates the server ID, applies nothing — not a journaled event.
 		return s.binding.UpdateServerDelays(server, rtts)
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpServerDelays, Server: server, RTTs: rtts}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpServerDelays, Server: server, RTTs: rtts}); err != nil {
 		return err
 	}
 	if err := s.binding.UpdateServerDelays(server, rtts); err != nil {
@@ -673,10 +675,10 @@ func (s *ClusterSession) UpdateServerDelays(server string, rtts map[string]float
 // a churn event (no repair pass).
 func (s *ClusterSession) SetBandwidth(id string, mbps float64) (err error) {
 	defer s.span("set_bandwidth", "id", id)(&err)
-	if !(mbps > 0) { // rejects NaN too
-		return fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want > 0", id, mbps)
+	if !repair.FinitePos(mbps) {
+		return fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want finite > 0", id, mbps)
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpSetBandwidth, ID: id, RT: mbps}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpSetBandwidth, ID: id, RT: mbps}); err != nil {
 		return err
 	}
 	if err := s.binding.SetRT(id, mbps); err != nil {
@@ -695,7 +697,10 @@ func (s *ClusterSession) SetZoneBandwidth(zone string, perClientMbps float64) (e
 	if err != nil {
 		return err
 	}
-	if err := s.journal(&repair.Event{Op: repair.OpSetZoneBW, Zone: zone, RT: perClientMbps}); err != nil {
+	if !repair.FinitePos(perClientMbps) {
+		return fmt.Errorf("dvecap: zone %q bandwidth %v Mbps, want finite > 0", zone, perClientMbps)
+	}
+	if err := s.dur.Append(&repair.Event{Op: repair.OpSetZoneBW, Zone: zone, RT: perClientMbps}); err != nil {
 		return err
 	}
 	if err := s.binding.Planner().RefreshZoneRT(z, perClientMbps); err != nil {
@@ -708,7 +713,7 @@ func (s *ClusterSession) SetZoneBandwidth(zone string, perClientMbps float64) (e
 // baseline.
 func (s *ClusterSession) Resolve() (err error) {
 	defer s.span("resolve")(&err)
-	if err := s.journal(&repair.Event{Op: repair.OpResolve}); err != nil {
+	if err := s.dur.Append(&repair.Event{Op: repair.OpResolve}); err != nil {
 		return err
 	}
 	if err := s.binding.Planner().FullSolve(); err != nil {
@@ -795,14 +800,14 @@ func (s *ClusterSession) Result() (*Result, error) {
 	return newResult(s.algo, p, a, core.Evaluate(p, a), ids), nil
 }
 
-// validateRTTRow rejects measurements no delay model admits — negative or
-// NaN RTTs — before they reach the live planner, whose state is never
+// validateRTTRow rejects measurements no delay model admits — negative,
+// NaN or infinite RTTs — before they reach the live planner, whose state is never
 // re-validated wholesale (one-shot solves go through core's
 // Problem.Validate instead).
 func validateRTTRow(owner string, row []float64) error {
 	for i, d := range row {
-		if !(d >= 0) {
-			return fmt.Errorf("dvecap: client %q RTT to server %d is %v ms, want >= 0", owner, i, d)
+		if !repair.FiniteNonNeg(d) {
+			return fmt.Errorf("dvecap: client %q RTT to server %d is %v ms, want finite >= 0", owner, i, d)
 		}
 	}
 	return nil
@@ -848,8 +853,8 @@ func resolveRTTRow(owner string, spec ClientSpec, serverIDs []string, lookup fun
 		if !ok {
 			return nil, fmt.Errorf("dvecap: client %q RTT: %w %q", owner, ErrUnknownServer, sid)
 		}
-		if !(d >= 0) {
-			return nil, fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want >= 0", owner, sid, d)
+		if !repair.FiniteNonNeg(d) {
+			return nil, fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want finite >= 0", owner, sid, d)
 		}
 		buf[i] = d
 	}

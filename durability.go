@@ -1,34 +1,33 @@
 package dvecap
 
+// Durable sessions (DESIGN.md §11). The write-ahead discipline — journal
+// before apply, snapshots that bound replay, recovery through the live
+// mutators — is repair.Journal, the one engine this surface shares with
+// internal/director. This file holds only what is the session's own: its
+// snapshot schema and render, the fingerprint check and planner rebuild on
+// recovery, and applyEvent, the replay switch over the session's Op*
+// vocabulary.
+
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"dvecap/internal/core"
 	"dvecap/internal/interact"
 	"dvecap/internal/repair"
-	"dvecap/internal/wal"
 	"dvecap/telemetry"
 )
 
 // ErrSessionClosed reports an event on a durable session after Close.
 var ErrSessionClosed = errors.New("dvecap: session closed")
 
-const (
-	// snapshotVersion tags the sessionSnapshot schema; recovery rejects
-	// snapshots from a future schema rather than misreading them, and
-	// still reads every older version. Version 2 added the delay-provider
-	// state (version-1 snapshots are always dense and carry per-client
-	// rows instead).
-	snapshotVersion = 2
-	// keepSnapshots is how many generations Checkpoint retains: the one it
-	// just wrote plus one predecessor, so a snapshot that turns out
-	// unreadable (torn by a crash-during-rename bug, bitrot) still leaves a
-	// recovery point with its log tail intact.
-	keepSnapshots = 2
-)
+// snapshotVersion tags the sessionSnapshot schema; recovery rejects
+// snapshots from a future schema rather than misreading them, and
+// still reads every older version. Version 2 added the delay-provider
+// state (version-1 snapshots are always dense and carry per-client
+// rows instead).
+const snapshotVersion = 2
 
 // sessionSnapshot is one durable checkpoint of a ClusterSession: the full
 // cluster spec (the normalized WriteClusterJSON form), the planner sidecar
@@ -52,104 +51,24 @@ type sessionSnapshot struct {
 	Provider *core.ProviderState `json:"provider,omitempty"`
 }
 
-// durable is a ClusterSession's write-ahead journal: every event is
-// encoded and appended (synced) BEFORE it is applied, so an event whose
-// apply the caller saw acknowledged is on disk, and recovery replaying
-// the log reaches the exact state the crash interrupted (DESIGN.md §11).
-type durable struct {
-	dir string
-	w   *wal.Writer
-	// snapEvery / sinceSnap drive auto-checkpointing; lastFullSolves
-	// detects planner epochs (full re-solves) so they get advisory markers.
-	snapEvery      int
-	sinceSnap      int
-	lastFullSolves int
-	// replaying suspends journaling while recovery re-applies the log
-	// through the live mutators.
-	replaying bool
-	closed    bool
-	// hook is the crash-injection point for the fault tests; it is threaded
-	// into the WAL's Options.CrashHook and the snapshot writer.
-	hook func(point string) error
-	// snapDur/snapBytes/snaps are the checkpoint series; nil (disabled)
-	// unless the session was opened WithTelemetry.
-	snapDur   *telemetry.Histogram
-	snapBytes *telemetry.Counter
-	snaps     *telemetry.Counter
-}
-
-// attachTelemetry registers the durability layer's checkpoint series. A
-// nil registry leaves the handles nil, which every record site checks.
-func (d *durable) attachTelemetry(reg *telemetry.Registry) {
-	d.snapDur = reg.Histogram("dvecap_snapshot_write_duration_seconds",
-		"Wall time to render and durably write one session snapshot.", nil)
-	d.snapBytes = reg.Counter("dvecap_snapshot_bytes_total",
-		"Snapshot payload bytes written by checkpoints.")
-	d.snaps = reg.Counter("dvecap_snapshots_total",
-		"Session snapshots written (explicit and auto checkpoints).")
-}
-
-// walHook adapts the session's crash-injection hook to the WAL layer. The
-// indirection matters: tests install s.dur.hook after Open returns.
-func (s *ClusterSession) walHook() func(string) error {
-	return func(point string) error {
-		if s.dur != nil && s.dur.hook != nil {
-			return s.dur.hook(point)
-		}
-		return nil
+// journalConfig is what the session hands its durability engine.
+func (cfg config) journalConfig() repair.JournalConfig {
+	return repair.JournalConfig{
+		Dir:           cfg.durDir,
+		SnapshotEvery: cfg.snapEvery,
+		Telemetry:     cfg.tele,
+		ErrClosed:     ErrSessionClosed,
 	}
 }
 
-// journal appends the event's canonical encoding to the WAL and syncs it.
-// Nil when the session is not durable or is replaying its own log. Called
-// BEFORE the event is applied; a journaled event that the apply then
-// rejects replays as rejected too (same inputs, same validation), so the
-// log may legitimately hold events that changed nothing.
-func (s *ClusterSession) journal(e *repair.Event) error {
-	if s.dur == nil || s.dur.replaying {
-		return nil
-	}
-	if s.dur.closed {
-		return ErrSessionClosed
-	}
-	payload, err := e.Encode()
-	if err != nil {
+// afterApply runs the durable bookkeeping once an event has been applied
+// (epoch marker, checkpoint cadence) and takes the auto-checkpoint when the
+// engine reports one due.
+func (s *ClusterSession) afterApply() error {
+	if due, err := s.dur.Applied(); err != nil || !due {
 		return err
 	}
-	if _, err := s.dur.w.Append(payload); err != nil {
-		return fmt.Errorf("dvecap: journal %s: %w", e.Op, err)
-	}
-	return nil
-}
-
-// afterApply runs the durable bookkeeping once an event has been applied:
-// an advisory epoch marker when the planner ran a full re-solve, and the
-// auto-checkpoint cadence. During replay it only tracks the epoch counter
-// (the markers already in the log are verified by applyEvent).
-func (s *ClusterSession) afterApply() error {
-	if s.dur == nil {
-		return nil
-	}
-	if fs := s.planner().Stats().FullSolves; fs != s.dur.lastFullSolves {
-		s.dur.lastFullSolves = fs
-		if !s.dur.replaying {
-			payload, err := (&repair.Event{Op: repair.OpEpoch, FullSolves: fs}).Encode()
-			if err != nil {
-				return err
-			}
-			if _, err := s.dur.w.Append(payload); err != nil {
-				return fmt.Errorf("dvecap: journal epoch: %w", err)
-			}
-		}
-	}
-	if s.dur.replaying {
-		return nil
-	}
-	s.dur.sinceSnap++
-	if s.dur.snapEvery > 0 && s.dur.sinceSnap >= s.dur.snapEvery {
-		return s.Checkpoint()
-	}
-	return nil
+	return s.Checkpoint()
 }
 
 // snapshotPayload renders the session's full durable state as of lsn.
@@ -225,54 +144,15 @@ func (s *ClusterSession) Checkpoint() (err error) {
 	if s.dur == nil {
 		return nil
 	}
-	if s.dur.closed {
-		return ErrSessionClosed
-	}
 	defer s.span("checkpoint")(&err)
-	var start time.Time
-	if s.dur.snapDur != nil {
-		start = time.Now()
-	}
-	lsn := s.dur.w.NextLSN() - 1
-	payload, err := s.snapshotPayload(lsn)
-	if err != nil {
-		return err
-	}
-	if err := wal.WriteSnapshot(s.dur.dir, lsn, payload, s.walHook()); err != nil {
-		return err
-	}
-	if s.dur.snapDur != nil {
-		// The observation covers render + durable write; the log truncation
-		// and snapshot pruning below are cleanup, not the checkpoint cost a
-		// recovery-time budget cares about.
-		s.dur.snapDur.Observe(time.Since(start).Seconds())
-		s.dur.snapBytes.Add(uint64(len(payload)))
-		s.dur.snaps.Inc()
-	}
-	if err := s.dur.w.TruncateThrough(lsn); err != nil {
-		return err
-	}
-	if err := wal.PruneSnapshots(s.dur.dir, keepSnapshots); err != nil {
-		return err
-	}
-	s.dur.sinceSnap = 0
-	return nil
+	_, err = s.dur.Checkpoint(s.snapshotPayload)
+	return err
 }
 
 // Close checkpoints a durable session and releases its log. Further events
 // fail with ErrSessionClosed; read paths keep working. A no-op on
 // non-durable sessions and on second call.
-func (s *ClusterSession) Close() error {
-	if s.dur == nil || s.dur.closed {
-		return nil
-	}
-	err := s.Checkpoint()
-	s.dur.closed = true
-	if cerr := s.dur.w.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (s *ClusterSession) Close() error { return s.dur.Close(s.snapshotPayload) }
 
 // openDurable is Open's durable branch: recover when dir already holds
 // state, otherwise solve fresh and establish the baseline snapshot before
@@ -281,7 +161,7 @@ func (s *ClusterSession) Close() error {
 // (next Open recovers from it with an empty tail). There is no window
 // where a log exists without a snapshot under it.
 func (c *Cluster) openDurable(algorithm string, cfg config) (*ClusterSession, error) {
-	has, err := wal.HasState(cfg.durDir)
+	has, err := repair.JournalExists(cfg.durDir)
 	if err != nil {
 		return nil, err
 	}
@@ -292,24 +172,10 @@ func (c *Cluster) openDurable(algorithm string, cfg config) (*ClusterSession, er
 	if err != nil {
 		return nil, err
 	}
-	s.dur = &durable{
-		dir:            cfg.durDir,
-		snapEvery:      cfg.snapEvery,
-		lastFullSolves: s.planner().Stats().FullSolves,
-	}
-	s.dur.attachTelemetry(cfg.tele)
-	base, err := s.snapshotPayload(0)
+	s.dur, err = repair.CreateJournal(cfg.journalConfig(), s.planner(), s.snapshotPayload)
 	if err != nil {
 		return nil, err
 	}
-	if err := wal.WriteSnapshot(cfg.durDir, 0, base, s.walHook()); err != nil {
-		return nil, err
-	}
-	w, err := wal.Open(cfg.durDir, 0, wal.Options{CrashHook: s.walHook(), Telemetry: cfg.tele})
-	if err != nil {
-		return nil, err
-	}
-	s.dur.w = w
 	return s, nil
 }
 
@@ -322,39 +188,9 @@ func (c *Cluster) openDurable(algorithm string, cfg config) (*ClusterSession, er
 // (DESIGN.md §8).
 func recoverSession(algorithm string, cfg config) (*ClusterSession, error) {
 	dir := cfg.durDir
-	lsns, err := wal.SnapshotLSNs(dir)
+	snap, err := repair.LoadSnapshot(dir, snapshotVersion, func(c *sessionSnapshot) (int, uint64) { return c.Version, c.LSN })
 	if err != nil {
 		return nil, err
-	}
-	if len(lsns) == 0 {
-		return nil, fmt.Errorf("dvecap: %s holds log segments but no snapshot", dir)
-	}
-	var snap sessionSnapshot
-	var lastErr error
-	found := false
-	for x := len(lsns) - 1; x >= 0 && !found; x-- {
-		raw, err := wal.ReadSnapshot(dir, lsns[x])
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var cand sessionSnapshot
-		if err := json.Unmarshal(raw, &cand); err != nil {
-			lastErr = fmt.Errorf("snapshot %d: %w", lsns[x], err)
-			continue
-		}
-		if cand.Version < 1 || cand.Version > snapshotVersion {
-			lastErr = fmt.Errorf("snapshot %d has version %d, this build reads 1..%d", lsns[x], cand.Version, snapshotVersion)
-			continue
-		}
-		if cand.LSN != lsns[x] {
-			lastErr = fmt.Errorf("snapshot %d declares LSN %d", lsns[x], cand.LSN)
-			continue
-		}
-		snap, found = cand, true
-	}
-	if !found {
-		return nil, fmt.Errorf("dvecap: no usable snapshot in %s: %w", dir, lastErr)
 	}
 	if snap.Algo != algorithm {
 		return nil, fmt.Errorf("dvecap: stored session in %s uses algorithm %q, not %q", dir, snap.Algo, algorithm)
@@ -415,51 +251,13 @@ func recoverSession(algorithm string, cfg config) (*ClusterSession, error) {
 		driftPQoS:   snap.DriftPQoS,
 		driftSpread: snap.DriftUtilSpread,
 	}
-	s.dur = &durable{
-		dir:            dir,
-		snapEvery:      cfg.snapEvery,
-		replaying:      true,
-		lastFullSolves: pl.Stats().FullSolves,
-	}
-	s.dur.attachTelemetry(cfg.tele)
-	recStart := time.Now()
-	replayed := 0
-	if _, err := wal.Replay(dir, snap.LSN, func(lsn uint64, payload []byte) error {
-		e, err := repair.DecodeEvent(payload)
-		if err != nil {
-			return fmt.Errorf("dvecap: LSN %d: %w", lsn, err)
-		}
-		if e.Op != repair.OpEpoch {
-			replayed++
-		}
-		if err := s.applyEvent(e); err != nil {
-			return fmt.Errorf("dvecap: replaying LSN %d: %w", lsn, err)
-		}
-		return nil
-	}); err != nil {
+	s.dur = repair.RecoverJournal(cfg.journalConfig(), pl, snap.LSN)
+	if _, err := s.dur.Replay(s.applyEvent); err != nil {
 		return nil, err
 	}
-	w, err := wal.Open(dir, snap.LSN, wal.Options{CrashHook: s.walHook(), Telemetry: cfg.tele})
-	if err != nil {
-		return nil, err
-	}
-	s.dur.w = w
-	s.dur.replaying = false
-	s.dur.sinceSnap = replayed
-	// Observability attaches only now, with the tail replayed: the repair
-	// and trace series reflect live traffic, not a re-run of pre-crash
-	// events, and the one-shot recovery gauges record what the replay cost.
-	if cfg.tele != nil {
-		pl.SetTelemetry(cfg.tele)
-		cfg.tele.Gauge("dvecap_recovery_duration_seconds",
-			"Wall time of the last crash recovery (snapshot load excluded, log replay included).").
-			Set(time.Since(recStart).Seconds())
-		cfg.tele.Gauge("dvecap_recovery_events_replayed",
-			"Log-tail events the last crash recovery replayed.").
-			Set(float64(replayed))
-	}
+	// The trace log, like the planner's telemetry, attaches only now, with
+	// the tail replayed: a restart does not re-trace pre-crash events.
 	s.tracer = telemetry.NewTracer(cfg.traceW)
-	s.tele = cfg.tele
 	return s, nil
 }
 
@@ -535,9 +333,9 @@ func attachAdjacencyJSON(p *core.Problem, edges []adjacencyJSON, zoneIdx map[str
 // journaled from. Apply-level rejections are swallowed: the live path
 // journals before applying, so an event the apply then rejected is in the
 // log too — and rejects again here, deterministically, changing nothing.
-// Only structural problems (unknown op, epoch divergence) are errors:
-// they mean the log and this build disagree about what the events MEAN,
-// and continuing would silently diverge from the pre-crash trajectory.
+// Only an unknown op is an error here (the engine checks the epoch markers
+// itself): it means the log and this build disagree about what the events
+// MEAN, and continuing would silently diverge from the pre-crash trajectory.
 func (s *ClusterSession) applyEvent(e *repair.Event) error {
 	switch e.Op {
 	case repair.OpJoin:
@@ -607,10 +405,6 @@ func (s *ClusterSession) applyEvent(e *repair.Event) error {
 		_ = s.RetireZone(e.Zone)
 	case repair.OpResolve:
 		_ = s.Resolve()
-	case repair.OpEpoch:
-		if fs := s.planner().Stats().FullSolves; fs != e.FullSolves {
-			return fmt.Errorf("replay diverged: %d full solves at epoch marker expecting %d", fs, e.FullSolves)
-		}
 	default:
 		return fmt.Errorf("unknown journal op %q", e.Op)
 	}

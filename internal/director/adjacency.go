@@ -9,7 +9,6 @@ package director
 
 import (
 	"fmt"
-	"math"
 
 	"dvecap/internal/repair"
 )
@@ -50,7 +49,7 @@ func (d *Director) SetAdjacency(zone1, zone2 int, weightMbps float64) (Adjacency
 	if err := d.adjacencyArgsLocked(zone1, zone2, weightMbps, true); err != nil {
 		return AdjacencyInfo{}, err
 	}
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDSetAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: weightMbps}); err != nil {
+	if err := d.dur.Append(&repair.Event{Op: repair.OpDSetAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: weightMbps}); err != nil {
 		return AdjacencyInfo{}, err
 	}
 	if err := d.planner().SetAdjacency(zone1, zone2, weightMbps); err != nil {
@@ -72,7 +71,7 @@ func (d *Director) AddAdjacencyWeight(zone1, zone2 int, deltaMbps float64) (Adja
 	if err := d.adjacencyArgsLocked(zone1, zone2, deltaMbps, false); err != nil {
 		return AdjacencyInfo{}, err
 	}
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDAddAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: deltaMbps}); err != nil {
+	if err := d.dur.Append(&repair.Event{Op: repair.OpDAddAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: deltaMbps}); err != nil {
 		return AdjacencyInfo{}, err
 	}
 	if err := d.planner().AddAdjacency(zone1, zone2, deltaMbps); err != nil {
@@ -109,7 +108,7 @@ func (d *Director) adjacencyArgsLocked(zone1, zone2 int, w float64, zeroOK bool)
 	if zone1 == zone2 {
 		return fmt.Errorf("director: adjacency self-edge (%d,%d)", zone1, zone2)
 	}
-	if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 || (w == 0 && !zeroOK) {
+	if !(repair.FinitePos(w) || (zeroOK && w == 0)) {
 		return fmt.Errorf("director: adjacency weight %v, want finite > 0", w)
 	}
 	return nil

@@ -1,11 +1,12 @@
 package director
 
-// Durable directors: the write-ahead event log, snapshots and recovery
-// for the online service (DESIGN.md §11). The discipline mirrors the
-// public ClusterSession's: every mutation is journaled (synced) BEFORE it
-// is applied, snapshots bound replay, and recovery re-applies the log
-// tail through the SAME mutators live traffic uses, so a director killed
-// mid-churn resumes bit-identical to one that was never interrupted.
+// Durable directors (DESIGN.md §11). The write-ahead discipline — every
+// mutation journaled (synced) BEFORE it is applied, snapshots that bound
+// replay, recovery re-applying the log tail through the SAME mutators live
+// traffic uses — is repair.Journal, the one engine the director shares with
+// the public ClusterSession. This file holds only what is the director's
+// own: its snapshot schema and render, the fingerprint checks and planner
+// rebuild on recovery, and applyEvent, the replay switch.
 //
 // The director journals its OWN event vocabulary (the OpD* ops in
 // internal/repair/event.go): joins carry the serving node and the
@@ -23,25 +24,18 @@ import (
 	"dvecap/internal/core"
 	"dvecap/internal/interact"
 	"dvecap/internal/repair"
-	"dvecap/internal/wal"
 	"dvecap/internal/xrand"
-	"dvecap/telemetry"
 )
 
 // ErrDirectorClosed reports a mutation on a durable director after Close.
 var ErrDirectorClosed = errors.New("director: closed")
 
-const (
-	// dirSnapshotVersion tags the directorSnapshot schema; recovery reads
-	// versions 1..dirSnapshotVersion and rejects snapshots from a future
-	// schema rather than misreading them. v2 added the provider field
-	// (delay-model snapshots, DESIGN.md §13); v1 snapshots are dense and
-	// load unchanged.
-	dirSnapshotVersion = 2
-	// dirKeepSnapshots is how many snapshot generations Checkpoint retains
-	// (the fresh one plus one fallback with its log tail intact).
-	dirKeepSnapshots = 2
-)
+// dirSnapshotVersion tags the directorSnapshot schema; recovery reads
+// versions 1..dirSnapshotVersion and rejects snapshots from a future
+// schema rather than misreading them. v2 added the provider field
+// (delay-model snapshots, DESIGN.md §13); v1 snapshots are dense and
+// load unchanged.
+const dirSnapshotVersion = 2
 
 // dirClientJSON is one registered client in a snapshot, in the planner's
 // dense order — recovery renumbers handles 0..k-1 in that order, so the
@@ -85,40 +79,6 @@ type directorSnapshot struct {
 	Planner   *repair.State   `json:"planner"`
 }
 
-// dirDurable is a director's write-ahead journal state; all fields are
-// guarded by the director's mutex.
-type dirDurable struct {
-	dir string
-	w   *wal.Writer
-	// snapEvery / sinceSnap drive auto-checkpointing; lastFullSolves
-	// detects planner epochs so they get advisory markers.
-	snapEvery      int
-	sinceSnap      int
-	lastFullSolves int
-	// replaying suspends journaling while recovery re-applies the log
-	// through the live mutators.
-	replaying bool
-	closed    bool
-	// hook is the crash-injection point for the fault tests.
-	hook func(point string) error
-	// snapDur/snapBytes/snaps are the checkpoint series; nil (disabled)
-	// without Config.Telemetry.
-	snapDur   *telemetry.Histogram
-	snapBytes *telemetry.Counter
-	snaps     *telemetry.Counter
-}
-
-// attachTelemetry registers the checkpoint series; a nil registry leaves
-// the handles nil, which every record site checks.
-func (dd *dirDurable) attachTelemetry(reg *telemetry.Registry) {
-	dd.snapDur = reg.Histogram("dvecap_snapshot_write_duration_seconds",
-		"Wall time to render and durably write one session snapshot.", nil)
-	dd.snapBytes = reg.Counter("dvecap_snapshot_bytes_total",
-		"Snapshot payload bytes written by checkpoints.")
-	dd.snaps = reg.Counter("dvecap_snapshots_total",
-		"Session snapshots written (explicit and auto checkpoints).")
-}
-
 // Durable reports whether the director journals to a data directory.
 func (d *Director) Durable() bool { return d.dur != nil }
 
@@ -128,66 +88,25 @@ func (d *Director) Durable() bool { return d.dur != nil }
 // instead of serving half-replayed state.
 func (d *Director) Recovering() bool { return d.recovering.Load() }
 
-// dirHook adapts the crash-injection hook to the WAL layer; the
-// indirection lets tests install d.dur.hook after New returns.
-func (d *Director) dirHook() func(string) error {
-	return func(point string) error {
-		if d.dur != nil && d.dur.hook != nil {
-			return d.dur.hook(point)
-		}
-		return nil
+// journalConfig is what the director hands its durability engine.
+func (c Config) journalConfig() repair.JournalConfig {
+	return repair.JournalConfig{
+		Dir:           c.DataDir,
+		SnapshotEvery: c.SnapshotEvery,
+		Telemetry:     c.Telemetry,
+		ErrClosed:     ErrDirectorClosed,
 	}
-}
-
-// journalLocked appends the event's canonical encoding to the WAL and
-// syncs it. Nil when the director is not durable or is replaying its own
-// log. Called BEFORE the event is applied; an event the apply then
-// rejects replays as rejected too (same inputs, same validation).
-func (d *Director) journalLocked(e *repair.Event) error {
-	if d.dur == nil || d.dur.replaying {
-		return nil
-	}
-	if d.dur.closed {
-		return ErrDirectorClosed
-	}
-	payload, err := e.Encode()
-	if err != nil {
-		return err
-	}
-	if _, err := d.dur.w.Append(payload); err != nil {
-		return fmt.Errorf("director: journal %s: %w", e.Op, err)
-	}
-	return nil
 }
 
 // afterApplyLocked runs the durable bookkeeping once an event has been
-// applied: an advisory epoch marker when the planner ran a full re-solve,
-// and the auto-checkpoint cadence.
+// applied (epoch marker, checkpoint cadence) and takes the auto-checkpoint
+// when the engine reports one due.
 func (d *Director) afterApplyLocked() error {
-	if d.dur == nil {
-		return nil
-	}
-	if fs := d.planner().Stats().FullSolves; fs != d.dur.lastFullSolves {
-		d.dur.lastFullSolves = fs
-		if !d.dur.replaying {
-			payload, err := (&repair.Event{Op: repair.OpEpoch, FullSolves: fs}).Encode()
-			if err != nil {
-				return err
-			}
-			if _, err := d.dur.w.Append(payload); err != nil {
-				return fmt.Errorf("director: journal epoch: %w", err)
-			}
-		}
-	}
-	if d.dur.replaying {
-		return nil
-	}
-	d.dur.sinceSnap++
-	if d.dur.snapEvery > 0 && d.dur.sinceSnap >= d.dur.snapEvery {
-		_, err := d.checkpointLocked()
+	if due, err := d.dur.Applied(); err != nil || !due {
 		return err
 	}
-	return nil
+	_, err := d.checkpointLocked()
+	return err
 }
 
 // snapshotPayloadLocked renders the director's full durable state as of lsn.
@@ -235,32 +154,11 @@ func (d *Director) snapshotPayloadLocked(lsn uint64) ([]byte, error) {
 }
 
 func (d *Director) checkpointLocked() (uint64, error) {
-	var start time.Time
-	if d.dur.snapDur != nil {
-		start = time.Now()
+	lsn, err := d.dur.Checkpoint(d.snapshotPayloadLocked)
+	if err == nil && d.dur != nil {
+		d.log.Debug("checkpoint written", "lsn", lsn)
 	}
-	lsn := d.dur.w.NextLSN() - 1
-	payload, err := d.snapshotPayloadLocked(lsn)
-	if err != nil {
-		return 0, err
-	}
-	if err := wal.WriteSnapshot(d.dur.dir, lsn, payload, d.dirHook()); err != nil {
-		return 0, err
-	}
-	if d.dur.snapDur != nil {
-		d.dur.snapDur.Observe(time.Since(start).Seconds())
-		d.dur.snapBytes.Add(uint64(len(payload)))
-		d.dur.snaps.Inc()
-	}
-	if err := d.dur.w.TruncateThrough(lsn); err != nil {
-		return 0, err
-	}
-	if err := wal.PruneSnapshots(d.dur.dir, dirKeepSnapshots); err != nil {
-		return 0, err
-	}
-	d.dur.sinceSnap = 0
-	d.log.Debug("checkpoint written", "lsn", lsn, "bytes", len(payload))
-	return lsn, nil
+	return lsn, err
 }
 
 // Checkpoint writes a snapshot of the director's current state, truncates
@@ -273,12 +171,6 @@ func (d *Director) checkpointLocked() (uint64, error) {
 func (d *Director) Checkpoint() (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.dur == nil {
-		return 0, nil
-	}
-	if d.dur.closed {
-		return 0, ErrDirectorClosed
-	}
 	return d.checkpointLocked()
 }
 
@@ -288,41 +180,26 @@ func (d *Director) Checkpoint() (uint64, error) {
 func (d *Director) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.dur == nil || d.dur.closed {
-		return nil
-	}
-	_, err := d.checkpointLocked()
-	d.dur.closed = true
-	if cerr := d.dur.w.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return d.dur.Close(d.snapshotPayloadLocked)
 }
 
-// startDurable establishes the baseline snapshot and opens the log for a
-// freshly built director — snapshot first, so there is no window where a
-// log exists without a snapshot under it (a crash between the two leaves
-// either nothing or a snapshot-only directory, both recoverable).
-func (d *Director) startDurable() error {
-	d.dur = &dirDurable{
-		dir:            d.cfg.DataDir,
-		snapEvery:      d.cfg.SnapshotEvery,
-		lastFullSolves: d.planner().Stats().FullSolves,
-	}
-	d.dur.attachTelemetry(d.cfg.Telemetry)
-	base, err := d.snapshotPayloadLocked(0)
-	if err != nil {
-		return err
-	}
-	if err := wal.WriteSnapshot(d.cfg.DataDir, 0, base, d.dirHook()); err != nil {
-		return err
-	}
-	w, err := wal.Open(d.cfg.DataDir, 0, wal.Options{CrashHook: d.dirHook(), Telemetry: d.cfg.Telemetry})
-	if err != nil {
-		return err
-	}
-	d.dur.w = w
-	return nil
+// SetCrashHook installs the fault-injection hook consulted at the journal's
+// named crash points. Like DurableState it exists for the kill/recover proof
+// suite (package dvecap's durability_test.go), which drives this surface and
+// ClusterSession through one harness.
+func (d *Director) SetCrashHook(hook func(point string) error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.dur.SetCrashHook(hook)
+}
+
+// DurableState renders the payload a checkpoint at the log's origin would
+// write — everything a placement decision depends on — so the proof suite
+// can compare two directors byte for byte.
+func (d *Director) DurableState() ([]byte, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.snapshotPayloadLocked(0)
 }
 
 // recoverDirector rebuilds a director from the newest readable snapshot
@@ -336,39 +213,9 @@ func (d *Director) startDurable() error {
 // same matrix; server and client nodes are bounds-checked against it).
 func recoverDirector(cfg Config) (*Director, error) {
 	dir := cfg.DataDir
-	lsns, err := wal.SnapshotLSNs(dir)
+	snap, err := repair.LoadSnapshot(dir, dirSnapshotVersion, func(c *directorSnapshot) (int, uint64) { return c.Version, c.LSN })
 	if err != nil {
 		return nil, err
-	}
-	if len(lsns) == 0 {
-		return nil, fmt.Errorf("director: %s holds log segments but no snapshot", dir)
-	}
-	var snap directorSnapshot
-	var lastErr error
-	found := false
-	for x := len(lsns) - 1; x >= 0 && !found; x-- {
-		raw, err := wal.ReadSnapshot(dir, lsns[x])
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var cand directorSnapshot
-		if err := json.Unmarshal(raw, &cand); err != nil {
-			lastErr = fmt.Errorf("snapshot %d: %w", lsns[x], err)
-			continue
-		}
-		if cand.Version < 1 || cand.Version > dirSnapshotVersion {
-			lastErr = fmt.Errorf("snapshot %d has version %d, this build reads 1..%d", lsns[x], cand.Version, dirSnapshotVersion)
-			continue
-		}
-		if cand.LSN != lsns[x] {
-			lastErr = fmt.Errorf("snapshot %d declares LSN %d", lsns[x], cand.LSN)
-			continue
-		}
-		snap, found = cand, true
-	}
-	if !found {
-		return nil, fmt.Errorf("director: no usable snapshot in %s: %w", dir, lastErr)
 	}
 	if snap.Algorithm != cfg.Algorithm {
 		return nil, fmt.Errorf("director: stored state in %s uses algorithm %q, not %q", dir, snap.Algorithm, cfg.Algorithm)
@@ -467,55 +314,17 @@ func recoverDirector(cfg Config) (*Director, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.dur = &dirDurable{
-		dir:            dir,
-		snapEvery:      cfg.SnapshotEvery,
-		replaying:      true,
-		lastFullSolves: pl.Stats().FullSolves,
-	}
-	d.dur.attachTelemetry(cfg.Telemetry)
+	d.dur = repair.RecoverJournal(cfg.journalConfig(), pl, snap.LSN)
 	d.recovering.Store(true)
 	defer d.recovering.Store(false)
 	recStart := time.Now()
-	replayed := 0
-	if _, err := wal.Replay(dir, snap.LSN, func(lsn uint64, payload []byte) error {
-		e, err := repair.DecodeEvent(payload)
-		if err != nil {
-			return fmt.Errorf("director: LSN %d: %w", lsn, err)
-		}
-		if e.Op != repair.OpEpoch {
-			replayed++
-		}
-		if err := d.applyEvent(e); err != nil {
-			return fmt.Errorf("director: replaying LSN %d: %w", lsn, err)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	w, err := wal.Open(dir, snap.LSN, wal.Options{CrashHook: d.dirHook(), Telemetry: cfg.Telemetry})
+	replayed, err := d.dur.Replay(d.applyEvent)
 	if err != nil {
 		return nil, err
 	}
-	d.dur.w = w
-	d.dur.replaying = false
-	d.dur.sinceSnap = replayed
-	recDur := time.Since(recStart)
-	// Live-traffic telemetry attaches only now, with the tail replayed:
-	// the repair series reflect post-recovery events, and the one-shot
-	// gauges record what the replay itself cost.
-	if cfg.Telemetry != nil {
-		pl.SetTelemetry(cfg.Telemetry)
-		cfg.Telemetry.Gauge("dvecap_recovery_duration_seconds",
-			"Wall time of the last crash recovery (snapshot load excluded, log replay included).").
-			Set(recDur.Seconds())
-		cfg.Telemetry.Gauge("dvecap_recovery_events_replayed",
-			"Log-tail events the last crash recovery replayed.").
-			Set(float64(replayed))
-	}
 	d.log.Info("recovered from journal",
 		"dir", dir, "snapshot_lsn", snap.LSN, "events_replayed", replayed,
-		"clients", d.binding.Len(), "replay", recDur)
+		"clients", d.binding.Len(), "replay", time.Since(recStart))
 	return d, nil
 }
 
@@ -523,8 +332,8 @@ func recoverDirector(cfg Config) (*Director, error) {
 // journaled from (the methods take the lock themselves; replay runs
 // before the director is shared). Apply-level rejections are swallowed —
 // the live path journals before applying, so a rejected event is in the
-// log too and rejects again here, deterministically. Only structural
-// problems (unknown op, epoch divergence) abort recovery.
+// log too and rejects again here, deterministically. Only an unknown op
+// aborts recovery here; the engine checks the epoch markers itself.
 func (d *Director) applyEvent(e *repair.Event) error {
 	switch e.Op {
 	case repair.OpDJoin:
@@ -565,10 +374,6 @@ func (d *Director) applyEvent(e *repair.Event) error {
 		_, _ = d.AddAdjacencyWeight(e.ZoneIdx, e.ZoneIdx2, e.Weight)
 	case repair.OpResolve:
 		_, _ = d.Reassign()
-	case repair.OpEpoch:
-		if fs := d.planner().Stats().FullSolves; fs != e.FullSolves {
-			return fmt.Errorf("replay diverged: %d full solves at epoch marker expecting %d", fs, e.FullSolves)
-		}
 	default:
 		return fmt.Errorf("unknown journal op %q", e.Op)
 	}

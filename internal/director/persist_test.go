@@ -1,20 +1,22 @@
 package director
 
-// Durability tests for the director: kill mid-churn-storm, recover,
-// continue, and require the trajectory to be bit-identical to a director
-// that was never interrupted — at worker counts 1 and 4, so the sharded
-// scans stay inside the determinism contract across a crash boundary.
+// The director's kill/recover proofs (bit-identity at workers {1,4}, torn
+// tail and fail-stop, the crash-point matrix, checkpoint-close-reopen,
+// mismatch rejection, the on-disk format pin) run in package dvecap's
+// durability_test.go, through the one harness both journaled surfaces
+// share. What stays here is the director's HTTP face of durability and the
+// fixtures the autoscale durability test shares.
 
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
 
+	"dvecap/internal/autoscale"
 	"dvecap/internal/topology"
 	"dvecap/internal/xrand"
 )
@@ -48,127 +50,6 @@ func durDirConfig(dm *topology.DelayMatrix, workers int) Config {
 		// survive the crash boundary bit-identically too.
 		TrafficWeight: 0.5,
 		Workers:       workers,
-	}
-}
-
-// dirChurn drives a deterministic storm of director events: joins (auto
-// and explicit IDs), leaves, moves, measured-delay refreshes, reassigns,
-// server adds/drains/uncordons/removes and zone adds/retires. Every draw
-// is gated only on the RNG and the director's own observable state, so
-// two drivers with the same seed applied to bit-identical directors
-// produce byte-identical event streams.
-type dirChurn struct {
-	rng  *xrand.RNG
-	live []string
-	next int
-}
-
-func newDirChurn(seed uint64) *dirChurn { return &dirChurn{rng: xrand.New(seed)} }
-
-func (c *dirChurn) run(t *testing.T, d *Director, events int) {
-	t.Helper()
-	for e := 0; e < events; e++ {
-		r := c.rng.Float64()
-		switch {
-		case r < 0.30 || len(c.live) == 0:
-			node := c.rng.IntN(d.cfg.Delays.N())
-			zone := c.rng.IntN(d.Stats().Zones)
-			id := ""
-			if c.rng.Float64() < 0.5 {
-				id = fmt.Sprintf("x%04d", c.next)
-				c.next++
-			}
-			info, err := d.Join(id, node, zone)
-			if err == nil {
-				c.live = append(c.live, info.ID)
-			}
-		case r < 0.45:
-			x := c.rng.IntN(len(c.live))
-			if err := d.Leave(c.live[x]); err != nil {
-				t.Fatalf("event %d leave %s: %v", e, c.live[x], err)
-			}
-			c.live[x] = c.live[len(c.live)-1]
-			c.live = c.live[:len(c.live)-1]
-		case r < 0.60:
-			x := c.rng.IntN(len(c.live))
-			zone := c.rng.IntN(d.Stats().Zones)
-			if _, err := d.Move(c.live[x], zone); err != nil {
-				t.Fatalf("event %d move %s: %v", e, c.live[x], err)
-			}
-		case r < 0.66:
-			x := c.rng.IntN(len(c.live))
-			row := make([]float64, len(d.Servers()))
-			for i := range row {
-				row[i] = c.rng.Uniform(10, 280)
-			}
-			if _, err := d.UpdateDelays(c.live[x], row); err != nil {
-				t.Fatalf("event %d delays %s: %v", e, c.live[x], err)
-			}
-		case r < 0.72:
-			// Interaction-graph churn: absolute sets (sometimes removals)
-			// and observed-crossing accumulation.
-			if z := d.Stats().Zones; z > 1 {
-				z1, z2 := c.rng.IntN(z), c.rng.IntN(z)
-				w := c.rng.Uniform(0.5, 4)
-				switch {
-				case z1 == z2:
-					// Self-edge draw: skipped (would be rejected pre-journal).
-				case c.rng.Float64() < 0.15:
-					_, _ = d.SetAdjacency(z1, z2, 0)
-				case c.rng.Float64() < 0.5:
-					if _, err := d.SetAdjacency(z1, z2, w); err != nil {
-						t.Fatalf("event %d set adjacency (%d,%d): %v", e, z1, z2, err)
-					}
-				default:
-					if _, err := d.AddAdjacencyWeight(z1, z2, w); err != nil {
-						t.Fatalf("event %d add adjacency (%d,%d): %v", e, z1, z2, err)
-					}
-				}
-			}
-		case r < 0.78:
-			if _, err := d.Reassign(); err != nil {
-				t.Fatalf("event %d reassign: %v", e, err)
-			}
-		case r < 0.84:
-			node := c.rng.IntN(d.cfg.Delays.N())
-			cap := c.rng.Uniform(30, 80)
-			if _, err := d.AddServer(node, cap); err != nil {
-				t.Fatalf("event %d add server: %v", e, err)
-			}
-		case r < 0.90:
-			srv := d.Servers()
-			i := c.rng.IntN(len(srv))
-			avail := 0
-			for _, s := range srv {
-				if !s.Draining {
-					avail++
-				}
-			}
-			if srv[i].Draining {
-				_, _ = d.UncordonServer(i)
-			} else if avail > 1 {
-				_, _ = d.DrainServer(i)
-			}
-		case r < 0.93:
-			if _, err := d.AddZone(); err != nil {
-				t.Fatalf("event %d add zone: %v", e, err)
-			}
-		case r < 0.96:
-			if z := d.Stats().Zones; z > 1 {
-				// Usually rejected (zone not empty) — which must replay as
-				// rejected too.
-				_ = d.RetireZone(c.rng.IntN(z))
-			}
-		default:
-			// Remove the first empty draining server, if any — the tail of a
-			// rolling-deploy drain.
-			for i, s := range d.Servers() {
-				if s.Draining && s.Zones == 0 {
-					_ = d.RemoveServer(i)
-					break
-				}
-			}
-		}
 	}
 }
 
@@ -207,189 +88,6 @@ func dirStateJSON(t *testing.T, d *Director) string {
 		t.Fatal(err)
 	}
 	return string(blob)
-}
-
-// TestDirectorKillRecoverBitIdentical is the tentpole property at the
-// service layer: a durable director killed mid-storm (no Close, no final
-// checkpoint) recovers to the exact state an uninterrupted control
-// reached, and the two then evolve identically through more churn.
-func TestDirectorKillRecoverBitIdentical(t *testing.T) {
-	dm := durDelays(t)
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			const churnSeed, killAt, total = 601, 55, 80
-
-			control, err := New(durDirConfig(dm, workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cc := newDirChurn(churnSeed)
-			cc.run(t, control, killAt)
-
-			cfg := durDirConfig(dm, workers)
-			cfg.DataDir = t.TempDir()
-			cfg.SnapshotEvery = 13
-			durable, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dc := newDirChurn(churnSeed)
-			dc.run(t, durable, killAt)
-			// Kill: the durable director is abandoned with its log tail open.
-
-			recovered, err := New(cfg)
-			if err != nil {
-				t.Fatalf("recover: %v", err)
-			}
-			if got, want := dirStateJSON(t, recovered), dirStateJSON(t, control); got != want {
-				t.Fatalf("workers=%d: recovered state diverges from control at kill point", workers)
-			}
-
-			cc.run(t, control, total-killAt)
-			dc.run(t, recovered, total-killAt)
-			if got, want := dirStateJSON(t, recovered), dirStateJSON(t, control); got != want {
-				t.Fatalf("workers=%d: post-recovery trajectory diverges from control", workers)
-			}
-		})
-	}
-}
-
-// TestDirectorTornTailRecovery cuts power mid-append: the failed event
-// was never acknowledged, so recovery must land exactly on the state at
-// the kill point — the torn record truncated, nothing else lost.
-func TestDirectorTornTailRecovery(t *testing.T) {
-	dm := durDelays(t)
-	const churnSeed, killAt = 733, 30
-
-	control, err := New(durDirConfig(dm, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := newDirChurn(churnSeed)
-	cc.run(t, control, killAt)
-
-	cfg := durDirConfig(dm, 1)
-	cfg.DataDir = t.TempDir()
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc := newDirChurn(churnSeed)
-	dc.run(t, d, killAt)
-	d.dur.hook = func(point string) error {
-		if point == "append:torn" {
-			return errors.New("power cut mid-write")
-		}
-		return nil
-	}
-	if _, err := d.Join("victim", 7, 2); err == nil {
-		t.Fatal("join survived a torn journal append")
-	}
-
-	recovered, err := New(cfg)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if got, want := dirStateJSON(t, recovered), dirStateJSON(t, control); got != want {
-		t.Fatal("recovered state diverges from control at the kill point")
-	}
-	cc.run(t, control, 15)
-	dc.run(t, recovered, 15)
-	if got, want := dirStateJSON(t, recovered), dirStateJSON(t, control); got != want {
-		t.Fatal("post-recovery trajectory diverges from control")
-	}
-}
-
-func TestDirectorCheckpointCloseReopen(t *testing.T) {
-	dm := durDelays(t)
-	cfg := durDirConfig(dm, 1)
-	cfg.DataDir = t.TempDir()
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := newDirChurn(99)
-	ch.run(t, d, 25)
-
-	lsn, err := d.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn == 0 {
-		t.Fatal("checkpoint after 25 events reports LSN 0")
-	}
-	want := dirStateJSON(t, d)
-
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if _, err := d.Join("", 3, 0); !errors.Is(err, ErrDirectorClosed) {
-		t.Fatalf("Join after Close: %v, want ErrDirectorClosed", err)
-	}
-	if _, err := d.AddZone(); !errors.Is(err, ErrDirectorClosed) {
-		t.Fatalf("AddZone after Close: %v, want ErrDirectorClosed", err)
-	}
-	if st := d.Stats(); st.Clients != len(ch.live) {
-		t.Fatalf("Stats after Close: %d clients, want %d", st.Clients, len(ch.live))
-	}
-
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if got := dirStateJSON(t, r); got != want {
-		t.Fatal("reopened state differs from the closed one")
-	}
-	if _, err := r.Join("", 5, 1); err != nil {
-		t.Fatalf("join after reopen: %v", err)
-	}
-}
-
-func TestDirectorRecoverRejectsMismatch(t *testing.T) {
-	dm := durDelays(t)
-	cfg := durDirConfig(dm, 1)
-	cfg.DataDir = t.TempDir()
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := d.Join("", i, i%8); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	bad := cfg
-	bad.Algorithm = "RanZ-GreC"
-	if _, err := New(bad); err == nil || !strings.Contains(err.Error(), "algorithm") {
-		t.Fatalf("algorithm mismatch accepted: %v", err)
-	}
-	bad = cfg
-	bad.DelayBoundMs = 300
-	if _, err := New(bad); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("fingerprint mismatch accepted: %v", err)
-	}
-
-	// The stored deployment supersedes whatever servers/zones the
-	// recovering caller passes.
-	superseded := cfg
-	superseded.ServerNodes = []int{1}
-	superseded.ServerCaps = []float64{5}
-	superseded.Zones = 2
-	r, err := New(superseded)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	st := r.Stats()
-	if st.Servers != 4 || st.Zones != 8 || st.Clients != 5 {
-		t.Fatalf("recovered %d servers / %d zones / %d clients, want 4 / 8 / 5", st.Servers, st.Zones, st.Clients)
-	}
 }
 
 // TestHTTPCheckpointAndRecoveryGate covers the operational surface:
@@ -459,5 +157,124 @@ func TestHTTPCheckpointAndRecoveryGate(t *testing.T) {
 	}
 	if res.Durable || res.LSN != 0 {
 		t.Fatalf("non-durable checkpoint = %+v, want {0 false}", res)
+	}
+}
+
+// post sends one raw JSON body and returns the status code.
+func post(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestHTTPJournalFailureIs503: a disk fault while journaling is the
+// service's problem, not the request's. The faulted POST and every
+// mutation after it answer 503 — the director is fail-stopped, nothing more
+// reaches the log — while reads keep serving; a closed director answers
+// the same way.
+func TestHTTPJournalFailureIs503(t *testing.T) {
+	cfg := durDirConfig(durDelays(t), 1)
+	cfg.DataDir = t.TempDir()
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(d))
+	defer srv.Close()
+	if got := post(t, srv.URL+"/v1/clients", `{"node":1,"zone":1}`); got != http.StatusCreated {
+		t.Fatalf("healthy join: %d", got)
+	}
+
+	d.SetCrashHook(func(point string) error {
+		if point == "append:torn" {
+			return errors.New("disk fault")
+		}
+		return nil
+	})
+	head := d.dur.NextLSN()
+	for _, req := range []struct{ route, body string }{
+		{"/v1/clients", `{"node":2,"zone":2}`}, // the faulted append itself
+		{"/v1/clients", `{"node":3,"zone":3}`},
+		{"/v1/clients/c000001/move", `{"zone":4}`},
+		{"/v1/servers", `{"node":5,"capacity_mbps":40}`},
+		{"/v1/zones", ``},
+		{"/v1/adjacency", `{"zone1":0,"zone2":1,"weight_mbps":2}`},
+		{"/v1/reassign", ``},
+		{"/v1/checkpoint", ``},
+	} {
+		if got := post(t, srv.URL+req.route, req.body); got != http.StatusServiceUnavailable {
+			t.Errorf("POST %s on a fail-stopped director: %d, want 503", req.route, got)
+		}
+	}
+	if got := d.dur.NextLSN(); got != head {
+		t.Fatalf("fail-stopped director advanced its log: %d → %d", head, got)
+	}
+	if st, err := NewClient(srv.URL).Stats(); err != nil || st.Clients != 1 {
+		t.Fatalf("stats on a fail-stopped director: %+v, %v", st, err)
+	}
+
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := httptest.NewServer(Handler(r))
+	defer srv2.Close()
+	if got := post(t, srv2.URL+"/v1/clients", `{"node":2,"zone":2}`); got != http.StatusServiceUnavailable {
+		t.Fatalf("join on a closed director: %d, want 503", got)
+	}
+}
+
+// TestHTTPRejectsHostileBodies: every JSON route caps its body at
+// maxBodyBytes (413) and refuses non-finite numbers (400 — JSON has no NaN
+// or Inf, and an out-of-range literal does not decode), with nothing
+// journaled either way.
+func TestHTTPRejectsHostileBodies(t *testing.T) {
+	cfg := durDirConfig(durDelays(t), 1)
+	cfg.DataDir = t.TempDir()
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EnableAutoscale(autoscale.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(d))
+	defer srv.Close()
+	if _, err := d.Join("a", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	head := d.dur.NextLSN()
+
+	routes := []string{
+		"/v1/clients", "/v1/clients/a/move", "/v1/clients/a/delays", "/v1/servers",
+		"/v1/adjacency", "/v1/adjacency/add", "/v1/autoscale/config",
+	}
+	huge := `{"id":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, route := range routes {
+		if got := post(t, srv.URL+route, huge); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: %d, want 413", route, len(huge), got)
+		}
+	}
+	for _, v := range []string{"NaN", "Infinity", "-Infinity", "1e999", "-1e999"} {
+		for route, body := range map[string]string{
+			"/v1/clients/a/delays": `{"rtts_ms":[10,10,10,` + v + `]}`,
+			"/v1/servers":          `{"node":5,"capacity_mbps":` + v + `}`,
+			"/v1/adjacency":        `{"zone1":0,"zone2":1,"weight_mbps":` + v + `}`,
+			"/v1/adjacency/add":    `{"zone1":0,"zone2":1,"delta_mbps":` + v + `}`,
+		} {
+			if got := post(t, srv.URL+route, body); got != http.StatusBadRequest {
+				t.Errorf("POST %s with %s: %d, want 400", route, v, got)
+			}
+		}
+	}
+	if got := d.dur.NextLSN(); got != head {
+		t.Fatalf("rejected bodies were journaled: log head %d → %d", head, got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"dvecap/internal/autoscale"
+	"dvecap/internal/repair"
 )
 
 // API error body.
@@ -50,8 +51,10 @@ type apiError struct {
 // Status codes follow the usual discipline: 404 for unknown clients,
 // servers and zones (errors.Is on the sentinels) and unknown routes, 405
 // for a known route with the wrong method, 400 for malformed or invalid
-// request bodies, and 409 for topology conflicts — removing a non-empty
-// server or zone, draining or removing the last available server. While
+// request bodies (413 past the 1 MiB body cap), 409 for topology conflicts
+// — removing a non-empty server or zone, draining or removing the last
+// available server — and 503 for a mutation on a director that can no
+// longer journal (fail-stopped by a failed append, or closed). While
 // a durable director is still replaying its journal, everything but
 // /v1/healthz, /v1/readyz and /metrics answers 503 with a Retry-After
 // header; point load balancers at /v1/readyz and restart policies at
@@ -112,7 +115,7 @@ func Handler(d *Director) http.Handler {
 		}
 		lsn, err := d.Checkpoint()
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err.Error())
+			writeOpErr(w, err, http.StatusInternalServerError)
 			return
 		}
 		writeJSON(w, http.StatusOK, CheckpointResult{LSN: lsn, Durable: d.Durable()})
@@ -124,7 +127,7 @@ func Handler(d *Director) http.Handler {
 		}
 		res, err := d.Reassign()
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err.Error())
+			writeOpErr(w, err, http.StatusInternalServerError)
 			return
 		}
 		writeJSON(w, http.StatusOK, res)
@@ -137,13 +140,12 @@ func Handler(d *Director) http.Handler {
 				Node int    `json:"node"`
 				Zone int    `json:"zone"`
 			}
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeErr(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+			if !decodeJSON(w, r, &req) {
 				return
 			}
 			info, err := d.Join(req.ID, req.Node, req.Zone)
 			if err != nil {
-				writeErr(w, http.StatusBadRequest, err.Error())
+				writeOpErr(w, err, http.StatusBadRequest)
 				return
 			}
 			writeJSON(w, http.StatusCreated, info)
@@ -165,8 +167,7 @@ func Handler(d *Director) http.Handler {
 				// inventory for the autoscaler (or an explicit uncordon).
 				Spare bool `json:"spare"`
 			}
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeErr(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+			if !decodeJSON(w, r, &req) {
 				return
 			}
 			add := d.AddServer
@@ -175,7 +176,7 @@ func Handler(d *Director) http.Handler {
 			}
 			info, err := add(req.Node, req.CapacityMbps)
 			if err != nil {
-				writeErr(w, http.StatusBadRequest, err.Error())
+				writeOpErr(w, err, http.StatusBadRequest)
 				return
 			}
 			writeJSON(w, http.StatusCreated, info)
@@ -198,7 +199,7 @@ func Handler(d *Director) http.Handler {
 				return
 			}
 			if err := d.RemoveServer(i); err != nil {
-				writeTopoErr(w, err)
+				writeOpErr(w, err, http.StatusBadRequest)
 				return
 			}
 			w.WriteHeader(http.StatusNoContent)
@@ -209,7 +210,7 @@ func Handler(d *Director) http.Handler {
 			}
 			info, err := d.DrainServer(i)
 			if err != nil {
-				writeTopoErr(w, err)
+				writeOpErr(w, err, http.StatusBadRequest)
 				return
 			}
 			writeJSON(w, http.StatusOK, info)
@@ -220,7 +221,7 @@ func Handler(d *Director) http.Handler {
 			}
 			info, err := d.UncordonServer(i)
 			if err != nil {
-				writeTopoErr(w, err)
+				writeOpErr(w, err, http.StatusBadRequest)
 				return
 			}
 			writeJSON(w, http.StatusOK, info)
@@ -250,8 +251,7 @@ func Handler(d *Director) http.Handler {
 		switch strings.TrimPrefix(r.URL.Path, "/v1/autoscale/") {
 		case "config":
 			var cfg autoscale.Config
-			if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
-				writeErr(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+			if !decodeJSON(w, r, &cfg) {
 				return
 			}
 			if err := rec.SetConfig(cfg); err != nil {
@@ -270,7 +270,7 @@ func Handler(d *Director) http.Handler {
 			// run loop, for operators mid-incident and end-to-end tests.
 			dec, err := rec.Tick()
 			if err != nil {
-				writeErr(w, http.StatusInternalServerError, err.Error())
+				writeOpErr(w, err, http.StatusInternalServerError)
 				return
 			}
 			writeJSON(w, http.StatusOK, dec)
@@ -285,7 +285,7 @@ func Handler(d *Director) http.Handler {
 		case http.MethodPost:
 			info, err := d.AddZone()
 			if err != nil {
-				writeTopoErr(w, err)
+				writeOpErr(w, err, http.StatusBadRequest)
 				return
 			}
 			writeJSON(w, http.StatusCreated, info)
@@ -304,7 +304,7 @@ func Handler(d *Director) http.Handler {
 			return
 		}
 		if err := d.RetireZone(z); err != nil {
-			writeTopoErr(w, err)
+			writeOpErr(w, err, http.StatusBadRequest)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -319,13 +319,12 @@ func Handler(d *Director) http.Handler {
 				Zone2      int     `json:"zone2"`
 				WeightMbps float64 `json:"weight_mbps"`
 			}
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeErr(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+			if !decodeJSON(w, r, &req) {
 				return
 			}
 			info, err := d.SetAdjacency(req.Zone1, req.Zone2, req.WeightMbps)
 			if err != nil {
-				writeTopoErr(w, err)
+				writeOpErr(w, err, http.StatusBadRequest)
 				return
 			}
 			writeJSON(w, http.StatusOK, info)
@@ -343,13 +342,12 @@ func Handler(d *Director) http.Handler {
 			Zone2     int     `json:"zone2"`
 			DeltaMbps float64 `json:"delta_mbps"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		info, err := d.AddAdjacencyWeight(req.Zone1, req.Zone2, req.DeltaMbps)
 		if err != nil {
-			writeTopoErr(w, err)
+			writeOpErr(w, err, http.StatusBadRequest)
 			return
 		}
 		writeJSON(w, http.StatusOK, info)
@@ -368,13 +366,13 @@ func Handler(d *Director) http.Handler {
 			case http.MethodGet:
 				info, err := d.Lookup(id)
 				if err != nil {
-					writeClientErr(w, err)
+					writeOpErr(w, err, http.StatusBadRequest)
 					return
 				}
 				writeJSON(w, http.StatusOK, info)
 			case http.MethodDelete:
 				if err := d.Leave(id); err != nil {
-					writeClientErr(w, err)
+					writeOpErr(w, err, http.StatusBadRequest)
 					return
 				}
 				w.WriteHeader(http.StatusNoContent)
@@ -389,13 +387,12 @@ func Handler(d *Director) http.Handler {
 			var req struct {
 				Zone int `json:"zone"`
 			}
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeErr(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+			if !decodeJSON(w, r, &req) {
 				return
 			}
 			info, err := d.Move(id, req.Zone)
 			if err != nil {
-				writeClientErr(w, err)
+				writeOpErr(w, err, http.StatusBadRequest)
 				return
 			}
 			writeJSON(w, http.StatusOK, info)
@@ -407,13 +404,12 @@ func Handler(d *Director) http.Handler {
 			var req struct {
 				RTTsMs []float64 `json:"rtts_ms"`
 			}
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeErr(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+			if !decodeJSON(w, r, &req) {
 				return
 			}
 			info, err := d.UpdateDelays(id, req.RTTsMs)
 			if err != nil {
-				writeClientErr(w, err)
+				writeOpErr(w, err, http.StatusBadRequest)
 				return
 			}
 			writeJSON(w, http.StatusOK, info)
@@ -458,25 +454,39 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, apiError{Error: msg})
 }
 
-// writeClientErr maps a client-keyed operation's error onto a status:
-// 404 when the client is unknown (errors.Is, not message sniffing),
-// 400 for everything else (invalid zone, malformed delay row, …).
-func writeClientErr(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	if errors.Is(err, ErrUnknownClient) {
-		status = http.StatusNotFound
+// maxBodyBytes caps every request body the API reads.
+const maxBodyBytes = 1 << 20
+
+// decodeJSON reads the request's JSON body into v, at most maxBodyBytes of
+// it. On failure it has answered — 413 for an oversized body, 400 for
+// malformed JSON — and reports false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
-	writeErr(w, status, err.Error())
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxBodyBytes))
+	} else {
+		writeErr(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	}
+	return false
 }
 
-// writeTopoErr maps a topology operation's error onto a status — all by
-// sentinel, never by message: 404 for unknown servers/zones, 409 for
-// conflicts (non-empty server or zone, last available server, last
-// zone), 400 for the rest.
-func writeTopoErr(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
+// writeOpErr maps a mutation's error onto a status — all by sentinel
+// (errors.Is), never by message: 503 when the director cannot journal (a
+// failed append fail-stopped it, or it was closed) — the request was fine,
+// the service is not; 404 for unknown clients, servers and zones; 409 for
+// topology conflicts (non-empty server or zone, last available server, last
+// zone); fallback for the rest (400 where the request carries the input,
+// 500 where it carries none).
+func writeOpErr(w http.ResponseWriter, err error, fallback int) {
+	status := fallback
 	switch {
-	case errors.Is(err, ErrUnknownServer) || errors.Is(err, ErrUnknownZone):
+	case errors.Is(err, repair.ErrJournalFailed) || errors.Is(err, ErrDirectorClosed):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrUnknownClient) || errors.Is(err, ErrUnknownServer) || errors.Is(err, ErrUnknownZone):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrServerNotEmpty) || errors.Is(err, ErrZoneNotEmpty) ||
 		errors.Is(err, ErrLastServer) || errors.Is(err, ErrLastZone):

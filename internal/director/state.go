@@ -16,7 +16,6 @@ package director
 import (
 	"fmt"
 	"log/slog"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -24,7 +23,6 @@ import (
 	"dvecap/internal/core"
 	"dvecap/internal/repair"
 	"dvecap/internal/topology"
-	"dvecap/internal/wal"
 	"dvecap/internal/xrand"
 	"dvecap/telemetry"
 )
@@ -142,7 +140,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("director: DriftPQoS = %v, want >= 0", c.DriftPQoS)
 	case c.DriftUtilSpread < 0:
 		return fmt.Errorf("director: DriftUtilSpread = %v, want >= 0", c.DriftUtilSpread)
-	case c.TrafficWeight < 0 || math.IsNaN(c.TrafficWeight) || math.IsInf(c.TrafficWeight, 1):
+	case !repair.FiniteNonNeg(c.TrafficWeight):
 		return fmt.Errorf("director: TrafficWeight = %v, want finite >= 0", c.TrafficWeight)
 	case c.SnapshotEvery < 0:
 		return fmt.Errorf("director: SnapshotEvery = %v, want >= 0", c.SnapshotEvery)
@@ -186,7 +184,7 @@ type Director struct {
 	csBuf   []float64
 	rng     *xrand.RNG
 	seq     uint64
-	dur     *dirDurable // write-ahead journal state; nil when not durable
+	dur     *repair.Journal // durability engine; nil when not durable
 	// autoRec is the autoscaling reconciler (EnableAutoscale); nil until
 	// enabled. It owns its own lock — only the pointer is guarded by mu.
 	autoRec *autoscale.Reconciler
@@ -220,7 +218,7 @@ func New(cfg Config) (*Director, error) {
 		cfg.Algorithm = "GreZ-GreC"
 	}
 	if cfg.DataDir != "" {
-		has, err := wal.HasState(cfg.DataDir)
+		has, err := repair.JournalExists(cfg.DataDir)
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +270,8 @@ func New(cfg Config) (*Director, error) {
 		pl.SetTelemetry(cfg.Telemetry)
 	}
 	if cfg.DataDir != "" {
-		if err := d.startDurable(); err != nil {
+		d.dur, err = repair.CreateJournal(cfg.journalConfig(), pl, d.snapshotPayloadLocked)
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -349,16 +348,22 @@ func (d *Director) Join(id string, node, zone int) (ClientInfo, error) {
 		d.seq++
 		id = fmt.Sprintf("c%06d", d.seq)
 	}
-	if _, exists := d.clients[id]; exists {
-		return ClientInfo{}, fmt.Errorf("director: %w %q", ErrDuplicateClient, id)
-	}
 	// Journal with the MATERIALIZED id plus the auto flag, so replay
-	// re-advances the ID sequence exactly as the live path did.
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDJoin, ID: id, Node: node, ZoneIdx: zone, Auto: auto}); err != nil {
-		if auto {
-			d.seq--
+	// re-advances the ID sequence exactly as the live path did. That holds
+	// for an auto-issued ID that collides with a caller-chosen one too: the
+	// rejected join has consumed its sequence number, so it is journaled
+	// like every other rejected event and replay re-rejects it.
+	_, exists := d.clients[id]
+	if auto || !exists {
+		if err := d.dur.Append(&repair.Event{Op: repair.OpDJoin, ID: id, Node: node, ZoneIdx: zone, Auto: auto}); err != nil {
+			if auto {
+				d.seq--
+			}
+			return ClientInfo{}, err
 		}
-		return ClientInfo{}, err
+	}
+	if exists {
+		return ClientInfo{}, fmt.Errorf("director: %w %q", ErrDuplicateClient, id)
 	}
 	for i := range d.csBuf {
 		d.csBuf[i] = d.clientServerRTT(node, i)
@@ -390,7 +395,7 @@ func (d *Director) Leave(id string) error {
 	if !ok {
 		return fmt.Errorf("director: %w %q", ErrUnknownClient, id)
 	}
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDLeave, ID: id}); err != nil {
+	if err := d.dur.Append(&repair.Event{Op: repair.OpDLeave, ID: id}); err != nil {
 		return err
 	}
 	// Refresh to the post-departure population before the event (the
@@ -419,7 +424,7 @@ func (d *Director) Move(id string, zone int) (ClientInfo, error) {
 	if zone < 0 || zone >= d.cfg.Zones {
 		return ClientInfo{}, fmt.Errorf("director: zone %d outside [0,%d)", zone, d.cfg.Zones)
 	}
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDMove, ID: id, ZoneIdx: zone}); err != nil {
+	if err := d.dur.Append(&repair.Event{Op: repair.OpDMove, ID: id, ZoneIdx: zone}); err != nil {
 		return ClientInfo{}, err
 	}
 	old := rec.zone
@@ -468,11 +473,11 @@ func (d *Director) UpdateDelays(id string, rtts []float64) (ClientInfo, error) {
 		return ClientInfo{}, fmt.Errorf("director: delay row has %d entries, want %d", len(rtts), len(d.cfg.ServerNodes))
 	}
 	for i, rtt := range rtts {
-		if rtt < 0 {
-			return ClientInfo{}, fmt.Errorf("director: RTT to server %d is %v ms, want >= 0", i, rtt)
+		if !repair.FiniteNonNeg(rtt) {
+			return ClientInfo{}, fmt.Errorf("director: RTT to server %d is %v ms, want finite >= 0", i, rtt)
 		}
 	}
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDDelays, ID: id, Row: rtts}); err != nil {
+	if err := d.dur.Append(&repair.Event{Op: repair.OpDDelays, ID: id, Row: rtts}); err != nil {
 		return ClientInfo{}, err
 	}
 	if err := d.binding.UpdateDelays(id, rtts); err != nil {
@@ -716,7 +721,7 @@ func (d *Director) Reassign() (ReassignResult, error) {
 		// (e.g. a timer firing on an idle service) don't grow the log.
 		return ReassignResult{Stats: d.statsLocked()}, nil
 	}
-	if err := d.journalLocked(&repair.Event{Op: repair.OpResolve}); err != nil {
+	if err := d.dur.Append(&repair.Event{Op: repair.OpResolve}); err != nil {
 		return ReassignResult{}, err
 	}
 	before := make([]int, len(order))

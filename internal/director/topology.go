@@ -118,12 +118,12 @@ func (d *Director) addServer(node int, capacityMbps float64, spare bool) (Server
 	if node < 0 || node >= d.cfg.Delays.N() {
 		return ServerInfo{}, fmt.Errorf("director: node %d outside topology", node)
 	}
-	if capacityMbps <= 0 {
-		return ServerInfo{}, fmt.Errorf("director: capacity %v, want > 0", capacityMbps)
+	if !repair.FinitePos(capacityMbps) {
+		return ServerInfo{}, fmt.Errorf("director: capacity %v, want finite > 0", capacityMbps)
 	}
 	// Only the node, capacity and spare flag are journaled: the delay rows
 	// are oracle-derived, and replay re-derives them identically.
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDAddServer, Node: node, Capacity: capacityMbps, Spare: spare}); err != nil {
+	if err := d.dur.Append(&repair.Event{Op: repair.OpDAddServer, Node: node, Capacity: capacityMbps, Spare: spare}); err != nil {
 		return ServerInfo{}, err
 	}
 	m := len(d.cfg.ServerNodes)
@@ -163,7 +163,7 @@ func (d *Director) addServer(node int, capacityMbps float64, spare bool) (Server
 func (d *Director) RemoveServer(i int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDRemoveServer, ServerIdx: i}); err != nil {
+	if err := d.dur.Append(&repair.Event{Op: repair.OpDRemoveServer, ServerIdx: i}); err != nil {
 		return err
 	}
 	moved, err := d.planner().RemoveServer(i)
@@ -189,7 +189,7 @@ func (d *Director) RemoveServer(i int) error {
 func (d *Director) DrainServer(i int) (ServerInfo, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDDrain, ServerIdx: i}); err != nil {
+	if err := d.dur.Append(&repair.Event{Op: repair.OpDDrain, ServerIdx: i}); err != nil {
 		return ServerInfo{}, err
 	}
 	if err := d.planner().DrainServer(i); err != nil {
@@ -206,7 +206,7 @@ func (d *Director) DrainServer(i int) (ServerInfo, error) {
 func (d *Director) UncordonServer(i int) (ServerInfo, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDUncordon, ServerIdx: i}); err != nil {
+	if err := d.dur.Append(&repair.Event{Op: repair.OpDUncordon, ServerIdx: i}); err != nil {
 		return ServerInfo{}, err
 	}
 	if err := d.planner().UncordonServer(i); err != nil {
@@ -223,7 +223,7 @@ func (d *Director) UncordonServer(i int) (ServerInfo, error) {
 func (d *Director) AddZone() (ZoneInfo, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDAddZone}); err != nil {
+	if err := d.dur.Append(&repair.Event{Op: repair.OpDAddZone}); err != nil {
 		return ZoneInfo{}, err
 	}
 	z, err := d.planner().AddZone(-1)
@@ -245,7 +245,7 @@ func (d *Director) AddZone() (ZoneInfo, error) {
 func (d *Director) RetireZone(z int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.journalLocked(&repair.Event{Op: repair.OpDRetireZone, ZoneIdx: z}); err != nil {
+	if err := d.dur.Append(&repair.Event{Op: repair.OpDRetireZone, ZoneIdx: z}); err != nil {
 		return err
 	}
 	moved, err := d.planner().RetireZone(z)

@@ -3,16 +3,19 @@ package repair
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
-// EventOp tags the canonical wire form of one session event. The durable
-// layers (dvecap.ClusterSession, internal/director) journal these to the
-// WAL before applying them, and recovery replays the decoded events
-// through the exact same mutators live traffic uses — one encoding, one
-// code path, so replay cannot diverge from what the log captured
-// (DESIGN.md §11). The encoding lives next to the planner because the
-// planner's event surface defines what an event IS; the public layers
-// only add their addressing (string IDs, auto-issued director IDs).
+// EventOp tags the canonical wire form of one journaled event. The two
+// durable surfaces (dvecap.ClusterSession, internal/director) hand these to
+// the one durability engine (Journal, journal.go), which appends them to the
+// WAL before they are applied and, on recovery, streams the decoded events
+// back through the surface's applyEvent onto the exact same mutators live
+// traffic uses — one encoding, one engine, one code path, so replay cannot
+// diverge from what the log captured (DESIGN.md §11). The encoding lives
+// next to the planner because the planner's event surface defines what an
+// event IS; the surfaces only add their addressing (string IDs for the
+// session's Op*, dense indices and auto-issued IDs for the director's OpD*).
 type EventOp string
 
 // Client churn, delay refresh, bandwidth bookkeeping, topology events and
@@ -117,6 +120,16 @@ type Event struct {
 	// FullSolves is OpEpoch's payload.
 	FullSolves int `json:"full_solves,omitempty"`
 }
+
+// FiniteNonNeg reports whether v is a finite number >= 0 — the one range
+// check for every measured quantity (RTTs, edge weights that may be zero)
+// arriving at either surface: NaN and ±Inf would poison the evaluator's
+// accumulators and cannot be journaled (JSON has no encoding for them).
+func FiniteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// FinitePos is FiniteNonNeg for quantities that must be strictly positive
+// (capacities, bandwidths, edge-weight increments).
+func FinitePos(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Encode renders the event's canonical journal payload.
 func (e *Event) Encode() ([]byte, error) {

@@ -55,6 +55,14 @@ const (
 // Recovery must fail rather than resume from a silently shortened history.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
+// ErrFailed marks a Writer that has fail-stopped: an append failed part-way
+// (a short write, a failed fsync), so the segment may end in a half-written
+// frame. A record appended after it would be acknowledged and then dropped
+// with the torn tail on recovery, so the writer refuses every further
+// Append, returning the original fault wrapped in ErrFailed, until the
+// log is reopened (which truncates the tear).
+var ErrFailed = errors.New("wal: writer failed")
+
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures a Writer.
@@ -113,6 +121,7 @@ type Writer struct {
 	size    int64  // current segment size
 	nextLSN uint64 // LSN the next Append receives
 	closed  bool
+	failed  error // sticky append failure (wraps ErrFailed); nil while healthy
 	tele    walTele
 }
 
@@ -349,14 +358,27 @@ func (w *Writer) hook(point string) error {
 
 // Append writes one record and makes it durable. The returned LSN is
 // assigned only after the record is synced — once Append returns nil, the
-// record survives any crash.
+// record survives any crash. A failure past validation is sticky: the
+// writer fail-stops (see ErrFailed) without touching the file again.
 func (w *Writer) Append(payload []byte) (uint64, error) {
 	if w.closed {
 		return 0, fmt.Errorf("wal: writer closed")
 	}
+	if w.failed != nil {
+		return 0, w.failed
+	}
 	if len(payload) == 0 || len(payload) > MaxRecord {
 		return 0, fmt.Errorf("wal: payload of %d bytes outside (0,%d]", len(payload), MaxRecord)
 	}
+	lsn, err := w.append(payload)
+	if err != nil {
+		w.failed = fmt.Errorf("%w: %w", ErrFailed, err)
+		return 0, w.failed
+	}
+	return lsn, nil
+}
+
+func (w *Writer) append(payload []byte) (uint64, error) {
 	if w.size >= w.opt.SegmentBytes {
 		if err := w.rotate(); err != nil {
 			return 0, err
@@ -407,6 +429,10 @@ func (w *Writer) Append(payload []byte) (uint64, error) {
 	}
 	return lsn, nil
 }
+
+// Err returns the sticky failure of a fail-stopped writer (it wraps
+// ErrFailed), nil while the writer is healthy.
+func (w *Writer) Err() error { return w.failed }
 
 // NextLSN returns the LSN the next Append will receive.
 func (w *Writer) NextLSN() uint64 { return w.nextLSN }

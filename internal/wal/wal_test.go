@@ -343,6 +343,17 @@ func TestAppendCrashPoints(t *testing.T) {
 			if _, err := w.Append([]byte("doomed")); !errors.Is(err, crash) {
 				t.Fatalf("append: %v", err)
 			}
+			// The writer is fail-stopped: a record appended now would land
+			// after a possibly half-written frame, be acknowledged, and then
+			// be dropped with the torn tail. It must refuse without writing.
+			w.opt.CrashHook = nil
+			size := fileSize(t, w.f.Name())
+			if _, err := w.Append([]byte("after")); !errors.Is(err, ErrFailed) || !errors.Is(err, crash) || !errors.Is(w.Err(), ErrFailed) {
+				t.Fatalf("append after a failed append: %v, want the original fault under ErrFailed", err)
+			}
+			if got := fileSize(t, w.f.Name()); got != size {
+				t.Fatalf("fail-stopped writer grew its segment: %d → %d", size, got)
+			}
 			w.f.Close() // simulate process death without Writer.Close bookkeeping
 			// Recovery: the 4 acked records survive, the unacked one may or
 			// may not (here: must not, since no crash point syncs a full frame).
@@ -363,6 +374,15 @@ func TestAppendCrashPoints(t *testing.T) {
 			w2.Close()
 		})
 	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
 }
 
 func TestHasState(t *testing.T) {
