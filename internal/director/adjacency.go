@@ -44,18 +44,14 @@ func (d *Director) Adjacency() []AdjacencyInfo {
 // (Config.TrafficWeight > 0) the edge immediately participates in repair
 // decisions.
 func (d *Director) SetAdjacency(zone1, zone2 int, weightMbps float64) (AdjacencyInfo, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	if err := d.adjacencyArgsLocked(zone1, zone2, weightMbps, true); err != nil {
 		return AdjacencyInfo{}, err
 	}
-	if err := d.dur.Append(&repair.Event{Op: repair.OpDSetAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: weightMbps}); err != nil {
-		return AdjacencyInfo{}, err
-	}
-	if err := d.planner().SetAdjacency(zone1, zone2, weightMbps); err != nil {
-		return AdjacencyInfo{}, err
-	}
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.commit(&repair.Event{Op: repair.OpDSetAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: weightMbps}, func() error {
+		return d.planner().SetAdjacency(zone1, zone2, weightMbps)
+	}); err != nil {
 		return AdjacencyInfo{}, err
 	}
 	return d.edgeInfoLocked(zone1, zone2), nil
@@ -66,18 +62,14 @@ func (d *Director) SetAdjacency(zone1, zone2 int, weightMbps float64) (Adjacency
 // observed avatar crossings: each crossing between a pair of zones bumps
 // their interaction weight.
 func (d *Director) AddAdjacencyWeight(zone1, zone2 int, deltaMbps float64) (AdjacencyInfo, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	if err := d.adjacencyArgsLocked(zone1, zone2, deltaMbps, false); err != nil {
 		return AdjacencyInfo{}, err
 	}
-	if err := d.dur.Append(&repair.Event{Op: repair.OpDAddAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: deltaMbps}); err != nil {
-		return AdjacencyInfo{}, err
-	}
-	if err := d.planner().AddAdjacency(zone1, zone2, deltaMbps); err != nil {
-		return AdjacencyInfo{}, err
-	}
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.commit(&repair.Event{Op: repair.OpDAddAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: deltaMbps}, func() error {
+		return d.planner().AddAdjacency(zone1, zone2, deltaMbps)
+	}); err != nil {
 		return AdjacencyInfo{}, err
 	}
 	return d.edgeInfoLocked(zone1, zone2), nil

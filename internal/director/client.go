@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 )
 
 // Client is the Go binding for the director's HTTP API.
@@ -19,6 +20,10 @@ type Client struct {
 func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: baseURL, HTTPClient: http.DefaultClient}
 }
+
+// clientPath is the resource path of one client. IDs are caller-chosen, so
+// the segment is escaped: "guild/7" or "a b" must arrive as ONE segment.
+func clientPath(id string) string { return "/v1/clients/" + url.PathEscape(id) }
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
@@ -38,13 +43,13 @@ func (c *Client) Join(id string, node, zone int) (ClientInfo, error) {
 
 // Leave removes a client.
 func (c *Client) Leave(id string) error {
-	return c.do(http.MethodDelete, "/v1/clients/"+id, nil, nil)
+	return c.do(http.MethodDelete, clientPath(id), nil, nil)
 }
 
 // Move relocates a client to another zone.
 func (c *Client) Move(id string, zone int) (ClientInfo, error) {
 	var out ClientInfo
-	err := c.do(http.MethodPost, "/v1/clients/"+id+"/move", map[string]interface{}{"zone": zone}, &out)
+	err := c.do(http.MethodPost, clientPath(id)+"/move", map[string]interface{}{"zone": zone}, &out)
 	return out, err
 }
 
@@ -53,14 +58,14 @@ func (c *Client) Move(id string, zone int) (ClientInfo, error) {
 // the client's zone.
 func (c *Client) UpdateDelays(id string, rttsMs []float64) (ClientInfo, error) {
 	var out ClientInfo
-	err := c.do(http.MethodPost, "/v1/clients/"+id+"/delays", map[string]interface{}{"rtts_ms": rttsMs}, &out)
+	err := c.do(http.MethodPost, clientPath(id)+"/delays", map[string]interface{}{"rtts_ms": rttsMs}, &out)
 	return out, err
 }
 
 // Lookup fetches a client's current assignment.
 func (c *Client) Lookup(id string) (ClientInfo, error) {
 	var out ClientInfo
-	err := c.do(http.MethodGet, "/v1/clients/"+id, nil, &out)
+	err := c.do(http.MethodGet, clientPath(id), nil, &out)
 	return out, err
 }
 

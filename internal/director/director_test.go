@@ -607,6 +607,56 @@ func TestHTTPDelaysRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHTTPClientIDsRoundTrip: POST /v1/clients takes any caller-chosen ID in
+// its JSON body, so every ID it accepts must stay addressable in a URL — the
+// binding escapes the path segment and the handler splits the escaped path.
+// Each ID goes join → lookup → move → delays → delete through the Go client,
+// and its requests are counted under the {id} route patterns, not "other".
+func TestHTTPClientIDsRoundTrip(t *testing.T) {
+	d, reg := telemetryDirector(t)
+	srv := httptest.NewServer(Handler(d))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+
+	ids := []string{"guild/7", "a b", "x?y", "x#y", "100%", "a/b/move", "玩家-1", "plain"}
+	for _, id := range ids {
+		joined, err := c.Join(id, 12, 2)
+		if err != nil {
+			t.Fatalf("join %q: %v", id, err)
+		}
+		if joined.ID != id {
+			t.Fatalf("join %q registered %q", id, joined.ID)
+		}
+		if got, err := c.Lookup(id); err != nil || got != joined {
+			t.Fatalf("lookup %q: %+v, %v; want %+v", id, got, err, joined)
+		}
+		if moved, err := c.Move(id, 5); err != nil || moved.ID != id || moved.Zone != 5 {
+			t.Fatalf("move %q: %+v, %v", id, moved, err)
+		}
+		if upd, err := c.UpdateDelays(id, []float64{42, 42, 42, 42}); err != nil || upd.ID != id || upd.DelayMs != 42 {
+			t.Fatalf("delays %q: %+v, %v", id, upd, err)
+		}
+		if err := c.Leave(id); err != nil {
+			t.Fatalf("leave %q: %v", id, err)
+		}
+		if _, err := d.Lookup(id); !errors.Is(err, ErrUnknownClient) {
+			t.Fatalf("%q still registered after DELETE: %v", id, err)
+		}
+	}
+	n := uint64(len(ids))
+	for labels, want := range map[[3]string]uint64{
+		{"/v1/clients/{id}", "GET", "200"}:         n,
+		{"/v1/clients/{id}", "DELETE", "204"}:      n,
+		{"/v1/clients/{id}/move", "POST", "200"}:   n,
+		{"/v1/clients/{id}/delays", "POST", "200"}: n,
+	} {
+		if got := reg.Counter("dvecap_http_requests_total", "",
+			"route", labels[0], "method", labels[1], "code", labels[2]).Value(); got != want {
+			t.Errorf("http_requests%v = %d, want %d", labels, got, want)
+		}
+	}
+}
+
 func TestJoinDuplicateIsSentinel(t *testing.T) {
 	d := testDirector(t)
 	if _, err := d.Join("alice", 12, 2); err != nil {
@@ -742,12 +792,22 @@ func TestHTTPTopologyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTopologyChurnRaceStress hammers the director with concurrent stats,
-// snapshot and inventory reads while a writer cycles server add / drain /
-// uncordon / remove, zone add / retire and client churn — the -race CI
-// job turns any locking gap into a failure.
+// TestTopologyChurnRaceStress hammers a DURABLE director with concurrent
+// lookup, stats, snapshot and inventory reads plus an explicit checkpointer
+// while a writer cycles server add / drain / uncordon / remove, zone add /
+// retire and client churn, auto-checkpointing as it goes — the -race CI job
+// turns any locking gap into a failure. Readers run under the state lock
+// alone while the writer journals and snapshots render under the sequencer
+// alone, so this is also the proof that rendering only reads.
 func TestTopologyChurnRaceStress(t *testing.T) {
-	d := testDirector(t)
+	cfg := durDirConfig(durDelays(t), 1)
+	cfg.DataDir = t.TempDir()
+	cfg.SnapshotEvery = 7
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
 	for i := 0; i < 20; i++ {
 		if _, err := d.Join("", i%40, i%8); err != nil {
 			t.Fatal(err)
@@ -755,7 +815,7 @@ func TestTopologyChurnRaceStress(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
+	for r := 0; r < 6; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
@@ -765,19 +825,38 @@ func TestTopologyChurnRaceStress(t *testing.T) {
 					return
 				default:
 				}
-				switch r % 4 {
+				switch r {
 				case 0:
 					d.Stats()
 				case 1:
 					d.Servers()
 				case 2:
 					d.Zones()
-				default:
+				case 3:
 					d.Snapshot()
+				case 4:
+					if _, err := d.Lookup("c000001"); err != nil {
+						t.Error(err)
+						return
+					}
+				default:
+					d.ProblemSnapshot()
 				}
 			}
 		}(r)
 	}
+	// One explicit checkpoint per writer cycle, racing the writer's own.
+	checkpoint := make(chan struct{}, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range checkpoint {
+			if _, err := d.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	for cycle := 0; cycle < 25; cycle++ {
 		info, err := d.AddServer(cycle%40, 60)
 		if err != nil {
@@ -804,8 +883,13 @@ func TestTopologyChurnRaceStress(t *testing.T) {
 		if err := d.RetireZone(d.Stats().Zones - 1); err != nil {
 			t.Fatal(err)
 		}
+		select {
+		case checkpoint <- struct{}{}:
+		default:
+		}
 	}
 	close(stop)
+	close(checkpoint)
 	wg.Wait()
 	if st := d.Stats(); st.Servers != 4 || st.Zones != 8 {
 		t.Fatalf("topology did not return to 4 servers / 8 zones: %+v", st)

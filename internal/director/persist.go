@@ -98,18 +98,57 @@ func (c Config) journalConfig() repair.JournalConfig {
 	}
 }
 
-// afterApplyLocked runs the durable bookkeeping once an event has been
-// applied (epoch marker, checkpoint cadence) and takes the auto-checkpoint
-// when the engine reports one due.
-func (d *Director) afterApplyLocked() error {
-	if due, err := d.dur.Applied(); err != nil || !due {
-		return err
-	}
-	_, err := d.checkpointLocked()
+// The write path: every journaled mutator runs these steps, in this order,
+// with the write sequencer (wmu) held throughout and the state lock (mu)
+// write-held for the apply step alone.
+
+// journal appends e to the log and syncs it, BEFORE e is applied. It runs
+// under wmu only: readers are not behind the fsync.
+func (d *Director) journal(e *repair.Event) error {
+	start := d.stages.journal.begin()
+	err := d.dur.Append(e)
+	d.stages.journal.end(start)
 	return err
 }
 
-// snapshotPayloadLocked renders the director's full durable state as of lsn.
+// apply runs fn — the in-memory step of a mutation — with the state lock
+// write-held: the only stretch of a write during which a reader can block.
+func (d *Director) apply(fn func() error) error {
+	start := d.stages.apply.begin()
+	d.mu.Lock()
+	err := fn()
+	d.mu.Unlock()
+	d.stages.apply.end(start)
+	return err
+}
+
+// afterApply runs the durable bookkeeping once an event has been applied
+// (epoch marker, checkpoint cadence) and takes the auto-checkpoint when the
+// engine reports one due.
+func (d *Director) afterApply() error {
+	if due, err := d.dur.Applied(); err != nil || !due {
+		return err
+	}
+	_, err := d.checkpoint()
+	return err
+}
+
+// commit is journal → apply → afterApply for an already validated event. An
+// event the apply rejects stays journaled (replay re-rejects it) and skips
+// the bookkeeping.
+func (d *Director) commit(e *repair.Event, apply func() error) error {
+	if err := d.journal(e); err != nil {
+		return err
+	}
+	if err := d.apply(apply); err != nil {
+		return err
+	}
+	return d.afterApply()
+}
+
+// snapshotPayloadLocked renders the director's full durable state as of
+// lsn. The caller holds wmu (or is the sole owner, in New), which freezes the
+// state; readers carry on under mu.RLock while it renders.
 func (d *Director) snapshotPayloadLocked(lsn uint64) ([]byte, error) {
 	pl := d.planner()
 	live := pl.Problem()
@@ -153,8 +192,11 @@ func (d *Director) snapshotPayloadLocked(lsn uint64) ([]byte, error) {
 	})
 }
 
-func (d *Director) checkpointLocked() (uint64, error) {
+// checkpoint renders and writes a snapshot under wmu alone.
+func (d *Director) checkpoint() (uint64, error) {
+	start := d.stages.checkpoint.begin()
 	lsn, err := d.dur.Checkpoint(d.snapshotPayloadLocked)
+	d.stages.checkpoint.end(start)
 	if err == nil && d.dur != nil {
 		d.log.Debug("checkpoint written", "lsn", lsn)
 	}
@@ -167,19 +209,20 @@ func (d *Director) checkpointLocked() (uint64, error) {
 // call. A no-op (0, nil) on non-durable directors. Auto-checkpointing
 // (Config.SnapshotEvery) calls this; POST /v1/checkpoint and the graceful
 // shutdown path call it explicitly — checkpoint, then drain, then stop,
-// so a restart replays nothing.
+// so a restart replays nothing. Writers queue behind a checkpoint; readers
+// do not.
 func (d *Director) Checkpoint() (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.checkpointLocked()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	return d.checkpoint()
 }
 
 // Close checkpoints a durable director and releases its log. Further
 // mutations fail with ErrDirectorClosed; read paths keep working. A no-op
 // on non-durable directors and on second call.
 func (d *Director) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	return d.dur.Close(d.snapshotPayloadLocked)
 }
 
@@ -188,8 +231,8 @@ func (d *Director) Close() error {
 // suite (package dvecap's durability_test.go), which drives this surface and
 // ClusterSession through one harness.
 func (d *Director) SetCrashHook(hook func(point string) error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	d.dur.SetCrashHook(hook)
 }
 
@@ -197,8 +240,8 @@ func (d *Director) SetCrashHook(hook func(point string) error) {
 // write — everything a placement decision depends on — so the proof suite
 // can compare two directors byte for byte.
 func (d *Director) DurableState() ([]byte, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	return d.snapshotPayloadLocked(0)
 }
 
@@ -322,6 +365,9 @@ func recoverDirector(cfg Config) (*Director, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Like the planner's series, the write stages attach only after the tail
+	// has replayed, so they count live traffic.
+	d.stages = newWriteStages(cfg.Telemetry, true)
 	d.log.Info("recovered from journal",
 		"dir", dir, "snapshot_lsn", snap.LSN, "events_replayed", replayed,
 		"clients", d.binding.Len(), "replay", time.Since(recStart))
@@ -329,7 +375,7 @@ func recoverDirector(cfg Config) (*Director, error) {
 }
 
 // applyEvent replays one journaled event through the live mutator it was
-// journaled from (the methods take the lock themselves; replay runs
+// journaled from (the methods take the locks themselves; replay runs
 // before the director is shared). Apply-level rejections are swallowed —
 // the live path journals before applying, so a rejected event is in the
 // log too and rejects again here, deterministically. Only an unknown op

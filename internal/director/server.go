@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -353,11 +354,13 @@ func Handler(d *Director) http.Handler {
 		writeJSON(w, http.StatusOK, info)
 	})
 	mux.HandleFunc("/v1/clients/", func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.TrimPrefix(r.URL.Path, "/v1/clients/")
+		// Split the ESCAPED path, then unescape the ID segment: a client ID
+		// is caller-chosen and may itself hold '/', '?', '#' or '%'.
+		rest := strings.TrimPrefix(r.URL.EscapedPath(), "/v1/clients/")
 		parts := strings.Split(rest, "/")
-		id := parts[0]
-		if id == "" {
-			writeErr(w, http.StatusBadRequest, "missing client id")
+		id, err := url.PathUnescape(parts[0])
+		if err != nil || id == "" {
+			writeErr(w, http.StatusBadRequest, "missing or malformed client id")
 			return
 		}
 		switch {

@@ -173,21 +173,39 @@ type clientRec struct {
 // reached through the same ID binding the public Cluster API uses — and
 // the director layers identity (string IDs, registration order), the
 // topology delay oracle and the bandwidth model on top of it.
+//
+// Two locks guard it (DESIGN.md §11, "Lock discipline"). wmu is the write
+// sequencer: a mutator holds it from validation to the auto-checkpoint, so
+// it orders writers and, with them, the journal. mu guards the state readers
+// see and is write-held only for the in-memory apply step of a mutation.
+// State changes only with BOTH held — so wmu alone suffices to validate and
+// to render a snapshot, mu.RLock alone suffices to read, and no fsync,
+// snapshot render or file write ever runs under mu. Lock order is wmu
+// before mu, never the reverse.
 type Director struct {
 	cfg  Config
 	algo core.TwoPhase
 
-	mu      sync.RWMutex
+	wmu sync.Mutex   // write sequencer; alone guards the writer-only fields below
+	mu  sync.RWMutex // state lock
+
+	// Guarded state: these, and cfg's live-topology fields (ServerNodes,
+	// ServerCaps, Zones), change only under wmu+mu.
 	clients map[string]*clientRec
 	binding *repair.IDBinding // ID ↔ planner handle map + registration order
 	zonePop []int
-	csBuf   []float64
 	rng     *xrand.RNG
-	seq     uint64
-	dur     *repair.Journal // durability engine; nil when not durable
 	// autoRec is the autoscaling reconciler (EnableAutoscale); nil until
 	// enabled. It owns its own lock — only the pointer is guarded by mu.
 	autoRec *autoscale.Reconciler
+
+	// Writer-only fields, guarded by wmu alone: the auto-ID sequence
+	// (advanced before the journal append that records it), the delay-row
+	// scratch buffer and the durability engine (nil when not durable; the
+	// pointer is fixed at construction, its calls are serialised by wmu).
+	seq   uint64
+	csBuf []float64
+	dur   *repair.Journal
 
 	// recovering is true while New replays the journal; the HTTP handler
 	// sheds traffic (503 + Retry-After) until it clears.
@@ -195,9 +213,10 @@ type Director struct {
 
 	// log is never nil (defaults to discard); tele and trace are
 	// Config.Telemetry/Config.Trace and may be nil (instrumentation off).
-	log   *slog.Logger
-	tele  *telemetry.Registry
-	trace *telemetry.Tracer
+	log    *slog.Logger
+	tele   *telemetry.Registry
+	trace  *telemetry.Tracer
+	stages writeStages
 }
 
 // logger resolves Config.Logger to a non-nil handle.
@@ -243,6 +262,7 @@ func New(cfg Config) (*Director, error) {
 		log:     cfg.logger(),
 		tele:    cfg.Telemetry,
 		trace:   cfg.Trace,
+		stages:  newWriteStages(cfg.Telemetry, cfg.DataDir != ""),
 	}
 	// With no clients every zone is cost-free everywhere; spread zones
 	// round-robin so early joins have sane targets.
@@ -335,8 +355,8 @@ type ClientInfo struct {
 // minimising its effective delay — one step of GreC's logic), with a
 // localized repair pass around the zone it entered.
 func (d *Director) Join(id string, node, zone int) (ClientInfo, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	if node < 0 || node >= d.cfg.Delays.N() {
 		return ClientInfo{}, fmt.Errorf("director: node %d outside topology", node)
 	}
@@ -355,7 +375,7 @@ func (d *Director) Join(id string, node, zone int) (ClientInfo, error) {
 	// like every other rejected event and replay re-rejects it.
 	_, exists := d.clients[id]
 	if auto || !exists {
-		if err := d.dur.Append(&repair.Event{Op: repair.OpDJoin, ID: id, Node: node, ZoneIdx: zone, Auto: auto}); err != nil {
+		if err := d.journal(&repair.Event{Op: repair.OpDJoin, ID: id, Node: node, ZoneIdx: zone, Auto: auto}); err != nil {
 			if auto {
 				d.seq--
 			}
@@ -368,20 +388,25 @@ func (d *Director) Join(id string, node, zone int) (ClientInfo, error) {
 	for i := range d.csBuf {
 		d.csBuf[i] = d.clientServerRTT(node, i)
 	}
-	// Incumbents are refreshed to the new population's RT before the
-	// planner event, so Join's repair pass judges feasibility against
-	// up-to-date loads.
-	d.zonePop[zone]++
-	d.refreshZoneRTLocked(zone)
-	rt := d.zoneClientRT(zone)
-	if err := d.binding.Join(id, zone, rt, d.csBuf); err != nil {
-		d.zonePop[zone]--
+	rec := &clientRec{node: node, zone: zone}
+	if err := d.apply(func() error {
+		// Incumbents are refreshed to the new population's RT before the
+		// planner event, so Join's repair pass judges feasibility against
+		// up-to-date loads.
+		d.zonePop[zone]++
 		d.refreshZoneRTLocked(zone)
+		rt := d.zoneClientRT(zone)
+		if err := d.binding.Join(id, zone, rt, d.csBuf); err != nil {
+			d.zonePop[zone]--
+			d.refreshZoneRTLocked(zone)
+			return err
+		}
+		d.clients[id] = rec
+		return nil
+	}); err != nil {
 		return ClientInfo{}, err
 	}
-	rec := &clientRec{node: node, zone: zone}
-	d.clients[id] = rec
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.afterApply(); err != nil {
 		return ClientInfo{}, err
 	}
 	return d.infoLocked(id, rec), nil
@@ -389,34 +414,33 @@ func (d *Director) Join(id string, node, zone int) (ClientInfo, error) {
 
 // Leave removes a client, repairing around the zone it vacated.
 func (d *Director) Leave(id string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	rec, ok := d.clients[id]
 	if !ok {
 		return fmt.Errorf("director: %w %q", ErrUnknownClient, id)
 	}
-	if err := d.dur.Append(&repair.Event{Op: repair.OpDLeave, ID: id}); err != nil {
-		return err
-	}
-	// Refresh to the post-departure population before the event (the
-	// departing client's smaller RT is subtracted consistently), so the
-	// repair pass inside Leave sees up-to-date loads.
-	d.zonePop[rec.zone]--
-	d.refreshZoneRTLocked(rec.zone)
-	if err := d.binding.Leave(id); err != nil {
-		d.zonePop[rec.zone]++
+	return d.commit(&repair.Event{Op: repair.OpDLeave, ID: id}, func() error {
+		// Refresh to the post-departure population before the event (the
+		// departing client's smaller RT is subtracted consistently), so the
+		// repair pass inside Leave sees up-to-date loads.
+		d.zonePop[rec.zone]--
 		d.refreshZoneRTLocked(rec.zone)
-		return err
-	}
-	delete(d.clients, id)
-	return d.afterApplyLocked()
+		if err := d.binding.Leave(id); err != nil {
+			d.zonePop[rec.zone]++
+			d.refreshZoneRTLocked(rec.zone)
+			return err
+		}
+		delete(d.clients, id)
+		return nil
+	})
 }
 
 // Move relocates a client's avatar to another zone and re-attaches it,
 // repairing around both affected zones.
 func (d *Director) Move(id string, zone int) (ClientInfo, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	rec, ok := d.clients[id]
 	if !ok {
 		return ClientInfo{}, fmt.Errorf("director: %w %q", ErrUnknownClient, id)
@@ -424,33 +448,32 @@ func (d *Director) Move(id string, zone int) (ClientInfo, error) {
 	if zone < 0 || zone >= d.cfg.Zones {
 		return ClientInfo{}, fmt.Errorf("director: zone %d outside [0,%d)", zone, d.cfg.Zones)
 	}
-	if err := d.dur.Append(&repair.Event{Op: repair.OpDMove, ID: id, ZoneIdx: zone}); err != nil {
-		return ClientInfo{}, err
-	}
-	old := rec.zone
-	if zone != old {
-		// Bring both zones' bandwidth up to date before the event — the
-		// vacated zone's members to the shrunk population's RT, the entered
-		// zone's incumbents and the mover itself to the grown one's — so
-		// Move's repair pass sees exact loads.
-		d.zonePop[old]--
-		d.zonePop[zone]++
-		d.refreshZoneRTLocked(old)
-		d.refreshZoneRTLocked(zone)
-		_ = d.binding.SetRT(id, d.zoneClientRT(zone))
-	}
-	if err := d.binding.Move(id, zone); err != nil {
+	if err := d.commit(&repair.Event{Op: repair.OpDMove, ID: id, ZoneIdx: zone}, func() error {
+		old := rec.zone
 		if zone != old {
-			d.zonePop[old]++
-			d.zonePop[zone]--
+			// Bring both zones' bandwidth up to date before the event — the
+			// vacated zone's members to the shrunk population's RT, the entered
+			// zone's incumbents and the mover itself to the grown one's — so
+			// Move's repair pass sees exact loads.
+			d.zonePop[old]--
+			d.zonePop[zone]++
 			d.refreshZoneRTLocked(old)
 			d.refreshZoneRTLocked(zone)
-			_ = d.binding.SetRT(id, d.zoneClientRT(old))
+			_ = d.binding.SetRT(id, d.zoneClientRT(zone))
 		}
-		return ClientInfo{}, err
-	}
-	rec.zone = zone
-	if err := d.afterApplyLocked(); err != nil {
+		if err := d.binding.Move(id, zone); err != nil {
+			if zone != old {
+				d.zonePop[old]++
+				d.zonePop[zone]--
+				d.refreshZoneRTLocked(old)
+				d.refreshZoneRTLocked(zone)
+				_ = d.binding.SetRT(id, d.zoneClientRT(old))
+			}
+			return err
+		}
+		rec.zone = zone
+		return nil
+	}); err != nil {
 		return ClientInfo{}, err
 	}
 	return d.infoLocked(id, rec), nil
@@ -463,8 +486,8 @@ func (d *Director) Move(id string, zone int) (ClientInfo, error) {
 // — no full re-solve. This is the mouth for measurement-estimator refresh
 // streams (King/IDMaps re-probes).
 func (d *Director) UpdateDelays(id string, rtts []float64) (ClientInfo, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	rec, ok := d.clients[id]
 	if !ok {
 		return ClientInfo{}, fmt.Errorf("director: %w %q", ErrUnknownClient, id)
@@ -477,13 +500,9 @@ func (d *Director) UpdateDelays(id string, rtts []float64) (ClientInfo, error) {
 			return ClientInfo{}, fmt.Errorf("director: RTT to server %d is %v ms, want finite >= 0", i, rtt)
 		}
 	}
-	if err := d.dur.Append(&repair.Event{Op: repair.OpDDelays, ID: id, Row: rtts}); err != nil {
-		return ClientInfo{}, err
-	}
-	if err := d.binding.UpdateDelays(id, rtts); err != nil {
-		return ClientInfo{}, err
-	}
-	if err := d.afterApplyLocked(); err != nil {
+	if err := d.commit(&repair.Event{Op: repair.OpDDelays, ID: id, Row: rtts}, func() error {
+		return d.binding.UpdateDelays(id, rtts)
+	}); err != nil {
 		return ClientInfo{}, err
 	}
 	return d.infoLocked(id, rec), nil
@@ -713,22 +732,19 @@ type ReassignResult struct {
 // population (the paper's answer to accumulated churn) and installs the
 // result.
 func (d *Director) Reassign() (ReassignResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	order := d.binding.IDs()
 	if len(order) == 0 {
 		// Nothing to solve — and nothing journaled, so empty reassigns
 		// (e.g. a timer firing on an idle service) don't grow the log.
 		return ReassignResult{Stats: d.statsLocked()}, nil
 	}
-	if err := d.dur.Append(&repair.Event{Op: repair.OpResolve}); err != nil {
-		return ReassignResult{}, err
-	}
 	before := make([]int, len(order))
 	for j, id := range order {
 		before[j], _ = d.binding.Contact(id)
 	}
-	if err := d.planner().FullSolve(); err != nil {
+	if err := d.commit(&repair.Event{Op: repair.OpResolve}, d.planner().FullSolve); err != nil {
 		return ReassignResult{}, err
 	}
 	moved := 0
@@ -736,9 +752,6 @@ func (d *Director) Reassign() (ReassignResult, error) {
 		if after, _ := d.binding.Contact(id); after != before[j] {
 			moved++
 		}
-	}
-	if err := d.afterApplyLocked(); err != nil {
-		return ReassignResult{}, err
 	}
 	return ReassignResult{Stats: d.statsLocked(), Moved: moved}, nil
 }

@@ -1,10 +1,11 @@
 package director
 
-// HTTP-layer observability for the director service: per-route request
+// Observability for the director service. HTTP layer: per-route request
 // counters, latency histograms and an in-flight gauge, all recorded
 // against route PATTERNS (never raw paths — client IDs and server indices
 // would make label cardinality unbounded), plus the GET /metrics endpoint
-// rendering the registry in Prometheus text format.
+// rendering the registry in Prometheus text format. Write path: how long
+// each stage of a mutation took (writeStages).
 
 import (
 	"fmt"
@@ -23,7 +24,9 @@ func routePattern(path string) string {
 	switch path {
 	case "/v1/healthz", "/v1/readyz", "/v1/stats", "/v1/problem",
 		"/v1/checkpoint", "/v1/reassign", "/v1/clients", "/v1/servers",
-		"/v1/zones", "/v1/adjacency", "/v1/adjacency/add", "/metrics":
+		"/v1/zones", "/v1/adjacency", "/v1/adjacency/add", "/metrics",
+		"/v1/autoscale", "/v1/autoscale/config", "/v1/autoscale/pause",
+		"/v1/autoscale/resume", "/v1/autoscale/tick":
 		return path
 	}
 	switch {
@@ -58,6 +61,45 @@ func routePattern(path string) string {
 		return "other"
 	}
 	return "other"
+}
+
+// stage is one series of dvecap_director_write_stage_duration_seconds. Its
+// zero value (instrumentation off) records nothing and never reads the clock.
+type stage struct{ h *telemetry.Histogram }
+
+func (s stage) begin() (t time.Time) {
+	if s.h != nil {
+		t = time.Now()
+	}
+	return t
+}
+
+func (s stage) end(start time.Time) {
+	if s.h != nil {
+		s.h.Observe(time.Since(start).Seconds())
+	}
+}
+
+// writeStages times the stages of the write path (persist.go): journal is
+// the encode-append-fsync of one event, apply the stretch with the state
+// lock write-held — by construction the only time a write can block a
+// reader — and checkpoint one snapshot render plus durable write. journal
+// and apply each count one observation per journaled mutation.
+type writeStages struct{ journal, apply, checkpoint stage }
+
+// newWriteStages resolves the series once; reg may be nil. The journal and
+// checkpoint stages exist only on a durable director.
+func newWriteStages(reg *telemetry.Registry, durable bool) writeStages {
+	series := func(name string) stage {
+		return stage{reg.Histogram("dvecap_director_write_stage_duration_seconds",
+			"Wall time of one stage of a director mutation: journal (append + fsync, readers not blocked), apply (state lock write-held, readers blocked), checkpoint (snapshot render + write, readers not blocked).",
+			nil, "stage", name)}
+	}
+	ws := writeStages{apply: series("apply")}
+	if durable {
+		ws.journal, ws.checkpoint = series("journal"), series("checkpoint")
+	}
+	return ws
 }
 
 // httpMetrics instruments the API handler; nil (no registry) disables it.
@@ -107,7 +149,9 @@ func instrument(m *httpMetrics, tr *telemetry.Tracer, next http.Handler) http.Ha
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := routePattern(r.URL.Path)
+		// The escaped path, so a client ID holding an escaped '/' still
+		// collapses to {id}.
+		route := routePattern(r.URL.EscapedPath())
 		finish := tr.Span(r.Method+" "+route, "path", r.URL.Path)
 		if m != nil {
 			m.inFlight.Add(1)

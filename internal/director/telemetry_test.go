@@ -28,6 +28,15 @@ func TestRoutePattern(t *testing.T) {
 		"/v1/zones/7/extra":        "other",
 		"/v1/adjacency":            "/v1/adjacency",
 		"/v1/adjacency/add":        "/v1/adjacency/add",
+		"/v1/autoscale":            "/v1/autoscale",
+		"/v1/autoscale/config":     "/v1/autoscale/config",
+		"/v1/autoscale/pause":      "/v1/autoscale/pause",
+		"/v1/autoscale/resume":     "/v1/autoscale/resume",
+		"/v1/autoscale/tick":       "/v1/autoscale/tick",
+		"/v1/autoscale/bogus":      "other",
+		"/v1/autoscale/tick/x":     "other",
+		"/v1/clients/guild%2F7":    "/v1/clients/{id}",
+		"/v1/clients/a%20b/move":   "/v1/clients/{id}/move",
 		"/favicon.ico":             "other",
 		"/v1/servers/../../passwd": "other",
 	}

@@ -113,19 +113,17 @@ func (d *Director) AddSpareServer(node int, capacityMbps float64) (ServerInfo, e
 }
 
 func (d *Director) addServer(node int, capacityMbps float64, spare bool) (ServerInfo, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	if node < 0 || node >= d.cfg.Delays.N() {
 		return ServerInfo{}, fmt.Errorf("director: node %d outside topology", node)
 	}
 	if !repair.FinitePos(capacityMbps) {
 		return ServerInfo{}, fmt.Errorf("director: capacity %v, want finite > 0", capacityMbps)
 	}
-	// Only the node, capacity and spare flag are journaled: the delay rows
-	// are oracle-derived, and replay re-derives them identically.
-	if err := d.dur.Append(&repair.Event{Op: repair.OpDAddServer, Node: node, Capacity: capacityMbps, Spare: spare}); err != nil {
-		return ServerInfo{}, err
-	}
+	// The new server's delay entries are derived from the oracle up front —
+	// reads only, so outside the state lock. Only the node, capacity and
+	// spare flag are journaled; replay re-derives the rows identically.
 	m := len(d.cfg.ServerNodes)
 	ss := make([]float64, m)
 	for l := 0; l < m; l++ {
@@ -144,14 +142,16 @@ func (d *Director) addServer(node int, capacityMbps float64, spare bool) (Server
 	if spare {
 		add = pl.AddSpareServer
 	}
-	i, err := add(capacityMbps, ss, col)
-	if err != nil {
-		return ServerInfo{}, err
-	}
-	d.cfg.ServerNodes = append(d.cfg.ServerNodes, node)
-	d.cfg.ServerCaps = append(d.cfg.ServerCaps, capacityMbps)
-	d.csBuf = append(d.csBuf, 0)
-	if err := d.afterApplyLocked(); err != nil {
+	var i int
+	if err := d.commit(&repair.Event{Op: repair.OpDAddServer, Node: node, Capacity: capacityMbps, Spare: spare}, func() (err error) {
+		if i, err = add(capacityMbps, ss, col); err != nil {
+			return err
+		}
+		d.cfg.ServerNodes = append(d.cfg.ServerNodes, node)
+		d.cfg.ServerCaps = append(d.cfg.ServerCaps, capacityMbps)
+		d.csBuf = append(d.csBuf, 0)
+		return nil
+	}); err != nil {
 		return ServerInfo{}, err
 	}
 	return d.serversLocked()[i], nil
@@ -161,24 +161,23 @@ func (d *Director) addServer(node int, capacityMbps float64, spare bool) (Server
 // loaded (ErrServerNotEmpty otherwise) — and not the last server. The
 // last server is renumbered to index i.
 func (d *Director) RemoveServer(i int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.dur.Append(&repair.Event{Op: repair.OpDRemoveServer, ServerIdx: i}); err != nil {
-		return err
-	}
-	moved, err := d.planner().RemoveServer(i)
-	if err != nil {
-		return err
-	}
-	last := len(d.cfg.ServerNodes) - 1
-	if moved >= 0 {
-		d.cfg.ServerNodes[i] = d.cfg.ServerNodes[last]
-		d.cfg.ServerCaps[i] = d.cfg.ServerCaps[last]
-	}
-	d.cfg.ServerNodes = d.cfg.ServerNodes[:last]
-	d.cfg.ServerCaps = d.cfg.ServerCaps[:last]
-	d.csBuf = d.csBuf[:last]
-	return d.afterApplyLocked()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	return d.commit(&repair.Event{Op: repair.OpDRemoveServer, ServerIdx: i}, func() error {
+		moved, err := d.planner().RemoveServer(i)
+		if err != nil {
+			return err
+		}
+		last := len(d.cfg.ServerNodes) - 1
+		if moved >= 0 {
+			d.cfg.ServerNodes[i] = d.cfg.ServerNodes[last]
+			d.cfg.ServerCaps[i] = d.cfg.ServerCaps[last]
+		}
+		d.cfg.ServerNodes = d.cfg.ServerNodes[:last]
+		d.cfg.ServerCaps = d.cfg.ServerCaps[:last]
+		d.csBuf = d.csBuf[:last]
+		return nil
+	})
 }
 
 // DrainServer evacuates server i for a rolling deploy: its capacity
@@ -187,15 +186,11 @@ func (d *Director) RemoveServer(i int) error {
 // covers the affected zones — O(affected), no full re-solve. The server
 // then holds nothing; DELETE it or uncordon it.
 func (d *Director) DrainServer(i int) (ServerInfo, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.dur.Append(&repair.Event{Op: repair.OpDDrain, ServerIdx: i}); err != nil {
-		return ServerInfo{}, err
-	}
-	if err := d.planner().DrainServer(i); err != nil {
-		return ServerInfo{}, err
-	}
-	if err := d.afterApplyLocked(); err != nil {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	if err := d.commit(&repair.Event{Op: repair.OpDDrain, ServerIdx: i}, func() error {
+		return d.planner().DrainServer(i)
+	}); err != nil {
 		return ServerInfo{}, err
 	}
 	return d.serversLocked()[i], nil
@@ -204,15 +199,11 @@ func (d *Director) DrainServer(i int) (ServerInfo, error) {
 // UncordonServer returns a drained server to service with its nominal
 // capacity restored.
 func (d *Director) UncordonServer(i int) (ServerInfo, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.dur.Append(&repair.Event{Op: repair.OpDUncordon, ServerIdx: i}); err != nil {
-		return ServerInfo{}, err
-	}
-	if err := d.planner().UncordonServer(i); err != nil {
-		return ServerInfo{}, err
-	}
-	if err := d.afterApplyLocked(); err != nil {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	if err := d.commit(&repair.Event{Op: repair.OpDUncordon, ServerIdx: i}, func() error {
+		return d.planner().UncordonServer(i)
+	}); err != nil {
 		return ServerInfo{}, err
 	}
 	return d.serversLocked()[i], nil
@@ -221,18 +212,17 @@ func (d *Director) UncordonServer(i int) (ServerInfo, error) {
 // AddZone grows the virtual world by one (empty) zone, auto-placed on the
 // least-loaded available server, and returns its info.
 func (d *Director) AddZone() (ZoneInfo, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.dur.Append(&repair.Event{Op: repair.OpDAddZone}); err != nil {
-		return ZoneInfo{}, err
-	}
-	z, err := d.planner().AddZone(-1)
-	if err != nil {
-		return ZoneInfo{}, err
-	}
-	d.cfg.Zones++
-	d.zonePop = append(d.zonePop, 0)
-	if err := d.afterApplyLocked(); err != nil {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	var z int
+	if err := d.commit(&repair.Event{Op: repair.OpDAddZone}, func() (err error) {
+		if z, err = d.planner().AddZone(-1); err != nil {
+			return err
+		}
+		d.cfg.Zones++
+		d.zonePop = append(d.zonePop, 0)
+		return nil
+	}); err != nil {
 		return ZoneInfo{}, err
 	}
 	return ZoneInfo{Zone: z, Server: d.planner().ZoneHost(z), Clients: 0}, nil
@@ -243,27 +233,26 @@ func (d *Director) AddZone() (ZoneInfo, error) {
 // index z: registered clients of the renumbered zone keep their identity,
 // only the zone's index changes.
 func (d *Director) RetireZone(z int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.dur.Append(&repair.Event{Op: repair.OpDRetireZone, ZoneIdx: z}); err != nil {
-		return err
-	}
-	moved, err := d.planner().RetireZone(z)
-	if err != nil {
-		return err
-	}
-	last := d.cfg.Zones - 1
-	if moved >= 0 {
-		for _, rec := range d.clients {
-			if rec.zone == moved {
-				rec.zone = z
-			}
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	return d.commit(&repair.Event{Op: repair.OpDRetireZone, ZoneIdx: z}, func() error {
+		moved, err := d.planner().RetireZone(z)
+		if err != nil {
+			return err
 		}
-		d.zonePop[z] = d.zonePop[moved]
-	}
-	d.zonePop = d.zonePop[:last]
-	d.cfg.Zones = last
-	return d.afterApplyLocked()
+		last := d.cfg.Zones - 1
+		if moved >= 0 {
+			for _, rec := range d.clients {
+				if rec.zone == moved {
+					rec.zone = z
+				}
+			}
+			d.zonePop[z] = d.zonePop[moved]
+		}
+		d.zonePop = d.zonePop[:last]
+		d.cfg.Zones = last
+		return nil
+	})
 }
 
 // denseIndexLocked resolves a registered client ID to the planner's

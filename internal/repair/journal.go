@@ -49,8 +49,10 @@ type JournalConfig struct {
 // and the crash-injection hook. The surface owns what differs: its snapshot
 // schema (rendered through the func it passes in), its fingerprint checks and
 // its applyEvent switch. A nil *Journal is a non-durable surface: Append,
-// Applied, Checkpoint and Close are no-ops on it. Not safe for concurrent use;
-// the surface's own lock (if any) guards it.
+// Applied, Checkpoint and Close are no-ops on it. Not safe for concurrent use:
+// ClusterSession is single-owner, and the director makes every call under its
+// write sequencer — never under the lock its readers take, so the fsync in
+// Append and the snapshot write in Checkpoint do not stall reads.
 type Journal struct {
 	cfg JournalConfig
 	pl  *Planner

@@ -123,6 +123,10 @@ type Writer struct {
 	closed  bool
 	failed  error // sticky append failure (wraps ErrFailed); nil while healthy
 	tele    walTele
+	// frame is the grow-only buffer every record is framed in: the writer is
+	// single-owner and a frame is dead once written, so appends do not
+	// allocate.
+	frame []byte
 }
 
 // segmentName formats the segment holding records from lsn on.
@@ -391,7 +395,11 @@ func (w *Writer) append(payload []byte) (uint64, error) {
 	if w.tele.appendDur != nil {
 		start = time.Now()
 	}
-	frame := make([]byte, frameHeader+len(payload))
+	n := frameHeader + len(payload)
+	if cap(w.frame) < n {
+		w.frame = make([]byte, n)
+	}
+	frame := w.frame[:n]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 	copy(frame[frameHeader:], payload)

@@ -467,3 +467,45 @@ func FuzzWALDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendDoesNotAllocate pins the writer's reusable frame buffer: once it
+// has grown to the largest record, an append allocates nothing — and reusing
+// it never bleeds one record's bytes into the next.
+func TestAppendDoesNotAllocate(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, 0, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, big := []byte("small"), bytes.Repeat([]byte("B"), 512)
+	if _, err := w.Append(big); err != nil { // warm-up: grows the buffer
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := w.Append(small); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(big); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per small+big append pair, want 0", allocs)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, last := collect(t, dir, 0)
+	if last < 3 || len(got) != int(last) {
+		t.Fatalf("replayed %d records up to LSN %d", len(got), last)
+	}
+	for lsn := uint64(1); lsn <= last; lsn++ {
+		want := big
+		if lsn%2 == 0 {
+			want = small
+		}
+		if got[lsn] != string(want) {
+			t.Fatalf("LSN %d replays %d bytes, want the %d-byte record", lsn, len(got[lsn]), len(want))
+		}
+	}
+}
