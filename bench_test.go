@@ -217,18 +217,41 @@ func BenchmarkRanZ(b *testing.B) {
 }
 
 // BenchmarkGreC measures the greedy refined assignment given a GreZ initial
-// assignment.
+// assignment: as provisioned (about a quarter of the late clients go past
+// their two kept candidates), and starved — every server filled to the
+// brim by its zones, so no candidate ever accepts and every late client
+// whose target is not one of its two pays the second µ row and the full
+// sort of the rebuild path. That is GreC's worst case; late-clients and
+// rebuilds are reported beside the time.
 func BenchmarkGreC(b *testing.B) {
 	p := benchProblem(b, "20s-80z-1000c-500cp")
 	target, err := core.GreZ(nil, p, core.Options{Overflow: core.SpillLargestResidual})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.GreC(nil, p, target, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
+	starved := p.Clone()
+	for i := range starved.ServerCaps {
+		starved.ServerCaps[i] = 0
+	}
+	for z, rt := range starved.ZoneRT() {
+		starved.ServerCaps[target[z]] += rt
+	}
+	for _, tc := range []struct {
+		name string
+		p    *core.Problem
+	}{{"provisioned", p}, {"starved", starved}} {
+		b.Run(tc.name, func(b *testing.B) {
+			opt := core.Options{Scratch: core.NewWorkspace()}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.GreC(nil, tc.p, target, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			late, rebuilds := opt.Scratch.GreCCounts()
+			b.ReportMetric(float64(late), "late-clients")
+			b.ReportMetric(float64(rebuilds), "rebuilds")
+		})
 	}
 }
 
@@ -508,6 +531,60 @@ func BenchmarkRepairFullResolve(b *testing.B) {
 		if err := pl.FullSolve(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// coordProblem is largeProblem with its delays behind the coordinate
+// provider: every client keeps six measured servers of its dense row as
+// overrides and a coordinate fitted to them, and reads the other 44 as
+// predictions — the coordinate-native shape of DESIGN.md §13.
+func coordProblem(b *testing.B) *core.Problem {
+	b.Helper()
+	p := largeProblem(b)
+	cp := core.NewCoordProviderFromSS(p.SS, 0)
+	rng := xrand.New(272)
+	m := p.NumServers()
+	srvs := make([]int32, 6)
+	vals := make([]float64, 6)
+	for _, row := range p.CS {
+		for x, i := range rng.SampleWithout(m, len(srvs)) {
+			srvs[x], vals[x] = int32(i), row[i]
+		}
+		cp.AddClientFitted(srvs, vals)
+	}
+	p.CS, p.Delays = nil, cp
+	return p
+}
+
+// BenchmarkFullSolve100k measures one full GreZ-GreC solve on the
+// churn-scale scenario (50 servers / 500 zones / 100k clients) with a warm
+// workspace, on the raw matrix and through the coordinate provider — the
+// O(population) stall a re-solve costs, and (B/op) the proof that a solve
+// with Options.Scratch allocates nothing beyond the assignment it returns.
+func BenchmarkFullSolve100k(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.B) *core.Problem
+	}{{"dense", largeProblem}, {"coord", coordProblem}} {
+		b.Run(tc.name, func(b *testing.B) {
+			p := tc.build(b)
+			opt := core.Options{Overflow: core.SpillLargestResidual, Scratch: core.NewWorkspace()}
+			rng := xrand.New(7)
+			if _, err := core.GreZGreC.Solve(rng, p, opt); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.GreZGreC.Solve(rng, p, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			late, rebuilds := opt.Scratch.GreCCounts()
+			b.ReportMetric(float64(late), "late-clients")
+			b.ReportMetric(float64(rebuilds), "rebuilds")
+		})
 	}
 }
 

@@ -124,12 +124,15 @@
 // allocation. The evaluator also supports churn mutations — clients joining,
 // leaving, moving between zones, refreshing their measured delays — each
 // O(1) in derived-state maintenance. A core.Workspace (threaded through
-// core.Options.Scratch) gives the greedy phases reusable buffers for their
-// cost matrices and preference lists, so repeated Solve/Evaluate cycles —
-// replication loops, the churn driver's periodic reassignment — allocate
-// nothing but the returned assignments. The original clone-and-rescore
-// local search is retained inside internal/core as a test oracle, with
-// equivalence tests proving both accept identical move sequences.
+// core.Options.Scratch) gives the greedy phases reusable buffers — the cost
+// matrix, GreZ's per-zone preference lists, GreC's two candidates per late
+// client, the materialized delay rows of a provider-backed problem — so
+// repeated Solve/Evaluate cycles — replication loops, the churn driver's
+// periodic reassignment — allocate nothing but the returned assignments,
+// and what it retains is O(clients + servers × zones), never clients ×
+// servers. The original clone-and-rescore local search is retained inside
+// internal/core as a test oracle, with equivalence tests proving both
+// accept identical move sequences.
 //
 // # Incremental churn repair
 //
@@ -164,10 +167,10 @@
 // BenchmarkLocalSearch and BenchmarkRepair exercise a churn-scale scenario
 // (50 servers, 500 zones, 100 000 clients — far beyond the paper's
 // 2000-client maximum); BENCH_localsearch.json and BENCH_repair.json record
-// the measured baselines (700× vs the clone-and-rescore oracle; 292× vs a
-// per-event full re-solve), and BENCH_parallel.json the cached+sharded
-// search (3.0× over the cache-free rescan on a cold 8-round search, with
-// warm rounds ~80× cheaper).
+// the measured baselines (700× vs the clone-and-rescore oracle; 239–292×
+// vs a per-event full re-solve, by machine), and BENCH_parallel.json the
+// cached+sharded search (3.0× over the cache-free rescan on a cold 8-round
+// search, with warm rounds ~80× cheaper).
 //
 // The facade in this package covers common workflows; the full machinery
 // (generators, exact solver, churn simulation, experiment harness) lives in

@@ -182,12 +182,26 @@ func (cp *CoordProvider) ClientServer(j, i int) float64 {
 	return cp.predict(j, i)
 }
 
-// Row implements DelayProvider.
+// Row implements DelayProvider. The client coordinate is loaded once and
+// the flat server array streamed past it; at the default dimension the
+// distance loop is unrolled. Both branches perform predict's operations in
+// predict's order, so every entry is bit-equal to ClientServer(j, i).
 func (cp *CoordProvider) Row(j int, dst []float64) []float64 {
 	m := cp.NumServers()
 	dst = dst[:m]
-	for i := 0; i < m; i++ {
-		dst[i] = cp.predict(j, i)
+	if cp.dim == DefaultCoordDim {
+		a := cp.cli[j*DefaultCoordDim : (j+1)*DefaultCoordDim]
+		a0, a1, a2, a3, a4 := a[0], a[1], a[2], a[3], a[4]
+		srv := cp.srv[:m*DefaultCoordDim]
+		for i := range dst {
+			b := srv[i*DefaultCoordDim : (i+1)*DefaultCoordDim : (i+1)*DefaultCoordDim]
+			d0, d1, d2, d3, d4 := a0-b[0], a1-b[1], a2-b[2], a3-b[3], a4-b[4]
+			dst[i] = math.Sqrt(d0*d0 + d1*d1 + d2*d2 + d3*d3 + d4*d4)
+		}
+	} else {
+		for i := range dst {
+			dst[i] = cp.predict(j, i)
+		}
 	}
 	for x, s := range cp.ovSrv[j] {
 		dst[s] = cp.ovVal[j][x]

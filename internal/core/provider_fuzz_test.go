@@ -23,7 +23,7 @@ func checkAgainstShadow(t *testing.T, kind string, dp DelayProvider, shadow [][]
 		row := dp.Row(j, buf)
 		for i := 0; i < m; i++ {
 			got := dp.ClientServer(j, i)
-			if row[i] != got {
+			if math.Float64bits(row[i]) != math.Float64bits(got) {
 				t.Fatalf("%s: Row[%d][%d] = %v but ClientServer = %v", kind, j, i, row[i], got)
 			}
 			sh := shadow[j][i]
@@ -69,7 +69,10 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 	case ProviderDense:
 		dp = NewDenseProvider(nil, m)
 	case ProviderCoord:
-		dp = NewCoordProviderFromSS(ss, 0)
+		// The seed also picks the dimension (0 = the default, whose Row
+		// kernel is unrolled; 1…16 otherwise), so the fuzzer holds both
+		// kernel branches to ClientServer.
+		dp = NewCoordProviderFromSS(ss, int(seed>>8)%17)
 	case ProviderSharedRow:
 		dp = NewSharedRowProvider(m)
 	}
@@ -185,6 +188,9 @@ func FuzzDelayProvider(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0, 2, 3, 4, 1, 5, 0, 3, 3, 2, 4})
 	f.Add(uint64(7), []byte{0, 4, 4, 5, 5, 1, 0, 0, 2, 3})
 	f.Add(uint64(1e6), []byte{0, 1, 0, 1, 4, 0, 5, 2, 2, 3, 3, 3, 4, 1})
+	for dim := uint64(1); dim <= 16; dim++ { // every coordinate dimension
+		f.Add(dim<<8|1, []byte{0, 0, 0, 3, 2, 3, 4, 0, 3, 5, 0, 1, 3})
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"dvecap/internal/xrand"
@@ -248,5 +249,67 @@ func TestProviderMemoryBytes(t *testing.T) {
 	coord.AddClientAt([]float64{1, 2, 3, 4, 5}, nil, nil)
 	if coord.MemoryBytes() <= 0 {
 		t.Fatalf("coord MemoryBytes = %d, want > 0", coord.MemoryBytes())
+	}
+}
+
+// TestCoordRowMatchesClientServerAllDims pins CoordProvider.Row's two
+// kernel branches — unrolled at DefaultCoordDim, generic elsewhere — to the
+// single-entry read: at every dimension 1…16, for clients with no, some
+// and full overrides, before and after the server set changes, Row(j)[i]
+// carries exactly ClientServer(j, i)'s bits.
+func TestCoordRowMatchesClientServerAllDims(t *testing.T) {
+	for dim := 1; dim <= 16; dim++ {
+		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
+			rng := xrand.New(uint64(8800 + dim))
+			const m, k = 13, 40
+			ss := make([][]float64, m)
+			for i := range ss {
+				ss[i] = make([]float64, m)
+			}
+			for i := 0; i < m; i++ {
+				for l := i + 1; l < m; l++ {
+					d := rng.Uniform(1, 300)
+					ss[i][l], ss[l][i] = d, d
+				}
+			}
+			cp := NewCoordProviderFromSS(ss, dim)
+			if cp.Dim() != dim {
+				t.Fatalf("provider has dimension %d, want %d", cp.Dim(), dim)
+			}
+			coord := make([]float64, dim)
+			for j := 0; j < k; j++ {
+				for c := range coord {
+					coord[c] = rng.Uniform(-200, 200)
+				}
+				var srvs []int32
+				var vals []float64
+				for i := 0; i < m; i++ {
+					// j%3 == 0: prediction only; 1: sparse overrides; 2: full row.
+					if j%3 == 2 || (j%3 == 1 && rng.IntN(4) == 0) {
+						srvs, vals = append(srvs, int32(i)), append(vals, rng.Uniform(0, 500))
+					}
+				}
+				cp.AddClientAt(coord, srvs, vals)
+			}
+			check := func(stage string) {
+				t.Helper()
+				buf := make([]float64, cp.NumServers())
+				for j := 0; j < cp.NumClients(); j++ {
+					row := cp.Row(j, buf)
+					for i, got := range row {
+						if want := cp.ClientServer(j, i); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s: Row(%d)[%d] = %v (%#x), ClientServer = %v (%#x)", stage, j, i,
+								got, math.Float64bits(got), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+			check("as built")
+			cp.AppendServer(nil)
+			check("after AppendServer")
+			cp.SwapRemoveServer(2)
+			cp.SwapRemoveClient(5)
+			check("after swap-removes")
+		})
 	}
 }

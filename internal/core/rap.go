@@ -29,6 +29,13 @@ func VirC(_ *xrand.RNG, p *Problem, zoneServer []int, _ Options) ([]int, error) 
 // load. The target server itself is always a fallback candidate (zero
 // extra load), so GreC cannot fail.
 //
+// Only each late client's two most desirable servers are kept: they fix
+// its regret, and where contact servers have forwarding headroom one of
+// them takes nearly every client. A client both refuse gets its full
+// preference order rebuilt from a second read of its delay row; the order
+// is total (preferenceOrder), so the walk continues at the third entry
+// exactly where a fully sorted list would.
+//
 // Loads start at the initial phase's zone loads, matching the RAP
 // constraint (10): contact load fits within C_{s_i} − R_{s_i}.
 func GreC(_ *xrand.RNG, p *Problem, zoneServer []int, opt Options) ([]int, error) {
@@ -50,47 +57,69 @@ func GreC(_ *xrand.RNG, p *Problem, zoneServer []int, opt Options) ([]int, error
 		if p.CSAt(j, t) <= p.D {
 			contact[j] = t
 		} else {
-			contact[j] = -1
 			late = append(late, j)
 		}
 	}
 
 	// Second pass: regret-ordered greedy over the late clients.
-	lists := w.desirability(len(late), m)
+	w.choices = grow(w.choices, len(late))
 	w.mu = grow(w.mu, m)
-	mu := w.mu
+	w.rows = grow(w.rows, m)
+	w.order = grow(w.order, m)
+	choices, mu, rowBuf := w.choices, w.mu, w.rows[:m]
 	for li, j := range late {
 		t := zoneServer[p.ClientZones[j]]
-		for i := 0; i < m; i++ {
-			mu[i] = -RefinedCost(p, j, i, t)
+		refinedDesirability(p, p.CSRow(j, rowBuf), t, mu)
+		best, second := 0, -1
+		for i := 1; i < m; i++ {
+			switch {
+			case mu[i] > mu[best]:
+				best, second = i, best
+			case second < 0 || mu[i] > mu[second]:
+				second = i
+			}
 		}
-		srv, muSorted := w.listBacking(li, m)
-		lists[li] = buildDesirabilityInto(j, mu, srv, muSorted)
+		c := contactChoice{client: j, best: int32(best), second: int32(second)}
+		if second >= 0 {
+			// The paper's ρ: the gap between the best and second-best
+			// desirability — the "regret" of not taking the best server.
+			c.regret = mu[best] - mu[second]
+		}
+		choices[li] = c
 	}
-	sortByRegret(lists)
+	sortChoicesByRegret(choices)
 
-	for _, dl := range lists {
-		j := dl.item
-		t := zoneServer[p.ClientZones[j]]
-		for _, s := range dl.servers {
-			if s == t {
-				// Forwarding through the target is the identity: zero extra
-				// load, always feasible.
-				contact[j] = t
-				break
+	// accepts places client j on contact server s if s takes it. Forwarding
+	// through the target t is the identity: zero extra load, always
+	// feasible.
+	accepts := func(j, t, s int) bool {
+		if s != t {
+			if opt.cordoned(s) || !almostLE(loads[s]+2*p.ClientRT[j], p.ServerCaps[s]) {
+				return false
 			}
-			if opt.cordoned(s) {
-				continue
-			}
-			if almostLE(loads[s]+2*p.ClientRT[j], p.ServerCaps[s]) {
-				contact[j] = s
-				loads[s] += 2 * p.ClientRT[j]
-				break
-			}
+			loads[s] += 2 * p.ClientRT[j]
 		}
-		if contact[j] == -1 {
-			// Unreachable: t is always among dl.servers. Kept as a guard.
-			contact[j] = t
+		contact[j] = s
+		return true
+	}
+	w.lateClients, w.rebuilds = len(late), 0
+	for _, c := range choices {
+		j := c.client
+		t := zoneServer[p.ClientZones[j]]
+		// With a single server best is the target, so second = -1 is never
+		// tried.
+		if accepts(j, t, int(c.best)) || accepts(j, t, int(c.second)) {
+			continue
+		}
+		w.rebuilds++
+		refinedDesirability(p, p.CSRow(j, rowBuf), t, mu)
+		preferenceOrder(mu, w.order)
+		// t is neither best nor second, so it is among the rest and ends
+		// the walk at the latest.
+		for _, s := range w.order[2:] {
+			if accepts(j, t, s) {
+				break
+			}
 		}
 	}
 	return contact, nil

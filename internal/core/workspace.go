@@ -4,18 +4,24 @@ import "sync"
 
 // Workspace holds reusable scratch buffers for the assignment algorithms'
 // hot paths: the IAP cost matrix, zone bandwidth totals, per-server load
-// accumulators, desirability preference lists and evaluation delay vectors.
+// accumulators, GreZ's per-zone preference lists, GreC's two candidates
+// per late client, materialized delay rows and evaluation delay vectors.
 // Pass one through Options.Scratch (or use its EvaluateInto method) to
 // make repeated Solve/Evaluate calls — e.g. replication loops, churn
 // re-optimisation — allocation-free apart from the returned assignments,
 // which are always freshly allocated and safe to retain.
+//
+// Retained size is O(clients + servers × zones): nothing scales with
+// clients × servers.
 //
 // The zero value is ready to use. A Workspace is not safe for concurrent
 // use; give each goroutine its own.
 type Workspace struct {
 	ci         [][]int
 	ciFlat     []int
-	ciPart     []int // per-worker partial count matrices, workers × m × n
+	ciPart     []int     // per-worker partial count matrices, workers × m × n
+	ciPartRows [][]int   // row headers into ciPart, workers × m
+	rows       []float64 // materialized provider rows, one buffer per worker
 	zoneRT     []float64
 	zoneSize   []int
 	loads      []float64
@@ -23,11 +29,15 @@ type Workspace struct {
 	order      []int
 	candidates []int
 	late       []int
+	choices    []contactChoice
 	unassigned []bool
 	lists      []desirabilityList
 	srvFlat    []int
 	muFlat     []float64
 	evLoads    []float64
+
+	// Counts left by the most recent GreC run (see GreCCounts).
+	lateClients, rebuilds int
 }
 
 // NewWorkspace returns an empty workspace. Buffers grow on first use and
@@ -56,7 +66,7 @@ func (w *Workspace) initialCosts(p *Problem) [][]int {
 // matrix is identical for every worker count. Small instances (or workers
 // ≤ 1) take the sequential path — the partial matrices wouldn't pay for
 // themselves.
-func (w *Workspace) initialCostsParallel(p *Problem, workers int) [][]int {
+func (w *Workspace) initialCostsParallel(p *Problem, maxWorkers int) [][]int {
 	m, n := p.NumServers(), p.NumZones
 	k := p.NumClients()
 	w.ciFlat = grow(w.ciFlat, m*n)
@@ -71,14 +81,18 @@ func (w *Workspace) initialCostsParallel(p *Problem, workers int) [][]int {
 	for i := range w.ci {
 		w.ci[i], flat = flat[:n], flat[n:]
 	}
-	if workers > k {
-		workers = k
-	}
+	// Never reassigned, so the shard goroutines capture it by value and the
+	// sequential path allocates nothing.
+	workers := min(maxWorkers, k)
 	if workers <= 1 || k*m < 1<<15 {
-		countInitialCosts(p, w.ci, 0, k)
+		w.rows = grow(w.rows, m)
+		countInitialCosts(p, w.ci, 0, k, w.rows)
 		return w.ci
 	}
 	w.ciPart = grow(w.ciPart, workers*m*n)
+	w.ciPartRows = grow(w.ciPartRows, workers*m)
+	rowStride := m + 8 // a cache line between neighbouring workers' row buffers
+	w.rows = grow(w.rows, workers*rowStride)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
@@ -90,12 +104,12 @@ func (w *Workspace) initialCostsParallel(p *Problem, workers int) [][]int {
 			}
 			// Contiguous client blocks: CS rows stream in order per worker.
 			lo, hi := wk*k/workers, (wk+1)*k/workers
-			rows := make([][]int, m)
+			rows := w.ciPartRows[wk*m : (wk+1)*m]
 			rest := part
 			for i := range rows {
 				rows[i], rest = rest[:n], rest[n:]
 			}
-			countInitialCosts(p, rows, lo, hi)
+			countInitialCosts(p, rows, lo, hi, w.rows[wk*rowStride:wk*rowStride+m])
 		}(wk)
 	}
 	wg.Wait()
@@ -111,15 +125,11 @@ func (w *Workspace) initialCostsParallel(p *Problem, workers int) [][]int {
 }
 
 // countInitialCosts accumulates the IAP cost counts of clients [lo, hi)
-// into ci (an m × n matrix). Each call materializes provider-backed rows
-// into its own buffer, so the parallel shards of initialCostsParallel can
-// run it concurrently.
-func countInitialCosts(p *Problem, ci [][]int, lo, hi int) {
+// into ci (an m × n matrix). Provider-backed rows are materialized into
+// rowBuf (m entries); the parallel shards of initialCostsParallel each pass
+// their own.
+func countInitialCosts(p *Problem, ci [][]int, lo, hi int, rowBuf []float64) {
 	m := p.NumServers()
-	var rowBuf []float64
-	if p.Delays != nil {
-		rowBuf = make([]float64, m)
-	}
 	for j := lo; j < hi; j++ {
 		row := p.CSRow(j, rowBuf)
 		z := p.ClientZones[j]
@@ -155,7 +165,8 @@ func (w *Workspace) zeroLoads(m int) []float64 {
 
 // desirability returns n preference lists backed by the workspace's flat
 // arrays, each with room for m servers. Entries must be filled with
-// buildDesirabilityInto before use.
+// buildDesirabilityInto before use. Only the zone phase keeps full lists
+// (n zones); GreC keeps two candidates per client instead.
 func (w *Workspace) desirability(n, m int) []desirabilityList {
 	if cap(w.lists) < n {
 		w.lists = make([]desirabilityList, n)
@@ -170,6 +181,14 @@ func (w *Workspace) desirability(n, m int) []desirabilityList {
 // slices (each of length m) inside the flat arrays.
 func (w *Workspace) listBacking(i, m int) ([]int, []float64) {
 	return w.srvFlat[i*m : (i+1)*m], w.muFlat[i*m : (i+1)*m]
+}
+
+// GreCCounts reports what the most recent GreC run on this workspace saw:
+// how many clients missed the bound at their target (the paper's list L_E)
+// and for how many of those both kept candidates refused, so the full
+// preference order had to be rebuilt.
+func (w *Workspace) GreCCounts() (lateClients, rebuilds int) {
+	return w.lateClients, w.rebuilds
 }
 
 // EvaluateInto is Evaluate reusing the workspace's load accumulator and

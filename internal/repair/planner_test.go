@@ -6,6 +6,7 @@ import (
 
 	"dvecap/internal/core"
 	"dvecap/internal/xrand"
+	"dvecap/telemetry"
 )
 
 // randProblem builds a structurally valid random instance whose capacities
@@ -301,6 +302,45 @@ func TestPlannerDisarmedGuardNeverFullSolves(t *testing.T) {
 		t.Fatalf("explicit FullSolve not counted: %d", got)
 	}
 	checkPlanner(t, pl)
+}
+
+// TestFullSolveExportsGreCCounts: every full solve adds GreC's work-list
+// size and its preference-order rebuilds to the registry, so the share of
+// late clients the two kept candidates place is observable in production.
+func TestFullSolveExportsGreCCounts(t *testing.T) {
+	rng := xrand.New(321)
+	p := randProblem(rng.Split(), 0)
+	pl, err := New(testConfig(), p, rng.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	pl.SetTelemetry(reg)
+	const solves = 3
+	for i := 0; i < solves; i++ {
+		if err := pl.FullSolve(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// No churn in between, so each solve sees the same late list: the
+	// clients beyond the bound at their zone's host.
+	a, q := pl.Assignment(), pl.Problem()
+	late := 0
+	for j, z := range q.ClientZones {
+		if q.CSAt(j, a.ZoneServer[z]) > q.D {
+			late++
+		}
+	}
+	if late == 0 {
+		t.Fatal("no late clients: the instance tests nothing")
+	}
+	gotLate := reg.Counter("dvecap_solve_late_clients_total", "").Value()
+	if gotLate != uint64(solves*late) {
+		t.Fatalf("dvecap_solve_late_clients_total = %d after %d solves with %d late clients each", gotLate, solves, late)
+	}
+	if got := reg.Counter("dvecap_solve_preference_rebuilds_total", "").Value(); got > gotLate {
+		t.Fatalf("dvecap_solve_preference_rebuilds_total = %d exceeds the %d late clients", got, gotLate)
+	}
 }
 
 // TestPlannerDeterminism: same inputs, same seed ⇒ identical trajectories.

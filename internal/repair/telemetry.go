@@ -60,6 +60,7 @@ type plTele struct {
 
 	fsDrift, fsImbalance, fsEpoch *telemetry.Counter
 	fsDur                         *telemetry.Histogram
+	fsLate, fsRebuilds            *telemetry.Counter
 
 	handoffs, switches          *telemetry.Counter
 	prevHandoffs, prevSwitches  int
@@ -77,11 +78,12 @@ type plTele struct {
 // SetTelemetry attaches (nil detaches) a metrics registry to the planner
 // and its evaluator. Exposed series: per-event-type repair counters and
 // latency histograms, full-solve counters labeled by trigger
-// (drift/imbalance/epoch) with a duration histogram, cumulative
-// zone-handoff and contact-switch counters, and live gauges for pQoS,
-// pQoS drift, utilization, utilization spread and population — refreshed
-// after every event, so a scrape always sees the maintained solution's
-// current quality.
+// (drift/imbalance/epoch) with a duration histogram and GreC's late-client
+// and preference-rebuild counts, cumulative zone-handoff and
+// contact-switch counters, and live gauges for pQoS, pQoS drift,
+// utilization, utilization spread and population — refreshed after every
+// event, so a scrape always sees the maintained solution's current
+// quality.
 func (pl *Planner) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		pl.tele = plTele{}
@@ -108,6 +110,10 @@ func (pl *Planner) SetTelemetry(reg *telemetry.Registry) {
 		"Full two-phase re-solves by trigger.", "trigger", "epoch")
 	t.fsDur = reg.Histogram("dvecap_full_solve_duration_seconds",
 		"Wall time of one full two-phase re-solve.", nil)
+	t.fsLate = reg.Counter("dvecap_solve_late_clients_total",
+		"Clients beyond the delay bound at their target server, summed over full solves (GreC's work list).")
+	t.fsRebuilds = reg.Counter("dvecap_solve_preference_rebuilds_total",
+		"Late clients refused by both kept candidates, so GreC rebuilt their full preference order.")
 	t.handoffs = reg.Counter("dvecap_zone_handoffs_total",
 		"Zone rehostings: localized repair moves plus full-solve diffs.")
 	t.switches = reg.Counter("dvecap_contact_switches_total",
@@ -203,4 +209,7 @@ func (pl *Planner) teleFullSolve(trigger string, start time.Time) {
 		t.fsEpoch.Inc()
 	}
 	t.fsDur.Observe(time.Since(start).Seconds())
+	late, rebuilds := pl.cfg.Opt.Scratch.GreCCounts()
+	t.fsLate.Add(uint64(late))
+	t.fsRebuilds.Add(uint64(rebuilds))
 }
