@@ -695,16 +695,11 @@ func (c *Cluster) openSession(algorithm string, cfg config) (*ClusterSession, er
 	if cfg.tele != nil {
 		pl.SetTelemetry(cfg.tele)
 	}
-	return &ClusterSession{
-		binding:     binding,
-		algo:        algorithm,
-		delayBound:  p.D,
-		rowBuf:      make([]float64, p.NumServers()),
-		overflow:    cfg.overflow,
-		driftPQoS:   cfg.drift,
-		driftSpread: cfg.spread,
-		tracer:      telemetry.NewTracer(cfg.traceW),
-	}, nil
+	m, err := repair.NewMachine(binding, algorithm, int(cfg.overflow), nil)
+	if err != nil {
+		return nil, err
+	}
+	return &ClusterSession{m: m, binding: binding, tracer: telemetry.NewTracer(cfg.traceW)}, nil
 }
 
 // clusterFromProblem wraps an already-validated problem (a Scenario

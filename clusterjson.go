@@ -6,46 +6,8 @@ import (
 	"io"
 
 	"dvecap/internal/core"
-	"dvecap/internal/interact"
+	"dvecap/internal/repair"
 )
-
-// clusterJSON is the interchange form of a Cluster spec: the contract
-// between real deployments (measured inventories exported by ops tooling)
-// and this package — cmd/capassign -cluster consumes it directly.
-type clusterJSON struct {
-	DelayBoundMs float64      `json:"delay_bound_ms"`
-	Servers      []serverJSON `json:"servers"`
-	ServerRTTsMs [][]float64  `json:"server_rtts_ms,omitempty"`
-	Zones        []string     `json:"zones"`
-	Clients      []clientJSON `json:"clients"`
-	// ZoneAdjacency lists the interaction graph's edges (canonical order:
-	// lower zone index first, ascending) and TrafficWeight the traffic
-	// term's weight λ (DESIGN.md §15). Both absent on clusters without the
-	// traffic term — pre-traffic specs load unchanged.
-	ZoneAdjacency []adjacencyJSON `json:"zone_adjacency,omitempty"`
-	TrafficWeight float64         `json:"traffic_weight,omitempty"`
-}
-
-// adjacencyJSON is one interaction edge of the cluster spec, zone-ID keyed.
-type adjacencyJSON struct {
-	Zone1      string  `json:"zone1"`
-	Zone2      string  `json:"zone2"`
-	WeightMbps float64 `json:"weight_mbps"`
-}
-
-type serverJSON struct {
-	ID           string             `json:"id"`
-	CapacityMbps float64            `json:"capacity_mbps"`
-	RTTsMs       map[string]float64 `json:"rtts_ms,omitempty"`
-}
-
-type clientJSON struct {
-	ID            string             `json:"id"`
-	Zone          string             `json:"zone"`
-	BandwidthMbps float64            `json:"bandwidth_mbps"`
-	RTTsMs        map[string]float64 `json:"rtts_ms,omitempty"`
-	RTTRowMs      []float64          `json:"rtt_row_ms,omitempty"`
-}
 
 // ReadClusterJSON builds a Cluster from its JSON spec:
 //
@@ -67,7 +29,7 @@ type clientJSON struct {
 // (in servers order) instead of the rtts_ms map. The spec is validated
 // exactly like the builder calls it maps to.
 func ReadClusterJSON(r io.Reader) (*Cluster, error) {
-	var cj clusterJSON
+	var cj repair.ClusterJSON
 	if err := json.NewDecoder(r).Decode(&cj); err != nil {
 		return nil, fmt.Errorf("dvecap: decoding cluster spec: %w", err)
 	}
@@ -75,9 +37,8 @@ func ReadClusterJSON(r io.Reader) (*Cluster, error) {
 }
 
 // clusterFromJSON replays a decoded spec through the builder calls it maps
-// to — shared by ReadClusterJSON and durable-session recovery (whose
-// snapshots embed a clusterJSON).
-func clusterFromJSON(cj *clusterJSON) (*Cluster, error) {
+// to.
+func clusterFromJSON(cj *repair.ClusterJSON) (*Cluster, error) {
 	c := NewCluster(cj.DelayBoundMs)
 	for _, s := range cj.Servers {
 		if err := c.AddServer(s.ID, ServerSpec{CapacityMbps: s.CapacityMbps, RTTs: s.RTTsMs}); err != nil {
@@ -135,59 +96,19 @@ func (c *Cluster) WriteClusterJSON(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cj := clusterJSON{
-		DelayBoundMs: p.D,
-		Servers:      make([]serverJSON, p.NumServers()),
-		ServerRTTsMs: p.SS,
-		Zones:        append([]string(nil), c.zoneIDs...),
-		Clients:      make([]clientJSON, p.NumClients()),
+	ids := c.ClientIDs()
+	for j := len(ids); j < p.NumClients(); j++ {
+		ids = append(ids, fmt.Sprintf("c%d", j))
 	}
-	for i := range cj.Servers {
-		cj.Servers[i] = serverJSON{ID: c.serverIDs[i], CapacityMbps: p.ServerCaps[i]}
-	}
-	for j := range cj.Clients {
-		id := fmt.Sprintf("c%d", j)
-		if j < len(c.clientIDs) {
-			id = c.clientIDs[j]
-		}
-		row := p.CS[j]
-		if p.Delays != nil {
-			// Provider-backed problems materialize to the dense interchange
-			// form: the spec format carries full rows.
-			row = make([]float64, p.NumServers())
-			p.CopyCSRow(j, row)
-		}
-		cj.Clients[j] = clientJSON{
-			ID:            id,
-			Zone:          c.zoneIDs[p.ClientZones[j]],
-			BandwidthMbps: p.ClientRT[j],
-			RTTRowMs:      row,
-		}
-	}
-	cj.ZoneAdjacency = adjacencyFromGraph(p.Adjacency, c.zoneIDs)
-	cj.TrafficWeight = p.TrafficWeight
+	// The spec format carries full rows: a provider-backed problem
+	// materializes to the dense interchange form.
+	cj := repair.NewClusterJSON(p, c.serverIDs, c.zoneIDs, ids, true)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(cj); err != nil {
 		return fmt.Errorf("dvecap: encoding cluster spec: %w", err)
 	}
 	return nil
-}
-
-// adjacencyFromGraph renders an interaction graph's canonical edge list in
-// zone-ID form — shared by WriteClusterJSON and the durable snapshot
-// writer. Nil for a nil graph (or one with no edges), so pre-traffic specs
-// and snapshots are byte-identical to what earlier builds wrote.
-func adjacencyFromGraph(g *interact.Graph, zoneIDs []string) []adjacencyJSON {
-	if g == nil || g.NumEdges() == 0 {
-		return nil
-	}
-	edges := g.Edges()
-	out := make([]adjacencyJSON, len(edges))
-	for x, e := range edges {
-		out[x] = adjacencyJSON{Zone1: zoneIDs[e.A], Zone2: zoneIDs[e.B], WeightMbps: e.W}
-	}
-	return out
 }
 
 // NewClusterFromProblemJSON wraps an anonymous problem JSON — the format

@@ -2,7 +2,6 @@ package dvecap
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"dvecap/internal/core"
@@ -28,21 +27,18 @@ const UnmeasuredRTTMs = core.UnmeasuredDelayMs
 // server for a rolling deploy (RemoveServer retires it, UncordonServer
 // returns it), and AddZone/RetireZone grow and shrink the virtual world —
 // every event in O(affected), never a stop-the-world re-solve (DESIGN.md
-// §10). A session is not safe for concurrent use (the director service
-// wraps one planner with locking for that).
+// §10). Every verb below resolves its spec against the current topology
+// into one canonical repair.Event and commits it to the session's
+// repair.Machine — journal, interpret, checkpoint cadence (DESIGN.md §11); a
+// session opened WithDurability differs only in that the machine has a
+// journal. A session is not safe for concurrent use (the director service
+// fronts the same machine with locking for that).
 type ClusterSession struct {
-	binding    *repair.IDBinding
-	algo       string
-	delayBound float64
-	rowBuf     []float64
-
-	// overflow, driftPQoS and driftSpread record the trajectory-shaping
-	// config so durable snapshots can restore it; dur is non-nil on
-	// sessions opened WithDurability (DESIGN.md §11).
-	overflow    OverflowPolicy
-	driftPQoS   float64
-	driftSpread float64
-	dur         *repair.Journal
+	m *repair.Machine
+	// binding is m's ID binding — the read side, and what specs resolve
+	// against.
+	binding *repair.IDBinding
+	rowBuf  []float64
 
 	// tracer streams one JSON line per mutation when the session was opened
 	// WithTraceLog; nil otherwise. On recovered sessions it attaches only
@@ -170,41 +166,42 @@ func (s *ClusterSession) ZoneIDs() []string {
 // zones; its RTTs must cover every server.
 func (s *ClusterSession) Join(id string, spec ClientSpec) (err error) {
 	defer s.span("join", "id", id, "zone", spec.Zone)(&err)
-	z, rt, row, err := s.resolveJoin(id, spec)
+	row, err := s.resolveJoin(id, spec)
 	if err != nil {
 		return err
 	}
-	// The journal records the RESOLVED dense row (not the spec's map form):
+	// The event carries the RESOLVED dense row (not the spec's map form):
 	// replay must see identical inputs regardless of which form the caller
-	// used. Append encodes immediately, so row aliasing rowBuf is fine.
-	if err := s.dur.Append(&repair.Event{Op: repair.OpJoin, ID: id, Zone: spec.Zone, RT: rt, Row: row}); err != nil {
-		return err
-	}
-	if err := s.binding.Join(id, z, rt, row); err != nil {
-		return err
-	}
-	return s.afterApply()
+	// used. It is consumed before Join returns, so row aliasing rowBuf is
+	// fine.
+	return s.commit(&repair.Event{Op: repair.OpJoin, ID: id, Zone: spec.Zone, RT: spec.BandwidthMbps, Row: row})
 }
 
 // resolveJoin validates one client admission against the current topology
 // and resolves its delay row — shared by Join and JoinBatch. The returned
 // row may alias s.rowBuf or spec.RTTRow.
-func (s *ClusterSession) resolveJoin(id string, spec ClientSpec) (zone int, rt float64, row []float64, err error) {
-	if id == "" {
-		return 0, 0, nil, fmt.Errorf("dvecap: empty client ID")
+func (s *ClusterSession) resolveJoin(id string, spec ClientSpec) ([]float64, error) {
+	if err := repair.CheckClientID(id); err != nil {
+		return nil, fmt.Errorf("dvecap: %w", err)
 	}
-	z, err := s.zone(spec.Zone)
-	if err != nil {
-		return 0, 0, nil, err
+	if _, err := s.zone(spec.Zone); err != nil {
+		return nil, err
 	}
 	if !repair.FinitePos(spec.BandwidthMbps) {
-		return 0, 0, nil, fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want finite > 0", id, spec.BandwidthMbps)
+		return nil, fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want finite > 0", id, spec.BandwidthMbps)
 	}
-	row, err = resolveRTTRow(id, spec, s.binding.ServerNames(), s.binding.ServerIndexOf, s.rowBuf)
-	if err != nil {
-		return 0, 0, nil, err
+	return resolveRTTRow(id, spec, s.binding.ServerNames(), s.binding.ServerIndexOf, s.scratchRow())
+}
+
+// scratchRow returns the session's delay-row buffer, one entry per current
+// server.
+func (s *ClusterSession) scratchRow() []float64 {
+	if m := s.NumServers(); cap(s.rowBuf) < m {
+		s.rowBuf = make([]float64, m)
+	} else {
+		s.rowBuf = s.rowBuf[:m]
 	}
-	return z, spec.BandwidthMbps, row, nil
+	return s.rowBuf
 }
 
 // JoinBatch admits many clients in ONE repair event — the flash-crowd
@@ -215,63 +212,41 @@ func (s *ClusterSession) resolveJoin(id string, spec ClientSpec) (zone int, rt f
 // client was admitted.
 func (s *ClusterSession) JoinBatch(joins []ClientJoin) (err error) {
 	defer s.span("join_batch", "n", len(joins))(&err)
-	ids := make([]string, len(joins))
-	zones := make([]int, len(joins))
-	rts := make([]float64, len(joins))
-	css := make([][]float64, len(joins))
+	e := &repair.Event{
+		Op:    repair.OpJoinBatch,
+		IDs:   make([]string, len(joins)),
+		Zones: make([]string, len(joins)),
+		RTs:   make([]float64, len(joins)),
+		Rows:  make([][]float64, len(joins)),
+	}
 	for x, cj := range joins {
-		z, rt, row, err := s.resolveJoin(cj.ID, cj.Spec)
+		row, err := s.resolveJoin(cj.ID, cj.Spec)
 		if err != nil {
 			return err
 		}
-		ids[x] = cj.ID
-		zones[x] = z
-		rts[x] = rt
+		e.IDs[x], e.Zones[x], e.RTs[x] = cj.ID, cj.Spec.Zone, cj.Spec.BandwidthMbps
 		// resolveJoin may hand back s.rowBuf; every row must survive the
 		// whole batch.
-		css[x] = append([]float64(nil), row...)
+		e.Rows[x] = append([]float64(nil), row...)
 	}
-	zoneIDs := make([]string, len(joins))
-	for x, cj := range joins {
-		zoneIDs[x] = cj.Spec.Zone
-	}
-	if err := s.dur.Append(&repair.Event{Op: repair.OpJoinBatch, IDs: ids, Zones: zoneIDs, RTs: rts, Rows: css}); err != nil {
-		return err
-	}
-	if err := s.binding.JoinBatch(ids, zones, rts, css); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(e)
 }
 
 // Leave removes the client, repairing around the zone it vacated. The ID
 // becomes available for reuse.
 func (s *ClusterSession) Leave(id string) (err error) {
 	defer s.span("leave", "id", id)(&err)
-	if err := s.dur.Append(&repair.Event{Op: repair.OpLeave, ID: id}); err != nil {
-		return err
-	}
-	if err := s.binding.Leave(id); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpLeave, ID: id})
 }
 
 // Move migrates the client's avatar to another zone, re-attaches it, and
 // repairs around both the vacated and the entered zone.
 func (s *ClusterSession) Move(id, zone string) (err error) {
 	defer s.span("move", "id", id, "zone", zone)(&err)
-	z, err := s.zone(zone)
-	if err != nil {
+	if _, err := s.zone(zone); err != nil {
 		return err
 	}
-	if err := s.dur.Append(&repair.Event{Op: repair.OpMove, ID: id, Zone: zone}); err != nil {
-		return err
-	}
-	if err := s.binding.Move(id, z); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpMove, ID: id, Zone: zone})
 }
 
 // LeaveBatch removes many clients in ONE repair event — the mass-exodus
@@ -281,13 +256,7 @@ func (s *ClusterSession) Move(id, zone string) (err error) {
 // ID) means no client left.
 func (s *ClusterSession) LeaveBatch(ids []string) (err error) {
 	defer s.span("leave_batch", "n", len(ids))(&err)
-	if err := s.dur.Append(&repair.Event{Op: repair.OpLeaveBatch, IDs: ids}); err != nil {
-		return err
-	}
-	if err := s.binding.LeaveBatch(ids); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpLeaveBatch, IDs: ids})
 }
 
 // MoveBatch migrates many clients in ONE repair event: ids[x] moves to
@@ -300,21 +269,12 @@ func (s *ClusterSession) MoveBatch(ids []string, zones []string) (err error) {
 	if len(zones) != len(ids) {
 		return fmt.Errorf("dvecap: move batch has %d ids but %d zones", len(ids), len(zones))
 	}
-	zs := make([]int, len(zones))
-	for x, zid := range zones {
-		z, err := s.zone(zid)
-		if err != nil {
+	for _, zid := range zones {
+		if _, err := s.zone(zid); err != nil {
 			return err
 		}
-		zs[x] = z
 	}
-	if err := s.dur.Append(&repair.Event{Op: repair.OpMoveBatch, IDs: ids, Zones: zones}); err != nil {
-		return err
-	}
-	if err := s.binding.MoveBatch(ids, zs); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpMoveBatch, IDs: ids, Zones: zones})
 }
 
 // AddServer grows the live topology by one server. spec.RTTs must cover
@@ -376,27 +336,9 @@ func (s *ClusterSession) addServer(id string, spec ServerSpec, spare bool) error
 			return fmt.Errorf("dvecap: server %q RTT from client %q is %v ms, want finite >= 0", id, cid, d)
 		}
 	}
-	// Journaled form: the resolved dense inter-server row (current server
-	// order) — replay rebuilds the map against the same order.
-	if err := s.dur.Append(&repair.Event{Op: repair.OpAddServer, Server: id, Capacity: spec.CapacityMbps, Row: ss, ClientRTTs: spec.ClientRTTs, Spare: spare}); err != nil {
-		return err
-	}
-	// Clients absent from ClientRTTs: dense sessions pin the unmeasured
-	// sentinel; provider-backed sessions hand the provider NaN so it
-	// substitutes its own prediction (coordinate distance, shared row).
-	fill := UnmeasuredRTTMs
-	if s.planner().Problem().Delays != nil {
-		fill = math.NaN()
-	}
-	add := s.binding.AddServer
-	if spare {
-		add = s.binding.AddSpareServer
-	}
-	if err := add(id, spec.CapacityMbps, ss, spec.ClientRTTs, fill); err != nil {
-		return err
-	}
-	s.rowBuf = append(s.rowBuf, 0)
-	return s.afterApply()
+	// The event carries the resolved dense inter-server row, in the server
+	// order of its LSN — which is the order replay sees too.
+	return s.commit(&repair.Event{Op: repair.OpAddServer, Server: id, Capacity: spec.CapacityMbps, Row: ss, ClientRTTs: spec.ClientRTTs, Spare: spare})
 }
 
 // RemoveServer retires the server from the topology. The server must be
@@ -406,14 +348,7 @@ func (s *ClusterSession) addServer(id string, spec ServerSpec, spare bool) error
 // stable.
 func (s *ClusterSession) RemoveServer(id string) (err error) {
 	defer s.span("server_remove", "server", id)(&err)
-	if err := s.dur.Append(&repair.Event{Op: repair.OpRemoveServer, Server: id}); err != nil {
-		return err
-	}
-	if err := s.binding.RemoveServer(id); err != nil {
-		return err
-	}
-	s.rowBuf = s.rowBuf[:len(s.rowBuf)-1]
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpRemoveServer, Server: id})
 }
 
 // DrainServer evacuates the server for a rolling deploy: its capacity
@@ -425,13 +360,7 @@ func (s *ClusterSession) RemoveServer(id string) (err error) {
 // RemoveServer retires it, or UncordonServer returns it to service.
 func (s *ClusterSession) DrainServer(id string) (err error) {
 	defer s.span("server_drain", "server", id)(&err)
-	if err := s.dur.Append(&repair.Event{Op: repair.OpDrainServer, Server: id}); err != nil {
-		return err
-	}
-	if err := s.binding.DrainServer(id); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpDrainServer, Server: id})
 }
 
 // UncordonServer returns a drained server to service with its nominal
@@ -439,13 +368,7 @@ func (s *ClusterSession) DrainServer(id string) (err error) {
 // server is not draining.
 func (s *ClusterSession) UncordonServer(id string) (err error) {
 	defer s.span("server_uncordon", "server", id)(&err)
-	if err := s.dur.Append(&repair.Event{Op: repair.OpUncordon, Server: id}); err != nil {
-		return err
-	}
-	if err := s.binding.UncordonServer(id); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpUncordon, Server: id})
 }
 
 // AddZone grows the virtual world by one (empty) zone, hosted per spec.
@@ -468,17 +391,11 @@ func (s *ClusterSession) AddZone(id string, spec ZoneSpec) (err error) {
 		neighbors = append(neighbors, zid)
 	}
 	sort.Strings(neighbors)
-	if err := s.dur.Append(&repair.Event{Op: repair.OpAddZone, Zone: id, Host: spec.Host}); err != nil {
-		return err
-	}
-	if err := s.binding.AddZone(id, spec.Host); err != nil {
-		return err
-	}
-	if err := s.afterApply(); err != nil {
+	if err := s.commit(&repair.Event{Op: repair.OpAddZone, Zone: id, Host: spec.Host}); err != nil {
 		return err
 	}
 	// Each seed edge journals and applies as its own SetZoneAdjacency, in
-	// sorted order — replay re-derives the identical sequence from the log.
+	// sorted order — replay finds the identical sequence in the log.
 	for _, zid := range neighbors {
 		if err := s.SetZoneAdjacency(id, zid, spec.Adjacency[zid]); err != nil {
 			return err
@@ -495,17 +412,10 @@ func (s *ClusterSession) AddZone(id string, spec ZoneSpec) (err error) {
 // session's traffic weight at 0 the edge only feeds the traffic telemetry.
 func (s *ClusterSession) SetZoneAdjacency(zone1, zone2 string, weightMbps float64) (err error) {
 	defer s.span("adjacency_set", "zone", zone1, "zone2", zone2)(&err)
-	z1, z2, err := s.adjacencyPair(zone1, zone2, weightMbps, true)
-	if err != nil {
+	if err := s.adjacencyPair(zone1, zone2, weightMbps, true); err != nil {
 		return err
 	}
-	if err := s.dur.Append(&repair.Event{Op: repair.OpSetAdjacency, Zone: zone1, Zone2: zone2, Weight: weightMbps}); err != nil {
-		return err
-	}
-	if err := s.planner().SetAdjacency(z1, z2, weightMbps); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpSetAdjacency, Zone: zone1, Zone2: zone2, Weight: weightMbps})
 }
 
 // AddAdjacencyWeight accumulates deltaMbps > 0 onto the interaction edge
@@ -514,37 +424,28 @@ func (s *ClusterSession) SetZoneAdjacency(zone1, zone2 string, weightMbps float6
 // did not exist. Same bookkeeping-only semantics as SetZoneAdjacency.
 func (s *ClusterSession) AddAdjacencyWeight(zone1, zone2 string, deltaMbps float64) (err error) {
 	defer s.span("adjacency_add", "zone", zone1, "zone2", zone2)(&err)
-	z1, z2, err := s.adjacencyPair(zone1, zone2, deltaMbps, false)
-	if err != nil {
+	if err := s.adjacencyPair(zone1, zone2, deltaMbps, false); err != nil {
 		return err
 	}
-	if err := s.dur.Append(&repair.Event{Op: repair.OpAddAdjacency, Zone: zone1, Zone2: zone2, Weight: deltaMbps}); err != nil {
-		return err
-	}
-	if err := s.planner().AddAdjacency(z1, z2, deltaMbps); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpAddAdjacency, Zone: zone1, Zone2: zone2, Weight: deltaMbps})
 }
 
-// adjacencyPair resolves and validates one adjacency edge's endpoints and
-// weight (zeroOK admits the edge-removing weight 0 of the set form).
-func (s *ClusterSession) adjacencyPair(zone1, zone2 string, w float64, zeroOK bool) (int, int, error) {
-	z1, err := s.zone(zone1)
-	if err != nil {
-		return 0, 0, err
+// adjacencyPair validates one adjacency edge's endpoints and weight (zeroOK
+// admits the edge-removing weight 0 of the set form).
+func (s *ClusterSession) adjacencyPair(zone1, zone2 string, w float64, zeroOK bool) error {
+	if _, err := s.zone(zone1); err != nil {
+		return err
 	}
-	z2, err := s.zone(zone2)
-	if err != nil {
-		return 0, 0, err
+	if _, err := s.zone(zone2); err != nil {
+		return err
 	}
-	if z1 == z2 {
-		return 0, 0, fmt.Errorf("dvecap: self-adjacency on zone %q", zone1)
+	if zone1 == zone2 {
+		return fmt.Errorf("dvecap: self-adjacency on zone %q", zone1)
 	}
 	if !(repair.FinitePos(w) || (zeroOK && w == 0)) {
-		return 0, 0, fmt.Errorf("dvecap: adjacency (%q,%q) weight %v out of range", zone1, zone2, w)
+		return fmt.Errorf("dvecap: adjacency (%q,%q) weight %v out of range", zone1, zone2, w)
 	}
-	return z1, z2, nil
+	return nil
 }
 
 // TrafficCut returns the summed weight of interaction edges whose endpoint
@@ -563,13 +464,7 @@ func (s *ClusterSession) TrafficCost() float64 { return s.planner().TrafficCost(
 // stable.
 func (s *ClusterSession) RetireZone(id string) (err error) {
 	defer s.span("zone_retire", "zone", id)(&err)
-	if err := s.dur.Append(&repair.Event{Op: repair.OpRetireZone, Zone: id}); err != nil {
-		return err
-	}
-	if err := s.binding.RetireZone(id); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpRetireZone, Zone: id})
 }
 
 // Servers returns the live server inventory in dense index order: nominal
@@ -599,7 +494,8 @@ func (s *ClusterSession) Servers() []ServerStatus {
 // only a few paths were re-probed.
 func (s *ClusterSession) UpdateDelays(id string, rtts map[string]float64) (err error) {
 	defer s.span("delay_update", "id", id, "n", len(rtts))(&err)
-	if err := s.binding.CopyDelays(id, s.rowBuf); err != nil {
+	row := s.scratchRow()
+	if err := s.binding.CopyDelays(id, row); err != nil {
 		return err
 	}
 	for sid, d := range rtts {
@@ -607,41 +503,29 @@ func (s *ClusterSession) UpdateDelays(id string, rtts map[string]float64) (err e
 		if !ok {
 			return fmt.Errorf("dvecap: client %q RTT: %w %q", id, ErrUnknownServer, sid)
 		}
-		s.rowBuf[i] = d
+		row[i] = d
 	}
 	if len(rtts) == 0 {
 		return nil
 	}
-	if err := validateRTTRow(id, s.rowBuf); err != nil {
+	if err := validateRTTRow(id, row); err != nil {
 		return err
 	}
-	// Journaled as the MERGED dense row: replay must not depend on what the
-	// row held before the crash-era partial refresh.
-	if err := s.dur.Append(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: s.rowBuf}); err != nil {
-		return err
-	}
-	if err := s.binding.UpdateDelays(id, s.rowBuf); err != nil {
-		return err
-	}
-	return s.afterApply()
+	// The event carries the MERGED dense row: replay must not depend on what
+	// the row held before the crash-era partial refresh.
+	return s.commit(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: row})
 }
 
 // UpdateDelayRow is UpdateDelays with a full dense row in ServerIDs order
 // — the matrix-supplied form, replacing every measurement at once.
 func (s *ClusterSession) UpdateDelayRow(id string, rtts []float64) (err error) {
 	defer s.span("delay_row", "id", id)(&err)
-	if len(rtts) == len(s.rowBuf) {
+	if len(rtts) == s.NumServers() {
 		if err := validateRTTRow(id, rtts); err != nil {
 			return err
 		}
 	}
-	if err := s.dur.Append(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: rtts}); err != nil {
-		return err
-	}
-	if err := s.binding.UpdateDelays(id, rtts); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: rtts})
 }
 
 // UpdateServerDelays is the server-column form of UpdateDelays: freshly
@@ -661,13 +545,7 @@ func (s *ClusterSession) UpdateServerDelays(server string, rtts map[string]float
 		// Validates the server ID, applies nothing — not a journaled event.
 		return s.binding.UpdateServerDelays(server, rtts)
 	}
-	if err := s.dur.Append(&repair.Event{Op: repair.OpServerDelays, Server: server, RTTs: rtts}); err != nil {
-		return err
-	}
-	if err := s.binding.UpdateServerDelays(server, rtts); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpServerDelays, Server: server, RTTs: rtts})
 }
 
 // SetBandwidth updates the client's bandwidth requirement (Mbps) —
@@ -678,13 +556,7 @@ func (s *ClusterSession) SetBandwidth(id string, mbps float64) (err error) {
 	if !repair.FinitePos(mbps) {
 		return fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want finite > 0", id, mbps)
 	}
-	if err := s.dur.Append(&repair.Event{Op: repair.OpSetBandwidth, ID: id, RT: mbps}); err != nil {
-		return err
-	}
-	if err := s.binding.SetRT(id, mbps); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpSetBandwidth, ID: id, RT: mbps})
 }
 
 // SetZoneBandwidth sets the bandwidth requirement of every client
@@ -693,33 +565,20 @@ func (s *ClusterSession) SetBandwidth(id string, mbps float64) (err error) {
 // every member (see the bandwidth model in DESIGN.md §4).
 func (s *ClusterSession) SetZoneBandwidth(zone string, perClientMbps float64) (err error) {
 	defer s.span("set_zone_bandwidth", "zone", zone)(&err)
-	z, err := s.zone(zone)
-	if err != nil {
+	if _, err := s.zone(zone); err != nil {
 		return err
 	}
 	if !repair.FinitePos(perClientMbps) {
 		return fmt.Errorf("dvecap: zone %q bandwidth %v Mbps, want finite > 0", zone, perClientMbps)
 	}
-	if err := s.dur.Append(&repair.Event{Op: repair.OpSetZoneBW, Zone: zone, RT: perClientMbps}); err != nil {
-		return err
-	}
-	if err := s.binding.Planner().RefreshZoneRT(z, perClientMbps); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpSetZoneBW, Zone: zone, RT: perClientMbps})
 }
 
 // Resolve forces one full two-phase re-solve, re-anchoring the drift
 // baseline.
 func (s *ClusterSession) Resolve() (err error) {
 	defer s.span("resolve")(&err)
-	if err := s.dur.Append(&repair.Event{Op: repair.OpResolve}); err != nil {
-		return err
-	}
-	if err := s.binding.Planner().FullSolve(); err != nil {
-		return err
-	}
-	return s.afterApply()
+	return s.commit(&repair.Event{Op: repair.OpResolve})
 }
 
 // ZoneHost returns the ID of the server currently hosting the zone.
@@ -751,7 +610,7 @@ func (s *ClusterSession) Client(id string) (ClusterClient, error) {
 		Contact:       s.binding.ServerID(pl.Evaluator().Contact(j)),
 		Target:        s.binding.ServerID(pl.ZoneHost(z)),
 		DelayMs:       delay,
-		QoS:           delay <= s.delayBound,
+		QoS:           delay <= p.D,
 		BandwidthMbps: p.ClientRT[j],
 	}, nil
 }
@@ -785,19 +644,7 @@ func (s *ClusterSession) Result() (*Result, error) {
 	pl := s.binding.Planner()
 	p := pl.Problem()
 	a := pl.Assignment()
-	ids := make([]string, p.NumClients())
-	for _, id := range s.binding.IDs() {
-		h, err := s.binding.Handle(id)
-		if err != nil {
-			return nil, err
-		}
-		j, err := pl.Index(h)
-		if err != nil {
-			return nil, err
-		}
-		ids[j] = id
-	}
-	return newResult(s.algo, p, a, core.Evaluate(p, a), ids), nil
+	return newResult(s.m.Algo(), p, a, core.Evaluate(p, a), s.binding.DenseIDs()), nil
 }
 
 // validateRTTRow rejects measurements no delay model admits — negative,

@@ -1,12 +1,12 @@
 package dvecap
 
-// The kill/recover proof suite of the durability engine (repair.Journal,
-// DESIGN.md §11), driven through BOTH journaled surfaces — the public
-// ClusterSession and internal/director's Director — by one harness: each
-// surface contributes an adapter (how to open, recover, churn and
-// fingerprint it) and every proof below runs unchanged against either. The
-// suite lives in this package because the session's crash hook and planner
-// sidecar are unexported; the director exposes the two seams the harness
+// The kill/recover proof suite of the journaled assignment machine
+// (repair.Machine over repair.Journal, DESIGN.md §11), driven through BOTH
+// front ends — the public ClusterSession and internal/director's Director —
+// by one harness: each front end contributes an adapter (how to open,
+// recover, churn and fingerprint it) and every proof below runs unchanged
+// against either. The suite lives in this package because the session's
+// machine is unexported; the director exposes the two seams the harness
 // needs (SetCrashHook, DurableState).
 
 import (
@@ -636,8 +636,10 @@ func proveRejectsNonFinite(t *testing.T, sf durableSurface) {
 
 // proveGoldenFormat enforces "byte-identical on disk": for a fixed 60-event
 // script the baseline snapshot, the journal records and the final
-// checkpoint hash to the constants recorded at the commit before the two
-// surfaces were moved onto the one engine.
+// checkpoint hash to recorded constants — the session's from the commit
+// before the two surfaces were moved onto one durability engine (unchanged
+// since, through the move onto one machine), the director's from the commit
+// that gave it the machine's format.
 func proveGoldenFormat(t *testing.T, sf durableSurface) {
 	run := proofRun{dir: t.TempDir(), workers: 1, churnSeed: 2024, golden: true}
 	m := sf.open(t, run)
@@ -722,13 +724,13 @@ func (m *sessionMachine) run(t *testing.T, events int) { m.churn.run(t, m.s, eve
 func (m *sessionMachine) state(t *testing.T) string    { return sessionStateJSON(t, m.s) }
 func (m *sessionMachine) close() error                 { return m.s.Close() }
 
-func (m *sessionMachine) setCrashHook(hook func(string) error) { m.s.dur.SetCrashHook(hook) }
+func (m *sessionMachine) setCrashHook(hook func(string) error) { m.s.m.SetCrashHook(hook) }
 
 func (m *sessionMachine) checkpoint() (uint64, error) {
 	if err := m.s.Checkpoint(); err != nil {
 		return 0, err
 	}
-	return m.s.dur.NextLSN() - 1, nil
+	return m.s.m.NextLSN() - 1, nil
 }
 
 func (m *sessionMachine) victimSpec(bw, rtt float64) ClientSpec {
@@ -755,14 +757,14 @@ func (m *sessionMachine) fenced(t *testing.T, want error) {
 // noops: refreshes that change nothing must not journal — the log head
 // stays put.
 func (m *sessionMachine) noops(t *testing.T) {
-	head := m.s.dur.NextLSN()
+	head := m.s.m.NextLSN()
 	if err := m.s.UpdateDelays(m.churn.live[0], nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.s.UpdateServerDelays("s0", nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.s.dur.NextLSN(); got != head {
+	if got := m.s.m.NextLSN(); got != head {
 		t.Fatalf("empty refreshes advanced the log: %d → %d", head, got)
 	}
 }
@@ -879,13 +881,13 @@ func (c *dirChurn) run(t *testing.T, d *director.Director, events int) {
 				case z1 == z2:
 					// Self-edge draw: skipped (would be rejected pre-journal).
 				case c.rng.Float64() < 0.15:
-					_, _ = d.SetAdjacency(z1, z2, 0)
+					_, _ = d.SetAdjacency(director.Index(z1), director.Index(z2), 0)
 				case c.rng.Float64() < 0.5:
-					if _, err := d.SetAdjacency(z1, z2, w); err != nil {
+					if _, err := d.SetAdjacency(director.Index(z1), director.Index(z2), w); err != nil {
 						t.Fatalf("event %d set adjacency (%d,%d): %v", e, z1, z2, err)
 					}
 				default:
-					if _, err := d.AddAdjacencyWeight(z1, z2, w); err != nil {
+					if _, err := d.AddAdjacencyWeight(director.Index(z1), director.Index(z2), w); err != nil {
 						t.Fatalf("event %d add adjacency (%d,%d): %v", e, z1, z2, err)
 					}
 				}
@@ -909,10 +911,12 @@ func (c *dirChurn) run(t *testing.T, d *director.Director, events int) {
 					avail++
 				}
 			}
+			// By stable ID here, by the deprecated index alias elsewhere: both
+			// forms of Ref cross the crash boundary.
 			if srv[i].Draining {
-				_, _ = d.UncordonServer(i)
+				_, _ = d.UncordonServer(director.ID(srv[i].ID))
 			} else if avail > 1 {
-				_, _ = d.DrainServer(i)
+				_, _ = d.DrainServer(director.ID(srv[i].ID))
 			}
 		case r < 0.93:
 			if _, err := d.AddZone(); err != nil {
@@ -922,14 +926,14 @@ func (c *dirChurn) run(t *testing.T, d *director.Director, events int) {
 			if z := d.Stats().Zones; z > 1 {
 				// Usually rejected (zone not empty) — which must replay as
 				// rejected too.
-				_ = d.RetireZone(c.rng.IntN(z))
+				_ = d.RetireZone(director.Index(c.rng.IntN(z)))
 			}
 		default:
 			// Remove the first empty draining server, if any — the tail of a
 			// rolling-deploy drain.
 			for i, s := range d.Servers() {
 				if s.Draining && s.Zones == 0 {
-					_ = d.RemoveServer(i)
+					_ = d.RemoveServer(director.Index(i))
 					break
 				}
 			}
@@ -1022,10 +1026,14 @@ func directorSurface(t *testing.T, model string) durableSurface {
 				attempt("fingerprint", func(c *director.Config) { c.DelayBoundMs = 300 }),
 			}
 		},
+		// Recorded when the director moved onto the one machine: its WRITE
+		// format is the machine's snapshot and vocabulary from here on. What
+		// it wrote before is pinned on the read side, by the committed data
+		// directory of TestDirectorLegacyDataDir (internal/director).
 		golden: [3]string{
-			"a1c51eea884bac070e23366e3008a04d302e788d5e7d33565b2ea072668c8474",
-			"3119b47a6af8425364fee6f5006cb77f1d8993cac60758554cdac62deaf66b14",
-			"c80cb89d31b863ffd84ec0a0073452ae9602c0394c86005f5c36e14e49d76089",
+			"789e632661c057969015eae4e7b27649cb7d7d1c5002143c695d92261a2ee45d",
+			"aba80eca5642174f7399513034143882e5c951b8a4135ff960d53f498559030a",
+			"e7863598e161bc2adbbf6f21e3a51439993fdfc9de4834d1180afbb827ad5ff7",
 		},
 	}
 }
@@ -1036,20 +1044,18 @@ func (m *directorMachine) checkpoint() (uint64, error)  { return m.d.Checkpoint(
 
 func (m *directorMachine) setCrashHook(hook func(string) error) { m.d.SetCrashHook(hook) }
 
-// state is the director's checkpoint payload (planner sidecar, problem,
-// client registry in dense order, ID sequence, server nodes, provider and
-// adjacency state) plus everything its read API shows, clients keyed by ID
-// (NOT in listing order — recovery renumbers registration order to dense
-// order).
+// state is the director's checkpoint payload (the machine's snapshot: cluster
+// spec in dense order, planner sidecar, provider state, and the director
+// extra — ID sequence, server and client nodes) plus everything its read API
+// shows, clients IN LISTING ORDER: Snapshot's order is a function of the
+// journaled history, so it too must cross the crash boundary.
 func (m *directorMachine) state(t *testing.T) string {
 	t.Helper()
 	payload, err := m.d.DurableState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	clients := m.d.Snapshot()
-	sort.Slice(clients, func(a, b int) bool { return clients[a].ID < clients[b].ID })
-	visible, err := json.Marshal([]interface{}{clients, m.d.Servers(), m.d.Zones(), m.d.Adjacency(), m.d.Stats()})
+	visible, err := json.Marshal([]interface{}{m.d.Snapshot(), m.d.Servers(), m.d.Zones(), m.d.Adjacency(), m.d.Stats()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1082,10 +1088,13 @@ func (m *directorMachine) numeric() map[string]func(v float64) error {
 			_, err := d.UpdateDelays(id, row)
 			return err
 		},
-		"AddServer":          func(v float64) error { _, err := d.AddServer(5, v); return err },
-		"AddSpareServer":     func(v float64) error { _, err := d.AddSpareServer(5, v); return err },
-		"SetAdjacency":       func(v float64) error { _, err := d.SetAdjacency(0, 1, v); return err },
-		"AddAdjacencyWeight": func(v float64) error { _, err := d.AddAdjacencyWeight(0, 1, v); return err },
+		"AddServer":      func(v float64) error { _, err := d.AddServer(5, v); return err },
+		"AddSpareServer": func(v float64) error { _, err := d.AddSpareServer(5, v); return err },
+		"SetAdjacency":   func(v float64) error { _, err := d.SetAdjacency(director.ID("z0"), director.ID("z1"), v); return err },
+		"AddAdjacencyWeight": func(v float64) error {
+			_, err := d.AddAdjacencyWeight(director.Index(0), director.Index(1), v)
+			return err
+		},
 	}
 }
 

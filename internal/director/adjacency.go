@@ -14,11 +14,13 @@ import (
 )
 
 // AdjacencyInfo is one interaction edge, reported in canonical order
-// (Zone1 < Zone2, edges sorted).
+// (Zone1 < Zone2 by dense index, edges sorted) with the zones' stable IDs.
 type AdjacencyInfo struct {
 	Zone1      int     `json:"zone1"`
 	Zone2      int     `json:"zone2"`
 	WeightMbps float64 `json:"weight_mbps"`
+	Zone1ID    string  `json:"zone1_id"`
+	Zone2ID    string  `json:"zone2_id"`
 }
 
 // Adjacency lists the interaction graph's edges in canonical order; empty
@@ -26,14 +28,11 @@ type AdjacencyInfo struct {
 func (d *Director) Adjacency() []AdjacencyInfo {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	g := d.planner().Problem().Adjacency
-	if g == nil {
-		return []AdjacencyInfo{}
-	}
-	edges := g.Edges()
-	out := make([]AdjacencyInfo, len(edges))
-	for x, e := range edges {
-		out[x] = AdjacencyInfo{Zone1: e.A, Zone2: e.B, WeightMbps: e.W}
+	out := []AdjacencyInfo{}
+	if g := d.planner().Problem().Adjacency; g != nil {
+		for _, e := range g.Edges() {
+			out = append(out, d.edgeInfo(e.A, e.B))
+		}
 	}
 	return out
 }
@@ -43,65 +42,59 @@ func (d *Director) Adjacency() []AdjacencyInfo {
 // edge's resulting state. With the traffic term armed
 // (Config.TrafficWeight > 0) the edge immediately participates in repair
 // decisions.
-func (d *Director) SetAdjacency(zone1, zone2 int, weightMbps float64) (AdjacencyInfo, error) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if err := d.adjacencyArgsLocked(zone1, zone2, weightMbps, true); err != nil {
-		return AdjacencyInfo{}, err
-	}
-	if err := d.commit(&repair.Event{Op: repair.OpDSetAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: weightMbps}, func() error {
-		return d.planner().SetAdjacency(zone1, zone2, weightMbps)
-	}); err != nil {
-		return AdjacencyInfo{}, err
-	}
-	return d.edgeInfoLocked(zone1, zone2), nil
+func (d *Director) SetAdjacency(zone1, zone2 Ref, weightMbps float64) (AdjacencyInfo, error) {
+	return d.adjacency(repair.OpSetAdjacency, zone1, zone2, weightMbps)
 }
 
 // AddAdjacencyWeight accumulates deltaMbps > 0 onto the edge between two
 // zones and returns the edge's resulting state — the feedback mouth for
 // observed avatar crossings: each crossing between a pair of zones bumps
 // their interaction weight.
-func (d *Director) AddAdjacencyWeight(zone1, zone2 int, deltaMbps float64) (AdjacencyInfo, error) {
+func (d *Director) AddAdjacencyWeight(zone1, zone2 Ref, deltaMbps float64) (AdjacencyInfo, error) {
+	return d.adjacency(repair.OpAddAdjacency, zone1, zone2, deltaMbps)
+}
+
+func (d *Director) adjacency(op repair.EventOp, zone1, zone2 Ref, w float64) (AdjacencyInfo, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	if err := d.adjacencyArgsLocked(zone1, zone2, deltaMbps, false); err != nil {
+	e, err := d.adjacencyEvent(op, zone1, zone2, w)
+	if err := d.commit(e, err); err != nil {
 		return AdjacencyInfo{}, err
 	}
-	if err := d.commit(&repair.Event{Op: repair.OpDAddAdjacency, ZoneIdx: zone1, ZoneIdx2: zone2, Weight: deltaMbps}, func() error {
-		return d.planner().AddAdjacency(zone1, zone2, deltaMbps)
-	}); err != nil {
-		return AdjacencyInfo{}, err
-	}
-	return d.edgeInfoLocked(zone1, zone2), nil
+	b := d.m.Binding()
+	z1, _ := b.ZoneIndex(e.Zone)
+	z2, _ := b.ZoneIndex(e.Zone2)
+	return d.edgeInfo(min(z1, z2), max(z1, z2)), nil
 }
 
-// edgeInfoLocked reads one edge's current state in canonical order.
-func (d *Director) edgeInfoLocked(zone1, zone2 int) AdjacencyInfo {
-	if zone1 > zone2 {
-		zone1, zone2 = zone2, zone1
+// adjacencyEvent validates an edge mutation before anything is journaled:
+// both zones must exist (404 via ErrUnknownZone), the edge must not be a
+// self-loop, and the weight must be finite and positive (zero allowed only
+// for set, which removes the edge).
+func (d *Director) adjacencyEvent(op repair.EventOp, zone1, zone2 Ref, w float64) (*repair.Event, error) {
+	z1, err := d.zoneIndex(zone1)
+	if err != nil {
+		return nil, fmt.Errorf("director: %w", err)
 	}
-	info := AdjacencyInfo{Zone1: zone1, Zone2: zone2}
+	z2, err := d.zoneIndex(zone2)
+	if err != nil {
+		return nil, fmt.Errorf("director: %w", err)
+	}
+	if z1 == z2 {
+		return nil, fmt.Errorf("director: adjacency self-edge (%v,%v)", zone1, zone2)
+	}
+	if !(repair.FinitePos(w) || (op == repair.OpSetAdjacency && w == 0)) {
+		return nil, fmt.Errorf("director: adjacency weight %v, want finite > 0", w)
+	}
+	b := d.m.Binding()
+	return &repair.Event{Op: op, Zone: b.ZoneID(z1), Zone2: b.ZoneID(z2), Weight: w}, nil
+}
+
+// edgeInfo reads the current state of the edge between zones a < b.
+func (d *Director) edgeInfo(a, b int) AdjacencyInfo {
+	info := AdjacencyInfo{Zone1: a, Zone2: b, Zone1ID: d.m.Binding().ZoneID(a), Zone2ID: d.m.Binding().ZoneID(b)}
 	if g := d.planner().Problem().Adjacency; g != nil {
-		info.WeightMbps = g.Weight(zone1, zone2)
+		info.WeightMbps = g.Weight(a, b)
 	}
 	return info
-}
-
-// adjacencyArgsLocked validates an edge mutation before anything is
-// journaled: both zones must exist (404 via ErrUnknownZone), the edge must
-// not be a self-loop, and the weight must be finite and positive (zero
-// allowed only for set, which removes the edge).
-func (d *Director) adjacencyArgsLocked(zone1, zone2 int, w float64, zeroOK bool) error {
-	for _, z := range [2]int{zone1, zone2} {
-		if z < 0 || z >= d.cfg.Zones {
-			return fmt.Errorf("director: %w: zone %d outside [0,%d)", ErrUnknownZone, z, d.cfg.Zones)
-		}
-	}
-	if zone1 == zone2 {
-		return fmt.Errorf("director: adjacency self-edge (%d,%d)", zone1, zone2)
-	}
-	if !(repair.FinitePos(w) || (zeroOK && w == 0)) {
-		return fmt.Errorf("director: adjacency weight %v, want finite > 0", w)
-	}
-	return nil
 }

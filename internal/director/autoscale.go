@@ -5,21 +5,20 @@ package director
 // scale-up admits the lowest-index warm spare via UncordonServer (the
 // planner's flow-back scan pulls load onto it immediately, O(affected)),
 // scale-down drains the least-loaded active server back into the pool,
-// and retirement removes a long-drained tail server. Every verb runs
-// through the journaled mutators, so an autoscaled trajectory recovers
-// bit-identically like any other.
+// and retirement removes a long-drained server, wherever it sits. Every
+// verb runs through the journaled mutators, so an autoscaled trajectory
+// recovers bit-identically like any other.
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"dvecap/internal/autoscale"
 )
 
-// dirActuator adapts the director to autoscale.Actuator. Targets are
-// "s<i>" dense server indices; every choice is a deterministic function
-// of planner state (lowest index, least-loaded with lowest-index ties).
+// dirActuator adapts the director to autoscale.Actuator. Targets are stable
+// server IDs — a removal renumbers indices, never the names the reconciler
+// tracks — and every choice is a deterministic function of planner state
+// (lowest index, least-loaded with lowest-index ties).
 type dirActuator struct{ d *Director }
 
 func (a dirActuator) Observe() autoscale.Observation {
@@ -28,89 +27,78 @@ func (a dirActuator) Observe() autoscale.Observation {
 	defer d.mu.RUnlock()
 	pl := d.planner()
 	st := pl.Stats()
-	active, spares := 0, 0
-	for i := range d.cfg.ServerNodes {
+	spares := 0
+	for i := 0; i < pl.NumServers(); i++ {
 		if pl.Draining(i) {
 			spares++
-		} else {
-			active++
 		}
 	}
 	return autoscale.Observation{
-		Clients:       d.binding.Len(),
+		Clients:       pl.NumClients(),
 		Utilization:   pl.Utilization(),
 		UtilSpread:    st.LastUtilSpread,
 		PQoS:          pl.PQoS(),
 		DriftPQoS:     st.LastDriftPQoS,
-		ActiveServers: active,
+		ActiveServers: pl.NumServers() - spares,
 		SpareServers:  spares,
 	}
 }
 
-// ScaleUp admits the lowest-index drained server.
-func (a dirActuator) ScaleUp() (string, error) {
+// pick returns the ID of the server the scaling verb should act on: among
+// the drained servers (or the active ones) the least-loaded, ties to the
+// lowest index — a drained server carries no load, so for scale-up that is
+// the lowest-index one.
+func (a dirActuator) pick(drained bool) (string, error) {
 	d := a.d
 	d.mu.RLock()
-	victim := -1
-	for i := range d.cfg.ServerNodes {
-		if d.planner().Draining(i) {
-			victim = i
-			break
+	defer d.mu.RUnlock()
+	pl := d.planner()
+	victim, best := -1, 0.0
+	for i := 0; i < pl.NumServers(); i++ {
+		if pl.Draining(i) != drained {
+			continue
+		}
+		if l := pl.ServerLoad(i); victim < 0 || (!drained && l < best) {
+			victim, best = i, l
 		}
 	}
-	d.mu.RUnlock()
 	if victim < 0 {
-		return "", fmt.Errorf("director: scale-up with no drained server")
+		return "", fmt.Errorf("director: scaling with no server to act on (drained=%v)", drained)
 	}
-	if _, err := d.UncordonServer(victim); err != nil {
-		return "", err
+	return d.m.Binding().ServerID(victim), nil
+}
+
+// ScaleUp admits the lowest-index drained server.
+func (a dirActuator) ScaleUp() (string, error) {
+	id, err := a.pick(true)
+	if err == nil {
+		_, err = a.d.UncordonServer(ID(id))
 	}
-	return "s" + strconv.Itoa(victim), nil
+	return id, err
 }
 
 // ScaleDown drains the least-loaded active server, ties to the lowest
 // index.
 func (a dirActuator) ScaleDown() (string, error) {
-	d := a.d
-	d.mu.RLock()
-	victim, best := -1, 0.0
-	for i := range d.cfg.ServerNodes {
-		if d.planner().Draining(i) {
-			continue
-		}
-		if l := d.planner().ServerLoad(i); victim < 0 || l < best {
-			victim, best = i, l
-		}
+	id, err := a.pick(false)
+	if err == nil {
+		_, err = a.d.DrainServer(ID(id))
 	}
-	d.mu.RUnlock()
-	if victim < 0 {
-		return "", fmt.Errorf("director: scale-down with no active server")
-	}
-	if _, err := d.DrainServer(victim); err != nil {
-		return "", err
-	}
-	return "s" + strconv.Itoa(victim), nil
+	return id, err
 }
 
-// Retire removes a long-drained server — but only the fleet's TAIL
-// index. RemoveServer renumbers (the last server takes the vacated
-// index), which would silently re-point every higher "s<i>" target the
-// reconciler still tracks; removing the tail moves nothing. A non-tail
-// target stays in the warm pool instead (ErrRetireUnsupported).
+// Retire removes a long-drained server. A target that was re-admitted in the
+// meantime (or is gone) is refused; the reconciler then drops it.
 func (a dirActuator) Retire(target string) error {
 	d := a.d
-	i, err := strconv.Atoi(strings.TrimPrefix(target, "s"))
-	if err != nil {
-		return fmt.Errorf("director: retire target %q: %w", target, err)
-	}
 	d.mu.RLock()
-	tail := i == len(d.cfg.ServerNodes)-1
-	draining := i >= 0 && i < len(d.cfg.ServerNodes) && d.planner().Draining(i)
+	i, err := d.serverIndex(ID(target))
+	drained := err == nil && d.planner().Draining(i)
 	d.mu.RUnlock()
-	if !tail || !draining {
-		return autoscale.ErrRetireUnsupported
+	if !drained {
+		return fmt.Errorf("director: retire target %q is not a drained server", target)
 	}
-	return d.RemoveServer(i)
+	return d.RemoveServer(ID(target))
 }
 
 // EnableAutoscale attaches an autoscaling reconciler to the director.

@@ -3,8 +3,11 @@ package director
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -220,7 +223,7 @@ func TestStatsExposeRepairCounters(t *testing.T) {
 	// The planner's O(1) metrics must agree with a from-scratch evaluation
 	// of the exported problem + assignment.
 	d.mu.RLock()
-	p, a := d.problemLocked(), d.assignmentLocked()
+	p, a := d.problemLocked(), d.planner().Assignment()
 	d.mu.RUnlock()
 	m := core.Evaluate(p, a)
 	s = d.Stats()
@@ -500,7 +503,10 @@ func TestHTTPStatusCodes(t *testing.T) {
 		{"add server malformed json", http.MethodPost, "/v1/servers", "{", http.StatusBadRequest},
 		{"add server bad node", http.MethodPost, "/v1/servers", `{"node":-1,"capacity_mbps":10}`, http.StatusBadRequest},
 		{"add server bad capacity", http.MethodPost, "/v1/servers", `{"node":0,"capacity_mbps":0}`, http.StatusBadRequest},
-		{"delete server non-integer", http.MethodDelete, "/v1/servers/abc", "", http.StatusBadRequest},
+		// A non-integer segment is a stable ID now; an unknown one is a 404.
+		{"delete server non-integer", http.MethodDelete, "/v1/servers/abc", "", http.StatusNotFound},
+		{"delete loaded server by id", http.MethodDelete, "/v1/servers/s0", "", http.StatusConflict},
+		{"drain unknown server id", http.MethodPost, "/v1/servers/s99/drain", "", http.StatusNotFound},
 		{"delete unknown server", http.MethodDelete, "/v1/servers/99", "", http.StatusNotFound},
 		{"delete loaded server", http.MethodDelete, "/v1/servers/0", "", http.StatusConflict},
 		{"delete server wrong method", http.MethodGet, "/v1/servers/0", "", http.StatusMethodNotAllowed},
@@ -510,7 +516,13 @@ func TestHTTPStatusCodes(t *testing.T) {
 		{"unknown server subroute", http.MethodPost, "/v1/servers/0/bogus", "", http.StatusNotFound},
 		{"zones list ok", http.MethodGet, "/v1/zones", "", http.StatusOK},
 		{"zones wrong method", http.MethodDelete, "/v1/zones", "", http.StatusMethodNotAllowed},
-		{"delete zone non-integer", http.MethodDelete, "/v1/zones/abc", "", http.StatusBadRequest},
+		{"delete zone non-integer", http.MethodDelete, "/v1/zones/abc", "", http.StatusNotFound},
+		{"delete populated zone by id", http.MethodDelete, "/v1/zones/z2", "", http.StatusConflict},
+		{"join by zone id", http.MethodPost, "/v1/clients", `{"id":"alice","node":0,"zone":"z0"}`, http.StatusBadRequest},
+		{"join unknown zone id", http.MethodPost, "/v1/clients", `{"node":0,"zone":"z99"}`, http.StatusBadRequest},
+		{"move unknown zone id", http.MethodPost, "/v1/clients/alice/move", `{"zone":"nowhere"}`, http.StatusBadRequest},
+		{"adjacency unknown zone id", http.MethodPost, "/v1/adjacency", `{"zone1":"z0","zone2":"z99","weight_mbps":1}`, http.StatusNotFound},
+		{"adjacency self edge by id and index", http.MethodPost, "/v1/adjacency", `{"zone1":"z3","zone2":3,"weight_mbps":1}`, http.StatusBadRequest},
 		{"delete unknown zone", http.MethodDelete, "/v1/zones/99", "", http.StatusNotFound},
 		{"delete populated zone", http.MethodDelete, "/v1/zones/2", "", http.StatusConflict},
 		{"delete zone wrong method", http.MethodGet, "/v1/zones/2", "", http.StatusMethodNotAllowed},
@@ -643,6 +655,17 @@ func TestHTTPClientIDsRoundTrip(t *testing.T) {
 			t.Fatalf("%q still registered after DELETE: %v", id, err)
 		}
 	}
+	// The dot segments cannot be one URL path segment (routers clean them
+	// away), so admission refuses them — 400, nothing registered — instead of
+	// accepting a client no route can reach.
+	for _, id := range []string{".", ".."} {
+		if _, err := c.Join(id, 12, 2); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+			t.Fatalf("join %q: %v, want HTTP 400", id, err)
+		}
+		if _, err := d.Lookup(id); !errors.Is(err, ErrUnknownClient) {
+			t.Fatalf("%q registered despite the refusal: %v", id, err)
+		}
+	}
 	n := uint64(len(ids))
 	for labels, want := range map[[3]string]uint64{
 		{"/v1/clients/{id}", "GET", "200"}:         n,
@@ -654,6 +677,78 @@ func TestHTTPClientIDsRoundTrip(t *testing.T) {
 			"route", labels[0], "method", labels[1], "code", labels[2]).Value(); got != want {
 			t.Errorf("http_requests%v = %d, want %d", labels, got, want)
 		}
+	}
+}
+
+// TestSnapshotOrderSurvivesRecovery: Snapshot lists clients in the planner's
+// dense order, which a leave reshuffles (the last client takes the vacated
+// slot) — so it is neither registration order nor sorted. A director
+// recovered from a checkpoint must list them position by position like one
+// that never stopped, and client j of ProblemSnapshot must be Snapshot()[j].
+func TestSnapshotOrderSurvivesRecovery(t *testing.T) {
+	drive := func(d *Director, checkpoint bool) {
+		for i := 0; i < 6; i++ {
+			if _, err := d.Join(fmt.Sprintf("a%d", i), i, i%8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range []string{"a1", "a3"} {
+			if err := d.Leave(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if checkpoint {
+			if _, err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := d.Join(fmt.Sprintf("b%d", i), 10+i, (i+3)%8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Leave("a0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := func(d *Director) (out []string) {
+		snap, p := d.Snapshot(), d.ProblemSnapshot()
+		for j, info := range snap {
+			if p.ClientZones[j] != info.Zone {
+				t.Fatalf("client %d of ProblemSnapshot is in zone %d, Snapshot()[%d] = %+v", j, p.ClientZones[j], j, info)
+			}
+			out = append(out, info.ID)
+		}
+		return out
+	}
+	dm := durDelays(t)
+	control, err := New(durDirConfig(dm, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(control, false)
+	cfg := durDirConfig(dm, 1)
+	cfg.DataDir = t.TempDir()
+	durable, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(durable, true)
+	// Kill (no Close) and recover: checkpoint plus a four-event tail.
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	want := ids(control)
+	if got := ids(durable); !reflect.DeepEqual(got, want) {
+		t.Fatalf("durable director lists %v, control %v", got, want)
+	}
+	if got := ids(recovered); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered director lists %v, the uninterrupted control %v", got, want)
+	}
+	if sort.StringsAreSorted(want) {
+		t.Fatalf("the script left the listing in registration order (%v); it cannot tell the orders apart", want)
 	}
 }
 
@@ -694,18 +789,18 @@ func TestHTTPTopologyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added.Server != 4 || added.Node != 35 || added.CapacityMbps != 80 {
+	if added.ID != "s4" || added.Server != 4 || added.Node != 35 || added.CapacityMbps != 80 {
 		t.Fatalf("added server = %+v", added)
 	}
 	zone, err := cl.AddZone()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zone.Zone != 8 {
-		t.Fatalf("added zone = %+v, want index 8", zone)
+	if zone.ID != "z8" || zone.Zone != 8 {
+		t.Fatalf("added zone = %+v, want z8 at index 8", zone)
 	}
-	if _, err := cl.Join("newcomer", 17, zone.Zone); err != nil {
-		t.Fatal(err)
+	if info, err := cl.JoinRef("newcomer", 17, ID(zone.ID)); err != nil || info.Zone != 8 || info.ZoneID != "z8" {
+		t.Fatalf("join by zone ID: %+v, %v", info, err)
 	}
 
 	statsBefore, err := cl.Stats()
@@ -716,7 +811,7 @@ func TestHTTPTopologyRoundTrip(t *testing.T) {
 		t.Fatalf("stats topology = %d servers / %d zones, want 5/9", statsBefore.Servers, statsBefore.Zones)
 	}
 
-	drained, err := cl.DrainServer(0)
+	drained, err := cl.DrainServer(ID("s0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -746,13 +841,14 @@ func TestHTTPTopologyRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, err := cl.UncordonServer(0); err != nil {
+	// The deprecated index alias still reaches the same server.
+	if _, err := cl.UncordonServer(Index(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.DrainServer(0); err != nil {
+	if _, err := cl.DrainServer(Index(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.RemoveServer(0); err != nil {
+	if err := cl.RemoveServer(ID("s0")); err != nil {
 		t.Fatal(err)
 	}
 	servers, err = cl.Servers()
@@ -762,9 +858,12 @@ func TestHTTPTopologyRoundTrip(t *testing.T) {
 	if len(servers) != 4 {
 		t.Fatalf("%d servers after removal, want 4", len(servers))
 	}
-	// The old last server (node 35) was renumbered to index 0.
-	if servers[0].Node != 35 {
-		t.Fatalf("renumbered server 0 on node %d, want 35", servers[0].Node)
+	// The old last server (node 35) was renumbered to index 0 and kept its ID.
+	if servers[0].Node != 35 || servers[0].ID != "s4" {
+		t.Fatalf("renumbered server 0 = %+v, want s4 on node 35", servers[0])
+	}
+	if _, err := cl.DrainServer(ID("s0")); err == nil {
+		t.Fatal("the removed server's ID still resolves")
 	}
 
 	// Retire an empty zone: empty the added zone first by moving its one
@@ -772,7 +871,7 @@ func TestHTTPTopologyRoundTrip(t *testing.T) {
 	if _, err := cl.Move("newcomer", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.RetireZone(zone.Zone); err != nil {
+	if err := cl.RetireZone(ID(zone.ID)); err != nil {
 		t.Fatal(err)
 	}
 	zones, err := cl.Zones()
@@ -868,19 +967,19 @@ func TestTopologyChurnRaceStress(t *testing.T) {
 		if _, err := d.AddZone(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.DrainServer(0); err != nil {
+		if _, err := d.DrainServer(Index(0)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.UncordonServer(0); err != nil {
+		if _, err := d.UncordonServer(Index(0)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.DrainServer(info.Server); err != nil {
+		if _, err := d.DrainServer(ID(info.ID)); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RemoveServer(info.Server); err != nil {
+		if err := d.RemoveServer(ID(info.ID)); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.RetireZone(d.Stats().Zones - 1); err != nil {
+		if err := d.RetireZone(Index(d.Stats().Zones - 1)); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -910,24 +1009,24 @@ func TestHTTPAdjacencyRoundTrip(t *testing.T) {
 		t.Fatalf("fresh director lists %v (%v), want no edges", edges, err)
 	}
 	// Arguments arrive unordered; the edge must come back canonical.
-	info, err := api.SetAdjacency(5, 2, 3.5)
+	info, err := api.SetAdjacency(ID("z5"), ID("z2"), 3.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Zone1 != 2 || info.Zone2 != 5 || info.WeightMbps != 3.5 {
-		t.Fatalf("set returned %+v, want {2 5 3.5}", info)
+	if info.Zone1 != 2 || info.Zone2 != 5 || info.Zone1ID != "z2" || info.Zone2ID != "z5" || info.WeightMbps != 3.5 {
+		t.Fatalf("set returned %+v, want {2 5 3.5 z2 z5}", info)
 	}
-	if info, err = api.AddAdjacencyWeight(2, 5, 1.5); err != nil || info.WeightMbps != 5 {
+	if info, err = api.AddAdjacencyWeight(Index(2), ID("z5"), 1.5); err != nil || info.WeightMbps != 5 {
 		t.Fatalf("add returned %+v (%v), want weight 5", info, err)
 	}
-	if _, err = api.SetAdjacency(0, 1, 2); err != nil {
+	if _, err = api.SetAdjacency(Index(0), Index(1), 2); err != nil {
 		t.Fatal(err)
 	}
 	edges, err := api.Adjacency()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []AdjacencyInfo{{0, 1, 2}, {2, 5, 5}}
+	want := []AdjacencyInfo{{0, 1, 2, "z0", "z1"}, {2, 5, 5, "z2", "z5"}}
 	if len(edges) != len(want) || edges[0] != want[0] || edges[1] != want[1] {
 		t.Fatalf("adjacency = %v, want %v", edges, want)
 	}
@@ -949,7 +1048,7 @@ func TestHTTPAdjacencyRoundTrip(t *testing.T) {
 	}
 
 	// Set-to-zero removes.
-	if info, err = api.SetAdjacency(1, 0, 0); err != nil || info.WeightMbps != 0 {
+	if info, err = api.SetAdjacency(Index(1), Index(0), 0); err != nil || info.WeightMbps != 0 {
 		t.Fatalf("remove returned %+v (%v), want weight 0", info, err)
 	}
 	if edges, err = api.Adjacency(); err != nil || len(edges) != 1 {
@@ -965,7 +1064,7 @@ func TestAdjacencyExportsWithProblem(t *testing.T) {
 	if _, err := d.Join("a", 12, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.SetAdjacency(2, 3, 4); err != nil {
+	if _, err := d.SetAdjacency(Index(2), ID("z3"), 4); err != nil {
 		t.Fatal(err)
 	}
 	p := d.ProblemSnapshot()

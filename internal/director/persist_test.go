@@ -12,7 +12,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"testing"
 
@@ -55,24 +54,20 @@ func durDirConfig(dm *topology.DelayMatrix, workers int) Config {
 
 // dirStateJSON renders everything decision-relevant about a director:
 // the planner's exported state (assignment, evaluator accumulators,
-// guard counters, RNG position), every client's info keyed by ID (NOT in
-// listing order — recovery renumbers registration order to dense order),
-// the server and zone inventories, the public stats and the ID sequence.
+// guard counters, RNG position), every client's info in listing order (dense
+// order — the same before and after a recovery), the server and zone
+// inventories, the public stats and the ID sequence.
 func dirStateJSON(t *testing.T, d *Director) string {
 	t.Helper()
 	st, err := d.planner().ExportState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := append([]string(nil), d.binding.IDs()...)
-	sort.Strings(ids)
-	infos := make([]ClientInfo, len(ids))
-	for x, id := range ids {
-		info, err := d.Lookup(id)
-		if err != nil {
-			t.Fatal(err)
+	infos := d.Snapshot()
+	for _, info := range infos {
+		if got, err := d.Lookup(info.ID); err != nil || got != info {
+			t.Fatalf("Lookup(%q) = %+v, %v; Snapshot lists %+v", info.ID, got, err, info)
 		}
-		infos[x] = info
 	}
 	blob, err := json.Marshal(struct {
 		Planner   interface{}
@@ -83,7 +78,7 @@ func dirStateJSON(t *testing.T, d *Director) string {
 		Stats     Stats
 		Seq       uint64
 		Nodes     []int
-	}{st, infos, d.Servers(), d.Zones(), d.Adjacency(), d.Stats(), d.seq, d.cfg.ServerNodes})
+	}{st, infos, d.Servers(), d.Zones(), d.Adjacency(), d.Stats(), d.m.Seq(), d.m.ServerNodes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +190,7 @@ func TestHTTPJournalFailureIs503(t *testing.T) {
 		}
 		return nil
 	})
-	head := d.dur.NextLSN()
+	head := d.m.NextLSN()
 	for _, req := range []struct{ route, body string }{
 		{"/v1/clients", `{"node":2,"zone":2}`}, // the faulted append itself
 		{"/v1/clients", `{"node":3,"zone":3}`},
@@ -210,7 +205,7 @@ func TestHTTPJournalFailureIs503(t *testing.T) {
 			t.Errorf("POST %s on a fail-stopped director: %d, want 503", req.route, got)
 		}
 	}
-	if got := d.dur.NextLSN(); got != head {
+	if got := d.m.NextLSN(); got != head {
 		t.Fatalf("fail-stopped director advanced its log: %d → %d", head, got)
 	}
 	if st, err := NewClient(srv.URL).Stats(); err != nil || st.Clients != 1 {
@@ -250,7 +245,7 @@ func TestHTTPRejectsHostileBodies(t *testing.T) {
 	if _, err := d.Join("a", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	head := d.dur.NextLSN()
+	head := d.m.NextLSN()
 
 	routes := []string{
 		"/v1/clients", "/v1/clients/a/move", "/v1/clients/a/delays", "/v1/servers",
@@ -274,7 +269,7 @@ func TestHTTPRejectsHostileBodies(t *testing.T) {
 			}
 		}
 	}
-	if got := d.dur.NextLSN(); got != head {
+	if got := d.m.NextLSN(); got != head {
 		t.Fatalf("rejected bodies were journaled: log head %d → %d", head, got)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
+	"slices"
 	"strings"
 
 	"dvecap/internal/autoscale"
@@ -28,9 +28,9 @@ type apiError struct {
 //	POST   /v1/clients/{id}/delays  {"rtts_ms": [...]} → ClientInfo
 //	GET    /v1/servers              → []ServerInfo
 //	POST   /v1/servers              {"node", "capacity_mbps", "spare"?} → ServerInfo
-//	DELETE /v1/servers/{i}          → 204 (must be empty; renumbers)
-//	POST   /v1/servers/{i}/drain    → ServerInfo (evacuate + cordon)
-//	POST   /v1/servers/{i}/uncordon → ServerInfo (restore capacity)
+//	DELETE /v1/servers/{id}          → 204 (must be empty; renumbers indices)
+//	POST   /v1/servers/{id}/drain    → ServerInfo (evacuate + cordon)
+//	POST   /v1/servers/{id}/uncordon → ServerInfo (restore capacity)
 //	GET    /v1/autoscale            → AutoscaleStatus (policy, streaks, decision log)
 //	POST   /v1/autoscale/config     autoscale.Config → AutoscaleStatus (override watermarks)
 //	POST   /v1/autoscale/pause      → AutoscaleStatus (observe only, fire nothing)
@@ -38,7 +38,7 @@ type apiError struct {
 //	POST   /v1/autoscale/tick       → autoscale.Decision (one reconcile cycle, now)
 //	GET    /v1/zones                → []ZoneInfo
 //	POST   /v1/zones                → ZoneInfo (new empty zone)
-//	DELETE /v1/zones/{z}            → 204 (must be empty; renumbers)
+//	DELETE /v1/zones/{id}           → 204 (must be empty; renumbers indices)
 //	GET    /v1/adjacency            → []AdjacencyInfo (interaction edges, canonical order)
 //	POST   /v1/adjacency            {"zone1", "zone2", "weight_mbps"} → AdjacencyInfo (absolute; 0 removes)
 //	POST   /v1/adjacency/add        {"zone1", "zone2", "delta_mbps"} → AdjacencyInfo (accumulate a crossing)
@@ -48,6 +48,12 @@ type apiError struct {
 //	GET    /v1/healthz              → 200 "ok" (pure liveness: the process serves)
 //	GET    /v1/readyz               → 200 "ok" once serving; 503 while replaying
 //	GET    /metrics                 → Prometheus text format (404 without Config.Telemetry)
+//
+// Servers and zones are addressed by stable ID — "s3", "z7", as the listings
+// and every response name them — in the {id} path segments and in the
+// "zone", "zone1" and "zone2" body fields. A purely numeric segment or field
+// is the DEPRECATED dense-index alias, kept for one release: indices
+// renumber when a server or zone is removed, IDs do not (Ref).
 //
 // Status codes follow the usual discipline: 404 for unknown clients,
 // servers and zones (errors.Is on the sentinels) and unknown routes, 405
@@ -84,164 +90,98 @@ func Handler(d *Director) http.Handler {
 	})
 	mux.HandleFunc("/metrics", metricsHandler(d))
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "GET only")
-			return
+		if allow(w, r, http.MethodGet) {
+			writeJSON(w, http.StatusOK, d.Stats())
 		}
-		writeJSON(w, http.StatusOK, d.Stats())
 	})
 	mux.HandleFunc("/v1/problem", func(w http.ResponseWriter, r *http.Request) {
 		// Snapshot the live state as a problem JSON, so operators can run
 		// the exact solver (or any offline analysis) against production
 		// reality: curl …/v1/problem | capassign -in /dev/stdin -exact
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "GET only")
+		if !allow(w, r, http.MethodGet) {
 			return
 		}
-		p := d.ProblemSnapshot()
 		w.Header().Set("Content-Type", "application/json")
-		if err := p.WriteJSON(w); err != nil {
+		if err := d.ProblemSnapshot().WriteJSON(w); err != nil {
 			// Headers (and part of the body) are already on the wire, so the
 			// client sees a torn 200 — all we can do is make the failure
 			// visible on the server side instead of swallowing it.
-			d.log.Warn("problem snapshot write failed",
-				"remote", r.RemoteAddr, "err", err)
-			return
+			d.log.Warn("problem snapshot write failed", "remote", r.RemoteAddr, "err", err)
 		}
 	})
 	mux.HandleFunc("/v1/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, "POST only")
-			return
+		if allow(w, r, http.MethodPost) {
+			lsn, err := d.Checkpoint()
+			reply(w, http.StatusOK, CheckpointResult{LSN: lsn, Durable: d.Durable()}, err, http.StatusInternalServerError)
 		}
-		lsn, err := d.Checkpoint()
-		if err != nil {
-			writeOpErr(w, err, http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, http.StatusOK, CheckpointResult{LSN: lsn, Durable: d.Durable()})
 	})
 	mux.HandleFunc("/v1/reassign", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, "POST only")
-			return
+		if allow(w, r, http.MethodPost) {
+			res, err := d.Reassign()
+			reply(w, http.StatusOK, res, err, http.StatusInternalServerError)
 		}
-		res, err := d.Reassign()
-		if err != nil {
-			writeOpErr(w, err, http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
 	})
 	mux.HandleFunc("/v1/clients", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			var req struct {
-				ID   string `json:"id"`
-				Node int    `json:"node"`
-				Zone int    `json:"zone"`
-			}
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			info, err := d.Join(req.ID, req.Node, req.Zone)
-			if err != nil {
-				writeOpErr(w, err, http.StatusBadRequest)
-				return
-			}
-			writeJSON(w, http.StatusCreated, info)
-		case http.MethodGet:
+		var req struct {
+			ID   string `json:"id"`
+			Node int    `json:"node"`
+			Zone Ref    `json:"zone"`
+		}
+		switch {
+		case !allow(w, r, http.MethodGet, http.MethodPost):
+		case r.Method == http.MethodGet:
 			writeJSON(w, http.StatusOK, d.Snapshot())
-		default:
-			writeErr(w, http.StatusMethodNotAllowed, "GET or POST")
+		case decodeJSON(w, r, &req):
+			info, err := d.JoinRef(req.ID, req.Node, req.Zone)
+			reply(w, http.StatusCreated, info, err, http.StatusBadRequest)
 		}
 	})
 	mux.HandleFunc("/v1/servers", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
+		var req struct {
+			Node         int     `json:"node"`
+			CapacityMbps float64 `json:"capacity_mbps"`
+			// Spare registers a warm spare: cordoned on arrival, pool
+			// inventory for the autoscaler (or an explicit uncordon).
+			Spare bool `json:"spare"`
+		}
+		switch {
+		case !allow(w, r, http.MethodGet, http.MethodPost):
+		case r.Method == http.MethodGet:
 			writeJSON(w, http.StatusOK, d.Servers())
-		case http.MethodPost:
-			var req struct {
-				Node         int     `json:"node"`
-				CapacityMbps float64 `json:"capacity_mbps"`
-				// Spare registers a warm spare: cordoned on arrival, pool
-				// inventory for the autoscaler (or an explicit uncordon).
-				Spare bool `json:"spare"`
-			}
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			add := d.AddServer
-			if req.Spare {
-				add = d.AddSpareServer
-			}
-			info, err := add(req.Node, req.CapacityMbps)
-			if err != nil {
-				writeOpErr(w, err, http.StatusBadRequest)
-				return
-			}
-			writeJSON(w, http.StatusCreated, info)
-		default:
-			writeErr(w, http.StatusMethodNotAllowed, "GET or POST")
+		case decodeJSON(w, r, &req):
+			info, err := d.addServer(req.Node, req.CapacityMbps, req.Spare)
+			reply(w, http.StatusCreated, info, err, http.StatusBadRequest)
 		}
 	})
 	mux.HandleFunc("/v1/servers/", func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.TrimPrefix(r.URL.Path, "/v1/servers/")
-		parts := strings.Split(rest, "/")
-		i, err := strconv.Atoi(parts[0])
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "server index must be an integer")
-			return
-		}
-		switch {
-		case len(parts) == 1:
-			if r.Method != http.MethodDelete {
-				writeErr(w, http.StatusMethodNotAllowed, "DELETE only")
-				return
+		id, verb, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/servers/"), "/")
+		switch verb {
+		case "":
+			if allow(w, r, http.MethodDelete) {
+				reply(w, http.StatusNoContent, nil, d.RemoveServer(ParseRef(id)), http.StatusBadRequest)
 			}
-			if err := d.RemoveServer(i); err != nil {
-				writeOpErr(w, err, http.StatusBadRequest)
-				return
+		case "drain", "uncordon":
+			if allow(w, r, http.MethodPost) {
+				do := d.DrainServer
+				if verb == "uncordon" {
+					do = d.UncordonServer
+				}
+				info, err := do(ParseRef(id))
+				reply(w, http.StatusOK, info, err, http.StatusBadRequest)
 			}
-			w.WriteHeader(http.StatusNoContent)
-		case len(parts) == 2 && parts[1] == "drain":
-			if r.Method != http.MethodPost {
-				writeErr(w, http.StatusMethodNotAllowed, "POST only")
-				return
-			}
-			info, err := d.DrainServer(i)
-			if err != nil {
-				writeOpErr(w, err, http.StatusBadRequest)
-				return
-			}
-			writeJSON(w, http.StatusOK, info)
-		case len(parts) == 2 && parts[1] == "uncordon":
-			if r.Method != http.MethodPost {
-				writeErr(w, http.StatusMethodNotAllowed, "POST only")
-				return
-			}
-			info, err := d.UncordonServer(i)
-			if err != nil {
-				writeOpErr(w, err, http.StatusBadRequest)
-				return
-			}
-			writeJSON(w, http.StatusOK, info)
 		default:
 			writeErr(w, http.StatusNotFound, "unknown route")
 		}
 	})
 	mux.HandleFunc("/v1/autoscale", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
 		// Status answers even when disabled (enabled=false), so operators
 		// can probe whether the control plane is armed at all.
-		writeJSON(w, http.StatusOK, d.AutoscaleStatus())
+		if allow(w, r, http.MethodGet) {
+			writeJSON(w, http.StatusOK, d.AutoscaleStatus())
+		}
 	})
 	mux.HandleFunc("/v1/autoscale/", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, "POST only")
+		if !allow(w, r, http.MethodPost) {
 			return
 		}
 		rec := d.Autoscale()
@@ -259,163 +199,99 @@ func Handler(d *Director) http.Handler {
 				writeErr(w, http.StatusBadRequest, err.Error())
 				return
 			}
-			writeJSON(w, http.StatusOK, d.AutoscaleStatus())
 		case "pause":
 			rec.SetPaused(true)
-			writeJSON(w, http.StatusOK, d.AutoscaleStatus())
 		case "resume":
 			rec.SetPaused(false)
-			writeJSON(w, http.StatusOK, d.AutoscaleStatus())
 		case "tick":
 			// One reconcile cycle on demand: the deterministic form of the
 			// run loop, for operators mid-incident and end-to-end tests.
 			dec, err := rec.Tick()
-			if err != nil {
-				writeOpErr(w, err, http.StatusInternalServerError)
-				return
-			}
-			writeJSON(w, http.StatusOK, dec)
+			reply(w, http.StatusOK, dec, err, http.StatusInternalServerError)
+			return
 		default:
 			writeErr(w, http.StatusNotFound, "unknown route")
+			return
 		}
+		writeJSON(w, http.StatusOK, d.AutoscaleStatus())
 	})
 	mux.HandleFunc("/v1/zones", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
+		switch {
+		case !allow(w, r, http.MethodGet, http.MethodPost):
+		case r.Method == http.MethodGet:
 			writeJSON(w, http.StatusOK, d.Zones())
-		case http.MethodPost:
-			info, err := d.AddZone()
-			if err != nil {
-				writeOpErr(w, err, http.StatusBadRequest)
-				return
-			}
-			writeJSON(w, http.StatusCreated, info)
 		default:
-			writeErr(w, http.StatusMethodNotAllowed, "GET or POST")
+			info, err := d.AddZone()
+			reply(w, http.StatusCreated, info, err, http.StatusBadRequest)
 		}
 	})
 	mux.HandleFunc("/v1/zones/", func(w http.ResponseWriter, r *http.Request) {
-		z, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/v1/zones/"))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "zone index must be an integer")
-			return
+		if allow(w, r, http.MethodDelete) {
+			err := d.RetireZone(ParseRef(strings.TrimPrefix(r.URL.Path, "/v1/zones/")))
+			reply(w, http.StatusNoContent, nil, err, http.StatusBadRequest)
 		}
-		if r.Method != http.MethodDelete {
-			writeErr(w, http.StatusMethodNotAllowed, "DELETE only")
-			return
-		}
-		if err := d.RetireZone(z); err != nil {
-			writeOpErr(w, err, http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
 	})
+	// Both adjacency verbs take {"zone1", "zone2"} plus their weight field.
+	type edgeReq struct {
+		Zone1      Ref     `json:"zone1"`
+		Zone2      Ref     `json:"zone2"`
+		WeightMbps float64 `json:"weight_mbps"`
+		DeltaMbps  float64 `json:"delta_mbps"`
+	}
 	mux.HandleFunc("/v1/adjacency", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
+		var req edgeReq
+		switch {
+		case !allow(w, r, http.MethodGet, http.MethodPost):
+		case r.Method == http.MethodGet:
 			writeJSON(w, http.StatusOK, d.Adjacency())
-		case http.MethodPost:
-			var req struct {
-				Zone1      int     `json:"zone1"`
-				Zone2      int     `json:"zone2"`
-				WeightMbps float64 `json:"weight_mbps"`
-			}
-			if !decodeJSON(w, r, &req) {
-				return
-			}
+		case decodeJSON(w, r, &req):
 			info, err := d.SetAdjacency(req.Zone1, req.Zone2, req.WeightMbps)
-			if err != nil {
-				writeOpErr(w, err, http.StatusBadRequest)
-				return
-			}
-			writeJSON(w, http.StatusOK, info)
-		default:
-			writeErr(w, http.StatusMethodNotAllowed, "GET or POST")
+			reply(w, http.StatusOK, info, err, http.StatusBadRequest)
 		}
 	})
 	mux.HandleFunc("/v1/adjacency/add", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, "POST only")
-			return
+		var req edgeReq
+		if allow(w, r, http.MethodPost) && decodeJSON(w, r, &req) {
+			info, err := d.AddAdjacencyWeight(req.Zone1, req.Zone2, req.DeltaMbps)
+			reply(w, http.StatusOK, info, err, http.StatusBadRequest)
 		}
-		var req struct {
-			Zone1     int     `json:"zone1"`
-			Zone2     int     `json:"zone2"`
-			DeltaMbps float64 `json:"delta_mbps"`
-		}
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		info, err := d.AddAdjacencyWeight(req.Zone1, req.Zone2, req.DeltaMbps)
-		if err != nil {
-			writeOpErr(w, err, http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
 	})
 	mux.HandleFunc("/v1/clients/", func(w http.ResponseWriter, r *http.Request) {
 		// Split the ESCAPED path, then unescape the ID segment: a client ID
 		// is caller-chosen and may itself hold '/', '?', '#' or '%'.
-		rest := strings.TrimPrefix(r.URL.EscapedPath(), "/v1/clients/")
-		parts := strings.Split(rest, "/")
-		id, err := url.PathUnescape(parts[0])
+		seg, verb, _ := strings.Cut(strings.TrimPrefix(r.URL.EscapedPath(), "/v1/clients/"), "/")
+		id, err := url.PathUnescape(seg)
 		if err != nil || id == "" {
 			writeErr(w, http.StatusBadRequest, "missing or malformed client id")
 			return
 		}
-		switch {
-		case len(parts) == 1:
-			switch r.Method {
-			case http.MethodGet:
-				info, err := d.Lookup(id)
-				if err != nil {
-					writeOpErr(w, err, http.StatusBadRequest)
-					return
-				}
-				writeJSON(w, http.StatusOK, info)
-			case http.MethodDelete:
-				if err := d.Leave(id); err != nil {
-					writeOpErr(w, err, http.StatusBadRequest)
-					return
-				}
-				w.WriteHeader(http.StatusNoContent)
+		var info ClientInfo
+		switch verb {
+		case "":
+			switch {
+			case !allow(w, r, http.MethodGet, http.MethodDelete):
+			case r.Method == http.MethodDelete:
+				reply(w, http.StatusNoContent, nil, d.Leave(id), http.StatusBadRequest)
 			default:
-				writeErr(w, http.StatusMethodNotAllowed, "GET or DELETE")
+				info, err = d.Lookup(id)
+				reply(w, http.StatusOK, info, err, http.StatusBadRequest)
 			}
-		case len(parts) == 2 && parts[1] == "move":
-			if r.Method != http.MethodPost {
-				writeErr(w, http.StatusMethodNotAllowed, "POST only")
-				return
-			}
+		case "move":
 			var req struct {
-				Zone int `json:"zone"`
+				Zone Ref `json:"zone"`
 			}
-			if !decodeJSON(w, r, &req) {
-				return
+			if allow(w, r, http.MethodPost) && decodeJSON(w, r, &req) {
+				info, err = d.MoveRef(id, req.Zone)
+				reply(w, http.StatusOK, info, err, http.StatusBadRequest)
 			}
-			info, err := d.Move(id, req.Zone)
-			if err != nil {
-				writeOpErr(w, err, http.StatusBadRequest)
-				return
-			}
-			writeJSON(w, http.StatusOK, info)
-		case len(parts) == 2 && parts[1] == "delays":
-			if r.Method != http.MethodPost {
-				writeErr(w, http.StatusMethodNotAllowed, "POST only")
-				return
-			}
+		case "delays":
 			var req struct {
 				RTTsMs []float64 `json:"rtts_ms"`
 			}
-			if !decodeJSON(w, r, &req) {
-				return
+			if allow(w, r, http.MethodPost) && decodeJSON(w, r, &req) {
+				info, err = d.UpdateDelays(id, req.RTTsMs)
+				reply(w, http.StatusOK, info, err, http.StatusBadRequest)
 			}
-			info, err := d.UpdateDelays(id, req.RTTsMs)
-			if err != nil {
-				writeOpErr(w, err, http.StatusBadRequest)
-				return
-			}
-			writeJSON(w, http.StatusOK, info)
 		default:
 			writeErr(w, http.StatusNotFound, "unknown route")
 		}
@@ -437,6 +313,33 @@ func Handler(d *Director) http.Handler {
 		mux.ServeHTTP(w, r)
 	})
 	return instrument(newHTTPMetrics(d.tele), d.trace, shed)
+}
+
+// allow reports whether the request uses one of the route's methods; when
+// not, it has answered 405.
+func allow(w http.ResponseWriter, r *http.Request, methods ...string) bool {
+	if slices.Contains(methods, r.Method) {
+		return true
+	}
+	msg := methods[0] + " only"
+	if len(methods) > 1 {
+		msg = strings.Join(methods, " or ")
+	}
+	writeErr(w, http.StatusMethodNotAllowed, msg)
+	return false
+}
+
+// reply renders a verb's outcome: its result under status (204 has no body),
+// or its error through writeOpErr.
+func reply(w http.ResponseWriter, status int, v interface{}, err error, fallback int) {
+	switch {
+	case err != nil:
+		writeOpErr(w, err, fallback)
+	case status == http.StatusNoContent:
+		w.WriteHeader(status)
+	default:
+		writeJSON(w, status, v)
+	}
 }
 
 // CheckpointResult reports POST /v1/checkpoint: the LSN the snapshot

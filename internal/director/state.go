@@ -161,51 +161,45 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// clientRec holds the identity-layer state of one registered client (its
-// planner-side state lives behind the ID binding).
-type clientRec struct {
-	node int
-	zone int
-}
-
-// Director is the thread-safe assignment service state. The repair planner
-// is the single source of truth for zone hosting and client contacts —
-// reached through the same ID binding the public Cluster API uses — and
-// the director layers identity (string IDs, registration order), the
-// topology delay oracle and the bandwidth model on top of it.
+// Director is the thread-safe assignment service: one of the two front ends
+// over the journaled assignment state machine (repair.Machine, DESIGN.md
+// §11). The machine is the single owner of the assignment — binding, planner,
+// journal, the interpreter live writes and replay share, the snapshot. The
+// director adds what is its own: the locks, a delay source (Config.Delays:
+// topology node → measured row, resolved when a client joins or a server is
+// added), the population-dependent bandwidth model, and stable names for its
+// servers ("s0"…) and zones ("z0"…, ref.go). Every mutator resolves its
+// arguments to ONE canonical repair.Event (the *Event methods) and commits
+// it (persist.go).
 //
 // Two locks guard it (DESIGN.md §11, "Lock discipline"). wmu is the write
 // sequencer: a mutator holds it from validation to the auto-checkpoint, so
 // it orders writers and, with them, the journal. mu guards the state readers
-// see and is write-held only for the in-memory apply step of a mutation.
+// see and is write-held only for the machine's Apply step of a mutation.
 // State changes only with BOTH held — so wmu alone suffices to validate and
 // to render a snapshot, mu.RLock alone suffices to read, and no fsync,
 // snapshot render or file write ever runs under mu. Lock order is wmu
 // before mu, never the reverse.
 type Director struct {
+	// cfg is the caller's configuration. Its ServerNodes, ServerCaps and Zones
+	// describe the INITIAL deployment only; the live topology is the machine's.
 	cfg  Config
 	algo core.TwoPhase
 
 	wmu sync.Mutex   // write sequencer; alone guards the writer-only fields below
 	mu  sync.RWMutex // state lock
 
-	// Guarded state: these, and cfg's live-topology fields (ServerNodes,
-	// ServerCaps, Zones), change only under wmu+mu.
-	clients map[string]*clientRec
-	binding *repair.IDBinding // ID ↔ planner handle map + registration order
-	zonePop []int
-	rng     *xrand.RNG
+	// m changes only under wmu+mu (Apply); its journal calls (Append, Applied,
+	// Checkpoint) are writer-only, serialised by wmu.
+	m *repair.Machine
 	// autoRec is the autoscaling reconciler (EnableAutoscale); nil until
 	// enabled. It owns its own lock — only the pointer is guarded by mu.
 	autoRec *autoscale.Reconciler
 
-	// Writer-only fields, guarded by wmu alone: the auto-ID sequence
-	// (advanced before the journal append that records it), the delay-row
-	// scratch buffer and the durability engine (nil when not durable; the
-	// pointer is fixed at construction, its calls are serialised by wmu).
-	seq   uint64
-	csBuf []float64
-	dur   *repair.Journal
+	// Writer-only scratch, guarded by wmu alone: the delay row and refresh
+	// list of the event being resolved (consumed before the mutator returns).
+	csBuf  []float64
+	refBuf [2]repair.ZoneRT
 
 	// recovering is true while New replays the journal; the HTTP handler
 	// sheds traffic (503 + Retry-After) until it clears.
@@ -217,14 +211,6 @@ type Director struct {
 	tele   *telemetry.Registry
 	trace  *telemetry.Tracer
 	stages writeStages
-}
-
-// logger resolves Config.Logger to a non-nil handle.
-func (c Config) logger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
-	}
-	return slog.New(slog.DiscardHandler)
 }
 
 // New builds a director and computes an initial (empty-world) zone
@@ -252,37 +238,28 @@ func New(cfg Config) (*Director, error) {
 	if !ok {
 		return nil, fmt.Errorf("director: unknown algorithm %q", cfg.Algorithm)
 	}
-	d := &Director{
-		cfg:     cfg,
-		algo:    algo,
-		clients: map[string]*clientRec{},
-		rng:     xrand.New(cfg.Seed),
-		zonePop: make([]int, cfg.Zones),
-		csBuf:   make([]float64, len(cfg.ServerNodes)),
-		log:     cfg.logger(),
-		tele:    cfg.Telemetry,
-		trace:   cfg.Trace,
-		stages:  newWriteStages(cfg.Telemetry, cfg.DataDir != ""),
-	}
 	// With no clients every zone is cost-free everywhere; spread zones
 	// round-robin so early joins have sane targets.
 	roundRobin := make([]int, cfg.Zones)
 	for z := range roundRobin {
 		roundRobin[z] = z % len(cfg.ServerNodes)
 	}
-	pl, err := repair.NewWithAssignment(repair.Config{
-		Algo:            algo,
-		Opt:             core.Options{Overflow: core.SpillLargestResidual, Workers: cfg.Workers},
-		DriftPQoS:       cfg.DriftPQoS,
-		DriftUtilSpread: cfg.DriftUtilSpread,
-	}, d.emptyProblem(), &core.Assignment{
+	pl, err := repair.NewWithAssignment(cfg.plannerConfig(algo), cfg.emptyProblem(), &core.Assignment{
 		ZoneServer:    roundRobin,
 		ClientContact: []int{},
-	}, d.rng.Split())
+	}, xrand.New(cfg.Seed).Split())
 	if err != nil {
 		return nil, err
 	}
-	d.binding, err = repair.NewIDBinding(pl, nil)
+	b, err := repair.RestoreIDBinding(pl, nil, names("s", len(cfg.ServerNodes)), names("z", cfg.Zones))
+	if err != nil {
+		return nil, err
+	}
+	m, err := repair.NewMachine(b, algo.Name, 0, &repair.DirectorState{
+		FrameRate:    cfg.FrameRate,
+		MessageBytes: cfg.MessageBytes,
+		ServerNodes:  cfg.ServerNodes,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -290,16 +267,35 @@ func New(cfg Config) (*Director, error) {
 		pl.SetTelemetry(cfg.Telemetry)
 	}
 	if cfg.DataDir != "" {
-		d.dur, err = repair.CreateJournal(cfg.journalConfig(), pl, d.snapshotPayloadLocked)
-		if err != nil {
+		if err := m.MakeDurable(cfg.journalConfig()); err != nil {
 			return nil, err
 		}
 	}
-	return d, nil
+	return newDirector(cfg, algo, m), nil
 }
 
-// planner returns the repair planner behind the binding.
-func (d *Director) planner() *repair.Planner { return d.binding.Planner() }
+// newDirector wraps a ready machine — fresh or recovered.
+func newDirector(cfg Config, algo core.TwoPhase, m *repair.Machine) *Director {
+	d := &Director{cfg: cfg, algo: algo, m: m, log: cfg.Logger, tele: cfg.Telemetry, trace: cfg.Trace}
+	if d.log == nil {
+		d.log = slog.New(slog.DiscardHandler)
+	}
+	d.stages = newWriteStages(cfg.Telemetry, cfg.DataDir != "")
+	return d
+}
+
+// plannerConfig is the repair planner's configuration under this director.
+func (c Config) plannerConfig(algo core.TwoPhase) repair.Config {
+	return repair.Config{
+		Algo:            algo,
+		Opt:             core.Options{Overflow: core.SpillLargestResidual, Workers: c.Workers},
+		DriftPQoS:       c.DriftPQoS,
+		DriftUtilSpread: c.DriftUtilSpread,
+	}
+}
+
+// planner returns the repair planner behind the machine's binding.
+func (d *Director) planner() *repair.Planner { return d.m.Binding().Planner() }
 
 // emptyProblem snapshots the deployment's static side (servers, capacities,
 // inter-server delays, the bound) with zero clients — the planner's seed.
@@ -307,26 +303,26 @@ func (d *Director) planner() *repair.Planner { return d.binding.Planner() }
 // full oracle-derived row, which providers store exactly (coord keeps it as
 // overrides, shared dedupes identical rows), so the model never changes an
 // assignment.
-func (d *Director) emptyProblem() *core.Problem {
-	m := len(d.cfg.ServerNodes)
+func (c Config) emptyProblem() *core.Problem {
+	m := len(c.ServerNodes)
 	p := &core.Problem{
-		ServerCaps:  append([]float64(nil), d.cfg.ServerCaps...),
+		ServerCaps:  append([]float64(nil), c.ServerCaps...),
 		ClientZones: []int{},
-		NumZones:    d.cfg.Zones,
+		NumZones:    c.Zones,
 		ClientRT:    []float64{},
 		SS:          make([][]float64, m),
-		D:           d.cfg.DelayBoundMs,
+		D:           c.DelayBoundMs,
 		// The traffic weight rides the problem from birth; the term itself
 		// stays dormant until the first adjacency edge arrives.
-		TrafficWeight: d.cfg.TrafficWeight,
+		TrafficWeight: c.TrafficWeight,
 	}
 	for i := 0; i < m; i++ {
 		p.SS[i] = make([]float64, m)
 		for l := 0; l < m; l++ {
-			p.SS[i][l] = d.serverServerRTT(i, l)
+			p.SS[i][l] = c.Delays.ServerRTT(c.ServerNodes[i], c.ServerNodes[l])
 		}
 	}
-	switch d.cfg.DelayModel {
+	switch c.DelayModel {
 	case "coord":
 		p.Delays = core.NewCoordProviderFromSS(p.SS, 0)
 	case "shared":
@@ -337,146 +333,129 @@ func (d *Director) emptyProblem() *core.Problem {
 	return p
 }
 
-// ClientInfo is the externally visible state of one client.
+// ClientInfo is the externally visible state of one client. Zone, Contact
+// and Target are dense indices (they renumber when a zone or server is
+// removed); the *ID fields name the same zone and servers stably.
 type ClientInfo struct {
-	ID      string  `json:"id"`
-	Node    int     `json:"node"`
-	Zone    int     `json:"zone"`
-	Contact int     `json:"contact"`
-	Target  int     `json:"target"`
-	DelayMs float64 `json:"delay_ms"`
-	QoS     bool    `json:"qos"`
+	ID        string  `json:"id"`
+	Node      int     `json:"node"`
+	Zone      int     `json:"zone"`
+	Contact   int     `json:"contact"`
+	Target    int     `json:"target"`
+	DelayMs   float64 `json:"delay_ms"`
+	QoS       bool    `json:"qos"`
+	ZoneID    string  `json:"zone_id"`
+	ContactID string  `json:"contact_id"`
+	TargetID  string  `json:"target_id"`
 }
 
-// Join registers a client at a topology node entering a zone. id may be
-// empty, in which case one is generated. The client is admitted through
-// the repair planner: attached greedily (directly to its target when
-// within the bound, otherwise through the feasible contact server
-// minimising its effective delay — one step of GreC's logic), with a
-// localized repair pass around the zone it entered.
+// Join registers a client at a topology node entering a zone (by dense
+// index; JoinRef also takes the zone's stable ID). id may be empty, in which
+// case one is generated. The client is admitted through the repair planner:
+// attached greedily (directly to its target when within the bound, otherwise
+// through the feasible contact server minimising its effective delay — one
+// step of GreC's logic), with a localized repair pass around the zone it
+// entered.
 func (d *Director) Join(id string, node, zone int) (ClientInfo, error) {
+	return d.JoinRef(id, node, Index(zone))
+}
+
+// JoinRef is Join with the zone addressed by Ref.
+func (d *Director) JoinRef(id string, node int, zone Ref) (ClientInfo, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
+	if id != "" {
+		if err := repair.CheckClientID(id); err != nil {
+			return ClientInfo{}, fmt.Errorf("director: %w", err)
+		}
+	}
+	return d.commitClient(d.joinEvent(id, node, zone, id == ""))
+}
+
+// joinEvent resolves a join: the delay row from the oracle, the bandwidth
+// from the entered zone's grown population, and — so Join's repair pass
+// judges feasibility against up-to-date loads — the incumbents' refresh to
+// that bandwidth, applied before the planner event. The event carries the
+// MATERIALIZED id plus the auto flag, so the machine advances the ID
+// sequence on replay exactly as it did live. That holds for an auto-issued
+// ID that collides with a caller-chosen one too: the join has consumed its
+// sequence number, so it is journaled — bare, nothing to apply — and the
+// machine rejects it, live and on replay.
+func (d *Director) joinEvent(id string, node int, zone Ref, auto bool) (*repair.Event, error) {
 	if node < 0 || node >= d.cfg.Delays.N() {
-		return ClientInfo{}, fmt.Errorf("director: node %d outside topology", node)
+		return nil, fmt.Errorf("director: node %d outside topology", node)
 	}
-	if zone < 0 || zone >= d.cfg.Zones {
-		return ClientInfo{}, fmt.Errorf("director: zone %d outside [0,%d)", zone, d.cfg.Zones)
+	z, err := d.zoneIndex(zone)
+	if err != nil {
+		return nil, fmt.Errorf("director: join: %v", err)
 	}
-	auto := id == ""
-	if auto {
-		d.seq++
-		id = fmt.Sprintf("c%06d", d.seq)
+	if id == "" {
+		id = fmt.Sprintf("c%06d", d.m.Seq()+1)
 	}
-	// Journal with the MATERIALIZED id plus the auto flag, so replay
-	// re-advances the ID sequence exactly as the live path did. That holds
-	// for an auto-issued ID that collides with a caller-chosen one too: the
-	// rejected join has consumed its sequence number, so it is journaled
-	// like every other rejected event and replay re-rejects it.
-	_, exists := d.clients[id]
-	if auto || !exists {
-		if err := d.journal(&repair.Event{Op: repair.OpDJoin, ID: id, Node: node, ZoneIdx: zone, Auto: auto}); err != nil {
-			if auto {
-				d.seq--
-			}
-			return ClientInfo{}, err
+	b := d.m.Binding()
+	e := &repair.Event{Op: repair.OpJoin, ID: id, Zone: b.ZoneID(z), Node: node, Auto: auto}
+	if _, err := b.Handle(id); err == nil {
+		if !auto {
+			return nil, fmt.Errorf("director: %w %q", ErrDuplicateClient, id)
 		}
+		return e, nil
 	}
-	if exists {
-		return ClientInfo{}, fmt.Errorf("director: %w %q", ErrDuplicateClient, id)
-	}
-	for i := range d.csBuf {
-		d.csBuf[i] = d.clientServerRTT(node, i)
-	}
-	rec := &clientRec{node: node, zone: zone}
-	if err := d.apply(func() error {
-		// Incumbents are refreshed to the new population's RT before the
-		// planner event, so Join's repair pass judges feasibility against
-		// up-to-date loads.
-		d.zonePop[zone]++
-		d.refreshZoneRTLocked(zone)
-		rt := d.zoneClientRT(zone)
-		if err := d.binding.Join(id, zone, rt, d.csBuf); err != nil {
-			d.zonePop[zone]--
-			d.refreshZoneRTLocked(zone)
-			return err
-		}
-		d.clients[id] = rec
-		return nil
-	}); err != nil {
-		return ClientInfo{}, err
-	}
-	if err := d.afterApply(); err != nil {
-		return ClientInfo{}, err
-	}
-	return d.infoLocked(id, rec), nil
+	d.csBuf = d.delayRow(d.csBuf[:0], node)
+	e.RT, e.Row = d.zoneClientRT(d.zonePop(z)+1), d.csBuf
+	e.Refresh = append(d.refBuf[:0], repair.ZoneRT{Zone: e.Zone, RT: e.RT})
+	return e, nil
 }
 
 // Leave removes a client, repairing around the zone it vacated.
 func (d *Director) Leave(id string) error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	rec, ok := d.clients[id]
-	if !ok {
-		return fmt.Errorf("director: %w %q", ErrUnknownClient, id)
-	}
-	return d.commit(&repair.Event{Op: repair.OpDLeave, ID: id}, func() error {
-		// Refresh to the post-departure population before the event (the
-		// departing client's smaller RT is subtracted consistently), so the
-		// repair pass inside Leave sees up-to-date loads.
-		d.zonePop[rec.zone]--
-		d.refreshZoneRTLocked(rec.zone)
-		if err := d.binding.Leave(id); err != nil {
-			d.zonePop[rec.zone]++
-			d.refreshZoneRTLocked(rec.zone)
-			return err
-		}
-		delete(d.clients, id)
-		return nil
-	})
+	return d.commit(d.leaveEvent(id))
 }
 
-// Move relocates a client's avatar to another zone and re-attaches it,
-// repairing around both affected zones.
-func (d *Director) Move(id string, zone int) (ClientInfo, error) {
+// leaveEvent resolves a leave: the zone is refreshed to the post-departure
+// population before the event (the departing client's smaller RT is
+// subtracted consistently), so the repair pass inside Leave sees up-to-date
+// loads.
+func (d *Director) leaveEvent(id string) (*repair.Event, error) {
+	z, err := d.clientZone(id)
+	if err != nil {
+		return nil, err
+	}
+	return &repair.Event{Op: repair.OpLeave, ID: id, Refresh: d.repriced(d.refBuf[:0], z, -1)}, nil
+}
+
+// Move relocates a client's avatar to another zone (by dense index; MoveRef
+// also takes its stable ID) and re-attaches it, repairing around both
+// affected zones.
+func (d *Director) Move(id string, zone int) (ClientInfo, error) { return d.MoveRef(id, Index(zone)) }
+
+// MoveRef is Move with the zone addressed by Ref.
+func (d *Director) MoveRef(id string, zone Ref) (ClientInfo, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	rec, ok := d.clients[id]
-	if !ok {
-		return ClientInfo{}, fmt.Errorf("director: %w %q", ErrUnknownClient, id)
+	return d.commitClient(d.moveEvent(id, zone))
+}
+
+// moveEvent resolves a move. Both zones' bandwidth is brought up to date
+// before the event — the vacated zone's members to the shrunk population's
+// RT, the entered zone's incumbents and the mover itself to the grown one's
+// — so Move's repair pass sees exact loads.
+func (d *Director) moveEvent(id string, zone Ref) (*repair.Event, error) {
+	old, err := d.clientZone(id)
+	if err != nil {
+		return nil, err
 	}
-	if zone < 0 || zone >= d.cfg.Zones {
-		return ClientInfo{}, fmt.Errorf("director: zone %d outside [0,%d)", zone, d.cfg.Zones)
+	z, err := d.zoneIndex(zone)
+	if err != nil {
+		return nil, fmt.Errorf("director: move: %v", err)
 	}
-	if err := d.commit(&repair.Event{Op: repair.OpDMove, ID: id, ZoneIdx: zone}, func() error {
-		old := rec.zone
-		if zone != old {
-			// Bring both zones' bandwidth up to date before the event — the
-			// vacated zone's members to the shrunk population's RT, the entered
-			// zone's incumbents and the mover itself to the grown one's — so
-			// Move's repair pass sees exact loads.
-			d.zonePop[old]--
-			d.zonePop[zone]++
-			d.refreshZoneRTLocked(old)
-			d.refreshZoneRTLocked(zone)
-			_ = d.binding.SetRT(id, d.zoneClientRT(zone))
-		}
-		if err := d.binding.Move(id, zone); err != nil {
-			if zone != old {
-				d.zonePop[old]++
-				d.zonePop[zone]--
-				d.refreshZoneRTLocked(old)
-				d.refreshZoneRTLocked(zone)
-				_ = d.binding.SetRT(id, d.zoneClientRT(old))
-			}
-			return err
-		}
-		rec.zone = zone
-		return nil
-	}); err != nil {
-		return ClientInfo{}, err
+	e := &repair.Event{Op: repair.OpMove, ID: id, Zone: d.m.Binding().ZoneID(z)}
+	if z != old {
+		e.Refresh = d.repriced(d.repriced(d.refBuf[:0], old, -1), z, +1)
+		e.RT = d.zoneClientRT(d.zonePop(z) + 1)
 	}
-	return d.infoLocked(id, rec), nil
+	return e, nil
 }
 
 // UpdateDelays replaces a client's measured delay row with freshly probed
@@ -488,30 +467,35 @@ func (d *Director) Move(id string, zone int) (ClientInfo, error) {
 func (d *Director) UpdateDelays(id string, rtts []float64) (ClientInfo, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	rec, ok := d.clients[id]
-	if !ok {
-		return ClientInfo{}, fmt.Errorf("director: %w %q", ErrUnknownClient, id)
+	if _, err := d.clientZone(id); err != nil {
+		return ClientInfo{}, err
 	}
-	if len(rtts) != len(d.cfg.ServerNodes) {
-		return ClientInfo{}, fmt.Errorf("director: delay row has %d entries, want %d", len(rtts), len(d.cfg.ServerNodes))
+	if m := d.planner().NumServers(); len(rtts) != m {
+		return ClientInfo{}, fmt.Errorf("director: delay row has %d entries, want %d", len(rtts), m)
 	}
 	for i, rtt := range rtts {
 		if !repair.FiniteNonNeg(rtt) {
 			return ClientInfo{}, fmt.Errorf("director: RTT to server %d is %v ms, want finite >= 0", i, rtt)
 		}
 	}
-	if err := d.commit(&repair.Event{Op: repair.OpDDelays, ID: id, Row: rtts}, func() error {
-		return d.binding.UpdateDelays(id, rtts)
-	}); err != nil {
-		return ClientInfo{}, err
-	}
-	return d.infoLocked(id, rec), nil
+	return d.commitClient(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: rtts}, nil)
 }
 
-// zoneClientRT is the bandwidth requirement of one client of the zone at
-// its current population (d.zonePop must already reflect it).
-func (d *Director) zoneClientRT(zone int) float64 {
-	pop := d.zonePop[zone]
+// delayRow appends to dst the delay source's answer for a client at node:
+// its measured RTT to every server, in dense server order.
+func (d *Director) delayRow(dst []float64, node int) []float64 {
+	for _, sn := range d.m.ServerNodes() {
+		dst = append(dst, d.cfg.Delays.RTT(node, sn))
+	}
+	return dst
+}
+
+// zonePop is the zone's current population.
+func (d *Director) zonePop(z int) int { return len(d.planner().Evaluator().ZoneClients(z)) }
+
+// zoneClientRT is the bandwidth requirement of one client of a zone holding
+// pop clients.
+func (d *Director) zoneClientRT(pop int) float64 {
 	if pop == 0 {
 		pop = 1
 	}
@@ -519,105 +503,73 @@ func (d *Director) zoneClientRT(zone int) float64 {
 	return bytesPerSec * 8 / 1e6
 }
 
-// refreshZoneRTLocked pushes the zone's population-dependent bandwidth into
-// the planner after a membership change.
-func (d *Director) refreshZoneRTLocked(zone int) {
-	if d.zonePop[zone] <= 0 {
-		return
+// repriced appends to rs the bandwidth refresh zone z needs once its
+// population has changed by delta — none when that empties it.
+func (d *Director) repriced(rs []repair.ZoneRT, z, delta int) []repair.ZoneRT {
+	if pop := d.zonePop(z) + delta; pop > 0 {
+		rs = append(rs, repair.ZoneRT{Zone: d.m.Binding().ZoneID(z), RT: d.zoneClientRT(pop)})
 	}
-	_ = d.planner().RefreshZoneRT(zone, d.zoneClientRT(zone))
+	return rs
+}
+
+// clientZone returns the dense index of the zone a registered client is in.
+func (d *Director) clientZone(id string) (int, error) {
+	j, err := d.m.Binding().Index(id)
+	if err != nil {
+		return 0, fmt.Errorf("director: %w", err)
+	}
+	return d.planner().Problem().ClientZones[j], nil
 }
 
 // Lookup returns a client's current assignment.
 func (d *Director) Lookup(id string) (ClientInfo, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	rec, ok := d.clients[id]
-	if !ok {
-		return ClientInfo{}, fmt.Errorf("director: %w %q", ErrUnknownClient, id)
-	}
-	return d.infoLocked(id, rec), nil
+	return d.info(id)
 }
 
-// infoLocked renders a record from the planner's maintained solution.
-func (d *Director) infoLocked(id string, rec *clientRec) ClientInfo {
-	contact, err := d.binding.Contact(id)
+// info renders a registered client from the planner's maintained solution.
+// The caller holds mu (a reader) or wmu (a writer answering its own
+// mutation).
+func (d *Director) info(id string) (ClientInfo, error) {
+	j, err := d.m.Binding().Index(id)
 	if err != nil {
-		// A live record always has a live handle; this is unreachable.
-		contact = -1
+		return ClientInfo{}, fmt.Errorf("director: %w", err)
 	}
-	delay, _ := d.binding.Delay(id)
+	return d.infoAt(j, id), nil
+}
+
+// infoAt is info for the client at dense index j.
+func (d *Director) infoAt(j int, id string) ClientInfo {
+	b, pl := d.m.Binding(), d.planner()
+	zone := pl.Problem().ClientZones[j]
+	contact, target := pl.Evaluator().Contact(j), pl.ZoneHost(zone)
+	delay := pl.Evaluator().ClientDelay(j)
 	return ClientInfo{
-		ID:      id,
-		Node:    rec.node,
-		Zone:    rec.zone,
-		Contact: contact,
-		Target:  d.planner().ZoneHost(rec.zone),
-		DelayMs: delay,
-		QoS:     delay <= d.cfg.DelayBoundMs,
+		ID:        id,
+		Node:      d.m.ClientNode(id),
+		Zone:      zone,
+		Contact:   contact,
+		Target:    target,
+		DelayMs:   delay,
+		QoS:       delay <= d.cfg.DelayBoundMs,
+		ZoneID:    b.ZoneID(zone),
+		ContactID: b.ServerID(contact),
+		TargetID:  b.ServerID(target),
 	}
 }
 
-func (d *Director) clientServerRTT(node, server int) float64 {
-	return d.cfg.Delays.RTT(node, d.cfg.ServerNodes[server])
-}
-
-func (d *Director) serverServerRTT(a, b int) float64 {
-	return d.cfg.Delays.ServerRTT(d.cfg.ServerNodes[a], d.cfg.ServerNodes[b])
-}
-
-// problemLocked snapshots the current population as a core.Problem, with
-// clients in registration order. Delay rows come from the planner's live
-// state, so measured updates (UpdateDelays) are reflected rather than
-// re-derived from the topology oracle.
+// problemLocked snapshots the current population as a dense core.Problem,
+// clients in the planner's dense order — the order Snapshot lists them in.
+// Delay rows come from the planner's live state, so measured updates
+// (UpdateDelays) are reflected rather than re-derived from the topology
+// oracle.
 func (d *Director) problemLocked() *core.Problem {
-	order := d.binding.IDs()
-	k := len(order)
-	m := len(d.cfg.ServerNodes)
-	pl := d.planner()
-	live := pl.Problem()
-	p := &core.Problem{
-		ServerCaps:  append([]float64(nil), d.cfg.ServerCaps...),
-		ClientZones: make([]int, k),
-		NumZones:    d.cfg.Zones,
-		ClientRT:    make([]float64, k),
-		CS:          make([][]float64, k),
-		SS:          make([][]float64, m),
-		D:           d.cfg.DelayBoundMs,
-		// The traffic objective exports with the problem, so offline
-		// analysis prices the snapshot exactly as the live planner does.
-		TrafficWeight: live.TrafficWeight,
-	}
-	if g := live.Adjacency; g != nil && g.NumEdges() > 0 {
-		p.Adjacency = g.Clone()
-	}
-	pop := make([]int, d.cfg.Zones)
-	for _, id := range order {
-		pop[d.clients[id].zone]++
-	}
-	for j, id := range order {
-		rec := d.clients[id]
-		p.ClientZones[j] = rec.zone
-		zp := pop[rec.zone]
-		p.ClientRT[j] = d.cfg.FrameRate * (d.cfg.MessageBytes + float64(zp)*d.cfg.MessageBytes) * 8 / 1e6
-		p.CS[j] = make([]float64, m)
-		if h, err := d.binding.Handle(id); err == nil {
-			if idx, err := pl.Index(h); err == nil {
-				live.CopyCSRow(idx, p.CS[j])
-				continue
-			}
-		}
-		// A registered client always has a live handle; if that invariant
-		// ever breaks, re-derive the row from the topology oracle rather
-		// than exporting silent zeros (which would fake perfect QoS).
-		for i := 0; i < m; i++ {
-			p.CS[j][i] = d.clientServerRTT(rec.node, i)
-		}
-	}
-	for i := 0; i < m; i++ {
-		p.SS[i] = make([]float64, m)
-		for l := 0; l < m; l++ {
-			p.SS[i][l] = d.serverServerRTT(i, l)
+	p := d.planner().Problem().Clone()
+	if dp := p.Delays; dp != nil {
+		p.CS, p.Delays = make([][]float64, p.NumClients()), nil
+		for j := range p.CS {
+			p.CS[j] = dp.Row(j, make([]float64, p.NumServers()))
 		}
 	}
 	return p
@@ -678,15 +630,16 @@ func (d *Director) Stats() Stats {
 }
 
 func (d *Director) statsLocked() Stats {
-	s := Stats{Clients: d.binding.Len(), Algorithm: d.algo.Name}
-	s.Servers = len(d.cfg.ServerNodes)
-	s.Zones = d.cfg.Zones
+	pl := d.planner()
+	s := Stats{Clients: pl.NumClients(), Algorithm: d.algo.Name}
+	s.Servers = pl.NumServers()
+	s.Zones = pl.NumZones()
 	for i := 0; i < s.Servers; i++ {
-		if d.planner().Draining(i) {
+		if pl.Draining(i) {
 			s.Draining++
 		}
 	}
-	st := d.planner().Stats()
+	st := pl.Stats()
 	s.RepairEvents = st.Events
 	s.DelayUpdates = st.DelayUpdates
 	s.FullSolves = st.FullSolves
@@ -697,29 +650,17 @@ func (d *Director) statsLocked() Stats {
 	s.LastUtilSpread = st.LastUtilSpread
 	s.LastSolveError = st.LastSolveError
 	s.AdjacencyEdits = st.AdjacencyEdits
-	s.TrafficCrossEdges, s.AdjacencyEdges = d.planner().CrossEdges()
-	s.TrafficCutMbps = d.planner().TrafficCut()
-	s.TrafficCost = d.planner().TrafficCost()
-	s.TrafficWeight = d.planner().Problem().TrafficWeight
+	s.TrafficCrossEdges, s.AdjacencyEdges = pl.CrossEdges()
+	s.TrafficCutMbps = pl.TrafficCut()
+	s.TrafficCost = pl.TrafficCost()
+	s.TrafficWeight = pl.Problem().TrafficWeight
 	if s.Clients == 0 {
 		return s
 	}
-	s.WithQoS = d.planner().WithQoS()
-	s.PQoS = d.planner().PQoS()
-	s.Utilization = d.planner().Utilization()
+	s.WithQoS = pl.WithQoS()
+	s.PQoS = pl.PQoS()
+	s.Utilization = pl.Utilization()
 	return s
-}
-
-func (d *Director) assignmentLocked() *core.Assignment {
-	order := d.binding.IDs()
-	a := &core.Assignment{
-		ZoneServer:    d.planner().ZoneServers(),
-		ClientContact: make([]int, len(order)),
-	}
-	for j, id := range order {
-		a.ClientContact[j], _ = d.binding.Contact(id)
-	}
-	return a
 }
 
 // ReassignResult reports a full re-execution.
@@ -734,44 +675,41 @@ type ReassignResult struct {
 func (d *Director) Reassign() (ReassignResult, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	order := d.binding.IDs()
-	if len(order) == 0 {
+	if d.planner().NumClients() == 0 {
 		// Nothing to solve — and nothing journaled, so empty reassigns
 		// (e.g. a timer firing on an idle service) don't grow the log.
 		return ReassignResult{Stats: d.statsLocked()}, nil
 	}
-	before := make([]int, len(order))
-	for j, id := range order {
-		before[j], _ = d.binding.Contact(id)
-	}
-	if err := d.commit(&repair.Event{Op: repair.OpResolve}, d.planner().FullSolve); err != nil {
+	before := d.planner().Assignment().ClientContact
+	if err := d.commit(&repair.Event{Op: repair.OpResolve}, nil); err != nil {
 		return ReassignResult{}, err
 	}
 	moved := 0
-	for j, id := range order {
-		if after, _ := d.binding.Contact(id); after != before[j] {
+	for j, after := range d.planner().Assignment().ClientContact {
+		if after != before[j] {
 			moved++
 		}
 	}
 	return ReassignResult{Stats: d.statsLocked(), Moved: moved}, nil
 }
 
-// ProblemSnapshot exports the live state as a core.Problem (clients in
-// registration order), for offline analysis or exact solving.
+// ProblemSnapshot exports the live state as a core.Problem (client j is
+// Snapshot()[j]), for offline analysis or exact solving.
 func (d *Director) ProblemSnapshot() *core.Problem {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.problemLocked()
 }
 
-// Snapshot lists all clients in registration order.
+// Snapshot lists all clients in the planner's dense order — a function of
+// the journaled history alone, so a director recovered from a checkpoint
+// lists them exactly as one that never stopped.
 func (d *Director) Snapshot() []ClientInfo {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	order := d.binding.IDs()
-	out := make([]ClientInfo, 0, len(order))
-	for _, id := range order {
-		out = append(out, d.infoLocked(id, d.clients[id]))
+	out := make([]ClientInfo, d.planner().NumClients())
+	for j, id := range d.m.Binding().DenseIDs() {
+		out[j] = d.infoAt(j, id)
 	}
 	return out
 }

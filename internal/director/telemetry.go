@@ -2,7 +2,7 @@ package director
 
 // Observability for the director service. HTTP layer: per-route request
 // counters, latency histograms and an in-flight gauge, all recorded
-// against route PATTERNS (never raw paths — client IDs and server indices
+// against route PATTERNS (never raw paths — client, server and zone IDs
 // would make label cardinality unbounded), plus the GET /metrics endpoint
 // rendering the registry in Prometheus text format. Write path: how long
 // each stage of a mutation took (writeStages).
@@ -47,16 +47,16 @@ func routePattern(path string) string {
 		if i := strings.IndexByte(rest, '/'); i >= 0 {
 			switch rest[i+1:] {
 			case "drain":
-				return "/v1/servers/{i}/drain"
+				return "/v1/servers/{id}/drain"
 			case "uncordon":
-				return "/v1/servers/{i}/uncordon"
+				return "/v1/servers/{id}/uncordon"
 			}
 			return "other"
 		}
-		return "/v1/servers/{i}"
+		return "/v1/servers/{id}"
 	case strings.HasPrefix(path, "/v1/zones/"):
 		if !strings.Contains(strings.TrimPrefix(path, "/v1/zones/"), "/") {
-			return "/v1/zones/{z}"
+			return "/v1/zones/{id}"
 		}
 		return "other"
 	}

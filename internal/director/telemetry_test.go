@@ -21,10 +21,10 @@ func TestRoutePattern(t *testing.T) {
 		"/v1/clients/x/move":       "/v1/clients/{id}/move",
 		"/v1/clients/x/delays":     "/v1/clients/{id}/delays",
 		"/v1/clients/x/bogus":      "other",
-		"/v1/servers/3":            "/v1/servers/{i}",
-		"/v1/servers/3/drain":      "/v1/servers/{i}/drain",
-		"/v1/servers/3/uncordon":   "/v1/servers/{i}/uncordon",
-		"/v1/zones/7":              "/v1/zones/{z}",
+		"/v1/servers/3":            "/v1/servers/{id}",
+		"/v1/servers/3/drain":      "/v1/servers/{id}/drain",
+		"/v1/servers/3/uncordon":   "/v1/servers/{id}/uncordon",
+		"/v1/zones/7":              "/v1/zones/{id}",
 		"/v1/zones/7/extra":        "other",
 		"/v1/adjacency":            "/v1/adjacency",
 		"/v1/adjacency/add":        "/v1/adjacency/add",

@@ -7,10 +7,9 @@ package director
 // re-solve. The director derives every new delay entry from its topology
 // oracle, so no measurement plumbing is needed when capacity changes.
 //
-// Servers and zones are addressed by dense index, like every other index
-// in the director's API. Removal renumbers: the last server (or zone)
-// takes the removed one's index — callers holding indices across a
-// DELETE must re-list.
+// Servers and zones are addressed by Ref (ref.go): their stable ID, or —
+// deprecated — their current dense index. Removal renumbers the indices (the
+// last server or zone takes the removed one's); the IDs stay put.
 
 import (
 	"fmt"
@@ -21,9 +20,9 @@ import (
 // Topology sentinels shared with the repair subsystem; the HTTP layer
 // maps them onto status codes with errors.Is.
 var (
-	// ErrUnknownServer reports a server index outside the deployment.
+	// ErrUnknownServer reports a server ID or index outside the deployment.
 	ErrUnknownServer = repair.ErrUnknownServer
-	// ErrUnknownZone reports a zone index outside the virtual world.
+	// ErrUnknownZone reports a zone ID or index outside the virtual world.
 	ErrUnknownZone = repair.ErrUnknownZone
 	// ErrServerNotEmpty reports removing a server that still hosts zones
 	// or serves contacts — drain it first.
@@ -36,10 +35,12 @@ var (
 	ErrLastZone = repair.ErrLastZone
 )
 
-// ServerInfo is the externally visible state of one server.
+// ServerInfo is the externally visible state of one server: its stable ID
+// and its current dense index.
 type ServerInfo struct {
-	Server int `json:"server"`
-	Node   int `json:"node"`
+	ID     string `json:"id"`
+	Server int    `json:"server"`
+	Node   int    `json:"node"`
 	// CapacityMbps is the nominal capacity (out of the fleet while the
 	// server drains, until uncordon); LoadMbps the current bandwidth load.
 	CapacityMbps float64 `json:"capacity_mbps"`
@@ -51,11 +52,14 @@ type ServerInfo struct {
 	Draining bool `json:"draining"`
 }
 
-// ZoneInfo is the externally visible state of one zone.
+// ZoneInfo is the externally visible state of one zone: its stable ID, its
+// current dense index, and its hosting server by index and by ID.
 type ZoneInfo struct {
-	Zone    int `json:"zone"`
-	Server  int `json:"server"`
-	Clients int `json:"clients"`
+	ID       string `json:"id"`
+	Zone     int    `json:"zone"`
+	Server   int    `json:"server"`
+	ServerID string `json:"server_id"`
+	Clients  int    `json:"clients"`
 }
 
 // Servers lists the deployment's servers in index order.
@@ -68,11 +72,12 @@ func (d *Director) Servers() []ServerInfo {
 func (d *Director) serversLocked() []ServerInfo {
 	pl := d.planner()
 	counts := pl.ServerZoneCounts()
-	out := make([]ServerInfo, len(d.cfg.ServerNodes))
-	for i := range out {
+	out := make([]ServerInfo, pl.NumServers())
+	for i, id := range d.m.Binding().ServerNames() {
 		out[i] = ServerInfo{
+			ID:           id,
 			Server:       i,
-			Node:         d.cfg.ServerNodes[i],
+			Node:         d.m.ServerNodes()[i],
 			CapacityMbps: pl.ServerCapacity(i),
 			LoadMbps:     pl.ServerLoad(i),
 			Zones:        counts[i],
@@ -86,19 +91,23 @@ func (d *Director) serversLocked() []ServerInfo {
 func (d *Director) Zones() []ZoneInfo {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	pl := d.planner()
-	out := make([]ZoneInfo, d.cfg.Zones)
+	out := make([]ZoneInfo, d.planner().NumZones())
 	for z := range out {
-		out[z] = ZoneInfo{Zone: z, Server: pl.ZoneHost(z), Clients: d.zonePop[z]}
+		out[z] = d.zoneInfo(z)
 	}
 	return out
+}
+
+func (d *Director) zoneInfo(z int) ZoneInfo {
+	b, host := d.m.Binding(), d.planner().ZoneHost(z)
+	return ZoneInfo{ID: b.ZoneID(z), Zone: z, Server: host, ServerID: b.ServerID(host), Clients: d.zonePop(z)}
 }
 
 // AddServer brings a new server online at a topology node: its
 // inter-server delays and every registered client's delay to it are
 // derived from the delay oracle, and it participates in placement
-// decisions immediately. Returns the new server's info (its index is the
-// current server count).
+// decisions immediately. Returns the new server's info (its ID is fresh,
+// its index the previous server count).
 func (d *Director) AddServer(node int, capacityMbps float64) (ServerInfo, error) {
 	return d.addServer(node, capacityMbps, false)
 }
@@ -115,97 +124,80 @@ func (d *Director) AddSpareServer(node int, capacityMbps float64) (ServerInfo, e
 func (d *Director) addServer(node int, capacityMbps float64, spare bool) (ServerInfo, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
+	return d.commitServer(d.addServerEvent(node, capacityMbps, spare))
+}
+
+// addServerEvent resolves a server's arrival: its ID, and its delay entries
+// from the oracle — the inter-server row and every client's RTT to it.
+func (d *Director) addServerEvent(node int, capacityMbps float64, spare bool) (*repair.Event, error) {
 	if node < 0 || node >= d.cfg.Delays.N() {
-		return ServerInfo{}, fmt.Errorf("director: node %d outside topology", node)
+		return nil, fmt.Errorf("director: node %d outside topology", node)
 	}
 	if !repair.FinitePos(capacityMbps) {
-		return ServerInfo{}, fmt.Errorf("director: capacity %v, want finite > 0", capacityMbps)
+		return nil, fmt.Errorf("director: capacity %v, want finite > 0", capacityMbps)
 	}
-	// The new server's delay entries are derived from the oracle up front —
-	// reads only, so outside the state lock. Only the node, capacity and
-	// spare flag are journaled; replay re-derives the rows identically.
-	m := len(d.cfg.ServerNodes)
-	ss := make([]float64, m)
-	for l := 0; l < m; l++ {
-		ss[l] = d.cfg.Delays.ServerRTT(node, d.cfg.ServerNodes[l])
+	b := d.m.Binding()
+	e := &repair.Event{
+		Op:         repair.OpAddServer,
+		Server:     freshName("s", b.ServerNames()),
+		Capacity:   capacityMbps,
+		ClientRTTs: make(map[string]float64, b.Len()),
+		Spare:      spare,
+		Node:       node,
 	}
-	pl := d.planner()
-	col := make([]float64, pl.NumClients())
-	for _, id := range d.binding.IDs() {
-		j, err := d.denseIndexLocked(id)
-		if err != nil {
-			return ServerInfo{}, err
-		}
-		col[j] = d.cfg.Delays.RTT(d.clients[id].node, node)
+	for _, sn := range d.m.ServerNodes() {
+		e.Row = append(e.Row, d.cfg.Delays.ServerRTT(node, sn))
 	}
-	add := pl.AddServer
-	if spare {
-		add = pl.AddSpareServer
+	for _, id := range b.IDs() {
+		e.ClientRTTs[id] = d.cfg.Delays.RTT(d.m.ClientNode(id), node)
 	}
-	var i int
-	if err := d.commit(&repair.Event{Op: repair.OpDAddServer, Node: node, Capacity: capacityMbps, Spare: spare}, func() (err error) {
-		if i, err = add(capacityMbps, ss, col); err != nil {
-			return err
-		}
-		d.cfg.ServerNodes = append(d.cfg.ServerNodes, node)
-		d.cfg.ServerCaps = append(d.cfg.ServerCaps, capacityMbps)
-		d.csBuf = append(d.csBuf, 0)
-		return nil
-	}); err != nil {
-		return ServerInfo{}, err
-	}
-	return d.serversLocked()[i], nil
+	return e, nil
 }
 
-// RemoveServer retires server i. It must be empty — drained, or never
+// RemoveServer retires a server. It must be empty — drained, or never
 // loaded (ErrServerNotEmpty otherwise) — and not the last server. The
-// last server is renumbered to index i.
-func (d *Director) RemoveServer(i int) error {
+// last server is renumbered to its index.
+func (d *Director) RemoveServer(s Ref) error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	return d.commit(&repair.Event{Op: repair.OpDRemoveServer, ServerIdx: i}, func() error {
-		moved, err := d.planner().RemoveServer(i)
-		if err != nil {
-			return err
-		}
-		last := len(d.cfg.ServerNodes) - 1
-		if moved >= 0 {
-			d.cfg.ServerNodes[i] = d.cfg.ServerNodes[last]
-			d.cfg.ServerCaps[i] = d.cfg.ServerCaps[last]
-		}
-		d.cfg.ServerNodes = d.cfg.ServerNodes[:last]
-		d.cfg.ServerCaps = d.cfg.ServerCaps[:last]
-		d.csBuf = d.csBuf[:last]
-		return nil
-	})
+	return d.commit(d.serverEvent(repair.OpRemoveServer, s))
 }
 
-// DrainServer evacuates server i for a rolling deploy: its capacity
+// DrainServer evacuates a server for a rolling deploy: its capacity
 // leaves the fleet, hosted zones force-move to the best available
 // destinations, forwarding contacts re-attach, and a seeded repair pass
 // covers the affected zones — O(affected), no full re-solve. The server
 // then holds nothing; DELETE it or uncordon it.
-func (d *Director) DrainServer(i int) (ServerInfo, error) {
+func (d *Director) DrainServer(s Ref) (ServerInfo, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	if err := d.commit(&repair.Event{Op: repair.OpDDrain, ServerIdx: i}, func() error {
-		return d.planner().DrainServer(i)
-	}); err != nil {
-		return ServerInfo{}, err
-	}
-	return d.serversLocked()[i], nil
+	return d.commitServer(d.serverEvent(repair.OpDrainServer, s))
 }
 
 // UncordonServer returns a drained server to service with its nominal
 // capacity restored.
-func (d *Director) UncordonServer(i int) (ServerInfo, error) {
+func (d *Director) UncordonServer(s Ref) (ServerInfo, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	if err := d.commit(&repair.Event{Op: repair.OpDUncordon, ServerIdx: i}, func() error {
-		return d.planner().UncordonServer(i)
-	}); err != nil {
+	return d.commitServer(d.serverEvent(repair.OpUncordon, s))
+}
+
+// serverEvent resolves the verbs that take nothing but a server.
+func (d *Director) serverEvent(op repair.EventOp, s Ref) (*repair.Event, error) {
+	i, err := d.serverIndex(s)
+	if err != nil {
+		return nil, fmt.Errorf("director: %w", err)
+	}
+	return &repair.Event{Op: op, Server: d.m.Binding().ServerID(i)}, nil
+}
+
+// commitServer is commit for the server verbs that answer with the server's
+// resulting state.
+func (d *Director) commitServer(e *repair.Event, err error) (ServerInfo, error) {
+	if err := d.commit(e, err); err != nil {
 		return ServerInfo{}, err
 	}
+	i, _ := d.m.Binding().ServerIndexOf(e.Server)
 	return d.serversLocked()[i], nil
 }
 
@@ -214,53 +206,32 @@ func (d *Director) UncordonServer(i int) (ServerInfo, error) {
 func (d *Director) AddZone() (ZoneInfo, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	var z int
-	if err := d.commit(&repair.Event{Op: repair.OpDAddZone}, func() (err error) {
-		if z, err = d.planner().AddZone(-1); err != nil {
-			return err
-		}
-		d.cfg.Zones++
-		d.zonePop = append(d.zonePop, 0)
-		return nil
-	}); err != nil {
+	if err := d.commit(d.addZoneEvent(), nil); err != nil {
 		return ZoneInfo{}, err
 	}
-	return ZoneInfo{Zone: z, Server: d.planner().ZoneHost(z), Clients: 0}, nil
+	return d.zoneInfo(d.planner().NumZones() - 1), nil
 }
 
-// RetireZone removes empty zone z from the virtual world
-// (ErrZoneNotEmpty while clients remain). The last zone is renumbered to
-// index z: registered clients of the renumbered zone keep their identity,
-// only the zone's index changes.
-func (d *Director) RetireZone(z int) error {
+// addZoneEvent resolves a zone's arrival: its ID; the planner places it.
+func (d *Director) addZoneEvent() *repair.Event {
+	return &repair.Event{Op: repair.OpAddZone, Zone: freshName("z", d.m.Binding().ZoneNames())}
+}
+
+// RetireZone removes an empty zone from the virtual world (ErrZoneNotEmpty
+// while clients remain). The last zone is renumbered to its index:
+// registered clients of the renumbered zone keep their identity, only the
+// zone's index changes.
+func (d *Director) RetireZone(zone Ref) error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	return d.commit(&repair.Event{Op: repair.OpDRetireZone, ZoneIdx: z}, func() error {
-		moved, err := d.planner().RetireZone(z)
-		if err != nil {
-			return err
-		}
-		last := d.cfg.Zones - 1
-		if moved >= 0 {
-			for _, rec := range d.clients {
-				if rec.zone == moved {
-					rec.zone = z
-				}
-			}
-			d.zonePop[z] = d.zonePop[moved]
-		}
-		d.zonePop = d.zonePop[:last]
-		d.cfg.Zones = last
-		return nil
-	})
+	return d.commit(d.zoneEvent(repair.OpRetireZone, zone))
 }
 
-// denseIndexLocked resolves a registered client ID to the planner's
-// current dense index.
-func (d *Director) denseIndexLocked(id string) (int, error) {
-	h, err := d.binding.Handle(id)
+// zoneEvent resolves the verbs that take nothing but a zone.
+func (d *Director) zoneEvent(op repair.EventOp, zone Ref) (*repair.Event, error) {
+	z, err := d.zoneIndex(zone)
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("director: %w", err)
 	}
-	return d.planner().Index(h)
+	return &repair.Event{Op: op, Zone: d.m.Binding().ZoneID(z)}, nil
 }

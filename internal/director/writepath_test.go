@@ -198,7 +198,7 @@ func TestReadsProceedWhileJournalSyncs(t *testing.T) {
 		t.Fatalf("Lookup(b) after the leave was acknowledged: %v", err)
 	}
 	ops := journalOps(t, cfg.DataDir)
-	want := []string{string(repair.OpDJoin) + " x", string(repair.OpDLeave) + " b"}
+	want := []string{string(repair.OpJoin) + " x", string(repair.OpLeave) + " b"}
 	if n := len(ops); n < 2 || ops[n-2] != want[0] || ops[n-1] != want[1] {
 		t.Fatalf("journal ends %v, want %v in call order", ops, want)
 	}
@@ -284,13 +284,13 @@ func TestWriteStageSeries(t *testing.T) {
 		func() error { _, err := d.Move("a", 5); return err },
 		func() error { _, err := d.UpdateDelays("a", []float64{40, 41, 42, 43}); return err },
 		func() error { _, err := d.AddServer(7, 60); return err },
-		func() error { _, err := d.DrainServer(4); return err },
-		func() error { _, err := d.UncordonServer(4); return err },
+		func() error { _, err := d.DrainServer(Index(4)); return err },
+		func() error { _, err := d.UncordonServer(ID("s4")); return err },
 		func() error { _, err := d.AddZone(); return err },
-		func() error { _, err := d.SetAdjacency(0, 1, 2); return err },
-		func() error { _, err := d.AddAdjacencyWeight(0, 1, 1); return err },
+		func() error { _, err := d.SetAdjacency(Index(0), Index(1), 2); return err },
+		func() error { _, err := d.AddAdjacencyWeight(ID("z0"), ID("z1"), 1); return err },
 		func() error { _, err := d.Reassign(); return err },
-		func() error { return d.RetireZone(8) },
+		func() error { return d.RetireZone(ID("z8")) },
 		func() error { return d.Leave("b") },
 	}
 	for i, m := range mutations {
@@ -299,13 +299,16 @@ func TestWriteStageSeries(t *testing.T) {
 		}
 	}
 	journaled := uint64(2 + len(mutations))
-	// Rejected by validation: nothing journaled, nothing applied.
+	// Rejected while resolving: nothing journaled, nothing applied.
 	if err := d.Leave("nobody"); !errors.Is(err, ErrUnknownClient) {
 		t.Fatalf("Leave(nobody): %v", err)
 	}
-	// Journaled, then rejected by the apply: both stages ran.
-	if err := d.RemoveServer(99); !errors.Is(err, ErrUnknownServer) {
+	if err := d.RemoveServer(Index(99)); !errors.Is(err, ErrUnknownServer) {
 		t.Fatalf("RemoveServer(99): %v", err)
+	}
+	// Journaled, then rejected by the apply: both stages ran.
+	if err := d.RetireZone(Index(3)); !errors.Is(err, ErrZoneNotEmpty) {
+		t.Fatalf("RetireZone of a populated zone: %v", err)
 	}
 	journaled++
 	if _, err := d.Checkpoint(); err != nil {

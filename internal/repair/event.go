@@ -6,22 +6,19 @@ import (
 	"math"
 )
 
-// EventOp tags the canonical wire form of one journaled event. The two
-// durable surfaces (dvecap.ClusterSession, internal/director) hand these to
-// the one durability engine (Journal, journal.go), which appends them to the
-// WAL before they are applied and, on recovery, streams the decoded events
-// back through the surface's applyEvent onto the exact same mutators live
-// traffic uses — one encoding, one engine, one code path, so replay cannot
-// diverge from what the log captured (DESIGN.md §11). The encoding lives
-// next to the planner because the planner's event surface defines what an
-// event IS; the surfaces only add their addressing (string IDs for the
-// session's Op*, dense indices and auto-issued IDs for the director's OpD*).
+// EventOp tags the canonical wire form of one journaled event — the ONE
+// vocabulary of the assignment state machine (Machine, machine.go). Both
+// front ends (dvecap.ClusterSession, internal/director) resolve a verb to a
+// fully resolved Event — stable string IDs for clients, servers and zones,
+// dense delay rows — and hand it to the machine: the Journal appends it to the
+// WAL before Machine.Apply interprets it, and recovery streams the decoded
+// events through the same Apply, so replay cannot diverge from what the log
+// captured (DESIGN.md §11). The encoding lives next to the planner because
+// the planner's event surface defines what an event IS.
 type EventOp string
 
 // Client churn, delay refresh, bandwidth bookkeeping, topology events and
-// the solver-epoch marker. The "d" prefix marks the director's surface
-// (integer zones/nodes, auto-issued IDs); unprefixed ops belong to the
-// cluster session surface (string IDs everywhere).
+// the solver-epoch marker.
 const (
 	OpJoin         EventOp = "join"
 	OpJoinBatch    EventOp = "join_batch"
@@ -53,20 +50,14 @@ const (
 	// marker lets recovery cross-check that the rebuilt trajectory passed
 	// through the same epochs.
 	OpEpoch EventOp = "epoch"
-
-	OpDJoin         EventOp = "djoin"
-	OpDLeave        EventOp = "dleave"
-	OpDMove         EventOp = "dmove"
-	OpDDelays       EventOp = "ddelays"
-	OpDAddServer    EventOp = "dadd_server"
-	OpDRemoveServer EventOp = "dremove_server"
-	OpDDrain        EventOp = "ddrain"
-	OpDUncordon     EventOp = "duncordon"
-	OpDAddZone      EventOp = "dadd_zone"
-	OpDRetireZone   EventOp = "dretire_zone"
-	OpDSetAdjacency EventOp = "dset_adj"
-	OpDAddAdjacency EventOp = "dadd_adj"
 )
+
+// ZoneRT is one entry of an event's bandwidth refresh list: every client
+// currently in Zone is re-priced to RT Mbps.
+type ZoneRT struct {
+	Zone string  `json:"zone"`
+	RT   float64 `json:"rt"`
+}
 
 // Event is the canonical journal record. Exactly the fields an op needs
 // are populated; every field's JSON zero value round-trips to the Go zero
@@ -78,22 +69,20 @@ type Event struct {
 	ID  string   `json:"id,omitempty"`
 	IDs []string `json:"ids,omitempty"`
 
-	// Zone addressing by ID (session surface) or index (director surface).
-	// Zone2/ZoneIdx2 name the second endpoint of an adjacency-edge event.
-	Zone     string   `json:"zone,omitempty"`
-	Zone2    string   `json:"zone2,omitempty"`
-	Zones    []string `json:"zones,omitempty"`
-	ZoneIdx  int      `json:"zone_idx,omitempty"`
-	ZoneIdx2 int      `json:"zone_idx2,omitempty"`
-	ZoneIdxs []int    `json:"zone_idxs,omitempty"`
+	// Zone addressing by ID. Zone2 names the second endpoint of an
+	// adjacency-edge event.
+	Zone  string   `json:"zone,omitempty"`
+	Zone2 string   `json:"zone2,omitempty"`
+	Zones []string `json:"zones,omitempty"`
 
-	// Server addressing.
-	Server    string `json:"server,omitempty"`
-	ServerIdx int    `json:"server_idx,omitempty"`
-	Host      string `json:"host,omitempty"`
+	// Server addressing by ID.
+	Server string `json:"server,omitempty"`
+	Host   string `json:"host,omitempty"`
 
 	// Payloads. Rows are dense (one entry per server, server order at the
-	// event's LSN); RTTs/ClientRTTs are ID-keyed sparse forms.
+	// event's LSN); RTTs/ClientRTTs are ID-keyed sparse forms. RT/RTs are the
+	// bandwidth of the event's client(s) — required on a join, optional on a
+	// move (the mover is re-priced before it migrates).
 	RT         float64            `json:"rt,omitempty"`
 	RTs        []float64          `json:"rts,omitempty"`
 	Row        []float64          `json:"row,omitempty"`
@@ -105,11 +94,20 @@ type Event struct {
 	// event (0 removes the edge) or the increment of an add event.
 	Weight float64 `json:"weight,omitempty"`
 
-	// Director extras: the serving node of a join, and whether the
-	// director auto-issued the client ID (so replay re-advances the ID
-	// sequence exactly as the live path did).
-	Node int  `json:"node,omitempty"`
-	Auto bool `json:"auto,omitempty"`
+	// Refresh lists per-zone bandwidth refreshes applied BEFORE the event's
+	// own step — how a front end with a population-dependent bandwidth model
+	// (the director) keeps a membership change one record and one fsync. A
+	// front end that attaches a refresh has validated the step itself, so a
+	// rejected event never leaves a refresh behind.
+	Refresh []ZoneRT `json:"refresh,omitempty"`
+
+	// Director extras: the topology node a joining client (Nodes: a batch)
+	// or an added server attaches at, and whether the client ID was
+	// auto-issued (so the machine advances the ID sequence on the live path
+	// and on replay alike). Absent from session journals.
+	Node  int   `json:"node,omitempty"`
+	Nodes []int `json:"nodes,omitempty"`
+	Auto  bool  `json:"auto,omitempty"`
 
 	// Spare marks an add-server event as a warm-spare registration: the
 	// server arrives cordoned, holding nothing, until a scale-up admits
@@ -130,6 +128,17 @@ func FiniteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 // FinitePos is FiniteNonNeg for quantities that must be strictly positive
 // (capacities, bandwidths, edge-weight increments).
 func FinitePos(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+// CheckClientID is the one admission check on a caller-chosen client ID, for
+// both front ends: non-empty, and not a dot segment — "." and ".." cannot be
+// addressed as one URL path segment (HTTP routers clean them away), so they
+// are refused at the door instead of admitted and then unreachable.
+func CheckClientID(id string) error {
+	if id == "" || id == "." || id == ".." {
+		return fmt.Errorf("invalid client ID %q: want non-empty and not a dot segment", id)
+	}
+	return nil
+}
 
 // Encode renders the event's canonical journal payload.
 func (e *Event) Encode() ([]byte, error) {

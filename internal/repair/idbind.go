@@ -256,19 +256,9 @@ func (b *IDBinding) ZoneNames() []string { return b.zoneIDs }
 // measured RTTs by client ID for the new server's delay column; clients
 // absent from it receive defaultRTT (a far-out-of-bound sentinel keeps an
 // unmeasured server unattractive until UpdateServerDelays supplies real
-// values). See Planner.AddServer for the capacity and ss semantics.
-func (b *IDBinding) AddServer(id string, capacity float64, ss []float64, clientRTTs map[string]float64, defaultRTT float64) error {
-	return b.addServer(id, capacity, ss, clientRTTs, defaultRTT, false)
-}
-
-// AddSpareServer is AddServer for a warm spare: the server joins the
-// topology cordoned — no zones, no contacts — as pool inventory for an
-// autoscaler to admit later (Planner.AddSpareServer).
-func (b *IDBinding) AddSpareServer(id string, capacity float64, ss []float64, clientRTTs map[string]float64, defaultRTT float64) error {
-	return b.addServer(id, capacity, ss, clientRTTs, defaultRTT, true)
-}
-
-func (b *IDBinding) addServer(id string, capacity float64, ss []float64, clientRTTs map[string]float64, defaultRTT float64, spare bool) error {
+// values). See Planner.AddServer for the capacity and ss semantics; spare
+// registers a warm spare, cordoned on arrival (Planner.AddSpareServer).
+func (b *IDBinding) AddServer(id string, capacity float64, ss []float64, clientRTTs map[string]float64, defaultRTT float64, spare bool) error {
 	if _, dup := b.serverIdx[id]; dup {
 		return fmt.Errorf("%w %q", ErrDuplicateServer, id)
 	}
@@ -285,7 +275,7 @@ func (b *IDBinding) addServer(id string, capacity float64, ss []float64, clientR
 		col[i] = defaultRTT
 	}
 	for cid, d := range clientRTTs {
-		j, err := b.denseIndex(cid)
+		j, err := b.Index(cid)
 		if err != nil {
 			return err
 		}
@@ -514,9 +504,33 @@ func (b *IDBinding) UpdateServerDelays(server string, rtts map[string]float64) e
 	return b.pl.UpdateServerDelayColumn(i, handles, ds)
 }
 
-// denseIndex resolves an ID straight to the planner's current dense
-// client index.
-func (b *IDBinding) denseIndex(id string) (int, error) {
+// DenseIDs names the client behind each dense planner index — the order of
+// the planner's problem, of snapshots, and the one a recovered binding's
+// registration order restarts from.
+func (b *IDBinding) DenseIDs() []string {
+	ids := make([]string, len(b.order))
+	for _, id := range b.order {
+		ids[b.pl.idx[b.handles[id]]] = id
+	}
+	return ids
+}
+
+// zoneIndices resolves a list of zone IDs.
+func (b *IDBinding) zoneIndices(ids []string) ([]int, error) {
+	zs := make([]int, len(ids))
+	for x, id := range ids {
+		z, err := b.ZoneIndex(id)
+		if err != nil {
+			return nil, err
+		}
+		zs[x] = z
+	}
+	return zs, nil
+}
+
+// Index resolves an ID straight to the planner's current dense client
+// index.
+func (b *IDBinding) Index(id string) (int, error) {
 	h, err := b.Handle(id)
 	if err != nil {
 		return 0, err

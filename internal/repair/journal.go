@@ -22,7 +22,7 @@ const keepSnapshots = 2
 // wrapped in this sentinel — until the process restarts and recovers.
 var ErrJournalFailed = wal.ErrFailed
 
-// JournalConfig is what a durable surface hands its Journal.
+// JournalConfig is what a durable front end hands the machine's Journal.
 type JournalConfig struct {
 	// Dir holds the log segments and snapshots.
 	Dir string
@@ -36,20 +36,19 @@ type JournalConfig struct {
 	ErrClosed error
 }
 
-// Journal is the durability engine under both journaled state machines
-// (dvecap.ClusterSession and internal/director): one write-ahead discipline
-// for two event vocabularies (DESIGN.md §11). Every event is encoded and
-// appended (synced) BEFORE it is applied, so an event whose apply the caller
-// saw acknowledged is on disk; snapshots bound replay; and recovery re-applies
-// the log tail through the SAME mutators live traffic uses, so a process
-// killed mid-churn resumes bit-identical to one that was never interrupted.
+// Journal is the durability engine under the assignment state machine
+// (Machine, machine.go), whichever front end drives it (DESIGN.md §11). Every
+// event is encoded and appended (synced) BEFORE it is applied, so an event
+// whose apply the caller saw acknowledged is on disk; snapshots bound replay;
+// and recovery re-applies the log tail through the SAME interpreter live
+// traffic uses, so a process killed mid-churn resumes bit-identical to one
+// that was never interrupted.
 //
 // The Journal owns the log writer, the checkpoint cadence, the solver-epoch
 // tripwire, the replaying/closed fences, the checkpoint and recovery series
-// and the crash-injection hook. The surface owns what differs: its snapshot
-// schema (rendered through the func it passes in), its fingerprint checks and
-// its applyEvent switch. A nil *Journal is a non-durable surface: Append,
-// Applied, Checkpoint and Close are no-ops on it. Not safe for concurrent use:
+// and the crash-injection hook; the machine owns the snapshot body and the
+// interpreter. A nil *Journal is a non-durable machine: Append, Applied,
+// Checkpoint and Close are no-ops on it. Not safe for concurrent use:
 // ClusterSession is single-owner, and the director makes every call under its
 // write sequencer — never under the lock its readers take, so the fsync in
 // Append and the snapshot write in Checkpoint do not stall reads.
@@ -112,11 +111,11 @@ func CreateJournal(cfg JournalConfig, pl *Planner, render func(lsn uint64) ([]by
 	return j, j.openLog()
 }
 
-// LoadSnapshot decodes the newest usable snapshot in dir into the surface's
-// schema S. header reads a candidate's declared version and LSN; a candidate
-// that does not parse, comes from a schema newer than maxVersion or declares
-// another LSN than its file name is skipped in favour of the generation
-// before it.
+// LoadSnapshot decodes the newest usable snapshot in dir into schema S —
+// Snapshot, or a front end's superset of it that also reads an older layout.
+// header reads a candidate's declared version and LSN; a candidate that does
+// not parse, comes from a schema newer than maxVersion or declares another
+// LSN than its file name is skipped in favour of the generation before it.
 func LoadSnapshot[S any](dir string, maxVersion int, header func(*S) (version int, lsn uint64)) (*S, error) {
 	lsns, err := wal.SnapshotLSNs(dir)
 	if err != nil {
@@ -149,31 +148,37 @@ func LoadSnapshot[S any](dir string, maxVersion int, header func(*S) (version in
 	return nil, fmt.Errorf("journal: no usable snapshot in %s: %w", dir, lastErr)
 }
 
-// RecoverJournal returns the Journal of a surface rebuilt from the snapshot
-// covering snapLSN, in replaying state: the surface attaches it, then calls
-// Replay to re-apply the log tail and go live.
+// RecoverJournal returns the Journal of a machine rebuilt from the snapshot
+// covering snapLSN, in replaying state: Replay re-applies the log tail and
+// goes live.
 func RecoverJournal(cfg JournalConfig, pl *Planner, snapLSN uint64) *Journal {
 	j := newJournal(cfg, pl)
 	j.base, j.replaying = snapLSN, true
 	return j
 }
 
-// Replay streams the log tail after the snapshot through apply — the
-// surface's switch onto its live mutators, whose own Append/Applied calls are
-// fenced off while replaying — then opens the log for appending and returns
-// the number of events replayed. Apply-level rejections are the surface's to
-// swallow (a journaled event the live apply rejected rejects again here);
-// an error from apply, an undecodable record or an epoch marker the rebuilt
-// trajectory does not pass through aborts recovery. Planner telemetry
-// attaches only after the tail has replayed, so the repair series reflect
-// live traffic, and the one-shot recovery gauges record what the replay cost.
-func (j *Journal) Replay(apply func(*Event) error) (int, error) {
+// Replay streams the log tail after the snapshot through decode and apply —
+// the machine's interpreter — then opens the log for appending and returns
+// the number of events replayed. decode is DecodeEvent, or a front end's
+// wrapper that also translates the records of an older vocabulary; a nil
+// event from it is a record that resolves to nothing (it counts, nothing is
+// applied). Apply-level rejections are the caller's to swallow (a journaled
+// event the live apply rejected rejects again here); an error from apply, an
+// undecodable record or an epoch marker the rebuilt trajectory does not pass
+// through aborts recovery. Planner telemetry attaches only after the tail has
+// replayed, so the repair series reflect live traffic, and the one-shot
+// recovery gauges record what the replay cost.
+func (j *Journal) Replay(decode func([]byte) (*Event, error), apply func(*Event) error) (int, error) {
 	start := time.Now()
 	replayed := 0
 	if _, err := wal.Replay(j.cfg.Dir, j.base, func(lsn uint64, payload []byte) error {
-		e, err := DecodeEvent(payload)
+		e, err := decode(payload)
 		if err != nil {
 			return fmt.Errorf("journal: LSN %d: %w", lsn, err)
+		}
+		if e == nil {
+			replayed++
+			return nil
 		}
 		if e.Op == OpEpoch {
 			if fs := j.pl.stats.FullSolves; fs != e.FullSolves {

@@ -152,7 +152,7 @@ func denseIDs(t *testing.T, b *IDBinding) []string {
 	t.Helper()
 	out := make([]string, b.Planner().NumClients())
 	for _, id := range b.IDs() {
-		j, err := b.denseIndex(id)
+		j, err := b.Index(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,12 +425,13 @@ func TestImbalanceGuard(t *testing.T) {
 func TestEventCodecRoundTrip(t *testing.T) {
 	ev := &Event{
 		Op: OpAddServer, ID: "c1", IDs: []string{"a", "b"},
-		Zone: "z1", Zones: []string{"z1", "z2"}, ZoneIdx: 3, ZoneIdxs: []int{0, 2},
-		Server: "s1", ServerIdx: 1, Host: "s0",
+		Zone: "z1", Zone2: "z3", Zones: []string{"z1", "z2"},
+		Server: "s1", Host: "s0",
 		RT: 0.25, RTs: []float64{0.1, 0.2}, Row: []float64{1, 2},
 		Rows: [][]float64{{1}, {2}}, RTTs: map[string]float64{"c9": 30},
 		ClientRTTs: map[string]float64{"c2": 12.5}, Capacity: 80,
-		Node: 2, Auto: true, FullSolves: 7,
+		Weight: 1.5, Refresh: []ZoneRT{{Zone: "z1", RT: 0.3}},
+		Node: 2, Nodes: []int{4, 5}, Auto: true, Spare: true, FullSolves: 7,
 	}
 	raw, err := ev.Encode()
 	if err != nil {
