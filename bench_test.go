@@ -661,7 +661,7 @@ func BenchmarkSimplex(b *testing.B) {
 // BenchmarkFacadeAssign measures the end-to-end public API path (scenario
 // construction amortised outside the loop).
 func BenchmarkFacadeAssign(b *testing.B) {
-	scn, err := NewScenario(ScenarioParams{Seed: 13, Correlation: 0.5})
+	scn, err := NewScenario(ScenarioParams{Seed: 13})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -184,7 +184,7 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 // pre-refactor Assign bit for bit, across algorithms and consecutive
 // calls (which must consume the scenario's random stream identically).
 func TestAssignMatchesLegacyPath(t *testing.T) {
-	params := ScenarioParams{Seed: 17, Notation: "10s-30z-400c-200cp", Correlation: 0.5}
+	params := ScenarioParams{Seed: 17, Notation: "10s-30z-400c-200cp"}
 	for _, algo := range Algorithms() {
 		scnNew, err := NewScenario(params)
 		if err != nil {
@@ -214,7 +214,7 @@ func TestAssignMatchesLegacyPath(t *testing.T) {
 // TestAssignWithEstimationErrorMatchesLegacyPath: same, for the noisy
 // path (two rng splits per call, in perturb-then-solve order).
 func TestAssignWithEstimationErrorMatchesLegacyPath(t *testing.T) {
-	params := ScenarioParams{Seed: 23, Notation: "10s-30z-400c-200cp", Correlation: 0.5}
+	params := ScenarioParams{Seed: 23, Notation: "10s-30z-400c-200cp"}
 	scnNew, err := NewScenario(params)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestAssignWithEstimationErrorMatchesLegacyPath(t *testing.T) {
 // results, populations and repair counters all bit-identical under
 // sustained churn, drift-guard solves included.
 func TestStartSessionMatchesLegacyPath(t *testing.T) {
-	params := ScenarioParams{Seed: 31, Servers: 8, Zones: 30, Clients: 500, Correlation: 0.5}
+	params := ScenarioParams{Seed: 31, Servers: 8, Zones: 30, Clients: 500}
 	scnNew, err := NewScenario(params)
 	if err != nil {
 		t.Fatal(err)

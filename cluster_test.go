@@ -270,38 +270,31 @@ func TestClusterSessionErrorsByID(t *testing.T) {
 }
 
 func TestWithCorrelationOption(t *testing.T) {
-	// The option wins over the deprecated field and takes the paper default
-	// range check.
-	scn, err := NewScenario(ScenarioParams{Seed: 3, Correlation: 0.2}, WithCorrelation(0.8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := scn.Config().Correlation; got != 0.8 {
-		t.Fatalf("correlation = %v, want option value 0.8", got)
+	// The option is the only way to set δ; an explicit 0 is honoured, not
+	// mistaken for "unset".
+	for _, delta := range []float64{0.8, 0} {
+		scn, err := NewScenario(ScenarioParams{Seed: 3}, WithCorrelation(delta))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := scn.Config().Correlation; got != delta {
+			t.Fatalf("correlation = %v, want option value %v", got, delta)
+		}
 	}
 	if _, err := NewScenario(ScenarioParams{Seed: 3}, WithCorrelation(1.5)); err == nil {
 		t.Fatal("correlation > 1 accepted")
 	}
 	if _, err := NewScenario(ScenarioParams{Seed: 3}, WithCorrelation(-0.1)); err == nil {
-		t.Fatal("negative option correlation accepted (the sentinel is field-only)")
-	}
-	// Legacy field semantics are preserved: zero means δ = 0, negative
-	// restores the paper default.
-	legacy, err := NewScenario(ScenarioParams{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := legacy.Config().Correlation; got != 0 {
-		t.Fatalf("zero-value field correlation = %v, want legacy 0", got)
+		t.Fatal("negative correlation accepted")
 	}
 }
 
 func TestWithSeedOverridesParamsSeed(t *testing.T) {
-	a, err := NewScenario(ScenarioParams{Seed: 1, Servers: 5, Zones: 10, Clients: 100, Correlation: 0.5}, WithSeed(9))
+	a, err := NewScenario(ScenarioParams{Seed: 1, Servers: 5, Zones: 10, Clients: 100}, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewScenario(ScenarioParams{Seed: 9, Servers: 5, Zones: 10, Clients: 100, Correlation: 0.5})
+	b, err := NewScenario(ScenarioParams{Seed: 9, Servers: 5, Zones: 10, Clients: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,10 +142,11 @@ func (s *ClusterSession) NumServers() int { return s.planner().NumServers() }
 // NumZones returns the current zone count.
 func (s *ClusterSession) NumZones() int { return s.planner().NumZones() }
 
-// ClientIDs returns the registered client IDs in registration order.
-func (s *ClusterSession) ClientIDs() []string {
-	return append([]string(nil), s.binding.IDs()...)
-}
+// ClientIDs returns the client IDs in dense index order — the order of
+// Result.ClientIDs and of the delay rows a snapshot carries. A leave
+// renumbers the last client into the vacated index; the order is identical
+// before and after recovery.
+func (s *ClusterSession) ClientIDs() []string { return s.binding.DenseIDs() }
 
 // ServerIDs returns the server IDs in dense index order. Removing a
 // server renumbers: the last server takes the removed one's index.

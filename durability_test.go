@@ -18,7 +18,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -274,7 +274,6 @@ func sessionStateJSON(t *testing.T, s *ClusterSession) string {
 		prov = dp.State()
 	}
 	ids := s.ClientIDs()
-	sort.Strings(ids)
 	clients := make([]ClusterClient, len(ids))
 	for x, id := range ids {
 		if clients[x], err = s.Client(id); err != nil {
@@ -339,6 +338,9 @@ type durableMachine interface {
 	run(t *testing.T, events int)
 	// state renders everything decision-relevant, byte-comparable.
 	state(t *testing.T) string
+	// clientIDs returns every client listing the surface offers; all are in
+	// the one client order, dense order.
+	clientIDs(t *testing.T) [][]string
 	// victim is one more journaled mutation — the crash target.
 	victim() error
 	// fenced asserts that mutations of every kind fail with want.
@@ -431,6 +433,23 @@ func proveKillRecover(t *testing.T, sf durableSurface, workers int) {
 	control.run(t, total-killAt)
 	recovered.run(t, total-killAt)
 	requireSameState(t, "after post-recovery churn", control, recovered)
+}
+
+// proveClientOrder: there is one client order, the planner's dense order —
+// every listing of a surface shows it, leaves renumber it, and a machine
+// killed mid-churn lists its clients after recovery exactly as it did before
+// the kill.
+func proveClientOrder(t *testing.T, sf durableSurface) {
+	run := proofRun{dir: t.TempDir(), workers: 1, snapEvery: 17, churnSeed: 401}
+	durable := sf.open(t, run)
+	durable.run(t, 60)
+	before := durable.clientIDs(t)
+	after := sf.recover(t, run, durable).clientIDs(t)
+	for x, list := range append(before, after...) {
+		if !reflect.DeepEqual(list, before[0]) {
+			t.Fatalf("listing %d of %d before + %d after recovery is in another order:\n%v\nvs\n%v", x, len(before), len(after), list, before[0])
+		}
+	}
 }
 
 func proveKillRecoverWorkers(t *testing.T, sf durableSurface) {
@@ -723,6 +742,15 @@ func sessionSurface(model DelayModel) durableSurface {
 func (m *sessionMachine) run(t *testing.T, events int) { m.churn.run(t, m.s, events) }
 func (m *sessionMachine) state(t *testing.T) string    { return sessionStateJSON(t, m.s) }
 func (m *sessionMachine) close() error                 { return m.s.Close() }
+
+func (m *sessionMachine) clientIDs(t *testing.T) [][]string {
+	t.Helper()
+	res, err := m.s.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [][]string{m.s.ClientIDs(), res.ClientIDs}
+}
 
 func (m *sessionMachine) setCrashHook(hook func(string) error) { m.s.m.SetCrashHook(hook) }
 
@@ -1062,6 +1090,14 @@ func (m *directorMachine) state(t *testing.T) string {
 	return string(payload) + "\n" + string(visible)
 }
 
+func (m *directorMachine) clientIDs(*testing.T) [][]string {
+	var ids []string
+	for _, c := range m.d.Snapshot() {
+		ids = append(ids, c.ID)
+	}
+	return [][]string{ids}
+}
+
 func (m *directorMachine) victim() error {
 	_, err := m.d.Join("victim", 7, 2)
 	return err
@@ -1118,6 +1154,11 @@ func TestDurableKillRecoverBitIdenticalProviders(t *testing.T) {
 func TestDirectorKillRecoverBitIdenticalProviders(t *testing.T) {
 	t.Run("coord", func(t *testing.T) { proveKillRecover(t, directorSurface(t, "coord"), 0) })
 	t.Run("shared", func(t *testing.T) { proveKillRecover(t, directorSurface(t, "shared"), 0) })
+}
+
+func TestClientIDsOrderSurvivesRecovery(t *testing.T) {
+	t.Run("session", func(t *testing.T) { proveClientOrder(t, sessionSurface(DenseDelays)) })
+	t.Run("director", func(t *testing.T) { proveClientOrder(t, directorSurface(t, "dense")) })
 }
 
 func TestDurableTornTailRecovery(t *testing.T)  { proveTornTail(t, sessionSurface(DenseDelays)) }

@@ -27,14 +27,6 @@ type ScenarioParams struct {
 	TotalCapacityMbps       float64
 	// DelayBoundMs overrides the interactivity bound when non-zero.
 	DelayBoundMs float64
-	// Correlation sets the physical↔virtual correlation δ in [0,1].
-	//
-	// Deprecated: the field's zero value silently means δ = 0 rather than
-	// the paper default of 0.5 (a negative value restores the default) —
-	// a long-standing footgun. Pass the WithCorrelation option to
-	// NewScenario instead, which keeps the default unless explicitly
-	// overridden; when both are given, the option wins.
-	Correlation float64
 	// ClusteredPhysical / ClusteredVirtual enable the hot-node / hot-zone
 	// client distributions.
 	ClusteredPhysical bool
@@ -56,8 +48,9 @@ type Scenario struct {
 
 // NewScenario builds a scenario: topology, delay matrix, servers with
 // capacities, and clients placed in both worlds. Of the options, only
-// WithCorrelation and WithSeed apply (the rest configure solves); see the
-// deprecation note on ScenarioParams.Correlation.
+// WithCorrelation and WithSeed apply (the rest configure solves); the
+// physical↔virtual correlation δ is the paper default 0.5 unless
+// WithCorrelation says otherwise.
 func NewScenario(p ScenarioParams, opts ...Option) (*Scenario, error) {
 	oc := resolveOptions(opts)
 	if oc.seedSet {
@@ -87,17 +80,11 @@ func NewScenario(p ScenarioParams, opts ...Option) (*Scenario, error) {
 	if p.DelayBoundMs > 0 {
 		cfg.DelayBoundMs = p.DelayBoundMs
 	}
-	switch {
-	case oc.corrSet:
+	if oc.corrSet {
 		if oc.corr < 0 || oc.corr > 1 {
 			return nil, fmt.Errorf("dvecap: correlation %v outside [0,1]", oc.corr)
 		}
 		cfg.Correlation = oc.corr
-	case p.Correlation >= 0:
-		if p.Correlation > 1 {
-			return nil, fmt.Errorf("dvecap: correlation %v outside [0,1]", p.Correlation)
-		}
-		cfg.Correlation = p.Correlation
 	}
 	if p.ClusteredPhysical {
 		cfg.PhysicalDist = dve.Clustered

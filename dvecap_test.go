@@ -5,7 +5,7 @@ import (
 )
 
 func TestNewScenarioDefaults(t *testing.T) {
-	scn, err := NewScenario(ScenarioParams{Seed: 1, Correlation: 0.5})
+	scn, err := NewScenario(ScenarioParams{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestNewScenarioOverrides(t *testing.T) {
 	scn, err := NewScenario(ScenarioParams{
 		Seed: 2, Servers: 8, Zones: 16, Clients: 300, TotalCapacityMbps: 200,
 		DelayBoundMs: 200,
-	})
+	}, WithCorrelation(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +49,8 @@ func TestNewScenarioOverrides(t *testing.T) {
 	}
 }
 
-func TestNewScenarioNegativeCorrelationKeepsDefault(t *testing.T) {
-	scn, err := NewScenario(ScenarioParams{Seed: 1, Correlation: -1})
+func TestNewScenarioDefaultCorrelation(t *testing.T) {
+	scn, err := NewScenario(ScenarioParams{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +63,13 @@ func TestNewScenarioRejectsBadInput(t *testing.T) {
 	if _, err := NewScenario(ScenarioParams{Notation: "garbage"}); err == nil {
 		t.Fatal("bad notation accepted")
 	}
-	if _, err := NewScenario(ScenarioParams{Correlation: 2}); err == nil {
+	if _, err := NewScenario(ScenarioParams{}, WithCorrelation(2)); err == nil {
 		t.Fatal("correlation > 1 accepted")
 	}
 }
 
 func TestAssignAllAlgorithms(t *testing.T) {
-	scn, err := NewScenario(ScenarioParams{Seed: 3, Notation: "10s-30z-400c-200cp", Correlation: 0.5})
+	scn, err := NewScenario(ScenarioParams{Seed: 3, Notation: "10s-30z-400c-200cp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestAssignUnknownAlgorithm(t *testing.T) {
 }
 
 func TestAssignWithEstimationError(t *testing.T) {
-	scn, err := NewScenario(ScenarioParams{Seed: 4, Notation: "10s-30z-400c-200cp", Correlation: 0.5})
+	scn, err := NewScenario(ScenarioParams{Seed: 4, Notation: "10s-30z-400c-200cp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestAssignWithEstimationError(t *testing.T) {
 }
 
 func TestChurnThenAssign(t *testing.T) {
-	scn, err := NewScenario(ScenarioParams{Seed: 5, Notation: "10s-30z-400c-200cp", Correlation: 0})
+	scn, err := NewScenario(ScenarioParams{Seed: 5, Notation: "10s-30z-400c-200cp"}, WithCorrelation(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestChurnThenAssign(t *testing.T) {
 
 func TestUSBackboneScenario(t *testing.T) {
 	scn, err := NewScenario(ScenarioParams{
-		Seed: 6, Notation: "5s-15z-200c-100cp", UseUSBackbone: true, Correlation: 0.5,
+		Seed: 6, Notation: "5s-15z-200c-100cp", UseUSBackbone: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestUSBackboneScenario(t *testing.T) {
 
 func TestScenarioDeterminism(t *testing.T) {
 	build := func() *Result {
-		scn, err := NewScenario(ScenarioParams{Seed: 9, Notation: "10s-30z-400c-200cp", Correlation: 0.5})
+		scn, err := NewScenario(ScenarioParams{Seed: 9, Notation: "10s-30z-400c-200cp"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestScenarioDeterminism(t *testing.T) {
 }
 
 func TestPaperOrderingHoldsThroughFacade(t *testing.T) {
-	scn, err := NewScenario(ScenarioParams{Seed: 12, Correlation: 0.5})
+	scn, err := NewScenario(ScenarioParams{Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,8 @@ import (
 // paper's best two-phase algorithm once.
 func ExampleScenario_Assign() {
 	scn, err := dvecap.NewScenario(dvecap.ScenarioParams{
-		Seed:        1,
-		Notation:    "5s-15z-200c-100cp", // 5 servers, 15 zones, 200 clients, 100 Mbps
-		Correlation: 0.5,
+		Seed:     1,
+		Notation: "5s-15z-200c-100cp", // 5 servers, 15 zones, 200 clients, 100 Mbps
 	})
 	if err != nil {
 		fmt.Println("error:", err)
@@ -35,9 +34,8 @@ func ExampleScenario_Assign() {
 // when the drift guard trips.
 func ExampleScenario_StartSession() {
 	scn, err := dvecap.NewScenario(dvecap.ScenarioParams{
-		Seed:        7,
-		Notation:    "5s-15z-200c-100cp",
-		Correlation: 0.5,
+		Seed:     7,
+		Notation: "5s-15z-200c-100cp",
 	})
 	if err != nil {
 		fmt.Println("error:", err)

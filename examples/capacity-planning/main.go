@@ -22,7 +22,6 @@ func meanPQoS(name string, capacity float64) float64 {
 	for seed := uint64(1); seed <= worldsPerPoint; seed++ {
 		scn, err := dvecap.NewScenario(dvecap.ScenarioParams{
 			Seed:              seed,
-			Correlation:       0.5,
 			TotalCapacityMbps: capacity,
 		})
 		if err != nil {

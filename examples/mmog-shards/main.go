@@ -33,7 +33,7 @@ func run(label string, params dvecap.ScenarioParams) {
 }
 
 func main() {
-	base := dvecap.ScenarioParams{Seed: 7, Correlation: 0.5}
+	base := dvecap.ScenarioParams{Seed: 7}
 
 	run("uniform world (type 1)", base)
 

@@ -19,7 +19,7 @@ const worlds = 8
 
 func cell(name string, e float64) (pqos, r float64) {
 	for seed := uint64(1); seed <= worlds; seed++ {
-		scn, err := dvecap.NewScenario(dvecap.ScenarioParams{Seed: seed, Correlation: 0.5})
+		scn, err := dvecap.NewScenario(dvecap.ScenarioParams{Seed: seed})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,10 +13,8 @@ import (
 )
 
 func main() {
-	scn, err := dvecap.NewScenario(dvecap.ScenarioParams{
-		Seed:        42,
-		Correlation: 0.5, // physical↔virtual correlation δ
-	})
+	scn, err := dvecap.NewScenario(dvecap.ScenarioParams{Seed: 42},
+		dvecap.WithCorrelation(0.5)) // physical↔virtual correlation δ (0.5 is also the default)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 
 func TestEndToEndLifecycle(t *testing.T) {
 	// 1. Build a mid-sized scenario through the public facade.
-	scn, err := NewScenario(ScenarioParams{Seed: 1234, Notation: "10s-30z-400c-200cp", Correlation: 0.5})
+	scn, err := NewScenario(ScenarioParams{Seed: 1234, Notation: "10s-30z-400c-200cp"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,9 @@ package core
 // server-dimension mutation walks all of it. A DelayProvider replaces the
 // mandatory dense rows with an interface the whole engine reads through —
 // Problem.Delays non-nil routes every CS access to the provider, nil keeps
-// the raw matrix path byte-for-byte as it has always been (and that raw
-// path stays the oracle every provider is proven against; see
+// the raw matrix. Only Problem's CS* methods (problem.go) know which of the
+// two is held; the raw rows are the one dense path — there is no provider
+// wrapping them — and the oracle every provider is proven against (see
 // provider_oracle_test.go and FuzzDelayProvider).
 //
 // Contract, shared by all implementations:
@@ -22,11 +23,11 @@ package core
 //   - Writes copy their inputs; callers keep ownership of the slices they
 //     pass in.
 //   - NaN delay entries handed to a mutation mean "unmeasured": the
-//     provider resolves them to its own default — the dense provider stores
-//     UnmeasuredDelayMs, the coordinate provider falls back to its
-//     prediction, the shared-row provider stores UnmeasuredDelayMs.
-//     Non-NaN entries are stored verbatim, which is what makes a provider
-//     with full measured coverage bit-identical to the dense matrix.
+//     provider resolves them to its own default — the coordinate provider
+//     falls back to its prediction, the shared-row provider (like the raw
+//     matrix) stores UnmeasuredDelayMs. Non-NaN entries are stored
+//     verbatim, which is what makes a provider with full measured coverage
+//     bit-identical to the dense matrix.
 type DelayProvider interface {
 	// NumClients returns the current client count.
 	NumClients() int
@@ -82,118 +83,4 @@ func resolveUnmeasured(d float64) float64 {
 		return UnmeasuredDelayMs
 	}
 	return d
-}
-
-// DenseProvider stores one real row per client — today's CS matrix behind
-// the provider interface, bit-for-bit. It buys no memory; it exists as the
-// bridge implementation the oracle equivalence suite drives against the
-// raw-matrix path, and as the provider you fall back to when neither
-// coordinates nor shared rows fit the deployment.
-type DenseProvider struct {
-	rows    [][]float64
-	servers int
-}
-
-// NewDenseProvider returns a dense provider over a deep copy of rows, each
-// of which must have `servers` entries (NaN entries resolve to
-// UnmeasuredDelayMs).
-func NewDenseProvider(rows [][]float64, servers int) *DenseProvider {
-	dp := &DenseProvider{rows: make([][]float64, 0, len(rows)), servers: servers}
-	for _, r := range rows {
-		dp.AppendClient(r)
-	}
-	return dp
-}
-
-// NumClients implements DelayProvider.
-func (dp *DenseProvider) NumClients() int { return len(dp.rows) }
-
-// NumServers implements DelayProvider.
-func (dp *DenseProvider) NumServers() int { return dp.servers }
-
-// ClientServer implements DelayProvider.
-func (dp *DenseProvider) ClientServer(j, i int) float64 { return dp.rows[j][i] }
-
-// Row implements DelayProvider: the internal row is returned without
-// copying, like the raw matrix path.
-func (dp *DenseProvider) Row(j int, _ []float64) []float64 { return dp.rows[j] }
-
-// SetClientDelays implements DelayProvider.
-func (dp *DenseProvider) SetClientDelays(j int, row []float64) {
-	for i, d := range row {
-		dp.rows[j][i] = resolveUnmeasured(d)
-	}
-}
-
-// SetClientServerDelay implements DelayProvider.
-func (dp *DenseProvider) SetClientServerDelay(j, i int, d float64) {
-	dp.rows[j][i] = resolveUnmeasured(d)
-}
-
-// AppendClient implements DelayProvider, reusing a spare row left behind by
-// SwapRemoveClient when one has capacity (mirroring Evaluator.AddClient's
-// dense row-reuse).
-func (dp *DenseProvider) AppendClient(row []float64) {
-	j := len(dp.rows)
-	if cap(dp.rows) > j && cap(dp.rows[:j+1][j]) >= dp.servers {
-		dp.rows = dp.rows[:j+1]
-		dp.rows[j] = dp.rows[j][:dp.servers]
-	} else {
-		dp.rows = append(dp.rows[:j], make([]float64, dp.servers))
-	}
-	dp.SetClientDelays(j, row)
-}
-
-// SwapRemoveClient implements DelayProvider. Rows are swapped rather than
-// overwritten so the vacated row's capacity is retained for the next
-// AppendClient.
-func (dp *DenseProvider) SwapRemoveClient(j int) {
-	l := len(dp.rows) - 1
-	dp.rows[j], dp.rows[l] = dp.rows[l], dp.rows[j]
-	dp.rows = dp.rows[:l]
-}
-
-// AppendServer implements DelayProvider.
-func (dp *DenseProvider) AppendServer(col []float64) {
-	for j := range dp.rows {
-		d := UnmeasuredDelayMs
-		if col != nil {
-			d = resolveUnmeasured(col[j])
-		}
-		dp.rows[j] = append(dp.rows[j], d)
-	}
-	dp.servers++
-}
-
-// SwapRemoveServer implements DelayProvider.
-func (dp *DenseProvider) SwapRemoveServer(i int) {
-	l := dp.servers - 1
-	for j := range dp.rows {
-		dp.rows[j][i] = dp.rows[j][l]
-		dp.rows[j] = dp.rows[j][:l]
-	}
-	dp.servers = l
-}
-
-// Clone implements DelayProvider.
-func (dp *DenseProvider) Clone() DelayProvider {
-	q := &DenseProvider{rows: make([][]float64, len(dp.rows)), servers: dp.servers}
-	for j, r := range dp.rows {
-		q.rows[j] = append([]float64(nil), r...)
-	}
-	return q
-}
-
-// MemoryBytes implements DelayProvider.
-func (dp *DenseProvider) MemoryBytes() int {
-	return len(dp.rows)*(8*dp.servers+24) + 24*cap(dp.rows)
-}
-
-// State implements DelayProvider.
-func (dp *DenseProvider) State() *ProviderState {
-	st := &DenseState{Servers: dp.servers, Rows: make([][]float64, len(dp.rows))}
-	for j, r := range dp.rows {
-		st.Rows[j] = append([]float64(nil), r...)
-	}
-	return &ProviderState{Kind: ProviderDense, Dense: st}
 }

@@ -58,8 +58,8 @@ type Evaluator struct {
 	cache   moveCache
 	workers int
 
-	// Row materialization scratch for provider-backed problems (nil CS).
-	// rowScratch serves the sequential row-streaming scans (csRow);
+	// Row materialization scratch, for delay stores with no real row to
+	// hand out. rowScratch serves the sequential row-streaming scans (csRow);
 	// adjScratch is dedicated to adjustRowForClient, which runs while a
 	// caller may still hold a csRow result. Parallel scans allocate
 	// per-worker scratch instead (bestZoneMove).
@@ -128,9 +128,9 @@ func (ev *Evaluator) Reset(p *Problem, a *Assignment) {
 		c := ev.contact[j]
 		var d float64
 		if c == t {
-			d = ev.csAt(j, t)
+			d = p.CSAt(j, t)
 		} else {
-			d = ev.csAt(j, c) + p.SS[c][t]
+			d = p.CSAt(j, c) + p.SS[c][t]
 			ev.loads[c] += 2 * rt
 		}
 		ev.delay[j] = d
@@ -161,31 +161,14 @@ func (ev *Evaluator) clientsOf(z int) []int {
 	return ev.zoneMembers[z]
 }
 
-// csAt reads CS[j][i] through the problem's delay representation — the
-// point-read form every incremental update uses. Dense problems compile to
-// the old direct indexing.
-func (ev *Evaluator) csAt(j, i int) float64 {
-	if dp := ev.p.Delays; dp != nil {
-		return dp.ClientServer(j, i)
-	}
-	return ev.p.CS[j][i]
-}
-
 // csRow returns client j's delay row for the sequential row-streaming
-// scans: dense problems return the internal row, provider-backed problems
-// materialize into the evaluator's scratch buffer. The result is read-only
-// and invalidated by the next csRow or mutation; never call from the
-// parallel shard workers (they carry their own scratch).
+// scans, materialized into the evaluator's scratch buffer when the delay
+// store has no real row to hand out. The result is read-only and
+// invalidated by the next csRow or mutation; never call from the parallel
+// shard workers (they carry their own scratch).
 func (ev *Evaluator) csRow(j int) []float64 {
-	p := ev.p
-	if p.Delays == nil {
-		return p.CS[j]
-	}
-	m := p.NumServers()
-	if cap(ev.rowScratch) < m {
-		ev.rowScratch = make([]float64, m)
-	}
-	return p.Delays.Row(j, ev.rowScratch[:m])
+	ev.rowScratch = grow(ev.rowScratch, ev.p.NumServers())
+	return ev.p.CSRow(j, ev.rowScratch)
 }
 
 // WithQoS returns the number of clients whose effective delay meets the
@@ -255,13 +238,13 @@ func (ev *Evaluator) ApplyZoneMove(z, s int) {
 		switch {
 		case c == old:
 			ev.contact[j] = s
-			nd = ev.csAt(j, s)
+			nd = p.CSAt(j, s)
 		case c == s:
-			nd = ev.csAt(j, s)
+			nd = p.CSAt(j, s)
 			ev.loads[s] -= 2 * p.ClientRT[j]
 			ev.totalLoad -= 2 * p.ClientRT[j]
 		default:
-			nd = ev.csAt(j, c) + p.SS[c][s]
+			nd = p.CSAt(j, c) + p.SS[c][s]
 		}
 		od := ev.delay[j]
 		if od <= p.D {
@@ -304,9 +287,9 @@ func (ev *Evaluator) ApplyContactSwitch(j, s int) {
 	}
 	var nd float64
 	if s == t {
-		nd = ev.csAt(j, t)
+		nd = p.CSAt(j, t)
 	} else {
-		nd = ev.csAt(j, s) + p.SS[s][t]
+		nd = p.CSAt(j, s) + p.SS[s][t]
 	}
 	od := ev.delay[j]
 	if od <= p.D {

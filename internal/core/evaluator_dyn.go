@@ -47,22 +47,11 @@ func (ev *Evaluator) AddClient(zone int, rt float64, cs []float64) int {
 	j := len(p.ClientZones)
 	p.ClientZones = append(p.ClientZones, zone)
 	p.ClientRT = append(p.ClientRT, rt)
-	if dp := p.Delays; dp != nil {
-		dp.AppendClient(cs)
-	} else {
-		// Reuse a spare row left behind by RemoveClient when one has capacity.
-		if cap(p.CS) > j && cap(p.CS[:j+1][j]) >= len(cs) {
-			p.CS = p.CS[:j+1]
-			p.CS[j] = p.CS[j][:len(cs)]
-		} else {
-			p.CS = append(p.CS[:j], make([]float64, len(cs)))
-		}
-		copy(p.CS[j], cs)
-	}
+	p.AppendCSRow(cs)
 
 	t := ev.zoneServer[zone]
 	ev.contact = append(ev.contact, t)
-	d := ev.csAt(j, t)
+	d := p.CSAt(j, t)
 	ev.delay = append(ev.delay, d)
 	ev.posInZone = append(ev.posInZone, len(ev.zoneMembers[zone]))
 	ev.zoneMembers[zone] = append(ev.zoneMembers[zone], j)
@@ -107,14 +96,9 @@ func (ev *Evaluator) RemoveClient(j int) int {
 
 	moved := -1
 	if j != l {
-		// Relocate the last client into slot j, everywhere. The CS rows are
-		// swapped rather than overwritten so the vacated row's capacity is
-		// retained for the next AddClient.
+		// Relocate the last client into slot j, everywhere.
 		p.ClientZones[j] = p.ClientZones[l]
 		p.ClientRT[j] = p.ClientRT[l]
-		if p.Delays == nil {
-			p.CS[j], p.CS[l] = p.CS[l], p.CS[j]
-		}
 		ev.contact[j] = ev.contact[l]
 		ev.delay[j] = ev.delay[l]
 		pos := ev.posInZone[l]
@@ -124,11 +108,7 @@ func (ev *Evaluator) RemoveClient(j int) int {
 	}
 	p.ClientZones = p.ClientZones[:l]
 	p.ClientRT = p.ClientRT[:l]
-	if dp := p.Delays; dp != nil {
-		dp.SwapRemoveClient(j)
-	} else {
-		p.CS = p.CS[:l]
-	}
+	p.SwapRemoveCSRow(j)
 	ev.contact = ev.contact[:l]
 	ev.delay = ev.delay[:l]
 	ev.posInZone = ev.posInZone[:l]
@@ -182,9 +162,9 @@ func (ev *Evaluator) MoveClient(j, newZone int) {
 	}
 	var nd float64
 	if c == newT {
-		nd = ev.csAt(j, c)
+		nd = p.CSAt(j, c)
 	} else {
-		nd = ev.csAt(j, c) + p.SS[c][newT]
+		nd = p.CSAt(j, c) + p.SS[c][newT]
 	}
 	ev.replaceDelay(j, nd)
 }
@@ -194,18 +174,14 @@ func (ev *Evaluator) MoveClient(j, newZone int) {
 // refresh. Loads are unaffected.
 func (ev *Evaluator) SetClientDelays(j int, cs []float64) {
 	p := ev.p
-	if dp := p.Delays; dp != nil {
-		dp.SetClientDelays(j, cs)
-	} else {
-		copy(p.CS[j], cs)
-	}
+	p.SetCSRow(j, cs)
 	t := ev.zoneServer[p.ClientZones[j]]
 	c := ev.contact[j]
 	var nd float64
 	if c == t {
-		nd = ev.csAt(j, t)
+		nd = p.CSAt(j, t)
 	} else {
-		nd = ev.csAt(j, c) + p.SS[c][t]
+		nd = p.CSAt(j, c) + p.SS[c][t]
 	}
 	ev.replaceDelay(j, nd)
 	ev.touchZone(p.ClientZones[j])

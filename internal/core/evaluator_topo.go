@@ -37,18 +37,7 @@ func (ev *Evaluator) AddServer(capacity float64, ss, csCol []float64) int {
 	row := make([]float64, m+1)
 	copy(row, ss)
 	p.SS = append(p.SS, row)
-	switch {
-	case p.Delays != nil:
-		p.Delays.AppendServer(csCol)
-	case csCol == nil:
-		for j := range p.CS {
-			p.CS[j] = append(p.CS[j], UnmeasuredDelayMs)
-		}
-	default:
-		for j := range p.CS {
-			p.CS[j] = append(p.CS[j], resolveUnmeasured(csCol[j]))
-		}
-	}
+	p.AppendCSCol(csCol)
 	ev.loads = append(ev.loads, 0)
 	ev.cordoned = append(ev.cordoned, false)
 	// Server-dimension change: the cache stride shifts, every row rebuilds.
@@ -95,14 +84,7 @@ func (ev *Evaluator) RemoveServer(i int) int {
 		p.SS[x][i] = p.SS[x][l]
 		p.SS[x] = p.SS[x][:l]
 	}
-	if dp := p.Delays; dp != nil {
-		dp.SwapRemoveServer(i)
-	} else {
-		for j := range p.CS {
-			p.CS[j][i] = p.CS[j][l]
-			p.CS[j] = p.CS[j][:l]
-		}
-	}
+	p.SwapRemoveCSCol(i)
 	ev.cache.ensure(p.NumZones, l, ev.trafficOn)
 	ev.cache.invalidateAll()
 	return moved
@@ -196,18 +178,14 @@ func (ev *Evaluator) Cordoned(i int) bool { return ev.cordoned[i] }
 // (a just-added server's delays arriving client by client). O(1).
 func (ev *Evaluator) SetClientServerDelay(j, i int, d float64) {
 	p := ev.p
-	if dp := p.Delays; dp != nil {
-		dp.SetClientServerDelay(j, i, d)
-	} else {
-		p.CS[j][i] = d
-	}
+	p.SetCSAt(j, i, d)
 	t := ev.zoneServer[p.ClientZones[j]]
 	c := ev.contact[j]
 	var nd float64
 	if c == t {
-		nd = ev.csAt(j, t)
+		nd = p.CSAt(j, t)
 	} else {
-		nd = ev.csAt(j, c) + p.SS[c][t]
+		nd = p.CSAt(j, c) + p.SS[c][t]
 	}
 	ev.replaceDelay(j, nd)
 	ev.touchZone(p.ClientZones[j])

@@ -209,12 +209,12 @@ func (ev *Evaluator) zoneMoveDelta(z, s int) (dQoS int32, dRap, dLoad, dTraffic 
 		if c == old || c == s {
 			// Followers land on the new target; a contact that *is* the new
 			// target stops forwarding. Either way the delay is direct.
-			nd = ev.csAt(j, s)
+			nd = p.CSAt(j, s)
 			if c == s {
 				dLoad -= 2 * p.ClientRT[j]
 			}
 		} else {
-			nd = ev.csAt(j, c) + p.SS[c][s]
+			nd = p.CSAt(j, c) + p.SS[c][s]
 		}
 		od := ev.delay[j]
 		if od <= p.D {
@@ -251,10 +251,9 @@ func (s score) plus(dQoS int32, dRap, dLoad, dTraffic float64) score {
 // receive exactly the operands zoneMoveDelta would add, in the same
 // order, so each cache entry is bit-identical to a zoneMoveDelta call.
 // Safe to run concurrently for distinct zones: it writes only row z and
-// dirty[z]. scratch is the row-materialization buffer for provider-backed
-// problems (len = servers); concurrent callers MUST pass distinct
-// buffers — the shard workers of bestZoneMove allocate one each. May be
-// nil for dense problems.
+// dirty[z]. scratch is the row-materialization buffer (len = servers);
+// concurrent callers MUST pass distinct buffers — the shard workers of
+// bestZoneMove allocate one each.
 func (ev *Evaluator) refreshRow(z int, scratch []float64) {
 	p := ev.p
 	m := ev.cache.servers
@@ -349,17 +348,10 @@ func (ev *Evaluator) adjustRowForClient(j int, sign int32) {
 	dLoad := ev.cache.dLoad[row : row+m]
 	fsign := float64(sign)
 	c := ev.contact[j]
-	var cs []float64
-	if p.Delays != nil {
-		// Dedicated scratch: callers (ApplyContactSwitch) may hold a csRow
-		// result in the shared rowScratch while this runs.
-		if cap(ev.adjScratch) < m {
-			ev.adjScratch = make([]float64, m)
-		}
-		cs = p.Delays.Row(j, ev.adjScratch[:m])
-	} else {
-		cs = p.CS[j]
-	}
+	// Dedicated scratch: callers (ApplyContactSwitch) may hold a csRow
+	// result in the shared rowScratch while this runs.
+	ev.adjScratch = grow(ev.adjScratch, m)
+	cs := p.CSRow(j, ev.adjScratch)
 	od := ev.delay[j]
 	inQoS := od <= p.D
 	var excess float64
@@ -454,16 +446,10 @@ func (ev *Evaluator) bestZoneMove() bool {
 	}
 	srv, cand := ev.cache.bestSrv, ev.cache.bestCand
 	if workers <= 1 {
-		var scratch []float64
-		if ev.p.Delays != nil {
-			if cap(ev.rowScratch) < ev.cache.servers {
-				ev.rowScratch = make([]float64, ev.cache.servers)
-			}
-			scratch = ev.rowScratch[:ev.cache.servers]
-		}
+		ev.rowScratch = grow(ev.rowScratch, ev.cache.servers)
 		for z := 0; z < n; z++ {
 			if ev.cache.dirty[z] {
-				ev.refreshRow(z, scratch)
+				ev.refreshRow(z, ev.rowScratch)
 			}
 			srv[z], cand[z] = ev.bestInRow(z, base, false)
 		}
@@ -472,17 +458,14 @@ func (ev *Evaluator) bestZoneMove() bool {
 		// rows balance across shards), refresh their dirty rows and fold
 		// every row against the read-only evaluator state, writing each
 		// zone's winner into its own slot. No shared mutable state beyond
-		// disjoint slice elements — provider-backed problems give every
-		// worker its own row-materialization scratch.
+		// disjoint slice elements — every worker has its own
+		// row-materialization scratch.
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var scratch []float64
-				if ev.p.Delays != nil {
-					scratch = make([]float64, ev.cache.servers)
-				}
+				scratch := make([]float64, ev.cache.servers)
 				for z := w; z < n; z += workers {
 					if ev.cache.dirty[z] {
 						ev.refreshRow(z, scratch)
@@ -507,52 +490,4 @@ func (ev *Evaluator) bestZoneMove() bool {
 	}
 	ev.ApplyZoneMove(bestZone, bestServer)
 	return true
-}
-
-// bestZoneMoveRescan is the retained cache-free reference: the full
-// (zone × server) rescan the cache replaces, kept for the equivalence
-// tests and the BenchmarkParallelLocalSearch baseline. Identical candidate
-// arithmetic (score().plus of the pure delta), identical fold order.
-func (ev *Evaluator) bestZoneMoveRescan() bool {
-	p := ev.p
-	m := p.NumServers()
-	base := ev.score()
-	bestScore := base
-	bestZone, bestServer := -1, -1
-	for z := 0; z < p.NumZones; z++ {
-		old := ev.zoneServer[z]
-		rt := ev.zoneRT[z]
-		for s := 0; s < m; s++ {
-			if s == old || ev.cordoned[s] {
-				continue
-			}
-			if !almostLE(ev.loads[s]+rt, p.ServerCaps[s]) {
-				continue
-			}
-			cs := base.plus(ev.zoneMoveDelta(z, s))
-			if cs.betterThan(bestScore) {
-				bestScore, bestZone, bestServer = cs, z, s
-			}
-		}
-	}
-	if bestZone < 0 {
-		return false
-	}
-	ev.ApplyZoneMove(bestZone, bestServer)
-	return true
-}
-
-// localSearchRescan is LocalSearch on the cache-free reference scan — the
-// pre-cache implementation, retained as the sequential oracle.
-func (ev *Evaluator) localSearchRescan(maxRounds int) bool {
-	any := false
-	for round := 0; round < maxRounds; round++ {
-		improvedZone := ev.bestZoneMoveRescan()
-		improvedContact := ev.contactSwitchPass()
-		if !improvedZone && !improvedContact {
-			break
-		}
-		any = true
-	}
-	return any
 }

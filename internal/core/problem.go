@@ -36,14 +36,15 @@ type Problem struct {
 	// ClientRT[j] is client j's bandwidth requirement on its target server
 	// (the paper's R^T_{c_j}), in Mbps. Strictly positive.
 	ClientRT []float64
-	// CS[j][i] is the round-trip delay between client j and server i.
-	// When Delays is non-nil, CS is nil and every access goes through the
-	// provider; use CSAt/CSRow/CopyCSRow to read either representation.
+	// CS[j][i] is the round-trip delay between client j and server i — the
+	// dense representation. When Delays is non-nil, CS is nil; read and
+	// mutate either representation through the CS* methods below, which
+	// alone know which one is held.
 	CS [][]float64
 	// Delays, when non-nil, replaces the dense CS matrix with a pluggable
 	// delay provider (delayprovider.go) — the memory-diet path for
-	// million-client populations. nil keeps the raw CS matrix, which
-	// remains the reference ("oracle") representation. Excluded from JSON:
+	// million-client populations. nil keeps the raw CS matrix, the one dense
+	// path and the reference ("oracle") representation. Excluded from JSON:
 	// providers serialise through their typed State (ProviderState), which
 	// callers that marshal whole Problems must carry alongside.
 	Delays DelayProvider `json:"-"`
@@ -187,7 +188,17 @@ func (p *Problem) Validate() error {
 }
 
 // Clone returns a deep copy of the problem.
-func (p *Problem) Clone() *Problem {
+func (p *Problem) Clone() *Problem { return p.ClonePadded(0) }
+
+// ClonePadded is Clone with each CS row given spare capacity for `slack`
+// extra servers. The rows are carved from one contiguous arena, so dimension
+// mutations (AppendCSCol appends a delay to every row) write a fixed-stride
+// streaming pattern instead of chasing per-row allocations — the difference
+// between memory bandwidth and a cache miss per client at 100k clients. Rows
+// whose growth outruns the slack fall back to ordinary per-row appends;
+// correctness never depends on the layout. Provider-backed problems have no
+// rows to pad: the provider is Clone()d instead.
+func (p *Problem) ClonePadded(slack int) *Problem {
 	q := &Problem{
 		ServerCaps:  append([]float64(nil), p.ServerCaps...),
 		ClientZones: append([]int(nil), p.ClientZones...),
@@ -199,55 +210,21 @@ func (p *Problem) Clone() *Problem {
 		Adjacency:     p.Adjacency.Clone(),
 		TrafficWeight: p.TrafficWeight,
 	}
-	// CS stays nil for provider-backed problems (Validate rejects a problem
-	// carrying both representations).
-	if p.CS != nil {
-		q.CS = make([][]float64, len(p.CS))
-	}
-	for j := range p.CS {
-		q.CS[j] = append([]float64(nil), p.CS[j]...)
-	}
 	for i := range p.SS {
 		q.SS[i] = append([]float64(nil), p.SS[i]...)
 	}
 	if p.Delays != nil {
+		// CS stays nil (Validate rejects a problem carrying both
+		// representations).
 		q.Delays = p.Delays.Clone()
-	}
-	return q
-}
-
-// ClonePadded is Clone with the CS rows carved from one contiguous arena,
-// each with spare capacity for `slack` extra servers. Dimension mutations
-// (Evaluator.AddServer appends a delay column to every row) then write a
-// fixed-stride streaming pattern instead of chasing per-row allocations —
-// the difference between memory bandwidth and a cache miss per client at
-// 100k clients. Rows whose growth outruns the slack fall back to ordinary
-// per-row appends; correctness never depends on the layout. Provider-backed
-// problems have no rows to pad: the provider is Clone()d instead.
-func (p *Problem) ClonePadded(slack int) *Problem {
-	if p.Delays != nil {
-		return p.Clone()
+		return q
 	}
 	if slack < 0 {
 		slack = 0
 	}
 	m := p.NumServers()
 	stride := m + slack
-	q := &Problem{
-		ServerCaps:  append([]float64(nil), p.ServerCaps...),
-		ClientZones: append([]int(nil), p.ClientZones...),
-		NumZones:    p.NumZones,
-		ClientRT:    append([]float64(nil), p.ClientRT...),
-		CS:          make([][]float64, len(p.CS)),
-		SS:          make([][]float64, len(p.SS)),
-		D:           p.D,
-
-		Adjacency:     p.Adjacency.Clone(),
-		TrafficWeight: p.TrafficWeight,
-	}
-	for i := range p.SS {
-		q.SS[i] = append([]float64(nil), p.SS[i]...)
-	}
+	q.CS = make([][]float64, len(p.CS))
 	arena := make([]float64, len(p.CS)*stride)
 	for j, row := range p.CS {
 		dst := arena[j*stride : j*stride+m : (j+1)*stride]
@@ -257,10 +234,19 @@ func (p *Problem) ClonePadded(slack int) *Problem {
 	return q
 }
 
-// CSAt returns the client↔server delay CS[j][i], reading through the
-// bound delay provider when one is set. Every algorithm and evaluator path
-// reads delays through CSAt/CSRow, so dense and provider-backed problems
-// run the identical arithmetic.
+// Delay storage has exactly one owner: the accessors and mutations below are
+// the only code that knows whether the delays live in raw CS rows or behind
+// the Delays provider (DESIGN.md §13). Every algorithm and evaluator path
+// reads through CSAt/CSRow and mutates through the Append/SwapRemove/Set
+// family, so dense and provider-backed problems run the identical
+// arithmetic. The mutations touch the delay store only — the per-client and
+// per-server slices beside it (ClientZones, ServerCaps, …) are the caller's
+// to keep in step — and follow the DelayProvider contract on either
+// representation: inputs are copied, a NaN entry means "unmeasured" (raw
+// rows store UnmeasuredDelayMs, providers apply their own default), and
+// removals renumber the last client/server into the vacated index.
+
+// CSAt returns the client↔server delay CS[j][i].
 func (p *Problem) CSAt(j, i int) float64 {
 	if p.Delays != nil {
 		return p.Delays.ClientServer(j, i)
@@ -281,12 +267,109 @@ func (p *Problem) CSRow(j int, buf []float64) []float64 {
 }
 
 // CopyCSRow copies client j's delay row into dst (len NumServers).
-func (p *Problem) CopyCSRow(j int, dst []float64) {
+// CSRow may hand back an internal row instead of filling its buffer, so the
+// result is copied either way.
+func (p *Problem) CopyCSRow(j int, dst []float64) { copy(dst, p.CSRow(j, dst)) }
+
+// DenseRows returns the full client×server delay matrix, one row per client
+// in dense order — the interchange and snapshot form. Dense problems return
+// their own rows without copying (read-only, valid until the next
+// mutation); provider-backed problems materialize every row into one fresh
+// arena, which preserves the observable delays but not the provider's
+// compressed representation.
+func (p *Problem) DenseRows() [][]float64 {
+	if p.Delays == nil {
+		return p.CS
+	}
+	k, m := p.NumClients(), p.NumServers()
+	rows := make([][]float64, k)
+	arena := make([]float64, k*m)
+	for j := range rows {
+		rows[j] = arena[j*m : (j+1)*m : (j+1)*m]
+		p.CopyCSRow(j, rows[j])
+	}
+	return rows
+}
+
+// AppendCSRow adds a delay row for a new last client.
+func (p *Problem) AppendCSRow(row []float64) {
 	if p.Delays != nil {
-		p.Delays.Row(j, dst)
+		p.Delays.AppendClient(row)
 		return
 	}
-	copy(dst, p.CS[j])
+	// Reuse a spare row left behind by SwapRemoveCSRow when one has capacity.
+	j := len(p.CS)
+	if cap(p.CS) > j && cap(p.CS[:j+1][j]) >= len(row) {
+		p.CS = p.CS[:j+1]
+		p.CS[j] = p.CS[j][:len(row)]
+	} else {
+		p.CS = append(p.CS, make([]float64, len(row)))
+	}
+	p.SetCSRow(j, row)
+}
+
+// SwapRemoveCSRow removes client j's delay row, renumbering the last
+// client's row to j.
+func (p *Problem) SwapRemoveCSRow(j int) {
+	if p.Delays != nil {
+		p.Delays.SwapRemoveClient(j)
+		return
+	}
+	// Swapped rather than overwritten so the vacated row's capacity is
+	// retained for the next AppendCSRow.
+	l := len(p.CS) - 1
+	p.CS[j], p.CS[l] = p.CS[l], p.CS[j]
+	p.CS = p.CS[:l]
+}
+
+// AppendCSCol adds a delay column for a new last server: col[j] is client
+// j's delay to it, a nil col marks every client unmeasured.
+func (p *Problem) AppendCSCol(col []float64) {
+	if p.Delays != nil {
+		p.Delays.AppendServer(col)
+		return
+	}
+	for j := range p.CS {
+		d := UnmeasuredDelayMs
+		if col != nil {
+			d = resolveUnmeasured(col[j])
+		}
+		p.CS[j] = append(p.CS[j], d)
+	}
+}
+
+// SwapRemoveCSCol removes server i's delay column, renumbering the last
+// server's column to i.
+func (p *Problem) SwapRemoveCSCol(i int) {
+	if p.Delays != nil {
+		p.Delays.SwapRemoveServer(i)
+		return
+	}
+	for j, row := range p.CS {
+		l := len(row) - 1
+		row[i] = row[l]
+		p.CS[j] = row[:l]
+	}
+}
+
+// SetCSRow replaces client j's entire delay row.
+func (p *Problem) SetCSRow(j int, row []float64) {
+	if p.Delays != nil {
+		p.Delays.SetClientDelays(j, row)
+		return
+	}
+	for i, d := range row {
+		p.CS[j][i] = resolveUnmeasured(d)
+	}
+}
+
+// SetCSAt overlays one delay entry: client j to server i.
+func (p *Problem) SetCSAt(j, i int, d float64) {
+	if p.Delays != nil {
+		p.Delays.SetClientServerDelay(j, i, d)
+		return
+	}
+	p.CS[j][i] = resolveUnmeasured(d)
 }
 
 // WithDelays returns a copy of the problem whose CS and SS matrices are

@@ -110,9 +110,7 @@ func TestWithDelaysOwnedTransfersOwnership(t *testing.T) {
 }
 
 func TestWithDelaysDropsProvider(t *testing.T) {
-	p := tinyProblem()
-	p.Delays = NewDenseProvider(p.CS, p.NumServers())
-	p.CS = nil
+	p := providerProblem(tinyProblem(), ProviderSharedRow)
 	cs := [][]float64{{1, 2}, {3, 4}, {5, 6}}
 	ss := [][]float64{{0, 1}, {1, 0}}
 	q := p.WithDelays(cs, ss)
@@ -121,6 +119,24 @@ func TestWithDelaysDropsProvider(t *testing.T) {
 	}
 	if q.CS[0][0] != 1 {
 		t.Fatalf("WithDelays CS = %v", q.CS[0][0])
+	}
+}
+
+// TestCopyCSRowFillsDst: a provider may answer Row with an internal slice
+// and leave the buffer alone (the shared-row provider does); CopyCSRow must
+// fill dst regardless — partial delay refreshes overlay onto that copy.
+func TestCopyCSRowFillsDst(t *testing.T) {
+	raw := tinyProblem()
+	for _, p := range []*Problem{raw, providerProblem(raw, ProviderCoord), providerProblem(raw, ProviderSharedRow)} {
+		dst := make([]float64, p.NumServers())
+		for j := range raw.CS {
+			p.CopyCSRow(j, dst)
+			for i, want := range raw.CS[j] {
+				if dst[i] != want {
+					t.Fatalf("provider %T: CopyCSRow(%d)[%d] = %v, want %v", p.Delays, j, i, dst[i], want)
+				}
+			}
+		}
 	}
 }
 

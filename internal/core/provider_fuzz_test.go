@@ -7,24 +7,35 @@ import (
 	"dvecap/internal/xrand"
 )
 
-// checkAgainstShadow compares every provider read against the from-scratch
-// dense shadow. Shadow NaN marks an unmeasured pair: dense and shared-row
-// providers must report UnmeasuredDelayMs there, the coordinate provider
-// reports its prediction — any finite non-negative value, but the SAME
-// value from ClientServer and Row (and, by the round-trip tests, from a
-// restored copy).
-func checkAgainstShadow(t *testing.T, kind string, dp DelayProvider, shadow [][]float64, m int) {
+// rawKind names the raw-matrix arm of Problem's delay storage beside the
+// provider kinds.
+const rawKind = "raw"
+
+// checkAgainstShadow compares every read of p's delay store against the
+// from-scratch dense shadow. Shadow NaN marks an unmeasured pair: the raw
+// matrix and the shared-row provider must report UnmeasuredDelayMs there,
+// the coordinate provider reports its prediction — any finite non-negative
+// value, but the SAME value from CSAt, CSRow and DenseRows (and, by the
+// round-trip tests, from a restored copy).
+func checkAgainstShadow(t *testing.T, kind string, p *Problem, shadow [][]float64, m int) {
 	t.Helper()
-	if dp.NumClients() != len(shadow) || dp.NumServers() != m {
+	if dp := p.Delays; dp != nil && (dp.NumClients() != len(shadow) || dp.NumServers() != m) {
 		t.Fatalf("%s: provider is %dx%d, shadow %dx%d", kind, dp.NumClients(), dp.NumServers(), len(shadow), m)
+	}
+	dense := p.DenseRows()
+	if len(dense) != len(shadow) {
+		t.Fatalf("%s: store holds %d rows, shadow %d", kind, len(dense), len(shadow))
 	}
 	buf := make([]float64, m)
 	for j := range shadow {
-		row := dp.Row(j, buf)
+		row := p.CSRow(j, buf)
+		if len(row) != m || len(dense[j]) != m {
+			t.Fatalf("%s: row %d has %d/%d entries, shadow %d", kind, j, len(row), len(dense[j]), m)
+		}
 		for i := 0; i < m; i++ {
-			got := dp.ClientServer(j, i)
-			if math.Float64bits(row[i]) != math.Float64bits(got) {
-				t.Fatalf("%s: Row[%d][%d] = %v but ClientServer = %v", kind, j, i, row[i], got)
+			got := p.CSAt(j, i)
+			if math.Float64bits(row[i]) != math.Float64bits(got) || math.Float64bits(dense[j][i]) != math.Float64bits(got) {
+				t.Fatalf("%s: CSRow[%d][%d] = %v, DenseRows = %v but CSAt = %v", kind, j, i, row[i], dense[j][i], got)
 			}
 			sh := shadow[j][i]
 			if !math.IsNaN(sh) {
@@ -47,10 +58,11 @@ func checkAgainstShadow(t *testing.T, kind string, dp DelayProvider, shadow [][]
 	}
 }
 
-// driveProviderFuzz decodes ops into provider mutations, mirrors each one
-// into a plain dense shadow matrix (NaN = unmeasured), and cross-checks all
-// reads after every op. Every few ops the provider is snapshot through
-// State/NewProviderFromState and Clone, and all three copies must agree.
+// driveProviderFuzz decodes ops into Problem delay-store mutations, mirrors
+// each one into a plain dense shadow matrix (NaN = unmeasured), and
+// cross-checks all reads after every op. Every few ops the store is copied
+// through Clone and — for a provider — State/NewProviderFromState, and all
+// copies must agree.
 func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 	rng := xrand.New(seed)
 	m := 2 + int(seed%3)
@@ -64,17 +76,18 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 			ss[i][l], ss[l][i] = d, d
 		}
 	}
-	var dp DelayProvider
+	// The client and server slices beside the store are kept in step the way
+	// the evaluator keeps them; only their lengths matter here.
+	p := &Problem{ServerCaps: make([]float64, m)}
 	switch kind {
-	case ProviderDense:
-		dp = NewDenseProvider(nil, m)
+	case rawKind:
 	case ProviderCoord:
 		// The seed also picks the dimension (0 = the default, whose Row
 		// kernel is unrolled; 1…16 otherwise), so the fuzzer holds both
 		// kernel branches to ClientServer.
-		dp = NewCoordProviderFromSS(ss, int(seed>>8)%17)
+		p.Delays = NewCoordProviderFromSS(ss, int(seed>>8)%17)
 	case ProviderSharedRow:
-		dp = NewSharedRowProvider(m)
+		p.Delays = NewSharedRowProvider(m)
 	}
 	var shadow [][]float64
 	sample := func() float64 {
@@ -94,14 +107,16 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 			for i := range row {
 				row[i] = sample()
 			}
-			dp.AppendClient(row)
+			p.AppendCSRow(row)
+			p.ClientZones = append(p.ClientZones, 0)
 			shadow = append(shadow, append([]float64(nil), row...))
 		case 1: // swap-remove a client
 			if k == 0 {
 				continue
 			}
 			j := rng.IntN(k)
-			dp.SwapRemoveClient(j)
+			p.SwapRemoveCSRow(j)
+			p.ClientZones = p.ClientZones[:k-1]
 			shadow[j] = shadow[k-1]
 			shadow = shadow[:k-1]
 		case 2: // replace a full delay row
@@ -113,7 +128,7 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 			for i := range row {
 				row[i] = sample()
 			}
-			dp.SetClientDelays(j, row)
+			p.SetCSRow(j, row)
 			shadow[j] = append(shadow[j][:0], row...)
 		case 3: // overlay (or un-measure) one pair
 			if k == 0 {
@@ -121,7 +136,7 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 			}
 			j, i := rng.IntN(k), rng.IntN(m)
 			d := sample()
-			dp.SetClientServerDelay(j, i, d)
+			p.SetCSAt(j, i, d)
 			shadow[j][i] = d
 		case 4: // append a server column (sometimes wholly unmeasured)
 			if m >= 10 {
@@ -134,7 +149,8 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 					col[j] = sample()
 				}
 			}
-			dp.AppendServer(col)
+			p.AppendCSCol(col)
+			p.ServerCaps = append(p.ServerCaps, 0)
 			for j := range shadow {
 				d := math.NaN()
 				if col != nil {
@@ -148,25 +164,32 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 				continue
 			}
 			i := rng.IntN(m)
-			dp.SwapRemoveServer(i)
+			p.SwapRemoveCSCol(i)
+			p.ServerCaps = p.ServerCaps[:m-1]
 			for j := range shadow {
 				shadow[j][i] = shadow[j][m-1]
 				shadow[j] = shadow[j][:m-1]
 			}
 			m--
 		}
-		checkAgainstShadow(t, kind, dp, shadow, m)
+		checkAgainstShadow(t, kind, p, shadow, m)
 		if step%8 == 7 {
-			restored, err := NewProviderFromState(dp.State())
-			if err != nil {
-				t.Fatalf("%s: state round trip: %v", kind, err)
+			copies := []*Problem{p.Clone()}
+			if p.Delays != nil {
+				restored, err := NewProviderFromState(p.Delays.State())
+				if err != nil {
+					t.Fatalf("%s: state round trip: %v", kind, err)
+				}
+				q := *p
+				q.Delays = restored
+				copies = append(copies, &q)
 			}
-			cl := dp.Clone()
 			buf := make([]float64, m)
 			buf2 := make([]float64, m)
 			for j := range shadow {
-				want := append([]float64(nil), dp.Row(j, buf)...)
-				for _, other := range [][]float64{restored.Row(j, buf), cl.Row(j, buf2)} {
+				want := p.CSRow(j, buf)
+				for _, q := range copies {
+					other := q.CSRow(j, buf2)
 					for i := range want {
 						if other[i] != want[i] {
 							t.Fatalf("%s: copy disagrees at CS[%d][%d]: %v vs %v", kind, j, i, other[i], want[i])
@@ -180,9 +203,10 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 
 // FuzzDelayProvider feeds arbitrary mutation op-streams — client append and
 // swap-remove, row replacement, single-pair overlays, server column
-// add/remove — through every DelayProvider implementation against a
-// from-scratch dense shadow, the fuzz form of TestProviderMatchesDenseOracle
-// extended to partial (NaN) measurements. Seed corpus lives in
+// add/remove — through Problem's delay-store mutations over the raw matrix
+// and every DelayProvider implementation, against a from-scratch dense
+// shadow: the fuzz form of TestProviderMatchesDenseOracle extended to
+// partial (NaN) measurements. Seed corpus lives in
 // testdata/fuzz/FuzzDelayProvider.
 func FuzzDelayProvider(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0, 2, 3, 4, 1, 5, 0, 3, 3, 2, 4})
@@ -195,7 +219,7 @@ func FuzzDelayProvider(f *testing.F) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		for _, kind := range providerKinds {
+		for _, kind := range append([]string{rawKind}, providerKinds...) {
 			driveProviderFuzz(t, kind, seed, ops)
 		}
 	})

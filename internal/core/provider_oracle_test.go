@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -18,8 +20,6 @@ func providerProblem(p *Problem, kind string) *Problem {
 	q := p.Clone()
 	var dp DelayProvider
 	switch kind {
-	case ProviderDense:
-		dp = NewDenseProvider(q.CS, q.NumServers())
 	case ProviderCoord:
 		cp := NewCoordProviderFromSS(q.SS, 0)
 		for _, row := range q.CS {
@@ -43,7 +43,7 @@ func providerProblem(p *Problem, kind string) *Problem {
 // providerKinds enumerates every DelayProvider implementation; equivalence
 // and durability suites range over it so a new provider is automatically
 // held to the oracle contract.
-var providerKinds = []string{ProviderDense, ProviderCoord, ProviderSharedRow}
+var providerKinds = []string{ProviderCoord, ProviderSharedRow}
 
 // compareLanes asserts the provider lane's problem, assignment and derived
 // evaluator state are BIT-identical to the dense oracle lane's.
@@ -190,6 +190,19 @@ func TestProviderStateRoundTripMidStream(t *testing.T) {
 	}
 }
 
+// TestProviderStateRefusesDenseKind: the "dense" kind was reserved for a
+// provider wrapping plain rows that no build ever snapshotted; it is refused
+// by name instead of being mistaken for an unknown future kind.
+func TestProviderStateRefusesDenseKind(t *testing.T) {
+	var st ProviderState
+	if err := json.Unmarshal([]byte(`{"kind":"dense","dense":{"servers":2,"rows":[[1,2]]}}`), &st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewProviderFromState(&st); !errors.Is(err, ErrDenseProviderState) {
+		t.Fatalf("dense provider state: err = %v, want ErrDenseProviderState", err)
+	}
+}
+
 // TestProviderCloneIsolation pins Clone's no-shared-mutable-state contract:
 // mutating a clone never reaches the original, and vice versa.
 func TestProviderCloneIsolation(t *testing.T) {
@@ -225,25 +238,24 @@ func TestProviderCloneIsolation(t *testing.T) {
 
 // TestProviderMemoryBytes sanity-checks the MemoryBytes estimates the
 // budget regression test leans on: all positive, and the shared-row
-// provider reports far less than dense when every client shares one row.
+// provider reports far less than the raw matrix costs when every client
+// shares one row.
 func TestProviderMemoryBytes(t *testing.T) {
 	m, k := 8, 4096
 	row := make([]float64, m)
 	for i := range row {
 		row[i] = float64(10 + i)
 	}
-	dense := NewDenseProvider(nil, m)
 	shared := NewSharedRowProvider(m)
 	for j := 0; j < k; j++ {
-		dense.AppendClient(row)
 		shared.AppendClient(row)
 	}
-	db, sb := dense.MemoryBytes(), shared.MemoryBytes()
-	if db <= 0 || sb <= 0 {
-		t.Fatalf("MemoryBytes: dense %d, shared %d, want > 0", db, sb)
+	db, sb := k*(8*m+24), shared.MemoryBytes() // raw: a row and its slice header per client
+	if sb <= 0 {
+		t.Fatalf("MemoryBytes: shared %d, want > 0", sb)
 	}
 	if sb*4 > db {
-		t.Fatalf("shared-row provider reports %d bytes for %d identical rows; dense reports %d — expected at least 4x dedup", sb, k, db)
+		t.Fatalf("shared-row provider reports %d bytes for %d identical rows; the raw matrix costs %d — expected at least 4x dedup", sb, k, db)
 	}
 	coord := NewCoordProviderFromSS([][]float64{{0, 40}, {40, 0}}, 0)
 	coord.AddClientAt([]float64{1, 2, 3, 4, 5}, nil, nil)

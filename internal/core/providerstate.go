@@ -1,11 +1,13 @@
 package core
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Provider kinds, the discriminator of ProviderState. These strings are
 // part of the durable snapshot format — never renumber or rename.
 const (
-	ProviderDense     = "dense"
 	ProviderCoord     = "coord"
 	ProviderSharedRow = "shared"
 )
@@ -18,16 +20,15 @@ const (
 // uncrashed trajectory (DESIGN.md §13).
 type ProviderState struct {
 	Kind   string          `json:"kind"`
-	Dense  *DenseState     `json:"dense,omitempty"`
 	Coord  *CoordState     `json:"coord,omitempty"`
 	Shared *SharedRowState `json:"shared,omitempty"`
 }
 
-// DenseState snapshots a DenseProvider.
-type DenseState struct {
-	Servers int         `json:"servers"`
-	Rows    [][]float64 `json:"rows"`
-}
+// ErrDenseProviderState refuses a provider state of kind "dense": the
+// format reserved that kind for a provider wrapping plain rows, but no build
+// ever wrote it — dense delays are snapshotted as per-client rows — and the
+// provider is gone.
+var ErrDenseProviderState = errors.New("core: delay-provider kind \"dense\" is not supported (dense delays are stored as per-client rows)")
 
 // CoordState snapshots a CoordProvider.
 type CoordState struct {
@@ -57,18 +58,8 @@ func NewProviderFromState(st *ProviderState) (DelayProvider, error) {
 		return nil, fmt.Errorf("core: nil provider state")
 	}
 	switch st.Kind {
-	case ProviderDense:
-		if st.Dense == nil {
-			return nil, fmt.Errorf("core: dense provider state missing payload")
-		}
-		dp := &DenseProvider{servers: st.Dense.Servers, rows: make([][]float64, len(st.Dense.Rows))}
-		for j, r := range st.Dense.Rows {
-			if len(r) != st.Dense.Servers {
-				return nil, fmt.Errorf("core: dense provider row %d has %d entries, want %d", j, len(r), st.Dense.Servers)
-			}
-			dp.rows[j] = append([]float64(nil), r...)
-		}
-		return dp, nil
+	case "dense":
+		return nil, ErrDenseProviderState
 	case ProviderCoord:
 		c := st.Coord
 		if c == nil {

@@ -134,7 +134,9 @@ func TestGreCMatchesFullSortReference(t *testing.T) {
 		build func(*Problem) *Problem
 	}{
 		{"CS", func(p *Problem) *Problem { return p }},
-		{ProviderDense, func(p *Problem) *Problem { return providerProblem(p, ProviderDense) }},
+		// The raw matrix as the repair planner holds it: arena rows with
+		// spare capacity behind each.
+		{"dense", func(p *Problem) *Problem { return p.ClonePadded(3) }},
 		{ProviderSharedRow, func(p *Problem) *Problem { return providerProblem(p, ProviderSharedRow) }},
 		{ProviderCoord, func(p *Problem) *Problem { return providerProblem(p, ProviderCoord) }},
 		{"coord-sparse", sparseCoordProblem},

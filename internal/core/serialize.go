@@ -31,21 +31,12 @@ type problemJSON struct {
 // client×server matrix, so round-tripping a sparse provider through JSON
 // preserves its observable delays but not its compressed representation.
 func (p *Problem) WriteJSON(w io.Writer) error {
-	cs := p.CS
-	if p.Delays != nil {
-		k, m := p.NumClients(), p.NumServers()
-		cs = make([][]float64, k)
-		flat := make([]float64, k*m)
-		for j := range cs {
-			cs[j] = p.Delays.Row(j, flat[j*m:(j+1)*m])
-		}
-	}
 	pj := problemJSON{
 		ServerCaps:  p.ServerCaps,
 		ClientZones: p.ClientZones,
 		NumZones:    p.NumZones,
 		ClientRT:    p.ClientRT,
-		CS:          cs,
+		CS:          p.DenseRows(),
 		SS:          p.SS,
 		D:           p.D,
 

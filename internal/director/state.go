@@ -566,12 +566,7 @@ func (d *Director) infoAt(j int, id string) ClientInfo {
 // oracle.
 func (d *Director) problemLocked() *core.Problem {
 	p := d.planner().Problem().Clone()
-	if dp := p.Delays; dp != nil {
-		p.CS, p.Delays = make([][]float64, p.NumClients()), nil
-		for j := range p.CS {
-			p.CS[j] = dp.Row(j, make([]float64, p.NumServers()))
-		}
-	}
+	p.CS, p.Delays = p.DenseRows(), nil
 	return p
 }
 

@@ -148,7 +148,7 @@ func (d *Director) addServerEvent(node int, capacityMbps float64, spare bool) (*
 	for _, sn := range d.m.ServerNodes() {
 		e.Row = append(e.Row, d.cfg.Delays.ServerRTT(node, sn))
 	}
-	for _, id := range b.IDs() {
+	for _, id := range b.DenseIDs() {
 		e.ClientRTTs[id] = d.cfg.Delays.RTT(d.m.ClientNode(id), node)
 	}
 	return e, nil

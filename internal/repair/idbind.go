@@ -3,6 +3,7 @@ package repair
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -21,9 +22,10 @@ var (
 // IDBinding feeds string-keyed clients into a Planner: the generic binding
 // for callers that address clients by external IDs — the public Cluster
 // API and the director's HTTP surface — rather than by a dve.World's
-// dense indices (WorldBinding). It owns the ID ↔ handle map and the
-// registration order, and guarantees both stay consistent with the
-// planner: an ID is present exactly while its planner handle is live.
+// dense indices (WorldBinding). It owns the ID ↔ handle map and keeps it
+// consistent with the planner: an ID is present exactly while its planner
+// handle is live. Clients have one order, the planner's dense order
+// (DenseIDs).
 //
 // Beyond clients, the binding generalizes to server and zone handles:
 // NameTopology registers string IDs for the planner's servers and zones,
@@ -37,7 +39,7 @@ var (
 type IDBinding struct {
 	pl      *Planner
 	handles map[string]int
-	order   []string // registration order
+	ids     []string // handle → ID of the live client behind it
 
 	serverIDs []string // dense server order; nil until NameTopology
 	serverIdx map[string]int
@@ -56,7 +58,7 @@ func NewIDBinding(pl *Planner, ids []string) (*IDBinding, error) {
 	b := &IDBinding{
 		pl:      pl,
 		handles: make(map[string]int, len(ids)),
-		order:   append([]string(nil), ids...),
+		ids:     append([]string(nil), ids...),
 	}
 	for h, id := range ids {
 		if _, dup := b.handles[id]; dup {
@@ -71,12 +73,7 @@ func NewIDBinding(pl *Planner, ids []string) (*IDBinding, error) {
 func (b *IDBinding) Planner() *Planner { return b.pl }
 
 // Len returns the current population.
-func (b *IDBinding) Len() int { return len(b.order) }
-
-// IDs returns the registered client IDs in registration order. The slice
-// is the binding's own state — read-only for callers, invalidated by the
-// next Join or Leave.
-func (b *IDBinding) IDs() []string { return b.order }
+func (b *IDBinding) Len() int { return len(b.handles) }
 
 // Handle resolves an ID to its stable planner handle.
 func (b *IDBinding) Handle(id string) (int, error) {
@@ -97,9 +94,18 @@ func (b *IDBinding) Join(id string, zone int, rt float64, cs []float64) error {
 	if err != nil {
 		return err
 	}
-	b.handles[id] = h
-	b.order = append(b.order, id)
+	b.bind(id, h)
 	return nil
+}
+
+// bind records id as the client behind the freshly issued handle h.
+func (b *IDBinding) bind(id string, h int) {
+	b.handles[id] = h
+	if h == len(b.ids) {
+		b.ids = append(b.ids, id)
+	} else {
+		b.ids[h] = id // a released handle, reissued
+	}
 }
 
 // Leave removes the client behind id. The ID becomes available for reuse.
@@ -112,12 +118,6 @@ func (b *IDBinding) Leave(id string) error {
 		return err
 	}
 	delete(b.handles, id)
-	for i, oid := range b.order {
-		if oid == id {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			break
-		}
-	}
 	return nil
 }
 
@@ -254,11 +254,12 @@ func (b *IDBinding) ZoneNames() []string { return b.zoneIDs }
 
 // AddServer registers a server under a fresh ID. clientRTTs supplies
 // measured RTTs by client ID for the new server's delay column; clients
-// absent from it receive defaultRTT (a far-out-of-bound sentinel keeps an
-// unmeasured server unattractive until UpdateServerDelays supplies real
+// absent from it are unmeasured (NaN: the delay store applies its default —
+// a provider's prediction, or the far-out-of-bound UnmeasuredDelayMs that
+// keeps the server unattractive until UpdateServerDelays supplies real
 // values). See Planner.AddServer for the capacity and ss semantics; spare
 // registers a warm spare, cordoned on arrival (Planner.AddSpareServer).
-func (b *IDBinding) AddServer(id string, capacity float64, ss []float64, clientRTTs map[string]float64, defaultRTT float64, spare bool) error {
+func (b *IDBinding) AddServer(id string, capacity float64, ss []float64, clientRTTs map[string]float64, spare bool) error {
 	if _, dup := b.serverIdx[id]; dup {
 		return fmt.Errorf("%w %q", ErrDuplicateServer, id)
 	}
@@ -272,7 +273,7 @@ func (b *IDBinding) AddServer(id string, capacity float64, ss []float64, clientR
 	}
 	col := make([]float64, b.pl.NumClients())
 	for i := range col {
-		col[i] = defaultRTT
+		col[i] = math.NaN()
 	}
 	for cid, d := range clientRTTs {
 		j, err := b.Index(cid)
@@ -411,8 +412,7 @@ func (b *IDBinding) JoinBatch(ids []string, zones []int, rts []float64, css [][]
 		return err
 	}
 	for x, id := range ids {
-		b.handles[id] = handles[x]
-		b.order = append(b.order, id)
+		b.bind(id, handles[x])
 	}
 	return nil
 }
@@ -441,13 +441,6 @@ func (b *IDBinding) LeaveBatch(ids []string) error {
 	for _, id := range ids {
 		delete(b.handles, id)
 	}
-	kept := b.order[:0]
-	for _, oid := range b.order {
-		if !seen[oid] {
-			kept = append(kept, oid)
-		}
-	}
-	b.order = kept
 	return nil
 }
 
@@ -504,13 +497,13 @@ func (b *IDBinding) UpdateServerDelays(server string, rtts map[string]float64) e
 	return b.pl.UpdateServerDelayColumn(i, handles, ds)
 }
 
-// DenseIDs names the client behind each dense planner index — the order of
-// the planner's problem, of snapshots, and the one a recovered binding's
-// registration order restarts from.
+// DenseIDs names the client behind each dense planner index — the one
+// client order: of the planner's problem, of snapshots and of every listing,
+// identical before and after recovery.
 func (b *IDBinding) DenseIDs() []string {
-	ids := make([]string, len(b.order))
-	for _, id := range b.order {
-		ids[b.pl.idx[b.handles[id]]] = id
+	ids := make([]string, len(b.pl.hnd))
+	for j, h := range b.pl.hnd {
+		ids[j] = b.ids[h]
 	}
 	return ids
 }

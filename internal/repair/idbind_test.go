@@ -104,14 +104,14 @@ func TestIDBindingLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Leave frees the ID for reuse; registration order stays consistent.
+	// Leave frees the ID for reuse; the listing stays consistent.
 	if err := b.Leave("erin"); err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != k0 || pl.NumClients() != k0 {
 		t.Fatalf("population %d/%d after leave, want %d", b.Len(), pl.NumClients(), k0)
 	}
-	for _, id := range b.IDs() {
+	for _, id := range b.DenseIDs() {
 		if id == "erin" {
 			t.Fatal("departed ID still listed")
 		}

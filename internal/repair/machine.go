@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 
 	"dvecap/internal/core"
 	"dvecap/internal/interact"
@@ -181,14 +180,7 @@ func (m *Machine) Apply(e *Event) error {
 		}
 		return pl.RefreshZoneRT(z, e.RT)
 	case OpAddServer:
-		// Clients absent from ClientRTTs: a dense problem pins the unmeasured
-		// sentinel; a provider-backed one is handed NaN so the provider
-		// substitutes its own prediction (coordinate distance, shared row).
-		fill := core.UnmeasuredDelayMs
-		if pl.prob.Delays != nil {
-			fill = math.NaN()
-		}
-		if err := b.AddServer(e.Server, e.Capacity, e.Row, e.ClientRTTs, fill, e.Spare); err != nil {
+		if err := b.AddServer(e.Server, e.Capacity, e.Row, e.ClientRTTs, e.Spare); err != nil {
 			return err
 		}
 		if m.dir != nil {
@@ -336,12 +328,16 @@ type ClientJSON struct {
 // NewClusterJSON renders a problem as a cluster spec under the given names:
 // serverIDs and zoneIDs in dense order, clientIDs[j] the client at dense
 // index j — the one writer behind WriteClusterJSON and every snapshot. With
-// rows set each client carries its dense delay row (materialized when a
-// provider backs the problem); otherwise none does. The interaction graph's
+// rows set each client carries its dense delay row (Problem.DenseRows);
+// otherwise none does. The interaction graph's
 // edges come out in canonical order and absent when there are none, so
 // pre-traffic specs and snapshots are byte-identical to what earlier builds
 // wrote.
 func NewClusterJSON(p *core.Problem, serverIDs, zoneIDs, clientIDs []string, rows bool) ClusterJSON {
+	var cs [][]float64
+	if rows {
+		cs = p.DenseRows()
+	}
 	cj := ClusterJSON{
 		DelayBoundMs:  p.D,
 		Servers:       make([]ServerJSON, len(serverIDs)),
@@ -355,10 +351,8 @@ func NewClusterJSON(p *core.Problem, serverIDs, zoneIDs, clientIDs []string, row
 	}
 	for j, id := range clientIDs {
 		cj.Clients[j] = ClientJSON{ID: id, Zone: zoneIDs[p.ClientZones[j]], BandwidthMbps: p.ClientRT[j]}
-		if rows && p.Delays == nil {
-			cj.Clients[j].RTTRowMs = p.CS[j]
-		} else if rows {
-			cj.Clients[j].RTTRowMs = p.Delays.Row(j, make([]float64, len(serverIDs)))
+		if rows {
+			cj.Clients[j].RTTRowMs = cs[j]
 		}
 	}
 	if g := p.Adjacency; g != nil {

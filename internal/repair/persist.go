@@ -107,9 +107,8 @@ func NewFromState(cfg Config, p *core.Problem, st *State) (*Planner, error) {
 }
 
 // RestoreIDBinding rebuilds the ID layer over a recovered planner: ids[j]
-// names the client at dense index j (registration order IS dense order
-// after NewFromState's renumbering), serverIDs and zoneIDs name the
-// topology. One call replaces NewIDBinding + NameTopology for recovery.
+// names the client at dense index j (NewFromState renumbers handles to
+// dense order), serverIDs and zoneIDs name the topology. One call replaces NewIDBinding + NameTopology for recovery.
 func RestoreIDBinding(pl *Planner, ids, serverIDs, zoneIDs []string) (*IDBinding, error) {
 	b, err := NewIDBinding(pl, ids)
 	if err != nil {

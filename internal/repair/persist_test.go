@@ -147,16 +147,18 @@ func bindPlanner(t *testing.T, pl *Planner) *IDBinding {
 }
 
 // denseIDs lists the binding's client IDs in the planner's current dense
-// order — the order a snapshot stores them in.
+// order — the order a snapshot stores them in — checking DenseIDs against
+// the per-ID index lookup.
 func denseIDs(t *testing.T, b *IDBinding) []string {
 	t.Helper()
-	out := make([]string, b.Planner().NumClients())
-	for _, id := range b.IDs() {
-		j, err := b.Index(id)
-		if err != nil {
-			t.Fatal(err)
+	out := b.DenseIDs()
+	if len(out) != b.Len() || len(out) != b.Planner().NumClients() {
+		t.Fatalf("DenseIDs lists %d clients, binding holds %d, planner %d", len(out), b.Len(), b.Planner().NumClients())
+	}
+	for j, id := range out {
+		if got, err := b.Index(id); err != nil || got != j {
+			t.Fatalf("DenseIDs[%d] = %q, but Index(%q) = %d, %v", j, id, id, got, err)
 		}
-		out[j] = id
 	}
 	return out
 }
@@ -174,7 +176,7 @@ func requireSamePlanner(t *testing.T, a, b *IDBinding) {
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("planner states diverged:\n%+v\nvs\n%+v", sa, sb)
 	}
-	for _, id := range a.IDs() {
+	for _, id := range a.DenseIDs() {
 		ca, err := a.Contact(id)
 		if err != nil {
 			t.Fatal(err)
@@ -319,7 +321,7 @@ func TestBatchLeaveMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := bindPlanner(t, pl)
-	ids := append([]string(nil), b.IDs()...)
+	ids := b.DenseIDs()
 	if len(ids) < 2 {
 		t.Skip("problem too small")
 	}

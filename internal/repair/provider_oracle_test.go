@@ -2,6 +2,7 @@ package repair
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"dvecap/internal/core"
@@ -16,8 +17,6 @@ func providerBacked(p *core.Problem, kind string) *core.Problem {
 	q := p.Clone()
 	var dp core.DelayProvider
 	switch kind {
-	case core.ProviderDense:
-		dp = core.NewDenseProvider(q.CS, q.NumServers())
 	case core.ProviderCoord:
 		cp := core.NewCoordProviderFromSS(q.SS, 0)
 		for _, row := range q.CS {
@@ -143,7 +142,7 @@ func samePlannerState(t *testing.T, label string, plD, plP *Planner) {
 // assignments, delays, quality figures and repair counters after every
 // event — the repair-subsystem lane of the dense-oracle equivalence suite.
 func TestPlannerProviderMatchesDenseOracle(t *testing.T) {
-	kinds := []string{core.ProviderDense, core.ProviderCoord, core.ProviderSharedRow}
+	kinds := []string{core.ProviderCoord, core.ProviderSharedRow}
 	for _, kind := range kinds {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", kind, workers), func(t *testing.T) {
@@ -189,5 +188,58 @@ func TestPlannerProviderMatchesDenseOracle(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPlannerNaNRowNeverReachesClientDelay: a NaN in a joined or refreshed
+// delay row means "unmeasured" on every delay storage — the raw matrix
+// resolves it to the sentinel exactly as the providers do — so no client's
+// effective delay, and none of the sums built from it, is ever NaN.
+func TestPlannerNaNRowNeverReachesClientDelay(t *testing.T) {
+	for _, kind := range []string{"raw", core.ProviderCoord, core.ProviderSharedRow} {
+		t.Run(kind, func(t *testing.T) {
+			rng := xrand.New(4242)
+			p := randProblem(rng.Split(), 4)
+			if kind != "raw" {
+				p = providerBacked(p, kind)
+			}
+			pl, err := New(testConfig(), p, rng.Split())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := pl.NumServers()
+			holes := func() []float64 {
+				row := randRow(rng, m)
+				row[rng.IntN(m)] = math.NaN()
+				return row
+			}
+			h, err := pl.Join(0, 0.3, holes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			unmeasured := make([]float64, m)
+			for i := range unmeasured {
+				unmeasured[i] = math.NaN()
+			}
+			for _, row := range [][]float64{holes(), unmeasured} {
+				if err := pl.UpdateDelays(h, row); err != nil {
+					t.Fatal(err)
+				}
+				d, err := pl.ClientDelay(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.IsNaN(d) || math.IsNaN(pl.PQoS()) {
+					t.Fatalf("NaN reached the planner: client delay %v, pQoS %v", d, pl.PQoS())
+				}
+			}
+			j, _ := pl.Index(h)
+			for i := 0; i < m; i++ {
+				if got := pl.Problem().CSAt(j, i); math.IsNaN(got) || (kind != core.ProviderCoord && got != core.UnmeasuredDelayMs) {
+					t.Fatalf("unmeasured CS[%d][%d] stored as %v", j, i, got)
+				}
+			}
+			checkPlanner(t, pl)
+		})
 	}
 }

@@ -706,10 +706,10 @@ func TestIDBindingTopology(t *testing.T) {
 	for i := range ss {
 		ss[i] = 25
 	}
-	if err := b.AddServer("srvNew", 200, ss, nil, 1e6, false); err != nil {
+	if err := b.AddServer("srvNew", 200, ss, nil, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddServer("srvNew", 200, append(ss, 0), nil, 1e6, false); !errors.Is(err, ErrDuplicateServer) {
+	if err := b.AddServer("srvNew", 200, append(ss, 0), nil, false); !errors.Is(err, ErrDuplicateServer) {
 		t.Fatalf("duplicate AddServer = %v, want ErrDuplicateServer", err)
 	}
 	if err := b.AddZone("zoneNew", "srvNew"); err != nil {

@@ -263,10 +263,8 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithCorrelation sets the physical↔virtual correlation δ ∈ [0,1] for
-// NewScenario, replacing the deprecated ScenarioParams.Correlation field
-// whose zero value silently meant δ = 0. With this option the paper
-// default (δ = 0.5) applies unless explicitly overridden. Solve and Open
-// ignore this option.
+// NewScenario — the only way to set it; without the option the paper
+// default (δ = 0.5) applies. Solve and Open ignore this option.
 func WithCorrelation(delta float64) Option {
 	return func(c *config) { c.corr = delta; c.corrSet = true }
 }

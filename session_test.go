@@ -6,7 +6,7 @@ import (
 
 func TestSessionLifecycle(t *testing.T) {
 	scn, err := NewScenario(ScenarioParams{
-		Seed: 21, Servers: 6, Zones: 20, Clients: 300, Correlation: 0.5,
+		Seed: 21, Servers: 6, Zones: 20, Clients: 300,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestSessionRejectsUnknownAlgorithm(t *testing.T) {
 // the same population achieves.
 func TestSessionQualityTracksFullResolve(t *testing.T) {
 	scn, err := NewScenario(ScenarioParams{
-		Seed: 9, Servers: 8, Zones: 30, Clients: 500, Correlation: 0.5,
+		Seed: 9, Servers: 8, Zones: 30, Clients: 500,
 	})
 	if err != nil {
 		t.Fatal(err)
