@@ -492,9 +492,11 @@ func BenchmarkRepair(b *testing.B) {
 // BenchmarkRepairTelemetry measures the instrumentation tax on the hot
 // repair path: the identical churn-event stream with telemetry detached
 // ("off") and with a live registry attached ("on" — per-event counters,
-// latency histograms and quality gauges all recording). The budget is 2%:
+// latency histograms and quality gauges all recording). The tax is a fixed
+// ≈ 0.3 µs per event — 2% of the 100 µs event the budget was written for,
+// ≈ 15% of the 2.3 µs event since rows are maintained under churn:
 // BENCH_observability.json records the measured gap, and DESIGN.md §12
-// commits to keeping it there.
+// states the commitment in absolute terms.
 func BenchmarkRepairTelemetry(b *testing.B) {
 	p := largeProblem(b)
 	for _, on := range []bool{false, true} {

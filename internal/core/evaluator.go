@@ -206,15 +206,6 @@ func (ev *Evaluator) score() score {
 	return s
 }
 
-// zoneMoveScore returns the objective the solution would have after
-// rehosting zone z on server s (clients whose contact was the old target
-// follow to s), in O(clients of z) and without mutating anything. It is
-// the current score plus the pure delta of zoneMoveDelta — the same
-// arithmetic every search path uses.
-func (ev *Evaluator) zoneMoveScore(z, s int) score {
-	return ev.score().plus(ev.zoneMoveDelta(z, s))
-}
-
 // ApplyZoneMove rehosts zone z on server s, updating all derived state
 // incrementally in O(clients of z). Clients whose contact was the old
 // target follow to s, matching the zone-move neighbourhood of LocalSearch.

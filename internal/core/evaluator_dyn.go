@@ -6,7 +6,10 @@ package core
 // delays, per-server loads, zone bandwidth totals, the QoS count, the RAP
 // cost and the total load — exactly consistent with the bound problem and
 // assignment, in O(1) plus the cost of copying a delay row where one is
-// supplied.
+// supplied. The client verbs also keep their zones' candidate-delta rows
+// clean (movecache.go): the one client's contribution is retracted and/or
+// added in O(servers), so the ImproveZone that follows an event folds a
+// maintained row instead of re-deriving it from every client of the zone.
 //
 // Unlike the scoring methods, these mutate the bound *Problem* (client
 // rows are appended, swap-removed and rewritten in place), so they must
@@ -63,7 +66,7 @@ func (ev *Evaluator) AddClient(zone int, rt float64, cs []float64) int {
 	} else {
 		ev.rapCost += d - p.D
 	}
-	ev.touchZone(zone)
+	ev.adjustRowForClient(j, 1)
 	return j
 }
 
@@ -76,6 +79,7 @@ func (ev *Evaluator) RemoveClient(j int) int {
 	l := len(p.ClientZones) - 1
 
 	// Subtract j's contributions.
+	ev.adjustRowForClient(j, -1)
 	z := p.ClientZones[j]
 	t := ev.zoneServer[z]
 	rt := p.ClientRT[j]
@@ -92,7 +96,6 @@ func (ev *Evaluator) RemoveClient(j int) int {
 	}
 	ev.zoneRT[z] -= rt
 	ev.dropFromZone(j, z)
-	ev.touchZone(z)
 
 	moved := -1
 	if j != l {
@@ -140,9 +143,8 @@ func (ev *Evaluator) MoveClient(j, newZone int) {
 	newT := ev.zoneServer[newZone]
 	c := ev.contact[j]
 
+	ev.adjustRowForClient(j, -1)
 	ev.dropFromZone(j, old)
-	ev.touchZone(old)
-	ev.touchZone(newZone)
 	ev.posInZone[j] = len(ev.zoneMembers[newZone])
 	ev.zoneMembers[newZone] = append(ev.zoneMembers[newZone], j)
 	p.ClientZones[j] = newZone
@@ -167,6 +169,7 @@ func (ev *Evaluator) MoveClient(j, newZone int) {
 		nd = p.CSAt(j, c) + p.SS[c][newT]
 	}
 	ev.replaceDelay(j, nd)
+	ev.adjustRowForClient(j, 1)
 }
 
 // SetClientDelays replaces client j's client-server delay row (copied) and
@@ -174,6 +177,7 @@ func (ev *Evaluator) MoveClient(j, newZone int) {
 // refresh. Loads are unaffected.
 func (ev *Evaluator) SetClientDelays(j int, cs []float64) {
 	p := ev.p
+	ev.adjustRowForClient(j, -1)
 	p.SetCSRow(j, cs)
 	t := ev.zoneServer[p.ClientZones[j]]
 	c := ev.contact[j]
@@ -184,12 +188,13 @@ func (ev *Evaluator) SetClientDelays(j int, cs []float64) {
 		nd = p.CSAt(j, c) + p.SS[c][t]
 	}
 	ev.replaceDelay(j, nd)
-	ev.touchZone(p.ClientZones[j])
+	ev.adjustRowForClient(j, 1)
 }
 
 // SetClientRT changes client j's bandwidth requirement, shifting the
 // derived zone totals and server loads by the delta. Delay and QoS standing
-// are unaffected.
+// are unaffected, and of the zone's cached row only the load entry of a
+// forwarding contact moves.
 func (ev *Evaluator) SetClientRT(j int, rt float64) {
 	p := ev.p
 	delta := rt - p.ClientRT[j]
@@ -205,8 +210,8 @@ func (ev *Evaluator) SetClientRT(j int, rt float64) {
 	if c := ev.contact[j]; c != t {
 		ev.loads[c] += 2 * delta
 		ev.totalLoad += 2 * delta
+		ev.shiftRowLoad(z, c, -2*delta)
 	}
-	ev.touchZone(z)
 }
 
 // replaceDelay swaps client j's effective delay for nd, maintaining the
@@ -272,41 +277,16 @@ func (ev *Evaluator) GreedyContact(j int) bool {
 // improvements: a zone handoff is disruptive, so repair moves a zone only
 // when clients' quality is at stake.
 //
-// The scan consults the candidate-delta cache: a zone untouched since its
-// row was last computed folds in O(servers); a dirty zone is scanned
-// directly in O(servers × clients of z), gating the delta computation on
-// destination feasibility (cheaper than filling the row, which repair's
-// churn would immediately re-dirty). Both paths evaluate candidates with
-// identical arithmetic and accept identical moves.
+// One path: bring the zone's candidate-delta row up to date, then fold it
+// in O(servers). Client churn keeps rows clean, so the usual event pays the
+// fold alone; the O(servers × clients of z) rebuild happens on the first
+// touch after a full solve or checkpoint, after the zone's own handoff and
+// every maxRowAdjustments adjustments (movecache.go).
 func (ev *Evaluator) ImproveZone(z int) bool {
-	p := ev.p
-	ev.cache.ensure(p.NumZones, p.NumServers(), ev.trafficOn)
-	cur := ev.score()
-	var best int
-	if !ev.cache.dirty[z] {
-		best, _ = ev.bestInRow(z, cur, true)
-	} else {
-		old := ev.zoneServer[z]
-		rt := ev.zoneRT[z]
-		bestScore := cur
-		best = -1
-		for s := 0; s < p.NumServers(); s++ {
-			if s == old || ev.cordoned[s] {
-				continue
-			}
-			if !almostLE(ev.loads[s]+rt, p.ServerCaps[s]) {
-				continue
-			}
-			cs := cur.plus(ev.zoneMoveDelta(z, s))
-			if cs.withQoS < cur.withQoS ||
-				(cs.withQoS == cur.withQoS && (almostEq(cs.quality(), cur.quality()) || cs.quality() >= cur.quality())) {
-				continue // no quality gain — not worth a handoff
-			}
-			if cs.betterThan(bestScore) {
-				bestScore, best = cs, s
-			}
-		}
+	if !ev.foldReady(z) {
+		return false
 	}
+	best, _ := ev.bestInRow(z, ev.score(), foldQuality)
 	if best < 0 {
 		return false
 	}

@@ -35,8 +35,14 @@ type EvaluatorState struct {
 	TrafficCut float64 `json:"traffic_cut,omitempty"`
 }
 
-// ExportState deep-copies the evaluator's history-dependent state.
+// ExportState deep-copies the evaluator's history-dependent state. It is
+// also a cache barrier: every candidate-delta row is invalidated, as
+// RestoreState does on the other side, so this evaluator and one restored
+// from the exported state apply the same adjustments to the same freshly
+// built rows from here on — their caches stay bit-identical by
+// construction, not merely within the tie tolerance.
 func (ev *Evaluator) ExportState() *EvaluatorState {
+	ev.cache.invalidateAll()
 	st := &EvaluatorState{
 		ZoneMembers: make([][]int, len(ev.zoneMembers)),
 		Loads:       append([]float64(nil), ev.loads...),
@@ -56,9 +62,8 @@ func (ev *Evaluator) ExportState() *EvaluatorState {
 // freshly built from the same (Problem, Assignment) pair: bucket order and
 // the float accumulators are installed verbatim, posInZone is rebuilt to
 // match, cordons are re-applied and the candidate-delta cache is
-// invalidated (cold rows fold identically to warm ones — the movecache
-// equivalence guarantee). The state is validated against the problem's
-// zone membership before anything is overwritten.
+// invalidated, mirroring ExportState's barrier. The state is validated
+// against the problem's zone membership before anything is overwritten.
 func (ev *Evaluator) RestoreState(st *EvaluatorState) error {
 	p := ev.p
 	m, n, k := p.NumServers(), p.NumZones, p.NumClients()

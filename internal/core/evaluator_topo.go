@@ -16,7 +16,7 @@ package core
 // Zone-dimension changes are precise: a cached row is a pure function of
 // zone-local state, which renumbering does not touch, so AddZone keeps
 // every existing row and RemoveZone relocates the renumbered zone's row
-// together with its dirty bit.
+// together with its dirty bits and adjustment count.
 
 // AddServer appends a server with the given bandwidth capacity,
 // inter-server delay row ss (one entry per existing server, in server
@@ -125,16 +125,17 @@ func (ev *Evaluator) RemoveZone(z int) int {
 	if g := p.Adjacency; g != nil {
 		// Retire z's interaction edges before the renumbering: cut edges
 		// stop contributing to the incremental cut, and every neighbor's
-		// cached row loses an edge. The graph then swap-removes in lockstep
-		// (the relabeled zone keeps its host, so its neighbors' rows stay
-		// exact — shrinkZones relocates the row and dirty bit below).
+		// cached traffic entries lose an edge. The graph then swap-removes
+		// in lockstep (the relabeled zone keeps its host, so its neighbors'
+		// rows stay exact — shrinkZones relocates the row and its dirty bits
+		// below).
 		nbr, wt := g.Row(z)
 		hz := ev.zoneServer[z]
 		for i, y := range nbr {
 			if ev.trafficOn && ev.zoneServer[y] != hz {
 				ev.trafficCut -= wt[i]
 			}
-			ev.touchZone(int(y))
+			ev.touchTraffic(int(y))
 		}
 		g.RemoveZoneSwap(z)
 	}
@@ -175,7 +176,10 @@ func (ev *Evaluator) Cordoned(i int) bool { return ev.cordoned[i] }
 // SetClientServerDelay overlays one freshly measured RTT — client j to
 // server i — and recomputes the client's effective delay, the column-wise
 // counterpart of SetClientDelays for measurement streams keyed by server
-// (a just-added server's delays arriving client by client). O(1).
+// (a just-added server's delays arriving client by client). O(1): the
+// zone's cached row is dirtied rather than adjusted — a column arrives for
+// many clients of a zone at once, and one rebuild per zone is cheaper than
+// one O(servers) adjustment per client.
 func (ev *Evaluator) SetClientServerDelay(j, i int, d float64) {
 	p := ev.p
 	p.SetCSAt(j, i, d)
@@ -200,31 +204,19 @@ func (ev *Evaluator) SetClientServerDelay(j, i int, d float64) {
 // with the largest residual capacity is returned (the spill rule of the
 // greedy algorithms, so evacuation always completes). Returns -1 only when
 // no available destination exists at all. Deterministic: ties go to the
-// lowest server index, independent of the worker count.
+// lowest server index, independent of the worker count. Folds the zone's
+// maintained candidate-delta row like ImproveZone does, without its
+// improvement filter.
 func (ev *Evaluator) BestZoneHost(z int) int {
 	p := ev.p
 	old := ev.zoneServer[z]
-	rt := ev.zoneRT[z]
-	cur := ev.score()
-	best := -1
-	var bestScore score
-	for s := 0; s < p.NumServers(); s++ {
-		if s == old || ev.cordoned[s] {
-			continue
+	if ev.foldReady(z) {
+		if best, _ := ev.bestInRow(z, ev.score(), foldAny); best >= 0 {
+			return best
 		}
-		if !almostLE(ev.loads[s]+rt, p.ServerCaps[s]) {
-			continue
-		}
-		cand := cur.plus(ev.zoneMoveDelta(z, s))
-		if best < 0 || cand.betterThan(bestScore) {
-			best, bestScore = s, cand
-		}
-	}
-	if best >= 0 {
-		return best
 	}
 	// No feasible destination: spill onto the largest residual capacity.
-	resid := 0.0
+	best, resid := -1, 0.0
 	for s := 0; s < p.NumServers(); s++ {
 		if s == old || ev.cordoned[s] {
 			continue

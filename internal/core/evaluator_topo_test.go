@@ -137,6 +137,7 @@ func TestCachedSearchUnderTopologyMutations(t *testing.T) {
 		}
 		for step := 0; step < 50; step++ {
 			topoStep(ev, rng, rng.IntN(12))
+			checkCleanRows(t, "after topology mutation", ev)
 			cold := NewEvaluator(p.Clone(), ev.Assignment())
 			for i := 0; i < p.NumServers(); i++ {
 				cold.SetCordon(i, ev.Cordoned(i))

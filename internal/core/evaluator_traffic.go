@@ -11,11 +11,13 @@ package core
 //
 // Determinism: every delta accumulates over a zone's neighbor row in its
 // stored (ascending-neighbor) order, so the cached dTraffic entries
-// (refreshTrafficRow), the rescan oracle (trafficMoveDelta) and the
+// (refreshTrafficRow), the test oracle's direct per-destination sum and the
 // incremental cut update (applyTrafficMove) add bit-identical operand
-// sequences into each accumulator. With the term off, none of this code
-// runs and every score carries traffic == 0.0 — bit-identical to the
-// pre-traffic solver.
+// sequences into each accumulator. dTraffic entries are never adjusted in
+// place — a stale row (its own traffic dirty bit, movecache.go) is
+// re-derived whole in O(degree + servers) — so they carry no drift. With
+// the term off, none of this code runs and every score carries
+// traffic == 0.0 — bit-identical to the pre-traffic solver.
 
 import (
 	"fmt"
@@ -73,9 +75,10 @@ func (ev *Evaluator) CrossEdges() (cut, total int) {
 }
 
 // applyTrafficMove updates the incremental cut for zone z rehosting from
-// old to s, and dirties every neighbor's cached delta row (their per-host
-// weight sums include z's host). Runs before zoneServer[z] is rewritten;
-// it reads only the neighbors' hosts, which the move does not change.
+// old to s, and marks every neighbor's cached traffic entries stale (their
+// per-host weight sums include z's host; their client sums do not). Runs
+// before zoneServer[z] is rewritten; it reads only the neighbors' hosts,
+// which the move does not change.
 func (ev *Evaluator) applyTrafficMove(z, old, s int) {
 	nbr, wt := ev.p.Adjacency.Row(z)
 	for i, y := range nbr {
@@ -85,33 +88,16 @@ func (ev *Evaluator) applyTrafficMove(z, old, s int) {
 		case s:
 			ev.trafficCut -= wt[i]
 		}
-		ev.touchZone(int(y))
+		ev.touchTraffic(int(y))
 	}
 }
 
-// trafficMoveDelta returns the weighted traffic delta of rehosting zone z
-// from old to s: λ × (weight-to-old-host − weight-to-destination). Pure
-// zone-local arithmetic, bit-identical to the cached row entry
-// refreshTrafficRow produces for the same state.
-func (ev *Evaluator) trafficMoveDelta(z, old, s int) float64 {
-	nbr, wt := ev.p.Adjacency.Row(z)
-	var toOld, toDst float64
-	for i, y := range nbr {
-		switch ev.zoneServer[y] {
-		case old:
-			toOld += wt[i]
-		case s:
-			toDst += wt[i]
-		}
-	}
-	return ev.p.TrafficWeight * (toOld - toDst)
-}
-
-// refreshTrafficRow fills zone z's cached dTraffic row: dt[s] is the
-// weighted traffic delta of rehosting z (host old) on s. One pass
-// accumulates the zone's edge weight per current host into dt itself, a
-// second transforms each slot into λ × (dt[old] − dt[s]) — no scratch, and
-// per-slot addition order matches trafficMoveDelta exactly.
+// refreshTrafficRow fills zone z's cached dTraffic row and clears its
+// traffic dirty bit: dt[s] is the weighted traffic delta of rehosting z
+// (host old) on s, λ × (weight-to-old-host − weight-to-destination). One
+// pass accumulates the zone's edge weight per current host into dt itself,
+// a second transforms each slot into λ × (dt[old] − dt[s]) — no scratch,
+// and per-slot addition order matches a direct per-destination sum exactly.
 func (ev *Evaluator) refreshTrafficRow(z, old int, dt []float64) {
 	for s := range dt {
 		dt[s] = 0
@@ -125,13 +111,14 @@ func (ev *Evaluator) refreshTrafficRow(z, old int, dt []float64) {
 	for s := range dt {
 		dt[s] = lam * (toOld - dt[s])
 	}
+	ev.cache.tdirty[z] = false
 }
 
 // SetZoneAdjacency installs (or, with w == 0, removes) the interaction
-// edge (a, b) with weight w, maintaining the incremental cut and dirtying
-// exactly the two endpoint zones' cached rows. Binding the first edge of a
-// problem with TrafficWeight > 0 switches the traffic term on, which
-// invalidates the whole cache once.
+// edge (a, b) with weight w, maintaining the incremental cut and marking
+// exactly the two endpoint zones' cached traffic entries stale. Binding the
+// first edge of a problem with TrafficWeight > 0 switches the traffic term
+// on, which invalidates the whole cache once.
 func (ev *Evaluator) SetZoneAdjacency(a, b int, w float64) error {
 	return ev.adjacencyEdit(a, b, func(g *interact.Graph) (old, now float64, err error) {
 		old, err = g.Set(a, b, w)
@@ -176,7 +163,7 @@ func (ev *Evaluator) adjacencyEdit(a, b int, edit func(*interact.Graph) (old, no
 	if ev.trafficOn && ev.zoneServer[a] != ev.zoneServer[b] {
 		ev.trafficCut += now - old
 	}
-	ev.touchZone(a)
-	ev.touchZone(b)
+	ev.touchTraffic(a)
+	ev.touchTraffic(b)
 	return nil
 }

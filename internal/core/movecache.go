@@ -7,13 +7,23 @@ package core
 //  1. Candidate-delta cache: the objective delta of rehosting zone z on
 //     server s is a pure function of the zone's local state — its clients'
 //     delays, contacts, delay rows and bandwidth, and the zone's current
-//     host. Those deltas are memoised in a flat (zones × servers) matrix
-//     with one dirty bit per zone; every evaluator mutation marks only the
-//     zones whose local state it changed, so after an accepted move the
-//     next scan recomputes one row instead of all of them. Destination
-//     feasibility is never cached: it is checked against live loads at
-//     fold time, which is what keeps the cache sound while loads shift
-//     under it.
+//     host. Those deltas are memoised in a flat (zones × servers) matrix,
+//     one row per zone, and the rows are MAINTAINED rather than thrown
+//     away: a row is a sum of per-client contributions, so every mutation
+//     that changes one client — join, leave, move, delay refresh, contact
+//     switch — retracts and/or adds that client's contribution in
+//     O(servers) with one delay-row read (adjustRowForClient), and a
+//     bandwidth change shifts the single dLoad entry it touches in O(1).
+//     A row is marked dirty, and rebuilt from scratch in O(servers ×
+//     clients of the zone) by the next fold that wants it, only by what
+//     changes all of it: the zone's own rehosting, a rebind (Reset,
+//     RestoreState, the ExportState barrier), a server-dimension change,
+//     the bulk per-server delay column, and the drift rule below. The
+//     traffic entries carry their own dirty bit, so an adjacency edit or a
+//     neighbour's rehosting re-derives dTraffic alone in O(degree +
+//     servers). Destination feasibility is never cached: it is checked
+//     against live loads at fold time, which is what keeps the cache sound
+//     while loads shift under it.
 //
 //  2. Sharded scan: the per-zone fold is embarrassingly parallel. With
 //     Options.Workers > 1, zones are sharded across a worker pool (strided
@@ -25,19 +35,24 @@ package core
 //     improvements — so the lowest zone index (and within a zone, the
 //     lowest server index) wins ties, exactly like the sequential fold.
 //
+// Every fold — the local search's bestZoneMove, the repair path's
+// ImproveZone, the drain path's BestZoneHost — reads these rows through
+// bestInRow; there is no second, cache-free way to score a zone move
+// outside the test oracle (movecache_oracle_test.go).
+//
 // Determinism contract: the parallel scan is bit-identical to the
 // sequential cached scan by construction — workers compute the same pure
 // per-zone results from the same cache state and the reduction is a fixed
-// serial fold — so the worker count NEVER changes an outcome. Against the
-// retained cache-free rescan, every path evaluates candidates as
-// score().plus(delta) with the same summation order, so cache entries are
-// bit-identical to fresh computation too; the one exception is the
-// O(servers) retract-and-re-add a contact switch applies to its zone's
-// row (adjustRowForClient), which can drift from a fresh build by float
-// rounding. All tie comparisons go through the shared tolerance helpers
-// sized far above that drift, and the equivalence tests in
-// parallel_test.go enforce move-for-move identity against the rescan on
-// generous and tight instances for every worker count.
+// serial fold — so the worker count NEVER changes an outcome, and which
+// rows are clean, dirty or due for a rebuild is a function of the event
+// history alone. Against the cache-free test oracle, a freshly built row
+// is bit-identical (same operands, same summation order); a maintained
+// row can differ from a fresh build by the float rounding of its
+// retract-and-re-add adjustments, which maxRowAdjustments bounds. All tie
+// comparisons go through the shared tolerance helpers sized far above
+// that drift, and the equivalence tests in parallel_test.go enforce
+// move-for-move identity against the rescan on generous and tight
+// instances for every worker count.
 
 import (
 	"runtime"
@@ -53,14 +68,21 @@ type moveCache struct {
 	dQoS  []int32   // QoS-count delta per candidate
 	dRap  []float64 // RAP-cost delta per candidate
 	dLoad []float64 // total-load delta per candidate
-	dirty []bool    // per zone: row must be recomputed before use
+	dirty []bool    // per zone: row must be rebuilt from scratch before use
+
+	// adjusts counts the adjustments applied to each row since it was last
+	// built; reaching maxRowAdjustments dirties the row.
+	adjusts []uint16
 
 	// Traffic term (DESIGN.md §15): dTraffic holds the weighted traffic
 	// delta per candidate, allocated and maintained only while the term is
 	// on (traffic) — problems without adjacency pay neither the memory nor
-	// the row fills.
+	// the row fills. tdirty marks rows whose dTraffic entries alone are
+	// stale (an adjacency edit, a neighbour rehosted): the client sums of
+	// such a row are still good, so only dTraffic is re-derived.
 	traffic  bool
 	dTraffic []float64
+	tdirty   []bool
 
 	// Per-scan reduction state: each zone's best destination and candidate
 	// score, written by the owning worker, folded by the reducer.
@@ -85,12 +107,15 @@ func (c *moveCache) ensure(n, m int, traffic bool) {
 		c.dTraffic = grow(c.dTraffic, n*m)
 	}
 	c.dirty = grow(c.dirty, n)
+	c.adjusts = grow(c.adjusts, n)
+	c.tdirty = grow(c.tdirty, n)
 	c.bestSrv = grow(c.bestSrv, n)
 	c.bestCand = grow(c.bestCand, n)
 	c.invalidateAll()
 }
 
-// invalidateAll marks every row stale (rebind, full re-solve).
+// invalidateAll marks every row stale (rebind, full re-solve, checkpoint
+// barrier). A rebuild resets the row's adjustment count and traffic bit.
 func (c *moveCache) invalidateAll() {
 	for i := range c.dirty {
 		c.dirty[i] = true
@@ -117,15 +142,17 @@ func (c *moveCache) growZones(n int) {
 	for z := old; z < n; z++ {
 		c.dirty[z] = true
 	}
+	c.adjusts = growCopy(c.adjusts, n)
+	c.tdirty = growCopy(c.tdirty, n)
 	c.bestSrv = grow(c.bestSrv, n)
 	c.bestCand = grow(c.bestCand, n)
 }
 
 // shrinkZones removes zone z's row after the evaluator swap-removed the
-// zone: the last zone's row (contents and dirty bit) is relocated to slot
-// z — renumbering does not change zone-local state, so the row stays
-// exact — and the cache is truncated to l rows. A no-op before the cache
-// is first sized.
+// zone: the last zone's row (contents, dirty bits and adjustment count) is
+// relocated to slot z — renumbering does not change zone-local state, so
+// the row stays exact — and the cache is truncated to l rows. A no-op
+// before the cache is first sized.
 func (c *moveCache) shrinkZones(z, l int) {
 	if c.servers == 0 || len(c.dirty) == 0 {
 		return
@@ -139,6 +166,8 @@ func (c *moveCache) shrinkZones(z, l int) {
 			copy(c.dTraffic[z*m:(z+1)*m], c.dTraffic[l*m:(l+1)*m])
 		}
 		c.dirty[z] = c.dirty[l]
+		c.adjusts[z] = c.adjusts[l]
+		c.tdirty[z] = c.tdirty[l]
 	}
 	c.dQoS = c.dQoS[:l*m]
 	c.dRap = c.dRap[:l*m]
@@ -147,6 +176,8 @@ func (c *moveCache) shrinkZones(z, l int) {
 		c.dTraffic = c.dTraffic[:l*m]
 	}
 	c.dirty = c.dirty[:l]
+	c.adjusts = c.adjusts[:l]
+	c.tdirty = c.tdirty[:l]
 	c.bestSrv = c.bestSrv[:l]
 	c.bestCand = c.bestCand[:l]
 }
@@ -163,15 +194,52 @@ func growCopy[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// touchZone marks zone z's cached row stale. Called by every mutation that
-// changes the zone's local state (membership, delays, contacts, bandwidth,
-// host). A no-op before the cache is first built — rows start dirty.
+// maxRowAdjustments is how many adjustments a row absorbs before it is
+// rebuilt from scratch, which is what bounds the float drift of
+// retract-and-re-add. One adjustment performs at most two rounded additions
+// on a dRap entry (retract the client's old standing, add its new one) and
+// one on a dLoad entry; each rounds by at most 2^-53 of the running sum,
+// itself bounded by the row's magnitude M = Σ|terms|. After N adjustments
+// an entry therefore sits within 2N·2^-53·M of a fresh build: for N = 2^12
+// that is 2^-40 ≈ 9e-13 of M, three orders of magnitude inside the 1e-9
+// relative tolerance (almostEq) every comparison of these sums goes
+// through. On the cost side a rebuild reads one delay row per client of
+// the zone — what one adjustment reads — so spreading it over 4096
+// adjustments adds clients/4096 of an adjustment to each: under one for any
+// zone of up to 4096 clients. The count depends on the event history
+// alone, so rebuilds land on the same events for every worker count and on
+// both sides of a checkpoint (ExportState dirties every row, and a rebuild
+// zeroes its count).
+const maxRowAdjustments = 1 << 12
+
+// touchZone marks zone z's whole cached row stale: the next fold that wants
+// it rebuilds it from scratch. Called by what changes every entry of the
+// row — the zone's own rehosting, the bulk delay-column overlay and the
+// drift rule. A no-op before the cache is first built — rows start dirty.
 func (ev *Evaluator) touchZone(z int) {
 	if z < len(ev.cache.dirty) {
 		if !ev.cache.dirty[z] {
 			ev.tele.invalidations.Inc()
 		}
 		ev.cache.dirty[z] = true
+	}
+}
+
+// touchTraffic marks only zone z's dTraffic entries stale — one of its
+// adjacency edges changed weight, or a neighbour was rehosted. The client
+// sums of the row stay valid.
+func (ev *Evaluator) touchTraffic(z int) {
+	if z < len(ev.cache.tdirty) {
+		ev.cache.tdirty[z] = true
+	}
+}
+
+// noteAdjustment counts one in-place adjustment of zone z's clean row and
+// applies the drift rule.
+func (ev *Evaluator) noteAdjustment(z int) {
+	ev.cache.adjusts[z]++
+	if ev.cache.adjusts[z] >= maxRowAdjustments {
+		ev.touchZone(z)
 	}
 }
 
@@ -190,47 +258,6 @@ func (ev *Evaluator) SetWorkers(n int) {
 	ev.workers = n
 }
 
-// zoneMoveDelta computes the objective delta of rehosting zone z on server
-// s as pure sums over the zone's clients, reading only zone-local state —
-// never the global score and never server loads. This purity is what makes
-// the delta cacheable: it stays exact until a mutation touches the zone.
-func (ev *Evaluator) zoneMoveDelta(z, s int) (dQoS int32, dRap, dLoad, dTraffic float64) {
-	p := ev.p
-	old := ev.zoneServer[z]
-	if s == old {
-		return 0, 0, 0, 0
-	}
-	if ev.trafficOn {
-		dTraffic = ev.trafficMoveDelta(z, old, s)
-	}
-	for _, j := range ev.zoneMembers[z] {
-		c := ev.contact[j]
-		var nd float64
-		if c == old || c == s {
-			// Followers land on the new target; a contact that *is* the new
-			// target stops forwarding. Either way the delay is direct.
-			nd = p.CSAt(j, s)
-			if c == s {
-				dLoad -= 2 * p.ClientRT[j]
-			}
-		} else {
-			nd = p.CSAt(j, c) + p.SS[c][s]
-		}
-		od := ev.delay[j]
-		if od <= p.D {
-			dQoS--
-		} else {
-			dRap -= od - p.D
-		}
-		if nd <= p.D {
-			dQoS++
-		} else {
-			dRap += nd - p.D
-		}
-	}
-	return dQoS, dRap, dLoad, dTraffic
-}
-
 // plus applies a pure delta to a score. Every candidate comparison in the
 // search goes through this one addition per component, so cached and
 // freshly computed candidates are bit-identical. With the traffic term off
@@ -244,16 +271,62 @@ func (s score) plus(dQoS int32, dRap, dLoad, dTraffic float64) score {
 	}
 }
 
-// refreshRow recomputes zone z's cached delta row and clears its dirty
-// bit. O(servers × clients of z), organised client-outer/server-inner so
-// each client's delay, contact and QoS standing load once and the inner
-// loop streams the client's delay row. Per destination the accumulators
-// receive exactly the operands zoneMoveDelta would add, in the same
-// order, so each cache entry is bit-identical to a zoneMoveDelta call.
-// Safe to run concurrently for distinct zones: it writes only row z and
-// dirty[z]. scratch is the row-materialization buffer (len = servers);
-// concurrent callers MUST pass distinct buffers — the shard workers of
-// bestZoneMove allocate one each.
+// syncRow brings zone z's cached row up to date for a fold: a dirty row is
+// rebuilt from scratch, a row whose traffic entries alone are stale
+// re-derives just those in O(degree + servers), a clean row costs two
+// loads. Safe to run concurrently for distinct zones: it writes only row z
+// and zone z's bookkeeping slots. scratch is the row-materialization buffer
+// (len = servers); concurrent callers MUST pass distinct buffers — the
+// shard workers of bestZoneMove allocate one each.
+func (ev *Evaluator) syncRow(z int, scratch []float64) {
+	switch {
+	case ev.cache.dirty[z]:
+		ev.refreshRow(z, scratch)
+	case ev.trafficOn && ev.cache.tdirty[z]:
+		m := ev.cache.servers
+		ev.refreshTrafficRow(z, ev.zoneServer[z], ev.cache.dTraffic[z*m:(z+1)*m])
+	}
+}
+
+// foldReady prepares zone z's row for a single-zone fold (ImproveZone,
+// BestZoneHost), counting it as a cache hit or a refresh. It reports false
+// — leaving a dirty row dirty — when no available destination has room for
+// the zone: there is nothing to fold then, and on a near-full fleet
+// building the row would be the whole cost of the event.
+func (ev *Evaluator) foldReady(z int) bool {
+	p := ev.p
+	ev.cache.ensure(p.NumZones, p.NumServers(), ev.trafficOn)
+	if !ev.cache.dirty[z] {
+		ev.tele.rowHits.Inc()
+	} else if ev.hasDestination(z) {
+		ev.tele.rowRefreshes.Inc()
+	} else {
+		return false
+	}
+	ev.rowScratch = grow(ev.rowScratch, ev.cache.servers)
+	ev.syncRow(z, ev.rowScratch)
+	return true
+}
+
+// hasDestination reports whether any available server other than zone z's
+// host has room for the zone — bestInRow's feasibility test on its own.
+func (ev *Evaluator) hasDestination(z int) bool {
+	old, rt := ev.zoneServer[z], ev.zoneRT[z]
+	for s, load := range ev.loads {
+		if s != old && !ev.cordoned[s] && almostLE(load+rt, ev.p.ServerCaps[s]) {
+			return true
+		}
+	}
+	return false
+}
+
+// refreshRow rebuilds zone z's cached delta row from scratch and clears
+// its dirty bits and adjustment count. O(servers × clients of z), organised
+// client-outer/server-inner so each client's delay, contact and QoS
+// standing load once and the inner loop streams the client's delay row. Per
+// destination the accumulators receive the operands of a direct
+// per-(zone, server) sum over the zone's clients, in the same order, so a
+// freshly built entry is bit-identical to the test oracle's.
 func (ev *Evaluator) refreshRow(z int, scratch []float64) {
 	p := ev.p
 	m := ev.cache.servers
@@ -324,21 +397,26 @@ func (ev *Evaluator) refreshRow(z int, scratch []float64) {
 		}
 	}
 	ev.cache.dirty[z] = false
+	ev.cache.adjusts[z] = 0
 }
 
 // adjustRowForClient adds sign (±1) times client j's contribution to its
-// zone's cached row — the O(servers) repair a contact switch needs, in
-// place of re-deriving the whole row in O(servers × clients of zone).
-// Call with -1 before mutating the client's contact or delay and +1
-// after. A no-op when the row is dirty anyway. Retract-and-re-add leaves
-// the float entries within rounding of a fresh build (the integer QoS
-// entries stay exact); every tie comparison goes through the shared
-// tolerance helpers, and the equivalence tests hold move-for-move.
+// zone's cached row — the O(servers) repair every single-client mutation
+// needs, in place of re-deriving the whole row in O(servers × clients of
+// zone). Call with -1 while the client's zone, contact, delay and delay
+// row are still the ones the row was built with and +1 once they are
+// final: a join only adds, a leave only retracts, a move retracts from the
+// vacated zone's row and adds to the entered one's. A no-op when the row is
+// dirty anyway. Retract-and-re-add leaves the float entries within rounding
+// of a fresh build (the integer QoS entries stay exact), bounded by
+// maxRowAdjustments; every tie comparison goes through the shared tolerance
+// helpers, and the equivalence tests hold move-for-move.
 func (ev *Evaluator) adjustRowForClient(j int, sign int32) {
 	z := ev.p.ClientZones[j]
 	if z >= len(ev.cache.dirty) || ev.cache.dirty[z] {
 		return
 	}
+	ev.tele.rowAdjusts.Inc()
 	p := ev.p
 	m := ev.cache.servers
 	row := z * m
@@ -389,15 +467,42 @@ func (ev *Evaluator) adjustRowForClient(j int, sign int32) {
 			dRap[s] += fsign * (nd - p.D)
 		}
 	}
+	ev.noteAdjustment(z)
 }
 
-// bestInRow folds zone z's cached row against base, checking destination
-// feasibility against live loads, and returns the zone's best candidate
-// (-1 when nothing beats base). Strict improvement only, servers scanned
-// in ascending order — the lowest server index wins ties. qualityOnly
-// applies ImproveZone's repair filter: candidates must gain QoS count or
-// shrink RAP cost, load-only improvements are not worth a zone handoff.
-func (ev *Evaluator) bestInRow(z int, base score, qualityOnly bool) (int, score) {
+// shiftRowLoad adds d to the dLoad entry of destination s in zone z's
+// cached row — the O(1) repair a bandwidth change of a forwarding client
+// needs (the row charges −2·RT for the hop its contact would stop making).
+// A no-op when the row is dirty anyway.
+func (ev *Evaluator) shiftRowLoad(z, s int, d float64) {
+	if z >= len(ev.cache.dirty) || ev.cache.dirty[z] {
+		return
+	}
+	ev.cache.dLoad[z*ev.cache.servers+s] += d
+	ev.noteAdjustment(z)
+}
+
+// foldMode selects which candidates bestInRow accepts.
+type foldMode uint8
+
+const (
+	// foldImproving takes strict improvements over base (the local search).
+	foldImproving foldMode = iota
+	// foldQuality is ImproveZone's repair filter on top: candidates must
+	// gain QoS count or shrink the quality cost — a load-only improvement
+	// is not worth a zone handoff.
+	foldQuality
+	// foldAny ranks every feasible destination and returns the best even
+	// when all are worse than staying (BestZoneHost's forced evacuation).
+	foldAny
+)
+
+// bestInRow folds zone z's cached row (which must be up to date — syncRow)
+// against base, checking destination feasibility against live loads, and
+// returns the zone's best candidate under mode (-1 when none qualifies).
+// Servers are scanned in ascending order and a later one must be strictly
+// better — the lowest server index wins ties.
+func (ev *Evaluator) bestInRow(z int, base score, mode foldMode) (int, score) {
 	p := ev.p
 	m := ev.cache.servers
 	old := ev.zoneServer[z]
@@ -421,11 +526,11 @@ func (ev *Evaluator) bestInRow(z int, base score, qualityOnly bool) (int, score)
 			dt = ev.cache.dTraffic[row+s]
 		}
 		cand := base.plus(ev.cache.dQoS[row+s], ev.cache.dRap[row+s], ev.cache.dLoad[row+s], dt)
-		if qualityOnly && (cand.withQoS < base.withQoS ||
+		if mode == foldQuality && (cand.withQoS < base.withQoS ||
 			(cand.withQoS == base.withQoS && (almostEq(cand.quality(), base.quality()) || cand.quality() >= base.quality()))) {
 			continue // no quality gain — not worth a handoff
 		}
-		if cand.betterThan(best) {
+		if cand.betterThan(best) || (mode == foldAny && bestSrv < 0) {
 			best, bestSrv = cand, s
 		}
 	}
@@ -448,14 +553,12 @@ func (ev *Evaluator) bestZoneMove() bool {
 	if workers <= 1 {
 		ev.rowScratch = grow(ev.rowScratch, ev.cache.servers)
 		for z := 0; z < n; z++ {
-			if ev.cache.dirty[z] {
-				ev.refreshRow(z, ev.rowScratch)
-			}
-			srv[z], cand[z] = ev.bestInRow(z, base, false)
+			ev.syncRow(z, ev.rowScratch)
+			srv[z], cand[z] = ev.bestInRow(z, base, foldImproving)
 		}
 	} else {
 		// Shard phase: workers own strided zone subsets (clustered dirty
-		// rows balance across shards), refresh their dirty rows and fold
+		// rows balance across shards), bring their rows up to date and fold
 		// every row against the read-only evaluator state, writing each
 		// zone's winner into its own slot. No shared mutable state beyond
 		// disjoint slice elements — every worker has its own
@@ -467,10 +570,8 @@ func (ev *Evaluator) bestZoneMove() bool {
 				defer wg.Done()
 				scratch := make([]float64, ev.cache.servers)
 				for z := w; z < n; z += workers {
-					if ev.cache.dirty[z] {
-						ev.refreshRow(z, scratch)
-					}
-					srv[z], cand[z] = ev.bestInRow(z, base, false)
+					ev.syncRow(z, scratch)
+					srv[z], cand[z] = ev.bestInRow(z, base, foldImproving)
 				}
 			}(w)
 		}

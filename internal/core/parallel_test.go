@@ -82,8 +82,9 @@ func TestParallelLocalSearchSynthetic(t *testing.T) {
 // TestCachedSearchUnderMutations interleaves every dynamic mutation with
 // cached scans and checks each scan against a cold-cache evaluator built
 // from a clone of the same state: stale cache rows would make the two
-// accept different moves. This pins the invalidation invariants of
-// DESIGN.md §8.
+// accept different moves — and, before each scan, every row the mutation
+// left clean is compared entry by entry with a from-scratch build
+// (checkCleanRows). This pins the invalidation invariants of DESIGN.md §8.
 func TestCachedSearchUnderMutations(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := xrand.New(uint64(12000 + trial))
@@ -126,6 +127,8 @@ func TestCachedSearchUnderMutations(t *testing.T) {
 					ev.ApplyZoneMove(rng.IntN(p.NumZones), rng.IntN(m))
 				}
 			}
+			// Whatever the mutation left clean must equal a from-scratch row.
+			checkCleanRows(t, "after mutation", ev)
 			// A cold evaluator on a cloned snapshot is the ground truth for
 			// what the very next scan must decide.
 			cold := NewEvaluator(p.Clone(), ev.Assignment())

@@ -14,16 +14,19 @@ import (
 // move selection, so attaching a registry cannot change an outcome.
 type evTele struct {
 	invalidations *telemetry.Counter   // cache rows marked dirty
-	rowRefreshes  *telemetry.Counter   // cache rows recomputed by a scan
-	rowHits       *telemetry.Counter   // cache rows served clean by a scan
+	rowRefreshes  *telemetry.Counter   // cache rows rebuilt from scratch for a fold
+	rowHits       *telemetry.Counter   // cache rows folded without a rebuild
+	rowAdjusts    *telemetry.Counter   // O(servers) in-place row adjustments
 	scanRounds    *telemetry.Counter   // zone-move scans run
 	scanDur       *telemetry.Histogram // zone-move scan wall time, seconds
 }
 
 // SetTelemetry attaches (or, with nil, detaches) a metrics registry. The
 // counters cover the candidate-delta cache — invalidations from mutations,
-// and per scan how many rows were recomputed versus served clean — plus a
-// wall-time histogram per zone-move scan. Safe to call at any time; the
+// in-place adjustments, and per fold (a local-search scan, or the
+// single-zone folds of ImproveZone and BestZoneHost) how many rows were
+// rebuilt versus served as maintained — plus a round count and wall-time
+// histogram per local-search zone-move scan. Safe to call at any time; the
 // registry's instruments are shared if several evaluators attach to one.
 func (ev *Evaluator) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
@@ -34,9 +37,11 @@ func (ev *Evaluator) SetTelemetry(reg *telemetry.Registry) {
 		invalidations: reg.Counter("dvecap_cache_invalidations_total",
 			"Candidate-delta cache rows marked dirty by evaluator mutations."),
 		rowRefreshes: reg.Counter("dvecap_cache_row_refreshes_total",
-			"Candidate-delta cache rows recomputed during zone-move scans."),
+			"Candidate-delta cache rows rebuilt from scratch for a zone-move scan or a seeded repair fold."),
 		rowHits: reg.Counter("dvecap_cache_row_hits_total",
-			"Candidate-delta cache rows served without recomputation during zone-move scans."),
+			"Candidate-delta cache rows folded without a rebuild by a zone-move scan or a seeded repair fold."),
+		rowAdjusts: reg.Counter("dvecap_cache_row_adjustments_total",
+			"O(servers) in-place adjustments of a candidate-delta cache row for one client's join, leave, move, delay refresh or contact switch."),
 		scanRounds: reg.Counter("dvecap_scan_rounds_total",
 			"Zone-move candidate scans executed."),
 		scanDur: reg.Histogram("dvecap_scan_duration_seconds",

@@ -154,10 +154,12 @@ func TestTrafficCutIncremental(t *testing.T) {
 			}
 		}
 
-		// Clean cached rows must hold the oracle's traffic deltas exactly.
+		// Clean cached rows must hold the oracle's traffic deltas exactly. The
+		// move the scan applied left its zone's row dirty and its neighbours'
+		// traffic entries stale (their own dirty bit).
 		ev.bestZoneMove()
 		for z := 0; z < p.NumZones; z++ {
-			if ev.cache.dirty[z] {
+			if ev.cache.dirty[z] || ev.cache.tdirty[z] {
 				continue
 			}
 			old := ev.zoneServer[z]

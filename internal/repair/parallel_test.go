@@ -62,24 +62,50 @@ func driveChurn(t *testing.T, pl *Planner, p *core.Problem, seed uint64, events 
 // the same event stream (drift guard armed, so full solves — and their
 // sharded cost-matrix builds — fire too) and end in the same state. This
 // is also the worker pool's -race stress under churn repair: the CI race
-// job runs it with the detector on.
+// job runs it with the detector on. The last trial runs long with the guard
+// off — no full solve rebuilds the candidate-delta rows, so they are
+// adjusted in place until the rebuild-after-N drift rule fires, which must
+// happen on the same events for every worker count.
 func TestPlannerWorkersDeterministic(t *testing.T) {
-	for trial := 0; trial < 6; trial++ {
+	for trial := 0; trial < 7; trial++ {
 		rng := xrand.New(uint64(31000 + trial))
-		p := randProblem(rng.Split(), 400)
+		events, guard := 400, 0.01 // trip often: full solves under churn
+		if trial == 6 {
+			events, guard = 40_000, 0
+		}
+		p := randProblem(rng.Split(), events)
 		build := func(workers int) *Planner {
 			cfg := testConfig()
 			cfg.Opt.Workers = workers
-			cfg.DriftPQoS = 0.01 // trip often: full solves under churn
+			cfg.DriftPQoS = guard
 			pl, err := New(cfg, p, xrand.New(uint64(500+trial)))
 			if err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
 			}
 			return pl
 		}
+		// The long leg draws its delay rows near per-zone prototypes
+		// (settledStep): zones keep their hosts, so rows live long enough.
+		drive := func(pl *Planner, seed uint64) {
+			if guard != 0 {
+				driveChurn(t, pl, p, seed, events)
+				return
+			}
+			rng := xrand.New(seed)
+			protos := zonePrototypes(pl, rng.Split())
+			live := make([]int, pl.NumClients())
+			for h := range live {
+				live[h] = h
+			}
+			for i := 0; i < events; i++ {
+				if err := settledStep(pl, rng, &live, protos); err != nil {
+					t.Fatalf("event %d: %v", i, err)
+				}
+			}
+		}
 		ref := build(1)
 		seed := uint64(7700 + trial)
-		driveChurn(t, ref, p, seed, 400)
+		drive(ref, seed)
 		want := ref.Assignment()
 		wantStats := ref.Stats()
 		for _, workers := range []int{4, 8} {
@@ -87,8 +113,12 @@ func TestPlannerWorkersDeterministic(t *testing.T) {
 			// The sharded planners run fully instrumented against the bare
 			// sequential reference: equality below also proves telemetry is
 			// observation-only (DESIGN.md §12).
-			pl.SetTelemetry(telemetry.NewRegistry())
-			driveChurn(t, pl, p, seed, 400)
+			reg := telemetry.NewRegistry()
+			pl.SetTelemetry(reg)
+			drive(pl, seed)
+			if guard == 0 && driftRebuilds(reg, pl.Stats().ZoneHandoffs) < 1 {
+				t.Fatalf("trial %d workers=%d: %d events never crossed the rebuild-after-N rule", trial, workers, events)
+			}
 			got := pl.Assignment()
 			for z := range want.ZoneServer {
 				if want.ZoneServer[z] != got.ZoneServer[z] {

@@ -40,7 +40,8 @@ type State struct {
 }
 
 // ExportState captures everything NewFromState needs to continue the
-// planner's trajectory. The problem itself is snapshotted separately.
+// planner's trajectory. The problem itself is snapshotted separately. It is
+// also the evaluator's cache barrier (core.Evaluator.ExportState).
 func (pl *Planner) ExportState() (*State, error) {
 	rst, err := pl.rng.State()
 	if err != nil {

@@ -124,6 +124,13 @@ type Planner struct {
 	// lockstep with the problem's server dimension (topology.go).
 	drained []bool
 
+	// Batch scratch (topology.go), kept across calls so a steady stream of
+	// batches allocates nothing: batchSeen is the duplicate-handle check of
+	// LeaveBatch/MoveBatch, emptied again before they return; batchZones
+	// collects a batch's touched zones for the seeded repair scan.
+	batchSeen  map[int]bool
+	batchZones []int
+
 	eventsSinceFull int
 	failBackoff     int // events to wait after a failed guard solve; doubles per failure
 	stats           Stats
@@ -184,7 +191,7 @@ func prepare(cfg Config, p *core.Problem, rng *xrand.RNG) (*Planner, error) {
 	// servers, so the column-wise writes of AddServer/RemoveServer stream
 	// through one arena instead of chasing 100k row allocations
 	// (core.Problem.ClonePadded).
-	pl := &Planner{cfg: cfg, rng: rng, prob: p.ClonePadded(8 + p.NumServers()/4)}
+	pl := &Planner{cfg: cfg, rng: rng, prob: p.ClonePadded(8 + p.NumServers()/4), batchSeen: map[int]bool{}}
 	k := pl.prob.NumClients()
 	pl.idx = make([]int, k)
 	pl.hnd = make([]int, k)

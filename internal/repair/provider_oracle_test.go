@@ -7,6 +7,7 @@ import (
 
 	"dvecap/internal/core"
 	"dvecap/internal/xrand"
+	"dvecap/telemetry"
 )
 
 // providerBacked rebuilds p behind a delay provider of the given kind with
@@ -136,11 +137,98 @@ func samePlannerState(t *testing.T, label string, plD, plP *Planner) {
 	}
 }
 
+// zonePrototypes draws one delay row per zone of pl for settledStep: each
+// zone gets exactly one available server inside the delay bound (spread
+// round-robin over the non-draining fleet) — by so little that no
+// forwarding hop fits under the bound as well — and every other server far
+// outside it, so a zone has one right host and no second-best to flip-flop
+// with.
+func zonePrototypes(pl *Planner, rng *xrand.RNG) [][]float64 {
+	var avail []int
+	for i := 0; i < pl.NumServers(); i++ {
+		if !pl.Draining(i) {
+			avail = append(avail, i)
+		}
+	}
+	d := pl.Problem().D
+	protos := make([][]float64, pl.NumZones())
+	for z := range protos {
+		protos[z] = make([]float64, pl.NumServers())
+		for i := range protos[z] {
+			protos[z][i] = d + rng.Uniform(100, 300)
+		}
+		protos[z][avail[z%len(avail)]] = d - rng.Uniform(10, 30)
+	}
+	return protos
+}
+
+// settledStep applies one client-churn event (join, leave, move, delay
+// refresh) whose delay rows are drawn within 5 ms of the client's zone
+// prototype — every client of a zone agrees on which server is close, so
+// zones settle on a host and rarely change it. That is the regime in which a
+// candidate-delta row lives long enough to be adjusted in place thousands
+// of times between rebuilds; under plannerStep's uniformly random rows a
+// zone is handed off (and its row rebuilt) every few hundred events.
+func settledStep(pl *Planner, rng *xrand.RNG, live *[]int, protos [][]float64) error {
+	near := func(z int) []float64 {
+		row := make([]float64, len(protos[z]))
+		for i, d := range protos[z] {
+			row[i] = d + rng.Uniform(0, 5)
+		}
+		return row
+	}
+	pick := func() int { return (*live)[rng.IntN(len(*live))] }
+	// The population is held between 40 and 160, so zones stay populated:
+	// a one-client zone follows whichever outlier walks into it.
+	switch op, k := rng.IntN(4), len(*live); {
+	case k < 40 || (op == 0 && k < 160):
+		z := rng.IntN(len(protos))
+		h, err := pl.Join(z, rng.Uniform(0.05, 0.5), near(z))
+		if err != nil {
+			return err
+		}
+		*live = append(*live, h)
+	case op == 1:
+		i := rng.IntN(len(*live))
+		if err := pl.Leave((*live)[i]); err != nil {
+			return err
+		}
+		(*live)[i] = (*live)[len(*live)-1]
+		*live = (*live)[:len(*live)-1]
+	case op == 2: // the avatar crosses a border and is re-measured
+		h, z := pick(), rng.IntN(len(protos))
+		if err := pl.Move(h, z); err != nil {
+			return err
+		}
+		return pl.UpdateDelays(h, near(z))
+	default:
+		h := pick()
+		j, err := pl.Index(h)
+		if err != nil {
+			return err
+		}
+		return pl.UpdateDelays(h, near(pl.Problem().ClientZones[j]))
+	}
+	return nil
+}
+
+// driftRebuilds returns how many candidate-delta rows the evaluator's
+// rebuild-after-N rule dirtied on a planner instrumented with reg, given
+// the zone handoffs counted since the registry was attached: with no
+// topology event, column overlay or traffic term in between, a row is
+// dirtied by its zone's own handoff or by that rule, nothing else.
+func driftRebuilds(reg *telemetry.Registry, handoffs int) int {
+	return int(reg.Counter("dvecap_cache_invalidations_total", "").Value()) - handoffs
+}
+
 // TestPlannerProviderMatchesDenseOracle drives identical churn + topology +
 // full-solve op-streams through a dense-matrix planner (the oracle) and a
 // provider-backed planner, at workers 1 and 4, asserting bit-identical
 // assignments, delays, quality figures and repair counters after every
 // event — the repair-subsystem lane of the dense-oracle equivalence suite.
+// One guard-free trial appends a long churn-only leg (no event that rebuilds a
+// row wholesale), so both lanes keep adjusting the same rows in place
+// until the rebuild-after-N drift rule fires — and must still agree.
 func TestPlannerProviderMatchesDenseOracle(t *testing.T) {
 	kinds := []string{core.ProviderCoord, core.ProviderSharedRow}
 	for _, kind := range kinds {
@@ -184,6 +272,27 @@ func TestPlannerProviderMatchesDenseOracle(t *testing.T) {
 							t.Fatalf("trial %d step %d: rejections differ: oracle %q, provider %q", trial, step, errD, errP)
 						}
 						samePlannerState(t, fmt.Sprintf("trial %d step %d", trial, step), plD, plP)
+					}
+					if cfg.DriftPQoS != 0 || trial < 3 {
+						continue // guard solves rebuild every row; one long leg is enough
+					}
+					reg := telemetry.NewRegistry()
+					plP.SetTelemetry(reg)
+					handoffs := plP.Stats().ZoneHandoffs
+					protos := zonePrototypes(plD, xrand.New(seed+77))
+					const churn = 40_000
+					for step := 0; step < churn; step++ {
+						errD := settledStep(plD, rngD, &liveD, protos)
+						errP := settledStep(plP, rngP, &liveP, protos)
+						if errD != nil || errP != nil {
+							t.Fatalf("trial %d churn step %d: oracle err %v, provider err %v", trial, step, errD, errP)
+						}
+						if step%500 == 0 || step == churn-1 {
+							samePlannerState(t, fmt.Sprintf("trial %d churn step %d", trial, step), plD, plP)
+						}
+					}
+					if n := driftRebuilds(reg, plP.Stats().ZoneHandoffs-handoffs); n < 1 {
+						t.Fatalf("trial %d: %d churn events never crossed the rebuild-after-N rule", trial, churn)
 					}
 				}
 			})

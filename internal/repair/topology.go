@@ -404,7 +404,8 @@ func (pl *Planner) JoinBatch(zones []int, rts []float64, css [][]float64) ([]int
 		handles[x] = pl.attachHandle(j)
 	}
 	pl.stats.Joins += len(zones)
-	pl.repairZones(dedupZones(append([]int(nil), zones...))...)
+	pl.batchZones = append(pl.batchZones[:0], zones...)
+	pl.repairZones(dedupZones(pl.batchZones)...)
 	pl.afterEventN(len(zones))
 	pl.teleEvent(evJoinBatch, len(zones), start)
 	return handles, nil
@@ -416,7 +417,8 @@ func (pl *Planner) JoinBatch(zones []int, rts []float64, css [][]float64) ([]int
 // live, no duplicates) before anything is applied, so an error means no
 // client left. The drift guard runs once for the whole batch.
 func (pl *Planner) LeaveBatch(handles []int) error {
-	seen := make(map[int]bool, len(handles))
+	seen := pl.batchSeen
+	defer clear(seen)
 	for x, h := range handles {
 		if _, err := pl.index(h); err != nil {
 			return fmt.Errorf("repair: batch client %d: %w", x, err)
@@ -427,7 +429,7 @@ func (pl *Planner) LeaveBatch(handles []int) error {
 		seen[h] = true
 	}
 	start := pl.teleStart()
-	touched := make([]int, 0, len(handles))
+	touched := pl.batchZones[:0]
 	for _, h := range handles {
 		// Re-resolve per removal: earlier removals swap-shift dense
 		// indices, handles do not move.
@@ -444,6 +446,7 @@ func (pl *Planner) LeaveBatch(handles []int) error {
 		pl.free = append(pl.free, h)
 	}
 	pl.stats.Leaves += len(handles)
+	pl.batchZones = touched
 	pl.repairZones(dedupZones(touched)...)
 	pl.afterEventN(len(handles))
 	pl.teleEvent(evLeaveBatch, len(handles), start)
@@ -460,7 +463,8 @@ func (pl *Planner) MoveBatch(handles []int, zones []int) error {
 	if len(zones) != len(handles) {
 		return fmt.Errorf("repair: batch of %d handles, %d zones", len(handles), len(zones))
 	}
-	seen := make(map[int]bool, len(handles))
+	seen := pl.batchSeen
+	defer clear(seen)
 	for x, h := range handles {
 		if _, err := pl.index(h); err != nil {
 			return fmt.Errorf("repair: batch client %d: %w", x, err)
@@ -474,7 +478,7 @@ func (pl *Planner) MoveBatch(handles []int, zones []int) error {
 		}
 	}
 	start := pl.teleStart()
-	touched := make([]int, 0, 2*len(handles))
+	touched := pl.batchZones[:0]
 	for x, h := range handles {
 		j := pl.idx[h]
 		old := pl.prob.ClientZones[j]
@@ -488,6 +492,7 @@ func (pl *Planner) MoveBatch(handles []int, zones []int) error {
 		touched = append(touched, old, zones[x])
 	}
 	pl.stats.Moves += len(handles)
+	pl.batchZones = touched
 	pl.repairZones(dedupZones(touched)...)
 	pl.afterEventN(len(handles))
 	pl.teleEvent(evMoveBatch, len(handles), start)

@@ -378,6 +378,50 @@ func TestJoinBatchMatchesScript(t *testing.T) {
 	}
 }
 
+// TestMoveBatchSteadyStateAllocs pins the batch scratch: once the planner's
+// duplicate-check map, touched-zone slice and zone buckets have grown to
+// the batch's size, a MoveBatch allocates nothing — one runs per tick of a
+// mobility workload.
+func TestMoveBatchSteadyStateAllocs(t *testing.T) {
+	pl := newTopoPlanner(t, 4100, 0)
+	n := pl.NumZones()
+	handles := make([]int, pl.NumClients())
+	zones := make([]int, len(handles))
+	for h := range handles {
+		handles[h] = h
+	}
+	tick := 0
+	move := func() {
+		tick++
+		for x := range zones {
+			zones[x] = (x + tick) % n
+		}
+		if err := pl.MoveBatch(handles, zones); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for warm := 0; warm < 4*n; warm++ {
+		move()
+	}
+	if avg := testing.AllocsPerRun(50, move); avg != 0 {
+		t.Fatalf("steady-state MoveBatch allocates %.1f times per call, want 0", avg)
+	}
+	if len(pl.batchSeen) != 0 {
+		t.Fatalf("duplicate-check scratch holds %d handles after MoveBatch", len(pl.batchSeen))
+	}
+	// A rejected batch leaves the scratch empty too.
+	if err := pl.MoveBatch([]int{0, 1, 0}, []int{0, 0, 0}); err == nil {
+		t.Fatal("repeated handle accepted")
+	}
+	if err := pl.LeaveBatch([]int{0, 1, 0}); err == nil {
+		t.Fatal("repeated handle accepted")
+	}
+	if len(pl.batchSeen) != 0 {
+		t.Fatalf("duplicate-check scratch holds %d handles after rejected batches", len(pl.batchSeen))
+	}
+	checkTopoPlanner(t, pl)
+}
+
 // TestTopologySentinels covers the error surface with errors.Is — no
 // message sniffing anywhere.
 func TestTopologySentinels(t *testing.T) {

@@ -6,7 +6,9 @@ package dvecap
 // matrix; the env-gated test opens a million-client cluster, asserts the
 // whole process stays under a declared RSS/heap budget — a budget the
 // dense representation cannot meet — drives churn through the open session
-// to sample per-event repair latency, and emits BENCH_scale.json.
+// to sample per-event repair latency (first touch of a zone's
+// candidate-delta row and warm-row events separately), and emits
+// BENCH_scale.json.
 //
 // Run the full-scale variant with:
 //
@@ -31,6 +33,7 @@ import (
 	"time"
 
 	"dvecap/internal/xrand"
+	"dvecap/telemetry"
 )
 
 // coordDim mirrors the core coordinate provider's default dimensionality.
@@ -187,9 +190,10 @@ func cpuModel() string {
 
 // TestScaleMillionClients opens a 1M-client coordinate-native cluster under
 // CoordDelays, asserts process heap and RSS stay under the declared
-// budgets, samples per-event repair latency over a churn storm, and writes
-// BENCH_scale.json. Gated behind DVECAP_SCALE_TEST=1 (it allocates
-// hundreds of MB and runs for minutes — the CI bench-smoke job runs it).
+// budgets, samples per-event repair latency over two churn storms — first
+// touches and warm rows reported separately — and writes BENCH_scale.json.
+// Gated behind DVECAP_SCALE_TEST=1 (it allocates hundreds of MB and runs
+// for minutes — the CI bench-smoke job runs it).
 func TestScaleMillionClients(t *testing.T) {
 	if os.Getenv("DVECAP_SCALE_TEST") == "" {
 		t.Skip("set DVECAP_SCALE_TEST=1 to run the million-client scale test")
@@ -245,49 +249,99 @@ func TestScaleMillionClients(t *testing.T) {
 		t.Errorf("provider holds %d bytes; dense matrix is %d — want at least 4x diet", prov, int64(k)*int64(m)*8)
 	}
 
-	// Churn storm: sampled per-event repair latency at full population.
+	// Churn storms: sampled per-event repair latency at full population. An
+	// event's cost depends on whether the candidate-delta rows of the zones
+	// it touches are already built (DESIGN.md §7): the first touch of a zone
+	// after the open's full solve rebuilds its row in O(servers × clients of
+	// the zone), every later event adjusts and folds it in O(servers). The
+	// first storm spreads 400 events over 2 000 zones — almost all first
+	// touches, the figure this test has always reported — and the second
+	// confines 400 more to the zones the first one touched, whose rows are
+	// warm. Events are classified by what they did — the evaluator's rebuild
+	// counter moved (first touch), only its hit counter did (warm row), or
+	// neither (no destination had room for the zone, so nothing was folded
+	// or built) — not by which storm they ran in.
+	reg := telemetry.NewRegistry()
+	s.planner().SetTelemetry(reg)
+	rebuilds := reg.Counter("dvecap_cache_row_refreshes_total", "")
+	hits := reg.Counter("dvecap_cache_row_hits_total", "")
 	const events = 400
-	lat := make([]time.Duration, 0, events)
+	var firstTouch, warm, unfolded []time.Duration
 	live := []string{}
+	var touched []string
 	row := make([]float64, m)
-	for e := 0; e < events; e++ {
-		r := rng.Float64()
-		start := time.Now()
-		switch {
-		case r < 0.4 || len(live) == 0:
-			id := fmt.Sprintf("n%06d", e)
-			for i := range row {
-				row[i] = rng.Uniform(5, 250)
+	storm := func(tag string, zone func() string) (lat []time.Duration) {
+		for e := 0; e < events; e++ {
+			r := rng.Float64()
+			builtBefore, hitsBefore := rebuilds.Value(), hits.Value()
+			start := time.Now()
+			switch {
+			case r < 0.4 || len(live) == 0:
+				id := fmt.Sprintf("%s%06d", tag, e)
+				for i := range row {
+					row[i] = rng.Uniform(5, 250)
+				}
+				if err := s.Join(id, ClientSpec{Zone: zone(), BandwidthMbps: 0.1, RTTRow: row}); err != nil {
+					t.Fatalf("event %d join: %v", e, err)
+				}
+				live = append(live, id)
+			case r < 0.6:
+				x := rng.IntN(len(live))
+				if err := s.Leave(live[x]); err != nil {
+					t.Fatalf("event %d leave: %v", e, err)
+				}
+				live[x] = live[len(live)-1]
+				live = live[:len(live)-1]
+			case r < 0.8:
+				if err := s.Move(live[rng.IntN(len(live))], zone()); err != nil {
+					t.Fatalf("event %d move: %v", e, err)
+				}
+			default:
+				for i := range row {
+					row[i] = rng.Uniform(5, 250)
+				}
+				if err := s.UpdateDelayRow(live[rng.IntN(len(live))], row); err != nil {
+					t.Fatalf("event %d delays: %v", e, err)
+				}
 			}
-			if err := s.Join(id, ClientSpec{Zone: fmt.Sprintf("z%d", rng.IntN(zones)), BandwidthMbps: 0.1, RTTRow: row}); err != nil {
-				t.Fatalf("event %d join: %v", e, err)
-			}
-			live = append(live, id)
-		case r < 0.6:
-			x := rng.IntN(len(live))
-			if err := s.Leave(live[x]); err != nil {
-				t.Fatalf("event %d leave: %v", e, err)
-			}
-			live[x] = live[len(live)-1]
-			live = live[:len(live)-1]
-		case r < 0.8:
-			if err := s.Move(live[rng.IntN(len(live))], fmt.Sprintf("z%d", rng.IntN(zones))); err != nil {
-				t.Fatalf("event %d move: %v", e, err)
-			}
-		default:
-			for i := range row {
-				row[i] = rng.Uniform(5, 250)
-			}
-			if err := s.UpdateDelayRow(live[rng.IntN(len(live))], row); err != nil {
-				t.Fatalf("event %d delays: %v", e, err)
+			d := time.Since(start)
+			lat = append(lat, d)
+			switch {
+			case rebuilds.Value() != builtBefore:
+				firstTouch = append(firstTouch, d)
+			case hits.Value() != hitsBefore:
+				warm = append(warm, d)
+			default:
+				unfolded = append(unfolded, d)
 			}
 		}
-		lat = append(lat, time.Since(start))
+		return lat
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(p float64) int64 { return lat[int(p*float64(len(lat)-1))].Nanoseconds() }
-	t.Logf("repair latency over %d events at %d clients: p50 %v p95 %v p99 %v max %v",
-		events, k, lat[len(lat)/2], time.Duration(pct(0.95)), time.Duration(pct(0.99)), lat[len(lat)-1])
+	lat := storm("n", func() string {
+		z := fmt.Sprintf("z%d", rng.IntN(zones))
+		touched = append(touched, z)
+		return z
+	})
+	storm("w", func() string { return touched[rng.IntN(len(touched))] })
+	pctOf := func(d []time.Duration, p float64) int64 {
+		if len(d) == 0 {
+			return 0
+		}
+		return d[int(p*float64(len(d)-1))].Nanoseconds()
+	}
+	for _, d := range [][]time.Duration{lat, firstTouch, warm, unfolded} {
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+	}
+	pct := func(p float64) int64 { return pctOf(lat, p) }
+	t.Logf("repair latency over the first %d events at %d clients: p50 %v p95 %v p99 %v max %v",
+		events, k, time.Duration(pct(0.50)), time.Duration(pct(0.95)), time.Duration(pct(0.99)), lat[len(lat)-1])
+	t.Logf("of %d events, %d rebuilt a row (first touch): p50 %v p95 %v; %d folded warm rows: p50 %v p95 %v; %d had no destination with room and folded nothing: p50 %v",
+		2*events, len(firstTouch), time.Duration(pctOf(firstTouch, 0.50)), time.Duration(pctOf(firstTouch, 0.95)),
+		len(warm), time.Duration(pctOf(warm, 0.50)), time.Duration(pctOf(warm, 0.95)),
+		len(unfolded), time.Duration(pctOf(unfolded, 0.50)))
+	split := func(d []time.Duration) map[string]any {
+		return map[string]any{"events": len(d), "p50": pctOf(d, 0.50), "p95": pctOf(d, 0.95), "p99": pctOf(d, 0.99)}
+	}
 
 	leg := map[string]any{
 		"scale": map[string]any{
@@ -315,10 +369,14 @@ func TestScaleMillionClients(t *testing.T) {
 				"p99":    pct(0.99),
 				"max":    lat[len(lat)-1].Nanoseconds(),
 			},
+			"repair_event_latency_first_touch_ns": split(firstTouch),
+			"repair_event_latency_warm_row_ns":    split(warm),
+			"repair_event_latency_no_fold_ns":     split(unfolded),
 		},
-		"summary": fmt.Sprintf("Open on %d clients x %d servers under CoordDelays: %d MB heap / %d MB RSS against budgets of %d / %d MB — the dense representation needs %d MB for its matrices alone. Per-event repair latency at full population: p50 %s, p99 %s over %d churn events. pQoS after open: %.4f.",
+		"summary": fmt.Sprintf("Open on %d clients x %d servers under CoordDelays: %d MB heap / %d MB RSS against budgets of %d / %d MB — the dense representation needs %d MB for its matrices alone. Per-event repair latency at full population: p50 %s, p99 %s over the first %d churn events, which are almost all first touches of a zone; split by what the event did, over %d events: p50 %s when it rebuilt a candidate-delta row (%d events), p50 %s when it folded a warm one (%d events), %d events found no destination with room and folded nothing. pQoS after open: %.4f.",
 			k, m, heap>>20, rss>>20, heapBudget>>20, rssBudget>>20, denseEq>>20,
-			time.Duration(pct(0.50)), time.Duration(pct(0.99)), events, s.PQoS()),
+			time.Duration(pct(0.50)), time.Duration(pct(0.99)), events, 2*events,
+			time.Duration(pctOf(firstTouch, 0.50)), len(firstTouch), time.Duration(pctOf(warm, 0.50)), len(warm), len(unfolded), s.PQoS()),
 	}
 	// One leg per population: a 5M run extends the document the 1M run
 	// wrote rather than replacing it, so BENCH_scale.json accumulates the
@@ -334,7 +392,7 @@ func TestScaleMillionClients(t *testing.T) {
 	}
 	legs[strconv.Itoa(k)] = leg
 	report := map[string]any{
-		"description": "Memory diet at scale (DESIGN.md §13): a coordinate-native cluster — every client joins with a 5-dim network coordinate, one in eight carries one measured RTT override, no dense rows anywhere — is opened under WithDelayProvider(CoordDelays) with GreZ-VirC, then a 400-event churn storm (40% full-row joins, 20% leaves, 20% moves, 20% delay-row refreshes) samples per-event repair latency at full population. One leg per population (DVECAP_SCALE_CLIENTS; budgets scale linearly). Budgets are asserted by TestScaleMillionClients (scale_test.go) and fail CI on regression; the dense path cannot meet them (the matrix alone is clients x servers x 8 bytes per copy, and the open path holds two copies).",
+		"description": "Memory diet at scale (DESIGN.md §13): a coordinate-native cluster — every client joins with a 5-dim network coordinate, one in eight carries one measured RTT override, no dense rows anywhere — is opened under WithDelayProvider(CoordDelays) with GreZ-VirC, then two 400-event churn storms (40% full-row joins, 20% leaves, 20% moves, 20% delay-row refreshes) sample per-event repair latency at full population: the first over all zones (repair_event_latency_ns — almost every event is the first touch of its zone since the open's solve and rebuilds that zone's candidate-delta row, DESIGN.md §7), the second over the zones the first one touched; repair_event_latency_first_touch_ns, _warm_row_ns and _no_fold_ns split all 800 events by whether the event rebuilt a row, folded a maintained one, or found no destination with room for its zone and folded nothing (measured with a metrics registry attached, which the split needs). One leg per population (DVECAP_SCALE_CLIENTS; budgets scale linearly). Budgets are asserted by TestScaleMillionClients (scale_test.go) and fail CI on regression; the dense path cannot meet them (the matrix alone is clients x servers x 8 bytes per copy, and the open path holds two copies).",
 		"date":        time.Now().Format("2006-01-02"),
 		"go":          runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
 		"cpu":         cpuModel(),
