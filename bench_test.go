@@ -9,6 +9,7 @@ package dvecap
 //	go test -bench=BenchmarkTable1 -benchtime=3x
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -586,6 +587,52 @@ func BenchmarkFullSolve100k(b *testing.B) {
 			late, rebuilds := opt.Scratch.GreCCounts()
 			b.ReportMetric(float64(late), "late-clients")
 			b.ReportMetric(float64(rebuilds), "rebuilds")
+		})
+	}
+}
+
+// BenchmarkSessionResolve100k measures ClusterSession.Resolve() — a live
+// session's full two-phase re-solve, the stall every lookup queues behind —
+// on the churn-scale scenario after 1 000 mixed events (joins with full
+// measured rows, leaves, zone moves), on the raw matrix and coordinate-native.
+// The cost matrix and GreC's late list come from the late index the opening
+// solve filled (internal/core/lateindex.go); BenchmarkFullSolve100k, a
+// one-shot solve of the same problems, reads every client's delay row.
+func BenchmarkSessionResolve100k(b *testing.B) {
+	src := largeProblem(b)
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.B) *core.Problem
+	}{{"dense", func(*testing.B) *core.Problem { return src }}, {"coord", coordProblem}} { // Open clones
+		b.Run(tc.name, func(b *testing.B) {
+			s, err := clusterFromProblem(tc.build(b)).Open("GreZ-GreC", WithSeed(7))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := xrand.New(23)
+			zones := s.ZoneIDs()
+			for e := 0; e < 1000; e++ {
+				switch e % 3 {
+				case 0:
+					tpl := rng.IntN(src.NumClients())
+					err = s.Join("n"+strconv.Itoa(e), ClientSpec{
+						Zone: zones[src.ClientZones[tpl]], BandwidthMbps: src.ClientRT[tpl], RTTRow: src.CS[tpl]})
+				case 1:
+					err = s.Leave("c" + strconv.Itoa(50_000+e))
+				default:
+					err = s.Move("c"+strconv.Itoa(rng.IntN(50_000)), zones[rng.IntN(len(zones))])
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Resolve(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

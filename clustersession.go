@@ -636,16 +636,18 @@ func (s *ClusterSession) PQoS() float64 { return s.binding.Planner().PQoS() }
 // real fleet's does.
 func (s *ClusterSession) Utilization() float64 { return s.binding.Planner().Utilization() }
 
-// Result evaluates the maintained solution against the session's current
+// Result reports the maintained solution against the session's current
 // truth (the measured delays it has been fed), in the same shape Solve
-// returns. Result.ClientIDs names the client behind each dense index;
+// returns — the numbers core.Evaluate would compute, read from what the
+// planner's evaluator already maintains instead of re-derived from every
+// client's delays. Result.ClientIDs names the client behind each dense index;
 // zone and server indices follow the session's CURRENT ZoneIDs and
 // ServerIDs order (topology events renumber).
 func (s *ClusterSession) Result() (*Result, error) {
 	pl := s.binding.Planner()
 	p := pl.Problem()
 	a := pl.Assignment()
-	return newResult(s.m.Algo(), p, a, core.Evaluate(p, a), s.binding.DenseIDs()), nil
+	return newResult(s.m.Algo(), p, a, pl.Evaluator().Metrics(), s.binding.DenseIDs()), nil
 }
 
 // validateRTTRow rejects measurements no delay model admits — negative,

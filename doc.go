@@ -143,7 +143,13 @@
 // greedy contact placement for the event's client plus a fold of the
 // maintained candidate-delta rows of the zones the event changed — while a
 // drift guard triggers an amortized full re-solve only when quality decays
-// past a threshold. The sim churn driver
+// past a threshold. That re-solve, too, stops re-deriving what has not
+// changed: the planner keeps per client a bitset of the servers beyond the
+// bound (the late index, DESIGN.md §3), written only when a delay is and
+// untouched by zone crossings, and a session's full solve builds GreZ's
+// cost matrix and GreC's late list from it instead of reading every
+// client's delay row; ClusterSession.Result reads its metrics from what the
+// evaluator maintains. The sim churn driver
 // (ChurnConfig.Repair), the director service and this package's Session
 // all run on it:
 //

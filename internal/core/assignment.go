@@ -143,10 +143,18 @@ func Evaluate(truth *Problem, a *Assignment) Metrics {
 			m.WithQoS++
 		}
 	}
-	if k > 0 {
+	m.setRatios(truth, a.ServerLoads(truth))
+	return m
+}
+
+// setRatios derives PQoS from WithQoS, and Utilization and MaxLoadRatio
+// from the per-server loads — the one summation order every Metrics
+// producer shares, so their floats are bit-equal.
+func (m *Metrics) setRatios(truth *Problem, loads []float64) {
+	m.PQoS, m.Utilization, m.MaxLoadRatio = 0, 0, 0
+	if k := truth.NumClients(); k > 0 {
 		m.PQoS = float64(m.WithQoS) / float64(k)
 	}
-	loads := a.ServerLoads(truth)
 	var used, capTotal float64
 	for i, l := range loads {
 		used += l
@@ -158,7 +166,6 @@ func Evaluate(truth *Problem, a *Assignment) Metrics {
 	if capTotal > 0 {
 		m.Utilization = used / capTotal
 	}
-	return m
 }
 
 // TotalCost returns the CAP objective actually reported by the paper: the

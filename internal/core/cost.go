@@ -6,10 +6,11 @@ import "slices"
 // CI[i][j] = |{c in zone j : d(c, s_i) > D}| — the number of clients of
 // zone j left without QoS if zone j is hosted on server i.
 // The result is indexed [server][zone] and freshly allocated; the greedy
-// algorithms go through Workspace.initialCosts to reuse buffers instead.
+// algorithms go through Workspace.initialCostsParallel to reuse buffers
+// instead.
 func InitialCosts(p *Problem) [][]int {
 	var w Workspace
-	return w.initialCosts(p)
+	return w.initialCostsParallel(p, 1, nil)
 }
 
 // RefinedCost computes the RAP cost metric of Equation (8) for selecting

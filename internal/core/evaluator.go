@@ -66,6 +66,10 @@ type Evaluator struct {
 	rowScratch []float64
 	adjScratch []float64
 
+	// late, when attached (SetLateIndex), is the owner's late index, kept
+	// current by the mutations that write a delay (lateindex.go).
+	late *LateIndex
+
 	// Metric handles (telemetry.go); the zero value is fully disabled.
 	tele evTele
 }
@@ -81,6 +85,11 @@ func NewEvaluator(p *Problem, a *Assignment) *Evaluator {
 // in O(clients + zones + servers).
 func (ev *Evaluator) Reset(p *Problem, a *Assignment) {
 	m, n, k := p.NumServers(), p.NumZones, p.NumClients()
+	if ev.late != nil && ev.late.p != p {
+		// The index describes another problem, which this evaluator stops
+		// maintaining here.
+		ev.late.drop()
+	}
 	ev.p = p
 
 	ev.zoneServer = grow(ev.zoneServer, n)
@@ -195,6 +204,19 @@ func (ev *Evaluator) Assignment() *Assignment {
 		ZoneServer:    append([]int(nil), ev.zoneServer...),
 		ClientContact: append([]int(nil), ev.contact...),
 	}
+}
+
+// Metrics returns what Evaluate(problem, Assignment()) would, bit for bit,
+// without reading a delay: Delays and WithQoS are the maintained per-client
+// values (each exactly the sum Evaluate forms), and the load ratios come
+// from a fresh ServerLoads pass, because the incrementally maintained loads
+// carry their update history's rounding. O(clients + servers).
+func (ev *Evaluator) Metrics() Metrics {
+	m := Metrics{WithQoS: ev.withQoS, Delays: make([]float64, len(ev.delay))}
+	copy(m.Delays, ev.delay)
+	a := Assignment{ZoneServer: ev.zoneServer, ClientContact: ev.contact}
+	m.setRatios(ev.p, a.ServerLoads(ev.p))
+	return m
 }
 
 // score returns the current lexicographic objective.

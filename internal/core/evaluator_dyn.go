@@ -51,6 +51,11 @@ func (ev *Evaluator) AddClient(zone int, rt float64, cs []float64) int {
 	p.ClientZones = append(p.ClientZones, zone)
 	p.ClientRT = append(p.ClientRT, rt)
 	p.AppendCSRow(cs)
+	if li := ev.lateIndex(); li != nil {
+		// Read back, so unmeasured entries get the bit of the value the
+		// store resolved them to.
+		li.appendClient(ev.csRow(j), p.D)
+	}
 
 	t := ev.zoneServer[zone]
 	ev.contact = append(ev.contact, t)
@@ -112,6 +117,9 @@ func (ev *Evaluator) RemoveClient(j int) int {
 	p.ClientZones = p.ClientZones[:l]
 	p.ClientRT = p.ClientRT[:l]
 	p.SwapRemoveCSRow(j)
+	if li := ev.lateIndex(); li != nil {
+		li.swapRemoveClient(j)
+	}
 	ev.contact = ev.contact[:l]
 	ev.delay = ev.delay[:l]
 	ev.posInZone = ev.posInZone[:l]
@@ -179,6 +187,9 @@ func (ev *Evaluator) SetClientDelays(j int, cs []float64) {
 	p := ev.p
 	ev.adjustRowForClient(j, -1)
 	p.SetCSRow(j, cs)
+	if li := ev.lateIndex(); li != nil {
+		li.setRow(j, ev.csRow(j), p.D)
+	}
 	t := ev.zoneServer[p.ClientZones[j]]
 	c := ev.contact[j]
 	var nd float64

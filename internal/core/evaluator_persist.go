@@ -116,5 +116,10 @@ func (ev *Evaluator) RestoreState(st *EvaluatorState) error {
 		copy(ev.cordoned, st.Cordoned)
 	}
 	ev.cache.invalidateAll()
+	if ev.late != nil {
+		// Rebuilt by the next solve, never restored (the index is not part of
+		// any snapshot).
+		ev.late.drop()
+	}
 	return nil
 }

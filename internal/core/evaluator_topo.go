@@ -38,6 +38,9 @@ func (ev *Evaluator) AddServer(capacity float64, ss, csCol []float64) int {
 	copy(row, ss)
 	p.SS = append(p.SS, row)
 	p.AppendCSCol(csCol)
+	if li := ev.lateIndex(); li != nil {
+		li.appendServer(p)
+	}
 	ev.loads = append(ev.loads, 0)
 	ev.cordoned = append(ev.cordoned, false)
 	// Server-dimension change: the cache stride shifts, every row rebuilds.
@@ -85,6 +88,9 @@ func (ev *Evaluator) RemoveServer(i int) int {
 		p.SS[x] = p.SS[x][:l]
 	}
 	p.SwapRemoveCSCol(i)
+	if li := ev.lateIndex(); li != nil {
+		li.swapRemoveServer(i)
+	}
 	ev.cache.ensure(p.NumZones, l, ev.trafficOn)
 	ev.cache.invalidateAll()
 	return moved
@@ -183,6 +189,9 @@ func (ev *Evaluator) Cordoned(i int) bool { return ev.cordoned[i] }
 func (ev *Evaluator) SetClientServerDelay(j, i int, d float64) {
 	p := ev.p
 	p.SetCSAt(j, i, d)
+	if li := ev.lateIndex(); li != nil {
+		li.setBit(j, i, isLate(p.CSAt(j, i), p.D))
+	}
 	t := ev.zoneServer[p.ClientZones[j]]
 	c := ev.contact[j]
 	var nd float64

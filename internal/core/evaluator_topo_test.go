@@ -135,9 +135,11 @@ func TestCachedSearchUnderTopologyMutations(t *testing.T) {
 		if trial%2 == 0 {
 			ev.SetWorkers(1 + rng.IntN(4))
 		}
+		attachLateIndex(t, ev, 1)
 		for step := 0; step < 50; step++ {
 			topoStep(ev, rng, rng.IntN(12))
 			checkCleanRows(t, "after topology mutation", ev)
+			checkLateIndex(t, ev)
 			cold := NewEvaluator(p.Clone(), ev.Assignment())
 			for i := 0; i < p.NumServers(); i++ {
 				cold.SetCordon(i, ev.Cordoned(i))

@@ -51,6 +51,13 @@ type Options struct {
 	// every server and leave at least one server available. nil means no
 	// server is cordoned.
 	Cordoned []bool
+	// Late, when non-nil, is the caller's late index (lateindex.go): a solve
+	// of the problem it was filled from builds the cost matrix and GreC's
+	// late list from its bits instead of reading delays, any other solve
+	// fills it while counting from rows. For owners of a long-lived problem
+	// whose evaluator keeps the index current (the repair planner); one-shot
+	// solves leave it nil. Outputs are identical either way.
+	Late *LateIndex
 }
 
 // cordoned reports whether server i is excluded by the options' mask.
@@ -169,7 +176,7 @@ func StickyGreZ(incumbent []int, bonus float64) IAPFunc {
 // greZBiased is GreZ with an optional desirability bias term.
 func greZBiased(_ *xrand.RNG, p *Problem, opt Options, bias func(server, zone int) float64) ([]int, error) {
 	w := opt.scratch()
-	ci := w.initialCostsParallel(p, opt.workerCount())
+	ci := w.initialCostsParallel(p, opt.workerCount(), opt.Late)
 	m, n := p.NumServers(), p.NumZones
 	zoneRT := w.zoneRTs(p)
 
@@ -225,7 +232,7 @@ func greZBiased(_ *xrand.RNG, p *Problem, opt Options, bias func(server, zone in
 // occasionally better packings; quantified by the ablation benchmark.
 func GreZDynamic(_ *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 	w := opt.scratch()
-	ci := w.initialCostsParallel(p, opt.workerCount())
+	ci := w.initialCostsParallel(p, opt.workerCount(), opt.Late)
 	m, n := p.NumServers(), p.NumZones
 	zoneRT := w.zoneRTs(p)
 	loads := w.zeroLoads(m)

@@ -84,7 +84,9 @@ func TestParallelLocalSearchSynthetic(t *testing.T) {
 // from a clone of the same state: stale cache rows would make the two
 // accept different moves — and, before each scan, every row the mutation
 // left clean is compared entry by entry with a from-scratch build
-// (checkCleanRows). This pins the invalidation invariants of DESIGN.md §8.
+// (checkCleanRows), and the late index with a recomputation from the delay
+// rows (checkLateIndex). This pins the invalidation invariants of DESIGN.md
+// §8.
 func TestCachedSearchUnderMutations(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := xrand.New(uint64(12000 + trial))
@@ -97,6 +99,7 @@ func TestCachedSearchUnderMutations(t *testing.T) {
 		if trial%2 == 0 {
 			ev.SetWorkers(1 + rng.IntN(4))
 		}
+		attachLateIndex(t, ev, 1)
 		m := p.NumServers()
 		for step := 0; step < 60; step++ {
 			switch k := ev.NumClients(); rng.IntN(7) {
@@ -129,6 +132,7 @@ func TestCachedSearchUnderMutations(t *testing.T) {
 			}
 			// Whatever the mutation left clean must equal a from-scratch row.
 			checkCleanRows(t, "after mutation", ev)
+			checkLateIndex(t, ev)
 			// A cold evaluator on a cloned snapshot is the ground truth for
 			// what the very next scan must decide.
 			cold := NewEvaluator(p.Clone(), ev.Assignment())

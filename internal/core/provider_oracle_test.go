@@ -106,11 +106,15 @@ func TestProviderMatchesDenseOracle(t *testing.T) {
 					evD.SetWorkers(workers)
 					evP.SetWorkers(workers)
 					compareLanes(t, fmt.Sprintf("trial %d after solve", trial), evD, evP)
+					attachLateIndex(t, evD, workers)
+					attachLateIndex(t, evP, workers)
 
 					for step := 0; step < 50; step++ {
 						topoStep(evD, rngD, rngD.IntN(12))
 						topoStep(evP, rngP, rngP.IntN(12))
 						compareLanes(t, fmt.Sprintf("trial %d step %d", trial, step), evD, evP)
+						checkLateIndex(t, evD)
+						checkLateIndex(t, evP)
 					}
 					// The provider lane must also survive the oracle's own
 					// from-scratch consistency check.

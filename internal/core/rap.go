@@ -36,6 +36,9 @@ func VirC(_ *xrand.RNG, p *Problem, zoneServer []int, _ Options) ([]int, error) 
 // is total (preferenceOrder), so the walk continues at the third entry
 // exactly where a fully sorted list would.
 //
+// Under Options.Late (a session's re-solve) the first pass reads the late
+// index and only the late clients' delay rows are ever touched.
+//
 // Loads start at the initial phase's zone loads, matching the RAP
 // constraint (10): contact load fits within C_{s_i} − R_{s_i}.
 func GreC(_ *xrand.RNG, p *Problem, zoneServer []int, opt Options) ([]int, error) {
@@ -49,12 +52,23 @@ func GreC(_ *xrand.RNG, p *Problem, zoneServer []int, opt Options) ([]int, error
 	}
 
 	// First pass: clients whose direct delay to the target meets the bound
-	// connect straight to it (no forwarding, no extra load).
+	// connect straight to it (no forwarding, no extra load). A filled late
+	// index answers that with bit (j, target) instead of a delay read.
+	idx := opt.Late
+	if !idx.ValidFor(p) {
+		idx = nil
+	}
 	w.late = grow(w.late, p.NumClients())[:0]
 	late := w.late // the paper's list L_E
 	for j, z := range p.ClientZones {
 		t := zoneServer[z]
-		if p.CSAt(j, t) <= p.D {
+		var inBound bool
+		if idx != nil {
+			inBound = !idx.has(j, t)
+		} else {
+			inBound = p.CSAt(j, t) <= p.D
+		}
+		if inBound {
 			contact[j] = t
 		} else {
 			late = append(late, j)

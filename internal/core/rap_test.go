@@ -122,7 +122,8 @@ func sparseCoordProblem(p *Problem) *Problem {
 
 // TestGreCMatchesFullSortReference pins the two-candidate GreC to the
 // full-sort reference: identical contact vectors over every delay storage,
-// with and without a cordon mask, from loose to starved capacity — and the
+// with and without a cordon mask, with the first pass reading delays and
+// reading a filled late index, from loose to starved capacity — and the
 // starved rows must really walk past the second choice.
 func TestGreCMatchesFullSortReference(t *testing.T) {
 	capacities := []struct {
@@ -170,6 +171,20 @@ func TestGreCMatchesFullSortReference(t *testing.T) {
 								}
 							}
 							late, rebuilds := w.GreCCounts()
+							opt.Late = &LateIndex{}
+							w.initialCostsParallel(p, 1, opt.Late)
+							indexed, err := GreC(nil, p, zoneServer, opt)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for j := range want {
+								if indexed[j] != want[j] {
+									t.Fatalf("trial %d: late index puts client %d on server %d, reference has %d", trial, j, indexed[j], want[j])
+								}
+							}
+							if l, r := w.GreCCounts(); l != late || r != rebuilds {
+								t.Fatalf("trial %d: late index sees %d late clients and %d rebuilds, delays %d and %d", trial, l, r, late, rebuilds)
+							}
 							if late == 0 {
 								t.Fatalf("trial %d: no late clients — the instance tests nothing", trial)
 							}
@@ -191,7 +206,8 @@ func TestGreCMatchesFullSortReference(t *testing.T) {
 // TestSolveWithScratchAllocatesOnlyTheAssignment pins Options.Scratch's
 // promise on a warm workspace: a full GreZ-GreC solve allocates the
 // returned Assignment and its two slices, nothing else — on the raw matrix
-// and through a provider that materializes rows.
+// and through a provider that materializes rows, counting from the rows and
+// from a late index.
 func TestSolveWithScratchAllocatesOnlyTheAssignment(t *testing.T) {
 	base, _ := grecProblem(xrand.New(99), 8, 9)
 	for i := range base.ServerCaps {
@@ -200,9 +216,11 @@ func TestSolveWithScratchAllocatesOnlyTheAssignment(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		p    *Problem
-	}{{"dense", base}, {"coord", sparseCoordProblem(base)}} {
+		late *LateIndex
+	}{{"dense", base, nil}, {"coord", sparseCoordProblem(base), nil},
+		{"dense-indexed", base, &LateIndex{}}, {"coord-indexed", sparseCoordProblem(base), &LateIndex{}}} {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := Options{Scratch: NewWorkspace()}
+			opt := Options{Scratch: NewWorkspace(), Late: tc.late}
 			solve := func() {
 				if _, err := GreZGreC.Solve(nil, tc.p, opt); err != nil {
 					t.Fatal(err)
@@ -211,6 +229,14 @@ func TestSolveWithScratchAllocatesOnlyTheAssignment(t *testing.T) {
 			solve() // grow the workspace
 			if late, _ := opt.Scratch.GreCCounts(); late == 0 {
 				t.Fatal("no late clients: GreC's second pass did not run")
+			}
+			solve() // the second solve of an indexed workspace reads the index
+			want := CostMatrixFromRows
+			if tc.late != nil {
+				want = CostMatrixFromIndex
+			}
+			if got := opt.Scratch.CostMatrixSource(); got != want {
+				t.Fatalf("warm solve built the matrix from %q, want %q", got, want)
 			}
 			if allocs := testing.AllocsPerRun(20, solve); allocs > 3 {
 				t.Fatalf("%v allocations per solve, want 3 (the Assignment, ZoneServer, ClientContact)", allocs)

@@ -88,8 +88,7 @@ func NewFromState(cfg Config, p *core.Problem, st *State) (*Planner, error) {
 	if st.Eval == nil {
 		return nil, fmt.Errorf("repair: state has no evaluator sidecar")
 	}
-	pl.ev = core.NewEvaluator(pl.prob, a)
-	pl.ev.SetWorkers(cfg.Opt.Workers)
+	pl.bindEvaluator(a)
 	if err := pl.ev.RestoreState(st.Eval); err != nil {
 		return nil, err
 	}

@@ -30,7 +30,8 @@ type Config struct {
 	// full re-solve (required).
 	Algo core.TwoPhase
 	// Opt configures full solves. A Scratch workspace is attached
-	// automatically when none is set. Opt.Workers also configures the
+	// automatically when none is set, and Late is pointed at the planner's
+	// own late index. Opt.Workers also configures the
 	// planner's evaluator: the seeded repair scans consult the evaluator's
 	// candidate-delta cache either way, and full solves shard the greedy
 	// phase's cost-matrix build across that many goroutines (DESIGN.md §8).
@@ -113,6 +114,10 @@ type Planner struct {
 
 	prob *core.Problem
 	ev   *core.Evaluator
+	// late is the evaluator's late index (core/lateindex.go): filled by the
+	// first full solve as a by-product of its count pass, kept current by
+	// the evaluator, read by every later full solve in place of the delays.
+	late core.LateIndex
 
 	idx  []int // handle → dense client index, -1 when released
 	hnd  []int // dense client index → handle
@@ -165,10 +170,20 @@ func NewWithAssignment(cfg Config, p *core.Problem, a *core.Assignment, rng *xra
 	if err := a.Validate(p); err != nil {
 		return nil, fmt.Errorf("repair: %w", err)
 	}
-	pl.ev = core.NewEvaluator(pl.prob, a)
-	pl.ev.SetWorkers(cfg.Opt.Workers)
+	pl.bindEvaluator(a)
 	pl.stats.BaselinePQoS = pl.ev.PQoS()
 	return pl, nil
+}
+
+// bindEvaluator creates the planner's evaluator over its problem with a
+// loaded, wired to the planner's worker count, late index and telemetry.
+func (pl *Planner) bindEvaluator(a *core.Assignment) {
+	pl.ev = core.NewEvaluator(pl.prob, a)
+	pl.ev.SetWorkers(pl.cfg.Opt.Workers)
+	pl.ev.SetLateIndex(&pl.late)
+	if pl.tele.on {
+		pl.ev.SetTelemetry(pl.tele.reg)
+	}
 }
 
 func prepare(cfg Config, p *core.Problem, rng *xrand.RNG) (*Planner, error) {
@@ -192,6 +207,7 @@ func prepare(cfg Config, p *core.Problem, rng *xrand.RNG) (*Planner, error) {
 	// through one arena instead of chasing 100k row allocations
 	// (core.Problem.ClonePadded).
 	pl := &Planner{cfg: cfg, rng: rng, prob: p.ClonePadded(8 + p.NumServers()/4), batchSeen: map[int]bool{}}
+	pl.cfg.Opt.Late = &pl.late
 	k := pl.prob.NumClients()
 	pl.idx = make([]int, k)
 	pl.hnd = make([]int, k)
@@ -470,11 +486,7 @@ func (pl *Planner) fullSolve(trigger string) error {
 		}
 		pl.ev.Reset(pl.prob, a)
 	} else {
-		pl.ev = core.NewEvaluator(pl.prob, a)
-		pl.ev.SetWorkers(pl.cfg.Opt.Workers)
-		if pl.tele.on {
-			pl.ev.SetTelemetry(pl.tele.reg)
-		}
+		pl.bindEvaluator(a)
 	}
 	pl.stats.FullSolves++
 	pl.stats.BaselinePQoS = pl.ev.PQoS()

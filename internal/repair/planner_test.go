@@ -75,8 +75,8 @@ func close64(a, b float64) bool {
 // checkPlanner asserts the three properties the subsystem promises after
 // any event sequence: the maintained solution is structurally feasible
 // (every zone hosted, every client contacted, capacities respected), and
-// the evaluator's incremental state matches a from-scratch evaluation of
-// the same assignment on the same problem.
+// the evaluator's incremental state — the late index included — matches a
+// from-scratch evaluation of the same assignment on the same problem.
 func checkPlanner(t *testing.T, pl *Planner) {
 	t.Helper()
 	p := pl.Problem()
@@ -115,6 +115,9 @@ func checkPlanner(t *testing.T, pl *Planner) {
 	want := core.RAPCost(p, a)
 	if !close64(ev.RAPCost(), want) {
 		t.Fatalf("incremental RAP cost %v, from-scratch %v", ev.RAPCost(), want)
+	}
+	if err := pl.late.Verify(p); err != nil {
+		t.Fatal(err)
 	}
 }
 

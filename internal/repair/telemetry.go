@@ -3,6 +3,7 @@ package repair
 import (
 	"time"
 
+	"dvecap/internal/core"
 	"dvecap/telemetry"
 )
 
@@ -61,6 +62,7 @@ type plTele struct {
 	fsDrift, fsImbalance, fsEpoch *telemetry.Counter
 	fsDur                         *telemetry.Histogram
 	fsLate, fsRebuilds            *telemetry.Counter
+	fsFromIndex, fsFromRows       *telemetry.Counter
 
 	handoffs, switches          *telemetry.Counter
 	prevHandoffs, prevSwitches  int
@@ -78,8 +80,9 @@ type plTele struct {
 // SetTelemetry attaches (nil detaches) a metrics registry to the planner
 // and its evaluator. Exposed series: per-event-type repair counters and
 // latency histograms, full-solve counters labeled by trigger
-// (drift/imbalance/epoch) with a duration histogram and GreC's late-client
-// and preference-rebuild counts, cumulative zone-handoff and
+// (drift/imbalance/epoch) with a duration histogram, GreC's late-client
+// and preference-rebuild counts and what fed each solve's cost matrix (the
+// late index or the delay rows), cumulative zone-handoff and
 // contact-switch counters, and live gauges for pQoS, pQoS drift,
 // utilization, utilization spread and population — refreshed after every
 // event, so a scrape always sees the maintained solution's current
@@ -114,6 +117,9 @@ func (pl *Planner) SetTelemetry(reg *telemetry.Registry) {
 		"Clients beyond the delay bound at their target server, summed over full solves (GreC's work list).")
 	t.fsRebuilds = reg.Counter("dvecap_solve_preference_rebuilds_total",
 		"Late clients refused by both kept candidates, so GreC rebuilt their full preference order.")
+	const matrixHelp = "Full solves by what fed the IAP cost matrix: the maintained late index, or a read of every client's delay row (a session's first solve, and the first after a recovery)."
+	t.fsFromIndex = reg.Counter("dvecap_solve_cost_matrix_total", matrixHelp, "source", core.CostMatrixFromIndex)
+	t.fsFromRows = reg.Counter("dvecap_solve_cost_matrix_total", matrixHelp, "source", core.CostMatrixFromRows)
 	t.handoffs = reg.Counter("dvecap_zone_handoffs_total",
 		"Zone rehostings: localized repair moves plus full-solve diffs.")
 	t.switches = reg.Counter("dvecap_contact_switches_total",
@@ -212,4 +218,10 @@ func (pl *Planner) teleFullSolve(trigger string, start time.Time) {
 	late, rebuilds := pl.cfg.Opt.Scratch.GreCCounts()
 	t.fsLate.Add(uint64(late))
 	t.fsRebuilds.Add(uint64(rebuilds))
+	switch pl.cfg.Opt.Scratch.CostMatrixSource() {
+	case core.CostMatrixFromIndex:
+		t.fsFromIndex.Inc()
+	case core.CostMatrixFromRows:
+		t.fsFromRows.Inc()
+	}
 }
