@@ -221,9 +221,9 @@ func BenchmarkRanZ(b *testing.B) {
 // assignment: as provisioned (about a quarter of the late clients go past
 // their two kept candidates), and starved — every server filled to the
 // brim by its zones, so no candidate ever accepts and every late client
-// whose target is not one of its two pays the second µ row and the full
-// sort of the rebuild path. That is GreC's worst case; late-clients and
-// rebuilds are reported beside the time.
+// whose target is not one of its two pays the second µ row and the arg-max
+// of the third choice. That is GreC's worst case; late-clients and
+// rebuilds (third choices) are reported beside the time.
 func BenchmarkGreC(b *testing.B) {
 	p := benchProblem(b, "20s-80z-1000c-500cp")
 	target, err := core.GreZ(nil, p, core.Options{Overflow: core.SpillLargestResidual})

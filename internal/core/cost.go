@@ -40,83 +40,43 @@ func refinedDesirability(p *Problem, row []float64, t int, mu []float64) {
 	}
 }
 
-// desirabilityList is a server preference list for one item (zone or
-// client): servers sorted by descending desirability µ = -cost, ties broken
-// by ascending server index so every algorithm is deterministic.
-type desirabilityList struct {
-	item    int       // zone or client index
-	servers []int     // candidate servers, best first
-	mu      []float64 // µ value per entry of servers
-	regret  float64   // µ[0] - µ[1]; 0 when only one server exists
-}
-
-// buildDesirability constructs the sorted preference list for one item
-// given its per-server desirability values, allocating fresh backing.
-func buildDesirability(item int, mu []float64) desirabilityList {
-	m := len(mu)
-	return buildDesirabilityInto(item, mu, make([]int, m), make([]float64, m))
-}
-
-// buildDesirabilityInto is buildDesirability writing into caller-provided
-// backing slices (each of length len(mu)), so preference-list construction
-// over many items reuses one flat allocation (see Workspace.desirability).
-func buildDesirabilityInto(item int, mu []float64, servers []int, muSorted []float64) desirabilityList {
-	m := len(mu)
-	preferenceOrder(mu, servers)
-	for idx, s := range servers {
-		muSorted[idx] = mu[s]
-	}
-	dl := desirabilityList{item: item, servers: servers, mu: muSorted}
-	if m >= 2 {
-		// The paper's ρ: the gap between the best and second-best
-		// desirability — the "regret" of not taking the best server.
-		dl.regret = muSorted[0] - muSorted[1]
-	}
-	return dl
-}
-
-// preferenceOrder fills servers (len(mu) entries) with every server index,
-// most desirable first. (µ desc, index asc) is a total order, so the
-// unstable sort is deterministic — and any prefix of the result can be
-// found without sorting by scanning µ in index order (GreC's two
-// candidates are exactly servers[0] and servers[1]).
-func preferenceOrder(mu []float64, servers []int) {
-	for i := range servers {
-		servers[i] = i
-	}
-	slices.SortFunc(servers, func(a, b int) int {
-		if mu[a] != mu[b] {
-			if mu[a] > mu[b] {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
-}
-
-// contactChoice is one late client's entry in GreC's regret order: its
-// most and second most desirable contact server under preferenceOrder's
-// total order. The regret ρ needs nothing beyond those two.
-type contactChoice struct {
-	client       int
+// regretChoice is one item's (a zone's in GreZ, a late client's in GreC)
+// entry in a greedy phase's regret order: its most and second most
+// desirable server under the total order (µ desc, index asc). The regret ρ
+// needs nothing beyond those two.
+type regretChoice struct {
+	item         int
 	best, second int32   // second is -1 when there is only one server
 	regret       float64 // µ[best] − µ[second]; 0 when only one server exists
 }
 
-// sortChoicesByRegret orders GreC's late clients like sortByRegret orders
-// preference lists: (regret desc, client asc).
-func sortChoicesByRegret(choices []contactChoice) {
-	slices.SortFunc(choices, func(x, y contactChoice) int {
-		return cmpRegret(x.regret, y.regret, x.client, y.client)
-	})
+// topTwo returns item's choice over the µ row mu from one scan: ties keep
+// the lower server index, so best and second are exactly the first two
+// entries a full sort by (µ desc, index asc) would produce.
+func topTwo(item int, mu []float64) regretChoice {
+	best, second := 0, -1
+	for i := 1; i < len(mu); i++ {
+		switch {
+		case mu[i] > mu[best]:
+			best, second = i, best
+		case second < 0 || mu[i] > mu[second]:
+			second = i
+		}
+	}
+	c := regretChoice{item: item, best: int32(best), second: int32(second)}
+	if second >= 0 {
+		// The paper's ρ: the gap between the best and second-best
+		// desirability — the "regret" of not taking the best server.
+		c.regret = mu[best] - mu[second]
+	}
+	return c
 }
 
-// sortByRegret orders lists by (regret desc, item asc), the processing
-// order of the paper's greedy loops (Figs. 2 and 3). The item tie-break
-// makes the order total, so the unstable sort is deterministic.
-func sortByRegret(lists []desirabilityList) {
-	slices.SortFunc(lists, func(x, y desirabilityList) int {
+// sortChoicesByRegret orders items by (regret desc, item asc), the
+// processing order of the paper's greedy loops (Figs. 2 and 3). The item
+// tie-break makes the order total, so the unstable sort is deterministic.
+func sortChoicesByRegret(choices []regretChoice) {
+	slices.SortFunc(choices, func(x, y regretChoice) int {
 		return cmpRegret(x.regret, y.regret, x.item, y.item)
 	})
 }
@@ -131,4 +91,45 @@ func cmpRegret(rx, ry float64, ix, iy int) int {
 		return 1
 	}
 	return ix - iy
+}
+
+// placement is the step both greedy phases share: "the most desirable
+// server with sufficient capacity" (Figs. 2 and 3) against the running
+// loads. Whether a server accepts an item depends on the loads alone, never
+// on how far down a preference list the item has come — so the most
+// desirable of the servers that accept is the server a walk down the sorted
+// list stops at, and no list is ever built.
+type placement struct {
+	loads, caps []float64
+	opt         Options
+}
+
+// accepts reports whether server s takes `need` more load.
+func (pm *placement) accepts(s int, need float64) bool {
+	return !pm.opt.cordoned(s) && almostLE(pm.loads[s]+need, pm.caps[s])
+}
+
+// kept returns the first of c's two kept candidates that accepts need, or
+// -1 when both refuse. free names a server that accepts regardless (a
+// client's target: no forwarding, no extra load), -1 for none.
+func (pm *placement) kept(c regretChoice, need float64, free int) int {
+	for _, s := range [2]int{int(c.best), int(c.second)} {
+		if s >= 0 && (s == free || pm.accepts(s, need)) {
+			return s
+		}
+	}
+	return -1
+}
+
+// third is the on-demand choice of an item both kept candidates refused:
+// the arg-max of its µ row, under the same total order, over the servers
+// that accept — -1 when none does.
+func (pm *placement) third(mu []float64, need float64, free int) int {
+	best := -1
+	for i, v := range mu {
+		if (best < 0 || v > mu[best]) && (i == free || pm.accepts(i, need)) {
+			best = i
+		}
+	}
+	return best
 }

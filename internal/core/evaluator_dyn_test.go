@@ -8,10 +8,17 @@ import (
 
 // checkDynState asserts the evaluator's derived state against a fresh
 // evaluator built from the (mutated) problem and current assignment —
-// the dynamic-methods analogue of checkEvaluatorState.
+// the dynamic-methods analogue of checkEvaluatorState. The problem itself
+// must pass the full Validate, every stored delay entry included: a
+// planner's full solve no longer re-reads the entries (SolveOwned), so the
+// mutators leaving them valid is proven here, after every event of every
+// mutation suite.
 func checkDynState(t *testing.T, ev *Evaluator) {
 	t.Helper()
 	p := ev.p
+	if err := p.Validate(); err != nil {
+		t.Fatalf("mutated problem invalid: %v", err)
+	}
 	a := ev.Assignment()
 	fresh := NewEvaluator(p, a)
 	if ev.WithQoS() != fresh.WithQoS() {

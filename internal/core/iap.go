@@ -31,7 +31,7 @@ var ErrInfeasible = errors.New("core: no server with sufficient residual capacit
 type Options struct {
 	Overflow OverflowPolicy
 	// Scratch, when non-nil, provides reusable buffers for the algorithms'
-	// internal state (cost matrices, preference lists, load accumulators),
+	// internal state (cost matrices, candidate pairs, load accumulators),
 	// making repeated Solve calls allocation-free apart from the returned
 	// assignment. Callers that solve in a loop — replications, churn
 	// re-optimisation — should pass one Workspace per goroutine.
@@ -144,9 +144,9 @@ func RanZ(rng *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 // and places each zone on the most desirable server that still has
 // capacity.
 //
-// Per the paper's pseudocode the desirability lists and regrets are
-// computed once, up front (static regret). See GreZDynamic for the
-// recomputing variant used in ablations.
+// Per the paper's pseudocode desirabilities and regrets are computed once,
+// up front (static regret). See GreZDynamic for the recomputing variant
+// used in ablations.
 func GreZ(rng *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 	return greZBiased(rng, p, opt, nil)
 }
@@ -173,55 +173,53 @@ func StickyGreZ(incumbent []int, bonus float64) IAPFunc {
 	}
 }
 
-// greZBiased is GreZ with an optional desirability bias term.
+// greZBiased is GreZ with an optional desirability bias term. It has GreC's
+// shape: each zone keeps its two most desirable servers (topTwo), zones are
+// placed in descending-regret order, and a zone both candidates refuse
+// recomputes its µ row and takes the most desirable server that still
+// accepts it (placement.third) — the server a walk down the zone's sorted
+// list would stop at, found without sorting.
 func greZBiased(_ *xrand.RNG, p *Problem, opt Options, bias func(server, zone int) float64) ([]int, error) {
 	w := opt.scratch()
 	ci := w.initialCostsParallel(p, opt.workerCount(), opt.Late)
 	m, n := p.NumServers(), p.NumZones
 	zoneRT := w.zoneRTs(p)
 
-	lists := w.desirability(n, m)
 	w.mu = grow(w.mu, m)
 	mu := w.mu
-	for z := 0; z < n; z++ {
-		for i := 0; i < m; i++ {
+	// zoneMu fills mu with zone z's desirability of every server.
+	zoneMu := func(z int) {
+		for i := range mu {
 			mu[i] = -float64(ci[i][z])
 			if bias != nil {
 				mu[i] += bias(i, z)
 			}
 		}
-		srv, muSorted := w.listBacking(z, m)
-		lists[z] = buildDesirabilityInto(z, mu, srv, muSorted)
 	}
-	sortByRegret(lists)
+	w.choices = grow(w.choices, n)
+	choices := w.choices
+	for z := range choices {
+		zoneMu(z)
+		choices[z] = topTwo(z, mu)
+	}
+	sortChoicesByRegret(choices)
 
-	loads := w.zeroLoads(m)
+	pm := placement{loads: w.zeroLoads(m), caps: p.ServerCaps, opt: opt}
 	target := make([]int, n)
-	for i := range target {
-		target[i] = -1
-	}
-	for _, dl := range lists {
-		z := dl.item
-		placed := false
-		for _, s := range dl.servers {
-			if opt.cordoned(s) {
-				continue
-			}
-			if almostLE(loads[s]+zoneRT[z], p.ServerCaps[s]) {
-				target[z] = s
-				loads[s] += zoneRT[z]
-				placed = true
-				break
+	for _, c := range choices {
+		z := c.item
+		s := pm.kept(c, zoneRT[z], -1)
+		if s < 0 {
+			zoneMu(z)
+			if s = pm.third(mu, zoneRT[z], -1); s < 0 {
+				var err error
+				if s, err = spill(pm.loads, pm.caps, opt); err != nil {
+					return nil, fmt.Errorf("%w (zone %d, RT %.3f Mbps)", err, z, zoneRT[z])
+				}
 			}
 		}
-		if !placed {
-			s, err := spill(loads, p.ServerCaps, opt)
-			if err != nil {
-				return nil, fmt.Errorf("%w (zone %d, RT %.3f Mbps)", err, z, zoneRT[z])
-			}
-			target[z] = s
-			loads[s] += zoneRT[z]
-		}
+		target[z] = s
+		pm.loads[s] += zoneRT[z]
 	}
 	return target, nil
 }

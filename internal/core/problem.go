@@ -107,8 +107,30 @@ func (p *Problem) TotalCapacity() float64 {
 	return t
 }
 
-// Validate checks structural consistency and returns the first violation.
+// Validate checks structural consistency and returns the first violation:
+// the shape and scalar checks of validateShape, then every stored
+// client-server delay entry — O(clients × servers) on the raw matrix.
+// Providers validate their own entries where they take them.
 func (p *Problem) Validate() error {
+	if err := p.validateShape(); err != nil {
+		return err
+	}
+	for j, row := range p.CS {
+		for i, d := range row {
+			if d < 0 || math.IsNaN(d) {
+				return fmt.Errorf("core: CS[%d][%d] = %v invalid", j, i, d)
+			}
+		}
+	}
+	return nil
+}
+
+// validateShape is Validate without the delay entries: dimensions, scalars,
+// per-client zone and bandwidth, the inter-server matrix —
+// O(clients + servers² + zones). All a solve needs to index safely; enough
+// on its own only for a problem whose every delay entry was checked where
+// it was written (TwoPhase.SolveOwned).
+func (p *Problem) validateShape() error {
 	m, k := p.NumServers(), p.NumClients()
 	if m == 0 {
 		return fmt.Errorf("core: problem has no servers")
@@ -147,19 +169,8 @@ func (p *Problem) Validate() error {
 		if p.ClientRT[j] <= 0 || math.IsNaN(p.ClientRT[j]) {
 			return fmt.Errorf("core: client %d RT %v, want > 0", j, p.ClientRT[j])
 		}
-		if p.Delays != nil {
-			// Providers validate their own entries at construction time;
-			// walking k × m provider reads here would defeat the point of
-			// bounded-memory million-client opens.
-			continue
-		}
-		if len(p.CS[j]) != m {
+		if p.Delays == nil && len(p.CS[j]) != m {
 			return fmt.Errorf("core: CS row %d has %d entries, want %d", j, len(p.CS[j]), m)
-		}
-		for i, d := range p.CS[j] {
-			if d < 0 || math.IsNaN(d) {
-				return fmt.Errorf("core: CS[%d][%d] = %v invalid", j, i, d)
-			}
 		}
 	}
 	if p.Adjacency != nil && p.Adjacency.NumZones() != p.NumZones {

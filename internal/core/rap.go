@@ -29,12 +29,12 @@ func VirC(_ *xrand.RNG, p *Problem, zoneServer []int, _ Options) ([]int, error) 
 // load. The target server itself is always a fallback candidate (zero
 // extra load), so GreC cannot fail.
 //
-// Only each late client's two most desirable servers are kept: they fix
-// its regret, and where contact servers have forwarding headroom one of
-// them takes nearly every client. A client both refuse gets its full
-// preference order rebuilt from a second read of its delay row; the order
-// is total (preferenceOrder), so the walk continues at the third entry
-// exactly where a fully sorted list would.
+// Only each late client's two most desirable servers are kept (topTwo):
+// they fix its regret, and where contact servers have forwarding headroom
+// one of them takes nearly every client. A client both refuse reads its
+// delay row a second time and takes the most desirable server that still
+// accepts it (placement.third) — near capacity more than half of the late
+// clients, which is why that step is an arg-max and not a sort.
 //
 // Under Options.Late (a session's re-solve) the first pass reads the late
 // index and only the late clients' delay rows are ever touched.
@@ -75,66 +75,35 @@ func GreC(_ *xrand.RNG, p *Problem, zoneServer []int, opt Options) ([]int, error
 		}
 	}
 
-	// Second pass: regret-ordered greedy over the late clients.
+	// Second pass: regret-ordered greedy over the late clients. Forwarding
+	// through the target t is the identity — zero extra load, always
+	// accepted — so t is the placement's free server and GreC cannot fail.
 	w.choices = grow(w.choices, len(late))
 	w.mu = grow(w.mu, m)
 	w.rows = grow(w.rows, m)
-	w.order = grow(w.order, m)
 	choices, mu, rowBuf := w.choices, w.mu, w.rows[:m]
 	for li, j := range late {
-		t := zoneServer[p.ClientZones[j]]
-		refinedDesirability(p, p.CSRow(j, rowBuf), t, mu)
-		best, second := 0, -1
-		for i := 1; i < m; i++ {
-			switch {
-			case mu[i] > mu[best]:
-				best, second = i, best
-			case second < 0 || mu[i] > mu[second]:
-				second = i
-			}
-		}
-		c := contactChoice{client: j, best: int32(best), second: int32(second)}
-		if second >= 0 {
-			// The paper's ρ: the gap between the best and second-best
-			// desirability — the "regret" of not taking the best server.
-			c.regret = mu[best] - mu[second]
-		}
-		choices[li] = c
+		refinedDesirability(p, p.CSRow(j, rowBuf), zoneServer[p.ClientZones[j]], mu)
+		choices[li] = topTwo(j, mu)
 	}
 	sortChoicesByRegret(choices)
 
-	// accepts places client j on contact server s if s takes it. Forwarding
-	// through the target t is the identity: zero extra load, always
-	// feasible.
-	accepts := func(j, t, s int) bool {
-		if s != t {
-			if opt.cordoned(s) || !almostLE(loads[s]+2*p.ClientRT[j], p.ServerCaps[s]) {
-				return false
-			}
-			loads[s] += 2 * p.ClientRT[j]
-		}
-		contact[j] = s
-		return true
-	}
+	pm := placement{loads: loads, caps: p.ServerCaps, opt: opt}
 	w.lateClients, w.rebuilds = len(late), 0
 	for _, c := range choices {
-		j := c.client
+		j := c.item
 		t := zoneServer[p.ClientZones[j]]
-		// With a single server best is the target, so second = -1 is never
-		// tried.
-		if accepts(j, t, int(c.best)) || accepts(j, t, int(c.second)) {
-			continue
+		need := 2 * p.ClientRT[j]
+		s := pm.kept(c, need, t)
+		if s < 0 {
+			w.rebuilds++
+			refinedDesirability(p, p.CSRow(j, rowBuf), t, mu)
+			s = pm.third(mu, need, t)
 		}
-		w.rebuilds++
-		refinedDesirability(p, p.CSRow(j, rowBuf), t, mu)
-		preferenceOrder(mu, w.order)
-		// t is neither best nor second, so it is among the rest and ends
-		// the walk at the latest.
-		for _, s := range w.order[2:] {
-			if accepts(j, t, s) {
-				break
-			}
+		if s != t {
+			loads[s] += need
 		}
+		contact[j] = s
 	}
 	return contact, nil
 }

@@ -19,9 +19,22 @@ type TwoPhase struct {
 // returned assignment is always freshly allocated and safe to retain;
 // callers that solve repeatedly (replication or churn loops) should set
 // Options.Scratch so both phases reuse their internal buffers — cost
-// matrices, preference lists, load accumulators — across calls.
+// matrices, candidate pairs, load accumulators — across calls. The problem
+// is fully validated first, every stored delay entry included: the entry
+// for every caller that was handed its problem.
 func (tp TwoPhase) Solve(rng *xrand.RNG, p *Problem, opt Options) (*Assignment, error) {
 	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", tp.Name, err)
+	}
+	return tp.SolveOwned(rng, p, opt)
+}
+
+// SolveOwned is Solve for the owner of every writer of p's delay entries,
+// who refuses a bad entry where it is written (the repair planner): the
+// shape and scalar checks and the assignment's validation still run, the
+// O(clients × servers) re-read of stored entries does not.
+func (tp TwoPhase) SolveOwned(rng *xrand.RNG, p *Problem, opt Options) (*Assignment, error) {
+	if err := p.validateShape(); err != nil {
 		return nil, fmt.Errorf("%s: %w", tp.Name, err)
 	}
 	zoneServer, err := tp.Init(rng, p, opt)

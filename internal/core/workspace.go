@@ -4,8 +4,8 @@ import "sync"
 
 // Workspace holds reusable scratch buffers for the assignment algorithms'
 // hot paths: the IAP cost matrix, zone bandwidth totals, per-server load
-// accumulators, GreZ's per-zone preference lists, GreC's two candidates
-// per late client, materialized delay rows and evaluation delay vectors.
+// accumulators, the greedy phases' two candidates per zone and per late
+// client, materialized delay rows and evaluation delay vectors.
 // The cost matrix has two sources: a one-shot solve counts it from every
 // client's delay row (countInitialCosts, the only code that builds it from
 // delays); a solve handed a filled Options.Late derives it from the late
@@ -15,8 +15,9 @@ import "sync"
 // re-optimisation — allocation-free apart from the returned assignments,
 // which are always freshly allocated and safe to retain.
 //
-// Retained size is O(clients + servers × zones): nothing scales with
-// clients × servers.
+// Retained size is O(clients + servers × zones) — the cost matrix is its
+// only servers × zones term, no preference list is kept for any item — and
+// nothing scales with clients × servers.
 //
 // The zero value is ready to use. A Workspace is not safe for concurrent
 // use; give each goroutine its own.
@@ -33,11 +34,8 @@ type Workspace struct {
 	order      []int
 	candidates []int
 	late       []int
-	choices    []contactChoice
+	choices    []regretChoice
 	unassigned []bool
-	lists      []desirabilityList
-	srvFlat    []int
-	muFlat     []float64
 	evLoads    []float64
 
 	// Counts left by the most recent GreC run (see GreCCounts).
@@ -187,26 +185,6 @@ func (w *Workspace) zeroLoads(m int) []float64 {
 	return w.loads
 }
 
-// desirability returns n preference lists backed by the workspace's flat
-// arrays, each with room for m servers. Entries must be filled with
-// buildDesirabilityInto before use. Only the zone phase keeps full lists
-// (n zones); GreC keeps two candidates per client instead.
-func (w *Workspace) desirability(n, m int) []desirabilityList {
-	if cap(w.lists) < n {
-		w.lists = make([]desirabilityList, n)
-	}
-	w.lists = w.lists[:n]
-	w.srvFlat = grow(w.srvFlat, n*m)
-	w.muFlat = grow(w.muFlat, n*m)
-	return w.lists
-}
-
-// listBacking returns the i-th preference list's server and µ backing
-// slices (each of length m) inside the flat arrays.
-func (w *Workspace) listBacking(i, m int) ([]int, []float64) {
-	return w.srvFlat[i*m : (i+1)*m], w.muFlat[i*m : (i+1)*m]
-}
-
 // Sources of a cost matrix, as CostMatrixSource reports them.
 const (
 	CostMatrixFromRows  = "rows"
@@ -221,8 +199,9 @@ func (w *Workspace) CostMatrixSource() string { return w.ciSource }
 
 // GreCCounts reports what the most recent GreC run on this workspace saw:
 // how many clients missed the bound at their target (the paper's list L_E)
-// and for how many of those both kept candidates refused, so the full
-// preference order had to be rebuilt.
+// and how many of those both kept candidates refused, so they were placed
+// on a third choice: a second read of the delay row and one arg-max over
+// the servers that still accepted them — no sort.
 func (w *Workspace) GreCCounts() (lateClients, rebuilds int) {
 	return w.lateClients, w.rebuilds
 }

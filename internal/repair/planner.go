@@ -218,6 +218,21 @@ func prepare(cfg Config, p *core.Problem, rng *xrand.RNG) (*Planner, error) {
 	return pl, nil
 }
 
+// checkDelays refuses a negative client-server delay before it reaches the
+// planner's problem; NaN marks an entry unmeasured (core.Problem's delay
+// contract). Every entry point that stores delays calls it before touching
+// the evaluator — what lets a full solve skip re-validating the stored
+// entries. Entries are indexed along axis ("server" for a client's row,
+// "client" for a server's column).
+func checkDelays(ds []float64, axis string) error {
+	for x, d := range ds {
+		if d < 0 {
+			return fmt.Errorf("repair: %s %d delay %v ms, want >= 0 (NaN marks unmeasured)", axis, x, d)
+		}
+	}
+	return nil
+}
+
 // index resolves a handle, rejecting released and out-of-range ones.
 func (pl *Planner) index(handle int) (int, error) {
 	if handle < 0 || handle >= len(pl.idx) || pl.idx[handle] < 0 {
@@ -238,6 +253,9 @@ func (pl *Planner) Join(zone int, rt float64, cs []float64) (int, error) {
 	}
 	if len(cs) != pl.prob.NumServers() {
 		return 0, fmt.Errorf("repair: delay row has %d entries, want %d", len(cs), pl.prob.NumServers())
+	}
+	if err := checkDelays(cs, "server"); err != nil {
+		return 0, err
 	}
 	start := pl.teleStart()
 	j := pl.ev.AddClient(zone, rt, cs)
@@ -327,6 +345,9 @@ func (pl *Planner) UpdateDelays(handle int, cs []float64) error {
 	}
 	if len(cs) != pl.prob.NumServers() {
 		return fmt.Errorf("repair: delay row has %d entries, want %d", len(cs), pl.prob.NumServers())
+	}
+	if err := checkDelays(cs, "server"); err != nil {
+		return err
 	}
 	start := pl.teleStart()
 	pl.ev.SetClientDelays(j, cs)
@@ -474,7 +495,9 @@ func (pl *Planner) fullSolve(trigger string) error {
 		// take no zones and no contacts, not even as spill.
 		opt.Cordoned = pl.drained
 	}
-	a, err := algo.Solve(pl.rng.Split(), pl.prob, opt)
+	// The planner owns every writer of its problem's delays and each one
+	// refuses a bad entry (checkDelays), so the solve does not re-read them.
+	a, err := algo.SolveOwned(pl.rng.Split(), pl.prob, opt)
 	if err != nil {
 		return fmt.Errorf("repair: full solve: %w", err)
 	}

@@ -116,7 +116,7 @@ func (pl *Planner) SetTelemetry(reg *telemetry.Registry) {
 	t.fsLate = reg.Counter("dvecap_solve_late_clients_total",
 		"Clients beyond the delay bound at their target server, summed over full solves (GreC's work list).")
 	t.fsRebuilds = reg.Counter("dvecap_solve_preference_rebuilds_total",
-		"Late clients refused by both kept candidates, so GreC rebuilt their full preference order.")
+		"Late clients refused by both kept candidates and placed on a third choice: one arg-max over the servers that still accepted them, no sort (the name predates that).")
 	const matrixHelp = "Full solves by what fed the IAP cost matrix: the maintained late index, or a read of every client's delay row (a session's first solve, and the first after a recovery)."
 	t.fsFromIndex = reg.Counter("dvecap_solve_cost_matrix_total", matrixHelp, "source", core.CostMatrixFromIndex)
 	t.fsFromRows = reg.Counter("dvecap_solve_cost_matrix_total", matrixHelp, "source", core.CostMatrixFromRows)

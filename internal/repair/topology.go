@@ -127,10 +127,8 @@ func (pl *Planner) addServer(capacity float64, ss, csCol []float64, cordoned boo
 	if csCol != nil && len(csCol) != p.NumClients() {
 		return 0, fmt.Errorf("repair: client delay column has %d entries, want %d", len(csCol), p.NumClients())
 	}
-	for j, d := range csCol {
-		if d < 0 {
-			return 0, fmt.Errorf("repair: client %d delay %v ms, want >= 0 (NaN marks unmeasured)", j, d)
-		}
+	if err := checkDelays(csCol, "client"); err != nil {
+		return 0, err
 	}
 	start := pl.teleStart()
 	i := pl.ev.AddServer(capacity, ss, csCol)
@@ -393,6 +391,9 @@ func (pl *Planner) JoinBatch(zones []int, rts []float64, css [][]float64) ([]int
 		if len(css[x]) != p.NumServers() {
 			return nil, fmt.Errorf("repair: batch client %d: delay row has %d entries, want %d", x, len(css[x]), p.NumServers())
 		}
+		if err := checkDelays(css[x], "server"); err != nil {
+			return nil, fmt.Errorf("repair: batch client %d: %w", x, err)
+		}
 	}
 	start := pl.teleStart()
 	handles := make([]int, len(zones))
@@ -519,10 +520,10 @@ func (pl *Planner) UpdateServerDelayColumn(i int, handles []int, ds []float64) e
 		if err != nil {
 			return err
 		}
-		if ds[x] < 0 || math.IsNaN(ds[x]) {
-			return fmt.Errorf("repair: RTT to server %d is %v ms, want >= 0", i, ds[x])
-		}
 		idx[x] = j
+	}
+	if err := checkDelays(ds, "client"); err != nil {
+		return err
 	}
 	start := pl.teleStart()
 	touched := make([]int, 0, len(idx))
