@@ -599,6 +599,52 @@ func BenchmarkFullSolve100k(b *testing.B) {
 // solve filled (internal/core/lateindex.go); BenchmarkFullSolve100k, a
 // one-shot solve of the same problems, reads every client's delay row.
 func BenchmarkSessionResolve100k(b *testing.B) {
+	forChurnedSessions100k(b, func(b *testing.B, s *ClusterSession, _ *xrand.RNG) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Resolve(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSessionEventsAfterResolve100k measures what a re-solve costs the
+// events that FOLLOW it: per iteration one Resolve() (untimed) and then 500
+// single zone moves, timed — the mean event, first touches of rehosted zones
+// included, where BenchmarkRepair and write_p50_ms see the warm median. The
+// re-solve is adopted (core.Evaluator.Adopt): zones that keep their host
+// keep their candidate-delta row, so most of the 500 fold a warm row; when
+// every row was invalidated, most rebuilt one in O(servers × clients of the
+// zone).
+func BenchmarkSessionEventsAfterResolve100k(b *testing.B) {
+	forChurnedSessions100k(b, func(b *testing.B, s *ClusterSession, rng *xrand.RNG) {
+		const events = 500
+		zones := s.ZoneIDs()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := s.Resolve(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for e := 0; e < events; e++ {
+				if err := s.Move("c"+strconv.Itoa(rng.IntN(50_000)), zones[rng.IntN(len(zones))]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+	})
+}
+
+// forChurnedSessions100k runs f as a sub-benchmark on the churn-scale
+// scenario opened as a live session — on the raw matrix and coordinate-native
+// — after 1 000 mixed events (joins with full measured rows, leaves, zone
+// moves). Clients c0..c49999 are never removed.
+func forChurnedSessions100k(b *testing.B, f func(b *testing.B, s *ClusterSession, rng *xrand.RNG)) {
 	src := largeProblem(b)
 	for _, tc := range []struct {
 		name  string
@@ -626,13 +672,7 @@ func BenchmarkSessionResolve100k(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Resolve(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			f(b, s, rng)
 		})
 	}
 }

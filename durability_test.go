@@ -343,6 +343,8 @@ type durableMachine interface {
 	clientIDs(t *testing.T) [][]string
 	// victim is one more journaled mutation — the crash target.
 	victim() error
+	// resolve is the journaled full re-solve, outside the script.
+	resolve() error
 	// fenced asserts that mutations of every kind fail with want.
 	fenced(t *testing.T, want error)
 	// numeric lists the mutations that carry a measured quantity, each
@@ -449,6 +451,59 @@ func proveClientOrder(t *testing.T, sf durableSurface) {
 		if !reflect.DeepEqual(list, before[0]) {
 			t.Fatalf("listing %d of %d before + %d after recovery is in another order:\n%v\nvs\n%v", x, len(before), len(after), list, before[0])
 		}
+	}
+}
+
+// proveKillRecoverAcrossResolve: a full re-solve is adopted onto warm
+// candidate-delta rows on the live machine, while a recovered one meets it
+// with whatever its snapshot barrier left — every row cold when the re-solve
+// is replayed from the log tail, rows rebuilt since the barrier when a second
+// checkpoint followed it. Which rows a machine holds must not show: killed
+// after a Resolve that fell between two checkpoints (and before the second
+// one), it recovers to the uninterrupted control's exact state — evaluator
+// accumulators and handoff counters included — and then hands off the same
+// zones at the same events.
+func proveKillRecoverAcrossResolve(t *testing.T, sf durableSurface) {
+	for _, second := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint after the resolve=%v", second), func(t *testing.T) {
+			const churnSeed = 977
+			control := sf.open(t, proofRun{workers: 1, churnSeed: churnSeed})
+			run := proofRun{dir: t.TempDir(), workers: 1, churnSeed: churnSeed}
+			durable := sf.open(t, run)
+			both := func(f func(m durableMachine)) { f(control); f(durable) }
+			checkpoint := func() {
+				if _, err := durable.checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resolve := func(m durableMachine) {
+				if err := m.resolve(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			both(func(m durableMachine) { m.run(t, 30) })
+			checkpoint()
+			both(func(m durableMachine) { m.run(t, 12) }) // warms rows past the barrier
+			both(resolve)
+			both(func(m durableMachine) { m.run(t, 8) }) // events on the adopted rows
+			if second {
+				checkpoint()
+				both(func(m durableMachine) { m.run(t, 6) })
+			}
+			recovered := sf.recover(t, run, durable)
+			requireSameState(t, "at the kill point", control, recovered)
+			for leg := 0; leg < 8; leg++ {
+				control.run(t, 5)
+				recovered.run(t, 5)
+				requireSameState(t, fmt.Sprintf("%d events after recovery", 5*(leg+1)), control, recovered)
+			}
+			// And a re-solve on the recovered machine adopts like the control's.
+			resolve(control)
+			resolve(recovered)
+			control.run(t, 10)
+			recovered.run(t, 10)
+			requireSameState(t, "after a post-recovery re-solve", control, recovered)
+		})
 	}
 }
 
@@ -768,6 +823,8 @@ func (m *sessionMachine) victimSpec(bw, rtt float64) ClientSpec {
 }
 
 func (m *sessionMachine) victim() error { return m.s.Join("victim", m.victimSpec(0.3, 42)) }
+
+func (m *sessionMachine) resolve() error { return m.s.Resolve() }
 
 func (m *sessionMachine) fenced(t *testing.T, want error) {
 	t.Helper()
@@ -1103,6 +1160,11 @@ func (m *directorMachine) victim() error {
 	return err
 }
 
+func (m *directorMachine) resolve() error {
+	_, err := m.d.Reassign()
+	return err
+}
+
 func (m *directorMachine) fenced(t *testing.T, want error) {
 	t.Helper()
 	_, auto := m.d.Join("", 3, 0)
@@ -1141,6 +1203,13 @@ func TestDurableKillRecoverBitIdentical(t *testing.T) {
 }
 func TestDirectorKillRecoverBitIdentical(t *testing.T) {
 	proveKillRecoverWorkers(t, directorSurface(t, "dense"))
+}
+
+func TestDurableKillRecoverAcrossResolve(t *testing.T) {
+	proveKillRecoverAcrossResolve(t, sessionSurface(CoordDelays))
+}
+func TestDirectorKillRecoverAcrossResolve(t *testing.T) {
+	proveKillRecoverAcrossResolve(t, directorSurface(t, "dense"))
 }
 
 // The provider dimension: under a coordinate or shared-row delay model the

@@ -11,8 +11,9 @@ package core
 // The evaluator keeps its own copy of the assignment; read it back with
 // Assignment. Reset rebinds the evaluator to a new problem/assignment pair
 // reusing all internal buffers, so replication and churn loops can score
-// millions of moves without allocating. An Evaluator is not safe for
-// concurrent use.
+// millions of moves without allocating; Adopt installs a new assignment of
+// the bound problem and keeps the cached rows it does not change. An
+// Evaluator is not safe for concurrent use.
 //
 // Beyond move scoring, the evaluator supports churn mutations — AddClient,
 // RemoveClient, MoveClient, SetClientDelays, SetClientRT (evaluator_dyn.go)
@@ -81,8 +82,8 @@ func NewEvaluator(p *Problem, a *Assignment) *Evaluator {
 	return ev
 }
 
-// Reset rebinds the evaluator to (p, a), reusing internal buffers. It runs
-// in O(clients + zones + servers).
+// Reset rebinds the evaluator to (p, a), reusing internal buffers, and leaves
+// every candidate-delta row cold. It runs in O(clients + zones + servers).
 func (ev *Evaluator) Reset(p *Problem, a *Assignment) {
 	m, n, k := p.NumServers(), p.NumZones, p.NumClients()
 	if ev.late != nil && ev.late.p != p {
@@ -96,9 +97,8 @@ func (ev *Evaluator) Reset(p *Problem, a *Assignment) {
 	copy(ev.zoneServer, a.ZoneServer)
 	ev.contact = grow(ev.contact, k)
 	copy(ev.contact, a.ClientContact)
-
-	// Zone → clients index. Per-zone buckets keep their capacity across
-	// Resets, so steady-state rebinding allocates nothing.
+	// Per-zone buckets keep their capacity across Resets, so steady-state
+	// rebinding allocates nothing.
 	if cap(ev.zoneMembers) < n {
 		nm := make([][]int, n)
 		copy(nm, ev.zoneMembers)
@@ -106,63 +106,122 @@ func (ev *Evaluator) Reset(p *Problem, a *Assignment) {
 	} else {
 		ev.zoneMembers = ev.zoneMembers[:n]
 	}
+	ev.posInZone = grow(ev.posInZone, k)
+	ev.zoneRT = grow(ev.zoneRT, n)
+	ev.delay = grow(ev.delay, k)
+	ev.loads = grow(ev.loads, m)
+	if len(ev.cordoned) != m {
+		ev.cordoned = make([]bool, m)
+	}
+	ev.trafficOn = p.TrafficOn()
+
+	// Rebinding invalidates every cached zone-move delta; the cache is
+	// sized here so mutation-side invalidation stays O(1).
+	ev.tele.invalidations.Add(ev.cache.invalidateAll())
+	ev.cache.ensure(n, m, ev.trafficOn)
+	ev.load(ev.zoneServer, ev.contact, false)
+}
+
+// Adoption is what Adopt walked: zones whose host changed, clients whose
+// contact changed, candidate-delta rows left clean.
+type Adoption struct{ Rehosted, Switched, RowsKept int }
+
+// Adopt installs a — a new solution of the BOUND problem, a full re-solve's
+// — leaving every scalar exactly as Reset(p, a) would (EvaluatorState pins
+// them) but the candidate-delta rows warm: only a rehosted zone's row goes
+// dirty (its neighbours' traffic entries with it); in a zone that keeps its
+// host, each client whose contact changed is retracted from the row and
+// re-added, like a contact switch and under the same drift rule.
+func (ev *Evaluator) Adopt(a *Assignment) Adoption {
+	st := ev.load(a.ZoneServer, a.ClientContact, true)
+	for _, dirty := range ev.cache.dirty {
+		if !dirty {
+			st.RowsKept++
+		}
+	}
+	ev.tele.rowsKept.Add(uint64(st.RowsKept))
+	return st
+}
+
+// load installs the solution (hosts, contacts) on the sized evaluator:
+// buckets rebuilt in client order and every accumulator re-summed fresh in
+// that order. With adopt set the evaluator holds the bound problem's previous
+// solution, whose rows, contacts and delays it reads before overwriting them
+// (Adopt); a client whose contact and target both stay keeps its delay, a
+// pure function of the two. Without, the solution is already in place.
+func (ev *Evaluator) load(hosts, contacts []int, adopt bool) (st Adoption) {
+	p := ev.p
 	for z := range ev.zoneMembers {
 		ev.zoneMembers[z] = ev.zoneMembers[z][:0]
+		ev.zoneRT[z] = 0
 	}
-	ev.posInZone = grow(ev.posInZone, k)
 	for j, z := range p.ClientZones {
 		ev.posInZone[j] = len(ev.zoneMembers[z])
 		ev.zoneMembers[z] = append(ev.zoneMembers[z], j)
 	}
-
-	ev.zoneRT = grow(ev.zoneRT, n)
-	for i := range ev.zoneRT {
-		ev.zoneRT[i] = 0
-	}
-	ev.delay = grow(ev.delay, k)
-	ev.loads = grow(ev.loads, m)
 	for i := range ev.loads {
 		ev.loads[i] = 0
 	}
-	if len(ev.cordoned) != m {
-		ev.cordoned = make([]bool, m)
+	for z, s := range hosts {
+		if adopt && ev.zoneServer[z] != s {
+			st.Rehosted++
+			ev.touchZone(z)
+			if ev.trafficOn {
+				nbr, _ := p.Adjacency.Row(z)
+				for _, y := range nbr {
+					ev.touchTraffic(int(y))
+				}
+			}
+		}
 	}
-
 	ev.withQoS, ev.rapCost, ev.totalLoad = 0, 0, 0
 	for j, z := range p.ClientZones {
 		rt := p.ClientRT[j]
 		ev.zoneRT[z] += rt
-		t := ev.zoneServer[z]
+		t, c := hosts[z], contacts[j]
 		ev.loads[t] += rt
-		c := ev.contact[j]
-		var d float64
-		if c == t {
-			d = p.CSAt(j, t)
-		} else {
-			d = p.CSAt(j, c) + p.SS[c][t]
+		if c != t {
 			ev.loads[c] += 2 * rt
 		}
-		ev.delay[j] = d
+		// warm: zone z keeps its host, so its row (unless dirty anyway)
+		// survives and follows this client's contact.
+		warm := adopt && t == ev.zoneServer[z]
+		var d float64
+		if warm && c == ev.contact[j] {
+			d = ev.delay[j]
+		} else {
+			if adopt && c != ev.contact[j] {
+				st.Switched++
+			}
+			if warm {
+				ev.adjustRowForClient(j, -1)
+			}
+			ev.contact[j] = c
+			if c == t {
+				d = p.CSAt(j, t)
+			} else {
+				d = p.CSAt(j, c) + p.SS[c][t]
+			}
+			ev.delay[j] = d
+			if warm {
+				ev.adjustRowForClient(j, 1)
+			}
+		}
 		if d <= p.D {
 			ev.withQoS++
 		} else {
 			ev.rapCost += d - p.D
 		}
 	}
+	copy(ev.zoneServer, hosts)
 	for _, l := range ev.loads {
 		ev.totalLoad += l
 	}
-
-	ev.trafficOn = p.TrafficOn()
 	ev.trafficCut = 0
 	if ev.trafficOn {
 		ev.trafficCut = p.Adjacency.CutWeight(ev.zoneServer)
 	}
-
-	// Rebinding invalidates every cached zone-move delta; the cache is
-	// sized here so mutation-side invalidation stays O(1).
-	ev.cache.ensure(n, m, ev.trafficOn)
-	ev.cache.invalidateAll()
+	return st
 }
 
 // clientsOf returns the client IDs of zone z.

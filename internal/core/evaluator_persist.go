@@ -38,11 +38,11 @@ type EvaluatorState struct {
 // ExportState deep-copies the evaluator's history-dependent state. It is
 // also a cache barrier: every candidate-delta row is invalidated, as
 // RestoreState does on the other side, so this evaluator and one restored
-// from the exported state apply the same adjustments to the same freshly
-// built rows from here on — their caches stay bit-identical by
-// construction, not merely within the tie tolerance.
+// from the exported state apply the same adjustments — an Adopt's included
+// — to the same freshly built rows from here on: their caches stay
+// bit-identical by construction, not merely within the tie tolerance.
 func (ev *Evaluator) ExportState() *EvaluatorState {
-	ev.cache.invalidateAll()
+	ev.tele.invalidations.Add(ev.cache.invalidateAll())
 	st := &EvaluatorState{
 		ZoneMembers: make([][]int, len(ev.zoneMembers)),
 		Loads:       append([]float64(nil), ev.loads...),
@@ -115,7 +115,7 @@ func (ev *Evaluator) RestoreState(st *EvaluatorState) error {
 	if st.Cordoned != nil {
 		copy(ev.cordoned, st.Cordoned)
 	}
-	ev.cache.invalidateAll()
+	ev.tele.invalidations.Add(ev.cache.invalidateAll())
 	if ev.late != nil {
 		// Rebuilt by the next solve, never restored (the index is not part of
 		// any snapshot).

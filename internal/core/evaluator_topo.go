@@ -44,8 +44,8 @@ func (ev *Evaluator) AddServer(capacity float64, ss, csCol []float64) int {
 	ev.loads = append(ev.loads, 0)
 	ev.cordoned = append(ev.cordoned, false)
 	// Server-dimension change: the cache stride shifts, every row rebuilds.
+	ev.tele.invalidations.Add(ev.cache.invalidateAll())
 	ev.cache.ensure(p.NumZones, m+1, ev.trafficOn)
-	ev.cache.invalidateAll()
 	return m
 }
 
@@ -91,8 +91,8 @@ func (ev *Evaluator) RemoveServer(i int) int {
 	if li := ev.lateIndex(); li != nil {
 		li.swapRemoveServer(i)
 	}
+	ev.tele.invalidations.Add(ev.cache.invalidateAll())
 	ev.cache.ensure(p.NumZones, l, ev.trafficOn)
-	ev.cache.invalidateAll()
 	return moved
 }
 

@@ -156,8 +156,8 @@ func (ev *Evaluator) adjacencyEdit(a, b int, edit func(*interact.Graph) (old, no
 		// The term just switched on: every cached row lacks its dTraffic
 		// entries. Recompute the cut canonically and rebuild lazily.
 		ev.trafficCut = p.Adjacency.CutWeight(ev.zoneServer)
+		ev.tele.invalidations.Add(ev.cache.invalidateAll())
 		ev.cache.ensure(n, p.NumServers(), true)
-		ev.cache.invalidateAll()
 		return nil
 	}
 	if ev.trafficOn && ev.zoneServer[a] != ev.zoneServer[b] {

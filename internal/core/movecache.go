@@ -16,9 +16,10 @@ package core
 //     bandwidth change shifts the single dLoad entry it touches in O(1).
 //     A row is marked dirty, and rebuilt from scratch in O(servers ×
 //     clients of the zone) by the next fold that wants it, only by what
-//     changes all of it: the zone's own rehosting, a rebind (Reset,
-//     RestoreState, the ExportState barrier), a server-dimension change,
-//     the bulk per-server delay column, and the drift rule below. The
+//     changes all of it: the zone's own rehosting — by a move or by an
+//     adopted re-solve, which keeps every other row (Adopt) — a rebind
+//     (Reset, RestoreState, the ExportState barrier), a server-dimension
+//     change, the bulk per-server delay column, and the drift rule below. The
 //     traffic entries carry their own dirty bit, so an adjacency edit or a
 //     neighbour's rehosting re-derives dTraffic alone in O(degree +
 //     servers). Destination feasibility is never cached: it is checked
@@ -114,12 +115,18 @@ func (c *moveCache) ensure(n, m int, traffic bool) {
 	c.invalidateAll()
 }
 
-// invalidateAll marks every row stale (rebind, full re-solve, checkpoint
-// barrier). A rebuild resets the row's adjustment count and traffic bit.
-func (c *moveCache) invalidateAll() {
-	for i := range c.dirty {
-		c.dirty[i] = true
+// invalidateAll marks every row stale (Reset, checkpoint barrier, server-
+// dimension change, traffic term switching on — not a re-solve: Adopt) and
+// returns how many were clean, for the invalidation counter. A rebuild
+// resets the row's adjustment count and traffic bit.
+func (c *moveCache) invalidateAll() (clean uint64) {
+	for i, d := range c.dirty {
+		if !d {
+			clean++
+			c.dirty[i] = true
+		}
 	}
+	return clean
 }
 
 // growZones extends the cache to n zones without invalidating existing

@@ -197,11 +197,9 @@ type Director struct {
 	autoRec *autoscale.Reconciler
 
 	// Writer-only scratch, guarded by wmu alone: the delay row and refresh
-	// list of the event being resolved (consumed before the mutator returns),
-	// and the contacts Reassign saves to count what its solve moved.
-	csBuf      []float64
-	refBuf     [2]repair.ZoneRT
-	contactBuf []int
+	// list of the event being resolved (consumed before the mutator returns).
+	csBuf  []float64
+	refBuf [2]repair.ZoneRT
 
 	// recovering is true while New replays the journal; the HTTP handler
 	// sheds traffic (503 + Retry-After) until it clears.
@@ -677,24 +675,11 @@ func (d *Director) Reassign() (ReassignResult, error) {
 		// (e.g. a timer firing on an idle service) don't grow the log.
 		return ReassignResult{Stats: d.statsLocked()}, nil
 	}
-	// A re-solve keeps the dense client order, so contacts compare index by
-	// index; one saved copy, no assignment clones.
-	pl := d.planner()
-	before := d.contactBuf[:0]
-	for j, k := 0, pl.NumClients(); j < k; j++ {
-		before = append(before, pl.Evaluator().Contact(j))
-	}
-	d.contactBuf = before
 	if err := d.commit(&repair.Event{Op: repair.OpResolve}, nil); err != nil {
 		return ReassignResult{}, err
 	}
-	moved := 0
-	for j, was := range before {
-		if pl.Evaluator().Contact(j) != was {
-			moved++
-		}
-	}
-	return ReassignResult{Stats: d.statsLocked(), Moved: moved}, nil
+	// The adoption counted the switched contacts while installing them.
+	return ReassignResult{Stats: d.statsLocked(), Moved: d.planner().LastAdoption().Switched}, nil
 }
 
 // ProblemSnapshot exports the live state as a core.Problem (client j is

@@ -139,6 +139,7 @@ type Planner struct {
 	eventsSinceFull int
 	failBackoff     int // events to wait after a failed guard solve; doubles per failure
 	stats           Stats
+	adopted         core.Adoption // what the last re-solve changed; not snapshot state
 	solveErr        error
 
 	// Metric handles (telemetry.go); the zero value is fully disabled.
@@ -502,12 +503,8 @@ func (pl *Planner) fullSolve(trigger string) error {
 		return fmt.Errorf("repair: full solve: %w", err)
 	}
 	if pl.ev != nil {
-		for z, s := range a.ZoneServer {
-			if pl.ev.ZoneHost(z) != s {
-				pl.stats.ZoneHandoffs++
-			}
-		}
-		pl.ev.Reset(pl.prob, a)
+		pl.adopted = pl.ev.Adopt(a)
+		pl.stats.ZoneHandoffs += pl.adopted.Rehosted
 	} else {
 		pl.bindEvaluator(a)
 	}
@@ -675,6 +672,10 @@ func (pl *Planner) utilSpread() float64 {
 
 // Stats returns the planner's counters.
 func (pl *Planner) Stats() Stats { return pl.stats }
+
+// LastAdoption reports what the most recent full re-solve changed (zero
+// before the first one on a live evaluator).
+func (pl *Planner) LastAdoption() core.Adoption { return pl.adopted }
 
 // Assignment returns a fresh copy of the maintained solution, in the
 // planner's dense client order (see Index).

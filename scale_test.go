@@ -7,8 +7,8 @@ package dvecap
 // whole process stays under a declared RSS/heap budget — a budget the
 // dense representation cannot meet — drives churn through the open session
 // to sample per-event repair latency (first touch of a zone's
-// candidate-delta row and warm-row events separately), and emits
-// BENCH_scale.json.
+// candidate-delta row and warm-row events separately, before and after a
+// full re-solve), and emits BENCH_scale.json.
 //
 // Run the full-scale variant with:
 //
@@ -190,8 +190,9 @@ func cpuModel() string {
 
 // TestScaleMillionClients opens a 1M-client coordinate-native cluster under
 // CoordDelays, asserts process heap and RSS stay under the declared
-// budgets, samples per-event repair latency over two churn storms — first
-// touches and warm rows reported separately — and writes BENCH_scale.json.
+// budgets, samples per-event repair latency over three churn storms — two
+// after the open, one after a Resolve; first touches and warm rows reported
+// separately — and writes BENCH_scale.json.
 // Gated behind DVECAP_SCALE_TEST=1 (it allocates hundreds of MB and runs
 // for minutes — the CI bench-smoke job runs it).
 func TestScaleMillionClients(t *testing.T) {
@@ -260,17 +261,20 @@ func TestScaleMillionClients(t *testing.T) {
 	// warm. Events are classified by what they did — the evaluator's rebuild
 	// counter moved (first touch), only its hit counter did (warm row), or
 	// neither (no destination had room for the zone, so nothing was folded
-	// or built) — not by which storm they ran in.
+	// or built) — not by which storm they ran in. A third storm follows a
+	// Resolve() and revisits the same warm zones: the re-solve is adopted
+	// (DESIGN.md §8), so only the zones it rehosted are first touches again.
 	reg := telemetry.NewRegistry()
 	s.planner().SetTelemetry(reg)
 	rebuilds := reg.Counter("dvecap_cache_row_refreshes_total", "")
 	hits := reg.Counter("dvecap_cache_row_hits_total", "")
 	const events = 400
-	var firstTouch, warm, unfolded []time.Duration
+	type buckets struct{ firstTouch, warm, unfolded []time.Duration }
+	var opened, resolved buckets
 	live := []string{}
 	var touched []string
 	row := make([]float64, m)
-	storm := func(tag string, zone func() string) (lat []time.Duration) {
+	storm := func(tag string, into *buckets, zone func() string) (lat []time.Duration) {
 		for e := 0; e < events; e++ {
 			r := rng.Float64()
 			builtBefore, hitsBefore := rebuilds.Value(), hits.Value()
@@ -308,28 +312,38 @@ func TestScaleMillionClients(t *testing.T) {
 			lat = append(lat, d)
 			switch {
 			case rebuilds.Value() != builtBefore:
-				firstTouch = append(firstTouch, d)
+				into.firstTouch = append(into.firstTouch, d)
 			case hits.Value() != hitsBefore:
-				warm = append(warm, d)
+				into.warm = append(into.warm, d)
 			default:
-				unfolded = append(unfolded, d)
+				into.unfolded = append(into.unfolded, d)
 			}
 		}
 		return lat
 	}
-	lat := storm("n", func() string {
+	lat := storm("n", &opened, func() string {
 		z := fmt.Sprintf("z%d", rng.IntN(zones))
 		touched = append(touched, z)
 		return z
 	})
-	storm("w", func() string { return touched[rng.IntN(len(touched))] })
+	warmZone := func() string { return touched[rng.IntN(len(touched))] }
+	storm("w", &opened, warmZone)
+	keptBefore := reg.Counter("dvecap_cache_rows_kept_total", "").Value()
+	t0 = time.Now()
+	if err := s.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	resolveSecs := time.Since(t0).Seconds()
+	rowsKept := reg.Counter("dvecap_cache_rows_kept_total", "").Value() - keptBefore
+	latResolved := storm("r", &resolved, warmZone)
+	firstTouch, warm, unfolded := opened.firstTouch, opened.warm, opened.unfolded
 	pctOf := func(d []time.Duration, p float64) int64 {
 		if len(d) == 0 {
 			return 0
 		}
 		return d[int(p*float64(len(d)-1))].Nanoseconds()
 	}
-	for _, d := range [][]time.Duration{lat, firstTouch, warm, unfolded} {
+	for _, d := range [][]time.Duration{lat, firstTouch, warm, unfolded, latResolved, resolved.firstTouch, resolved.warm, resolved.unfolded} {
 		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
 	}
 	pct := func(p float64) int64 { return pctOf(lat, p) }
@@ -339,6 +353,10 @@ func TestScaleMillionClients(t *testing.T) {
 		2*events, len(firstTouch), time.Duration(pctOf(firstTouch, 0.50)), time.Duration(pctOf(firstTouch, 0.95)),
 		len(warm), time.Duration(pctOf(warm, 0.50)), time.Duration(pctOf(warm, 0.95)),
 		len(unfolded), time.Duration(pctOf(unfolded, 0.50)))
+	t.Logf("Resolve() took %.2fs and kept %d of %d candidate-delta rows clean; the %d events after it: p50 %v p99 %v; %d rebuilt a row: p50 %v; %d folded warm rows: p50 %v; %d folded nothing",
+		resolveSecs, rowsKept, zones, events, time.Duration(pctOf(latResolved, 0.50)), time.Duration(pctOf(latResolved, 0.99)),
+		len(resolved.firstTouch), time.Duration(pctOf(resolved.firstTouch, 0.50)),
+		len(resolved.warm), time.Duration(pctOf(resolved.warm, 0.50)), len(resolved.unfolded))
 	split := func(d []time.Duration) map[string]any {
 		return map[string]any{"events": len(d), "p50": pctOf(d, 0.50), "p95": pctOf(d, 0.95), "p99": pctOf(d, 0.99)}
 	}
@@ -372,11 +390,20 @@ func TestScaleMillionClients(t *testing.T) {
 			"repair_event_latency_first_touch_ns": split(firstTouch),
 			"repair_event_latency_warm_row_ns":    split(warm),
 			"repair_event_latency_no_fold_ns":     split(unfolded),
+			"resolve_seconds":                     resolveSecs,
+			"resolve_rows_kept":                   rowsKept,
+			"repair_event_latency_after_resolve_ns": map[string]any{
+				"all":         split(latResolved),
+				"first_touch": split(resolved.firstTouch),
+				"warm_row":    split(resolved.warm),
+				"no_fold":     split(resolved.unfolded),
+			},
 		},
-		"summary": fmt.Sprintf("Open on %d clients x %d servers under CoordDelays: %d MB heap / %d MB RSS against budgets of %d / %d MB — the dense representation needs %d MB for its matrices alone. Per-event repair latency at full population: p50 %s, p99 %s over the first %d churn events, which are almost all first touches of a zone; split by what the event did, over %d events: p50 %s when it rebuilt a candidate-delta row (%d events), p50 %s when it folded a warm one (%d events), %d events found no destination with room and folded nothing. pQoS after open: %.4f.",
+		"summary": fmt.Sprintf("Open on %d clients x %d servers under CoordDelays: %d MB heap / %d MB RSS against budgets of %d / %d MB — the dense representation needs %d MB for its matrices alone. Per-event repair latency at full population: p50 %s, p99 %s over the first %d churn events, which are almost all first touches of a zone; split by what the event did, over %d events: p50 %s when it rebuilt a candidate-delta row (%d events), p50 %s when it folded a warm one (%d events), %d events found no destination with room and folded nothing. A Resolve() then kept %d of %d rows clean, and of the %d events after it on the same warm zones %d rebuilt a row and %d folded a warm one (p50 %s over all of them). pQoS after open: %.4f.",
 			k, m, heap>>20, rss>>20, heapBudget>>20, rssBudget>>20, denseEq>>20,
 			time.Duration(pct(0.50)), time.Duration(pct(0.99)), events, 2*events,
-			time.Duration(pctOf(firstTouch, 0.50)), len(firstTouch), time.Duration(pctOf(warm, 0.50)), len(warm), len(unfolded), s.PQoS()),
+			time.Duration(pctOf(firstTouch, 0.50)), len(firstTouch), time.Duration(pctOf(warm, 0.50)), len(warm), len(unfolded),
+			rowsKept, zones, events, len(resolved.firstTouch), len(resolved.warm), time.Duration(pctOf(latResolved, 0.50)), s.PQoS()),
 	}
 	// One leg per population: a 5M run extends the document the 1M run
 	// wrote rather than replacing it, so BENCH_scale.json accumulates the
@@ -392,7 +419,7 @@ func TestScaleMillionClients(t *testing.T) {
 	}
 	legs[strconv.Itoa(k)] = leg
 	report := map[string]any{
-		"description": "Memory diet at scale (DESIGN.md §13): a coordinate-native cluster — every client joins with a 5-dim network coordinate, one in eight carries one measured RTT override, no dense rows anywhere — is opened under WithDelayProvider(CoordDelays) with GreZ-VirC, then two 400-event churn storms (40% full-row joins, 20% leaves, 20% moves, 20% delay-row refreshes) sample per-event repair latency at full population: the first over all zones (repair_event_latency_ns — almost every event is the first touch of its zone since the open's solve and rebuilds that zone's candidate-delta row, DESIGN.md §7), the second over the zones the first one touched; repair_event_latency_first_touch_ns, _warm_row_ns and _no_fold_ns split all 800 events by whether the event rebuilt a row, folded a maintained one, or found no destination with room for its zone and folded nothing (measured with a metrics registry attached, which the split needs). One leg per population (DVECAP_SCALE_CLIENTS; budgets scale linearly). Budgets are asserted by TestScaleMillionClients (scale_test.go) and fail CI on regression; the dense path cannot meet them (the matrix alone is clients x servers x 8 bytes per copy, and the open path holds two copies).",
+		"description": "Memory diet at scale (DESIGN.md §13): a coordinate-native cluster — every client joins with a 5-dim network coordinate, one in eight carries one measured RTT override, no dense rows anywhere — is opened under WithDelayProvider(CoordDelays) with GreZ-VirC, then two 400-event churn storms (40% full-row joins, 20% leaves, 20% moves, 20% delay-row refreshes) sample per-event repair latency at full population: the first over all zones (repair_event_latency_ns — almost every event is the first touch of its zone since the open's solve and rebuilds that zone's candidate-delta row, DESIGN.md §7), the second over the zones the first one touched; repair_event_latency_first_touch_ns, _warm_row_ns and _no_fold_ns split all 800 events by whether the event rebuilt a row, folded a maintained one, or found no destination with room for its zone and folded nothing (measured with a metrics registry attached, which the split needs). A Resolve() follows (resolve_seconds; resolve_rows_kept of the zones' candidate-delta rows stayed clean across its adoption, DESIGN.md §8) and a third storm of 400 events revisits the zones the first one touched: repair_event_latency_after_resolve_ns, split the same way — before the adoption every one of those zones was a first touch again. One leg per population (DVECAP_SCALE_CLIENTS; budgets scale linearly). Budgets are asserted by TestScaleMillionClients (scale_test.go) and fail CI on regression; the dense path cannot meet them (the matrix alone is clients x servers x 8 bytes per copy, and the open path holds two copies).",
 		"date":        time.Now().Format("2006-01-02"),
 		"go":          runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
 		"cpu":         cpuModel(),
