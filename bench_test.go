@@ -651,10 +651,8 @@ func forChurnedSessions100k(b *testing.B, f func(b *testing.B, s *ClusterSession
 		build func(*testing.B) *core.Problem
 	}{{"dense", func(*testing.B) *core.Problem { return src }}, {"coord", coordProblem}} { // Open clones
 		b.Run(tc.name, func(b *testing.B) {
-			s, err := clusterFromProblem(tc.build(b)).Open("GreZ-GreC", WithSeed(7))
-			if err != nil {
-				b.Fatal(err)
-			}
+			s := sessionOverProblem(b, tc.build(b), 7)
+			var err error
 			rng := xrand.New(23)
 			zones := s.ZoneIDs()
 			for e := 0; e < 1000; e++ {
@@ -675,6 +673,40 @@ func forChurnedSessions100k(b *testing.B, f func(b *testing.B, s *ClusterSession
 			f(b, s, rng)
 		})
 	}
+}
+
+// sessionOverProblem opens a GreZ-GreC session straight over a prebuilt
+// problem — a provider-backed one included, whose fitted coordinates the
+// builder has no spec for — under the IDs "s0"…, "z0"…, "c0"…, the way
+// Cluster.Open assembles one.
+func sessionOverProblem(b *testing.B, p *core.Problem, seed uint64) *ClusterSession {
+	b.Helper()
+	pl, err := repair.New(repair.Config{
+		Algo: core.GreZGreC,
+		Opt:  core.Options{Overflow: core.SpillLargestResidual},
+	}, p, xrand.New(seed).Split())
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := func(prefix string, n int) []string {
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = prefix + strconv.Itoa(i)
+		}
+		return ids
+	}
+	binding, err := repair.NewIDBinding(pl, names("c", p.NumClients()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := binding.NameTopology(names("s", p.NumServers()), names("z", p.NumZones)); err != nil {
+		b.Fatal(err)
+	}
+	m, err := repair.NewMachine(binding, "GreZ-GreC", int(SpillLargestResidual), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &ClusterSession{m: m, binding: binding}
 }
 
 // BenchmarkExactIAP measures the branch-and-bound on the smallest

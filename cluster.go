@@ -88,9 +88,9 @@ type ClientSpec struct {
 
 // Cluster assembles a client-assignment instance from real infrastructure:
 // servers, zones and clients with string IDs and measured (or
-// matrix-supplied) RTTs, instead of the synthetic Scenario generator. Once
-// populated it is solved in one shot (Solve) or kept repaired under churn
-// (Open).
+// matrix-supplied) RTTs; the synthetic Scenario generator fills one through
+// the same calls. Once populated it is solved in one shot (Solve) or kept
+// repaired under churn (Open).
 //
 // Dense indices — the ZoneServer/ClientContact slices of Result — follow
 // insertion order: the i-th AddServer call is server index i, and likewise
@@ -120,10 +120,6 @@ type Cluster struct {
 	clientIDs []string
 	clientIdx map[string]int
 	clients   []ClientSpec
-
-	// pre short-circuits building for the Scenario adapters, which already
-	// hold a validated problem.
-	pre *core.Problem
 
 	built      *core.Problem
 	builtModel DelayModel
@@ -234,16 +230,6 @@ func (c *Cluster) SetZoneAdjacency(zone1, zone2 string, weightMbps float64) erro
 	if a > b {
 		a, b = b, a
 	}
-	if c.pre != nil {
-		// Problem-wrapped clusters edit the problem's graph directly.
-		if c.pre.Adjacency == nil {
-			c.pre.Adjacency = interact.New(c.pre.NumZones)
-		}
-		if _, err := c.pre.Adjacency.Set(a, b, weightMbps); err != nil {
-			return fmt.Errorf("dvecap: adjacency (%q,%q): %w", zone1, zone2, err)
-		}
-		return nil
-	}
 	if c.adj == nil {
 		c.adj = map[[2]int]float64{}
 	}
@@ -261,10 +247,6 @@ func (c *Cluster) SetZoneAdjacency(zone1, zone2 string, weightMbps float64) erro
 func (c *Cluster) SetTrafficWeight(w float64) error {
 	if !repair.FiniteNonNeg(w) {
 		return fmt.Errorf("dvecap: traffic weight %v, want finite >= 0", w)
-	}
-	if c.pre != nil {
-		c.pre.TrafficWeight = w
-		return nil
 	}
 	c.trafficW = w
 	c.dirty = true
@@ -298,14 +280,7 @@ func (c *Cluster) NumServers() int { return len(c.serverIDs) }
 func (c *Cluster) NumZones() int { return len(c.zoneIDs) }
 
 // NumClients returns the number of clients added so far.
-func (c *Cluster) NumClients() int {
-	if c.pre != nil {
-		// Problem-wrapped clusters (Scenario adapters,
-		// NewClusterFromProblemJSON) carry anonymous clients.
-		return c.pre.NumClients()
-	}
-	return len(c.clientIDs)
-}
+func (c *Cluster) NumClients() int { return len(c.clientIDs) }
 
 // ServerIDs returns the server IDs in dense index order.
 func (c *Cluster) ServerIDs() []string { return append([]string(nil), c.serverIDs...) }
@@ -394,7 +369,7 @@ func (c *Cluster) buildSS() ([][]float64, error) {
 }
 
 // problem validates the cluster into a dense core problem, cached until
-// the next mutation — the default (and legacy) build path.
+// the next mutation — the default build path.
 func (c *Cluster) problem() (*core.Problem, error) {
 	return c.problemFor(DenseDelays)
 }
@@ -404,9 +379,6 @@ func (c *Cluster) problem() (*core.Problem, error) {
 // the provider models never materialize it — a CoordDelays build of a
 // coordinate-native million-client cluster allocates O(clients) state.
 func (c *Cluster) problemFor(model DelayModel) (*core.Problem, error) {
-	if c.pre != nil {
-		return wrapProblemDelays(c.pre, model)
-	}
 	if c.built != nil && !c.dirty && c.builtModel == model {
 		return c.built, nil
 	}
@@ -564,36 +536,6 @@ func (c *Cluster) resolveSparseRTTs(owner string, rtts map[string]float64) ([]in
 	return srvs, vals, nil
 }
 
-// wrapProblemDelays adapts an already-dense problem (a Scenario world, a
-// problem-JSON load) to the requested delay model by streaming its rows
-// through the provider's row constructor. Dense stays as-is; the sparse
-// models hold every entry as an exact override/row, so results remain
-// bit-identical to the dense solve.
-func wrapProblemDelays(p *core.Problem, model DelayModel) (*core.Problem, error) {
-	if model == DenseDelays || p.Delays != nil {
-		return p, nil
-	}
-	q := *p
-	switch model {
-	case CoordDelays:
-		cp := core.NewCoordProviderFromSS(p.SS, 0)
-		for j := range p.CS {
-			cp.AppendClient(p.CS[j])
-		}
-		q.Delays = cp
-	case SharedRowDelays:
-		sp := core.NewSharedRowProvider(p.NumServers())
-		for j := range p.CS {
-			sp.AppendClient(p.CS[j])
-		}
-		q.Delays = sp
-	default:
-		return nil, fmt.Errorf("dvecap: unknown delay model %d", model)
-	}
-	q.CS = nil
-	return &q, nil
-}
-
 // Solve runs the named two-phase algorithm ("RanZ-VirC", "RanZ-GreC",
 // "GreZ-VirC", "GreZ-GreC", or the extension "DynZ-GreC") over the
 // cluster's current population. See Algorithms for the accepted names and
@@ -629,11 +571,7 @@ func (c *Cluster) Solve(algorithm string, opts ...Option) (*Result, error) {
 	if cfg.lsRounds > 0 {
 		a = core.LocalSearchOpt(solveP, a, cfg.lsRounds, opt)
 	}
-	var ids []string
-	if len(c.clientIDs) > 0 {
-		ids = c.ClientIDs()
-	}
-	return newResult(algorithm, truth, a, core.Evaluate(truth, a), ids), nil
+	return newResult(algorithm, truth, a, core.Evaluate(truth, a), c.ClientIDs()), nil
 }
 
 // Open solves the cluster's current population once and returns a session
@@ -676,16 +614,7 @@ func (c *Cluster) openSession(algorithm string, cfg config) (*ClusterSession, er
 	if err != nil {
 		return nil, err
 	}
-	ids := c.clientIDs
-	if ids == nil && p.NumClients() > 0 {
-		// Scenario-adapter clusters carry a prebuilt problem with anonymous
-		// clients; name them by dense index.
-		ids = make([]string, p.NumClients())
-		for j := range ids {
-			ids[j] = fmt.Sprintf("c%d", j)
-		}
-	}
-	binding, err := repair.NewIDBinding(pl, ids)
+	binding, err := repair.NewIDBinding(pl, c.clientIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -700,27 +629,4 @@ func (c *Cluster) openSession(algorithm string, cfg config) (*ClusterSession, er
 		return nil, err
 	}
 	return &ClusterSession{m: m, binding: binding, tracer: telemetry.NewTracer(cfg.traceW)}, nil
-}
-
-// clusterFromProblem wraps an already-validated problem (a Scenario
-// world's snapshot) as a Cluster with synthetic IDs: servers "s0"…,
-// zones "z0"…, clients named by dense index on demand. The Scenario
-// facade runs its Assign and StartSession paths through this view, so
-// every solve surface converges on the Cluster engine.
-func clusterFromProblem(p *core.Problem) *Cluster {
-	c := &Cluster{delayBound: p.D, pre: p}
-	m, n := p.NumServers(), p.NumZones
-	c.serverIDs = make([]string, m)
-	c.serverIdx = make(map[string]int, m)
-	for i := 0; i < m; i++ {
-		id := fmt.Sprintf("s%d", i)
-		c.serverIDs[i], c.serverIdx[id] = id, i
-	}
-	c.zoneIDs = make([]string, n)
-	c.zoneIdx = make(map[string]int, n)
-	for z := 0; z < n; z++ {
-		id := fmt.Sprintf("z%d", z)
-		c.zoneIDs[z], c.zoneIdx[id] = id, z
-	}
-	return c
 }

@@ -1,14 +1,16 @@
 package dvecap
 
-// Equivalence oracles for the Cluster-engine refactor: the pre-refactor
-// Assign / AssignWithEstimationError / Session implementations are
-// retained here verbatim (over the same internals they always used) and
-// the adapter paths must reproduce them bit for bit — the same pattern as
-// core's clone-and-rescore local-search oracle.
+// Equivalence oracles for the Scenario generator: a direct solve of the
+// world's own problem (legacyAssign / legacyAssignNoisy, over internals
+// only) is the reference the builder-built Scenario.Cluster() must
+// reproduce bit for bit — the same pattern as core's clone-and-rescore
+// local-search oracle.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"dvecap/internal/core"
@@ -17,7 +19,7 @@ import (
 	"dvecap/internal/xrand"
 )
 
-// legacyAssign is the pre-refactor Scenario.Assign.
+// legacyAssign solves the world's problem directly, on the scenario's stream.
 func legacyAssign(s *Scenario, algorithm string) (*Result, error) {
 	tp, ok := core.ByName(algorithm)
 	if !ok {
@@ -41,7 +43,8 @@ func legacyAssign(s *Scenario, algorithm string) (*Result, error) {
 	}, nil
 }
 
-// legacyAssignNoisy is the pre-refactor Scenario.AssignWithEstimationError.
+// legacyAssignNoisy is legacyAssign against perturbed delays, evaluated on
+// the true ones.
 func legacyAssignNoisy(s *Scenario, algorithm string, e float64) (*Result, error) {
 	tp, ok := core.ByName(algorithm)
 	if !ok {
@@ -68,85 +71,6 @@ func legacyAssignNoisy(s *Scenario, algorithm string, e float64) (*Result, error
 		ClientContact: a.ClientContact,
 	}, nil
 }
-
-// legacySession is the pre-refactor Session: a repair planner bound to the
-// world through repair.WorldBinding.
-type legacySession struct {
-	scn     *Scenario
-	binding *repair.WorldBinding
-	algo    string
-}
-
-func legacyStartSession(s *Scenario, algorithm string, driftPQoS float64) (*legacySession, error) {
-	tp, ok := core.ByName(algorithm)
-	if !ok {
-		return nil, fmt.Errorf("dvecap: unknown algorithm %q (have %v)", algorithm, Algorithms())
-	}
-	if driftPQoS <= 0 {
-		driftPQoS = 0.02
-	}
-	pl, err := repair.New(repair.Config{
-		Algo:      tp,
-		Opt:       core.Options{Overflow: core.SpillLargestResidual},
-		DriftPQoS: driftPQoS,
-	}, s.world.Problem(), s.rng.Split())
-	if err != nil {
-		return nil, err
-	}
-	return &legacySession{scn: s, binding: repair.BindWorld(pl, s.world), algo: algorithm}, nil
-}
-
-func (sess *legacySession) Join(n int) error {
-	return sess.binding.Join(sess.scn.world.Join(sess.scn.rng.Split(), n))
-}
-
-func (sess *legacySession) Leave(n int) error {
-	removed, err := sess.scn.world.Leave(sess.scn.rng.Split(), n)
-	if err != nil {
-		return err
-	}
-	return sess.binding.Leave(removed)
-}
-
-func (sess *legacySession) Move(n int) error {
-	moved, err := sess.scn.world.Move(sess.scn.rng.Split(), n)
-	if err != nil {
-		return err
-	}
-	return sess.binding.Move(moved)
-}
-
-func (sess *legacySession) Resolve() error { return sess.binding.Planner().FullSolve() }
-
-func (sess *legacySession) Result() (*Result, error) {
-	pl := sess.binding.Planner()
-	truth := sess.scn.world.Problem()
-	handles := sess.binding.Handles()
-	a := &core.Assignment{
-		ZoneServer:    pl.ZoneServers(),
-		ClientContact: make([]int, len(handles)),
-	}
-	for j, h := range handles {
-		c, err := pl.Contact(h)
-		if err != nil {
-			return nil, err
-		}
-		a.ClientContact[j] = c
-	}
-	m := core.Evaluate(truth, a)
-	return &Result{
-		Algorithm:     sess.algo,
-		PQoS:          m.PQoS,
-		Utilization:   m.Utilization,
-		WithQoS:       m.WithQoS,
-		Clients:       truth.NumClients(),
-		Delays:        m.Delays,
-		ZoneServer:    a.ZoneServer,
-		ClientContact: a.ClientContact,
-	}, nil
-}
-
-func (sess *legacySession) Stats() repair.Stats { return sess.binding.Planner().Stats() }
 
 // requireSameResult asserts bit-identical results (no tolerances: the two
 // paths must run the exact same float operations in the same order).
@@ -180,32 +104,53 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestAssignMatchesLegacyPath: the Cluster-engine adapter reproduces the
-// pre-refactor Assign bit for bit, across algorithms and consecutive
-// calls (which must consume the scenario's random stream identically).
+// TestAssignMatchesLegacyPath: the cluster the generator builds through the
+// public builder solves to the direct solve of the world's problem bit for
+// bit — across seeds, algorithms, consecutive calls (which must consume the
+// scenario's random stream identically) and a Churn, which must drop the
+// cached cluster.
 func TestAssignMatchesLegacyPath(t *testing.T) {
-	params := ScenarioParams{Seed: 17, Notation: "10s-30z-400c-200cp"}
-	for _, algo := range Algorithms() {
-		scnNew, err := NewScenario(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scnOld, err := NewScenario(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for call := 0; call < 2; call++ {
-			got, err := scnNew.Assign(algo)
+	for _, seed := range []uint64{17, 18, 19} {
+		params := ScenarioParams{Seed: seed, Notation: "10s-30z-400c-200cp"}
+		for _, algo := range Algorithms() {
+			scnNew, err := NewScenario(params)
 			if err != nil {
-				t.Fatalf("%s call %d: %v", algo, call, err)
+				t.Fatal(err)
 			}
-			want, err := legacyAssign(scnOld, algo)
+			scnOld, err := NewScenario(params)
 			if err != nil {
-				t.Fatalf("%s call %d (legacy): %v", algo, call, err)
+				t.Fatal(err)
 			}
-			requireSameResult(t, fmt.Sprintf("%s call %d", algo, call), got, want)
-			if got.ClientIDs != nil {
-				t.Fatalf("%s: scenario path unexpectedly populated ClientIDs", algo)
+			for call := 0; call < 4; call++ {
+				label := fmt.Sprintf("seed %d %s call %d", seed, algo, call)
+				if call == 2 {
+					if err := scnNew.Churn(30, 20, 25); err != nil {
+						t.Fatal(err)
+					}
+					if err := scnOld.Churn(30, 20, 25); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var got *Result
+				if call%2 == 0 {
+					got, err = scnNew.Assign(algo)
+				} else {
+					got, err = scnNew.Cluster().Solve(algo, withRNG(scnNew.rng))
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want, err := legacyAssign(scnOld, algo)
+				if err != nil {
+					t.Fatalf("%s (legacy): %v", label, err)
+				}
+				requireSameResult(t, label, got, want)
+				if len(got.ClientIDs) != got.Clients || got.ClientIDs[got.Clients-1] != fmt.Sprintf("c%d", got.Clients-1) {
+					t.Fatalf("%s: client IDs are not c0… in world order: %v", label, got.ClientIDs)
+				}
+			}
+			if scnNew.Cluster() != scnNew.Cluster() {
+				t.Fatal("Cluster() rebuilt an unchanged population")
 			}
 		}
 	}
@@ -243,11 +188,10 @@ func TestAssignWithEstimationErrorMatchesLegacyPath(t *testing.T) {
 	}
 }
 
-// TestStartSessionMatchesLegacyPath: the ClusterSession-backed Session
-// replays the pre-refactor planner event sequence move for move —
-// results, populations and repair counters all bit-identical under
-// sustained churn, drift-guard solves included.
-func TestStartSessionMatchesLegacyPath(t *testing.T) {
+// TestScenarioOpenMatchesDirectPlanner: a session opened on the generated
+// cluster starts from the solution a repair planner built directly on the
+// world's problem reaches with the same stream, before and after a Churn.
+func TestScenarioOpenMatchesDirectPlanner(t *testing.T) {
 	params := ScenarioParams{Seed: 31, Servers: 8, Zones: 30, Clients: 500}
 	scnNew, err := NewScenario(params)
 	if err != nil {
@@ -257,52 +201,78 @@ func TestStartSessionMatchesLegacyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessNew, err := scnNew.StartSession("GreZ-GreC", 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessOld, err := legacyStartSession(scnOld, "GreZ-GreC", 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	step := func(round int, name string, newErr, oldErr error) {
-		t.Helper()
-		if (newErr == nil) != (oldErr == nil) {
-			t.Fatalf("round %d %s: error divergence: new %v, old %v", round, name, newErr, oldErr)
+	tp, _ := core.ByName("GreZ-GreC")
+	for _, stage := range []string{"fresh", "churned"} {
+		if stage == "churned" {
+			if err := scnNew.Churn(40, 40, 40); err != nil {
+				t.Fatal(err)
+			}
+			if err := scnOld.Churn(40, 40, 40); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for round := 0; round < 6; round++ {
-		step(round, "join", sessNew.Join(30), sessOld.Join(30))
-		step(round, "move", sessNew.Move(25), sessOld.Move(25))
-		step(round, "leave", sessNew.Leave(20), sessOld.Leave(20))
-		if sessNew.NumClients() != sessOld.binding.Planner().NumClients() {
-			t.Fatalf("round %d: population %d vs %d", round, sessNew.NumClients(), sessOld.binding.Planner().NumClients())
-		}
-		gotRes, err := sessNew.Result()
+		sess, err := scnNew.Cluster().Open("GreZ-GreC", withRNG(scnNew.rng), WithDriftGuard(0.02))
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRes, err := sessOld.Result()
+		got, err := sess.Result()
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResult(t, fmt.Sprintf("round %d", round), gotRes, wantRes)
-		gotSt, wantSt := sessNew.Stats(), sessionStatsFrom(sessOld.Stats())
-		if gotSt != wantSt {
-			t.Fatalf("round %d: stats diverged:\nnew %+v\nold %+v", round, gotSt, wantSt)
+		truth := scnOld.world.Problem()
+		pl, err := repair.New(repair.Config{
+			Algo:      tp,
+			Opt:       core.Options{Overflow: core.SpillLargestResidual},
+			DriftPQoS: 0.02,
+		}, truth, scnOld.rng.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &core.Assignment{ZoneServer: pl.ZoneServers(), ClientContact: make([]int, truth.NumClients())}
+		for j := range a.ClientContact {
+			if a.ClientContact[j], err = pl.Contact(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m := core.Evaluate(truth, a)
+		requireSameResult(t, stage, got, &Result{
+			Algorithm: "GreZ-GreC", PQoS: m.PQoS, Utilization: m.Utilization, WithQoS: m.WithQoS,
+			Clients: truth.NumClients(), Delays: m.Delays, ZoneServer: a.ZoneServer, ClientContact: a.ClientContact,
+		})
+		if gotSt, wantSt := sess.Stats(), sessionStatsFrom(pl.Stats()); gotSt != wantSt {
+			t.Fatalf("%s: stats diverged:\nsession %+v\nplanner %+v", stage, gotSt, wantSt)
 		}
 	}
-	// Explicit full re-solves must stay in lockstep too.
-	step(99, "resolve", sessNew.Resolve(), sessOld.Resolve())
-	gotRes, err := sessNew.Result()
+}
+
+// TestScenarioClusterSurvivesJSON: the generated cluster written as a spec
+// and read back solves to the same result — it is an ordinary cluster.
+func TestScenarioClusterSurvivesJSON(t *testing.T) {
+	scn, err := NewScenario(ScenarioParams{Seed: 41, Notation: "10s-30z-400c-200cp"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := sessOld.Result()
+	var buf bytes.Buffer
+	if err := scn.Cluster().WriteClusterJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadClusterJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "after resolve", gotRes, wantRes)
+	for _, algo := range Algorithms() {
+		want, err := scn.Cluster().Solve(algo, WithSeed(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := back.Solve(algo, WithSeed(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the spec read back solves differently:\n got %+v\nwant %+v", algo, got, want)
+		}
+	}
 }
 
 // TestClusterChurnMatchesDirectPlanner is the acceptance check for the

@@ -277,7 +277,7 @@ func TestWithCorrelationOption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := scn.Config().Correlation; got != delta {
+		if got := scn.world.Cfg.Correlation; got != delta {
 			t.Fatalf("correlation = %v, want option value %v", got, delta)
 		}
 	}

@@ -87,22 +87,15 @@ func clusterFromJSON(cj *repair.ClusterJSON) (*Cluster, error) {
 // round-trippable by ReadClusterJSON: the inter-server matrix is emitted
 // in full (server_rtts_ms) and every client carries its dense rtt_row_ms,
 // so the output is the normalized form of whatever mix of per-pair and
-// map-form RTTs built the cluster. Clusters wrapped from an anonymous
-// problem (a Scenario world, a /v1/problem snapshot loaded through
-// NewClusterFromProblemJSON) export synthetic IDs: servers "s0"…, zones
-// "z0"…, clients "c0"….
+// map-form RTTs built the cluster.
 func (c *Cluster) WriteClusterJSON(w io.Writer) error {
 	p, err := c.problem()
 	if err != nil {
 		return err
 	}
-	ids := c.ClientIDs()
-	for j := len(ids); j < p.NumClients(); j++ {
-		ids = append(ids, fmt.Sprintf("c%d", j))
-	}
 	// The spec format carries full rows: a provider-backed problem
 	// materializes to the dense interchange form.
-	cj := repair.NewClusterJSON(p, c.serverIDs, c.zoneIDs, ids, true)
+	cj := repair.NewClusterJSON(p, c.serverIDs, c.zoneIDs, c.clientIDs, true)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(cj); err != nil {
@@ -111,10 +104,10 @@ func (c *Cluster) WriteClusterJSON(w io.Writer) error {
 	return nil
 }
 
-// NewClusterFromProblemJSON wraps an anonymous problem JSON — the format
-// of core problem dumps and the director's GET /v1/problem snapshot — as
-// a Cluster with synthetic IDs (servers "s0"…, zones "z0"…, clients
-// "c0"…), so operators can normalize live-state snapshots into
+// NewClusterFromProblemJSON replays an anonymous problem JSON — the format
+// of core problem dumps and the director's GET /v1/problem snapshot —
+// through the builder under synthetic IDs (servers "s0"…, zones "z0"…,
+// clients "c0"…), so operators can normalize live-state snapshots into
 // round-trippable cluster specs:
 //
 //	curl …/v1/problem | capassign -in /dev/stdin -dump cluster.json
@@ -123,6 +116,5 @@ func NewClusterFromProblemJSON(r io.Reader) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dvecap: %w", err)
 	}
-	c := clusterFromProblem(p)
-	return c, nil
+	return denseCluster(p)
 }

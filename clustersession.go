@@ -122,16 +122,12 @@ type ServerStatus struct {
 	Draining bool
 }
 
-// planner exposes the underlying repair planner to the package's adapters
+// planner exposes the underlying repair planner to the package's own code
 // and tests.
 func (s *ClusterSession) planner() *repair.Planner { return s.binding.Planner() }
 
 // zone resolves a zone ID.
 func (s *ClusterSession) zone(id string) (int, error) { return s.binding.ZoneIndex(id) }
-
-// zoneIDAt names the zone behind a dense index — the Session adapter's
-// bridge from world order to cluster IDs.
-func (s *ClusterSession) zoneIDAt(z int) string { return s.binding.ZoneID(z) }
 
 // NumClients returns the current population.
 func (s *ClusterSession) NumClients() int { return s.binding.Len() }
@@ -616,10 +612,63 @@ func (s *ClusterSession) Client(id string) (ClusterClient, error) {
 	}, nil
 }
 
-// contactIndex returns the client's contact server as a dense index — the
-// Session adapter's bridge back to world-order assignments.
-func (s *ClusterSession) contactIndex(id string) (int, error) {
-	return s.binding.Contact(id)
+// SessionStats mirrors the repair subsystem's counters.
+type SessionStats struct {
+	// Joins, Leaves and Moves count the churn events applied (a JoinBatch
+	// counts one join per admitted client).
+	Joins, Leaves, Moves int
+	// DelayUpdates counts measured-delay refreshes streamed into the
+	// planner (ClusterSession.UpdateDelays, or one per UpdateServerDelays
+	// column).
+	DelayUpdates int
+	// Topology counters: servers added, drained and removed, zones added
+	// and retired on the live session.
+	ServerAdds, ServerDrains, ServerRemoves int
+	ZoneAdds, ZoneRetires                   int
+	// FullSolves counts full two-phase re-solves (the initial one, drift-
+	// triggered ones, and explicit Resolve calls). ImbalanceSolves counts
+	// the subset triggered by the load-imbalance guard alone
+	// (WithImbalanceGuard) — utilization spread drifted while pQoS held.
+	FullSolves      int
+	ImbalanceSolves int
+	// ZoneHandoffs counts zone rehostings; ContactSwitches counts contact
+	// re-placements made by the repair path.
+	ZoneHandoffs, ContactSwitches int
+	// AdjacencyEdits counts interaction-graph edge updates applied
+	// (SetZoneAdjacency, AddAdjacencyWeight and ZoneSpec.Adjacency seeds).
+	AdjacencyEdits int
+	// LastDriftPQoS is the current pQoS decay below the last full solve;
+	// LastUtilSpread the current max−min per-server utilization spread over
+	// non-drained servers.
+	LastDriftPQoS  float64
+	LastUtilSpread float64
+	// LastSolveError reports a failed drift-guard full solve (empty when
+	// the last one succeeded).
+	LastSolveError string
+}
+
+// sessionStatsFrom maps the repair planner's counters into the public
+// shape.
+func sessionStatsFrom(st repair.Stats) SessionStats {
+	return SessionStats{
+		Joins:           st.Joins,
+		Leaves:          st.Leaves,
+		Moves:           st.Moves,
+		DelayUpdates:    st.DelayUpdates,
+		ServerAdds:      st.ServerAdds,
+		ServerDrains:    st.ServerDrains,
+		ServerRemoves:   st.ServerRemoves,
+		ZoneAdds:        st.ZoneAdds,
+		ZoneRetires:     st.ZoneRetires,
+		FullSolves:      st.FullSolves,
+		ImbalanceSolves: st.ImbalanceSolves,
+		ZoneHandoffs:    st.ZoneHandoffs,
+		ContactSwitches: st.ContactSwitches,
+		AdjacencyEdits:  st.AdjacencyEdits,
+		LastDriftPQoS:   st.LastDriftPQoS,
+		LastUtilSpread:  st.LastUtilSpread,
+		LastSolveError:  st.LastSolveError,
+	}
 }
 
 // Stats returns the session's repair counters.

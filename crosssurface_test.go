@@ -115,7 +115,7 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 	_ = d // abandoned: the copies carry on
 
 	// The director's side, minus the director: its machine.
-	snap, err := repair.LoadSnapshot(dirM, repair.SnapshotVersion, func(c *repair.Snapshot) (int, uint64) { return c.Version, c.LSN })
+	snap, err := repair.LoadSnapshot(dirM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Recover(repair.JournalConfig{Dir: dirM, ErrClosed: director.ErrDirectorClosed}, snap.LSN, nil); err != nil {
+	if _, err := m.Recover(repair.JournalConfig{Dir: dirM, ErrClosed: director.ErrDirectorClosed}, snap.LSN); err != nil {
 		t.Fatal(err)
 	}
 	// The session's side: the public surface on the same directory.

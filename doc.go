@@ -110,8 +110,12 @@
 //	if err != nil { ... }
 //	fmt.Printf("pQoS %.2f at utilisation %.2f\n", result.PQoS, result.Utilization)
 //
-// Scenario's solve surfaces are thin adapters over the Cluster engine,
-// equivalence-tested bit for bit against the pre-redesign paths.
+// A Scenario is the paper's §4 world generator, nothing more: Cluster()
+// returns the generated population as an ordinary Cluster (servers "s0"…,
+// zones "z0"…, clients "c0"…, built through the same builder calls as
+// above), Assign is sugar for Cluster().Solve on the scenario's own random
+// stream, and Churn redraws the population. The equivalence tests hold the
+// builder-built cluster bit for bit to a direct solve of the world's problem.
 //
 // # Incremental evaluation and hot-path reuse
 //
@@ -149,13 +153,13 @@
 // untouched by zone crossings, and a session's full solve builds GreZ's
 // cost matrix and GreC's late list from it instead of reading every
 // client's delay row; ClusterSession.Result reads its metrics from what the
-// evaluator maintains. The sim churn driver
-// (ChurnConfig.Repair), the director service and this package's Session
-// all run on it:
+// evaluator maintains. The sim churn driver (ChurnConfig.Repair), the
+// director service and this package's ClusterSession all run on it — on a
+// real cluster or a generated one, driven by ID either way:
 //
-//	sess, err := scn.StartSession("GreZ-GreC", 0)
+//	sess, err := scn.Cluster().Open("GreZ-GreC", dvecap.WithDriftGuard(0.02))
 //	if err != nil { ... }
-//	sess.Join(10); sess.Leave(3); sess.Move(5)
+//	sess.Join("alice", spec); sess.Move("c17", "z3"); sess.Leave("c42")
 //	result, err := sess.Result()
 //
 // # Parallel sharded search and candidate-delta caching

@@ -97,7 +97,7 @@ func (c *Cluster) openDurable(algorithm string, cfg config) (*ClusterSession, er
 // (DESIGN.md §8).
 func recoverSession(algorithm string, cfg config) (*ClusterSession, error) {
 	dir := cfg.durDir
-	snap, err := repair.LoadSnapshot(dir, repair.SnapshotVersion, func(c *repair.Snapshot) (int, uint64) { return c.Version, c.LSN })
+	snap, err := repair.LoadSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func recoverSession(algorithm string, cfg config) (*ClusterSession, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dvecap: %w", err)
 	}
-	if _, err := m.Recover(cfg.journalConfig(), snap.LSN, nil); err != nil {
+	if _, err := m.Recover(cfg.journalConfig(), snap.LSN); err != nil {
 		return nil, err
 	}
 	// The trace log, like the planner's telemetry, attaches only now, with

@@ -1113,8 +1113,8 @@ func directorSurface(t *testing.T, model string) durableSurface {
 		},
 		// Recorded when the director moved onto the one machine: its WRITE
 		// format is the machine's snapshot and vocabulary from here on. What
-		// it wrote before is pinned on the read side, by the committed data
-		// directory of TestDirectorLegacyDataDir (internal/director).
+		// it wrote before is refused by name (TestDirectorRefusesOldDataDir,
+		// internal/director).
 		golden: [3]string{
 			"789e632661c057969015eae4e7b27649cb7d7d1c5002143c695d92261a2ee45d",
 			"aba80eca5642174f7399513034143882e5c951b8a4135ff960d53f498559030a",

@@ -5,6 +5,7 @@ import (
 
 	"dvecap/internal/core"
 	"dvecap/internal/dve"
+	"dvecap/internal/repair"
 	"dvecap/internal/topology"
 	"dvecap/internal/xrand"
 )
@@ -22,10 +23,12 @@ type ScenarioParams struct {
 	// e.g. "10s-30z-400c-200cp".
 	Notation string
 	// Servers, Zones, Clients and TotalCapacityMbps override individual
-	// sizes when non-zero (ignored if Notation is set).
+	// sizes when non-zero (ignored if Notation is set). Negative and
+	// non-finite values are rejected.
 	Servers, Zones, Clients int
 	TotalCapacityMbps       float64
-	// DelayBoundMs overrides the interactivity bound when non-zero.
+	// DelayBoundMs overrides the interactivity bound when non-zero; negative
+	// and non-finite values are rejected.
 	DelayBoundMs float64
 	// ClusteredPhysical / ClusteredVirtual enable the hot-node / hot-zone
 	// client distributions.
@@ -36,14 +39,17 @@ type ScenarioParams struct {
 	UseUSBackbone bool
 }
 
-// Scenario is a concrete, reproducible DVE instance ready for assignment.
-// Its solve surfaces (Assign, AssignWithEstimationError, StartSession) are
-// thin adapters over the Cluster engine — the same machinery that serves
-// real, bring-your-own-infrastructure deployments — applied to the
-// generated world.
+// Scenario is the paper's §4 world generator: a concrete, reproducible DVE
+// instance — topology, servers, zones and a client population placed in both
+// worlds — that Cluster turns into the same builder real deployments fill by
+// hand. Solve it in one shot (Assign is sugar for Cluster().Solve) or keep
+// it repaired under churn (Cluster().Open, driven by ID).
 type Scenario struct {
-	world *dve.World
-	rng   *xrand.RNG
+	world  *dve.World
+	rng    *xrand.RNG
+	params ScenarioParams
+	// cluster caches Cluster() for the current population; Churn drops it.
+	cluster *Cluster
 }
 
 // NewScenario builds a scenario: topology, delay matrix, servers with
@@ -55,6 +61,19 @@ func NewScenario(p ScenarioParams, opts ...Option) (*Scenario, error) {
 	oc := resolveOptions(opts)
 	if oc.seedSet {
 		p.Seed = oc.seed
+	}
+	// Zero means "paper default" below; anything else that is not a usable
+	// size must not be mistaken for it.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Servers", float64(p.Servers)}, {"Zones", float64(p.Zones)}, {"Clients", float64(p.Clients)},
+		{"TotalCapacityMbps", p.TotalCapacityMbps}, {"DelayBoundMs", p.DelayBoundMs},
+	} {
+		if !repair.FiniteNonNeg(f.v) {
+			return nil, fmt.Errorf("dvecap: ScenarioParams.%s = %v, want finite >= 0 (0 takes the paper default)", f.name, f.v)
+		}
 	}
 	cfg := dve.DefaultConfig()
 	if p.Notation != "" {
@@ -81,7 +100,7 @@ func NewScenario(p ScenarioParams, opts ...Option) (*Scenario, error) {
 		cfg.DelayBoundMs = p.DelayBoundMs
 	}
 	if oc.corrSet {
-		if oc.corr < 0 || oc.corr > 1 {
+		if !(oc.corr >= 0 && oc.corr <= 1) { // NaN fails both
 			return nil, fmt.Errorf("dvecap: correlation %v outside [0,1]", oc.corr)
 		}
 		cfg.Correlation = oc.corr
@@ -111,8 +130,16 @@ func NewScenario(p ScenarioParams, opts ...Option) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scenario{world: world, rng: rng}, nil
+	p.Servers, p.Zones, p.Clients = cfg.Servers, cfg.Zones, cfg.Clients
+	p.TotalCapacityMbps, p.DelayBoundMs = cfg.TotalCapacityMbps, cfg.DelayBoundMs
+	return &Scenario{world: world, rng: rng, params: p}, nil
 }
+
+// Params returns the parameters the scenario was built from with every
+// default resolved: the sizes, capacity and delay bound are the ones in
+// effect, whether they came from Notation, an override or the paper's
+// defaults (Clients is the initial population; NumClients follows Churn).
+func (s *Scenario) Params() ScenarioParams { return s.params }
 
 // Algorithms returns the names accepted by Assign and Cluster.Solve, in
 // the paper's order plus extensions.
@@ -120,39 +147,84 @@ func Algorithms() []string {
 	return core.AlgorithmNames()
 }
 
-// clusterView wraps the scenario's current population as a Cluster, so
-// the scenario's solve surfaces run through the same engine as real
-// deployments. The view snapshots the world — rebuild after churn.
-func (s *Scenario) clusterView() *Cluster {
-	return clusterFromProblem(s.world.Problem())
+// Cluster returns the scenario's current population as a Cluster, built
+// through the public builder calls a real deployment would make: servers
+// "s0"…, zones "z0"… and clients "c0"… in world order, the inter-server
+// matrix via SetServerRTTs and each client's ground-truth delays as an
+// RTTRow. The cluster is cached until the next Churn (it is the one Assign
+// solves — add to it and Assign sees the addition); after a Churn, call
+// Cluster again for the new population.
+func (s *Scenario) Cluster() *Cluster {
+	if s.cluster == nil {
+		c, err := denseCluster(s.world.Problem())
+		if err != nil {
+			// The generator validated the world; the builder refusing it is
+			// a bug in one of the two.
+			panic(fmt.Sprintf("dvecap: scenario world rejected by the cluster builder: %v", err))
+		}
+		s.cluster = c
+	}
+	return s.cluster
+}
+
+// denseCluster replays a dense problem through the builder under synthetic
+// IDs: servers "s0"…, zones "z0"…, clients "c0"….
+func denseCluster(p *core.Problem) (*Cluster, error) {
+	c := NewCluster(p.D)
+	for i, capacity := range p.ServerCaps {
+		if err := c.AddServer(fmt.Sprintf("s%d", i), ServerSpec{CapacityMbps: capacity}); err != nil {
+			return nil, err
+		}
+	}
+	if err := c.SetServerRTTs(p.SS); err != nil {
+		return nil, err
+	}
+	zones := make([]string, p.NumZones)
+	for z := range zones {
+		zones[z] = fmt.Sprintf("z%d", z)
+		if err := c.AddZone(zones[z]); err != nil {
+			return nil, err
+		}
+	}
+	for j, z := range p.ClientZones {
+		if err := c.AddClient(fmt.Sprintf("c%d", j), ClientSpec{
+			Zone: zones[z], BandwidthMbps: p.ClientRT[j], RTTRow: p.CS[j],
+		}); err != nil {
+			return nil, err
+		}
+	}
+	if p.Adjacency != nil {
+		for _, e := range p.Adjacency.Edges() {
+			if err := c.SetZoneAdjacency(zones[e.A], zones[e.B], e.W); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return c, c.SetTrafficWeight(p.TrafficWeight)
 }
 
 // Assign runs the named two-phase algorithm ("RanZ-VirC", "RanZ-GreC",
 // "GreZ-VirC", "GreZ-GreC", or the extension "DynZ-GreC") on the scenario's
-// current state.
+// current state, drawing from the scenario's own random stream.
 func (s *Scenario) Assign(algorithm string) (*Result, error) {
-	return s.clusterView().Solve(algorithm, withRNG(s.rng))
+	return s.Cluster().Solve(algorithm, withRNG(s.rng))
 }
 
 // AssignWithEstimationError runs the algorithm against delays perturbed by
 // a multiplicative error factor e (estimates uniform in [d/e, d·e], the
 // King/IDMaps model) and evaluates the outcome against the true delays.
 func (s *Scenario) AssignWithEstimationError(algorithm string, e float64) (*Result, error) {
-	return s.clusterView().Solve(algorithm, withRNG(s.rng), WithEstimationError(e))
+	return s.Cluster().Solve(algorithm, withRNG(s.rng), WithEstimationError(e))
 }
 
-// Churn applies joins, leaves and zone moves to the scenario (the paper's
-// dynamics protocol), after which Assign reflects the new population.
+// Churn applies joins, leaves and zone moves drawn from the scenario's
+// placement models (the paper's dynamics protocol), after which Assign and
+// Cluster reflect the new population. A session opened from an earlier
+// Cluster() keeps its own population: drive it by ID.
 func (s *Scenario) Churn(join, leave, move int) error {
+	s.cluster = nil
 	return s.world.Churn(s.rng.Split(), join, leave, move)
 }
 
 // NumClients returns the current population.
 func (s *Scenario) NumClients() int { return s.world.NumClients() }
-
-// Config returns the scenario's resolved configuration.
-func (s *Scenario) Config() dve.Config { return s.world.Cfg }
-
-// World exposes the underlying world for advanced callers (the cmd tools
-// and benchmarks); treat it as read-only unless you own the scenario.
-func (s *Scenario) World() *dve.World { return s.world }

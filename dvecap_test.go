@@ -1,6 +1,8 @@
 package dvecap
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -9,7 +11,7 @@ func TestNewScenarioDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := scn.Config()
+	cfg := scn.world.Cfg
 	if cfg.Scenario() != "20s-80z-1000c-500cp" {
 		t.Fatalf("default scenario = %s", cfg.Scenario())
 	}
@@ -23,7 +25,7 @@ func TestNewScenarioNotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := scn.Config()
+	cfg := scn.world.Cfg
 	if cfg.Servers != 5 || cfg.Zones != 15 || cfg.Clients != 200 {
 		t.Fatalf("notation not applied: %+v", cfg)
 	}
@@ -37,7 +39,7 @@ func TestNewScenarioOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := scn.Config()
+	cfg := scn.world.Cfg
 	if cfg.Servers != 8 || cfg.Zones != 16 || cfg.Clients != 300 {
 		t.Fatalf("overrides not applied: %+v", cfg)
 	}
@@ -54,7 +56,7 @@ func TestNewScenarioDefaultCorrelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := scn.Config().Correlation; got != 0.5 {
+	if got := scn.world.Cfg.Correlation; got != 0.5 {
 		t.Fatalf("correlation = %v, want default 0.5", got)
 	}
 }
@@ -65,6 +67,42 @@ func TestNewScenarioRejectsBadInput(t *testing.T) {
 	}
 	if _, err := NewScenario(ScenarioParams{}, WithCorrelation(2)); err == nil {
 		t.Fatal("correlation > 1 accepted")
+	}
+}
+
+// TestNewScenarioRejectsUnusableParams: zero means "paper default"; a
+// negative or non-finite value is neither a size nor a default, and the
+// error names the field.
+func TestNewScenarioRejectsUnusableParams(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		p     ScenarioParams
+		opts  []Option
+	}{
+		{"Servers", ScenarioParams{Servers: -1}, nil},
+		{"Zones", ScenarioParams{Zones: -8}, nil},
+		{"Clients", ScenarioParams{Clients: -100}, nil},
+		{"TotalCapacityMbps", ScenarioParams{TotalCapacityMbps: -500}, nil},
+		{"TotalCapacityMbps", ScenarioParams{TotalCapacityMbps: math.NaN()}, nil},
+		{"TotalCapacityMbps", ScenarioParams{TotalCapacityMbps: math.Inf(1)}, nil},
+		{"DelayBoundMs", ScenarioParams{DelayBoundMs: -250}, nil},
+		{"DelayBoundMs", ScenarioParams{DelayBoundMs: math.NaN()}, nil},
+		{"DelayBoundMs", ScenarioParams{DelayBoundMs: math.Inf(1)}, nil},
+		{"DelayBoundMs", ScenarioParams{Notation: "5s-15z-200c-100cp", DelayBoundMs: math.Inf(1)}, nil},
+		{"correlation", ScenarioParams{}, []Option{WithCorrelation(math.NaN())}},
+		{"correlation", ScenarioParams{}, []Option{WithCorrelation(-0.1)}},
+	} {
+		if _, err := NewScenario(tc.p, tc.opts...); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: error %v, want one naming %s", tc.p, err, tc.field)
+		}
+	}
+	// Zeros still take the defaults.
+	scn, err := NewScenario(ScenarioParams{Seed: 1, Servers: 0, DelayBoundMs: 0, TotalCapacityMbps: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := scn.Params(); p.Servers != 20 || p.Zones != 80 || p.Clients != 1000 || p.TotalCapacityMbps != 500 || p.DelayBoundMs != 250 {
+		t.Fatalf("resolved params %+v, want the paper's defaults", p)
 	}
 }
 

@@ -13,14 +13,14 @@ import (
 )
 
 func main() {
-	scn, err := dvecap.NewScenario(dvecap.ScenarioParams{Seed: 42},
-		dvecap.WithCorrelation(0.5)) // physical↔virtual correlation δ (0.5 is also the default)
+	const delta = 0.5 // physical↔virtual correlation δ (0.5 is also the default)
+	scn, err := dvecap.NewScenario(dvecap.ScenarioParams{Seed: 42}, dvecap.WithCorrelation(delta))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := scn.Config()
-	fmt.Printf("Scenario %s: D = %.0f ms, δ = %.1f\n\n",
-		cfg.Scenario(), cfg.DelayBoundMs, cfg.Correlation)
+	p := scn.Params() // the paper's defaults, resolved
+	fmt.Printf("Scenario %ds-%dz-%dc-%.0fcp: D = %.0f ms, δ = %.1f\n\n",
+		p.Servers, p.Zones, p.Clients, p.TotalCapacityMbps, p.DelayBoundMs, delta)
 
 	fmt.Printf("%-12s %8s %8s %10s\n", "algorithm", "pQoS", "R", "withQoS")
 	for _, name := range []string{"RanZ-VirC", "RanZ-GreC", "GreZ-VirC", "GreZ-GreC"} {

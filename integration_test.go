@@ -44,7 +44,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 
 	// 4. Migration accounting between the two assignments' zone maps via a
 	// sticky re-solve: sticky must move no more zones than the fresh one.
-	truth := scn.World().Problem()
+	truth := scn.world.Problem()
 	freshTargets, err := core.GreZ(nil, truth, core.Options{Overflow: core.SpillLargestResidual})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 	// 7. Serialise the world, reload it, and confirm the problem is
 	// bit-identical (delays are derived deterministically).
 	var buf bytes.Buffer
-	if err := scn.World().WriteJSON(&buf, 500, 0.5); err != nil {
+	if err := scn.world.WriteJSON(&buf, 500, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := dve.ReadWorldJSON(&buf)

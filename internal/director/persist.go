@@ -157,13 +157,18 @@ func recoverDirector(cfg Config) (*Director, error) {
 	if cfg.Delays == nil {
 		return nil, fmt.Errorf("director: nil delay matrix")
 	}
-	stored, err := repair.LoadSnapshot(dir, repair.SnapshotVersion, func(c *legacySnapshot) (int, uint64) { return c.Version, c.LSN })
+	snap, err := repair.LoadSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := stored.current()
-	if err != nil {
-		return nil, fmt.Errorf("director: snapshot in %s: %w", dir, err)
+	if snap.Director == nil {
+		if len(snap.Cluster.Servers) == 0 {
+			// Index-addressed problem, no cluster spec: what a director wrote
+			// before it moved onto the machine (its journal vocabulary went
+			// with it). Nothing in the directory has been touched.
+			return nil, fmt.Errorf("director: data directory %s predates the machine snapshot format; this build cannot read it", dir)
+		}
+		return nil, fmt.Errorf("director: snapshot in %s: not a director's: no director state", dir)
 	}
 	fp := snap.Director
 	if snap.Algo != cfg.Algorithm {
@@ -191,7 +196,7 @@ func recoverDirector(cfg Config) (*Director, error) {
 	d.recovering.Store(true)
 	defer d.recovering.Store(false)
 	recStart := time.Now()
-	replayed, err := m.Recover(cfg.journalConfig(), snap.LSN, d.decodeLegacy)
+	replayed, err := m.Recover(cfg.journalConfig(), snap.LSN)
 	if err != nil {
 		return nil, err
 	}

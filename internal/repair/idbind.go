@@ -19,10 +19,9 @@ var (
 	ErrDuplicateClient = errors.New("duplicate client")
 )
 
-// IDBinding feeds string-keyed clients into a Planner: the generic binding
-// for callers that address clients by external IDs — the public Cluster
-// API and the director's HTTP surface — rather than by a dve.World's
-// dense indices (WorldBinding). It owns the ID ↔ handle map and keeps it
+// IDBinding feeds string-keyed clients into a Planner: the binding for
+// callers that address clients by external IDs — the public Cluster API and
+// the director's HTTP surface. It owns the ID ↔ handle map and keeps it
 // consistent with the planner: an ID is present exactly while its planner
 // handle is live. Clients have one order, the planner's dense order
 // (DenseIDs).

@@ -111,12 +111,11 @@ func CreateJournal(cfg JournalConfig, pl *Planner, render func(lsn uint64) ([]by
 	return j, j.openLog()
 }
 
-// LoadSnapshot decodes the newest usable snapshot in dir into schema S —
-// Snapshot, or a front end's superset of it that also reads an older layout.
-// header reads a candidate's declared version and LSN; a candidate that does
-// not parse, comes from a schema newer than maxVersion or declares another
-// LSN than its file name is skipped in favour of the generation before it.
-func LoadSnapshot[S any](dir string, maxVersion int, header func(*S) (version int, lsn uint64)) (*S, error) {
+// LoadSnapshot decodes the newest usable snapshot in dir: a candidate that
+// does not parse, comes from a schema newer than SnapshotVersion or declares
+// another LSN than its file name is skipped in favour of the generation
+// before it.
+func LoadSnapshot(dir string) (*Snapshot, error) {
 	lsns, err := wal.SnapshotLSNs(dir)
 	if err != nil {
 		return nil, err
@@ -131,16 +130,16 @@ func LoadSnapshot[S any](dir string, maxVersion int, header func(*S) (version in
 			lastErr = err
 			continue
 		}
-		cand := new(S)
+		cand := new(Snapshot)
 		if err := json.Unmarshal(raw, cand); err != nil {
 			lastErr = fmt.Errorf("snapshot %d: %w", lsns[x], err)
 			continue
 		}
-		switch version, lsn := header(cand); {
-		case version < 1 || version > maxVersion:
-			lastErr = fmt.Errorf("snapshot %d has version %d, this build reads 1..%d", lsns[x], version, maxVersion)
-		case lsn != lsns[x]:
-			lastErr = fmt.Errorf("snapshot %d declares LSN %d", lsns[x], lsn)
+		switch {
+		case cand.Version < 1 || cand.Version > SnapshotVersion:
+			lastErr = fmt.Errorf("snapshot %d has version %d, this build reads 1..%d", lsns[x], cand.Version, SnapshotVersion)
+		case cand.LSN != lsns[x]:
+			lastErr = fmt.Errorf("snapshot %d declares LSN %d", lsns[x], cand.LSN)
 		default:
 			return cand, nil
 		}
@@ -157,28 +156,22 @@ func RecoverJournal(cfg JournalConfig, pl *Planner, snapLSN uint64) *Journal {
 	return j
 }
 
-// Replay streams the log tail after the snapshot through decode and apply —
-// the machine's interpreter — then opens the log for appending and returns
-// the number of events replayed. decode is DecodeEvent, or a front end's
-// wrapper that also translates the records of an older vocabulary; a nil
-// event from it is a record that resolves to nothing (it counts, nothing is
-// applied). Apply-level rejections are the caller's to swallow (a journaled
-// event the live apply rejected rejects again here); an error from apply, an
-// undecodable record or an epoch marker the rebuilt trajectory does not pass
-// through aborts recovery. Planner telemetry attaches only after the tail has
-// replayed, so the repair series reflect live traffic, and the one-shot
-// recovery gauges record what the replay cost.
-func (j *Journal) Replay(decode func([]byte) (*Event, error), apply func(*Event) error) (int, error) {
+// Replay streams the log tail after the snapshot through DecodeEvent and
+// apply — the machine's interpreter — then opens the log for appending and
+// returns the number of events replayed. Apply-level rejections are the
+// caller's to swallow (a journaled event the live apply rejected rejects
+// again here); an error from apply, an undecodable record or an epoch marker
+// the rebuilt trajectory does not pass through aborts recovery. Planner
+// telemetry attaches only after the tail has replayed, so the repair series
+// reflect live traffic, and the one-shot recovery gauges record what the
+// replay cost.
+func (j *Journal) Replay(apply func(*Event) error) (int, error) {
 	start := time.Now()
 	replayed := 0
 	if _, err := wal.Replay(j.cfg.Dir, j.base, func(lsn uint64, payload []byte) error {
-		e, err := decode(payload)
+		e, err := DecodeEvent(payload)
 		if err != nil {
 			return fmt.Errorf("journal: LSN %d: %w", lsn, err)
-		}
-		if e == nil {
-			replayed++
-			return nil
 		}
 		if e.Op == OpEpoch {
 			if fs := j.pl.stats.FullSolves; fs != e.FullSolves {

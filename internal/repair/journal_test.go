@@ -13,11 +13,6 @@ import (
 // carries wins; every other candidate is skipped for the generation before
 // it, and a directory with no usable candidate fails loudly.
 func TestLoadSnapshotFallsBackAGeneration(t *testing.T) {
-	type snap struct {
-		Version int    `json:"version"`
-		LSN     uint64 `json:"lsn"`
-	}
-	header := func(s *snap) (int, uint64) { return s.Version, s.LSN }
 	good := func(lsn uint64) string { return fmt.Sprintf(`{"version":2,"lsn":%d}`, lsn) }
 	for _, tc := range []struct {
 		name   string
@@ -37,7 +32,7 @@ func TestLoadSnapshotFallsBackAGeneration(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, err := LoadSnapshot(dir, 2, header)
+			got, err := LoadSnapshot(dir)
 			if err != nil || got.LSN != tc.want {
 				t.Fatalf("loaded %+v, %v; want LSN %d", got, err, tc.want)
 			}
@@ -47,10 +42,10 @@ func TestLoadSnapshotFallsBackAGeneration(t *testing.T) {
 	if err := wal.WriteSnapshot(dir, 9, []byte(`{"version":7,"lsn":9}`), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(dir, 2, header); err == nil || !strings.Contains(err.Error(), "version 7") {
+	if _, err := LoadSnapshot(dir); err == nil || !strings.Contains(err.Error(), "version 7") {
 		t.Fatalf("only a future-schema snapshot: %v, want a refusal naming the version", err)
 	}
-	if _, err := LoadSnapshot(t.TempDir(), 2, header); err == nil {
+	if _, err := LoadSnapshot(t.TempDir()); err == nil {
 		t.Fatal("empty directory produced a snapshot")
 	}
 }

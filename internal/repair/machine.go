@@ -510,18 +510,15 @@ func RestoreMachine(snap *Snapshot, cfg Config) (*Machine, error) {
 }
 
 // Recover replays the log tail after the snapshot at lsn through Apply and
-// goes live, returning the number of events replayed; decode is nil for
-// DecodeEvent (see Journal.Replay). Apply-level rejections are swallowed: the
-// live path journals before applying, so an event the apply rejected is in
-// the log too — and rejects again here, deterministically. Only an unknown
-// op aborts (the journal checks the epoch markers itself): the log and this
-// build disagree about what the events MEAN.
-func (m *Machine) Recover(cfg JournalConfig, lsn uint64, decode func([]byte) (*Event, error)) (int, error) {
-	if decode == nil {
-		decode = DecodeEvent
-	}
+// goes live, returning the number of events replayed (see Journal.Replay).
+// Apply-level rejections are swallowed: the live path journals before
+// applying, so an event the apply rejected is in the log too — and rejects
+// again here, deterministically. Only an unknown op aborts (the journal
+// checks the epoch markers itself): the log and this build disagree about
+// what the events MEAN.
+func (m *Machine) Recover(cfg JournalConfig, lsn uint64) (int, error) {
 	m.dur = RecoverJournal(cfg, m.b.pl, lsn)
-	return m.dur.Replay(decode, func(e *Event) error {
+	return m.dur.Replay(func(e *Event) error {
 		switch err := m.Apply(e); {
 		case errors.Is(err, errUnknownOp):
 			return err

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"dvecap/internal/autoscale"
 	"dvecap/internal/core"
@@ -188,10 +189,13 @@ type Driver struct {
 	zoneFrozenUntil []float64
 	errs            []error
 
-	// Repair mode: the incremental planner and its world binding (the
-	// world-indexed handle map plus bandwidth-model refreshes).
+	// Repair mode: the incremental planner, the planner handle of each
+	// world-indexed client (compacted in lockstep with the world on leaves),
+	// and the per-zone population the bandwidth model prices from.
 	planner *repair.Planner
-	binding *repair.WorldBinding
+	handles []int
+	zonePop []int
+	csBuf   []float64
 
 	// Rolling-deploy state: the next server to drain (round-robin) and
 	// the one currently down (-1 when the fleet is whole).
@@ -269,7 +273,14 @@ func NewDriver(eng *Engine, world *dve.World, algo core.TwoPhase, opt core.Optio
 		if cfg.Telemetry != nil {
 			pl.SetTelemetry(cfg.Telemetry)
 		}
-		d.binding = repair.BindWorld(pl, world)
+		// The world's current clients hold handles 0..k-1 in world order,
+		// exactly how NewWithAssignment issued them.
+		d.handles = make([]int, world.NumClients())
+		for j := range d.handles {
+			d.handles[j] = j
+		}
+		d.zonePop = world.ZonePopulations()
+		d.csBuf = make([]float64, world.Cfg.Servers)
 		if cfg.HandoffFreezeSec > 0 && d.zoneFrozenUntil == nil {
 			d.zoneFrozenUntil = make([]float64, world.Cfg.Zones)
 		}
@@ -414,7 +425,7 @@ func (d *Driver) joinEvent() {
 func (d *Driver) admitJoin() {
 	idx := d.world.Join(d.rng, 1)
 	if d.planner != nil {
-		if err := d.binding.Join(idx); err != nil {
+		if err := d.repairJoin(idx[0]); err != nil {
 			d.errs = append(d.errs, err)
 		}
 		if err := d.planner.TakeSolveErr(); err != nil {
@@ -427,6 +438,89 @@ func (d *Driver) admitJoin() {
 			d.contact = append(d.contact, d.zoneServer[d.world.ClientZones[j]])
 		}
 	}
+}
+
+// The repair-mode churn bridge. A client's bandwidth requirement depends on
+// its zone's population (the quadratic client-server model), so a membership
+// change re-prices the zone's incumbents BEFORE the planner event: the
+// repair pass inside the event then judges feasibility against exact loads.
+
+// reprice brings zone's clients to the requirement of its current
+// population and returns it; an emptied zone has no one to re-price.
+func (d *Driver) reprice(zone int) (float64, error) {
+	if d.zonePop[zone] == 0 {
+		return 0, nil
+	}
+	rt := d.world.Cfg.ClientRTMbps(d.zonePop[zone])
+	return rt, d.planner.RefreshZoneRT(zone, rt)
+}
+
+// repairJoin admits world client j, just placed by World.Join, with its
+// ground-truth delay row.
+func (d *Driver) repairJoin(j int) error {
+	w := d.world
+	zone := w.ClientZones[j]
+	for i := range d.csBuf {
+		d.csBuf[i] = w.Delays.RTT(w.ClientNodes[j], w.ServerNodes[i])
+	}
+	d.zonePop[zone]++
+	rt, err := d.reprice(zone)
+	if err != nil {
+		return err
+	}
+	h, err := d.planner.Join(zone, rt, d.csBuf)
+	if err != nil {
+		return err
+	}
+	d.handles = append(d.handles, h)
+	return nil
+}
+
+// repairLeave removes the client that held world index r before World.Leave
+// forgot it. The handle map is compacted even when the removal errors, so
+// the driver stays aligned with the world. The departing client is re-priced
+// with its zone, so its smaller requirement is subtracted consistently.
+func (d *Driver) repairLeave(r int) error {
+	h := d.handles[r]
+	d.handles = slices.Delete(d.handles, r, r+1)
+	idx, err := d.planner.Index(h)
+	if err != nil {
+		return err
+	}
+	zone := d.planner.Problem().ClientZones[idx]
+	d.zonePop[zone]--
+	if _, err := d.reprice(zone); err != nil {
+		return err
+	}
+	return d.planner.Leave(h)
+}
+
+// repairMove migrates world client j, whose world zone World.Move already
+// changed: the vacated zone is re-priced to its shrunk population, the
+// entered zone and the mover itself to the grown one.
+func (d *Driver) repairMove(j int) error {
+	h := d.handles[j]
+	idx, err := d.planner.Index(h)
+	if err != nil {
+		return err
+	}
+	oldZone, newZone := d.planner.Problem().ClientZones[idx], d.world.ClientZones[j]
+	if newZone == oldZone {
+		return nil
+	}
+	d.zonePop[oldZone]--
+	d.zonePop[newZone]++
+	if _, err := d.reprice(oldZone); err != nil {
+		return err
+	}
+	rt, err := d.reprice(newZone)
+	if err != nil {
+		return err
+	}
+	if err := d.planner.SetRT(h, rt); err != nil {
+		return err
+	}
+	return d.planner.Move(h, newZone)
 }
 
 func (d *Driver) scheduleLeave() {
@@ -448,7 +542,7 @@ func (d *Driver) leaveEvent() {
 		case err != nil:
 			d.errs = append(d.errs, err)
 		case d.planner != nil:
-			if err := d.binding.Leave(removed); err != nil {
+			if err := d.repairLeave(removed[0]); err != nil {
 				d.errs = append(d.errs, err)
 			}
 			if err := d.planner.TakeSolveErr(); err != nil {
@@ -478,7 +572,7 @@ func (d *Driver) moveEvent() {
 		case err != nil:
 			d.errs = append(d.errs, err)
 		case d.planner != nil:
-			if err := d.binding.Move(moved); err != nil {
+			if err := d.repairMove(moved[0]); err != nil {
 				d.errs = append(d.errs, err)
 			}
 			if err := d.planner.TakeSolveErr(); err != nil {
@@ -537,13 +631,12 @@ func (d *Driver) syncFromPlanner() {
 		}
 		d.zoneServer[z] = s
 	}
-	handles := d.binding.Handles()
-	k := len(handles)
+	k := len(d.handles)
 	if cap(d.contact) < k {
 		d.contact = make([]int, k)
 	}
 	d.contact = d.contact[:k]
-	for j, h := range handles {
+	for j, h := range d.handles {
 		c, err := d.planner.Contact(h)
 		if err != nil {
 			d.errs = append(d.errs, err)

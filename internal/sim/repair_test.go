@@ -93,7 +93,7 @@ func TestDriverRepairMirrorsWorld(t *testing.T) {
 	if pp.NumClients() != wp.NumClients() {
 		t.Fatalf("planner mirrors %d clients, world has %d", pp.NumClients(), wp.NumClients())
 	}
-	handles := d.binding.Handles()
+	handles := d.handles
 	for j := 0; j < wp.NumClients(); j++ {
 		idx, err := d.planner.Index(handles[j])
 		if err != nil {
@@ -221,6 +221,51 @@ func TestDriverRepairFewerHandoffs(t *testing.T) {
 	}
 	if repPQoS < fullPQoS-0.05 {
 		t.Fatalf("repair mode quality collapsed: %.3f vs %.3f", repPQoS, fullPQoS)
+	}
+}
+
+// TestDriverRepairQualityTracksFullResolve: after sustained churn through
+// the repair bridge — 5 rounds of 40 joins, 40 leaves and 40 moves on 500
+// clients — the repaired solution's quality stays close to
+// what a from-scratch solve of the same population achieves.
+func TestDriverRepairQualityTracksFullResolve(t *testing.T) {
+	w := buildSizedWorld(t, 9, 8, 30, 500, 500)
+	d, err := NewDriver(NewEngine(), w, core.GreZGreC, coreOpts(), repairChurn(), xrand.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 5; round++ {
+		for i := 0; i < 40; i++ {
+			must(d.repairJoin(w.Join(d.rng, 1)[0]))
+		}
+		for i := 0; i < 40; i++ {
+			removed, err := w.Leave(d.rng, 1)
+			must(err)
+			must(d.repairLeave(removed[0]))
+		}
+		for i := 0; i < 40; i++ {
+			moved, err := w.Move(d.rng, 1)
+			must(err)
+			must(d.repairMove(moved[0]))
+		}
+	}
+	if st := d.planner.Stats(); st.Joins != 200 || st.Leaves != 200 || st.FullSolves != 0 {
+		t.Fatalf("the bridge did not carry the churn (or a re-solve hid it): %+v", st)
+	}
+	truth := w.Problem()
+	repaired := core.Evaluate(truth, d.Assignment())
+	fresh, err := core.GreZGreC.Solve(xrand.New(1), truth, coreOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resolved := core.Evaluate(truth, fresh); repaired.PQoS < resolved.PQoS-0.05 {
+		t.Fatalf("repaired pQoS %.3f trails re-solved %.3f by more than 0.05", repaired.PQoS, resolved.PQoS)
 	}
 }
 

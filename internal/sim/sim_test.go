@@ -91,6 +91,11 @@ func TestEnginePanicsOnPastSchedule(t *testing.T) {
 
 func buildTestWorld(t *testing.T, seed uint64) *dve.World {
 	t.Helper()
+	return buildSizedWorld(t, seed, 4, 12, 120, 150)
+}
+
+func buildSizedWorld(t *testing.T, seed uint64, servers, zones, clients int, capacityMbps float64) *dve.World {
+	t.Helper()
 	hp := topology.DefaultHier()
 	hp.ASCount = 4
 	hp.NodesPerAS = 10
@@ -103,10 +108,10 @@ func buildTestWorld(t *testing.T, seed uint64) *dve.World {
 		t.Fatal(err)
 	}
 	cfg := dve.DefaultConfig()
-	cfg.Servers = 4
-	cfg.Zones = 12
-	cfg.Clients = 120
-	cfg.TotalCapacityMbps = 150
+	cfg.Servers = servers
+	cfg.Zones = zones
+	cfg.Clients = clients
+	cfg.TotalCapacityMbps = capacityMbps
 	w, err := dve.BuildWorld(xrand.New(seed+1), cfg, g, dm)
 	if err != nil {
 		t.Fatal(err)

@@ -84,8 +84,8 @@ type config struct {
 	trafficW   float64
 	trafficSet bool
 	adjEdges   []adjEdge
-	// rng lets the Scenario adapters thread their own stream through the
-	// engine, preserving bit-identical results with the legacy paths.
+	// rng lets Scenario.Assign thread the scenario's own stream through the
+	// engine, so consecutive calls draw from one reproducible sequence.
 	rng *xrand.RNG
 }
 
@@ -111,7 +111,7 @@ func (c config) coreOptions() (core.Options, error) {
 	return opt, nil
 }
 
-// rngFor returns the configured random stream: the adapter-supplied one
+// rngFor returns the configured random stream: the one withRNG supplied
 // when set, otherwise a fresh stream seeded by WithSeed (default 0).
 func (c config) rngFor() *xrand.RNG {
 	if c.rng != nil {
@@ -269,9 +269,9 @@ func WithCorrelation(delta float64) Option {
 	return func(c *config) { c.corr = delta; c.corrSet = true }
 }
 
-// withRNG threads an existing random stream through the engine — the
-// Scenario adapters use it so the Cluster-backed paths replay the exact
-// stream the legacy implementations consumed.
+// withRNG threads an existing random stream through the engine — Scenario's
+// Assign sugar uses it so a scenario's solves consume its own stream, in
+// call order.
 func withRNG(r *xrand.RNG) Option {
 	return func(c *config) { c.rng = r }
 }

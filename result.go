@@ -23,9 +23,8 @@ type Result struct {
 	ZoneServer    []int
 	ClientContact []int
 	// ClientIDs names the client behind each index of Delays and
-	// ClientContact when the run came from a Cluster (nil on the Scenario
-	// paths, whose clients are anonymous). Zone and server indices follow
-	// the cluster's ZoneIDs and ServerIDs order.
+	// ClientContact ("c0"… in world order on the Scenario paths). Zone and
+	// server indices follow the cluster's ZoneIDs and ServerIDs order.
 	ClientIDs []string
 }
 
