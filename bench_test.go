@@ -615,15 +615,20 @@ func BenchmarkSessionResolve100k(b *testing.B) {
 // single zone moves, timed — the mean event, first touches of rehosted zones
 // included, where BenchmarkRepair and write_p50_ms see the warm median. The
 // re-solve is adopted (core.Evaluator.Adopt): zones that keep their host
-// keep their candidate-delta row, so most of the 500 fold a warm row; when
-// every row was invalidated, most rebuilt one in O(servers × clients of the
-// zone).
+// keep their candidate-delta row and rehosted ones have theirs rebased, so
+// nearly all of the 500 fold a warm row (rebuilt-rows/op counts the ones
+// that do not); when every row was invalidated, most rebuilt one in
+// O(servers × clients of the zone).
 func BenchmarkSessionEventsAfterResolve100k(b *testing.B) {
 	forChurnedSessions100k(b, func(b *testing.B, s *ClusterSession, rng *xrand.RNG) {
 		const events = 500
 		zones := s.ZoneIDs()
+		reg := telemetry.NewRegistry()
+		s.planner().SetTelemetry(reg)
+		rebuilt := reg.Counter("dvecap_cache_row_refreshes_total", "")
 		b.ReportAllocs()
 		b.ResetTimer()
+		before := rebuilt.Value()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			if err := s.Resolve(); err != nil {
@@ -637,6 +642,7 @@ func BenchmarkSessionEventsAfterResolve100k(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+		b.ReportMetric(float64(rebuilt.Value()-before)/float64(b.N), "rebuilt-rows/op")
 	})
 }
 

@@ -31,11 +31,18 @@ func sparseDelayRow(rng *xrand.RNG, m int) []float64 {
 // adoptProblem is clientVerbProblem behind the given store. The providers
 // receive every row with a third of its entries unmeasured.
 func adoptProblem(seed uint64, store string, traffic bool) *Problem {
-	p := benchSyntheticCAPProvisioned(seed, 5, 8, 90, 2.5).Clone()
+	return adoptProblemSized(seed, store, traffic, 8, 90, 3)
+}
+
+// adoptProblemSized is adoptProblem with n zones, k clients and one entry in
+// sparse unmeasured: few big zones with few late clients are where a
+// rehosting passes the cost rule.
+func adoptProblemSized(seed uint64, store string, traffic bool, n, k, sparse int) *Problem {
+	p := benchSyntheticCAPProvisioned(seed, 5, n, k, 2.5).Clone()
 	rng := xrand.New(seed + 31)
 	for _, row := range p.CS {
 		for i := range row {
-			if rng.IntN(3) == 0 {
+			if rng.IntN(sparse) == 0 {
 				row[i] = math.NaN()
 			}
 		}
@@ -197,22 +204,46 @@ func sameSearch(t *testing.T, label string, a, b *Evaluator, rng *xrand.RNG) {
 	}
 }
 
+// roleChangesPerZone counts, per zone next rehosts, the clients whose role the
+// adoption changes: direct on the host before and after is one role,
+// forwarded through contact c is one role per c.
+func roleChangesPerZone(ev *Evaluator, next *Assignment) []int {
+	role := func(host, contact int) int {
+		if contact == host {
+			return -1
+		}
+		return contact
+	}
+	changed := make([]int, ev.p.NumZones)
+	for j, z := range ev.p.ClientZones {
+		if h, t := ev.zoneServer[z], next.ZoneServer[z]; h != t && role(h, ev.contact[j]) != role(t, next.ClientContact[j]) {
+			changed[z]++
+		}
+	}
+	return changed
+}
+
 // TestAdoptEqualsReset is Adopt's proof obligation: after random churn,
 // Adopt(a) on a live evaluator and Reset(p, a) on a twin agree on every
 // scalar, delay, contact, host, bucket order and snapshot byte; the rows
-// Adopt kept are within tolerance of fresh builds (checkCleanRows), exactly
-// the rehosted zones went dirty, the late index is untouched, and the folds
-// that follow decide the same on kept and on cold rows — on every delay
-// store, with the traffic term off and on, at workers 1 and 4.
+// Adopt kept are within tolerance of fresh builds (checkCleanRows), a
+// rehosted zone's row among them with its own traffic bit set; exactly the
+// rehosted zones failing the cost rule went dirty; the late index is
+// untouched; and the folds that follow decide the same on kept and on cold
+// rows — on every delay store, with the traffic term off and on, at workers
+// 1 and 4 (trials 4 and 5 on few big zones, where rehostings pass the rule).
 func TestAdoptEqualsReset(t *testing.T) {
 	for _, store := range adoptStores {
 		for _, traffic := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/traffic=%v/workers=%d", store, traffic, workers), func(t *testing.T) {
-					kept, rehosted, switched, adjusted := 0, 0, 0, uint64(0)
-					for trial := 0; trial < 4; trial++ {
+					kept, rehosted, rebased, switched, adjusted := 0, 0, 0, 0, uint64(0)
+					for trial := 0; trial < 6; trial++ {
 						rng := xrand.New(uint64(7100 + trial))
 						p := adoptProblem(uint64(60+trial), store, traffic)
+						if trial >= 4 {
+							p = adoptProblemSized(uint64(60+trial), store, traffic, 6, 480, 100)
+						}
 						a, err := GreZGreC.Solve(rng.Split(), p, Options{Overflow: SpillLargestResidual})
 						if err != nil {
 							t.Fatal(err)
@@ -231,10 +262,12 @@ func TestAdoptEqualsReset(t *testing.T) {
 							twin := resetTwin(live, next)
 
 							wasDirty := append([]bool(nil), live.cache.dirty...)
-							wantDirty, wantSwitched := wasDirty, 0
+							wantDirty, wantSwitched, wantRebased := wasDirty, 0, make([]bool, len(wasDirty))
+							changed := roleChangesPerZone(live, next)
 							for z, s := range next.ZoneServer {
 								if s != live.zoneServer[z] {
-									wantDirty[z] = true
+									wantRebased[z] = !wasDirty[z] && !failsCostRule(live, z, changed[z])
+									wantDirty[z] = !wantRebased[z]
 								}
 							}
 							for j, c := range next.ClientContact {
@@ -246,19 +279,25 @@ func TestAdoptEqualsReset(t *testing.T) {
 							st := live.Adopt(next)
 							adjusted += live.tele.rowAdjusts.Value() - adj
 
-							clean := 0
+							clean, wantRebasedRows := 0, 0
 							for z, d := range live.cache.dirty {
 								if d != wantDirty[z] {
-									t.Fatalf("%s: zone %d dirty = %v after Adopt, want %v (rehosted or dirty before)", label, z, d, wantDirty[z])
+									t.Fatalf("%s: zone %d dirty = %v after Adopt, want %v (dirty before, or rehosted against the cost rule)", label, z, d, wantDirty[z])
 								}
 								if !d {
 									clean++
 								}
+								if wantRebased[z] {
+									wantRebasedRows++
+									if !live.cache.tdirty[z] {
+										t.Fatalf("%s: zone %d rebased with its own traffic bit clear", label, z)
+									}
+								}
 							}
-							if st.RowsKept != clean || st.Switched != wantSwitched {
-								t.Fatalf("%s: Adopt reports %+v, the caches hold %d clean rows and %d contacts changed", label, st, clean, wantSwitched)
+							if st.RowsKept != clean || st.Switched != wantSwitched || st.Rebased != wantRebasedRows {
+								t.Fatalf("%s: Adopt reports %+v, the caches hold %d clean rows, %d of them rebased, and %d contacts changed", label, st, clean, wantRebasedRows, wantSwitched)
 							}
-							kept, rehosted, switched = kept+st.RowsKept, rehosted+st.Rehosted, switched+st.Switched
+							kept, rehosted, switched, rebased = kept+st.RowsKept, rehosted+st.Rehosted, switched+st.Switched, rebased+st.Rebased
 							checkCleanRows(t, label, live)
 							checkLateIndex(t, live)
 							requireSameState(t, label, live, twin, round%2 == 1)
@@ -266,9 +305,9 @@ func TestAdoptEqualsReset(t *testing.T) {
 							requireSameState(t, label+" after the folds", live, twin, true)
 						}
 					}
-					t.Logf("adoptions kept %d rows, rehosted %d zones, switched %d contacts, %d of them adjusted into kept rows", kept, rehosted, switched, adjusted/2)
-					if kept == 0 || rehosted == 0 || switched == 0 || adjusted == 0 {
-						t.Fatalf("adoptions kept %d rows, rehosted %d zones, switched %d contacts, adjusted %d: a leg is untested", kept, rehosted, switched, adjusted)
+					t.Logf("adoptions kept %d rows, rehosted %d zones (%d rebased), switched %d contacts, %d adjustments into kept rows", kept, rehosted, rebased, switched, adjusted)
+					if kept == 0 || rehosted == 0 || rebased == 0 || rebased == rehosted || switched == 0 || adjusted == 0 {
+						t.Fatalf("adoptions kept %d rows, rehosted %d zones (%d rebased), switched %d contacts, adjusted %d: a leg is untested", kept, rehosted, rebased, switched, adjusted)
 					}
 				})
 			}
@@ -331,16 +370,29 @@ func TestAdoptEdges(t *testing.T) {
 			next.ClientContact[j] = next.ZoneServer[z]
 		}
 		twin := resetTwin(ev, next)
+		n, pass := ev.p.NumZones, 0
+		for z, changed := range roleChangesPerZone(ev, next) {
+			if !failsCostRule(ev, z, changed) {
+				pass++
+			}
+		}
 		inval := ev.tele.invalidations.Value()
 		st := ev.Adopt(next)
-		if st.Rehosted != ev.p.NumZones || st.RowsKept != 0 {
-			t.Fatalf("Adopt reports %+v, want all %d zones rehosted and no row kept", st, ev.p.NumZones)
+		if pass == 0 || pass == n || st != (Adoption{Rehosted: n, Switched: st.Switched, RowsKept: pass, Rebased: pass}) {
+			t.Fatalf("Adopt reports %+v, want all %d zones rehosted and the %d passing the cost rule rebased", st, n, pass)
 		}
-		if got := ev.tele.invalidations.Value() - inval; got != uint64(ev.p.NumZones) {
-			t.Fatalf("%d invalidations counted for %d clean rows going dirty", got, ev.p.NumZones)
+		if got := ev.tele.invalidations.Value() - inval; got != uint64(n-pass) {
+			t.Fatalf("%d invalidations counted for %d clean rows going dirty", got, n-pass)
 		}
-		requireSameCache(t, ev, twin)
-		requireSameState(t, "all rehosted", ev, twin, true)
+		for z, dirty := range ev.cache.dirty {
+			if !dirty && !ev.cache.tdirty[z] {
+				t.Fatalf("zone %d rebased with its own traffic bit clear", z)
+			}
+		}
+		checkCleanRows(t, "all rehosted", ev)
+		requireSameState(t, "all rehosted", ev, twin, false)
+		sameSearch(t, "all rehosted", ev, twin, xrand.New(4))
+		requireSameState(t, "all rehosted, after the folds", ev, twin, true)
 	})
 
 	t.Run("drift rule inside an adoption", func(t *testing.T) {
@@ -379,8 +431,8 @@ func TestAdoptEdges(t *testing.T) {
 }
 
 // TestWholeCacheInvalidationsAreCounted: the barriers that dirty every row
-// count each clean row they dirty — once — and an adoption reports the rows
-// it kept.
+// count each clean row they dirty — once — a zone move counts its row as
+// rebased or as invalidated, and an adoption reports the rows it kept.
 func TestWholeCacheInvalidationsAreCounted(t *testing.T) {
 	p := adoptProblem(91, "raw", false)
 	a, err := GreZGreC.Solve(xrand.New(91), p, Options{Overflow: SpillLargestResidual})
@@ -392,12 +444,12 @@ func TestWholeCacheInvalidationsAreCounted(t *testing.T) {
 	n := uint64(p.NumZones)
 	syncAllRows(ev)
 	ev.ApplyZoneMove(0, (ev.ZoneHost(0)+1)%p.NumServers())
-	if got := ev.tele.invalidations.Value(); got != 1 {
-		t.Fatalf("one zone move counted %d invalidations", got)
+	if inv, reb := ev.tele.invalidations.Value(), ev.tele.rowsRebased.Value(); inv+reb != 1 {
+		t.Fatalf("one zone move counted %d invalidations and %d rebased rows", inv, reb)
 	}
 	ev.ExportState()
 	if got := ev.tele.invalidations.Value(); got != n {
-		t.Fatalf("ExportState over %d clean rows and one dirty: counter at %d, want %d", n-1, got, n)
+		t.Fatalf("ExportState over %d rows, the moved zone's clean or dirty: counter at %d, want %d", n, got, n)
 	}
 	ev.ExportState()
 	if got := ev.tele.invalidations.Value(); got != n {

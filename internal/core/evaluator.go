@@ -123,15 +123,17 @@ func (ev *Evaluator) Reset(p *Problem, a *Assignment) {
 }
 
 // Adoption is what Adopt walked: zones whose host changed, clients whose
-// contact changed, candidate-delta rows left clean.
-type Adoption struct{ Rehosted, Switched, RowsKept int }
+// contact changed, candidate-delta rows left clean, and how many of those
+// are rehosted zones' rows, rebased.
+type Adoption struct{ Rehosted, Switched, RowsKept, Rebased int }
 
 // Adopt installs a — a new solution of the BOUND problem, a full re-solve's
 // — leaving every scalar exactly as Reset(p, a) would (EvaluatorState pins
-// them) but the candidate-delta rows warm: only a rehosted zone's row goes
-// dirty (its neighbours' traffic entries with it); in a zone that keeps its
-// host, each client whose contact changed is retracted from the row and
-// re-added, like a contact switch and under the same drift rule.
+// them) but the candidate-delta rows warm: a rehosted zone's row is rebased
+// (rebaseRow; its own and its neighbours' traffic entries go stale), and
+// each client whose contact changed, or whose role the rehosting changes, is
+// retracted from the row and re-added, like a contact switch and under the
+// same drift rule. Only a row failing the cost rule (rebaseCost) goes dirty.
 func (ev *Evaluator) Adopt(a *Assignment) Adoption {
 	st := ev.load(a.ZoneServer, a.ClientContact, true)
 	for _, dirty := range ev.cache.dirty {
@@ -151,21 +153,18 @@ func (ev *Evaluator) Adopt(a *Assignment) Adoption {
 // pure function of the two. Without, the solution is already in place.
 func (ev *Evaluator) load(hosts, contacts []int, adopt bool) (st Adoption) {
 	p := ev.p
-	for z := range ev.zoneMembers {
-		ev.zoneMembers[z] = ev.zoneMembers[z][:0]
-		ev.zoneRT[z] = 0
-	}
-	for j, z := range p.ClientZones {
-		ev.posInZone[j] = len(ev.zoneMembers[z])
-		ev.zoneMembers[z] = append(ev.zoneMembers[z], j)
-	}
-	for i := range ev.loads {
-		ev.loads[i] = 0
-	}
+	// Per zone, in the scan's scratch (free between scans): for a rehosted
+	// zone with a clean row, how many more clients may change role before
+	// the cost rule dirties it; -1 for every other zone.
+	ev.cache.bestSrv = grow(ev.cache.bestSrv, len(hosts))
+	budget := ev.cache.bestSrv
 	for z, s := range hosts {
+		budget[z] = -1
 		if adopt && ev.zoneServer[z] != s {
 			st.Rehosted++
-			ev.touchZone(z)
+			if ev.cache.clean(z) {
+				budget[z] = len(ev.zoneMembers[z]) / rebaseCost
+			}
 			if ev.trafficOn {
 				nbr, _ := p.Adjacency.Row(z)
 				for _, y := range nbr {
@@ -173,6 +172,20 @@ func (ev *Evaluator) load(hosts, contacts []int, adopt bool) (st Adoption) {
 				}
 			}
 		}
+		ev.zoneMembers[z] = ev.zoneMembers[z][:0]
+		ev.zoneRT[z] = 0
+	}
+	for j, z := range p.ClientZones {
+		ev.posInZone[j] = len(ev.zoneMembers[z])
+		ev.zoneMembers[z] = append(ev.zoneMembers[z], j)
+		if budget[z] >= 0 && roleChanges(ev.zoneServer[z], ev.contact[j], hosts[z], contacts[j]) {
+			if budget[z]--; budget[z] < 0 {
+				ev.touchZone(z)
+			}
+		}
+	}
+	for i := range ev.loads {
+		ev.loads[i] = 0
 	}
 	ev.withQoS, ev.rapCost, ev.totalLoad = 0, 0, 0
 	for j, z := range p.ClientZones {
@@ -183,19 +196,15 @@ func (ev *Evaluator) load(hosts, contacts []int, adopt bool) (st Adoption) {
 		if c != t {
 			ev.loads[c] += 2 * rt
 		}
-		// warm: zone z keeps its host, so its row (unless dirty anyway)
-		// survives and follows this client's contact.
-		warm := adopt && t == ev.zoneServer[z]
+		h, oc := ev.zoneServer[z], ev.contact[j]
 		var d float64
-		if warm && c == ev.contact[j] {
+		if adopt && t == h && c == oc {
 			d = ev.delay[j]
 		} else {
-			if adopt && c != ev.contact[j] {
+			if adopt && c != oc {
 				st.Switched++
 			}
-			if warm {
-				ev.adjustRowForClient(j, -1)
-			}
+			from := standing{h, oc, ev.delay[j]}
 			ev.contact[j] = c
 			if c == t {
 				d = p.CSAt(j, t)
@@ -203,14 +212,22 @@ func (ev *Evaluator) load(hosts, contacts []int, adopt bool) (st Adoption) {
 				d = p.CSAt(j, c) + p.SS[c][t]
 			}
 			ev.delay[j] = d
-			if warm {
-				ev.adjustRowForClient(j, 1)
+			// The rebase below carries a client that keeps its role; any other
+			// is retracted in the old base and re-added in the new one here
+			// (the row is linear in them, so the order is free).
+			if adopt && ev.cache.clean(z) && roleChanges(h, oc, t, c) {
+				ev.readjustRowForClient(j, from, standing{t, c, d})
 			}
 		}
 		if d <= p.D {
 			ev.withQoS++
 		} else {
 			ev.rapCost += d - p.D
+		}
+	}
+	for z, s := range hosts {
+		if adopt && ev.zoneServer[z] != s && ev.rebaseRow(z, s) {
+			st.Rebased++
 		}
 	}
 	copy(ev.zoneServer, hosts)
@@ -288,8 +305,9 @@ func (ev *Evaluator) score() score {
 }
 
 // ApplyZoneMove rehosts zone z on server s, updating all derived state
-// incrementally in O(clients of z). Clients whose contact was the old
-// target follow to s, matching the zone-move neighbourhood of LocalSearch.
+// incrementally in O(clients of z) and rebasing the zone's cached row.
+// Clients whose contact was the old target follow to s, matching the
+// zone-move neighbourhood of LocalSearch.
 func (ev *Evaluator) ApplyZoneMove(z, s int) {
 	p := ev.p
 	old := ev.zoneServer[z]
@@ -304,8 +322,19 @@ func (ev *Evaluator) ApplyZoneMove(z, s int) {
 	}
 	ev.loads[old] -= ev.zoneRT[z]
 	ev.loads[s] += ev.zoneRT[z]
+	// The cost rule: the clients forwarded through s change role.
+	budget := len(ev.clientsOf(z)) / rebaseCost
+	for _, j := range ev.clientsOf(z) {
+		if ev.contact[j] == s {
+			if budget--; budget < 0 {
+				ev.touchZone(z)
+				break
+			}
+		}
+	}
 	for _, j := range ev.clientsOf(z) {
 		c := ev.contact[j]
+		od := ev.delay[j]
 		var nd float64
 		switch {
 		case c == old:
@@ -315,10 +344,10 @@ func (ev *Evaluator) ApplyZoneMove(z, s int) {
 			nd = p.CSAt(j, s)
 			ev.loads[s] -= 2 * p.ClientRT[j]
 			ev.totalLoad -= 2 * p.ClientRT[j]
+			ev.readjustRowForClient(j, standing{old, c, od}, standing{s, s, nd})
 		default:
 			nd = p.CSAt(j, c) + p.SS[c][s]
 		}
-		od := ev.delay[j]
 		if od <= p.D {
 			ev.withQoS--
 		} else {
@@ -332,7 +361,7 @@ func (ev *Evaluator) ApplyZoneMove(z, s int) {
 		ev.delay[j] = nd
 	}
 	ev.zoneServer[z] = s
-	ev.touchZone(z)
+	ev.rebaseRow(z, s)
 }
 
 // ApplyContactSwitch points client j's contact at server s, updating all
@@ -346,8 +375,8 @@ func (ev *Evaluator) ApplyContactSwitch(j, s int) {
 	if s == c {
 		return
 	}
-	ev.adjustRowForClient(j, -1)
-	t := ev.zoneServer[p.ClientZones[j]]
+	from := ev.standingOf(j)
+	t := from.host
 	rt2 := 2 * p.ClientRT[j]
 	if c != t {
 		ev.loads[c] -= rt2
@@ -376,7 +405,7 @@ func (ev *Evaluator) ApplyContactSwitch(j, s int) {
 	}
 	ev.delay[j] = nd
 	ev.contact[j] = s
-	ev.adjustRowForClient(j, 1)
+	ev.readjustRowForClient(j, from, standing{t, s, nd})
 }
 
 // LocalSearch runs the hill climber on the evaluator's current solution,

@@ -71,7 +71,7 @@ func (ev *Evaluator) AddClient(zone int, rt float64, cs []float64) int {
 	} else {
 		ev.rapCost += d - p.D
 	}
-	ev.adjustRowForClient(j, 1)
+	ev.adjustRowForClient(j, 1, ev.standingOf(j))
 	return j
 }
 
@@ -84,7 +84,7 @@ func (ev *Evaluator) RemoveClient(j int) int {
 	l := len(p.ClientZones) - 1
 
 	// Subtract j's contributions.
-	ev.adjustRowForClient(j, -1)
+	ev.adjustRowForClient(j, -1, ev.standingOf(j))
 	z := p.ClientZones[j]
 	t := ev.zoneServer[z]
 	rt := p.ClientRT[j]
@@ -151,7 +151,7 @@ func (ev *Evaluator) MoveClient(j, newZone int) {
 	newT := ev.zoneServer[newZone]
 	c := ev.contact[j]
 
-	ev.adjustRowForClient(j, -1)
+	ev.adjustRowForClient(j, -1, ev.standingOf(j))
 	ev.dropFromZone(j, old)
 	ev.posInZone[j] = len(ev.zoneMembers[newZone])
 	ev.zoneMembers[newZone] = append(ev.zoneMembers[newZone], j)
@@ -177,7 +177,7 @@ func (ev *Evaluator) MoveClient(j, newZone int) {
 		nd = p.CSAt(j, c) + p.SS[c][newT]
 	}
 	ev.replaceDelay(j, nd)
-	ev.adjustRowForClient(j, 1)
+	ev.adjustRowForClient(j, 1, ev.standingOf(j))
 }
 
 // SetClientDelays replaces client j's client-server delay row (copied) and
@@ -185,7 +185,7 @@ func (ev *Evaluator) MoveClient(j, newZone int) {
 // refresh. Loads are unaffected.
 func (ev *Evaluator) SetClientDelays(j int, cs []float64) {
 	p := ev.p
-	ev.adjustRowForClient(j, -1)
+	ev.adjustRowForClient(j, -1, ev.standingOf(j))
 	p.SetCSRow(j, cs)
 	if li := ev.lateIndex(); li != nil {
 		li.setRow(j, ev.csRow(j), p.D)
@@ -199,7 +199,7 @@ func (ev *Evaluator) SetClientDelays(j int, cs []float64) {
 		nd = p.CSAt(j, c) + p.SS[c][t]
 	}
 	ev.replaceDelay(j, nd)
-	ev.adjustRowForClient(j, 1)
+	ev.adjustRowForClient(j, 1, ev.standingOf(j))
 }
 
 // SetClientRT changes client j's bandwidth requirement, shifting the
@@ -289,10 +289,10 @@ func (ev *Evaluator) GreedyContact(j int) bool {
 // when clients' quality is at stake.
 //
 // One path: bring the zone's candidate-delta row up to date, then fold it
-// in O(servers). Client churn keeps rows clean, so the usual event pays the
-// fold alone; the O(servers × clients of z) rebuild happens on the first
-// touch after a full solve or checkpoint, after the zone's own handoff and
-// every maxRowAdjustments adjustments (movecache.go).
+// in O(servers). Client churn keeps rows clean and a handoff rebases its row,
+// so the usual event pays the fold alone; the O(servers × clients of z)
+// rebuild happens on the first touch after an open, a recovery or a
+// checkpoint and every maxRowAdjustments adjustments (movecache.go).
 func (ev *Evaluator) ImproveZone(z int) bool {
 	if !ev.foldReady(z) {
 		return false

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dvecap/internal/xrand"
+	"dvecap/telemetry"
 )
 
 // emptyServer returns a server of ev hosting no zones and serving no
@@ -35,13 +36,16 @@ func emptyZone(ev *Evaluator) int {
 	return -1
 }
 
+// topoOps is how many kinds of mutation topoStep knows.
+const topoOps = 14
+
 // topoStep applies one random mutation — client churn, topology churn, or
 // a placement op — to ev. op selects the kind; rng supplies the operands.
 func topoStep(ev *Evaluator, rng *xrand.RNG, op int) {
 	p := ev.p
 	m := p.NumServers()
 	k := ev.NumClients()
-	switch op % 12 {
+	switch op % topoOps {
 	case 0: // add a server with fresh random delays
 		ss := make([]float64, m)
 		for i := range ss {
@@ -88,8 +92,15 @@ func topoStep(ev *Evaluator, rng *xrand.RNG, op int) {
 		if k > 0 {
 			ev.GreedyContact(rng.IntN(k))
 		}
-	default:
+	case 11:
 		ev.ImproveZone(rng.IntN(p.NumZones))
+	case 12: // adopt a fresh re-solve, cordons respected
+		opts := Options{Overflow: SpillLargestResidual, Cordoned: append([]bool(nil), ev.cordoned...)}
+		if a, err := GreZGreC.Solve(rng.Split(), p, opts); err == nil {
+			ev.Adopt(a)
+		}
+	default: // rehost a zone anywhere, feasible or not
+		ev.ApplyZoneMove(rng.IntN(p.NumZones), rng.IntN(m))
 	}
 }
 
@@ -108,7 +119,7 @@ func TestEvaluatorTopologyMatchesFresh(t *testing.T) {
 		}
 		ev := NewEvaluator(p, a)
 		for step := 0; step < 80; step++ {
-			topoStep(ev, rng, rng.IntN(12))
+			topoStep(ev, rng, rng.IntN(topoOps))
 			if err := ev.Assignment().Validate(ev.p); err != nil {
 				t.Fatalf("trial %d step %d: invalid assignment: %v", trial, step, err)
 			}
@@ -137,7 +148,7 @@ func TestCachedSearchUnderTopologyMutations(t *testing.T) {
 		}
 		attachLateIndex(t, ev, 1)
 		for step := 0; step < 50; step++ {
-			topoStep(ev, rng, rng.IntN(12))
+			topoStep(ev, rng, rng.IntN(topoOps))
 			checkCleanRows(t, "after topology mutation", ev)
 			checkLateIndex(t, ev)
 			cold := NewEvaluator(p.Clone(), ev.Assignment())
@@ -214,28 +225,63 @@ func TestRemoveServerRenumbering(t *testing.T) {
 	checkDynState(t, ev)
 }
 
+// fuzzTopology is FuzzEvaluatorTopology's body: every row warm at the
+// start, then one topoStep per op byte, all derived state against a
+// from-scratch evaluation and every clean row against a fresh build after
+// each. It returns how many rows the stream rebased.
+func fuzzTopology(t *testing.T, seed uint64, ops []byte) uint64 {
+	if len(ops) > 64 {
+		ops = ops[:64]
+	}
+	rng := xrand.New(seed)
+	p := randomProblem(rng.Split(), seed%2 == 0).Clone()
+	a, err := GreZGreC.Solve(rng.Split(), p, Options{Overflow: SpillLargestResidual})
+	if err != nil {
+		t.Skip()
+	}
+	ev := NewEvaluator(p, a)
+	ev.SetTelemetry(telemetry.NewRegistry())
+	syncAllRows(ev)
+	for _, op := range ops {
+		topoStep(ev, rng, int(op))
+		checkDynState(t, ev)
+		checkCleanRows(t, "fuzz", ev)
+	}
+	return ev.tele.rowsRebased.Value()
+}
+
+// topologyRebaseSeeds are committed fuzz inputs that reach the rebase leg:
+// the first rebases rows by zone moves and handoffs (and folds them after),
+// the second by adoptions alone.
+var topologyRebaseSeeds = []struct {
+	seed uint64
+	ops  []byte
+}{
+	{6, []byte{13, 11, 13, 6, 13, 12, 11, 9, 13, 12, 13, 11}},
+	{14, []byte{6, 8, 12, 6, 8, 8, 12, 7, 8, 12, 10, 8, 12, 8, 6, 12}},
+}
+
+// TestTopologyFuzzSeedsReachRebase keeps the committed seeds honest.
+func TestTopologyFuzzSeedsReachRebase(t *testing.T) {
+	for _, in := range topologyRebaseSeeds {
+		if n := fuzzTopology(t, in.seed, in.ops); n < 3 {
+			t.Fatalf("seed %d rebased %d rows", in.seed, n)
+		}
+	}
+}
+
 // FuzzEvaluatorTopology feeds arbitrary op streams into the topology and
-// churn mutations and cross-checks all derived state against from-scratch
-// evaluation after every op — the fuzz form of
-// TestEvaluatorTopologyMatchesFresh.
+// churn mutations — adoptions and zone moves among them, over maintained
+// rows — and cross-checks all derived state against from-scratch evaluation
+// after every op — the fuzz form of TestEvaluatorTopologyMatchesFresh.
 func FuzzEvaluatorTopology(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 2, 6, 6, 9, 1, 3, 5, 4, 10, 11, 7})
 	f.Add(uint64(7), []byte{0, 0, 1, 1, 2, 3, 4, 4, 8, 9})
 	f.Add(uint64(42), []byte{6, 6, 6, 0, 5, 5, 7, 1, 2, 3, 11})
+	for _, in := range topologyRebaseSeeds {
+		f.Add(in.seed, in.ops)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
-		if len(ops) > 64 {
-			ops = ops[:64]
-		}
-		rng := xrand.New(seed)
-		p := randomProblem(rng.Split(), seed%2 == 0).Clone()
-		a, err := GreZGreC.Solve(rng.Split(), p, Options{Overflow: SpillLargestResidual})
-		if err != nil {
-			t.Skip()
-		}
-		ev := NewEvaluator(p, a)
-		for _, op := range ops {
-			topoStep(ev, rng, int(op))
-			checkDynState(t, ev)
-		}
+		fuzzTopology(t, seed, ops)
 	})
 }

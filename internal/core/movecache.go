@@ -14,17 +14,19 @@ package core
 //     switch — retracts and/or adds that client's contribution in
 //     O(servers) with one delay-row read (adjustRowForClient), and a
 //     bandwidth change shifts the single dLoad entry it touches in O(1).
-//     A row is marked dirty, and rebuilt from scratch in O(servers ×
-//     clients of the zone) by the next fold that wants it, only by what
-//     changes all of it: the zone's own rehosting — by a move or by an
-//     adopted re-solve, which keeps every other row (Adopt) — a rebind
-//     (Reset, RestoreState, the ExportState barrier), a server-dimension
-//     change, the bulk per-server delay column, and the drift rule below. The
-//     traffic entries carry their own dirty bit, so an adjacency edit or a
-//     neighbour's rehosting re-derives dTraffic alone in O(degree +
-//     servers). Destination feasibility is never cached: it is checked
-//     against live loads at fold time, which is what keeps the cache sound
-//     while loads shift under it.
+//     The zone's own rehosting — a move, a handoff, a drain, an adopted
+//     re-solve — REBASES the row in O(servers): entries are relative to
+//     the host, so each gives up the new host's (rebaseRow), and only the
+//     clients whose role changes are readjusted. A row is marked dirty, and
+//     rebuilt in O(servers × clients of the zone) by the next fold that
+//     wants it, only by a rebind (Reset, RestoreState, the ExportState
+//     barrier), a server-dimension change, the bulk per-server delay
+//     column, a rehosting not worth rebasing (rebaseCost) and the drift
+//     rule below. The traffic entries carry their own dirty bit, so an
+//     adjacency edit or a rehosting — the zone's own or a neighbour's —
+//     re-derives dTraffic alone in O(degree + servers). Destination
+//     feasibility is never cached: it is checked against live loads at fold
+//     time, which is what keeps the cache sound while loads shift under it.
 //
 //  2. Sharded scan: the per-zone fold is embarrassingly parallel. With
 //     Options.Workers > 1, zones are sharded across a worker pool (strided
@@ -189,6 +191,9 @@ func (c *moveCache) shrinkZones(z, l int) {
 	c.bestCand = c.bestCand[:l]
 }
 
+// clean reports whether zone z has a row and it is not dirty.
+func (c *moveCache) clean(z int) bool { return z < len(c.dirty) && !c.dirty[z] }
+
 // growCopy is grow preserving contents across a reallocation (grow's
 // contents are unspecified when it reallocates, which is fine for scratch
 // buffers but not for cached rows).
@@ -220,9 +225,9 @@ func growCopy[T any](s []T, n int) []T {
 const maxRowAdjustments = 1 << 12
 
 // touchZone marks zone z's whole cached row stale: the next fold that wants
-// it rebuilds it from scratch. Called by what changes every entry of the
-// row — the zone's own rehosting, the bulk delay-column overlay and the
-// drift rule. A no-op before the cache is first built — rows start dirty.
+// it rebuilds it from scratch. Called by the bulk delay-column overlay, the
+// cost rule of a rehosting (rebaseCost) and the drift rule. A no-op before
+// the cache is first built — rows start dirty.
 func (ev *Evaluator) touchZone(z int) {
 	if z < len(ev.cache.dirty) {
 		if !ev.cache.dirty[z] {
@@ -407,41 +412,75 @@ func (ev *Evaluator) refreshRow(z int, scratch []float64) {
 	ev.cache.adjusts[z] = 0
 }
 
-// adjustRowForClient adds sign (±1) times client j's contribution to its
-// zone's cached row — the O(servers) repair every single-client mutation
-// needs, in place of re-deriving the whole row in O(servers × clients of
-// zone). Call with -1 while the client's zone, contact, delay and delay
-// row are still the ones the row was built with and +1 once they are
-// final: a join only adds, a leave only retracts, a move retracts from the
-// vacated zone's row and adds to the entered one's. A no-op when the row is
-// dirty anyway. Retract-and-re-add leaves the float entries within rounding
-// of a fresh build (the integer QoS entries stay exact), bounded by
-// maxRowAdjustments; every tie comparison goes through the shared tolerance
-// helpers, and the equivalence tests hold move-for-move.
-func (ev *Evaluator) adjustRowForClient(j int, sign int32) {
+// standing is what a client's contribution to its zone's row is a function
+// of besides its delay row: the zone's host, its contact, its effective delay.
+type standing struct {
+	host, contact int
+	delay         float64
+}
+
+// standingOf returns client j's current standing.
+func (ev *Evaluator) standingOf(j int) standing {
+	return standing{ev.zoneServer[ev.p.ClientZones[j]], ev.contact[j], ev.delay[j]}
+}
+
+// adjustRowForClient adds sign (±1) times client j's contribution under
+// standing st to its zone's cached row — the O(servers) repair every
+// single-client mutation needs, in place of re-deriving the whole row in
+// O(servers × clients of zone). Call with -1 and the standing (and delay
+// row) the row was built with, +1 with the final one: a join only adds, a
+// leave only retracts, a move retracts from the vacated zone's row and adds
+// to the entered one's. A no-op when the row is dirty anyway.
+// Retract-and-re-add leaves the float entries within rounding of a fresh
+// build (the integer QoS entries stay exact), bounded by maxRowAdjustments;
+// every tie comparison goes through the shared tolerance helpers, and the
+// equivalence tests hold move-for-move.
+func (ev *Evaluator) adjustRowForClient(j int, sign int32, st standing) {
+	if z := ev.p.ClientZones[j]; ev.cache.clean(z) {
+		ev.addStanding(z, j, ev.adjRow(j), sign, st)
+	}
+}
+
+// readjustRowForClient retracts client j's contribution under from and adds
+// the one under to — a contact switch, an adoption's switched client, a
+// rebase's role change — reading the delay row once. Per entry the retract
+// lands before the add, exactly as two adjustRowForClient calls would apply
+// them; the add is skipped when the retract crossed the drift rule.
+func (ev *Evaluator) readjustRowForClient(j int, from, to standing) {
 	z := ev.p.ClientZones[j]
-	if z >= len(ev.cache.dirty) || ev.cache.dirty[z] {
+	if !ev.cache.clean(z) {
 		return
 	}
+	cs := ev.adjRow(j)
+	ev.addStanding(z, j, cs, -1, from)
+	if !ev.cache.dirty[z] {
+		ev.addStanding(z, j, cs, 1, to)
+	}
+}
+
+// adjRow reads client j's delay row into the dedicated scratch: callers
+// (ApplyContactSwitch) may hold a csRow result in the shared rowScratch.
+func (ev *Evaluator) adjRow(j int) []float64 {
+	ev.adjScratch = grow(ev.adjScratch, ev.cache.servers)
+	return ev.p.CSRow(j, ev.adjScratch)
+}
+
+// addStanding applies one contribution of client j (delay row cs) to zone
+// z's clean row and counts the adjustment.
+func (ev *Evaluator) addStanding(z, j int, cs []float64, sign int32, st standing) {
 	ev.tele.rowAdjusts.Inc()
 	p := ev.p
 	m := ev.cache.servers
 	row := z * m
-	old := ev.zoneServer[z]
+	old, c := st.host, st.contact
 	dQoS := ev.cache.dQoS[row : row+m]
 	dRap := ev.cache.dRap[row : row+m]
 	dLoad := ev.cache.dLoad[row : row+m]
 	fsign := float64(sign)
-	c := ev.contact[j]
-	// Dedicated scratch: callers (ApplyContactSwitch) may hold a csRow
-	// result in the shared rowScratch while this runs.
-	ev.adjScratch = grow(ev.adjScratch, m)
-	cs := p.CSRow(j, ev.adjScratch)
-	od := ev.delay[j]
-	inQoS := od <= p.D
+	inQoS := st.delay <= p.D
 	var excess float64
 	if !inQoS {
-		excess = od - p.D
+		excess = st.delay - p.D
 	}
 	var ss []float64
 	var base float64
@@ -477,12 +516,58 @@ func (ev *Evaluator) adjustRowForClient(j int, sign int32) {
 	ev.noteAdjustment(z)
 }
 
+// rebaseCost is the cost rule of a rehosting: the row is rebased while
+// rebaseCost × (clients whose role changes) ≤ clients of the zone, and
+// dirtied otherwise, before any of them is readjusted — each role change is
+// an eager O(servers) readjustment with a delay-row read, the rebuild it
+// saves one such read per client, lazy.
+const rebaseCost = 16
+
+// roleChanges reports whether a client changes role in its zone's row
+// when the host goes from h to t and its contact from oc to c: direct on the
+// host is one role, forwarded through a contact one role per contact.
+func roleChanges(h, oc, t, c int) bool {
+	return (oc == h) != (c == t) || (oc != h && oc != c)
+}
+
+// rebaseRow moves zone z's clean row from its old host's base to new host
+// t's, in O(servers): an entry is Σ_clients f(standing at candidate s) −
+// f(current standing), so every entry gives up entry t — which becomes the
+// new zero, the old host's entry (zero until now) −row[t]. Exact for a client
+// that is direct before and after, or forwarded through the same contact
+// before and after; the callers readjust the others. dTraffic is a function
+// of the host, so the zone's own traffic bit is set. Counts as one adjustment
+// (one rounded subtraction per entry) and reports whether the row ends clean.
+func (ev *Evaluator) rebaseRow(z, t int) bool {
+	if !ev.cache.clean(z) {
+		return false
+	}
+	m := ev.cache.servers
+	row := z * m
+	dQoS := ev.cache.dQoS[row : row+m]
+	dRap := ev.cache.dRap[row : row+m]
+	dLoad := ev.cache.dLoad[row : row+m]
+	q, r, l := dQoS[t], dRap[t], dLoad[t]
+	for s := range dQoS {
+		dQoS[s] -= q
+		dRap[s] -= r
+		dLoad[s] -= l
+	}
+	ev.touchTraffic(z)
+	ev.noteAdjustment(z)
+	if ev.cache.dirty[z] {
+		return false
+	}
+	ev.tele.rowsRebased.Inc()
+	return true
+}
+
 // shiftRowLoad adds d to the dLoad entry of destination s in zone z's
 // cached row — the O(1) repair a bandwidth change of a forwarding client
 // needs (the row charges −2·RT for the hop its contact would stop making).
 // A no-op when the row is dirty anyway.
 func (ev *Evaluator) shiftRowLoad(z, s int, d float64) {
-	if z >= len(ev.cache.dirty) || ev.cache.dirty[z] {
+	if !ev.cache.clean(z) {
 		return
 	}
 	ev.cache.dLoad[z*ev.cache.servers+s] += d

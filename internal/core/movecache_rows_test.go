@@ -78,11 +78,29 @@ func clientVerbProblem(t *testing.T, seed uint64) (*Problem, *Assignment) {
 	return p, a
 }
 
+// failsCostRule reports whether rehosting zone z with changed of its clients
+// changing role dirties the row instead of rebasing it.
+func failsCostRule(ev *Evaluator, z, changed int) bool {
+	return rebaseCost*changed > len(ev.zoneMembers[z])
+}
+
+// forwardedThrough counts zone z's clients whose contact is server s and not
+// the zone's host — the clients a move of z to s changes the role of.
+func forwardedThrough(ev *Evaluator, z, s int) (n int) {
+	for _, j := range ev.zoneMembers[z] {
+		if ev.contact[j] == s && s != ev.zoneServer[z] {
+			n++
+		}
+	}
+	return n
+}
+
 // TestClientVerbsKeepRowsClean pins the tentpole's invariant: a join, a
-// leave, a move, a delay refresh, a bandwidth change and a contact switch
-// each leave the rows of the zones they touch CLEAN — adjusted in place and
-// equal to a from-scratch build — and only what changes a whole row (the
-// zone's own rehosting, the bulk delay column) dirties it.
+// leave, a move, a delay refresh, a bandwidth change, a contact switch and
+// the zone's own rehosting each leave the rows of the zones they touch
+// CLEAN — adjusted or rebased in place and equal to a from-scratch build —
+// and only the bulk delay column, or a rehosting that fails the cost rule,
+// dirties one.
 func TestClientVerbsKeepRowsClean(t *testing.T) {
 	p, a := clientVerbProblem(t, 5)
 	ev := NewEvaluator(p, a)
@@ -97,6 +115,7 @@ func TestClientVerbsKeepRowsClean(t *testing.T) {
 		}
 		checkCleanRows(t, what, ev)
 	}
+	rebased := map[bool]int{} // zone moves by whether the cost rule dirtied the row
 	for round := 0; round < 50; round++ {
 		syncAllRows(ev)
 		k := ev.NumClients()
@@ -129,16 +148,22 @@ func TestClientVerbsKeepRowsClean(t *testing.T) {
 		ev.SetCordon(rng.IntN(m), rng.IntN(2) == 0)
 		clean("SetCordon")
 
-		// What does dirty a row: the zone's own rehosting (and nobody
-		// else's row), and the bulk column overlay.
+		// The zone's own rehosting rebases its row — clean, its own traffic
+		// bit set — unless the cost rule says rebuild; nobody else's row
+		// moves. The bulk column overlay does dirty a row.
 		mz := rng.IntN(p.NumZones)
 		dest := (ev.ZoneHost(mz) + 1 + rng.IntN(m-1)) % m
+		wantDirty := failsCostRule(ev, mz, forwardedThrough(ev, mz, dest))
 		ev.ApplyZoneMove(mz, dest)
 		for y := 0; y < p.NumZones; y++ {
-			if ev.cache.dirty[y] != (y == mz) {
+			if ev.cache.dirty[y] != (y == mz && wantDirty) {
 				t.Fatalf("ApplyZoneMove(%d): zone %d dirty = %v", mz, y, ev.cache.dirty[y])
 			}
 		}
+		if !wantDirty && !ev.cache.tdirty[mz] {
+			t.Fatalf("ApplyZoneMove(%d) rebased the row and left its traffic bit clear", mz)
+		}
+		rebased[wantDirty]++
 		checkCleanRows(t, "ApplyZoneMove", ev)
 		syncAllRows(ev)
 		c := rng.IntN(ev.NumClients())
@@ -148,12 +173,16 @@ func TestClientVerbsKeepRowsClean(t *testing.T) {
 		}
 		checkCleanRows(t, "SetClientServerDelay", ev)
 	}
+	if rebased[false] == 0 || rebased[true] == 0 {
+		t.Fatalf("zone moves rebased %d rows and dirtied %d: a side of the cost rule is untested", rebased[false], rebased[true])
+	}
 }
 
 // TestTrafficDirtyBitSparesClientSums: with the traffic term on, an
-// adjacency edit and a neighbour's rehosting mark only the traffic entries
-// of the affected rows stale — the client sums stay clean and equal to a
-// fresh build — and the next fold re-derives dTraffic exactly.
+// adjacency edit, a neighbour's rehosting and the zone's own (a rebase) mark
+// only the traffic entries of the affected rows stale — the client sums stay
+// clean and equal to a fresh build — and the next fold re-derives dTraffic
+// exactly.
 func TestTrafficDirtyBitSparesClientSums(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		p, a := clientVerbProblem(t, 20+seed)
@@ -188,13 +217,15 @@ func TestTrafficDirtyBitSparesClientSums(t *testing.T) {
 				z := rng.IntN(n)
 				dest := (ev.ZoneHost(z) + 1 + rng.IntN(m-1)) % m
 				nbr, _ := p.Adjacency.Row(z)
+				wantDirty := failsCostRule(ev, z, forwardedThrough(ev, z, dest))
 				ev.ApplyZoneMove(z, dest)
 				isNbr := make([]bool, n)
 				for _, y := range nbr {
 					isNbr[y] = true
 				}
+				isNbr[z] = !wantDirty // a rebased row's own traffic bit
 				for y := 0; y < n; y++ {
-					if ev.cache.dirty[y] != (y == z) || (y != z && ev.cache.tdirty[y] != isNbr[y]) {
+					if ev.cache.dirty[y] != (y == z && wantDirty) || (!ev.cache.dirty[y] && ev.cache.tdirty[y] != isNbr[y]) {
 						t.Fatalf("seed %d step %d: move of zone %d left zone %d dirty=%v tdirty=%v (neighbour %v)",
 							seed, step, z, y, ev.cache.dirty[y], ev.cache.tdirty[y], isNbr[y])
 					}

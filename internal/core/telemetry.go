@@ -15,6 +15,7 @@ import (
 type evTele struct {
 	invalidations *telemetry.Counter   // cache rows marked dirty
 	rowsKept      *telemetry.Counter   // cache rows left clean by an Adopt
+	rowsRebased   *telemetry.Counter   // cache rows rebased by their zone's rehosting
 	rowRefreshes  *telemetry.Counter   // cache rows rebuilt from scratch for a fold
 	rowHits       *telemetry.Counter   // cache rows folded without a rebuild
 	rowAdjusts    *telemetry.Counter   // O(servers) in-place row adjustments
@@ -36,9 +37,11 @@ func (ev *Evaluator) SetTelemetry(reg *telemetry.Registry) {
 	}
 	ev.tele = evTele{
 		invalidations: reg.Counter("dvecap_cache_invalidations_total",
-			"Candidate-delta cache rows that went from clean to dirty: single rows by evaluator mutations and adopted re-solves, every clean row by a rebind, a checkpoint barrier, a server-dimension change or the traffic term switching on."),
+			"Candidate-delta cache rows that went from clean to dirty: single rows by the drift rule, a bulk delay column or a rehosting that fails the cost rule, every clean row by a rebind, a checkpoint barrier, a server-dimension change or the traffic term switching on."),
 		rowsKept: reg.Counter("dvecap_cache_rows_kept_total",
 			"Candidate-delta cache rows that stayed clean across an adopted full re-solve."),
+		rowsRebased: reg.Counter("dvecap_cache_rows_rebased_total",
+			"Candidate-delta cache rows rebased in O(servers) by their zone's rehosting — a zone move, a handoff, a drain, an adopted re-solve — instead of going dirty."),
 		rowRefreshes: reg.Counter("dvecap_cache_row_refreshes_total",
 			"Candidate-delta cache rows rebuilt from scratch for a zone-move scan or a seeded repair fold."),
 		rowHits: reg.Counter("dvecap_cache_row_hits_total",

@@ -216,9 +216,11 @@ func settledStep(pl *Planner, rng *xrand.RNG, live *[]int, protos [][]float64) e
 // rebuild-after-N rule dirtied on a planner instrumented with reg, given
 // the zone handoffs counted since the registry was attached: with no
 // topology event, column overlay or traffic term in between, a row is
-// dirtied by its zone's own handoff or by that rule, nothing else.
+// dirtied by that rule or by a handoff that fails the cost rule — every
+// other handoff rebases its row — nothing else.
 func driftRebuilds(reg *telemetry.Registry, handoffs int) int {
-	return int(reg.Counter("dvecap_cache_invalidations_total", "").Value()) - handoffs
+	rebased := int(reg.Counter("dvecap_cache_rows_rebased_total", "").Value())
+	return int(reg.Counter("dvecap_cache_invalidations_total", "").Value()) - (handoffs - rebased)
 }
 
 // TestPlannerProviderMatchesDenseOracle drives identical churn + topology +
