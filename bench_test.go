@@ -423,7 +423,7 @@ func BenchmarkEvaluatorReset(b *testing.B) {
 // --- churn repair ----------------------------------------------------------
 
 // benchRepairPlanner builds the repair planner on the churn-scale scenario
-// with a GreZ-GreC start, plus the live-handle set events draw from.
+// with a GreZ-GreC start, plus the live indices events draw from.
 func benchRepairPlanner(b *testing.B, p *core.Problem) (*repair.Planner, []int) {
 	b.Helper()
 	a, err := core.GreZGreC.Solve(xrand.New(7), p, core.Options{Overflow: core.SpillLargestResidual})
@@ -461,10 +461,10 @@ func repairEvent(b *testing.B, pl *repair.Planner, live *[]int, src *core.Proble
 	case 1:
 		l := *live
 		pos := rng.IntN(len(l))
-		if err := pl.Leave(l[pos]); err != nil {
+		if _, err := pl.Leave(l[pos]); err != nil {
 			b.Fatal(err)
 		}
-		l[pos] = l[len(l)-1]
+		// The last client took the vacated index.
 		*live = l[:len(l)-1]
 	default:
 		l := *live
@@ -973,18 +973,13 @@ func BenchmarkBatchJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		handles, err := pl.JoinBatch(zones, rts, css)
-		if err != nil {
+		if err := pl.JoinBatch(zones, rts, css); err != nil {
 			b.Fatal(err)
 		}
 		// The leaves only restore steady state; they cost the same in
 		// both batch benchmarks and are excluded from the measurement.
 		b.StopTimer()
-		for _, h := range handles {
-			if err := pl.Leave(h); err != nil {
-				b.Fatal(err)
-			}
-		}
+		leaveLast(b, pl, len(zones))
 		b.StartTimer()
 	}
 }
@@ -995,23 +990,26 @@ func BenchmarkBatchJoinAsSingles(b *testing.B) {
 	p := largeProblem(b)
 	pl, _ := benchRepairPlanner(b, p)
 	zones, rts, css := batchCrowd(p)
-	handles := make([]int, len(zones))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for x := range zones {
-			h, err := pl.Join(zones[x], rts[x], css[x])
-			if err != nil {
+			if _, err := pl.Join(zones[x], rts[x], css[x]); err != nil {
 				b.Fatal(err)
 			}
-			handles[x] = h
 		}
 		b.StopTimer()
-		for _, h := range handles {
-			if err := pl.Leave(h); err != nil {
-				b.Fatal(err)
-			}
-		}
+		leaveLast(b, pl, len(zones))
 		b.StartTimer()
+	}
+}
+
+// leaveLast removes the planner's last n clients — a crowd that just
+// joined — newest first, so no removal renumbers another.
+func leaveLast(b *testing.B, pl *repair.Planner, n int) {
+	for ; n > 0; n-- {
+		if _, err := pl.Leave(pl.NumClients() - 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

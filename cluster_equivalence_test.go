@@ -230,9 +230,7 @@ func TestScenarioOpenMatchesDirectPlanner(t *testing.T) {
 		}
 		a := &core.Assignment{ZoneServer: pl.ZoneServers(), ClientContact: make([]int, truth.NumClients())}
 		for j := range a.ClientContact {
-			if a.ClientContact[j], err = pl.Contact(j); err != nil {
-				t.Fatal(err)
-			}
+			a.ClientContact[j] = pl.Contact(j)
 		}
 		m := core.Evaluate(truth, a)
 		requireSameResult(t, stage, got, &Result{
@@ -375,9 +373,13 @@ func TestClusterChurnMatchesDirectPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handleOf := map[string]int{}
+	seedIDs := make([]string, len(seedPop))
 	for j, sc := range seedPop {
-		handleOf[sc.id] = j
+		seedIDs[j] = sc.id
+	}
+	b, err := repair.NewIDBinding(pl, seedIDs)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	live := append([]string(nil), c.ClientIDs()...)
@@ -403,18 +405,14 @@ func TestClusterChurnMatchesDirectPlanner(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", stage, err)
 			}
-			contact, err := pl.Contact(handleOf[id])
+			j, err := b.Index(id)
 			if err != nil {
 				t.Fatalf("%s: %v", stage, err)
 			}
-			if want := fmt.Sprintf("srv-%d", contact); cl.Contact != want {
+			if want := fmt.Sprintf("srv-%d", pl.Contact(j)); cl.Contact != want {
 				t.Fatalf("%s: client %s contact %s vs %s", stage, id, cl.Contact, want)
 			}
-			delay, err := pl.ClientDelay(handleOf[id])
-			if err != nil {
-				t.Fatalf("%s: %v", stage, err)
-			}
-			if cl.DelayMs != delay {
+			if delay := pl.ClientDelay(j); cl.DelayMs != delay {
 				t.Fatalf("%s: client %s delay %v vs %v", stage, id, cl.DelayMs, delay)
 			}
 		}
@@ -441,11 +439,9 @@ func TestClusterChurnMatchesDirectPlanner(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			h, err := pl.Join(zone, rt, r)
-			if err != nil {
+			if err := b.Join(id, zone, rt, r); err != nil {
 				t.Fatal(err)
 			}
-			handleOf[id] = h
 			live = append(live, id)
 		}
 		// Moves.
@@ -455,7 +451,7 @@ func TestClusterChurnMatchesDirectPlanner(t *testing.T) {
 			if err := sess.Move(id, fmt.Sprintf("zone-%d", zone)); err != nil {
 				t.Fatal(err)
 			}
-			if err := pl.Move(handleOf[id], zone); err != nil {
+			if err := b.Move(id, zone); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -467,7 +463,7 @@ func TestClusterChurnMatchesDirectPlanner(t *testing.T) {
 				if err := sess.UpdateDelayRow(id, r); err != nil {
 					t.Fatal(err)
 				}
-				if err := pl.UpdateDelays(handleOf[id], r); err != nil {
+				if err := b.UpdateDelays(id, r); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -477,13 +473,11 @@ func TestClusterChurnMatchesDirectPlanner(t *testing.T) {
 					t.Fatal(err)
 				}
 				full := make([]float64, servers)
-				idx, err := pl.Index(handleOf[id])
-				if err != nil {
+				if err := b.CopyDelays(id, full); err != nil {
 					t.Fatal(err)
 				}
-				copy(full, pl.Problem().CS[idx])
 				full[srv] = d
-				if err := pl.UpdateDelays(handleOf[id], full); err != nil {
+				if err := b.UpdateDelays(id, full); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -496,10 +490,9 @@ func TestClusterChurnMatchesDirectPlanner(t *testing.T) {
 			if err := sess.Leave(id); err != nil {
 				t.Fatal(err)
 			}
-			if err := pl.Leave(handleOf[id]); err != nil {
+			if err := b.Leave(id); err != nil {
 				t.Fatal(err)
 			}
-			delete(handleOf, id)
 		}
 		compare(fmt.Sprintf("round %d", round))
 	}

@@ -590,21 +590,17 @@ func (s *ClusterSession) ZoneHost(zone string) (string, error) {
 // Client returns the client's current assignment.
 func (s *ClusterSession) Client(id string) (ClusterClient, error) {
 	pl := s.binding.Planner()
-	h, err := s.binding.Handle(id)
-	if err != nil {
-		return ClusterClient{}, err
-	}
-	j, err := pl.Index(h)
+	j, err := s.binding.Index(id)
 	if err != nil {
 		return ClusterClient{}, err
 	}
 	p := pl.Problem()
 	z := p.ClientZones[j]
-	delay := pl.Evaluator().ClientDelay(j)
+	delay := pl.ClientDelay(j)
 	return ClusterClient{
 		ID:            id,
 		Zone:          s.binding.ZoneID(z),
-		Contact:       s.binding.ServerID(pl.Evaluator().Contact(j)),
+		Contact:       s.binding.ServerID(pl.Contact(j)),
 		Target:        s.binding.ServerID(pl.ZoneHost(z)),
 		DelayMs:       delay,
 		QoS:           delay <= p.D,

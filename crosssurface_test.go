@@ -192,10 +192,15 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 			t.Fatalf("step %d (%s) on the machine: %v", x, st.event.Op, err)
 		}
 	}
-	// Journaled, then rejected — by both, with the same sentinel.
+	// Refused before the journal, and journaled, then rejected — by both,
+	// with the same sentinel.
 	ghost := &repair.Event{Op: repair.OpLeave, ID: "ghost"}
 	if errS, errM := s.Leave("ghost"), machineCommit(m, ghost); !errors.Is(errS, ErrUnknownClient) || !errors.Is(errM, ErrUnknownClient) {
 		t.Fatalf("leave of an unknown client: session %v, machine %v", errS, errM)
+	}
+	busy := &repair.Event{Op: repair.OpRemoveServer, Server: "s2"}
+	if errS, errM := s.RemoveServer("s2"), machineCommit(m, busy); !errors.Is(errS, ErrServerNotEmpty) || !errors.Is(errM, ErrServerNotEmpty) {
+		t.Fatalf("removal of a busy server: session %v, machine %v", errS, errM)
 	}
 
 	tailM, tailS := journalTail(t, dirM), journalTail(t, dirS)
@@ -220,8 +225,12 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 	}
 }
 
-// machineCommit is the live path of a bare machine.
+// machineCommit is the live path of a bare machine, refusing what a front
+// end refuses before journaling.
 func machineCommit(m *repair.Machine, e *repair.Event) error {
+	if err := m.Check(e); err != nil {
+		return err
+	}
 	if err := m.Append(e); err != nil {
 		return err
 	}

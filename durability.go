@@ -32,9 +32,16 @@ func (cfg config) journalConfig() repair.JournalConfig {
 // commit is the session's whole write path for an already resolved event:
 // journal it, apply it through the machine's interpreter, run the durable
 // bookkeeping (epoch marker, checkpoint cadence) and take the
-// auto-checkpoint when one is due. An event the apply rejects stays
+// auto-checkpoint when one is due. A durable session first refuses an event
+// that names what does not exist (or adds what does), so such a call leaves
+// the log untouched; an event the apply rejects for another reason stays
 // journaled (replay re-rejects it) and skips the bookkeeping.
 func (s *ClusterSession) commit(e *repair.Event) error {
+	if s.m.Durable() {
+		if err := s.m.Check(e); err != nil {
+			return err
+		}
+	}
 	if err := s.m.Append(e); err != nil {
 		return err
 	}

@@ -1259,3 +1259,73 @@ func TestDirectorRejectsNonFinite(t *testing.T) {
 
 func TestDurableGoldenFormat(t *testing.T)  { proveGoldenFormat(t, sessionSurface(DenseDelays)) }
 func TestDirectorGoldenFormat(t *testing.T) { proveGoldenFormat(t, directorSurface(t, "dense")) }
+
+// TestDurableSessionRefusesBeforeJournaling: a durable session refuses a
+// call that names an unknown client, server or zone, adds an ID that
+// exists, or carries a delay row of the wrong length BEFORE journaling it —
+// NextLSN and every byte of the data directory stay put — and returns the
+// sentinel the apply returns for it (nil: no sentinel, just an error).
+func TestDurableSessionRefusesBeforeJournaling(t *testing.T) {
+	dir := t.TempDir()
+	s, err := durTestCluster(t, 5).Open("GreZ-GreC", WithDurability(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	peers := map[string]float64{"s0": 10, "s1": 10, "s2": 10, "s3": 10}
+	spec := ClientSpec{Zone: "z1", BandwidthMbps: 0.3, RTTRow: []float64{20, 30, 40, 50}}
+	refused := []struct {
+		name string
+		call func() error
+		want error
+	}{
+		{"Leave", func() error { return s.Leave("ghost") }, ErrUnknownClient},
+		{"Move", func() error { return s.Move("ghost", "z0") }, ErrUnknownClient},
+		{"SetBandwidth", func() error { return s.SetBandwidth("ghost", 2) }, ErrUnknownClient},
+		{"LeaveBatch", func() error { return s.LeaveBatch([]string{"ghost"}) }, ErrUnknownClient},
+		{"LeaveBatch repeat", func() error { return s.LeaveBatch([]string{"c00", "c00"}) }, ErrDuplicateClient},
+		{"MoveBatch", func() error { return s.MoveBatch([]string{"c00", "ghost"}, []string{"z0", "z1"}) }, ErrUnknownClient},
+		{"UpdateDelayRow", func() error { return s.UpdateDelayRow("c00", []float64{5}) }, nil},
+		{"UpdateServerDelays", func() error { return s.UpdateServerDelays("s0", map[string]float64{"ghost": 5}) }, ErrUnknownClient},
+		{"RemoveServer", func() error { return s.RemoveServer("nope") }, ErrUnknownServer},
+		{"DrainServer", func() error { return s.DrainServer("nope") }, ErrUnknownServer},
+		{"UncordonServer", func() error { return s.UncordonServer("nope") }, ErrUnknownServer},
+		{"RetireZone", func() error { return s.RetireZone("nope") }, ErrUnknownZone},
+		{"AddServer", func() error { return s.AddServer("s0", ServerSpec{CapacityMbps: 50, RTTs: peers}) }, repair.ErrDuplicateServer},
+		{"AddZone", func() error { return s.AddZone("z0", ZoneSpec{}) }, repair.ErrDuplicateZone},
+		{"AddZone host", func() error { return s.AddZone("zn", ZoneSpec{Host: "nope"}) }, ErrUnknownServer},
+		{"Join", func() error { return s.Join("c00", spec) }, ErrDuplicateClient},
+		{"JoinBatch", func() error {
+			return s.JoinBatch([]ClientJoin{{ID: "n0", Spec: spec}, {ID: "n0", Spec: spec}})
+		}, ErrDuplicateClient},
+	}
+	files := func(t *testing.T) map[string][]byte {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, e := range ents {
+			if out[e.Name()], err = os.ReadFile(dir + "/" + e.Name()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	lsn, before := s.m.NextLSN(), files(t)
+	for _, r := range refused {
+		t.Run(r.name, func(t *testing.T) {
+			err := r.call()
+			if err == nil || (r.want != nil && !errors.Is(err, r.want)) {
+				t.Errorf("err = %v, want %v", err, r.want)
+			}
+			if got := s.m.NextLSN(); got != lsn {
+				t.Fatalf("advanced NextLSN %d → %d", lsn, got)
+			}
+			if !reflect.DeepEqual(files(t), before) {
+				t.Fatal("changed the data directory")
+			}
+		})
+	}
+}

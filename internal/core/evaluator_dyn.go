@@ -77,8 +77,8 @@ func (ev *Evaluator) AddClient(zone int, rt float64, cs []float64) int {
 
 // RemoveClient deletes client j, compacting by moving the last client into
 // slot j (swap-remove). It returns the index the last client previously
-// held, or -1 when j itself was last — callers tracking stable handles use
-// this to update their index maps.
+// held, or -1 when j itself was last — callers that name clients use this
+// to follow the renumbering.
 func (ev *Evaluator) RemoveClient(j int) int {
 	p := ev.p
 	l := len(p.ClientZones) - 1

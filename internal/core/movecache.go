@@ -333,83 +333,99 @@ func (ev *Evaluator) hasDestination(z int) bool {
 }
 
 // refreshRow rebuilds zone z's cached delta row from scratch and clears
-// its dirty bits and adjustment count. O(servers × clients of z), organised
-// client-outer/server-inner so each client's delay, contact and QoS
-// standing load once and the inner loop streams the client's delay row. Per
-// destination the accumulators receive the operands of a direct
+// its dirty bits and adjustment count: zero the row, add every client's
+// contribution. O(servers × clients of z), client-outer/server-inner so
+// each client's standing loads once and the inner loop streams its delay
+// row. Per destination the accumulators receive the operands of a direct
 // per-(zone, server) sum over the zone's clients, in the same order, so a
 // freshly built entry is bit-identical to the test oracle's.
 func (ev *Evaluator) refreshRow(z int, scratch []float64) {
 	p := ev.p
-	m := ev.cache.servers
-	row := z * m
-	old := ev.zoneServer[z]
-	dQoS := ev.cache.dQoS[row : row+m]
-	dRap := ev.cache.dRap[row : row+m]
-	dLoad := ev.cache.dLoad[row : row+m]
-	for s := range dQoS {
-		dQoS[s], dRap[s], dLoad[s] = 0, 0, 0
-	}
+	dQoS, dRap, dLoad := ev.cache.row(z)
+	clear(dQoS)
+	clear(dRap)
+	clear(dLoad)
 	if ev.trafficOn {
-		ev.refreshTrafficRow(z, old, ev.cache.dTraffic[row:row+m])
+		m := ev.cache.servers
+		ev.refreshTrafficRow(z, ev.zoneServer[z], ev.cache.dTraffic[z*m:(z+1)*m])
 	}
+	old := ev.zoneServer[z]
 	for _, j := range ev.zoneMembers[z] {
-		c := ev.contact[j]
-		cs := p.CSRow(j, scratch)
-		od := ev.delay[j]
-		inQoS := od <= p.D
-		var excess float64
-		if !inQoS {
-			excess = od - p.D
-		}
-		if c == old {
-			// Follower: lands directly on every destination (c == s is
-			// impossible here since destinations exclude the old host).
-			for s := 0; s < m; s++ {
-				if s == old {
-					continue
-				}
-				if inQoS {
-					dQoS[s]--
-				} else {
-					dRap[s] -= excess
-				}
-				if nd := cs[s]; nd <= p.D {
-					dQoS[s]++
-				} else {
-					dRap[s] += nd - p.D
-				}
-			}
-		} else {
-			base := cs[c]
-			ss := p.SS[c]
-			for s := 0; s < m; s++ {
-				if s == old {
-					continue
-				}
-				var nd float64
-				if s == c {
-					// The contact *is* the destination: direct, forwarding stops.
-					nd = cs[s]
-					dLoad[s] -= 2 * p.ClientRT[j]
-				} else {
-					nd = base + ss[s]
-				}
-				if inQoS {
-					dQoS[s]--
-				} else {
-					dRap[s] -= excess
-				}
-				if nd <= p.D {
-					dQoS[s]++
-				} else {
-					dRap[s] += nd - p.D
-				}
-			}
-		}
+		ev.cache.addContribution(p, z, p.CSRow(j, scratch), p.ClientRT[j], 1, standing{old, ev.contact[j], ev.delay[j]})
 	}
 	ev.cache.dirty[z] = false
 	ev.cache.adjusts[z] = 0
+}
+
+// row returns zone z's cached dQoS, dRap and dLoad entries.
+func (c *moveCache) row(z int) (dQoS []int32, dRap, dLoad []float64) {
+	m := c.servers
+	return c.dQoS[z*m : (z+1)*m], c.dRap[z*m : (z+1)*m], c.dLoad[z*m : (z+1)*m]
+}
+
+// addContribution adds sign (±1) times one client's contribution to zone
+// z's row: the client has delay row cs, bandwidth rt and standing st, and
+// the row entry of destination s gains what moving the zone to s changes
+// about it — its QoS standing or excess delay, and for a forwarded client
+// whose contact is s the forwarding load s would stop carrying. The one
+// formula every row is built and maintained with. It writes row z and
+// nothing else — no bookkeeping — so shard workers rebuilding distinct
+// rows may run it concurrently. Multiplying by ±1 is exact, so a +1 pass
+// sums the operands a fresh build sums.
+func (c *moveCache) addContribution(p *Problem, z int, cs []float64, rt float64, sign int32, st standing) {
+	dQoS, dRap, dLoad := c.row(z)
+	old, contact := st.host, st.contact
+	fsign := float64(sign)
+	var excess float64
+	inQoS := st.delay <= p.D
+	if !inQoS {
+		excess = fsign * (st.delay - p.D)
+	}
+	if contact == old {
+		// Follower: lands directly on every destination (contact == s is
+		// impossible here since destinations exclude the old host).
+		for s := range dQoS {
+			if s == old {
+				continue
+			}
+			if inQoS {
+				dQoS[s] -= sign
+			} else {
+				dRap[s] -= excess
+			}
+			if nd := cs[s]; nd <= p.D {
+				dQoS[s] += sign
+			} else {
+				dRap[s] += fsign * (nd - p.D)
+			}
+		}
+		return
+	}
+	base := cs[contact]
+	ss := p.SS[contact]
+	for s := range dQoS {
+		if s == old {
+			continue
+		}
+		var nd float64
+		if s == contact {
+			// The contact *is* the destination: direct, forwarding stops.
+			nd = cs[s]
+			dLoad[s] -= fsign * 2 * rt
+		} else {
+			nd = base + ss[s]
+		}
+		if inQoS {
+			dQoS[s] -= sign
+		} else {
+			dRap[s] -= excess
+		}
+		if nd <= p.D {
+			dQoS[s] += sign
+		} else {
+			dRap[s] += fsign * (nd - p.D)
+		}
+	}
 }
 
 // standing is what a client's contribution to its zone's row is a function
@@ -469,50 +485,7 @@ func (ev *Evaluator) adjRow(j int) []float64 {
 // z's clean row and counts the adjustment.
 func (ev *Evaluator) addStanding(z, j int, cs []float64, sign int32, st standing) {
 	ev.tele.rowAdjusts.Inc()
-	p := ev.p
-	m := ev.cache.servers
-	row := z * m
-	old, c := st.host, st.contact
-	dQoS := ev.cache.dQoS[row : row+m]
-	dRap := ev.cache.dRap[row : row+m]
-	dLoad := ev.cache.dLoad[row : row+m]
-	fsign := float64(sign)
-	inQoS := st.delay <= p.D
-	var excess float64
-	if !inQoS {
-		excess = st.delay - p.D
-	}
-	var ss []float64
-	var base float64
-	if c != old {
-		base = cs[c]
-		ss = p.SS[c]
-	}
-	for s := 0; s < m; s++ {
-		if s == old {
-			continue
-		}
-		var nd float64
-		switch {
-		case c == old:
-			nd = cs[s]
-		case s == c:
-			nd = cs[s]
-			dLoad[s] -= fsign * 2 * p.ClientRT[j]
-		default:
-			nd = base + ss[s]
-		}
-		if inQoS {
-			dQoS[s] -= sign
-		} else {
-			dRap[s] -= fsign * excess
-		}
-		if nd <= p.D {
-			dQoS[s] += sign
-		} else {
-			dRap[s] += fsign * (nd - p.D)
-		}
-	}
+	ev.cache.addContribution(ev.p, z, cs, ev.p.ClientRT[j], sign, st)
 	ev.noteAdjustment(z)
 }
 
@@ -542,11 +515,7 @@ func (ev *Evaluator) rebaseRow(z, t int) bool {
 	if !ev.cache.clean(z) {
 		return false
 	}
-	m := ev.cache.servers
-	row := z * m
-	dQoS := ev.cache.dQoS[row : row+m]
-	dRap := ev.cache.dRap[row : row+m]
-	dLoad := ev.cache.dLoad[row : row+m]
+	dQoS, dRap, dLoad := ev.cache.row(z)
 	q, r, l := dQoS[t], dRap[t], dLoad[t]
 	for s := range dQoS {
 		dQoS[s] -= q

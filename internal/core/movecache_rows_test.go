@@ -423,3 +423,71 @@ func TestSeededFoldsAreCounted(t *testing.T) {
 		t.Fatalf("BestZoneHost fold not counted: %d -> %d", before, got)
 	}
 }
+
+// TestAddContributionSigns pins the one row-contribution formula for each
+// kind of standing a client can have — following the host or forwarded
+// through another contact, inside or outside the delay bound: a +1 pass on
+// a zeroed row writes, per destination, the QoS and excess-delay change of
+// moving the zone there (and the forwarding load the contact stops
+// carrying), leaves the host's own entry zero, and a −1 pass writes the
+// exact negation of the +1 pass.
+func TestAddContributionSigns(t *testing.T) {
+	const m, host, rt = 4, 0, 0.25
+	p := &Problem{D: 100, SS: [][]float64{
+		{0, 70, 60, 80},
+		{70, 0, 90, 50},
+		{60, 90, 0, 20},
+		{80, 50, 20, 0},
+	}}
+	cs := []float64{40, 130, 30, 95}
+	for _, tc := range []struct {
+		name string
+		st   standing
+	}{
+		{"follower in QoS", standing{host, host, 40}},
+		{"follower out of QoS", standing{host, host, 140}},
+		{"forwarded in QoS", standing{host, 2, 90}},
+		{"forwarded out of QoS", standing{host, 2, 130}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pass := func(sign int32) *moveCache {
+				c := &moveCache{servers: m, dQoS: make([]int32, m), dRap: make([]float64, m), dLoad: make([]float64, m)}
+				c.addContribution(p, 0, cs, rt, sign, tc.st)
+				return c
+			}
+			plus, minus := pass(1), pass(-1)
+			inQoS := tc.st.delay <= p.D
+			for s := 0; s < m; s++ {
+				var wantQoS int32
+				var wantRap, wantLoad float64
+				if s != host {
+					nd := cs[tc.st.contact] + p.SS[tc.st.contact][s]
+					if tc.st.contact == host || s == tc.st.contact {
+						nd = cs[s]
+					}
+					if s == tc.st.contact {
+						wantLoad = -2 * rt
+					}
+					if inQoS {
+						wantQoS--
+					} else {
+						wantRap -= tc.st.delay - p.D
+					}
+					if nd <= p.D {
+						wantQoS++
+					} else {
+						wantRap += nd - p.D
+					}
+				}
+				if plus.dQoS[s] != wantQoS || plus.dRap[s] != wantRap || plus.dLoad[s] != wantLoad {
+					t.Errorf("+1 pass, server %d: (dQoS, dRap, dLoad) = (%d, %v, %v), want (%d, %v, %v)",
+						s, plus.dQoS[s], plus.dRap[s], plus.dLoad[s], wantQoS, wantRap, wantLoad)
+				}
+				if minus.dQoS[s] != -plus.dQoS[s] || minus.dRap[s] != -plus.dRap[s] || minus.dLoad[s] != -plus.dLoad[s] {
+					t.Errorf("−1 pass, server %d: (dQoS, dRap, dLoad) = (%d, %v, %v), not the negation of (%d, %v, %v)",
+						s, minus.dQoS[s], minus.dRap[s], minus.dLoad[s], plus.dQoS[s], plus.dRap[s], plus.dLoad[s])
+				}
+			}
+		})
+	}
+}

@@ -383,31 +383,11 @@ func (p *Problem) SetCSAt(j, i int, d float64) {
 	p.CS[j][i] = resolveUnmeasured(d)
 }
 
-// WithDelays returns a copy of the problem whose CS and SS matrices are
-// replaced by DEEP COPIES of cs and ss — used to evaluate an assignment
-// computed from estimated delays against the ground truth. The caller
-// keeps ownership of cs and ss; mutating them later never reaches the
-// returned problem (the shallow aliasing this method used to do let
-// callers alias mutable rows into a live evaluator unnoticed). Callers
-// handing over freshly built matrices they will not touch again can use
-// WithDelaysOwned to skip the copy. Any bound delay provider is dropped:
-// the explicit matrices win.
-func (p *Problem) WithDelays(cs, ss [][]float64) *Problem {
-	ccs := make([][]float64, len(cs))
-	for j := range cs {
-		ccs[j] = append([]float64(nil), cs[j]...)
-	}
-	css := make([][]float64, len(ss))
-	for i := range ss {
-		css[i] = append([]float64(nil), ss[i]...)
-	}
-	return p.WithDelaysOwned(ccs, css)
-}
-
-// WithDelaysOwned is WithDelays transferring ownership instead of copying:
-// the returned problem aliases cs and ss directly, so the caller must not
-// mutate them afterwards. The zero-copy path for estimator pipelines that
-// build a fresh matrix per call.
+// WithDelaysOwned returns a copy of the problem whose CS and SS matrices
+// are cs and ss — used to evaluate an assignment computed from estimated
+// delays against the ground truth. The returned problem aliases cs and ss
+// directly, so the caller must not mutate them afterwards. Any bound delay
+// provider is dropped: the explicit matrices win.
 func (p *Problem) WithDelaysOwned(cs, ss [][]float64) *Problem {
 	q := *p
 	q.CS = cs

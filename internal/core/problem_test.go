@@ -73,29 +73,6 @@ func TestProblemCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestWithDelaysCopiesMatrices(t *testing.T) {
-	p := tinyProblem()
-	cs := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	ss := [][]float64{{0, 1}, {1, 0}}
-	q := p.WithDelays(cs, ss)
-	if &q.CS[0][0] == &cs[0][0] || &q.SS[0][0] == &ss[0][0] {
-		t.Fatal("WithDelays aliases the caller's matrices")
-	}
-	// Mutating the caller's matrices after the call must not leak into the
-	// derived problem — the historical shallow copy made estimator updates
-	// silently corrupt solved snapshots.
-	cs[0][0], ss[0][1] = 999, 999
-	if q.CS[0][0] == 999 || q.SS[0][1] == 999 {
-		t.Fatal("WithDelays result sees caller-side mutation")
-	}
-	if q.D != p.D || q.NumZones != p.NumZones {
-		t.Fatal("WithDelays changed unrelated fields")
-	}
-	if p.CS[0][0] == 1 {
-		t.Fatal("WithDelays mutated the original")
-	}
-}
-
 func TestWithDelaysOwnedTransfersOwnership(t *testing.T) {
 	p := tinyProblem()
 	cs := [][]float64{{1, 2}, {3, 4}, {5, 6}}
@@ -113,12 +90,12 @@ func TestWithDelaysDropsProvider(t *testing.T) {
 	p := providerProblem(tinyProblem(), ProviderSharedRow)
 	cs := [][]float64{{1, 2}, {3, 4}, {5, 6}}
 	ss := [][]float64{{0, 1}, {1, 0}}
-	q := p.WithDelays(cs, ss)
+	q := p.WithDelaysOwned(cs, ss)
 	if q.Delays != nil {
-		t.Fatal("WithDelays kept the stale provider alongside new dense CS")
+		t.Fatal("WithDelaysOwned kept the stale provider alongside new dense CS")
 	}
 	if q.CS[0][0] != 1 {
-		t.Fatalf("WithDelays CS = %v", q.CS[0][0])
+		t.Fatalf("WithDelaysOwned CS = %v", q.CS[0][0])
 	}
 }
 

@@ -77,7 +77,7 @@ func (d *Director) batch(op repair.EventOp, ids []string, nodes []int, zones []R
 			touch(old, -1)
 		} else if err := repair.CheckClientID(id); err != nil {
 			return nil, fmt.Errorf("director: %w", err)
-		} else if _, err := b.Handle(id); err == nil {
+		} else if _, err := b.Index(id); err == nil {
 			return nil, fmt.Errorf("director: %w %q", ErrDuplicateClient, id)
 		} else if nodes[x] < 0 || nodes[x] >= d.cfg.Delays.N() {
 			return nil, fmt.Errorf("director: node %d outside topology", nodes[x])

@@ -394,7 +394,7 @@ func (d *Director) joinEvent(id string, node int, zone Ref, auto bool) (*repair.
 	}
 	b := d.m.Binding()
 	e := &repair.Event{Op: repair.OpJoin, ID: id, Zone: b.ZoneID(z), Node: node, Auto: auto}
-	if _, err := b.Handle(id); err == nil {
+	if _, err := b.Index(id); err == nil {
 		if !auto {
 			return nil, fmt.Errorf("director: %w %q", ErrDuplicateClient, id)
 		}

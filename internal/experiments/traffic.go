@@ -237,7 +237,7 @@ func runTrafficArm(setup Setup, opt TrafficOptions, cfg dve.Config, lambda float
 		return res, err
 	}
 	// The avatars' initial zones replace the scenario's virtual placement:
-	// client j is avatar j, in both the problem and the planner's handles.
+	// client j is avatar j, in both the problem and the planner.
 	if err := world.SetClientZones(vw.ZoneVector()); err != nil {
 		return res, err
 	}

@@ -121,7 +121,7 @@ func (m *Machine) Apply(e *Event) error {
 			m.clientNode[e.ID] = e.Node
 		}
 	case OpJoinBatch:
-		zs, err := b.zoneIndices(e.Zones)
+		zs, err := b.zones.indices(e.Zones)
 		if err != nil {
 			return err
 		}
@@ -157,7 +157,7 @@ func (m *Machine) Apply(e *Event) error {
 		}
 		return b.Move(e.ID, z)
 	case OpMoveBatch:
-		zs, err := b.zoneIndices(e.Zones)
+		zs, err := b.zones.indices(e.Zones)
 		if err != nil {
 			return err
 		}
@@ -206,7 +206,7 @@ func (m *Machine) Apply(e *Event) error {
 	case OpRetireZone:
 		return b.RetireZone(e.Zone)
 	case OpSetAdjacency, OpAddAdjacency:
-		zs, err := b.zoneIndices([]string{e.Zone, e.Zone2})
+		zs, err := b.zones.indices([]string{e.Zone, e.Zone2})
 		if err != nil {
 			return err
 		}
@@ -220,6 +220,45 @@ func (m *Machine) Apply(e *Event) error {
 		return fmt.Errorf("%w %q", errUnknownOp, e.Op)
 	}
 	return nil
+}
+
+// Check refuses an event Apply would refuse for what it names — an unknown
+// client, server or zone, an added ID that is already present, a repeated
+// batch member — or for a delay row of the wrong length, with the error
+// Apply would return. It changes nothing; a front end that calls it before
+// Append journals no event Apply refuses on those grounds.
+func (m *Machine) Check(e *Event) (err error) {
+	b := m.b
+	for _, r := range e.Refresh {
+		if _, err := b.ZoneIndex(r.Zone); err != nil {
+			return err
+		}
+	}
+	switch e.Op {
+	case OpJoin:
+		return b.clients.fresh(e.ID)
+	case OpJoinBatch:
+		return b.clients.fresh(e.IDs...)
+	case OpLeave, OpMove, OpSetBandwidth:
+		_, err = b.Index(e.ID)
+	case OpDelayRow:
+		if _, err = b.Index(e.ID); err == nil && len(e.Row) != b.pl.NumServers() {
+			err = fmt.Errorf("repair: delay row has %d entries, want %d", len(e.Row), b.pl.NumServers())
+		}
+	case OpLeaveBatch, OpMoveBatch:
+		_, err = b.batch(e.IDs)
+	case OpServerDelays:
+		_, _, _, err = b.delayColumn(e.Server, e.RTTs)
+	case OpAddServer:
+		_, err = b.serverColumn(e.Server, e.ClientRTTs)
+	case OpRemoveServer, OpDrainServer, OpUncordon:
+		_, err = b.ServerIndex(e.Server)
+	case OpAddZone:
+		_, err = b.zoneHost(e.Zone, e.Host)
+	case OpRetireZone:
+		_, err = b.ZoneIndex(e.Zone)
+	}
+	return err
 }
 
 // Append journals e (encode, append, fsync) — BEFORE Apply. A no-op on a
@@ -374,10 +413,9 @@ func (m *Machine) Render(lsn uint64) ([]byte, error) {
 	b, pl := m.b, m.b.pl
 	p := pl.prob
 	// Dense client order IS the planner's problem order; the snapshot's
-	// client list must follow it so NewFromState's renumbering (handles
-	// 0..k-1 in dense order) re-ties the same IDs to the same clients.
-	ids := b.DenseIDs()
-	cj := NewClusterJSON(p, b.serverIDs, b.zoneIDs, ids, p.Delays == nil)
+	// client list follows it, so recovery names the same clients the same.
+	ids := b.clients.ids
+	cj := NewClusterJSON(p, b.servers.ids, b.zones.ids, ids, p.Delays == nil)
 	// A provider-backed problem serialises the provider's own state instead
 	// of per-client dense rows: smaller, and — crucially — recovery restores
 	// the provider's INTERNALS (coordinates, override lists, row sharing)

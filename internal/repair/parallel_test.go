@@ -9,7 +9,7 @@ import (
 )
 
 // driveChurn applies a deterministic random event stream (joins, leaves,
-// moves, delay updates) to the planner, returning the live handle set.
+// moves, delay updates) to the planner, returning the live index set.
 // Identical seeds produce identical streams, so two planners fed the same
 // seed see the same events.
 func driveChurn(t *testing.T, pl *Planner, p *core.Problem, seed uint64, events int) []int {
@@ -31,10 +31,10 @@ func driveChurn(t *testing.T, pl *Planner, p *core.Problem, seed uint64, events 
 		case 1:
 			if len(live) > 1 {
 				pos := rng.IntN(len(live))
-				if err := pl.Leave(live[pos]); err != nil {
+				if _, err := pl.Leave(live[pos]); err != nil {
 					t.Fatalf("event %d leave: %v", i, err)
 				}
-				live[pos] = live[len(live)-1]
+				// The last client took the vacated index.
 				live = live[:len(live)-1]
 			}
 		case 2:

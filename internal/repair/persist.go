@@ -17,10 +17,8 @@ import (
 // what lets crash recovery be verified as exact equivalence rather than
 // "close enough" (DESIGN.md §11).
 //
-// Client handles are NOT part of the state: handle numbers never influence
-// a placement decision (they only route lookups), so recovery renumbers
-// clients 0..k-1 in dense order and RestoreIDBinding re-ties external IDs
-// to the fresh handles.
+// Clients are in the planner's dense order, the order of the problem the
+// state is restored over; RestoreIDBinding names them in the same order.
 type State struct {
 	// ZoneServer and ClientContact are the maintained assignment in the
 	// planner's dense order.
@@ -63,9 +61,8 @@ func (pl *Planner) ExportState() (*State, error) {
 // NewFromState rebuilds a planner over a clone of p continuing exactly
 // where st was captured: no solve runs, the stored assignment is adopted,
 // the evaluator's accumulators and bucket order are installed verbatim and
-// the RNG resumes its stream. Clients receive fresh handles 0..k-1 in
-// dense problem order. The state is validated against p before anything
-// is adopted.
+// the RNG resumes its stream. Client j of p is client j of the state. The
+// state is validated against p before anything is adopted.
 func NewFromState(cfg Config, p *core.Problem, st *State) (*Planner, error) {
 	rng, err := xrand.Restore(st.RNG)
 	if err != nil {
@@ -107,8 +104,8 @@ func NewFromState(cfg Config, p *core.Problem, st *State) (*Planner, error) {
 }
 
 // RestoreIDBinding rebuilds the ID layer over a recovered planner: ids[j]
-// names the client at dense index j (NewFromState renumbers handles to
-// dense order), serverIDs and zoneIDs name the topology. One call replaces NewIDBinding + NameTopology for recovery.
+// names the client at dense index j, serverIDs and zoneIDs name the
+// topology. One call replaces NewIDBinding + NameTopology for recovery.
 func RestoreIDBinding(pl *Planner, ids, serverIDs, zoneIDs []string) (*IDBinding, error) {
 	b, err := NewIDBinding(pl, ids)
 	if err != nil {

@@ -106,8 +106,9 @@ func (d *churnDriver) run(t *testing.T, b *IDBinding, events int) {
 				t.Fatalf("event %d delays: %v", e, err)
 			}
 		default:
-			sid := b.ServerID(d.rng.IntN(m))
-			if draining, _ := b.Draining(sid); draining {
+			i := d.rng.IntN(m)
+			sid := b.ServerID(i)
+			if pl.Draining(i) {
 				if err := b.UncordonServer(sid); err != nil {
 					t.Fatalf("event %d uncordon: %v", e, err)
 				}
@@ -121,7 +122,7 @@ func (d *churnDriver) run(t *testing.T, b *IDBinding, events int) {
 }
 
 // bindPlanner wraps a fresh planner in an IDBinding with synthetic client,
-// server and zone IDs (clients named by handle in initial problem order).
+// server and zone IDs (clients named in initial problem order).
 func bindPlanner(t *testing.T, pl *Planner) *IDBinding {
 	t.Helper()
 	ids := make([]string, pl.NumClients())
@@ -176,19 +177,19 @@ func requireSamePlanner(t *testing.T, a, b *IDBinding) {
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("planner states diverged:\n%+v\nvs\n%+v", sa, sb)
 	}
+	pa, pb := a.Planner(), b.Planner()
 	for _, id := range a.DenseIDs() {
-		ca, err := a.Contact(id)
+		ja, err := a.Index(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cb, err := b.Contact(id)
+		jb, err := b.Index(id)
 		if err != nil {
 			t.Fatalf("client %q missing after recovery: %v", id, err)
 		}
-		da, _ := a.Delay(id)
-		db, _ := b.Delay(id)
-		za, _ := a.Zone(id)
-		zb, _ := b.Zone(id)
+		ca, cb := pa.Contact(ja), pb.Contact(jb)
+		da, db := pa.ClientDelay(ja), pb.ClientDelay(jb)
+		za, zb := pa.Problem().ClientZones[ja], pb.Problem().ClientZones[jb]
 		if ca != cb || da != db || za != zb {
 			t.Fatalf("client %q diverged: contact %d/%d delay %v/%v zone %d/%d", id, ca, cb, da, db, za, zb)
 		}
@@ -343,7 +344,7 @@ func TestBatchLeaveMove(t *testing.T) {
 	if got := pl.Stats(); got != before {
 		t.Fatalf("rejected batches mutated stats: %+v vs %+v", got, before)
 	}
-	if _, err := b.Contact(ids[0]); err != nil {
+	if _, err := b.Index(ids[0]); err != nil {
 		t.Fatalf("client %q lost by rejected batch: %v", ids[0], err)
 	}
 
@@ -360,11 +361,7 @@ func TestBatchLeaveMove(t *testing.T) {
 		t.Fatalf("move batch accounting: moves %d→%d events %d→%d", before.Moves, after.Moves, before.Events, after.Events)
 	}
 	for x, id := range ids[:2] {
-		z, err := b.Zone(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if z != zones[x] {
+		if z := mustZone(t, b, id); z != zones[x] {
 			t.Fatalf("client %q in zone %d, batch sent it to %d", id, z, zones[x])
 		}
 	}
@@ -378,7 +375,7 @@ func TestBatchLeaveMove(t *testing.T) {
 		t.Fatalf("leave batch accounting: leaves %d→%d events %d→%d", after.Leaves, final.Leaves, after.Events, final.Events)
 	}
 	for _, id := range ids[:2] {
-		if _, err := b.Contact(id); err == nil {
+		if _, err := b.Index(id); err == nil {
 			t.Fatalf("client %q still present after leave batch", id)
 		}
 	}

@@ -12,9 +12,10 @@
 // continuously; when it decays past a configurable threshold the planner
 // amortizes one full re-solve and resumes repairing from there.
 //
-// Clients are addressed by stable integer handles, so callers can keep
-// their own indexing (registration order, world order) while the planner
-// compacts its dense problem arrays with swap-removes.
+// Clients, servers and zones are addressed by dense index. A removal
+// compacts with a swap-remove — the last entry takes the vacated index — and
+// returns the index it moved from, so callers that name things (IDBinding,
+// sim.Driver) follow the renumbering.
 package repair
 
 import (
@@ -51,9 +52,6 @@ type Config struct {
 	// does not thrash. pQoS can hold steady while churn piles load onto a
 	// few servers; this trigger catches that hot-spot drift.
 	DriftUtilSpread float64
-	// MinEventsBetweenFullSolves amortizes drift-triggered full solves: at
-	// least this many events must separate two of them (default 1).
-	MinEventsBetweenFullSolves int
 	// StickyBonus, when > 0, biases full re-solves toward the incumbent
 	// hosting via core.StickyGreZ — zones move only when the improvement
 	// beats the bonus, reducing handoff volume (DESIGN.md §5).
@@ -119,10 +117,6 @@ type Planner struct {
 	// the evaluator, read by every later full solve in place of the delays.
 	late core.LateIndex
 
-	idx  []int // handle → dense client index, -1 when released
-	hnd  []int // dense client index → handle
-	free []int // released handles available for reuse
-
 	// drained[i] marks server i as draining: evacuated and cordoned, so
 	// neither the repair scans (via the evaluator's cordon flags) nor full
 	// re-solves (via Options.Cordoned) place anything on it. Maintained in
@@ -130,10 +124,12 @@ type Planner struct {
 	drained []bool
 
 	// Batch scratch (topology.go), kept across calls so a steady stream of
-	// batches allocates nothing: batchSeen is the duplicate-handle check of
-	// LeaveBatch/MoveBatch, emptied again before they return; batchZones
-	// collects a batch's touched zones for the seeded repair scan.
-	batchSeen  map[int]bool
+	// batches allocates nothing: batchPos maps a member's dense index to its
+	// position in a LeaveBatch/MoveBatch — the duplicate check, and how
+	// LeaveBatch follows a member the swap-remove moved — emptied again
+	// before they return; batchZones collects a batch's touched zones for the
+	// seeded repair scan.
+	batchPos   map[int]int
 	batchZones []int
 
 	eventsSinceFull int
@@ -148,7 +144,7 @@ type Planner struct {
 
 // New builds a planner over a clone of p (the planner owns its copy
 // exclusively), runs the initial full solve with cfg.Algo, and returns the
-// ready planner. Clients receive handles 0..NumClients-1 in problem order.
+// ready planner. Client j of p is client j of the planner.
 func New(cfg Config, p *core.Problem, rng *xrand.RNG) (*Planner, error) {
 	pl, err := prepare(cfg, p, rng)
 	if err != nil {
@@ -200,21 +196,12 @@ func prepare(cfg Config, p *core.Problem, rng *xrand.RNG) (*Planner, error) {
 	if cfg.Opt.Scratch == nil {
 		cfg.Opt.Scratch = core.NewWorkspace()
 	}
-	if cfg.MinEventsBetweenFullSolves < 1 {
-		cfg.MinEventsBetweenFullSolves = 1
-	}
 	// The padded clone leaves per-row capacity for a handful of extra
 	// servers, so the column-wise writes of AddServer/RemoveServer stream
 	// through one arena instead of chasing 100k row allocations
 	// (core.Problem.ClonePadded).
-	pl := &Planner{cfg: cfg, rng: rng, prob: p.ClonePadded(8 + p.NumServers()/4), batchSeen: map[int]bool{}}
+	pl := &Planner{cfg: cfg, rng: rng, prob: p.ClonePadded(8 + p.NumServers()/4), batchPos: map[int]int{}}
 	pl.cfg.Opt.Late = &pl.late
-	k := pl.prob.NumClients()
-	pl.idx = make([]int, k)
-	pl.hnd = make([]int, k)
-	for j := 0; j < k; j++ {
-		pl.idx[j], pl.hnd[j] = j, j
-	}
 	pl.drained = make([]bool, pl.prob.NumServers())
 	return pl, nil
 }
@@ -234,17 +221,18 @@ func checkDelays(ds []float64, axis string) error {
 	return nil
 }
 
-// index resolves a handle, rejecting released and out-of-range ones.
-func (pl *Planner) index(handle int) (int, error) {
-	if handle < 0 || handle >= len(pl.idx) || pl.idx[handle] < 0 {
-		return 0, fmt.Errorf("repair: unknown client handle %d", handle)
+// checkClient resolves a client index.
+func (pl *Planner) checkClient(j int) error {
+	if j < 0 || j >= pl.ev.NumClients() {
+		return fmt.Errorf("repair: %w %d", ErrUnknownClient, j)
 	}
-	return pl.idx[handle], nil
+	return nil
 }
 
 // Join admits a client into zone with bandwidth requirement rt and
 // client-server delay row cs (copied), attaches it greedily, repairs
-// around the zone it landed in, and returns the client's stable handle.
+// around the zone it landed in, and returns the client's index — the
+// last one.
 func (pl *Planner) Join(zone int, rt float64, cs []float64) (int, error) {
 	if zone < 0 || zone >= pl.prob.NumZones {
 		return 0, fmt.Errorf("repair: zone %d outside [0,%d)", zone, pl.prob.NumZones)
@@ -263,60 +251,35 @@ func (pl *Planner) Join(zone int, rt float64, cs []float64) (int, error) {
 	if pl.ev.GreedyContact(j) {
 		pl.stats.ContactSwitches++
 	}
-	h := pl.attachHandle(j)
 	pl.stats.Joins++
 	pl.repairZones(zone)
 	pl.afterEvent()
 	pl.teleEvent(evJoin, 1, start)
-	return h, nil
+	return j, nil
 }
 
-// attachHandle issues a stable handle for the freshly added dense client
-// index j, reusing a released handle when one is free.
-func (pl *Planner) attachHandle(j int) int {
-	var h int
-	if n := len(pl.free); n > 0 {
-		h = pl.free[n-1]
-		pl.free = pl.free[:n-1]
-		pl.idx[h] = j
-	} else {
-		h = len(pl.idx)
-		pl.idx = append(pl.idx, j)
-	}
-	pl.hnd = append(pl.hnd, h)
-	return h
-}
-
-// Leave removes the client behind handle and repairs around the zone it
-// vacated. The handle becomes invalid (and may be reused by later joins).
-func (pl *Planner) Leave(handle int) error {
-	j, err := pl.index(handle)
-	if err != nil {
-		return err
+// Leave removes client j and repairs around the zone it vacated. Removal
+// compacts by renumbering the last client to index j; the renumbered
+// client's previous index is returned (or -1 when j was last) so ID layers
+// can update their maps.
+func (pl *Planner) Leave(j int) (moved int, err error) {
+	if err := pl.checkClient(j); err != nil {
+		return -1, err
 	}
 	start := pl.teleStart()
 	zone := pl.prob.ClientZones[j]
-	moved := pl.ev.RemoveClient(j)
-	if moved >= 0 {
-		hm := pl.hnd[moved]
-		pl.hnd[j] = hm
-		pl.idx[hm] = j
-	}
-	pl.hnd = pl.hnd[:len(pl.hnd)-1]
-	pl.idx[handle] = -1
-	pl.free = append(pl.free, handle)
+	moved = pl.ev.RemoveClient(j)
 	pl.stats.Leaves++
 	pl.repairZones(zone)
 	pl.afterEvent()
 	pl.teleEvent(evLeave, 1, start)
-	return nil
+	return moved, nil
 }
 
-// Move migrates the client's avatar to newZone, re-attaches it, and
-// repairs around both the vacated and the entered zone.
-func (pl *Planner) Move(handle, newZone int) error {
-	j, err := pl.index(handle)
-	if err != nil {
+// Move migrates client j's avatar to newZone, re-attaches it, and repairs
+// around both the vacated and the entered zone.
+func (pl *Planner) Move(j, newZone int) error {
+	if err := pl.checkClient(j); err != nil {
 		return err
 	}
 	if newZone < 0 || newZone >= pl.prob.NumZones {
@@ -337,11 +300,10 @@ func (pl *Planner) Move(handle, newZone int) error {
 	return nil
 }
 
-// UpdateDelays replaces the client's measured delay row (copied) and
+// UpdateDelays replaces client j's measured delay row (copied) and
 // re-attaches it if the refresh pushed it out of bound.
-func (pl *Planner) UpdateDelays(handle int, cs []float64) error {
-	j, err := pl.index(handle)
-	if err != nil {
+func (pl *Planner) UpdateDelays(j int, cs []float64) error {
+	if err := pl.checkClient(j); err != nil {
 		return err
 	}
 	if len(cs) != pl.prob.NumServers() {
@@ -362,12 +324,11 @@ func (pl *Planner) UpdateDelays(handle int, cs []float64) error {
 	return nil
 }
 
-// SetRT updates one client's bandwidth requirement — bookkeeping for
+// SetRT updates client j's bandwidth requirement — bookkeeping for
 // population-dependent bandwidth models, not a churn event (no repair
 // pass, no drift check).
-func (pl *Planner) SetRT(handle int, rt float64) error {
-	j, err := pl.index(handle)
-	if err != nil {
+func (pl *Planner) SetRT(j int, rt float64) error {
+	if err := pl.checkClient(j); err != nil {
 		return err
 	}
 	if rt <= 0 {
@@ -428,16 +389,12 @@ func (pl *Planner) afterEvent() { pl.afterEventN(1) }
 func (pl *Planner) afterEventN(n int) {
 	pl.stats.Events += n
 	pl.eventsSinceFull += n
-	minGap := pl.cfg.MinEventsBetweenFullSolves
-	if pl.failBackoff > minGap {
-		minGap = pl.failBackoff
-	}
 	pl.stats.LastDriftPQoS = pl.stats.BaselinePQoS - pl.ev.PQoS()
 	pl.stats.LastUtilSpread = pl.utilSpread()
 	pqosTrip := pl.cfg.DriftPQoS > 0 && pl.stats.LastDriftPQoS > pl.cfg.DriftPQoS
 	spreadTrip := pl.cfg.DriftUtilSpread > 0 &&
 		pl.stats.LastUtilSpread-pl.stats.BaselineUtilSpread > pl.cfg.DriftUtilSpread
-	if (pqosTrip || spreadTrip) && pl.eventsSinceFull >= minGap {
+	if (pqosTrip || spreadTrip) && pl.eventsSinceFull >= max(1, pl.failBackoff) {
 		trigger := triggerDrift
 		if spreadTrip && !pqosTrip {
 			pl.stats.ImbalanceSolves++
@@ -586,14 +543,8 @@ func (pl *Planner) Optimize(rounds int) int {
 	return moved
 }
 
-// Contact returns the client's current contact server.
-func (pl *Planner) Contact(handle int) (int, error) {
-	j, err := pl.index(handle)
-	if err != nil {
-		return 0, err
-	}
-	return pl.ev.Contact(j), nil
-}
+// Contact returns client j's current contact server.
+func (pl *Planner) Contact(j int) int { return pl.ev.Contact(j) }
 
 // ZoneHost returns the server currently hosting zone z.
 func (pl *Planner) ZoneHost(z int) int { return pl.ev.ZoneHost(z) }
@@ -607,18 +558,8 @@ func (pl *Planner) ZoneServers() []int {
 	return out
 }
 
-// ClientDelay returns the client's current effective delay.
-func (pl *Planner) ClientDelay(handle int) (float64, error) {
-	j, err := pl.index(handle)
-	if err != nil {
-		return 0, err
-	}
-	return pl.ev.ClientDelay(j), nil
-}
-
-// Index returns the client's current dense index in Problem/Assignment
-// order. Indices shift on leaves; handles do not.
-func (pl *Planner) Index(handle int) (int, error) { return pl.index(handle) }
+// ClientDelay returns client j's current effective delay.
+func (pl *Planner) ClientDelay(j int) float64 { return pl.ev.ClientDelay(j) }
 
 // NumClients returns the current population.
 func (pl *Planner) NumClients() int { return pl.ev.NumClients() }
@@ -678,7 +619,7 @@ func (pl *Planner) Stats() Stats { return pl.stats }
 func (pl *Planner) LastAdoption() core.Adoption { return pl.adopted }
 
 // Assignment returns a fresh copy of the maintained solution, in the
-// planner's dense client order (see Index).
+// planner's dense client order.
 func (pl *Planner) Assignment() *core.Assignment { return pl.ev.Assignment() }
 
 // Problem exposes the planner's problem mirror. Callers must treat it as

@@ -155,10 +155,10 @@ func TestPlannerEquivalenceUnderChurn(t *testing.T) {
 			case 1:
 				if len(live) > 1 {
 					i := rng.IntN(len(live))
-					if err := pl.Leave(live[i]); err != nil {
+					if _, err := pl.Leave(live[i]); err != nil {
 						t.Fatalf("trial %d step %d leave: %v", trial, step, err)
 					}
-					live[i] = live[len(live)-1]
+					// The last client took the vacated index.
 					live = live[:len(live)-1]
 				}
 			case 2:
@@ -178,7 +178,7 @@ func TestPlannerEquivalenceUnderChurn(t *testing.T) {
 			}
 			checkPlanner(t, pl)
 			if got := pl.NumClients(); got != len(live) {
-				t.Fatalf("trial %d step %d: planner population %d, live handles %d", trial, step, got, len(live))
+				t.Fatalf("trial %d step %d: planner population %d, live indices %d", trial, step, got, len(live))
 			}
 		}
 		st := pl.Stats()
@@ -188,10 +188,12 @@ func TestPlannerEquivalenceUnderChurn(t *testing.T) {
 	}
 }
 
-// TestPlannerHandlesAreStable proves handles survive the dense-index
-// compaction of interleaved leaves: each handle keeps resolving to the
-// client it was issued for (identified by its unique RT).
-func TestPlannerHandlesAreStable(t *testing.T) {
+// TestPlannerLeaveRenumbersLast pins the swap-remove contract callers
+// follow: Join returns the last index, Leave moves the last client into the
+// vacated index and reports the index it came from, so a reference list
+// compacted the same way keeps naming every client (identified by its
+// unique RT).
+func TestPlannerLeaveRenumbersLast(t *testing.T) {
 	rng := xrand.New(4242)
 	p := randProblem(rng.Split(), 64)
 	pl, err := New(testConfig(), p, rng.Split())
@@ -199,46 +201,43 @@ func TestPlannerHandlesAreStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := func(i int) float64 { return 1e-3 * float64(1000+i) }
-	handles := map[int]float64{} // handle → the RT it was admitted with
+	var ref []float64 // dense index → the RT the client was admitted with
 	for j := 0; j < p.NumClients(); j++ {
 		// Tag the seed population through SetRT so every client is unique.
 		if err := pl.SetRT(j, rt(j)); err != nil {
 			t.Fatal(err)
 		}
-		handles[j] = rt(j)
+		ref = append(ref, rt(j))
 	}
-	next := p.NumClients()
 	for step := 0; step < 200; step++ {
 		if rng.IntN(2) == 0 {
-			h, err := pl.Join(rng.IntN(p.NumZones), rt(next), randRow(rng, p.NumServers()))
+			j, err := pl.Join(rng.IntN(p.NumZones), rt(100+step), randRow(rng, p.NumServers()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, dup := handles[h]; dup {
-				t.Fatalf("step %d: handle %d issued twice while live", step, h)
+			if j != len(ref) {
+				t.Fatalf("step %d: join returned index %d, want %d", step, j, len(ref))
 			}
-			handles[h] = rt(next)
-			next++
-		} else if len(handles) > 1 {
-			var h int
-			for h = range handles {
-				break
-			}
-			if err := pl.Leave(h); err != nil {
+			ref = append(ref, rt(100+step))
+		} else if len(ref) > 1 {
+			j, last := rng.IntN(len(ref)), len(ref)-1
+			moved, err := pl.Leave(j)
+			if err != nil {
 				t.Fatal(err)
 			}
-			delete(handles, h)
-			if _, err := pl.Contact(h); err == nil {
-				t.Fatalf("step %d: released handle %d still resolves", step, h)
+			want := last
+			if j == last {
+				want = -1
 			}
+			if moved != want {
+				t.Fatalf("step %d: Leave(%d) reported %d moved, want %d", step, j, moved, want)
+			}
+			ref[j] = ref[last]
+			ref = ref[:last]
 		}
-		for h, want := range handles {
-			j, err := pl.Index(h)
-			if err != nil {
-				t.Fatalf("step %d: live handle %d: %v", step, h, err)
-			}
+		for j, want := range ref {
 			if got := pl.Problem().ClientRT[j]; got != want {
-				t.Fatalf("step %d: handle %d resolves to RT %v, want %v", step, h, got, want)
+				t.Fatalf("step %d: index %d holds RT %v, want %v", step, j, got, want)
 			}
 		}
 	}
@@ -372,10 +371,10 @@ func TestPlannerDeterminism(t *testing.T) {
 			case 1:
 				if len(live) > 1 {
 					i := rng.IntN(len(live))
-					if err := pl.Leave(live[i]); err != nil {
+					if _, err := pl.Leave(live[i]); err != nil {
 						t.Fatal(err)
 					}
-					live[i] = live[len(live)-1]
+					// The last client took the vacated index.
 					live = live[:len(live)-1]
 				}
 			case 2:
@@ -429,8 +428,8 @@ func TestPlannerRejectsBadInput(t *testing.T) {
 	if _, err := pl.Join(0, 0.2, randRow(rng, m+1)); err == nil {
 		t.Fatal("wrong-width delay row accepted")
 	}
-	if err := pl.Leave(10 * p.NumClients()); err == nil {
-		t.Fatal("unknown handle accepted")
+	if _, err := pl.Leave(10 * p.NumClients()); err == nil {
+		t.Fatal("unknown index accepted")
 	}
 	if err := pl.Move(0, p.NumZones); err == nil {
 		t.Fatal("out-of-range zone accepted")

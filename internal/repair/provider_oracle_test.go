@@ -54,10 +54,10 @@ func plannerStep(pl *Planner, rng *xrand.RNG, live *[]int) error {
 	case 1:
 		if len(*live) > 1 {
 			i := rng.IntN(len(*live))
-			if err := pl.Leave((*live)[i]); err != nil {
+			if _, err := pl.Leave((*live)[i]); err != nil {
 				return err
 			}
-			(*live)[i] = (*live)[len(*live)-1]
+			// The last client took the vacated index.
 			*live = (*live)[:len(*live)-1]
 		}
 	case 2:
@@ -190,10 +190,10 @@ func settledStep(pl *Planner, rng *xrand.RNG, live *[]int, protos [][]float64) e
 		*live = append(*live, h)
 	case op == 1:
 		i := rng.IntN(len(*live))
-		if err := pl.Leave((*live)[i]); err != nil {
+		if _, err := pl.Leave((*live)[i]); err != nil {
 			return err
 		}
-		(*live)[i] = (*live)[len(*live)-1]
+		// The last client took the vacated index.
 		*live = (*live)[:len(*live)-1]
 	case op == 2: // the avatar crosses a border and is re-measured
 		h, z := pick(), rng.IntN(len(protos))
@@ -202,12 +202,8 @@ func settledStep(pl *Planner, rng *xrand.RNG, live *[]int, protos [][]float64) e
 		}
 		return pl.UpdateDelays(h, near(z))
 	default:
-		h := pick()
-		j, err := pl.Index(h)
-		if err != nil {
-			return err
-		}
-		return pl.UpdateDelays(h, near(pl.Problem().ClientZones[j]))
+		j := pick()
+		return pl.UpdateDelays(j, near(pl.Problem().ClientZones[j]))
 	}
 	return nil
 }
@@ -336,18 +332,14 @@ func TestPlannerNaNRowNeverReachesClientDelay(t *testing.T) {
 				if err := pl.UpdateDelays(h, row); err != nil {
 					t.Fatal(err)
 				}
-				d, err := pl.ClientDelay(h)
-				if err != nil {
-					t.Fatal(err)
-				}
+				d := pl.ClientDelay(h)
 				if math.IsNaN(d) || math.IsNaN(pl.PQoS()) {
 					t.Fatalf("NaN reached the planner: client delay %v, pQoS %v", d, pl.PQoS())
 				}
 			}
-			j, _ := pl.Index(h)
 			for i := 0; i < m; i++ {
-				if got := pl.Problem().CSAt(j, i); math.IsNaN(got) || (kind != core.ProviderCoord && got != core.UnmeasuredDelayMs) {
-					t.Fatalf("unmeasured CS[%d][%d] stored as %v", j, i, got)
+				if got := pl.Problem().CSAt(h, i); math.IsNaN(got) || (kind != core.ProviderCoord && got != core.UnmeasuredDelayMs) {
+					t.Fatalf("unmeasured CS[%d][%d] stored as %v", h, i, got)
 				}
 			}
 			checkPlanner(t, pl)

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -374,83 +375,93 @@ func (pl *Planner) RetireZone(z int) (moved int, err error) {
 // exactly like a single Join), then ONE seeded repair scan runs over the
 // union of touched zones, instead of one scan per client. The whole batch
 // is validated before anything is applied, so an error means no client
-// was admitted. Returns the new clients' stable handles; the drift guard
-// runs once for the whole batch.
-func (pl *Planner) JoinBatch(zones []int, rts []float64, css [][]float64) ([]int, error) {
+// was admitted. The new clients take the next indices in batch order; the
+// drift guard runs once for the whole batch.
+func (pl *Planner) JoinBatch(zones []int, rts []float64, css [][]float64) error {
 	p := pl.prob
 	if len(rts) != len(zones) || len(css) != len(zones) {
-		return nil, fmt.Errorf("repair: batch of %d zones, %d RTs, %d delay rows", len(zones), len(rts), len(css))
+		return fmt.Errorf("repair: batch of %d zones, %d RTs, %d delay rows", len(zones), len(rts), len(css))
 	}
 	for x, zone := range zones {
 		if zone < 0 || zone >= p.NumZones {
-			return nil, fmt.Errorf("repair: batch client %d: zone %d outside [0,%d)", x, zone, p.NumZones)
+			return fmt.Errorf("repair: batch client %d: zone %d outside [0,%d)", x, zone, p.NumZones)
 		}
 		if rts[x] <= 0 || math.IsNaN(rts[x]) {
-			return nil, fmt.Errorf("repair: batch client %d: RT %v, want > 0", x, rts[x])
+			return fmt.Errorf("repair: batch client %d: RT %v, want > 0", x, rts[x])
 		}
 		if len(css[x]) != p.NumServers() {
-			return nil, fmt.Errorf("repair: batch client %d: delay row has %d entries, want %d", x, len(css[x]), p.NumServers())
+			return fmt.Errorf("repair: batch client %d: delay row has %d entries, want %d", x, len(css[x]), p.NumServers())
 		}
 		if err := checkDelays(css[x], "server"); err != nil {
-			return nil, fmt.Errorf("repair: batch client %d: %w", x, err)
+			return fmt.Errorf("repair: batch client %d: %w", x, err)
 		}
 	}
 	start := pl.teleStart()
-	handles := make([]int, len(zones))
 	for x, zone := range zones {
 		j := pl.ev.AddClient(zone, rts[x], css[x])
 		if pl.ev.GreedyContact(j) {
 			pl.stats.ContactSwitches++
 		}
-		handles[x] = pl.attachHandle(j)
 	}
 	pl.stats.Joins += len(zones)
 	pl.batchZones = append(pl.batchZones[:0], zones...)
 	pl.repairZones(dedupZones(pl.batchZones)...)
 	pl.afterEventN(len(zones))
 	pl.teleEvent(evJoinBatch, len(zones), start)
-	return handles, nil
+	return nil
+}
+
+// checkBatch validates the members of a LeaveBatch or MoveBatch — every
+// index live, none repeated — and leaves batchPos mapping each to its
+// position in js. The caller clears batchPos.
+func (pl *Planner) checkBatch(js []int) error {
+	for x, j := range js {
+		if err := pl.checkClient(j); err != nil {
+			return fmt.Errorf("repair: batch client %d: %w", x, err)
+		}
+		if _, dup := pl.batchPos[j]; dup {
+			return fmt.Errorf("repair: batch client %d: index %d repeated", x, j)
+		}
+		pl.batchPos[j] = x
+	}
+	return nil
 }
 
 // LeaveBatch removes many clients in one event — the mass-exodus form of
-// Leave. All removals apply first, then ONE seeded repair scan runs over
-// the union of vacated zones. The whole batch is validated (every handle
-// live, no duplicates) before anything is applied, so an error means no
-// client left. The drift guard runs once for the whole batch.
-func (pl *Planner) LeaveBatch(handles []int) error {
-	seen := pl.batchSeen
-	defer clear(seen)
-	for x, h := range handles {
-		if _, err := pl.index(h); err != nil {
-			return fmt.Errorf("repair: batch client %d: %w", x, err)
-		}
-		if seen[h] {
-			return fmt.Errorf("repair: batch client %d: handle %d repeated", x, h)
-		}
-		seen[h] = true
+// Leave. js are indices as they stand at the call; the clients leave in
+// the given order, each removal compacting like Leave's, so a member that
+// an earlier removal renumbered still leaves (js itself is not modified).
+// All removals apply first, then ONE seeded repair scan runs over the
+// union of vacated zones. The whole batch is validated (every index live,
+// no duplicates) before anything is applied, so an error means no client
+// left. The drift guard runs once for the whole batch.
+func (pl *Planner) LeaveBatch(js []int) error {
+	pos := pl.batchPos
+	defer clear(pos)
+	if err := pl.checkBatch(js); err != nil {
+		return err
 	}
 	start := pl.teleStart()
+	cur := slices.Clone(js)
 	touched := pl.batchZones[:0]
-	for _, h := range handles {
-		// Re-resolve per removal: earlier removals swap-shift dense
-		// indices, handles do not move.
-		j := pl.idx[h]
+	for x := range cur {
+		j := cur[x]
 		touched = append(touched, pl.prob.ClientZones[j])
-		moved := pl.ev.RemoveClient(j)
-		if moved >= 0 {
-			hm := pl.hnd[moved]
-			pl.hnd[j] = hm
-			pl.idx[hm] = j
+		delete(pos, j)
+		// The last client takes index j: if it is a member still to
+		// leave, it does so from j.
+		if moved := pl.ev.RemoveClient(j); moved >= 0 {
+			if y, ok := pos[moved]; ok {
+				cur[y], pos[j] = j, y
+				delete(pos, moved)
+			}
 		}
-		pl.hnd = pl.hnd[:len(pl.hnd)-1]
-		pl.idx[h] = -1
-		pl.free = append(pl.free, h)
 	}
-	pl.stats.Leaves += len(handles)
+	pl.stats.Leaves += len(js)
 	pl.batchZones = touched
 	pl.repairZones(dedupZones(touched)...)
-	pl.afterEventN(len(handles))
-	pl.teleEvent(evLeaveBatch, len(handles), start)
+	pl.afterEventN(len(js))
+	pl.teleEvent(evLeaveBatch, len(js), start)
 	return nil
 }
 
@@ -460,28 +471,22 @@ func (pl *Planner) LeaveBatch(handles []int) error {
 // Move), then ONE seeded repair scan covers the union of vacated and
 // entered zones. The whole batch is validated before anything is applied.
 // Same-zone entries count as events but move nothing, matching Move.
-func (pl *Planner) MoveBatch(handles []int, zones []int) error {
-	if len(zones) != len(handles) {
-		return fmt.Errorf("repair: batch of %d handles, %d zones", len(handles), len(zones))
+func (pl *Planner) MoveBatch(js []int, zones []int) error {
+	if len(zones) != len(js) {
+		return fmt.Errorf("repair: batch of %d clients, %d zones", len(js), len(zones))
 	}
-	seen := pl.batchSeen
-	defer clear(seen)
-	for x, h := range handles {
-		if _, err := pl.index(h); err != nil {
-			return fmt.Errorf("repair: batch client %d: %w", x, err)
-		}
-		if seen[h] {
-			return fmt.Errorf("repair: batch client %d: handle %d repeated", x, h)
-		}
-		seen[h] = true
-		if zones[x] < 0 || zones[x] >= pl.prob.NumZones {
-			return fmt.Errorf("repair: batch client %d: zone %d outside [0,%d)", x, zones[x], pl.prob.NumZones)
+	defer clear(pl.batchPos)
+	if err := pl.checkBatch(js); err != nil {
+		return err
+	}
+	for x, z := range zones {
+		if z < 0 || z >= pl.prob.NumZones {
+			return fmt.Errorf("repair: batch client %d: zone %d outside [0,%d)", x, z, pl.prob.NumZones)
 		}
 	}
 	start := pl.teleStart()
 	touched := pl.batchZones[:0]
-	for x, h := range handles {
-		j := pl.idx[h]
+	for x, j := range js {
 		old := pl.prob.ClientZones[j]
 		if zones[x] == old {
 			continue
@@ -492,42 +497,39 @@ func (pl *Planner) MoveBatch(handles []int, zones []int) error {
 		}
 		touched = append(touched, old, zones[x])
 	}
-	pl.stats.Moves += len(handles)
+	pl.stats.Moves += len(js)
 	pl.batchZones = touched
 	pl.repairZones(dedupZones(touched)...)
-	pl.afterEventN(len(handles))
-	pl.teleEvent(evMoveBatch, len(handles), start)
+	pl.afterEventN(len(js))
+	pl.teleEvent(evMoveBatch, len(js), start)
 	return nil
 }
 
 // UpdateServerDelayColumn overlays freshly measured client→server RTTs
 // for ONE server across many clients — the column form of UpdateDelays,
 // the natural shape when a just-added server's measurements stream in.
-// handles[x]'s delay to server i becomes ds[x]; each refreshed client is
+// Client js[x]'s delay to server i becomes ds[x]; each refreshed client is
 // re-attached greedily, then one seeded repair scan runs over the union
 // of touched zones. The whole column is validated before anything is
 // applied. Counts as one DelayUpdate event.
-func (pl *Planner) UpdateServerDelayColumn(i int, handles []int, ds []float64) error {
+func (pl *Planner) UpdateServerDelayColumn(i int, js []int, ds []float64) error {
 	if err := pl.checkServer(i); err != nil {
 		return err
 	}
-	if len(ds) != len(handles) {
-		return fmt.Errorf("repair: %d handles but %d delays", len(handles), len(ds))
+	if len(ds) != len(js) {
+		return fmt.Errorf("repair: %d clients but %d delays", len(js), len(ds))
 	}
-	idx := make([]int, len(handles))
-	for x, h := range handles {
-		j, err := pl.index(h)
-		if err != nil {
+	for _, j := range js {
+		if err := pl.checkClient(j); err != nil {
 			return err
 		}
-		idx[x] = j
 	}
 	if err := checkDelays(ds, "client"); err != nil {
 		return err
 	}
 	start := pl.teleStart()
-	touched := make([]int, 0, len(idx))
-	for x, j := range idx {
+	touched := make([]int, 0, len(js))
+	for x, j := range js {
 		pl.ev.SetClientServerDelay(j, i, ds[x])
 		if pl.ev.GreedyContact(j) {
 			pl.stats.ContactSwitches++

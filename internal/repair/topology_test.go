@@ -230,7 +230,7 @@ func TestTopologyWorkersDeterministic(t *testing.T) {
 			rts = append(rts, rng.Uniform(0.05, 0.5))
 			css = append(css, randRow(rng, pl.NumServers()))
 		}
-		if _, err := pl.JoinBatch(zones, rts, css); err != nil {
+		if err := pl.JoinBatch(zones, rts, css); err != nil {
 			t.Fatal(err)
 		}
 		// Shrink: drain a loaded server, remove it, retire an empty zone
@@ -353,7 +353,7 @@ func TestJoinBatchMatchesScript(t *testing.T) {
 			rts = append(rts, rng.Uniform(0.05, 0.5))
 			css = append(css, randRow(rng, pl.NumServers()))
 		}
-		if _, err := pl.JoinBatch(zones, rts, css); err != nil {
+		if err := pl.JoinBatch(zones, rts, css); err != nil {
 			t.Fatal(err)
 		}
 
@@ -361,7 +361,6 @@ func TestJoinBatchMatchesScript(t *testing.T) {
 		for x := range zones {
 			j := ev.AddClient(zones[x], rts[x], css[x])
 			ev.GreedyContact(j)
-			oracle.attachHandle(j)
 		}
 		oracle.repairZones(dedupZones(append([]int(nil), zones...))...)
 
@@ -385,10 +384,10 @@ func TestJoinBatchMatchesScript(t *testing.T) {
 func TestMoveBatchSteadyStateAllocs(t *testing.T) {
 	pl := newTopoPlanner(t, 4100, 0)
 	n := pl.NumZones()
-	handles := make([]int, pl.NumClients())
-	zones := make([]int, len(handles))
-	for h := range handles {
-		handles[h] = h
+	js := make([]int, pl.NumClients())
+	zones := make([]int, len(js))
+	for j := range js {
+		js[j] = j
 	}
 	tick := 0
 	move := func() {
@@ -396,7 +395,7 @@ func TestMoveBatchSteadyStateAllocs(t *testing.T) {
 		for x := range zones {
 			zones[x] = (x + tick) % n
 		}
-		if err := pl.MoveBatch(handles, zones); err != nil {
+		if err := pl.MoveBatch(js, zones); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -406,18 +405,18 @@ func TestMoveBatchSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, move); avg != 0 {
 		t.Fatalf("steady-state MoveBatch allocates %.1f times per call, want 0", avg)
 	}
-	if len(pl.batchSeen) != 0 {
-		t.Fatalf("duplicate-check scratch holds %d handles after MoveBatch", len(pl.batchSeen))
+	if len(pl.batchPos) != 0 {
+		t.Fatalf("duplicate-check scratch holds %d indices after MoveBatch", len(pl.batchPos))
 	}
 	// A rejected batch leaves the scratch empty too.
 	if err := pl.MoveBatch([]int{0, 1, 0}, []int{0, 0, 0}); err == nil {
-		t.Fatal("repeated handle accepted")
+		t.Fatal("repeated index accepted")
 	}
 	if err := pl.LeaveBatch([]int{0, 1, 0}); err == nil {
-		t.Fatal("repeated handle accepted")
+		t.Fatal("repeated index accepted")
 	}
-	if len(pl.batchSeen) != 0 {
-		t.Fatalf("duplicate-check scratch holds %d handles after rejected batches", len(pl.batchSeen))
+	if len(pl.batchPos) != 0 {
+		t.Fatalf("duplicate-check scratch holds %d indices after rejected batches", len(pl.batchPos))
 	}
 	checkTopoPlanner(t, pl)
 }
@@ -696,13 +695,13 @@ func TestUpdateServerDelayColumn(t *testing.T) {
 	checkTopoPlanner(t, pl)
 
 	// Measure: every client is 1 ms from the new server.
-	handles := make([]int, pl.NumClients())
+	js := make([]int, pl.NumClients())
 	ds := make([]float64, pl.NumClients())
-	for h := range handles {
-		handles[h] = h
-		ds[h] = 1
+	for j := range js {
+		js[j] = j
+		ds[j] = 1
 	}
-	if err := pl.UpdateServerDelayColumn(idx, handles, ds); err != nil {
+	if err := pl.UpdateServerDelayColumn(idx, js, ds); err != nil {
 		t.Fatal(err)
 	}
 	checkTopoPlanner(t, pl)
@@ -766,8 +765,8 @@ func TestIDBindingTopology(t *testing.T) {
 	if err := b.DrainServer("srvA"); err != nil {
 		t.Fatal(err)
 	}
-	if d, err := b.Draining("srvA"); err != nil || !d {
-		t.Fatalf("Draining(srvA) = %v, %v; want true", d, err)
+	if i, err := b.ServerIndex("srvA"); err != nil || !pl.Draining(i) {
+		t.Fatalf("srvA (index %d, %v) not draining", i, err)
 	}
 	if err := b.RemoveServer("srvA"); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 
 // plannerBytes serialises everything a refused write must leave alone: the
 // planner's exported state (assignment, evaluator accumulators, counters,
-// RNG position), its handle maps and every stored delay.
+// RNG position) and every stored delay.
 func plannerBytes(t *testing.T, pl *Planner) []byte {
 	t.Helper()
 	st, err := pl.ExportState()
@@ -22,10 +22,9 @@ func plannerBytes(t *testing.T, pl *Planner) []byte {
 	}
 	b, err := json.Marshal(struct {
 		State     *State
-		Idx, Hnd  []int
 		Delays    [][]float64
 		ServerCap []float64
-	}{st, pl.idx, pl.hnd, pl.Problem().DenseRows(), pl.Problem().ServerCaps})
+	}{st, pl.Problem().DenseRows(), pl.Problem().ServerCaps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +66,7 @@ func TestDelayWritersCheckEntries(t *testing.T) {
 		{"JoinBatch", func(pl *Planner, rng *xrand.RNG, bad float64) error {
 			css := [][]float64{randRow(rng, pl.NumServers()), randRow(rng, pl.NumServers()), randRow(rng, pl.NumServers())}
 			css[1][0] = bad
-			_, err := pl.JoinBatch([]int{0, 1, 0}, []float64{0.1, 0.2, 0.1}, css)
-			return err
+			return pl.JoinBatch([]int{0, 1, 0}, []float64{0.1, 0.2, 0.1}, css)
 		}},
 		{"UpdateDelays", func(pl *Planner, rng *xrand.RNG, bad float64) error {
 			row := randRow(rng, pl.NumServers())

@@ -189,11 +189,12 @@ type Driver struct {
 	zoneFrozenUntil []float64
 	errs            []error
 
-	// Repair mode: the incremental planner, the planner handle of each
-	// world-indexed client (compacted in lockstep with the world on leaves),
-	// and the per-zone population the bandwidth model prices from.
+	// Repair mode: the incremental planner, the planner's dense index of
+	// each world-indexed client (compacted in lockstep with the world on
+	// leaves, renumbered as the planner's leaves swap-remove), and the
+	// per-zone population the bandwidth model prices from.
 	planner *repair.Planner
-	handles []int
+	dense   []int
 	zonePop []int
 	csBuf   []float64
 
@@ -273,11 +274,10 @@ func NewDriver(eng *Engine, world *dve.World, algo core.TwoPhase, opt core.Optio
 		if cfg.Telemetry != nil {
 			pl.SetTelemetry(cfg.Telemetry)
 		}
-		// The world's current clients hold handles 0..k-1 in world order,
-		// exactly how NewWithAssignment issued them.
-		d.handles = make([]int, world.NumClients())
-		for j := range d.handles {
-			d.handles[j] = j
+		// The world's clients are the planner's, in the same order.
+		d.dense = make([]int, world.NumClients())
+		for j := range d.dense {
+			d.dense[j] = j
 		}
 		d.zonePop = world.ZonePopulations()
 		d.csBuf = make([]float64, world.Cfg.Servers)
@@ -468,42 +468,41 @@ func (d *Driver) repairJoin(j int) error {
 	if err != nil {
 		return err
 	}
-	h, err := d.planner.Join(zone, rt, d.csBuf)
+	idx, err := d.planner.Join(zone, rt, d.csBuf)
 	if err != nil {
 		return err
 	}
-	d.handles = append(d.handles, h)
+	d.dense = append(d.dense, idx)
 	return nil
 }
 
 // repairLeave removes the client that held world index r before World.Leave
-// forgot it. The handle map is compacted even when the removal errors, so
+// forgot it. The index map is compacted even when the removal errors, so
 // the driver stays aligned with the world. The departing client is re-priced
 // with its zone, so its smaller requirement is subtracted consistently.
 func (d *Driver) repairLeave(r int) error {
-	h := d.handles[r]
-	d.handles = slices.Delete(d.handles, r, r+1)
-	idx, err := d.planner.Index(h)
-	if err != nil {
-		return err
-	}
-	zone := d.planner.Problem().ClientZones[idx]
+	j := d.dense[r]
+	d.dense = slices.Delete(d.dense, r, r+1)
+	zone := d.planner.Problem().ClientZones[j]
 	d.zonePop[zone]--
 	if _, err := d.reprice(zone); err != nil {
 		return err
 	}
-	return d.planner.Leave(h)
+	moved, err := d.planner.Leave(j)
+	if moved >= 0 {
+		// The planner's last client took index j.
+		if w := slices.Index(d.dense, moved); w >= 0 {
+			d.dense[w] = j
+		}
+	}
+	return err
 }
 
 // repairMove migrates world client j, whose world zone World.Move already
 // changed: the vacated zone is re-priced to its shrunk population, the
 // entered zone and the mover itself to the grown one.
 func (d *Driver) repairMove(j int) error {
-	h := d.handles[j]
-	idx, err := d.planner.Index(h)
-	if err != nil {
-		return err
-	}
+	idx := d.dense[j]
 	oldZone, newZone := d.planner.Problem().ClientZones[idx], d.world.ClientZones[j]
 	if newZone == oldZone {
 		return nil
@@ -517,10 +516,10 @@ func (d *Driver) repairMove(j int) error {
 	if err != nil {
 		return err
 	}
-	if err := d.planner.SetRT(h, rt); err != nil {
+	if err := d.planner.SetRT(idx, rt); err != nil {
 		return err
 	}
-	return d.planner.Move(h, newZone)
+	return d.planner.Move(idx, newZone)
 }
 
 func (d *Driver) scheduleLeave() {
@@ -631,18 +630,13 @@ func (d *Driver) syncFromPlanner() {
 		}
 		d.zoneServer[z] = s
 	}
-	k := len(d.handles)
+	k := len(d.dense)
 	if cap(d.contact) < k {
 		d.contact = make([]int, k)
 	}
 	d.contact = d.contact[:k]
-	for j, h := range d.handles {
-		c, err := d.planner.Contact(h)
-		if err != nil {
-			d.errs = append(d.errs, err)
-			continue
-		}
-		d.contact[j] = c
+	for w, j := range d.dense {
+		d.contact[w] = d.planner.Contact(j)
 	}
 }
 

@@ -71,7 +71,7 @@ func TestDriverRepairModeRunsAndSamples(t *testing.T) {
 // TestDriverRepairMirrorsWorld is the integration invariant behind repair
 // mode: after an arbitrary run, the planner's problem mirror must agree
 // with a fresh world snapshot — zones, population-dependent bandwidth and
-// delay rows — under the world→handle→dense-index mapping.
+// delay rows — under the world→dense-index mapping.
 func TestDriverRepairMirrorsWorld(t *testing.T) {
 	w := buildTestWorld(t, 20)
 	e := NewEngine()
@@ -93,12 +93,8 @@ func TestDriverRepairMirrorsWorld(t *testing.T) {
 	if pp.NumClients() != wp.NumClients() {
 		t.Fatalf("planner mirrors %d clients, world has %d", pp.NumClients(), wp.NumClients())
 	}
-	handles := d.handles
 	for j := 0; j < wp.NumClients(); j++ {
-		idx, err := d.planner.Index(handles[j])
-		if err != nil {
-			t.Fatalf("world client %d: %v", j, err)
-		}
+		idx := d.dense[j]
 		if pp.ClientZones[idx] != wp.ClientZones[j] {
 			t.Fatalf("world client %d: planner zone %d, world zone %d", j, pp.ClientZones[idx], wp.ClientZones[j])
 		}

@@ -28,25 +28,3 @@ func FuzzReadJSON(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadBRITE: same contract for the BRITE text parser.
-func FuzzReadBRITE(f *testing.F) {
-	var buf bytes.Buffer
-	if err := USBackbone().WriteBRITE(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	f.Add("Nodes: ( 1 )\n0 0 0 1 1 0 RT_NODE\n")
-	f.Add("Edges: ( 1 )\n0 0 1 1 1 -1 0 0 RT_LINK U\n")
-	f.Add("")
-	f.Add("Topology: ( x Nodes )\nNodes: ( 1 )\n0 a b c d e f\n")
-	f.Fuzz(func(t *testing.T, s string) {
-		g, err := ReadBRITE(strings.NewReader(s))
-		if err != nil {
-			return
-		}
-		if verr := g.Validate(); verr != nil {
-			t.Fatalf("ReadBRITE accepted invalid graph: %v", verr)
-		}
-	})
-}
