@@ -15,11 +15,12 @@ var wallClockLine = regexp.MustCompile(`(?m)^\[.* completed in .*\]\n`)
 
 // TestGoldenOutputs builds the example programs and capsim and compares
 // their stdout at fixed seeds, byte for byte, with testdata/golden — the
-// user-visible numbers of the generator, the solve facade, the churn
-// driver's two modes and the autoscale loop in one net.
+// user-visible numbers of the generator, the solve facade, a hand-built
+// Cluster's Solve and Open, the session topology verbs, the churn driver's
+// two modes and the autoscale loop in one net.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs seven programs")
+		t.Skip("builds and runs nine programs")
 	}
 	runs := []struct {
 		golden, pkg string
@@ -29,6 +30,8 @@ func TestGoldenOutputs(t *testing.T) {
 		{"mmog-shards", "./examples/mmog-shards", nil},
 		{"noisy-delays", "./examples/noisy-delays", nil},
 		{"capacity-planning", "./examples/capacity-planning", nil},
+		{"byoi", "./examples/byoi", nil},
+		{"rollingdeploy", "./examples/rollingdeploy", nil},
 		{"capsim-repair", "./cmd/capsim", []string{"-exp", "repair", "-reps", "2"}},
 		{"capsim-autoscale", "./cmd/capsim", []string{"-exp", "autoscale", "-reps", "2"}},
 		{"capsim-table3", "./cmd/capsim", []string{"-exp", "table3", "-reps", "2"}},
