@@ -591,6 +591,26 @@ func BenchmarkFullSolve100k(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterSolve100k measures a repeated Cluster.Solve on a
+// coordinate-native 100k-client, 50-server cluster. One untimed solve
+// fills the cluster's late index. Every timed solve after it builds the
+// cost matrix and GreC's first pass from the index and reads only the late
+// clients' delay rows; BenchmarkFullSolve100k's coord leg reads all of them.
+func BenchmarkClusterSolve100k(b *testing.B) {
+	c := buildCoordCluster(b, xrand.New(1), 50, 500, 100_000)
+	opts := []Option{WithSeed(1), WithDelayProvider(CoordDelays)}
+	if _, err := c.Solve("GreZ-GreC", opts...); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Solve("GreZ-GreC", opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSessionResolve100k measures ClusterSession.Resolve() — a live
 // session's full two-phase re-solve, the stall every lookup queues behind —
 // on the churn-scale scenario after 1 000 mixed events (joins with full

@@ -97,6 +97,13 @@ type ClientSpec struct {
 // for zones and clients (see ServerIDs, ZoneIDs, ClientIDs). A Cluster is
 // not safe for concurrent use; the session returned by Open is
 // independent of later mutations of the builder.
+//
+// The built problem is cached until the next mutation, together with which
+// clients are beyond the delay bound at which servers (DESIGN.md §3). The
+// first GreZ or DynZ solve of a build reads every client's delay row to
+// count them; later Solve and Open calls read only the late clients' rows.
+// Solves under WithEstimationError, WithTrafficWeight or WithZoneAdjacency
+// run on a throwaway copy of the problem and still read every row.
 type Cluster struct {
 	delayBound float64
 
@@ -124,6 +131,7 @@ type Cluster struct {
 	built      *core.Problem
 	builtModel DelayModel
 	dirty      bool
+	late       core.LateIndex // built's; see the type comment
 }
 
 // NewCluster starts an empty cluster with the given interactivity bound
@@ -468,6 +476,7 @@ func (c *Cluster) problemFor(model DelayModel) (*core.Problem, error) {
 		return nil, fmt.Errorf("dvecap: invalid cluster: %w", err)
 	}
 	c.built, c.builtModel, c.dirty = p, model, false
+	c.late = core.LateIndex{}
 	return p, nil
 }
 
@@ -564,6 +573,9 @@ func (c *Cluster) Solve(algorithm string, opts ...Option) (*Result, error) {
 		}
 		solveP = noisy
 	}
+	if solveP == c.built {
+		opt.Late = &c.late
+	}
 	a, err := tp.Solve(rng.Split(), solveP, opt)
 	if err != nil {
 		return nil, err
@@ -604,6 +616,9 @@ func (c *Cluster) openSession(algorithm string, cfg config) (*ClusterSession, er
 	opt, err := cfg.coreOptions()
 	if err != nil {
 		return nil, err
+	}
+	if p == c.built {
+		opt.Late = &c.late // the planner copies it, never writes it
 	}
 	pl, err := repair.New(repair.Config{
 		Algo:            tp,

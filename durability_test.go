@@ -413,6 +413,22 @@ func dirBytes(t *testing.T, dir string) (n int64) {
 	return n
 }
 
+// dirFiles reads every file of a flat data directory, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range ents {
+		if out[e.Name()], err = os.ReadFile(dir + "/" + e.Name()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // proveKillRecover is the tentpole guarantee: a durable machine killed
 // mid-churn-storm (no Close, no final checkpoint — the process just dies,
 // its log left open) recovers from its newest snapshot plus log tail to the
@@ -1299,21 +1315,7 @@ func TestDurableSessionRefusesBeforeJournaling(t *testing.T) {
 			return s.JoinBatch([]ClientJoin{{ID: "n0", Spec: spec}, {ID: "n0", Spec: spec}})
 		}, ErrDuplicateClient},
 	}
-	files := func(t *testing.T) map[string][]byte {
-		t.Helper()
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := map[string][]byte{}
-		for _, e := range ents {
-			if out[e.Name()], err = os.ReadFile(dir + "/" + e.Name()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return out
-	}
-	lsn, before := s.m.NextLSN(), files(t)
+	lsn, before := s.m.NextLSN(), dirFiles(t, dir)
 	for _, r := range refused {
 		t.Run(r.name, func(t *testing.T) {
 			err := r.call()
@@ -1323,7 +1325,7 @@ func TestDurableSessionRefusesBeforeJournaling(t *testing.T) {
 			if got := s.m.NextLSN(); got != lsn {
 				t.Fatalf("advanced NextLSN %d → %d", lsn, got)
 			}
-			if !reflect.DeepEqual(files(t), before) {
+			if !reflect.DeepEqual(dirFiles(t, dir), before) {
 				t.Fatal("changed the data directory")
 			}
 		})

@@ -55,8 +55,10 @@ type Options struct {
 	// of the problem it was filled from builds the cost matrix and GreC's
 	// late list from its bits instead of reading delays, any other solve
 	// fills it while counting from rows. For owners of a long-lived problem
-	// whose evaluator keeps the index current (the repair planner); one-shot
-	// solves leave it nil. Outputs are identical either way.
+	// whose delays only change through hooks that keep the index current:
+	// the repair planner, and the dvecap Cluster between builder mutations.
+	// A solve of a throwaway problem (noisy estimates, a traffic overlay)
+	// leaves it nil. Outputs are identical either way.
 	Late *LateIndex
 }
 

@@ -18,12 +18,16 @@ import (
 // nothing.
 //
 // Lifecycle: the owner of a long-lived problem passes one index to its
-// solves (Options.Late) and attaches it to the problem's evaluator
-// (SetLateIndex). The first cost matrix counted from rows fills it on the
-// way; later builds for the same *Problem read it, and GreC's first pass
-// tests bit (j, target) instead of reading a delay. It is never serialised,
-// and dropped — refilled by the next solve — when its evaluator is restored
-// or rebound to another problem. The zero value is an empty, invalid index.
+// solves (Options.Late). The first cost matrix counted from rows fills it on
+// the way; later builds for the same *Problem read it, and GreC's first pass
+// tests bit (j, target) instead of reading a delay. The repair planner also
+// attaches it to its evaluator (SetLateIndex), which keeps it current under
+// every delay write, and starts from a copy (CopyFrom) when the problem it
+// clones came with a filled one. The dvecap Cluster holds one for its cached
+// problem, which nothing writes until a rebuild discards it. It is never
+// serialised, and dropped — refilled by the next solve — when its evaluator
+// is restored or rebound to another problem. The zero value is an empty,
+// invalid index.
 type LateIndex struct {
 	p     *Problem // the problem the words describe; nil while unfilled
 	m     int      // servers covered
@@ -94,6 +98,14 @@ func (li *LateIndex) bind(p *Problem) {
 
 // drop invalidates the index; the next cost-matrix build refills it.
 func (li *LateIndex) drop() { li.p = nil }
+
+// CopyFrom makes li a copy of src rebound to p, a clone of the problem src
+// is valid for. The words are copied, never shared: the two owners maintain
+// their indexes apart from then on.
+func (li *LateIndex) CopyFrom(src *LateIndex, p *Problem) {
+	li.p, li.m, li.wpc = p, src.m, src.wpc
+	li.words = append(li.words[:0], src.words...)
+}
 
 // clientWords returns client j's words.
 func (li *LateIndex) clientWords(j int) []uint64 {

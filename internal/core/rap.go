@@ -36,8 +36,9 @@ func VirC(_ *xrand.RNG, p *Problem, zoneServer []int, _ Options) ([]int, error) 
 // accepts it (placement.third) — near capacity more than half of the late
 // clients, which is why that step is an arg-max and not a sort.
 //
-// Under Options.Late (a session's re-solve) the first pass reads the late
-// index and only the late clients' delay rows are ever touched.
+// Under a filled Options.Late (a session's solve, a Cluster's repeated
+// solve) the first pass reads the late index and only the late clients'
+// delay rows are ever touched.
 //
 // Loads start at the initial phase's zone loads, matching the RAP
 // constraint (10): contact load fits within C_{s_i} − R_{s_i}.

@@ -6,10 +6,10 @@ import "sync"
 // hot paths: the IAP cost matrix, zone bandwidth totals, per-server load
 // accumulators, the greedy phases' two candidates per zone and per late
 // client, materialized delay rows and evaluation delay vectors.
-// The cost matrix has two sources: a one-shot solve counts it from every
-// client's delay row (countInitialCosts, the only code that builds it from
-// delays); a solve handed a filled Options.Late derives it from the late
-// bitsets without reading a delay (lateindex.go).
+// The cost matrix has two sources: a solve without a filled Options.Late
+// counts it from every client's delay row (countInitialCosts, the only code
+// that builds it from delays); a solve handed a filled one derives it from
+// the late bitsets without reading a delay (lateindex.go).
 // Pass one through Options.Scratch (or use its EvaluateInto method) to
 // make repeated Solve/Evaluate calls — e.g. replication loops, churn
 // re-optimisation — allocation-free apart from the returned assignments,

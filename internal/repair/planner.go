@@ -32,8 +32,9 @@ type Config struct {
 	Algo core.TwoPhase
 	// Opt configures full solves. A Scratch workspace is attached
 	// automatically when none is set, and Late is pointed at the planner's
-	// own late index. Opt.Workers also configures the
-	// planner's evaluator: the seeded repair scans consult the evaluator's
+	// own late index, which starts as a copy of the caller's Late when that
+	// one is filled for the problem handed in. Opt.Workers also configures
+	// the planner's evaluator: the seeded repair scans consult the evaluator's
 	// candidate-delta cache either way, and full solves shard the greedy
 	// phase's cost-matrix build across that many goroutines (DESIGN.md §8).
 	// Repair decisions are bit-identical for every worker count.
@@ -112,9 +113,10 @@ type Planner struct {
 
 	prob *core.Problem
 	ev   *core.Evaluator
-	// late is the evaluator's late index (core/lateindex.go): filled by the
-	// first full solve as a by-product of its count pass, kept current by
-	// the evaluator, read by every later full solve in place of the delays.
+	// late is the evaluator's late index (core/lateindex.go): copied from
+	// the caller's, or filled by the first full solve as a by-product of its
+	// count pass; kept current by the evaluator, read by every later full
+	// solve in place of the delays.
 	late core.LateIndex
 
 	// drained[i] marks server i as draining: evacuated and cordoned, so
@@ -201,6 +203,11 @@ func prepare(cfg Config, p *core.Problem, rng *xrand.RNG) (*Planner, error) {
 	// through one arena instead of chasing 100k row allocations
 	// (core.Problem.ClonePadded).
 	pl := &Planner{cfg: cfg, rng: rng, prob: p.ClonePadded(8 + p.NumServers()/4), batchPos: map[int]int{}}
+	// A caller's index filled for p describes the clone too; the planner
+	// takes a copy, since its evaluator will rewrite the bits.
+	if cfg.Opt.Late.ValidFor(p) {
+		pl.late.CopyFrom(cfg.Opt.Late, pl.prob)
+	}
 	pl.cfg.Opt.Late = &pl.late
 	pl.drained = make([]bool, pl.prob.NumServers())
 	return pl, nil
