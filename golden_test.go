@@ -17,10 +17,11 @@ var wallClockLine = regexp.MustCompile(`(?m)^\[.* completed in .*\]\n`)
 // their stdout at fixed seeds, byte for byte, with testdata/golden — the
 // user-visible numbers of the generator, the solve facade, a hand-built
 // Cluster's Solve and Open, the session topology verbs, the churn driver's
-// two modes and the autoscale loop in one net.
+// two modes (full re-solves under a handoff freeze among them) and the
+// autoscale loop in one net.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs nine programs")
+		t.Skip("builds and runs ten programs")
 	}
 	runs := []struct {
 		golden, pkg string
@@ -35,6 +36,7 @@ func TestGoldenOutputs(t *testing.T) {
 		{"capsim-repair", "./cmd/capsim", []string{"-exp", "repair", "-reps", "2"}},
 		{"capsim-autoscale", "./cmd/capsim", []string{"-exp", "autoscale", "-reps", "2"}},
 		{"capsim-table3", "./cmd/capsim", []string{"-exp", "table3", "-reps", "2"}},
+		{"capsim-staleness", "./cmd/capsim", []string{"-exp", "staleness", "-reps", "2"}},
 	}
 	bin := t.TempDir()
 	built := map[string]string{}
