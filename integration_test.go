@@ -1,8 +1,8 @@
 package dvecap
 
 // Whole-system integration test: every major subsystem in one flow —
-// scenario construction, assignment, churn, noisy re-assignment, migration
-// accounting, flow-level validation, world serialisation and reload.
+// scenario construction, assignment, churn, noisy re-assignment, flow-level
+// validation, world serialisation and reload.
 
 import (
 	"bytes"
@@ -42,32 +42,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 		t.Fatalf("population after churn = %d", after.Clients)
 	}
 
-	// 4. Migration accounting between the two assignments' zone maps via a
-	// sticky re-solve: sticky must move no more zones than the fresh one.
-	truth := scn.world.Problem()
-	freshTargets, err := core.GreZ(nil, truth, core.Options{Overflow: core.SpillLargestResidual})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stickyTargets, err := core.StickyGreZ(before.ZoneServer, 1.5)(nil, truth, core.Options{Overflow: core.SpillLargestResidual})
-	if err != nil {
-		t.Fatal(err)
-	}
-	movesOf := func(to []int) int {
-		n := 0
-		for z := range before.ZoneServer {
-			if before.ZoneServer[z] != to[z] {
-				n++
-			}
-		}
-		return n
-	}
-	if movesOf(stickyTargets) > movesOf(freshTargets) {
-		t.Fatalf("sticky moved more zones (%d) than fresh (%d)",
-			movesOf(stickyTargets), movesOf(freshTargets))
-	}
-
-	// 5. Noisy assignment must stay within sane bounds of the perfect one.
+	// 4. Noisy assignment must stay within sane bounds of the perfect one.
 	noisy, err := scn.AssignWithEstimationError("GreZ-GreC", 1.2)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +51,8 @@ func TestEndToEndLifecycle(t *testing.T) {
 		t.Fatalf("King-level noise destroyed quality: %v vs %v", noisy.PQoS, after.PQoS)
 	}
 
-	// 6. Flow-level validation of the facade's assignment.
+	// 5. Flow-level validation of the facade's assignment.
+	truth := scn.world.Problem()
 	a := &core.Assignment{ZoneServer: after.ZoneServer, ClientContact: after.ClientContact}
 	fres, err := flowsim.Simulate(truth, a, flowsim.DefaultConfig())
 	if err != nil {
@@ -86,7 +62,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 		t.Fatalf("flowsim analytic %v disagrees with facade %v", fres.AnalyticPQoS, after.PQoS)
 	}
 
-	// 7. Serialise the world, reload it, and confirm the problem is
+	// 6. Serialise the world, reload it, and confirm the problem is
 	// bit-identical (delays are derived deterministically).
 	var buf bytes.Buffer
 	if err := scn.world.WriteJSON(&buf, 500, 0.5); err != nil {
@@ -108,7 +84,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 		}
 	}
 
-	// 8. The reloaded world solves to the identical assignment under the
+	// 7. The reloaded world solves to the identical assignment under the
 	// same seed (full-pipeline determinism).
 	a1, err := core.GreZGreC.Solve(xrand.New(9), truth, core.Options{Overflow: core.SpillLargestResidual})
 	if err != nil {

@@ -110,14 +110,26 @@ func adoptChurn(ev *Evaluator, rng *xrand.RNG, events int) {
 }
 
 // resolve runs the two-phase algorithm on ev's problem as it stands, the
-// way the planner's full solve does: cordons respected, sticky on demand (a
-// bonus of a few clients keeps most zones on their host, the case Adopt is
-// for).
-func resolve(t *testing.T, ev *Evaluator, rng *xrand.RNG, sticky float64) *Assignment {
+// way the planner's full solve does: cordons respected. moved > 0 keeps most
+// zones on their host, the case Adopt is for: only the first moved zones
+// GreZ would rehost move, besides those on a cordoned server.
+func resolve(t *testing.T, ev *Evaluator, rng *xrand.RNG, moved int) *Assignment {
 	t.Helper()
 	algo := GreZGreC
-	if sticky > 0 {
-		algo = algo.WithSticky(append([]int(nil), ev.zoneServer...), sticky)
+	if moved > 0 {
+		algo.Init = func(rng *xrand.RNG, p *Problem, opt Options) ([]int, error) {
+			fresh, err := GreZ(rng, p, opt)
+			if err != nil {
+				return nil, err
+			}
+			current, left := append([]int(nil), ev.zoneServer...), moved
+			for z, s := range fresh {
+				if s != current[z] && (left > 0 || opt.cordoned(current[z])) {
+					current[z], left = s, left-1
+				}
+			}
+			return current, nil
+		}
 	}
 	a, err := algo.Solve(rng, ev.p, Options{
 		Overflow: SpillLargestResidual,
@@ -258,7 +270,7 @@ func TestAdoptEqualsReset(t *testing.T) {
 								syncAllRows(live) // else: whatever the folds rebuilt
 							}
 							adoptChurn(live, rng, 40)
-							next := resolve(t, live, rng.Split(), float64(round%3)*2.5)
+							next := resolve(t, live, rng.Split(), round%3)
 							twin := resetTwin(live, next)
 
 							wasDirty := append([]bool(nil), live.cache.dirty...)
@@ -420,7 +432,7 @@ func TestAdoptEdges(t *testing.T) {
 	t.Run("cache never sized", func(t *testing.T) {
 		ev := warm(84)
 		ev.cache = moveCache{}
-		next := resolve(t, ev, xrand.New(9), 2.5)
+		next := resolve(t, ev, xrand.New(9), 1)
 		twin := resetTwin(ev, next)
 		if st := ev.Adopt(next); st.RowsKept != 0 {
 			t.Fatalf("Adopt on an unsized cache reports %+v", st)

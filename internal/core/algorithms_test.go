@@ -414,95 +414,3 @@ func TestSolveValidatesProblem(t *testing.T) {
 		t.Fatal("invalid problem accepted")
 	}
 }
-
-func TestStickyGreZKeepsIncumbentOnTies(t *testing.T) {
-	// Two servers with identical delays: plain GreZ tie-breaks to server 0;
-	// sticky with incumbent server 1 must stay on 1.
-	p := &Problem{
-		ServerCaps:  []float64{10, 10},
-		ClientZones: []int{0, 0},
-		NumZones:    1,
-		ClientRT:    []float64{1, 1},
-		CS:          [][]float64{{100, 100}, {100, 100}},
-		SS:          [][]float64{{0, 10}, {10, 0}},
-		D:           250,
-	}
-	plain, err := GreZ(nil, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain[0] != 0 {
-		t.Fatalf("plain GreZ tie-break = %d, want 0", plain[0])
-	}
-	sticky, err := StickyGreZ([]int{1}, 0.5)(nil, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sticky[0] != 1 {
-		t.Fatalf("sticky kept %d, want incumbent 1", sticky[0])
-	}
-}
-
-func TestStickyGreZStillMovesForRealImprovements(t *testing.T) {
-	// Incumbent server strands 3 clients; the other server strands none.
-	// A sub-unit bonus must not block the move.
-	p := &Problem{
-		ServerCaps:  []float64{10, 10},
-		ClientZones: []int{0, 0, 0},
-		NumZones:    1,
-		ClientRT:    []float64{1, 1, 1},
-		CS:          [][]float64{{100, 400}, {100, 400}, {100, 400}},
-		SS:          [][]float64{{0, 10}, {10, 0}},
-		D:           250,
-	}
-	sticky, err := StickyGreZ([]int{1}, 0.5)(nil, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sticky[0] != 0 {
-		t.Fatalf("sticky refused a 3-client improvement: %d", sticky[0])
-	}
-}
-
-func TestStickyGreZValidatesIncumbentLength(t *testing.T) {
-	p := tinyProblem()
-	if _, err := StickyGreZ([]int{0}, 0.5)(nil, p, Options{}); err == nil {
-		t.Fatal("short incumbent accepted")
-	}
-}
-
-func TestStickyGreZReducesZoneMoves(t *testing.T) {
-	// On a random problem, re-solving after a tiny perturbation with the
-	// sticky variant must move no more zones than plain GreZ re-solving.
-	rng := xrand.New(91)
-	for trial := 0; trial < 10; trial++ {
-		p := randomProblem(rng.Split(), false)
-		base, err := GreZ(nil, p, Options{Overflow: SpillLargestResidual})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Perturb one client's delays slightly.
-		q := p.Clone()
-		q.CS[0][0] *= 1.01
-		plain, err := GreZ(nil, q, Options{Overflow: SpillLargestResidual})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sticky, err := StickyGreZ(base, 0.5)(nil, q, Options{Overflow: SpillLargestResidual})
-		if err != nil {
-			t.Fatal(err)
-		}
-		moves := func(to []int) int {
-			n := 0
-			for z := range base {
-				if base[z] != to[z] {
-					n++
-				}
-			}
-			return n
-		}
-		if moves(sticky) > moves(plain) {
-			t.Fatalf("trial %d: sticky moved %d zones, plain %d", trial, moves(sticky), moves(plain))
-		}
-	}
-}

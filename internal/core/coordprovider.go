@@ -22,7 +22,7 @@ import (
 // hooks (AppendClient, SetClientDelays) store an override for every
 // non-NaN entry they are handed, so sessions that join clients with full
 // measured rows erode back toward dense storage client by client. The
-// native sparse constructors (AddClientAt, AddServerAt) are the
+// native sparse joins (AddClientAt, AddClientFitted) are the
 // million-client path.
 //
 // Determinism: every fit and every prediction is a fixed-order float
@@ -85,14 +85,6 @@ func (cp *CoordProvider) ServerCoord(i int) []float64 {
 	return cp.srv[i*cp.dim : (i+1)*cp.dim]
 }
 
-// ClientCoord returns client j's coordinate (read-only view).
-func (cp *CoordProvider) ClientCoord(j int) []float64 {
-	return cp.cli[j*cp.dim : (j+1)*cp.dim]
-}
-
-// Overrides returns how many measured overrides client j holds.
-func (cp *CoordProvider) Overrides(j int) int { return len(cp.ovSrv[j]) }
-
 // AddClientAt is the native sparse join: the client arrives with a
 // coordinate (len Dim; fitted client-side or by the session's estimator)
 // and measured delays to a candidate subset of servers (srvs ascending or
@@ -140,18 +132,6 @@ func (cp *CoordProvider) AddClientFitted(srvs []int32, vals []float64) int {
 	cp.ovSrv = append(cp.ovSrv, os)
 	cp.ovVal = append(cp.ovVal, ov)
 	return j
-}
-
-// AddServerAt is the native server add: the server arrives with a
-// coordinate only (len Dim; copied) and no per-client overrides — every
-// existing client reads the coordinate prediction until measurements
-// stream in via SetClientServerDelay / UpdateServerDelayColumn.
-func (cp *CoordProvider) AddServerAt(coord []float64) int {
-	i := cp.NumServers()
-	c := make([]float64, cp.dim)
-	copy(c, coord)
-	cp.srv = append(cp.srv, c...)
-	return i
 }
 
 // NumClients implements DelayProvider.

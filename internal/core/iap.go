@@ -149,39 +149,13 @@ func RanZ(rng *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 // Per the paper's pseudocode desirabilities and regrets are computed once,
 // up front (static regret). See GreZDynamic for the recomputing variant
 // used in ablations.
-func GreZ(rng *xrand.RNG, p *Problem, opt Options) ([]int, error) {
-	return greZBiased(rng, p, opt, nil)
-}
-
-// StickyGreZ returns a GreZ variant biased toward an incumbent zone
-// assignment: each zone's incumbent server gets a desirability bonus, so
-// zones only migrate when another server is strictly better by more than
-// the bonus. CI costs are integral, so any bonus in (0,1) breaks ties
-// toward stability without ever overriding a real one-client improvement;
-// larger bonuses trade QoS for fewer handoffs. An extension for systems
-// where zone migration is expensive (see the sim package's handoff model).
-func StickyGreZ(incumbent []int, bonus float64) IAPFunc {
-	return func(rng *xrand.RNG, p *Problem, opt Options) ([]int, error) {
-		if len(incumbent) != p.NumZones {
-			return nil, fmt.Errorf("core: sticky incumbent covers %d zones, problem has %d",
-				len(incumbent), p.NumZones)
-		}
-		return greZBiased(rng, p, opt, func(server, zone int) float64 {
-			if incumbent[zone] == server {
-				return bonus
-			}
-			return 0
-		})
-	}
-}
-
-// greZBiased is GreZ with an optional desirability bias term. It has GreC's
-// shape: each zone keeps its two most desirable servers (topTwo), zones are
-// placed in descending-regret order, and a zone both candidates refuse
-// recomputes its µ row and takes the most desirable server that still
-// accepts it (placement.third) — the server a walk down the zone's sorted
-// list would stop at, found without sorting.
-func greZBiased(_ *xrand.RNG, p *Problem, opt Options, bias func(server, zone int) float64) ([]int, error) {
+//
+// It has GreC's shape: each zone keeps its two most desirable servers
+// (topTwo), zones are placed in descending-regret order, and a zone both
+// candidates refuse recomputes its µ row and takes the most desirable server
+// that still accepts it (placement.third) — the server a walk down the
+// zone's sorted list would stop at, found without sorting.
+func GreZ(_ *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 	w := opt.scratch()
 	ci := w.initialCostsParallel(p, opt.workerCount(), opt.Late)
 	m, n := p.NumServers(), p.NumZones
@@ -193,9 +167,6 @@ func greZBiased(_ *xrand.RNG, p *Problem, opt Options, bias func(server, zone in
 	zoneMu := func(z int) {
 		for i := range mu {
 			mu[i] = -float64(ci[i][z])
-			if bias != nil {
-				mu[i] += bias(i, z)
-			}
 		}
 	}
 	w.choices = grow(w.choices, n)
@@ -253,8 +224,7 @@ func GreZDynamic(_ *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 				continue
 			}
 			// Find best and second-best feasible µ for this zone. Ties on µ
-			// keep the lowest-index server (deterministic); the tolerance
-			// helper guards against float drift in biased µ values.
+			// keep the lowest-index server (deterministic).
 			best, second, bestSrv := negInf, negInf, -1
 			for i := 0; i < m; i++ {
 				if opt.cordoned(i) || !almostLE(loads[i]+zoneRT[z], p.ServerCaps[i]) {

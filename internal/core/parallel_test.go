@@ -174,7 +174,7 @@ func TestWorkerPoolRaceStress(t *testing.T) {
 }
 
 // TestParallelGreZMatchesSequential proves the sharded cost-matrix build
-// leaves GreZ (and the sticky and dynamic variants) bit-identical: counts
+// leaves GreZ (and the dynamic variant) bit-identical: counts
 // are integers, so the partial-matrix merge is exact.
 func TestParallelGreZMatchesSequential(t *testing.T) {
 	// Above the small-instance cutoff so the parallel path actually runs.

@@ -69,7 +69,7 @@ func sortByRegret(lists []desirabilityList) {
 
 // referenceGreZ is the sorted-list GreZ. deepest is the worst list position
 // any zone was placed at, spills how many zones no server accepted.
-func referenceGreZ(p *Problem, opt Options, bias func(server, zone int) float64) (target []int, deepest, spills int, err error) {
+func referenceGreZ(p *Problem, opt Options) (target []int, deepest, spills int, err error) {
 	ci := InitialCosts(p)
 	m, n := p.NumServers(), p.NumZones
 	zoneRT := p.ZoneRT()
@@ -78,9 +78,6 @@ func referenceGreZ(p *Problem, opt Options, bias func(server, zone int) float64)
 	for z := 0; z < n; z++ {
 		for i := 0; i < m; i++ {
 			mu[i] = -float64(ci[i][z])
-			if bias != nil {
-				mu[i] += bias(i, z)
-			}
 		}
 		lists[z] = buildDesirability(z, mu)
 	}
@@ -150,8 +147,8 @@ func grezProblem(rng *xrand.RNG, m int, fill float64) *Problem {
 
 // TestGreZMatchesFullSortReference pins the two-candidate GreZ to the
 // sorted-list reference: identical zone vectors (or the identical error)
-// over every delay storage, with and without a cordon mask and a sticky
-// bonus (tying and not), under both overflow policies, from loose to starved capacity — and
+// over every delay storage, with and without a cordon mask, under both
+// overflow policies, from loose to starved capacity — and
 // the starved rows must really walk past the second choice and spill.
 func TestGreZMatchesFullSortReference(t *testing.T) {
 	capacities := []struct {
@@ -170,70 +167,50 @@ func TestGreZMatchesFullSortReference(t *testing.T) {
 		for _, c := range capacities {
 			for _, st := range storages {
 				// GreZ only reads its problem: one draw per trial serves
-				// every mask, bonus and policy below.
+				// every mask and policy below.
 				var probs [2]*Problem
 				for trial := range probs {
 					probs[trial] = st.build(grezProblem(xrand.New(uint64(9300+10*m+trial)), m, c.fill))
 				}
 				for _, masked := range []bool{false, true} {
-					// CI is integral: half a client shifts every incumbent
-					// without tying it, a whole one ties it with the servers
-					// one client better.
-					for _, bonus := range []float64{0, 0.5, 1} {
-						for _, overflow := range []OverflowPolicy{ErrorOnOverflow, SpillLargestResidual} {
-							name := fmt.Sprintf("m=%d/%s/%s/masked=%v/bonus=%v/overflow=%d", m, c.name, st.name, masked, bonus, overflow)
-							t.Run(name, func(t *testing.T) {
-								w := NewWorkspace()
-								deepestSeen, spillsSeen := 0, 0
-								for trial, p := range probs {
-									rng := xrand.New(uint64(77 + trial))
-									opt := Options{Scratch: w, Overflow: overflow}
-									if masked {
-										opt.Cordoned = make([]bool, m)
-										for i := 1; i < m; i += 3 {
-											opt.Cordoned[i] = true
-										}
+					for _, overflow := range []OverflowPolicy{ErrorOnOverflow, SpillLargestResidual} {
+						name := fmt.Sprintf("m=%d/%s/%s/masked=%v/overflow=%d", m, c.name, st.name, masked, overflow)
+						t.Run(name, func(t *testing.T) {
+							w := NewWorkspace()
+							deepestSeen, spillsSeen := 0, 0
+							for trial, p := range probs {
+								opt := Options{Scratch: w, Overflow: overflow}
+								if masked {
+									opt.Cordoned = make([]bool, m)
+									for i := 1; i < m; i += 3 {
+										opt.Cordoned[i] = true
 									}
-									grez, bias := IAPFunc(GreZ), (func(server, zone int) float64)(nil)
-									if bonus > 0 {
-										incumbent := make([]int, p.NumZones)
-										for z := range incumbent {
-											incumbent[z] = rng.IntN(m)
-										}
-										grez = StickyGreZ(incumbent, bonus)
-										bias = func(server, zone int) float64 {
-											if incumbent[zone] == server {
-												return bonus
-											}
-											return 0
-										}
-									}
-									want, deepest, spills, wantErr := referenceGreZ(p, opt, bias)
-									got, err := grez(nil, p, opt)
-									if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-										t.Fatalf("trial %d: GreZ error %v, reference %v", trial, err, wantErr)
-									}
-									if err != nil && !errors.Is(err, ErrInfeasible) {
-										t.Fatalf("trial %d: error %v does not wrap ErrInfeasible", trial, err)
-									}
-									if !slices.Equal(got, want) {
-										t.Fatalf("trial %d: GreZ hosts zones on %v, reference on %v", trial, got, want)
-									}
-									if c.name == "loose" && (spills > 0 || err != nil) {
-										t.Fatalf("trial %d: loose capacity spilled %d zones (error %v)", trial, spills, err)
-									}
-									deepestSeen, spillsSeen = max(deepestSeen, deepest), spillsSeen+spills
 								}
-								if c.name == "starved" && spillsSeen == 0 {
-									t.Fatal("starved capacity never spilled: the no-acceptor path is untested")
+								want, deepest, spills, wantErr := referenceGreZ(p, opt)
+								got, err := GreZ(nil, p, opt)
+								if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+									t.Fatalf("trial %d: GreZ error %v, reference %v", trial, err, wantErr)
 								}
-								// A run that spills to the end visits every zone, and 65
-								// servers leave no doubt some zone has a third taker.
-								if c.name == "starved" && m > 3 && overflow == SpillLargestResidual && deepestSeen < 2 {
-									t.Fatalf("starved capacity never reached a third choice (deepest %d): the on-demand pick is untested", deepestSeen)
+								if err != nil && !errors.Is(err, ErrInfeasible) {
+									t.Fatalf("trial %d: error %v does not wrap ErrInfeasible", trial, err)
 								}
-							})
-						}
+								if !slices.Equal(got, want) {
+									t.Fatalf("trial %d: GreZ hosts zones on %v, reference on %v", trial, got, want)
+								}
+								if c.name == "loose" && (spills > 0 || err != nil) {
+									t.Fatalf("trial %d: loose capacity spilled %d zones (error %v)", trial, spills, err)
+								}
+								deepestSeen, spillsSeen = max(deepestSeen, deepest), spillsSeen+spills
+							}
+							if c.name == "starved" && spillsSeen == 0 {
+								t.Fatal("starved capacity never spilled: the no-acceptor path is untested")
+							}
+							// A run that spills to the end visits every zone, and 65
+							// servers leave no doubt some zone has a third taker.
+							if c.name == "starved" && m > 3 && overflow == SpillLargestResidual && deepestSeen < 2 {
+								t.Fatalf("starved capacity never reached a third choice (deepest %d): the on-demand pick is untested", deepestSeen)
+							}
+						})
 					}
 				}
 			}

@@ -64,18 +64,6 @@ var (
 	DynZGreC = TwoPhase{Name: "DynZ-GreC", Init: GreZDynamic, Refine: GreC}
 )
 
-// WithSticky returns the algorithm with its initial phase biased toward
-// the incumbent hosting: zones keep their server unless a move improves
-// the IAP cost by more than bonus (StickyGreZ; DESIGN.md §5). incumbent
-// is retained — pass a copy if the caller mutates its own.
-func (tp TwoPhase) WithSticky(incumbent []int, bonus float64) TwoPhase {
-	return TwoPhase{
-		Name:   tp.Name + "+sticky",
-		Init:   StickyGreZ(incumbent, bonus),
-		Refine: tp.Refine,
-	}
-}
-
 // PaperAlgorithms returns the four algorithms of the paper, in the order
 // the tables report them.
 func PaperAlgorithms() []TwoPhase {

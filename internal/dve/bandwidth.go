@@ -53,14 +53,3 @@ func (w *World) ClientRTsInto(buf []float64) []float64 {
 	}
 	return buf
 }
-
-// TotalDemandMbps returns the summed target-side bandwidth demand of the
-// current population — the lower bound on consumed capacity (forwarding
-// adds more).
-func (w *World) TotalDemandMbps() float64 {
-	var t float64
-	for _, rt := range w.ClientRTs() {
-		t += rt
-	}
-	return t
-}

@@ -29,15 +29,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, cells ...interface{}) {
-	parts := make([]string, len(cells))
-	for i, c := range cells {
-		parts[i] = fmt.Sprintf(strings.TrimSpace(format), c)
-	}
-	t.AddRow(parts...)
-}
-
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 

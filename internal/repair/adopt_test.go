@@ -3,19 +3,42 @@ package repair
 import (
 	"testing"
 
+	"dvecap/internal/core"
 	"dvecap/internal/xrand"
 	"dvecap/telemetry"
 )
+
+// keepMostHosts is GreZ-GreC re-solving pl's problem with most zones left on
+// their host, the case adoption is for: only the first moved zones a fresh
+// GreZ would rehost move.
+func keepMostHosts(pl *Planner, moved int) core.TwoPhase {
+	algo := core.GreZGreC
+	algo.Init = func(rng *xrand.RNG, p *core.Problem, opt core.Options) ([]int, error) {
+		fresh, err := core.GreZ(rng, p, opt)
+		if err != nil {
+			return nil, err
+		}
+		hosts, left := pl.ZoneServers(), moved
+		for z, s := range fresh {
+			if s != hosts[z] && left > 0 {
+				hosts[z], left = s, left-1
+			}
+		}
+		return hosts, nil
+	}
+	return algo
+}
 
 // TestResolveKeepsRowsWarm: a full re-solve adopts its assignment instead
 // of rebinding, so the first event in a zone that kept its host folds the
 // maintained row (a hit), as does one in a rehosted zone whose row was
 // rebased, while a rehosted zone that failed the cost rule rebuilds it (a
 // refresh) — and the planner's handoff count and LastAdoption come from
-// what the adoption walked. Two legs: random delays, where a rehosting
-// changes the role of many clients and fails the rule; and a bound nobody
-// misses, where every client stays direct and every rehosting — provoked by
-// draining a server and re-solving once it is back — is rebased.
+// what the adoption walked. Two legs: random delays and a re-solve that
+// moves two zones (keepMostHosts), where a rehosting changes the role of
+// many clients and fails the rule; and a bound nobody misses, where every
+// client stays direct and every rehosting — provoked by draining a server
+// and re-solving once it is back — is rebased.
 func TestResolveKeepsRowsWarm(t *testing.T) {
 	for _, calm := range []bool{false, true} {
 		rng := xrand.New(47)
@@ -23,14 +46,15 @@ func TestResolveKeepsRowsWarm(t *testing.T) {
 		for p.NumZones < 6 || p.NumServers() < 3 {
 			p = randProblem(rng.Split(), 1500)
 		}
-		cfg := testConfig()
-		cfg.StickyBonus = 3 // most zones keep their host across a re-solve
 		if calm {
-			p.D, cfg.StickyBonus = 600, 0
+			p.D = 600
 		}
-		pl, err := New(cfg, p, rng.Split())
+		pl, err := New(testConfig(), p, rng.Split())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !calm {
+			pl.cfg.Algo = keepMostHosts(pl, 2)
 		}
 		reg := telemetry.NewRegistry()
 		pl.SetTelemetry(reg)

@@ -92,7 +92,7 @@ func indexStep(pl *Planner, rng *xrand.RNG, live *[]int) error {
 // a planner whose full solves read the late index and one forced to count
 // every matrix from the delay rows: hosting, contacts, delays and every
 // repair counter must stay identical after every event — with drains in
-// flight, with a sticky bonus, with the drift guard firing, sequential and
+// flight, with the drift guard firing, sequential and
 // sharded, on the raw matrix, a sparse coordinate provider fed NaN rows and
 // the shared-row provider — and the index must equal a recomputation from
 // the rows throughout.
@@ -113,9 +113,6 @@ func TestIndexedFullSolveMatchesRowCount(t *testing.T) {
 					const events = 60
 					cfg := testConfig()
 					cfg.Opt.Workers = workers
-					if trial%2 == 1 {
-						cfg.StickyBonus = 0.5
-					}
 					if trial%3 == 0 {
 						cfg.DriftPQoS = 0.05
 					}

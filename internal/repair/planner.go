@@ -10,7 +10,9 @@
 // scan is seeded from the zones whose client sets or loads the event
 // changed. Quality drift against the last full two-phase solve is tracked
 // continuously; when it decays past a configurable threshold the planner
-// amortizes one full re-solve and resumes repairing from there.
+// amortizes one full re-solve and resumes repairing from there. A full
+// re-solve runs the configured algorithm from scratch, as §3.4 does; the
+// evaluator then adopts its result (DESIGN.md §8).
 //
 // Clients, servers and zones are addressed by dense index. A removal
 // compacts with a swap-remove — the last entry takes the vacated index — and
@@ -53,10 +55,6 @@ type Config struct {
 	// does not thrash. pQoS can hold steady while churn piles load onto a
 	// few servers; this trigger catches that hot-spot drift.
 	DriftUtilSpread float64
-	// StickyBonus, when > 0, biases full re-solves toward the incumbent
-	// hosting via core.StickyGreZ — zones move only when the improvement
-	// beats the bonus, reducing handoff volume (DESIGN.md §5).
-	StickyBonus float64
 }
 
 // Stats counts what the planner has done since construction.
@@ -450,10 +448,6 @@ func (pl *Planner) FullSolve() error { return pl.fullSolve(triggerEpoch) }
 
 func (pl *Planner) fullSolve(trigger string) error {
 	start := pl.teleStart()
-	algo := pl.cfg.Algo
-	if pl.cfg.StickyBonus > 0 && pl.ev != nil {
-		algo = algo.WithSticky(pl.ZoneServers(), pl.cfg.StickyBonus)
-	}
 	opt := pl.cfg.Opt
 	if pl.availableServers() < len(pl.drained) {
 		// An in-flight drain survives the full solve: cordoned servers
@@ -462,7 +456,7 @@ func (pl *Planner) fullSolve(trigger string) error {
 	}
 	// The planner owns every writer of its problem's delays and each one
 	// refuses a bad entry (checkDelays), so the solve does not re-read them.
-	a, err := algo.SolveOwned(pl.rng.Split(), pl.prob, opt)
+	a, err := pl.cfg.Algo.SolveOwned(pl.rng.Split(), pl.prob, opt)
 	if err != nil {
 		return fmt.Errorf("repair: full solve: %w", err)
 	}

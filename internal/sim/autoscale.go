@@ -102,7 +102,7 @@ func (tr *ArrivalTrace) MaxRate() float64 {
 }
 
 // AutoscaleConfig arms the capacity control loop in the churn driver
-// (requires Repair mode, exclusive with the rolling-deploy schedule).
+// (requires Repair mode).
 type AutoscaleConfig struct {
 	// Policy parameterises the hysteresis reconciler. Ignored when Oracle
 	// is set, except for UtilHigh and MinActive which the oracle tracks.

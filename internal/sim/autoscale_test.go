@@ -78,13 +78,6 @@ func TestAutoscaleConfigValidate(t *testing.T) {
 	if err := noRepair.Validate(); err == nil {
 		t.Fatal("autoscale accepted without repair mode")
 	}
-	// Autoscale with the rolling-deploy schedule (both own the drain set).
-	deploy := cfg
-	deploy.RollingDeployEverySec = 300
-	deploy.DrainDowntimeSec = 60
-	if err := deploy.Validate(); err == nil {
-		t.Fatal("autoscale accepted alongside a rolling deploy")
-	}
 	// Arrival trace is exclusive with a constant join rate.
 	both := cfg
 	both.Arrivals = &ArrivalTrace{BaseRate: 1}

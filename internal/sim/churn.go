@@ -25,8 +25,7 @@ type ChurnConfig struct {
 	// Autoscale, when set, arms the capacity control loop: the last
 	// SpareServers world servers start drained as a warm pool and a
 	// reconciler (or the clairvoyant oracle) drives drain/uncordon on the
-	// planner every EverySec. Requires Repair mode; exclusive with the
-	// rolling-deploy schedule (both own the drained set).
+	// planner every EverySec. Requires Repair mode.
 	Autoscale *AutoscaleConfig
 	// MeanSessionSec is the mean client session length; each client leaves
 	// at total rate population/MeanSessionSec.
@@ -45,39 +44,16 @@ type ChurnConfig struct {
 	// reassignments, so sample means are genuine time averages (without
 	// it, samples cluster at reassignment instants). 0 disables ticks.
 	SampleEverySec float64
-	// StickyBonus, when > 0, replaces the algorithm's initial phase on
-	// re-executions with core.StickyGreZ(current, StickyBonus): zones stay
-	// on their server unless a move improves the IAP cost by more than the
-	// bonus. Meaningful with HandoffFreezeSec; see DESIGN.md §5.
-	StickyBonus float64
 	// Repair switches the driver from periodic full re-solves to the
 	// incremental churn-repair subsystem (DESIGN.md §7): every join, leave
 	// and move is applied through a repair.Planner in O(affected), and the
 	// ReassignEverySec tick becomes the fallback cadence — it samples
 	// quality and runs a full two-phase re-solve only when pQoS has
-	// drifted past the threshold since the last full solve. With
+	// drifted more than fallbackDriftPQoS below the last full solve. With
 	// HandoffFreezeSec > 0, repair-mode zone freezes are applied at
 	// sampling granularity (the driver notices planner-side rehostings
 	// when it syncs for a sample).
 	Repair bool
-	// RepairDriftPQoS is the drift threshold the fallback tick checks: a
-	// full re-solve runs once pQoS falls more than this far below the last
-	// full solve's level. 0 means the default 0.02.
-	RepairDriftPQoS float64
-	// RollingDeployEverySec arms the capacity-churn schedule (repair mode
-	// only): every period, the next server in round-robin order is DRAINED
-	// through the planner's topology events — its capacity leaves the
-	// fleet, hosted zones evacuate in O(affected), forwarding contacts
-	// re-attach — and DrainDowntimeSec later it is uncordoned with its
-	// capacity restored. One server is down at a time (a deploy slot is
-	// skipped while the previous server is still down), which is exactly a
-	// rolling deploy; experiments measure pQoS straight through it. 0
-	// disables capacity churn.
-	RollingDeployEverySec float64
-	// DrainDowntimeSec is how long a drained server stays down before it
-	// is uncordoned. Required (> 0, < RollingDeployEverySec) when
-	// RollingDeployEverySec is set.
-	DrainDowntimeSec float64
 	// Telemetry, when set, is attached to the repair planner (repair mode)
 	// and fed live dvecap_sim_* gauges — virtual time, population, pQoS,
 	// utilization — refreshed at every quality sample. Observation only:
@@ -90,13 +66,10 @@ type ChurnConfig struct {
 	MetricsLog io.Writer
 }
 
-// repairDrift resolves the configured drift threshold.
-func (c ChurnConfig) repairDrift() float64 {
-	if c.RepairDriftPQoS > 0 {
-		return c.RepairDriftPQoS
-	}
-	return 0.02
-}
+// fallbackDriftPQoS is the drift threshold the repair-mode fallback tick
+// checks: a full re-solve runs once pQoS falls more than this far below the
+// last full solve's level.
+const fallbackDriftPQoS = 0.02
 
 // Validate reports the first invalid rate.
 func (c ChurnConfig) Validate() error {
@@ -113,23 +86,6 @@ func (c ChurnConfig) Validate() error {
 		return fmt.Errorf("sim: HandoffFreezeSec = %v, want >= 0", c.HandoffFreezeSec)
 	case c.SampleEverySec < 0:
 		return fmt.Errorf("sim: SampleEverySec = %v, want >= 0", c.SampleEverySec)
-	case c.StickyBonus < 0:
-		return fmt.Errorf("sim: StickyBonus = %v, want >= 0", c.StickyBonus)
-	case c.RepairDriftPQoS < 0:
-		return fmt.Errorf("sim: RepairDriftPQoS = %v, want >= 0", c.RepairDriftPQoS)
-	case c.RollingDeployEverySec < 0:
-		return fmt.Errorf("sim: RollingDeployEverySec = %v, want >= 0", c.RollingDeployEverySec)
-	}
-	if c.RollingDeployEverySec > 0 {
-		switch {
-		case !c.Repair:
-			return fmt.Errorf("sim: RollingDeployEverySec requires Repair mode (capacity churn runs through the planner's topology events)")
-		case c.DrainDowntimeSec <= 0:
-			return fmt.Errorf("sim: DrainDowntimeSec = %v, want > 0 with a rolling-deploy schedule", c.DrainDowntimeSec)
-		case c.DrainDowntimeSec >= c.RollingDeployEverySec:
-			return fmt.Errorf("sim: DrainDowntimeSec %v >= RollingDeployEverySec %v (server would never return before the next drain)",
-				c.DrainDowntimeSec, c.RollingDeployEverySec)
-		}
 	}
 	if c.Arrivals != nil {
 		if c.JoinRate != 0 {
@@ -140,11 +96,8 @@ func (c ChurnConfig) Validate() error {
 		}
 	}
 	if c.Autoscale != nil {
-		switch {
-		case !c.Repair:
+		if !c.Repair {
 			return fmt.Errorf("sim: Autoscale requires Repair mode (scaling runs through the planner's topology events)")
-		case c.RollingDeployEverySec > 0:
-			return fmt.Errorf("sim: Autoscale and RollingDeployEverySec are exclusive (both own the drained server set)")
 		}
 		if err := c.Autoscale.Validate(); err != nil {
 			return err
@@ -198,11 +151,6 @@ type Driver struct {
 	zonePop []int
 	csBuf   []float64
 
-	// Rolling-deploy state: the next server to drain (round-robin) and
-	// the one currently down (-1 when the fleet is whole).
-	deployNext int
-	deployDown int
-
 	// Autoscale state: the hysteresis reconciler (nil in oracle mode or
 	// without autoscaling), the thinning envelope rate for the arrival
 	// trace, the active-fleet time integral behind ServerHours, and the
@@ -231,7 +179,7 @@ func NewDriver(eng *Engine, world *dve.World, algo core.TwoPhase, opt core.Optio
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Driver{eng: eng, world: world, algo: algo, opt: opt, cfg: cfg, rng: rng, ws: core.NewWorkspace(), deployDown: -1}
+	d := &Driver{eng: eng, world: world, algo: algo, opt: opt, cfg: cfg, rng: rng, ws: core.NewWorkspace()}
 	d.opt.Scratch = d.ws
 	d.activeCount = world.Cfg.Servers
 	spares := 0
@@ -262,11 +210,7 @@ func NewDriver(eng *Engine, world *dve.World, algo core.TwoPhase, opt core.Optio
 		// and takes over per-event re-optimisation from here. The planner's
 		// own per-event guard stays disarmed — in the driver, drift is
 		// checked only at the ReassignEverySec fallback tick.
-		pl, err := repair.NewWithAssignment(repair.Config{
-			Algo:        algo,
-			Opt:         d.opt,
-			StickyBonus: cfg.StickyBonus,
-		}, &d.prob, d.Assignment(), d.rng.Split())
+		pl, err := repair.NewWithAssignment(repair.Config{Algo: algo, Opt: d.opt}, &d.prob, d.Assignment(), d.rng.Split())
 		if err != nil {
 			return nil, err
 		}
@@ -318,42 +262,9 @@ func (d *Driver) Start() {
 	if d.cfg.SampleEverySec > 0 {
 		d.eng.Schedule(d.cfg.SampleEverySec, d.tickEvent)
 	}
-	if d.cfg.RollingDeployEverySec > 0 {
-		d.eng.Schedule(d.cfg.RollingDeployEverySec, d.deployEvent)
-	}
 	if d.cfg.Autoscale != nil {
 		d.eng.Schedule(d.cfg.Autoscale.EverySec, d.autoscaleEvent)
 	}
-}
-
-// deployEvent drains the next server in the rolling deploy. A slot is
-// skipped (deploy paused) while the previous server is still down —
-// exactly one server is ever out of the fleet.
-func (d *Driver) deployEvent() {
-	if d.deployDown < 0 {
-		victim := d.deployNext
-		if err := d.planner.DrainServer(victim); err != nil {
-			d.errs = append(d.errs, err)
-		} else {
-			d.deployDown = victim
-			d.sample("drain")
-			d.eng.Schedule(d.cfg.DrainDowntimeSec, d.restoreEvent)
-		}
-		d.deployNext = (victim + 1) % d.world.Cfg.Servers
-	}
-	d.eng.Schedule(d.cfg.RollingDeployEverySec, d.deployEvent)
-}
-
-// restoreEvent uncordons the server the deploy took down.
-func (d *Driver) restoreEvent() {
-	if d.deployDown < 0 {
-		return
-	}
-	if err := d.planner.UncordonServer(d.deployDown); err != nil {
-		d.errs = append(d.errs, err)
-	}
-	d.deployDown = -1
-	d.sample("uncordon")
 }
 
 func (d *Driver) tickEvent() {
@@ -600,7 +511,7 @@ func (d *Driver) reassignEvent() {
 		d.sampleWith(&d.prob, "pre-reassign")
 		// A "post-reassign" sample is emitted only when the fallback solve
 		// actually ran, so pre/post pairs always bracket a real solve.
-		if d.planner.Stats().LastDriftPQoS > d.cfg.repairDrift() {
+		if d.planner.Stats().LastDriftPQoS > fallbackDriftPQoS {
 			if err := d.planner.FullSolve(); err != nil {
 				d.errs = append(d.errs, err)
 			}
@@ -649,11 +560,7 @@ func (d *Driver) reassign(label string) error {
 
 // reassignWith is reassign on an already-built snapshot of the world.
 func (d *Driver) reassignWith(p *core.Problem, label string) error {
-	algo := d.algo
-	if d.cfg.StickyBonus > 0 && label != "initial" && len(d.zoneServer) == p.NumZones {
-		algo = d.algo.WithSticky(append([]int(nil), d.zoneServer...), d.cfg.StickyBonus)
-	}
-	a, err := algo.Solve(d.rng.Split(), p, d.opt)
+	a, err := d.algo.Solve(d.rng.Split(), p, d.opt)
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,11 @@
 // a DVE churn driver built on it. The engine schedules closures on a
 // virtual clock; the driver turns a dve.World into a living system —
 // Poisson client arrivals, exponential session lengths, zone migrations —
-// with an assignment algorithm re-executed periodically, the mechanism the
-// paper prescribes for coping with DVE dynamics (§3.4, Table 3).
+// with an assignment algorithm re-executed periodically from scratch, the
+// mechanism the paper prescribes for coping with DVE dynamics (§3.4,
+// Table 3). In repair mode the driver feeds every event to a repair.Planner
+// instead, and the optional autoscale loop is what drains and uncordons
+// servers through it.
 package sim
 
 import (

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dvecap/internal/core"
-	"dvecap/internal/repair"
 	"dvecap/internal/xrand"
 )
 
@@ -19,10 +18,6 @@ func TestRepairConfigValidate(t *testing.T) {
 	cfg := repairChurn()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	cfg.RepairDriftPQoS = -0.1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative drift threshold accepted")
 	}
 }
 
@@ -262,136 +257,5 @@ func TestDriverRepairQualityTracksFullResolve(t *testing.T) {
 	}
 	if resolved := core.Evaluate(truth, fresh); repaired.PQoS < resolved.PQoS-0.05 {
 		t.Fatalf("repaired pQoS %.3f trails re-solved %.3f by more than 0.05", repaired.PQoS, resolved.PQoS)
-	}
-}
-
-// rollingChurn is repairChurn with the capacity-churn schedule armed:
-// a server drains every 60 s of virtual time and returns 20 s later.
-func rollingChurn() ChurnConfig {
-	cfg := repairChurn()
-	cfg.JoinRate = 2
-	cfg.MeanSessionSec = 120
-	cfg.MoveRatePerClient = 0.01
-	cfg.RollingDeployEverySec = 60
-	cfg.DrainDowntimeSec = 20
-	return cfg
-}
-
-func TestRollingDeployConfigValidate(t *testing.T) {
-	cfg := rollingChurn()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := cfg
-	bad.Repair = false
-	if err := bad.Validate(); err == nil {
-		t.Fatal("rolling deploy without repair mode accepted")
-	}
-	bad = cfg
-	bad.DrainDowntimeSec = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero downtime accepted")
-	}
-	bad = cfg
-	bad.DrainDowntimeSec = cfg.RollingDeployEverySec
-	if err := bad.Validate(); err == nil {
-		t.Fatal("downtime >= period accepted")
-	}
-	bad = cfg
-	bad.RollingDeployEverySec = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative deploy period accepted")
-	}
-}
-
-// TestDriverRollingDeploy runs pQoS measurement straight through a
-// rolling deploy: servers drain and return on schedule, every drain is a
-// planner topology event (never a full re-solve), quality samples stay
-// sane, and the fleet is whole again within a downtime of the horizon.
-func TestDriverRollingDeploy(t *testing.T) {
-	w := buildTestWorld(t, 10)
-	e := NewEngine()
-	d, err := NewDriver(e, w, core.GreZGreC, coreOpts(), rollingChurn(), xrand.New(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Start()
-	e.Run(600)
-	for _, err := range d.Errors() {
-		t.Errorf("driver error: %v", err)
-	}
-	st, ok := d.RepairStats()
-	if !ok {
-		t.Fatal("no repair stats")
-	}
-	// 600 s / 60 s period with 20 s downtime → every slot drains (the
-	// previous server is always back), minus scheduling edges.
-	if st.ServerDrains < 8 {
-		t.Fatalf("ServerDrains = %d, want ≥ 8 over a 600 s horizon", st.ServerDrains)
-	}
-	drains, uncordons := 0, 0
-	for _, s := range d.Samples() {
-		if s.PQoS < 0 || s.PQoS > 1 {
-			t.Fatalf("pQoS out of range: %+v", s)
-		}
-		switch s.Event {
-		case "drain":
-			drains++
-		case "uncordon":
-			uncordons++
-		}
-	}
-	if drains != st.ServerDrains {
-		t.Fatalf("%d drain samples for %d drains", drains, st.ServerDrains)
-	}
-	if uncordons < drains-1 {
-		t.Fatalf("%d uncordon samples for %d drains (at most one server may still be down)", uncordons, drains)
-	}
-	// The deploy never stacks downtime: after the horizon at most one
-	// server can still be inside its downtime window.
-	down := 0
-	for i := 0; i < w.Cfg.Servers; i++ {
-		if d.planner.Draining(i) {
-			down++
-		}
-	}
-	if down > 1 {
-		t.Fatalf("%d servers down simultaneously, rolling deploy allows 1", down)
-	}
-}
-
-// TestDriverRollingDeployWorkersDeterministic: the capacity-churn
-// trajectory — samples, handoffs, drain counters — is bit-identical for
-// every worker count.
-func TestDriverRollingDeployWorkersDeterministic(t *testing.T) {
-	run := func(workers int) ([]Sample, repair.Stats) {
-		w := buildTestWorld(t, 30)
-		e := NewEngine()
-		opt := coreOpts()
-		opt.Workers = workers
-		d, err := NewDriver(e, w, core.GreZGreC, opt, rollingChurn(), xrand.New(41))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Start()
-		e.Run(300)
-		for _, err := range d.Errors() {
-			t.Fatalf("workers=%d driver error: %v", workers, err)
-		}
-		st, _ := d.RepairStats()
-		return d.Samples(), st
-	}
-	seq, seqStats := run(1)
-	for _, workers := range []int{4, 8} {
-		par, parStats := run(workers)
-		if len(seq) != len(par) || seqStats != parStats {
-			t.Fatalf("workers=%d diverged: %d/%d samples, stats %+v vs %+v",
-				workers, len(seq), len(par), seqStats, parStats)
-		}
-		for i := range seq {
-			if seq[i] != par[i] {
-				t.Fatalf("workers=%d sample %d differs: %+v vs %+v", workers, i, seq[i], par[i])
-			}
-		}
 	}
 }
