@@ -147,8 +147,9 @@ func grezProblem(rng *xrand.RNG, m int, fill float64) *Problem {
 
 // TestGreZMatchesFullSortReference pins the two-candidate GreZ to the
 // sorted-list reference: identical zone vectors (or the identical error)
-// over every delay storage, with and without a cordon mask, under both
-// overflow policies, from loose to starved capacity — and
+// over every delay storage, with and without a cordon mask, with the cost
+// matrix counted from rows, filling a late index, or read from a filled one,
+// under both overflow policies, from loose to starved capacity — and
 // the starved rows must really walk past the second choice and spill.
 func TestGreZMatchesFullSortReference(t *testing.T) {
 	capacities := []struct {
@@ -167,50 +168,67 @@ func TestGreZMatchesFullSortReference(t *testing.T) {
 		for _, c := range capacities {
 			for _, st := range storages {
 				// GreZ only reads its problem: one draw per trial serves
-				// every mask and policy below.
+				// every mask, cost source and policy below.
 				var probs [2]*Problem
 				for trial := range probs {
 					probs[trial] = st.build(grezProblem(xrand.New(uint64(9300+10*m+trial)), m, c.fill))
 				}
 				for _, masked := range []bool{false, true} {
-					for _, overflow := range []OverflowPolicy{ErrorOnOverflow, SpillLargestResidual} {
-						name := fmt.Sprintf("m=%d/%s/%s/masked=%v/overflow=%d", m, c.name, st.name, masked, overflow)
-						t.Run(name, func(t *testing.T) {
-							w := NewWorkspace()
-							deepestSeen, spillsSeen := 0, 0
-							for trial, p := range probs {
-								opt := Options{Scratch: w, Overflow: overflow}
-								if masked {
-									opt.Cordoned = make([]bool, m)
-									for i := 1; i < m; i += 3 {
-										opt.Cordoned[i] = true
+					for _, late := range []string{"none", "empty", "filled"} {
+						for _, overflow := range []OverflowPolicy{ErrorOnOverflow, SpillLargestResidual} {
+							name := fmt.Sprintf("m=%d/%s/%s/masked=%v/late=%s/overflow=%d", m, c.name, st.name, masked, late, overflow)
+							t.Run(name, func(t *testing.T) {
+								w := NewWorkspace()
+								deepestSeen, spillsSeen := 0, 0
+								for trial, p := range probs {
+									opt := Options{Scratch: w, Overflow: overflow}
+									if masked {
+										opt.Cordoned = make([]bool, m)
+										for i := 1; i < m; i += 3 {
+											opt.Cordoned[i] = true
+										}
 									}
+									wantSource := CostMatrixFromRows
+									switch late {
+									case "empty":
+										opt.Late = &LateIndex{}
+									case "filled":
+										opt.Late = &LateIndex{}
+										GreZ(nil, p, opt) // the rows pass fills the index, placed or not
+										wantSource = CostMatrixFromIndex
+									}
+									want, deepest, spills, wantErr := referenceGreZ(p, opt)
+									got, err := GreZ(nil, p, opt)
+									if w.CostMatrixSource() != wantSource {
+										t.Fatalf("trial %d: cost matrix from %q, want %q", trial, w.CostMatrixSource(), wantSource)
+									}
+									if opt.Late != nil && !opt.Late.ValidFor(p) {
+										t.Fatalf("trial %d: the late index was not filled for the problem solved", trial)
+									}
+									if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+										t.Fatalf("trial %d: GreZ error %v, reference %v", trial, err, wantErr)
+									}
+									if err != nil && !errors.Is(err, ErrInfeasible) {
+										t.Fatalf("trial %d: error %v does not wrap ErrInfeasible", trial, err)
+									}
+									if !slices.Equal(got, want) {
+										t.Fatalf("trial %d: GreZ hosts zones on %v, reference on %v", trial, got, want)
+									}
+									if c.name == "loose" && (spills > 0 || err != nil) {
+										t.Fatalf("trial %d: loose capacity spilled %d zones (error %v)", trial, spills, err)
+									}
+									deepestSeen, spillsSeen = max(deepestSeen, deepest), spillsSeen+spills
 								}
-								want, deepest, spills, wantErr := referenceGreZ(p, opt)
-								got, err := GreZ(nil, p, opt)
-								if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-									t.Fatalf("trial %d: GreZ error %v, reference %v", trial, err, wantErr)
+								if c.name == "starved" && spillsSeen == 0 {
+									t.Fatal("starved capacity never spilled: the no-acceptor path is untested")
 								}
-								if err != nil && !errors.Is(err, ErrInfeasible) {
-									t.Fatalf("trial %d: error %v does not wrap ErrInfeasible", trial, err)
+								// A run that spills to the end visits every zone, and 65
+								// servers leave no doubt some zone has a third taker.
+								if c.name == "starved" && m > 3 && overflow == SpillLargestResidual && deepestSeen < 2 {
+									t.Fatalf("starved capacity never reached a third choice (deepest %d): the on-demand pick is untested", deepestSeen)
 								}
-								if !slices.Equal(got, want) {
-									t.Fatalf("trial %d: GreZ hosts zones on %v, reference on %v", trial, got, want)
-								}
-								if c.name == "loose" && (spills > 0 || err != nil) {
-									t.Fatalf("trial %d: loose capacity spilled %d zones (error %v)", trial, spills, err)
-								}
-								deepestSeen, spillsSeen = max(deepestSeen, deepest), spillsSeen+spills
-							}
-							if c.name == "starved" && spillsSeen == 0 {
-								t.Fatal("starved capacity never spilled: the no-acceptor path is untested")
-							}
-							// A run that spills to the end visits every zone, and 65
-							// servers leave no doubt some zone has a third taker.
-							if c.name == "starved" && m > 3 && overflow == SpillLargestResidual && deepestSeen < 2 {
-								t.Fatalf("starved capacity never reached a third choice (deepest %d): the on-demand pick is untested", deepestSeen)
-							}
-						})
+							})
+						}
 					}
 				}
 			}

@@ -133,16 +133,29 @@ func TestChurnConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []ChurnConfig{
-		{JoinRate: -1, MeanSessionSec: 1, ReassignEverySec: 1},
-		{JoinRate: 0, MeanSessionSec: 0, ReassignEverySec: 1},
-		{JoinRate: 0, MeanSessionSec: 1, MoveRatePerClient: -1, ReassignEverySec: 1},
-		{JoinRate: 0, MeanSessionSec: 1, ReassignEverySec: 0},
+	// Each case breaks one field of an otherwise valid config.
+	bad := []struct {
+		name string
+		set  func(*ChurnConfig)
+	}{
+		{"JoinRate", func(c *ChurnConfig) { c.JoinRate = -1 }},
+		{"MeanSessionSec", func(c *ChurnConfig) { c.MeanSessionSec = 0 }},
+		{"MoveRatePerClient", func(c *ChurnConfig) { c.MoveRatePerClient = -1 }},
+		{"ReassignEverySec", func(c *ChurnConfig) { c.ReassignEverySec = 0 }},
+		{"HandoffFreezeSec", func(c *ChurnConfig) { c.HandoffFreezeSec = -1 }},
+		{"SampleEverySec", func(c *ChurnConfig) { c.SampleEverySec = -1 }},
+		{"ArrivalsWithJoinRate", func(c *ChurnConfig) { c.Arrivals = &ArrivalTrace{BaseRate: 1} }},
+		{"ArrivalsInvalid", func(c *ChurnConfig) { c.JoinRate, c.Arrivals = 0, &ArrivalTrace{BaseRate: -1} }},
+		{"AutoscaleWithoutRepair", func(c *ChurnConfig) { c.Autoscale = &AutoscaleConfig{SpareServers: 2, EverySec: 60} }},
 	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
+	for _, tc := range bad {
+		t.Run(tc.name, func(t *testing.T) {
+			c := defaultChurn()
+			tc.set(&c)
+			if err := c.Validate(); err == nil {
+				t.Fatalf("config with a bad %s accepted", tc.name)
+			}
+		})
 	}
 }
 
