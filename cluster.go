@@ -453,6 +453,11 @@ func (c *Cluster) problemFor(model DelayModel) (*core.Problem, error) {
 		if err != nil {
 			return nil, err
 		}
+		for i, d := range row {
+			if !repair.FiniteNonNeg(d) {
+				return nil, fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want finite >= 0", c.clientIDs[j], c.serverIDs[i], d)
+			}
+		}
 		switch {
 		case coord != nil:
 			coord.AppendClient(row)
@@ -543,6 +548,49 @@ func (c *Cluster) resolveSparseRTTs(owner string, rtts map[string]float64) ([]in
 		}
 	}
 	return srvs, vals, nil
+}
+
+// resolveRTTRow turns a ClientSpec's RTTs (map or dense row) into a dense
+// row in server order, writing into buf when it has capacity. lookup
+// resolves a server ID to its dense index. It resolves only: the builder
+// range-checks the row itself, a session's Machine.Check does. The returned
+// slice may alias spec.RTTRow or buf — callers must copy to retain (the
+// planner always copies).
+func resolveRTTRow(owner string, spec ClientSpec, serverIDs []string, lookup func(string) (int, bool), buf []float64) ([]float64, error) {
+	m := len(serverIDs)
+	if (spec.RTTs == nil) == (spec.RTTRow == nil) {
+		return nil, fmt.Errorf("dvecap: client %q: set exactly one of RTTs and RTTRow", owner)
+	}
+	if spec.RTTRow != nil {
+		if len(spec.RTTRow) != m {
+			return nil, fmt.Errorf("dvecap: client %q RTT row has %d entries, want %d", owner, len(spec.RTTRow), m)
+		}
+		return spec.RTTRow, nil
+	}
+	if cap(buf) < m {
+		buf = make([]float64, m)
+	}
+	buf = buf[:m]
+	if len(spec.RTTs) != m {
+		for sid := range spec.RTTs {
+			if _, ok := lookup(sid); !ok {
+				return nil, fmt.Errorf("dvecap: client %q RTT: %w %q", owner, ErrUnknownServer, sid)
+			}
+		}
+		for _, sid := range serverIDs {
+			if _, ok := spec.RTTs[sid]; !ok {
+				return nil, fmt.Errorf("dvecap: client %q missing RTT to server %q", owner, sid)
+			}
+		}
+	}
+	for sid, d := range spec.RTTs {
+		i, ok := lookup(sid)
+		if !ok {
+			return nil, fmt.Errorf("dvecap: client %q RTT: %w %q", owner, ErrUnknownServer, sid)
+		}
+		buf[i] = d
+	}
+	return buf, nil
 }
 
 // Solve runs the named two-phase algorithm ("RanZ-VirC", "RanZ-GreC",

@@ -174,18 +174,13 @@ func (s *ClusterSession) Join(id string, spec ClientSpec) (err error) {
 	return s.commit(&repair.Event{Op: repair.OpJoin, ID: id, Zone: spec.Zone, RT: spec.BandwidthMbps, Row: row})
 }
 
-// resolveJoin validates one client admission against the current topology
-// and resolves its delay row — shared by Join and JoinBatch. The returned
-// row may alias s.rowBuf or spec.RTTRow.
+// resolveJoin resolves one joining client's RTTs to a dense delay row in
+// the current server order — shared by Join and JoinBatch. An unknown zone
+// is named before any RTT resolution error. The returned row may alias
+// s.rowBuf or spec.RTTRow.
 func (s *ClusterSession) resolveJoin(id string, spec ClientSpec) ([]float64, error) {
-	if err := repair.CheckClientID(id); err != nil {
-		return nil, fmt.Errorf("dvecap: %w", err)
-	}
 	if _, err := s.zone(spec.Zone); err != nil {
 		return nil, err
-	}
-	if !repair.FinitePos(spec.BandwidthMbps) {
-		return nil, fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want finite > 0", id, spec.BandwidthMbps)
 	}
 	return resolveRTTRow(id, spec, s.binding.ServerNames(), s.binding.ServerIndexOf, s.scratchRow())
 }
@@ -240,9 +235,6 @@ func (s *ClusterSession) Leave(id string) (err error) {
 // repairs around both the vacated and the entered zone.
 func (s *ClusterSession) Move(id, zone string) (err error) {
 	defer s.span("move", "id", id, "zone", zone)(&err)
-	if _, err := s.zone(zone); err != nil {
-		return err
-	}
 	return s.commit(&repair.Event{Op: repair.OpMove, ID: id, Zone: zone})
 }
 
@@ -263,14 +255,6 @@ func (s *ClusterSession) LeaveBatch(ids []string) (err error) {
 // before anything is applied: an error means no client moved.
 func (s *ClusterSession) MoveBatch(ids []string, zones []string) (err error) {
 	defer s.span("move_batch", "n", len(ids))(&err)
-	if len(zones) != len(ids) {
-		return fmt.Errorf("dvecap: move batch has %d ids but %d zones", len(ids), len(zones))
-	}
-	for _, zid := range zones {
-		if _, err := s.zone(zid); err != nil {
-			return err
-		}
-	}
 	return s.commit(&repair.Event{Op: repair.OpMoveBatch, IDs: ids, Zones: zones})
 }
 
@@ -297,22 +281,14 @@ func (s *ClusterSession) AddSpareServer(id string, spec ServerSpec) (err error) 
 	return s.addServer(id, spec, true)
 }
 
+// addServer resolves the server's per-pair RTTs to a dense inter-server row.
 func (s *ClusterSession) addServer(id string, spec ServerSpec, spare bool) error {
-	if id == "" {
-		return fmt.Errorf("dvecap: empty server ID")
-	}
-	if !repair.FinitePos(spec.CapacityMbps) {
-		return fmt.Errorf("dvecap: server %q capacity %v, want finite > 0", id, spec.CapacityMbps)
-	}
 	names := s.binding.ServerNames()
 	ss := make([]float64, len(names))
 	for i, sid := range names {
 		d, ok := spec.RTTs[sid]
 		if !ok {
 			return fmt.Errorf("dvecap: server %q missing RTT to server %q", id, sid)
-		}
-		if !repair.FiniteNonNeg(d) {
-			return fmt.Errorf("dvecap: server %q RTT to %q is %v ms, want finite >= 0", id, sid, d)
 		}
 		ss[i] = d
 	}
@@ -327,11 +303,6 @@ func (s *ClusterSession) addServer(id string, spec ServerSpec, spare bool) error
 			continue
 		}
 		return fmt.Errorf("dvecap: server %q RTT: %w %q", id, ErrUnknownServer, sid)
-	}
-	for cid, d := range spec.ClientRTTs {
-		if !repair.FiniteNonNeg(d) {
-			return fmt.Errorf("dvecap: server %q RTT from client %q is %v ms, want finite >= 0", id, cid, d)
-		}
 	}
 	// The event carries the resolved dense inter-server row, in the server
 	// order of its LSN — which is the order replay sees too.
@@ -372,18 +343,17 @@ func (s *ClusterSession) UncordonServer(id string) (err error) {
 // spec.Adjacency seeds the zone's interaction edges to existing zones.
 func (s *ClusterSession) AddZone(id string, spec ZoneSpec) (err error) {
 	defer s.span("zone_add", "zone", id)(&err)
-	if id == "" {
-		return fmt.Errorf("dvecap: empty zone ID")
-	}
 	// Validate the adjacency seed before journaling anything, so a bad spec
-	// leaves neither the zone nor a partial edge set behind.
+	// leaves neither the zone nor a partial edge set behind: the seed edges
+	// are events of their own, naming a zone Check cannot see yet. A seed
+	// creates its edge, so it takes the add form's weight range.
 	neighbors := make([]string, 0, len(spec.Adjacency))
 	for zid, w := range spec.Adjacency {
 		if _, err := s.zone(zid); err != nil {
 			return err
 		}
-		if !repair.FinitePos(w) {
-			return fmt.Errorf("dvecap: zone %q adjacency to %q weight %v, want finite > 0", id, zid, w)
+		if err := repair.CheckEdge(repair.OpAddAdjacency, id, zid, w); err != nil {
+			return fmt.Errorf("dvecap: %w", err)
 		}
 		neighbors = append(neighbors, zid)
 	}
@@ -409,9 +379,6 @@ func (s *ClusterSession) AddZone(id string, spec ZoneSpec) (err error) {
 // session's traffic weight at 0 the edge only feeds the traffic telemetry.
 func (s *ClusterSession) SetZoneAdjacency(zone1, zone2 string, weightMbps float64) (err error) {
 	defer s.span("adjacency_set", "zone", zone1, "zone2", zone2)(&err)
-	if err := s.adjacencyPair(zone1, zone2, weightMbps, true); err != nil {
-		return err
-	}
 	return s.commit(&repair.Event{Op: repair.OpSetAdjacency, Zone: zone1, Zone2: zone2, Weight: weightMbps})
 }
 
@@ -421,28 +388,7 @@ func (s *ClusterSession) SetZoneAdjacency(zone1, zone2 string, weightMbps float6
 // did not exist. Same bookkeeping-only semantics as SetZoneAdjacency.
 func (s *ClusterSession) AddAdjacencyWeight(zone1, zone2 string, deltaMbps float64) (err error) {
 	defer s.span("adjacency_add", "zone", zone1, "zone2", zone2)(&err)
-	if err := s.adjacencyPair(zone1, zone2, deltaMbps, false); err != nil {
-		return err
-	}
 	return s.commit(&repair.Event{Op: repair.OpAddAdjacency, Zone: zone1, Zone2: zone2, Weight: deltaMbps})
-}
-
-// adjacencyPair validates one adjacency edge's endpoints and weight (zeroOK
-// admits the edge-removing weight 0 of the set form).
-func (s *ClusterSession) adjacencyPair(zone1, zone2 string, w float64, zeroOK bool) error {
-	if _, err := s.zone(zone1); err != nil {
-		return err
-	}
-	if _, err := s.zone(zone2); err != nil {
-		return err
-	}
-	if zone1 == zone2 {
-		return fmt.Errorf("dvecap: self-adjacency on zone %q", zone1)
-	}
-	if !(repair.FinitePos(w) || (zeroOK && w == 0)) {
-		return fmt.Errorf("dvecap: adjacency (%q,%q) weight %v out of range", zone1, zone2, w)
-	}
-	return nil
 }
 
 // TrafficCut returns the summed weight of interaction edges whose endpoint
@@ -505,9 +451,6 @@ func (s *ClusterSession) UpdateDelays(id string, rtts map[string]float64) (err e
 	if len(rtts) == 0 {
 		return nil
 	}
-	if err := validateRTTRow(id, row); err != nil {
-		return err
-	}
 	// The event carries the MERGED dense row: replay must not depend on what
 	// the row held before the crash-era partial refresh.
 	return s.commit(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: row})
@@ -517,11 +460,6 @@ func (s *ClusterSession) UpdateDelays(id string, rtts map[string]float64) (err e
 // — the matrix-supplied form, replacing every measurement at once.
 func (s *ClusterSession) UpdateDelayRow(id string, rtts []float64) (err error) {
 	defer s.span("delay_row", "id", id)(&err)
-	if len(rtts) == s.NumServers() {
-		if err := validateRTTRow(id, rtts); err != nil {
-			return err
-		}
-	}
 	return s.commit(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: rtts})
 }
 
@@ -533,11 +471,6 @@ func (s *ClusterSession) UpdateDelayRow(id string, rtts []float64) (err error) {
 // column counts as a single repair event.
 func (s *ClusterSession) UpdateServerDelays(server string, rtts map[string]float64) (err error) {
 	defer s.span("delay_column", "server", server, "n", len(rtts))(&err)
-	for cid, d := range rtts {
-		if !repair.FiniteNonNeg(d) {
-			return fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want finite >= 0", cid, server, d)
-		}
-	}
 	if len(rtts) == 0 {
 		// Validates the server ID, applies nothing — not a journaled event.
 		return s.binding.UpdateServerDelays(server, rtts)
@@ -550,9 +483,6 @@ func (s *ClusterSession) UpdateServerDelays(server string, rtts map[string]float
 // a churn event (no repair pass).
 func (s *ClusterSession) SetBandwidth(id string, mbps float64) (err error) {
 	defer s.span("set_bandwidth", "id", id)(&err)
-	if !repair.FinitePos(mbps) {
-		return fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want finite > 0", id, mbps)
-	}
 	return s.commit(&repair.Event{Op: repair.OpSetBandwidth, ID: id, RT: mbps})
 }
 
@@ -562,12 +492,6 @@ func (s *ClusterSession) SetBandwidth(id string, mbps float64) (err error) {
 // every member (see the bandwidth model in DESIGN.md §4).
 func (s *ClusterSession) SetZoneBandwidth(zone string, perClientMbps float64) (err error) {
 	defer s.span("set_zone_bandwidth", "zone", zone)(&err)
-	if _, err := s.zone(zone); err != nil {
-		return err
-	}
-	if !repair.FinitePos(perClientMbps) {
-		return fmt.Errorf("dvecap: zone %q bandwidth %v Mbps, want finite > 0", zone, perClientMbps)
-	}
 	return s.commit(&repair.Event{Op: repair.OpSetZoneBW, Zone: zone, RT: perClientMbps})
 }
 
@@ -693,65 +617,4 @@ func (s *ClusterSession) Result() (*Result, error) {
 	p := pl.Problem()
 	a := pl.Assignment()
 	return newResult(s.m.Algo(), p, a, pl.Evaluator().Metrics(), s.binding.DenseIDs()), nil
-}
-
-// validateRTTRow rejects measurements no delay model admits — negative,
-// NaN or infinite RTTs — before they reach the live planner, whose state is never
-// re-validated wholesale (one-shot solves go through core's
-// Problem.Validate instead).
-func validateRTTRow(owner string, row []float64) error {
-	for i, d := range row {
-		if !repair.FiniteNonNeg(d) {
-			return fmt.Errorf("dvecap: client %q RTT to server %d is %v ms, want finite >= 0", owner, i, d)
-		}
-	}
-	return nil
-}
-
-// resolveRTTRow turns a ClientSpec's RTTs (map or dense row) into a dense
-// row in server order, writing into buf when it has capacity. lookup
-// resolves a server ID to its dense index. The returned slice may alias
-// spec.RTTRow or buf — callers must copy to retain (the planner always
-// copies).
-func resolveRTTRow(owner string, spec ClientSpec, serverIDs []string, lookup func(string) (int, bool), buf []float64) ([]float64, error) {
-	m := len(serverIDs)
-	if (spec.RTTs == nil) == (spec.RTTRow == nil) {
-		return nil, fmt.Errorf("dvecap: client %q: set exactly one of RTTs and RTTRow", owner)
-	}
-	if spec.RTTRow != nil {
-		if len(spec.RTTRow) != m {
-			return nil, fmt.Errorf("dvecap: client %q RTT row has %d entries, want %d", owner, len(spec.RTTRow), m)
-		}
-		if err := validateRTTRow(owner, spec.RTTRow); err != nil {
-			return nil, err
-		}
-		return spec.RTTRow, nil
-	}
-	if cap(buf) < m {
-		buf = make([]float64, m)
-	}
-	buf = buf[:m]
-	if len(spec.RTTs) != m {
-		for sid := range spec.RTTs {
-			if _, ok := lookup(sid); !ok {
-				return nil, fmt.Errorf("dvecap: client %q RTT: %w %q", owner, ErrUnknownServer, sid)
-			}
-		}
-		for _, sid := range serverIDs {
-			if _, ok := spec.RTTs[sid]; !ok {
-				return nil, fmt.Errorf("dvecap: client %q missing RTT to server %q", owner, sid)
-			}
-		}
-	}
-	for sid, d := range spec.RTTs {
-		i, ok := lookup(sid)
-		if !ok {
-			return nil, fmt.Errorf("dvecap: client %q RTT: %w %q", owner, ErrUnknownServer, sid)
-		}
-		if !repair.FiniteNonNeg(d) {
-			return nil, fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want finite >= 0", owner, sid, d)
-		}
-		buf[i] = d
-	}
-	return buf, nil
 }

@@ -9,8 +9,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dvecap/internal/core"
@@ -222,6 +226,171 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 	}
 	if !bytes.Equal(stateM, stateS) {
 		t.Fatalf("states diverged:\nmachine %s\nsession %s", stateM, stateS)
+	}
+}
+
+// TestMalformedCallsRefusedEverywhere sends one malformed call per verb
+// through every surface that has the verb — a durable session, an in-memory
+// session, a director through its Go API and through HTTP — and holds each
+// to the one admission rule (repair.Machine.Check): the call fails, with the
+// sentinel where one applies and the HTTP status the route has always
+// answered, and nothing is journaled or changed. The director names a zone
+// given in a request body as bad input (400), not as a missing resource, so
+// it carries no sentinel there.
+func TestMalformedCallsRefusedEverywhere(t *testing.T) {
+	d, cfg := crossOrigin(t)
+	durable, err := NewCluster(1).Open("GreZ-GreC", WithDurability(cloneDir(t, cfg.DataDir)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := repair.LoadSnapshot(cfg.DataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := clusterFromJSON(&snap.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inMemory, err := c.Open("GreZ-GreC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := director.Handler(d)
+
+	nan, inf := math.NaN(), math.Inf(1)
+	row := func(entries ...float64) []float64 { return entries }
+	peers := map[string]float64{"s0": 10, "s1": 20, "s2": 30, "s3": 40}
+	z := director.ID
+	cases := []struct {
+		name    string
+		session func(s *ClusterSession) error
+		dir     func() error // nil: the director has no such verb
+		method  string       // "": no HTTP route
+		path    string
+		body    string
+		is      error // the sessions' sentinel; nil: none
+		dirIs   error // the director's
+		status  int
+	}{
+		{name: "bandwidth 0", session: func(s *ClusterSession) error { return s.SetBandwidth("c000001", 0) }},
+		{name: "bandwidth NaN", session: func(s *ClusterSession) error { return s.SetBandwidth("c000001", nan) }},
+		{name: "zone bandwidth +Inf", session: func(s *ClusterSession) error { return s.SetZoneBandwidth("z1", inf) }},
+		{name: "join bandwidth 0", session: func(s *ClusterSession) error {
+			return s.Join("nx", ClientSpec{Zone: "z1", BandwidthMbps: 0, RTTRow: row(1, 2, 3, 4)})
+		}},
+		{name: "+Inf RTT in a row",
+			session: func(s *ClusterSession) error { return s.UpdateDelayRow("c000001", row(1, 2, inf, 4)) },
+			dir:     func() error { _, err := d.UpdateDelays("c000001", row(1, 2, inf, 4)); return err },
+			method:  http.MethodPost, path: "/v1/clients/c000001/delays", body: `{"rtts_ms":[1,2,1e999,4]}`, status: http.StatusBadRequest},
+		{name: "+Inf RTT in a join row", session: func(s *ClusterSession) error {
+			return s.Join("nx", ClientSpec{Zone: "z1", BandwidthMbps: 1, RTTRow: row(1, 2, inf, 4)})
+		}},
+		{name: "+Inf RTT in a map", session: func(s *ClusterSession) error {
+			return s.UpdateDelays("c000001", map[string]float64{"s2": inf})
+		}},
+		{name: "+Inf RTT in a server column", session: func(s *ClusterSession) error {
+			return s.UpdateServerDelays("s1", map[string]float64{"c000001": inf})
+		}},
+		{name: "NaN RTT from a client to an added server", session: func(s *ClusterSession) error {
+			return s.AddServer("sx", ServerSpec{CapacityMbps: 50, RTTs: peers, ClientRTTs: map[string]float64{"c000001": nan}})
+		}},
+		{name: "short delay row",
+			session: func(s *ClusterSession) error { return s.UpdateDelayRow("c000001", row(1, 2, 3)) },
+			dir:     func() error { _, err := d.UpdateDelays("c000001", row(1, 2, 3)); return err },
+			method:  http.MethodPost, path: "/v1/clients/c000001/delays", body: `{"rtts_ms":[1,2,3]}`, status: http.StatusBadRequest},
+		{name: "self-edge",
+			session: func(s *ClusterSession) error { return s.SetZoneAdjacency("z1", "z1", 2) },
+			dir:     func() error { _, err := d.SetAdjacency(z("z1"), director.Index(1), 2); return err },
+			method:  http.MethodPost, path: "/v1/adjacency", body: `{"zone1":"z1","zone2":1,"weight_mbps":2}`, status: http.StatusBadRequest},
+		{name: "add-weight 0",
+			session: func(s *ClusterSession) error { return s.AddAdjacencyWeight("z1", "z2", 0) },
+			dir:     func() error { _, err := d.AddAdjacencyWeight(z("z1"), z("z2"), 0); return err },
+			method:  http.MethodPost, path: "/v1/adjacency/add", body: `{"zone1":"z1","zone2":"z2","delta_mbps":0}`, status: http.StatusBadRequest},
+		{name: "unknown zone on Move",
+			session: func(s *ClusterSession) error { return s.Move("c000001", "zq") },
+			dir:     func() error { _, err := d.MoveRef("c000001", z("zq")); return err },
+			method:  http.MethodPost, path: "/v1/clients/c000001/move", body: `{"zone":"zq"}`,
+			is: ErrUnknownZone, status: http.StatusBadRequest},
+		{name: "unknown zone on MoveBatch",
+			session: func(s *ClusterSession) error { return s.MoveBatch([]string{"c000001"}, []string{"zq"}) },
+			dir:     func() error { _, err := d.MoveBatch([]string{"c000001"}, []director.Ref{z("zq")}); return err },
+			is:      ErrUnknownZone},
+		{name: "mismatched batch lengths",
+			session: func(s *ClusterSession) error { return s.MoveBatch([]string{"c000001", "c000002"}, []string{"z1"}) },
+			dir: func() error {
+				_, err := d.MoveBatch([]string{"c000001", "c000002"}, []director.Ref{z("z1")})
+				return err
+			}},
+		{name: "duplicate ID in a batch",
+			session: func(s *ClusterSession) error { return s.LeaveBatch([]string{"c000001", "c000001"}) },
+			dir:     func() error { return d.LeaveBatch([]string{"c000001", "c000001"}) },
+			is:      ErrDuplicateClient, dirIs: ErrDuplicateClient},
+		{name: "duplicate ID in a join batch",
+			session: func(s *ClusterSession) error {
+				spec := ClientSpec{Zone: "z1", BandwidthMbps: 1, RTTRow: row(1, 2, 3, 4)}
+				return s.JoinBatch([]ClientJoin{{ID: "nx", Spec: spec}, {ID: "nx", Spec: spec}})
+			},
+			dir: func() error {
+				_, err := d.JoinBatch([]director.ClientJoin{{ID: "nx", Node: 3, Zone: z("z1")}, {ID: "nx", Node: 4, Zone: z("z1")}})
+				return err
+			},
+			is: ErrDuplicateClient, dirIs: ErrDuplicateClient},
+		{name: "empty server ID", session: func(s *ClusterSession) error {
+			return s.AddServer("", ServerSpec{CapacityMbps: 50, RTTs: peers})
+		}},
+		{name: "capacity 0",
+			session: func(s *ClusterSession) error { return s.AddServer("sx", ServerSpec{CapacityMbps: 0, RTTs: peers}) },
+			dir:     func() error { _, err := d.AddServer(5, 0); return err },
+			method:  http.MethodPost, path: "/v1/servers", body: `{"node":5,"capacity_mbps":0}`, status: http.StatusBadRequest},
+	}
+
+	render := func(m *repair.Machine) []byte {
+		raw, err := m.Render(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	dirState := func() []byte {
+		raw, err := d.DurableState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	refused := func(t *testing.T, surface string, err, is error) {
+		t.Helper()
+		if err == nil || (is != nil && !errors.Is(err, is)) {
+			t.Errorf("%s: err = %v, want a refusal (sentinel %v)", surface, err, is)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			lsn, before := durable.m.NextLSN(), render(durable.m)
+			refused(t, "durable session", tc.session(durable), tc.is)
+			if durable.m.NextLSN() != lsn || !bytes.Equal(render(durable.m), before) {
+				t.Errorf("durable session: refused call journaled or changed state")
+			}
+			before = render(inMemory.m)
+			refused(t, "in-memory session", tc.session(inMemory), tc.is)
+			if !bytes.Equal(render(inMemory.m), before) {
+				t.Errorf("in-memory session: refused call changed state")
+			}
+			records, before := len(journalTail(t, cfg.DataDir)), dirState()
+			if tc.dir != nil {
+				refused(t, "director", tc.dir(), tc.dirIs)
+			}
+			if tc.method != "" {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+				if rec.Code != tc.status {
+					t.Errorf("HTTP %s %s: status %d, want %d (%s)", tc.method, tc.path, rec.Code, tc.status, rec.Body)
+				}
+			}
+			if len(journalTail(t, cfg.DataDir)) != records || !bytes.Equal(dirState(), before) {
+				t.Errorf("director: refused call journaled or changed state")
+			}
+		})
 	}
 }
 

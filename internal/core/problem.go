@@ -125,6 +125,10 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
+// finitePos reports whether v is a finite number > 0 (NaN fails every
+// comparison, so v <= 0 alone would admit it).
+func finitePos(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
 // validateShape is Validate without the delay entries: dimensions, scalars,
 // per-client zone and bandwidth, the inter-server matrix —
 // O(clients + servers² + zones). All a solve needs to index safely; enough
@@ -138,8 +142,8 @@ func (p *Problem) validateShape() error {
 	if p.NumZones <= 0 {
 		return fmt.Errorf("core: problem has %d zones, want > 0", p.NumZones)
 	}
-	if p.D <= 0 {
-		return fmt.Errorf("core: delay bound %v, want > 0", p.D)
+	if !finitePos(p.D) {
+		return fmt.Errorf("core: delay bound %v, want finite > 0", p.D)
 	}
 	for i, c := range p.ServerCaps {
 		if c <= 0 || math.IsNaN(c) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -22,6 +23,8 @@ func TestProblemValidateCatchesCorruption(t *testing.T) {
 		{"no servers", func(p *Problem) { p.ServerCaps = nil }, "no servers"},
 		{"no zones", func(p *Problem) { p.NumZones = 0 }, "zones"},
 		{"bad bound", func(p *Problem) { p.D = 0 }, "delay bound"},
+		{"NaN bound", func(p *Problem) { p.D = math.NaN() }, "delay bound"},
+		{"infinite bound", func(p *Problem) { p.D = math.Inf(1) }, "delay bound"},
 		{"bad capacity", func(p *Problem) { p.ServerCaps[1] = -5 }, "capacity"},
 		{"bad zone index", func(p *Problem) { p.ClientZones[0] = 9 }, "zone"},
 		{"zero RT", func(p *Problem) { p.ClientRT[2] = 0 }, "RT"},

@@ -67,10 +67,8 @@ func (d *Director) adjacency(op repair.EventOp, zone1, zone2 Ref, w float64) (Ad
 	return d.edgeInfo(min(z1, z2), max(z1, z2)), nil
 }
 
-// adjacencyEvent validates an edge mutation before anything is journaled:
-// both zones must exist (404 via ErrUnknownZone), the edge must not be a
-// self-loop, and the weight must be finite and positive (zero allowed only
-// for set, which removes the edge).
+// adjacencyEvent resolves an edge mutation's zones (404 via ErrUnknownZone);
+// the machine admits the edge and its weight.
 func (d *Director) adjacencyEvent(op repair.EventOp, zone1, zone2 Ref, w float64) (*repair.Event, error) {
 	z1, err := d.zoneIndex(zone1)
 	if err != nil {
@@ -79,12 +77,6 @@ func (d *Director) adjacencyEvent(op repair.EventOp, zone1, zone2 Ref, w float64
 	z2, err := d.zoneIndex(zone2)
 	if err != nil {
 		return nil, fmt.Errorf("director: %w", err)
-	}
-	if z1 == z2 {
-		return nil, fmt.Errorf("director: adjacency self-edge (%v,%v)", zone1, zone2)
-	}
-	if !(repair.FinitePos(w) || (op == repair.OpSetAdjacency && w == 0)) {
-		return nil, fmt.Errorf("director: adjacency weight %v, want finite > 0", w)
 	}
 	b := d.m.Binding()
 	return &repair.Event{Op: op, Zone: b.ZoneID(z1), Zone2: b.ZoneID(z2), Weight: w}, nil

@@ -47,7 +47,7 @@ func (d *Director) MoveBatch(ids []string, zones []Ref) ([]ClientInfo, error) {
 }
 
 // batch resolves, commits and answers one batch verb. The whole batch is
-// validated before anything is journaled — an unknown, repeated or (for a
+// admitted before anything is journaled — an unknown, repeated or (for a
 // join) already registered ID, a bad node or zone means nothing happened.
 // nodes is set for a join, zones for a join or a move.
 func (d *Director) batch(op repair.EventOp, ids []string, nodes []int, zones []Ref) ([]ClientInfo, error) {
@@ -63,22 +63,13 @@ func (d *Director) batch(op repair.EventOp, ids []string, nodes []int, zones []R
 		}
 		delta[z] += by
 	}
-	seen := make(map[string]bool, len(ids))
 	for x, id := range ids {
-		if seen[id] {
-			return nil, fmt.Errorf("director: %w %q in batch", ErrDuplicateClient, id)
-		}
-		seen[id] = true
 		if nodes == nil { // leaving or moving: out of its current zone
 			old, err := d.clientZone(id)
 			if err != nil {
 				return nil, err
 			}
 			touch(old, -1)
-		} else if err := repair.CheckClientID(id); err != nil {
-			return nil, fmt.Errorf("director: %w", err)
-		} else if _, err := b.Index(id); err == nil {
-			return nil, fmt.Errorf("director: %w %q", ErrDuplicateClient, id)
 		} else if nodes[x] < 0 || nodes[x] >= d.cfg.Delays.N() {
 			return nil, fmt.Errorf("director: node %d outside topology", nodes[x])
 		} else {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -53,16 +54,26 @@ func TestConfigValidate(t *testing.T) {
 	if err := base.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []func(c *Config){
 		func(c *Config) { c.ServerNodes = nil },
 		func(c *Config) { c.ServerCaps = c.ServerCaps[:1] },
 		func(c *Config) { c.Zones = 0 },
 		func(c *Config) { c.Delays = nil },
 		func(c *Config) { c.DelayBoundMs = 0 },
+		func(c *Config) { c.DelayBoundMs = nan },
+		func(c *Config) { c.DelayBoundMs = inf },
 		func(c *Config) { c.FrameRate = 0 },
+		func(c *Config) { c.FrameRate = nan },
 		func(c *Config) { c.MessageBytes = 0 },
+		func(c *Config) { c.MessageBytes = inf },
+		func(c *Config) { c.DriftPQoS = nan },
+		func(c *Config) { c.DriftUtilSpread = inf },
+		func(c *Config) { c.SnapshotEvery = -1 },
 		func(c *Config) { c.ServerNodes = []int{0, 99} },
 		func(c *Config) { c.ServerCaps = []float64{10, -1} },
+		func(c *Config) { c.ServerCaps = []float64{10, nan} },
+		func(c *Config) { c.ServerCaps = []float64{inf, 10} },
 	}
 	for i, f := range bad {
 		c := base

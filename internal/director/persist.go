@@ -48,7 +48,8 @@ func (c Config) journalConfig() repair.JournalConfig {
 }
 
 // commit is the write path of every mutator, taking a resolver's result:
-// journal the event — append and fsync, BEFORE it is applied, under wmu only,
+// admit the event (Machine.Check — a refused one journals nothing), journal
+// it — append and fsync, BEFORE it is applied, under wmu only,
 // so readers are not behind the disk; apply it through the machine's
 // interpreter with the state lock write-held — the only stretch of a write
 // during which a reader can block; then the durable bookkeeping (epoch
@@ -58,6 +59,9 @@ func (c Config) journalConfig() repair.JournalConfig {
 func (d *Director) commit(e *repair.Event, err error) error {
 	if err != nil {
 		return err
+	}
+	if err := d.m.Check(e); err != nil {
+		return fmt.Errorf("director: %w", err)
 	}
 	start := d.stages.journal.begin()
 	err = d.m.Append(e)

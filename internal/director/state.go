@@ -130,16 +130,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("director: Zones = %d, want > 0", c.Zones)
 	case c.Delays == nil:
 		return fmt.Errorf("director: nil delay matrix")
-	case c.DelayBoundMs <= 0:
-		return fmt.Errorf("director: DelayBoundMs = %v, want > 0", c.DelayBoundMs)
-	case c.FrameRate <= 0:
-		return fmt.Errorf("director: FrameRate = %v, want > 0", c.FrameRate)
-	case c.MessageBytes <= 0:
-		return fmt.Errorf("director: MessageBytes = %v, want > 0", c.MessageBytes)
-	case c.DriftPQoS < 0:
-		return fmt.Errorf("director: DriftPQoS = %v, want >= 0", c.DriftPQoS)
-	case c.DriftUtilSpread < 0:
-		return fmt.Errorf("director: DriftUtilSpread = %v, want >= 0", c.DriftUtilSpread)
+	case !repair.FinitePos(c.DelayBoundMs):
+		return fmt.Errorf("director: DelayBoundMs = %v, want finite > 0", c.DelayBoundMs)
+	case !repair.FinitePos(c.FrameRate):
+		return fmt.Errorf("director: FrameRate = %v, want finite > 0", c.FrameRate)
+	case !repair.FinitePos(c.MessageBytes):
+		return fmt.Errorf("director: MessageBytes = %v, want finite > 0", c.MessageBytes)
+	case !repair.FiniteNonNeg(c.DriftPQoS):
+		return fmt.Errorf("director: DriftPQoS = %v, want finite >= 0", c.DriftPQoS)
+	case !repair.FiniteNonNeg(c.DriftUtilSpread):
+		return fmt.Errorf("director: DriftUtilSpread = %v, want finite >= 0", c.DriftUtilSpread)
 	case !repair.FiniteNonNeg(c.TrafficWeight):
 		return fmt.Errorf("director: TrafficWeight = %v, want finite >= 0", c.TrafficWeight)
 	case c.SnapshotEvery < 0:
@@ -154,8 +154,8 @@ func (c Config) Validate() error {
 		if n < 0 || n >= c.Delays.N() {
 			return fmt.Errorf("director: server %d on node %d outside delay matrix (%d nodes)", i, n, c.Delays.N())
 		}
-		if c.ServerCaps[i] <= 0 {
-			return fmt.Errorf("director: server %d capacity %v, want > 0", i, c.ServerCaps[i])
+		if !repair.FinitePos(c.ServerCaps[i]) {
+			return fmt.Errorf("director: server %d capacity %v, want finite > 0", i, c.ServerCaps[i])
 		}
 	}
 	return nil
@@ -364,11 +364,6 @@ func (d *Director) Join(id string, node, zone int) (ClientInfo, error) {
 func (d *Director) JoinRef(id string, node int, zone Ref) (ClientInfo, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	if id != "" {
-		if err := repair.CheckClientID(id); err != nil {
-			return ClientInfo{}, fmt.Errorf("director: %w", err)
-		}
-	}
 	return d.commitClient(d.joinEvent(id, node, zone, id == ""))
 }
 
@@ -379,8 +374,9 @@ func (d *Director) JoinRef(id string, node int, zone Ref) (ClientInfo, error) {
 // MATERIALIZED id plus the auto flag, so the machine advances the ID
 // sequence on replay exactly as it did live. That holds for an auto-issued
 // ID that collides with a caller-chosen one too: the join has consumed its
-// sequence number, so it is journaled — bare, nothing to apply — and the
-// machine rejects it, live and on replay.
+// sequence number, so it is journaled — bare, nothing to apply; the
+// machine admits it and Apply rejects it, live and on replay. Every other
+// refusal (an invalid or taken ID, a bad row) is the machine's Check.
 func (d *Director) joinEvent(id string, node int, zone Ref, auto bool) (*repair.Event, error) {
 	if node < 0 || node >= d.cfg.Delays.N() {
 		return nil, fmt.Errorf("director: node %d outside topology", node)
@@ -394,10 +390,7 @@ func (d *Director) joinEvent(id string, node int, zone Ref, auto bool) (*repair.
 	}
 	b := d.m.Binding()
 	e := &repair.Event{Op: repair.OpJoin, ID: id, Zone: b.ZoneID(z), Node: node, Auto: auto}
-	if _, err := b.Index(id); err == nil {
-		if !auto {
-			return nil, fmt.Errorf("director: %w %q", ErrDuplicateClient, id)
-		}
+	if _, err := b.Index(id); err == nil && auto {
 		return e, nil
 	}
 	d.csBuf = d.delayRow(d.csBuf[:0], node)
@@ -467,17 +460,6 @@ func (d *Director) moveEvent(id string, zone Ref) (*repair.Event, error) {
 func (d *Director) UpdateDelays(id string, rtts []float64) (ClientInfo, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	if _, err := d.clientZone(id); err != nil {
-		return ClientInfo{}, err
-	}
-	if m := d.planner().NumServers(); len(rtts) != m {
-		return ClientInfo{}, fmt.Errorf("director: delay row has %d entries, want %d", len(rtts), m)
-	}
-	for i, rtt := range rtts {
-		if !repair.FiniteNonNeg(rtt) {
-			return ClientInfo{}, fmt.Errorf("director: RTT to server %d is %v ms, want finite >= 0", i, rtt)
-		}
-	}
 	return d.commitClient(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: rtts}, nil)
 }
 

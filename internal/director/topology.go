@@ -133,9 +133,6 @@ func (d *Director) addServerEvent(node int, capacityMbps float64, spare bool) (*
 	if node < 0 || node >= d.cfg.Delays.N() {
 		return nil, fmt.Errorf("director: node %d outside topology", node)
 	}
-	if !repair.FinitePos(capacityMbps) {
-		return nil, fmt.Errorf("director: capacity %v, want finite > 0", capacityMbps)
-	}
 	b := d.m.Binding()
 	e := &repair.Event{
 		Op:         repair.OpAddServer,

@@ -96,9 +96,9 @@ type Event struct {
 
 	// Refresh lists per-zone bandwidth refreshes applied BEFORE the event's
 	// own step — how a front end with a population-dependent bandwidth model
-	// (the director) keeps a membership change one record and one fsync. A
-	// front end that attaches a refresh has validated the step itself, so a
-	// rejected event never leaves a refresh behind.
+	// (the director) keeps a membership change one record and one fsync.
+	// Machine.Check admits the step before the event is journaled, so an
+	// event refused there never leaves a refresh behind.
 	Refresh []ZoneRT `json:"refresh,omitempty"`
 
 	// Director extras: the topology node a joining client (Nodes: a batch)
@@ -128,6 +128,18 @@ func FiniteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 // FinitePos is FiniteNonNeg for quantities that must be strictly positive
 // (capacities, bandwidths, edge-weight increments).
 func FinitePos(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+// CheckEdge is the range rule for one interaction edge: two distinct zones
+// and a weight finite > 0 — or 0, which removes the edge, on a set.
+func CheckEdge(op EventOp, zone1, zone2 string, w float64) error {
+	if zone1 == zone2 {
+		return fmt.Errorf("self-adjacency on zone %q", zone1)
+	}
+	if !(FinitePos(w) || (op == OpSetAdjacency && w == 0)) {
+		return fmt.Errorf("adjacency (%q,%q) weight %v, want finite > 0", zone1, zone2, w)
+	}
+	return nil
+}
 
 // CheckClientID is the one admission check on a caller-chosen client ID, for
 // both front ends: non-empty, and not a dot segment — "." and ".." cannot be

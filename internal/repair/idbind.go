@@ -63,14 +63,19 @@ func (t *names) indices(ids []string) ([]int, error) {
 }
 
 // fresh refuses IDs that are present or repeated among themselves — what
-// adding them in order would trip over.
+// adding them in order would trip over. A single ID allocates nothing.
 func (t *names) fresh(ids ...string) error {
-	seen := make(map[string]bool, len(ids))
+	var seen map[string]bool
+	if len(ids) > 1 {
+		seen = make(map[string]bool, len(ids))
+	}
 	for _, id := range ids {
 		if _, dup := t.idx[id]; dup || seen[id] {
 			return fmt.Errorf("%w %q", t.dup, id)
 		}
-		seen[id] = true
+		if seen != nil {
+			seen[id] = true
+		}
 	}
 	return nil
 }
@@ -252,9 +257,23 @@ func (b *IDBinding) ZoneNames() []string { return b.zones.ids }
 // values). See Planner.AddServer for the capacity and ss semantics; spare
 // registers a warm spare, cordoned on arrival (Planner.AddSpareServer).
 func (b *IDBinding) AddServer(id string, capacity float64, ss []float64, clientRTTs map[string]float64, spare bool) error {
-	col, err := b.serverColumn(id, clientRTTs)
-	if err != nil {
+	if err := b.servers.fresh(id); err != nil {
 		return err
+	}
+	// The delay column in dense client order, NaN where unmeasured.
+	col := make([]float64, b.pl.NumClients())
+	for i := range col {
+		col[i] = math.NaN()
+	}
+	for cid, d := range clientRTTs {
+		j, ok := b.clients.idx[cid]
+		if !ok {
+			return fmt.Errorf("server %q RTT: %w %q", id, ErrUnknownClient, cid)
+		}
+		if d < 0 {
+			return fmt.Errorf("server %q RTT to client %q is %v ms, want >= 0", id, cid, d)
+		}
+		col[j] = d
 	}
 	add := b.pl.AddServer
 	if spare {
@@ -265,29 +284,6 @@ func (b *IDBinding) AddServer(id string, capacity float64, ss []float64, clientR
 	}
 	b.servers.add(id)
 	return nil
-}
-
-// serverColumn checks an added server's ID and resolves its client RTTs to
-// a delay column in dense client order, NaN where unmeasured.
-func (b *IDBinding) serverColumn(id string, clientRTTs map[string]float64) ([]float64, error) {
-	if err := b.servers.fresh(id); err != nil {
-		return nil, err
-	}
-	col := make([]float64, b.pl.NumClients())
-	for i := range col {
-		col[i] = math.NaN()
-	}
-	for cid, d := range clientRTTs {
-		j, ok := b.clients.idx[cid]
-		if !ok {
-			return nil, fmt.Errorf("server %q RTT: %w %q", id, ErrUnknownClient, cid)
-		}
-		if d < 0 {
-			return nil, fmt.Errorf("server %q RTT to client %q is %v ms, want >= 0", id, cid, d)
-		}
-		col[j] = d
-	}
-	return col, nil
 }
 
 // RemoveServer deletes the server behind id (see Planner.RemoveServer for
@@ -443,32 +439,24 @@ func (b *IDBinding) MoveBatch(ids []string, zones []int) error {
 // Planner.UpdateServerDelayColumn). Clients are applied in sorted-ID
 // order, so the repair outcome is independent of map iteration order.
 func (b *IDBinding) UpdateServerDelays(server string, rtts map[string]float64) error {
-	i, js, ds, err := b.delayColumn(server, rtts)
+	i, err := b.ServerIndex(server)
 	if err != nil || len(rtts) == 0 {
 		return err
-	}
-	return b.pl.UpdateServerDelayColumn(i, js, ds)
-}
-
-// delayColumn resolves an UpdateServerDelays call: the server's index and
-// the clients' indices and delays in sorted-ID order.
-func (b *IDBinding) delayColumn(server string, rtts map[string]float64) (i int, js []int, ds []float64, err error) {
-	if i, err = b.ServerIndex(server); err != nil {
-		return 0, nil, nil, err
 	}
 	ids := make([]string, 0, len(rtts))
 	for cid := range rtts {
 		ids = append(ids, cid)
 	}
 	sort.Strings(ids)
-	if js, err = b.clients.indices(ids); err != nil {
-		return 0, nil, nil, err
+	js, err := b.clients.indices(ids)
+	if err != nil {
+		return err
 	}
-	ds = make([]float64, len(ids))
+	ds := make([]float64, len(ids))
 	for x, cid := range ids {
 		ds[x] = rtts[cid]
 	}
-	return i, js, ds, nil
+	return b.pl.UpdateServerDelayColumn(i, js, ds)
 }
 
 // DenseIDs names the client behind each dense planner index — the one

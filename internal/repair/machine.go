@@ -222,43 +222,156 @@ func (m *Machine) Apply(e *Event) error {
 	return nil
 }
 
-// Check refuses an event Apply would refuse for what it names — an unknown
-// client, server or zone, an added ID that is already present, a repeated
-// batch member — or for a delay row of the wrong length, with the error
-// Apply would return. It changes nothing; a front end that calls it before
-// Append journals no event Apply refuses on those grounds.
-func (m *Machine) Check(e *Event) (err error) {
+// Check is the admission rule for every event, under both front ends, which
+// call it before Append: it refuses, changing nothing, an event that names
+// an unknown client, server or zone on any ID field (refresh list and RTT
+// keys included) or adds a present one, repeats a batch member, carries an
+// empty or inadmissible ID (CheckClientID), a delay row without one entry
+// per server, batch fields of different lengths, a bandwidth or capacity not
+// finite > 0, a delay not finite >= 0, an edge weight not finite > 0 (a set
+// may remove with 0) or a self-edge. The director's auto-ID join that
+// collides with a taken ID passes: it is journaled bare so the ID sequence
+// replays, and Apply rejects it.
+func (m *Machine) Check(e *Event) error {
 	b := m.b
 	for _, r := range e.Refresh {
-		if _, err := b.ZoneIndex(r.Zone); err != nil {
+		if err := b.checkZoneRT(r.Zone, r.RT); err != nil {
 			return err
 		}
 	}
 	switch e.Op {
 	case OpJoin:
-		return b.clients.fresh(e.ID)
-	case OpJoinBatch:
-		return b.clients.fresh(e.IDs...)
-	case OpLeave, OpMove, OpSetBandwidth:
-		_, err = b.Index(e.ID)
-	case OpDelayRow:
-		if _, err = b.Index(e.ID); err == nil && len(e.Row) != b.pl.NumServers() {
-			err = fmt.Errorf("repair: delay row has %d entries, want %d", len(e.Row), b.pl.NumServers())
+		if _, taken := b.clients.idx[e.ID]; taken && e.Auto {
+			return nil
 		}
-	case OpLeaveBatch, OpMoveBatch:
-		_, err = b.batch(e.IDs)
+		return first(b.checkJoin(e.ID, e.Zone, e.RT, e.Row), b.clients.fresh(e.ID))
+	case OpJoinBatch:
+		if n := len(e.IDs); len(e.Zones) != n || len(e.RTs) != n || len(e.Rows) != n || (len(e.Nodes) != 0 && len(e.Nodes) != n) {
+			return fmt.Errorf("repair: batch of %d ids, %d zones, %d bandwidths, %d rows and %d nodes",
+				n, len(e.Zones), len(e.RTs), len(e.Rows), len(e.Nodes))
+		}
+		for x, id := range e.IDs {
+			if err := b.checkJoin(id, e.Zones[x], e.RTs[x], e.Rows[x]); err != nil {
+				return err
+			}
+		}
+		return b.clients.fresh(e.IDs...)
+	case OpLeave:
+		return known(b.Index(e.ID))
+	case OpLeaveBatch:
+		return known(b.batch(e.IDs))
+	case OpMove:
+		var err error
+		if e.RT != 0 { // 0: the mover keeps its bandwidth
+			err = checkRT(e.ID, e.RT)
+		}
+		return first(known(b.ZoneIndex(e.Zone)), known(b.Index(e.ID)), err)
+	case OpMoveBatch:
+		if len(e.Zones) != len(e.IDs) || (len(e.RTs) != 0 && len(e.RTs) != len(e.IDs)) {
+			return fmt.Errorf("repair: batch of %d ids, %d zones and %d bandwidths", len(e.IDs), len(e.Zones), len(e.RTs))
+		}
+		for _, z := range e.Zones {
+			if err := known(b.ZoneIndex(z)); err != nil {
+				return err
+			}
+		}
+		for x, rt := range e.RTs {
+			if err := checkRT(e.IDs[x], rt); err != nil {
+				return err
+			}
+		}
+		return known(b.batch(e.IDs))
+	case OpDelayRow:
+		return first(known(b.Index(e.ID)), b.checkRow("client", e.ID, e.Row))
 	case OpServerDelays:
-		_, _, _, err = b.delayColumn(e.Server, e.RTTs)
+		return first(known(b.ServerIndex(e.Server)), b.checkClientRTTs(e.Server, e.RTTs))
+	case OpSetBandwidth:
+		return first(known(b.Index(e.ID)), checkRT(e.ID, e.RT))
+	case OpSetZoneBW:
+		return b.checkZoneRT(e.Zone, e.RT)
 	case OpAddServer:
-		_, err = b.serverColumn(e.Server, e.ClientRTTs)
+		switch {
+		case e.Server == "":
+			return errors.New("empty server ID")
+		case !FinitePos(e.Capacity):
+			return fmt.Errorf("server %q capacity %v Mbps, want finite > 0", e.Server, e.Capacity)
+		}
+		return first(b.servers.fresh(e.Server), b.checkRow("server", e.Server, e.Row), b.checkClientRTTs(e.Server, e.ClientRTTs))
 	case OpRemoveServer, OpDrainServer, OpUncordon:
-		_, err = b.ServerIndex(e.Server)
+		return known(b.ServerIndex(e.Server))
 	case OpAddZone:
-		_, err = b.zoneHost(e.Zone, e.Host)
+		if e.Zone == "" {
+			return errors.New("empty zone ID")
+		}
+		return known(b.zoneHost(e.Zone, e.Host))
 	case OpRetireZone:
-		_, err = b.ZoneIndex(e.Zone)
+		return known(b.ZoneIndex(e.Zone))
+	case OpSetAdjacency, OpAddAdjacency:
+		return first(known(b.ZoneIndex(e.Zone)), known(b.ZoneIndex(e.Zone2)), CheckEdge(e.Op, e.Zone, e.Zone2, e.Weight))
 	}
-	return err
+	return nil
+}
+
+// known keeps only the error of a lookup.
+func known[T any](_ T, err error) error { return err }
+
+// first returns the first non-nil error, in argument order.
+func first(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkJoin is Check's rule for one joining client but its freshness.
+func (b *IDBinding) checkJoin(id, zone string, rt float64, row []float64) error {
+	return first(CheckClientID(id), known(b.ZoneIndex(zone)), checkRT(id, rt), b.checkRow("client", id, row))
+}
+
+// checkRT refuses a client bandwidth that is not finite > 0.
+func checkRT(id string, rt float64) error {
+	if !FinitePos(rt) {
+		return fmt.Errorf("client %q bandwidth %v Mbps, want finite > 0", id, rt)
+	}
+	return nil
+}
+
+// checkZoneRT refuses an unknown zone or a zone bandwidth not finite > 0.
+func (b *IDBinding) checkZoneRT(zone string, rt float64) error {
+	if _, err := b.ZoneIndex(zone); err != nil || FinitePos(rt) {
+		return err
+	}
+	return fmt.Errorf("zone %q bandwidth %v Mbps, want finite > 0", zone, rt)
+}
+
+// checkRow refuses a dense delay row that is not one finite, non-negative
+// entry per current server; kind and owner name the row's owner.
+func (b *IDBinding) checkRow(kind, owner string, row []float64) error {
+	if m := b.pl.NumServers(); len(row) != m {
+		return fmt.Errorf("repair: delay row has %d entries, want %d", len(row), m)
+	}
+	for i, d := range row {
+		if !FiniteNonNeg(d) {
+			return fmt.Errorf("%s %q RTT to server %q is %v ms, want finite >= 0", kind, owner, b.servers.ids[i], d)
+		}
+	}
+	return nil
+}
+
+// checkClientRTTs refuses client-keyed RTTs naming an unknown client or
+// carrying a delay not finite >= 0.
+func (b *IDBinding) checkClientRTTs(server string, rtts map[string]float64) error {
+	for cid, d := range rtts {
+		if _, ok := b.clients.idx[cid]; !ok {
+			return fmt.Errorf("server %q RTT: %w %q", server, ErrUnknownClient, cid)
+		}
+		if !FiniteNonNeg(d) {
+			return fmt.Errorf("server %q RTT to client %q is %v ms, want finite >= 0", server, cid, d)
+		}
+	}
+	return nil
 }
 
 // Append journals e (encode, append, fsync) — BEFORE Apply. A no-op on a
