@@ -102,8 +102,8 @@ type ClientSpec struct {
 // clients are beyond the delay bound at which servers (DESIGN.md §3). The
 // first GreZ or DynZ solve of a build reads every client's delay row to
 // count them; later Solve and Open calls read only the late clients' rows.
-// Solves under WithEstimationError, WithTrafficWeight or WithZoneAdjacency
-// run on a throwaway copy of the problem and still read every row.
+// Solves under WithEstimationError or WithTrafficWeight run on a throwaway
+// copy of the problem and still read every row.
 type Cluster struct {
 	delayBound float64
 
@@ -119,8 +119,8 @@ type Cluster struct {
 	// adj holds builder-registered interaction edges, keyed by the
 	// canonical (lower, higher) dense zone-index pair; trafficW is the
 	// builder-level traffic weight (SetTrafficWeight). Both feed the
-	// traffic term of DESIGN.md §15; the Solve/Open options
-	// WithZoneAdjacency and WithTrafficWeight layer over them per run.
+	// traffic term of DESIGN.md §15; the Solve/Open option
+	// WithTrafficWeight overrides the weight per run.
 	adj      map[[2]int]float64
 	trafficW float64
 
@@ -485,45 +485,19 @@ func (c *Cluster) problemFor(model DelayModel) (*core.Problem, error) {
 	return p, nil
 }
 
-// problemTrafficFor is problemFor plus the run-scoped traffic options:
-// WithTrafficWeight overrides the builder's weight and WithZoneAdjacency
-// edges overlay the builder's graph, on a shallow copy so the builder's
+// problemTrafficFor is problemFor plus the run-scoped WithTrafficWeight,
+// which overrides the builder's weight on a shallow copy so the builder's
 // cached problem stays untouched.
 func (c *Cluster) problemTrafficFor(cfg config) (*core.Problem, error) {
 	p, err := c.problemFor(cfg.delayModel)
-	if err != nil {
-		return nil, err
+	if err != nil || !cfg.trafficSet {
+		return p, err
 	}
-	if !cfg.trafficSet && len(cfg.adjEdges) == 0 {
-		return p, nil
+	if !repair.FiniteNonNeg(cfg.trafficW) {
+		return nil, fmt.Errorf("dvecap: traffic weight %v, want finite >= 0", cfg.trafficW)
 	}
 	q := *p
-	if cfg.trafficSet {
-		if !repair.FiniteNonNeg(cfg.trafficW) {
-			return nil, fmt.Errorf("dvecap: traffic weight %v, want finite >= 0", cfg.trafficW)
-		}
-		q.TrafficWeight = cfg.trafficW
-	}
-	if len(cfg.adjEdges) > 0 {
-		g := p.Adjacency.Clone()
-		if g == nil {
-			g = interact.New(q.NumZones)
-		}
-		for _, e := range cfg.adjEdges {
-			a, err := c.zoneIndex(e.a)
-			if err != nil {
-				return nil, err
-			}
-			b, err := c.zoneIndex(e.b)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := g.Set(a, b, e.w); err != nil {
-				return nil, fmt.Errorf("dvecap: adjacency (%q,%q): %w", e.a, e.b, err)
-			}
-		}
-		q.Adjacency = g
-	}
+	q.TrafficWeight = cfg.trafficW
 	return &q, nil
 }
 

@@ -2,7 +2,9 @@ package dvecap
 
 import (
 	"errors"
+	"io"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -356,5 +358,49 @@ func TestClusterRejectsInvalidMeasurements(t *testing.T) {
 	}
 	if err := sess.UpdateDelays("ghost", nil); !errors.Is(err, ErrUnknownClient) {
 		t.Fatalf("empty refresh of unknown client: err = %v, want ErrUnknownClient", err)
+	}
+}
+
+// TestClusterRefusesInfiniteServerRTT: a +Inf server↔server RTT, as a matrix
+// or as a pair, is refused where the cluster is built — by Solve, Open
+// (durable or not) and WriteClusterJSON alike, with the one error naming
+// the entry — and not later by a JSON encoder.
+func TestClusterRefusesInfiniteServerRTT(t *testing.T) {
+	inf := math.Inf(1)
+	for _, pair := range []bool{false, true} {
+		c := NewCluster(100)
+		spec := ServerSpec{CapacityMbps: 10}
+		if pair {
+			spec.RTTs = map[string]float64{"b": inf}
+		}
+		for _, err := range []error{
+			c.AddServer("a", spec),
+			c.AddServer("b", ServerSpec{CapacityMbps: 10}),
+			c.AddZone("z"),
+			c.AddClient("c", ClientSpec{Zone: "z", BandwidthMbps: 1, RTTRow: []float64{10, 20}}),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !pair {
+			if err := c.SetServerRTTs([][]float64{{0, inf}, {inf, 0}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir := t.TempDir()
+		_, errSolve := c.Solve("GreZ-GreC")
+		_, errOpen := c.Open("GreZ-GreC")
+		_, errDurable := c.Open("GreZ-GreC", WithDurability(dir))
+		errWrite := c.WriteClusterJSON(io.Discard)
+		const want = "dvecap: invalid cluster: core: SS[0][1] = +Inf, want finite >= 0"
+		for name, err := range map[string]error{"Solve": errSolve, "Open": errOpen, "durable Open": errDurable, "WriteClusterJSON": errWrite} {
+			if err == nil || err.Error() != want {
+				t.Errorf("pair=%v %s: err = %v, want %q", pair, name, err, want)
+			}
+		}
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Errorf("pair=%v: refused durable Open left %d entries (%v)", pair, len(ents), err)
+		}
 	}
 }

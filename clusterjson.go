@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"dvecap/internal/core"
 	"dvecap/internal/repair"
 )
 
@@ -96,25 +95,8 @@ func (c *Cluster) WriteClusterJSON(w io.Writer) error {
 	// The spec format carries full rows: a provider-backed problem
 	// materializes to the dense interchange form.
 	cj := repair.NewClusterJSON(p, c.serverIDs, c.zoneIDs, c.clientIDs, true)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(cj); err != nil {
+	if err := cj.Encode(w); err != nil {
 		return fmt.Errorf("dvecap: encoding cluster spec: %w", err)
 	}
 	return nil
-}
-
-// NewClusterFromProblemJSON replays an anonymous problem JSON — the format
-// of core problem dumps and the director's GET /v1/problem snapshot —
-// through the builder under synthetic IDs (servers "s0"…, zones "z0"…,
-// clients "c0"…), so operators can normalize live-state snapshots into
-// round-trippable cluster specs:
-//
-//	curl …/v1/problem | capassign -in /dev/stdin -dump cluster.json
-func NewClusterFromProblemJSON(r io.Reader) (*Cluster, error) {
-	p, err := core.ReadProblemJSON(r)
-	if err != nil {
-		return nil, fmt.Errorf("dvecap: %w", err)
-	}
-	return denseCluster(p)
 }

@@ -45,14 +45,19 @@ func TestReadClusterJSON(t *testing.T) {
 	}
 }
 
-func TestReadClusterJSONFullMatrix(t *testing.T) {
+// fullMatrixSpecJSON is specJSON with the inter-server RTTs given as one
+// matrix instead of per pair.
+func fullMatrixSpecJSON() string {
 	spec := strings.Replace(specJSON,
 		`{"id": "fra", "capacity_mbps": 100, "rtts_ms": {"nyc": 80}},`,
 		`{"id": "fra", "capacity_mbps": 100},`, 1)
-	spec = strings.Replace(spec, `"zones":`,
+	return strings.Replace(spec, `"zones":`,
 		`"server_rtts_ms": [[0, 80], [80, 0]],
   "zones":`, 1)
-	c, err := ReadClusterJSON(strings.NewReader(spec))
+}
+
+func TestReadClusterJSONFullMatrix(t *testing.T) {
+	c, err := ReadClusterJSON(strings.NewReader(fullMatrixSpecJSON()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +73,19 @@ func TestReadClusterJSONFullMatrix(t *testing.T) {
 }
 
 func TestReadClusterJSONErrors(t *testing.T) {
-	cases := map[string]string{
+	for name, spec := range invalidSpecs() {
+		t.Run(name, func(t *testing.T) {
+			if _, err := ReadClusterJSON(strings.NewReader(spec)); err == nil {
+				t.Fatalf("invalid spec accepted")
+			}
+		})
+	}
+}
+
+// invalidSpecs are specJSON variants the reader must refuse, by what is
+// wrong with them.
+func invalidSpecs() map[string]string {
+	return map[string]string{
 		"malformed":        `{`,
 		"missing pair":     strings.Replace(specJSON, `, "rtts_ms": {"nyc": 80}`, ``, 1),
 		"unknown zone":     strings.Replace(specJSON, `"zone": "plaza"`, `"zone": "atlantis"`, 1),
@@ -79,13 +96,6 @@ func TestReadClusterJSONErrors(t *testing.T) {
 		"uncovered client": strings.Replace(specJSON, `{"fra": 20, "nyc": 95}`, `{"fra": 20}`, 1),
 		"both rtt forms": strings.Replace(specJSON,
 			`"rtt_row_ms": [95, 15]`, `"rtt_row_ms": [95, 15], "rtts_ms": {"fra": 95, "nyc": 15}`, 1),
-	}
-	for name, spec := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := ReadClusterJSON(strings.NewReader(spec)); err == nil {
-				t.Fatalf("invalid spec accepted")
-			}
-		})
 	}
 }
 
@@ -131,42 +141,40 @@ func TestWriteClusterJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClusterFromProblemJSON wraps an anonymous problem dump (the
-// /v1/problem shape) as a cluster with synthetic IDs and round-trips it
-// through the cluster-spec form.
-func TestClusterFromProblemJSON(t *testing.T) {
-	orig, err := ReadClusterJSON(strings.NewReader(specJSON))
-	if err != nil {
-		t.Fatal(err)
+// FuzzReadClusterJSON: the cluster spec is the one instance format, read
+// from files, from GET /v1/problem bodies and, through snapshots, from
+// disk. Arbitrary bytes must never panic the reader; every accepted spec
+// must write, the written spec must re-read and write again to the same
+// bytes, and the spec must solve under GreZ-GreC.
+func FuzzReadClusterJSON(f *testing.F) {
+	for _, spec := range []string{specJSON, fullMatrixSpecJSON(), trafficSpecJSON, `{}`, `garbage`} {
+		f.Add(spec)
 	}
-	po, err := orig.problem()
-	if err != nil {
-		t.Fatal(err)
+	for _, spec := range invalidSpecs() {
+		f.Add(spec)
 	}
-	var probJSON bytes.Buffer
-	if err := po.WriteJSON(&probJSON); err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewClusterFromProblemJSON(&probJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c.ServerIDs(), []string{"s0", "s1"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("synthetic server IDs = %v, want %v", got, want)
-	}
-	var spec bytes.Buffer
-	if err := c.WriteClusterJSON(&spec); err != nil {
-		t.Fatal(err)
-	}
-	reread, err := ReadClusterJSON(bytes.NewReader(spec.Bytes()))
-	if err != nil {
-		t.Fatalf("re-reading problem-derived spec: %v", err)
-	}
-	pr, err := reread.problem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(po, pr) {
-		t.Fatal("problem changed across the problem→cluster→spec round trip")
-	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ReadClusterJSON(strings.NewReader(s))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := c.WriteClusterJSON(&first); err != nil {
+			t.Fatalf("accepted spec does not write: %v", err)
+		}
+		reread, err := ReadClusterJSON(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("written spec does not re-read: %v\n%s", err, first.Bytes())
+		}
+		if err := reread.WriteClusterJSON(&second); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("second write differs (err %v):\n%s\nvs\n%s", err, first.Bytes(), second.Bytes())
+		}
+		res, err := c.Solve("GreZ-GreC", WithSeed(1))
+		if err != nil {
+			t.Fatalf("accepted spec does not solve: %v", err)
+		}
+		if res.PQoS < 0 || res.PQoS > 1 {
+			t.Fatalf("pQoS %v outside [0,1]", res.PQoS)
+		}
+	})
 }

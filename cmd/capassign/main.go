@@ -1,26 +1,21 @@
-// Command capassign solves one client assignment instance. The instance
-// comes either from a generated scenario (the simulation substrate) or
-// from a problem JSON file (e.g. real measurements exported by other
-// tooling); the solution is written as assignment JSON with its metrics.
+// Command capassign solves one client assignment instance through the
+// public dvecap API. The instance is a cluster spec (string IDs, measured
+// RTTs; see dvecap.ReadClusterJSON), read with -cluster or generated from
+// one of the paper's scenarios with -scenario and -seed (servers "s0"…,
+// zones "z0"…, clients "c0"…). The solution is written as JSON keyed by
+// those IDs, with its metrics; the timing line goes to stderr.
 //
 // Usage:
 //
 //	capassign -scenario 20s-80z-1000c-500cp -algorithm GreZ-GreC -seed 7
-//	capassign -in problem.json -algorithm GreZ-VirC -out assignment.json
-//	capassign -in problem.json -exact -deadline 60s
-//	capassign -scenario 5s-15z-200c-100cp -dump-problem problem.json
-//	capassign -cluster cluster.json -algorithm GreZ-GreC
+//	capassign -cluster cluster.json -algorithm GreZ-VirC -out result.json
 //	capassign -cluster cluster.json -dump normalized.json
-//	curl host/v1/problem | capassign -in /dev/stdin -dump cluster.json
+//	capassign -scenario 5s-15z-200c-100cp -dump cluster.json
+//	curl host/v1/problem > live.json && capassign -cluster live.json
 //
-// With -cluster the instance comes from a bring-your-own-infrastructure
-// spec (string IDs, measured RTTs; see dvecap.ReadClusterJSON) and the
-// solution is reported against those IDs. -dump writes the instance back
-// out as a normalized, round-trippable cluster spec instead of solving:
-// with -cluster it normalizes the spec (full RTT matrix, dense client
-// rows), with -in it lifts an anonymous problem JSON — e.g. a director's
-// GET /v1/problem snapshot — into the cluster-spec form under synthetic
-// IDs (servers "s0"…, zones "z0"…, clients "c0"…).
+// -dump writes the instance as a normalized, round-trippable cluster spec
+// (full inter-server matrix, dense client rows) instead of solving it. A
+// director's GET /v1/problem body is already in that form.
 package main
 
 import (
@@ -31,129 +26,60 @@ import (
 	"time"
 
 	"dvecap"
-	"dvecap/internal/core"
-	"dvecap/internal/dve"
-	"dvecap/internal/milp"
-	"dvecap/internal/topology"
-	"dvecap/internal/xrand"
 )
 
 func main() {
 	var (
-		scenario  = flag.String("scenario", "20s-80z-1000c-500cp", "scenario notation to generate (ignored with -in/-world)")
+		scenario  = flag.String("scenario", "20s-80z-1000c-500cp", "scenario notation to generate (ignored with -cluster)")
 		seed      = flag.Uint64("seed", 1, "random seed for generation and algorithms")
-		inFile    = flag.String("in", "", "read a problem JSON instead of generating")
 		cluster   = flag.String("cluster", "", "read a cluster-spec JSON (bring-your-own-infrastructure IDs and RTTs) instead of generating")
-		worldFile = flag.String("world", "", "read a world JSON (see -dump-world) instead of generating")
-		outFile   = flag.String("out", "", "write the assignment JSON here (default stdout)")
-		dumpProb  = flag.String("dump-problem", "", "write the generated problem JSON here and exit")
-		dumpWorld = flag.String("dump-world", "", "write the generated world JSON here and exit")
-		dump      = flag.String("dump", "", "write the instance as a normalized cluster-spec JSON here and exit (with -cluster or -in)")
+		outFile   = flag.String("out", "", "write the result JSON here (default stdout)")
+		dump      = flag.String("dump", "", "write the instance as a normalized cluster-spec JSON here and exit")
 		algorithm = flag.String("algorithm", "GreZ-GreC", "two-phase algorithm (see -list)")
-		exact     = flag.Bool("exact", false, "use the exact branch-and-bound solver instead")
-		deadline  = flag.Duration("deadline", 60*time.Second, "exact-solver deadline")
 		delays    = flag.Bool("delays", false, "include per-client delays in the output")
 		list      = flag.Bool("list", false, "list available algorithms and exit")
 	)
 	flag.Parse()
 
 	if *list {
-		for _, n := range core.AlgorithmNames() {
+		for _, n := range dvecap.Algorithms() {
 			fmt.Println(n)
 		}
 		return
 	}
-
-	if *dump != "" {
-		if err := dumpCluster(*cluster, *inFile, *dump); err != nil {
-			fail(err)
+	c, err := load(*cluster, *scenario, *seed)
+	if err == nil {
+		if *dump != "" {
+			err = dumpCluster(c, *dump)
+		} else {
+			err = solveCluster(c, *algorithm, *seed, *outFile, *delays)
 		}
-		return
 	}
-
-	if *cluster != "" {
-		if err := solveCluster(*cluster, *algorithm, *seed, *outFile, *delays); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	p, world, err := loadOrGenerate(*inFile, *worldFile, *scenario, *seed)
 	if err != nil {
-		fail(err)
+		fmt.Fprintln(os.Stderr, "capassign:", err)
+		os.Exit(1)
 	}
-	if *dumpWorld != "" {
-		if world == nil {
-			fail(fmt.Errorf("-dump-world requires a generated or -world-loaded world (not -in)"))
-		}
-		f, err := os.Create(*dumpWorld)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		if err := world.WriteJSON(f, 500, 0.5); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "capassign: wrote world (%s) to %s\n", world.Cfg.Scenario(), *dumpWorld)
-		return
-	}
-	if *dumpProb != "" {
-		f, err := os.Create(*dumpProb)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		if err := p.WriteJSON(f); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "capassign: wrote problem (%d servers, %d zones, %d clients) to %s\n",
-			p.NumServers(), p.NumZones, p.NumClients(), *dumpProb)
-		return
-	}
-
-	var a *core.Assignment
-	label := *algorithm
-	start := time.Now()
-	if *exact {
-		label = "exact-bb"
-		var iap *milp.IAPResult
-		var rap *milp.RAPResult
-		a, iap, rap, err = milp.SolveCAP(p, milp.SolverOptions{Deadline: *deadline})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "capassign: exact IAP cost %d (optimal=%v, %d nodes), RAP cost %.2f (optimal=%v)\n",
-			iap.Cost, iap.Optimal, iap.Nodes, rap.Cost, rap.Optimal)
-	} else {
-		tp, ok := core.ByName(*algorithm)
-		if !ok {
-			fail(fmt.Errorf("unknown algorithm %q; try -list", *algorithm))
-		}
-		a, err = tp.Solve(xrand.New(*seed), p, core.Options{Overflow: core.SpillLargestResidual})
-		if err != nil {
-			fail(err)
-		}
-	}
-	elapsed := time.Since(start)
-
-	w := os.Stdout
-	if *outFile != "" {
-		f, err := os.Create(*outFile)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := core.WriteAssignmentJSON(w, p, a, label, *delays); err != nil {
-		fail(err)
-	}
-	m := core.Evaluate(p, a)
-	fmt.Fprintf(os.Stderr, "capassign: %s solved %d clients in %s: pQoS %.3f, R %.3f\n",
-		label, p.NumClients(), elapsed.Round(time.Microsecond), m.PQoS, m.Utilization)
 }
 
-// clusterResultJSON reports a -cluster solve against the spec's own IDs.
+// load reads the cluster spec at path, or generates the scenario when path
+// is empty.
+func load(path, scenario string, seed uint64) (*dvecap.Cluster, error) {
+	if path == "" {
+		scn, err := dvecap.NewScenario(dvecap.ScenarioParams{Notation: scenario, Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		return scn.Cluster(), nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return dvecap.ReadClusterJSON(f)
+}
+
+// clusterResultJSON reports a solve against the instance's own IDs.
 type clusterResultJSON struct {
 	Algorithm   string             `json:"algorithm"`
 	PQoS        float64            `json:"pqos"`
@@ -165,38 +91,9 @@ type clusterResultJSON struct {
 	DelaysMs    map[string]float64 `json:"delays_ms,omitempty"`
 }
 
-// dumpCluster writes a normalized, round-trippable cluster spec for the
-// instance behind -cluster (a spec to normalize) or -in (an anonymous
-// problem JSON to lift into the cluster-spec form).
-func dumpCluster(clusterPath, inPath, outPath string) error {
-	var c *dvecap.Cluster
-	switch {
-	case clusterPath != "" && inPath != "":
-		return fmt.Errorf("-dump takes exactly one of -cluster and -in, not both")
-	case clusterPath != "":
-		f, err := os.Open(clusterPath)
-		if err != nil {
-			return err
-		}
-		c, err = dvecap.ReadClusterJSON(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	case inPath != "":
-		f, err := os.Open(inPath)
-		if err != nil {
-			return err
-		}
-		c, err = dvecap.NewClusterFromProblemJSON(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("-dump requires -cluster or -in")
-	}
-	out, err := os.Create(outPath)
+// dumpCluster writes the instance as a normalized cluster spec.
+func dumpCluster(c *dvecap.Cluster, path string) error {
+	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
@@ -205,20 +102,11 @@ func dumpCluster(clusterPath, inPath, outPath string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "capassign: wrote cluster spec (%d servers, %d zones, %d clients) to %s\n",
-		c.NumServers(), c.NumZones(), c.NumClients(), outPath)
+		c.NumServers(), c.NumZones(), c.NumClients(), path)
 	return nil
 }
 
-func solveCluster(path, algorithm string, seed uint64, outFile string, withDelays bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	c, err := dvecap.ReadClusterJSON(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
+func solveCluster(c *dvecap.Cluster, algorithm string, seed uint64, outFile string, withDelays bool) error {
 	start := time.Now()
 	res, err := c.Solve(algorithm, dvecap.WithSeed(seed))
 	if err != nil {
@@ -263,54 +151,7 @@ func solveCluster(path, algorithm string, seed uint64, outFile string, withDelay
 	if err := enc.Encode(out); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "capassign: %s solved cluster of %d clients in %s: pQoS %.3f, R %.3f\n",
+	fmt.Fprintf(os.Stderr, "capassign: %s solved %d clients in %s: pQoS %.3f, R %.3f\n",
 		res.Algorithm, res.Clients, elapsed.Round(time.Microsecond), res.PQoS, res.Utilization)
 	return nil
-}
-
-func loadOrGenerate(inFile, worldFile, scenario string, seed uint64) (*core.Problem, *dve.World, error) {
-	if inFile != "" {
-		f, err := os.Open(inFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		p, err := core.ReadProblemJSON(f)
-		return p, nil, err
-	}
-	if worldFile != "" {
-		f, err := os.Open(worldFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		world, err := dve.ReadWorldJSON(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		return world.Problem(), world, nil
-	}
-	cfg, err := dve.ParseScenario(dve.DefaultConfig(), scenario)
-	if err != nil {
-		return nil, nil, err
-	}
-	rng := xrand.New(seed)
-	g, err := topology.Hier(rng.Split(), topology.DefaultHier())
-	if err != nil {
-		return nil, nil, err
-	}
-	dm, err := topology.NewDelayMatrix(g, 500, 0.5)
-	if err != nil {
-		return nil, nil, err
-	}
-	world, err := dve.BuildWorld(rng.Split(), cfg, g, dm)
-	if err != nil {
-		return nil, nil, err
-	}
-	return world.Problem(), world, nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "capassign:", err)
-	os.Exit(1)
 }

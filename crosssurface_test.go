@@ -9,11 +9,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -392,6 +394,74 @@ func TestMalformedCallsRefusedEverywhere(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestProblemEndpointServesClusterSpec: GET /v1/problem is the director's
+// live state as a normalized cluster spec. After churn, adjacency edits and
+// an added server over HTTP, the body is exactly what WriteClusterJSON
+// writes for the cluster ReadClusterJSON builds from it, names what the
+// director names, and solving it prices the assignment as core.Evaluate
+// does on ProblemSnapshot.
+func TestProblemEndpointServesClusterSpec(t *testing.T) {
+	d, _ := crossOrigin(t)
+	h := director.Handler(d)
+	do := func(method, path, body string, want int) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("%s %s: status %d, want %d (%s)", method, path, rec.Code, want, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	for i, z := range []string{"z1", "z3", "z3", "z6"} {
+		do(http.MethodPost, "/v1/clients", fmt.Sprintf(`{"id":"p%d","node":%d,"zone":%q}`, i, 7+5*i, z), http.StatusCreated)
+	}
+	do(http.MethodPost, "/v1/clients", `{"node":12,"zone":"z2"}`, http.StatusCreated)
+	do(http.MethodPost, "/v1/clients/p1/move", `{"zone":"z5"}`, http.StatusOK)
+	do(http.MethodDelete, "/v1/clients/c000003", "", http.StatusNoContent)
+	do(http.MethodPost, "/v1/adjacency", `{"zone1":"z0","zone2":"z4","weight_mbps":2.5}`, http.StatusOK)
+	do(http.MethodPost, "/v1/adjacency/add", `{"zone1":"z5","zone2":"z1","delta_mbps":0.75}`, http.StatusOK)
+	do(http.MethodPost, "/v1/servers", `{"node":35,"capacity_mbps":55}`, http.StatusCreated)
+	do(http.MethodPost, "/v1/reassign", "", http.StatusOK)
+
+	body := do(http.MethodGet, "/v1/problem", "", http.StatusOK)
+	c, err := ReadClusterJSON(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("reading the served spec: %v\n%s", err, body)
+	}
+	var again bytes.Buffer
+	if err := c.WriteClusterJSON(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, again.Bytes()) {
+		t.Fatalf("served spec is not normalized:\nserved %s\nwritten %s", body, again.Bytes())
+	}
+
+	var ids []string
+	for _, ci := range d.Snapshot() {
+		ids = append(ids, ci.ID)
+	}
+	if got := c.ClientIDs(); !reflect.DeepEqual(got, ids) {
+		t.Fatalf("spec clients %v, director lists %v", got, ids)
+	}
+	if got, want := c.ServerIDs(), []string{"s0", "s1", "s2", "s3", "s4"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("spec servers %v, want %v", got, want)
+	}
+	if got, want := c.ZoneIDs(), []string{"z0", "z1", "z2", "z3", "z4", "z5", "z6", "z7"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("spec zones %v, want %v", got, want)
+	}
+
+	res, err := c.Solve("GreZ-GreC", WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.Evaluate(d.ProblemSnapshot(), &core.Assignment{ZoneServer: res.ZoneServer, ClientContact: res.ClientContact})
+	if m.PQoS != res.PQoS || m.WithQoS != res.WithQoS || m.Utilization != res.Utilization {
+		t.Fatalf("spec solve prices pQoS %v (%d with QoS, R %v); the director's problem prices it %v (%d, R %v)",
+			res.PQoS, res.WithQoS, res.Utilization, m.PQoS, m.WithQoS, m.Utilization)
+	}
+	do(http.MethodPost, "/v1/problem", "", http.StatusMethodNotAllowed)
 }
 
 // machineCommit is the live path of a bare machine, refusing what a front

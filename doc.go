@@ -75,7 +75,7 @@
 // server-to-server broadcast plus a connection handoff per crossing
 // avatar. The optional traffic term (DESIGN.md §15) prices it inside
 // the same lexicographic objective: register an interaction graph
-// (Cluster.SetZoneAdjacency, WithZoneAdjacency, or live through
+// (Cluster.SetZoneAdjacency, or live through
 // ClusterSession.SetZoneAdjacency / AddAdjacencyWeight as zone
 // crossings are observed) and a weight λ (SetTrafficWeight,
 // WithTrafficWeight); quality becomes RAP cost + λ·cut, where cut is

@@ -13,15 +13,15 @@ import (
 // wallClockLine is the one line of capsim's output that differs run to run.
 var wallClockLine = regexp.MustCompile(`(?m)^\[.* completed in .*\]\n`)
 
-// TestGoldenOutputs builds the example programs and capsim and compares
-// their stdout at fixed seeds, byte for byte, with testdata/golden — the
-// user-visible numbers of the generator, the solve facade, a hand-built
-// Cluster's Solve and Open, the session topology verbs, the churn driver's
-// two modes (full re-solves under a handoff freeze among them) and the
-// autoscale loop in one net.
+// TestGoldenOutputs builds the example programs, capsim and capassign and
+// compares their stdout at fixed seeds, byte for byte, with testdata/golden
+// — the user-visible numbers of the generator, the solve facade, a
+// hand-built Cluster's Solve and Open, the session topology verbs, the churn
+// driver's two modes (full re-solves under a handoff freeze among them), the
+// autoscale loop and the one-instance command line in one net.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs ten programs")
+		t.Skip("builds and runs eleven programs")
 	}
 	runs := []struct {
 		golden, pkg string
@@ -37,6 +37,7 @@ func TestGoldenOutputs(t *testing.T) {
 		{"capsim-autoscale", "./cmd/capsim", []string{"-exp", "autoscale", "-reps", "2"}},
 		{"capsim-table3", "./cmd/capsim", []string{"-exp", "table3", "-reps", "2"}},
 		{"capsim-staleness", "./cmd/capsim", []string{"-exp", "staleness", "-reps", "2"}},
+		{"capassign", "./cmd/capassign", []string{"-scenario", "5s-15z-200c-100cp", "-seed", "7"}},
 	}
 	bin := t.TempDir()
 	built := map[string]string{}

@@ -2,16 +2,14 @@ package dvecap
 
 // Whole-system integration test: every major subsystem in one flow —
 // scenario construction, assignment, churn, noisy re-assignment, flow-level
-// validation, world serialisation and reload.
+// validation, cluster-spec serialisation and reload.
 
 import (
 	"bytes"
 	"testing"
 
 	"dvecap/internal/core"
-	"dvecap/internal/dve"
 	"dvecap/internal/flowsim"
-	"dvecap/internal/xrand"
 )
 
 func TestEndToEndLifecycle(t *testing.T) {
@@ -62,46 +60,29 @@ func TestEndToEndLifecycle(t *testing.T) {
 		t.Fatalf("flowsim analytic %v disagrees with facade %v", fres.AnalyticPQoS, after.PQoS)
 	}
 
-	// 6. Serialise the world, reload it, and confirm the problem is
-	// bit-identical (delays are derived deterministically).
+	// 6. Write the churned population as a cluster spec and read it back.
+	c := scn.Cluster()
 	var buf bytes.Buffer
-	if err := scn.world.WriteJSON(&buf, 500, 0.5); err != nil {
+	if err := c.WriteClusterJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := dve.ReadWorldJSON(&buf)
+	reloaded, err := ReadClusterJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := reloaded.Problem()
-	if p2.NumClients() != truth.NumClients() || p2.NumZones != truth.NumZones {
-		t.Fatal("reloaded world shape differs")
-	}
-	for j := range truth.CS {
-		for i := range truth.CS[j] {
-			if truth.CS[j][i] != p2.CS[j][i] {
-				t.Fatalf("reloaded CS[%d][%d] differs", j, i)
-			}
-		}
+	if reloaded.NumClients() != truth.NumClients() || reloaded.NumZones() != truth.NumZones {
+		t.Fatal("reloaded spec shape differs")
 	}
 
-	// 7. The reloaded world solves to the identical assignment under the
-	// same seed (full-pipeline determinism).
-	a1, err := core.GreZGreC.Solve(xrand.New(9), truth, core.Options{Overflow: core.SpillLargestResidual})
+	// 7. The reloaded spec solves to the identical result under the same
+	// seed (full-pipeline determinism).
+	want, err := c.Solve("GreZ-GreC", WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := core.GreZGreC.Solve(xrand.New(9), p2, core.Options{Overflow: core.SpillLargestResidual})
+	got, err := reloaded.Solve("GreZ-GreC", WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for z := range a1.ZoneServer {
-		if a1.ZoneServer[z] != a2.ZoneServer[z] {
-			t.Fatalf("zone %d differs between original and reloaded world", z)
-		}
-	}
-	for j := range a1.ClientContact {
-		if a1.ClientContact[j] != a2.ClientContact[j] {
-			t.Fatalf("contact %d differs between original and reloaded world", j)
-		}
-	}
+	requireSameResult(t, "original vs reloaded spec", got, want)
 }

@@ -146,8 +146,8 @@ func (p *Problem) validateShape() error {
 		return fmt.Errorf("core: delay bound %v, want finite > 0", p.D)
 	}
 	for i, c := range p.ServerCaps {
-		if c <= 0 || math.IsNaN(c) {
-			return fmt.Errorf("core: server %d capacity %v, want > 0", i, c)
+		if !finitePos(c) {
+			return fmt.Errorf("core: server %d capacity %v, want finite > 0", i, c)
 		}
 	}
 	if len(p.ClientRT) != k {
@@ -170,8 +170,8 @@ func (p *Problem) validateShape() error {
 		if z := p.ClientZones[j]; z < 0 || z >= p.NumZones {
 			return fmt.Errorf("core: client %d in zone %d, want [0,%d)", j, z, p.NumZones)
 		}
-		if p.ClientRT[j] <= 0 || math.IsNaN(p.ClientRT[j]) {
-			return fmt.Errorf("core: client %d RT %v, want > 0", j, p.ClientRT[j])
+		if !finitePos(p.ClientRT[j]) {
+			return fmt.Errorf("core: client %d RT %v, want finite > 0", j, p.ClientRT[j])
 		}
 		if p.Delays == nil && len(p.CS[j]) != m {
 			return fmt.Errorf("core: CS row %d has %d entries, want %d", j, len(p.CS[j]), m)
@@ -194,8 +194,8 @@ func (p *Problem) validateShape() error {
 			return fmt.Errorf("core: SS diagonal [%d] = %v, want 0", i, p.SS[i][i])
 		}
 		for kk, d := range p.SS[i] {
-			if d < 0 || math.IsNaN(d) {
-				return fmt.Errorf("core: SS[%d][%d] = %v invalid", i, kk, d)
+			if !(d >= 0) || math.IsInf(d, 1) {
+				return fmt.Errorf("core: SS[%d][%d] = %v, want finite >= 0", i, kk, d)
 			}
 		}
 	}

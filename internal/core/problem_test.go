@@ -26,12 +26,15 @@ func TestProblemValidateCatchesCorruption(t *testing.T) {
 		{"NaN bound", func(p *Problem) { p.D = math.NaN() }, "delay bound"},
 		{"infinite bound", func(p *Problem) { p.D = math.Inf(1) }, "delay bound"},
 		{"bad capacity", func(p *Problem) { p.ServerCaps[1] = -5 }, "capacity"},
+		{"infinite capacity", func(p *Problem) { p.ServerCaps[1] = math.Inf(1) }, "capacity"},
 		{"bad zone index", func(p *Problem) { p.ClientZones[0] = 9 }, "zone"},
 		{"zero RT", func(p *Problem) { p.ClientRT[2] = 0 }, "RT"},
+		{"infinite RT", func(p *Problem) { p.ClientRT[2] = math.Inf(1) }, "RT"},
 		{"ragged CS", func(p *Problem) { p.CS[1] = p.CS[1][:1] }, "CS row"},
 		{"negative CS", func(p *Problem) { p.CS[0][1] = -1 }, "CS[0][1]"},
 		{"ragged SS", func(p *Problem) { p.SS[0] = p.SS[0][:1] }, "SS row"},
 		{"SS diagonal", func(p *Problem) { p.SS[1][1] = 3 }, "diagonal"},
+		{"infinite SS", func(p *Problem) { p.SS[0][1] = math.Inf(1) }, "SS[0][1]"},
 		{"RT length", func(p *Problem) { p.ClientRT = p.ClientRT[:1] }, "RT entries"},
 	}
 	for _, tc := range cases {

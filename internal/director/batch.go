@@ -90,7 +90,7 @@ func (d *Director) batch(op repair.EventOp, ids []string, nodes []int, zones []R
 		}
 	}
 	for _, z := range dest {
-		e.RTs = append(e.RTs, d.zoneClientRT(d.zonePop(z)+delta[z]))
+		e.RTs = append(e.RTs, d.bw.ClientRTMbps(d.zonePop(z)+delta[z]))
 	}
 	if err := d.commit(e, nil); err != nil || zones == nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"dvecap/internal/core"
+	"dvecap/internal/repair"
 	"dvecap/internal/topology"
 	"dvecap/internal/xrand"
 )
@@ -452,20 +453,33 @@ func TestProblemSnapshotEndpoint(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	p, err := core.ReadProblemJSON(resp.Body)
-	if err != nil {
+	var spec repair.ClusterJSON
+	if err := json.NewDecoder(resp.Body).Decode(&spec); err != nil {
 		t.Fatal(err)
 	}
-	if p.NumClients() != 30 || p.NumZones != 8 || p.NumServers() != 4 {
-		t.Fatalf("snapshot shape: %d/%d/%d", p.NumClients(), p.NumZones, p.NumServers())
+	if len(spec.Clients) != 30 || len(spec.Zones) != 8 || len(spec.Servers) != 4 {
+		t.Fatalf("spec shape: %d/%d/%d", len(spec.Clients), len(spec.Zones), len(spec.Servers))
 	}
-	// The snapshot must be solvable offline end to end.
-	a, err := core.GreZGreC.Solve(xrand.New(1), p, core.Options{Overflow: core.SpillLargestResidual})
-	if err != nil {
-		t.Fatal(err)
+	// The spec is the live problem under the director's IDs: servers and
+	// zones as listed, clients in Snapshot order with their delay rows.
+	p, snap := d.ProblemSnapshot(), d.Snapshot()
+	if spec.DelayBoundMs != p.D || !reflect.DeepEqual(spec.ServerRTTsMs, p.SS) {
+		t.Fatalf("bound %v / inter-server matrix %v, want %v / %v", spec.DelayBoundMs, spec.ServerRTTsMs, p.D, p.SS)
 	}
-	if m := core.Evaluate(p, a); m.PQoS < 0 || m.PQoS > 1 {
-		t.Fatalf("pQoS %v", m.PQoS)
+	for i, s := range spec.Servers {
+		if s.ID != fmt.Sprintf("s%d", i) || s.CapacityMbps != p.ServerCaps[i] {
+			t.Fatalf("server %d: %+v", i, s)
+		}
+	}
+	for z, id := range spec.Zones {
+		if id != fmt.Sprintf("z%d", z) {
+			t.Fatalf("zone %d named %q", z, id)
+		}
+	}
+	for j, c := range spec.Clients {
+		if c.ID != snap[j].ID || c.Zone != snap[j].ZoneID || c.BandwidthMbps != p.ClientRT[j] || !reflect.DeepEqual(c.RTTRowMs, p.CS[j]) {
+			t.Fatalf("client %d: %+v, want %+v with bandwidth %v and row %v", j, c, snap[j], p.ClientRT[j], p.CS[j])
+		}
 	}
 }
 
@@ -1067,9 +1081,9 @@ func TestHTTPAdjacencyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdjacencyExportsWithProblem asserts GET /v1/problem carries the
-// interaction graph and traffic weight, so offline analysis prices the
-// snapshot exactly as the live planner does.
+// TestAdjacencyExportsWithProblem asserts the problem snapshot and the
+// GET /v1/problem spec carry the interaction graph, so offline analysis
+// prices the snapshot exactly as the live planner does.
 func TestAdjacencyExportsWithProblem(t *testing.T) {
 	d := testDirector(t)
 	if _, err := d.Join("a", 12, 2); err != nil {
@@ -1082,15 +1096,13 @@ func TestAdjacencyExportsWithProblem(t *testing.T) {
 	if p.Adjacency == nil || p.Adjacency.NumEdges() != 1 || p.Adjacency.Weight(2, 3) != 4 {
 		t.Fatalf("problem snapshot lost the adjacency graph: %+v", p.Adjacency)
 	}
-	var buf strings.Builder
-	if err := p.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	Handler(d).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/problem", nil))
+	var spec repair.ClusterJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &spec); err != nil {
+		t.Fatalf("GET /v1/problem: %v (%d %s)", err, rec.Code, rec.Body)
 	}
-	rt, err := core.ReadProblemJSON(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Adjacency == nil || rt.Adjacency.Weight(2, 3) != 4 {
-		t.Fatalf("adjacency did not round-trip through problem JSON")
+	if want := []repair.AdjacencyJSON{{Zone1: "z2", Zone2: "z3", WeightMbps: 4}}; !reflect.DeepEqual(spec.ZoneAdjacency, want) {
+		t.Fatalf("spec adjacency %+v, want %+v", spec.ZoneAdjacency, want)
 	}
 }

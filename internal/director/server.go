@@ -95,14 +95,16 @@ func Handler(d *Director) http.Handler {
 		}
 	})
 	mux.HandleFunc("/v1/problem", func(w http.ResponseWriter, r *http.Request) {
-		// Snapshot the live state as a problem JSON, so operators can run
-		// the exact solver (or any offline analysis) against production
-		// reality: curl …/v1/problem | capassign -in /dev/stdin -exact
+		// The live state as a cluster spec under the director's own IDs —
+		// the one instance format, byte for byte what dvecap's
+		// WriteClusterJSON writes for it — so operators can solve or
+		// analyse production reality offline:
+		// curl …/v1/problem > live.json && capassign -cluster live.json
 		if !allow(w, r, http.MethodGet) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := d.ProblemSnapshot().WriteJSON(w); err != nil {
+		if err := d.ClusterSpec().Encode(w); err != nil {
 			// Headers (and part of the body) are already on the wire, so the
 			// client sees a torn 200 — all we can do is make the failure
 			// visible on the server side instead of swallowing it.

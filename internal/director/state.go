@@ -21,6 +21,7 @@ import (
 
 	"dvecap/internal/autoscale"
 	"dvecap/internal/core"
+	"dvecap/internal/dve"
 	"dvecap/internal/repair"
 	"dvecap/internal/topology"
 	"dvecap/internal/xrand"
@@ -185,6 +186,9 @@ type Director struct {
 	// describe the INITIAL deployment only; the live topology is the machine's.
 	cfg  Config
 	algo core.TwoPhase
+	// bw prices a zone's clients by its population: dve's bandwidth model
+	// at Config.FrameRate and MessageBytes.
+	bw dve.Config
 
 	wmu sync.Mutex   // write sequencer; alone guards the writer-only fields below
 	mu  sync.RWMutex // state lock
@@ -276,7 +280,8 @@ func New(cfg Config) (*Director, error) {
 
 // newDirector wraps a ready machine — fresh or recovered.
 func newDirector(cfg Config, algo core.TwoPhase, m *repair.Machine) *Director {
-	d := &Director{cfg: cfg, algo: algo, m: m, log: cfg.Logger, tele: cfg.Telemetry, trace: cfg.Trace}
+	d := &Director{cfg: cfg, algo: algo, m: m, log: cfg.Logger, tele: cfg.Telemetry, trace: cfg.Trace,
+		bw: dve.Config{FrameRate: cfg.FrameRate, MessageBytes: cfg.MessageBytes}}
 	if d.log == nil {
 		d.log = slog.New(slog.DiscardHandler)
 	}
@@ -394,7 +399,7 @@ func (d *Director) joinEvent(id string, node int, zone Ref, auto bool) (*repair.
 		return e, nil
 	}
 	d.csBuf = d.delayRow(d.csBuf[:0], node)
-	e.RT, e.Row = d.zoneClientRT(d.zonePop(z)+1), d.csBuf
+	e.RT, e.Row = d.bw.ClientRTMbps(d.zonePop(z)+1), d.csBuf
 	e.Refresh = append(d.refBuf[:0], repair.ZoneRT{Zone: e.Zone, RT: e.RT})
 	return e, nil
 }
@@ -446,7 +451,7 @@ func (d *Director) moveEvent(id string, zone Ref) (*repair.Event, error) {
 	e := &repair.Event{Op: repair.OpMove, ID: id, Zone: d.m.Binding().ZoneID(z)}
 	if z != old {
 		e.Refresh = d.repriced(d.repriced(d.refBuf[:0], old, -1), z, +1)
-		e.RT = d.zoneClientRT(d.zonePop(z) + 1)
+		e.RT = d.bw.ClientRTMbps(d.zonePop(z) + 1)
 	}
 	return e, nil
 }
@@ -475,21 +480,11 @@ func (d *Director) delayRow(dst []float64, node int) []float64 {
 // zonePop is the zone's current population.
 func (d *Director) zonePop(z int) int { return len(d.planner().Evaluator().ZoneClients(z)) }
 
-// zoneClientRT is the bandwidth requirement of one client of a zone holding
-// pop clients.
-func (d *Director) zoneClientRT(pop int) float64 {
-	if pop == 0 {
-		pop = 1
-	}
-	bytesPerSec := d.cfg.FrameRate * (d.cfg.MessageBytes + float64(pop)*d.cfg.MessageBytes)
-	return bytesPerSec * 8 / 1e6
-}
-
 // repriced appends to rs the bandwidth refresh zone z needs once its
 // population has changed by delta — none when that empties it.
 func (d *Director) repriced(rs []repair.ZoneRT, z, delta int) []repair.ZoneRT {
 	if pop := d.zonePop(z) + delta; pop > 0 {
-		rs = append(rs, repair.ZoneRT{Zone: d.m.Binding().ZoneID(z), RT: d.zoneClientRT(pop)})
+		rs = append(rs, repair.ZoneRT{Zone: d.m.Binding().ZoneID(z), RT: d.bw.ClientRTMbps(pop)})
 	}
 	return rs
 }
@@ -670,6 +665,17 @@ func (d *Director) ProblemSnapshot() *core.Problem {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.problemLocked()
+}
+
+// ClusterSpec exports the live state as a cluster spec under the
+// director's IDs — servers and zones as listed, clients in Snapshot order,
+// each with its dense delay row: the body of GET /v1/problem. It is built
+// from ProblemSnapshot's copy, so it aliases no live state.
+func (d *Director) ClusterSpec() repair.ClusterJSON {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	b := d.m.Binding()
+	return repair.NewClusterJSON(d.problemLocked(), b.ServerNames(), b.ZoneNames(), b.DenseIDs(), true)
 }
 
 // Snapshot lists all clients in the planner's dense order — a function of

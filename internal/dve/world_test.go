@@ -283,3 +283,54 @@ func TestProblemSnapshotIsolatedFromWorld(t *testing.T) {
 		t.Fatal("problem snapshot aliases world state")
 	}
 }
+
+func TestNewWorldFromPartsValidates(t *testing.T) {
+	g, dm := testTopo(t)
+	cfg := testConfig()
+	nodes := []int{0, 1, 2, 3, 4}
+	caps := []float64{40, 40, 40, 40, 40}
+	clientNodes := []int{0, 1, 2}
+	clientZones := []int{0, 1, 2}
+	w, err := NewWorldFromParts(cfg, g, dm, nodes, caps, clientNodes, clientZones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.NumClients() != 3 || w.Cfg.Servers != 5 {
+		t.Fatalf("shape: %d clients, %d servers", w.NumClients(), w.Cfg.Servers)
+	}
+	// Out-of-range zone rejected.
+	if _, err := NewWorldFromParts(cfg, g, dm, nodes, caps, []int{0}, []int{999}); err == nil {
+		t.Fatal("bad zone accepted")
+	}
+	// Duplicate server node rejected.
+	if _, err := NewWorldFromParts(cfg, g, dm, []int{0, 0, 1, 2, 3}, caps, clientNodes, clientZones); err == nil {
+		t.Fatal("duplicate server node accepted")
+	}
+}
+
+func TestSetClientZones(t *testing.T) {
+	g, dm := testTopo(t)
+	w, err := BuildWorld(xrand.New(44), testConfig(), g, dm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zones := make([]int, w.NumClients())
+	for i := range zones {
+		zones[i] = i % w.Cfg.Zones
+	}
+	if err := w.SetClientZones(zones); err != nil {
+		t.Fatal(err)
+	}
+	for i := range zones {
+		if w.ClientZones[i] != i%w.Cfg.Zones {
+			t.Fatalf("zone %d not applied", i)
+		}
+	}
+	if err := w.SetClientZones(zones[:1]); err == nil {
+		t.Fatal("short zone vector accepted")
+	}
+	zones[0] = -1
+	if err := w.SetClientZones(zones); err == nil {
+		t.Fatal("negative zone accepted")
+	}
+}

@@ -277,35 +277,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// State is the graph's serializable form: the zone count and the canonical
-// edge list. Round-trips bit-identically through New+FromState.
-type State struct {
-	NumZones int    `json:"num_zones"`
-	Edges    []Edge `json:"edges,omitempty"`
-}
-
-// State captures the graph.
-func (g *Graph) State() *State {
-	return &State{NumZones: len(g.nbr), Edges: g.Edges()}
-}
-
-// FromState rebuilds a graph from a captured State, validating every edge.
-func FromState(st *State) (*Graph, error) {
-	if st == nil {
-		return nil, fmt.Errorf("interact: nil state")
-	}
-	g := New(st.NumZones)
-	for _, e := range st.Edges {
-		if e.W == 0 {
-			continue
-		}
-		if _, err := g.Set(e.A, e.B, e.W); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
 func (g *Graph) checkEdge(a, b int, w float64) error {
 	n := len(g.nbr)
 	if a < 0 || a >= n || b < 0 || b >= n {

@@ -1,7 +1,6 @@
 package interact
 
 import (
-	"encoding/json"
 	"math/rand"
 	"testing"
 )
@@ -161,35 +160,6 @@ func TestScaleDecay(t *testing.T) {
 		t.Fatalf("floor did not drop edge: w=%v edges=%d", g.Weight(1, 2), g.NumEdges())
 	}
 	checkSymmetry(t, g)
-}
-
-func TestStateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := New(9)
-	for e := 0; e < 30; e++ {
-		a, b := rng.Intn(9), rng.Intn(9)
-		if a != b {
-			g.Set(a, b, rng.Float64()*10)
-		}
-	}
-	blob, err := json.Marshal(g.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st State
-	if err := json.Unmarshal(blob, &st); err != nil {
-		t.Fatal(err)
-	}
-	back, err := FromState(&st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(g) {
-		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", back.Edges(), g.Edges())
-	}
-	if back.CutWeight([]int{0, 1, 0, 1, 0, 1, 0, 1, 0}) != g.CutWeight([]int{0, 1, 0, 1, 0, 1, 0, 1, 0}) {
-		t.Fatal("cut differs after round-trip")
-	}
 }
 
 func TestCloneIndependent(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 
 	"dvecap/internal/core"
 	"dvecap/internal/interact"
@@ -513,6 +514,15 @@ func NewClusterJSON(p *core.Problem, serverIDs, zoneIDs, clientIDs []string, row
 		}
 	}
 	return cj
+}
+
+// Encode writes the spec as indented JSON: the one encoding of every
+// exported spec (dvecap's Cluster.WriteClusterJSON and the director's
+// GET /v1/problem).
+func (cj ClusterJSON) Encode(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(cj)
 }
 
 // Render renders the machine's full durable state as of lsn. Of everything

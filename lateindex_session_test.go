@@ -164,7 +164,15 @@ func TestClusterSolveReusesLateIndex(t *testing.T) {
 				fills := strings.HasPrefix(algo, "GreZ-") || strings.HasPrefix(algo, "DynZ-")
 				nearC := strings.HasSuffix(algo, "-NearC") // reads every row for the nearest contact
 				base := []Option{WithSeed(3), WithDelayProvider(model)}
-				build := func() *Cluster { return durTestCluster(t, 11) }
+				// Every build carries one interaction edge, which a plain solve
+				// ignores (traffic weight 0) and WithTrafficWeight switches on.
+				build := func() *Cluster {
+					c := durTestCluster(t, 11)
+					if err := c.SetZoneAdjacency("z0", "z1", 3); err != nil {
+						t.Fatal(err)
+					}
+					return c
+				}
 				addClient := func(c *Cluster) {
 					if err := c.AddClient("late-joiner", ClientSpec{Zone: "z2", BandwidthMbps: 0.4,
 						RTTRow: []float64{270, 20, 265, 30}}); err != nil {
@@ -211,7 +219,7 @@ func TestClusterSolveReusesLateIndex(t *testing.T) {
 				saved := clusterLateCopy(c)
 				for _, opts := range [][]Option{
 					{WithEstimationError(1.5)},
-					{WithTrafficWeight(0.5), WithZoneAdjacency("z0", "z1", 3)},
+					{WithTrafficWeight(0.5)},
 				} {
 					fresh := build()
 					if got, want := solve(c, opts...), solve(fresh, opts...); !reflect.DeepEqual(got, want) {

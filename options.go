@@ -79,11 +79,10 @@ type config struct {
 	traceW io.Writer
 	// delayModel selects the delay storage backend (WithDelayProvider).
 	delayModel DelayModel
-	// traffic term (WithTrafficWeight, WithZoneAdjacency): the objective
-	// weight and run-scoped interaction edges layered over the builder's.
+	// traffic term (WithTrafficWeight): the objective weight layered over
+	// the builder's.
 	trafficW   float64
 	trafficSet bool
-	adjEdges   []adjEdge
 	// rng lets Scenario.Assign thread the scenario's own stream through the
 	// engine, so consecutive calls draw from one reproducible sequence.
 	rng *xrand.RNG
@@ -216,13 +215,6 @@ func WithDelayProvider(m DelayModel) Option {
 	return func(c *config) { c.delayModel = m }
 }
 
-// adjEdge is one WithZoneAdjacency edge, resolved against the cluster's
-// zone IDs at Solve/Open time.
-type adjEdge struct {
-	a, b string
-	w    float64
-}
-
 // WithTrafficWeight sets the inter-server traffic weight λ ≥ 0 for this
 // Solve or Open call, overriding the builder's SetTrafficWeight. With
 // λ > 0 and an interaction graph present, every adjacency edge whose
@@ -232,17 +224,6 @@ type adjEdge struct {
 // disables the term: results are bit-identical to a build without it.
 func WithTrafficWeight(w float64) Option {
 	return func(c *config) { c.trafficW = w; c.trafficSet = true }
-}
-
-// WithZoneAdjacency overlays one interaction edge (zone1, zone2, observed
-// cross-zone interaction rate in Mbps) for this Solve or Open call, on top
-// of any edges registered on the builder via SetZoneAdjacency. Pass the
-// option once per edge; a weight of 0 removes the builder's edge. The
-// zones must exist by solve time. The edge only influences placement under
-// WithTrafficWeight(λ > 0); sessions additionally update edges live
-// (ClusterSession.SetZoneAdjacency) as crossings are observed.
-func WithZoneAdjacency(zone1, zone2 string, weightMbps float64) Option {
-	return func(c *config) { c.adjEdges = append(c.adjEdges, adjEdge{zone1, zone2, weightMbps}) }
 }
 
 // WithEstimationError solves against delays perturbed by a multiplicative

@@ -111,11 +111,15 @@ func TestTrafficZeroWeightPublicBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := durTestCluster(t, 11).Solve("GreZ-GreC",
-				WithSeed(3), WithWorkers(workers),
-				WithZoneAdjacency("z0", "z1", 4),
-				WithZoneAdjacency("z2", "z5", 1.5),
-				WithTrafficWeight(0))
+			c := durTestCluster(t, 11)
+			if err := c.SetZoneAdjacency("z0", "z1", 4); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetZoneAdjacency("z2", "z5", 1.5); err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Solve("GreZ-GreC",
+				WithSeed(3), WithWorkers(workers), WithTrafficWeight(0))
 			if err != nil {
 				t.Fatal(err)
 			}
