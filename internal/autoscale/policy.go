@@ -69,8 +69,9 @@ type Config struct {
 	RetireAfterTicks int
 }
 
-// withDefaults resolves zero fields to the documented defaults.
-func (c Config) withDefaults() Config {
+// Resolved returns the config with zero fields resolved to the documented
+// defaults — what a Policy runs on, and the one place the defaults live.
+func (c Config) Resolved() Config {
 	if c.UtilHigh == 0 {
 		c.UtilHigh = 0.85
 	}
@@ -106,7 +107,7 @@ func (c Config) withDefaults() Config {
 
 // Validate reports the first contradictory setting, after defaulting.
 func (c Config) Validate() error {
-	d := c.withDefaults()
+	d := c.Resolved()
 	switch {
 	case d.UtilHigh <= 0 || d.UtilHigh > 1:
 		return fmt.Errorf("autoscale: UtilHigh = %v, want in (0,1]", d.UtilHigh)
@@ -259,7 +260,7 @@ func NewPolicy(cfg Config) (*Policy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Policy{cfg: cfg.withDefaults()}, nil
+	return &Policy{cfg: cfg.Resolved()}, nil
 }
 
 // Config returns the policy's resolved (defaulted) configuration.

@@ -35,6 +35,58 @@ type Actuator interface {
 	Retire(target string) error
 }
 
+// Fleet is the planner state an actuator observes and chooses targets from;
+// *repair.Planner satisfies it. Servers are addressed by dense index.
+type Fleet interface {
+	NumClients() int
+	NumServers() int
+	Draining(i int) bool
+	ServerLoad(i int) float64
+	Utilization() float64
+	PQoS() float64
+	Drift() (pqos, utilSpread float64)
+}
+
+// Observe snapshots a fleet for the policy: drained servers are its spares.
+func Observe(f Fleet) Observation {
+	spares := 0
+	for i := 0; i < f.NumServers(); i++ {
+		if f.Draining(i) {
+			spares++
+		}
+	}
+	drift, spread := f.Drift()
+	return Observation{
+		Clients:       f.NumClients(),
+		Utilization:   f.Utilization(),
+		UtilSpread:    spread,
+		PQoS:          f.PQoS(),
+		DriftPQoS:     drift,
+		ActiveServers: f.NumServers() - spares,
+		SpareServers:  spares,
+	}
+}
+
+// Target picks the server a scaling verb acts on: for a scale-up the
+// lowest-index drained server, for a scale-down the least-loaded active one,
+// ties to the lowest index — index order keeps runs reproducible whatever the
+// drain history.
+func Target(f Fleet, up bool) (int, error) {
+	victim, best := -1, 0.0
+	for i := 0; i < f.NumServers(); i++ {
+		if f.Draining(i) != up {
+			continue
+		}
+		if l := f.ServerLoad(i); victim < 0 || (!up && l < best) {
+			victim, best = i, l
+		}
+	}
+	if victim < 0 {
+		return 0, fmt.Errorf("autoscale: no server to act on (scale-up=%v)", up)
+	}
+	return victim, nil
+}
+
 // Reconciler binds a Policy to an Actuator and keeps the books: the
 // decision log, the drained-server retire grace, hold/error counters and
 // the dvecap_autoscale_* metric series. One Tick is one observe→decide→

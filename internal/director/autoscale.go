@@ -15,62 +15,33 @@ import (
 	"dvecap/internal/autoscale"
 )
 
-// dirActuator adapts the director to autoscale.Actuator. Targets are stable
-// server IDs — a removal renumbers indices, never the names the reconciler
-// tracks — and every choice is a deterministic function of planner state
-// (lowest index, least-loaded with lowest-index ties).
+// dirActuator adapts the director to autoscale.Actuator: the observation and
+// the target choice are autoscale's, read under the state lock; the verb runs
+// through the journaled mutators. Targets are stable server IDs — a removal
+// renumbers indices, never the names the reconciler tracks.
 type dirActuator struct{ d *Director }
 
 func (a dirActuator) Observe() autoscale.Observation {
-	d := a.d
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	pl := d.planner()
-	st := pl.Stats()
-	spares := 0
-	for i := 0; i < pl.NumServers(); i++ {
-		if pl.Draining(i) {
-			spares++
-		}
-	}
-	return autoscale.Observation{
-		Clients:       pl.NumClients(),
-		Utilization:   pl.Utilization(),
-		UtilSpread:    st.LastUtilSpread,
-		PQoS:          pl.PQoS(),
-		DriftPQoS:     st.LastDriftPQoS,
-		ActiveServers: pl.NumServers() - spares,
-		SpareServers:  spares,
-	}
+	a.d.mu.RLock()
+	defer a.d.mu.RUnlock()
+	return autoscale.Observe(a.d.planner())
 }
 
-// pick returns the ID of the server the scaling verb should act on: among
-// the drained servers (or the active ones) the least-loaded, ties to the
-// lowest index — a drained server carries no load, so for scale-up that is
-// the lowest-index one.
-func (a dirActuator) pick(drained bool) (string, error) {
+// target names the server autoscale.Target picks.
+func (a dirActuator) target(up bool) (string, error) {
 	d := a.d
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	pl := d.planner()
-	victim, best := -1, 0.0
-	for i := 0; i < pl.NumServers(); i++ {
-		if pl.Draining(i) != drained {
-			continue
-		}
-		if l := pl.ServerLoad(i); victim < 0 || (!drained && l < best) {
-			victim, best = i, l
-		}
+	i, err := autoscale.Target(d.planner(), up)
+	if err != nil {
+		return "", err
 	}
-	if victim < 0 {
-		return "", fmt.Errorf("director: scaling with no server to act on (drained=%v)", drained)
-	}
-	return d.m.Binding().ServerID(victim), nil
+	return d.m.Binding().ServerID(i), nil
 }
 
 // ScaleUp admits the lowest-index drained server.
 func (a dirActuator) ScaleUp() (string, error) {
-	id, err := a.pick(true)
+	id, err := a.target(true)
 	if err == nil {
 		_, err = a.d.UncordonServer(ID(id))
 	}
@@ -80,7 +51,7 @@ func (a dirActuator) ScaleUp() (string, error) {
 // ScaleDown drains the least-loaded active server, ties to the lowest
 // index.
 func (a dirActuator) ScaleDown() (string, error) {
-	id, err := a.pick(false)
+	id, err := a.target(false)
 	if err == nil {
 		_, err = a.d.DrainServer(ID(id))
 	}

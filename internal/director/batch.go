@@ -4,9 +4,9 @@ package director
 // seeded repair pass over the union of touched zones (the machine interprets
 // them exactly as it does the session's batch verbs). The population-
 // dependent bandwidth model rides in the event like it does for the single
-// verbs: every zone whose population changes is refreshed to its FINAL
-// population before the batch applies, and joiners and movers are priced at
-// their destination's.
+// verbs, through the same rule (repair.IDBinding.Reprice): every zone whose
+// population changes is refreshed to its FINAL population before the batch
+// applies, and joiners and movers are priced at their destination's.
 
 import (
 	"fmt"
@@ -55,21 +55,14 @@ func (d *Director) batch(op repair.EventOp, ids []string, nodes []int, zones []R
 	defer d.wmu.Unlock()
 	b := d.m.Binding()
 	e := &repair.Event{Op: op, IDs: ids, Nodes: nodes}
-	delta := map[int]int{} // zone → population change
-	var touched, dest []int
-	touch := func(z, by int) {
-		if _, seen := delta[z]; !seen {
-			touched = append(touched, z)
-		}
-		delta[z] += by
-	}
+	var from, to []int
 	for x, id := range ids {
 		if nodes == nil { // leaving or moving: out of its current zone
 			old, err := d.clientZone(id)
 			if err != nil {
 				return nil, err
 			}
-			touch(old, -1)
+			from = append(from, old)
 		} else if nodes[x] < 0 || nodes[x] >= d.cfg.Delays.N() {
 			return nil, fmt.Errorf("director: node %d outside topology", nodes[x])
 		} else {
@@ -80,18 +73,10 @@ func (d *Director) batch(op repair.EventOp, ids []string, nodes []int, zones []R
 			if err != nil {
 				return nil, fmt.Errorf("director: batch: %v", err)
 			}
-			touch(z, +1)
-			dest, e.Zones = append(dest, z), append(e.Zones, b.ZoneID(z))
+			to, e.Zones = append(to, z), append(e.Zones, b.ZoneID(z))
 		}
 	}
-	for _, z := range touched {
-		if delta[z] != 0 {
-			e.Refresh = d.repriced(e.Refresh, z, delta[z])
-		}
-	}
-	for _, z := range dest {
-		e.RTs = append(e.RTs, d.bw.ClientRTMbps(d.zonePop(z)+delta[z]))
-	}
+	b.Reprice(e, d.bw.ClientRTMbps, from, to)
 	if err := d.commit(e, nil); err != nil || zones == nil {
 		return nil, err
 	}

@@ -78,15 +78,6 @@ func (d *Director) zoneIndex(r Ref) (int, error) {
 	return r.resolve(d.planner().NumZones(), d.m.Binding().ZoneIndex, ErrUnknownZone)
 }
 
-// names issues the IDs of a director's initial servers and zones.
-func names(prefix string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = prefix + strconv.Itoa(i)
-	}
-	return out
-}
-
 // freshName picks the ID of an added server or zone: prefix + the lowest
 // number, starting at the current count, that is not taken — a function of
 // the live names alone, so a recovered director issues the same IDs as one

@@ -255,7 +255,7 @@ func New(cfg Config) (*Director, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := repair.RestoreIDBinding(pl, nil, names("s", len(cfg.ServerNodes)), names("z", cfg.Zones))
+	b, err := repair.RestoreIDBinding(pl, nil, repair.Names("s", len(cfg.ServerNodes)), repair.Names("z", cfg.Zones))
 	if err != nil {
 		return nil, err
 	}
@@ -372,10 +372,10 @@ func (d *Director) JoinRef(id string, node int, zone Ref) (ClientInfo, error) {
 	return d.commitClient(d.joinEvent(id, node, zone, id == ""))
 }
 
-// joinEvent resolves a join: the delay row from the oracle, the bandwidth
-// from the entered zone's grown population, and — so Join's repair pass
-// judges feasibility against up-to-date loads — the incumbents' refresh to
-// that bandwidth, applied before the planner event. The event carries the
+// joinEvent resolves a join: the delay row from the oracle, and the joiner's
+// and the incumbents' bandwidth at the entered zone's grown population
+// (repair.IDBinding.Reprice), applied before the planner event so Join's
+// repair pass judges feasibility against up-to-date loads. The event carries the
 // MATERIALIZED id plus the auto flag, so the machine advances the ID
 // sequence on replay exactly as it did live. That holds for an auto-issued
 // ID that collides with a caller-chosen one too: the join has consumed its
@@ -399,8 +399,8 @@ func (d *Director) joinEvent(id string, node int, zone Ref, auto bool) (*repair.
 		return e, nil
 	}
 	d.csBuf = d.delayRow(d.csBuf[:0], node)
-	e.RT, e.Row = d.bw.ClientRTMbps(d.zonePop(z)+1), d.csBuf
-	e.Refresh = append(d.refBuf[:0], repair.ZoneRT{Zone: e.Zone, RT: e.RT})
+	e.Row, e.Refresh = d.csBuf, d.refBuf[:0]
+	b.Reprice(e, d.bw.ClientRTMbps, nil, []int{z})
 	return e, nil
 }
 
@@ -413,14 +413,16 @@ func (d *Director) Leave(id string) error {
 
 // leaveEvent resolves a leave: the zone is refreshed to the post-departure
 // population before the event (the departing client's smaller RT is
-// subtracted consistently), so the repair pass inside Leave sees up-to-date
-// loads.
+// subtracted consistently; repair.IDBinding.Reprice), so the repair pass
+// inside Leave sees up-to-date loads.
 func (d *Director) leaveEvent(id string) (*repair.Event, error) {
 	z, err := d.clientZone(id)
 	if err != nil {
 		return nil, err
 	}
-	return &repair.Event{Op: repair.OpLeave, ID: id, Refresh: d.repriced(d.refBuf[:0], z, -1)}, nil
+	e := &repair.Event{Op: repair.OpLeave, ID: id, Refresh: d.refBuf[:0]}
+	d.m.Binding().Reprice(e, d.bw.ClientRTMbps, []int{z}, nil)
+	return e, nil
 }
 
 // Move relocates a client's avatar to another zone (by dense index; MoveRef
@@ -436,9 +438,10 @@ func (d *Director) MoveRef(id string, zone Ref) (ClientInfo, error) {
 }
 
 // moveEvent resolves a move. Both zones' bandwidth is brought up to date
-// before the event — the vacated zone's members to the shrunk population's
-// RT, the entered zone's incumbents and the mover itself to the grown one's
-// — so Move's repair pass sees exact loads.
+// before the event (repair.IDBinding.Reprice) — the vacated zone's members to
+// the shrunk population's RT, the entered zone's incumbents and the mover
+// itself to the grown one's — so Move's repair pass sees exact loads. A move
+// within the client's zone changes no price.
 func (d *Director) moveEvent(id string, zone Ref) (*repair.Event, error) {
 	old, err := d.clientZone(id)
 	if err != nil {
@@ -448,10 +451,11 @@ func (d *Director) moveEvent(id string, zone Ref) (*repair.Event, error) {
 	if err != nil {
 		return nil, fmt.Errorf("director: move: %v", err)
 	}
-	e := &repair.Event{Op: repair.OpMove, ID: id, Zone: d.m.Binding().ZoneID(z)}
+	b := d.m.Binding()
+	e := &repair.Event{Op: repair.OpMove, ID: id, Zone: b.ZoneID(z)}
 	if z != old {
-		e.Refresh = d.repriced(d.repriced(d.refBuf[:0], old, -1), z, +1)
-		e.RT = d.bw.ClientRTMbps(d.zonePop(z) + 1)
+		e.Refresh = d.refBuf[:0]
+		b.Reprice(e, d.bw.ClientRTMbps, []int{old}, []int{z})
 	}
 	return e, nil
 }
@@ -477,25 +481,13 @@ func (d *Director) delayRow(dst []float64, node int) []float64 {
 	return dst
 }
 
-// zonePop is the zone's current population.
-func (d *Director) zonePop(z int) int { return len(d.planner().Evaluator().ZoneClients(z)) }
-
-// repriced appends to rs the bandwidth refresh zone z needs once its
-// population has changed by delta — none when that empties it.
-func (d *Director) repriced(rs []repair.ZoneRT, z, delta int) []repair.ZoneRT {
-	if pop := d.zonePop(z) + delta; pop > 0 {
-		rs = append(rs, repair.ZoneRT{Zone: d.m.Binding().ZoneID(z), RT: d.bw.ClientRTMbps(pop)})
-	}
-	return rs
-}
-
 // clientZone returns the dense index of the zone a registered client is in.
 func (d *Director) clientZone(id string) (int, error) {
-	j, err := d.m.Binding().Index(id)
+	z, err := d.m.Binding().ZoneOf(id)
 	if err != nil {
 		return 0, fmt.Errorf("director: %w", err)
 	}
-	return d.planner().Problem().ClientZones[j], nil
+	return z, nil
 }
 
 // Lookup returns a client's current assignment.

@@ -100,7 +100,7 @@ func (d *Director) Zones() []ZoneInfo {
 
 func (d *Director) zoneInfo(z int) ZoneInfo {
 	b, host := d.m.Binding(), d.planner().ZoneHost(z)
-	return ZoneInfo{ID: b.ZoneID(z), Zone: z, Server: host, ServerID: b.ServerID(host), Clients: d.zonePop(z)}
+	return ZoneInfo{ID: b.ZoneID(z), Zone: z, Server: host, ServerID: b.ServerID(host), Clients: b.ZonePop(z)}
 }
 
 // AddServer brings a new server online at a topology node: its

@@ -217,9 +217,9 @@ const (
 func mix(h, v uint64) uint64 { return (h ^ v) * fnvPrime }
 
 // runTrafficArm drives one arm: the identical mobility trace (worldSeed,
-// mobSeed, solveSeed fix everything but λ) through a repair planner,
-// feeding each crossing back as a Move event plus an observed adjacency
-// increment, with periodic traffic-aware consolidation.
+// mobSeed, solveSeed fix everything but λ) through a repair planner's
+// machine, feeding each crossing back as a move event plus an observed
+// adjacency increment, with periodic traffic-aware consolidation.
 func runTrafficArm(setup Setup, opt TrafficOptions, cfg dve.Config, lambda float64,
 	worldSeed, mobSeed, solveSeed uint64) (trafficArm, error) {
 	var res trafficArm
@@ -259,6 +259,13 @@ func runTrafficArm(setup Setup, opt TrafficOptions, cfg dve.Config, lambda float
 	if err != nil {
 		return res, err
 	}
+	// Churn reaches the planner as machine events; client j is "c<j>".
+	mach, err := repair.NewIndexedMachine(pl, core.GreZGreC.Name)
+	if err != nil {
+		return res, err
+	}
+	b := mach.Binding()
+	ids := b.DenseIDs()
 
 	ticks := int(opt.HorizonSec/opt.TickSec + 0.5)
 	warmTicks := int(opt.WarmupSec/opt.TickSec + 0.5)
@@ -284,10 +291,10 @@ func runTrafficArm(setup Setup, opt TrafficOptions, cfg dve.Config, lambda float
 					crossHandoffs++
 				}
 			}
-			if err := pl.Move(c.Avatar, c.To); err != nil {
+			if err := mach.Exec(&repair.Event{Op: repair.OpMove, ID: ids[c.Avatar], Zone: b.ZoneID(c.To)}); err != nil {
 				return res, err
 			}
-			if err := pl.AddAdjacency(c.From, c.To, opt.CrossingMbps); err != nil {
+			if err := mach.Exec(&repair.Event{Op: repair.OpAddAdjacency, Zone: b.ZoneID(c.From), Zone2: b.ZoneID(c.To), Weight: opt.CrossingMbps}); err != nil {
 				return res, err
 			}
 			touched[c.From], touched[c.To] = true, true
@@ -300,7 +307,7 @@ func runTrafficArm(setup Setup, opt TrafficOptions, cfg dve.Config, lambda float
 				continue
 			}
 			touched[z] = false
-			if err := pl.RefreshZoneRT(z, cfg.ClientRTMbps(pops[z])); err != nil {
+			if err := mach.Exec(&repair.Event{Op: repair.OpSetZoneBW, Zone: b.ZoneID(z), RT: cfg.ClientRTMbps(pops[z])}); err != nil {
 				return res, err
 			}
 		}

@@ -144,6 +144,15 @@ func (b *IDBinding) Len() int { return len(b.clients.ids) }
 // Index resolves a client ID to the planner's current dense client index.
 func (b *IDBinding) Index(id string) (int, error) { return b.clients.index(id) }
 
+// ZoneOf returns the dense index of the zone the client is in.
+func (b *IDBinding) ZoneOf(id string) (int, error) {
+	j, err := b.Index(id)
+	if err != nil {
+		return 0, err
+	}
+	return b.pl.prob.ClientZones[j], nil
+}
+
 // Join admits a client under a fresh ID (see Planner.Join for the zone,
 // rt and cs semantics).
 func (b *IDBinding) Join(id string, zone int, rt float64, cs []float64) error {

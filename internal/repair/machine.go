@@ -313,6 +313,16 @@ func (m *Machine) Check(e *Event) error {
 	return nil
 }
 
+// Exec is the write path of an in-process driver that journals nothing (the
+// churn simulator, the traffic experiment): the admission rule, then the
+// interpreter.
+func (m *Machine) Exec(e *Event) error {
+	if err := m.Check(e); err != nil {
+		return err
+	}
+	return m.Apply(e)
+}
+
 // known keeps only the error of a lookup.
 func known[T any](_ T, err error) error { return err }
 

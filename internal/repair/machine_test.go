@@ -2,7 +2,6 @@ package repair
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 )
@@ -13,19 +12,12 @@ func testMachine(t *testing.T, dir bool) *Machine {
 	t.Helper()
 	b, _ := testIDBinding(t)
 	pl := b.Planner()
-	sids, zids := make([]string, pl.NumServers()), make([]string, pl.NumZones())
-	for i := range sids {
-		sids[i] = fmt.Sprintf("s%d", i)
-	}
-	for z := range zids {
-		zids[z] = fmt.Sprintf("z%d", z)
-	}
-	if err := b.NameTopology(sids, zids); err != nil {
+	if err := b.NameTopology(Names("s", pl.NumServers()), Names("z", pl.NumZones())); err != nil {
 		t.Fatal(err)
 	}
 	var ds *DirectorState
 	if dir {
-		ds = &DirectorState{ServerNodes: make([]int, len(sids)), ClientNodes: make([]int, b.Len())}
+		ds = &DirectorState{ServerNodes: make([]int, pl.NumServers()), ClientNodes: make([]int, b.Len())}
 	}
 	m, err := NewMachine(b, "GreZ-GreC", 0, ds)
 	if err != nil {

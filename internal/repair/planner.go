@@ -16,8 +16,8 @@
 //
 // Clients, servers and zones are addressed by dense index. A removal
 // compacts with a swap-remove — the last entry takes the vacated index — and
-// returns the index it moved from, so callers that name things (IDBinding,
-// sim.Driver) follow the renumbering.
+// returns the index it moved from, so the binding that names things
+// (IDBinding) follows the renumbering.
 package repair
 
 import (
@@ -136,7 +136,6 @@ type Planner struct {
 	failBackoff     int // events to wait after a failed guard solve; doubles per failure
 	stats           Stats
 	adopted         core.Adoption // what the last re-solve changed; not snapshot state
-	solveErr        error
 
 	// Metric handles (telemetry.go); the zero value is fully disabled.
 	tele plTele
@@ -383,10 +382,9 @@ func (pl *Planner) repairZones(zones ...int) {
 // when the quality guard trips. It never fails the event: by the time the
 // guard runs, the event is fully applied and the maintained solution is
 // valid, so a failing solve (possible only under restrictive overflow
-// policies) is recorded — visible through TakeSolveErr and
-// Stats.LastSolveError — and retried with exponential event backoff so
-// the O(affected) path never degrades into one failing full solve per
-// event.
+// policies) is recorded in Stats.LastSolveError and retried with exponential
+// event backoff so the O(affected) path never degrades into one failing full
+// solve per event.
 func (pl *Planner) afterEvent() { pl.afterEventN(1) }
 
 // afterEventN is afterEvent for batched events: n events are accounted,
@@ -406,7 +404,6 @@ func (pl *Planner) afterEventN(n int) {
 			trigger = triggerImbalance
 		}
 		if err := pl.fullSolve(trigger); err != nil {
-			pl.solveErr = err
 			pl.stats.LastSolveError = err.Error()
 			pl.eventsSinceFull = 0
 			if pl.failBackoff == 0 {
@@ -417,17 +414,6 @@ func (pl *Planner) afterEventN(n int) {
 		}
 	}
 	pl.syncTele()
-}
-
-// TakeSolveErr drains the most recent drift-guard full-solve failure, if
-// any. Event methods (Join, Leave, Move, UpdateDelays) return an error
-// only when the event itself was rejected — a guard solve failing never
-// un-applies an event, so its error is reported out of band here (and
-// mirrored in Stats.LastSolveError for JSON consumers).
-func (pl *Planner) TakeSolveErr() error {
-	err := pl.solveErr
-	pl.solveErr = nil
-	return err
 }
 
 // Full-solve trigger labels (the dvecap_full_solves_total counter):
@@ -614,6 +600,12 @@ func (pl *Planner) utilSpread() float64 {
 
 // Stats returns the planner's counters.
 func (pl *Planner) Stats() Stats { return pl.stats }
+
+// Drift returns the guard inputs of Stats: how far pQoS sits below the last
+// full solve's level and the current utilization spread.
+func (pl *Planner) Drift() (pqos, utilSpread float64) {
+	return pl.stats.LastDriftPQoS, pl.stats.LastUtilSpread
+}
 
 // LastAdoption reports what the most recent full re-solve changed (zero
 // before the first one on a live evaluator).

@@ -14,9 +14,9 @@ package sim
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"dvecap/internal/autoscale"
+	"dvecap/internal/repair"
 )
 
 // Flash is one flash-crowd episode: for DurationSec starting at
@@ -131,83 +131,49 @@ func (a *AutoscaleConfig) Validate() error {
 	return a.Policy.Validate()
 }
 
-// driverActuator adapts the driver's planner to autoscale.Actuator. All
-// choices are deterministic functions of planner state, which is itself
-// bit-identical across worker counts — the fleet half of the §14
-// determinism argument.
+// driverActuator adapts the driver to autoscale.Actuator: the observation
+// and the target choice are autoscale's, a deterministic function of planner
+// state, which is itself bit-identical across worker counts — the fleet half
+// of the §14 determinism argument.
 type driverActuator struct{ d *Driver }
 
-func (a driverActuator) Observe() autoscale.Observation {
-	pl := a.d.planner
-	st := pl.Stats()
-	active, spares := 0, 0
-	for i := 0; i < pl.NumServers(); i++ {
-		if pl.Draining(i) {
-			spares++
-		} else {
-			active++
-		}
-	}
-	return autoscale.Observation{
-		Clients:       pl.NumClients(),
-		Utilization:   pl.Utilization(),
-		UtilSpread:    st.LastUtilSpread,
-		PQoS:          pl.PQoS(),
-		DriftPQoS:     st.LastDriftPQoS,
-		ActiveServers: active,
-		SpareServers:  spares,
-	}
-}
+func (a driverActuator) Observe() autoscale.Observation { return autoscale.Observe(a.d.planner()) }
 
-// ScaleUp admits the lowest-index drained server (warm pool is LIFO-free:
-// index order keeps runs reproducible whatever the drain history).
-func (a driverActuator) ScaleUp() (string, error) {
-	pl := a.d.planner
-	for i := 0; i < pl.NumServers(); i++ {
-		if pl.Draining(i) {
-			if err := pl.UncordonServer(i); err != nil {
-				return "", err
-			}
-			a.d.noteActiveDelta(1)
-			return "s" + strconv.Itoa(i), nil
-		}
-	}
-	return "", fmt.Errorf("sim: scale-up with no drained server")
-}
+// ScaleUp admits the lowest-index drained server.
+func (a driverActuator) ScaleUp() (string, error) { return a.d.scale(true) }
 
 // ScaleDown drains the least-loaded active server, ties to the lowest
 // index.
-func (a driverActuator) ScaleDown() (string, error) {
-	pl := a.d.planner
-	victim, best := -1, 0.0
-	for i := 0; i < pl.NumServers(); i++ {
-		if pl.Draining(i) {
-			continue
-		}
-		if l := pl.ServerLoad(i); victim < 0 || l < best {
-			victim, best = i, l
-		}
-	}
-	if victim < 0 {
-		return "", fmt.Errorf("sim: scale-down with no active server")
-	}
-	if err := pl.DrainServer(victim); err != nil {
+func (a driverActuator) ScaleDown() (string, error) { return a.d.scale(false) }
+
+// scale runs one scaling verb on the server autoscale.Target picks.
+func (d *Driver) scale(up bool) (string, error) {
+	i, err := autoscale.Target(d.planner(), up)
+	if err != nil {
 		return "", err
 	}
-	a.d.noteActiveDelta(-1)
-	return "s" + strconv.Itoa(victim), nil
+	return d.setActive(i, up)
+}
+
+// setActive uncordons (active) or drains server i through the machine, folds
+// the fleet-size step into the server-hours integral (accumulate at the old
+// size, then step) and returns the server's ID.
+func (d *Driver) setActive(i int, active bool) (string, error) {
+	id, op, delta := d.m.Binding().ServerID(i), repair.OpDrainServer, -1
+	if active {
+		op, delta = repair.OpUncordon, 1
+	}
+	if err := d.m.Exec(&repair.Event{Op: op, Server: id}); err != nil {
+		return "", err
+	}
+	d.integrateServerSecs()
+	d.activeCount += delta
+	return id, nil
 }
 
 // Retire is unsupported: the world problem indexes every server, so the
 // pool stays warm forever.
 func (a driverActuator) Retire(string) error { return autoscale.ErrRetireUnsupported }
-
-// noteActiveDelta folds a fleet-size change into the server-hours
-// integral: accumulate at the old size, then step.
-func (d *Driver) noteActiveDelta(delta int) {
-	d.integrateServerSecs()
-	d.activeCount += delta
-}
 
 // integrateServerSecs extends the active-server time integral to now.
 func (d *Driver) integrateServerSecs() {
@@ -223,9 +189,6 @@ func (d *Driver) ServerHours() float64 {
 	d.integrateServerSecs()
 	return d.serverSecs / 3600
 }
-
-// ActiveServers returns the current non-drained server count.
-func (d *Driver) ActiveServers() int { return d.activeCount }
 
 // AutoscaleDecisions returns the reconciler's fired-decision log (nil in
 // oracle mode or without autoscaling — oracle moves are counted in
@@ -258,44 +221,29 @@ func (d *Driver) autoscaleEvent() {
 // of steps. Prefix activation keeps its choices deterministic and
 // index-aligned with the reconciler's pool (spares are the suffix).
 func (d *Driver) oracleTick() {
-	pl := d.planner
-	cfg := d.cfg.Autoscale.Policy
-	utilHigh := cfg.UtilHigh
-	if utilHigh == 0 {
-		utilHigh = 0.85
-	}
-	minActive := cfg.MinActive
-	if minActive == 0 {
-		minActive = 1
-	}
+	pl := d.planner()
+	cfg := d.cfg.Autoscale.Policy.Resolved()
 	load := 0.0
 	for i := 0; i < pl.NumServers(); i++ {
 		load += pl.ServerLoad(i)
 	}
 	n, cum := 0, 0.0
-	for n < pl.NumServers() && (n < minActive || load > utilHigh*cum) {
+	for n < pl.NumServers() && (n < cfg.MinActive || load > cfg.UtilHigh*cum) {
 		cum += pl.ServerCapacity(n)
 		n++
 	}
 	// Admit the prefix, drain the suffix; each verb is a planner event
 	// with its own flow-back/evacuation, applied in ascending order.
 	for i := 0; i < pl.NumServers(); i++ {
-		switch {
-		case i < n && pl.Draining(i):
-			if err := pl.UncordonServer(i); err != nil {
-				d.errs = append(d.errs, err)
-				continue
-			}
-			d.noteActiveDelta(1)
-			d.oracleMoves++
-		case i >= n && !pl.Draining(i):
-			if err := pl.DrainServer(i); err != nil {
-				d.errs = append(d.errs, err)
-				continue
-			}
-			d.noteActiveDelta(-1)
-			d.oracleMoves++
+		active := i < n
+		if active != pl.Draining(i) {
+			continue
 		}
+		if _, err := d.setActive(i, active); err != nil {
+			d.errs = append(d.errs, err)
+			continue
+		}
+		d.oracleMoves++
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 
 	"dvecap/internal/autoscale"
 	"dvecap/internal/core"
@@ -142,14 +143,13 @@ type Driver struct {
 	zoneFrozenUntil []float64
 	errs            []error
 
-	// Repair mode: the incremental planner, the planner's dense index of
-	// each world-indexed client (compacted in lockstep with the world on
-	// leaves, renumbered as the planner's leaves swap-remove), and the
-	// per-zone population the bandwidth model prices from.
-	planner *repair.Planner
-	dense   []int
-	zonePop []int
-	csBuf   []float64
+	// Repair mode: a non-durable machine over the incremental planner, fed
+	// every churn and topology event through Check and Apply; each world
+	// client's ID (compacted with the world on leaves); the next joiner's.
+	m      *repair.Machine
+	ids    []string
+	nextID int
+	csBuf  []float64
 
 	// Autoscale state: the hysteresis reconciler (nil in oracle mode or
 	// without autoscaling), the thinning envelope rate for the arrival
@@ -214,16 +214,15 @@ func NewDriver(eng *Engine, world *dve.World, algo core.TwoPhase, opt core.Optio
 		if err != nil {
 			return nil, err
 		}
-		d.planner = pl
 		if cfg.Telemetry != nil {
 			pl.SetTelemetry(cfg.Telemetry)
 		}
 		// The world's clients are the planner's, in the same order.
-		d.dense = make([]int, world.NumClients())
-		for j := range d.dense {
-			d.dense[j] = j
+		if d.m, err = repair.NewIndexedMachine(pl, algo.Name); err != nil {
+			return nil, err
 		}
-		d.zonePop = world.ZonePopulations()
+		d.ids = d.m.Binding().DenseIDs()
+		d.nextID = len(d.ids)
 		d.csBuf = make([]float64, world.Cfg.Servers)
 		if cfg.HandoffFreezeSec > 0 && d.zoneFrozenUntil == nil {
 			d.zoneFrozenUntil = make([]float64, world.Cfg.Zones)
@@ -231,11 +230,10 @@ func NewDriver(eng *Engine, world *dve.World, algo core.TwoPhase, opt core.Optio
 	}
 	if cfg.Autoscale != nil {
 		for i := world.Cfg.Servers - spares; i < world.Cfg.Servers; i++ {
-			if err := d.planner.DrainServer(i); err != nil {
+			if _, err := d.setActive(i, false); err != nil {
 				return nil, fmt.Errorf("sim: pooling spare %d: %w", i, err)
 			}
 		}
-		d.activeCount -= spares
 		if !cfg.Autoscale.Oracle {
 			rec, err := autoscale.New(cfg.Autoscale.Policy, driverActuator{d}, cfg.Telemetry)
 			if err != nil {
@@ -292,7 +290,7 @@ func (d *Driver) Errors() []error { return d.errs }
 // Assignment returns the current assignment (aligned with the world's
 // current client indexing).
 func (d *Driver) Assignment() *core.Assignment {
-	if d.planner != nil {
+	if d.m != nil {
 		d.syncFromPlanner()
 	}
 	return &core.Assignment{
@@ -304,18 +302,21 @@ func (d *Driver) Assignment() *core.Assignment {
 // RepairStats returns the planner's counters; ok is false outside repair
 // mode.
 func (d *Driver) RepairStats() (st repair.Stats, ok bool) {
-	if d.planner == nil {
+	if d.m == nil {
 		return repair.Stats{}, false
 	}
-	return d.planner.Stats(), true
+	return d.planner().Stats(), true
 }
+
+// planner returns the repair planner behind the machine — the read side.
+func (d *Driver) planner() *repair.Planner { return d.m.Binding().Planner() }
 
 // TotalZoneHandoffs returns how many zone rehostings the run has performed
 // so far: per-reassign diffs in full-solve mode, the planner's count
 // (localized moves plus full-solve diffs) in repair mode.
 func (d *Driver) TotalZoneHandoffs() int {
-	if d.planner != nil {
-		return d.planner.Stats().ZoneHandoffs
+	if d.m != nil {
+		return d.planner().Stats().ZoneHandoffs
 	}
 	total := 0
 	for _, m := range d.zoneMoves {
@@ -335,13 +336,8 @@ func (d *Driver) joinEvent() {
 // trace-driven arrival processes.
 func (d *Driver) admitJoin() {
 	idx := d.world.Join(d.rng, 1)
-	if d.planner != nil {
-		if err := d.repairJoin(idx[0]); err != nil {
-			d.errs = append(d.errs, err)
-		}
-		if err := d.planner.TakeSolveErr(); err != nil {
-			d.errs = append(d.errs, err)
-		}
+	if d.m != nil {
+		d.absorb(d.join(idx[0]))
 	} else {
 		// Until the next reassignment a new client connects straight to its
 		// zone's current server (the only server that can serve it at all).
@@ -351,86 +347,62 @@ func (d *Driver) admitJoin() {
 	}
 }
 
-// The repair-mode churn bridge. A client's bandwidth requirement depends on
-// its zone's population (the quadratic client-server model), so a membership
-// change re-prices the zone's incumbents BEFORE the planner event: the
-// repair pass inside the event then judges feasibility against exact loads.
+// The repair-mode churn bridge: each world event becomes the event the
+// director would journal for it, priced by repair.IDBinding.Reprice.
 
-// reprice brings zone's clients to the requirement of its current
-// population and returns it; an emptied zone has no one to re-price.
-func (d *Driver) reprice(zone int) (float64, error) {
-	if d.zonePop[zone] == 0 {
-		return 0, nil
-	}
-	rt := d.world.Cfg.ClientRTMbps(d.zonePop[zone])
-	return rt, d.planner.RefreshZoneRT(zone, rt)
-}
-
-// repairJoin admits world client j, just placed by World.Join, with its
-// ground-truth delay row.
-func (d *Driver) repairJoin(j int) error {
-	w := d.world
-	zone := w.ClientZones[j]
+// join admits world client j, just placed by World.Join, under a fresh ID
+// with its ground-truth delay row.
+func (d *Driver) join(j int) error {
+	w, b := d.world, d.m.Binding()
 	for i := range d.csBuf {
 		d.csBuf[i] = w.Delays.RTT(w.ClientNodes[j], w.ServerNodes[i])
 	}
-	d.zonePop[zone]++
-	rt, err := d.reprice(zone)
+	id := "c" + strconv.Itoa(d.nextID)
+	d.nextID++
+	d.ids = append(d.ids, id)
+	e := &repair.Event{Op: repair.OpJoin, ID: id, Zone: b.ZoneID(w.ClientZones[j]), Row: d.csBuf}
+	b.Reprice(e, w.Cfg.ClientRTMbps, nil, []int{w.ClientZones[j]})
+	return d.m.Exec(e)
+}
+
+// leave removes the client that held world index r before World.Leave
+// forgot it. The ID list is compacted even when the removal errors, so the
+// driver stays aligned with the world.
+func (d *Driver) leave(r int) error {
+	id := d.ids[r]
+	d.ids = slices.Delete(d.ids, r, r+1)
+	b := d.m.Binding()
+	zone, err := b.ZoneOf(id)
 	if err != nil {
 		return err
 	}
-	idx, err := d.planner.Join(zone, rt, d.csBuf)
+	e := &repair.Event{Op: repair.OpLeave, ID: id}
+	b.Reprice(e, d.world.Cfg.ClientRTMbps, []int{zone}, nil)
+	return d.m.Exec(e)
+}
+
+// move migrates world client j, whose world zone World.Move already changed.
+// A move within its zone is no event.
+func (d *Driver) move(j int) error {
+	b := d.m.Binding()
+	old, err := b.ZoneOf(d.ids[j])
 	if err != nil {
 		return err
 	}
-	d.dense = append(d.dense, idx)
-	return nil
-}
-
-// repairLeave removes the client that held world index r before World.Leave
-// forgot it. The index map is compacted even when the removal errors, so
-// the driver stays aligned with the world. The departing client is re-priced
-// with its zone, so its smaller requirement is subtracted consistently.
-func (d *Driver) repairLeave(r int) error {
-	j := d.dense[r]
-	d.dense = slices.Delete(d.dense, r, r+1)
-	zone := d.planner.Problem().ClientZones[j]
-	d.zonePop[zone]--
-	if _, err := d.reprice(zone); err != nil {
-		return err
-	}
-	moved, err := d.planner.Leave(j)
-	if moved >= 0 {
-		// The planner's last client took index j.
-		if w := slices.Index(d.dense, moved); w >= 0 {
-			d.dense[w] = j
-		}
-	}
-	return err
-}
-
-// repairMove migrates world client j, whose world zone World.Move already
-// changed: the vacated zone is re-priced to its shrunk population, the
-// entered zone and the mover itself to the grown one.
-func (d *Driver) repairMove(j int) error {
-	idx := d.dense[j]
-	oldZone, newZone := d.planner.Problem().ClientZones[idx], d.world.ClientZones[j]
-	if newZone == oldZone {
+	zone := d.world.ClientZones[j]
+	if zone == old {
 		return nil
 	}
-	d.zonePop[oldZone]--
-	d.zonePop[newZone]++
-	if _, err := d.reprice(oldZone); err != nil {
-		return err
-	}
-	rt, err := d.reprice(newZone)
+	e := &repair.Event{Op: repair.OpMove, ID: d.ids[j], Zone: b.ZoneID(zone)}
+	b.Reprice(e, d.world.Cfg.ClientRTMbps, []int{old}, []int{zone})
+	return d.m.Exec(e)
+}
+
+// absorb records a non-fatal driver error.
+func (d *Driver) absorb(err error) {
 	if err != nil {
-		return err
+		d.errs = append(d.errs, err)
 	}
-	if err := d.planner.SetRT(idx, rt); err != nil {
-		return err
-	}
-	return d.planner.Move(idx, newZone)
 }
 
 func (d *Driver) scheduleLeave() {
@@ -451,13 +423,8 @@ func (d *Driver) leaveEvent() {
 		switch {
 		case err != nil:
 			d.errs = append(d.errs, err)
-		case d.planner != nil:
-			if err := d.repairLeave(removed[0]); err != nil {
-				d.errs = append(d.errs, err)
-			}
-			if err := d.planner.TakeSolveErr(); err != nil {
-				d.errs = append(d.errs, err)
-			}
+		case d.m != nil:
+			d.absorb(d.leave(removed[0]))
 		default:
 			d.contact = dve.Compact(d.contact, removed)
 		}
@@ -481,13 +448,8 @@ func (d *Driver) moveEvent() {
 		switch {
 		case err != nil:
 			d.errs = append(d.errs, err)
-		case d.planner != nil:
-			if err := d.repairMove(moved[0]); err != nil {
-				d.errs = append(d.errs, err)
-			}
-			if err := d.planner.TakeSolveErr(); err != nil {
-				d.errs = append(d.errs, err)
-			}
+		case d.m != nil:
+			d.absorb(d.move(moved[0]))
 		default:
 			// A moved avatar lands on its new zone's server until refined.
 			for _, j := range moved {
@@ -503,7 +465,7 @@ func (d *Driver) reassignEvent() {
 	// post-reassign sample: no churn event can fire inside this event, so
 	// the world — and hence the k×m delay matrix — cannot change.
 	d.world.ProblemInto(&d.prob)
-	if d.planner != nil {
+	if d.m != nil {
 		// Repair mode: events were repaired incrementally as they arrived;
 		// the tick is the fallback cadence — it samples quality and runs a
 		// full re-solve only when repair let pQoS drift past the threshold.
@@ -511,18 +473,14 @@ func (d *Driver) reassignEvent() {
 		d.sampleWith(&d.prob, "pre-reassign")
 		// A "post-reassign" sample is emitted only when the fallback solve
 		// actually ran, so pre/post pairs always bracket a real solve.
-		if d.planner.Stats().LastDriftPQoS > fallbackDriftPQoS {
-			if err := d.planner.FullSolve(); err != nil {
-				d.errs = append(d.errs, err)
-			}
+		if d.planner().Stats().LastDriftPQoS > fallbackDriftPQoS {
+			d.absorb(d.m.Exec(&repair.Event{Op: repair.OpResolve}))
 			d.syncFromPlanner()
 			d.sampleWith(&d.prob, "post-reassign")
 		}
 	} else {
 		d.sampleWith(&d.prob, "pre-reassign")
-		if err := d.reassignWith(&d.prob, "post-reassign"); err != nil {
-			d.errs = append(d.errs, err)
-		}
+		d.absorb(d.reassignWith(&d.prob, "post-reassign"))
 	}
 	d.eng.Schedule(d.cfg.ReassignEverySec, d.reassignEvent)
 }
@@ -532,22 +490,24 @@ func (d *Driver) reassignEvent() {
 // zones the planner rehosted since the last sync enter their freeze window
 // now (repair-mode freezes are at sampling granularity).
 func (d *Driver) syncFromPlanner() {
+	b, pl := d.m.Binding(), d.planner()
 	n := d.world.Cfg.Zones
 	freezeUntil := d.eng.Now() + d.cfg.HandoffFreezeSec
 	for z := 0; z < n; z++ {
-		s := d.planner.ZoneHost(z)
+		s := pl.ZoneHost(z)
 		if d.zoneFrozenUntil != nil && d.zoneServer[z] != s {
 			d.zoneFrozenUntil[z] = freezeUntil
 		}
 		d.zoneServer[z] = s
 	}
-	k := len(d.dense)
+	k := len(d.ids)
 	if cap(d.contact) < k {
 		d.contact = make([]int, k)
 	}
 	d.contact = d.contact[:k]
-	for w, j := range d.dense {
-		d.contact[w] = d.planner.Contact(j)
+	for w, id := range d.ids {
+		j, _ := b.Index(id)
+		d.contact[w] = pl.Contact(j)
 	}
 }
 
@@ -564,23 +524,10 @@ func (d *Driver) reassignWith(p *core.Problem, label string) error {
 	if err != nil {
 		return err
 	}
-	if len(d.contact) == len(a.ClientContact) && label != "initial" {
-		moves := 0
-		for j := range d.contact {
-			if d.contact[j] != a.ClientContact[j] {
-				moves++
-			}
-		}
-		d.contactMoves = append(d.contactMoves, moves)
-	}
-	if len(d.zoneServer) == len(a.ZoneServer) && label != "initial" {
-		moves := 0
-		for z := range d.zoneServer {
-			if d.zoneServer[z] != a.ZoneServer[z] {
-				moves++
-			}
-		}
-		d.zoneMoves = append(d.zoneMoves, moves)
+	if label != "initial" {
+		diff := core.Diff(p, &core.Assignment{ZoneServer: d.zoneServer, ClientContact: d.contact}, a)
+		d.contactMoves = append(d.contactMoves, diff.ContactMoves)
+		d.zoneMoves = append(d.zoneMoves, diff.ZoneMoves)
 	}
 	if d.cfg.HandoffFreezeSec > 0 {
 		if d.zoneFrozenUntil == nil {
@@ -607,12 +554,6 @@ func (d *Driver) frozen(z int) bool {
 		d.zoneFrozenUntil[z] > d.eng.Now()
 }
 
-// ContactMovesPerReassign returns the per-re-execution contact-switch
-// counts, in event order.
-func (d *Driver) ContactMovesPerReassign() []int {
-	return append([]int(nil), d.contactMoves...)
-}
-
 // MeanContactMovesPerReassign averages the disruption per re-execution
 // (0 when no reassignment has happened yet).
 func (d *Driver) MeanContactMovesPerReassign() float64 {
@@ -628,7 +569,7 @@ func (d *Driver) MeanContactMovesPerReassign() float64 {
 
 // sample evaluates the current assignment against the current world.
 func (d *Driver) sample(label string) {
-	if d.planner != nil {
+	if d.m != nil {
 		d.syncFromPlanner()
 	}
 	d.world.ProblemInto(&d.prob)

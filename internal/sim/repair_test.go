@@ -55,7 +55,7 @@ func TestDriverRepairModeRunsAndSamples(t *testing.T) {
 	if st.Joins == 0 || st.Leaves == 0 || st.Moves == 0 {
 		t.Fatalf("some event type never reached the planner: %+v", st)
 	}
-	if got := d.planner.NumClients(); got != w.NumClients() {
+	if got := d.planner().NumClients(); got != w.NumClients() {
 		t.Fatalf("planner population %d, world %d", got, w.NumClients())
 	}
 	if a := d.Assignment(); len(a.ClientContact) != w.NumClients() {
@@ -66,7 +66,7 @@ func TestDriverRepairModeRunsAndSamples(t *testing.T) {
 // TestDriverRepairMirrorsWorld is the integration invariant behind repair
 // mode: after an arbitrary run, the planner's problem mirror must agree
 // with a fresh world snapshot — zones, population-dependent bandwidth and
-// delay rows — under the world→dense-index mapping.
+// delay rows — under the world→ID→dense-index mapping.
 func TestDriverRepairMirrorsWorld(t *testing.T) {
 	w := buildTestWorld(t, 20)
 	e := NewEngine()
@@ -84,12 +84,15 @@ func TestDriverRepairMirrorsWorld(t *testing.T) {
 		t.Fatalf("driver error: %v", err)
 	}
 	wp := w.Problem()
-	pp := d.planner.Problem()
+	pp := d.planner().Problem()
 	if pp.NumClients() != wp.NumClients() {
 		t.Fatalf("planner mirrors %d clients, world has %d", pp.NumClients(), wp.NumClients())
 	}
 	for j := 0; j < wp.NumClients(); j++ {
-		idx := d.dense[j]
+		idx, err := d.m.Binding().Index(d.ids[j])
+		if err != nil {
+			t.Fatal(err)
+		}
 		if pp.ClientZones[idx] != wp.ClientZones[j] {
 			t.Fatalf("world client %d: planner zone %d, world zone %d", j, pp.ClientZones[idx], wp.ClientZones[j])
 		}
@@ -233,20 +236,20 @@ func TestDriverRepairQualityTracksFullResolve(t *testing.T) {
 	}
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 40; i++ {
-			must(d.repairJoin(w.Join(d.rng, 1)[0]))
+			must(d.join(w.Join(d.rng, 1)[0]))
 		}
 		for i := 0; i < 40; i++ {
 			removed, err := w.Leave(d.rng, 1)
 			must(err)
-			must(d.repairLeave(removed[0]))
+			must(d.leave(removed[0]))
 		}
 		for i := 0; i < 40; i++ {
 			moved, err := w.Move(d.rng, 1)
 			must(err)
-			must(d.repairMove(moved[0]))
+			must(d.move(moved[0]))
 		}
 	}
-	if st := d.planner.Stats(); st.Joins != 200 || st.Leaves != 200 || st.FullSolves != 0 {
+	if st := d.planner().Stats(); st.Joins != 200 || st.Leaves != 200 || st.FullSolves != 0 {
 		t.Fatalf("the bridge did not carry the churn (or a re-solve hid it): %+v", st)
 	}
 	truth := w.Problem()
