@@ -1,8 +1,7 @@
-// Flash crowd: a live DVE under churn, driven by the discrete-event
-// engine. Clients pour in at a high rate, sessions end, avatars migrate;
-// the assignment decays between the periodic re-executions that the paper
-// prescribes (§3.4, Table 3). The trace printed here is the dynamic
-// version of Table 3's Before / After / Executed columns.
+// Flash crowd: a whole crowd pours into one zone of a live session and is
+// admitted as a single JoinBatch event — memberships first, then ONE seeded
+// repair scan over the hot zone, instead of one repair pass per client
+// (BenchmarkBatchJoin measures the gap at 100k clients).
 //
 //	go run ./examples/flashcrowd
 package main
@@ -10,71 +9,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"dvecap"
-	"dvecap/internal/core"
-	"dvecap/internal/dve"
-	"dvecap/internal/sim"
-	"dvecap/internal/topology"
-	"dvecap/internal/xrand"
 )
 
 func main() {
-	rng := xrand.New(2006)
-	g, err := topology.Hier(rng.Split(), topology.DefaultHier())
-	if err != nil {
-		log.Fatal(err)
-	}
-	dm, err := topology.NewDelayMatrix(g, 500, 0.5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := dve.DefaultConfig()
-	cfg.Clients = 600 // the flash crowd grows it from here
-	world, err := dve.BuildWorld(rng.Split(), cfg, g, dm)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	eng := sim.NewEngine()
-	driver, err := sim.NewDriver(eng, world, core.GreZGreC,
-		core.Options{Overflow: core.SpillLargestResidual},
-		sim.ChurnConfig{
-			JoinRate:          4.0, // flash crowd: 4 clients/s
-			MeanSessionSec:    300,
-			MoveRatePerClient: 0.01,
-			ReassignEverySec:  60,
-		}, rng.Split())
-	if err != nil {
-		log.Fatal(err)
-	}
-	driver.Start()
-	eng.Run(600) // ten minutes of virtual time
-
-	fmt.Println("time(s)  event           clients   pQoS     R")
-	for _, s := range driver.Samples() {
-		fmt.Printf("%7.1f  %-14s %7d  %.3f  %.3f\n",
-			s.Time, s.Event, s.Clients, s.PQoS, s.Utilization)
-	}
-	for _, err := range driver.Errors() {
-		fmt.Println("driver error:", err)
-	}
-	fmt.Println()
-	fmt.Println("Each pre-reassign row shows the decay accumulated churn causes;")
-	fmt.Println("the following post-reassign row shows re-execution restoring pQoS —")
-	fmt.Println("the live-system version of the paper's Table 3.")
-	fmt.Println()
-
-	batchJoinDemo()
-}
-
-// batchJoinDemo is the flash crowd hitting the PUBLIC session surface: a
-// whole crowd pours into one zone and is admitted as a single JoinBatch
-// event — memberships first, then ONE seeded repair scan over the hot
-// zone, instead of one repair pass per client (ROADMAP "batch join";
-// BenchmarkBatchJoin measures the gap at 100k clients).
-func batchJoinDemo() {
 	const crowd = 120
 	c := dvecap.NewCluster(120)
 	must(c.AddServer("fra", dvecap.ServerSpec{CapacityMbps: 900, RTTs: map[string]float64{"nyc": 82}}))
@@ -100,12 +39,9 @@ func batchJoinDemo() {
 			},
 		}
 	}
-	start := time.Now()
 	must(sess.JoinBatch(joins))
-	elapsed := time.Since(start)
 	st := sess.Stats()
-	fmt.Printf("JoinBatch admitted %d fans into one zone in %s as ONE repair event:\n",
-		crowd, elapsed.Round(time.Microsecond))
+	fmt.Printf("JoinBatch admitted %d fans into one zone as ONE repair event:\n", crowd)
 	fmt.Printf("  pQoS %.3f, %d joins counted, %d zone handoffs, %d contact switches\n",
 		sess.PQoS(), st.Joins, st.ZoneHandoffs, st.ContactSwitches)
 	host, _ := sess.ZoneHost("arena")

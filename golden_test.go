@@ -16,12 +16,13 @@ var wallClockLine = regexp.MustCompile(`(?m)^\[.* completed in .*\]\n`)
 // TestGoldenOutputs builds the example programs, capsim and capassign and
 // compares their stdout at fixed seeds, byte for byte, with testdata/golden
 // — the user-visible numbers of the generator, the solve facade, a
-// hand-built Cluster's Solve and Open, the session topology verbs, the churn
+// hand-built Cluster's Solve and Open, the session topology verbs and batch
+// join, the churn
 // driver's two modes (full re-solves under a handoff freeze among them), the
 // autoscale loop and the one-instance command line in one net.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs eleven programs")
+		t.Skip("builds and runs twelve programs")
 	}
 	runs := []struct {
 		golden, pkg string
@@ -33,6 +34,7 @@ func TestGoldenOutputs(t *testing.T) {
 		{"capacity-planning", "./examples/capacity-planning", nil},
 		{"byoi", "./examples/byoi", nil},
 		{"rollingdeploy", "./examples/rollingdeploy", nil},
+		{"flashcrowd", "./examples/flashcrowd", nil},
 		{"capsim-repair", "./cmd/capsim", []string{"-exp", "repair", "-reps", "2"}},
 		{"capsim-autoscale", "./cmd/capsim", []string{"-exp", "autoscale", "-reps", "2"}},
 		{"capsim-table3", "./cmd/capsim", []string{"-exp", "table3", "-reps", "2"}},
