@@ -40,7 +40,8 @@
 // -traffic-weight overrides the traffic arm's λ.
 //
 // Every run is deterministic in -seed. -topology usbackbone swaps the
-// BRITE-style hierarchical topology for the embedded US backbone.
+// BRITE-style hierarchical topology for the embedded US backbone, and
+// -topology transitstub for a GT-ITM-style transit-stub graph.
 package main
 
 import (
@@ -58,7 +59,7 @@ func main() {
 		exp      = flag.String("exp", "all", "experiment: table1|fig4|fig5|fig6|table3|table4|ablation|baselines|repair|autoscale|traffic|runtime|all")
 		seed     = flag.Uint64("seed", 2006, "base random seed")
 		reps     = flag.Int("reps", 50, "replications per data point (paper: 50)")
-		topo     = flag.String("topology", "hier", "topology substrate: hier|usbackbone")
+		topo     = flag.String("topology", "hier", "topology substrate: hier|transitstub|usbackbone")
 		lp       = flag.Bool("lp", false, "include the exact branch-and-bound baseline (small configs only)")
 		lpReps   = flag.Int("lpreps", 0, "replications for the exact baseline (0 = min(reps,10))")
 		deadline = flag.Duration("lpdeadline", 60*time.Second, "per-solve deadline for the exact baseline")
