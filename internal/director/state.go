@@ -375,8 +375,8 @@ func (d *Director) JoinRef(id string, node int, zone Ref) (ClientInfo, error) {
 // joinEvent resolves a join: the delay row from the oracle, and the joiner's
 // and the incumbents' bandwidth at the entered zone's grown population
 // (repair.IDBinding.Reprice), applied before the planner event so Join's
-// repair pass judges feasibility against up-to-date loads. The event carries the
-// MATERIALIZED id plus the auto flag, so the machine advances the ID
+// repair pass judges feasibility against up-to-date loads. The event carries
+// the MATERIALIZED id plus the auto flag, so the machine advances the ID
 // sequence on replay exactly as it did live. That holds for an auto-issued
 // ID that collides with a caller-chosen one too: the join has consumed its
 // sequence number, so it is journaled — bare, nothing to apply; the

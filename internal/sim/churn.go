@@ -145,7 +145,8 @@ type Driver struct {
 
 	// Repair mode: a non-durable machine over the incremental planner, fed
 	// every churn and topology event through Check and Apply; each world
-	// client's ID (compacted with the world on leaves); the next joiner's.
+	// client's ID, compacted with the world on leaves; the next joiner's
+	// ID number.
 	m      *repair.Machine
 	ids    []string
 	nextID int
