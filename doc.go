@@ -153,9 +153,11 @@
 // untouched by zone crossings, and a session's full solve builds GreZ's
 // cost matrix and GreC's late list from it instead of reading every
 // client's delay row; ClusterSession.Result reads its metrics from what the
-// evaluator maintains. The sim churn driver (ChurnConfig.Repair), the
-// director service and this package's ClusterSession all run on it — on a
-// real cluster or a generated one, driven by ID either way:
+// evaluator maintains. This package's ClusterSession, the director service
+// and the sim churn driver (ChurnConfig.Repair) all run on it through the one
+// state machine, repair.Machine — every change a resolved event, admitted
+// and interpreted the same way — on a real cluster or a generated one,
+// driven by ID either way:
 //
 //	sess, err := scn.Cluster().Open("GreZ-GreC", dvecap.WithDriftGuard(0.02))
 //	if err != nil { ... }
