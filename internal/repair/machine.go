@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"dvecap/internal/core"
 	"dvecap/internal/interact"
@@ -68,6 +69,27 @@ func NewMachine(b *IDBinding, algo string, overflow int, dir *DirectorState) (*M
 		m.clientNode[id] = dir.ClientNodes[j]
 	}
 	return m, nil
+}
+
+// Names returns prefix+"0" … prefix+"<n-1>": generated server, zone or
+// client IDs.
+func Names(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = prefix + strconv.Itoa(i)
+	}
+	return out
+}
+
+// NewIndexedMachine wraps a planner in a non-durable machine named after its
+// dense indices — server i is "s<i>", zone z "z<z>", client j "c<j>": the
+// machine of an in-process driver that addresses a generated world by index.
+func NewIndexedMachine(pl *Planner, algo string) (*Machine, error) {
+	b, err := RestoreIDBinding(pl, Names("c", pl.NumClients()), Names("s", pl.NumServers()), Names("z", pl.NumZones()))
+	if err != nil {
+		return nil, err
+	}
+	return NewMachine(b, algo, 0, nil)
 }
 
 // Binding returns the ID binding the machine mutates — the read side.

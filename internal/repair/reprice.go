@@ -1,7 +1,5 @@
 package repair
 
-import "strconv"
-
 // Reprice resolves the bandwidth half of a membership change into e — the one
 // statement of the rule, for the director's single and batch verbs and the
 // churn simulator. A client's requirement is a function of its zone's
@@ -62,24 +60,3 @@ func find(ds []zoneDelta, zone int) int {
 
 // ZonePop returns the current population of dense zone z.
 func (b *IDBinding) ZonePop(z int) int { return len(b.pl.ev.ZoneClients(z)) }
-
-// Names returns prefix+"0" … prefix+"<n-1>": generated server, zone or
-// client IDs.
-func Names(prefix string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = prefix + strconv.Itoa(i)
-	}
-	return out
-}
-
-// NewIndexedMachine wraps a planner in a non-durable machine named after its
-// dense indices — server i is "s<i>", zone z "z<z>", client j "c<j>": the
-// machine of an in-process driver that addresses a generated world by index.
-func NewIndexedMachine(pl *Planner, algo string) (*Machine, error) {
-	b, err := RestoreIDBinding(pl, Names("c", pl.NumClients()), Names("s", pl.NumServers()), Names("z", pl.NumZones()))
-	if err != nil {
-		return nil, err
-	}
-	return NewMachine(b, algo, 0, nil)
-}
