@@ -1273,8 +1273,33 @@ func TestDirectorRejectsNonFinite(t *testing.T) {
 	proveRejectsNonFinite(t, directorSurface(t, "dense"))
 }
 
-func TestDurableGoldenFormat(t *testing.T)  { proveGoldenFormat(t, sessionSurface(DenseDelays)) }
-func TestDirectorGoldenFormat(t *testing.T) { proveGoldenFormat(t, directorSurface(t, "dense")) }
+// The coordinate legs pin the provider state a snapshot carries — client
+// coordinates fitted at join time included — beside the dense legs'
+// recorded constants.
+func TestDurableGoldenFormat(t *testing.T) {
+	t.Run("dense", func(t *testing.T) { proveGoldenFormat(t, sessionSurface(DenseDelays)) })
+	t.Run("coord", func(t *testing.T) {
+		sf := sessionSurface(CoordDelays)
+		sf.golden = [3]string{
+			"454047fd6d7c1e7107615fbe9177d0b6b4a438293d3a66d1a220a3bdfe192775",
+			"f38a5244ce05c69034044b103b55362f0b7780c2657e24d0b060c8635534da78",
+			"8a9c6c26690ecb222824a90fbd66ff73aa1ae52c38f6b1d615b6b40a6ec9547b",
+		}
+		proveGoldenFormat(t, sf)
+	})
+}
+func TestDirectorGoldenFormat(t *testing.T) {
+	t.Run("dense", func(t *testing.T) { proveGoldenFormat(t, directorSurface(t, "dense")) })
+	t.Run("coord", func(t *testing.T) {
+		sf := directorSurface(t, "coord")
+		sf.golden = [3]string{
+			"4542748f7db016eb89b85a0f28098d65dbe61d5854470663e808e492f49b884d",
+			"aba80eca5642174f7399513034143882e5c951b8a4135ff960d53f498559030a",
+			"ae7ae7a99cb29a1ba997ad6e007c76ca7bd9d7757e70c8a3b54294bf44c5e1a1",
+		}
+		proveGoldenFormat(t, sf)
+	})
+}
 
 // TestDurableSessionRefusesBeforeJournaling: a durable session refuses a
 // call that names an unknown client, server or zone, adds an ID that
