@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"sort"
 )
@@ -25,6 +26,15 @@ import (
 // native sparse joins (AddClientAt, AddClientFitted) are the
 // million-client path.
 //
+// Deferred fits: a client that joins through AppendClient with a full row
+// (no NaN entry) reads nothing but its overrides, so its coordinate is not
+// fitted at the join. The client is recorded in unfit and its coordinate
+// stays zero until something could observe it or change what the fit
+// reads — a delay write to that client, a server added or removed, or
+// State. It is fitted then, from the server coordinates, override list and
+// seed the join would have used, so every coordinate comes out
+// bit-identical to an eager fit.
+//
 // Determinism: every fit and every prediction is a fixed-order float
 // computation with no randomness and no time dependence, so replaying the
 // same mutation stream (durable-session recovery) reproduces coordinates
@@ -38,7 +48,15 @@ type CoordProvider struct {
 	// of client j in ascending order, ovVal[j] the measured delays.
 	ovSrv [][]int32
 	ovVal [][]float64
+
+	// unfit maps each fully measured client whose coordinate is not
+	// fitted yet to its fit seed, the index it joined at.
+	unfit map[int32]uint32
 }
+
+// unfitEntryBytes estimates one unfit entry's share of the map: key,
+// value and the per-slot overhead at the map's load factor.
+const unfitEntryBytes = 12
 
 // DefaultCoordDim is the coordinate dimensionality used when the caller
 // does not choose one: high enough that realistic RTT spaces embed with
@@ -88,8 +106,9 @@ func (cp *CoordProvider) ServerCoord(i int) []float64 {
 // AddClientAt is the native sparse join: the client arrives with a
 // coordinate (len Dim; fitted client-side or by the session's estimator)
 // and measured delays to a candidate subset of servers (srvs ascending or
-// not — they are sorted; vals aligned with srvs, NaN entries skipped).
-// Everything is copied. Returns the new client's index.
+// not — they are sorted; vals aligned with srvs, NaN entries skipped; a
+// server listed twice keeps the later value). Everything is copied.
+// Returns the new client's index.
 func (cp *CoordProvider) AddClientAt(coord []float64, srvs []int32, vals []float64) int {
 	j := len(cp.ovSrv)
 	c := make([]float64, cp.dim)
@@ -104,7 +123,7 @@ func (cp *CoordProvider) AddClientAt(coord []float64, srvs []int32, vals []float
 		os = append(os, s)
 		ov = append(ov, vals[x])
 	}
-	sortOverrides(os, ov)
+	os, ov = sortOverrides(os, ov)
 	cp.ovSrv = append(cp.ovSrv, os)
 	cp.ovVal = append(cp.ovVal, ov)
 	return j
@@ -124,7 +143,7 @@ func (cp *CoordProvider) AddClientFitted(srvs []int32, vals []float64) int {
 		os = append(os, s)
 		ov = append(ov, vals[x])
 	}
-	sortOverrides(os, ov)
+	os, ov = sortOverrides(os, ov)
 	coord := make([]float64, cp.dim)
 	fitPoint(coord, cp.srv, cp.dim, os, ov, uint64(len(cp.ovSrv)))
 	cp.cli = append(cp.cli, coord...)
@@ -162,13 +181,21 @@ func (cp *CoordProvider) ClientServer(j, i int) float64 {
 	return cp.predict(j, i)
 }
 
-// Row implements DelayProvider. The client coordinate is loaded once and
+// Row implements DelayProvider. A fully measured client's row is copied
+// from its overrides. Otherwise the client coordinate is loaded once and
 // the flat server array streamed past it; at the default dimension the
 // distance loop is unrolled. Both branches perform predict's operations in
 // predict's order, so every entry is bit-equal to ClientServer(j, i).
 func (cp *CoordProvider) Row(j int, dst []float64) []float64 {
 	m := cp.NumServers()
 	dst = dst[:m]
+	if ov := cp.ovVal[j]; len(ov) == m {
+		// Every server measured (override indices are unique): the row is
+		// the override list, and the coordinate — perhaps not fitted yet —
+		// is never read.
+		copy(dst, ov)
+		return dst
+	}
 	if cp.dim == DefaultCoordDim {
 		a := cp.cli[j*DefaultCoordDim : (j+1)*DefaultCoordDim]
 		a0, a1, a2, a3, a4 := a[0], a[1], a[2], a[3], a[4]
@@ -193,6 +220,7 @@ func (cp *CoordProvider) Row(j int, dst []float64) []float64 {
 // override (full rows erode the diet; see the type comment), NaN entries
 // drop back to the coordinate prediction.
 func (cp *CoordProvider) SetClientDelays(j int, row []float64) {
+	cp.fit(j)
 	os := cp.ovSrv[j][:0]
 	ov := cp.ovVal[j][:0]
 	for i, d := range row {
@@ -208,6 +236,7 @@ func (cp *CoordProvider) SetClientDelays(j int, row []float64) {
 // SetClientServerDelay implements DelayProvider: inserts or replaces the
 // (j, i) override; a NaN delay removes it (back to prediction).
 func (cp *CoordProvider) SetClientServerDelay(j, i int, d float64) {
+	cp.fit(j)
 	srvs, vals := cp.ovSrv[j], cp.ovVal[j]
 	x := sort.Search(len(srvs), func(x int) bool { return srvs[x] >= int32(i) })
 	if x < len(srvs) && srvs[x] == int32(i) {
@@ -231,12 +260,19 @@ func (cp *CoordProvider) SetClientServerDelay(j, i int, d float64) {
 	cp.ovSrv[j], cp.ovVal[j] = srvs, vals
 }
 
-// AppendClient implements DelayProvider: the client's coordinate is fitted
-// against the servers it measured (deterministically) and every non-NaN
-// entry is stored as an override.
+// AppendClient implements DelayProvider: every non-NaN entry is stored as
+// an override and the client's coordinate is fitted against the servers it
+// measured (deterministically) — at once for a row with NaN entries, on
+// first need for a full row (see the type comment).
 func (cp *CoordProvider) AppendClient(row []float64) {
-	var srvs []int32
-	var vals []float64
+	n := 0
+	for _, d := range row {
+		if d == d {
+			n++
+		}
+	}
+	srvs := make([]int32, 0, n)
+	vals := make([]float64, 0, n)
 	for i, d := range row {
 		if d != d {
 			continue
@@ -244,11 +280,43 @@ func (cp *CoordProvider) AppendClient(row []float64) {
 		srvs = append(srvs, int32(i))
 		vals = append(vals, d)
 	}
-	coord := make([]float64, cp.dim)
-	fitPoint(coord, cp.srv, cp.dim, srvs, vals, uint64(len(cp.ovSrv)))
-	cp.cli = append(cp.cli, coord...)
+	j := len(cp.ovSrv)
+	cp.cli = append(cp.cli, make([]float64, cp.dim)...)
 	cp.ovSrv = append(cp.ovSrv, srvs)
 	cp.ovVal = append(cp.ovVal, vals)
+	if len(srvs) < len(row) {
+		cp.fitAt(j, uint64(j))
+		return
+	}
+	if cp.unfit == nil {
+		cp.unfit = make(map[int32]uint32)
+	}
+	cp.unfit[int32(j)] = uint32(j)
+}
+
+// fitAt fits client j's coordinate, zero until now, against the servers
+// its override list names.
+func (cp *CoordProvider) fitAt(j int, seed uint64) {
+	fitPoint(cp.cli[j*cp.dim:(j+1)*cp.dim], cp.srv, cp.dim, cp.ovSrv[j], cp.ovVal[j], seed)
+}
+
+// fit fits client j's coordinate if it is still deferred. Nothing the fit
+// reads has changed since the join: every mutation that would change it
+// fits first.
+func (cp *CoordProvider) fit(j int) {
+	if seed, ok := cp.unfit[int32(j)]; ok {
+		delete(cp.unfit, int32(j))
+		cp.fitAt(j, uint64(seed))
+	}
+}
+
+// fitAll fits every deferred coordinate. Each fit reads only the server
+// coordinates and its own client's overrides, so the order is immaterial.
+func (cp *CoordProvider) fitAll() {
+	for j, seed := range cp.unfit {
+		cp.fitAt(int(j), uint64(seed))
+	}
+	cp.unfit = nil
 }
 
 // SwapRemoveClient implements DelayProvider.
@@ -261,13 +329,21 @@ func (cp *CoordProvider) SwapRemoveClient(j int) {
 	cp.ovVal[j], cp.ovVal[l] = cp.ovVal[l], cp.ovVal[j]
 	cp.ovSrv = cp.ovSrv[:l]
 	cp.ovVal = cp.ovVal[:l]
+	delete(cp.unfit, int32(j))
+	if seed, ok := cp.unfit[int32(l)]; ok {
+		delete(cp.unfit, int32(l))
+		cp.unfit[int32(j)] = seed
+	}
 }
 
 // AppendServer implements DelayProvider: the server's coordinate is fitted
 // against the clients that measured it (a deterministic capped sample; the
 // centroid of the existing servers when none did), and each non-NaN entry
-// becomes that client's override for the new column.
+// becomes that client's override for the new column. Deferred client fits
+// run first: they are anchors here, and the new column changes their
+// inputs.
 func (cp *CoordProvider) AppendServer(col []float64) {
+	cp.fitAll()
 	i := cp.NumServers()
 	var anchIdx []int32
 	var anchVal []float64
@@ -310,8 +386,10 @@ func (cp *CoordProvider) AppendServer(col []float64) {
 
 // SwapRemoveServer implements DelayProvider: column i's overrides are
 // dropped and the last column's overrides renumbered to i, mirroring the
-// dense column compaction.
+// dense column compaction. Deferred client fits run first: the removal
+// changes their inputs.
 func (cp *CoordProvider) SwapRemoveServer(i int) {
+	cp.fitAll()
 	l := cp.NumServers() - 1
 	copy(cp.srv[i*cp.dim:(i+1)*cp.dim], cp.srv[l*cp.dim:(l+1)*cp.dim])
 	cp.srv = cp.srv[:l*cp.dim]
@@ -353,6 +431,7 @@ func (cp *CoordProvider) Clone() DelayProvider {
 		cli:   append([]float64(nil), cp.cli...),
 		ovSrv: make([][]int32, len(cp.ovSrv)),
 		ovVal: make([][]float64, len(cp.ovVal)),
+		unfit: maps.Clone(cp.unfit),
 	}
 	for j := range cp.ovSrv {
 		q.ovSrv[j] = append([]int32(nil), cp.ovSrv[j]...)
@@ -363,15 +442,19 @@ func (cp *CoordProvider) Clone() DelayProvider {
 
 // MemoryBytes implements DelayProvider.
 func (cp *CoordProvider) MemoryBytes() int {
-	n := 8*(cap(cp.srv)+cap(cp.cli)) + 48*cap(cp.ovSrv)
+	n := 8*(cap(cp.srv)+cap(cp.cli)) + 48*cap(cp.ovSrv) + unfitEntryBytes*len(cp.unfit)
 	for j := range cp.ovSrv {
 		n += 4*cap(cp.ovSrv[j]) + 8*cap(cp.ovVal[j])
 	}
 	return n
 }
 
-// State implements DelayProvider.
+// State implements DelayProvider. It fits every deferred coordinate first,
+// so the snapshot holds the coordinates an eager fit would have stored.
+// Those fits write only coordinates no read touches and the unfit table
+// no read consults, so State may run beside concurrent reads.
 func (cp *CoordProvider) State() *ProviderState {
+	cp.fitAll()
 	st := &CoordState{
 		Dim:   cp.dim,
 		Srv:   append([]float64(nil), cp.srv...),
@@ -387,8 +470,10 @@ func (cp *CoordProvider) State() *ProviderState {
 }
 
 // sortOverrides sorts the (srvs, vals) pairs by ascending server index —
-// insertion sort, since candidate lists are short.
-func sortOverrides(srvs []int32, vals []float64) {
+// insertion sort, since candidate lists are short — and collapses a server
+// listed more than once to the last value given (the sort is stable), so
+// the indices come out unique.
+func sortOverrides(srvs []int32, vals []float64) ([]int32, []float64) {
 	for a := 1; a < len(srvs); a++ {
 		s, v := srvs[a], vals[a]
 		b := a - 1
@@ -398,6 +483,16 @@ func sortOverrides(srvs []int32, vals []float64) {
 		}
 		srvs[b+1], vals[b+1] = s, v
 	}
+	w := 0
+	for x, s := range srvs {
+		if w > 0 && srvs[w-1] == s {
+			vals[w-1] = vals[x]
+			continue
+		}
+		srvs[w], vals[w] = s, vals[x]
+		w++
+	}
+	return srvs[:w], vals[:w]
 }
 
 // splitmix64 is the deterministic seed expander behind coordinate

@@ -20,6 +20,12 @@ package core
 //   - Reads (ClientServer, Row) are safe to run concurrently with each
 //     other as long as each call uses its own dst buffer; mutations demand
 //     exclusive access, like every Evaluator mutation.
+//   - A provider may defer internal work no read depends on — the
+//     coordinate provider fits a fully measured client's coordinate only
+//     when something could observe it. Reads never touch deferred state;
+//     State may complete it, writing only state no read touches, so State
+//     may run beside concurrent reads but not beside a mutation or a
+//     Clone.
 //   - Writes copy their inputs; callers keep ownership of the slices they
 //     pass in.
 //   - NaN delay entries handed to a mutation mean "unmeasured": the
@@ -67,7 +73,8 @@ type DelayProvider interface {
 	// State returns a serializable snapshot of the provider's full
 	// internal state; NewProviderFromState(State()) reconstructs a
 	// provider whose every future read and mutation is bit-identical, the
-	// property durable-session recovery leans on.
+	// property durable-session recovery leans on. It may first complete
+	// deferred work (see the contract above).
 	State() *ProviderState
 }
 

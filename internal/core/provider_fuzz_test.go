@@ -176,7 +176,9 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 		if step%8 == 7 {
 			copies := []*Problem{p.Clone()}
 			if p.Delays != nil {
-				restored, err := NewProviderFromState(p.Delays.State())
+				// The state of a clone: p keeps its deferred coordinate fits
+				// (fully measured coordinate-provider clients) pending.
+				restored, err := NewProviderFromState(p.Delays.Clone().State())
 				if err != nil {
 					t.Fatalf("%s: state round trip: %v", kind, err)
 				}
@@ -184,18 +186,33 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 				q.Delays = restored
 				copies = append(copies, &q)
 			}
-			buf := make([]float64, m)
-			buf2 := make([]float64, m)
-			for j := range shadow {
-				want := p.CSRow(j, buf)
-				for _, q := range copies {
-					other := q.CSRow(j, buf2)
-					for i := range want {
-						if other[i] != want[i] {
-							t.Fatalf("%s: copy disagrees at CS[%d][%d]: %v vs %v", kind, j, i, other[i], want[i])
+			agree := func(stage string, width int) {
+				buf := make([]float64, width)
+				buf2 := make([]float64, width)
+				for j := range shadow {
+					want := p.CSRow(j, buf)
+					for _, q := range copies {
+						other := q.CSRow(j, buf2)
+						for i := range want {
+							if math.Float64bits(other[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("%s: copy disagrees %s at CS[%d][%d]: %v vs %v", kind, stage, j, i, other[i], want[i])
+							}
 						}
 					}
 				}
+			}
+			agree("as copied", m)
+			// An unmeasured column makes every client read its coordinate:
+			// fits pending in p and its clone run against the same inputs
+			// the restored copy's ran against. Removing the column again
+			// leaves every store as the shadow has it.
+			all := append(copies, p)
+			for _, q := range all {
+				q.AppendCSCol(nil)
+			}
+			agree("with a new column", m+1)
+			for _, q := range all {
+				q.SwapRemoveCSCol(m)
 			}
 		}
 	}
@@ -206,12 +223,18 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 // add/remove — through Problem's delay-store mutations over the raw matrix
 // and every DelayProvider implementation, against a from-scratch dense
 // shadow: the fuzz form of TestProviderMatchesDenseOracle extended to
-// partial (NaN) measurements. Seed corpus lives in
+// partial (NaN) measurements. Every eighth op the store's Clone and State
+// round trips must agree with it — also once a new server column makes
+// every client read its coordinate, while the live store still has
+// coordinate fits pending. Seed corpus lives in
 // testdata/fuzz/FuzzDelayProvider.
 func FuzzDelayProvider(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 0, 2, 3, 4, 1, 5, 0, 3, 3, 2, 4})
 	f.Add(uint64(7), []byte{0, 4, 4, 5, 5, 1, 0, 0, 2, 3})
 	f.Add(uint64(1e6), []byte{0, 1, 0, 1, 4, 0, 5, 2, 2, 3, 3, 3, 4, 1})
+	// Appends only, then a leave: clones and restored copies are taken
+	// with several fully measured clients' coordinate fits still pending.
+	f.Add(uint64(3), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
 	for dim := uint64(1); dim <= 16; dim++ { // every coordinate dimension
 		f.Add(dim<<8|1, []byte{0, 0, 0, 3, 2, 3, 4, 0, 3, 5, 0, 1, 3})
 	}

@@ -329,3 +329,70 @@ func TestCoordRowMatchesClientServerAllDims(t *testing.T) {
 		})
 	}
 }
+
+// TestCoordDuplicateOverridesKeepLast: a sparse join that lists a server
+// more than once keeps the value given last, and Row and ClientServer
+// agree on it. A duplicate must not count toward coverage either: three
+// entries naming two of three servers leave the third predicted.
+func TestCoordDuplicateOverridesKeepLast(t *testing.T) {
+	ss := [][]float64{{0, 40, 70}, {40, 0, 50}, {70, 50, 0}}
+	for _, tc := range []struct {
+		name string
+		add  func(cp *CoordProvider, srvs []int32, vals []float64) int
+	}{
+		{"AddClientAt", func(cp *CoordProvider, srvs []int32, vals []float64) int {
+			return cp.AddClientAt([]float64{3, 1, 4, 1, 5}, srvs, vals)
+		}},
+		{"AddClientFitted", (*CoordProvider).AddClientFitted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := NewCoordProviderFromSS(ss, 0)
+			pair := tc.add(cp, []int32{1, 1}, []float64{10, 20})
+			partial := tc.add(cp, []int32{2, 0, 2}, []float64{5, 8, 7})
+			buf := make([]float64, 3)
+			for _, w := range []struct {
+				j, i int
+				want float64
+			}{{pair, 1, 20}, {partial, 0, 8}, {partial, 2, 7}} {
+				if got := cp.Row(w.j, buf)[w.i]; got != w.want {
+					t.Errorf("Row(%d)[%d] = %v, want %v", w.j, w.i, got, w.want)
+				}
+			}
+			for _, j := range []int{pair, partial} {
+				row := cp.Row(j, buf)
+				for i, got := range row {
+					if want := cp.ClientServer(j, i); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("Row(%d)[%d] = %v, ClientServer = %v", j, i, got, want)
+					}
+				}
+			}
+			if _, err := NewProviderFromState(cp.State()); err != nil {
+				t.Errorf("state of deduplicated overrides refused: %v", err)
+			}
+		})
+	}
+}
+
+// TestCoordMemoryCountsDeferredFits: fully measured joins leave their
+// coordinate fits pending in a table MemoryBytes counts; State fits them
+// and empties it.
+func TestCoordMemoryCountsDeferredFits(t *testing.T) {
+	cp := NewCoordProviderFromSS([][]float64{{0, 40}, {40, 0}}, 0)
+	cp.AppendClient([]float64{12, math.NaN()})
+	before := cp.MemoryBytes()
+	const joins = 100
+	for j := 0; j < joins; j++ {
+		cp.AppendClient([]float64{float64(10 + j), 30})
+	}
+	if len(cp.unfit) != joins {
+		t.Fatalf("%d fits pending after %d full-row joins, want %d", len(cp.unfit), joins, joins)
+	}
+	withTable := cp.MemoryBytes()
+	cp.State()
+	if len(cp.unfit) != 0 {
+		t.Fatalf("%d fits pending after State, want 0", len(cp.unfit))
+	}
+	if got := withTable - cp.MemoryBytes(); got != joins*unfitEntryBytes {
+		t.Fatalf("table counted as %d bytes (%d → %d), want %d", got, before, withTable, joins*unfitEntryBytes)
+	}
+}

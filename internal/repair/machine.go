@@ -559,11 +559,13 @@ func (cj ClusterJSON) Encode(w io.Writer) error {
 
 // Render renders the machine's full durable state as of lsn. Of everything
 // a reader can see it only reads — the director calls it under its write
-// sequencer while readers carry on; its one write is the evaluator's cache
-// barrier (core.Evaluator.ExportState invalidates the candidate-delta rows,
-// which only writers, excluded by that sequencer, ever touch), so this
-// process and one recovered from the rendered snapshot build the same rows
-// from here on.
+// sequencer while readers carry on. It writes twice, both to state no reader
+// touches: the evaluator's cache barrier (core.Evaluator.ExportState
+// invalidates the candidate-delta rows, which only writers, excluded by
+// that sequencer, ever touch), so this process and one recovered from the
+// rendered snapshot build the same rows from here on; and the provider's
+// deferred coordinate fits (core.CoordProvider.State), which no read
+// consults.
 func (m *Machine) Render(lsn uint64) ([]byte, error) {
 	b, pl := m.b, m.b.pl
 	p := pl.prob
