@@ -532,10 +532,18 @@ func (d *Director) infoAt(j int, id string) ClientInfo {
 // clients in the planner's dense order — the order Snapshot lists them in.
 // Delay rows come from the planner's live state, so measured updates
 // (UpdateDelays) are reflected rather than re-derived from the topology
-// oracle.
+// oracle. The rows are read off the live problem through its delay
+// provider's reads, never from a copy of the provider's internals: a reader
+// must touch no coordinate a checkpoint may be fitting under wmu alone
+// (core.CoordProvider.State).
 func (d *Director) problemLocked() *core.Problem {
-	p := d.planner().Problem().Clone()
-	p.CS, p.Delays = p.DenseRows(), nil
+	live := d.planner().Problem()
+	shell := *live
+	shell.Delays = nil
+	p := shell.Clone()
+	if live.Delays != nil {
+		p.CS = live.DenseRows()
+	}
 	return p
 }
 

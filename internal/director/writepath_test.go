@@ -358,3 +358,80 @@ func TestWriteStageSeries(t *testing.T) {
 		t.Fatalf("non-durable join left %d journal / %d apply observations, want 0 / 1", j, a)
 	}
 }
+
+// TestProblemSnapshotDuringCoordCheckpoints: under the coordinate delay
+// model a join with a full measured row defers its coordinate fit, and an
+// auto-checkpoint's render fits it under wmu alone while readers carry on.
+// GET /v1/problem's two readers run throughout full-row joins that cross
+// several checkpoints; under -race a reader that touched a coordinate being
+// fitted is a reported race. Afterwards the director equals a control that
+// never checkpointed, whose fits all waited for the final render.
+func TestProblemSnapshotDuringCoordCheckpoints(t *testing.T) {
+	cfg := durDirConfig(durDelays(t), 1)
+	cfg.DelayModel = "coord"
+	control, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.DataDir, cfg.SnapshotEvery = t.TempDir(), 3
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	stop, read := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				read <- nil
+				return
+			default:
+			}
+			if p := d.ProblemSnapshot(); p.Delays != nil || len(p.CS) != p.NumClients() {
+				read <- fmt.Errorf("problem snapshot: provider %v, %d rows for %d clients", p.Delays != nil, len(p.CS), p.NumClients())
+				return
+			}
+			for _, c := range d.ClusterSpec().Clients {
+				if len(c.RTTRowMs) != len(cfg.ServerNodes) {
+					read <- fmt.Errorf("cluster spec: client %s has %d delays", c.ID, len(c.RTTRowMs))
+					return
+				}
+			}
+		}
+	}()
+	joined := func() error {
+		for i := 0; i < 30; i++ {
+			id, node, zone := fmt.Sprintf("j%02d", i), (7*i)%40, i%8
+			if _, err := d.Join(id, node, zone); err != nil {
+				return err
+			}
+			if _, err := control.Join(id, node, zone); err != nil {
+				return err
+			}
+		}
+		return nil
+	}()
+	close(stop)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	if joined != nil {
+		t.Fatal(joined)
+	}
+	if got, want := dirStateJSON(t, d), dirStateJSON(t, control); got != want {
+		t.Fatalf("checkpointed director diverges from the control:\n got %s\nwant %s", got, want)
+	}
+	a, err := d.DurableState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := control.DurableState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatal("checkpointed director renders other bytes than the control")
+	}
+}
