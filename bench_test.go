@@ -630,6 +630,40 @@ func BenchmarkSessionResolve100k(b *testing.B) {
 	})
 }
 
+// BenchmarkSessionJoin100k measures ClusterSession.Join of a client with a
+// full measured row on the churn-scale scenario, on the raw matrix (the
+// control) and coordinate-native. Each joiner leaves again outside the
+// timer, so the population holds still. A fully measured joiner reads only
+// its overrides, so the coordinate provider leaves its coordinate unfitted
+// until something could observe it (DESIGN.md §13) and the join costs
+// O(servers), as on the raw matrix.
+func BenchmarkSessionJoin100k(b *testing.B) {
+	forChurnedSessions100k(b, func(b *testing.B, s *ClusterSession, rng *xrand.RNG) {
+		p := s.planner().Problem()
+		zones := s.ZoneIDs()
+		specs := make([]ClientSpec, 64)
+		for x := range specs {
+			j := rng.IntN(50_000)
+			row := make([]float64, p.NumServers())
+			p.CopyCSRow(j, row)
+			specs[x] = ClientSpec{Zone: zones[p.ClientZones[j]], BandwidthMbps: p.ClientRT[j], RTTRow: row}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			id := "j" + strconv.Itoa(i)
+			if err := s.Join(id, specs[i%len(specs)]); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := s.Leave(id); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
+}
+
 // BenchmarkSessionEventsAfterResolve100k measures what a re-solve costs the
 // events that FOLLOW it: per iteration one Resolve() (untimed) and then 500
 // single zone moves, timed — the mean event, first touches of rehosted zones
