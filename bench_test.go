@@ -617,17 +617,71 @@ func BenchmarkClusterSolve100k(b *testing.B) {
 // measured rows, leaves, zone moves), on the raw matrix and coordinate-native.
 // The cost matrix and GreC's late list come from the late index the opening
 // solve filled (internal/core/lateindex.go); BenchmarkFullSolve100k, a
-// one-shot solve of the same problems, reads every client's delay row.
+// one-shot solve of the same problems, reads every client's delay row. The
+// warm leg re-solves an unchanged session, so GreC reuses every late
+// client's kept choice from the index; the churned leg applies 1 000 more
+// mixed events, untimed, before each timed Resolve(), so GreC reads the rows
+// of the late clients those events wrote or re-targeted (late-rows-read/op).
 func BenchmarkSessionResolve100k(b *testing.B) {
-	forChurnedSessions100k(b, func(b *testing.B, s *ClusterSession, _ *xrand.RNG) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.Resolve(); err != nil {
-				b.Fatal(err)
+	forChurnedSessions100k(b, func(b *testing.B, s *ClusterSession, rng *xrand.RNG) {
+		reg := telemetry.NewRegistry()
+		s.planner().SetTelemetry(reg)
+		rowsRead := reg.Counter("dvecap_solve_late_rows_read_total", "")
+		next := 1000 // the events forChurnedSessions100k applied
+		for _, churned := range []bool{false, true} {
+			name := "warm"
+			if churned {
+				name = "churned"
 			}
+			b.Run(name, func(b *testing.B) {
+				before := rowsRead.Value()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if churned {
+						b.StopTimer()
+						churnSession(b, s, rng, &next, 1000)
+						b.StartTimer()
+					}
+					if err := s.Resolve(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(rowsRead.Value()-before)/float64(b.N), "late-rows-read/op")
+			})
 		}
 	})
+}
+
+// churnSession applies n more mixed events to a session forChurnedSessions100k
+// opened, numbered on from *next: in turn a join with the full delay row of
+// a random client of c0..c49999, a leave of the client that joined 1 000
+// events earlier (so the population holds still) and a zone move of a
+// random client of c0..c49999.
+func churnSession(b *testing.B, s *ClusterSession, rng *xrand.RNG, next *int, n int) {
+	b.Helper()
+	p := s.planner().Problem()
+	zones := s.ZoneIDs()
+	for x := 0; x < n; x++ {
+		e := *next
+		*next++
+		var err error
+		switch e % 3 {
+		case 0:
+			j := rng.IntN(50_000)
+			row := make([]float64, p.NumServers())
+			p.CopyCSRow(j, row)
+			err = s.Join("n"+strconv.Itoa(e), ClientSpec{Zone: zones[p.ClientZones[j]], BandwidthMbps: p.ClientRT[j], RTTRow: row})
+		case 1:
+			err = s.Leave("n" + strconv.Itoa(e-1000))
+		default:
+			err = s.Move("c"+strconv.Itoa(rng.IntN(50_000)), zones[rng.IntN(len(zones))])
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkSessionJoin100k measures ClusterSession.Join of a client with a

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 )
 
 // LateIndex memoises the one comparison the IAP cost matrix of Equation (3)
@@ -17,6 +20,18 @@ import (
 // + set bits) instead of a delay-row read per client, and a move pays
 // nothing.
 //
+// Beside the bits it keeps GreC's choice for each client the last indexed
+// GreC run found late at its target: the two most desirable contacts and
+// their regret (topTwo), tagged with the target they were computed for. The
+// choice is a pure function of the client's row, that target, SS and D, so
+// the same hooks forget it: a row or entry write forgets its client, a
+// swap-remove both ends, a server added or removed (SS changes) and a
+// refill or drop forget every choice. GreC reuses a choice whose tag equals
+// the client's current target and reads the row otherwise, so a repeat
+// solve reads only rows written since the last solve, or of clients whose
+// target changed. Only late clients have an entry: 24 bytes each, held in
+// ascending client order and rewritten in place by every indexed GreC run.
+//
 // Lifecycle: the owner of a long-lived problem passes one index to its
 // solves (Options.Late). The first cost matrix counted from rows fills it on
 // the way; later builds for the same *Problem read it, and GreC's first pass
@@ -29,10 +44,37 @@ import (
 // is restored or rebound to another problem. The zero value is an empty,
 // invalid index.
 type LateIndex struct {
-	p     *Problem // the problem the words describe; nil while unfilled
-	m     int      // servers covered
-	wpc   int      // words per client, ⌈m/64⌉
-	words []uint64 // client-major, clients × wpc; spare high bits are zero
+	p     *Problem   // the problem the words describe; nil while unfilled
+	m     int        // servers covered
+	wpc   int        // words per client, ⌈m/64⌉
+	words []uint64   // client-major, clients × wpc; spare high bits are zero
+	memo  choiceMemo // GreC's choices for the late clients of its last run
+}
+
+// lateChoice is GreC's choice for one late client, as topTwo made it from
+// the client's row for target server `target`; target is -1 once forgotten.
+type lateChoice struct {
+	client, target int32
+	best, second   int32
+	regret         float64
+}
+
+// choiceMemo holds the choices of one GreC run, ascending by client.
+type choiceMemo []lateChoice
+
+// recall returns client j's choice if it was made for target t, first
+// advancing past the entries of clients below j: GreC asks for its late
+// clients in ascending order, so one run walks the memo once.
+func (cm *choiceMemo) recall(j, t int) (regretChoice, bool) {
+	s := *cm
+	for len(s) > 0 && int(s[0].client) < j {
+		s = s[1:]
+	}
+	*cm = s
+	if len(s) == 0 || int(s[0].client) != j || int(s[0].target) != t {
+		return regretChoice{}, false
+	}
+	return regretChoice{item: j, best: s[0].best, second: s[0].second, regret: s[0].regret}, true
 }
 
 // isLate is the one place a late bit is decided: strictly beyond the bound,
@@ -69,9 +111,10 @@ func (li *LateIndex) ValidFor(p *Problem) bool {
 		len(li.words) == p.NumClients()*li.wpc
 }
 
-// Verify recomputes every client's words from p's delay rows and returns
+// Verify recomputes every client's words from p's delay rows, and every
+// choice GreC could reuse from the row and its tagged target, and returns
 // the first disagreement; an index not valid for p asserts nothing. For
-// tests and self-checks, O(clients × servers).
+// tests and self-checks, O((clients + remembered choices) × servers).
 func (li *LateIndex) Verify(p *Problem) error {
 	if !li.ValidFor(p) {
 		return nil
@@ -85,27 +128,81 @@ func (li *LateIndex) Verify(p *Problem) error {
 			}
 		}
 	}
+	mu := make([]float64, li.m)
+	for x, c := range li.memo {
+		j, t := int(c.client), int(c.target)
+		if x > 0 && int(li.memo[x-1].client) >= j {
+			return fmt.Errorf("core: late index remembers client %d after client %d", j, li.memo[x-1].client)
+		}
+		if t < 0 {
+			continue
+		}
+		if j >= p.NumClients() || t >= li.m {
+			return fmt.Errorf("core: late index remembers client %d at server %d, beyond %d clients and %d servers", j, t, p.NumClients(), li.m)
+		}
+		refinedDesirability(p, p.CSRow(j, buf), t, mu)
+		want := topTwo(j, mu)
+		if c.best != want.best || c.second != want.second || math.Float64bits(c.regret) != math.Float64bits(want.regret) {
+			return fmt.Errorf("core: late index remembers client %d at target %d as (%d, %d, ρ %v), its delay row gives (%d, %d, ρ %v)",
+				j, t, c.best, c.second, c.regret, want.best, want.second, want.regret)
+		}
+	}
 	return nil
 }
 
-// bind sizes the index for p ahead of a filling pass, which must setRow
-// every client.
+// bind sizes the index for p ahead of a filling pass, which must fillRow
+// every client, and forgets every choice.
 func (li *LateIndex) bind(p *Problem) {
 	li.p, li.m = p, p.NumServers()
 	li.wpc = (li.m + 63) / 64
 	li.words = grow(li.words, p.NumClients()*li.wpc)
+	li.forgetAll()
 }
 
 // drop invalidates the index; the next cost-matrix build refills it.
-func (li *LateIndex) drop() { li.p = nil }
+func (li *LateIndex) drop() {
+	li.p = nil
+	li.forgetAll()
+}
 
 // CopyFrom makes li a copy of src rebound to p, a clone of the problem src
-// is valid for. The words are copied, never shared: the two owners maintain
-// their indexes apart from then on.
+// is valid for. The words and choices are copied, never shared: the two
+// owners maintain their indexes apart from then on.
 func (li *LateIndex) CopyFrom(src *LateIndex, p *Problem) {
 	li.p, li.m, li.wpc = p, src.m, src.wpc
 	li.words = append(li.words[:0], src.words...)
+	li.memo = append(li.memo[:0], src.memo...)
 }
+
+// remember replaces the memo with one GreC run's choices, ascending by
+// client, each tagged with its client's target under zoneServer. The
+// buffer is reused and grows by append's factor, so neither a warm solve
+// nor one whose late list grew by a few clients allocates here; one over
+// four times the size it needs (a spike of late clients has passed) is
+// released, so the memo holds at most 4 × late + 64 entries.
+func (li *LateIndex) remember(p *Problem, zoneServer []int, choices []regretChoice) {
+	n := len(choices)
+	if cap(li.memo) > 4*n+64 {
+		li.memo = nil
+	}
+	li.memo = slices.Grow(li.memo[:0], n)[:n]
+	for x, c := range choices {
+		t := zoneServer[p.ClientZones[c.item]]
+		li.memo[x] = lateChoice{client: int32(c.item), target: int32(t), best: c.best, second: c.second, regret: c.regret}
+	}
+}
+
+// forget drops client j's choice, if one is remembered: O(log late).
+func (li *LateIndex) forget(j int) {
+	if x, ok := slices.BinarySearchFunc(li.memo, int32(j), func(c lateChoice, j int32) int {
+		return cmp.Compare(c.client, j)
+	}); ok {
+		li.memo[x].target = -1
+	}
+}
+
+// forgetAll drops every choice.
+func (li *LateIndex) forgetAll() { li.memo = li.memo[:0] }
 
 // clientWords returns client j's words.
 func (li *LateIndex) clientWords(j int) []uint64 {
@@ -132,31 +229,48 @@ func (li *LateIndex) rowWord(row []float64, w int, bound float64) uint64 {
 	return lateWord(row[w*64:min(w*64+64, li.m)], bound)
 }
 
-// setRow rewrites client j's words from its delay row.
+// setRow rewrites client j's words from its new delay row and forgets its
+// choice.
 func (li *LateIndex) setRow(j int, row []float64, bound float64) {
+	li.forget(j)
+	li.fillRow(j, row, bound)
+}
+
+// fillRow writes client j's words from its delay row.
+func (li *LateIndex) fillRow(j int, row []float64, bound float64) {
 	words := li.clientWords(j)
 	for w := range words {
 		words[w] = li.rowWord(row, w, bound)
 	}
 }
 
-// appendClient adds the words of a new last client with the given row.
+// appendClient adds the words of a new last client with the given row. It
+// has no choice to forget: swapRemoveClient forgot the index's last holder.
 func (li *LateIndex) appendClient(row []float64, bound float64) {
 	j := len(li.words) / li.wpc
 	li.words = append(li.words, make([]uint64, li.wpc)...)
-	li.setRow(j, row, bound)
+	li.fillRow(j, row, bound)
 }
 
 // swapRemoveClient drops client j's words, renumbering the last client's
-// to j.
+// to j, and forgets the choices of both.
 func (li *LateIndex) swapRemoveClient(j int) {
 	l := len(li.words) - li.wpc
+	li.forget(j)
+	li.forget(l / li.wpc)
 	copy(li.clientWords(j), li.words[l:])
 	li.words = li.words[:l]
 }
 
-// setBit records whether client j is late at server i.
+// setBit records whether client j is late at server i after a write of
+// that one delay, and forgets j's choice.
 func (li *LateIndex) setBit(j, i int, late bool) {
+	li.forget(j)
+	li.putBit(j, i, late)
+}
+
+// putBit writes bit (j, i).
+func (li *LateIndex) putBit(j, i int, late bool) {
 	word, bit := &li.words[j*li.wpc+i>>6], uint64(1)<<(uint(i)&63)
 	if late {
 		*word |= bit
@@ -166,8 +280,10 @@ func (li *LateIndex) setBit(j, i int, late bool) {
 }
 
 // appendServer adds the column of p's new last server (already stored),
-// growing every client by a word when m crosses a multiple of 64.
+// growing every client by a word when m crosses a multiple of 64. Every
+// choice is forgotten: the new server is a candidate contact for all.
 func (li *LateIndex) appendServer(p *Problem) {
+	li.forgetAll()
 	i := li.m
 	li.m++
 	if i%64 == 0 {
@@ -175,18 +291,20 @@ func (li *LateIndex) appendServer(p *Problem) {
 	}
 	for j := range p.ClientZones {
 		if isLate(p.CSAt(j, i), p.D) {
-			li.setBit(j, i, true)
+			li.putBit(j, i, true)
 		}
 	}
 }
 
 // swapRemoveServer drops server i's column, renumbering the last server's
-// to i, and sheds the word the last server was alone in.
+// to i, and sheds the word the last server was alone in. Every choice is
+// forgotten: its servers are renumbered.
 func (li *LateIndex) swapRemoveServer(i int) {
+	li.forgetAll()
 	l := li.m - 1
 	for j := 0; j < len(li.words)/li.wpc; j++ {
-		li.setBit(j, i, li.has(j, l))
-		li.setBit(j, l, false)
+		li.putBit(j, i, li.has(j, l))
+		li.putBit(j, l, false)
 	}
 	li.m = l
 	if l%64 == 0 {

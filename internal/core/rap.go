@@ -37,8 +37,10 @@ func VirC(_ *xrand.RNG, p *Problem, zoneServer []int, _ Options) ([]int, error) 
 // clients, which is why that step is an arg-max and not a sort.
 //
 // Under a filled Options.Late (a session's solve, a Cluster's repeated
-// solve) the first pass reads the late index and only the late clients'
-// delay rows are ever touched.
+// solve) the first pass reads the late index, and the second reuses the
+// choices the index remembers from the last indexed run: only rows written
+// since the last solve, or of clients whose target changed, are read —
+// plus a third choice's second read.
 //
 // Loads start at the initial phase's zone loads, matching the RAP
 // constraint (10): contact load fits within C_{s_i} − R_{s_i}.
@@ -83,9 +85,23 @@ func GreC(_ *xrand.RNG, p *Problem, zoneServer []int, opt Options) ([]int, error
 	w.mu = grow(w.mu, m)
 	w.rows = grow(w.rows, m)
 	choices, mu, rowBuf := w.choices, w.mu, w.rows[:m]
+	var memo choiceMemo // the index's choices, walked in step with late
+	if idx != nil {
+		memo = idx.memo
+	}
+	w.lateRowsRead = 0
 	for li, j := range late {
-		refinedDesirability(p, p.CSRow(j, rowBuf), zoneServer[p.ClientZones[j]], mu)
-		choices[li] = topTwo(j, mu)
+		t := zoneServer[p.ClientZones[j]]
+		c, ok := memo.recall(j, t)
+		if !ok {
+			w.lateRowsRead++
+			refinedDesirability(p, p.CSRow(j, rowBuf), t, mu)
+			c = topTwo(j, mu)
+		}
+		choices[li] = c
+	}
+	if idx != nil {
+		idx.remember(p, zoneServer, choices)
 	}
 	sortChoicesByRegret(choices)
 

@@ -291,3 +291,65 @@ func TestWorkspaceRetainsNoClientsTimesServers(t *testing.T) {
 		t.Fatalf("workspace retains %d bytes after a %d-client × %d-server solve, budget %d (64 B a client + 64 B a server-zone pair)", retained, k, m, budget)
 	}
 }
+
+// TestLateIndexRetainsClientsAndLateChoices bounds what a late index keeps
+// after a solve: its bits, 8 B × ⌈m/64⌉ a client, and GreC's choices, 24 B
+// each for at most 4 × (late clients of the last solve) + 64 entries.
+// Nothing scales with clients × servers, and a solve with few late clients
+// after one with many gives the choices' memory back. Every slice field is
+// counted by reflection, so state added later is held to the same bound.
+func TestLateIndexRetainsClientsAndLateChoices(t *testing.T) {
+	const m, n, k = 40, 10, 4000
+	rng := xrand.New(6)
+	problem := func(late int) *Problem {
+		p := &Problem{
+			ServerCaps:  make([]float64, m),
+			ClientZones: make([]int, k),
+			NumZones:    n,
+			ClientRT:    make([]float64, k),
+			CS:          make([][]float64, k),
+			SS:          make([][]float64, m),
+			D:           100,
+		}
+		for i := range p.SS {
+			p.SS[i] = make([]float64, m)
+			p.ServerCaps[i] = k
+		}
+		for j := range p.CS {
+			p.ClientZones[j], p.ClientRT[j] = rng.IntN(n), 0.1
+			p.CS[j] = make([]float64, m)
+			lo, hi := 0.0, 90.0
+			if j < late {
+				lo, hi = 150, 400 // late everywhere
+			}
+			for i := range p.CS[j] {
+				p.CS[j][i] = rng.Uniform(lo, hi)
+			}
+		}
+		return p
+	}
+	li := &LateIndex{}
+	opt := Options{Scratch: NewWorkspace(), Late: li}
+	for _, late := range []int{k, 10} {
+		p := problem(late)
+		for solve := 0; solve < 2; solve++ { // filling, then from the index
+			if _, err := GreZGreC.Solve(nil, p, opt); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := opt.Scratch.GreCCounts(); got != late {
+				t.Fatalf("%d late clients, want %d", got, late)
+			}
+		}
+		retained := 0
+		v := reflect.ValueOf(li).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			if fv := v.Field(f); fv.Kind() == reflect.Slice {
+				retained += fv.Cap() * int(fv.Type().Elem().Size())
+			}
+		}
+		if budget := 8*((m+63)/64)*k + 24*(4*late+64); retained > budget {
+			t.Fatalf("late index retains %d bytes after a %d-client × %d-server solve with %d late clients, budget %d (8 B × ⌈m/64⌉ a client + 24 B × (4 × late + 64))",
+				retained, k, m, late, budget)
+		}
+	}
+}

@@ -38,8 +38,9 @@ type Workspace struct {
 	unassigned []bool
 	evLoads    []float64
 
-	// Counts left by the most recent GreC run (see GreCCounts).
-	lateClients, rebuilds int
+	// Counts left by the most recent GreC run (see GreCCounts and
+	// GreCLateRowsRead).
+	lateClients, rebuilds, lateRowsRead int
 	// What fed the most recent cost matrix (see CostMatrixSource).
 	ciSource string
 }
@@ -146,7 +147,7 @@ func countInitialCosts(p *Problem, ci [][]int, lo, hi int, rowBuf []float64, lat
 		row := p.CSRow(j, rowBuf)
 		addLateRow(ci, p.ClientZones[j], row, p.D)
 		if late != nil {
-			late.setRow(j, row, p.D)
+			late.fillRow(j, row, p.D)
 		}
 	}
 }
@@ -205,6 +206,14 @@ func (w *Workspace) CostMatrixSource() string { return w.ciSource }
 func (w *Workspace) GreCCounts() (lateClients, rebuilds int) {
 	return w.lateClients, w.rebuilds
 }
+
+// GreCLateRowsRead reports how many late clients' delay rows the most
+// recent GreC run read to choose their two kept candidates: all of them
+// without a filled Options.Late, and with one only those whose remembered
+// choice was forgotten (a row written since the last solve, a new late
+// client) or made for another target. Third choices read their row again
+// and are counted by GreCCounts, not here.
+func (w *Workspace) GreCLateRowsRead() int { return w.lateRowsRead }
 
 // EvaluateInto is Evaluate reusing the workspace's load accumulator and
 // out's Delays buffer: repeated quality evaluation (simulation sampling,

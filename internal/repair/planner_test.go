@@ -307,8 +307,9 @@ func TestPlannerDisarmedGuardNeverFullSolves(t *testing.T) {
 }
 
 // TestFullSolveExportsGreCCounts: every full solve adds GreC's work-list
-// size and its preference-order rebuilds to the registry, so the share of
-// late clients the two kept candidates place is observable in production.
+// size, its third choices and the late rows it read to the registry, so the
+// share of late clients the two kept candidates place, and the share the
+// late index spares a row read, are observable in production.
 func TestFullSolveExportsGreCCounts(t *testing.T) {
 	rng := xrand.New(321)
 	p := randProblem(rng.Split(), 0)
@@ -342,6 +343,11 @@ func TestFullSolveExportsGreCCounts(t *testing.T) {
 	}
 	if got := reg.Counter("dvecap_solve_preference_rebuilds_total", "").Value(); got > gotLate {
 		t.Fatalf("dvecap_solve_preference_rebuilds_total = %d exceeds the %d late clients", got, gotLate)
+	}
+	// Nor a delay write: every solve reuses the choices the opening solve
+	// left in the late index, so none reads a late client's row.
+	if got := reg.Counter("dvecap_solve_late_rows_read_total", "").Value(); got != 0 {
+		t.Fatalf("dvecap_solve_late_rows_read_total = %d after %d solves with no delay written", got, solves)
 	}
 }
 

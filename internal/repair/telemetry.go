@@ -59,10 +59,10 @@ type plTele struct {
 	events [numEventKinds]*telemetry.Counter
 	lat    [numEventKinds]*telemetry.Histogram
 
-	fsDrift, fsImbalance, fsEpoch *telemetry.Counter
-	fsDur                         *telemetry.Histogram
-	fsLate, fsRebuilds            *telemetry.Counter
-	fsFromIndex, fsFromRows       *telemetry.Counter
+	fsDrift, fsImbalance, fsEpoch  *telemetry.Counter
+	fsDur                          *telemetry.Histogram
+	fsLate, fsRebuilds, fsRowsRead *telemetry.Counter
+	fsFromIndex, fsFromRows        *telemetry.Counter
 
 	handoffs, switches          *telemetry.Counter
 	prevHandoffs, prevSwitches  int
@@ -117,6 +117,8 @@ func (pl *Planner) SetTelemetry(reg *telemetry.Registry) {
 		"Clients beyond the delay bound at their target server, summed over full solves (GreC's work list).")
 	t.fsRebuilds = reg.Counter("dvecap_solve_preference_rebuilds_total",
 		"Late clients refused by both kept candidates and placed on a third choice: one arg-max over the servers that still accepted them, no sort (the name predates that).")
+	t.fsRowsRead = reg.Counter("dvecap_solve_late_rows_read_total",
+		"Late clients whose delay row a full solve read to choose their two kept candidates: the rest reused the choice the late index kept from the last solve (no row written since, same target).")
 	const matrixHelp = "Full solves by what fed the IAP cost matrix: the maintained late index, or a read of every client's delay row (a session's first solve, and the first after a recovery)."
 	t.fsFromIndex = reg.Counter("dvecap_solve_cost_matrix_total", matrixHelp, "source", core.CostMatrixFromIndex)
 	t.fsFromRows = reg.Counter("dvecap_solve_cost_matrix_total", matrixHelp, "source", core.CostMatrixFromRows)
@@ -218,6 +220,7 @@ func (pl *Planner) teleFullSolve(trigger string, start time.Time) {
 	late, rebuilds := pl.cfg.Opt.Scratch.GreCCounts()
 	t.fsLate.Add(uint64(late))
 	t.fsRebuilds.Add(uint64(rebuilds))
+	t.fsRowsRead.Add(uint64(pl.cfg.Opt.Scratch.GreCLateRowsRead()))
 	switch pl.cfg.Opt.Scratch.CostMatrixSource() {
 	case core.CostMatrixFromIndex:
 		t.fsFromIndex.Inc()

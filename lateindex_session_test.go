@@ -150,8 +150,9 @@ func clusterLateCopy(c *Cluster) core.LateIndex {
 // TestClusterSolveReusesLateIndex: a Cluster keeps the late index of its
 // built problem across Solves. The first GreZ or DynZ solve of a build
 // reads every client's delay row and fills the index; a repeat reads
-// exactly k rows fewer (under GreC or VirC, fewer than k: only the late
-// clients' rows), and its Result equals a fresh cluster's. Solves
+// exactly k rows fewer — under GreC also none of the late clients' rows but
+// a third choice's, since the index keeps their choices — and its Result
+// equals a fresh cluster's. Solves
 // under WithEstimationError or a traffic overlay run on another problem
 // and leave the index alone. AddClient rebuilds the problem, and the next
 // solve fills a new index. Every registered algorithm runs; the RanZ and
@@ -169,6 +170,11 @@ func TestClusterSolveReusesLateIndex(t *testing.T) {
 				build := func() *Cluster {
 					c := durTestCluster(t, 11)
 					if err := c.SetZoneAdjacency("z0", "z1", 3); err != nil {
+						t.Fatal(err)
+					}
+					// Beyond the bound everywhere, so GreC has a late client.
+					if err := c.AddClient("far", ClientSpec{Zone: "z1", BandwidthMbps: 0.3,
+						RTTRow: []float64{300, 290, 280, 270}}); err != nil {
 						t.Fatal(err)
 					}
 					return c
@@ -205,9 +211,25 @@ func TestClusterSolveReusesLateIndex(t *testing.T) {
 						t.Fatalf("%s: Solve results differ from a fresh cluster's:\n%+v\n%+v\nwant %+v", when, first, second, want)
 					}
 					k, rowsRepeat := c.NumClients(), *rows
-					if fills && (filling-rowsRepeat != k || (!nearC && rowsRepeat >= k) || !c.late.ValidFor(c.built)) {
+					late := 0
+					if fills && strings.HasSuffix(algo, "-GreC") {
+						// GreC reuses every late client's kept choices from the
+						// first solve, so the repeat reads a row only for a third
+						// choice; GreC over a copy of the index counts them.
+						li := clusterLateCopy(c)
+						w := core.NewWorkspace()
+						if _, err := core.GreC(nil, c.built, second.ZoneServer, core.Options{Scratch: w, Late: &li}); err != nil {
+							t.Fatal(err)
+						}
+						var thirds int
+						late, thirds = w.GreCCounts()
+						if late == 0 || rowsRepeat != thirds || w.GreCLateRowsRead() != 0 {
+							t.Fatalf("%s: a repeat solve read %d delay rows, want only its %d third choices' (%d late clients)", when, rowsRepeat, thirds, late)
+						}
+					}
+					if fills && (filling-rowsRepeat != k+late || (!nearC && rowsRepeat >= k) || !c.late.ValidFor(c.built)) {
 						t.Fatalf("%s: first solve read %d rows, the repeat %d; want the repeat to read %d fewer from a filled index",
-							when, filling, rowsRepeat, k)
+							when, filling, rowsRepeat, k+late)
 					}
 					if !fills && (filling != rowsRepeat || c.late.ValidFor(c.built)) {
 						t.Fatalf("%s: solves without a cost matrix read %d then %d rows (index valid %v)", when, filling, rowsRepeat, c.late.ValidFor(c.built))
