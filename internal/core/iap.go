@@ -53,8 +53,10 @@ type Options struct {
 	Cordoned []bool
 	// Late, when non-nil, is the caller's late index (lateindex.go): a solve
 	// of the problem it was filled from builds the cost matrix and GreC's
-	// late list from its bits instead of reading delays, any other solve
-	// fills it while counting from rows. For owners of a long-lived problem
+	// late list from its bits instead of reading delays, and GreC reads only
+	// rows written since the last solve, or of clients whose target changed
+	// (the index keeps each late client's choice); any other solve fills it
+	// while counting from rows. For owners of a long-lived problem
 	// whose delays only change through hooks that keep the index current:
 	// the repair planner, and the dvecap Cluster between builder mutations.
 	// A solve of a throwaway problem (noisy estimates, a traffic overlay)

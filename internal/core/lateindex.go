@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -30,7 +29,9 @@ import (
 // the client's current target and reads the row otherwise, so a repeat
 // solve reads only rows written since the last solve, or of clients whose
 // target changed. Only late clients have an entry: 24 bytes each, held in
-// ascending client order and rewritten in place by every indexed GreC run.
+// ascending client order and rewritten in place by every indexed GreC run,
+// plus one bit a client saying whether its entry still holds, so a hook
+// forgets in O(1).
 //
 // Lifecycle: the owner of a long-lived problem passes one index to its
 // solves (Options.Late). The first cost matrix counted from rows fills it on
@@ -52,29 +53,53 @@ type LateIndex struct {
 }
 
 // lateChoice is GreC's choice for one late client, as topTwo made it from
-// the client's row for target server `target`; target is -1 once forgotten.
+// the client's row for its target server then.
 type lateChoice struct {
 	client, target int32
 	best, second   int32
 	regret         float64
 }
 
-// choiceMemo holds the choices of one GreC run, ascending by client.
-type choiceMemo []lateChoice
+// choiceMemo is the choices of one GreC run, ascending by client, and which
+// of them still hold: a client's bit is cleared by any write that could
+// change its choice.
+type choiceMemo struct {
+	entries []lateChoice
+	live    []uint64 // bit j set iff client j has an entry and it holds
+}
 
-// recall returns client j's choice if it was made for target t, first
-// advancing past the entries of clients below j: GreC asks for its late
-// clients in ascending order, so one run walks the memo once.
+// recall returns client j's choice if it holds and was made for target t,
+// first advancing past the entries of clients below j: GreC asks for its
+// late clients in ascending order, so one run walks the memo once.
 func (cm *choiceMemo) recall(j, t int) (regretChoice, bool) {
-	s := *cm
-	for len(s) > 0 && int(s[0].client) < j {
-		s = s[1:]
+	e := cm.entries
+	for len(e) > 0 && int(e[0].client) < j {
+		e = e[1:]
 	}
-	*cm = s
-	if len(s) == 0 || int(s[0].client) != j || int(s[0].target) != t {
+	cm.entries = e
+	if len(e) == 0 || int(e[0].client) != j || int(e[0].target) != t || !cm.holds(j) {
 		return regretChoice{}, false
 	}
-	return regretChoice{item: j, best: s[0].best, second: s[0].second, regret: s[0].regret}, true
+	return regretChoice{item: j, best: e[0].best, second: e[0].second, regret: e[0].regret}, true
+}
+
+// holds reports whether client j's entry holds.
+func (cm *choiceMemo) holds(j int) bool {
+	w := j >> 6
+	return w < len(cm.live) && cm.live[w]>>(uint(j)&63)&1 != 0
+}
+
+// forget drops client j's choice, if it has one: O(1).
+func (cm *choiceMemo) forget(j int) {
+	if w := j >> 6; w < len(cm.live) {
+		cm.live[w] &^= 1 << (uint(j) & 63)
+	}
+}
+
+// forgetAll drops every choice.
+func (cm *choiceMemo) forgetAll() {
+	cm.entries = cm.entries[:0]
+	clear(cm.live)
 }
 
 // isLate is the one place a late bit is decided: strictly beyond the bound,
@@ -129,23 +154,32 @@ func (li *LateIndex) Verify(p *Problem) error {
 		}
 	}
 	mu := make([]float64, li.m)
-	for x, c := range li.memo {
+	held := 0
+	for x, c := range li.memo.entries {
 		j, t := int(c.client), int(c.target)
-		if x > 0 && int(li.memo[x-1].client) >= j {
-			return fmt.Errorf("core: late index remembers client %d after client %d", j, li.memo[x-1].client)
+		if x > 0 && int(li.memo.entries[x-1].client) >= j {
+			return fmt.Errorf("core: late index remembers client %d after client %d", j, li.memo.entries[x-1].client)
 		}
-		if t < 0 {
+		if !li.memo.holds(j) {
 			continue
 		}
-		if j >= p.NumClients() || t >= li.m {
-			return fmt.Errorf("core: late index remembers client %d at server %d, beyond %d clients and %d servers", j, t, p.NumClients(), li.m)
+		held++
+		if j >= p.NumClients() || t < 0 || t >= li.m {
+			return fmt.Errorf("core: late index holds a choice for client %d at server %d, beyond %d clients and %d servers", j, t, p.NumClients(), li.m)
 		}
 		refinedDesirability(p, p.CSRow(j, buf), t, mu)
 		want := topTwo(j, mu)
 		if c.best != want.best || c.second != want.second || math.Float64bits(c.regret) != math.Float64bits(want.regret) {
-			return fmt.Errorf("core: late index remembers client %d at target %d as (%d, %d, ρ %v), its delay row gives (%d, %d, ρ %v)",
+			return fmt.Errorf("core: late index holds client %d at target %d as (%d, %d, ρ %v), its delay row gives (%d, %d, ρ %v)",
 				j, t, c.best, c.second, c.regret, want.best, want.second, want.regret)
 		}
+	}
+	set := 0
+	for _, w := range li.memo.live {
+		set += bits.OnesCount64(w)
+	}
+	if set != held {
+		return fmt.Errorf("core: late index marks %d choices as holding, but has entries for %d of them", set, held)
 	}
 	return nil
 }
@@ -156,13 +190,13 @@ func (li *LateIndex) bind(p *Problem) {
 	li.p, li.m = p, p.NumServers()
 	li.wpc = (li.m + 63) / 64
 	li.words = grow(li.words, p.NumClients()*li.wpc)
-	li.forgetAll()
+	li.memo.forgetAll()
 }
 
 // drop invalidates the index; the next cost-matrix build refills it.
 func (li *LateIndex) drop() {
 	li.p = nil
-	li.forgetAll()
+	li.memo.forgetAll()
 }
 
 // CopyFrom makes li a copy of src rebound to p, a clone of the problem src
@@ -171,38 +205,31 @@ func (li *LateIndex) drop() {
 func (li *LateIndex) CopyFrom(src *LateIndex, p *Problem) {
 	li.p, li.m, li.wpc = p, src.m, src.wpc
 	li.words = append(li.words[:0], src.words...)
-	li.memo = append(li.memo[:0], src.memo...)
+	li.memo.entries = append(li.memo.entries[:0], src.memo.entries...)
+	li.memo.live = append(li.memo.live[:0], src.memo.live...)
 }
 
 // remember replaces the memo with one GreC run's choices, ascending by
 // client, each tagged with its client's target under zoneServer. The
-// buffer is reused and grows by append's factor, so neither a warm solve
-// nor one whose late list grew by a few clients allocates here; one over
-// four times the size it needs (a spike of late clients has passed) is
-// released, so the memo holds at most 4 × late + 64 entries.
+// buffers are reused, and the entries grow by append's factor, so neither
+// a warm solve nor one whose late list grew by a few clients allocates
+// here; entries over four times what the run needs (a spike of late
+// clients has passed) are released, so at most 4 × late + 64 are kept.
 func (li *LateIndex) remember(p *Problem, zoneServer []int, choices []regretChoice) {
+	cm := &li.memo
 	n := len(choices)
-	if cap(li.memo) > 4*n+64 {
-		li.memo = nil
+	if cap(cm.entries) > 4*n+64 {
+		cm.entries = nil
 	}
-	li.memo = slices.Grow(li.memo[:0], n)[:n]
+	cm.entries = slices.Grow(cm.entries[:0], n)[:n]
+	cm.live = grow(cm.live, (p.NumClients()+63)/64)
+	clear(cm.live)
 	for x, c := range choices {
 		t := zoneServer[p.ClientZones[c.item]]
-		li.memo[x] = lateChoice{client: int32(c.item), target: int32(t), best: c.best, second: c.second, regret: c.regret}
+		cm.entries[x] = lateChoice{client: int32(c.item), target: int32(t), best: c.best, second: c.second, regret: c.regret}
+		cm.live[c.item>>6] |= 1 << (uint(c.item) & 63)
 	}
 }
-
-// forget drops client j's choice, if one is remembered: O(log late).
-func (li *LateIndex) forget(j int) {
-	if x, ok := slices.BinarySearchFunc(li.memo, int32(j), func(c lateChoice, j int32) int {
-		return cmp.Compare(c.client, j)
-	}); ok {
-		li.memo[x].target = -1
-	}
-}
-
-// forgetAll drops every choice.
-func (li *LateIndex) forgetAll() { li.memo = li.memo[:0] }
 
 // clientWords returns client j's words.
 func (li *LateIndex) clientWords(j int) []uint64 {
@@ -232,7 +259,7 @@ func (li *LateIndex) rowWord(row []float64, w int, bound float64) uint64 {
 // setRow rewrites client j's words from its new delay row and forgets its
 // choice.
 func (li *LateIndex) setRow(j int, row []float64, bound float64) {
-	li.forget(j)
+	li.memo.forget(j)
 	li.fillRow(j, row, bound)
 }
 
@@ -256,8 +283,8 @@ func (li *LateIndex) appendClient(row []float64, bound float64) {
 // to j, and forgets the choices of both.
 func (li *LateIndex) swapRemoveClient(j int) {
 	l := len(li.words) - li.wpc
-	li.forget(j)
-	li.forget(l / li.wpc)
+	li.memo.forget(j)
+	li.memo.forget(l / li.wpc)
 	copy(li.clientWords(j), li.words[l:])
 	li.words = li.words[:l]
 }
@@ -265,7 +292,7 @@ func (li *LateIndex) swapRemoveClient(j int) {
 // setBit records whether client j is late at server i after a write of
 // that one delay, and forgets j's choice.
 func (li *LateIndex) setBit(j, i int, late bool) {
-	li.forget(j)
+	li.memo.forget(j)
 	li.putBit(j, i, late)
 }
 
@@ -283,7 +310,7 @@ func (li *LateIndex) putBit(j, i int, late bool) {
 // growing every client by a word when m crosses a multiple of 64. Every
 // choice is forgotten: the new server is a candidate contact for all.
 func (li *LateIndex) appendServer(p *Problem) {
-	li.forgetAll()
+	li.memo.forgetAll()
 	i := li.m
 	li.m++
 	if i%64 == 0 {
@@ -300,7 +327,7 @@ func (li *LateIndex) appendServer(p *Problem) {
 // to i, and sheds the word the last server was alone in. Every choice is
 // forgotten: its servers are renumbered.
 func (li *LateIndex) swapRemoveServer(i int) {
-	li.forgetAll()
+	li.memo.forgetAll()
 	l := li.m - 1
 	for j := 0; j < len(li.words)/li.wpc; j++ {
 		li.putBit(j, i, li.has(j, l))
