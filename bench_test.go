@@ -594,8 +594,9 @@ func BenchmarkFullSolve100k(b *testing.B) {
 // BenchmarkClusterSolve100k measures a repeated Cluster.Solve on a
 // coordinate-native 100k-client, 50-server cluster. One untimed solve
 // fills the cluster's late index. Every timed solve after it builds the
-// cost matrix and GreC's first pass from the index and reads only the late
-// clients' delay rows; BenchmarkFullSolve100k's coord leg reads all of them.
+// cost matrix and GreC's first pass from the index and reuses every late
+// client's kept choices, so it reads a delay row only for a third choice;
+// BenchmarkFullSolve100k's coord leg reads all of them.
 func BenchmarkClusterSolve100k(b *testing.B) {
 	c := buildCoordCluster(b, xrand.New(1), 50, 500, 100_000)
 	opts := []Option{WithSeed(1), WithDelayProvider(CoordDelays)}
@@ -621,11 +622,13 @@ func BenchmarkClusterSolve100k(b *testing.B) {
 // warm leg re-solves an unchanged session, so GreC reuses every late
 // client's kept choice from the index; the churned leg applies 1 000 more
 // mixed events, untimed, before each timed Resolve(), so GreC reads the rows
-// of the late clients those events wrote or re-targeted (late-rows-read/op).
+// of the late clients those events wrote or re-targeted (late-rows-read/op,
+// of late-clients/op).
 func BenchmarkSessionResolve100k(b *testing.B) {
 	forChurnedSessions100k(b, func(b *testing.B, s *ClusterSession, rng *xrand.RNG) {
 		reg := telemetry.NewRegistry()
 		s.planner().SetTelemetry(reg)
+		late := reg.Counter("dvecap_solve_late_clients_total", "")
 		rowsRead := reg.Counter("dvecap_solve_late_rows_read_total", "")
 		next := 1000 // the events forChurnedSessions100k applied
 		for _, churned := range []bool{false, true} {
@@ -634,7 +637,7 @@ func BenchmarkSessionResolve100k(b *testing.B) {
 				name = "churned"
 			}
 			b.Run(name, func(b *testing.B) {
-				before := rowsRead.Value()
+				lateBefore, readBefore := late.Value(), rowsRead.Value()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -648,7 +651,8 @@ func BenchmarkSessionResolve100k(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				b.ReportMetric(float64(rowsRead.Value()-before)/float64(b.N), "late-rows-read/op")
+				b.ReportMetric(float64(late.Value()-lateBefore)/float64(b.N), "late-clients/op")
+				b.ReportMetric(float64(rowsRead.Value()-readBefore)/float64(b.N), "late-rows-read/op")
 			})
 		}
 	})

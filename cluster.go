@@ -101,7 +101,9 @@ type ClientSpec struct {
 // The built problem is cached until the next mutation, together with which
 // clients are beyond the delay bound at which servers (DESIGN.md §3). The
 // first GreZ or DynZ solve of a build reads every client's delay row to
-// count them; later Solve and Open calls read only the late clients' rows.
+// count them. Later Solve and Open calls read only rows written since the
+// last solve, or of clients whose target changed: the index also keeps
+// GreC's choice for each late client.
 // Solves under WithEstimationError or WithTrafficWeight run on a throwaway
 // copy of the problem and still read every row.
 type Cluster struct {

@@ -164,7 +164,7 @@ func (li *LateIndex) Verify(p *Problem) error {
 			continue
 		}
 		held++
-		if j >= p.NumClients() || t < 0 || t >= li.m {
+		if j >= p.NumClients() || t >= li.m {
 			return fmt.Errorf("core: late index holds a choice for client %d at server %d, beyond %d clients and %d servers", j, t, p.NumClients(), li.m)
 		}
 		refinedDesirability(p, p.CSRow(j, buf), t, mu)
