@@ -981,7 +981,7 @@ func topoTemplate(pl *repair.Planner) (cap0 float64, ss, col []float64) {
 	ss = append([]float64(nil), p.SS[0]...)
 	col = make([]float64, p.NumClients())
 	for j := range col {
-		col[j] = p.CS[j][0]
+		col[j] = p.CSAt(j, 0)
 	}
 	return p.ServerCaps[0], ss, col
 }

@@ -378,15 +378,15 @@ func (c *Cluster) buildSS() ([][]float64, error) {
 	return out, nil
 }
 
-// problem validates the cluster into a dense core problem, cached until
-// the next mutation — the default build path.
+// problem validates the cluster into a core problem over the exact store,
+// cached until the next mutation — the default build path.
 func (c *Cluster) problem() (*core.Problem, error) {
 	return c.problemFor(DenseDelays)
 }
 
 // problemFor validates the cluster into a core problem under the given
-// delay model. The dense model builds (and caches) the full CS matrix;
-// the provider models never materialize it — a CoordDelays build of a
+// delay model. The dense model loads every client's row into the exact
+// store (identical rows stored once); a CoordDelays build of a
 // coordinate-native million-client cluster allocates O(clients) state.
 func (c *Cluster) problemFor(model DelayModel) (*core.Problem, error) {
 	if c.built != nil && !c.dirty && c.builtModel == model {
@@ -407,17 +407,13 @@ func (c *Cluster) problemFor(model DelayModel) (*core.Problem, error) {
 	p.SS = ss
 
 	var coord *core.CoordProvider
-	var shared *core.SharedRowProvider
 	m := len(c.serverIDs)
 	switch model {
 	case DenseDelays:
-		p.CS = make([][]float64, k)
+		p.Delays = core.NewSharedRowProvider(m)
 	case CoordDelays:
 		coord = core.NewCoordProviderFromSS(ss, 0)
 		p.Delays = coord
-	case SharedRowDelays:
-		shared = core.NewSharedRowProvider(m)
-		p.Delays = shared
 	default:
 		return nil, fmt.Errorf("dvecap: unknown delay model %d", model)
 	}
@@ -460,14 +456,7 @@ func (c *Cluster) problemFor(model DelayModel) (*core.Problem, error) {
 				return nil, fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want finite >= 0", c.clientIDs[j], c.serverIDs[i], d)
 			}
 		}
-		switch {
-		case coord != nil:
-			coord.AppendClient(row)
-		case shared != nil:
-			shared.AppendClient(row)
-		default:
-			p.CS[j] = append([]float64(nil), row...)
-		}
+		p.Delays.AppendClient(row)
 	}
 	if len(c.adj) > 0 {
 		g := interact.New(p.NumZones)

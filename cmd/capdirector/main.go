@@ -128,7 +128,7 @@ func main() {
 		driftSprd = flag.Float64("drift-spread", 0, "arm the load-imbalance guard: full re-solve when the max-min per-server utilization spread grows this far above the last full solve's baseline (0 = disabled)")
 		trafficW  = flag.Float64("traffic-weight", 0, "weight of the inter-server traffic term in the repair objective; activates once adjacency edges are installed via POST /v1/adjacency (0 = delay-only, the paper's objective)")
 		workers   = flag.Int("workers", 0, "goroutines for the sharded assignment scans (0/1 = sequential, -1 = all CPUs); results are identical for every setting")
-		delayProv = flag.String("delay-provider", "dense", "delay representation: dense (raw matrix), coord (coordinates + exact overrides) or shared (deduplicated rows — clients at the same node share one row); assignments are bit-identical across models")
+		delayProv = flag.String("delay-provider", "dense", "delay representation: dense (exact rows; clients at the same node share one) or coord (coordinates + exact overrides); assignments are bit-identical across models")
 		dataDir   = flag.String("data-dir", "", "durable state directory: write-ahead journal + snapshots, recovered on restart (empty = in-memory only)")
 		snapEvery = flag.Int("snapshot-every", 10000, "with -data-dir, checkpoint automatically every N journaled events (0 = only POST /v1/checkpoint)")
 		debugAddr = flag.String("debug-addr", "", "second listener serving /metrics and net/http/pprof under /debug/pprof/ (keep it off the public network; empty = disabled)")

@@ -88,19 +88,18 @@
 //
 // # Million-client memory diet
 //
-// The dense client×server delay matrix is the dominant memory cost at
-// scale. WithDelayProvider swaps it for a pluggable representation
-// (DESIGN.md §13): CoordDelays stores a network coordinate per client
-// plus sparse measured overrides — clients join with ClientSpec.Coord
-// and a partial RTTs map, unmeasured pairs read the coordinate
-// prediction, and a 1M-client cluster opens in a few hundred MB
-// (BENCH_scale.json) — while SharedRowDelays deduplicates identical
-// rows with copy-on-write divergence (exact, for clients behind one
-// vantage point). DenseDelays remains the default and the reference:
-// every provider is bit-identity-tested against the raw matrix under
-// churn, topology mutation, fuzzed op-streams and crash recovery, and
-// durable sessions snapshot provider state so recovery restores the
-// same model and the same bits.
+// Client×server delays are the dominant memory cost at scale. The
+// default, DenseDelays, keeps every client's exact row but stores each
+// distinct row once, so clients at one network node share it and a client
+// whose delays change moves to a row of its own. WithDelayProvider swaps
+// it for coordinates (DESIGN.md §13): CoordDelays stores a network
+// coordinate per client plus sparse measured overrides — clients join
+// with ClientSpec.Coord and a partial RTTs map, unmeasured pairs read the
+// coordinate prediction, and a 1M-client cluster opens in a few hundred MB
+// (BENCH_scale.json). Fully measured, it is bit-identity-tested against
+// the exact store under churn, topology mutation, fuzzed op-streams and
+// crash recovery, and durable sessions snapshot its state so recovery
+// restores the same model and the same bits.
 //
 // # Synthetic scenarios
 //

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"testing"
 
+	"dvecap/internal/core"
 	"dvecap/internal/director"
 	"dvecap/internal/repair"
 	"dvecap/internal/topology"
@@ -259,19 +260,21 @@ func (d *sessChurn) run(t *testing.T, s *ClusterSession, events int) {
 
 // sessionStateJSON renders everything decision-relevant about a session —
 // the planner sidecar (assignment, evaluator accumulators, guard
-// counters, RNG position), the ID-visible topology, the delay provider's
-// internals (coordinates, override lists, shared-row tables; absent on
-// dense sessions) and every client's visible assignment — for equality
-// checks.
+// counters, RNG position), the ID-visible topology, every client's delay
+// row, the coordinate provider's internals (coordinates, override lists;
+// the exact store's group table is not compared — recovery rebuilds it from
+// rows, and no read depends on it) and every client's visible assignment —
+// for equality checks.
 func sessionStateJSON(t *testing.T, s *ClusterSession) string {
 	t.Helper()
 	st, err := s.planner().ExportState()
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := s.planner().Problem()
 	var prov interface{}
-	if dp := s.planner().Problem().Delays; dp != nil {
-		prov = dp.State()
+	if cp, coord := p.Delays.(*core.CoordProvider); coord {
+		prov = cp.State()
 	}
 	ids := s.ClientIDs()
 	clients := make([]ClusterClient, len(ids))
@@ -284,9 +287,10 @@ func sessionStateJSON(t *testing.T, s *ClusterSession) string {
 		State    interface{}     `json:"state"`
 		Servers  []string        `json:"servers"`
 		Zones    []string        `json:"zones"`
+		Delays   [][]float64     `json:"delays"`
 		Provider interface{}     `json:"provider,omitempty"`
 		Clients  []ClusterClient `json:"clients"`
-	}{st, s.binding.ServerNames(), s.binding.ZoneNames(), prov, clients})
+	}{st, s.binding.ServerNames(), s.binding.ZoneNames(), p.DenseRows(), prov, clients})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,8 +791,8 @@ func sessionSurface(model DelayModel) durableSurface {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (model != DenseDelays) != (s.planner().Problem().Delays != nil) {
-				t.Fatalf("delay model %v: provider bound = %t", model, s.planner().Problem().Delays != nil)
+			if _, coord := s.planner().Problem().Delays.(*core.CoordProvider); (model == CoordDelays) != coord {
+				t.Fatalf("delay model %v: coordinate provider bound = %t", model, coord)
 			}
 			return &sessionMachine{s: s, churn: newSessChurn(xrand.New(r.churnSeed))}
 		},
@@ -1228,17 +1232,16 @@ func TestDirectorKillRecoverAcrossResolve(t *testing.T) {
 	proveKillRecoverAcrossResolve(t, directorSurface(t, "dense"))
 }
 
-// The provider dimension: under a coordinate or shared-row delay model the
-// provider's INTERNAL state (coordinates, override maps, row-sharing
-// tables), not just the delays it reports, must cross the crash boundary,
-// so every post-recovery mutation stays on the uncrashed trajectory.
+// The provider dimension: under the coordinate delay model the provider's
+// INTERNAL state (coordinates, override maps), not just the delays it
+// reports, must cross the crash boundary, so every post-recovery mutation
+// stays on the uncrashed trajectory. The exact store's legs are the dense
+// ones above: its snapshots carry rows, and recovery rebuilds the store.
 func TestDurableKillRecoverBitIdenticalProviders(t *testing.T) {
 	t.Run("coord", func(t *testing.T) { proveKillRecover(t, sessionSurface(CoordDelays), 0) })
-	t.Run("shared", func(t *testing.T) { proveKillRecover(t, sessionSurface(SharedRowDelays), 0) })
 }
 func TestDirectorKillRecoverBitIdenticalProviders(t *testing.T) {
 	t.Run("coord", func(t *testing.T) { proveKillRecover(t, directorSurface(t, "coord"), 0) })
-	t.Run("shared", func(t *testing.T) { proveKillRecover(t, directorSurface(t, "shared"), 0) })
 }
 
 func TestClientIDsOrderSurvivesRecovery(t *testing.T) {

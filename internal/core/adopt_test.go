@@ -11,9 +11,8 @@ import (
 	"dvecap/telemetry"
 )
 
-// adoptStores are the three delay stores an adoption must behave the same
-// on: the raw matrix and both providers.
-var adoptStores = append([]string{"raw"}, providerKinds...)
+// adoptStores are the delay stores an adoption must behave the same on.
+var adoptStores = providerKinds
 
 // sparseDelayRow is randomDelayRow with about a third of the entries
 // unmeasured, so the coordinate store answers them from its model — the
@@ -28,8 +27,8 @@ func sparseDelayRow(rng *xrand.RNG, m int) []float64 {
 	return row
 }
 
-// adoptProblem is clientVerbProblem behind the given store. The providers
-// receive every row with a third of its entries unmeasured.
+// adoptProblem is clientVerbProblem behind the given store, which receives
+// every row with a third of its entries unmeasured.
 func adoptProblem(seed uint64, store string, traffic bool) *Problem {
 	return adoptProblemSized(seed, store, traffic, 8, 90, 3)
 }
@@ -38,7 +37,7 @@ func adoptProblem(seed uint64, store string, traffic bool) *Problem {
 // sparse unmeasured: few big zones with few late clients are where a
 // rehosting passes the cost rule.
 func adoptProblemSized(seed uint64, store string, traffic bool, n, k, sparse int) *Problem {
-	p := benchSyntheticCAPProvisioned(seed, 5, n, k, 2.5).Clone()
+	p := benchSyntheticCAPProvisioned(seed, 5, n, k, 2.5)
 	rng := xrand.New(seed + 31)
 	for _, row := range p.CS {
 		for i := range row {
@@ -47,15 +46,7 @@ func adoptProblemSized(seed uint64, store string, traffic bool, n, k, sparse int
 			}
 		}
 	}
-	if store == "raw" {
-		for _, row := range p.CS {
-			for i, d := range row {
-				row[i] = resolveUnmeasured(d)
-			}
-		}
-	} else {
-		p = providerProblem(p, store)
-	}
+	p = providerProblem(p, store)
 	if traffic {
 		attachAdjacency(rng.Split(), p, 1.5)
 	}
@@ -446,7 +437,7 @@ func TestAdoptEdges(t *testing.T) {
 // count each clean row they dirty — once — a zone move counts its row as
 // rebased or as invalidated, and an adoption reports the rows it kept.
 func TestWholeCacheInvalidationsAreCounted(t *testing.T) {
-	p := adoptProblem(91, "raw", false)
+	p := adoptProblem(91, ProviderSharedRow, false)
 	a, err := GreZGreC.Solve(xrand.New(91), p, Options{Overflow: SpillLargestResidual})
 	if err != nil {
 		t.Fatal(err)

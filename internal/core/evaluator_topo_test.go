@@ -205,7 +205,7 @@ func TestRemoveServerRenumbering(t *testing.T) {
 		t.Skip("no empty server in this instance")
 	}
 	lastCap := p.ServerCaps[p.NumServers()-1]
-	lastCS0 := p.CS[0][p.NumServers()-1]
+	lastCS0 := p.CSAt(0, p.NumServers()-1)
 	moved := ev.RemoveServer(victim)
 	if victim == p.NumServers() { // victim was last
 		if moved != -1 {
@@ -219,8 +219,8 @@ func TestRemoveServerRenumbering(t *testing.T) {
 	if p.ServerCaps[victim] != lastCap {
 		t.Fatalf("renumbered capacity = %v, want %v", p.ServerCaps[victim], lastCap)
 	}
-	if p.CS[0][victim] != lastCS0 {
-		t.Fatalf("renumbered CS column = %v, want %v", p.CS[0][victim], lastCS0)
+	if p.CSAt(0, victim) != lastCS0 {
+		t.Fatalf("renumbered CS column = %v, want %v", p.CSAt(0, victim), lastCS0)
 	}
 	checkDynState(t, ev)
 }

@@ -97,7 +97,7 @@ func TestIndexedCostMatrixEqualsRowCount(t *testing.T) {
 				rng := xrand.New(uint64(9100 + m))
 				p, zoneServer := grecProblem(rng, m, 1000)
 				for j := 0; j < p.NumClients(); j += 7 {
-					p.CS[j][rng.IntN(m)] = p.D
+					p.SetCSAt(j, rng.IntN(m), p.D)
 				}
 				if workers > 1 {
 					// Enough clients that the filling pass really shards.
@@ -105,7 +105,7 @@ func TestIndexedCostMatrixEqualsRowCount(t *testing.T) {
 						j := rng.IntN(240)
 						p.ClientZones = append(p.ClientZones, p.ClientZones[j])
 						p.ClientRT = append(p.ClientRT, p.ClientRT[j])
-						p.CS = append(p.CS, randomDelayRow(rng, m))
+						p.AppendCSRow(randomDelayRow(rng, m))
 					}
 				}
 				for i := range p.ServerCaps {

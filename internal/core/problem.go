@@ -36,17 +36,18 @@ type Problem struct {
 	// ClientRT[j] is client j's bandwidth requirement on its target server
 	// (the paper's R^T_{c_j}), in Mbps. Strictly positive.
 	ClientRT []float64
-	// CS[j][i] is the round-trip delay between client j and server i — the
-	// dense representation. When Delays is non-nil, CS is nil; read and
-	// mutate either representation through the CS* methods below, which
-	// alone know which one is held.
+	// CS[j][i] is the round-trip delay between client j and server i in the
+	// raw interchange form a literally built problem carries: read-only,
+	// answered by CSAt, CSRow, DenseRows and Validate. Clone loads it into
+	// the exact store, and a problem whose delays are mutated holds them
+	// there (Delays), with CS nil.
 	CS [][]float64
-	// Delays, when non-nil, replaces the dense CS matrix with a pluggable
-	// delay provider (delayprovider.go) — the memory-diet path for
-	// million-client populations. nil keeps the raw CS matrix, the one dense
-	// path and the reference ("oracle") representation. Excluded from JSON:
-	// providers serialise through their typed State (ProviderState), which
-	// callers that marshal whole Problems must carry alongside.
+	// Delays, when non-nil, holds the delays in a store the CS* methods read
+	// and mutate: the exact store (SharedRowProvider: every client's row,
+	// identical rows stored once) or the coordinate provider, the
+	// million-client diet (delayprovider.go). Excluded from JSON: stores
+	// serialise through their typed State (ProviderState), which callers
+	// that marshal whole Problems must carry alongside.
 	Delays DelayProvider `json:"-"`
 	// SS[i][k] is the round-trip delay between servers i and k, already
 	// discounted for the well-provisioned inter-server mesh.
@@ -202,18 +203,10 @@ func (p *Problem) validateShape() error {
 	return nil
 }
 
-// Clone returns a deep copy of the problem.
-func (p *Problem) Clone() *Problem { return p.ClonePadded(0) }
-
-// ClonePadded is Clone with each CS row given spare capacity for `slack`
-// extra servers. The rows are carved from one contiguous arena, so dimension
-// mutations (AppendCSCol appends a delay to every row) write a fixed-stride
-// streaming pattern instead of chasing per-row allocations — the difference
-// between memory bandwidth and a cache miss per client at 100k clients. Rows
-// whose growth outruns the slack fall back to ordinary per-row appends;
-// correctness never depends on the layout. Provider-backed problems have no
-// rows to pad: the provider is Clone()d instead.
-func (p *Problem) ClonePadded(slack int) *Problem {
+// Clone returns a deep copy of the problem with its delays in a store: a
+// bound store is cloned, raw CS rows are loaded into the exact store
+// (SharedRowProvider), so the copy is ready for the CS mutators below.
+func (p *Problem) Clone() *Problem {
 	q := &Problem{
 		ServerCaps:  append([]float64(nil), p.ServerCaps...),
 		ClientZones: append([]int(nil), p.ClientZones...),
@@ -229,37 +222,29 @@ func (p *Problem) ClonePadded(slack int) *Problem {
 		q.SS[i] = append([]float64(nil), p.SS[i]...)
 	}
 	if p.Delays != nil {
-		// CS stays nil (Validate rejects a problem carrying both
-		// representations).
 		q.Delays = p.Delays.Clone()
 		return q
 	}
-	if slack < 0 {
-		slack = 0
+	sp := NewSharedRowProvider(p.NumServers())
+	for _, row := range p.CS {
+		sp.AppendClient(row)
 	}
-	m := p.NumServers()
-	stride := m + slack
-	q.CS = make([][]float64, len(p.CS))
-	arena := make([]float64, len(p.CS)*stride)
-	for j, row := range p.CS {
-		dst := arena[j*stride : j*stride+m : (j+1)*stride]
-		copy(dst, row)
-		q.CS[j] = dst
-	}
+	q.Delays = sp
 	return q
 }
 
 // Delay storage has exactly one owner: the accessors and mutations below are
-// the only code that knows whether the delays live in raw CS rows or behind
-// the Delays provider (DESIGN.md §13). Every algorithm and evaluator path
-// reads through CSAt/CSRow and mutates through the Append/SwapRemove/Set
-// family, so dense and provider-backed problems run the identical
-// arithmetic. The mutations touch the delay store only — the per-client and
-// per-server slices beside it (ClientZones, ServerCaps, …) are the caller's
-// to keep in step — and follow the DelayProvider contract on either
-// representation: inputs are copied, a NaN entry means "unmeasured" (raw
-// rows store UnmeasuredDelayMs, providers apply their own default), and
-// removals renumber the last client/server into the vacated index.
+// the only code that knows whether a problem's delays are raw CS rows or a
+// store (DESIGN.md §13). Every algorithm and evaluator path reads through
+// CSAt/CSRow and mutates through the Append/SwapRemove/Set family. The raw
+// rows are read-only: the mutations write the store alone, so a problem
+// built with raw rows is Clone()d before anything mutates it. The mutations
+// touch the delay store only — the per-client and per-server slices beside
+// it (ClientZones, ServerCaps, …) are the caller's to keep in step — and
+// follow the DelayProvider contract: inputs are copied, a NaN entry means
+// "unmeasured" (the exact store keeps UnmeasuredDelayMs, the coordinate
+// provider its prediction), and removals renumber the last client/server
+// into the vacated index.
 
 // CSAt returns the client↔server delay CS[j][i].
 func (p *Problem) CSAt(j, i int) float64 {
@@ -269,11 +254,11 @@ func (p *Problem) CSAt(j, i int) float64 {
 	return p.CS[j][i]
 }
 
-// CSRow returns client j's full delay row. Dense problems (and providers
-// backed by real rows) return an internal slice without copying; otherwise
-// the row is materialized into buf, which must have NumServers entries.
-// Treat the result as read-only, valid only until the next mutation; for
-// concurrent readers give each its own buf.
+// CSRow returns client j's full delay row. Raw rows (and stores backed by
+// real rows) are returned without copying; otherwise the row is
+// materialized into buf, which must have NumServers entries. Treat the
+// result as read-only, valid only until the next mutation; for concurrent
+// readers give each its own buf.
 func (p *Problem) CSRow(j int, buf []float64) []float64 {
 	if p.Delays != nil {
 		return p.Delays.Row(j, buf)
@@ -287,11 +272,10 @@ func (p *Problem) CSRow(j int, buf []float64) []float64 {
 func (p *Problem) CopyCSRow(j int, dst []float64) { copy(dst, p.CSRow(j, dst)) }
 
 // DenseRows returns the full client×server delay matrix, one row per client
-// in dense order — the interchange and snapshot form. Dense problems return
-// their own rows without copying (read-only, valid until the next
-// mutation); provider-backed problems materialize every row into one fresh
-// arena, which preserves the observable delays but not the provider's
-// compressed representation.
+// in dense order — the interchange and snapshot form. Raw rows are returned
+// without copying (read-only); a store materializes every row into one
+// fresh arena, which preserves the observable delays but not the store's
+// representation.
 func (p *Problem) DenseRows() [][]float64 {
 	if p.Delays == nil {
 		return p.CS
@@ -307,85 +291,25 @@ func (p *Problem) DenseRows() [][]float64 {
 }
 
 // AppendCSRow adds a delay row for a new last client.
-func (p *Problem) AppendCSRow(row []float64) {
-	if p.Delays != nil {
-		p.Delays.AppendClient(row)
-		return
-	}
-	// Reuse a spare row left behind by SwapRemoveCSRow when one has capacity.
-	j := len(p.CS)
-	if cap(p.CS) > j && cap(p.CS[:j+1][j]) >= len(row) {
-		p.CS = p.CS[:j+1]
-		p.CS[j] = p.CS[j][:len(row)]
-	} else {
-		p.CS = append(p.CS, make([]float64, len(row)))
-	}
-	p.SetCSRow(j, row)
-}
+func (p *Problem) AppendCSRow(row []float64) { p.Delays.AppendClient(row) }
 
 // SwapRemoveCSRow removes client j's delay row, renumbering the last
 // client's row to j.
-func (p *Problem) SwapRemoveCSRow(j int) {
-	if p.Delays != nil {
-		p.Delays.SwapRemoveClient(j)
-		return
-	}
-	// Swapped rather than overwritten so the vacated row's capacity is
-	// retained for the next AppendCSRow.
-	l := len(p.CS) - 1
-	p.CS[j], p.CS[l] = p.CS[l], p.CS[j]
-	p.CS = p.CS[:l]
-}
+func (p *Problem) SwapRemoveCSRow(j int) { p.Delays.SwapRemoveClient(j) }
 
 // AppendCSCol adds a delay column for a new last server: col[j] is client
 // j's delay to it, a nil col marks every client unmeasured.
-func (p *Problem) AppendCSCol(col []float64) {
-	if p.Delays != nil {
-		p.Delays.AppendServer(col)
-		return
-	}
-	for j := range p.CS {
-		d := UnmeasuredDelayMs
-		if col != nil {
-			d = resolveUnmeasured(col[j])
-		}
-		p.CS[j] = append(p.CS[j], d)
-	}
-}
+func (p *Problem) AppendCSCol(col []float64) { p.Delays.AppendServer(col) }
 
 // SwapRemoveCSCol removes server i's delay column, renumbering the last
 // server's column to i.
-func (p *Problem) SwapRemoveCSCol(i int) {
-	if p.Delays != nil {
-		p.Delays.SwapRemoveServer(i)
-		return
-	}
-	for j, row := range p.CS {
-		l := len(row) - 1
-		row[i] = row[l]
-		p.CS[j] = row[:l]
-	}
-}
+func (p *Problem) SwapRemoveCSCol(i int) { p.Delays.SwapRemoveServer(i) }
 
 // SetCSRow replaces client j's entire delay row.
-func (p *Problem) SetCSRow(j int, row []float64) {
-	if p.Delays != nil {
-		p.Delays.SetClientDelays(j, row)
-		return
-	}
-	for i, d := range row {
-		p.CS[j][i] = resolveUnmeasured(d)
-	}
-}
+func (p *Problem) SetCSRow(j int, row []float64) { p.Delays.SetClientDelays(j, row) }
 
 // SetCSAt overlays one delay entry: client j to server i.
-func (p *Problem) SetCSAt(j, i int, d float64) {
-	if p.Delays != nil {
-		p.Delays.SetClientServerDelay(j, i, d)
-		return
-	}
-	p.CS[j][i] = resolveUnmeasured(d)
-}
+func (p *Problem) SetCSAt(j, i int, d float64) { p.Delays.SetClientServerDelay(j, i, d) }
 
 // WithDelaysOwned returns a copy of the problem whose CS and SS matrices
 // are cs and ss — used to evaluate an assignment computed from estimated

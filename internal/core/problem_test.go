@@ -70,12 +70,15 @@ func TestZoneClientsAndRT(t *testing.T) {
 func TestProblemCloneIsDeep(t *testing.T) {
 	p := tinyProblem()
 	q := p.Clone()
-	q.CS[0][0] = 999
+	q.SetCSAt(0, 0, 999)
 	q.SS[0][1] = 999
 	q.ServerCaps[0] = 999
 	q.ClientZones[0] = 1
 	if p.CS[0][0] == 999 || p.SS[0][1] == 999 || p.ServerCaps[0] == 999 || p.ClientZones[0] == 1 {
 		t.Fatal("Clone aliases parent storage")
+	}
+	if q.CSAt(0, 0) != 999 || q.CSAt(0, 1) != 300 || q.CSAt(2, 1) != 50 {
+		t.Fatal("Clone did not load the raw rows into its store")
 	}
 }
 
@@ -93,7 +96,7 @@ func TestWithDelaysOwnedTransfersOwnership(t *testing.T) {
 }
 
 func TestWithDelaysDropsProvider(t *testing.T) {
-	p := providerProblem(tinyProblem(), ProviderSharedRow)
+	p := tinyProblem().Clone()
 	cs := [][]float64{{1, 2}, {3, 4}, {5, 6}}
 	ss := [][]float64{{0, 1}, {1, 0}}
 	q := p.WithDelaysOwned(cs, ss)
@@ -105,12 +108,12 @@ func TestWithDelaysDropsProvider(t *testing.T) {
 	}
 }
 
-// TestCopyCSRowFillsDst: a provider may answer Row with an internal slice
-// and leave the buffer alone (the shared-row provider does); CopyCSRow must
-// fill dst regardless — partial delay refreshes overlay onto that copy.
+// TestCopyCSRowFillsDst: a store may answer Row with an internal slice and
+// leave the buffer alone (the exact store does); CopyCSRow must fill dst
+// regardless — partial delay refreshes overlay onto that copy.
 func TestCopyCSRowFillsDst(t *testing.T) {
 	raw := tinyProblem()
-	for _, p := range []*Problem{raw, providerProblem(raw, ProviderCoord), providerProblem(raw, ProviderSharedRow)} {
+	for _, p := range []*Problem{raw, providerProblem(raw, ProviderCoord), raw.Clone()} {
 		dst := make([]float64, p.NumServers())
 		for j := range raw.CS {
 			p.CopyCSRow(j, dst)

@@ -7,19 +7,15 @@ import (
 	"dvecap/internal/xrand"
 )
 
-// rawKind names the raw-matrix arm of Problem's delay storage beside the
-// provider kinds.
-const rawKind = "raw"
-
 // checkAgainstShadow compares every read of p's delay store against the
-// from-scratch dense shadow. Shadow NaN marks an unmeasured pair: the raw
-// matrix and the shared-row provider must report UnmeasuredDelayMs there,
+// from-scratch dense shadow. Shadow NaN marks an unmeasured pair: the exact
+// store must report UnmeasuredDelayMs there,
 // the coordinate provider reports its prediction — any finite non-negative
 // value, but the SAME value from CSAt, CSRow and DenseRows (and, by the
 // round-trip tests, from a restored copy).
 func checkAgainstShadow(t *testing.T, kind string, p *Problem, shadow [][]float64, m int) {
 	t.Helper()
-	if dp := p.Delays; dp != nil && (dp.NumClients() != len(shadow) || dp.NumServers() != m) {
+	if dp := p.Delays; dp.NumClients() != len(shadow) || dp.NumServers() != m {
 		t.Fatalf("%s: provider is %dx%d, shadow %dx%d", kind, dp.NumClients(), dp.NumServers(), len(shadow), m)
 	}
 	dense := p.DenseRows()
@@ -58,11 +54,44 @@ func checkAgainstShadow(t *testing.T, kind string, p *Problem, shadow [][]float6
 	}
 }
 
+// checkSharedRowIndex checks the exact store's content index against its
+// rows: each live group's kept hash is its row's hashRow (the column
+// mutations update it in place), and — unless a column mutation left the
+// index stale — the chain of every hash holds exactly the live groups with
+// that hash, in ascending id order.
+func checkSharedRowIndex(t *testing.T, sp *SharedRowProvider) {
+	t.Helper()
+	indexed := 0
+	for h, g := range sp.first {
+		if sp.stale {
+			break
+		}
+		for prev := int32(-1); g >= 0; prev, g = g, sp.next[g] {
+			if g <= prev || sp.refs[g] == 0 || sp.sums[g] != h {
+				t.Fatalf("index chain of %#x reaches group %d (after %d, refs %d, hash %#x)", h, g, prev, sp.refs[g], sp.sums[g])
+			}
+			indexed++
+		}
+	}
+	live := 0
+	for g, refs := range sp.refs {
+		if refs == 0 {
+			continue
+		}
+		live++
+		if h := hashRow(sp.row(int32(g))); sp.sums[g] != h {
+			t.Fatalf("group %d keeps hash %#x, its row hashes to %#x", g, sp.sums[g], h)
+		}
+	}
+	if !sp.stale && indexed != live {
+		t.Fatalf("index holds %d groups, %d are live", indexed, live)
+	}
+}
+
 // driveProviderFuzz decodes ops into Problem delay-store mutations, mirrors
 // each one into a plain dense shadow matrix (NaN = unmeasured), and
 // cross-checks all reads after every op. Every few ops the store is copied
-// through Clone and — for a provider — State/NewProviderFromState, and all
-// copies must agree.
+// through Clone and State/NewProviderFromState, and all copies must agree.
 func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 	rng := xrand.New(seed)
 	m := 2 + int(seed%3)
@@ -80,7 +109,6 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 	// the evaluator keeps them; only their lengths matter here.
 	p := &Problem{ServerCaps: make([]float64, m)}
 	switch kind {
-	case rawKind:
 	case ProviderCoord:
 		// The seed also picks the dimension (0 = the default, whose Row
 		// kernel is unrolled; 1…16 otherwise), so the fuzzer holds both
@@ -173,18 +201,23 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 			m--
 		}
 		checkAgainstShadow(t, kind, p, shadow, m)
+		if sp, ok := p.Delays.(*SharedRowProvider); ok {
+			checkSharedRowIndex(t, sp)
+		}
 		if step%8 == 7 {
-			copies := []*Problem{p.Clone()}
-			if p.Delays != nil {
-				// The state of a clone: p keeps its deferred coordinate fits
-				// (fully measured coordinate-provider clients) pending.
-				restored, err := NewProviderFromState(p.Delays.Clone().State())
-				if err != nil {
-					t.Fatalf("%s: state round trip: %v", kind, err)
+			// The state of a clone: p keeps its deferred coordinate fits
+			// (fully measured coordinate-provider clients) pending.
+			restored, err := NewProviderFromState(p.Delays.Clone().State())
+			if err != nil {
+				t.Fatalf("%s: state round trip: %v", kind, err)
+			}
+			q := *p
+			q.Delays = restored
+			copies := []*Problem{p.Clone(), &q}
+			for _, c := range copies {
+				if sp, ok := c.Delays.(*SharedRowProvider); ok {
+					checkSharedRowIndex(t, sp)
 				}
-				q := *p
-				q.Delays = restored
-				copies = append(copies, &q)
 			}
 			agree := func(stage string, width int) {
 				buf := make([]float64, width)
@@ -220,10 +253,10 @@ func driveProviderFuzz(t *testing.T, kind string, seed uint64, ops []byte) {
 
 // FuzzDelayProvider feeds arbitrary mutation op-streams — client append and
 // swap-remove, row replacement, single-pair overlays, server column
-// add/remove — through Problem's delay-store mutations over the raw matrix
-// and every DelayProvider implementation, against a from-scratch dense
-// shadow: the fuzz form of TestProviderMatchesDenseOracle extended to
-// partial (NaN) measurements. Every eighth op the store's Clone and State
+// add/remove — through Problem's delay-store mutations over the exact store
+// and the coordinate provider, against a from-scratch dense shadow (plain
+// rows, the reference both are held to): the fuzz form of
+// TestProviderMatchesDenseOracle extended to partial (NaN) measurements. Every eighth op the store's Clone and State
 // round trips must agree with it — also once a new server column makes
 // every client read its coordinate, while the live store still has
 // coordinate fits pending. Seed corpus lives in
@@ -242,7 +275,7 @@ func FuzzDelayProvider(f *testing.F) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		for _, kind := range append([]string{rawKind}, providerKinds...) {
+		for _, kind := range providerKinds {
 			driveProviderFuzz(t, kind, seed, ops)
 		}
 	})

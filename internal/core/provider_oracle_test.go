@@ -5,45 +5,41 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dvecap/internal/xrand"
 )
 
-// providerProblem rebuilds p behind a delay provider of the given kind with
-// FULL measured coverage: every dense row is streamed through AppendClient,
-// so the coordinate provider holds an override for every pair and the
-// shared-row provider holds every row verbatim (deduplicated). Full coverage
-// is the precondition for bit-identical equivalence with the raw matrix —
-// the property this suite proves.
+// providerProblem rebuilds p in the delay store of the given kind with FULL
+// measured coverage: the exact store (ProviderSharedRow) is what Clone
+// builds, and the coordinate provider receives every row through
+// AppendClient, so it holds an override for every pair. Full coverage is
+// the precondition for bit-identical equivalence with the exact store — the
+// property this suite proves.
 func providerProblem(p *Problem, kind string) *Problem {
 	q := p.Clone()
-	var dp DelayProvider
 	switch kind {
+	case ProviderSharedRow:
 	case ProviderCoord:
 		cp := NewCoordProviderFromSS(q.SS, 0)
-		for _, row := range q.CS {
+		row := make([]float64, p.NumServers())
+		for j := 0; j < p.NumClients(); j++ {
+			p.CopyCSRow(j, row) // p's own rows: a NaN stays unmeasured
 			cp.AppendClient(row)
 		}
-		dp = cp
-	case ProviderSharedRow:
-		sp := NewSharedRowProvider(q.NumServers())
-		for _, row := range q.CS {
-			sp.AppendClient(row)
-		}
-		dp = sp
+		q.Delays = cp
 	default:
 		panic("unknown provider kind " + kind)
 	}
-	q.CS = nil
-	q.Delays = dp
 	return q
 }
 
-// providerKinds enumerates every DelayProvider implementation; equivalence
-// and durability suites range over it so a new provider is automatically
-// held to the oracle contract.
-var providerKinds = []string{ProviderCoord, ProviderSharedRow}
+// providerKinds enumerates the delay stores — the exact store and the
+// coordinate provider; round-trip, isolation and fuzz suites range over it
+// so a new store is automatically held to the same contract.
+var providerKinds = []string{ProviderSharedRow, ProviderCoord}
 
 // compareLanes asserts the provider lane's problem, assignment and derived
 // evaluator state are BIT-identical to the dense oracle lane's.
@@ -73,55 +69,112 @@ func compareLanes(t *testing.T, label string, evD, evP *Evaluator) {
 	}
 }
 
-// TestProviderMatchesDenseOracle is the tentpole's proof obligation: for
-// every provider kind, the identical solve + churn + topology op-stream is
-// driven through a provider-backed problem and through the retained
-// raw-matrix path (the oracle), and every step must agree bit-for-bit —
-// delays, assignments, QoS counts, exact float costs — at workers 1 and 4.
-// Both lanes run their own RNG from the same seed, so any divergence is the
+// TestProviderMatchesDenseOracle: the identical solve + churn + topology
+// op-stream is driven through a fully measured coordinate-provider problem
+// and through the exact store (the oracle; FuzzDelayProvider holds that one
+// to plain rows), and every step must agree bit-for-bit — delays,
+// assignments, QoS counts, exact float costs — at workers 1 and 4. Both
+// lanes run their own RNG from the same seed, so any divergence is the
 // provider's, not the stream's.
 func TestProviderMatchesDenseOracle(t *testing.T) {
-	for _, kind := range providerKinds {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", kind, workers), func(t *testing.T) {
-				for trial := 0; trial < 6; trial++ {
-					seed := uint64(52000 + trial)
-					opt := Options{Overflow: SpillLargestResidual, Workers: workers}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("coord/workers=%d", workers), func(t *testing.T) {
+			for trial := 0; trial < 6; trial++ {
+				seed := uint64(52000 + trial)
+				opt := Options{Overflow: SpillLargestResidual, Workers: workers}
 
-					rngD := xrand.New(seed)
-					pd := randomProblem(rngD.Split(), trial%3 == 0).Clone()
-					rngP := xrand.New(seed)
-					pp := providerProblem(randomProblem(rngP.Split(), trial%3 == 0), kind)
+				rngD := xrand.New(seed)
+				pd := randomProblem(rngD.Split(), trial%3 == 0).Clone()
+				rngP := xrand.New(seed)
+				pp := providerProblem(randomProblem(rngP.Split(), trial%3 == 0), ProviderCoord)
 
-					ad, err := GreZGreC.Solve(rngD.Split(), pd, opt)
-					if err != nil {
-						t.Fatalf("trial %d: oracle solve: %v", trial, err)
-					}
-					ap, err := GreZGreC.Solve(rngP.Split(), pp, opt)
-					if err != nil {
-						t.Fatalf("trial %d: provider solve: %v", trial, err)
-					}
-					evD := NewEvaluator(pd, ad)
-					evP := NewEvaluator(pp, ap)
-					evD.SetWorkers(workers)
-					evP.SetWorkers(workers)
-					compareLanes(t, fmt.Sprintf("trial %d after solve", trial), evD, evP)
-					attachLateIndex(t, evD, workers)
-					attachLateIndex(t, evP, workers)
-
-					for step := 0; step < 50; step++ {
-						topoStep(evD, rngD, rngD.IntN(12))
-						topoStep(evP, rngP, rngP.IntN(12))
-						compareLanes(t, fmt.Sprintf("trial %d step %d", trial, step), evD, evP)
-						checkLateIndex(t, evD)
-						checkLateIndex(t, evP)
-					}
-					// The provider lane must also survive the oracle's own
-					// from-scratch consistency check.
-					checkDynState(t, evP)
+				ad, err := GreZGreC.Solve(rngD.Split(), pd, opt)
+				if err != nil {
+					t.Fatalf("trial %d: oracle solve: %v", trial, err)
 				}
-			})
+				ap, err := GreZGreC.Solve(rngP.Split(), pp, opt)
+				if err != nil {
+					t.Fatalf("trial %d: provider solve: %v", trial, err)
+				}
+				evD := NewEvaluator(pd, ad)
+				evP := NewEvaluator(pp, ap)
+				evD.SetWorkers(workers)
+				evP.SetWorkers(workers)
+				compareLanes(t, fmt.Sprintf("trial %d after solve", trial), evD, evP)
+				attachLateIndex(t, evD, workers)
+				attachLateIndex(t, evP, workers)
+
+				for step := 0; step < 50; step++ {
+					topoStep(evD, rngD, rngD.IntN(12))
+					topoStep(evP, rngP, rngP.IntN(12))
+					compareLanes(t, fmt.Sprintf("trial %d step %d", trial, step), evD, evP)
+					checkLateIndex(t, evD)
+					checkLateIndex(t, evP)
+				}
+				// The provider lane must also survive the oracle's own
+				// from-scratch consistency check.
+				checkDynState(t, evP)
+			}
+		})
+	}
+}
+
+// TestExactStoreReadsIgnoreGroupIDs: recovery rebuilds the exact store from
+// a snapshot's per-client rows, so its group ids, refcounts and free list
+// are not the ones the live store had reached. Every read is an exact row
+// lookup, so nothing may depend on them. Mid-stream — clients joining with
+// rows other clients already have, leaving, diverging, servers coming and
+// going — the store is rebuilt from DenseRows, its group table shown to
+// differ, and the live and rebuilt problems are driven through the same
+// further churn and re-solves: every step must agree bit for bit.
+func TestExactStoreReadsIgnoreGroupIDs(t *testing.T) {
+	opt := Options{Overflow: SpillLargestResidual}
+	// churn is topoStep plus joins that repeat a present client's row, the
+	// way clients at one network node share their delays.
+	churn := func(ev *Evaluator, rng *xrand.RNG) {
+		if k := ev.NumClients(); k > 0 && rng.IntN(3) == 0 {
+			row := append([]float64(nil), ev.p.CSRow(rng.IntN(k), nil)...)
+			ev.AddClient(rng.IntN(ev.p.NumZones), rng.Uniform(0.05, 0.5), row)
+			return
 		}
+		topoStep(ev, rng, rng.IntN(topoOps))
+	}
+	renumbered := 0
+	for trial := 0; trial < 6; trial++ {
+		rng := xrand.New(uint64(61000 + trial))
+		p := randomProblem(rng.Split(), trial%2 == 0).Clone()
+		a, err := GreZGreC.Solve(rng.Split(), p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := NewEvaluator(p, a)
+		for step := 0; step < 60; step++ {
+			churn(ev, rng)
+		}
+		raw := *p
+		raw.Delays, raw.CS = nil, p.DenseRows()
+		q := raw.Clone()
+		if !reflect.DeepEqual(p.Delays.State(), q.Delays.State()) {
+			renumbered++
+		}
+		evP := NewEvaluator(p, ev.Assignment())
+		evQ := NewEvaluator(q, ev.Assignment())
+		compareLanes(t, fmt.Sprintf("trial %d rebuilt", trial), evP, evQ)
+		rngP, rngQ := xrand.New(uint64(trial)), xrand.New(uint64(trial))
+		for step := 0; step < 60; step++ {
+			churn(evP, rngP)
+			churn(evQ, rngQ)
+			compareLanes(t, fmt.Sprintf("trial %d step %d", trial, step), evP, evQ)
+		}
+		aP, errP := GreZGreC.Solve(rngP.Split(), p, opt)
+		aQ, errQ := GreZGreC.Solve(rngQ.Split(), q, opt)
+		if errP != nil || errQ != nil {
+			t.Fatalf("trial %d: re-solve: %v / %v", trial, errP, errQ)
+		}
+		sameAssignment(t, fmt.Sprintf("trial %d re-solve", trial), aP, aQ)
+	}
+	if renumbered == 0 {
+		t.Fatal("no rebuilt store had a group table other than the live one's: the proof proved nothing")
 	}
 }
 
@@ -207,6 +260,54 @@ func TestProviderStateRefusesDenseKind(t *testing.T) {
 	}
 }
 
+// TestProviderStateRefusesInconsistentSharedRows: a shared-row state whose
+// refcounts, free list or dimensions disagree with its group table is
+// refused — accepted, a free list naming a live group let the next join
+// overwrite a client's row, and a refcount above the member count let a
+// leave keep a dead row. The consistent control, with a freed slot, loads,
+// and a join reuses the free slot without touching the live row.
+func TestProviderStateRefusesInconsistentSharedRows(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		st      SharedRowState
+		wantSub string // "" = accepted
+	}{
+		{"consistent", SharedRowState{Servers: 2, Group: []int32{0, 0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{2, 0}, Free: []int32{1}}, ""},
+		{"free names a live group", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}}, Refs: []int32{1}, Free: []int32{0}}, "frees live group 0"},
+		{"refcount above members", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}}, Refs: []int32{2}}, "refcount 2 but 1 members"},
+		{"refcount below members", SharedRowState{Servers: 2, Group: []int32{0, 0}, Rows: [][]float64{{1, 2}}, Refs: []int32{1}}, "refcount 1 but 2 members"},
+		{"negative refcount", SharedRowState{Servers: 2, Group: []int32{}, Rows: [][]float64{{}}, Refs: []int32{-1}, Free: []int32{0}}, "refcount -1 but 0 members"},
+		{"free out of range", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{1, 0}, Free: []int32{2}}, "frees group 2 outside [0,2)"},
+		{"free negative", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{1, 0}, Free: []int32{-1}}, "frees group -1"},
+		{"free duplicated", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{1, 0}, Free: []int32{1, 1}}, "frees group 1 twice"},
+		{"dead group not freed", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{1, 0}}, "1 dead groups but frees 0"},
+		{"negative servers", SharedRowState{Servers: -1, Group: []int32{}, Rows: [][]float64{}, Refs: []int32{}}, "-1 servers"},
+		{"client in missing group", SharedRowState{Servers: 2, Group: []int32{3}, Rows: [][]float64{{1, 2}}, Refs: []int32{1}}, "client 0 in group 3"},
+		{"short live row", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1}}, Refs: []int32{1}}, "group 0 has 1 entries"},
+		{"rows and refcounts disagree", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}}, Refs: []int32{1, 0}}, "1 rows but 2 refcounts"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := tc.st
+			dp, err := NewProviderFromState(&ProviderState{Kind: ProviderSharedRow, Shared: &st})
+			if tc.wantSub != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+					t.Fatalf("err = %v, want a refusal mentioning %q", err, tc.wantSub)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			dp.AppendClient([]float64{9, 9})
+			for j, want := range [][]float64{{1, 2}, {1, 2}, {9, 9}} {
+				if got := dp.Row(j, nil); got[0] != want[0] || got[1] != want[1] {
+					t.Fatalf("after a join, client %d reads %v, want %v", j, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestProviderCloneIsolation pins Clone's no-shared-mutable-state contract:
 // mutating a clone never reaches the original, and vice versa.
 func TestProviderCloneIsolation(t *testing.T) {
@@ -241,9 +342,9 @@ func TestProviderCloneIsolation(t *testing.T) {
 }
 
 // TestProviderMemoryBytes sanity-checks the MemoryBytes estimates the
-// budget regression test leans on: all positive, and the shared-row
-// provider reports far less than the raw matrix costs when every client
-// shares one row.
+// budget regression test leans on: all positive, and the exact store
+// reports far less than a row per client costs when every client shares
+// one row.
 func TestProviderMemoryBytes(t *testing.T) {
 	m, k := 8, 4096
 	row := make([]float64, m)
@@ -254,12 +355,12 @@ func TestProviderMemoryBytes(t *testing.T) {
 	for j := 0; j < k; j++ {
 		shared.AppendClient(row)
 	}
-	db, sb := k*(8*m+24), shared.MemoryBytes() // raw: a row and its slice header per client
+	db, sb := k*(8*m+24), shared.MemoryBytes() // a row and its slice header per client
 	if sb <= 0 {
 		t.Fatalf("MemoryBytes: shared %d, want > 0", sb)
 	}
 	if sb*4 > db {
-		t.Fatalf("shared-row provider reports %d bytes for %d identical rows; the raw matrix costs %d — expected at least 4x dedup", sb, k, db)
+		t.Fatalf("exact store reports %d bytes for %d identical rows; a row per client costs %d — expected at least 4x dedup", sb, k, db)
 	}
 	coord := NewCoordProviderFromSS([][]float64{{0, 40}, {40, 0}}, 0)
 	coord.AddClientAt([]float64{1, 2, 3, 4, 5}, nil, nil)

@@ -104,29 +104,76 @@ func NewProviderFromState(st *ProviderState) (DelayProvider, error) {
 		if s == nil {
 			return nil, fmt.Errorf("core: shared-row provider state missing payload")
 		}
-		if len(s.Rows) != len(s.Refs) {
-			return nil, fmt.Errorf("core: shared-row provider has %d rows but %d refcounts", len(s.Rows), len(s.Refs))
+		if err := s.check(); err != nil {
+			return nil, err
 		}
 		sp := &SharedRowProvider{
 			servers: s.Servers,
 			group:   append([]int32(nil), s.Group...),
 			refs:    append([]int32(nil), s.Refs...),
 			free:    append([]int32(nil), s.Free...),
-			rows:    make([][]float64, len(s.Rows)),
+			stride:  s.Servers,
+			arena:   make([]float64, len(s.Rows)*s.Servers),
+			sums:    make([]uint64, len(s.Rows)),
+			next:    make([]int32, len(s.Rows)),
+			stale:   true,
 		}
-		for g, r := range s.Rows {
-			if s.Refs[g] > 0 && len(r) != s.Servers {
-				return nil, fmt.Errorf("core: shared-row provider group %d has %d entries, want %d", g, len(r), s.Servers)
+		for g, refs := range s.Refs {
+			if refs > 0 {
+				copy(sp.row(int32(g)), s.Rows[g])
+				sp.sums[g] = hashRow(s.Rows[g])
 			}
-			sp.rows[g] = append([]float64(nil), r...)
 		}
-		for j, g := range sp.group {
-			if int(g) >= len(sp.rows) || g < 0 || sp.refs[g] <= 0 {
-				return nil, fmt.Errorf("core: shared-row provider client %d in dead group %d", j, g)
-			}
-		}
-		sp.rebuildIndex()
 		return sp, nil
 	}
 	return nil, fmt.Errorf("core: unknown delay-provider kind %q", st.Kind)
+}
+
+// check refuses a shared-row state the store could not have written —
+// snapshots carry no checksum, and a refcount or free list that disagrees
+// with the group table would let a later join overwrite a live row, or a
+// leave keep a dead one or free a live one. Every client names a group,
+// every group's refcount is its member count, every live row has one entry
+// per server, and the free list names each dead group exactly once.
+func (s *SharedRowState) check() error {
+	if s.Servers < 0 {
+		return fmt.Errorf("core: shared-row provider has %d servers", s.Servers)
+	}
+	if len(s.Rows) != len(s.Refs) {
+		return fmt.Errorf("core: shared-row provider has %d rows but %d refcounts", len(s.Rows), len(s.Refs))
+	}
+	members := make([]int32, len(s.Rows))
+	for j, g := range s.Group {
+		if g < 0 || int(g) >= len(s.Rows) {
+			return fmt.Errorf("core: shared-row provider client %d in group %d outside [0,%d)", j, g, len(s.Rows))
+		}
+		members[g]++
+	}
+	dead := 0
+	for g, refs := range s.Refs {
+		if refs != members[g] {
+			return fmt.Errorf("core: shared-row provider group %d has refcount %d but %d members", g, refs, members[g])
+		}
+		if refs == 0 {
+			dead++
+		} else if len(s.Rows[g]) != s.Servers {
+			return fmt.Errorf("core: shared-row provider group %d has %d entries, want %d", g, len(s.Rows[g]), s.Servers)
+		}
+	}
+	freed := make([]bool, len(s.Rows))
+	for _, g := range s.Free {
+		switch {
+		case g < 0 || int(g) >= len(s.Rows):
+			return fmt.Errorf("core: shared-row provider frees group %d outside [0,%d)", g, len(s.Rows))
+		case s.Refs[g] > 0:
+			return fmt.Errorf("core: shared-row provider frees live group %d", g)
+		case freed[g]:
+			return fmt.Errorf("core: shared-row provider frees group %d twice", g)
+		}
+		freed[g] = true
+	}
+	if len(s.Free) != dead {
+		return fmt.Errorf("core: shared-row provider has %d dead groups but frees %d", dead, len(s.Free))
+	}
+	return nil
 }

@@ -59,7 +59,8 @@ func referenceGreC(p *Problem, zoneServer []int, opt Options) (contact []int, de
 
 // grecProblem draws an m-server instance with roughly half its clients late
 // and a fixed zone → server map, then sizes every server to its hosted zone
-// load plus room for `room` average clients' worth of forwarding.
+// load plus room for `room` average clients' worth of forwarding. The
+// instance comes back in the exact store, ready for mutations.
 func grecProblem(rng *xrand.RNG, m int, room float64) (*Problem, []int) {
 	const n, k = 12, 240
 	p := &Problem{
@@ -99,7 +100,7 @@ func grecProblem(rng *xrand.RNG, m int, room float64) (*Problem, []int) {
 	for i := range p.ServerCaps {
 		p.ServerCaps[i] += room * 2 * 0.275 * rng.Uniform(0.5, 1.5)
 	}
-	return p, zoneServer
+	return p.Clone(), zoneServer
 }
 
 // sparseCoordProblem is p behind a coordinate provider that keeps only
@@ -108,7 +109,9 @@ func grecProblem(rng *xrand.RNG, m int, room float64) (*Problem, []int) {
 func sparseCoordProblem(p *Problem) *Problem {
 	q := p.Clone()
 	cp := NewCoordProviderFromSS(q.SS, 0)
-	for j, row := range q.CS {
+	row := make([]float64, q.NumServers())
+	for j := 0; j < q.NumClients(); j++ {
+		q.CopyCSRow(j, row)
 		for i := range row {
 			if (i+j)%3 != 0 {
 				row[i] = math.NaN()
@@ -116,7 +119,7 @@ func sparseCoordProblem(p *Problem) *Problem {
 		}
 		cp.AppendClient(row)
 	}
-	q.CS, q.Delays = nil, cp
+	q.Delays = cp
 	return q
 }
 
@@ -134,11 +137,7 @@ func TestGreCMatchesFullSortReference(t *testing.T) {
 		name  string
 		build func(*Problem) *Problem
 	}{
-		{"CS", func(p *Problem) *Problem { return p }},
-		// The raw matrix as the repair planner holds it: arena rows with
-		// spare capacity behind each.
-		{"dense", func(p *Problem) *Problem { return p.ClonePadded(3) }},
-		{ProviderSharedRow, func(p *Problem) *Problem { return providerProblem(p, ProviderSharedRow) }},
+		{"dense", func(p *Problem) *Problem { return p }},
 		{ProviderCoord, func(p *Problem) *Problem { return providerProblem(p, ProviderCoord) }},
 		{"coord-sparse", sparseCoordProblem},
 	}
@@ -205,7 +204,7 @@ func TestGreCMatchesFullSortReference(t *testing.T) {
 
 // TestSolveWithScratchAllocatesOnlyTheAssignment pins Options.Scratch's
 // promise on a warm workspace: a full GreZ-GreC solve allocates the
-// returned Assignment and its two slices, nothing else — on the raw matrix
+// returned Assignment and its two slices, nothing else — on the exact store
 // and through a provider that materializes rows, counting from the rows and
 // from a late index.
 func TestSolveWithScratchAllocatesOnlyTheAssignment(t *testing.T) {

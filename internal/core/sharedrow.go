@@ -1,11 +1,15 @@
 package core
 
-import "math"
+import (
+	"maps"
+	"math"
+	"slices"
+)
 
-// SharedRowProvider is the landmark/cluster DelayProvider: clients behind
-// the same access network (same campus, same ISP POP, same landmark
-// cluster) see near-identical delays to every server, so their rows are
-// stored ONCE as a refcounted group row and each client carries only a
+// SharedRowProvider is the exact delay store, the one behind every exact
+// problem a planner owns: clients at the same network node (or behind the
+// same access network) see identical delays to every server, so their rows
+// are stored ONCE as a refcounted group row and each client carries only a
 // 4-byte group id. Divergence is copy-on-write: the first client-specific
 // measurement detaches the client onto its own row.
 //
@@ -17,32 +21,39 @@ import "math"
 // merges is bounded by the mutation count.
 //
 // Reads are exact row lookups — never approximations — so any population
-// whose per-client rows equal the dense matrix's reads bit-identically to
-// it, regardless of how the rows are grouped. Determinism: group ids are
-// allocated from a LIFO free list in mutation order and the hash index
-// resolves collisions in ascending group order, so the same mutation
-// stream always produces the same internal state (the property
-// durable-session recovery leans on; the free list and group table are
-// part of State for that reason).
+// whose per-client rows equal the raw matrix's reads bit-identically to
+// it, regardless of how the rows are grouped: no read depends on a group
+// id, which is why a snapshot may carry plain rows and recovery may group
+// them afresh. Determinism: group ids are allocated from a LIFO free list
+// in mutation order and a join that finds several equal live rows takes
+// the lowest id, so the same mutation stream always produces the same
+// internal state, whatever the content hash.
 type SharedRowProvider struct {
 	servers int
-	group   []int32     // per client → group id
-	rows    [][]float64 // group id → shared row (len servers); nil in free slots is NOT used — free slots keep capacity
-	refs    []int32     // group id → member count; 0 marks a free slot
-	free    []int32     // freed group ids, LIFO
-	byHash  map[uint64][]int32
+	group   []int32 // per client → group id
+	refs    []int32 // group id → member count; 0 marks a free slot
+	free    []int32 // freed group ids, LIFO
+	// The rows live in one arena, slot g at arena[g*stride:], the first
+	// servers entries of each slot in use: a column mutation streams
+	// through it, and a clone is one copy. The stride keeps spare entries
+	// once a server has been added, so later additions rarely re-lay it.
+	stride int
+	arena  []float64
+	// The content index: sums[g] is hashRow of live group g's row, first
+	// maps a hash to the lowest live group with it, and next chains the
+	// others in ascending id order (-1 ends a chain). A column mutation
+	// changes every hash, so it marks the index stale, and the next join
+	// or delay write rebuilds it; sums stay current throughout.
+	sums  []uint64
+	first map[uint64]int32
+	next  []int32
+	stale bool
 }
 
 // NewSharedRowProvider returns an empty provider for `servers` servers.
 func NewSharedRowProvider(servers int) *SharedRowProvider {
-	return &SharedRowProvider{servers: servers, byHash: make(map[uint64][]int32)}
+	return &SharedRowProvider{servers: servers, stride: servers, first: make(map[uint64]int32)}
 }
-
-// Groups returns the number of live (referenced) group rows.
-func (sp *SharedRowProvider) Groups() int { return len(sp.rows) - len(sp.free) }
-
-// GroupOf returns client j's group id — equal ids mean one shared row.
-func (sp *SharedRowProvider) GroupOf(j int) int32 { return sp.group[j] }
 
 // NumClients implements DelayProvider.
 func (sp *SharedRowProvider) NumClients() int { return len(sp.group) }
@@ -52,24 +63,46 @@ func (sp *SharedRowProvider) NumServers() int { return sp.servers }
 
 // ClientServer implements DelayProvider.
 func (sp *SharedRowProvider) ClientServer(j, i int) float64 {
-	return sp.rows[sp.group[j]][i]
+	return sp.arena[int(sp.group[j])*sp.stride+i]
 }
 
 // Row implements DelayProvider: the internal group row is returned without
 // copying (read-only, valid until the next mutation).
 func (sp *SharedRowProvider) Row(j int, _ []float64) []float64 {
-	return sp.rows[sp.group[j]]
+	return sp.row(sp.group[j])
 }
 
-// hashRow returns the FNV-1a hash of a row's float bits.
+// row returns group g's row, capped so an append cannot reach the next slot.
+func (sp *SharedRowProvider) row(g int32) []float64 {
+	o := int(g) * sp.stride
+	return sp.arena[o : o+sp.servers : o+sp.servers]
+}
+
+// Row hashes are sums of per-entry terms: an entry's float bits xored with
+// its position's salt, multiplied by an odd constant and folded (one
+// multiply-xor each). A sum lets a column append, removal or overwrite
+// update a group's hash in O(1) instead of rehashing its row. Equality is
+// rowsEqual's: the hash only narrows the candidates, which are tried in
+// ascending id order, so nothing the store allocates depends on it.
+const (
+	hashSalt = 0x9e3779b97f4a7c15
+	hashMul  = 0xff51afd7ed558ccd
+)
+
+// salt returns entry i's position salt.
+func salt(i int) uint64 { return uint64(i+1) * hashSalt }
+
+// rowTerm is the hash term of value v at the position with salt s.
+func rowTerm(s uint64, v float64) uint64 {
+	t := (math.Float64bits(v) ^ s) * hashMul
+	return t ^ t>>32
+}
+
+// hashRow returns the content hash of a row: the sum of its entries' terms.
 func hashRow(row []float64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range row {
-		b := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			h ^= (b >> s) & 0xff
-			h *= 1099511628211
-		}
+	var h uint64
+	for i, v := range row {
+		h += rowTerm(salt(i), v)
 	}
 	return h
 }
@@ -86,68 +119,91 @@ func rowsEqual(a, b []float64) bool {
 	return true
 }
 
-// findOrAdd returns the id of a live group whose row equals row
-// (bit-wise), creating one (copying row) when none exists. Candidates are
-// scanned in ascending group order; new ids come from the free list first.
+// findOrAdd returns the id of the lowest live group whose row equals row
+// (bit-wise), creating one (copying row) when none exists; new ids come
+// from the free list first.
 func (sp *SharedRowProvider) findOrAdd(row []float64) int32 {
+	if sp.stale {
+		sp.rebuildIndex()
+	}
 	h := hashRow(row)
-	for _, g := range sp.byHash[h] {
-		if sp.refs[g] > 0 && rowsEqual(sp.rows[g], row) {
-			sp.refs[g]++
-			return g
+	if g, ok := sp.first[h]; ok {
+		for ; g >= 0; g = sp.next[g] {
+			if rowsEqual(sp.row(g), row) {
+				sp.refs[g]++
+				return g
+			}
 		}
 	}
+	g := sp.newGroup(row)
+	sp.sums[g] = h
+	sp.link(g)
+	return g
+}
+
+// newGroup allocates a group holding a copy of row, with one reference: the
+// most recently freed slot, or a new id. It is not yet in the index.
+func (sp *SharedRowProvider) newGroup(row []float64) int32 {
 	var g int32
 	if n := len(sp.free); n > 0 {
 		g = sp.free[n-1]
 		sp.free = sp.free[:n-1]
-		sp.rows[g] = append(sp.rows[g][:0], row...)
 		sp.refs[g] = 1
 	} else {
-		g = int32(len(sp.rows))
-		sp.rows = append(sp.rows, append([]float64(nil), row...))
+		g = int32(len(sp.refs))
 		sp.refs = append(sp.refs, 1)
+		sp.sums = append(sp.sums, 0)
+		sp.next = append(sp.next, -1)
+		sp.arena = slices.Grow(sp.arena, sp.stride)[:len(sp.arena)+sp.stride]
 	}
-	sp.indexGroup(h, g)
+	copy(sp.row(g), row)
 	return g
 }
 
-// indexGroup inserts g into the hash bucket for h, keeping the bucket
-// sorted ascending (deterministic candidate order).
-func (sp *SharedRowProvider) indexGroup(h uint64, g int32) {
-	bucket := sp.byHash[h]
-	x := len(bucket)
-	bucket = append(bucket, g)
-	for x > 0 && bucket[x-1] > g {
-		bucket[x] = bucket[x-1]
-		x--
+// link inserts live group g into the chain of its hash, in ascending order.
+func (sp *SharedRowProvider) link(g int32) {
+	h := sp.sums[g]
+	head, ok := sp.first[h]
+	if !ok || head > g {
+		sp.next[g] = -1
+		if ok {
+			sp.next[g] = head
+		}
+		sp.first[h] = g
+		return
 	}
-	bucket[x] = g
-	sp.byHash[h] = bucket
+	at := head
+	for sp.next[at] >= 0 && sp.next[at] < g {
+		at = sp.next[at]
+	}
+	sp.next[g], sp.next[at] = sp.next[at], g
 }
 
-// unindexGroup removes g from the hash bucket of its current row.
-func (sp *SharedRowProvider) unindexGroup(g int32) {
-	h := hashRow(sp.rows[g])
-	bucket := sp.byHash[h]
-	for x, c := range bucket {
-		if c == g {
-			bucket = append(bucket[:x], bucket[x+1:]...)
-			break
+// unlink removes group g from the chain of its hash.
+func (sp *SharedRowProvider) unlink(g int32) {
+	h := sp.sums[g]
+	if head := sp.first[h]; head == g {
+		if sp.next[g] < 0 {
+			delete(sp.first, h)
+		} else {
+			sp.first[h] = sp.next[g]
 		}
+		return
 	}
-	if len(bucket) == 0 {
-		delete(sp.byHash, h)
-	} else {
-		sp.byHash[h] = bucket
+	at := sp.first[h]
+	for sp.next[at] != g {
+		at = sp.next[at]
 	}
+	sp.next[at] = sp.next[g]
 }
 
 // unref drops one reference from group g, freeing the slot at zero.
 func (sp *SharedRowProvider) unref(g int32) {
 	sp.refs[g]--
 	if sp.refs[g] == 0 {
-		sp.unindexGroup(g)
+		if !sp.stale {
+			sp.unlink(g)
+		}
 		sp.free = append(sp.free, g)
 	}
 }
@@ -178,7 +234,7 @@ func (sp *SharedRowProvider) SetClientDelays(j int, row []float64) {
 // SetClientServerDelay implements DelayProvider: copy-on-write divergence —
 // the client's row with entry i replaced is re-grouped.
 func (sp *SharedRowProvider) SetClientServerDelay(j, i int, d float64) {
-	old := sp.rows[sp.group[j]]
+	old := sp.row(sp.group[j])
 	var scratch [64]float64
 	buf := scratch[:0]
 	if len(old) > len(scratch) {
@@ -213,119 +269,118 @@ func (sp *SharedRowProvider) SwapRemoveClient(j int) {
 // AppendServer implements DelayProvider. Members of one group may measure
 // different delays to the new server, so the group splits: the first
 // member (lowest client index) claims the shared row's new entry and every
-// member that disagrees detaches onto a fresh group. The hash index is
-// rebuilt afterwards (every live row changed length).
+// member that disagrees detaches onto a fresh group. Every live row gains
+// an entry, so the index goes stale — and until it is rebuilt, next marks
+// the groups whose entry is claimed.
 func (sp *SharedRowProvider) AppendServer(col []float64) {
 	m := sp.servers
-	// Phase 1: extend every live row with a "not yet claimed" marker.
-	for g := range sp.rows {
-		if sp.refs[g] > 0 {
-			sp.rows[g] = append(sp.rows[g], math.NaN())
-		}
+	if m == sp.stride {
+		sp.relayout(m + 8 + m/4)
 	}
-	// Phase 2: members claim or detach, in client order (deterministic).
-	for j := range sp.group {
+	sp.servers = m + 1
+	sp.stale = true
+	const unclaimed, claimed = -2, -3
+	sm := salt(m)
+	for g := range sp.next {
+		sp.next[g] = unclaimed
+	}
+	// Members claim or detach in client order (deterministic). The claimer
+	// stays, so no group empties.
+	for j, g := range sp.group {
 		v := UnmeasuredDelayMs
 		if col != nil {
 			v = resolveUnmeasured(col[j])
 		}
-		g := sp.group[j]
-		cur := sp.rows[g][m]
-		if cur != cur { // unclaimed: first member sets the group's value
-			sp.rows[g][m] = v
+		at := int(g)*sp.stride + m
+		if sp.next[g] == unclaimed {
+			sp.next[g] = claimed
+			sp.arena[at] = v
+			sp.sums[g] += rowTerm(sm, v)
 			continue
 		}
+		cur := sp.arena[at]
 		if math.Float64bits(cur) == math.Float64bits(v) {
 			continue
 		}
-		// Disagreement: detach onto a fresh group (no dedup here — the
-		// index is stale mid-append; the rebuild below restores it).
+		// Disagreement: detach onto a fresh group (no dedup: the index is
+		// stale).
 		sp.refs[g]--
-		var ng int32
-		if n := len(sp.free); n > 0 {
-			ng = sp.free[n-1]
-			sp.free = sp.free[:n-1]
-			sp.rows[ng] = append(sp.rows[ng][:0], sp.rows[g]...)
-			sp.refs[ng] = 1
-		} else {
-			ng = int32(len(sp.rows))
-			sp.rows = append(sp.rows, append([]float64(nil), sp.rows[g]...))
-			sp.refs = append(sp.refs, 1)
-		}
-		sp.rows[ng][m] = v
+		ng := sp.newGroup(sp.row(g))
+		sp.next[ng] = claimed
+		sp.arena[int(ng)*sp.stride+m] = v
+		sp.sums[ng] = sp.sums[g] - rowTerm(sm, cur) + rowTerm(sm, v)
 		sp.group[j] = ng
-		if sp.refs[g] == 0 {
-			sp.free = append(sp.free, g)
-		}
 	}
-	// A group that lost every member before any claim keeps its NaN marker;
-	// scrub it so free-slot rows never leak NaN (harmless, but tidy).
-	for g := range sp.rows {
-		if sp.refs[g] > 0 || len(sp.rows[g]) != m+1 {
-			continue
-		}
-		if v := sp.rows[g][m]; v != v {
-			sp.rows[g][m] = UnmeasuredDelayMs
-		}
+}
+
+// relayout moves every slot to a new stride (≥ servers).
+func (sp *SharedRowProvider) relayout(stride int) {
+	arena := make([]float64, len(sp.refs)*stride)
+	for g := range sp.refs {
+		copy(arena[g*stride:], sp.row(int32(g)))
 	}
-	sp.servers = m + 1
-	sp.rebuildIndex()
+	sp.arena, sp.stride = arena, stride
 }
 
 // SwapRemoveServer implements DelayProvider: column compaction on every
-// live row, then an index rebuild. Rows that become equal are not merged.
+// live row, which leaves the index stale. Rows that become equal are not
+// merged.
 func (sp *SharedRowProvider) SwapRemoveServer(i int) {
 	l := sp.servers - 1
-	for g := range sp.rows {
-		row := sp.rows[g]
-		if len(row) != sp.servers {
-			continue // free slot from an earlier dimension; capacity only
+	si, sl := salt(i), salt(l)
+	for g, refs := range sp.refs {
+		if refs == 0 {
+			continue // free slot: contents are scratch
 		}
+		row := sp.arena[g*sp.stride:]
+		sp.sums[g] += rowTerm(si, row[l]) - rowTerm(si, row[i]) - rowTerm(sl, row[l])
 		row[i] = row[l]
-		sp.rows[g] = row[:l]
 	}
 	sp.servers = l
-	sp.rebuildIndex()
+	sp.stale = true
 }
 
-// rebuildIndex reconstructs the content-hash index over live groups in
-// ascending group order — the same bucket order insertion maintains.
+// rebuildIndex reconstructs the content index over the live groups' hashes,
+// each chain in ascending id order — the order link maintains.
 func (sp *SharedRowProvider) rebuildIndex() {
-	sp.byHash = make(map[uint64][]int32, len(sp.rows)-len(sp.free))
-	for g := range sp.rows {
-		if sp.refs[g] > 0 {
-			h := hashRow(sp.rows[g])
-			sp.byHash[h] = append(sp.byHash[h], int32(g))
+	if sp.first == nil {
+		sp.first = make(map[uint64]int32, len(sp.refs)-len(sp.free))
+	}
+	clear(sp.first)
+	sp.stale = false
+	for g := len(sp.refs) - 1; g >= 0; g-- {
+		if sp.refs[g] == 0 {
+			continue
 		}
+		h := sp.sums[g]
+		sp.next[g] = -1
+		if head, ok := sp.first[h]; ok {
+			sp.next[g] = head
+		}
+		sp.first[h] = int32(g)
 	}
 }
 
 // Clone implements DelayProvider.
 func (sp *SharedRowProvider) Clone() DelayProvider {
-	q := &SharedRowProvider{
+	return &SharedRowProvider{
 		servers: sp.servers,
-		group:   append([]int32(nil), sp.group...),
-		rows:    make([][]float64, len(sp.rows)),
-		refs:    append([]int32(nil), sp.refs...),
-		free:    append([]int32(nil), sp.free...),
+		group:   slices.Clone(sp.group),
+		refs:    slices.Clone(sp.refs),
+		free:    slices.Clone(sp.free),
+		stride:  sp.stride,
+		arena:   slices.Clone(sp.arena),
+		sums:    slices.Clone(sp.sums),
+		first:   maps.Clone(sp.first),
+		next:    slices.Clone(sp.next),
+		stale:   sp.stale,
 	}
-	for g, r := range sp.rows {
-		q.rows[g] = append([]float64(nil), r...)
-	}
-	q.rebuildIndex()
-	return q
 }
 
 // MemoryBytes implements DelayProvider.
 func (sp *SharedRowProvider) MemoryBytes() int {
-	n := 4*cap(sp.group) + 4*cap(sp.refs) + 4*cap(sp.free) + 24*cap(sp.rows)
-	for _, r := range sp.rows {
-		n += 8 * cap(r)
-	}
-	for _, b := range sp.byHash {
-		n += 16 + 4*cap(b)
-	}
-	return n
+	return 4*cap(sp.group) + 4*cap(sp.refs) + 4*cap(sp.free) + 8*cap(sp.arena) +
+		8*cap(sp.sums) + 4*cap(sp.next) + 16*len(sp.first)
 }
 
 // State implements DelayProvider. The free list is serialized too: group
@@ -336,11 +391,11 @@ func (sp *SharedRowProvider) State() *ProviderState {
 		Group:   append([]int32(nil), sp.group...),
 		Refs:    append([]int32(nil), sp.refs...),
 		Free:    append([]int32(nil), sp.free...),
-		Rows:    make([][]float64, len(sp.rows)),
+		Rows:    make([][]float64, len(sp.refs)),
 	}
-	for g, r := range sp.rows {
-		if sp.refs[g] > 0 {
-			st.Rows[g] = append([]float64(nil), r...)
+	for g, refs := range sp.refs {
+		if refs > 0 {
+			st.Rows[g] = slices.Clone(sp.row(int32(g)))
 		} else {
 			st.Rows[g] = []float64{} // free slot: contents are scratch
 		}

@@ -161,7 +161,7 @@ func TestGreZMatchesFullSortReference(t *testing.T) {
 		build func(*Problem) *Problem
 	}{
 		{"CS", func(p *Problem) *Problem { return p }},
-		{ProviderSharedRow, func(p *Problem) *Problem { return providerProblem(p, ProviderSharedRow) }},
+		{"dense", func(p *Problem) *Problem { return p.Clone() }},
 		{"coord-sparse", sparseCoordProblem},
 	}
 	for _, m := range []int{1, 2, 3, 65} {

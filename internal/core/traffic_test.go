@@ -182,7 +182,7 @@ func TestTrafficCutIncremental(t *testing.T) {
 func TestTrafficTopologyLockstep(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := xrand.New(seed)
-		p := randomProblem(rng, false)
+		p := randomProblem(rng, false).Clone()
 		attachAdjacency(xrand.New(seed+400), p, 1)
 		ev := NewEvaluator(p, initialAssignment(p))
 

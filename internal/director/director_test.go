@@ -52,8 +52,12 @@ func TestConfigValidate(t *testing.T) {
 		ServerNodes: []int{0, 1}, ServerCaps: []float64{10, 10},
 		Zones: 2, Delays: dm, DelayBoundMs: 250, FrameRate: 25, MessageBytes: 100,
 	}
-	if err := base.Validate(); err != nil {
-		t.Fatal(err)
+	for _, model := range []string{"", "dense", "coord"} {
+		c := base
+		c.DelayModel = model
+		if err := c.Validate(); err != nil {
+			t.Fatalf("DelayModel %q: %v", model, err)
+		}
 	}
 	nan, inf := math.NaN(), math.Inf(1)
 	bad := []func(c *Config){
@@ -75,6 +79,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ServerCaps = []float64{10, -1} },
 		func(c *Config) { c.ServerCaps = []float64{10, nan} },
 		func(c *Config) { c.ServerCaps = []float64{inf, 10} },
+		func(c *Config) { c.DelayModel = "shared" }, // the exact store is "dense"
+		func(c *Config) { c.DelayModel = "raw" },
 	}
 	for i, f := range bad {
 		c := base

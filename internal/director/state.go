@@ -16,6 +16,7 @@ package director
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,15 +59,15 @@ type Config struct {
 	// (default "GreZ-GreC").
 	Algorithm string
 	// DelayModel selects the client↔server delay representation backing the
-	// planner's problem: "dense" (or empty, the default) keeps the raw CS
-	// matrix, "coord" binds a core.CoordProvider (coordinates plus exact
-	// measurement overrides), "shared" binds a core.SharedRowProvider,
-	// which deduplicates identical delay rows — clients joining at the same
-	// topology node share one physical row, the memory diet for large
-	// populations on modest topologies. Assignments are bit-identical
-	// across models: the director always feeds full oracle-derived rows, so
-	// every model resolves the same delays (DESIGN.md §13). On recovery the
-	// stored model supersedes this field, like the rest of the deployment.
+	// planner's problem: "dense" (or empty, the default) is the exact store
+	// (core.SharedRowProvider: every client's row, identical rows stored
+	// once — clients joining at the same topology node share one), "coord"
+	// binds a core.CoordProvider (coordinates plus exact measurement
+	// overrides). Assignments are bit-identical across models: the director
+	// always feeds full oracle-derived rows, so both models resolve the same
+	// delays (DESIGN.md §13). On recovery the stored model supersedes this
+	// field, like the rest of the deployment; a model stored as "shared" by
+	// older builds is the exact store.
 	DelayModel string
 	// Seed drives the algorithm's randomised choices.
 	Seed uint64
@@ -147,9 +148,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("director: SnapshotEvery = %v, want >= 0", c.SnapshotEvery)
 	}
 	switch c.DelayModel {
-	case "", "dense", "coord", "shared":
+	case "", "dense", "coord":
 	default:
-		return fmt.Errorf("director: DelayModel = %q, want dense, coord or shared", c.DelayModel)
+		return fmt.Errorf("director: DelayModel = %q, want dense or coord", c.DelayModel)
 	}
 	for i, n := range c.ServerNodes {
 		if n < 0 || n >= c.Delays.N() {
@@ -305,9 +306,9 @@ func (d *Director) planner() *repair.Planner { return d.m.Binding().Planner() }
 // emptyProblem snapshots the deployment's static side (servers, capacities,
 // inter-server delays, the bound) with zero clients — the planner's seed.
 // Config.DelayModel selects the delay representation: every join streams a
-// full oracle-derived row, which providers store exactly (coord keeps it as
-// overrides, shared dedupes identical rows), so the model never changes an
-// assignment.
+// full oracle-derived row, which both stores keep exactly (the exact store
+// dedupes identical rows, coord keeps them as overrides), so the model never
+// changes an assignment.
 func (c Config) emptyProblem() *core.Problem {
 	m := len(c.ServerNodes)
 	p := &core.Problem{
@@ -327,13 +328,10 @@ func (c Config) emptyProblem() *core.Problem {
 			p.SS[i][l] = c.Delays.ServerRTT(c.ServerNodes[i], c.ServerNodes[l])
 		}
 	}
-	switch c.DelayModel {
-	case "coord":
+	if c.DelayModel == "coord" {
 		p.Delays = core.NewCoordProviderFromSS(p.SS, 0)
-	case "shared":
+	} else {
 		p.Delays = core.NewSharedRowProvider(m)
-	default:
-		p.CS = [][]float64{}
 	}
 	return p
 }
@@ -528,22 +526,25 @@ func (d *Director) infoAt(j int, id string) ClientInfo {
 	}
 }
 
-// problemLocked snapshots the current population as a dense core.Problem,
-// clients in the planner's dense order — the order Snapshot lists them in.
-// Delay rows come from the planner's live state, so measured updates
-// (UpdateDelays) are reflected rather than re-derived from the topology
-// oracle. The rows are read off the live problem through its delay
-// provider's reads, never from a copy of the provider's internals: a reader
-// must touch no coordinate a checkpoint may be fitting under wmu alone
-// (core.CoordProvider.State).
+// problemLocked snapshots the current population as a core.Problem with raw
+// CS rows, clients in the planner's dense order — the order Snapshot lists
+// them in. Delay rows come from the planner's live state, so measured
+// updates (UpdateDelays) are reflected rather than re-derived from the
+// topology oracle. The rows are read off the live problem through its
+// store's reads (DenseRows), never from a copy of the store's internals: a
+// reader must touch no coordinate a checkpoint may be fitting under wmu
+// alone (core.CoordProvider.State).
 func (d *Director) problemLocked() *core.Problem {
 	live := d.planner().Problem()
-	shell := *live
-	shell.Delays = nil
-	p := shell.Clone()
-	if live.Delays != nil {
-		p.CS = live.DenseRows()
+	ss := make([][]float64, len(live.SS))
+	for i, row := range live.SS {
+		ss[i] = slices.Clone(row)
 	}
+	p := live.WithDelaysOwned(live.DenseRows(), ss)
+	p.ServerCaps = slices.Clone(p.ServerCaps)
+	p.ClientZones = slices.Clone(p.ClientZones)
+	p.ClientRT = slices.Clone(p.ClientRT)
+	p.Adjacency = p.Adjacency.Clone()
 	return p
 }
 

@@ -16,7 +16,9 @@ import (
 func sparseCoordBacked(p *core.Problem) *core.Problem {
 	q := p.Clone()
 	cp := core.NewCoordProviderFromSS(q.SS, 0)
-	for j, row := range q.CS {
+	row := make([]float64, q.NumServers())
+	for j := 0; j < q.NumClients(); j++ {
+		q.CopyCSRow(j, row)
 		for i := range row {
 			if (i+j)%3 != 0 {
 				row[i] = math.NaN()
@@ -24,7 +26,7 @@ func sparseCoordBacked(p *core.Problem) *core.Problem {
 		}
 		cp.AppendClient(row)
 	}
-	q.CS, q.Delays = nil, cp
+	q.Delays = cp
 	return q
 }
 
@@ -93,17 +95,15 @@ func indexStep(pl *Planner, rng *xrand.RNG, live *[]int) error {
 // every matrix from the delay rows: hosting, contacts, delays and every
 // repair counter must stay identical after every event — with drains in
 // flight, with the drift guard firing, sequential and
-// sharded, on the raw matrix, a sparse coordinate provider fed NaN rows and
-// the shared-row provider — and the index must equal a recomputation from
-// the rows throughout.
+// sharded, on the exact store and a sparse coordinate provider fed NaN rows —
+// and the index must equal a recomputation from the rows throughout.
 func TestIndexedFullSolveMatchesRowCount(t *testing.T) {
 	storages := []struct {
 		name  string
 		build func(*core.Problem) *core.Problem
 	}{
-		{"raw", func(p *core.Problem) *core.Problem { return p }},
+		{"dense", func(p *core.Problem) *core.Problem { return p }},
 		{"coord-sparse", sparseCoordBacked},
-		{core.ProviderSharedRow, func(p *core.Problem) *core.Problem { return providerBacked(p, core.ProviderSharedRow) }},
 	}
 	for _, st := range storages {
 		for _, workers := range []int{1, 4} {

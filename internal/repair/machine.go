@@ -460,8 +460,9 @@ type Snapshot struct {
 	DriftUtilSpread float64     `json:"drift_util_spread,omitempty"`
 	Cluster         ClusterJSON `json:"cluster"`
 	Planner         *State      `json:"planner"`
-	// Provider is the delay-provider state of a machine over a non-dense
-	// delay model (snapshot version >= 2). When set, the cluster's clients
+	// Provider is the delay-provider state of a machine over the coordinate
+	// delay model (snapshot version >= 2; older builds also wrote the exact
+	// store's state here, kind "shared"). When set, the cluster's clients
 	// carry no rtt_row_ms — the provider state IS the delay store, and
 	// recovery reconstructs it bit-identically.
 	Provider *core.ProviderState `json:"provider,omitempty"`
@@ -572,15 +573,8 @@ func (m *Machine) Render(lsn uint64) ([]byte, error) {
 	// Dense client order IS the planner's problem order; the snapshot's
 	// client list follows it, so recovery names the same clients the same.
 	ids := b.clients.ids
-	cj := NewClusterJSON(p, b.servers.ids, b.zones.ids, ids, p.Delays == nil)
-	// A provider-backed problem serialises the provider's own state instead
-	// of per-client dense rows: smaller, and — crucially — recovery restores
-	// the provider's INTERNALS (coordinates, override lists, row sharing)
-	// bit-identically, not just the delays it would report.
-	var prov *core.ProviderState
-	if p.Delays != nil {
-		prov = p.Delays.State()
-	}
+	prov := snapshotProvider(p)
+	cj := NewClusterJSON(p, b.servers.ids, b.zones.ids, ids, prov == nil)
 	st, err := pl.ExportState()
 	if err != nil {
 		return nil, err
@@ -608,10 +602,26 @@ func (m *Machine) Render(lsn uint64) ([]byte, error) {
 	})
 }
 
+// snapshotProvider decides what a snapshot stores for the delays. The exact
+// store writes nothing of its own: each client carries its row, the form
+// every exact snapshot has had, and recovery loads the rows into a fresh
+// store (core.Problem.Clone) — every read is an exact row lookup, so the
+// store's group ids need not cross the crash boundary. The coordinate
+// provider writes its state instead: recovery must restore its INTERNALS
+// (coordinates, override lists) bit-identically, not just the delays it
+// would report.
+func snapshotProvider(p *core.Problem) *core.ProviderState {
+	if _, exact := p.Delays.(*core.SharedRowProvider); exact {
+		return nil
+	}
+	return p.Delays.State()
+}
+
 // problem rebuilds the planner's problem from the snapshot: topology and
-// population from the cluster spec, delays from the per-client rows or — for
-// a provider-backed machine — from the serialized provider state
-// (reconstructed bit-identically by core.NewProviderFromState).
+// population from the cluster spec, delays from the per-client rows (the
+// planner loads them into the exact store) or from the serialized provider
+// state (reconstructed bit-identically by core.NewProviderFromState; a
+// stored exact store, kind "shared", comes back as itself).
 func (snap *Snapshot) problem() (*core.Problem, error) {
 	cj := &snap.Cluster
 	zoneIdx := make(map[string]int, len(cj.Zones))

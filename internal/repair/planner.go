@@ -195,11 +195,9 @@ func prepare(cfg Config, p *core.Problem, rng *xrand.RNG) (*Planner, error) {
 	if cfg.Opt.Scratch == nil {
 		cfg.Opt.Scratch = core.NewWorkspace()
 	}
-	// The padded clone leaves per-row capacity for a handful of extra
-	// servers, so the column-wise writes of AddServer/RemoveServer stream
-	// through one arena instead of chasing 100k row allocations
-	// (core.Problem.ClonePadded).
-	pl := &Planner{cfg: cfg, rng: rng, prob: p.ClonePadded(8 + p.NumServers()/4), batchPos: map[int]int{}}
+	// The clone holds the delays in a store the planner's mutations write:
+	// raw rows are loaded into the exact store (core.Problem.Clone).
+	pl := &Planner{cfg: cfg, rng: rng, prob: p.Clone(), batchPos: map[int]int{}}
 	// A caller's index filled for p describes the clone too; the planner
 	// takes a copy, since its evaluator will rewrite the bits.
 	if cfg.Opt.Late.ValidFor(p) {

@@ -10,31 +10,18 @@ import (
 	"dvecap/telemetry"
 )
 
-// providerBacked rebuilds p behind a delay provider of the given kind with
-// full measured coverage (see core's provider_oracle_test.go): the
-// precondition under which every provider is bit-identical to the dense
-// oracle.
-func providerBacked(p *core.Problem, kind string) *core.Problem {
+// coordBacked rebuilds p behind the coordinate provider with full measured
+// coverage (see core's provider_oracle_test.go): the precondition under
+// which it is bit-identical to the exact store, the oracle.
+func coordBacked(p *core.Problem) *core.Problem {
 	q := p.Clone()
-	var dp core.DelayProvider
-	switch kind {
-	case core.ProviderCoord:
-		cp := core.NewCoordProviderFromSS(q.SS, 0)
-		for _, row := range q.CS {
-			cp.AppendClient(row)
-		}
-		dp = cp
-	case core.ProviderSharedRow:
-		sp := core.NewSharedRowProvider(q.NumServers())
-		for _, row := range q.CS {
-			sp.AppendClient(row)
-		}
-		dp = sp
-	default:
-		panic("unknown provider kind " + kind)
+	cp := core.NewCoordProviderFromSS(q.SS, 0)
+	row := make([]float64, p.NumServers())
+	for j := 0; j < p.NumClients(); j++ {
+		p.CopyCSRow(j, row) // p's own rows: a NaN stays unmeasured
+		cp.AppendClient(row)
 	}
-	q.CS = nil
-	q.Delays = dp
+	q.Delays = cp
 	return q
 }
 
@@ -220,95 +207,93 @@ func driftRebuilds(reg *telemetry.Registry, handoffs int) int {
 }
 
 // TestPlannerProviderMatchesDenseOracle drives identical churn + topology +
-// full-solve op-streams through a dense-matrix planner (the oracle) and a
-// provider-backed planner, at workers 1 and 4, asserting bit-identical
+// full-solve op-streams through a planner over the exact store (the oracle)
+// and one over a fully measured coordinate provider, at workers 1 and 4, asserting bit-identical
 // assignments, delays, quality figures and repair counters after every
 // event — the repair-subsystem lane of the dense-oracle equivalence suite.
 // One guard-free trial appends a long churn-only leg (no event that rebuilds a
 // row wholesale), so both lanes keep adjusting the same rows in place
 // until the rebuild-after-N drift rule fires — and must still agree.
 func TestPlannerProviderMatchesDenseOracle(t *testing.T) {
-	kinds := []string{core.ProviderCoord, core.ProviderSharedRow}
-	for _, kind := range kinds {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", kind, workers), func(t *testing.T) {
-				for trial := 0; trial < 5; trial++ {
-					seed := uint64(8800 + trial)
-					const events = 45
-					cfg := testConfig()
-					cfg.Opt.Workers = workers
-					if trial%2 == 0 {
-						cfg.DriftPQoS = 0.05 // drift-triggered solves must fire identically
-					}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("coord/workers=%d", workers), func(t *testing.T) {
+			for trial := 0; trial < 5; trial++ {
+				seed := uint64(8800 + trial)
+				const events = 45
+				cfg := testConfig()
+				cfg.Opt.Workers = workers
+				if trial%2 == 0 {
+					cfg.DriftPQoS = 0.05 // drift-triggered solves must fire identically
+				}
 
-					rngD := xrand.New(seed)
-					pd := randProblem(rngD.Split(), events)
-					plD, err := New(cfg, pd, rngD.Split())
-					if err != nil {
-						t.Fatalf("trial %d: oracle: %v", trial, err)
-					}
-					rngP := xrand.New(seed)
-					pp := providerBacked(randProblem(rngP.Split(), events), kind)
-					plP, err := New(cfg, pp, rngP.Split())
-					if err != nil {
-						t.Fatalf("trial %d: provider: %v", trial, err)
-					}
-					samePlannerState(t, fmt.Sprintf("trial %d seed state", trial), plD, plP)
+				rngD := xrand.New(seed)
+				pd := randProblem(rngD.Split(), events)
+				plD, err := New(cfg, pd, rngD.Split())
+				if err != nil {
+					t.Fatalf("trial %d: oracle: %v", trial, err)
+				}
+				rngP := xrand.New(seed)
+				pp := coordBacked(randProblem(rngP.Split(), events))
+				plP, err := New(cfg, pp, rngP.Split())
+				if err != nil {
+					t.Fatalf("trial %d: provider: %v", trial, err)
+				}
+				samePlannerState(t, fmt.Sprintf("trial %d seed state", trial), plD, plP)
 
-					liveD := make([]int, pd.NumClients())
-					liveP := make([]int, pd.NumClients())
-					for h := range liveD {
-						liveD[h], liveP[h] = h, h
+				liveD := make([]int, pd.NumClients())
+				liveP := make([]int, pd.NumClients())
+				for h := range liveD {
+					liveD[h], liveP[h] = h, h
+				}
+				for step := 0; step < events; step++ {
+					errD := plannerStep(plD, rngD, &liveD)
+					errP := plannerStep(plP, rngP, &liveP)
+					if (errD == nil) != (errP == nil) {
+						t.Fatalf("trial %d step %d: oracle err %v, provider err %v", trial, step, errD, errP)
 					}
-					for step := 0; step < events; step++ {
-						errD := plannerStep(plD, rngD, &liveD)
-						errP := plannerStep(plP, rngP, &liveP)
-						if (errD == nil) != (errP == nil) {
-							t.Fatalf("trial %d step %d: oracle err %v, provider err %v", trial, step, errD, errP)
-						}
-						if errD != nil && errD.Error() != errP.Error() {
-							t.Fatalf("trial %d step %d: rejections differ: oracle %q, provider %q", trial, step, errD, errP)
-						}
-						samePlannerState(t, fmt.Sprintf("trial %d step %d", trial, step), plD, plP)
+					if errD != nil && errD.Error() != errP.Error() {
+						t.Fatalf("trial %d step %d: rejections differ: oracle %q, provider %q", trial, step, errD, errP)
 					}
-					if cfg.DriftPQoS != 0 || trial < 3 {
-						continue // guard solves rebuild every row; one long leg is enough
+					samePlannerState(t, fmt.Sprintf("trial %d step %d", trial, step), plD, plP)
+				}
+				if cfg.DriftPQoS != 0 || trial < 3 {
+					continue // guard solves rebuild every row; one long leg is enough
+				}
+				reg := telemetry.NewRegistry()
+				plP.SetTelemetry(reg)
+				handoffs := plP.Stats().ZoneHandoffs
+				protos := zonePrototypes(plD, xrand.New(seed+77))
+				const churn = 40_000
+				for step := 0; step < churn; step++ {
+					errD := settledStep(plD, rngD, &liveD, protos)
+					errP := settledStep(plP, rngP, &liveP, protos)
+					if errD != nil || errP != nil {
+						t.Fatalf("trial %d churn step %d: oracle err %v, provider err %v", trial, step, errD, errP)
 					}
-					reg := telemetry.NewRegistry()
-					plP.SetTelemetry(reg)
-					handoffs := plP.Stats().ZoneHandoffs
-					protos := zonePrototypes(plD, xrand.New(seed+77))
-					const churn = 40_000
-					for step := 0; step < churn; step++ {
-						errD := settledStep(plD, rngD, &liveD, protos)
-						errP := settledStep(plP, rngP, &liveP, protos)
-						if errD != nil || errP != nil {
-							t.Fatalf("trial %d churn step %d: oracle err %v, provider err %v", trial, step, errD, errP)
-						}
-						if step%500 == 0 || step == churn-1 {
-							samePlannerState(t, fmt.Sprintf("trial %d churn step %d", trial, step), plD, plP)
-						}
-					}
-					if n := driftRebuilds(reg, plP.Stats().ZoneHandoffs-handoffs); n < 1 {
-						t.Fatalf("trial %d: %d churn events never crossed the rebuild-after-N rule", trial, churn)
+					if step%500 == 0 || step == churn-1 {
+						samePlannerState(t, fmt.Sprintf("trial %d churn step %d", trial, step), plD, plP)
 					}
 				}
-			})
-		}
+				if n := driftRebuilds(reg, plP.Stats().ZoneHandoffs-handoffs); n < 1 {
+					t.Fatalf("trial %d: %d churn events never crossed the rebuild-after-N rule", trial, churn)
+				}
+			}
+		})
 	}
 }
 
 // TestPlannerNaNRowNeverReachesClientDelay: a NaN in a joined or refreshed
-// delay row means "unmeasured" on every delay storage — the raw matrix
-// resolves it to the sentinel exactly as the providers do — so no client's
-// effective delay, and none of the sums built from it, is ever NaN.
+// delay row means "unmeasured" on every delay storage — the exact store
+// resolves it to the sentinel, the coordinate provider to its prediction —
+// so no client's effective delay, and none of the sums built from it, is
+// ever NaN.
 func TestPlannerNaNRowNeverReachesClientDelay(t *testing.T) {
-	for _, kind := range []string{"raw", core.ProviderCoord, core.ProviderSharedRow} {
+	for _, kind := range []string{"dense", core.ProviderCoord} {
 		t.Run(kind, func(t *testing.T) {
 			rng := xrand.New(4242)
 			p := randProblem(rng.Split(), 4)
-			if kind != "raw" {
-				p = providerBacked(p, kind)
+			if kind != "dense" {
+				p = coordBacked(p)
 			}
 			pl, err := New(testConfig(), p, rng.Split())
 			if err != nil {

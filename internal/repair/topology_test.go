@@ -306,9 +306,7 @@ func TestAddServerThenSolveMatchesStatic(t *testing.T) {
 	}
 	row := append(append([]float64(nil), ss...), 0)
 	grown.SS = append(grown.SS, row)
-	for j := range grown.CS {
-		grown.CS[j] = append(grown.CS[j], col[j])
-	}
+	grown.AppendCSCol(col)
 
 	live, err := New(testConfig(), p, xrand.New(1))
 	if err != nil {
@@ -710,8 +708,8 @@ func TestUpdateServerDelayColumn(t *testing.T) {
 	}
 	p := pl.Problem()
 	for j := 0; j < p.NumClients(); j++ {
-		if p.CS[j][idx] != 1 {
-			t.Fatalf("client %d delay to new server = %v, want 1", j, p.CS[j][idx])
+		if d := p.CSAt(j, idx); d != 1 {
+			t.Fatalf("client %d delay to new server = %v, want 1", j, d)
 		}
 	}
 }

@@ -87,9 +87,8 @@ func TestDelayWritersCheckEntries(t *testing.T) {
 		name  string
 		build func(*core.Problem) *core.Problem
 	}{
-		{"raw", func(p *core.Problem) *core.Problem { return p }},
-		{core.ProviderCoord, func(p *core.Problem) *core.Problem { return providerBacked(p, core.ProviderCoord) }},
-		{core.ProviderSharedRow, func(p *core.Problem) *core.Problem { return providerBacked(p, core.ProviderSharedRow) }},
+		{"dense", func(p *core.Problem) *core.Problem { return p }},
+		{core.ProviderCoord, coordBacked},
 	}
 	for _, st := range storages {
 		for _, w := range writers {

@@ -100,8 +100,8 @@ func TestDriverRepairMirrorsWorld(t *testing.T) {
 			t.Fatalf("world client %d: planner RT %v, world RT %v", j, pp.ClientRT[idx], wp.ClientRT[j])
 		}
 		for i := range wp.CS[j] {
-			if pp.CS[idx][i] != wp.CS[j][i] {
-				t.Fatalf("world client %d: planner CS[%d] %v, world %v", j, i, pp.CS[idx][i], wp.CS[j][i])
+			if d := pp.CSAt(idx, i); d != wp.CS[j][i] {
+				t.Fatalf("world client %d: planner CS[%d] %v, world %v", j, i, d, wp.CS[j][i])
 			}
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // every delay model, it must equal — reflect.DeepEqual, floats bit for bit —
 // the from-scratch core.Evaluate it used to call.
 func TestResultEqualsEvaluate(t *testing.T) {
-	for _, model := range []DelayModel{DenseDelays, CoordDelays, SharedRowDelays} {
+	for _, model := range []DelayModel{DenseDelays, CoordDelays} {
 		t.Run(fmt.Sprint(model), func(t *testing.T) {
 			s, err := durTestCluster(t, 11).Open("GreZ-GreC", WithSeed(7), WithDelayProvider(model),
 				WithDriftGuard(0.03), WithImbalanceGuard(0.2))
@@ -117,26 +117,16 @@ func (r rowCounter) Row(j int, dst []float64) []float64 {
 
 func (r rowCounter) Clone() core.DelayProvider { return rowCounter{r.DelayProvider.Clone(), r.rows} }
 
-// countRowReads builds c under model and wraps the built problem's delays in
-// a rowCounter, returning its count. A dense problem's raw rows are read in
-// place, where nothing can count them, so they move behind a shared-row
-// provider over the same rows first.
+// countRowReads builds c under model and wraps the built problem's delay
+// store in a rowCounter, returning its count.
 func countRowReads(t *testing.T, c *Cluster, model DelayModel) *int {
 	t.Helper()
 	p, err := c.problemFor(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp := p.Delays
-	if dp == nil {
-		shared := core.NewSharedRowProvider(p.NumServers())
-		for _, row := range p.CS {
-			shared.AppendClient(row)
-		}
-		dp, p.CS = shared, nil
-	}
 	n := new(int)
-	p.Delays = rowCounter{dp, n}
+	p.Delays = rowCounter{p.Delays, n}
 	return n
 }
 
@@ -159,7 +149,7 @@ func clusterLateCopy(c *Cluster) core.LateIndex {
 // LoadZ zone phases build no cost matrix, so their solves neither fill the
 // index nor read it.
 func TestClusterSolveReusesLateIndex(t *testing.T) {
-	for _, model := range []DelayModel{DenseDelays, CoordDelays, SharedRowDelays} {
+	for _, model := range []DelayModel{DenseDelays, CoordDelays} {
 		for _, algo := range Algorithms() {
 			t.Run(fmt.Sprintf("%d/%s", model, algo), func(t *testing.T) {
 				fills := strings.HasPrefix(algo, "GreZ-") || strings.HasPrefix(algo, "DynZ-")
@@ -274,7 +264,7 @@ func TestClusterSolveReusesLateIndex(t *testing.T) {
 // on every join and update; the cluster's words must not move, and a later
 // Solve still reads them.
 func TestOpenCopiesClusterLateIndex(t *testing.T) {
-	for _, model := range []DelayModel{DenseDelays, CoordDelays, SharedRowDelays} {
+	for _, model := range []DelayModel{DenseDelays, CoordDelays} {
 		t.Run(fmt.Sprint(model), func(t *testing.T) {
 			const algo = "GreZ-GreC"
 			opts := []Option{WithSeed(7), WithDelayProvider(model)}

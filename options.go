@@ -30,8 +30,10 @@ const (
 type DelayModel int
 
 const (
-	// DenseDelays stores the full client × server delay matrix — exact and
-	// the default. Memory is O(clients × servers).
+	// DenseDelays stores every client's exact delay row, each distinct row
+	// once: clients with identical rows (clients at the same network node)
+	// share one, and a client whose delays change moves to its own. Exact
+	// and the default. Memory is O(distinct rows × servers + clients).
 	DenseDelays DelayModel = iota
 	// CoordDelays stores Vivaldi-style network coordinates per client and
 	// server plus a sparse per-client list of measured overrides. Unmeasured
@@ -41,12 +43,6 @@ const (
 	// RTTs, or with full rows (then every entry is stored as an override
 	// and results are bit-identical to DenseDelays).
 	CoordDelays
-	// SharedRowDelays deduplicates identical delay rows across clients with
-	// copy-on-write divergence — the landmark/cluster-shared-measurement
-	// model, where clients behind the same vantage share one row. Exact:
-	// results are always bit-identical to DenseDelays. Memory is
-	// O(distinct rows × servers).
-	SharedRowDelays
 )
 
 // Option configures a Solve or Open call (and, where noted, NewScenario).
@@ -204,13 +200,15 @@ func WithTraceLog(w io.Writer) Option {
 }
 
 // WithDelayProvider selects the delay storage backend for Solve and Open
-// (default DenseDelays, the full matrix). CoordDelays and SharedRowDelays
-// trade the dense matrix for compressed representations so million-client
-// clusters open in bounded memory — see the DelayModel constants for the
-// exactness guarantees of each. The model is a property of the run, not
-// the builder: the same Cluster may be solved under different models.
-// Durable sessions snapshot the provider's state, so recovery restores the
-// same model (and the same bits) the session was opened with.
+// (default DenseDelays, every client's exact row). CoordDelays trades the
+// rows for coordinates so million-client clusters open in bounded memory —
+// see the DelayModel constants for the exactness guarantees of each. The
+// model is a property of the run, not the builder: the same Cluster may be
+// solved under different models. Durable sessions snapshot the delays in
+// the model's own form, so recovery restores the same model (and the same
+// bits) the session was opened with; a session opened under the
+// deduplicating model older builds offered separately recovers as
+// DenseDelays.
 func WithDelayProvider(m DelayModel) Option {
 	return func(c *config) { c.delayModel = m }
 }
