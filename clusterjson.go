@@ -92,8 +92,8 @@ func (c *Cluster) WriteClusterJSON(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The spec format carries full rows: a provider-backed problem
-	// materializes to the dense interchange form.
+	// The spec format carries full rows: the store materializes to the
+	// dense interchange form.
 	cj := repair.NewClusterJSON(p, c.serverIDs, c.zoneIDs, c.clientIDs, true)
 	if err := cj.Encode(w); err != nil {
 		return fmt.Errorf("dvecap: encoding cluster spec: %w", err)

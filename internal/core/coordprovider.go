@@ -16,8 +16,8 @@ import (
 // Reads: ClientServer(j, i) returns the measured override when one exists
 // for (j, i) and the Euclidean coordinate distance otherwise. Overrides
 // are exact — a client whose override list covers every server reads
-// bit-identically to the dense matrix, which is how the oracle equivalence
-// suite pins this provider to the dense path.
+// bit-identically to the exact store, which is how the oracle equivalence
+// suite pins this provider to it.
 //
 // Writes keep the diet only when they are sparse: the generic row-oriented
 // hooks (AppendClient, SetClientDelays) store an override for every

@@ -1,15 +1,15 @@
 package core
 
-// Pluggable client↔server delay storage (DESIGN.md §13). The dense k×m CS
+// Pluggable client↔server delay storage (DESIGN.md §13). A dense k×m
 // matrix is the memory wall between 100k clients and the million-user
-// target: at 1M clients × 100 servers it costs ~800 MB, and every
-// server-dimension mutation walks all of it. A DelayProvider replaces the
-// mandatory dense rows with an interface the whole engine reads through —
-// Problem.Delays non-nil routes every CS access to the provider, nil keeps
-// the raw matrix. Only Problem's CS* methods (problem.go) know which of the
-// two is held; the raw rows are the one dense path — there is no provider
-// wrapping them — and the oracle every provider is proven against (see
-// provider_oracle_test.go and FuzzDelayProvider).
+// target: at 1M clients × 100 servers it costs ~800 MB. Every problem a
+// planner owns holds its delays behind a DelayProvider the whole engine
+// reads through: the exact store (SharedRowProvider, each distinct row
+// once) or the coordinate diet (CoordProvider). Only Problem's CS* methods
+// (problem.go) know a store from the read-only raw CS rows of a literally
+// built problem. Both stores are proven against plain rows
+// (FuzzDelayProvider), and the coordinate provider under full coverage
+// against the exact store (provider_oracle_test.go).
 //
 // Contract, shared by all implementations:
 //
@@ -30,10 +30,10 @@ package core
 //     pass in.
 //   - NaN delay entries handed to a mutation mean "unmeasured": the
 //     provider resolves them to its own default — the coordinate provider
-//     falls back to its prediction, the shared-row provider (like the raw
-//     matrix) stores UnmeasuredDelayMs. Non-NaN entries are stored
-//     verbatim, which is what makes a provider with full measured coverage
-//     bit-identical to the dense matrix.
+//     falls back to its prediction, the exact store keeps
+//     UnmeasuredDelayMs. Non-NaN entries are stored verbatim, which is
+//     what makes a provider with full measured coverage bit-identical to
+//     the exact store.
 type DelayProvider interface {
 	// NumClients returns the current client count.
 	NumClients() int

@@ -58,7 +58,7 @@ func checkAgainstShadow(t *testing.T, kind string, p *Problem, shadow [][]float6
 // rows: each live group's kept hash is its row's hashRow (the column
 // mutations update it in place), and — unless a column mutation left the
 // index stale — the chain of every hash holds exactly the live groups with
-// that hash, in ascending id order.
+// that hash.
 func checkSharedRowIndex(t *testing.T, sp *SharedRowProvider) {
 	t.Helper()
 	indexed := 0
@@ -66,9 +66,9 @@ func checkSharedRowIndex(t *testing.T, sp *SharedRowProvider) {
 		if sp.stale {
 			break
 		}
-		for prev := int32(-1); g >= 0; prev, g = g, sp.next[g] {
-			if g <= prev || sp.refs[g] == 0 || sp.sums[g] != h {
-				t.Fatalf("index chain of %#x reaches group %d (after %d, refs %d, hash %#x)", h, g, prev, sp.refs[g], sp.sums[g])
+		for ; g >= 0; g = sp.next[g] {
+			if sp.refs[g] == 0 || sp.sums[g] != h {
+				t.Fatalf("index chain of %#x reaches group %d (refs %d, hash %#x)", h, g, sp.refs[g], sp.sums[g])
 			}
 			indexed++
 		}

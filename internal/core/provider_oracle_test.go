@@ -273,18 +273,18 @@ func TestProviderStateRefusesInconsistentSharedRows(t *testing.T) {
 		wantSub string // "" = accepted
 	}{
 		{"consistent", SharedRowState{Servers: 2, Group: []int32{0, 0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{2, 0}, Free: []int32{1}}, ""},
-		{"free names a live group", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}}, Refs: []int32{1}, Free: []int32{0}}, "frees live group 0"},
+		{"free names a live group", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}}, Refs: []int32{1}, Free: []int32{0}}, "frees group 0: out of range, live"},
 		{"refcount above members", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}}, Refs: []int32{2}}, "refcount 2 but 1 members"},
 		{"refcount below members", SharedRowState{Servers: 2, Group: []int32{0, 0}, Rows: [][]float64{{1, 2}}, Refs: []int32{1}}, "refcount 1 but 2 members"},
 		{"negative refcount", SharedRowState{Servers: 2, Group: []int32{}, Rows: [][]float64{{}}, Refs: []int32{-1}, Free: []int32{0}}, "refcount -1 but 0 members"},
-		{"free out of range", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{1, 0}, Free: []int32{2}}, "frees group 2 outside [0,2)"},
-		{"free negative", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{1, 0}, Free: []int32{-1}}, "frees group -1"},
-		{"free duplicated", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{1, 0}, Free: []int32{1, 1}}, "frees group 1 twice"},
+		{"free out of range", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{1, 0}, Free: []int32{2}}, "frees group 2: out of range"},
+		{"free negative", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{1, 0}, Free: []int32{-1}}, "frees group -1: out of range"},
+		{"free duplicated", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{1, 0}, Free: []int32{1, 1}}, "frees group 1: out of range, live or freed twice"},
 		{"dead group not freed", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}, {}}, Refs: []int32{1, 0}}, "1 dead groups but frees 0"},
-		{"negative servers", SharedRowState{Servers: -1, Group: []int32{}, Rows: [][]float64{}, Refs: []int32{}}, "-1 servers"},
+		{"negative servers", SharedRowState{Servers: -1, Group: []int32{}, Rows: [][]float64{}, Refs: []int32{}}, "has -1 servers"},
 		{"client in missing group", SharedRowState{Servers: 2, Group: []int32{3}, Rows: [][]float64{{1, 2}}, Refs: []int32{1}}, "client 0 in group 3"},
 		{"short live row", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1}}, Refs: []int32{1}}, "group 0 has 1 entries"},
-		{"rows and refcounts disagree", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}}, Refs: []int32{1, 0}}, "1 rows but 2 refcounts"},
+		{"rows and refcounts disagree", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}}, Refs: []int32{1, 0}}, "1 rows and 2 refcounts"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := tc.st

@@ -130,17 +130,14 @@ func NewProviderFromState(st *ProviderState) (DelayProvider, error) {
 }
 
 // check refuses a shared-row state the store could not have written —
-// snapshots carry no checksum, and a refcount or free list that disagrees
-// with the group table would let a later join overwrite a live row, or a
-// leave keep a dead one or free a live one. Every client names a group,
-// every group's refcount is its member count, every live row has one entry
-// per server, and the free list names each dead group exactly once.
+// snapshots carry no checksum, and a refcount or free list at odds with the
+// group table would let a later join overwrite a live row, or a leave keep
+// a dead one or free a live one. Every client names a group, every
+// refcount is its group's member count, every live row has one entry per
+// server, and the free list names each dead group exactly once.
 func (s *SharedRowState) check() error {
-	if s.Servers < 0 {
-		return fmt.Errorf("core: shared-row provider has %d servers", s.Servers)
-	}
-	if len(s.Rows) != len(s.Refs) {
-		return fmt.Errorf("core: shared-row provider has %d rows but %d refcounts", len(s.Rows), len(s.Refs))
+	if s.Servers < 0 || len(s.Rows) != len(s.Refs) {
+		return fmt.Errorf("core: shared-row provider has %d servers, %d rows and %d refcounts", s.Servers, len(s.Rows), len(s.Refs))
 	}
 	members := make([]int32, len(s.Rows))
 	for j, g := range s.Group {
@@ -151,24 +148,19 @@ func (s *SharedRowState) check() error {
 	}
 	dead := 0
 	for g, refs := range s.Refs {
-		if refs != members[g] {
+		switch {
+		case refs != members[g]:
 			return fmt.Errorf("core: shared-row provider group %d has refcount %d but %d members", g, refs, members[g])
-		}
-		if refs == 0 {
+		case refs == 0:
 			dead++
-		} else if len(s.Rows[g]) != s.Servers {
+		case len(s.Rows[g]) != s.Servers:
 			return fmt.Errorf("core: shared-row provider group %d has %d entries, want %d", g, len(s.Rows[g]), s.Servers)
 		}
 	}
 	freed := make([]bool, len(s.Rows))
 	for _, g := range s.Free {
-		switch {
-		case g < 0 || int(g) >= len(s.Rows):
-			return fmt.Errorf("core: shared-row provider frees group %d outside [0,%d)", g, len(s.Rows))
-		case s.Refs[g] > 0:
-			return fmt.Errorf("core: shared-row provider frees live group %d", g)
-		case freed[g]:
-			return fmt.Errorf("core: shared-row provider frees group %d twice", g)
+		if g < 0 || int(g) >= len(s.Rows) || s.Refs[g] > 0 || freed[g] {
+			return fmt.Errorf("core: shared-row provider frees group %d: out of range, live or freed twice", g)
 		}
 		freed[g] = true
 	}

@@ -21,13 +21,13 @@ import (
 // merges is bounded by the mutation count.
 //
 // Reads are exact row lookups — never approximations — so any population
-// whose per-client rows equal the raw matrix's reads bit-identically to
+// whose per-client rows equal a plain matrix's reads bit-identically to
 // it, regardless of how the rows are grouped: no read depends on a group
 // id, which is why a snapshot may carry plain rows and recovery may group
 // them afresh. Determinism: group ids are allocated from a LIFO free list
 // in mutation order and a join that finds several equal live rows takes
 // the lowest id, so the same mutation stream always produces the same
-// internal state, whatever the content hash.
+// State, whatever the content hash and the order of its chains.
 type SharedRowProvider struct {
 	servers int
 	group   []int32 // per client → group id
@@ -40,14 +40,15 @@ type SharedRowProvider struct {
 	stride int
 	arena  []float64
 	// The content index: sums[g] is hashRow of live group g's row, first
-	// maps a hash to the lowest live group with it, and next chains the
-	// others in ascending id order (-1 ends a chain). A column mutation
-	// changes every hash, so it marks the index stale, and the next join
-	// or delay write rebuilds it; sums stay current throughout.
+	// maps a hash to a live group with it, and next chains the others (-1
+	// ends a chain). A column mutation changes every hash, so it marks the
+	// index stale, and the next join or delay write rebuilds it; sums stay
+	// current throughout.
 	sums  []uint64
 	first map[uint64]int32
 	next  []int32
 	stale bool
+	buf   []float64 // mutation scratch
 }
 
 // NewSharedRowProvider returns an empty provider for `servers` servers.
@@ -126,14 +127,17 @@ func (sp *SharedRowProvider) findOrAdd(row []float64) int32 {
 	if sp.stale {
 		sp.rebuildIndex()
 	}
-	h := hashRow(row)
+	h, found := hashRow(row), int32(-1)
 	if g, ok := sp.first[h]; ok {
 		for ; g >= 0; g = sp.next[g] {
-			if rowsEqual(sp.row(g), row) {
-				sp.refs[g]++
-				return g
+			if (found < 0 || g < found) && rowsEqual(sp.row(g), row) {
+				found = g
 			}
 		}
+	}
+	if found >= 0 {
+		sp.refs[found]++
+		return found
 	}
 	g := sp.newGroup(row)
 	sp.sums[g] = h
@@ -160,23 +164,13 @@ func (sp *SharedRowProvider) newGroup(row []float64) int32 {
 	return g
 }
 
-// link inserts live group g into the chain of its hash, in ascending order.
+// link puts live group g at the head of the chain of its hash.
 func (sp *SharedRowProvider) link(g int32) {
-	h := sp.sums[g]
-	head, ok := sp.first[h]
-	if !ok || head > g {
-		sp.next[g] = -1
-		if ok {
-			sp.next[g] = head
-		}
-		sp.first[h] = g
-		return
+	sp.next[g] = -1
+	if head, ok := sp.first[sp.sums[g]]; ok {
+		sp.next[g] = head
 	}
-	at := head
-	for sp.next[at] >= 0 && sp.next[at] < g {
-		at = sp.next[at]
-	}
-	sp.next[g], sp.next[at] = sp.next[at], g
+	sp.first[sp.sums[g]] = g
 }
 
 // unlink removes group g from the chain of its hash.
@@ -208,54 +202,38 @@ func (sp *SharedRowProvider) unref(g int32) {
 	}
 }
 
-// resolveRow copies row into scratch with NaN entries resolved.
-func resolveRowInto(dst, row []float64) []float64 {
-	dst = dst[:0]
+// resolve returns row with NaN entries resolved, in the store's scratch
+// buffer (mutations are exclusive, so one buffer serves them all).
+func (sp *SharedRowProvider) resolve(row []float64) []float64 {
+	sp.buf = sp.buf[:0]
 	for _, d := range row {
-		dst = append(dst, resolveUnmeasured(d))
+		sp.buf = append(sp.buf, resolveUnmeasured(d))
 	}
-	return dst
+	return sp.buf
 }
 
 // SetClientDelays implements DelayProvider: the client leaves its old
 // group (copy-on-write) and joins — or founds — the group matching the new
 // row.
 func (sp *SharedRowProvider) SetClientDelays(j int, row []float64) {
-	var scratch [64]float64
-	buf := scratch[:0]
-	if len(row) > len(scratch) {
-		buf = make([]float64, 0, len(row))
-	}
-	resolved := resolveRowInto(buf, row)
+	row = sp.resolve(row)
 	sp.unref(sp.group[j])
-	sp.group[j] = sp.findOrAdd(resolved)
+	sp.group[j] = sp.findOrAdd(row)
 }
 
 // SetClientServerDelay implements DelayProvider: copy-on-write divergence —
 // the client's row with entry i replaced is re-grouped.
 func (sp *SharedRowProvider) SetClientServerDelay(j, i int, d float64) {
-	old := sp.row(sp.group[j])
-	var scratch [64]float64
-	buf := scratch[:0]
-	if len(old) > len(scratch) {
-		buf = make([]float64, 0, len(old))
-	}
-	buf = append(buf, old...)
-	buf[i] = resolveUnmeasured(d)
+	row := sp.resolve(sp.row(sp.group[j]))
+	row[i] = resolveUnmeasured(d)
 	sp.unref(sp.group[j])
-	sp.group[j] = sp.findOrAdd(buf)
+	sp.group[j] = sp.findOrAdd(row)
 }
 
 // AppendClient implements DelayProvider, deduplicating against the live
 // group rows.
 func (sp *SharedRowProvider) AppendClient(row []float64) {
-	var scratch [64]float64
-	buf := scratch[:0]
-	if len(row) > len(scratch) {
-		buf = make([]float64, 0, len(row))
-	}
-	resolved := resolveRowInto(buf, row)
-	sp.group = append(sp.group, sp.findOrAdd(resolved))
+	sp.group = append(sp.group, sp.findOrAdd(sp.resolve(row)))
 }
 
 // SwapRemoveClient implements DelayProvider.
@@ -340,24 +318,17 @@ func (sp *SharedRowProvider) SwapRemoveServer(i int) {
 	sp.stale = true
 }
 
-// rebuildIndex reconstructs the content index over the live groups' hashes,
-// each chain in ascending id order — the order link maintains.
+// rebuildIndex reconstructs the content index over the live groups' hashes.
 func (sp *SharedRowProvider) rebuildIndex() {
 	if sp.first == nil {
 		sp.first = make(map[uint64]int32, len(sp.refs)-len(sp.free))
 	}
 	clear(sp.first)
 	sp.stale = false
-	for g := len(sp.refs) - 1; g >= 0; g-- {
-		if sp.refs[g] == 0 {
-			continue
+	for g, refs := range sp.refs {
+		if refs > 0 {
+			sp.link(int32(g))
 		}
-		h := sp.sums[g]
-		sp.next[g] = -1
-		if head, ok := sp.first[h]; ok {
-			sp.next[g] = head
-		}
-		sp.first[h] = int32(g)
 	}
 }
 

@@ -16,7 +16,6 @@ package director
 import (
 	"fmt"
 	"log/slog"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -536,15 +535,10 @@ func (d *Director) infoAt(j int, id string) ClientInfo {
 // alone (core.CoordProvider.State).
 func (d *Director) problemLocked() *core.Problem {
 	live := d.planner().Problem()
-	ss := make([][]float64, len(live.SS))
-	for i, row := range live.SS {
-		ss[i] = slices.Clone(row)
-	}
-	p := live.WithDelaysOwned(live.DenseRows(), ss)
-	p.ServerCaps = slices.Clone(p.ServerCaps)
-	p.ClientZones = slices.Clone(p.ClientZones)
-	p.ClientRT = slices.Clone(p.ClientRT)
-	p.Adjacency = p.Adjacency.Clone()
+	shell := *live
+	shell.Delays = nil // nor CS: the copy's store starts empty and is dropped
+	p := shell.Clone()
+	p.Delays, p.CS = nil, live.DenseRows()
 	return p
 }
 

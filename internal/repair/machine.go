@@ -602,14 +602,11 @@ func (m *Machine) Render(lsn uint64) ([]byte, error) {
 	})
 }
 
-// snapshotProvider decides what a snapshot stores for the delays. The exact
-// store writes nothing of its own: each client carries its row, the form
-// every exact snapshot has had, and recovery loads the rows into a fresh
-// store (core.Problem.Clone) — every read is an exact row lookup, so the
-// store's group ids need not cross the crash boundary. The coordinate
-// provider writes its state instead: recovery must restore its INTERNALS
-// (coordinates, override lists) bit-identically, not just the delays it
-// would report.
+// snapshotProvider decides what a snapshot stores for the delays: nothing
+// of the exact store's own — each client carries its row, and recovery
+// groups the rows afresh, since no read depends on a group id — and the
+// coordinate provider's state, whose internals (coordinates, override
+// lists) recovery must restore bit-identically.
 func snapshotProvider(p *core.Problem) *core.ProviderState {
 	if _, exact := p.Delays.(*core.SharedRowProvider); exact {
 		return nil
