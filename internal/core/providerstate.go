@@ -113,10 +113,13 @@ func NewProviderFromState(st *ProviderState) (DelayProvider, error) {
 			refs:    append([]int32(nil), s.Refs...),
 			free:    append([]int32(nil), s.Free...),
 			stride:  s.Servers,
-			arena:   make([]float64, len(s.Rows)*s.Servers),
+			chunks:  make([][]float64, (len(s.Rows)+chunkRows-1)/chunkRows),
 			sums:    make([]uint64, len(s.Rows)),
 			next:    make([]int32, len(s.Rows)),
 			stale:   true,
+		}
+		for c := range sp.chunks {
+			sp.chunks[c] = make([]float64, chunkRows*s.Servers)
 		}
 		for g, refs := range s.Refs {
 			if refs > 0 {

@@ -33,12 +33,13 @@ type SharedRowProvider struct {
 	group   []int32 // per client → group id
 	refs    []int32 // group id → member count; 0 marks a free slot
 	free    []int32 // freed group ids, LIFO
-	// The rows live in one arena, slot g at arena[g*stride:], the first
-	// servers entries of each slot in use: a column mutation streams
-	// through it, and a clone is one copy. The stride keeps spare entries
-	// once a server has been added, so later additions rarely re-lay it.
+	// The rows live in chunks of chunkRows slots of stride entries, the
+	// first servers of each in use: a column mutation streams through
+	// them, and a new group never moves the others. The stride keeps spare
+	// entries once a server has been added, so later additions rarely
+	// re-lay the chunks.
 	stride int
-	arena  []float64
+	chunks [][]float64
 	// The content index: sums[g] is hashRow of live group g's row, first
 	// maps a hash to a live group with it, and next chains the others (-1
 	// ends a chain). A column mutation changes every hash, so it marks the
@@ -64,7 +65,7 @@ func (sp *SharedRowProvider) NumServers() int { return sp.servers }
 
 // ClientServer implements DelayProvider.
 func (sp *SharedRowProvider) ClientServer(j, i int) float64 {
-	return sp.arena[int(sp.group[j])*sp.stride+i]
+	return sp.slot(sp.group[j])[i]
 }
 
 // Row implements DelayProvider: the internal group row is returned without
@@ -73,10 +74,17 @@ func (sp *SharedRowProvider) Row(j int, _ []float64) []float64 {
 	return sp.row(sp.group[j])
 }
 
+// chunkRows is the number of group slots per chunk.
+const chunkRows = 128
+
+// slot returns the storage of group g's row, from its first entry on.
+func (sp *SharedRowProvider) slot(g int32) []float64 {
+	return sp.chunks[g/chunkRows][int(g%chunkRows)*sp.stride:]
+}
+
 // row returns group g's row, capped so an append cannot reach the next slot.
 func (sp *SharedRowProvider) row(g int32) []float64 {
-	o := int(g) * sp.stride
-	return sp.arena[o : o+sp.servers : o+sp.servers]
+	return sp.slot(g)[:sp.servers:sp.servers]
 }
 
 // Row hashes are sums of per-entry terms: an entry's float bits xored with
@@ -158,7 +166,9 @@ func (sp *SharedRowProvider) newGroup(row []float64) int32 {
 		sp.refs = append(sp.refs, 1)
 		sp.sums = append(sp.sums, 0)
 		sp.next = append(sp.next, -1)
-		sp.arena = slices.Grow(sp.arena, sp.stride)[:len(sp.arena)+sp.stride]
+		if g%chunkRows == 0 {
+			sp.chunks = append(sp.chunks, make([]float64, chunkRows*sp.stride))
+		}
 	}
 	copy(sp.row(g), row)
 	return g
@@ -269,14 +279,14 @@ func (sp *SharedRowProvider) AppendServer(col []float64) {
 		if col != nil {
 			v = resolveUnmeasured(col[j])
 		}
-		at := int(g)*sp.stride + m
+		slot := sp.slot(g)
 		if sp.next[g] == unclaimed {
 			sp.next[g] = claimed
-			sp.arena[at] = v
+			slot[m] = v
 			sp.sums[g] += rowTerm(sm, v)
 			continue
 		}
-		cur := sp.arena[at]
+		cur := slot[m]
 		if math.Float64bits(cur) == math.Float64bits(v) {
 			continue
 		}
@@ -285,7 +295,7 @@ func (sp *SharedRowProvider) AppendServer(col []float64) {
 		sp.refs[g]--
 		ng := sp.newGroup(sp.row(g))
 		sp.next[ng] = claimed
-		sp.arena[int(ng)*sp.stride+m] = v
+		sp.slot(ng)[m] = v
 		sp.sums[ng] = sp.sums[g] - rowTerm(sm, cur) + rowTerm(sm, v)
 		sp.group[j] = ng
 	}
@@ -293,11 +303,14 @@ func (sp *SharedRowProvider) AppendServer(col []float64) {
 
 // relayout moves every slot to a new stride (≥ servers).
 func (sp *SharedRowProvider) relayout(stride int) {
-	arena := make([]float64, len(sp.refs)*stride)
-	for g := range sp.refs {
-		copy(arena[g*stride:], sp.row(int32(g)))
+	for c, old := range sp.chunks {
+		chunk := make([]float64, chunkRows*stride)
+		for x := 0; x < chunkRows; x++ {
+			copy(chunk[x*stride:], old[x*sp.stride:x*sp.stride+sp.servers])
+		}
+		sp.chunks[c] = chunk
 	}
-	sp.arena, sp.stride = arena, stride
+	sp.stride = stride
 }
 
 // SwapRemoveServer implements DelayProvider: column compaction on every
@@ -310,7 +323,7 @@ func (sp *SharedRowProvider) SwapRemoveServer(i int) {
 		if refs == 0 {
 			continue // free slot: contents are scratch
 		}
-		row := sp.arena[g*sp.stride:]
+		row := sp.slot(int32(g))
 		sp.sums[g] += rowTerm(si, row[l]) - rowTerm(si, row[i]) - rowTerm(sl, row[l])
 		row[i] = row[l]
 	}
@@ -334,24 +347,32 @@ func (sp *SharedRowProvider) rebuildIndex() {
 
 // Clone implements DelayProvider.
 func (sp *SharedRowProvider) Clone() DelayProvider {
-	return &SharedRowProvider{
+	q := &SharedRowProvider{
 		servers: sp.servers,
 		group:   slices.Clone(sp.group),
 		refs:    slices.Clone(sp.refs),
 		free:    slices.Clone(sp.free),
 		stride:  sp.stride,
-		arena:   slices.Clone(sp.arena),
+		chunks:  make([][]float64, len(sp.chunks)),
 		sums:    slices.Clone(sp.sums),
 		first:   maps.Clone(sp.first),
 		next:    slices.Clone(sp.next),
 		stale:   sp.stale,
 	}
+	for c, chunk := range sp.chunks {
+		q.chunks[c] = slices.Clone(chunk)
+	}
+	return q
 }
 
 // MemoryBytes implements DelayProvider.
 func (sp *SharedRowProvider) MemoryBytes() int {
-	return 4*cap(sp.group) + 4*cap(sp.refs) + 4*cap(sp.free) + 8*cap(sp.arena) +
+	n := 4*cap(sp.group) + 4*cap(sp.refs) + 4*cap(sp.free) + 24*cap(sp.chunks) +
 		8*cap(sp.sums) + 4*cap(sp.next) + 16*len(sp.first)
+	for _, chunk := range sp.chunks {
+		n += 8 * cap(chunk)
+	}
+	return n
 }
 
 // State implements DelayProvider. The free list is serialized too: group
