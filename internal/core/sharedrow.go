@@ -91,8 +91,8 @@ func (sp *SharedRowProvider) row(g int32) []float64 {
 // its position's salt, multiplied by an odd constant and folded (one
 // multiply-xor each). A sum lets a column append, removal or overwrite
 // update a group's hash in O(1) instead of rehashing its row. Equality is
-// rowsEqual's: the hash only narrows the candidates, which are tried in
-// ascending id order, so nothing the store allocates depends on it.
+// rowsEqual's: the hash only narrows the candidates, and the lowest equal
+// id wins, so nothing the store allocates depends on it.
 const (
 	hashSalt = 0x9e3779b97f4a7c15
 	hashMul  = 0xff51afd7ed558ccd
