@@ -310,16 +310,3 @@ func (p *Problem) SetCSRow(j int, row []float64) { p.Delays.SetClientDelays(j, r
 
 // SetCSAt overlays one delay entry: client j to server i.
 func (p *Problem) SetCSAt(j, i int, d float64) { p.Delays.SetClientServerDelay(j, i, d) }
-
-// WithDelaysOwned returns a copy of the problem whose CS and SS matrices
-// are cs and ss — used to evaluate an assignment computed from estimated
-// delays against the ground truth. The returned problem aliases cs and ss
-// directly, so the caller must not mutate them afterwards. Any bound delay
-// provider is dropped: the explicit matrices win.
-func (p *Problem) WithDelaysOwned(cs, ss [][]float64) *Problem {
-	q := *p
-	q.CS = cs
-	q.SS = ss
-	q.Delays = nil
-	return &q
-}

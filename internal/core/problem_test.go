@@ -82,32 +82,6 @@ func TestProblemCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestWithDelaysOwnedTransfersOwnership(t *testing.T) {
-	p := tinyProblem()
-	cs := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	ss := [][]float64{{0, 1}, {1, 0}}
-	q := p.WithDelaysOwned(cs, ss)
-	if &q.CS[0][0] != &cs[0][0] || &q.SS[0][0] != &ss[0][0] {
-		t.Fatal("WithDelaysOwned did not take the provided matrices")
-	}
-	if q.D != p.D || q.NumZones != p.NumZones {
-		t.Fatal("WithDelaysOwned changed unrelated fields")
-	}
-}
-
-func TestWithDelaysDropsProvider(t *testing.T) {
-	p := tinyProblem().Clone()
-	cs := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	ss := [][]float64{{0, 1}, {1, 0}}
-	q := p.WithDelaysOwned(cs, ss)
-	if q.Delays != nil {
-		t.Fatal("WithDelaysOwned kept the stale provider alongside new dense CS")
-	}
-	if q.CS[0][0] != 1 {
-		t.Fatalf("WithDelaysOwned CS = %v", q.CS[0][0])
-	}
-}
-
 // TestCopyCSRowFillsDst: a store may answer Row with an internal slice and
 // leave the buffer alone (the exact store does); CopyCSRow must fill dst
 // regardless — partial delay refreshes overlay onto that copy.

@@ -100,5 +100,9 @@ func (m Model) PerturbProblem(rng *xrand.RNG, truth *core.Problem) (*core.Proble
 			ss[i][l], ss[l][i] = d, d
 		}
 	}
-	return truth.WithDelaysOwned(cs, ss), nil
+	// The estimates replace every delay; the rest of the copy is the truth's
+	// own, which a solve only reads.
+	est := *truth
+	est.CS, est.SS, est.Delays = cs, ss, nil
+	return &est, nil
 }

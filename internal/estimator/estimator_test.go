@@ -29,23 +29,30 @@ func sampleProblem() *core.Problem {
 	}
 }
 
+// TestPerfectModelIsIdentity: over raw rows and over the exact store, the
+// estimate is raw rows equal to the truth's delays, and no store of the
+// truth's rides along.
 func TestPerfectModelIsIdentity(t *testing.T) {
-	truth := sampleProblem()
-	got, err := Perfect().PerturbProblem(xrand.New(1), truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range truth.CS {
-		for i := range truth.CS[j] {
-			if got.CS[j][i] != truth.CS[j][i] {
-				t.Fatalf("perfect model changed CS[%d][%d]", j, i)
+	for _, truth := range []*core.Problem{sampleProblem(), sampleProblem().Clone()} {
+		got, err := Perfect().PerturbProblem(xrand.New(1), truth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Delays != nil {
+			t.Fatal("the estimate kept the truth's delay store")
+		}
+		for j := 0; j < truth.NumClients(); j++ {
+			for i := 0; i < truth.NumServers(); i++ {
+				if got.CS[j][i] != truth.CSAt(j, i) {
+					t.Fatalf("perfect model changed CS[%d][%d]", j, i)
+				}
 			}
 		}
-	}
-	for i := range truth.SS {
-		for l := range truth.SS[i] {
-			if got.SS[i][l] != truth.SS[i][l] {
-				t.Fatalf("perfect model changed SS[%d][%d]", i, l)
+		for i := range truth.SS {
+			for l := range truth.SS[i] {
+				if got.SS[i][l] != truth.SS[i][l] {
+					t.Fatalf("perfect model changed SS[%d][%d]", i, l)
+				}
 			}
 		}
 	}
