@@ -536,7 +536,7 @@ func (d *Director) infoAt(j int, id string) ClientInfo {
 func (d *Director) problemLocked() *core.Problem {
 	live := d.planner().Problem()
 	shell := *live
-	shell.Delays = nil // nor CS: the copy's store starts empty and is dropped
+	shell.Delays = nil // and no raw rows: Clone builds an empty store, replaced below
 	p := shell.Clone()
 	p.Delays, p.CS = nil, live.DenseRows()
 	return p
