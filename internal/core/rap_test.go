@@ -123,6 +123,41 @@ func sparseCoordProblem(p *Problem) *Problem {
 	return q
 }
 
+// rawRowsProblem is p with its delays as literal CS rows, the read-only
+// interchange form bench's instances and snapshots arrive in, so a solve
+// reads them through Problem's raw arms.
+func rawRowsProblem(p *Problem) *Problem {
+	q := *p
+	q.CS, q.Delays = p.DenseRows(), nil
+	return &q
+}
+
+// sharedRowsProblem is p in the exact store with its clients in runs of
+// three that take the first one's row, as clients on one network node do:
+// the store keeps each run's row once, so a solve reads rows through groups
+// of several clients.
+func sharedRowsProblem(p *Problem) *Problem {
+	q := p.Clone()
+	row := make([]float64, q.NumServers())
+	for j := 0; j < q.NumClients(); j++ {
+		if j%3 == 0 {
+			q.CopyCSRow(j, row)
+		} else {
+			q.SetCSRow(j, row)
+		}
+	}
+	live := 0
+	for _, refs := range q.Delays.State().Shared.Refs {
+		if refs > 0 {
+			live++
+		}
+	}
+	if runs := (q.NumClients() + 2) / 3; live > runs {
+		panic(fmt.Sprintf("exact store holds %d rows for %d runs of equal rows", live, runs))
+	}
+	return q
+}
+
 // TestGreCMatchesFullSortReference pins the two-candidate GreC to the
 // full-sort reference: identical contact vectors over every delay storage,
 // with and without a cordon mask, with the first pass reading delays and
@@ -137,7 +172,9 @@ func TestGreCMatchesFullSortReference(t *testing.T) {
 		name  string
 		build func(*Problem) *Problem
 	}{
+		{"CS", rawRowsProblem},
 		{"dense", func(p *Problem) *Problem { return p }},
+		{ProviderSharedRow, sharedRowsProblem},
 		{ProviderCoord, func(p *Problem) *Problem { return providerProblem(p, ProviderCoord) }},
 		{"coord-sparse", sparseCoordProblem},
 	}

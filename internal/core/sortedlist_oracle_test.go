@@ -162,6 +162,7 @@ func TestGreZMatchesFullSortReference(t *testing.T) {
 	}{
 		{"CS", func(p *Problem) *Problem { return p }},
 		{"dense", func(p *Problem) *Problem { return p.Clone() }},
+		{ProviderSharedRow, sharedRowsProblem},
 		{"coord-sparse", sparseCoordProblem},
 	}
 	for _, m := range []int{1, 2, 3, 65} {
