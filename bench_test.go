@@ -658,6 +658,25 @@ func BenchmarkSessionResolve100k(b *testing.B) {
 	})
 }
 
+// BenchmarkSessionAudit100k times Machine.Audit — the derived-state
+// contract, rebuilding every clean candidate-delta row and every late bit —
+// on BenchmarkSessionResolve100k's sessions after their first Resolve, the
+// state its warm leg re-solves from.
+func BenchmarkSessionAudit100k(b *testing.B) {
+	forChurnedSessions100k(b, func(b *testing.B, s *ClusterSession, _ *xrand.RNG) {
+		if err := s.Resolve(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.m.Audit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // churnSession applies n more mixed events to a session forChurnedSessions100k
 // opened, numbered on from *next: in turn a join with the full delay row of
 // a random client of c0..c49999, a leave of the client that joined 1 000

@@ -133,11 +133,15 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 	if _, err := m.Recover(repair.JournalConfig{Dir: dirM, ErrClosed: director.ErrDirectorClosed}, snap.LSN); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Audit(); err != nil {
+		t.Fatal(err)
+	}
 	// The session's side: the public surface on the same directory.
 	s, err := NewCluster(1).Open("GreZ-GreC", WithDurability(dirS))
 	if err != nil {
 		t.Fatal(err)
 	}
+	auditSession(t, s)
 
 	rng := xrand.New(3)
 	row := func(m int) []float64 { return durRow(rng, m) }
@@ -245,6 +249,7 @@ func TestMalformedCallsRefusedEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auditSession(t, durable)
 	snap, err := repair.LoadSnapshot(cfg.DataDir)
 	if err != nil {
 		t.Fatal(err)
@@ -491,6 +496,7 @@ func TestDirectorMoveBatchMatchesSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auditSession(t, s)
 	ids := []string{"c000001", "c000004", "c000007", "c000002"}
 	infos, err := d.MoveBatch(ids, []director.Ref{director.Index(3), director.ID("z3"), director.Index(0), director.ID("z6")})
 	if err != nil {

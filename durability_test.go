@@ -317,7 +317,17 @@ func reopenDurable(t *testing.T, dir, algo string, workers int) *ClusterSession 
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
+	auditSession(t, s)
 	return s
+}
+
+// auditSession fails t with the first divergence the session's machine
+// audit (repair.Machine.Audit) finds.
+func auditSession(t *testing.T, s *ClusterSession) {
+	t.Helper()
+	if err := s.m.Audit(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // proofRun says how a machine under proof is opened.

@@ -229,10 +229,9 @@ func roleChangesPerZone(ev *Evaluator, next *Assignment) []int {
 // TestAdoptEqualsReset is Adopt's proof obligation: after random churn,
 // Adopt(a) on a live evaluator and Reset(p, a) on a twin agree on every
 // scalar, delay, contact, host, bucket order and snapshot byte; the rows
-// Adopt kept are within tolerance of fresh builds (checkCleanRows), a
-// rehosted zone's row among them with its own traffic bit set; exactly the
-// rehosted zones failing the cost rule went dirty; the late index is
-// untouched; and the folds that follow decide the same on kept and on cold
+// Adopt kept pass Audit, a rehosted zone's row among them with its own
+// traffic bit set; exactly the rehosted zones failing the cost rule went
+// dirty; the late index is untouched; and the folds that follow decide the same on kept and on cold
 // rows — on every delay store, with the traffic term off and on, at workers
 // 1 and 4 (trials 4 and 5 on few big zones, where rehostings pass the rule).
 func TestAdoptEqualsReset(t *testing.T) {
@@ -301,8 +300,7 @@ func TestAdoptEqualsReset(t *testing.T) {
 								t.Fatalf("%s: Adopt reports %+v, the caches hold %d clean rows, %d of them rebased, and %d contacts changed", label, st, clean, wantRebasedRows, wantSwitched)
 							}
 							kept, rehosted, switched, rebased = kept+st.RowsKept, rehosted+st.Rehosted, switched+st.Switched, rebased+st.Rebased
-							checkCleanRows(t, label, live)
-							checkLateIndex(t, live)
+							audit(t, live)
 							requireSameState(t, label, live, twin, round%2 == 1)
 							sameSearch(t, label, live, twin, rng.Split())
 							requireSameState(t, label+" after the folds", live, twin, true)
@@ -392,7 +390,7 @@ func TestAdoptEdges(t *testing.T) {
 				t.Fatalf("zone %d rebased with its own traffic bit clear", z)
 			}
 		}
-		checkCleanRows(t, "all rehosted", ev)
+		audit(t, ev)
 		requireSameState(t, "all rehosted", ev, twin, false)
 		sameSearch(t, "all rehosted", ev, twin, xrand.New(4))
 		requireSameState(t, "all rehosted, after the folds", ev, twin, true)
@@ -415,7 +413,7 @@ func TestAdoptEdges(t *testing.T) {
 		if got := ev.tele.rowAdjusts.Value() - adj; got != 1 {
 			t.Fatalf("%d adjustments applied, want the retraction alone (the re-add meets a dirty row)", got)
 		}
-		checkCleanRows(t, "drift", ev)
+		audit(t, ev)
 		requireSameState(t, "drift", ev, twin, false)
 		sameSearch(t, "drift", ev, twin, xrand.New(5))
 	})

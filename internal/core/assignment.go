@@ -134,16 +134,8 @@ type Metrics struct {
 // or a ground-truth problem (same shape, true delays) when the algorithm
 // optimised against estimates.
 func Evaluate(truth *Problem, a *Assignment) Metrics {
-	k := truth.NumClients()
-	m := Metrics{Delays: make([]float64, k)}
-	for j := 0; j < k; j++ {
-		d := a.ClientDelay(truth, j)
-		m.Delays[j] = d
-		if d <= truth.D {
-			m.WithQoS++
-		}
-	}
-	m.setRatios(truth, a.ServerLoads(truth))
+	m := Metrics{Delays: make([]float64, truth.NumClients())}
+	new(Workspace).EvaluateInto(truth, a, &m)
 	return m
 }
 

@@ -1,45 +1,10 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"dvecap/internal/xrand"
 )
-
-// evalTol compares incrementally-maintained floats against full
-// re-summation: drift is rounding-only, so a tight relative bound holds.
-func evalClose(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-7*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
-
-// checkEvaluatorState asserts every piece of the evaluator's derived state
-// against a from-scratch computation on its current assignment.
-func checkEvaluatorState(t *testing.T, p *Problem, ev *Evaluator) {
-	t.Helper()
-	a := ev.Assignment()
-	want := evaluateScoreOracle(p, a)
-	if ev.WithQoS() != want.withQoS {
-		t.Fatalf("withQoS = %d, full evaluation gives %d", ev.WithQoS(), want.withQoS)
-	}
-	if !evalClose(ev.RAPCost(), want.rapCost) {
-		t.Fatalf("rapCost = %v, full evaluation gives %v", ev.RAPCost(), want.rapCost)
-	}
-	if !evalClose(ev.TotalLoad(), want.load) {
-		t.Fatalf("totalLoad = %v, full evaluation gives %v", ev.TotalLoad(), want.load)
-	}
-	for j := 0; j < p.NumClients(); j++ {
-		if d := a.ClientDelay(p, j); ev.ClientDelay(j) != d {
-			t.Fatalf("client %d delay = %v, want %v", j, ev.ClientDelay(j), d)
-		}
-	}
-	loads := a.ServerLoads(p)
-	for i := range loads {
-		if !evalClose(ev.ServerLoad(i), loads[i]) {
-			t.Fatalf("server %d load = %v, want %v", i, ev.ServerLoad(i), loads[i])
-		}
-	}
-}
 
 // TestEvaluatorMatchesFullEvaluation drives the evaluator through long
 // randomized move sequences — zone moves and contact switches, including
@@ -55,7 +20,7 @@ func TestEvaluatorMatchesFullEvaluation(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		ev := NewEvaluator(p, a)
-		checkEvaluatorState(t, p, ev)
+		audit(t, ev)
 		m := p.NumServers()
 		for step := 0; step < 60; step++ {
 			if rng.IntN(2) == 0 {
@@ -67,7 +32,7 @@ func TestEvaluatorMatchesFullEvaluation(t *testing.T) {
 					t.Fatalf("zone move not applied")
 				}
 				got := ev.score()
-				if got.withQoS != want.withQoS || !evalClose(got.rapCost, want.rapCost) || !evalClose(got.load, want.load) {
+				if got.withQoS != want.withQoS || !auditClose(got.rapCost, want.rapCost) || !auditClose(got.load, want.load) {
 					t.Fatalf("trial %d step %d: zoneMoveScore predicted %+v, apply gave %+v",
 						trial, step, want, got)
 				}
@@ -75,7 +40,7 @@ func TestEvaluatorMatchesFullEvaluation(t *testing.T) {
 				j := rng.IntN(p.NumClients())
 				ev.ApplyContactSwitch(j, rng.IntN(m))
 			}
-			checkEvaluatorState(t, p, ev)
+			audit(t, ev)
 		}
 	}
 }
@@ -96,9 +61,9 @@ func TestEvaluatorReset(t *testing.T) {
 		if ev.WithQoS() != fresh.WithQoS() || ev.RAPCost() != fresh.RAPCost() || ev.TotalLoad() != fresh.TotalLoad() {
 			t.Fatalf("trial %d: reused evaluator differs from fresh", trial)
 		}
-		checkEvaluatorState(t, p, ev)
+		audit(t, ev)
 		ev.LocalSearch(2)
-		checkEvaluatorState(t, p, ev)
+		audit(t, ev)
 	}
 }
 
@@ -177,8 +142,8 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 			want := Evaluate(p, plain)
 			ws.EvaluateInto(p, reused, &reusedMetrics)
 			if want.WithQoS != reusedMetrics.WithQoS || want.PQoS != reusedMetrics.PQoS ||
-				!evalClose(want.Utilization, reusedMetrics.Utilization) ||
-				!evalClose(want.MaxLoadRatio, reusedMetrics.MaxLoadRatio) {
+				!auditClose(want.Utilization, reusedMetrics.Utilization) ||
+				!auditClose(want.MaxLoadRatio, reusedMetrics.MaxLoadRatio) {
 				t.Fatalf("trial %d %s: EvaluateInto differs from Evaluate", trial, tp.Name)
 			}
 		}

@@ -179,6 +179,11 @@ func (ev *Evaluator) SetCordon(i int, cordoned bool) { ev.cordoned[i] = cordoned
 // Cordoned reports whether server i is cordoned.
 func (ev *Evaluator) Cordoned(i int) bool { return ev.cordoned[i] }
 
+// Cordons returns the cordon flags, one per server — the evaluator's own
+// slice, read-only for callers (a full solve's Options.Cordoned), invalidated
+// by the next server add or remove.
+func (ev *Evaluator) Cordons() []bool { return ev.cordoned }
+
 // SetClientServerDelay overlays one freshly measured RTT — client j to
 // server i — and recomputes the client's effective delay, the column-wise
 // counterpart of SetClientDelays for measurement streams keyed by server

@@ -107,8 +107,7 @@ func topoStep(ev *Evaluator, rng *xrand.RNG, op int) {
 // TestEvaluatorTopologyMatchesFresh drives the evaluator through long
 // random sequences that interleave topology churn — server add/remove,
 // zone add/retire, cordons, column-wise delay overlays — with the client
-// churn of evaluator_dyn_test, and checks every piece of derived state
-// against a from-scratch evaluator after every step.
+// churn of evaluator_dyn_test, and audits after every step.
 func TestEvaluatorTopologyMatchesFresh(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := xrand.New(uint64(31100 + trial))
@@ -120,10 +119,7 @@ func TestEvaluatorTopologyMatchesFresh(t *testing.T) {
 		ev := NewEvaluator(p, a)
 		for step := 0; step < 80; step++ {
 			topoStep(ev, rng, rng.IntN(topoOps))
-			if err := ev.Assignment().Validate(ev.p); err != nil {
-				t.Fatalf("trial %d step %d: invalid assignment: %v", trial, step, err)
-			}
-			checkDynState(t, ev)
+			audit(t, ev)
 		}
 	}
 }
@@ -149,8 +145,7 @@ func TestCachedSearchUnderTopologyMutations(t *testing.T) {
 		attachLateIndex(t, ev, 1)
 		for step := 0; step < 50; step++ {
 			topoStep(ev, rng, rng.IntN(topoOps))
-			checkCleanRows(t, "after topology mutation", ev)
-			checkLateIndex(t, ev)
+			audit(t, ev)
 			cold := NewEvaluator(p.Clone(), ev.Assignment())
 			for i := 0; i < p.NumServers(); i++ {
 				cold.SetCordon(i, ev.Cordoned(i))
@@ -222,13 +217,12 @@ func TestRemoveServerRenumbering(t *testing.T) {
 	if p.CSAt(0, victim) != lastCS0 {
 		t.Fatalf("renumbered CS column = %v, want %v", p.CSAt(0, victim), lastCS0)
 	}
-	checkDynState(t, ev)
+	audit(t, ev)
 }
 
-// fuzzTopology is FuzzEvaluatorTopology's body: every row warm at the
-// start, then one topoStep per op byte, all derived state against a
-// from-scratch evaluation and every clean row against a fresh build after
-// each. It returns how many rows the stream rebased.
+// fuzzTopology is FuzzEvaluatorTopology's body: every row warm and a late
+// index attached at the start, then one topoStep per op byte and an Audit
+// after each. It returns how many rows the stream rebased.
 func fuzzTopology(t *testing.T, seed uint64, ops []byte) uint64 {
 	if len(ops) > 64 {
 		ops = ops[:64]
@@ -241,11 +235,11 @@ func fuzzTopology(t *testing.T, seed uint64, ops []byte) uint64 {
 	}
 	ev := NewEvaluator(p, a)
 	ev.SetTelemetry(telemetry.NewRegistry())
+	attachLateIndex(t, ev, 1)
 	syncAllRows(ev)
 	for _, op := range ops {
 		topoStep(ev, rng, int(op))
-		checkDynState(t, ev)
-		checkCleanRows(t, "fuzz", ev)
+		audit(t, ev)
 	}
 	return ev.tele.rowsRebased.Value()
 }
@@ -272,8 +266,8 @@ func TestTopologyFuzzSeedsReachRebase(t *testing.T) {
 
 // FuzzEvaluatorTopology feeds arbitrary op streams into the topology and
 // churn mutations — adoptions and zone moves among them, over maintained
-// rows — and cross-checks all derived state against from-scratch evaluation
-// after every op — the fuzz form of TestEvaluatorTopologyMatchesFresh.
+// rows — and audits after every op: the fuzz form of
+// TestEvaluatorTopologyMatchesFresh.
 func FuzzEvaluatorTopology(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 2, 6, 6, 9, 1, 3, 5, 4, 10, 11, 7})
 	f.Add(uint64(7), []byte{0, 0, 1, 1, 2, 3, 4, 4, 8, 9})

@@ -144,11 +144,11 @@ func TestGreCMemoMatchesColdSolve(t *testing.T) {
 						w2 := NewWorkspace()
 						requireWarmGreCEqualsCold(t, fmt.Sprintf("step %d, the copy", step), q, hosting(), li2, w2)
 						requireWarmGreCEqualsCold(t, fmt.Sprintf("step %d, the copy re-solved", step), q, hosting(), li2, w2)
-						checkLateIndex(t, ev2)
+						audit(t, ev2)
 					default:
 						topoStep(ev, rng, 2+rng.IntN(topoOps-2))
 					}
-					checkLateIndex(t, ev)
+					audit(t, ev)
 					zs := hosting()
 					label := fmt.Sprintf("step %d (m=%d, k=%d)", step, p.NumServers(), ev.NumClients())
 					requireWarmGreCEqualsCold(t, label, p, zs, li, warm)
@@ -156,7 +156,7 @@ func TestGreCMemoMatchesColdSolve(t *testing.T) {
 						zs[rng.IntN(len(zs))] = rng.IntN(p.NumServers())
 					}
 					requireWarmGreCEqualsCold(t, label+", zones re-targeted", p, zs, li, warm)
-					checkLateIndex(t, ev)
+					audit(t, ev)
 				}
 			})
 		}

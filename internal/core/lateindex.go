@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 )
@@ -134,54 +132,6 @@ func addLateWord(ci [][]int, z, base int, w uint64) {
 func (li *LateIndex) ValidFor(p *Problem) bool {
 	return li != nil && li.p == p && li.m == p.NumServers() &&
 		len(li.words) == p.NumClients()*li.wpc
-}
-
-// Verify recomputes every client's words from p's delay rows, and every
-// choice GreC could reuse from the row and its tagged target, and returns
-// the first disagreement; an index not valid for p asserts nothing. For
-// tests and self-checks, O((clients + remembered choices) × servers).
-func (li *LateIndex) Verify(p *Problem) error {
-	if !li.ValidFor(p) {
-		return nil
-	}
-	buf := make([]float64, li.m)
-	for j := range p.ClientZones {
-		row := p.CSRow(j, buf)
-		for w, have := range li.clientWords(j) {
-			if want := li.rowWord(row, w, p.D); have != want {
-				return fmt.Errorf("core: late index client %d word %d is %#x, delay row gives %#x", j, w, have, want)
-			}
-		}
-	}
-	mu := make([]float64, li.m)
-	held := 0
-	for x, c := range li.memo.entries {
-		j, t := int(c.client), int(c.target)
-		if x > 0 && int(li.memo.entries[x-1].client) >= j {
-			return fmt.Errorf("core: late index remembers client %d after client %d", j, li.memo.entries[x-1].client)
-		}
-		if !li.memo.holds(j) {
-			continue
-		}
-		held++
-		if j >= p.NumClients() || t >= li.m {
-			return fmt.Errorf("core: late index holds a choice for client %d at server %d, beyond %d clients and %d servers", j, t, p.NumClients(), li.m)
-		}
-		refinedDesirability(p, p.CSRow(j, buf), t, mu)
-		want := topTwo(j, mu)
-		if c.best != want.best || c.second != want.second || math.Float64bits(c.regret) != math.Float64bits(want.regret) {
-			return fmt.Errorf("core: late index holds client %d at target %d as (%d, %d, ρ %v), its delay row gives (%d, %d, ρ %v)",
-				j, t, c.best, c.second, c.regret, want.best, want.second, want.regret)
-		}
-	}
-	set := 0
-	for _, w := range li.memo.live {
-		set += bits.OnesCount64(w)
-	}
-	if set != held {
-		return fmt.Errorf("core: late index marks %d choices as holding, but has entries for %d of them", set, held)
-	}
-	return nil
 }
 
 // bind sizes the index for p ahead of a filling pass, which must fillRow

@@ -23,46 +23,6 @@ func attachLateIndex(t *testing.T, ev *Evaluator, workers int) *LateIndex {
 	return li
 }
 
-// checkLateIndex asserts ev's attached late index is live and that every
-// client's words equal a bit-by-bit recomputation from CSRow(j) — spare
-// high bits zero — independently of the packing helpers, and that the
-// index's own Verify agrees.
-func checkLateIndex(t *testing.T, ev *Evaluator) {
-	t.Helper()
-	p, li := ev.p, ev.late
-	if !li.ValidFor(p) {
-		t.Fatalf("late index not valid for the evaluator's problem (m=%d k=%d; index m=%d wpc=%d words=%d)",
-			p.NumServers(), p.NumClients(), li.m, li.wpc, len(li.words))
-	}
-	m := p.NumServers()
-	if want := (m + 63) / 64; li.wpc != want {
-		t.Fatalf("%d servers in %d words per client, want %d", m, li.wpc, want)
-	}
-	buf := make([]float64, m)
-	for j := 0; j < p.NumClients(); j++ {
-		row := p.CSRow(j, buf)
-		want := make([]uint64, li.wpc)
-		for i, d := range row {
-			if d > p.D {
-				want[i/64] |= 1 << (i % 64)
-			}
-		}
-		for w, have := range li.clientWords(j) {
-			if have != want[w] {
-				t.Fatalf("client %d word %d = %#x, recomputed from its delay row %#x (m=%d)", j, w, have, want[w], m)
-			}
-		}
-		for i := 0; i < m; i++ {
-			if li.has(j, i) != (row[i] > p.D) {
-				t.Fatalf("has(%d,%d) = %v, delay %v vs bound %v", j, i, li.has(j, i), row[i], p.D)
-			}
-		}
-	}
-	if err := li.Verify(p); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // requireIndexedMatrix asserts the cost matrix derived from ev's late index
 // equals InitialCosts(p) — the from-rows count — entry by entry, and that
 // it really came from the index.
@@ -117,7 +77,7 @@ func TestIndexedCostMatrixEqualsRowCount(t *testing.T) {
 				}
 				ev := NewEvaluator(p, &Assignment{ZoneServer: zoneServer, ClientContact: contact})
 				attachLateIndex(t, ev, workers)
-				checkLateIndex(t, ev)
+				audit(t, ev)
 				requireIndexedMatrix(t, "after fill", ev)
 
 				for step := 0; step < 120; step++ {
@@ -132,7 +92,7 @@ func TestIndexedCostMatrixEqualsRowCount(t *testing.T) {
 					if k := ev.NumClients(); k > 0 && step%9 == 0 {
 						ev.SetClientServerDelay(rng.IntN(k), rng.IntN(p.NumServers()), p.D)
 					}
-					checkLateIndex(t, ev)
+					audit(t, ev)
 					requireIndexedMatrix(t, fmt.Sprintf("step %d (m=%d)", step, p.NumServers()), ev)
 				}
 			})
@@ -182,14 +142,13 @@ func TestLateIndexIgnoresPlacementVerbs(t *testing.T) {
 			}
 		}
 	}
-	checkLateIndex(t, ev)
+	audit(t, ev)
 }
 
 // TestLateIndexLifecycle pins when an index is valid: only for the problem
 // it was filled from; dropped by a Reset onto another problem and by
 // RestoreState, kept by a Reset onto the same problem; an unfilled or
-// foreign index leaves a solve on the rows and is filled by it; Verify
-// reports a corrupted word.
+// foreign index leaves a solve on the rows and is filled by it.
 func TestLateIndexLifecycle(t *testing.T) {
 	rng := xrand.New(5150)
 	p := randomProblem(rng.Split(), false).Clone()
@@ -223,23 +182,17 @@ func TestLateIndexLifecycle(t *testing.T) {
 	}
 	ev.AddClient(0, 0.2, randomDelayRow(rng, p.NumServers())) // unmaintained while dropped: must not touch it
 	solve(p, CostMatrixFromRows)
-	checkLateIndex(t, ev)
+	audit(t, ev)
 
 	q := p.Clone()
 	if opt.Late.ValidFor(q) {
 		t.Fatal("index valid for a clone of its problem")
 	}
 	ev.Reset(q, solve(q, CostMatrixFromRows)) // the solve rebinds the index to q
-	checkLateIndex(t, ev)
+	audit(t, ev)
 	ev.Reset(p, a)
 	if opt.Late.ValidFor(q) || opt.Late.ValidFor(p) {
 		t.Fatal("Reset onto another problem kept the index")
-	}
-
-	solve(p, CostMatrixFromRows)
-	opt.Late.words[0] ^= 1
-	if err := opt.Late.Verify(p); err == nil {
-		t.Fatal("Verify missed a flipped bit")
 	}
 }
 

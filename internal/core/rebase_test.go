@@ -227,13 +227,12 @@ func runRebaseCase(t *testing.T, seed uint64, store string, traffic bool, worker
 	if !tc.wantDirty && !ev.cache.tdirty[z] {
 		t.Fatalf("zone %d rebased with its own traffic bit clear", z)
 	}
-	checkCleanRows(t, "rebased", ev)
-	checkLateIndex(t, ev)
+	audit(t, ev)
 	syncAllRows(ev)
 	if ev.trafficOn && ev.cache.tdirty[z] {
 		t.Fatalf("zone %d traffic entries still stale after a fold", z)
 	}
-	checkCleanRows(t, "rebased, synced", ev)
+	audit(t, ev)
 	sameSearch(t, "after the rehosting", ev, twin, xrand.New(seed+1))
 	if verb == "adopt" {
 		requireSameState(t, "after the folds", ev, twin, true)

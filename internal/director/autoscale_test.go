@@ -484,6 +484,7 @@ func TestAutoscaleDurability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
+	auditDirector(t, recovered)
 	if got, want := dirStateJSON(t, recovered), dirStateJSON(t, control); got != want {
 		t.Fatal("recovered autoscaled trajectory diverges from control")
 	}

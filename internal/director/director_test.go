@@ -771,6 +771,7 @@ func TestSnapshotOrderSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer recovered.Close()
+	auditDirector(t, recovered)
 	want := ids(control)
 	if got := ids(durable); !reflect.DeepEqual(got, want) {
 		t.Fatalf("durable director lists %v, control %v", got, want)

@@ -33,6 +33,17 @@ func durDelays(t *testing.T) *topology.DelayMatrix {
 	return dm
 }
 
+// auditDirector fails t with the first divergence the director's machine
+// audit (repair.Machine.Audit) finds.
+func auditDirector(t *testing.T, d *Director) {
+	t.Helper()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if err := d.m.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func durDirConfig(dm *topology.DelayMatrix, workers int) Config {
 	return Config{
 		ServerNodes:     []int{0, 10, 20, 30},
@@ -216,6 +227,7 @@ func TestHTTPJournalFailureIs503(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
+	auditDirector(t, r)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -264,6 +264,7 @@ func TestReadsProceedWhileCheckpointWrites(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	defer recovered.Close()
+	auditDirector(t, recovered)
 	if got, want := dirStateJSON(t, recovered), dirStateJSON(t, control); got != want {
 		t.Fatalf("recovered state diverges from the control:\n got %s\nwant %s", got, want)
 	}
@@ -334,6 +335,7 @@ func TestWriteStageSeries(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	defer r.Close()
+	auditDirector(t, r)
 	if j, a := stageCount(cfg.Telemetry, "journal"), stageCount(cfg.Telemetry, "apply"); j != 0 || a != 0 {
 		t.Fatalf("replay left %d journal / %d apply observations, want none", j, a)
 	}

@@ -106,7 +106,7 @@ func TestResolveKeepsRowsWarm(t *testing.T) {
 			if got := counter("dvecap_cache_rows_rebased_total") - rebasedBefore; got != uint64(ad.Rebased) {
 				t.Fatalf("round %d: rows_rebased counter moved by %d, adoption rebased %d", round, got, ad.Rebased)
 			}
-			checkPlanner(t, pl)
+			audit(t, pl)
 			rebuilt := 0 // rehosted zones whose first event rebuilt the row
 			for z, s := range hosts {
 				kept := pl.ZoneHost(z) == s

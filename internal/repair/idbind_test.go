@@ -109,7 +109,7 @@ func TestIDBindingLifecycle(t *testing.T) {
 	if err := b.Join("erin", rng.IntN(n), 0.2, randRow(rng, m)); err != nil {
 		t.Fatalf("ID reuse after leave: %v", err)
 	}
-	checkPlanner(t, pl)
+	audit(t, pl)
 }
 
 func TestIDBindingUnknownClient(t *testing.T) {
@@ -231,7 +231,7 @@ func TestLeaveBatchFollowsSwapRemove(t *testing.T) {
 					}
 				}
 			}
-			checkPlanner(t, pl)
+			audit(t, pl)
 		})
 	}
 }

@@ -144,7 +144,7 @@ func TestIndexedFullSolveMatchesRowCount(t *testing.T) {
 							t.Fatalf("trial %d step %d: indexed err %v, from-rows err %v", trial, step, errI, errR)
 						}
 						samePlannerState(t, fmt.Sprintf("trial %d step %d", trial, step), plR, plI)
-						if err := plI.late.Verify(plI.prob); err != nil {
+						if err := plI.Audit(); err != nil {
 							t.Fatalf("trial %d step %d: %v", trial, step, err)
 						}
 						if plI.Stats().FullSolves > solves {

@@ -345,6 +345,42 @@ func (m *Machine) Exec(e *Event) error {
 	return m.Apply(e)
 }
 
+// Audit is Planner.Audit plus the machine's own tables: each ID table is the
+// inverse of its index map, one ID per dense index, and a director machine
+// holds a node per server and per client ID. It writes nothing.
+func (m *Machine) Audit() error {
+	b, pl := m.b, m.b.pl
+	if err := pl.Audit(); err != nil {
+		return err
+	}
+	for _, t := range []struct {
+		names *names
+		n     int
+	}{{&b.clients, pl.NumClients()}, {&b.servers, pl.NumServers()}, {&b.zones, pl.NumZones()}} {
+		for i, id := range t.names.ids {
+			if j, ok := t.names.idx[id]; !ok || j != i {
+				return fmt.Errorf("repair: audit: ID %q at dense index %d is indexed at %d (present %v)", id, i, j, ok)
+			}
+		}
+		if len(t.names.ids) != t.n || len(t.names.idx) != t.n {
+			return fmt.Errorf("repair: audit: %d IDs and %d index entries for %d dense indices", len(t.names.ids), len(t.names.idx), t.n)
+		}
+	}
+	if m.dir == nil {
+		return nil
+	}
+	if len(m.dir.ServerNodes) != pl.NumServers() || len(m.clientNode) != b.Len() {
+		return fmt.Errorf("repair: audit: %d server and %d client nodes for %d servers and %d clients",
+			len(m.dir.ServerNodes), len(m.clientNode), pl.NumServers(), b.Len())
+	}
+	for _, id := range b.clients.ids {
+		if _, ok := m.clientNode[id]; !ok {
+			return fmt.Errorf("repair: audit: client %q has no node", id)
+		}
+	}
+	return nil
+}
+
 // known keeps only the error of a lookup.
 func known[T any](_ T, err error) error { return err }
 

@@ -1,9 +1,12 @@
 package repair
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
+
+	"dvecap/internal/xrand"
 )
 
 // testMachine wraps testIDBinding's population in a machine whose servers
@@ -171,5 +174,36 @@ func TestCheckSingleEventsAllocateNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { _ = m.Check(e) }); n != 0 {
 			t.Errorf("Check(%s) allocates %v times, want 0", e.Op, n)
 		}
+	}
+}
+
+// TestAuditIsReadOnly runs one churn stream, re-solves included, twice —
+// the second time with a Machine.Audit after every event — and requires the
+// same snapshot bytes at the end.
+func TestAuditIsReadOnly(t *testing.T) {
+	render := func(audited bool) []byte {
+		m := testMachine(t, false)
+		d := &churnDriver{rng: xrand.New(77), live: m.b.DenseIDs()}
+		for e := 1; e <= 300; e++ {
+			d.run(t, m.b, 1)
+			if e%50 == 25 {
+				if err := m.Apply(&Event{Op: OpResolve}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if audited {
+				if err := m.Audit(); err != nil {
+					t.Fatalf("event %d: %v", e, err)
+				}
+			}
+		}
+		out, err := m.Render(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if plain, audited := render(false), render(true); !bytes.Equal(plain, audited) {
+		t.Fatalf("auditing after every event changed the snapshot:\n%s\nvs\n%s", plain, audited)
 	}
 }

@@ -136,7 +136,7 @@ func TestPlannerWorkersDeterministic(t *testing.T) {
 				t.Fatalf("trial %d workers=%d: stats %+v, sequential %+v",
 					trial, workers, got, wantStats)
 			}
-			checkPlanner(t, pl)
+			audit(t, pl)
 		}
 	}
 }

@@ -26,7 +26,9 @@ type State struct {
 	ClientContact []int `json:"client_contact"`
 	// Eval is the evaluator's history-dependent sidecar.
 	Eval *core.EvaluatorState `json:"eval"`
-	// Drained mirrors the cordon set (one flag per dense server).
+	// Drained is the cordon set (one flag per dense server), written from
+	// the evaluator's flags like Eval.Cordoned; NewFromState refuses a state
+	// whose two copies disagree.
 	Drained []bool `json:"drained,omitempty"`
 	// Stats, EventsSinceFull and FailBackoff are the guard's counters.
 	Stats           Stats `json:"stats"`
@@ -50,7 +52,7 @@ func (pl *Planner) ExportState() (*State, error) {
 		ZoneServer:      a.ZoneServer,
 		ClientContact:   a.ClientContact,
 		Eval:            pl.ev.ExportState(),
-		Drained:         append([]bool(nil), pl.drained...),
+		Drained:         append([]bool(nil), pl.ev.Cordons()...),
 		Stats:           pl.stats,
 		EventsSinceFull: pl.eventsSinceFull,
 		FailBackoff:     pl.failBackoff,
@@ -89,13 +91,11 @@ func NewFromState(cfg Config, p *core.Problem, st *State) (*Planner, error) {
 	if err := pl.ev.RestoreState(st.Eval); err != nil {
 		return nil, err
 	}
-	if st.Drained != nil {
-		copy(pl.drained, st.Drained)
-		for i, c := range st.Eval.Cordoned {
-			if pl.drained[i] != c {
-				return nil, fmt.Errorf("repair: drain flag for server %d disagrees with evaluator cordon", i)
-			}
+	for i, d := range st.Drained {
+		if st.Eval.Cordoned != nil && st.Eval.Cordoned[i] != d {
+			return nil, fmt.Errorf("repair: drain flag for server %d disagrees with evaluator cordon", i)
 		}
+		pl.ev.SetCordon(i, d)
 	}
 	pl.stats = st.Stats
 	pl.eventsSinceFull = st.EventsSinceFull

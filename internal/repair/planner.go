@@ -22,6 +22,7 @@ package repair
 
 import (
 	"fmt"
+	"math"
 
 	"dvecap/internal/core"
 	"dvecap/internal/xrand"
@@ -117,12 +118,6 @@ type Planner struct {
 	// solve in place of the delays.
 	late core.LateIndex
 
-	// drained[i] marks server i as draining: evacuated and cordoned, so
-	// neither the repair scans (via the evaluator's cordon flags) nor full
-	// re-solves (via Options.Cordoned) place anything on it. Maintained in
-	// lockstep with the problem's server dimension (topology.go).
-	drained []bool
-
 	// Batch scratch (topology.go), kept across calls so a steady stream of
 	// batches allocates nothing: batchPos maps a member's dense index to its
 	// position in a LeaveBatch/MoveBatch — the duplicate check, and how
@@ -204,7 +199,6 @@ func prepare(cfg Config, p *core.Problem, rng *xrand.RNG) (*Planner, error) {
 		pl.late.CopyFrom(cfg.Opt.Late, pl.prob)
 	}
 	pl.cfg.Opt.Late = &pl.late
-	pl.drained = make([]bool, pl.prob.NumServers())
 	return pl, nil
 }
 
@@ -239,8 +233,8 @@ func (pl *Planner) Join(zone int, rt float64, cs []float64) (int, error) {
 	if zone < 0 || zone >= pl.prob.NumZones {
 		return 0, fmt.Errorf("repair: zone %d outside [0,%d)", zone, pl.prob.NumZones)
 	}
-	if rt <= 0 {
-		return 0, fmt.Errorf("repair: client RT %v, want > 0", rt)
+	if !FinitePos(rt) {
+		return 0, fmt.Errorf("repair: client RT %v, want finite > 0", rt)
 	}
 	if len(cs) != pl.prob.NumServers() {
 		return 0, fmt.Errorf("repair: delay row has %d entries, want %d", len(cs), pl.prob.NumServers())
@@ -333,8 +327,8 @@ func (pl *Planner) SetRT(j int, rt float64) error {
 	if err := pl.checkClient(j); err != nil {
 		return err
 	}
-	if rt <= 0 {
-		return fmt.Errorf("repair: client RT %v, want > 0", rt)
+	if !FinitePos(rt) {
+		return fmt.Errorf("repair: client RT %v, want finite > 0", rt)
 	}
 	pl.ev.SetClientRT(j, rt)
 	return nil
@@ -347,8 +341,8 @@ func (pl *Planner) RefreshZoneRT(z int, rt float64) error {
 	if z < 0 || z >= pl.prob.NumZones {
 		return fmt.Errorf("repair: zone %d outside [0,%d)", z, pl.prob.NumZones)
 	}
-	if rt <= 0 {
-		return fmt.Errorf("repair: client RT %v, want > 0", rt)
+	if !FinitePos(rt) {
+		return fmt.Errorf("repair: client RT %v, want finite > 0", rt)
 	}
 	for _, j := range pl.ev.ZoneClients(z) {
 		pl.ev.SetClientRT(j, rt)
@@ -433,10 +427,10 @@ func (pl *Planner) FullSolve() error { return pl.fullSolve(triggerEpoch) }
 func (pl *Planner) fullSolve(trigger string) error {
 	start := pl.teleStart()
 	opt := pl.cfg.Opt
-	if pl.availableServers() < len(pl.drained) {
+	if pl.ev != nil && pl.availableServers() < pl.prob.NumServers() {
 		// An in-flight drain survives the full solve: cordoned servers
 		// take no zones and no contacts, not even as spill.
-		opt.Cordoned = pl.drained
+		opt.Cordoned = pl.ev.Cordons()
 	}
 	// The planner owns every writer of its problem's delays and each one
 	// refuses a bad entry (checkDelays), so the solve does not re-read them.
@@ -561,7 +555,7 @@ func (pl *Planner) WithQoS() int { return pl.ev.WithQoS() }
 // does.
 func (pl *Planner) Utilization() float64 {
 	c := pl.prob.TotalCapacity()
-	for i, d := range pl.drained {
+	for i, d := range pl.ev.Cordons() {
 		if d {
 			c -= pl.prob.ServerCaps[i]
 		}
@@ -577,7 +571,7 @@ func (pl *Planner) Utilization() float64 {
 // fewer than two available servers.
 func (pl *Planner) utilSpread() float64 {
 	lo, hi, n := 0.0, 0.0, 0
-	for i, d := range pl.drained {
+	for i, d := range pl.ev.Cordons() {
 		if d {
 			continue
 		}
@@ -620,3 +614,29 @@ func (pl *Planner) Problem() *core.Problem { return pl.prob }
 // Evaluator exposes the underlying evaluator for metrics readers and
 // equivalence tests. Callers must not apply moves through it.
 func (pl *Planner) Evaluator() *core.Evaluator { return pl.ev }
+
+// Audit is core.Evaluator.Audit plus the planner's drain invariant: a
+// cordoned server hosts no zone, is no client's contact and carries no load
+// beyond float dust (1e-7). It writes nothing; O(clients × servers).
+func (pl *Planner) Audit() error {
+	ev := pl.ev
+	if err := ev.Audit(); err != nil {
+		return err
+	}
+	for z := 0; z < pl.prob.NumZones; z++ {
+		if s := ev.ZoneHost(z); ev.Cordoned(s) {
+			return fmt.Errorf("repair: audit: cordoned server %d hosts zone %d", s, z)
+		}
+	}
+	for j := 0; j < ev.NumClients(); j++ {
+		if s := ev.Contact(j); ev.Cordoned(s) {
+			return fmt.Errorf("repair: audit: cordoned server %d is client %d's contact", s, j)
+		}
+	}
+	for i, c := range ev.Cordons() {
+		if l := ev.ServerLoad(i); c && math.Abs(l) > 1e-7 {
+			return fmt.Errorf("repair: audit: cordoned server %d carries load %v", i, l)
+		}
+	}
+	return nil
+}

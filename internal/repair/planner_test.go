@@ -72,59 +72,22 @@ func close64(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-7*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
-// checkPlanner asserts the three properties the subsystem promises after
-// any event sequence: the maintained solution is structurally feasible
-// (every zone hosted, every client contacted, capacities respected), and
-// the evaluator's incremental state — the late index included — matches a
-// from-scratch evaluation of the same assignment on the same problem.
-func checkPlanner(t *testing.T, pl *Planner) {
+// audit fails t with the first divergence pl.Audit finds, or when a server
+// carries more than its capacity: every planner these tests build spills
+// (testConfig), which never overloads.
+func audit(t testing.TB, pl *Planner) {
 	t.Helper()
-	p := pl.Problem()
-	a := pl.Assignment()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("planner problem invalid: %v", err)
+	if err := pl.Audit(); err != nil {
+		t.Fatal(err)
 	}
-	if err := a.Validate(p); err != nil {
-		t.Fatalf("planner assignment invalid: %v", err)
-	}
-	if err := a.CheckCapacity(p, 1e-6); err != nil {
-		t.Fatalf("planner solution violates capacity: %v", err)
-	}
-	m := core.Evaluate(p, a)
-	ev := pl.Evaluator()
-	if ev.WithQoS() != m.WithQoS {
-		t.Fatalf("incremental withQoS = %d, from-scratch Evaluate gives %d", ev.WithQoS(), m.WithQoS)
-	}
-	if pl.PQoS() != m.PQoS {
-		t.Fatalf("incremental pQoS = %v, from-scratch gives %v", pl.PQoS(), m.PQoS)
-	}
-	if !close64(pl.Utilization(), m.Utilization) {
-		t.Fatalf("incremental utilization = %v, from-scratch gives %v", pl.Utilization(), m.Utilization)
-	}
-	for j := 0; j < p.NumClients(); j++ {
-		if ev.ClientDelay(j) != m.Delays[j] {
-			t.Fatalf("client %d incremental delay %v, from-scratch %v", j, ev.ClientDelay(j), m.Delays[j])
-		}
-	}
-	loads := a.ServerLoads(p)
-	for i, l := range loads {
-		if !close64(ev.ServerLoad(i), l) {
-			t.Fatalf("server %d incremental load %v, from-scratch %v", i, ev.ServerLoad(i), l)
-		}
-	}
-	want := core.RAPCost(p, a)
-	if !close64(ev.RAPCost(), want) {
-		t.Fatalf("incremental RAP cost %v, from-scratch %v", ev.RAPCost(), want)
-	}
-	if err := pl.late.Verify(p); err != nil {
+	if err := pl.Assignment().CheckCapacity(pl.Problem(), 1e-6); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestPlannerEquivalenceUnderChurn is the repair-vs-full-solve equivalence
 // property: after any sequence of join/leave/move/delay-update events, the
-// planner-maintained solution stays feasible and its evaluator state
-// matches a from-scratch evaluation of the same assignment.
+// planner-maintained solution stays feasible and passes Audit.
 func TestPlannerEquivalenceUnderChurn(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := xrand.New(uint64(3100 + trial))
@@ -138,7 +101,7 @@ func TestPlannerEquivalenceUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		checkPlanner(t, pl)
+		audit(t, pl)
 		live := make([]int, p.NumClients())
 		for h := range live {
 			live[h] = h
@@ -176,7 +139,7 @@ func TestPlannerEquivalenceUnderChurn(t *testing.T) {
 					}
 				}
 			}
-			checkPlanner(t, pl)
+			audit(t, pl)
 			if got := pl.NumClients(); got != len(live) {
 				t.Fatalf("trial %d step %d: planner population %d, live indices %d", trial, step, got, len(live))
 			}
@@ -277,7 +240,7 @@ func TestPlannerDriftTriggersFullSolve(t *testing.T) {
 		// baseline — it must have been re-anchored, not left unbounded.
 		t.Fatalf("drift not re-anchored after full solve: %+v", st)
 	}
-	checkPlanner(t, pl)
+	audit(t, pl)
 }
 
 // TestPlannerDisarmedGuardNeverFullSolves proves DriftPQoS = 0 leaves full
@@ -303,7 +266,7 @@ func TestPlannerDisarmedGuardNeverFullSolves(t *testing.T) {
 	if got := pl.Stats().FullSolves; got != 2 {
 		t.Fatalf("explicit FullSolve not counted: %d", got)
 	}
-	checkPlanner(t, pl)
+	audit(t, pl)
 }
 
 // TestFullSolveExportsGreCCounts: every full solve adds GreC's work-list
@@ -448,5 +411,38 @@ func TestPlannerRejectsBadInput(t *testing.T) {
 	}
 	if err := pl.RefreshZoneRT(p.NumZones, 1); err == nil {
 		t.Fatal("out-of-range zone RT refresh accepted")
+	}
+}
+
+// TestVerbsRefuseNonFiniteValues: each verb taking a bandwidth or a
+// capacity refuses NaN, +Inf, 0 and −1 (FinitePos, as Machine.Check and
+// Validate do), leaving a planner that passes Audit and whose next full
+// solve, which validates the problem, succeeds.
+func TestVerbsRefuseNonFiniteValues(t *testing.T) {
+	verbs := map[string]func(pl *Planner, v float64, row []float64) error{
+		"Join": func(pl *Planner, v float64, row []float64) error { return second(pl.Join(0, v, row)) },
+		"JoinBatch": func(pl *Planner, v float64, row []float64) error {
+			return pl.JoinBatch([]int{0}, []float64{v}, [][]float64{row})
+		},
+		"SetRT":          func(pl *Planner, v float64, _ []float64) error { return pl.SetRT(0, v) },
+		"RefreshZoneRT":  func(pl *Planner, v float64, _ []float64) error { return pl.RefreshZoneRT(pl.prob.ClientZones[0], v) },
+		"AddServer":      func(pl *Planner, v float64, row []float64) error { return second(pl.AddServer(v, row, nil)) },
+		"AddSpareServer": func(pl *Planner, v float64, row []float64) error { return second(pl.AddSpareServer(v, row, nil)) },
+	}
+	for name, verb := range verbs {
+		for _, v := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+			rng := xrand.New(3300)
+			pl, err := New(testConfig(), randProblem(rng.Split(), 0), rng.Split())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if verb(pl, v, randRow(rng, pl.NumServers())) == nil {
+				t.Fatalf("%s(%v) accepted", name, v)
+			}
+			audit(t, pl)
+			if err := pl.FullSolve(); err != nil {
+				t.Fatalf("%s(%v) refused, then the full solve failed: %v", name, v, err)
+			}
+		}
 	}
 }

@@ -327,7 +327,7 @@ func TestPlannerNaNRowNeverReachesClientDelay(t *testing.T) {
 					t.Fatalf("unmeasured CS[%d][%d] stored as %v", h, i, got)
 				}
 			}
-			checkPlanner(t, pl)
+			audit(t, pl)
 		})
 	}
 }

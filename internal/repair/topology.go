@@ -80,13 +80,14 @@ func (pl *Planner) ServerLoad(i int) float64 { return pl.ev.ServerLoad(i) }
 // available-capacity denominator of Utilization) until UncordonServer.
 func (pl *Planner) ServerCapacity(i int) float64 { return pl.prob.ServerCaps[i] }
 
-// Draining reports whether server i is currently drained/cordoned.
-func (pl *Planner) Draining(i int) bool { return pl.drained[i] }
+// Draining reports whether server i is currently drained/cordoned: the
+// evaluator's cordon flag, the one cordon set.
+func (pl *Planner) Draining(i int) bool { return pl.ev.Cordoned(i) }
 
 // availableServers counts servers that are not draining.
 func (pl *Planner) availableServers() int {
 	n := 0
-	for _, d := range pl.drained {
+	for _, d := range pl.ev.Cordons() {
 		if !d {
 			n++
 		}
@@ -114,8 +115,8 @@ func (pl *Planner) AddServer(capacity float64, ss, csCol []float64) (int, error)
 // can never place zones on a spare that is about to be flagged drained.
 func (pl *Planner) addServer(capacity float64, ss, csCol []float64, cordoned bool) (int, error) {
 	p := pl.prob
-	if capacity <= 0 || math.IsNaN(capacity) {
-		return 0, fmt.Errorf("repair: server capacity %v, want > 0", capacity)
+	if !FinitePos(capacity) {
+		return 0, fmt.Errorf("repair: server capacity %v, want finite > 0", capacity)
 	}
 	if len(ss) != p.NumServers() {
 		return 0, fmt.Errorf("repair: inter-server delay row has %d entries, want %d", len(ss), p.NumServers())
@@ -133,10 +134,7 @@ func (pl *Planner) addServer(capacity float64, ss, csCol []float64, cordoned boo
 	}
 	start := pl.teleStart()
 	i := pl.ev.AddServer(capacity, ss, csCol)
-	pl.drained = append(pl.drained, cordoned)
-	if cordoned {
-		pl.ev.SetCordon(i, true)
-	}
+	pl.ev.SetCordon(i, cordoned)
 	pl.stats.ServerAdds++
 	pl.afterEvent()
 	pl.teleEvent(evServerAdd, 1, start)
@@ -169,9 +167,6 @@ func (pl *Planner) RemoveServer(i int) (moved int, err error) {
 	}
 	start := pl.teleStart()
 	moved = pl.ev.RemoveServer(i)
-	l := len(pl.drained) - 1
-	pl.drained[i] = pl.drained[l]
-	pl.drained = pl.drained[:l]
 	pl.stats.ServerRemoves++
 	pl.afterEvent()
 	pl.teleEvent(evServerRemove, 1, start)
@@ -195,7 +190,7 @@ func (pl *Planner) DrainServer(i int) error {
 		return err
 	}
 	p := pl.prob
-	if pl.drained[i] {
+	if pl.Draining(i) {
 		// Idempotent retry: the server is already evacuated and cordoned
 		// (nothing can have landed on it since), so there is no event to
 		// count and no work to redo.
@@ -205,7 +200,6 @@ func (pl *Planner) DrainServer(i int) error {
 		return fmt.Errorf("repair: cannot drain server %d: %w", i, ErrLastServer)
 	}
 	start := pl.teleStart()
-	pl.drained[i] = true
 	pl.ev.SetCordon(i, true)
 
 	// Forced zone evacuation, ascending zone order (deterministic for
@@ -263,11 +257,10 @@ func (pl *Planner) UncordonServer(i int) error {
 	if err := pl.checkServer(i); err != nil {
 		return err
 	}
-	if !pl.drained[i] {
+	if !pl.Draining(i) {
 		return nil
 	}
 	start := pl.teleStart()
-	pl.drained[i] = false
 	pl.ev.SetCordon(i, false)
 	pl.flowBack()
 	pl.stats.ServerUncordons++
@@ -321,14 +314,14 @@ func (pl *Planner) AddZone(host int) (int, error) {
 		if err := pl.checkServer(host); err != nil {
 			return 0, err
 		}
-		if pl.drained[host] {
+		if pl.Draining(host) {
 			return 0, fmt.Errorf("repair: cannot place zone on draining server %d", host)
 		}
 	} else {
 		host = -1
 		var best float64
 		for s := 0; s < pl.prob.NumServers(); s++ {
-			if pl.drained[s] {
+			if pl.Draining(s) {
 				continue
 			}
 			if l := pl.ev.ServerLoad(s); host < 0 || l < best {
@@ -386,8 +379,8 @@ func (pl *Planner) JoinBatch(zones []int, rts []float64, css [][]float64) error 
 		if zone < 0 || zone >= p.NumZones {
 			return fmt.Errorf("repair: batch client %d: zone %d outside [0,%d)", x, zone, p.NumZones)
 		}
-		if rts[x] <= 0 || math.IsNaN(rts[x]) {
-			return fmt.Errorf("repair: batch client %d: RT %v, want > 0", x, rts[x])
+		if !FinitePos(rts[x]) {
+			return fmt.Errorf("repair: batch client %d: RT %v, want finite > 0", x, rts[x])
 		}
 		if len(css[x]) != p.NumServers() {
 			return fmt.Errorf("repair: batch client %d: delay row has %d entries, want %d", x, len(css[x]), p.NumServers())

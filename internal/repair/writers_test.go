@@ -108,7 +108,7 @@ func TestDelayWritersCheckEntries(t *testing.T) {
 						if after := plannerBytes(t, pl); !bytes.Equal(before, after) {
 							t.Fatalf("refused %s changed the planner:\nbefore %s\nafter  %s", w.name, before, after)
 						}
-						checkPlanner(t, pl)
+						audit(t, pl)
 					} else {
 						if err != nil {
 							t.Fatalf("%s refused a %v delay: %v", w.name, e.v, err)

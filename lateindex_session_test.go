@@ -87,6 +87,7 @@ func TestSessionSolvesFromTheLateIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			auditSession(t, back)
 			for n := uint64(1); n <= 3; n++ {
 				if err := back.Resolve(); err != nil {
 					t.Fatal(err)
@@ -345,7 +346,7 @@ func TestOpenCopiesClusterLateIndex(t *testing.T) {
 			if !reflect.DeepEqual(clusterLateCopy(c), saved) {
 				t.Fatal("the session's churn rewrote the cluster's late index")
 			}
-			if err := c.late.Verify(c.built); err != nil {
+			if err := c.late.Audit(c.built); err != nil {
 				t.Fatal(err)
 			}
 			want, err := fresh.Solve(algo, opts...)
