@@ -64,7 +64,11 @@ func (a *Assignment) HasQoS(p *Problem, j int) bool {
 // target-side requirement of every client in its zones, plus the 2×RT
 // forwarding cost of every client whose contact (but not target) it is.
 func (a *Assignment) ServerLoads(p *Problem) []float64 {
-	loads := make([]float64, p.NumServers())
+	return a.addLoads(p, make([]float64, p.NumServers()))
+}
+
+// addLoads adds every client's ServerLoads terms onto loads and returns it.
+func (a *Assignment) addLoads(p *Problem, loads []float64) []float64 {
 	for j, z := range p.ClientZones {
 		t := a.ZoneServer[z]
 		loads[t] += p.ClientRT[j]

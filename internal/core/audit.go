@@ -8,11 +8,11 @@ import (
 
 // Audit is the Evaluator's derived-state contract, whose arms and
 // tolerances DESIGN.md §7 lists: it rebuilds every maintained structure from
-// the bound problem and assignment — the scalars through Evaluate and its
-// siblings, the clean candidate-delta rows in a cold reference cache over
-// the same *Problem, reading each delay row once — and returns the first
-// divergence, naming the field (cache.… and late.… qualified), the index,
-// the value held and the value wanted. It writes nothing; O(clients ×
+// the bound problem and assignment — the scalars through EvaluateInto, the
+// clean candidate-delta rows in a cold reference cache over the same
+// *Problem, from the delay rows the late arm reads, each once — and returns
+// the first divergence, naming the field (cache.… and late.… qualified), the
+// index, the value held and the value wanted. It writes nothing; O(clients ×
 // servers), for tests and self-checks.
 func (ev *Evaluator) Audit() error {
 	p, c := ev.p, &ev.cache
@@ -23,49 +23,45 @@ func (ev *Evaluator) Audit() error {
 	if err := a.Validate(p); err != nil {
 		return fmt.Errorf("core: audit: zoneServer, contact: %w", err)
 	}
-	m, n, k := p.NumServers(), p.NumZones, p.NumClients()
-	var err error
-	fail := func(format string, args ...any) {
-		if err == nil {
-			err = fmt.Errorf("core: audit: "+format, args...)
-		}
-	}
-	length := func(name string, got, want int) {
-		if got != want {
-			fail("%s has %d entries, want %d", name, got, want)
-		}
-	}
-	length("delay", len(ev.delay), k)
-	length("posInZone", len(ev.posInZone), k)
-	length("zoneMembers", len(ev.zoneMembers), n)
-	length("zoneRT", len(ev.zoneRT), n)
-	length("loads", len(ev.loads), m)
-	length("cordoned", len(ev.cordoned), m)
-	length("cache.servers", c.servers, m)
-	length("cache.dQoS", len(c.dQoS), n*m)
-	length("cache.dRap", len(c.dRap), n*m)
-	length("cache.dLoad", len(c.dLoad), n*m)
-	length("cache.dirty", len(c.dirty), n)
-	length("cache.adjusts", len(c.adjusts), n)
-	length("cache.tdirty", len(c.tdirty), n)
 	if ev.trafficOn != p.TrafficOn() {
-		fail("trafficOn = %v, want %v", ev.trafficOn, p.TrafficOn())
-	} else if c.traffic != ev.trafficOn {
-		fail("cache.traffic = %v, want %v", c.traffic, ev.trafficOn)
-	} else if c.traffic {
-		length("cache.dTraffic", len(c.dTraffic), n*m)
+		return fmt.Errorf("core: audit: trafficOn = %v, want %v", ev.trafficOn, p.TrafficOn())
 	}
-	if err != nil {
-		return err
+	if c.traffic != ev.trafficOn {
+		return fmt.Errorf("core: audit: cache.traffic = %v, want %v", c.traffic, ev.trafficOn)
+	}
+	m, n, k := p.NumServers(), p.NumZones, p.NumClients()
+	trafficEntries := len(c.dTraffic) // unread with the traffic term off
+	if c.traffic {
+		trafficEntries = n * m
+	}
+	for _, l := range []struct {
+		name      string
+		got, want int
+	}{
+		{"delay", len(ev.delay), k}, {"posInZone", len(ev.posInZone), k}, {"zoneMembers", len(ev.zoneMembers), n},
+		{"zoneRT", len(ev.zoneRT), n}, {"loads", len(ev.loads), m}, {"cordoned", len(ev.cordoned), m},
+		{"cache.servers", c.servers, m}, {"cache.dQoS", len(c.dQoS), n * m}, {"cache.dRap", len(c.dRap), n * m},
+		{"cache.dLoad", len(c.dLoad), n * m}, {"cache.dTraffic", len(c.dTraffic), trafficEntries},
+		{"cache.dirty", len(c.dirty), n}, {"cache.adjusts", len(c.adjusts), n}, {"cache.tdirty", len(c.tdirty), n},
+	} {
+		if l.got != l.want {
+			return fmt.Errorf("core: audit: %s has %d entries, want %d", l.name, l.got, l.want)
+		}
 	}
 
-	want := Evaluate(p, a)
+	var ws Workspace
+	var want Metrics
+	ws.EvaluateInto(p, a, &want)
 	if ev.withQoS != want.WithQoS {
 		return fmt.Errorf("core: audit: withQoS = %d, want %d", ev.withQoS, want.WithQoS)
 	}
-	for j, d := range ev.delay {
-		if d != want.Delays[j] {
-			return fmt.Errorf("core: audit: delay[%d] = %v, want %v", j, d, want.Delays[j])
+	var rapCost, totalLoad, trafficCut float64
+	for j, d := range want.Delays {
+		if ev.delay[j] != d {
+			return fmt.Errorf("core: audit: delay[%d] = %v, want %v", j, ev.delay[j], d)
+		}
+		if d > p.D { // RAPCost's sum
+			rapCost += d - p.D
 		}
 	}
 	held := 0
@@ -83,41 +79,26 @@ func (ev *Evaluator) Audit() error {
 	if held != k {
 		return fmt.Errorf("core: audit: zoneMembers hold %d clients, want %d", held, k)
 	}
-	loads := a.ServerLoads(p)
-	var totalLoad, rapCost, trafficCut float64
-	for _, l := range loads {
+	for _, l := range ws.evLoads {
 		totalLoad += l
-	}
-	for _, d := range want.Delays { // RAPCost's sum, over the delays just rebuilt
-		if d > p.D {
-			rapCost += d - p.D
-		}
 	}
 	if ev.trafficOn {
 		trafficCut = TrafficCut(p, a)
 	}
-	sums := func(name string, got, want []float64) {
-		for i, v := range got {
-			if !auditClose(v, want[i]) {
-				fail("%s[%d] = %v, want %v", name, i, v, want[i])
+	for _, s := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"zoneRT", ev.zoneRT, p.ZoneRT()}, {"loads", ev.loads, ws.evLoads}, {"totalLoad", []float64{ev.totalLoad}, []float64{totalLoad}},
+		{"rapCost", []float64{ev.rapCost}, []float64{rapCost}}, {"trafficCut", []float64{ev.trafficCut}, []float64{trafficCut}},
+	} {
+		for i, v := range s.got {
+			if !auditClose(v, s.want[i]) {
+				return fmt.Errorf("core: audit: %s[%d] = %v, want %v", s.name, i, v, s.want[i])
 			}
 		}
 	}
-	sums("zoneRT", ev.zoneRT, p.ZoneRT())
-	sums("loads", ev.loads, loads)
-	sums("totalLoad", []float64{ev.totalLoad}, []float64{totalLoad})
-	sums("rapCost", []float64{ev.rapCost}, []float64{rapCost})
-	sums("trafficCut", []float64{ev.trafficCut}, []float64{trafficCut})
-	if err != nil {
-		return err
-	}
 
-	late := ev.late
-	if !late.describes(p) {
-		late = nil
-	} else if err := late.auditShape(p); err != nil {
-		return err
-	}
 	// The reference: ev's hosting over a cold cache, which alone it writes;
 	// each clean row is summed in it client by client, refreshRow's formula.
 	ref := &Evaluator{p: p, zoneServer: ev.zoneServer, trafficOn: ev.trafficOn}
@@ -128,17 +109,13 @@ func (ev *Evaluator) Audit() error {
 			ref.refreshTrafficRow(z, ev.zoneServer[z], rc.dTraffic[z*m:(z+1)*m])
 		}
 	}
-	buf := make([]float64, m)
-	for j, z := range p.ClientZones {
-		row := p.CSRow(j, buf)
-		if late != nil {
-			if err := late.auditRow(j, row, p.D); err != nil {
-				return err
-			}
-		}
-		if !c.dirty[z] {
+	err := ev.late.audit(p, func(j int, row []float64) {
+		if z := p.ClientZones[j]; !c.dirty[z] {
 			rc.addContribution(p, z, row, p.ClientRT[j], 1, standing{ev.zoneServer[z], ev.contact[j], want.Delays[j]})
 		}
+	})
+	if err != nil {
+		return err
 	}
 	entry := func(name string, z, s int, got, want any) error {
 		return fmt.Errorf("core: audit: cache.%s[%d][%d] = %v, fresh build %v (cache.dirty[%d] clear, %d adjustments)",
@@ -164,9 +141,6 @@ func (ev *Evaluator) Audit() error {
 			}
 		}
 	}
-	if late != nil {
-		return late.memo.audit(p, m, buf)
-	}
 	return nil
 }
 
@@ -182,37 +156,42 @@ func auditClose(a, b float64) bool {
 // p, returning the first disagreement; an index that does not describe p
 // asserts nothing. Evaluator.Audit's late arm, and the whole audit of an
 // index no evaluator keeps (a Cluster's).
-func (li *LateIndex) Audit(p *Problem) error {
-	if !li.describes(p) {
+func (li *LateIndex) Audit(p *Problem) error { return li.audit(p, nil) }
+
+// audit is Audit handing every client's delay row to visit, when it is not
+// nil, as it reads the row — whether or not li describes p — so that
+// Evaluator.Audit reads each row once. Safe on a nil index.
+func (li *LateIndex) audit(p *Problem, visit func(j int, row []float64)) error {
+	m, on := p.NumServers(), li != nil && li.p == p
+	if !on && visit == nil {
 		return nil
 	}
-	if err := li.auditShape(p); err != nil {
-		return err
-	}
-	buf := make([]float64, li.m)
-	for j := range p.ClientZones {
-		if err := li.auditRow(j, p.CSRow(j, buf), p.D); err != nil {
-			return err
+	if on {
+		switch {
+		case li.m != m:
+			return fmt.Errorf("core: audit: late.m = %d, want %d", li.m, m)
+		case li.wpc != (m+63)/64:
+			return fmt.Errorf("core: audit: late.wpc = %d, want %d", li.wpc, (m+63)/64)
+		case len(li.words) != p.NumClients()*li.wpc:
+			return fmt.Errorf("core: audit: late.words has %d words, want %d", len(li.words), p.NumClients()*li.wpc)
 		}
 	}
-	return li.memo.audit(p, li.m, buf)
-}
-
-// describes reports whether li claims to describe p. Safe on a nil index.
-func (li *LateIndex) describes(p *Problem) bool { return li != nil && li.p == p }
-
-// auditShape is Audit's shape arm.
-func (li *LateIndex) auditShape(p *Problem) error {
-	m := p.NumServers()
-	switch {
-	case li.m != m:
-		return fmt.Errorf("core: audit: late.m = %d, want %d", li.m, m)
-	case li.wpc != (m+63)/64:
-		return fmt.Errorf("core: audit: late.wpc = %d, want %d", li.wpc, (m+63)/64)
-	case len(li.words) != p.NumClients()*li.wpc:
-		return fmt.Errorf("core: audit: late.words has %d words, want %d", len(li.words), p.NumClients()*li.wpc)
+	buf := make([]float64, m)
+	for j := range p.ClientZones {
+		row := p.CSRow(j, buf)
+		if on {
+			if err := li.auditRow(j, row, p.D); err != nil {
+				return err
+			}
+		}
+		if visit != nil {
+			visit(j, row)
+		}
 	}
-	return nil
+	if !on {
+		return nil
+	}
+	return li.memo.audit(p, m, buf)
 }
 
 // auditRow is Audit's bit arm for client j, whose delay row is row.

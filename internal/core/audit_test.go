@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 
 	"dvecap/internal/xrand"
@@ -131,10 +132,16 @@ func TestAuditNamesEveryCorruptedField(t *testing.T) {
 		s := newAuditScene(t)
 		audit(t, s.ev)
 		c.corrupt(s)
-		if err := s.ev.Audit(); err == nil {
-			t.Errorf("%s corrupted: Audit found nothing", c.field)
-		} else if !regexp.MustCompile(`(^|[^\w.])` + regexp.QuoteMeta(c.field) + `(\W|$)`).MatchString(err.Error()) {
-			t.Errorf("%s corrupted: Audit's error does not name it: %v", c.field, err)
+		audits := map[string]error{"Evaluator.Audit": s.ev.Audit()}
+		if strings.HasPrefix(c.field, "late.") { // and alone, as a Cluster's index is audited
+			audits["LateIndex.Audit"] = s.ev.late.Audit(s.ev.p)
+		}
+		for name, err := range audits {
+			if err == nil {
+				t.Errorf("%s corrupted: %s found nothing", c.field, name)
+			} else if !regexp.MustCompile(`(^|[^\w.])` + regexp.QuoteMeta(c.field) + `(\W|$)`).MatchString(err.Error()) {
+				t.Errorf("%s corrupted: %s's error does not name it: %v", c.field, name, err)
+			}
 		}
 	}
 }

@@ -148,7 +148,8 @@ func TestLateIndexIgnoresPlacementVerbs(t *testing.T) {
 // TestLateIndexLifecycle pins when an index is valid: only for the problem
 // it was filled from; dropped by a Reset onto another problem and by
 // RestoreState, kept by a Reset onto the same problem; an unfilled or
-// foreign index leaves a solve on the rows and is filled by it.
+// foreign index leaves a solve on the rows and is filled by it; Audit
+// reports a corrupted word.
 func TestLateIndexLifecycle(t *testing.T) {
 	rng := xrand.New(5150)
 	p := randomProblem(rng.Split(), false).Clone()
@@ -193,6 +194,15 @@ func TestLateIndexLifecycle(t *testing.T) {
 	ev.Reset(p, a)
 	if opt.Late.ValidFor(q) || opt.Late.ValidFor(p) {
 		t.Fatal("Reset onto another problem kept the index")
+	}
+
+	solve(p, CostMatrixFromRows)
+	if err := opt.Late.Audit(p); err != nil {
+		t.Fatal(err)
+	}
+	opt.Late.words[0] ^= 1
+	if err := opt.Late.Audit(p); err == nil {
+		t.Fatal("Audit missed a flipped bit")
 	}
 }
 

@@ -231,16 +231,6 @@ func (w *Workspace) EvaluateInto(truth *Problem, a *Assignment, out *Metrics) {
 		}
 	}
 	w.evLoads = grow(w.evLoads, truth.NumServers())
-	loads := w.evLoads
-	for i := range loads {
-		loads[i] = 0
-	}
-	for j, z := range truth.ClientZones {
-		t := a.ZoneServer[z]
-		loads[t] += truth.ClientRT[j]
-		if c := a.ClientContact[j]; c != t && c >= 0 {
-			loads[c] += 2 * truth.ClientRT[j]
-		}
-	}
-	out.setRatios(truth, loads)
+	clear(w.evLoads)
+	out.setRatios(truth, a.addLoads(truth, w.evLoads))
 }

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"dvecap/internal/core"
 	"dvecap/internal/repair"
 	"dvecap/internal/topology"
 	"dvecap/internal/xrand"
@@ -238,19 +237,7 @@ func TestStatsExposeRepairCounters(t *testing.T) {
 	if got := d.Stats().FullSolves; got != 1 {
 		t.Fatalf("full solves = %d after Reassign, want 1", got)
 	}
-	// The planner's O(1) metrics must agree with a from-scratch evaluation
-	// of the exported problem + assignment.
-	d.mu.RLock()
-	p, a := d.problemLocked(), d.planner().Assignment()
-	d.mu.RUnlock()
-	m := core.Evaluate(p, a)
-	s = d.Stats()
-	if s.WithQoS != m.WithQoS {
-		t.Fatalf("stats withQoS = %d, evaluation gives %d", s.WithQoS, m.WithQoS)
-	}
-	if diff := s.Utilization - m.Utilization; diff > 1e-7 || diff < -1e-7 {
-		t.Fatalf("stats utilization = %v, evaluation gives %v", s.Utilization, m.Utilization)
-	}
+	auditDirector(t, d) // the planner's O(1) metrics against their rebuild
 }
 
 func TestDriftGuardTriggersAutomaticFullSolve(t *testing.T) {
