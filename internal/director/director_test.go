@@ -476,22 +476,17 @@ func TestProblemSnapshotEndpoint(t *testing.T) {
 	}
 }
 
-// TestHTTPStatusCodes pins the status-code discipline of every /v1 route:
-// 405 for a known route with the wrong method, 400 for malformed or
-// invalid bodies, 404 for unknown clients (sentinel-driven, not message
-// sniffing) and unknown routes.
-func TestHTTPStatusCodes(t *testing.T) {
-	d := testDirector(t)
-	if _, err := d.Join("alice", 12, 2); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(Handler(d))
-	defer srv.Close()
+// statusCase is one request of TestHTTPStatusCodes, which the director
+// seeded with client "alice" in zone 2 answers with want.
+type statusCase struct {
+	name, method, path, body string
+	want                     int
+}
 
-	cases := []struct {
-		name, method, path, body string
-		want                     int
-	}{
+// statusCases are TestHTTPStatusCodes' requests, in order; FuzzHTTP seeds
+// its corpus from them.
+func statusCases() []statusCase {
+	return []statusCase{
 		{"healthz ok", http.MethodGet, "/v1/healthz", "", http.StatusOK},
 		{"stats wrong method", http.MethodPost, "/v1/stats", "", http.StatusMethodNotAllowed},
 		{"problem wrong method", http.MethodPost, "/v1/problem", "", http.StatusMethodNotAllowed},
@@ -553,8 +548,44 @@ func TestHTTPStatusCodes(t *testing.T) {
 		{"adjacency add wrong method", http.MethodGet, "/v1/adjacency/add", "", http.StatusMethodNotAllowed},
 		{"adjacency add zero delta", http.MethodPost, "/v1/adjacency/add", `{"zone1":0,"zone2":1,"delta_mbps":0}`, http.StatusBadRequest},
 		{"adjacency add unknown zone", http.MethodPost, "/v1/adjacency/add", `{"zone1":-1,"zone2":1,"delta_mbps":1}`, http.StatusNotFound},
+		// Required fields: absent, null or "" is a 400, never zone or node 0.
+		{"move without zone", http.MethodPost, "/v1/clients/alice/move", `{}`, http.StatusBadRequest},
+		{"move empty zone", http.MethodPost, "/v1/clients/alice/move", `{"zone":""}`, http.StatusBadRequest},
+		{"move null zone", http.MethodPost, "/v1/clients/alice/move", `{"zone":null}`, http.StatusBadRequest},
+		{"join without node or zone", http.MethodPost, "/v1/clients", `{"id":"b"}`, http.StatusBadRequest},
+		{"join null node", http.MethodPost, "/v1/clients", `{"id":"b","node":null,"zone":0}`, http.StatusBadRequest},
+		{"join without zone", http.MethodPost, "/v1/clients", `{"id":"b","node":0}`, http.StatusBadRequest},
+		{"add server without node", http.MethodPost, "/v1/servers", `{"capacity_mbps":50}`, http.StatusBadRequest},
+		{"adjacency without zone2", http.MethodPost, "/v1/adjacency", `{"zone1":"z3","weight_mbps":1}`, http.StatusBadRequest},
+		{"adjacency without weight", http.MethodPost, "/v1/adjacency", `{"zone1":"z0","zone2":"z1"}`, http.StatusBadRequest},
+		{"adjacency add without delta", http.MethodPost, "/v1/adjacency/add", `{"zone1":"z0","zone2":"z1","delta_mbps":null}`, http.StatusBadRequest},
+		// Unknown fields and trailing bytes.
+		{"adjacency misspelled weight", http.MethodPost, "/v1/adjacency", `{"zone1":"z0","zone2":"z1","weight":7}`, http.StatusBadRequest},
+		{"adjacency with delta", http.MethodPost, "/v1/adjacency", `{"zone1":"z0","zone2":"z1","delta_mbps":7}`, http.StatusBadRequest},
+		{"adjacency add with weight", http.MethodPost, "/v1/adjacency/add", `{"zone1":"z0","zone2":"z1","weight_mbps":7}`, http.StatusBadRequest},
+		{"adjacency weight and delta", http.MethodPost, "/v1/adjacency", `{"zone1":"z0","zone2":"z1","weight_mbps":5,"delta_mbps":7}`, http.StatusBadRequest},
+		{"move unknown field", http.MethodPost, "/v1/clients/alice/move", `{"zone":"z2","zon":"z3"}`, http.StatusBadRequest},
+		{"move trailing bytes", http.MethodPost, "/v1/clients/alice/move", `{"zone":"z2"} trailing`, http.StatusBadRequest},
+		{"move second value", http.MethodPost, "/v1/clients/alice/move", `{"zone":"z2"}{}`, http.StatusBadRequest},
+		// A literal index still means that zone.
+		{"move to zone index 0", http.MethodPost, "/v1/clients/alice/move", `{"zone":0}`, http.StatusOK},
+		{"move to zone \"0\"", http.MethodPost, "/v1/clients/alice/move", `{"zone":"0"} `, http.StatusOK},
 	}
-	for _, tc := range cases {
+}
+
+// TestHTTPStatusCodes pins the status-code discipline of every /v1 route:
+// 405 for a known route with the wrong method, 400 for malformed or
+// invalid bodies, 404 for unknown clients (sentinel-driven, not message
+// sniffing) and unknown routes.
+func TestHTTPStatusCodes(t *testing.T) {
+	d := testDirector(t)
+	if _, err := d.Join("alice", 12, 2); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(d))
+	defer srv.Close()
+
+	for _, tc := range statusCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
 			if err != nil {
@@ -585,6 +616,28 @@ func TestHTTPStatusCodes(t *testing.T) {
 	// still holds exactly the one seeded client.
 	if st := d.Stats(); st.Clients != 1 {
 		t.Fatalf("error-path probes changed population: %d clients", st.Clients)
+	}
+}
+
+// TestUnsetRefIsRefused: the zero Ref and ID("") address nothing, in the
+// Go API as over HTTP, while Index(0) and "0" still address zone 0.
+func TestUnsetRefIsRefused(t *testing.T) {
+	d := testDirector(t)
+	if _, err := d.Join("alice", 12, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Ref{{}, ID(""), ParseRef("")} {
+		if _, err := d.MoveRef("alice", r); err == nil {
+			t.Fatalf("MoveRef(%#v) moved the client", r)
+		}
+		if err := d.RemoveServer(r); !errors.Is(err, ErrUnknownServer) {
+			t.Fatalf("RemoveServer(%#v) = %v, want ErrUnknownServer", r, err)
+		}
+	}
+	for _, r := range []Ref{Index(0), ParseRef("0")} {
+		if info, err := d.MoveRef("alice", r); err != nil || info.ZoneID != "z0" {
+			t.Fatalf("MoveRef(%#v) = %+v, %v; want zone z0", r, info, err)
+		}
 	}
 }
 

@@ -15,17 +15,23 @@ import (
 // its CURRENT dense index — the deprecated alias kept for one release, which
 // renumbers when a server or zone is removed. In a URL path segment or a
 // JSON field a purely numeric value is the index form, anything else the ID
-// form; IDs are therefore never purely numeric.
+// form; IDs are therefore never purely numeric. The zero Ref, like ID(""),
+// addresses nothing and resolves to an error.
 type Ref struct {
-	id  string
-	idx int
+	id      string
+	idx     int
+	byIndex bool
 }
 
 // ID addresses by stable name.
 func ID(id string) Ref { return Ref{id: id} }
 
 // Index addresses by current dense index.
-func Index(i int) Ref { return Ref{idx: i} }
+func Index(i int) Ref { return Ref{idx: i, byIndex: true} }
+
+// set reports whether r addresses anything: a JSON field that was absent,
+// null or "" leaves its Ref unset.
+func (r Ref) set() bool { return r.byIndex || r.id != "" }
 
 // ParseRef reads the textual form: purely numeric is Index, the rest ID.
 func ParseRef(s string) Ref {
@@ -36,33 +42,39 @@ func ParseRef(s string) Ref {
 }
 
 func (r Ref) String() string {
-	if r.id != "" {
-		return r.id
+	if r.byIndex {
+		return strconv.Itoa(r.idx)
 	}
-	return strconv.Itoa(r.idx)
+	return r.id
 }
 
-// UnmarshalJSON accepts a string (ParseRef) or an integer (Index); the Go
-// binding sends the String form.
+// UnmarshalJSON accepts a string (ParseRef) or an integer (Index); null
+// leaves r unset. The Go binding sends the String form.
 func (r *Ref) UnmarshalJSON(b []byte) error {
-	var s string
-	if len(b) > 0 && b[0] == '"' {
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		*r = ParseRef(s)
+	if string(b) == "null" {
 		return nil
 	}
-	return json.Unmarshal(b, &r.idx)
+	if b[0] == '"' {
+		var s string
+		err := json.Unmarshal(b, &s)
+		*r = ParseRef(s)
+		return err
+	}
+	var i int
+	err := json.Unmarshal(b, &i)
+	*r = Index(i)
+	return err
 }
 
 // resolve turns r into a dense index below n; lookup resolves the ID form,
-// unknown is the sentinel an out-of-range index wraps.
+// unknown is the sentinel an unset Ref or an out-of-range index wraps.
 func (r Ref) resolve(n int, lookup func(string) (int, error), unknown error) (int, error) {
-	if r.id != "" {
+	switch {
+	case !r.set():
+		return 0, fmt.Errorf("%w: empty reference", unknown)
+	case !r.byIndex:
 		return lookup(r.id)
-	}
-	if r.idx < 0 || r.idx >= n {
+	case r.idx < 0 || r.idx >= n:
 		return 0, fmt.Errorf("%w: index %d outside [0,%d)", unknown, r.idx, n)
 	}
 	return r.idx, nil

@@ -17,52 +17,6 @@ import (
 	"dvecap/telemetry"
 )
 
-// routePattern collapses a request path onto the route that serves it,
-// replacing path parameters with placeholders. Unknown paths collapse to
-// "other" so a scanner probing random URLs cannot grow the label space.
-func routePattern(path string) string {
-	switch path {
-	case "/v1/healthz", "/v1/readyz", "/v1/stats", "/v1/problem",
-		"/v1/checkpoint", "/v1/reassign", "/v1/clients", "/v1/servers",
-		"/v1/zones", "/v1/adjacency", "/v1/adjacency/add", "/metrics",
-		"/v1/autoscale", "/v1/autoscale/config", "/v1/autoscale/pause",
-		"/v1/autoscale/resume", "/v1/autoscale/tick":
-		return path
-	}
-	switch {
-	case strings.HasPrefix(path, "/v1/clients/"):
-		rest := strings.TrimPrefix(path, "/v1/clients/")
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			switch rest[i+1:] {
-			case "move":
-				return "/v1/clients/{id}/move"
-			case "delays":
-				return "/v1/clients/{id}/delays"
-			}
-			return "other"
-		}
-		return "/v1/clients/{id}"
-	case strings.HasPrefix(path, "/v1/servers/"):
-		rest := strings.TrimPrefix(path, "/v1/servers/")
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			switch rest[i+1:] {
-			case "drain":
-				return "/v1/servers/{id}/drain"
-			case "uncordon":
-				return "/v1/servers/{id}/uncordon"
-			}
-			return "other"
-		}
-		return "/v1/servers/{id}"
-	case strings.HasPrefix(path, "/v1/zones/"):
-		if !strings.Contains(strings.TrimPrefix(path, "/v1/zones/"), "/") {
-			return "/v1/zones/{id}"
-		}
-		return "other"
-	}
-	return "other"
-}
-
 // stage is one series of dvecap_director_write_stage_duration_seconds. Its
 // zero value (instrumentation off) records nothing and never reads the clock.
 type stage struct{ h *telemetry.Histogram }
@@ -139,26 +93,34 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	return sr.ResponseWriter.Write(b)
 }
 
-// instrument layers request metrics and tracing around next. Metric
-// series lookups go through the registry per request — a mutex-guarded
-// map hit, idempotent by contract — so new route/method/code combinations
-// appear as traffic exercises them instead of being pre-enumerated here.
-// Either half may be nil; with both nil, next is returned untouched.
-func instrument(m *httpMetrics, tr *telemetry.Tracer, next http.Handler) http.Handler {
+// instrument layers request metrics and tracing around mux. A request's
+// route label is the path of the pattern mux matches for it (mux.Handler).
+// Requests mux answers itself (unknown path, wrong method) match none and
+// count as "other", so a scanner probing random URLs cannot grow the label
+// space; a path mux redirects to its clean form counts under the route it
+// redirects to. Metric series lookups
+// go through the registry per request — a mutex-guarded map hit, idempotent
+// by contract — so new route/method/code combinations appear as traffic
+// exercises them instead of being pre-enumerated here. Either half may be
+// nil; with both nil, mux is returned untouched.
+func instrument(m *httpMetrics, tr *telemetry.Tracer, mux *http.ServeMux) http.Handler {
 	if m == nil && tr == nil {
-		return next
+		return mux
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// The escaped path, so a client ID holding an escaped '/' still
-		// collapses to {id}.
-		route := routePattern(r.URL.EscapedPath())
+		route := "other"
+		if _, p := mux.Handler(r); p != "" {
+			// Drop the method; the empty-ID route counts under the {id}
+			// route it misses.
+			route = strings.Replace(p[strings.IndexByte(p, ' ')+1:], "{$}", "{id}", 1)
+		}
 		finish := tr.Span(r.Method+" "+route, "path", r.URL.Path)
 		if m != nil {
 			m.inFlight.Add(1)
 		}
 		start := time.Now()
 		sr := &statusRecorder{ResponseWriter: w}
-		next.ServeHTTP(sr, r)
+		mux.ServeHTTP(sr, r)
 		if sr.code == 0 {
 			sr.code = http.StatusOK
 		}
@@ -183,10 +145,6 @@ func instrument(m *httpMetrics, tr *telemetry.Tracer, next http.Handler) http.Ha
 // format; 404 when the director runs without a registry.
 func metricsHandler(d *Director) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
 		if d.tele == nil {
 			writeErr(w, http.StatusNotFound, "telemetry disabled")
 			return

@@ -1,8 +1,11 @@
 package director
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,38 +14,60 @@ import (
 	"dvecap/telemetry"
 )
 
-func TestRoutePattern(t *testing.T) {
-	cases := map[string]string{
-		"/v1/healthz":              "/v1/healthz",
-		"/v1/readyz":               "/v1/readyz",
-		"/metrics":                 "/metrics",
-		"/v1/clients":              "/v1/clients",
-		"/v1/clients/c000017":      "/v1/clients/{id}",
-		"/v1/clients/x/move":       "/v1/clients/{id}/move",
-		"/v1/clients/x/delays":     "/v1/clients/{id}/delays",
-		"/v1/clients/x/bogus":      "other",
-		"/v1/servers/3":            "/v1/servers/{id}",
-		"/v1/servers/3/drain":      "/v1/servers/{id}/drain",
-		"/v1/servers/3/uncordon":   "/v1/servers/{id}/uncordon",
-		"/v1/zones/7":              "/v1/zones/{id}",
-		"/v1/zones/7/extra":        "other",
-		"/v1/adjacency":            "/v1/adjacency",
-		"/v1/adjacency/add":        "/v1/adjacency/add",
-		"/v1/autoscale":            "/v1/autoscale",
-		"/v1/autoscale/config":     "/v1/autoscale/config",
-		"/v1/autoscale/pause":      "/v1/autoscale/pause",
-		"/v1/autoscale/resume":     "/v1/autoscale/resume",
-		"/v1/autoscale/tick":       "/v1/autoscale/tick",
-		"/v1/autoscale/bogus":      "other",
-		"/v1/autoscale/tick/x":     "other",
-		"/v1/clients/guild%2F7":    "/v1/clients/{id}",
-		"/v1/clients/a%20b/move":   "/v1/clients/{id}/move",
-		"/favicon.ico":             "other",
-		"/v1/servers/../../passwd": "other",
+// TestRouteLabels serves (method, path) requests through Handler and checks
+// the route each one is counted and traced under: the path of the pattern
+// the mux matched, or "other" for the requests the mux answers itself.
+func TestRouteLabels(t *testing.T) {
+	d, reg := telemetryDirector(t)
+	var trace bytes.Buffer
+	d.trace = telemetry.NewTracer(&trace)
+	h := Handler(d)
+	cases := []struct{ method, path, want string }{
+		{"GET", "/v1/healthz", "/v1/healthz"},
+		{"GET", "/v1/readyz", "/v1/readyz"},
+		{"GET", "/metrics", "/metrics"},
+		{"GET", "/v1/clients", "/v1/clients"},
+		{"GET", "/v1/clients/c000017", "/v1/clients/{id}"},
+		{"GET", "/v1/clients/", "/v1/clients/{id}"},
+		{"POST", "/v1/clients/x/move", "/v1/clients/{id}/move"},
+		{"POST", "/v1/clients/x/delays", "/v1/clients/{id}/delays"},
+		{"GET", "/v1/clients/x/bogus", "other"},
+		{"DELETE", "/v1/servers/3", "/v1/servers/{id}"},
+		{"POST", "/v1/servers/3/drain", "/v1/servers/{id}/drain"},
+		{"POST", "/v1/servers/3/uncordon", "/v1/servers/{id}/uncordon"},
+		{"DELETE", "/v1/zones/7", "/v1/zones/{id}"},
+		{"DELETE", "/v1/zones/7/extra", "other"},
+		{"GET", "/v1/adjacency", "/v1/adjacency"},
+		{"POST", "/v1/adjacency/add", "/v1/adjacency/add"},
+		{"GET", "/v1/autoscale", "/v1/autoscale"},
+		{"POST", "/v1/autoscale/config", "/v1/autoscale/config"},
+		{"POST", "/v1/autoscale/pause", "/v1/autoscale/pause"},
+		{"POST", "/v1/autoscale/resume", "/v1/autoscale/resume"},
+		{"POST", "/v1/autoscale/tick", "/v1/autoscale/tick"},
+		{"POST", "/v1/autoscale/bogus", "other"},
+		{"POST", "/v1/autoscale/tick/x", "other"},
+		{"GET", "/v1/clients/guild%2F7", "/v1/clients/{id}"},
+		{"POST", "/v1/clients/a%20b/move", "/v1/clients/{id}/move"},
+		{"GET", "/favicon.ico", "other"},
+		{"GET", "/v1/servers/../../passwd", "other"},
+		{"HEAD", "/v1/stats", "/v1/stats"},
+		{"PUT", "/v1/stats", "other"},
 	}
-	for path, want := range cases {
-		if got := routePattern(path); got != want {
-			t.Errorf("routePattern(%q) = %q, want %q", path, got, want)
+	counts, events := map[[3]string]uint64{}, json.NewDecoder(&trace)
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		key := [3]string{tc.want, tc.method, strconv.Itoa(rec.Code)}
+		counts[key]++
+		if got := reg.Counter("dvecap_http_requests_total", "", "route", key[0], "method", key[1], "code", key[2]).Value(); got != counts[key] {
+			t.Errorf("%s %s: requests_total{route=%q,code=%s} = %d, want %d", tc.method, tc.path, tc.want, key[2], got, counts[key])
+		}
+		var ev telemetry.TraceEvent
+		if err := events.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.method + " " + tc.want; ev.Op != want || events.More() {
+			t.Errorf("%s %s: trace op %q, want %q and one event per request", tc.method, tc.path, ev.Op, want)
 		}
 	}
 }
