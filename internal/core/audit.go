@@ -151,9 +151,10 @@ func auditClose(a, b float64) bool {
 }
 
 // Audit checks the index's shape, every bit (packed here bit by bit, not
-// through lateWord; spare bits zero) and every kept choice (ascending,
-// topTwo by float bits, live bits counting the entries that hold) against
-// p, returning the first disagreement; an index that does not describe p
+// through lateWord; spare bits zero), the count matrix (rebuilt from the
+// bits and ClientZones) and every kept choice (in regret order, topTwo by
+// float bits, live bits counting the entries that hold) against p,
+// returning the first disagreement; an index that does not describe p
 // asserts nothing. Evaluator.Audit's late arm, and the whole audit of an
 // index no evaluator keeps (a Cluster's).
 func (li *LateIndex) Audit(p *Problem) error { return li.audit(p, nil) }
@@ -174,6 +175,8 @@ func (li *LateIndex) audit(p *Problem, visit func(j int, row []float64)) error {
 			return fmt.Errorf("core: audit: late.wpc = %d, want %d", li.wpc, (m+63)/64)
 		case len(li.words) != p.NumClients()*li.wpc:
 			return fmt.Errorf("core: audit: late.words has %d words, want %d", len(li.words), p.NumClients()*li.wpc)
+		case len(li.costs) != p.NumZones*m:
+			return fmt.Errorf("core: audit: late.costs has %d counts, want %d", len(li.costs), p.NumZones*m)
 		}
 	}
 	buf := make([]float64, m)
@@ -191,7 +194,30 @@ func (li *LateIndex) audit(p *Problem, visit func(j int, row []float64)) error {
 	if !on {
 		return nil
 	}
+	if err := li.auditCosts(p); err != nil {
+		return err
+	}
 	return li.memo.audit(p, m, buf)
+}
+
+// auditCosts is Audit's matrix arm: the counts rebuilt from the bits, which
+// the bit arm has checked against the rows, and ClientZones.
+func (li *LateIndex) auditCosts(p *Problem) error {
+	want := make([]int32, len(li.costs))
+	for j, z := range p.ClientZones {
+		for w, word := range li.clientWords(j) {
+			for ; word != 0; word &= word - 1 {
+				want[z*li.m+w*64+bits.TrailingZeros64(word)]++
+			}
+		}
+	}
+	for x, c := range li.costs {
+		if c != want[x] {
+			return fmt.Errorf("core: audit: late.costs[%d][%d] = %d clients of zone %d late at server %d, want %d",
+				x/li.m, x%li.m, c, x/li.m, x%li.m, want[x])
+		}
+	}
+	return nil
 }
 
 // auditRow is Audit's bit arm for client j, whose delay row is row.
@@ -222,8 +248,11 @@ func (cm *choiceMemo) audit(p *Problem, m int, buf []float64) error {
 	held := 0
 	for x, c := range cm.entries {
 		j, t := int(c.client), int(c.target)
-		if x > 0 && int(cm.entries[x-1].client) >= j {
-			return fmt.Errorf("core: audit: late.memo.entries[%d] is client %d, after client %d", x, j, cm.entries[x-1].client)
+		if x > 0 {
+			if b := cm.entries[x-1]; cmpRegret(b.regret, c.regret, int(b.client), j) >= 0 {
+				return fmt.Errorf("core: audit: late.memo.entries[%d] is client %d (ρ %v), after client %d (ρ %v): not in regret order",
+					x, j, c.regret, b.client, b.regret)
+			}
 		}
 		if !cm.holds(j) {
 			continue

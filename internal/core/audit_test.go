@@ -103,6 +103,7 @@ func TestAuditNamesEveryCorruptedField(t *testing.T) {
 		{"late.wpc", func(s auditScene) { s.ev.late.wpc++ }},
 		{"late.words", func(s auditScene) { s.ev.late.words[s.j*s.ev.late.wpc] ^= 1 }},
 		{"late.words", func(s auditScene) { s.ev.late.words[(s.j+1)*s.ev.late.wpc-1] |= 1 << 63 }}, // a spare bit
+		{"late.costs", func(s auditScene) { s.ev.late.costs[s.z*s.ev.late.m+1]++ }},
 		{"late.memo.entries", func(s auditScene) { e := &s.ev.late.memo.entries[0]; e.regret = math.Nextafter(e.regret, math.Inf(1)) }},
 		{"late.memo.live", func(s auditScene) { s.ev.late.memo.live[0] |= 1 << 63 }}, // the scene has 60 clients: no entry for 63
 	}

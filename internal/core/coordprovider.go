@@ -3,7 +3,7 @@ package core
 import (
 	"maps"
 	"math"
-	"sort"
+	"slices"
 )
 
 // CoordProvider is the memory-diet DelayProvider: Vivaldi-style network
@@ -171,11 +171,20 @@ func (cp *CoordProvider) predict(j, i int) float64 {
 	return math.Sqrt(s2)
 }
 
-// ClientServer implements DelayProvider.
+// ClientServer implements DelayProvider. Override indices are unique and
+// ascending, so srvs[x] ≥ x: where srvs[i] = i the first i+1 servers are
+// all measured and entry i is the i-th — always, for a fully measured
+// client — and otherwise server i can only sit below position i, found by
+// binary search; a miss reads the prediction.
 func (cp *CoordProvider) ClientServer(j, i int) float64 {
 	srvs := cp.ovSrv[j]
-	x := sort.Search(len(srvs), func(x int) bool { return srvs[x] >= int32(i) })
-	if x < len(srvs) && srvs[x] == int32(i) {
+	if i < len(srvs) {
+		if int(srvs[i]) == i {
+			return cp.ovVal[j][i]
+		}
+		srvs = srvs[:i]
+	}
+	if x, ok := slices.BinarySearch(srvs, int32(i)); ok {
 		return cp.ovVal[j][x]
 	}
 	return cp.predict(j, i)
@@ -238,8 +247,8 @@ func (cp *CoordProvider) SetClientDelays(j int, row []float64) {
 func (cp *CoordProvider) SetClientServerDelay(j, i int, d float64) {
 	cp.fit(j)
 	srvs, vals := cp.ovSrv[j], cp.ovVal[j]
-	x := sort.Search(len(srvs), func(x int) bool { return srvs[x] >= int32(i) })
-	if x < len(srvs) && srvs[x] == int32(i) {
+	x, found := slices.BinarySearch(srvs, int32(i))
+	if found {
 		if d != d { // NaN: drop the override
 			copy(srvs[x:], srvs[x+1:])
 			copy(vals[x:], vals[x+1:])
@@ -412,7 +421,7 @@ func (cp *CoordProvider) SwapRemoveServer(i int) {
 		}
 		srvs, vals = srvs[:w], vals[:w]
 		if hasL {
-			x := sort.Search(len(srvs), func(x int) bool { return srvs[x] >= int32(i) })
+			x, _ := slices.BinarySearch(srvs, int32(i))
 			srvs = append(srvs, 0)
 			vals = append(vals, 0)
 			copy(srvs[x+1:], srvs[x:])

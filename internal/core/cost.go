@@ -81,6 +81,20 @@ func sortChoicesByRegret(choices []regretChoice) {
 	})
 }
 
+// mergeByRegret merges kept, in regret order, into dst, whose first nf
+// entries are in regret order and which has room for both runs: from the
+// back, so no fresh entry is overwritten before it is moved.
+func mergeByRegret(dst []regretChoice, nf int, kept []regretChoice) {
+	f, k := nf-1, len(kept)-1
+	for x := nf + len(kept) - 1; k >= 0; x-- {
+		if f >= 0 && cmpRegret(dst[f].regret, kept[k].regret, dst[f].item, kept[k].item) > 0 {
+			dst[x], f = dst[f], f-1
+		} else {
+			dst[x], k = kept[k], k-1
+		}
+	}
+}
+
 // cmpRegret compares two entries of a regret order: larger regret first,
 // then smaller item index.
 func cmpRegret(rx, ry float64, ix, iy int) int {

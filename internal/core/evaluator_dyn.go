@@ -118,7 +118,7 @@ func (ev *Evaluator) RemoveClient(j int) int {
 	p.ClientRT = p.ClientRT[:l]
 	p.SwapRemoveCSRow(j)
 	if li := ev.lateIndex(); li != nil {
-		li.swapRemoveClient(j)
+		li.swapRemoveClient(j, z)
 	}
 	ev.contact = ev.contact[:l]
 	ev.delay = ev.delay[:l]
@@ -156,6 +156,9 @@ func (ev *Evaluator) MoveClient(j, newZone int) {
 	ev.posInZone[j] = len(ev.zoneMembers[newZone])
 	ev.zoneMembers[newZone] = append(ev.zoneMembers[newZone], j)
 	p.ClientZones[j] = newZone
+	if li := ev.lateIndex(); li != nil {
+		li.moveClient(j, old, newZone)
+	}
 	ev.zoneRT[old] -= rt
 	ev.zoneRT[newZone] += rt
 	ev.loads[oldT] -= rt

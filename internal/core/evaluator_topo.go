@@ -109,6 +109,9 @@ func (ev *Evaluator) AddZone(host int) int {
 		// untouched.
 		p.Adjacency.AddZone()
 	}
+	if li := ev.lateIndex(); li != nil {
+		li.addZone()
+	}
 	ev.zoneServer = append(ev.zoneServer, host)
 	ev.zoneRT = append(ev.zoneRT, 0)
 	if cap(ev.zoneMembers) > z {
@@ -158,6 +161,9 @@ func (ev *Evaluator) RemoveZone(z int) int {
 		moved = l
 	}
 	p.NumZones = l
+	if li := ev.lateIndex(); li != nil {
+		li.swapRemoveZone(z, l)
+	}
 	ev.zoneServer = ev.zoneServer[:l]
 	ev.zoneRT = ev.zoneRT[:l]
 	ev.zoneMembers = ev.zoneMembers[:l]

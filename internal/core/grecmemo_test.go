@@ -162,3 +162,123 @@ func TestGreCMemoMatchesColdSolve(t *testing.T) {
 		}
 	}
 }
+
+// gridProblem is a GreC instance whose delays and inter-server delays sit
+// on a 50 ms grid around a 200 ms bound, so most late clients' regrets tie
+// (0, 50, 100, …) and the (regret desc, client asc) order rests on its
+// client tie-break; capacities leave each server a little forwarding room
+// over its zones, so that order decides contacts.
+func gridProblem(rng *xrand.RNG, m int) (*Problem, []int) {
+	const n, k = 10, 400
+	p := &Problem{
+		ServerCaps:  make([]float64, m),
+		ClientZones: make([]int, k),
+		NumZones:    n,
+		ClientRT:    make([]float64, k),
+		CS:          make([][]float64, k),
+		SS:          make([][]float64, m),
+		D:           200,
+	}
+	for i := range p.SS {
+		p.SS[i] = make([]float64, m)
+	}
+	for i := 0; i < m; i++ {
+		for l := i + 1; l < m; l++ {
+			d := 50 * float64(rng.IntN(3))
+			p.SS[i][l], p.SS[l][i] = d, d
+		}
+	}
+	zoneServer := make([]int, n)
+	for z := range zoneServer {
+		zoneServer[z] = rng.IntN(m)
+	}
+	for j := range p.CS {
+		p.ClientZones[j], p.ClientRT[j], p.CS[j] = rng.IntN(n), rng.Uniform(0.05, 0.5), gridRow(rng, m)
+		p.ServerCaps[zoneServer[p.ClientZones[j]]] += p.ClientRT[j]
+	}
+	for i := range p.ServerCaps {
+		p.ServerCaps[i] += rng.Uniform(2, 8)
+	}
+	return p.Clone(), zoneServer
+}
+
+// gridRow is a delay row on gridProblem's 50 ms grid.
+func gridRow(rng *xrand.RNG, m int) []float64 {
+	row := make([]float64, m)
+	for i := range row {
+		row[i] = 50 * float64(rng.IntN(8))
+	}
+	return row
+}
+
+// TestGreCMergeMatchesColdSolve is TestGreCMemoMatchesColdSolve's pattern
+// aimed at the merge of kept and fresh choices: on gridProblem's tied
+// regrets, each round forgets a random part of the memo — choices dropped,
+// rows rewritten, zones re-targeted — and GreC on the warm index must
+// process the late clients in exactly the order of a solve without one, and
+// agree on every contact and count. Rounds where both runs are non-empty
+// and a tie straddles them are required, so the tie-break really merges.
+func TestGreCMergeMatchesColdSolve(t *testing.T) {
+	for _, m := range []int{2, 5, 65} {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			rng := xrand.New(uint64(9500 + m))
+			p, zs := gridProblem(rng, m)
+			contact, err := GreC(nil, p, zs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev := NewEvaluator(p, &Assignment{ZoneServer: zs, ClientContact: contact})
+			li := attachLateIndex(t, ev, 1)
+			warm := NewWorkspace()
+			if _, err := GreC(nil, p, zs, Options{Scratch: warm, Late: li}); err != nil {
+				t.Fatal(err)
+			}
+			straddled := 0
+			for round := 0; round < 40; round++ {
+				for _, e := range li.memo.entries {
+					if rng.IntN(4) == 0 {
+						li.memo.forget(int(e.client))
+					}
+				}
+				for x := rng.IntN(6); x > 0; x-- {
+					j := rng.IntN(p.NumClients())
+					ev.SetClientDelays(j, gridRow(rng, m))
+				}
+				if round%3 == 0 {
+					zs[rng.IntN(len(zs))] = rng.IntN(m)
+				}
+				// The choices the warm solve will keep: the rest are fresh.
+				kept := map[int]bool{}
+				for _, e := range li.memo.entries {
+					j := int(e.client)
+					kept[j] = li.memo.holds(j) && int(e.target) == zs[p.ClientZones[j]]
+				}
+				label := fmt.Sprintf("round %d", round)
+				requireWarmGreCEqualsCold(t, label, p, zs, li, warm)
+				cold := NewWorkspace()
+				if _, err := GreC(nil, p, zs, Options{Scratch: cold}); err != nil {
+					t.Fatal(err)
+				}
+				late, _ := cold.GreCCounts()
+				got, want := warm.choices[:late], cold.choices[:late]
+				for x := range want {
+					if got[x] != want[x] {
+						t.Fatalf("%s: choice %d is %+v on the warm index, %+v without one", label, x, got[x], want[x])
+					}
+				}
+				if read := warm.GreCLateRowsRead(); read == 0 || read == late {
+					continue
+				}
+				for x := 1; x < late; x++ {
+					if a, b := got[x-1], got[x]; a.regret == b.regret && kept[a.item] != kept[b.item] {
+						straddled++
+						break
+					}
+				}
+			}
+			if straddled == 0 {
+				t.Fatal("no round merged a kept and a fresh choice of equal regret")
+			}
+		})
+	}
+}

@@ -52,13 +52,15 @@ type Options struct {
 	// server is cordoned.
 	Cordoned []bool
 	// Late, when non-nil, is the caller's late index (lateindex.go): a solve
-	// of the problem it was filled from builds the cost matrix and GreC's
-	// late list from its bits instead of reading delays, and GreC reads only
-	// rows written since the last solve, or of clients whose target changed
-	// (the index keeps each late client's choice); any other solve fills it
-	// while counting from rows. For owners of a long-lived problem
-	// whose delays only change through hooks that keep the index current:
-	// the repair planner, and the dvecap Cluster between builder mutations.
+	// of the problem it was filled from copies the cost matrix the index
+	// maintains and builds GreC's late list from its bits instead of
+	// reading delays, and GreC reads and sorts only the choices of clients
+	// whose row was written since the last solve, or whose target changed
+	// (the index keeps each late client's choice, in regret order); any
+	// other solve fills it while counting from rows. For owners of a
+	// long-lived problem whose delays only change through hooks that keep
+	// the index current: the repair planner, and the dvecap Cluster between
+	// builder mutations.
 	// A solve of a throwaway problem (noisy estimates, a traffic overlay)
 	// leaves it nil. Outputs are identical either way.
 	Late *LateIndex
@@ -160,6 +162,7 @@ func RanZ(rng *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 func GreZ(_ *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 	w := opt.scratch()
 	ci := w.initialCostsParallel(p, opt.workerCount(), opt.Late)
+	w.lap(PhaseCostMatrix)
 	m, n := p.NumServers(), p.NumZones
 	zoneRT := w.zoneRTs(p)
 
@@ -196,6 +199,7 @@ func GreZ(_ *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 		target[z] = s
 		pm.loads[s] += zoneRT[z]
 	}
+	w.lap(PhaseGreZ)
 	return target, nil
 }
 
@@ -206,6 +210,7 @@ func GreZ(_ *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 func GreZDynamic(_ *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 	w := opt.scratch()
 	ci := w.initialCostsParallel(p, opt.workerCount(), opt.Late)
+	w.lap(PhaseCostMatrix)
 	m, n := p.NumServers(), p.NumZones
 	zoneRT := w.zoneRTs(p)
 	loads := w.zeroLoads(m)
@@ -267,12 +272,14 @@ func GreZDynamic(_ *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 				loads[s] += zoneRT[z]
 				unassigned[z] = false
 			}
+			w.lap(PhaseGreZ)
 			return target, nil
 		}
 		target[bestZone] = bestServer
 		loads[bestServer] += zoneRT[bestZone]
 		unassigned[bestZone] = false
 	}
+	w.lap(PhaseGreZ)
 	return target, nil
 }
 

@@ -23,9 +23,9 @@ func attachLateIndex(t *testing.T, ev *Evaluator, workers int) *LateIndex {
 	return li
 }
 
-// requireIndexedMatrix asserts the cost matrix derived from ev's late index
-// equals InitialCosts(p) — the from-rows count — entry by entry, and that
-// it really came from the index.
+// requireIndexedMatrix asserts the cost matrix ev's late index keeps, as a
+// solve copies it, equals InitialCosts(p) — the from-rows count — entry by
+// entry, and that it really came from the index.
 func requireIndexedMatrix(t *testing.T, label string, ev *Evaluator) {
 	t.Helper()
 	var w Workspace
@@ -44,10 +44,12 @@ func requireIndexedMatrix(t *testing.T, label string, ev *Evaluator) {
 }
 
 // TestIndexedCostMatrixEqualsRowCount drives random event streams — every
-// client and topology verb, with the server count pushed across the 64-bit
-// word boundaries in both directions — over m ∈ {1, 63, 64, 65, 130} and
-// asserts after every event that the late index equals a recomputation and
-// that the matrix derived from it equals the from-rows count. Delays sit on
+// client and topology verb (join, leave and its swap, move, delay row,
+// single entry, server add and remove, zone add and retire), with the
+// server count pushed across the 64-bit word boundaries in both directions
+// — over m ∈ {1, 63, 64, 65, 130} and asserts after every event that the
+// late index equals a recomputation and that the matrix it keeps equals the
+// from-rows count. Delays sit on
 // whole milliseconds around a whole-millisecond bound, and some are forced
 // to exactly D (not late). The filling pass runs sequentially and sharded.
 func TestIndexedCostMatrixEqualsRowCount(t *testing.T) {
@@ -92,6 +94,9 @@ func TestIndexedCostMatrixEqualsRowCount(t *testing.T) {
 					if k := ev.NumClients(); k > 0 && step%9 == 0 {
 						ev.SetClientServerDelay(rng.IntN(k), rng.IntN(p.NumServers()), p.D)
 					}
+					if k := ev.NumClients(); k > 0 && step%7 == 0 {
+						ev.SetClientDelays(rng.IntN(k), randomDelayRow(rng, p.NumServers()))
+					}
 					audit(t, ev)
 					requireIndexedMatrix(t, fmt.Sprintf("step %d (m=%d)", step, p.NumServers()), ev)
 				}
@@ -102,7 +107,10 @@ func TestIndexedCostMatrixEqualsRowCount(t *testing.T) {
 
 // TestLateIndexIgnoresPlacementVerbs pins the move-invariance the design
 // rests on: zone crossings, bandwidth changes, contact switches, zone
-// rehostings, zone add/retire and cordons write no late-index word.
+// rehostings, zone add/retire and cordons write no late-index word. The
+// kept matrix does follow the zone verbs: a zone crossing moves exactly the
+// client's late servers from its old zone's counts to the new zone's, and
+// after every verb the matrix equals the from-rows count.
 func TestLateIndexIgnoresPlacementVerbs(t *testing.T) {
 	rng := xrand.New(77)
 	p := randomProblem(rng.Split(), false).Clone()
@@ -117,7 +125,20 @@ func TestLateIndexIgnoresPlacementVerbs(t *testing.T) {
 		k, m, n := ev.NumClients(), p.NumServers(), p.NumZones
 		switch rng.IntN(7) {
 		case 0:
-			ev.MoveClient(rng.IntN(k), rng.IntN(n))
+			j, to := rng.IntN(k), rng.IntN(n)
+			from := p.ClientZones[j]
+			before := append([]int32(nil), li.costs...)
+			ev.MoveClient(j, to)
+			for i := 0; i < m; i++ {
+				d := int32(0)
+				if from != to && li.has(j, i) {
+					d = 1
+				}
+				if li.costs[from*m+i] != before[from*m+i]-d || li.costs[to*m+i] != before[to*m+i]+d {
+					t.Fatalf("step %d: moving client %d from zone %d to %d left server %d's counts at %d and %d, were %d and %d (late: %v)",
+						step, j, from, to, i, li.costs[from*m+i], li.costs[to*m+i], before[from*m+i], before[to*m+i], li.has(j, i))
+				}
+			}
 		case 1:
 			ev.SetClientRT(rng.IntN(k), rng.Uniform(0.05, 0.5))
 		case 2:
@@ -141,6 +162,7 @@ func TestLateIndexIgnoresPlacementVerbs(t *testing.T) {
 				t.Fatalf("step %d: a placement verb rewrote late-index word %d", step, x)
 			}
 		}
+		requireIndexedMatrix(t, fmt.Sprintf("step %d", step), ev)
 	}
 	audit(t, ev)
 }

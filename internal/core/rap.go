@@ -37,10 +37,11 @@ func VirC(_ *xrand.RNG, p *Problem, zoneServer []int, _ Options) ([]int, error) 
 // clients, which is why that step is an arg-max and not a sort.
 //
 // Under a filled Options.Late (a session's solve, a Cluster's repeated
-// solve) the first pass reads the late index, and the second reuses the
-// choices the index remembers from the last indexed run: only rows written
-// since the last solve, or of clients whose target changed, are read —
-// plus a third choice's second read.
+// solve) the first pass reads the late index, and the second keeps the
+// choices the index remembers from the last indexed run, already in regret
+// order: only rows written since the last solve, or of clients whose target
+// changed, are read — plus a third choice's second read — and only their
+// choices are sorted, then merged with the kept run.
 //
 // Loads start at the initial phase's zone loads, matching the RAP
 // constraint (10): contact load fits within C_{s_i} − R_{s_i}.
@@ -81,29 +82,37 @@ func GreC(_ *xrand.RNG, p *Problem, zoneServer []int, opt Options) ([]int, error
 	// Second pass: regret-ordered greedy over the late clients. Forwarding
 	// through the target t is the identity — zero extra load, always
 	// accepted — so t is the placement's free server and GreC cannot fail.
+	// A late index's memo supplies the choices that still hold, in regret
+	// order (kept); the other late clients' are read from their rows
+	// (fresh), sorted, and merged with the kept run. (regret desc, client
+	// asc) is a total order, so the merge is the full sort.
 	w.choices = grow(w.choices, len(late))
 	w.mu = grow(w.mu, m)
 	w.rows = grow(w.rows, m)
 	choices, mu, rowBuf := w.choices, w.mu, w.rows[:m]
-	var memo choiceMemo // the index's choices, walked in step with late
-	if idx != nil {
-		memo = idx.memo
+	kept := w.kept[:0]
+	if idx != nil && len(idx.memo.entries) > 0 {
+		w.covered = grow(w.covered, (p.NumClients()+63)/64)
+		clear(w.covered)
+		kept = idx.memo.held(p, zoneServer, kept, w.covered)
+		w.kept = kept
 	}
-	w.lateRowsRead = 0
-	for li, j := range late {
-		t := zoneServer[p.ClientZones[j]]
-		c, ok := memo.recall(j, t)
-		if !ok {
-			w.lateRowsRead++
-			refinedDesirability(p, p.CSRow(j, rowBuf), t, mu)
-			c = topTwo(j, mu)
+	fresh := choices[:0]
+	for _, j := range late {
+		if len(kept) > 0 && w.covered[j>>6]>>(uint(j)&63)&1 != 0 {
+			continue
 		}
-		choices[li] = c
+		refinedDesirability(p, p.CSRow(j, rowBuf), zoneServer[p.ClientZones[j]], mu)
+		fresh = append(fresh, topTwo(j, mu))
 	}
+	w.lateRowsRead = len(fresh)
+	w.lap(PhaseGreCScan)
+	sortChoicesByRegret(fresh)
+	mergeByRegret(choices, len(fresh), kept)
 	if idx != nil {
 		idx.remember(p, zoneServer, choices)
 	}
-	sortChoicesByRegret(choices)
+	w.lap(PhaseGreCOrder)
 
 	pm := placement{loads: loads, caps: p.ServerCaps, opt: opt}
 	w.lateClients, w.rebuilds = len(late), 0
@@ -122,5 +131,6 @@ func GreC(_ *xrand.RNG, p *Problem, zoneServer []int, opt Options) ([]int, error
 		}
 		contact[j] = s
 	}
+	w.lap(PhaseGreCPlace)
 	return contact, nil
 }

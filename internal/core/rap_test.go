@@ -330,8 +330,9 @@ func TestWorkspaceRetainsNoClientsTimesServers(t *testing.T) {
 
 // TestLateIndexRetainsClientsAndLateChoices bounds what a late index keeps
 // after a solve: its bits, 8 B × ⌈m/64⌉ a client, one more bit a client for
-// which choices hold, and GreC's choices, 24 B each for at most 4 × (late
-// clients of the last solve) + 64 entries.
+// which choices hold, the count matrix, 4 B a server-zone pair, and GreC's
+// choices, 24 B each for at most 4 × (late clients of the last solve) + 64
+// entries.
 // Nothing scales with clients × servers, and a solve with few late clients
 // after one with many gives the choices' memory back. Every slice field is
 // counted by reflection, so state added later is held to the same bound.
@@ -384,8 +385,8 @@ func TestLateIndexRetainsClientsAndLateChoices(t *testing.T) {
 				retained += fv.Cap() * int(fv.Type().Elem().Size())
 			}
 		}
-		if budget := 8*((m+63)/64)*k + 8*((k+63)/64) + 24*(4*late+64); retained > budget {
-			t.Fatalf("late index retains %d bytes after a %d-client × %d-server solve with %d late clients, budget %d (8 B × ⌈m/64⌉ + 1 bit a client, 24 B × (4 × late + 64))",
+		if budget := 8*((m+63)/64)*k + 8*((k+63)/64) + 4*m*n + 24*(4*late+64); retained > budget {
+			t.Fatalf("late index retains %d bytes after a %d-client × %d-server solve with %d late clients, budget %d (8 B × ⌈m/64⌉ + 1 bit a client, 4 B a server-zone pair, 24 B × (4 × late + 64))",
 				retained, k, m, late, budget)
 		}
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // Workspace holds reusable scratch buffers for the assignment algorithms'
 // hot paths: the IAP cost matrix, zone bandwidth totals, per-server load
@@ -8,8 +11,9 @@ import "sync"
 // client, materialized delay rows and evaluation delay vectors.
 // The cost matrix has two sources: a solve without a filled Options.Late
 // counts it from every client's delay row (countInitialCosts, the only code
-// that builds it from delays); a solve handed a filled one derives it from
-// the late bitsets without reading a delay (lateindex.go).
+// that builds it from delays); a solve handed a filled one copies the
+// matrix the index maintains, reading neither a delay nor a bit
+// (lateindex.go).
 // Pass one through Options.Scratch (or use its EvaluateInto method) to
 // make repeated Solve/Evaluate calls — e.g. replication loops, churn
 // re-optimisation — allocation-free apart from the returned assignments,
@@ -35,6 +39,8 @@ type Workspace struct {
 	candidates []int
 	late       []int
 	choices    []regretChoice
+	kept       []regretChoice // GreC's choices kept from the late index's memo
+	covered    []uint64       // bit j set iff client j's choice is in kept
 	unassigned []bool
 	evLoads    []float64
 
@@ -43,6 +49,8 @@ type Workspace struct {
 	lateClients, rebuilds, lateRowsRead int
 	// What fed the most recent cost matrix (see CostMatrixSource).
 	ciSource string
+	// Phase accounting of the solves run here, while TimePhases has armed it.
+	clock phaseClock
 }
 
 // NewWorkspace returns an empty workspace. Buffers grow on first use and
@@ -67,17 +75,15 @@ func grow[T any](s []T, n int) []T {
 // ≤ 1) take the sequential path — the partial matrices wouldn't pay for
 // themselves.
 //
-// With a late index the delays are not read at all when it is valid for p;
-// otherwise this pass fills it on the way (shards own disjoint clients), so
-// the caller's next build is the cheap one.
+// With a late index valid for p the matrix is the index's, copied;
+// otherwise this pass fills the index on the way (shards own disjoint
+// clients) and the index keeps the count, so the caller's next build is the
+// cheap one.
 func (w *Workspace) initialCostsParallel(p *Problem, maxWorkers int, late *LateIndex) [][]int {
 	m, n := p.NumServers(), p.NumZones
 	k := p.NumClients()
 	w.ciFlat = grow(w.ciFlat, m*n)
 	flat := w.ciFlat
-	for i := range flat {
-		flat[i] = 0
-	}
 	if cap(w.ci) < m {
 		w.ci = make([][]int, m)
 	}
@@ -87,10 +93,11 @@ func (w *Workspace) initialCostsParallel(p *Problem, maxWorkers int, late *LateI
 	}
 	if late.ValidFor(p) {
 		w.ciSource = CostMatrixFromIndex
-		late.countInto(p, w.ci)
+		late.costsInto(w.ci)
 		return w.ci
 	}
 	w.ciSource = CostMatrixFromRows
+	clear(w.ciFlat)
 	if late != nil {
 		late.bind(p)
 	}
@@ -100,6 +107,9 @@ func (w *Workspace) initialCostsParallel(p *Problem, maxWorkers int, late *LateI
 	if workers <= 1 || k*m < 1<<15 {
 		w.rows = grow(w.rows, m)
 		countInitialCosts(p, w.ci, 0, k, w.rows, late)
+		if late != nil {
+			late.keepCosts(w.ci)
+		}
 		return w.ci
 	}
 	w.ciPart = grow(w.ciPart, workers*m*n)
@@ -133,6 +143,9 @@ func (w *Workspace) initialCostsParallel(p *Problem, maxWorkers int, late *LateI
 				w.ciFlat[i] += v
 			}
 		}
+	}
+	if late != nil {
+		late.keepCosts(w.ci)
 	}
 	return w.ci
 }
@@ -194,8 +207,8 @@ const (
 
 // CostMatrixSource reports what fed the most recent cost-matrix build on
 // this workspace: CostMatrixFromRows (every client's delay row was read),
-// CostMatrixFromIndex (a filled Options.Late; no delay read), or "" when no
-// algorithm has built one.
+// CostMatrixFromIndex (a filled Options.Late's matrix, copied; no delay
+// read), or "" when no algorithm has built one.
 func (w *Workspace) CostMatrixSource() string { return w.ciSource }
 
 // GreCCounts reports what the most recent GreC run on this workspace saw:
@@ -205,6 +218,50 @@ func (w *Workspace) CostMatrixSource() string { return w.ciSource }
 // the servers that still accepted them — no sort.
 func (w *Workspace) GreCCounts() (lateClients, rebuilds int) {
 	return w.lateClients, w.rebuilds
+}
+
+// Phases of a two-phase solve, as PhaseTimes reports them: each ends where
+// the next begins, so on a timed GreZ-GreC solve they cover it whole.
+const (
+	PhaseCostMatrix = iota // the IAP cost matrix: copied from the late index, or counted from rows
+	PhaseGreZ              // GreZ's choices, regret order and placement
+	PhaseGreCScan          // GreC's late list and the choices kept or read from rows
+	PhaseGreCOrder         // GreC's regret order: sort the fresh choices, merge the kept ones
+	PhaseGreCPlace         // GreC's placement
+	NumPhases
+)
+
+// PhaseNames are the phases' metric labels.
+var PhaseNames = [NumPhases]string{"cost_matrix", "grez", "grec_scan", "grec_order", "grec_place"}
+
+// phaseClock is a workspace's phase accounting: off unless armed, so an
+// untimed solve reads no clock.
+type phaseClock struct {
+	on    bool
+	last  time.Time // when the running phase began
+	spent [NumPhases]time.Duration
+}
+
+// TimePhases arms phase accounting from start on: every solve phase run on
+// the workspace until PhaseTimes adds the wall time since the previous
+// phase ended (since start, for the first) to its total.
+func (w *Workspace) TimePhases(start time.Time) { w.clock = phaseClock{on: true, last: start} }
+
+// PhaseTimes disarms the accounting TimePhases armed and returns the time
+// spent in each phase and when the last one ended.
+func (w *Workspace) PhaseTimes() (spent [NumPhases]time.Duration, end time.Time) {
+	w.clock.on = false
+	return w.clock.spent, w.clock.last
+}
+
+// lap ends phase ph now, when accounting is armed.
+func (w *Workspace) lap(ph int) {
+	if !w.clock.on {
+		return
+	}
+	now := time.Now()
+	w.clock.spent[ph] += now.Sub(w.clock.last)
+	w.clock.last = now
 }
 
 // GreCLateRowsRead reports how many late clients' delay rows the most

@@ -431,10 +431,14 @@ func (pl *Planner) fullSolve(trigger string) error {
 		// take no zones and no contacts, not even as spill.
 		opt.Cordoned = pl.ev.Cordons()
 	}
+	if pl.tele.on {
+		opt.Scratch.TimePhases(start)
+	}
 	// The planner owns every writer of its problem's delays and each one
 	// refuses a bad entry (checkDelays), so the solve does not re-read them.
 	a, err := pl.cfg.Algo.SolveOwned(pl.rng.Split(), pl.prob, opt)
 	if err != nil {
+		opt.Scratch.PhaseTimes() // disarm
 		return fmt.Errorf("repair: full solve: %w", err)
 	}
 	if pl.ev != nil {
@@ -443,6 +447,7 @@ func (pl *Planner) fullSolve(trigger string) error {
 	} else {
 		pl.bindEvaluator(a)
 	}
+	adopted := pl.teleStart()
 	pl.stats.FullSolves++
 	pl.stats.BaselinePQoS = pl.ev.PQoS()
 	pl.stats.LastDriftPQoS = 0
@@ -453,7 +458,7 @@ func (pl *Planner) fullSolve(trigger string) error {
 	pl.stats.LastSolveError = ""
 	pl.eventsSinceFull = 0
 	pl.failBackoff = 0
-	pl.teleFullSolve(trigger, start)
+	pl.teleFullSolve(trigger, start, adopted)
 	pl.syncTele()
 	return nil
 }

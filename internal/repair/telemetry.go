@@ -61,6 +61,7 @@ type plTele struct {
 
 	fsDrift, fsImbalance, fsEpoch  *telemetry.Counter
 	fsDur                          *telemetry.Histogram
+	fsPhase                        [core.NumPhases + 1]*telemetry.Histogram
 	fsLate, fsRebuilds, fsRowsRead *telemetry.Counter
 	fsFromIndex, fsFromRows        *telemetry.Counter
 
@@ -77,15 +78,22 @@ type plTele struct {
 	trafficCut, trafficCost, cutEdges *telemetry.Gauge
 }
 
+// solvePhaseNames label dvecap_solve_phase_seconds: a solve's phases
+// (core.PhaseNames), then adopt, the evaluator installing its result.
+var solvePhaseNames = append(core.PhaseNames[:], "adopt")
+
+// phaseAdopt is adopt's index in solvePhaseNames.
+const phaseAdopt = core.NumPhases
+
 // SetTelemetry attaches (nil detaches) a metrics registry to the planner
 // and its evaluator. Exposed series: per-event-type repair counters and
 // latency histograms, full-solve counters labeled by trigger
-// (drift/imbalance/epoch) with a duration histogram, GreC's late-client
-// and preference-rebuild counts and what fed each solve's cost matrix (the
-// late index or the delay rows), cumulative zone-handoff and
-// contact-switch counters, and live gauges for pQoS, pQoS drift,
-// utilization, utilization spread and population — refreshed after every
-// event, so a scrape always sees the maintained solution's current
+// (drift/imbalance/epoch) with a duration histogram and one per phase,
+// GreC's late-client and preference-rebuild counts and what fed each
+// solve's cost matrix (the late index or the delay rows), cumulative
+// zone-handoff and contact-switch counters, and live gauges for pQoS, pQoS
+// drift, utilization, utilization spread and population — refreshed after
+// every event, so a scrape always sees the maintained solution's current
 // quality.
 func (pl *Planner) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
@@ -113,6 +121,10 @@ func (pl *Planner) SetTelemetry(reg *telemetry.Registry) {
 		"Full two-phase re-solves by trigger.", "trigger", "epoch")
 	t.fsDur = reg.Histogram("dvecap_full_solve_duration_seconds",
 		"Wall time of one full two-phase re-solve.", nil)
+	for ph, name := range solvePhaseNames {
+		t.fsPhase[ph] = reg.Histogram("dvecap_solve_phase_seconds",
+			"Wall time of one phase of a full re-solve; a GreZ-GreC solve's phases cover it end to end.", nil, "phase", name)
+	}
 	t.fsLate = reg.Counter("dvecap_solve_late_clients_total",
 		"Clients beyond the delay bound at their target server, summed over full solves (GreC's work list).")
 	t.fsRebuilds = reg.Counter("dvecap_solve_preference_rebuilds_total",
@@ -202,12 +214,19 @@ func (pl *Planner) syncTele() {
 	t.cutEdges.Set(float64(cut))
 }
 
-// teleFullSolve records one completed full solve under its trigger.
-func (pl *Planner) teleFullSolve(trigger string, start time.Time) {
+// teleFullSolve records one completed full solve under its trigger, with
+// its phases: the workspace's, timed since start, and adopt, which ended at
+// adopted.
+func (pl *Planner) teleFullSolve(trigger string, start, adopted time.Time) {
 	t := &pl.tele
 	if !t.on {
 		return
 	}
+	spent, solved := pl.cfg.Opt.Scratch.PhaseTimes()
+	for ph, d := range spent {
+		t.fsPhase[ph].Observe(d.Seconds())
+	}
+	t.fsPhase[phaseAdopt].Observe(adopted.Sub(solved).Seconds())
 	switch trigger {
 	case triggerDrift:
 		t.fsDrift.Inc()
