@@ -2,6 +2,8 @@ package dvecap
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"dvecap/internal/core"
 	"dvecap/internal/estimator"
@@ -209,6 +211,9 @@ func (c *Cluster) AddClient(id string, spec ClientSpec) error {
 	} else if (spec.RTTs == nil) == (spec.RTTRow == nil) {
 		return fmt.Errorf("dvecap: client %q: set exactly one of RTTs and RTTRow", id)
 	}
+	// The builder keeps its own copies, as AddServer does: a caller reusing
+	// its slices or map must not reach into a cached build.
+	spec.RTTs, spec.RTTRow, spec.Coord = maps.Clone(spec.RTTs), slices.Clone(spec.RTTRow), slices.Clone(spec.Coord)
 	c.clientIdx[id] = len(c.clientIDs)
 	c.clientIDs = append(c.clientIDs, id)
 	c.clients = append(c.clients, spec)

@@ -404,3 +404,47 @@ func TestClusterRefusesInfiniteServerRTT(t *testing.T) {
 		}
 	}
 }
+
+// TestAddClientCopiesItsInputs: the builder keeps its own copy of a client's
+// delay row and RTT map, so a caller that reuses or edits them after
+// AddClient does not change the instance — not even once a later builder
+// call invalidates the cached build and the problem is built again.
+func TestAddClientCopiesItsInputs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		spec   ClientSpec
+		mutate func(ClientSpec)
+	}{
+		{"row", ClientSpec{RTTRow: []float64{10, 200}}, func(s ClientSpec) { s.RTTRow[0], s.RTTRow[1] = 200, 10 }},
+		{"map", ClientSpec{RTTs: map[string]float64{"fra": 10, "nyc": 200}}, func(s ClientSpec) { s.RTTs["fra"], s.RTTs["nyc"] = 200, 10 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCluster(100)
+			if err := c.AddServer("fra", ServerSpec{CapacityMbps: 100, RTTs: map[string]float64{"nyc": 80}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddServer("nyc", ServerSpec{CapacityMbps: 100}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddZone("plaza"); err != nil {
+				t.Fatal(err)
+			}
+			spec := tc.spec
+			spec.Zone, spec.BandwidthMbps = "plaza", 1
+			if err := c.AddClient("solo", spec); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(spec)
+			if err := c.AddZone("forest"); err != nil { // forces a rebuild
+				t.Fatal(err)
+			}
+			res, err := c.Solve("GreZ-GreC", WithSeed(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ZoneServer[0] != 0 {
+				t.Fatalf("plaza hosted on server %d: the caller's edit after AddClient reached the instance", res.ZoneServer[0])
+			}
+		})
+	}
+}

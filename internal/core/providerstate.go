@@ -32,22 +32,22 @@ var ErrDenseProviderState = errors.New("core: delay-provider kind \"dense\" is n
 
 // CoordState snapshots a CoordProvider.
 type CoordState struct {
-	Dim   int         `json:"dim"`
-	Srv   []float64   `json:"srv"`
-	Cli   []float64   `json:"cli"`
-	OvSrv [][]int32   `json:"ov_srv"`
-	OvVal [][]float64 `json:"ov_val"`
+	Dim   int       `json:"dim"`
+	Srv   []float64 `json:"srv"`
+	Cli   FloatRow  `json:"cli"`
+	OvSrv [][]int32 `json:"ov_srv"`
+	OvVal FloatRows `json:"ov_val"`
 }
 
 // SharedRowState snapshots a SharedRowProvider, including the group table
 // and the LIFO free list (group-id allocation order is part of the
 // deterministic-replay contract).
 type SharedRowState struct {
-	Servers int         `json:"servers"`
-	Group   []int32     `json:"group"`
-	Rows    [][]float64 `json:"rows"`
-	Refs    []int32     `json:"refs"`
-	Free    []int32     `json:"free"`
+	Servers int       `json:"servers"`
+	Group   []int32   `json:"group"`
+	Rows    FloatRows `json:"rows"`
+	Refs    []int32   `json:"refs"`
+	Free    []int32   `json:"free"`
 }
 
 // NewProviderFromState reconstructs the provider a State() call snapshot.

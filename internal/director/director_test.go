@@ -470,7 +470,7 @@ func TestProblemSnapshotEndpoint(t *testing.T) {
 		}
 	}
 	for j, c := range spec.Clients {
-		if c.ID != snap[j].ID || c.Zone != snap[j].ZoneID || c.BandwidthMbps != p.ClientRT[j] || !reflect.DeepEqual(c.RTTRowMs, p.CS[j]) {
+		if c.ID != snap[j].ID || c.Zone != snap[j].ZoneID || c.BandwidthMbps != p.ClientRT[j] || !reflect.DeepEqual([]float64(c.RTTRowMs), p.CS[j]) {
 			t.Fatalf("client %d: %+v, want %+v with bandwidth %v and row %v", j, c, snap[j], p.ClientRT[j], p.CS[j])
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"dvecap/internal/core"
 )
 
 // EventOp tags the canonical wire form of one journaled event — the ONE
@@ -85,8 +87,8 @@ type Event struct {
 	// move (the mover is re-priced before it migrates).
 	RT         float64            `json:"rt,omitempty"`
 	RTs        []float64          `json:"rts,omitempty"`
-	Row        []float64          `json:"row,omitempty"`
-	Rows       [][]float64        `json:"rows,omitempty"`
+	Row        core.FloatRow      `json:"row,omitempty"`
+	Rows       core.FloatRows     `json:"rows,omitempty"`
 	RTTs       map[string]float64 `json:"rtts,omitempty"`
 	ClientRTTs map[string]float64 `json:"client_rtts,omitempty"`
 	Capacity   float64            `json:"capacity,omitempty"`

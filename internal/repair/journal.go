@@ -2,6 +2,7 @@ package repair
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -67,6 +68,9 @@ type Journal struct {
 	// through the live mutators.
 	replaying bool
 	closed    bool
+	// snapLoad is what loading the snapshot this journal recovers from cost
+	// (LoadSnapshot plus RestoreMachine), reported beside the replay.
+	snapLoad time.Duration
 	// hook is the fault tests' crash-injection point. It is consulted through
 	// the crash method, so tests can install it after the surface is open.
 	hook func(point string) error
@@ -116,6 +120,7 @@ func CreateJournal(cfg JournalConfig, pl *Planner, render func(lsn uint64) ([]by
 // another LSN than its file name is skipped in favour of the generation
 // before it.
 func LoadSnapshot(dir string) (*Snapshot, error) {
+	start := time.Now()
 	lsns, err := wal.SnapshotLSNs(dir)
 	if err != nil {
 		return nil, err
@@ -141,6 +146,7 @@ func LoadSnapshot(dir string) (*Snapshot, error) {
 		case cand.LSN != lsns[x]:
 			lastErr = fmt.Errorf("snapshot %d declares LSN %d", lsns[x], cand.LSN)
 		default:
+			cand.loadTime = time.Since(start)
 			return cand, nil
 		}
 	}
@@ -156,6 +162,22 @@ func RecoverJournal(cfg JournalConfig, pl *Planner, snapLSN uint64) *Journal {
 	return j
 }
 
+// replayQueue bounds the decoded events in flight between Replay's log
+// reader and its applier. The reader runs ahead only to keep the applier fed
+// across a run of records that decode slower than they apply; a full queue
+// holds it back, so a long tail costs this many decoded events of memory,
+// not the whole tail's.
+const replayQueue = 1024
+
+// errReplayStopped ends the log reader once the applier has stopped.
+var errReplayStopped = errors.New("journal: replay stopped")
+
+// logEvent is one decoded journal record on its way to the applier.
+type logEvent struct {
+	lsn uint64
+	e   *Event
+}
+
 // Replay streams the log tail after the snapshot through DecodeEvent and
 // apply — the machine's interpreter — then opens the log for appending and
 // returns the number of events replayed. Apply-level rejections are the
@@ -165,26 +187,17 @@ func RecoverJournal(cfg JournalConfig, pl *Planner, snapLSN uint64) *Journal {
 // telemetry attaches only after the tail has replayed, so the repair series
 // reflect live traffic, and the one-shot recovery gauges record what the
 // replay cost.
+//
+// The log is read, checked and decoded on a second goroutine while this one
+// applies, in LSN order; nothing a caller can see differs from a sequential
+// replay — the events applied before an error, the error and the LSN it
+// names. Both ends only read the data directory: while replaying, the
+// journal appends nothing (Applied only tracks epochs), and the log is
+// opened for writing once the reader has exited.
 func (j *Journal) Replay(apply func(*Event) error) (int, error) {
 	start := time.Now()
-	replayed := 0
-	if _, err := wal.Replay(j.cfg.Dir, j.base, func(lsn uint64, payload []byte) error {
-		e, err := DecodeEvent(payload)
-		if err != nil {
-			return fmt.Errorf("journal: LSN %d: %w", lsn, err)
-		}
-		if e.Op == OpEpoch {
-			if fs := j.pl.stats.FullSolves; fs != e.FullSolves {
-				return fmt.Errorf("journal: replaying LSN %d: replay diverged: %d full solves at epoch marker expecting %d", lsn, fs, e.FullSolves)
-			}
-			return nil
-		}
-		replayed++
-		if err := apply(e); err != nil {
-			return fmt.Errorf("journal: replaying LSN %d: %w", lsn, err)
-		}
-		return nil
-	}); err != nil {
+	replayed, err := j.replayLog(apply)
+	if err != nil {
 		return 0, err
 	}
 	if err := j.openLog(); err != nil {
@@ -194,12 +207,68 @@ func (j *Journal) Replay(apply func(*Event) error) (int, error) {
 	j.sinceSnap = replayed
 	if reg := j.cfg.Telemetry; reg != nil {
 		j.pl.SetTelemetry(reg)
+		reg.Gauge("dvecap_recovery_snapshot_load_seconds",
+			"Wall time of the last crash recovery's snapshot load: reading, decoding and rebuilding the machine it captured.").
+			Set(j.snapLoad.Seconds())
 		reg.Gauge("dvecap_recovery_duration_seconds",
 			"Wall time of the last crash recovery (snapshot load excluded, log replay included).").
 			Set(time.Since(start).Seconds())
 		reg.Gauge("dvecap_recovery_events_replayed",
 			"Log-tail events the last crash recovery replayed.").
 			Set(float64(replayed))
+	}
+	return replayed, nil
+}
+
+// replayLog is Replay's pipeline: a reader goroutine runs wal.Replay and
+// DecodeEvent and queues the events; this goroutine checks the epoch markers
+// and applies the rest. An error on either side stops both, and the reader
+// has exited by the time replayLog returns. The reader only fails on a
+// record after every event it queued, so an apply error, which comes from
+// an earlier record, takes precedence.
+func (j *Journal) replayLog(apply func(*Event) error) (replayed int, err error) {
+	events := make(chan logEvent, replayQueue)
+	stop, done := make(chan struct{}), make(chan struct{})
+	var readErr error
+	go func() {
+		defer close(done)
+		defer close(events)
+		_, readErr = wal.Replay(j.cfg.Dir, j.base, func(lsn uint64, payload []byte) error {
+			select {
+			case <-stop:
+				return errReplayStopped
+			default:
+			}
+			e, err := DecodeEvent(payload)
+			if err != nil {
+				return fmt.Errorf("journal: LSN %d: %w", lsn, err)
+			}
+			select {
+			case events <- logEvent{lsn, e}:
+				return nil
+			case <-stop:
+				return errReplayStopped
+			}
+		})
+	}()
+	defer func() {
+		close(stop)
+		<-done
+		if err == nil {
+			err = readErr
+		}
+	}()
+	for ev := range events {
+		if ev.e.Op == OpEpoch {
+			if fs := j.pl.stats.FullSolves; fs != ev.e.FullSolves {
+				return replayed, fmt.Errorf("journal: replaying LSN %d: replay diverged: %d full solves at epoch marker expecting %d", ev.lsn, fs, ev.e.FullSolves)
+			}
+			continue
+		}
+		replayed++
+		if err := apply(ev.e); err != nil {
+			return replayed, fmt.Errorf("journal: replaying LSN %d: %w", ev.lsn, err)
+		}
 	}
 	return replayed, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"time"
 
 	"dvecap/internal/core"
 	"dvecap/internal/interact"
@@ -34,6 +35,10 @@ type Machine struct {
 	// per-client half, keyed by ID.
 	dir        *DirectorState
 	clientNode map[string]int
+
+	// snapLoad is what loading and restoring the snapshot a recovering
+	// machine starts from cost; Recover reports it.
+	snapLoad time.Duration
 }
 
 // DirectorState is the typed extra the director persists beside the
@@ -505,6 +510,9 @@ type Snapshot struct {
 	// Director is the director front end's typed extra; absent from session
 	// snapshots, whose bytes are unchanged by it.
 	Director *DirectorState `json:"director,omitempty"`
+
+	// loadTime is what LoadSnapshot spent reading and decoding it.
+	loadTime time.Duration
 }
 
 // ClusterJSON is the interchange form of a cluster spec: the contract
@@ -544,7 +552,7 @@ type ClientJSON struct {
 	Zone          string             `json:"zone"`
 	BandwidthMbps float64            `json:"bandwidth_mbps"`
 	RTTsMs        map[string]float64 `json:"rtts_ms,omitempty"`
-	RTTRowMs      []float64          `json:"rtt_row_ms,omitempty"`
+	RTTRowMs      core.FloatRow      `json:"rtt_row_ms,omitempty"`
 }
 
 // NewClusterJSON renders a problem as a cluster spec under the given names:
@@ -720,6 +728,7 @@ func (snap *Snapshot) problem() (*core.Problem, error) {
 // the caller's worker count; the guard thresholds are the stored ones.
 // Follow with Recover.
 func RestoreMachine(snap *Snapshot, cfg Config) (*Machine, error) {
+	start := time.Now()
 	if snap.Planner == nil {
 		return nil, fmt.Errorf("repair: snapshot misses the planner state")
 	}
@@ -744,7 +753,12 @@ func RestoreMachine(snap *Snapshot, cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewMachine(b, snap.Algo, snap.Overflow, snap.Director)
+	m, err := NewMachine(b, snap.Algo, snap.Overflow, snap.Director)
+	if err != nil {
+		return nil, err
+	}
+	m.snapLoad = snap.loadTime + time.Since(start)
+	return m, nil
 }
 
 // Recover replays the log tail after the snapshot at lsn through Apply and
@@ -756,6 +770,7 @@ func RestoreMachine(snap *Snapshot, cfg Config) (*Machine, error) {
 // what the events MEAN.
 func (m *Machine) Recover(cfg JournalConfig, lsn uint64) (int, error) {
 	m.dur = RecoverJournal(cfg, m.b.pl, lsn)
+	m.dur.snapLoad = m.snapLoad
 	return m.dur.Replay(func(e *Event) error {
 		switch err := m.Apply(e); {
 		case errors.Is(err, errUnknownOp):

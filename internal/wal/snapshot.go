@@ -10,8 +10,10 @@ import (
 	"strings"
 )
 
-// ErrNoSnapshot reports a directory with no readable snapshot; recovery
-// then replays the whole log from LSN 0.
+// ErrNoSnapshot reports a directory with no snapshot. Recovery does not
+// fall back to replaying the log from LSN 0: a durable surface writes its
+// baseline snapshot before the first segment, so segments without a
+// snapshot are refused (repair.LoadSnapshot).
 var ErrNoSnapshot = errors.New("wal: no snapshot")
 
 // snapshotName formats the snapshot covering all records through lsn.

@@ -20,6 +20,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,6 +49,8 @@ const (
 	MaxRecord = 16 << 20
 	// defaultSegmentBytes rotates segments at 4 MiB.
 	defaultSegmentBytes = 4 << 20
+	// scanBuffer is the read buffer of a segment scan.
+	scanBuffer = 64 << 10
 )
 
 // ErrCorrupt reports framing damage that is not a torn final record — a
@@ -194,8 +197,11 @@ func scanSegment(path string, fn func(payload []byte) error) (count int, end int
 		return 0, 0, false, err
 	}
 	defer f.Close()
+	// One buffered reader per segment: a record is two small reads, its
+	// header and its payload, and on the bare file each was a syscall.
+	r := bufio.NewReaderSize(f, scanBuffer)
 	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(f, head); err != nil {
+	if _, err := io.ReadFull(r, head); err != nil {
 		// Too short for the magic: a segment file created but not fully
 		// written before the crash.
 		return 0, 0, true, nil
@@ -207,7 +213,7 @@ func scanSegment(path string, fn func(payload []byte) error) (count int, end int
 	hdr := make([]byte, frameHeader)
 	var buf []byte
 	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
+		if _, err := io.ReadFull(r, hdr); err != nil {
 			if err == io.EOF {
 				return count, end, false, nil // clean end at a record boundary
 			}
@@ -222,7 +228,7 @@ func scanSegment(path string, fn func(payload []byte) error) (count int, end int
 			buf = make([]byte, length)
 		}
 		buf = buf[:length]
-		if _, err := io.ReadFull(f, buf); err != nil {
+		if _, err := io.ReadFull(r, buf); err != nil {
 			return count, end, true, nil // partial payload
 		}
 		if crc32.Checksum(buf, crcTable) != sum {

@@ -308,7 +308,7 @@ func TestStateRoundTrip(t *testing.T) {
 	// The split derivation sequence must continue identically too.
 	ca, cb := r.Split(), q.Split()
 	for i := 0; i < 100; i++ {
-		if a, b := ca.IntN(1 << 20), cb.IntN(1 << 20); a != b {
+		if a, b := ca.IntN(1<<20), cb.IntN(1<<20); a != b {
 			t.Fatalf("child stream diverges at %d: %v vs %v", i, a, b)
 		}
 	}
