@@ -382,7 +382,7 @@ func BenchmarkLocalSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.LocalSearch(p, a, 3)
+		core.LocalSearchOpt(p, a, 3, core.Options{})
 	}
 }
 

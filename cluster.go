@@ -313,15 +313,6 @@ func (c *Cluster) lookupServer(id string) (int, bool) {
 	return i, ok
 }
 
-// serverIndex resolves a server ID.
-func (c *Cluster) serverIndex(id string) (int, error) {
-	i, ok := c.serverIdx[id]
-	if !ok {
-		return 0, fmt.Errorf("dvecap: %w %q", ErrUnknownServer, id)
-	}
-	return i, nil
-}
-
 // zoneIndex resolves a zone ID.
 func (c *Cluster) zoneIndex(id string) (int, error) {
 	z, ok := c.zoneIdx[id]

@@ -7,7 +7,6 @@ package dvecap
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -276,7 +275,6 @@ func TestMalformedCallsRefusedEverywhere(t *testing.T) {
 		path    string
 		body    string
 		is      error // the sessions' sentinel; nil: none
-		dirIs   error // the director's
 		status  int
 	}{
 		{name: "bandwidth 0", session: func(s *ClusterSession) error { return s.SetBandwidth("c000001", 0) }},
@@ -320,28 +318,18 @@ func TestMalformedCallsRefusedEverywhere(t *testing.T) {
 			is: ErrUnknownZone, status: http.StatusBadRequest},
 		{name: "unknown zone on MoveBatch",
 			session: func(s *ClusterSession) error { return s.MoveBatch([]string{"c000001"}, []string{"zq"}) },
-			dir:     func() error { _, err := d.MoveBatch([]string{"c000001"}, []director.Ref{z("zq")}); return err },
 			is:      ErrUnknownZone},
 		{name: "mismatched batch lengths",
-			session: func(s *ClusterSession) error { return s.MoveBatch([]string{"c000001", "c000002"}, []string{"z1"}) },
-			dir: func() error {
-				_, err := d.MoveBatch([]string{"c000001", "c000002"}, []director.Ref{z("z1")})
-				return err
-			}},
+			session: func(s *ClusterSession) error { return s.MoveBatch([]string{"c000001", "c000002"}, []string{"z1"}) }},
 		{name: "duplicate ID in a batch",
 			session: func(s *ClusterSession) error { return s.LeaveBatch([]string{"c000001", "c000001"}) },
-			dir:     func() error { return d.LeaveBatch([]string{"c000001", "c000001"}) },
-			is:      ErrDuplicateClient, dirIs: ErrDuplicateClient},
+			is:      ErrDuplicateClient},
 		{name: "duplicate ID in a join batch",
 			session: func(s *ClusterSession) error {
 				spec := ClientSpec{Zone: "z1", BandwidthMbps: 1, RTTRow: row(1, 2, 3, 4)}
 				return s.JoinBatch([]ClientJoin{{ID: "nx", Spec: spec}, {ID: "nx", Spec: spec}})
 			},
-			dir: func() error {
-				_, err := d.JoinBatch([]director.ClientJoin{{ID: "nx", Node: 3, Zone: z("z1")}, {ID: "nx", Node: 4, Zone: z("z1")}})
-				return err
-			},
-			is: ErrDuplicateClient, dirIs: ErrDuplicateClient},
+			is: ErrDuplicateClient},
 		{name: "empty server ID", session: func(s *ClusterSession) error {
 			return s.AddServer("", ServerSpec{CapacityMbps: 50, RTTs: peers})
 		}},
@@ -385,7 +373,7 @@ func TestMalformedCallsRefusedEverywhere(t *testing.T) {
 			}
 			records, before := len(journalTail(t, cfg.DataDir)), dirState()
 			if tc.dir != nil {
-				refused(t, "director", tc.dir(), tc.dirIs)
+				refused(t, "director", tc.dir(), nil)
 			}
 			if tc.method != "" {
 				rec := httptest.NewRecorder()
@@ -483,93 +471,4 @@ func machineCommit(m *repair.Machine, e *repair.Event) error {
 	}
 	_, err := m.Applied()
 	return err
-}
-
-// TestDirectorMoveBatchMatchesSession: the director's MoveBatch is ONE
-// journal record, and what it does equals the same moves through
-// ClusterSession.MoveBatch on the same state — once the session has been told
-// the bandwidths the director's population model derived (the record's
-// refresh list and per-mover bandwidths).
-func TestDirectorMoveBatchMatchesSession(t *testing.T) {
-	d, cfg := crossOrigin(t)
-	s, err := NewCluster(1).Open("GreZ-GreC", WithDurability(cloneDir(t, cfg.DataDir)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	auditSession(t, s)
-	ids := []string{"c000001", "c000004", "c000007", "c000002"}
-	infos, err := d.MoveBatch(ids, []director.Ref{director.Index(3), director.ID("z3"), director.Index(0), director.ID("z6")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail := journalTail(t, cfg.DataDir)
-	if len(tail) != 1 {
-		t.Fatalf("MoveBatch journaled %d records, want 1", len(tail))
-	}
-	e, err := repair.DecodeEvent(tail[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Op != repair.OpMoveBatch || len(e.IDs) != len(ids) || len(e.RTs) != len(ids) || len(e.Refresh) == 0 {
-		t.Fatalf("journaled %s", tail[0])
-	}
-	for _, r := range e.Refresh {
-		if err := s.SetZoneBandwidth(r.Zone, r.RT); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for x, id := range e.IDs {
-		if err := s.SetBandwidth(id, e.RTs[x]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.MoveBatch(e.IDs, e.Zones); err != nil {
-		t.Fatal(err)
-	}
-	want, err := d.DurableState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.m.Render(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("session and director diverged:\nsession  %s\ndirector %s", got, want)
-	}
-	for x, info := range infos {
-		c, err := s.Client(info.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.ID != ids[x] || c.Zone != info.ZoneID || c.Contact != info.ContactID || c.Target != info.TargetID || c.DelayMs != info.DelayMs {
-			t.Fatalf("client %s: director %+v, session %+v", ids[x], info, c)
-		}
-	}
-	// The director's other batch verbs are one record each, too.
-	if _, err := d.JoinBatch([]director.ClientJoin{{ID: "j0", Node: 4, Zone: director.ID("z2")}, {ID: "j1", Node: 9, Zone: director.Index(2)}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.LeaveBatch([]string{"j0", "c000001"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.LeaveBatch([]string{"j1", "j1"}); !errors.Is(err, director.ErrDuplicateClient) {
-		t.Fatalf("repeated ID in a batch: %v", err)
-	}
-	var ops []string
-	for _, p := range journalTail(t, cfg.DataDir) {
-		var rec struct {
-			Op string `json:"op"`
-		}
-		if err := json.Unmarshal(p, &rec); err != nil {
-			t.Fatal(err)
-		}
-		ops = append(ops, rec.Op)
-	}
-	if want := []string{"move_batch", "join_batch", "leave_batch"}; len(ops) != 3 || ops[0] != want[0] || ops[1] != want[1] || ops[2] != want[2] {
-		t.Fatalf("journal tail %v, want %v", ops, want)
-	}
-	if st := d.Stats(); st.Clients != 10 {
-		t.Fatalf("%d clients after +2 −2, want 10", st.Clients)
-	}
 }

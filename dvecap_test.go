@@ -12,8 +12,8 @@ func TestNewScenarioDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := scn.world.Cfg
-	if cfg.Scenario() != "20s-80z-1000c-500cp" {
-		t.Fatalf("default scenario = %s", cfg.Scenario())
+	if cfg.Servers != 20 || cfg.Zones != 80 || cfg.Clients != 1000 || cfg.TotalCapacityMbps != 500 {
+		t.Fatalf("default scenario = %+v, want 20s-80z-1000c-500cp", cfg)
 	}
 	if scn.NumClients() != 1000 {
 		t.Fatalf("clients = %d", scn.NumClients())

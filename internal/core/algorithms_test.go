@@ -152,7 +152,7 @@ func TestRanZAssignsAllZonesWithinCapacity(t *testing.T) {
 
 func TestRanZLargestZoneFirstDeterministicOrder(t *testing.T) {
 	sizes := []int{3, 9, 9, 1}
-	order := zonesBySizeDesc(sizes)
+	order := zonesBySizeDescInto(sizes, nil)
 	want := []int{1, 2, 0, 3}
 	for i := range want {
 		if order[i] != want[i] {
@@ -194,7 +194,7 @@ func TestGreCUsesForwardingWhenItHelps(t *testing.T) {
 		t.Fatalf("far client contact = %d, want forwarding via 1", contact[1])
 	}
 	a := &Assignment{ZoneServer: []int{0}, ClientContact: contact}
-	if !a.HasQoS(p, 1) {
+	if a.ClientDelay(p, 1) > p.D {
 		t.Fatal("forwarded client still without QoS")
 	}
 }
@@ -304,7 +304,7 @@ func TestGreCNeverHurtsVirC(t *testing.T) {
 		}
 		av := &Assignment{ZoneServer: target, ClientContact: vc}
 		ag := &Assignment{ZoneServer: target, ClientContact: gc}
-		return TotalCost(p, ag) >= TotalCost(p, av)
+		return Evaluate(p, ag).WithQoS >= Evaluate(p, av).WithQoS
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -386,11 +386,11 @@ func TestLocalSearchNeverWorsens(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		improved := LocalSearch(p, a, 3)
+		improved := LocalSearchOpt(p, a, 3, Options{})
 		if err := improved.Validate(p); err != nil {
 			return false
 		}
-		return TotalCost(p, improved) >= TotalCost(p, a)
+		return Evaluate(p, improved).WithQoS >= Evaluate(p, a).WithQoS
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -401,9 +401,9 @@ func TestLocalSearchFixesBadZonePlacement(t *testing.T) {
 	p := tinyProblem()
 	// Deliberately wrong: both zones on s0, c2 without QoS.
 	a := &Assignment{ZoneServer: []int{0, 0}, ClientContact: []int{0, 0, 0}}
-	improved := LocalSearch(p, a, 5)
-	if TotalCost(p, improved) != 3 {
-		t.Fatalf("local search got %d with QoS, want 3", TotalCost(p, improved))
+	improved := LocalSearchOpt(p, a, 5, Options{})
+	if Evaluate(p, improved).WithQoS != 3 {
+		t.Fatalf("local search got %d with QoS, want 3", Evaluate(p, improved).WithQoS)
 	}
 }
 

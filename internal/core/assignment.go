@@ -15,21 +15,6 @@ type Assignment struct {
 	ClientContact []int
 }
 
-// NewAssignment returns an assignment with all slots unset (-1).
-func NewAssignment(zones, clients int) *Assignment {
-	a := &Assignment{
-		ZoneServer:    make([]int, zones),
-		ClientContact: make([]int, clients),
-	}
-	for i := range a.ZoneServer {
-		a.ZoneServer[i] = -1
-	}
-	for i := range a.ClientContact {
-		a.ClientContact[i] = -1
-	}
-	return a
-}
-
 // Clone deep-copies the assignment.
 func (a *Assignment) Clone() *Assignment {
 	return &Assignment{
@@ -53,11 +38,6 @@ func (a *Assignment) ClientDelay(p *Problem, j int) float64 {
 		return p.CSAt(j, t)
 	}
 	return p.CSAt(j, c) + p.SS[c][t]
-}
-
-// HasQoS reports whether client j's effective delay is within the bound.
-func (a *Assignment) HasQoS(p *Problem, j int) bool {
-	return a.ClientDelay(p, j) <= p.D
 }
 
 // ServerLoads returns each server's bandwidth consumption R_{s_i}: the
@@ -162,19 +142,6 @@ func (m *Metrics) setRatios(truth *Problem, loads []float64) {
 	if capTotal > 0 {
 		m.Utilization = used / capTotal
 	}
-}
-
-// TotalCost returns the CAP objective actually reported by the paper: the
-// number of clients with QoS (to be maximised). Provided for solver
-// cross-checks.
-func TotalCost(p *Problem, a *Assignment) int {
-	n := 0
-	for j := 0; j < p.NumClients(); j++ {
-		if a.HasQoS(p, j) {
-			n++
-		}
-	}
-	return n
 }
 
 // IAPCost returns the initial-assignment objective C^I(x) of Definition

@@ -14,7 +14,7 @@ func TestClientDelayDirectAndForwarded(t *testing.T) {
 	if d := a.ClientDelay(p, 1); d != 90 { // 30 + 60 via s1
 		t.Fatalf("forwarded delay = %v, want 90", d)
 	}
-	if !a.HasQoS(p, 0) || !a.HasQoS(p, 1) {
+	if a.ClientDelay(p, 0) > p.D || a.ClientDelay(p, 1) > p.D {
 		t.Fatal("both clients should have QoS")
 	}
 }
@@ -31,7 +31,7 @@ func TestServerLoadsCountForwardingTwice(t *testing.T) {
 
 func TestValidateAssignment(t *testing.T) {
 	p := tinyProblem()
-	a := NewAssignment(p.NumZones, p.NumClients())
+	a := &Assignment{ZoneServer: []int{-1, -1}, ClientContact: []int{-1, -1, -1}}
 	if err := a.Validate(p); err == nil {
 		t.Fatal("unset assignment accepted")
 	}
@@ -113,14 +113,6 @@ func TestRAPCost(t *testing.T) {
 	via := &Assignment{ZoneServer: []int{0}, ClientContact: []int{0, 1}}
 	if c := RAPCost(p, via); c != 0 {
 		t.Fatalf("RAPCost = %v, want 0", c)
-	}
-}
-
-func TestTotalCostMatchesEvaluate(t *testing.T) {
-	p := tinyProblem()
-	a := &Assignment{ZoneServer: []int{0, 1}, ClientContact: []int{0, 0, 1}}
-	if TotalCost(p, a) != Evaluate(p, a).WithQoS {
-		t.Fatal("TotalCost disagrees with Evaluate")
 	}
 }
 

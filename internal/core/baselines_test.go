@@ -125,12 +125,12 @@ func TestNearCCanHurtWhenDetourIsLong(t *testing.T) {
 	if contact[0] != 1 {
 		t.Fatalf("contact = %v, want the nearer server 1", contact)
 	}
-	if a.HasQoS(p, 0) {
+	if a.ClientDelay(p, 0) <= p.D {
 		t.Fatal("detour should have broken QoS — the baseline's defining flaw")
 	}
 	vc, _ := VirC(nil, p, []int{0}, Options{})
 	av := &Assignment{ZoneServer: []int{0}, ClientContact: vc}
-	if !av.HasQoS(p, 0) {
+	if av.ClientDelay(p, 0) > p.D {
 		t.Fatal("VirC should have kept QoS")
 	}
 }

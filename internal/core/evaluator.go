@@ -260,11 +260,6 @@ func (ev *Evaluator) csRow(j int) []float64 {
 // bound.
 func (ev *Evaluator) WithQoS() int { return ev.withQoS }
 
-// RAPCost returns the refined-assignment objective C^R(x): the summed
-// excess of every client's effective delay over the bound. Maintained
-// incrementally; may differ from a fresh RAPCost sum by float rounding.
-func (ev *Evaluator) RAPCost() float64 { return ev.rapCost }
-
 // TotalLoad returns the summed server bandwidth load.
 func (ev *Evaluator) TotalLoad() float64 { return ev.totalLoad }
 
@@ -410,7 +405,7 @@ func (ev *Evaluator) ApplyContactSwitch(j, s int) {
 
 // LocalSearch runs the hill climber on the evaluator's current solution,
 // mutating it in place; it reports whether any move was accepted. Same
-// semantics as the package-level LocalSearch. The zone-move scan runs
+// semantics as LocalSearchOpt. The zone-move scan runs
 // through the candidate-delta cache, sharded across the goroutines set by
 // SetWorkers (movecache.go); the accepted moves are identical for every
 // worker count.

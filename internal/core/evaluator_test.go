@@ -58,7 +58,7 @@ func TestEvaluatorReset(t *testing.T) {
 		}
 		ev.Reset(p, a)
 		fresh := NewEvaluator(p, a)
-		if ev.WithQoS() != fresh.WithQoS() || ev.RAPCost() != fresh.RAPCost() || ev.TotalLoad() != fresh.TotalLoad() {
+		if ev.WithQoS() != fresh.WithQoS() || ev.rapCost != fresh.rapCost || ev.TotalLoad() != fresh.TotalLoad() {
 			t.Fatalf("trial %d: reused evaluator differs from fresh", trial)
 		}
 		audit(t, ev)
@@ -82,7 +82,7 @@ func TestLocalSearchMatchesOracle(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, rounds := range []int{1, 2, 4} {
-			got := LocalSearch(p, start, rounds)
+			got := LocalSearchOpt(p, start, rounds, Options{})
 			want := localSearchOracle(p, start, rounds)
 			for z := range want.ZoneServer {
 				if got.ZoneServer[z] != want.ZoneServer[z] {
@@ -110,7 +110,7 @@ func TestLocalSearchOracleNeverWorsens(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		improved := localSearchOracle(p, a, 3)
-		if TotalCost(p, improved) < TotalCost(p, a) {
+		if Evaluate(p, improved).WithQoS < Evaluate(p, a).WithQoS {
 			t.Fatalf("trial %d: oracle worsened QoS", trial)
 		}
 	}

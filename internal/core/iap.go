@@ -285,13 +285,8 @@ func GreZDynamic(_ *xrand.RNG, p *Problem, opt Options) ([]int, error) {
 
 const negInf = -1e308
 
-// zonesBySizeDesc returns zone indexes sorted by client count descending,
-// ties by zone index ascending (deterministic).
-func zonesBySizeDesc(size []int) []int {
-	return zonesBySizeDescInto(size, nil)
-}
-
-// zonesBySizeDescInto is zonesBySizeDesc writing into buf when it has
+// zonesBySizeDescInto returns zone indexes sorted by client count
+// descending, ties by zone index ascending, writing into buf when it has
 // capacity. The (count desc, index asc) order is total, so the unstable
 // sort is deterministic.
 func zonesBySizeDescInto(size []int, buf []int) []int {

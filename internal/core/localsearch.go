@@ -1,6 +1,6 @@
 package core
 
-// LocalSearch is a best-improvement hill climber layered on top of any
+// LocalSearchOpt is a best-improvement hill climber layered on top of any
 // two-phase result — an extension beyond the paper used to measure how much
 // headroom the greedy heuristics leave (DESIGN.md §5). Two neighbourhoods:
 //
@@ -24,14 +24,10 @@ package core
 // move sequences. To amortise the evaluator's buffers across repeated
 // searches (replication or churn loops), hold an Evaluator, Reset it, and
 // call its LocalSearch method directly.
-func LocalSearch(p *Problem, a *Assignment, maxRounds int) *Assignment {
-	return LocalSearchOpt(p, a, maxRounds, Options{})
-}
-
-// LocalSearchOpt is LocalSearch honouring Options: Workers > 1 shards the
-// zone-move candidate scan across that many goroutines (Workers < 0 uses
-// all CPUs), with accepted moves bit-identical to the sequential scan for
-// every worker count — see parallel_test.go.
+//
+// Options.Workers > 1 shards the zone-move candidate scan across that many
+// goroutines (Workers < 0 uses all CPUs), with accepted moves bit-identical
+// to the sequential scan for every worker count — see parallel_test.go.
 func LocalSearchOpt(p *Problem, a *Assignment, maxRounds int, opt Options) *Assignment {
 	ev := NewEvaluator(p, a)
 	ev.SetWorkers(opt.workerCount())

@@ -80,15 +80,6 @@ func (p *Problem) NumServers() int { return len(p.ServerCaps) }
 // NumClients returns the number of clients.
 func (p *Problem) NumClients() int { return len(p.ClientZones) }
 
-// ZoneClients returns, for each zone, the IDs of its clients.
-func (p *Problem) ZoneClients() [][]int {
-	out := make([][]int, p.NumZones)
-	for j, z := range p.ClientZones {
-		out[z] = append(out[z], j)
-	}
-	return out
-}
-
 // ZoneRT returns each zone's total target-server bandwidth requirement
 // (the paper's R_{z}).
 func (p *Problem) ZoneRT() []float64 {

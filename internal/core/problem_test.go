@@ -52,12 +52,8 @@ func TestProblemValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestZoneClientsAndRT(t *testing.T) {
+func TestZoneRTAndTotalCapacity(t *testing.T) {
 	p := tinyProblem()
-	zc := p.ZoneClients()
-	if len(zc) != 2 || len(zc[0]) != 2 || len(zc[1]) != 1 {
-		t.Fatalf("ZoneClients = %v", zc)
-	}
 	rt := p.ZoneRT()
 	if rt[0] != 2 || rt[1] != 1 {
 		t.Fatalf("ZoneRT = %v", rt)

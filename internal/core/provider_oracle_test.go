@@ -61,8 +61,8 @@ func compareLanes(t *testing.T, label string, evD, evP *Evaluator) {
 	if evD.WithQoS() != evP.WithQoS() {
 		t.Fatalf("%s: withQoS = %d via provider, oracle has %d", label, evP.WithQoS(), evD.WithQoS())
 	}
-	if evD.RAPCost() != evP.RAPCost() {
-		t.Fatalf("%s: rapCost = %v via provider, oracle has %v", label, evP.RAPCost(), evD.RAPCost())
+	if evD.rapCost != evP.rapCost {
+		t.Fatalf("%s: rapCost = %v via provider, oracle has %v", label, evP.rapCost, evD.rapCost)
 	}
 	if evD.TotalLoad() != evP.TotalLoad() {
 		t.Fatalf("%s: totalLoad = %v via provider, oracle has %v", label, evP.TotalLoad(), evD.TotalLoad())

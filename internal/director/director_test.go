@@ -1140,7 +1140,7 @@ func TestAdjacencyExportsWithProblem(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := d.ProblemSnapshot()
-	if p.Adjacency == nil || p.Adjacency.NumEdges() != 1 || p.Adjacency.Weight(2, 3) != 4 {
+	if p.Adjacency == nil || len(p.Adjacency.Edges()) != 1 || p.Adjacency.Weight(2, 3) != 4 {
 		t.Fatalf("problem snapshot lost the adjacency graph: %+v", p.Adjacency)
 	}
 	rec := httptest.NewRecorder()

@@ -49,20 +49,15 @@ func recover10kFixture(b *testing.B, dir string) Config {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The preload goes in as batches: the checkpoint below covers it, so
-	// only its snapshot shows in the recovery.
+	// The checkpoint below covers the preload, so only its snapshot shows
+	// in the recovery.
 	live := make([]string, 0, clients+tail)
-	batch := make([]ClientJoin, 0, 1000)
 	for c := 0; c < clients; c++ {
 		id := fmt.Sprintf("p%05d", c)
-		batch = append(batch, ClientJoin{ID: id, Node: rng.IntN(dm.N()), Zone: Index(rng.IntN(zones))})
-		live = append(live, id)
-		if len(batch) == cap(batch) {
-			if _, err := d.JoinBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-			batch = batch[:0]
+		if _, err := d.Join(id, rng.IntN(dm.N()), rng.IntN(zones)); err != nil {
+			b.Fatal(err)
 		}
+		live = append(live, id)
 	}
 	if _, err := d.Reassign(); err != nil {
 		b.Fatal(err)

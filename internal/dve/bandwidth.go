@@ -28,19 +28,8 @@ func (c Config) ClientRTMbps(zonePop int) float64 {
 	return bytesPerSec * bitsPerByte / 1e6
 }
 
-// ZoneRTMbps returns a zone's aggregate target-server bandwidth (Mbps) for
-// a population of zonePop clients: zonePop × ClientRTMbps(zonePop).
-func (c Config) ZoneRTMbps(zonePop int) float64 {
-	return float64(zonePop) * c.ClientRTMbps(zonePop)
-}
-
-// ClientRTs returns the per-client bandwidth requirement vector for the
-// world's current population.
-func (w *World) ClientRTs() []float64 {
-	return w.ClientRTsInto(nil)
-}
-
-// ClientRTsInto is ClientRTs writing into buf when it has capacity.
+// ClientRTsInto returns the per-client bandwidth requirement vector for
+// the world's current population, writing into buf when it has capacity.
 func (w *World) ClientRTsInto(buf []float64) []float64 {
 	pop := w.ZonePopulations()
 	k := len(w.ClientZones)

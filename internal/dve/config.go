@@ -81,7 +81,7 @@ func (t DistributionType) String() string {
 
 // Config collects every parameter of a DVE scenario. DefaultConfig returns
 // the paper's §4.1 defaults; the tables' scenario notation
-// ("20s-80z-1000c-500cp") round-trips through ParseScenario / Scenario.
+// ("20s-80z-1000c-500cp") is read by ParseScenario.
 type Config struct {
 	Servers int // number of geographically distributed servers
 	Zones   int // number of virtual-world zones
@@ -132,12 +132,6 @@ func DefaultConfig() Config {
 		FrameRate:         25,
 		MessageBytes:      100,
 	}
-}
-
-// Scenario renders the paper's table notation for this configuration,
-// e.g. "20s-80z-1000c-500cp".
-func (c Config) Scenario() string {
-	return fmt.Sprintf("%ds-%dz-%dc-%dcp", c.Servers, c.Zones, c.Clients, int(c.TotalCapacityMbps))
 }
 
 var scenarioRe = regexp.MustCompile(`^(\d+)s-(\d+)z-(\d+)c-(\d+)cp$`)

@@ -1,6 +1,7 @@
 package dve
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func TestScenarioRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
-		if got := cfg.Scenario(); got != s {
+		if got := scenario(cfg); got != s {
 			t.Fatalf("round trip %q → %q", s, got)
 		}
 	}
@@ -140,8 +141,8 @@ func TestBandwidthModelMatchesPaperScale(t *testing.T) {
 
 func TestZoneRTQuadratic(t *testing.T) {
 	cfg := DefaultConfig()
-	r10 := cfg.ZoneRTMbps(10)
-	r100 := cfg.ZoneRTMbps(100)
+	r10 := 10 * cfg.ClientRTMbps(10)
+	r100 := 100 * cfg.ClientRTMbps(100)
 	// Zone demand must grow ~quadratically (N(N+1) form): 100 clients cost
 	// ~83× the 10-client zone, far beyond linear 10×.
 	if ratio := r100 / r10; ratio < 50 || ratio > 120 {
@@ -157,4 +158,9 @@ func TestClientRTMbpsFloorsPopulation(t *testing.T) {
 	if cfg.ClientRTMbps(1) <= 0 {
 		t.Fatal("RT must be strictly positive")
 	}
+}
+
+// scenario renders cfg in the tables' notation, e.g. "20s-80z-1000c-500cp".
+func scenario(c Config) string {
+	return fmt.Sprintf("%ds-%dz-%dc-%dcp", c.Servers, c.Zones, c.Clients, int(c.TotalCapacityMbps))
 }

@@ -27,7 +27,7 @@ func FuzzParseScenario(f *testing.F) {
 		// Canonicalisation must be idempotent: rendering and re-parsing
 		// yields the same configuration (the rendered text may differ from
 		// the input, e.g. "00c" canonicalises to "0c").
-		canon := cfg.Scenario()
+		canon := scenario(cfg)
 		cfg2, err := ParseScenario(DefaultConfig(), canon)
 		if err != nil {
 			t.Fatalf("canonical form %q rejected: %v", canon, err)

@@ -201,40 +201,6 @@ func (w *World) ZonePopulations() []int {
 	return pop
 }
 
-// Validate checks world invariants.
-func (w *World) Validate() error {
-	if err := w.Cfg.Validate(); err != nil {
-		return err
-	}
-	if len(w.ServerNodes) != w.Cfg.Servers || len(w.ServerCaps) != w.Cfg.Servers {
-		return fmt.Errorf("dve: server slices sized %d/%d, want %d",
-			len(w.ServerNodes), len(w.ServerCaps), w.Cfg.Servers)
-	}
-	seen := map[int]bool{}
-	for i, nd := range w.ServerNodes {
-		if nd < 0 || nd >= w.Topo.N() {
-			return fmt.Errorf("dve: server %d on invalid node %d", i, nd)
-		}
-		if seen[nd] {
-			return fmt.Errorf("dve: two servers on node %d", nd)
-		}
-		seen[nd] = true
-	}
-	if len(w.ClientNodes) != len(w.ClientZones) {
-		return fmt.Errorf("dve: client slices disagree: %d nodes, %d zones",
-			len(w.ClientNodes), len(w.ClientZones))
-	}
-	for j := range w.ClientNodes {
-		if n := w.ClientNodes[j]; n < 0 || n >= w.Topo.N() {
-			return fmt.Errorf("dve: client %d on invalid node %d", j, n)
-		}
-		if z := w.ClientZones[j]; z < 0 || z >= w.Cfg.Zones {
-			return fmt.Errorf("dve: client %d in invalid zone %d", j, z)
-		}
-	}
-	return nil
-}
-
 // Clone deep-copies the world (topology and delay matrix are shared, they
 // are immutable by convention).
 func (w *World) Clone() *World {
@@ -256,44 +222,6 @@ func (w *World) Clone() *World {
 		}
 	}
 	return &c
-}
-
-// NewWorldFromParts assembles a world from explicitly provided placement —
-// the entry point for callers that own the spatial layer themselves (e.g.
-// an avatar mobility model producing zone memberships, or real deployment
-// data). cfg's Servers/Zones/Clients must match the provided slices; the
-// world is validated before being returned.
-func NewWorldFromParts(cfg Config, topo *topology.Graph, delays *topology.DelayMatrix,
-	serverNodes []int, serverCaps []float64, clientNodes, clientZones []int) (*World, error) {
-	if topo == nil || delays == nil {
-		return nil, fmt.Errorf("dve: nil topology or delay matrix")
-	}
-	if delays.N() != topo.N() {
-		return nil, fmt.Errorf("dve: delay matrix covers %d nodes, topology has %d", delays.N(), topo.N())
-	}
-	cfg.Servers = len(serverNodes)
-	cfg.Clients = len(clientNodes)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	w := &World{
-		Cfg:         cfg,
-		Topo:        topo,
-		Delays:      delays,
-		ServerNodes: append([]int(nil), serverNodes...),
-		ServerCaps:  append([]float64(nil), serverCaps...),
-		ClientNodes: append([]int(nil), clientNodes...),
-		ClientZones: append([]int(nil), clientZones...),
-	}
-	w.regions = topo.ASCount()
-	if w.regions < 1 {
-		w.regions = 1
-	}
-	w.regionZones = splitZonesIntoBlocks(cfg.Zones, w.regions)
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return w, nil
 }
 
 // SetClientZones replaces every client's zone in one call — the fast path

@@ -1,6 +1,7 @@
 package dve
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -284,30 +285,6 @@ func TestProblemSnapshotIsolatedFromWorld(t *testing.T) {
 	}
 }
 
-func TestNewWorldFromPartsValidates(t *testing.T) {
-	g, dm := testTopo(t)
-	cfg := testConfig()
-	nodes := []int{0, 1, 2, 3, 4}
-	caps := []float64{40, 40, 40, 40, 40}
-	clientNodes := []int{0, 1, 2}
-	clientZones := []int{0, 1, 2}
-	w, err := NewWorldFromParts(cfg, g, dm, nodes, caps, clientNodes, clientZones)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.NumClients() != 3 || w.Cfg.Servers != 5 {
-		t.Fatalf("shape: %d clients, %d servers", w.NumClients(), w.Cfg.Servers)
-	}
-	// Out-of-range zone rejected.
-	if _, err := NewWorldFromParts(cfg, g, dm, nodes, caps, []int{0}, []int{999}); err == nil {
-		t.Fatal("bad zone accepted")
-	}
-	// Duplicate server node rejected.
-	if _, err := NewWorldFromParts(cfg, g, dm, []int{0, 0, 1, 2, 3}, caps, clientNodes, clientZones); err == nil {
-		t.Fatal("duplicate server node accepted")
-	}
-}
-
 func TestSetClientZones(t *testing.T) {
 	g, dm := testTopo(t)
 	w, err := BuildWorld(xrand.New(44), testConfig(), g, dm)
@@ -333,4 +310,38 @@ func TestSetClientZones(t *testing.T) {
 	if err := w.SetClientZones(zones); err == nil {
 		t.Fatal("negative zone accepted")
 	}
+}
+
+// Validate checks world invariants.
+func (w *World) Validate() error {
+	if err := w.Cfg.Validate(); err != nil {
+		return err
+	}
+	if len(w.ServerNodes) != w.Cfg.Servers || len(w.ServerCaps) != w.Cfg.Servers {
+		return fmt.Errorf("dve: server slices sized %d/%d, want %d",
+			len(w.ServerNodes), len(w.ServerCaps), w.Cfg.Servers)
+	}
+	seen := map[int]bool{}
+	for i, nd := range w.ServerNodes {
+		if nd < 0 || nd >= w.Topo.N() {
+			return fmt.Errorf("dve: server %d on invalid node %d", i, nd)
+		}
+		if seen[nd] {
+			return fmt.Errorf("dve: two servers on node %d", nd)
+		}
+		seen[nd] = true
+	}
+	if len(w.ClientNodes) != len(w.ClientZones) {
+		return fmt.Errorf("dve: client slices disagree: %d nodes, %d zones",
+			len(w.ClientNodes), len(w.ClientZones))
+	}
+	for j := range w.ClientNodes {
+		if n := w.ClientNodes[j]; n < 0 || n >= w.Topo.N() {
+			return fmt.Errorf("dve: client %d on invalid node %d", j, n)
+		}
+		if z := w.ClientZones[j]; z < 0 || z >= w.Cfg.Zones {
+			return fmt.Errorf("dve: client %d in invalid zone %d", j, z)
+		}
+	}
+	return nil
 }

@@ -28,11 +28,6 @@ type Model struct {
 	PerturbSS bool
 }
 
-// Perfect returns the identity model (e = 1): perfect information.
-func Perfect() Model {
-	return Model{Name: "perfect", Factor: 1, PerturbCS: true, PerturbSS: true}
-}
-
 // King returns the error model of the King measurement tool (e = 1.2).
 func King() Model {
 	return Model{Name: "King", Factor: 1.2, PerturbCS: true, PerturbSS: true}

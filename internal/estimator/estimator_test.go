@@ -34,7 +34,7 @@ func sampleProblem() *core.Problem {
 // truth's rides along.
 func TestPerfectModelIsIdentity(t *testing.T) {
 	for _, truth := range []*core.Problem{sampleProblem(), sampleProblem().Clone()} {
-		got, err := Perfect().PerturbProblem(xrand.New(1), truth)
+		got, err := (Model{Name: "perfect", Factor: 1, PerturbCS: true, PerturbSS: true}).PerturbProblem(xrand.New(1), truth)
 		if err != nil {
 			t.Fatal(err)
 		}

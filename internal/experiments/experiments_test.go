@@ -31,8 +31,8 @@ func TestTable1Smoke(t *testing.T) {
 	for _, row := range res.Rows {
 		for _, n := range res.Names {
 			c := row.Cells[n]
-			if c.PQoS.N() != 3 {
-				t.Fatalf("%s/%s aggregated %d reps", row.Scenario, n, c.PQoS.N())
+			if s := c.PQoS.String(); !strings.HasSuffix(s, "(n=3)") {
+				t.Fatalf("%s/%s aggregated %s, want 3 reps", row.Scenario, n, s)
 			}
 			if m := c.PQoS.Mean(); m < 0 || m > 1 {
 				t.Fatalf("%s/%s pQoS %v", row.Scenario, n, m)
@@ -218,8 +218,8 @@ func TestTable3Smoke(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		if row.Before.N() != 3 {
-			t.Fatalf("%s aggregated %d reps", row.Algorithm, row.Before.N())
+		if s := row.Before.String(); !strings.HasSuffix(s, "(n=3)") {
+			t.Fatalf("%s aggregated %s, want 3 reps", row.Algorithm, s)
 		}
 		// Re-execution must not be worse than the degraded assignment for
 		// the delay-aware algorithms (the paper's core point).

@@ -29,9 +29,7 @@ type Graph struct {
 	// parallel positive edge weights.
 	nbr [][]int32
 	wt  [][]float64
-	// edges counts undirected edges; total sums their weights exactly once
-	// per edge, recomputed on demand (sum order = canonical edge order) so
-	// it is a pure function of the graph, never an accumulator.
+	// edges counts undirected edges.
 	edges int
 }
 
@@ -45,12 +43,6 @@ func New(n int) *Graph {
 
 // NumZones returns the zone count.
 func (g *Graph) NumZones() int { return len(g.nbr) }
-
-// NumEdges returns the undirected edge count.
-func (g *Graph) NumEdges() int { return g.edges }
-
-// Degree returns the number of neighbors of zone z.
-func (g *Graph) Degree(z int) int { return len(g.nbr[z]) }
 
 // Row returns zone z's neighbor row: ascending neighbor zone indices and
 // the parallel edge weights. The slices are internal — read-only, valid
@@ -113,39 +105,6 @@ func (g *Graph) Add(a, b int, dw float64) (old, now float64, err error) {
 	return old, now, nil
 }
 
-// Scale multiplies every edge weight by f (0 < f ≤ 1 decays the graph
-// toward forgetting old observations), dropping edges whose weight falls
-// below floor. Deterministic: zones ascending, row order.
-func (g *Graph) Scale(f, floor float64) error {
-	if !(f > 0) || isBad(f) {
-		return fmt.Errorf("interact: scale factor %v, want > 0", f)
-	}
-	for z := range g.wt {
-		for i := range g.wt[z] {
-			g.wt[z][i] *= f
-		}
-	}
-	if floor > 0 {
-		for z := range g.nbr {
-			keptN, keptW := g.nbr[z][:0], g.wt[z][:0]
-			for i, y := range g.nbr[z] {
-				w := g.wt[z][i]
-				if w < floor {
-					// Drop; count the edge once, from its lower endpoint.
-					if int32(z) < y {
-						g.edges--
-					}
-					continue
-				}
-				keptN = append(keptN, y)
-				keptW = append(keptW, w)
-			}
-			g.nbr[z], g.wt[z] = keptN, keptW
-		}
-	}
-	return nil
-}
-
 // AddZone appends one zone with no edges and returns its index.
 func (g *Graph) AddZone() int {
 	g.nbr = append(g.nbr, nil)
@@ -185,20 +144,6 @@ func (g *Graph) RemoveZoneSwap(z int) error {
 	return nil
 }
 
-// TotalWeight sums every edge weight once, in canonical order (lower
-// endpoint ascending, then row order).
-func (g *Graph) TotalWeight() float64 {
-	var t float64
-	for z := range g.nbr {
-		for i, y := range g.nbr[z] {
-			if int32(z) < y {
-				t += g.wt[z][i]
-			}
-		}
-	}
-	return t
-}
-
 // CutWeight sums the weights of edges whose endpoints hosts place on
 // different servers — the cross-server traffic estimate. Canonical
 // summation order (lower endpoint ascending, then row order), so two
@@ -233,28 +178,6 @@ func (g *Graph) Clone() *Graph {
 		}
 	}
 	return c
-}
-
-// Equal reports whether two graphs have identical zone counts and edge
-// sets with bit-identical weights.
-func (g *Graph) Equal(o *Graph) bool {
-	if g == nil || o == nil {
-		return g == nil && o == nil
-	}
-	if len(g.nbr) != len(o.nbr) || g.edges != o.edges {
-		return false
-	}
-	for z := range g.nbr {
-		if len(g.nbr[z]) != len(o.nbr[z]) {
-			return false
-		}
-		for i := range g.nbr[z] {
-			if g.nbr[z][i] != o.nbr[z][i] || g.wt[z][i] != o.wt[z][i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Edge is one undirected edge in canonical form (A < B).

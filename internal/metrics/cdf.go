@@ -19,9 +19,6 @@ func NewCDF(samples []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// N returns the sample count.
-func (c *CDF) N() int { return len(c.sorted) }
-
 // At returns P(X ≤ x), the fraction of samples not exceeding x.
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {
@@ -31,27 +28,6 @@ func (c *CDF) At(x float64) float64 {
 	// values <= x, so search for the first value > x.
 	idx := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] > x })
 	return float64(idx) / float64(len(c.sorted))
-}
-
-// Quantile returns the smallest sample value v with P(X ≤ v) ≥ q.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		panic("metrics: quantile of empty CDF")
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	idx := int(q*float64(len(c.sorted))+0.999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(c.sorted) {
-		idx = len(c.sorted) - 1
-	}
-	return c.sorted[idx]
 }
 
 // Series samples the CDF at steps+1 evenly spaced points over [lo, hi],

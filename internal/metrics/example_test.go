@@ -12,8 +12,8 @@ func ExampleSummary() {
 	for _, pqos := range []float64{0.94, 0.95, 0.93, 0.96, 0.94} {
 		s.Add(pqos)
 	}
-	fmt.Printf("mean %.3f over %d runs\n", s.Mean(), s.N())
-	// Output: mean 0.944 over 5 runs
+	fmt.Println(s.String())
+	// Output: 0.9440 ± 0.0100 (n=5)
 }
 
 // ExampleCDF shows the Figure-4-style delay distribution query.

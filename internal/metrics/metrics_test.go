@@ -12,8 +12,8 @@ func TestSummaryBasics(t *testing.T) {
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(v)
 	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d", s.N())
+	if s.n != 8 {
+		t.Fatalf("n = %d", s.n)
 	}
 	if math.Abs(s.Mean()-5) > 1e-12 {
 		t.Fatalf("mean = %v, want 5", s.Mean())
@@ -22,9 +22,6 @@ func TestSummaryBasics(t *testing.T) {
 	want := math.Sqrt(32.0 / 7.0)
 	if math.Abs(s.Std()-want) > 1e-12 {
 		t.Fatalf("std = %v, want %v", s.Std(), want)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
 	}
 	if s.CI95() <= 0 {
 		t.Fatal("CI95 must be positive for n > 1")
@@ -78,43 +75,6 @@ func TestSummaryMatchesNaiveComputation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	samples := []float64{1, 2, 3, 4, 5}
-	if p := Percentile(samples, 0); p != 1 {
-		t.Fatalf("p0 = %v", p)
-	}
-	if p := Percentile(samples, 1); p != 5 {
-		t.Fatalf("p100 = %v", p)
-	}
-	if p := Percentile(samples, 0.5); p != 3 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := Percentile(samples, 0.25); p != 2 {
-		t.Fatalf("p25 = %v", p)
-	}
-	// Interpolated.
-	if p := Percentile([]float64{0, 10}, 0.5); p != 5 {
-		t.Fatalf("interpolated p50 = %v", p)
-	}
-}
-
-func TestPercentilePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { Percentile(nil, 0.5) },
-		func() { Percentile([]float64{1}, -0.1) },
-		func() { Percentile([]float64{1}, 1.1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 
@@ -178,19 +138,6 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestCDFQuantile(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	if q := c.Quantile(0.5); q != 2 {
-		t.Fatalf("Quantile(0.5) = %v, want 2", q)
-	}
-	if q := c.Quantile(1); q != 4 {
-		t.Fatalf("Quantile(1) = %v", q)
-	}
-	if q := c.Quantile(0); q != 1 {
-		t.Fatalf("Quantile(0) = %v", q)
-	}
-}
-
 func TestCDFSeries(t *testing.T) {
 	c := NewCDF([]float64{100, 200, 300})
 	pts := c.Series(100, 300, 4)
@@ -209,15 +156,6 @@ func TestCDFSeries(t *testing.T) {
 	}
 }
 
-func TestMeanOf(t *testing.T) {
-	if MeanOf(nil) != 0 {
-		t.Fatal("MeanOf(nil) != 0")
-	}
-	if MeanOf([]float64{2, 4}) != 3 {
-		t.Fatal("MeanOf broken")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("alg", "pQoS", "R")
 	tb.AddRow("GreZ-GreC", "0.94", "0.66")
@@ -233,7 +171,7 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(lines[2], "GreZ-GreC") || !strings.Contains(lines[2], "0.94") {
 		t.Fatalf("row content missing:\n%s", out)
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("%d rows", len(tb.rows))
 	}
 }

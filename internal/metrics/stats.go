@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates scalar observations with Welford's online algorithm,
@@ -16,30 +15,15 @@ type Summary struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
 }
-
-// N returns the observation count.
-func (s *Summary) N() int { return s.n }
 
 // Mean returns the sample mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
@@ -55,12 +39,6 @@ func (s *Summary) Var() float64 {
 // Std returns the sample standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
 
-// Min and Max return observed extremes (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation.
-func (s *Summary) Max() float64 { return s.max }
-
 // CI95 returns the half-width of the normal-approximation 95% confidence
 // interval of the mean: 1.96·σ/√n (0 with fewer than 2 samples).
 func (s *Summary) CI95() float64 {
@@ -73,41 +51,4 @@ func (s *Summary) CI95() float64 {
 // String renders "mean ± ci95 (n=N)".
 func (s *Summary) String() string {
 	return fmt.Sprintf("%.4f ± %.4f (n=%d)", s.Mean(), s.CI95(), s.n)
-}
-
-// Percentile returns the q-th percentile (q in [0,1]) of the samples using
-// linear interpolation; it sorts a copy. Panics on empty input or q outside
-// [0,1].
-func Percentile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		panic("metrics: percentile of empty sample set")
-	}
-	if q < 0 || q > 1 {
-		panic("metrics: percentile q outside [0,1]")
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// MeanOf averages a plain slice (0 when empty).
-func MeanOf(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range samples {
-		sum += v
-	}
-	return sum / float64(len(samples))
 }

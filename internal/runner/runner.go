@@ -56,13 +56,3 @@ func Run[T any](baseSeed uint64, reps int, fn func(rep int, rng *xrand.RNG) (T, 
 	}
 	return results, nil
 }
-
-// Collect folds replication results into an accumulator in replication
-// order (deterministic regardless of scheduling).
-func Collect[T, A any](results []T, zero A, fold func(A, T) A) A {
-	acc := zero
-	for _, r := range results {
-		acc = fold(acc, r)
-	}
-	return acc
-}

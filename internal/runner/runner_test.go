@@ -95,12 +95,3 @@ func TestRunExecutesAllReps(t *testing.T) {
 		t.Fatalf("executed %d reps", count.Load())
 	}
 }
-
-func TestCollectFoldsInOrder(t *testing.T) {
-	got := Collect([]int{1, 2, 3}, "", func(acc string, v int) string {
-		return acc + string(rune('0'+v))
-	})
-	if got != "123" {
-		t.Fatalf("Collect = %q", got)
-	}
-}

@@ -31,9 +31,6 @@ func NewEngine() *Engine {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.pq) }
-
 // Schedule enqueues fn to run after delay seconds (>= 0) of virtual time.
 func (e *Engine) Schedule(delay float64, fn func()) {
 	if delay < 0 {

@@ -48,8 +48,8 @@ func TestEngineRunStopsAtUntil(t *testing.T) {
 	if fired {
 		t.Fatal("event beyond until fired")
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d", e.Pending())
+	if len(e.pq) != 1 {
+		t.Fatalf("pending = %d", len(e.pq))
 	}
 	e.Run(5)
 	if !fired {

@@ -68,7 +68,6 @@ func NewDelayMatrix(g *Graph, maxRTT, serverFactor float64) (*DelayMatrix, error
 }
 
 // NewDelayMatrixFromRTT wraps a precomputed symmetric RTT matrix (ms).
-// Used by tests and by the estimator package to build perturbed copies.
 func NewDelayMatrixFromRTT(rtt [][]float64, serverFactor float64) (*DelayMatrix, error) {
 	n := len(rtt)
 	var maxD float64
@@ -121,42 +120,4 @@ func (m *DelayMatrix) Clone() *DelayMatrix {
 		copy(rtt[i], m.rtt[i])
 	}
 	return &DelayMatrix{rtt: rtt, MaxRTT: m.MaxRTT, ServerFactor: m.ServerFactor}
-}
-
-// SetRTT overwrites the symmetric pair (u,v). Used by the estimator.
-func (m *DelayMatrix) SetRTT(u, v int, d float64) {
-	if d < 0 || math.IsNaN(d) {
-		panic("topology: SetRTT with invalid delay")
-	}
-	m.rtt[u][v] = d
-	m.rtt[v][u] = d
-}
-
-// MaxObservedRTT returns the largest entry actually present.
-func (m *DelayMatrix) MaxObservedRTT() float64 {
-	var maxD float64
-	for _, row := range m.rtt {
-		for _, d := range row {
-			if d > maxD {
-				maxD = d
-			}
-		}
-	}
-	return maxD
-}
-
-// CheckSymmetric verifies symmetry and a zero diagonal within tol.
-func (m *DelayMatrix) CheckSymmetric(tol float64) error {
-	n := len(m.rtt)
-	for i := 0; i < n; i++ {
-		if m.rtt[i][i] != 0 {
-			return fmt.Errorf("diagonal [%d] = %v", i, m.rtt[i][i])
-		}
-		for j := i + 1; j < n; j++ {
-			if math.Abs(m.rtt[i][j]-m.rtt[j][i]) > tol {
-				return fmt.Errorf("asymmetric at (%d,%d): %v vs %v", i, j, m.rtt[i][j], m.rtt[j][i])
-			}
-		}
-	}
-	return nil
 }

@@ -20,7 +20,7 @@ func ExampleHier() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("%d nodes, %d ASes, max RTT %.0f ms\n", g.N(), g.ASCount(), dm.MaxObservedRTT())
+	fmt.Printf("%d nodes, %d ASes, max RTT %.0f ms\n", g.N(), g.ASCount(), dm.MaxRTT)
 	// Output: 500 nodes, 20 ASes, max RTT 500 ms
 }
 

@@ -102,11 +102,10 @@ func TestBarabasiBasicProperties(t *testing.T) {
 
 func TestBarabasiHeavyTail(t *testing.T) {
 	g, _ := Barabasi(xrand.New(5), DefaultBarabasi(400))
-	seq := g.DegreeSequence()
 	// Preferential attachment must create hubs: the max degree should be
 	// several times the mean (which is ~2M = 4).
-	if seq[0] < 12 {
-		t.Fatalf("max degree %d too small for preferential attachment", seq[0])
+	if d := g.Stats().MaxDegree; d < 12 {
+		t.Fatalf("max degree %d too small for preferential attachment", d)
 	}
 }
 
@@ -142,13 +141,9 @@ func TestHierPaperConfiguration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// AS-major node ordering.
-	for a := 0; a < 20; a++ {
-		ids := g.NodesInAS(a)
-		if len(ids) != 25 {
-			t.Fatalf("AS %d has %d nodes, want 25", a, len(ids))
-		}
-		if ids[0] != a*25 || ids[len(ids)-1] != a*25+24 {
-			t.Fatalf("AS %d nodes not contiguous: %v", a, ids)
+	for _, n := range g.Nodes {
+		if n.AS != n.ID/25 {
+			t.Fatalf("node %d in AS %d, want 25 contiguous nodes per AS", n.ID, n.AS)
 		}
 	}
 }

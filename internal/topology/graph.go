@@ -11,7 +11,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Point is a position on the generation plane (or, for embedded real
@@ -196,18 +195,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// NodesInAS returns the IDs of nodes belonging to the given AS, in
-// ascending order.
-func (g *Graph) NodesInAS(as int) []int {
-	var out []int
-	for _, n := range g.Nodes {
-		if n.AS == as {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
 // ASCount returns the number of distinct AS values present.
 func (g *Graph) ASCount() int {
 	set := map[int]bool{}
@@ -246,16 +233,4 @@ func (g *Graph) Stats() Stats {
 	}
 	s.MeanDegree = 2 * float64(g.M()) / float64(g.N())
 	return s
-}
-
-// DegreeSequence returns the sorted (descending) degree sequence; useful to
-// verify the heavy tail of Barabási–Albert graphs in tests.
-func (g *Graph) DegreeSequence() []int {
-	g.buildAdj()
-	out := make([]int, g.N())
-	for v := range g.Nodes {
-		out[v] = len(g.adj[v])
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }

@@ -100,16 +100,12 @@ func TestValidateOK(t *testing.T) {
 	}
 }
 
-func TestNodesInAS(t *testing.T) {
+func TestASCount(t *testing.T) {
 	g := NewGraph(4, 0)
 	g.AddNode(Point{}, 0)
 	g.AddNode(Point{}, 1)
 	g.AddNode(Point{}, 0)
 	g.AddNode(Point{}, 2)
-	got := g.NodesInAS(0)
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("NodesInAS(0) = %v", got)
-	}
 	if g.ASCount() != 3 {
 		t.Fatalf("ASCount = %d, want 3", g.ASCount())
 	}
@@ -167,14 +163,5 @@ func TestReadJSONRejectsBadInput(t *testing.T) {
 				t.Fatalf("ReadJSON accepted %s", name)
 			}
 		})
-	}
-}
-
-func TestDegreeSequenceSorted(t *testing.T) {
-	seq := USBackbone().DegreeSequence()
-	for i := 1; i < len(seq); i++ {
-		if seq[i] > seq[i-1] {
-			t.Fatalf("degree sequence not descending at %d", i)
-		}
 	}
 }

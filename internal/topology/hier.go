@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 
 	"dvecap/internal/xrand"
 )
@@ -127,14 +126,6 @@ func minInt(v, hi, floor int) int {
 	}
 	if v < floor {
 		v = floor
-	}
-	return v
-}
-
-// mustPositive is a helper for generator tests.
-func mustPositive(v float64) float64 {
-	if v <= 0 || math.IsNaN(v) {
-		panic("topology: expected positive value")
 	}
 	return v
 }

@@ -88,20 +88,3 @@ func (h *distHeap) Pop() interface{} {
 	h.items = old[:n-1]
 	return it
 }
-
-// Eccentricity returns the maximum finite shortest-path delay from src, and
-// whether every node was reachable.
-func (g *Graph) Eccentricity(src int) (float64, bool) {
-	dist := g.ShortestFrom(src)
-	maxD, all := 0.0, true
-	for _, d := range dist {
-		if math.IsInf(d, 1) {
-			all = false
-			continue
-		}
-		if d > maxD {
-			maxD = d
-		}
-	}
-	return maxD, all
-}

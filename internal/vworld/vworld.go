@@ -67,28 +67,6 @@ func (m *Map) ZoneCenter(zone int) (x, y float64) {
 		(float64(row) + 0.5) * m.Height / float64(m.Rows)
 }
 
-// Neighbors returns the zone IDs orthogonally adjacent to zone — the zones
-// an avatar can walk into directly, and the set a zone-handoff protocol
-// must coordinate with.
-func (m *Map) Neighbors(zone int) []int {
-	col := zone % m.Cols
-	row := zone / m.Cols
-	var out []int
-	if col > 0 {
-		out = append(out, zone-1)
-	}
-	if col < m.Cols-1 {
-		out = append(out, zone+1)
-	}
-	if row > 0 {
-		out = append(out, zone-m.Cols)
-	}
-	if row < m.Rows-1 {
-		out = append(out, zone+m.Cols)
-	}
-	return out
-}
-
 // Avatar is one client's presence in the virtual world, moving under the
 // random-waypoint model: pick a destination uniformly in the world, walk
 // there at the avatar's speed, pause, repeat.
@@ -192,9 +170,6 @@ func NewWorld(rng *xrand.RNG, m *Map, cfg Config) (*World, error) {
 	return w, nil
 }
 
-// GroupOf returns avatar i's movement group, or -1 when ungrouped.
-func (w *World) GroupOf(i int) int { return w.group[i] }
-
 // drawPoint samples a position, hot-biased when configured.
 func (w *World) drawPoint() (float64, float64) {
 	if w.hotBias > 0 && w.rng.Bool(w.hotBias) {
@@ -244,18 +219,6 @@ func clamp(v, lo, hi float64) float64 {
 type Crossing struct {
 	Avatar   int // index into Avatars
 	From, To int // zone IDs (From != To)
-}
-
-// Step advances the world by dt seconds and returns the indexes of avatars
-// whose zone changed during the step — exactly the "clients move to
-// another zone" events the assignment layer reacts to.
-func (w *World) Step(dt float64) []int {
-	cs := w.StepCrossings(dt)
-	var moved []int
-	for _, c := range cs {
-		moved = append(moved, c.Avatar)
-	}
-	return moved
 }
 
 // StepCrossings advances the world by dt seconds and returns each zone

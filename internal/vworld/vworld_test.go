@@ -66,33 +66,6 @@ func TestZoneCenterRoundTrips(t *testing.T) {
 	}
 }
 
-func TestNeighbors(t *testing.T) {
-	m := testMap(t)
-	// Corner zone 0: right and down only.
-	n := m.Neighbors(0)
-	if len(n) != 2 {
-		t.Fatalf("corner neighbours = %v", n)
-	}
-	// Interior zone: 4 neighbours.
-	if n := m.Neighbors(15); len(n) != 4 {
-		t.Fatalf("interior neighbours = %v", n)
-	}
-	// Neighbour relation is symmetric.
-	for z := 0; z < m.Zones(); z++ {
-		for _, nb := range m.Neighbors(z) {
-			back := false
-			for _, nb2 := range m.Neighbors(nb) {
-				if nb2 == z {
-					back = true
-				}
-			}
-			if !back {
-				t.Fatalf("neighbour relation asymmetric: %d → %d", z, nb)
-			}
-		}
-	}
-}
-
 func defaultCfg(n int) Config {
 	return Config{Avatars: n, MinSpeed: 5, MaxSpeed: 15, PauseMeanSec: 2}
 }
@@ -144,7 +117,7 @@ func TestStepMovesAvatarsAndStaysInBounds(t *testing.T) {
 		before[i] = [2]float64{a.X, a.Y}
 	}
 	for step := 0; step < 100; step++ {
-		w.Step(1.0)
+		w.StepCrossings(1.0)
 		for i, a := range w.Avatars {
 			if a.X < -1e-9 || a.X > m.Width+1e-9 || a.Y < -1e-9 || a.Y > m.Height+1e-9 {
 				t.Fatalf("avatar %d escaped: (%v,%v)", i, a.X, a.Y)
@@ -169,11 +142,7 @@ func TestStepReportsZoneCrossings(t *testing.T) {
 	zonesBefore := w.ZoneVector()
 	crossings := 0
 	for step := 0; step < 60; step++ {
-		moved := w.Step(1.0)
-		for _, i := range moved {
-			crossings++
-			_ = i
-		}
+		crossings += len(w.StepCrossings(1.0))
 	}
 	zonesAfter := w.ZoneVector()
 	changed := 0
@@ -198,7 +167,7 @@ func TestStepMovementRespectsSpeed(t *testing.T) {
 		before[i] = [2]float64{a.X, a.Y}
 	}
 	dt := 0.5
-	w.Step(dt)
+	w.StepCrossings(dt)
 	for i, a := range w.Avatars {
 		dx, dy := a.X-before[i][0], a.Y-before[i][1]
 		d := math.Sqrt(dx*dx + dy*dy)
@@ -237,7 +206,7 @@ func TestWorldDeterministic(t *testing.T) {
 	run := func() []int {
 		w, _ := NewWorld(xrand.New(9), m, defaultCfg(100))
 		for i := 0; i < 30; i++ {
-			w.Step(1)
+			w.StepCrossings(1)
 		}
 		return w.ZoneVector()
 	}
@@ -259,7 +228,7 @@ func groupDispersion(w *World, groups int) float64 {
 	cy := make([]float64, groups)
 	n := make([]int, groups)
 	gof := func(i int) int {
-		if g := w.GroupOf(i); g >= 0 {
+		if g := w.group[i]; g >= 0 {
 			return g
 		}
 		return 0
@@ -288,7 +257,7 @@ func TestGroupMovementCorrelates(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 300; i++ {
-			w.Step(1.0)
+			w.StepCrossings(1.0)
 		}
 		return groupDispersion(w, cfg.Groups)
 	}
@@ -307,31 +276,23 @@ func TestGroupMovementCorrelates(t *testing.T) {
 	// Groups are assigned round-robin and leaders are the first members.
 	for i := 0; i < 16; i++ {
 		w, _ := NewWorld(xrand.New(1), m, grouped)
-		if got := w.GroupOf(i); got != i%8 {
+		if got := w.group[i]; got != i%8 {
 			t.Fatalf("GroupOf(%d) = %d, want %d", i, got, i%8)
 		}
 	}
 }
 
-func TestStepCrossingsMatchesStep(t *testing.T) {
+func TestStepCrossingsEndpoints(t *testing.T) {
 	m := testMap(t)
 	cfg := defaultCfg(250)
 	cfg.Groups = 5
 	cfg.GroupBias = 0.7
 	wa, _ := NewWorld(xrand.New(6), m, cfg)
-	wb, _ := NewWorld(xrand.New(6), m, cfg)
 	total := 0
 	for step := 0; step < 60; step++ {
 		beforeZones := wa.ZoneVector()
 		cs := wa.StepCrossings(1.0)
-		moved := wb.Step(1.0)
-		if len(cs) != len(moved) {
-			t.Fatalf("step %d: %d crossings vs %d moved", step, len(cs), len(moved))
-		}
-		for k, c := range cs {
-			if c.Avatar != moved[k] {
-				t.Fatalf("step %d: crossing %d is avatar %d, Step reports %d", step, k, c.Avatar, moved[k])
-			}
+		for _, c := range cs {
 			if c.From == c.To {
 				t.Fatalf("step %d: degenerate crossing %+v", step, c)
 			}
@@ -346,13 +307,6 @@ func TestStepCrossingsMatchesStep(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no crossings in 60 seconds of grouped movement")
-	}
-	// Both worlds consumed identical randomness: same final state.
-	za, zb := wa.ZoneVector(), wb.ZoneVector()
-	for i := range za {
-		if za[i] != zb[i] {
-			t.Fatalf("avatar %d diverged between Step and StepCrossings", i)
-		}
 	}
 }
 

@@ -451,14 +451,6 @@ func (w *Writer) Err() error { return w.failed }
 // NextLSN returns the LSN the next Append will receive.
 func (w *Writer) NextLSN() uint64 { return w.nextLSN }
 
-// Sync flushes the current segment.
-func (w *Writer) Sync() error {
-	if w.f == nil {
-		return nil
-	}
-	return w.f.Sync()
-}
-
 // Close syncs and closes the active segment. Further Appends fail.
 func (w *Writer) Close() error {
 	if w.closed {

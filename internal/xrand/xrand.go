@@ -6,12 +6,11 @@
 //
 // The package wraps math/rand's PCG-backed sources (Go 1.22+) and adds the
 // handful of distributions the simulation needs: bounded uniforms, integer
-// ranges, Bernoulli trials, exponential inter-arrival times, weighted
-// choices, Dirichlet-like simplex splits and Fisher–Yates shuffles.
+// ranges, Bernoulli trials, exponential inter-arrival times,
+// Dirichlet-like simplex splits and sampling without replacement.
 package xrand
 
 import (
-	"math"
 	"math/rand/v2"
 )
 
@@ -138,40 +137,6 @@ func (r *RNG) Norm(mean, stddev float64) float64 {
 
 // Perm returns a random permutation of [0,n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle permutes the n elements reachable through swap in place.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
-
-// Choice returns a uniformly chosen index of a non-empty slice length.
-func (r *RNG) Choice(n int) int {
-	if n <= 0 {
-		panic("xrand: Choice from empty set")
-	}
-	return r.src.IntN(n)
-}
-
-// WeightedChoice returns an index i with probability weights[i]/sum(weights).
-// Weights must be non-negative with a positive sum.
-func (r *RNG) WeightedChoice(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("xrand: negative or NaN weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("xrand: WeightedChoice with zero total weight")
-	}
-	x := r.src.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1 // numerical slack: land on the last index
-}
 
 // Simplex splits total into n non-negative parts that sum to total, each at
 // least minimum. It panics if n*minimum > total. The split is a uniform

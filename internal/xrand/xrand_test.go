@@ -141,47 +141,6 @@ func TestExpPanicsOnBadRate(t *testing.T) {
 	New(1).Exp(0)
 }
 
-func TestWeightedChoiceDistribution(t *testing.T) {
-	r := New(10)
-	w := []float64{1, 3, 6}
-	counts := make([]int, 3)
-	n := 100000
-	for i := 0; i < n; i++ {
-		counts[r.WeightedChoice(w)]++
-	}
-	want := []float64{0.1, 0.3, 0.6}
-	for i, c := range counts {
-		p := float64(c) / float64(n)
-		if math.Abs(p-want[i]) > 0.01 {
-			t.Fatalf("weight %d: got rate %v want %v", i, p, want[i])
-		}
-	}
-}
-
-func TestWeightedChoiceZeroWeightNeverChosen(t *testing.T) {
-	r := New(12)
-	w := []float64{0, 1, 0}
-	for i := 0; i < 1000; i++ {
-		if got := r.WeightedChoice(w); got != 1 {
-			t.Fatalf("chose zero-weight index %d", got)
-		}
-	}
-}
-
-func TestWeightedChoicePanics(t *testing.T) {
-	cases := [][]float64{{}, {0, 0}, {-1, 2}}
-	for _, w := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("WeightedChoice(%v) did not panic", w)
-				}
-			}()
-			New(1).WeightedChoice(w)
-		}()
-	}
-}
-
 func TestSimplexSumAndFloor(t *testing.T) {
 	r := New(13)
 	for trial := 0; trial < 200; trial++ {

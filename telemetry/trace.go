@@ -76,15 +76,6 @@ func (t *Tracer) Span(op string, attrs ...any) func(err error) {
 	}
 }
 
-// Event emits an instantaneous (zero-duration) event.
-func (t *Tracer) Event(op string, attrs ...any) {
-	if t == nil {
-		return
-	}
-	now := t.now()
-	t.emit(op, now, 0, nil, attrs)
-}
-
 func (t *Tracer) emit(op string, start time.Time, dur time.Duration, err error, attrs []any) {
 	ev := TraceEvent{Op: op, Start: start.UTC(), Dur: dur.Seconds()}
 	if err != nil {

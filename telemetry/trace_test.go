@@ -22,7 +22,7 @@ func TestTracerDeterministicWithInjectedClock(t *testing.T) {
 
 	finish := tr.Span("join", "client", 17, "zone", 4)
 	finish(nil)
-	tr.Event("checkpoint", "lsn", 42)
+	tr.Span("checkpoint", "lsn", 42)(nil)
 	finish = tr.Span("solve")
 	finish(errors.New("infeasible"))
 
@@ -48,7 +48,7 @@ func TestTracerDeterministicWithInjectedClock(t *testing.T) {
 	if evs[0].Attrs["client"] != float64(17) || evs[0].Attrs["zone"] != float64(4) {
 		t.Errorf("attrs %v", evs[0].Attrs)
 	}
-	if evs[1].Op != "checkpoint" || evs[1].Dur != 0 || evs[1].Seq != 2 {
+	if evs[1].Op != "checkpoint" || evs[1].Attrs["lsn"] != float64(42) || evs[1].Seq != 2 {
 		t.Errorf("event 1 = %+v", evs[1])
 	}
 	if evs[2].Err != "infeasible" || evs[2].Seq != 3 {
