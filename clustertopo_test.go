@@ -8,6 +8,7 @@ package dvecap
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -454,5 +455,95 @@ func TestUnmeasuredServerBecomesAttractive(t *testing.T) {
 	}
 	if hosted == 0 {
 		t.Fatal("measured 1ms server hosts no zones after re-solve")
+	}
+}
+
+// TestClusterCounts checks the builder's and the session's counts of
+// servers, zones and clients.
+func TestClusterCounts(t *testing.T) {
+	f := defaultTopoFixture()
+	c := f.buildBase(t)
+	if c.NumServers() != f.baseServers || c.NumZones() != f.baseZones || c.NumClients() != f.baseClients {
+		t.Fatalf("cluster counts %d/%d/%d, want %d/%d/%d", c.NumServers(), c.NumZones(), c.NumClients(),
+			f.baseServers, f.baseZones, f.baseClients)
+	}
+	sess, err := c.Open("GreZ-GreC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.growSession(t, sess)
+	if sess.NumServers() != f.baseServers+1 || sess.NumZones() != f.baseZones+1 || len(sess.ClientIDs()) != f.baseClients+f.lateClients {
+		t.Fatalf("grown session counts %d/%d/%d", sess.NumServers(), sess.NumZones(), len(sess.ClientIDs()))
+	}
+}
+
+// TestSessionAddSpareServerArrivesCordoned checks the warm-spare verb: the
+// spare is registered but draining, hosts no zones and serves no clients
+// however close it is, and stays out of Utilization's denominator until
+// UncordonServer admits it.
+func TestSessionAddSpareServerArrivesCordoned(t *testing.T) {
+	f := defaultTopoFixture()
+	sess, err := f.buildBase(t).Open("GreZ-GreC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// liveUtil recomputes Utilization from the inventory.
+	liveUtil := func() float64 {
+		var load, capacity float64
+		for _, s := range sess.Servers() {
+			load += s.LoadMbps
+			if !s.Draining {
+				capacity += s.CapacityMbps
+			}
+		}
+		return load / capacity
+	}
+	if u := sess.Utilization(); math.Abs(u-liveUtil()) > 1e-9 {
+		t.Fatalf("Utilization %v, inventory gives %v", u, liveUtil())
+	}
+	before := sess.Utilization()
+	spare := f.serverID(f.baseServers)
+	rtts := make(map[string]float64, f.baseServers)
+	for l := 0; l < f.baseServers; l++ {
+		rtts[f.serverID(l)] = synthServerRTT(f.baseServers, l)
+	}
+	near := make(map[string]float64, f.baseClients)
+	for x := 0; x < f.baseClients; x++ {
+		near[f.clientID(x)] = 1
+	}
+	spec := ServerSpec{CapacityMbps: 120, RTTs: rtts, ClientRTTs: near}
+	if err := sess.AddSpareServer(spare, spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.AddSpareServer(spare, spec); err == nil {
+		t.Fatal("second AddSpareServer under the same ID accepted")
+	}
+	if sess.NumServers() != f.baseServers+1 {
+		t.Fatalf("%d servers after the spare, want %d", sess.NumServers(), f.baseServers+1)
+	}
+	row := sess.Servers()[f.baseServers]
+	if row.ID != spare || !row.Draining || row.Zones != 0 || row.LoadMbps != 0 || row.CapacityMbps != 120 {
+		t.Fatalf("spare row %+v", row)
+	}
+	for _, id := range sess.ClientIDs() {
+		cl, err := sess.Client(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cl.Contact == spare || cl.Target == spare {
+			t.Fatalf("client %s uses the cordoned spare: %+v", id, cl)
+		}
+	}
+	if u := sess.Utilization(); math.Abs(u-before) > 1e-9 {
+		t.Fatalf("Utilization moved %v → %v on a spare's registration", before, u)
+	}
+	if err := sess.UncordonServer(spare); err != nil {
+		t.Fatal(err)
+	}
+	if sess.Servers()[f.baseServers].Draining {
+		t.Fatal("spare still draining after UncordonServer")
+	}
+	if u := sess.Utilization(); math.Abs(u-liveUtil()) > 1e-9 || u >= before {
+		t.Fatalf("Utilization %v after admission (inventory %v, before %v)", u, liveUtil(), before)
 	}
 }

@@ -1,6 +1,7 @@
 package autoscale
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -177,6 +178,30 @@ func TestActionLabels(t *testing.T) {
 	for _, r := range []string{ReasonHighUtil, ReasonPQoSErosion, ReasonLowUtil, ReasonStarved, ReasonAtMax, ReasonAtMin, ReasonDrainGuard} {
 		if strings.ContainsAny(r, " \"{}") {
 			t.Errorf("reason %q is not metric-label safe", r)
+		}
+	}
+}
+
+// TestActionJSONRoundTrip checks that an action marshals to its label and
+// unmarshals back, and that an unknown label or a non-string is refused.
+func TestActionJSONRoundTrip(t *testing.T) {
+	for _, a := range []Action{ActionNone, ActionScaleUp, ActionScaleDown, ActionRetire} {
+		b, err := json.Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `"` + a.String() + `"`; string(b) != want {
+			t.Fatalf("Marshal(%v) = %s, want %s", a, b, want)
+		}
+		var back Action
+		if err := json.Unmarshal(b, &back); err != nil || back != a {
+			t.Fatalf("Unmarshal(%s) = %v, %v; want %v", b, back, err, a)
+		}
+	}
+	for _, bad := range []string{`"scale_sideways"`, `""`, `1`} {
+		var a Action
+		if err := json.Unmarshal([]byte(bad), &a); err == nil {
+			t.Fatalf("Unmarshal(%s) accepted as %v", bad, a)
 		}
 	}
 }

@@ -274,3 +274,34 @@ func TestReconcilerSetConfig(t *testing.T) {
 		t.Fatalf("invalid override clobbered config: UtilHigh = %v", got)
 	}
 }
+
+// TestReconcilerStreaks checks that the reconciler reports the hysteresis
+// streaks of a policy fed the same observations, tick by tick.
+func TestReconcilerStreaks(t *testing.T) {
+	cfg := Config{UtilHigh: 0.8, UtilLow: 0.3, HighWindowTicks: 3, LowWindowTicks: 3, UpCooldownTicks: -1, DownCooldownTicks: -1}
+	f := &fakeFleet{active: 4, spares: 2, drained: []string{"spare-a", "spare-b"}}
+	r := newRec(t, cfg, f, nil)
+	shadow, err := NewPolicy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, l := r.Streaks(); h != 0 || l != 0 {
+		t.Fatalf("fresh reconciler streaks = %d/%d", h, l)
+	}
+	for i, load := range []float64{3.6, 3.6, 2, 3.6, 0.4, 0.4, 0.4, 0.4, 3.6} {
+		f.load = load
+		o := f.Observe()
+		shadow.Observe(o)
+		if _, err := r.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		h, l := r.Streaks()
+		wh, wl := shadow.Streaks()
+		if h != wh || l != wl {
+			t.Fatalf("tick %d: streaks %d/%d, policy %d/%d", i, h, l, wh, wl)
+		}
+		if i == 1 && h != 2 {
+			t.Fatalf("two hot ticks: high streak %d, want 2", h)
+		}
+	}
+}

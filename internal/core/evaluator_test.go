@@ -149,3 +149,91 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluateWithQoSCountsClientsInBound checks Evaluate against the
+// definition: WithQoS counts the clients whose ClientDelay is within D,
+// Delays holds each client's ClientDelay and PQoS is WithQoS over the
+// population — on solved and on arbitrary assignments.
+func TestEvaluateWithQoSCountsClientsInBound(t *testing.T) {
+	for trial := 0; trial < 30; trial++ {
+		rng := xrand.New(uint64(7100 + trial))
+		p := randomProblem(rng.Split(), trial%2 == 0)
+		a, err := GreZGreC.Solve(rng.Split(), p, Options{Overflow: SpillLargestResidual})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if trial%3 == 0 {
+			for z := range a.ZoneServer {
+				a.ZoneServer[z] = rng.IntN(p.NumServers())
+			}
+			for j := range a.ClientContact {
+				a.ClientContact[j] = rng.IntN(p.NumServers())
+			}
+		}
+		m := Evaluate(p, a)
+		want := 0
+		for j := 0; j < p.NumClients(); j++ {
+			d := a.ClientDelay(p, j)
+			if m.Delays[j] != d {
+				t.Fatalf("trial %d: client %d delay %v, ClientDelay %v", trial, j, m.Delays[j], d)
+			}
+			if d <= p.D {
+				want++
+			}
+		}
+		if m.WithQoS != want {
+			t.Fatalf("trial %d: WithQoS = %d, %d clients within D", trial, m.WithQoS, want)
+		}
+		if m.PQoS != float64(want)/float64(p.NumClients()) {
+			t.Fatalf("trial %d: PQoS = %v, want %d/%d", trial, m.PQoS, want, p.NumClients())
+		}
+	}
+}
+
+// TestEvaluatorReadsMatchEvaluate checks the evaluator's per-server load
+// and pQoS reads against a fresh Evaluate after every incremental move.
+func TestEvaluatorReadsMatchEvaluate(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		rng := xrand.New(uint64(7200 + trial))
+		p := randomProblem(rng.Split(), trial%2 == 0)
+		a, err := GreZGreC.Solve(rng.Split(), p, Options{Overflow: SpillLargestResidual})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		ev := NewEvaluator(p, a)
+		for step := 0; step < 30; step++ {
+			if step%2 == 0 {
+				ev.ApplyZoneMove(rng.IntN(p.NumZones), rng.IntN(p.NumServers()))
+			} else {
+				ev.ApplyContactSwitch(rng.IntN(p.NumClients()), rng.IntN(p.NumServers()))
+			}
+			cur := ev.Assignment()
+			if got, want := ev.PQoS(), Evaluate(p, cur).PQoS; got != want {
+				t.Fatalf("trial %d step %d: PQoS %v, Evaluate %v", trial, step, got, want)
+			}
+			for i, l := range cur.ServerLoads(p) {
+				if !auditClose(ev.ServerLoad(i), l) {
+					t.Fatalf("trial %d step %d: server %d load %v, recount %v", trial, step, i, ev.ServerLoad(i), l)
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluatorCordons checks that Cordons reports one flag per server and
+// follows SetCordon.
+func TestEvaluatorCordons(t *testing.T) {
+	p := tinyProblem()
+	ev := NewEvaluator(p, &Assignment{ZoneServer: []int{0, 1}, ClientContact: []int{0, 0, 1}})
+	if c := ev.Cordons(); len(c) != p.NumServers() || c[0] || c[1] {
+		t.Fatalf("fresh evaluator cordons = %v", c)
+	}
+	ev.SetCordon(1, true)
+	if c := ev.Cordons(); c[0] || !c[1] || !ev.Cordoned(1) {
+		t.Fatalf("after cordoning server 1: %v", c)
+	}
+	ev.SetCordon(1, false)
+	if c := ev.Cordons(); c[1] || ev.Cordoned(1) {
+		t.Fatalf("after uncordoning server 1: %v", c)
+	}
+}

@@ -404,3 +404,41 @@ func BenchmarkTrafficObjective(b *testing.B) {
 		})
 	}
 }
+
+// TestTrafficReads checks TrafficCost and CrossEdges: the cost is
+// TrafficWeight × TrafficCut with the term on and 0 with it off, and
+// CrossEdges counts the cut and total edges of the graph in either case;
+// without a graph both are 0.
+func TestTrafficReads(t *testing.T) {
+	for seed := uint64(0); seed < 10; seed++ {
+		rng := xrand.New(seed + 500)
+		p := randomProblem(rng.Split(), false)
+		a := initialAssignment(p)
+		if ev := NewEvaluator(p, a); ev.TrafficCost() != 0 {
+			t.Fatalf("seed %d: no graph, TrafficCost = %v", seed, ev.TrafficCost())
+		} else if cut, total := ev.CrossEdges(); cut != 0 || total != 0 {
+			t.Fatalf("seed %d: no graph, CrossEdges = %d/%d", seed, cut, total)
+		}
+		for _, lambda := range []float64{0, 0.75} {
+			attachAdjacency(xrand.New(seed+600), p, lambda)
+			ev := NewEvaluator(p, a)
+			for step := 0; step < 10; step++ {
+				ev.ApplyZoneMove(rng.IntN(p.NumZones), rng.IntN(p.NumServers()))
+				if want := lambda * ev.TrafficCut(); !auditClose(ev.TrafficCost(), want) {
+					t.Fatalf("seed %d λ=%v: TrafficCost %v, want %v", seed, lambda, ev.TrafficCost(), want)
+				}
+				hosts := ev.Assignment().ZoneServer
+				wantCut, wantTotal := 0, 0
+				for _, e := range p.Adjacency.Edges() {
+					wantTotal++
+					if hosts[e.A] != hosts[e.B] {
+						wantCut++
+					}
+				}
+				if cut, total := ev.CrossEdges(); cut != wantCut || total != wantTotal {
+					t.Fatalf("seed %d λ=%v: CrossEdges = %d/%d, want %d/%d", seed, lambda, cut, total, wantCut, wantTotal)
+				}
+			}
+		}
+	}
+}

@@ -178,3 +178,23 @@ func (g *Graph) Equal(o *Graph) bool {
 	}
 	return true
 }
+
+// TestAddZone checks that AddZone appends an isolated zone at the next
+// index that then takes edges like any other.
+func TestAddZone(t *testing.T) {
+	g := New(2)
+	g.Set(0, 1, 2)
+	if z := g.AddZone(); z != 2 || g.NumZones() != 3 {
+		t.Fatalf("AddZone = %d, %d zones; want 2, 3", z, g.NumZones())
+	}
+	if nbr, _ := g.Row(2); len(nbr) != 0 || g.edges != 1 {
+		t.Fatalf("new zone has neighbours %v, graph %d edges", nbr, g.edges)
+	}
+	if _, err := g.Set(2, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if g.Weight(0, 2) != 4 || g.edges != 2 {
+		t.Fatalf("edge to new zone: w=%v edges=%d", g.Weight(0, 2), g.edges)
+	}
+	checkSymmetry(t, g)
+}

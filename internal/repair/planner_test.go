@@ -446,3 +446,218 @@ func TestVerbsRefuseNonFiniteValues(t *testing.T) {
 		}
 	}
 }
+
+// TestPlannerServerZoneCounts checks the inventory view against a direct
+// count of ZoneHost, before and after churn and a drain.
+func TestPlannerServerZoneCounts(t *testing.T) {
+	rng := xrand.New(3400)
+	p := randProblem(rng.Split(), 20)
+	pl, err := New(testConfig(), p, rng.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		counts := pl.ServerZoneCounts()
+		if len(counts) != pl.NumServers() {
+			t.Fatalf("%s: %d counts for %d servers", when, len(counts), pl.NumServers())
+		}
+		want := make([]int, pl.NumServers())
+		for z := 0; z < pl.NumZones(); z++ {
+			want[pl.ZoneHost(z)]++
+		}
+		for i := range want {
+			if counts[i] != want[i] {
+				t.Fatalf("%s: server %d hosts %d zones, counts say %d", when, i, want[i], counts[i])
+			}
+		}
+	}
+	check("after solve")
+	for step := 0; step < 20; step++ {
+		if _, err := pl.Join(rng.IntN(p.NumZones), 0.2, randRow(rng, pl.NumServers())); err != nil {
+			t.Fatal(err)
+		}
+		if err := pl.Move(rng.IntN(pl.NumClients()), rng.IntN(p.NumZones)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after churn")
+	if err := pl.DrainServer(0); err != nil {
+		t.Fatal(err)
+	}
+	check("after drain")
+	if n := pl.ServerZoneCounts()[0]; n != 0 {
+		t.Fatalf("drained server still hosts %d zones", n)
+	}
+}
+
+// TestPlannerServerLoadMatchesAssignment checks the maintained per-server
+// load against a recount from the planner's assignment.
+func TestPlannerServerLoadMatchesAssignment(t *testing.T) {
+	rng := xrand.New(3401)
+	p := randProblem(rng.Split(), 30)
+	pl, err := New(testConfig(), p, rng.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 30; step++ {
+		switch step % 3 {
+		case 0:
+			if _, err := pl.Join(rng.IntN(p.NumZones), rng.Uniform(0.05, 0.5), randRow(rng, pl.NumServers())); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			if err := pl.Move(rng.IntN(pl.NumClients()), rng.IntN(p.NumZones)); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if err := pl.UpdateDelays(rng.IntN(pl.NumClients()), randRow(rng, pl.NumServers())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := pl.Assignment().ServerLoads(pl.Problem())
+		for i, w := range want {
+			if got := pl.ServerLoad(i); !close64(got, w) {
+				t.Fatalf("step %d: server %d load %v, recount %v", step, i, got, w)
+			}
+		}
+	}
+}
+
+// TestPlannerDriftMirrorsStats checks that Drift reports the guard inputs
+// Stats records, and that a full solve re-anchors the pQoS drift to zero.
+func TestPlannerDriftMirrorsStats(t *testing.T) {
+	rng := xrand.New(3402)
+	p := randProblem(rng.Split(), 40)
+	pl, err := New(testConfig(), p, rng.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 40; step++ {
+		if err := pl.UpdateDelays(rng.IntN(pl.NumClients()), randRow(rng, pl.NumServers())); err != nil {
+			t.Fatal(err)
+		}
+		pq, spread := pl.Drift()
+		st := pl.Stats()
+		if pq != st.LastDriftPQoS || spread != st.LastUtilSpread {
+			t.Fatalf("step %d: Drift = (%v, %v), Stats = (%v, %v)", step, pq, spread, st.LastDriftPQoS, st.LastUtilSpread)
+		}
+		if !close64(pq, st.BaselinePQoS-pl.Evaluator().PQoS()) {
+			t.Fatalf("step %d: pQoS drift %v, baseline %v − current %v", step, pq, st.BaselinePQoS, pl.Evaluator().PQoS())
+		}
+	}
+	if err := pl.FullSolve(); err != nil {
+		t.Fatal(err)
+	}
+	if pq, _ := pl.Drift(); pq != 0 {
+		t.Fatalf("pQoS drift %v after a full solve, want 0", pq)
+	}
+}
+
+// TestPlannerAdjacencyVerbs checks SetAdjacency and AddAdjacency: each
+// counts one edit, edits outside the zone range are refused, and the
+// traffic reads agree with the graph — TrafficCut with a canonical cut
+// summation, TrafficCost with TrafficWeight × TrafficCut, CrossEdges with
+// a count over the edge list. Optimize keeps the planner consistent.
+func TestPlannerAdjacencyVerbs(t *testing.T) {
+	rng := xrand.New(3403)
+	p := randProblem(rng.Split(), 0)
+	p.TrafficWeight = 0.5
+	pl, err := New(testConfig(), p, rng.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut, total := pl.CrossEdges(); cut != 0 || total != 0 || pl.TrafficCut() != 0 {
+		t.Fatalf("no graph: CrossEdges = %d/%d, TrafficCut = %v", cut, total, pl.TrafficCut())
+	}
+	n := pl.NumZones()
+	edits := 0
+	for e := 0; e < 3*n; e++ {
+		a, b := rng.IntN(n), rng.IntN(n)
+		if a == b {
+			continue
+		}
+		if e%2 == 0 {
+			err = pl.SetAdjacency(a, b, rng.Uniform(0.1, 4))
+		} else {
+			err = pl.AddAdjacency(a, b, rng.Uniform(0.1, 1))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		edits++
+	}
+	if err := pl.SetAdjacency(0, n, 1); err == nil {
+		t.Fatal("edge to a zone past the range accepted")
+	}
+	if got := pl.Stats().AdjacencyEdits; got != edits {
+		t.Fatalf("AdjacencyEdits = %d, want %d", got, edits)
+	}
+	check := func(when string) {
+		t.Helper()
+		g := pl.Problem().Adjacency
+		hosts := pl.ZoneServers()
+		if want := g.CutWeight(hosts); !close64(pl.TrafficCut(), want) {
+			t.Fatalf("%s: TrafficCut %v, canonical %v", when, pl.TrafficCut(), want)
+		}
+		if want := p.TrafficWeight * pl.TrafficCut(); !close64(pl.TrafficCost(), want) {
+			t.Fatalf("%s: TrafficCost %v, want %v", when, pl.TrafficCost(), want)
+		}
+		wantCut, wantTotal := 0, 0
+		for _, e := range g.Edges() {
+			wantTotal++
+			if hosts[e.A] != hosts[e.B] {
+				wantCut++
+			}
+		}
+		if cut, total := pl.CrossEdges(); cut != wantCut || total != wantTotal {
+			t.Fatalf("%s: CrossEdges = %d/%d, want %d/%d", when, cut, total, wantCut, wantTotal)
+		}
+	}
+	check("after edits")
+	if pl.Optimize(0) != 0 {
+		t.Fatal("Optimize(0) moved zones")
+	}
+	pl.Optimize(3)
+	audit(t, pl)
+	check("after Optimize")
+}
+
+// TestServerIndexOf checks the error-free lookup against ServerIndex, for
+// every named server, an unknown name, and across a remove that renumbers
+// the last server into the vacated index.
+func TestServerIndexOf(t *testing.T) {
+	b, _ := testIDBinding(t)
+	pl := b.Planner()
+	if err := b.NameTopology(Names("s", pl.NumServers()), Names("z", pl.NumZones())); err != nil {
+		t.Fatal(err)
+	}
+	agree := func(when string) {
+		t.Helper()
+		for i, id := range b.ServerNames() {
+			got, ok := b.ServerIndexOf(id)
+			want, err := b.ServerIndex(id)
+			if !ok || err != nil || got != want || got != i {
+				t.Fatalf("%s: %q → (%d, %v), ServerIndex (%d, %v), dense %d", when, id, got, ok, want, err, i)
+			}
+		}
+	}
+	agree("named")
+	if _, ok := b.ServerIndexOf("nope"); ok {
+		t.Fatal("unknown server resolved")
+	}
+	last := b.ServerID(pl.NumServers() - 1)
+	if err := b.DrainServer("s0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.RemoveServer("s0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.ServerIndexOf("s0"); ok {
+		t.Fatal("removed server still resolves")
+	}
+	if i, ok := b.ServerIndexOf(last); !ok || i != 0 {
+		t.Fatalf("last server %q at (%d, %v) after the swap-remove, want 0", last, i, ok)
+	}
+	agree("after remove")
+}

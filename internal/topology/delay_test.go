@@ -182,3 +182,22 @@ func (m *DelayMatrix) CheckSymmetric(tol float64) error {
 	}
 	return nil
 }
+
+// TestDelayMatrixN checks that N covers every node of the graph, of an
+// explicit RTT matrix and of a clone.
+func TestDelayMatrixN(t *testing.T) {
+	m, err := NewDelayMatrix(line(1, 2, 3, 4), 100, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.N() != 5 || m.Clone().N() != 5 {
+		t.Fatalf("N = %d, clone %d, want 5", m.N(), m.Clone().N())
+	}
+	e, err := NewDelayMatrixFromRTT([][]float64{{0, 10, 20}, {10, 0, 15}, {20, 15, 0}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.N() != 3 {
+		t.Fatalf("N = %d, want 3", e.N())
+	}
+}

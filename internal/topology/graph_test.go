@@ -165,3 +165,28 @@ func TestReadJSONRejectsBadInput(t *testing.T) {
 		})
 	}
 }
+
+// TestStatsDegreesMatchEdgeList checks Stats' degree summary against
+// degrees counted from the edge list of the US backbone.
+func TestStatsDegreesMatchEdgeList(t *testing.T) {
+	g := USBackbone()
+	deg := make([]int, g.N())
+	for _, e := range g.Edges {
+		deg[e.A]++
+		deg[e.B]++
+	}
+	lo, hi, sum := deg[0], deg[0], 0
+	for _, d := range deg {
+		lo, hi, sum = min(lo, d), max(hi, d), sum+d
+	}
+	s := g.Stats()
+	if s.MinDegree != lo || s.MaxDegree != hi {
+		t.Fatalf("degree range %d..%d, edge list gives %d..%d", s.MinDegree, s.MaxDegree, lo, hi)
+	}
+	if want := float64(sum) / float64(g.N()); math.Abs(s.MeanDegree-want) > 1e-12 {
+		t.Fatalf("mean degree %v, edge list gives %v", s.MeanDegree, want)
+	}
+	if s.Nodes != g.N() || s.Edges != len(g.Edges) || !s.Connected {
+		t.Fatalf("unexpected stats %+v", s)
+	}
+}
