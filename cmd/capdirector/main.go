@@ -78,11 +78,11 @@
 //	curl -s -X POST localhost:8080/v1/checkpoint   # bound recovery before a deploy
 //
 // Observability (DESIGN.md §12): the main listener always serves
-// GET /v1/healthz (liveness), GET /v1/readyz (readiness — 503 while a
-// durable director replays its journal) and GET /metrics (Prometheus text
-// format: repair-event latency histograms by type, full-solve counters by
-// trigger, live pQoS/utilization gauges, WAL append+fsync+snapshot
-// latencies, per-route HTTP metrics). -debug-addr opens a SECOND listener
+// GET /v1/healthz (liveness), GET /v1/readyz (readiness; the port binds
+// only after a durable director has recovered) and GET /metrics
+// (Prometheus text format: repair-event latency histograms by type,
+// full-solve counters by trigger, live pQoS/utilization gauges, WAL
+// append+fsync+snapshot latencies, per-route HTTP metrics). -debug-addr opens a SECOND listener
 // serving /metrics plus net/http/pprof under /debug/pprof/ — keep it off
 // the public network. -trace-log streams one JSON line per mutation
 // (operation, duration, outcome) for incident forensics:

@@ -89,7 +89,10 @@ func (c *Cluster) openDurable(algorithm string, cfg config) (*ClusterSession, er
 	if err != nil {
 		return nil, err
 	}
-	return s, s.m.MakeDurable(cfg.journalConfig())
+	if err := s.m.MakeDurable(cfg.journalConfig()); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // recoverSession rebuilds a session from the newest readable snapshot plus

@@ -1,7 +1,7 @@
 package dvecap
 
 // The kill/recover proof suite of the journaled assignment machine
-// (repair.Machine over repair.Journal, DESIGN.md §11), driven through BOTH
+// (repair.Machine and its journal, DESIGN.md §11), driven through BOTH
 // front ends — the public ClusterSession and internal/director's Director —
 // by one harness: each front end contributes an adapter (how to open,
 // recover, churn and fingerprint it) and every proof below runs unchanged
@@ -1312,6 +1312,21 @@ func TestDirectorGoldenFormat(t *testing.T) {
 		}
 		proveGoldenFormat(t, sf)
 	})
+}
+
+// TestDurableOpenFailureReturnsNoSession: a durable Open whose baseline
+// snapshot cannot be written returns the error and no session, not one
+// whose machine is neither durable nor in memory.
+func TestDurableOpenFailureReturnsNoSession(t *testing.T) {
+	dir := t.TempDir()
+	// A directory where the snapshot writer's temporary file goes.
+	if err := os.Mkdir(dir+"/snap-0000000000000000.json.tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := durTestCluster(t, 5).Open("GreZ-GreC", WithDurability(dir))
+	if err == nil || s != nil {
+		t.Fatalf("Open = %v, %v; want no session and the write error", s, err)
+	}
 }
 
 // TestDurableSessionRefusesBeforeJournaling: a durable session refuses a

@@ -6,13 +6,13 @@ package director
 // body, recovery — is repair.Machine, the one state machine the director
 // shares with the public ClusterSession. This file holds what is the
 // director's own: how the machine's three steps sit under its two locks, and
-// the service fingerprint a recovering caller must match.
+// the service fingerprint a caller that recovers must match.
 //
 // The director journals the machine's one event vocabulary, fully resolved:
 // stable IDs, the oracle-derived delay row of a join, the bandwidth
 // refreshes of a membership change. Replay therefore never consults
 // Config.Delays; the oracle matters again only for what happens after
-// recovery, and the recovering caller must supply it unchanged (it is
+// recovery, and the caller that recovers must supply it unchanged (it is
 // measurement infrastructure, not mutable service state).
 
 import (
@@ -30,12 +30,6 @@ var ErrDirectorClosed = errors.New("director: closed")
 
 // Durable reports whether the director journals to a data directory.
 func (d *Director) Durable() bool { return d.m.Durable() }
-
-// Recovering reports whether the director is still replaying its journal.
-// The HTTP handler answers 503 with Retry-After while this is true, so a
-// server that binds its listener before recovery finishes sheds traffic
-// instead of serving half-replayed state.
-func (d *Director) Recovering() bool { return d.recovering.Load() }
 
 // journalConfig is what the director hands its durability engine.
 func (c Config) journalConfig() repair.JournalConfig {
@@ -152,7 +146,7 @@ func (d *Director) DurableState() ([]byte, error) {
 // over the caller's: servers, zones, delay model, traffic weight and the
 // guard thresholds come from the snapshot, and the service fingerprint
 // (algorithm, delay bound, bandwidth model) must match the caller's
-// config exactly — a recovering operator may change only the worker
+// config exactly — an operator who recovers may change only the worker
 // count (results are worker-invariant, DESIGN.md §8), the checkpoint
 // cadence and the delay oracle's backing store (which must still be the
 // same matrix; server and client nodes are bounds-checked against it).
@@ -197,8 +191,6 @@ func recoverDirector(cfg Config) (*Director, error) {
 		return nil, fmt.Errorf("director: %w", err)
 	}
 	d := newDirector(cfg, algo, m)
-	d.recovering.Store(true)
-	defer d.recovering.Store(false)
 	recStart := time.Now()
 	replayed, err := m.Recover(cfg.journalConfig(), snap.LSN)
 	if err != nil {

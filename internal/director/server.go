@@ -33,10 +33,10 @@ type apiError struct {
 // cap), 409 for topology conflicts — removing a non-empty server or zone,
 // draining or removing the last available server — and 503 for a mutation
 // on a director that can no longer journal (fail-stopped by a failed
-// append, or closed). While a durable director is still replaying its
-// journal, everything but /v1/healthz, /v1/readyz and /metrics answers 503
-// with a Retry-After header; point load balancers at /v1/readyz and
-// restart policies at /v1/healthz.
+// append, or closed). A durable director recovers inside New, before any
+// handler exists, so every route serves recovered state from the first
+// request; capdirector binds its port only after recovery, and a
+// restarting instance refuses connections until it is ready.
 //
 // With Config.Telemetry set, every request is additionally recorded into
 // per-route counters and latency histograms (label cardinality bounded by
@@ -47,30 +47,16 @@ func Handler(d *Director) http.Handler {
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	// Readiness, as distinct from liveness: a recovering director is alive
-	// (don't restart it — that restarts the replay) but not ready (don't
-	// route traffic to it yet).
+	// Readiness: a director that serves has already recovered.
 	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !shed(w, d) {
-			fmt.Fprintln(w, "ok")
-		}
+		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /metrics", metricsHandler(d)) // 404 without Config.Telemetry
 
-	// api registers every other route. While the director is still
-	// replaying its journal (a server that binds its listener before
-	// recovery finishes), these shed instead of serving half-replayed state.
-	api := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			if !shed(w, d) {
-				h(w, r)
-			}
-		})
-	}
-	api("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, d.Stats())
 	})
-	api("GET /v1/problem", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/problem", func(w http.ResponseWriter, r *http.Request) {
 		// The live state as a cluster spec under the director's own IDs —
 		// the one instance format, byte for byte what dvecap's
 		// WriteClusterJSON writes for it — so operators can solve or
@@ -85,19 +71,19 @@ func Handler(d *Director) http.Handler {
 		}
 	})
 	// Snapshot + log truncation.
-	api("POST /v1/checkpoint", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		lsn, err := d.Checkpoint()
 		reply(w, http.StatusOK, CheckpointResult{LSN: lsn, Durable: d.Durable()}, err, http.StatusInternalServerError)
 	})
-	api("POST /v1/reassign", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/reassign", func(w http.ResponseWriter, r *http.Request) {
 		res, err := d.Reassign()
 		reply(w, http.StatusOK, res, err, http.StatusInternalServerError)
 	})
 
-	api("GET /v1/clients", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/clients", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, d.Snapshot())
 	})
-	api("POST /v1/clients", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/clients", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			ID   string `json:"id"` // optional: the director names the client
 			Node *int   `json:"node"`
@@ -111,17 +97,17 @@ func Handler(d *Director) http.Handler {
 	// A client ID is caller-chosen and may itself hold '/', '?', '#' or
 	// '%': the mux splits the escaped path and unescapes {id}. An empty ID
 	// is a malformed request rather than an unknown route.
-	api("GET /v1/clients/{$}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/clients/{$}", func(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing or malformed client id")
 	})
-	api("GET /v1/clients/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/clients/{id}", func(w http.ResponseWriter, r *http.Request) {
 		info, err := d.Lookup(r.PathValue("id"))
 		reply(w, http.StatusOK, info, err, http.StatusBadRequest)
 	})
-	api("DELETE /v1/clients/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /v1/clients/{id}", func(w http.ResponseWriter, r *http.Request) {
 		reply(w, http.StatusNoContent, nil, d.Leave(r.PathValue("id")), http.StatusBadRequest)
 	})
-	api("POST /v1/clients/{id}/move", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/clients/{id}/move", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Zone Ref `json:"zone"`
 		}
@@ -130,7 +116,7 @@ func Handler(d *Director) http.Handler {
 			reply(w, http.StatusOK, info, err, http.StatusBadRequest)
 		}
 	})
-	api("POST /v1/clients/{id}/delays", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/clients/{id}/delays", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			RTTsMs []float64 `json:"rtts_ms"`
 		}
@@ -140,10 +126,10 @@ func Handler(d *Director) http.Handler {
 		}
 	})
 
-	api("GET /v1/servers", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/servers", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, d.Servers())
 	})
-	api("POST /v1/servers", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/servers", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Node         *int    `json:"node"`
 			CapacityMbps float64 `json:"capacity_mbps"`
@@ -157,12 +143,12 @@ func Handler(d *Director) http.Handler {
 		}
 	})
 	// Must be empty; renumbers indices.
-	api("DELETE /v1/servers/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /v1/servers/{id}", func(w http.ResponseWriter, r *http.Request) {
 		reply(w, http.StatusNoContent, nil, d.RemoveServer(ParseRef(r.PathValue("id"))), http.StatusBadRequest)
 	})
 	// Evacuate and cordon; uncordon restores the capacity.
 	for verb, do := range map[string]func(Ref) (ServerInfo, error){"drain": d.DrainServer, "uncordon": d.UncordonServer} {
-		api("POST /v1/servers/{id}/"+verb, func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc("POST /v1/servers/{id}/"+verb, func(w http.ResponseWriter, r *http.Request) {
 			info, err := do(ParseRef(r.PathValue("id")))
 			reply(w, http.StatusOK, info, err, http.StatusBadRequest)
 		})
@@ -171,11 +157,11 @@ func Handler(d *Director) http.Handler {
 	// Policy, streaks, decision log. Status answers even when disabled
 	// (enabled=false), so operators can probe whether the control plane is
 	// armed at all; the verbs below answer 409 then.
-	api("GET /v1/autoscale", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/autoscale", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, d.AutoscaleStatus())
 	})
 	scaler := func(verb string, do func(w http.ResponseWriter, r *http.Request, rec *autoscale.Reconciler)) {
-		api("POST /v1/autoscale/"+verb, func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc("POST /v1/autoscale/"+verb, func(w http.ResponseWriter, r *http.Request) {
 			if rec := d.Autoscale(); rec != nil {
 				do(w, r, rec)
 			} else {
@@ -205,25 +191,25 @@ func Handler(d *Director) http.Handler {
 		reply(w, http.StatusOK, dec, err, http.StatusInternalServerError)
 	})
 
-	api("GET /v1/zones", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/zones", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, d.Zones())
 	})
 	// A new empty zone.
-	api("POST /v1/zones", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/zones", func(w http.ResponseWriter, r *http.Request) {
 		info, err := d.AddZone()
 		reply(w, http.StatusCreated, info, err, http.StatusBadRequest)
 	})
 	// Must be empty; renumbers indices.
-	api("DELETE /v1/zones/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /v1/zones/{id}", func(w http.ResponseWriter, r *http.Request) {
 		reply(w, http.StatusNoContent, nil, d.RetireZone(ParseRef(r.PathValue("id"))), http.StatusBadRequest)
 	})
 
 	// Interaction edges in canonical order.
-	api("GET /v1/adjacency", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/adjacency", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, d.Adjacency())
 	})
 	// An absolute weight; 0 removes the edge.
-	api("POST /v1/adjacency", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/adjacency", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Zone1      Ref      `json:"zone1"`
 			Zone2      Ref      `json:"zone2"`
@@ -236,7 +222,7 @@ func Handler(d *Director) http.Handler {
 		}
 	})
 	// Accumulate an observed crossing.
-	api("POST /v1/adjacency/add", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/adjacency/add", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Zone1     Ref      `json:"zone1"`
 			Zone2     Ref      `json:"zone2"`
@@ -249,17 +235,6 @@ func Handler(d *Director) http.Handler {
 		}
 	})
 	return instrument(newHTTPMetrics(d.tele), d.trace, mux)
-}
-
-// shed answers 503 + Retry-After and reports true while d is replaying its
-// journal.
-func shed(w http.ResponseWriter, d *Director) bool {
-	if !d.Recovering() {
-		return false
-	}
-	w.Header().Set("Retry-After", "1")
-	writeErr(w, http.StatusServiceUnavailable, "recovering: replaying journal")
-	return true
 }
 
 // need answers 400 naming a required body field that was absent or null,

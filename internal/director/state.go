@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
-	"sync/atomic"
 
 	"dvecap/internal/autoscale"
 	"dvecap/internal/core"
@@ -92,7 +91,7 @@ type Config struct {
 	// mutation is journaled to a write-ahead log under this directory
 	// before it is applied, and New recovers the stored state — snapshot
 	// plus log-tail replay — when the directory already holds any. The
-	// recovering caller must pass the same Delays oracle, Algorithm,
+	// caller that recovers must pass the same Delays oracle, Algorithm,
 	// DelayBoundMs, FrameRate and MessageBytes; the stored deployment
 	// (servers, zones, guard thresholds) supersedes the config's.
 	DataDir string
@@ -204,10 +203,6 @@ type Director struct {
 	// list of the event being resolved (consumed before the mutator returns).
 	csBuf  []float64
 	refBuf [2]repair.ZoneRT
-
-	// recovering is true while New replays the journal; the HTTP handler
-	// sheds traffic (503 + Retry-After) until it clears.
-	recovering atomic.Bool
 
 	// log is never nil (defaults to discard); tele and trace are
 	// Config.Telemetry/Config.Trace and may be nil (instrumentation off).
@@ -397,7 +392,7 @@ func (d *Director) joinEvent(id string, node int, zone Ref, auto bool) (*repair.
 	}
 	d.csBuf = d.delayRow(d.csBuf[:0], node)
 	e.Row, e.Refresh = d.csBuf, d.refBuf[:0]
-	b.Reprice(e, d.bw.ClientRTMbps, nil, []int{z})
+	b.Reprice(e, d.bw.ClientRTMbps, -1, z)
 	return e, nil
 }
 
@@ -418,7 +413,7 @@ func (d *Director) leaveEvent(id string) (*repair.Event, error) {
 		return nil, err
 	}
 	e := &repair.Event{Op: repair.OpLeave, ID: id, Refresh: d.refBuf[:0]}
-	d.m.Binding().Reprice(e, d.bw.ClientRTMbps, []int{z}, nil)
+	d.m.Binding().Reprice(e, d.bw.ClientRTMbps, z, -1)
 	return e, nil
 }
 
@@ -452,7 +447,7 @@ func (d *Director) moveEvent(id string, zone Ref) (*repair.Event, error) {
 	e := &repair.Event{Op: repair.OpMove, ID: id, Zone: b.ZoneID(z)}
 	if z != old {
 		e.Refresh = d.refBuf[:0]
-		b.Reprice(e, d.bw.ClientRTMbps, []int{old}, []int{z})
+		b.Reprice(e, d.bw.ClientRTMbps, old, z)
 	}
 	return e, nil
 }

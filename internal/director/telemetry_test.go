@@ -202,34 +202,50 @@ func TestMetricsDisabledIs404(t *testing.T) {
 	}
 }
 
+// TestReadyz: readiness answers 200 on a fresh director and on a durable
+// one New recovered, whose first requests already see the recovered
+// population — recovery finishes inside New, before any handler exists.
 func TestReadyz(t *testing.T) {
-	d := testDirector(t)
-	srv := httptest.NewServer(Handler(d))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/readyz")
+	dm := durDelays(t)
+	cfg := durDirConfig(dm, 1)
+	cfg.DataDir = t.TempDir()
+	first, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/readyz = %d, want 200", resp.StatusCode)
-	}
-	// While recovering, readiness fails but liveness and the scrape hold.
-	d.recovering.Store(true)
-	defer d.recovering.Store(false)
-	codes := map[string]int{
-		"/v1/readyz":  http.StatusServiceUnavailable,
-		"/v1/healthz": http.StatusOK,
-		"/v1/stats":   http.StatusServiceUnavailable,
-	}
-	for path, want := range codes {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
+	for i := 0; i < 5; i++ {
+		if _, err := first.Join("", i, i%8); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Errorf("recovering GET %s = %d, want %d", path, resp.StatusCode, want)
-		}
+	}
+	// Left without Close, as a kill leaves it: New replays the log tail.
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		d       *Director
+		clients int
+	}{{"fresh", testDirector(t), 0}, {"recovered", recovered, 5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(Handler(tc.d))
+			defer srv.Close()
+			resp, err := http.Get(srv.URL + "/v1/readyz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET /v1/readyz = %d, want 200", resp.StatusCode)
+			}
+			st, err := NewClient(srv.URL).Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Clients != tc.clients {
+				t.Fatalf("GET /v1/stats counts %d clients, want %d", st.Clients, tc.clients)
+			}
+		})
 	}
 }

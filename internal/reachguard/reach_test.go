@@ -42,11 +42,9 @@ var allow = map[string]string{
 	"dvecap/internal/core.TrafficCut":                safety,
 	"dvecap/internal/repair.Planner.Audit":           safety,
 	"dvecap/internal/repair.Machine.Audit":           safety,
-	"dvecap/internal/repair.Journal.SetCrashHook":    seam,
 	"dvecap/internal/repair.Machine.SetCrashHook":    seam,
 	"dvecap/internal/director.Director.SetCrashHook": seam,
 	"dvecap/internal/director.Director.DurableState": seam,
-	"dvecap/internal/repair.Journal.NextLSN":         seam,
 	"dvecap/internal/repair.Machine.NextLSN":         seam,
 	"dvecap/telemetry.Tracer.SetClock":               seam,
 	"dvecap/telemetry.ParsePrometheus":               shared,

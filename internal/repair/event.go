@@ -12,7 +12,7 @@ import (
 // vocabulary of the assignment state machine (Machine, machine.go). Both
 // front ends (dvecap.ClusterSession, internal/director) resolve a verb to a
 // fully resolved Event — stable string IDs for clients, servers and zones,
-// dense delay rows — and hand it to the machine: the Journal appends it to the
+// dense delay rows — and hand it to the machine: its journal appends it to the
 // WAL before Machine.Apply interprets it, and recovery streams the decoded
 // events through the same Apply, so replay cannot diverge from what the log
 // captured (DESIGN.md §11). The encoding lives next to the planner because
@@ -83,8 +83,8 @@ type Event struct {
 
 	// Payloads. Rows are dense (one entry per server, server order at the
 	// event's LSN); RTTs/ClientRTTs are ID-keyed sparse forms. RT/RTs are the
-	// bandwidth of the event's client(s) — required on a join, optional on a
-	// move (the mover is re-priced before it migrates).
+	// bandwidth of the event's client(s) — required on a join and a batch
+	// join, optional on a move (the mover is re-priced before it migrates).
 	RT         float64            `json:"rt,omitempty"`
 	RTs        []float64          `json:"rts,omitempty"`
 	Row        core.FloatRow      `json:"row,omitempty"`
@@ -103,13 +103,12 @@ type Event struct {
 	// event refused there never leaves a refresh behind.
 	Refresh []ZoneRT `json:"refresh,omitempty"`
 
-	// Director extras: the topology node a joining client (Nodes: a batch)
-	// or an added server attaches at, and whether the client ID was
-	// auto-issued (so the machine advances the ID sequence on the live path
-	// and on replay alike). Absent from session journals.
-	Node  int   `json:"node,omitempty"`
-	Nodes []int `json:"nodes,omitempty"`
-	Auto  bool  `json:"auto,omitempty"`
+	// Director extras: the topology node a joining client or an added
+	// server attaches at, and whether the client ID was auto-issued (so the
+	// machine advances the ID sequence on the live path and on replay
+	// alike). Absent from session journals.
+	Node int  `json:"node,omitempty"`
+	Auto bool `json:"auto,omitempty"`
 
 	// Spare marks an add-server event as a warm-spare registration: the
 	// server arrives cordoned, holding nothing, until a scale-up admits

@@ -1,5 +1,21 @@
 package repair
 
+// The journal: the durable half of the assignment state machine (Machine,
+// machine.go), whichever front end drives it (DESIGN.md §11). Every event is
+// encoded and appended (synced) BEFORE it is applied, so an event whose
+// apply the caller saw acknowledged is on disk; snapshots bound replay; and
+// recovery re-applies the log tail through the SAME interpreter live traffic
+// uses, so a process killed mid-churn resumes bit-identical to one that was
+// never interrupted.
+//
+// Its state is the machine's journal fields: the log writer, the checkpoint
+// cadence, the solver-epoch tripwire, the replaying/closed fences, the
+// checkpoint and recovery series and the crash-injection hook. A machine
+// with no log config is not durable: Append, Applied, Checkpoint and Close
+// are no-ops on it. The director makes every journal call under its write
+// sequencer — never under the lock its readers take, so the fsync in Append
+// and the snapshot write in Checkpoint do not stall reads.
+
 import (
 	"encoding/json"
 	"errors"
@@ -16,14 +32,15 @@ import (
 // with its log tail intact.
 const keepSnapshots = 2
 
-// ErrJournalFailed marks every error a Journal returns once an append has
+// ErrJournalFailed marks every error the journal returns once an append has
 // failed: the log may end in a half-written frame, so acknowledging anything
 // after it would lose the write on recovery. The surface is fail-stopped —
 // reads keep working, mutations and checkpoints return the original fault
 // wrapped in this sentinel — until the process restarts and recovers.
 var ErrJournalFailed = wal.ErrFailed
 
-// JournalConfig is what a durable front end hands the machine's Journal.
+// JournalConfig is what a durable front end hands the machine's journal
+// (MakeDurable, Recover).
 type JournalConfig struct {
 	// Dir holds the log segments and snapshots.
 	Dir string
@@ -37,82 +54,37 @@ type JournalConfig struct {
 	ErrClosed error
 }
 
-// Journal is the durability engine under the assignment state machine
-// (Machine, machine.go), whichever front end drives it (DESIGN.md §11). Every
-// event is encoded and appended (synced) BEFORE it is applied, so an event
-// whose apply the caller saw acknowledged is on disk; snapshots bound replay;
-// and recovery re-applies the log tail through the SAME interpreter live
-// traffic uses, so a process killed mid-churn resumes bit-identical to one
-// that was never interrupted.
-//
-// The Journal owns the log writer, the checkpoint cadence, the solver-epoch
-// tripwire, the replaying/closed fences, the checkpoint and recovery series
-// and the crash-injection hook; the machine owns the snapshot body and the
-// interpreter. A nil *Journal is a non-durable machine: Append, Applied,
-// Checkpoint and Close are no-ops on it. Not safe for concurrent use:
-// ClusterSession is single-owner, and the director makes every call under its
-// write sequencer — never under the lock its readers take, so the fsync in
-// Append and the snapshot write in Checkpoint do not stall reads.
-type Journal struct {
-	cfg JournalConfig
-	pl  *Planner
-	w   *wal.Writer
-	// base is the LSN the loaded snapshot covers; Replay starts after it.
-	base uint64
-	// sinceSnap counts applied events since the last checkpoint;
-	// lastFullSolves detects planner epochs (full re-solves) so they get
-	// advisory markers live and a divergence check on replay.
-	sinceSnap      int
-	lastFullSolves int
-	// replaying suspends journaling while recovery re-applies the log
-	// through the live mutators.
-	replaying bool
-	closed    bool
-	// snapLoad is what loading the snapshot this journal recovers from cost
-	// (LoadSnapshot plus RestoreMachine), reported beside the replay.
-	snapLoad time.Duration
-	// hook is the fault tests' crash-injection point. It is consulted through
-	// the crash method, so tests can install it after the surface is open.
-	hook func(point string) error
-
-	snapDur   *telemetry.Histogram
-	snapBytes *telemetry.Counter
-	snaps     *telemetry.Counter
-}
-
-func newJournal(cfg JournalConfig, pl *Planner) *Journal {
+// attach gives the machine its log config and the checkpoint series.
+func (m *Machine) attach(cfg JournalConfig) {
 	reg := cfg.Telemetry
-	return &Journal{
-		cfg:            cfg,
-		pl:             pl,
-		lastFullSolves: pl.stats.FullSolves,
-		snapDur: reg.Histogram("dvecap_snapshot_write_duration_seconds",
-			"Wall time to render and durably write one session snapshot.", nil),
-		snapBytes: reg.Counter("dvecap_snapshot_bytes_total",
-			"Snapshot payload bytes written by checkpoints."),
-		snaps: reg.Counter("dvecap_snapshots_total",
-			"Session snapshots written (explicit and auto checkpoints)."),
-	}
+	m.cfg = cfg
+	m.lastFullSolves = m.b.pl.stats.FullSolves
+	m.snapDur = reg.Histogram("dvecap_snapshot_write_duration_seconds",
+		"Wall time to render and durably write one session snapshot.", nil)
+	m.snapBytes = reg.Counter("dvecap_snapshot_bytes_total",
+		"Snapshot payload bytes written by checkpoints.")
+	m.snaps = reg.Counter("dvecap_snapshots_total",
+		"Session snapshots written (explicit and auto checkpoints).")
 }
 
 // JournalExists reports whether dir already holds durable state — the
 // fresh-start versus recover decision.
 func JournalExists(dir string) (bool, error) { return wal.HasState(dir) }
 
-// CreateJournal makes a freshly built surface durable: the baseline snapshot
+// MakeDurable turns a freshly built machine durable: the baseline snapshot
 // (render at LSN 0) is written before the first log segment exists, so a
 // crash between the two leaves either nothing or a snapshot-only directory —
 // never a log without a snapshot under it.
-func CreateJournal(cfg JournalConfig, pl *Planner, render func(lsn uint64) ([]byte, error)) (*Journal, error) {
-	j := newJournal(cfg, pl)
-	base, err := render(0)
+func (m *Machine) MakeDurable(cfg JournalConfig) error {
+	m.attach(cfg)
+	base, err := m.Render(0)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := wal.WriteSnapshot(cfg.Dir, 0, base, j.crash); err != nil {
-		return nil, err
+	if err := wal.WriteSnapshot(cfg.Dir, 0, base, m.crash); err != nil {
+		return err
 	}
-	return j, j.openLog()
+	return m.openLog()
 }
 
 // LoadSnapshot decodes the newest usable snapshot in dir: a candidate that
@@ -153,16 +125,7 @@ func LoadSnapshot(dir string) (*Snapshot, error) {
 	return nil, fmt.Errorf("journal: no usable snapshot in %s: %w", dir, lastErr)
 }
 
-// RecoverJournal returns the Journal of a machine rebuilt from the snapshot
-// covering snapLSN, in replaying state: Replay re-applies the log tail and
-// goes live.
-func RecoverJournal(cfg JournalConfig, pl *Planner, snapLSN uint64) *Journal {
-	j := newJournal(cfg, pl)
-	j.base, j.replaying = snapLSN, true
-	return j
-}
-
-// replayQueue bounds the decoded events in flight between Replay's log
+// replayQueue bounds the decoded events in flight between Recover's log
 // reader and its applier. The reader runs ahead only to keep the applier fed
 // across a run of records that decode slower than they apply; a full queue
 // holds it back, so a long tail costs this many decoded events of memory,
@@ -178,38 +141,50 @@ type logEvent struct {
 	e   *Event
 }
 
-// Replay streams the log tail after the snapshot through DecodeEvent and
-// apply — the machine's interpreter — then opens the log for appending and
-// returns the number of events replayed. Apply-level rejections are the
-// caller's to swallow (a journaled event the live apply rejected rejects
-// again here); an error from apply, an undecodable record or an epoch marker
-// the rebuilt trajectory does not pass through aborts recovery. Planner
-// telemetry attaches only after the tail has replayed, so the repair series
-// reflect live traffic, and the one-shot recovery gauges record what the
-// replay cost.
+// Recover replays the log tail after the snapshot at lsn — the one the
+// machine was restored from (RestoreMachine) — through Apply and goes live,
+// returning the number of events replayed. Apply-level rejections are
+// swallowed: the live path journals before applying, so an event the apply
+// rejected is in the log too — and rejects again here, deterministically.
+// An unknown op (the log and this build disagree about what the events
+// MEAN), an undecodable record or an epoch marker the rebuilt trajectory
+// does not pass through aborts recovery. Planner telemetry attaches only
+// after the tail has replayed, so the repair series reflect live traffic,
+// and the one-shot recovery gauges record what the replay cost.
 //
 // The log is read, checked and decoded on a second goroutine while this one
 // applies, in LSN order; nothing a caller can see differs from a sequential
 // replay — the events applied before an error, the error and the LSN it
 // names. Both ends only read the data directory: while replaying, the
-// journal appends nothing (Applied only tracks epochs), and the log is
+// machine appends nothing (Applied only tracks epochs), and the log is
 // opened for writing once the reader has exited.
-func (j *Journal) Replay(apply func(*Event) error) (int, error) {
+func (m *Machine) Recover(cfg JournalConfig, lsn uint64) (int, error) {
+	m.attach(cfg)
+	m.base, m.replaying = lsn, true
 	start := time.Now()
-	replayed, err := j.replayLog(apply)
+	replayed, err := m.replayLog(func(e *Event) error {
+		switch err := m.Apply(e); {
+		case errors.Is(err, errUnknownOp):
+			return err
+		case err != nil:
+			return nil
+		}
+		_, err := m.Applied()
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
-	if err := j.openLog(); err != nil {
+	if err := m.openLog(); err != nil {
 		return 0, err
 	}
-	j.replaying = false
-	j.sinceSnap = replayed
-	if reg := j.cfg.Telemetry; reg != nil {
-		j.pl.SetTelemetry(reg)
+	m.replaying = false
+	m.sinceSnap = replayed
+	if reg := cfg.Telemetry; reg != nil {
+		m.b.pl.SetTelemetry(reg)
 		reg.Gauge("dvecap_recovery_snapshot_load_seconds",
 			"Wall time of the last crash recovery's snapshot load: reading, decoding and rebuilding the machine it captured.").
-			Set(j.snapLoad.Seconds())
+			Set(m.snapLoad.Seconds())
 		reg.Gauge("dvecap_recovery_duration_seconds",
 			"Wall time of the last crash recovery (snapshot load excluded, log replay included).").
 			Set(time.Since(start).Seconds())
@@ -220,20 +195,20 @@ func (j *Journal) Replay(apply func(*Event) error) (int, error) {
 	return replayed, nil
 }
 
-// replayLog is Replay's pipeline: a reader goroutine runs wal.Replay and
+// replayLog is Recover's pipeline: a reader goroutine runs wal.Replay and
 // DecodeEvent and queues the events; this goroutine checks the epoch markers
 // and applies the rest. An error on either side stops both, and the reader
 // has exited by the time replayLog returns. The reader only fails on a
 // record after every event it queued, so an apply error, which comes from
 // an earlier record, takes precedence.
-func (j *Journal) replayLog(apply func(*Event) error) (replayed int, err error) {
+func (m *Machine) replayLog(apply func(*Event) error) (replayed int, err error) {
 	events := make(chan logEvent, replayQueue)
 	stop, done := make(chan struct{}), make(chan struct{})
 	var readErr error
 	go func() {
 		defer close(done)
 		defer close(events)
-		_, readErr = wal.Replay(j.cfg.Dir, j.base, func(lsn uint64, payload []byte) error {
+		_, readErr = wal.Replay(m.cfg.Dir, m.base, func(lsn uint64, payload []byte) error {
 			select {
 			case <-stop:
 				return errReplayStopped
@@ -260,7 +235,7 @@ func (j *Journal) replayLog(apply func(*Event) error) (replayed int, err error) 
 	}()
 	for ev := range events {
 		if ev.e.Op == OpEpoch {
-			if fs := j.pl.stats.FullSolves; fs != ev.e.FullSolves {
+			if fs := m.b.pl.stats.FullSolves; fs != ev.e.FullSolves {
 				return replayed, fmt.Errorf("journal: replaying LSN %d: replay diverged: %d full solves at epoch marker expecting %d", ev.lsn, fs, ev.e.FullSolves)
 			}
 			continue
@@ -273,42 +248,46 @@ func (j *Journal) replayLog(apply func(*Event) error) (replayed int, err error) 
 	return replayed, nil
 }
 
-func (j *Journal) openLog() (err error) {
-	j.w, err = wal.Open(j.cfg.Dir, j.base, wal.Options{CrashHook: j.crash, Telemetry: j.cfg.Telemetry})
+func (m *Machine) openLog() (err error) {
+	m.w, err = wal.Open(m.cfg.Dir, m.base, wal.Options{CrashHook: m.crash, Telemetry: m.cfg.Telemetry})
 	return err
 }
 
 // crash adapts the late-bound hook to the WAL layer's injection points.
-func (j *Journal) crash(point string) error {
-	if j.hook != nil {
-		return j.hook(point)
+func (m *Machine) crash(point string) error {
+	if m.hook != nil {
+		return m.hook(point)
 	}
 	return nil
 }
 
+// Durable reports whether the machine journals to a data directory — true
+// from the start of MakeDurable or Recover, before the log opens.
+func (m *Machine) Durable() bool { return m.cfg.Dir != "" }
+
 // SetCrashHook installs the fault-injection hook consulted at the WAL's and
 // the snapshot writer's named crash points. Test harness only.
-func (j *Journal) SetCrashHook(hook func(point string) error) { j.hook = hook }
+func (m *Machine) SetCrashHook(hook func(point string) error) { m.hook = hook }
 
 // NextLSN returns the LSN the next journaled record will receive.
-func (j *Journal) NextLSN() uint64 { return j.w.NextLSN() }
+func (m *Machine) NextLSN() uint64 { return m.w.NextLSN() }
 
 // Append journals the event's canonical encoding and syncs it. Call it
 // BEFORE applying the event; an event the apply then rejects replays as
 // rejected too (same inputs, same validation), so the log may legitimately
 // hold events that changed nothing.
-func (j *Journal) Append(e *Event) error {
-	if j == nil || j.replaying {
+func (m *Machine) Append(e *Event) error {
+	if !m.Durable() || m.replaying {
 		return nil
 	}
-	if j.closed {
-		return j.cfg.ErrClosed
+	if m.closed {
+		return m.cfg.ErrClosed
 	}
 	payload, err := e.Encode()
 	if err != nil {
 		return err
 	}
-	if _, err := j.w.Append(payload); err != nil {
+	if _, err := m.w.Append(payload); err != nil {
 		return fmt.Errorf("journal %s: %w", e.Op, err)
 	}
 	return nil
@@ -318,76 +297,77 @@ func (j *Journal) Append(e *Event) error {
 // epoch marker when the planner ran a full re-solve, and the checkpoint
 // cadence — due reports that the surface should checkpoint now. During
 // replay it only tracks the epoch counter.
-func (j *Journal) Applied() (due bool, err error) {
-	if j == nil {
+func (m *Machine) Applied() (due bool, err error) {
+	if !m.Durable() {
 		return false, nil
 	}
-	if fs := j.pl.stats.FullSolves; fs != j.lastFullSolves {
-		j.lastFullSolves = fs
-		if err := j.Append(&Event{Op: OpEpoch, FullSolves: fs}); err != nil {
+	if fs := m.b.pl.stats.FullSolves; fs != m.lastFullSolves {
+		m.lastFullSolves = fs
+		if err := m.Append(&Event{Op: OpEpoch, FullSolves: fs}); err != nil {
 			return false, err
 		}
 	}
-	if j.replaying {
+	if m.replaying {
 		return false, nil
 	}
-	j.sinceSnap++
-	return j.cfg.SnapshotEvery > 0 && j.sinceSnap >= j.cfg.SnapshotEvery, nil
+	m.sinceSnap++
+	return m.cfg.SnapshotEvery > 0 && m.sinceSnap >= m.cfg.SnapshotEvery, nil
 }
 
-// Checkpoint writes the snapshot render produces for the log head, truncates
+// Checkpoint writes the snapshot Render produces for the log head, truncates
 // the segments it supersedes and prunes old generations, bounding the next
 // recovery's replay to events journaled after this call. It returns the
-// LSN the snapshot covers.
-func (j *Journal) Checkpoint(render func(lsn uint64) ([]byte, error)) (uint64, error) {
-	if j == nil {
+// LSN the snapshot covers; a no-op (0, nil) when not durable.
+func (m *Machine) Checkpoint() (uint64, error) {
+	if !m.Durable() {
 		return 0, nil
 	}
-	if j.closed {
-		return 0, j.cfg.ErrClosed
+	if m.closed {
+		return 0, m.cfg.ErrClosed
 	}
-	if err := j.w.Err(); err != nil {
+	if err := m.w.Err(); err != nil {
 		return 0, err
 	}
 	var start time.Time
-	if j.snapDur != nil {
+	if m.snapDur != nil {
 		start = time.Now()
 	}
-	lsn := j.w.NextLSN() - 1
-	payload, err := render(lsn)
+	lsn := m.w.NextLSN() - 1
+	payload, err := m.Render(lsn)
 	if err != nil {
 		return 0, err
 	}
-	if err := wal.WriteSnapshot(j.cfg.Dir, lsn, payload, j.crash); err != nil {
+	if err := wal.WriteSnapshot(m.cfg.Dir, lsn, payload, m.crash); err != nil {
 		return 0, err
 	}
-	if j.snapDur != nil {
+	if m.snapDur != nil {
 		// The observation covers render + durable write; the log truncation
 		// and snapshot pruning below are cleanup, not the checkpoint cost a
 		// recovery-time budget cares about.
-		j.snapDur.Observe(time.Since(start).Seconds())
-		j.snapBytes.Add(uint64(len(payload)))
-		j.snaps.Inc()
+		m.snapDur.Observe(time.Since(start).Seconds())
+		m.snapBytes.Add(uint64(len(payload)))
+		m.snaps.Inc()
 	}
-	if err := j.w.TruncateThrough(lsn); err != nil {
+	if err := m.w.TruncateThrough(lsn); err != nil {
 		return 0, err
 	}
-	if err := wal.PruneSnapshots(j.cfg.Dir, keepSnapshots); err != nil {
+	if err := wal.PruneSnapshots(m.cfg.Dir, keepSnapshots); err != nil {
 		return 0, err
 	}
-	j.sinceSnap = 0
+	m.sinceSnap = 0
 	return lsn, nil
 }
 
 // Close checkpoints and releases the log. Further Appends and Checkpoints
-// return the surface's ErrClosed. A no-op on second call.
-func (j *Journal) Close(render func(lsn uint64) ([]byte, error)) error {
-	if j == nil || j.closed {
+// return the surface's ErrClosed. A no-op when not durable and on second
+// call.
+func (m *Machine) Close() error {
+	if !m.Durable() || m.closed {
 		return nil
 	}
-	_, err := j.Checkpoint(render)
-	j.closed = true
-	if cerr := j.w.Close(); err == nil {
+	_, err := m.Checkpoint()
+	m.closed = true
+	if cerr := m.w.Close(); err == nil {
 		err = cerr
 	}
 	return err

@@ -49,3 +49,51 @@ func TestLoadSnapshotFallsBackAGeneration(t *testing.T) {
 		t.Fatal("empty directory produced a snapshot")
 	}
 }
+
+// TestRecoverTracksEpochsWhileReplaying: a machine is durable from the start
+// of Recover, before its log opens, so the bookkeeping follows the full
+// re-solves the tail replays; the first live event after recovery journals
+// one record, not a stale epoch marker ahead of it.
+func TestRecoverTracksEpochsWhileReplaying(t *testing.T) {
+	dir := t.TempDir()
+	step := func(m *Machine, e *Event) {
+		t.Helper()
+		if err := m.Check(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Append(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Apply(e); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Applied(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := testMachine(t, false)
+	if err := m.MakeDurable(JournalConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	step(m, &Event{Op: OpResolve})
+	head := m.NextLSN() // the resolve and its epoch marker
+	// m is left without Close, as a kill leaves it.
+	snap, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreMachine(snap, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.Recover(JournalConfig{Dir: dir}, snap.LSN); err != nil || n != 1 {
+		t.Fatalf("Recover replayed %d events (%v), want 1", n, err)
+	}
+	if got := r.NextLSN(); got != head {
+		t.Fatalf("recovered NextLSN %d, want %d", got, head)
+	}
+	step(r, &Event{Op: OpLeave, ID: "seed-0"})
+	if got := r.NextLSN(); got != head+1 {
+		t.Fatalf("one live event after recovery took LSNs %d..%d, want one record", head, got-1)
+	}
+}

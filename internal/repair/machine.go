@@ -10,16 +10,18 @@ import (
 
 	"dvecap/internal/core"
 	"dvecap/internal/interact"
+	"dvecap/internal/wal"
+	"dvecap/telemetry"
 )
 
 // Machine is the one journaled assignment state machine (DESIGN.md §11): the
 // single owner of the client→server assignment, under both front ends. It
-// owns the ID binding over the planner, the journal, the interpreter (Apply —
-// the only place an EventOp turns into a state change, live and on replay
-// alike), the snapshot body and the recover path. A front end owns resolving
-// a verb to an Event (ClusterSession: specs → zone, bandwidth, row; the
-// director: topology node → measured row, population → bandwidth), its
-// locks and its traces.
+// owns the ID binding over the planner, the journal (journal.go), the
+// interpreter (Apply — the only place an EventOp turns into a state change,
+// live and on replay alike), the snapshot body and the recover path. A front
+// end owns resolving a verb to an Event (ClusterSession: specs → zone,
+// bandwidth, row; the director: topology node → measured row, population →
+// bandwidth), its locks and its traces.
 //
 // The live path is Append(e) → Apply(e) → Applied(); replay is Apply(e). The
 // steps are separate so the director can hold its state lock across Apply
@@ -28,7 +30,6 @@ type Machine struct {
 	b        *IDBinding
 	algo     string
 	overflow int
-	dur      *Journal // nil when not durable
 
 	// dir is the director's typed extra, nil under a session; the
 	// interpreter maintains its Seq and ServerNodes, and clientNode — the
@@ -36,9 +37,30 @@ type Machine struct {
 	dir        *DirectorState
 	clientNode map[string]int
 
+	// The journal (journal.go); cfg.Dir is empty when not durable.
+	cfg JournalConfig
+	w   *wal.Writer
+	// base is the LSN the loaded snapshot covers; Recover starts after it.
+	base uint64
+	// sinceSnap counts applied events since the last checkpoint;
+	// lastFullSolves detects planner epochs (full re-solves) so they get
+	// advisory markers live and a divergence check on replay.
+	sinceSnap      int
+	lastFullSolves int
+	// replaying suspends journaling while Recover re-applies the log
+	// through the live mutators.
+	replaying bool
+	closed    bool
+	// hook is the fault tests' crash-injection point. It is consulted through
+	// the crash method, so tests can install it after the surface is open.
+	hook func(point string) error
 	// snapLoad is what loading and restoring the snapshot a recovering
 	// machine starts from cost; Recover reports it.
 	snapLoad time.Duration
+
+	snapDur   *telemetry.Histogram
+	snapBytes *telemetry.Counter
+	snaps     *telemetry.Counter
 }
 
 // DirectorState is the typed extra the director persists beside the
@@ -156,11 +178,6 @@ func (m *Machine) Apply(e *Event) error {
 		if err := b.JoinBatch(e.IDs, zs, e.RTs, e.Rows); err != nil {
 			return err
 		}
-		if m.dir != nil {
-			for x, node := range e.Nodes {
-				m.clientNode[e.IDs[x]] = node
-			}
-		}
 	case OpLeave:
 		if err := b.Leave(e.ID); err != nil {
 			return err
@@ -188,11 +205,6 @@ func (m *Machine) Apply(e *Event) error {
 		zs, err := b.zones.indices(e.Zones)
 		if err != nil {
 			return err
-		}
-		for x, rt := range e.RTs {
-			if err := b.SetRT(e.IDs[x], rt); err != nil {
-				return err
-			}
 		}
 		return b.MoveBatch(e.IDs, zs)
 	case OpDelayRow:
@@ -274,9 +286,9 @@ func (m *Machine) Check(e *Event) error {
 		}
 		return first(b.checkJoin(e.ID, e.Zone, e.RT, e.Row), b.clients.fresh(e.ID))
 	case OpJoinBatch:
-		if n := len(e.IDs); len(e.Zones) != n || len(e.RTs) != n || len(e.Rows) != n || (len(e.Nodes) != 0 && len(e.Nodes) != n) {
-			return fmt.Errorf("repair: batch of %d ids, %d zones, %d bandwidths, %d rows and %d nodes",
-				n, len(e.Zones), len(e.RTs), len(e.Rows), len(e.Nodes))
+		if n := len(e.IDs); len(e.Zones) != n || len(e.RTs) != n || len(e.Rows) != n {
+			return fmt.Errorf("repair: batch of %d ids, %d zones, %d bandwidths and %d rows",
+				n, len(e.Zones), len(e.RTs), len(e.Rows))
 		}
 		for x, id := range e.IDs {
 			if err := b.checkJoin(id, e.Zones[x], e.RTs[x], e.Rows[x]); err != nil {
@@ -295,16 +307,11 @@ func (m *Machine) Check(e *Event) error {
 		}
 		return first(known(b.ZoneIndex(e.Zone)), known(b.Index(e.ID)), err)
 	case OpMoveBatch:
-		if len(e.Zones) != len(e.IDs) || (len(e.RTs) != 0 && len(e.RTs) != len(e.IDs)) {
-			return fmt.Errorf("repair: batch of %d ids, %d zones and %d bandwidths", len(e.IDs), len(e.Zones), len(e.RTs))
+		if len(e.Zones) != len(e.IDs) {
+			return fmt.Errorf("repair: batch of %d ids and %d zones", len(e.IDs), len(e.Zones))
 		}
 		for _, z := range e.Zones {
 			if err := known(b.ZoneIndex(z)); err != nil {
-				return err
-			}
-		}
-		for x, rt := range e.RTs {
-			if err := checkRT(e.IDs[x], rt); err != nil {
 				return err
 			}
 		}
@@ -446,38 +453,6 @@ func (b *IDBinding) checkClientRTTs(server string, rtts map[string]float64) erro
 		}
 	}
 	return nil
-}
-
-// Append journals e (encode, append, fsync) — BEFORE Apply. A no-op on a
-// machine that is not durable.
-func (m *Machine) Append(e *Event) error { return m.dur.Append(e) }
-
-// Applied runs the durable bookkeeping once an event has been applied (epoch
-// marker, checkpoint cadence); due asks the front end to Checkpoint now.
-func (m *Machine) Applied() (due bool, err error) { return m.dur.Applied() }
-
-// Durable reports whether the machine journals to a data directory.
-func (m *Machine) Durable() bool { return m.dur != nil }
-
-// NextLSN returns the LSN the next journaled record will receive.
-func (m *Machine) NextLSN() uint64 { return m.dur.NextLSN() }
-
-// SetCrashHook installs the journal's fault-injection hook. Test harness only.
-func (m *Machine) SetCrashHook(hook func(point string) error) { m.dur.SetCrashHook(hook) }
-
-// Checkpoint writes a snapshot, truncates the log segments it supersedes and
-// returns the LSN it covers. A no-op (0, nil) when not durable.
-func (m *Machine) Checkpoint() (uint64, error) { return m.dur.Checkpoint(m.Render) }
-
-// Close checkpoints and releases the log; further Appends fail with the front
-// end's closed sentinel. A no-op when not durable and on second call.
-func (m *Machine) Close() error { return m.dur.Close(m.Render) }
-
-// MakeDurable turns a freshly built machine durable: baseline snapshot, then
-// the log (CreateJournal).
-func (m *Machine) MakeDurable(cfg JournalConfig) (err error) {
-	m.dur, err = CreateJournal(cfg, m.b.pl, m.Render)
-	return err
 }
 
 // SnapshotVersion tags the Snapshot schema; recovery rejects snapshots from
@@ -759,26 +734,4 @@ func RestoreMachine(snap *Snapshot, cfg Config) (*Machine, error) {
 	}
 	m.snapLoad = snap.loadTime + time.Since(start)
 	return m, nil
-}
-
-// Recover replays the log tail after the snapshot at lsn through Apply and
-// goes live, returning the number of events replayed (see Journal.Replay).
-// Apply-level rejections are swallowed: the live path journals before
-// applying, so an event the apply rejected is in the log too — and rejects
-// again here, deterministically. Only an unknown op aborts (the journal
-// checks the epoch markers itself): the log and this build disagree about
-// what the events MEAN.
-func (m *Machine) Recover(cfg JournalConfig, lsn uint64) (int, error) {
-	m.dur = RecoverJournal(cfg, m.b.pl, lsn)
-	m.dur.snapLoad = m.snapLoad
-	return m.dur.Replay(func(e *Event) error {
-		switch err := m.Apply(e); {
-		case errors.Is(err, errUnknownOp):
-			return err
-		case err != nil:
-			return nil
-		}
-		_, err := m.Applied()
-		return err
-	})
 }

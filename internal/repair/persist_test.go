@@ -419,7 +419,7 @@ func TestEventCodecRoundTrip(t *testing.T) {
 		Rows: [][]float64{{1}, {2}}, RTTs: map[string]float64{"c9": 30},
 		ClientRTTs: map[string]float64{"c2": 12.5}, Capacity: 80,
 		Weight: 1.5, Refresh: []ZoneRT{{Zone: "z1", RT: 0.3}},
-		Node: 2, Nodes: []int{4, 5}, Auto: true, Spare: true, FullSolves: 7,
+		Node: 2, Auto: true, Spare: true, FullSolves: 7,
 	}
 	raw, err := ev.Encode()
 	if err != nil {

@@ -79,8 +79,9 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 }
 
 // replayWith recovers the machine stored in dir and replays its tail
-// through apply, which sees each event after the machine applied it; it
-// returns Replay's result and the IDs of the events apply saw.
+// through Recover's pipeline, calling apply after the machine applied each
+// event, then opens the log as Recover does; it returns the pipeline's
+// error and the IDs of the events apply saw.
 func replayWith(t *testing.T, dir string, apply func(n int, e *Event) error) ([]string, error) {
 	t.Helper()
 	snap, err := LoadSnapshot(dir)
@@ -92,8 +93,9 @@ func replayWith(t *testing.T, dir string, apply func(n int, e *Event) error) ([]
 		t.Fatal(err)
 	}
 	var seen []string
-	j := RecoverJournal(JournalConfig{Dir: dir}, m.b.pl, snap.LSN)
-	_, err = j.Replay(func(e *Event) error {
+	m.attach(JournalConfig{Dir: dir})
+	m.base, m.replaying = snap.LSN, true
+	_, err = m.replayLog(func(e *Event) error {
 		if err := m.Apply(e); err != nil {
 			return err
 		}
@@ -101,7 +103,10 @@ func replayWith(t *testing.T, dir string, apply func(n int, e *Event) error) ([]
 		return apply(len(seen), e)
 	})
 	if err == nil {
-		if err := j.w.Close(); err != nil {
+		if err := m.openLog(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.w.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,11 +135,11 @@ func joinIDs(n int) []string {
 	return out
 }
 
-// TestReplayPipelineStopsWhereSequentialReplayDid: Replay decodes on one
-// goroutine and applies on another, and on every failure it returns the
-// error a sequential replay returned, naming the same LSN, after applying
-// exactly the records before it; the reader has exited by then, and the
-// data directory is untouched.
+// TestReplayPipelineStopsWhereSequentialReplayDid: Recover's replay decodes
+// on one goroutine and applies on another, and on every failure it returns
+// the error a sequential replay returned, naming the same LSN, after
+// applying exactly the records before it; the reader has exited by then,
+// and the data directory is untouched.
 func TestReplayPipelineStopsWhereSequentialReplayDid(t *testing.T) {
 	// More records than the queue holds, so an early apply error leaves the
 	// reader blocked on a full queue.

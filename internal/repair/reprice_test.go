@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestRepriceIsTheMembershipRule: a membership change refreshes every zone it
-// leaves at another population to that zone's final population — none when
-// that empties it, in first-touch order — and prices joiners and movers at
-// their destination's final population, on single events and batches alike.
+// TestRepriceIsTheMembershipRule: a membership change refreshes the zone it
+// leaves to its shrunk population — none when that empties it — then the
+// zone it enters to its grown one, and prices the joiner or mover at its
+// destination's grown population.
 func TestRepriceIsTheMembershipRule(t *testing.T) {
 	m := testMachine(t, false)
 	b := m.Binding()
@@ -26,22 +26,15 @@ func TestRepriceIsTheMembershipRule(t *testing.T) {
 	cases := []struct {
 		name     string
 		e        *Event
-		from, to []int
+		from, to int
 		want     *Event
 	}{
-		{"join", &Event{Op: OpJoin}, nil, []int{0},
+		{"join", &Event{Op: OpJoin}, -1, 0,
 			&Event{Op: OpJoin, RT: pop(0) + 1, Refresh: []ZoneRT{{"z0", pop(0) + 1}}}},
-		{"leave", &Event{Op: OpLeave}, []int{1}, nil,
+		{"leave", &Event{Op: OpLeave}, 1, -1,
 			&Event{Op: OpLeave, Refresh: []ZoneRT{{"z1", pop(1) - 1}}}},
-		{"move", &Event{Op: OpMove}, []int{2}, []int{0},
+		{"move", &Event{Op: OpMove}, 2, 0,
 			&Event{Op: OpMove, RT: pop(0) + 1, Refresh: []ZoneRT{{"z2", pop(2) - 1}, {"z0", pop(0) + 1}}}},
-		{"join batch", &Event{Op: OpJoinBatch}, nil, []int{0, 1, 0},
-			&Event{Op: OpJoinBatch, RTs: []float64{pop(0) + 2, pop(1) + 1, pop(0) + 2},
-				Refresh: []ZoneRT{{"z0", pop(0) + 2}, {"z1", pop(1) + 1}}}},
-		{"swap and stay", &Event{Op: OpMoveBatch}, []int{0, 1, 2}, []int{1, 0, 2},
-			&Event{Op: OpMoveBatch, RTs: []float64{pop(1), pop(0), pop(2)}}},
-		{"leave batch", &Event{Op: OpLeaveBatch}, []int{2, 1, 2}, nil,
-			&Event{Op: OpLeaveBatch, Refresh: []ZoneRT{{"z2", pop(2) - 2}, {"z1", pop(1) - 1}}}},
 	}
 	for _, c := range cases {
 		b.Reprice(c.e, price, c.from, c.to)
@@ -58,7 +51,7 @@ func TestRepriceIsTheMembershipRule(t *testing.T) {
 		}
 	}
 	e := &Event{Op: OpLeave, ID: in(3)}
-	if b.Reprice(e, price, []int{3}, nil); e.Refresh != nil {
+	if b.Reprice(e, price, 3, -1); e.Refresh != nil {
 		t.Fatalf("leaving an emptied zone refreshes %+v", e.Refresh)
 	}
 }
@@ -71,8 +64,8 @@ func TestRepriceSingleEventsAllocateNothing(t *testing.T) {
 	var buf [2]ZoneRT
 	for _, c := range []struct {
 		op       EventOp
-		from, to []int
-	}{{OpJoin, nil, []int{0}}, {OpLeave, []int{1}, nil}, {OpMove, []int{1}, []int{0}}} {
+		from, to int
+	}{{OpJoin, -1, 0}, {OpLeave, 1, -1}, {OpMove, 1, 0}} {
 		e := &Event{Op: c.op}
 		if n := testing.AllocsPerRun(100, func() {
 			e.Refresh = buf[:0]

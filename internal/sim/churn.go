@@ -362,7 +362,7 @@ func (d *Driver) join(j int) error {
 	d.nextID++
 	d.ids = append(d.ids, id)
 	e := &repair.Event{Op: repair.OpJoin, ID: id, Zone: b.ZoneID(w.ClientZones[j]), Row: d.csBuf}
-	b.Reprice(e, w.Cfg.ClientRTMbps, nil, []int{w.ClientZones[j]})
+	b.Reprice(e, w.Cfg.ClientRTMbps, -1, w.ClientZones[j])
 	return d.m.Exec(e)
 }
 
@@ -378,7 +378,7 @@ func (d *Driver) leave(r int) error {
 		return err
 	}
 	e := &repair.Event{Op: repair.OpLeave, ID: id}
-	b.Reprice(e, d.world.Cfg.ClientRTMbps, []int{zone}, nil)
+	b.Reprice(e, d.world.Cfg.ClientRTMbps, zone, -1)
 	return d.m.Exec(e)
 }
 
@@ -395,7 +395,7 @@ func (d *Driver) move(j int) error {
 		return nil
 	}
 	e := &repair.Event{Op: repair.OpMove, ID: d.ids[j], Zone: b.ZoneID(zone)}
-	b.Reprice(e, d.world.Cfg.ClientRTMbps, []int{old}, []int{zone})
+	b.Reprice(e, d.world.Cfg.ClientRTMbps, old, zone)
 	return d.m.Exec(e)
 }
 
