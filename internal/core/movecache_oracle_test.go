@@ -4,7 +4,7 @@ package core
 // bestZoneMove, ImproveZone, BestZoneHost — reads the maintained
 // candidate-delta rows; the direct per-(zone, server) sums below exist only
 // here, as the oracle the equivalence tests compare those rows and folds
-// against (a CI guard keeps non-test files under internal/core from naming
+// against (a shipped method under these names would not compile beside
 // them).
 
 // zoneMoveDelta computes the objective delta of rehosting zone z on server

@@ -1,11 +1,14 @@
 // Package reachguard checks that no shipped declaration is reached only by
-// tests: it type-checks the non-test files of the root module and bench/
-// with go/types, marks what the roots reach, and fails on every unmarked
-// package-level declaration the allowlist does not name. With -v it logs
-// the count of non-test Go lines outside bench/.
+// tests and that the shipped code keeps the design's rules: it type-checks
+// the non-test files of the root module and bench/ with go/types once,
+// marks what the roots reach, fails on every unmarked package-level
+// declaration the allowlist does not name, and fails on every break of the
+// rule table (rules_test.go). With -v it logs the count of non-test Go
+// lines outside bench/.
 package reachguard
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -24,7 +27,7 @@ import (
 
 // The three reasons a declaration may stay although no root reaches it.
 const (
-	safety = "safety code: rebuilds derived state from scratch and names a divergence; offline replay will call it"
+	safety = "safety code: rebuilds derived state from scratch and names a divergence at O(clients × servers); a shipped path that reaches it fails (the Audit rule) until offline replay calls it on purpose"
 	seam   = "test seam: lets the kill/recover and tracing tests inject a crash or a clock, or read durable state"
 	shared = "test support another package's tests call; a _test.go file cannot export it"
 )
@@ -71,17 +74,32 @@ type decl struct {
 	name, where   string
 	node          ast.Node
 	info          *types.Info
+	objs          []types.Object // what it defines
 	root, reached bool
 }
 
-// unreached returns the declarations in the modules at dirs that no root
-// reaches and allow does not name, the stale allow entries, and the lines
-// of the files outside rootDir. Roots: main, init, the exported identifiers
-// of package api, all of rootDir, and blank declarations. A reached
-// declaration reaches what it names, and a reached type its methods that
-// an interface type of the universe, standard ones included, declares.
-func unreached(t *testing.T, dirs []string, api, rootDir string, allow map[string]string) (dead []*decl, stale []string, lines int) {
-	var pkgs [][]string // import path, directory, files...
+// program is the non-test code of the modules at some directories,
+// type-checked once for the reachability walk and the rule table.
+type program struct {
+	fset    *token.FileSet
+	pkgs    []*pkg                    // the modules' packages, dependencies first
+	checked map[string]*types.Package // by import path, standard packages too
+	lines   int                       // of the files outside rootDir
+}
+
+// pkg is one type-checked package of the modules.
+type pkg struct {
+	path  string
+	files []*ast.File
+	info  *types.Info
+	decls []*decl
+}
+
+// load type-checks the non-test files of the modules at dirs and the
+// standard packages they import. Roots: main, init, the exported
+// identifiers of package api, all of rootDir, and blank declarations.
+func load(t *testing.T, dirs []string, api, rootDir string) *program {
+	var lists [][]string // import path, directory, files...
 	seen, exports := map[string]bool{}, map[string]string{}
 	stdPkgs := []string{"-export", "-f", "{{.ImportPath}}\t{{.Export}}"}
 	for _, dir := range dirs {
@@ -90,7 +108,7 @@ func unreached(t *testing.T, dirs []string, api, rootDir string, allow map[strin
 				if seen[f[0]] = true; f[1] == "true" {
 					stdPkgs = append(stdPkgs, f[0])
 				} else {
-					pkgs = append(pkgs, append(f[:1:1], f[2:]...))
+					lists = append(lists, append(f[:1:1], f[2:]...))
 				}
 			}
 		}
@@ -100,77 +118,57 @@ func unreached(t *testing.T, dirs []string, api, rootDir string, allow map[strin
 		exports[path] = export
 	}
 
-	fset := token.NewFileSet()
+	prog := &program{fset: token.NewFileSet(), checked: map[string]*types.Package{}}
+	fset, checked := prog.fset, prog.checked
 	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) })
-	checked := map[string]*types.Package{}
 	imp := importerFunc(func(path string) (*types.Package, error) {
 		if p, ok := checked[path]; ok {
 			return p, nil
 		}
 		return std.Import(path)
 	})
-	byObj := map[types.Object]*decl{}
-	var decls, work []*decl
-	mark := func(d *decl) {
-		if d != nil && !d.reached {
-			d.reached = true
-			work = append(work, d)
-		}
-	}
-	ifaces := map[string]bool{} // method names an interface declares
-	addMethods := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				ifaces[it.Method(i).Name()] = true
-			}
-		}
-	}
-	for _, p := range pkgs { // go list -deps lists dependencies first
-		path, dir := p[0], p[1]
+	for _, l := range lists { // go list -deps lists dependencies first
+		path, dir := l[0], l[1]
 		underRoot := rootDir != "" && strings.HasPrefix(dir+string(filepath.Separator), rootDir+string(filepath.Separator))
-		var files []*ast.File
-		for _, f := range p[2:] {
+		p := &pkg{path: path}
+		for _, f := range l[2:] {
 			af, err := parser.ParseFile(fset, filepath.Join(dir, f), nil, parser.ParseComments)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if files = append(files, af); !underRoot {
-				lines += fset.File(af.Pos()).LineCount()
+			if p.files = append(p.files, af); !underRoot {
+				prog.lines += fset.File(af.Pos()).LineCount()
 			}
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
-		pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
+		p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+		tp, err := (&types.Config{Importer: imp}).Check(path, fset, p.files, p.info)
 		if err != nil {
 			t.Fatalf("type-check %s: %v", path, err)
 		}
-		checked[path] = pkg
-		for _, tv := range info.Types {
-			addMethods(tv.Type)
-		}
+		checked[path] = tp
+		prog.pkgs = append(prog.pkgs, p)
 		add := func(name string, node ast.Node, doc *ast.CommentGroup, root bool, ids ...*ast.Ident) *decl {
 			start := fset.Position(node.Pos())
 			if doc != nil {
 				start = fset.Position(doc.Pos())
 			}
-			d := &decl{name: path + "." + name, node: node, info: info, root: root || underRoot,
+			d := &decl{name: path + "." + name, node: node, info: p.info, root: root || underRoot,
 				where: fmt.Sprintf("%s, %d lines", start, fset.Position(node.End()).Line-start.Line+1)}
 			for _, id := range ids {
 				d.root = d.root || id.Name == "_" || id.IsExported() && path == api
-				if o := info.Defs[id]; o != nil {
-					byObj[o] = d
+				if o := p.info.Defs[id]; o != nil {
+					d.objs = append(d.objs, o)
 				}
 			}
-			if decls = append(decls, d); d.root {
-				mark(d)
-			}
+			p.decls = append(p.decls, d)
 			return d
 		}
-		for _, f := range files {
+		for _, f := range p.files {
 			for _, n := range f.Decls {
 				switch n := n.(type) {
 				case *ast.FuncDecl:
-					fn := info.Defs[n.Name].(*types.Func)
-					name, root := n.Name.Name, fn.Exported() && path == api || n.Name.Name == "init" || n.Name.Name == "main" && pkg.Name() == "main"
+					fn := p.info.Defs[n.Name].(*types.Func)
+					name, root := n.Name.Name, fn.Exported() && path == api || n.Name.Name == "init" || n.Name.Name == "main" && tp.Name() == "main"
 					if recv := fn.Signature().Recv(); recv != nil {
 						typ := recv.Type()
 						if ptr, ok := typ.(*types.Pointer); ok {
@@ -179,7 +177,8 @@ func unreached(t *testing.T, dirs []string, api, rootDir string, allow map[strin
 						tn := typ.(*types.Named).Obj()
 						name, root = tn.Name()+"."+name, root && tn.Exported()
 					}
-					byObj[fn] = add(name, n, n.Doc, root)
+					d := add(name, n, n.Doc, root)
+					d.objs = append(d.objs, fn)
 				case *ast.GenDecl:
 					if n.Tok == token.IMPORT {
 						continue
@@ -204,15 +203,52 @@ func unreached(t *testing.T, dirs []string, api, rootDir string, allow map[strin
 		}
 	}
 	for path := range exports { // the standard packages' interfaces count too
-		pkg, err := std.Import(path)
+		tp, err := std.Import(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked[path] = pkg
+		checked[path] = tp
 	}
-	for _, pkg := range checked {
-		for _, name := range pkg.Scope().Names() {
-			addMethods(pkg.Scope().Lookup(name).Type())
+	return prog
+}
+
+// unreached returns the declarations of prog that no root reaches and
+// allow does not name, and the stale allow entries. A reached declaration
+// reaches what it names, and a reached type its methods that an interface
+// type of the universe, standard ones included, declares.
+func unreached(prog *program, allow map[string]string) (dead []*decl, stale []string) {
+	byObj := map[types.Object]*decl{}
+	var work []*decl
+	mark := func(d *decl) {
+		if d != nil && !d.reached {
+			d.reached = true
+			work = append(work, d)
+		}
+	}
+	ifaces := map[string]bool{} // method names an interface declares
+	addMethods := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				ifaces[it.Method(i).Name()] = true
+			}
+		}
+	}
+	for _, p := range prog.pkgs {
+		for _, tv := range p.info.Types {
+			addMethods(tv.Type)
+		}
+		for _, d := range p.decls {
+			for _, o := range d.objs {
+				byObj[o] = d
+			}
+			if d.root {
+				mark(d)
+			}
+		}
+	}
+	for _, tp := range prog.checked {
+		for _, name := range tp.Scope().Names() {
+			addMethods(tp.Scope().Lookup(name).Type())
 		}
 	}
 	addMethods(types.Universe.Lookup("error").Type())
@@ -246,12 +282,14 @@ func unreached(t *testing.T, dirs []string, api, rootDir string, allow map[strin
 	}
 
 	names := map[string]bool{}
-	for _, d := range decls {
-		names[d.name] = true
-		if _, ok := allow[d.name]; ok && d.reached {
-			stale = append(stale, d.name+" is reached")
-		} else if !ok && !d.reached {
-			dead = append(dead, d)
+	for _, p := range prog.pkgs {
+		for _, d := range p.decls {
+			names[d.name] = true
+			if _, ok := allow[d.name]; ok && d.reached {
+				stale = append(stale, d.name+" is reached")
+			} else if !ok && !d.reached {
+				dead = append(dead, d)
+			}
 		}
 	}
 	for name := range allow {
@@ -260,7 +298,7 @@ func unreached(t *testing.T, dirs []string, api, rootDir string, allow map[strin
 		}
 	}
 	sort.Strings(stale)
-	return dead, stale, lines
+	return dead, stale
 }
 
 func goList(t *testing.T, dir string, args ...string) []string {
@@ -268,6 +306,10 @@ func goList(t *testing.T, dir string, args ...string) []string {
 	cmd.Dir = dir
 	out, err := cmd.Output()
 	if err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			err = fmt.Errorf("%v\n%s", err, exit.Stderr)
+		}
 		t.Fatalf("go list in %s: %v", dir, err)
 	}
 	return strings.Split(strings.TrimSpace(string(out)), "\n")
@@ -285,28 +327,46 @@ func specIDs(s ast.Spec) ([]*ast.Ident, *ast.CommentGroup) {
 	return []*ast.Ident{ts.Name}, ts.Doc
 }
 
-func TestShippedCodeIsReached(t *testing.T) {
+// TestShippedCode type-checks both modules once, fails on each shipped
+// declaration only tests reach and on each break of the rule table, and
+// logs the count of non-test Go lines outside bench/.
+func TestShippedCode(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
 	bench := filepath.Join(root, "bench")
-	dead, stale, lines := unreached(t, []string{root, bench}, "dvecap", bench, allow)
+	prog := load(t, []string{root, bench}, "dvecap", bench)
+	dead, stale := unreached(prog, allow)
 	for _, d := range dead {
 		t.Errorf("%s (%s) is reached only by tests: delete it, move it into a _test.go file, or allowlist it with a reason", d.name, d.where)
 	}
 	for _, s := range stale {
 		t.Errorf("allowlist entry %s", s)
 	}
-	t.Logf("non-test Go outside bench/: %d lines", lines)
+	bad, stale := broken(prog, rules)
+	for _, v := range bad {
+		t.Error(v)
+	}
+	for _, s := range stale {
+		t.Error(s)
+	}
+	t.Logf("non-test Go outside bench/: %d lines", prog.lines)
 }
 
-// TestGuardReportsFixture runs the guard on testdata/fixture: a live
-// function, a String method reached only through fmt.Stringer, a function
-// only a test calls, one only that function calls, an allowlisted one, and
-// two stale allowlist entries.
+// TestGuardReportsFixture runs the guard on testdata/fixture. Reachability:
+// a live function, a String method reached only through fmt.Stringer, a
+// function only a test calls, one only that function calls, an allowlisted
+// one, and two stale allowlist entries. Rules: one package breaking each
+// kind of rule, a clean package that comes near each and breaks none, and
+// a rule whose object and scope are gone.
 func TestGuardReportsFixture(t *testing.T) {
-	dead, stale, _ := unreached(t, []string{"testdata/fixture"}, "", "", map[string]string{
+	dir, err := filepath.Abs("testdata/fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := load(t, []string{dir}, "", "")
+	dead, stale := unreached(prog, map[string]string{
 		"fixture.allowed": shared, "fixture.live": shared, "fixture.gone": shared,
 	})
 	var names []string
@@ -319,5 +379,35 @@ func TestGuardReportsFixture(t *testing.T) {
 	}
 	if want := []string{"fixture.gone no longer exists", "fixture.live is reached"}; !reflect.DeepEqual(stale, want) {
 		t.Errorf("stale = %v, want %v", stale, want)
+	}
+
+	clean := []string{"fixture/clean"}
+	bad, stale := broken(prog, []rule{
+		{name: "deps", in: append(clean, "fixture/deps"), imports: "fixture/banned", deps: true},
+		{name: "imports", in: append(clean, "fixture/imports"), imports: "fixture/banned"},
+		{name: "uses", in: append(clean, "fixture/uses"), except: []string{"fixture/clean.owner"}, uses: []string{"fixture/lib.Req.Reset", "Bump"}},
+		{name: "nil", in: append(clean, "fixture/nilcmp"), except: []string{"fixture/clean/own.go"}, uses: []string{"fixture/lib.Req.Rows"}, nilCompared: true},
+		{name: "arg", in: append(clean, "fixture/callarg"), uses: []string{"fixture/lib.Req.Path"}, argOf: []string{"strings.TrimPrefix"}},
+		{name: "gone", in: []string{"fixture/gone"}, uses: []string{"fixture/lib.Req.Gone"}},
+	})
+	var got []string
+	for _, v := range bad {
+		rel, _ := filepath.Rel(dir, v.pos.Filename)
+		got = append(got, fmt.Sprintf("%s %s:%d", v.rule.name, rel, v.pos.Line))
+	}
+	want := []string{
+		"arg callarg/callarg.go:10",
+		"deps deps/deps.go:4",
+		"imports imports/imports.go:4",
+		"nil nilcmp/nilcmp.go:7",
+		"nil nilcmp/nilcmp.go:10",
+		"uses uses/uses.go:7",
+		"uses uses/uses.go:8",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("violations = %q, want %q", got, want)
+	}
+	if want := []string{"rule gone: fixture/lib.Req.Gone names nothing", "rule gone: in fixture/gone matches nothing"}; !reflect.DeepEqual(stale, want) {
+		t.Errorf("stale rule entries = %q, want %q", stale, want)
 	}
 }
