@@ -514,7 +514,7 @@ func (c *Cluster) resolveSparseRTTs(owner string, rtts map[string]float64) ([]in
 // resolveRTTRow turns a ClientSpec's RTTs (map or dense row) into a dense
 // row in server order, writing into buf when it has capacity. lookup
 // resolves a server ID to its dense index. It resolves only: the builder
-// range-checks the row itself, a session's Machine.Check does. The returned
+// range-checks the row itself, a session's Machine.Commit does. The returned
 // slice may alias spec.RTTRow or buf — callers must copy to retain (the
 // planner always copies).
 func resolveRTTRow(owner string, spec ClientSpec, serverIDs []string, lookup func(string) (int, bool), buf []float64) ([]float64, error) {

@@ -345,7 +345,7 @@ func (s *ClusterSession) AddZone(id string, spec ZoneSpec) (err error) {
 	defer s.span("zone_add", "zone", id)(&err)
 	// Validate the adjacency seed before journaling anything, so a bad spec
 	// leaves neither the zone nor a partial edge set behind: the seed edges
-	// are events of their own, naming a zone Check cannot see yet. A seed
+	// are events of their own, naming a zone the admission rule cannot see yet. A seed
 	// creates its edge, so it takes the add form's weight range.
 	neighbors := make([]string, 0, len(spec.Adjacency))
 	for zid, w := range spec.Adjacency {

@@ -197,18 +197,18 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 		if err := st.verb(); err != nil {
 			t.Fatalf("step %d (%s) on the session: %v", x, st.event.Op, err)
 		}
-		if err := machineCommit(m, st.event); err != nil {
+		if err := m.Commit(st.event, nil, nil); err != nil {
 			t.Fatalf("step %d (%s) on the machine: %v", x, st.event.Op, err)
 		}
 	}
 	// Refused before the journal, and journaled, then rejected — by both,
 	// with the same sentinel.
 	ghost := &repair.Event{Op: repair.OpLeave, ID: "ghost"}
-	if errS, errM := s.Leave("ghost"), machineCommit(m, ghost); !errors.Is(errS, ErrUnknownClient) || !errors.Is(errM, ErrUnknownClient) {
+	if errS, errM := s.Leave("ghost"), m.Commit(ghost, nil, nil); !errors.Is(errS, ErrUnknownClient) || !errors.Is(errM, ErrUnknownClient) {
 		t.Fatalf("leave of an unknown client: session %v, machine %v", errS, errM)
 	}
 	busy := &repair.Event{Op: repair.OpRemoveServer, Server: "s2"}
-	if errS, errM := s.RemoveServer("s2"), machineCommit(m, busy); !errors.Is(errS, ErrServerNotEmpty) || !errors.Is(errM, ErrServerNotEmpty) {
+	if errS, errM := s.RemoveServer("s2"), m.Commit(busy, nil, nil); !errors.Is(errS, ErrServerNotEmpty) || !errors.Is(errM, ErrServerNotEmpty) {
 		t.Fatalf("removal of a busy server: session %v, machine %v", errS, errM)
 	}
 
@@ -237,7 +237,7 @@ func TestCrossSurfaceEquivalence(t *testing.T) {
 // TestMalformedCallsRefusedEverywhere sends one malformed call per verb
 // through every surface that has the verb — a durable session, an in-memory
 // session, a director through its Go API and through HTTP — and holds each
-// to the one admission rule (repair.Machine.Check): the call fails, with the
+// to the one admission rule (repair.Machine.Commit's): the call fails, with the
 // sentinel where one applies and the HTTP status the route has always
 // answered, and nothing is journaled or changed. The director names a zone
 // given in a request body as bad input (400), not as a missing resource, so
@@ -455,20 +455,4 @@ func TestProblemEndpointServesClusterSpec(t *testing.T) {
 			res.PQoS, res.WithQoS, res.Utilization, m.PQoS, m.WithQoS, m.Utilization)
 	}
 	do(http.MethodPost, "/v1/problem", "", http.StatusMethodNotAllowed)
-}
-
-// machineCommit is the live path of a bare machine, refusing what a front
-// end refuses before journaling.
-func machineCommit(m *repair.Machine, e *repair.Event) error {
-	if err := m.Check(e); err != nil {
-		return err
-	}
-	if err := m.Append(e); err != nil {
-		return err
-	}
-	if err := m.Apply(e); err != nil {
-		return err
-	}
-	_, err := m.Applied()
-	return err
 }

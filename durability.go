@@ -29,26 +29,10 @@ func (cfg config) journalConfig() repair.JournalConfig {
 	}
 }
 
-// commit is the session's whole write path for an already resolved event:
-// admit it (Machine.Check), journal it, apply it through the machine's
-// interpreter, run the durable bookkeeping (epoch marker, checkpoint
-// cadence) and take the auto-checkpoint when one is due. A refused event
-// leaves the log untouched; an event the apply rejects for another reason
-// stays journaled (replay re-rejects it) and skips the bookkeeping.
+// commit is the session's whole write path for an already resolved event;
+// its reads are not concurrent with its writes, so the apply takes no lock.
 func (s *ClusterSession) commit(e *repair.Event) error {
-	if err := s.m.Check(e); err != nil {
-		return fmt.Errorf("dvecap: %w", err)
-	}
-	if err := s.m.Append(e); err != nil {
-		return err
-	}
-	if err := s.m.Apply(e); err != nil {
-		return err
-	}
-	if due, err := s.m.Applied(); err != nil || !due {
-		return err
-	}
-	return s.Checkpoint()
+	return repair.Refused("dvecap", s.m.Commit(e, nil, s.Checkpoint))
 }
 
 // Checkpoint writes a snapshot of the session's current state and

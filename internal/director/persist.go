@@ -5,7 +5,7 @@ package director
 // is applied, the interpreter live traffic and replay share, the snapshot
 // body, recovery — is repair.Machine, the one state machine the director
 // shares with the public ClusterSession. This file holds what is the
-// director's own: how the machine's three steps sit under its two locks, and
+// director's own: how the machine's write path sits under its two locks, and
 // the service fingerprint a caller that recovers must match.
 //
 // The director journals the machine's one event vocabulary, fully resolved:
@@ -42,40 +42,15 @@ func (c Config) journalConfig() repair.JournalConfig {
 }
 
 // commit is the write path of every mutator, taking a resolver's result:
-// admit the event (Machine.Check — a refused one journals nothing), journal
-// it — append and fsync, BEFORE it is applied, under wmu only,
-// so readers are not behind the disk; apply it through the machine's
-// interpreter with the state lock write-held — the only stretch of a write
-// during which a reader can block; then the durable bookkeeping (epoch
-// marker, checkpoint cadence) and the auto-checkpoint when one is due. An
-// event the apply rejects stays journaled (replay re-rejects it) and skips
-// the bookkeeping. The caller holds wmu throughout.
+// Machine.Commit, the caller holding wmu throughout. Only the apply holds mu
+// (d.stages, which also times it), so no reader waits behind the journal's
+// fsync or the auto-checkpoint.
 func (d *Director) commit(e *repair.Event, err error) error {
 	if err != nil {
 		return err
 	}
-	if err := d.m.Check(e); err != nil {
-		return fmt.Errorf("director: %w", err)
-	}
-	start := d.stages.journal.begin()
-	err = d.m.Append(e)
-	d.stages.journal.end(start)
-	if err != nil {
-		return err
-	}
-	start = d.stages.apply.begin()
-	d.mu.Lock()
-	err = d.m.Apply(e)
-	d.mu.Unlock()
-	d.stages.apply.end(start)
-	if err != nil {
-		return fmt.Errorf("director: %w", err)
-	}
-	if due, err := d.m.Applied(); err != nil || !due {
-		return err
-	}
-	_, err = d.checkpoint()
-	return err
+	d.stages.start = d.stages.journal.begin()
+	return repair.Refused("director", d.m.Commit(e, d.stages, func() error { _, err := d.checkpoint(); return err }))
 }
 
 // commitClient is commit for the client verbs, which answer with the

@@ -175,7 +175,7 @@ func (c Config) Validate() error {
 // Two locks guard it (DESIGN.md §11, "Lock discipline"). wmu is the write
 // sequencer: a mutator holds it from validation to the auto-checkpoint, so
 // it orders writers and, with them, the journal. mu guards the state readers
-// see and is write-held only for the machine's Apply step of a mutation.
+// see and is write-held only while Machine.Commit applies a mutation.
 // State changes only with BOTH held — so wmu alone suffices to validate and
 // to render a snapshot, mu.RLock alone suffices to read, and no fsync,
 // snapshot render or file write ever runs under mu. Lock order is wmu
@@ -192,8 +192,8 @@ type Director struct {
 	wmu sync.Mutex   // write sequencer; alone guards the writer-only fields below
 	mu  sync.RWMutex // state lock
 
-	// m changes only under wmu+mu (Apply); its journal calls (Append, Applied,
-	// Checkpoint) are writer-only, serialised by wmu.
+	// m changes only under wmu+mu (Commit's apply); its journal calls
+	// (Commit, Checkpoint) are writer-only, serialised by wmu.
 	m *repair.Machine
 	// autoRec is the autoscaling reconciler (EnableAutoscale); nil until
 	// enabled. It owns its own lock — only the pointer is guarded by mu.
@@ -209,7 +209,7 @@ type Director struct {
 	log    *slog.Logger
 	tele   *telemetry.Registry
 	trace  *telemetry.Tracer
-	stages writeStages
+	stages *writeStages
 }
 
 // New builds a director and computes an initial (empty-world) zone
@@ -280,7 +280,7 @@ func newDirector(cfg Config, algo core.TwoPhase, m *repair.Machine) *Director {
 	if d.log == nil {
 		d.log = slog.New(slog.DiscardHandler)
 	}
-	d.stages = newWriteStages(cfg.Telemetry, cfg.DataDir != "")
+	d.stages = newWriteStages(cfg.Telemetry, cfg.DataDir != "", &d.mu)
 	return d
 }
 
@@ -372,8 +372,8 @@ func (d *Director) JoinRef(id string, node int, zone Ref) (ClientInfo, error) {
 // sequence on replay exactly as it did live. That holds for an auto-issued
 // ID that collides with a caller-chosen one too: the join has consumed its
 // sequence number, so it is journaled — bare, nothing to apply; the
-// machine admits it and Apply rejects it, live and on replay. Every other
-// refusal (an invalid or taken ID, a bad row) is the machine's Check.
+// machine admits it and its interpreter rejects it, live and on replay. Every
+// other refusal (an invalid or taken ID, a bad row) is Machine.Commit's.
 func (d *Director) joinEvent(id string, node int, zone Ref, auto bool) (*repair.Event, error) {
 	if node < 0 || node >= d.cfg.Delays.N() {
 		return nil, fmt.Errorf("director: node %d outside topology", node)

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dvecap/telemetry"
@@ -34,22 +35,38 @@ func (s stage) end(start time.Time) {
 	}
 }
 
-// writeStages times the stages of the write path (persist.go): journal is
-// the encode-append-fsync of one event, apply the stretch with the state
-// lock write-held — by construction the only time a write can block a
-// reader — and checkpoint one snapshot render plus durable write. journal
-// and apply each count one observation per journaled mutation.
-type writeStages struct{ journal, apply, checkpoint stage }
+// writeStages times the stages of the write path (persist.go): journal
+// (admission, encode, append, fsync) and apply (the state lock write-held,
+// by construction the only time a write can block a reader), one
+// observation each per journaled mutation, and checkpoint (snapshot render
+// plus durable write). It is mu as Machine.Commit takes it: Lock ends the
+// journal stage, begun before the commit, and starts the apply stage.
+type writeStages struct {
+	journal, apply, checkpoint stage
+	mu                         *sync.RWMutex
+	start                      time.Time
+}
+
+func (ws *writeStages) Lock() {
+	ws.journal.end(ws.start)
+	ws.start = ws.apply.begin()
+	ws.mu.Lock()
+}
+
+func (ws *writeStages) Unlock() {
+	ws.mu.Unlock()
+	ws.apply.end(ws.start)
+}
 
 // newWriteStages resolves the series once; reg may be nil. The journal and
 // checkpoint stages exist only on a durable director.
-func newWriteStages(reg *telemetry.Registry, durable bool) writeStages {
+func newWriteStages(reg *telemetry.Registry, durable bool, mu *sync.RWMutex) *writeStages {
 	series := func(name string) stage {
 		return stage{reg.Histogram("dvecap_director_write_stage_duration_seconds",
 			"Wall time of one stage of a director mutation: journal (append + fsync, readers not blocked), apply (state lock write-held, readers blocked), checkpoint (snapshot render + write, readers not blocked).",
 			nil, "stage", name)}
 	}
-	ws := writeStages{apply: series("apply")}
+	ws := &writeStages{apply: series("apply"), mu: mu}
 	if durable {
 		ws.journal, ws.checkpoint = series("journal"), series("checkpoint")
 	}

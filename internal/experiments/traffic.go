@@ -291,10 +291,10 @@ func runTrafficArm(setup Setup, opt TrafficOptions, cfg dve.Config, lambda float
 					crossHandoffs++
 				}
 			}
-			if err := mach.Exec(&repair.Event{Op: repair.OpMove, ID: ids[c.Avatar], Zone: b.ZoneID(c.To)}); err != nil {
+			if err := mach.Commit(&repair.Event{Op: repair.OpMove, ID: ids[c.Avatar], Zone: b.ZoneID(c.To)}, nil, nil); err != nil {
 				return res, err
 			}
-			if err := mach.Exec(&repair.Event{Op: repair.OpAddAdjacency, Zone: b.ZoneID(c.From), Zone2: b.ZoneID(c.To), Weight: opt.CrossingMbps}); err != nil {
+			if err := mach.Commit(&repair.Event{Op: repair.OpAddAdjacency, Zone: b.ZoneID(c.From), Zone2: b.ZoneID(c.To), Weight: opt.CrossingMbps}, nil, nil); err != nil {
 				return res, err
 			}
 			touched[c.From], touched[c.To] = true, true
@@ -307,7 +307,7 @@ func runTrafficArm(setup Setup, opt TrafficOptions, cfg dve.Config, lambda float
 				continue
 			}
 			touched[z] = false
-			if err := mach.Exec(&repair.Event{Op: repair.OpSetZoneBW, Zone: b.ZoneID(z), RT: cfg.ClientRTMbps(pops[z])}); err != nil {
+			if err := mach.Commit(&repair.Event{Op: repair.OpSetZoneBW, Zone: b.ZoneID(z), RT: cfg.ClientRTMbps(pops[z])}, nil, nil); err != nil {
 				return res, err
 			}
 		}

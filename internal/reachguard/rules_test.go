@@ -30,7 +30,7 @@ var rules = []rule{
 			"dvecap/internal/repair.Planner.AddAdjacency", "dvecap/internal/repair.Planner.SetAdjacency",
 			"SetRT", "RefreshZoneRT", "UpdateServerDelayColumn",
 		}},
-	{name: "one-admission-rule", reason: "repair.Machine.Check admits every event for both front ends, which only resolve input; the director's Config.Validate checks deployment settings",
+	{name: "one-admission-rule", reason: "repair.Machine.Commit's admission rule admits every event for both front ends, which only resolve input; the director's Config.Validate checks deployment settings",
 		in: []string{"dvecap/clustersession.go", "dvecap/internal/director"}, except: []string{"dvecap/internal/director.Config.Validate"},
 		uses: []string{"dvecap/internal/repair.FinitePos", "dvecap/internal/repair.FiniteNonNeg", "dvecap/internal/repair.CheckClientID"}},
 	{name: "one-delay-owner", reason: "core.Problem's methods alone ask whether a problem holds raw CS rows or a store",

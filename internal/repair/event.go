@@ -1,9 +1,13 @@
 package repair
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+	"strings"
 
 	"dvecap/internal/core"
 )
@@ -12,11 +16,12 @@ import (
 // vocabulary of the assignment state machine (Machine, machine.go). Both
 // front ends (dvecap.ClusterSession, internal/director) resolve a verb to a
 // fully resolved Event — stable string IDs for clients, servers and zones,
-// dense delay rows — and hand it to the machine: its journal appends it to the
-// WAL before Machine.Apply interprets it, and recovery streams the decoded
-// events through the same Apply, so replay cannot diverge from what the log
-// captured (DESIGN.md §11). The encoding lives next to the planner because
-// the planner's event surface defines what an event IS.
+// dense delay rows — and hand it to Machine.Commit, which appends it to the
+// WAL before the machine's interpreter applies it; recovery streams the
+// decoded events through the same interpreter, so replay cannot diverge from
+// what the log captured (DESIGN.md §11); opFields is its closed schema. The
+// encoding lives next to the planner because the planner's event surface
+// defines what an event IS.
 type EventOp string
 
 // Client churn, delay refresh, bandwidth bookkeeping, topology events and
@@ -99,7 +104,7 @@ type Event struct {
 	// Refresh lists per-zone bandwidth refreshes applied BEFORE the event's
 	// own step — how a front end with a population-dependent bandwidth model
 	// (the director) keeps a membership change one record and one fsync.
-	// Machine.Check admits the step before the event is journaled, so an
+	// Machine.Commit admits the step before the event is journaled, so an
 	// event refused there never leaves a refresh behind.
 	Refresh []ZoneRT `json:"refresh,omitempty"`
 
@@ -153,22 +158,83 @@ func CheckClientID(id string) error {
 	return nil
 }
 
+// fieldNames are the JSON keys of the Event fields after Op, in struct
+// order: bit i of a field set stands for the field named fieldNames[i].
+var fieldNames = strings.Fields("id ids zone zone2 zones server host rt rts row rows rtts client_rtts capacity weight refresh node auto spare full_solves")
+
+// fields is the set of the named fields and the refresh list, which every
+// op may carry as its prelude.
+func fields(keys string) (f uint32) {
+	for _, k := range strings.Fields(keys + " refresh") {
+		f |= 1 << slices.Index(fieldNames, k)
+	}
+	return f
+}
+
+// opFields is the closed journal schema: every op there is, and the set of
+// fields it reads.
+var opFields = map[EventOp]uint32{
+	OpJoin: fields("id zone rt row node auto"), OpJoinBatch: fields("ids zones rts rows"),
+	OpLeave: fields("id"), OpLeaveBatch: fields("ids"),
+	OpMove: fields("id zone rt"), OpMoveBatch: fields("ids zones"),
+	OpDelayRow: fields("id row"), OpServerDelays: fields("server rtts"),
+	OpSetBandwidth: fields("id rt"), OpSetZoneBW: fields("zone rt"),
+	OpAddServer: fields("server capacity row client_rtts node spare"), OpRemoveServer: fields("server"),
+	OpDrainServer: fields("server"), OpUncordon: fields("server"),
+	OpAddZone: fields("zone host"), OpRetireZone: fields("zone"),
+	OpSetAdjacency: fields("zone zone2 weight"), OpAddAdjacency: fields("zone zone2 weight"),
+	OpResolve: fields(""), OpEpoch: fields("full_solves"),
+}
+
+// present is the set of e's non-zero fields — the ones its encoding
+// carries — in struct order.
+func (e *Event) present() (f uint32) {
+	for i, set := range [...]bool{e.ID != "", len(e.IDs) > 0, e.Zone != "", e.Zone2 != "", len(e.Zones) > 0,
+		e.Server != "", e.Host != "", e.RT != 0, len(e.RTs) > 0, len(e.Row) > 0, len(e.Rows) > 0,
+		len(e.RTTs) > 0, len(e.ClientRTTs) > 0, e.Capacity != 0, e.Weight != 0, len(e.Refresh) > 0,
+		e.Node != 0, e.Auto, e.Spare, e.FullSolves != 0} {
+		if set {
+			f |= 1 << i
+		}
+	}
+	return f
+}
+
+// schema refuses an op the schema does not hold and a non-zero field
+// outside the op's set, naming the first.
+func (e *Event) schema() error {
+	set, ok := opFields[e.Op]
+	if !ok {
+		return fmt.Errorf("unknown event op %q", e.Op)
+	}
+	if extra := e.present() &^ set; extra != 0 {
+		return fmt.Errorf("%s event carries %q, which it does not read", e.Op, fieldNames[bits.TrailingZeros32(extra)])
+	}
+	return nil
+}
+
 // Encode renders the event's canonical journal payload.
 func (e *Event) Encode() ([]byte, error) {
-	if e.Op == "" {
-		return nil, fmt.Errorf("repair: encoding event with empty op")
+	if err := e.schema(); err != nil {
+		return nil, fmt.Errorf("repair: encode event: %w", err)
 	}
 	return json.Marshal(e)
 }
 
-// DecodeEvent parses a journal payload back into an Event.
+// DecodeEvent parses a journal payload back into an Event, refusing a key
+// Event does not have, trailing data and what the schema refuses.
 func DecodeEvent(payload []byte) (*Event, error) {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
 	var e Event
-	if err := json.Unmarshal(payload, &e); err != nil {
-		return nil, fmt.Errorf("repair: decode event: %w", err)
+	err := dec.Decode(&e)
+	if err == nil && dec.InputOffset() != int64(len(payload)) {
+		err = fmt.Errorf("trailing data after the event")
+	} else if err == nil {
+		err = e.schema()
 	}
-	if e.Op == "" {
-		return nil, fmt.Errorf("repair: event with empty op")
+	if err != nil {
+		return nil, fmt.Errorf("repair: decode event: %w", err)
 	}
 	return &e, nil
 }

@@ -1,0 +1,179 @@
+package repair
+
+import (
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"dvecap/internal/wal"
+)
+
+// TestSchemaBitsFollowTheStruct: bit i of the schema is Event's field after
+// Op at position i — present sets exactly that bit for that field alone, and
+// fieldNames holds its JSON key.
+func TestSchemaBitsFollowTheStruct(t *testing.T) {
+	typ := reflect.TypeFor[Event]()
+	if n := typ.NumField() - 1; len(fieldNames) != n {
+		t.Fatalf("%d schema names for %d fields", len(fieldNames), n)
+	}
+	for i := 1; i < typ.NumField(); i++ {
+		var e Event
+		v := reflect.ValueOf(&e).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString("x")
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		case reflect.Map:
+			v.Set(reflect.MakeMap(v.Type()))
+			v.SetMapIndex(reflect.Zero(v.Type().Key()), reflect.Zero(v.Type().Elem()))
+		case reflect.Float64:
+			v.SetFloat(1)
+		case reflect.Int:
+			v.SetInt(1)
+		case reflect.Bool:
+			v.SetBool(true)
+		default:
+			t.Fatalf("field %s: kind %s has no case here", typ.Field(i).Name, v.Kind())
+		}
+		if got, want := e.present(), uint32(1)<<(i-1); got != want {
+			t.Errorf("field %s alone: present %b, want %b", typ.Field(i).Name, got, want)
+		}
+		if key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); fieldNames[i-1] != key {
+			t.Errorf("field %s: schema name %q, JSON key %q", typ.Field(i).Name, fieldNames[i-1], key)
+		}
+	}
+}
+
+// TestCheckAndReplayRefuseWhatNoOpReads: the admission rule and the journal
+// decoder hold one schema. Both refuse an op it does not hold and a field
+// its op does not read; the decoder also refuses a key Event does not have,
+// and the admission rule an epoch marker, which only the journal writes.
+// Recovery over such a record stops at it, naming its LSN.
+func TestCheckAndReplayRefuseWhatNoOpReads(t *testing.T) {
+	m := testMachine(t, false)
+	for _, tc := range []struct {
+		name string
+		e    *Event
+		raw  string
+	}{
+		{"move batch with rts", &Event{Op: OpMoveBatch, IDs: []string{"seed-0"}, Zones: []string{"z1"}, RTs: []float64{0.5}},
+			`{"op":"move_batch","ids":["seed-0"],"zones":["z1"],"rts":[0.5]}`},
+		{"join with ids", &Event{Op: OpJoin, ID: "n0", IDs: []string{"n1"}, Zone: "z0", RT: 0.5, Row: make([]float64, m.b.pl.NumServers())},
+			`{"op":"join","id":"n0","ids":["n1"],"zone":"z0","rt":0.5}`},
+		{"unknown op", &Event{Op: "nope"}, `{"op":"nope"}`},
+		{"empty op", &Event{ID: "seed-0"}, `{"id":"seed-0"}`},
+		{"unknown key", nil, `{"op":"move_batch","ids":["seed-0"],"zones":["z1"],"nodes":[3]}`},
+		{"epoch from a front end", &Event{Op: OpEpoch, FullSolves: 1}, ""},
+	} {
+		if tc.e != nil {
+			if err := m.check(tc.e); err == nil {
+				t.Errorf("%s: check admitted %+v", tc.name, tc.e)
+			}
+		}
+		if tc.raw == "" {
+			continue
+		}
+		if e, err := DecodeEvent([]byte(tc.raw)); err == nil {
+			t.Errorf("%s: decoded %s as %+v", tc.name, tc.raw, e)
+		}
+		dir := replayFixture(t, 5, map[int][]byte{2: []byte(tc.raw)})
+		snap, err := LoadSnapshot(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := RestoreMachine(snap, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Recover(JournalConfig{Dir: dir}, snap.LSN); err == nil || !strings.HasPrefix(err.Error(), "journal: LSN 3: repair: decode event: ") {
+			t.Errorf("%s: Recover = %v, want a refusal of LSN 3", tc.name, err)
+		}
+	}
+}
+
+// TestCommitJournalsNothingTheSchemaRefuses: an unknown op and an epoch
+// marker handed to Commit come back refused, leave the log as it was, and
+// the next recovery replays the events around them.
+func TestCommitJournalsNothingTheSchemaRefuses(t *testing.T) {
+	dir := t.TempDir()
+	m := testMachine(t, false)
+	if err := m.MakeDurable(JournalConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	head := m.NextLSN()
+	for _, e := range []*Event{{Op: "nope"}, {Op: OpEpoch, FullSolves: 3}} {
+		if err := m.Commit(e, nil, nil); err == nil {
+			t.Fatalf("Commit admitted %+v", e)
+		}
+	}
+	if got := m.NextLSN(); got != head {
+		t.Fatalf("refused events took LSNs %d..%d", head, got-1)
+	}
+	if err := m.Commit(&Event{Op: OpLeave, ID: "seed-0"}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreMachine(snap, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.Recover(JournalConfig{Dir: dir}, snap.LSN); err != nil || n != 1 {
+		t.Fatalf("Recover replayed %d events (%v), want the one leave", n, err)
+	}
+}
+
+// FuzzDecodeEvent: whatever DecodeEvent accepts carries only its op's
+// fields, and re-encodes to a payload that decodes to the same event. The
+// seeds are every record of the shipped journals.
+func FuzzDecodeEvent(f *testing.F) {
+	dirs, err := filepath.Glob("../../testdata/shared-model/*/data")
+	if err != nil || len(dirs) == 0 {
+		f.Fatalf("no shipped journals (%v)", err)
+	}
+	for _, dir := range append(dirs, "../director/testdata/legacy/data") {
+		if _, err := wal.Replay(dir, 0, func(_ uint64, p []byte) error {
+			f.Add(append([]byte(nil), p...))
+			return nil
+		}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		e, err := DecodeEvent(payload)
+		if err != nil {
+			return
+		}
+		if extra := e.present() &^ opFields[e.Op]; extra != 0 {
+			t.Fatalf("%s decoded with fields %b outside its op's", payload, extra)
+		}
+		raw, err := e.Encode()
+		if err != nil {
+			t.Fatalf("%s decoded but does not encode: %v", payload, err)
+		}
+		back, err := DecodeEvent(raw)
+		if err != nil {
+			t.Fatalf("%s re-encoded as %s, which does not decode: %v", payload, raw, err)
+		}
+		if want := canonical(e); !reflect.DeepEqual(back, want) {
+			t.Fatalf("%s re-encoded as %s, which decodes to\n%+v\nnot\n%+v", payload, raw, back, want)
+		}
+	})
+}
+
+// canonical is e as its encoding carries it: an empty slice or map is
+// omitted, so it decodes back as nil.
+func canonical(e *Event) *Event {
+	c := *e
+	v := reflect.ValueOf(&c).Elem()
+	for i := range v.NumField() {
+		if f := v.Field(i); (f.Kind() == reflect.Slice || f.Kind() == reflect.Map) && f.Len() == 0 {
+			f.Set(reflect.Zero(f.Type()))
+		}
+	}
+	return &c
+}

@@ -279,9 +279,6 @@ func (b *IDBinding) AddServer(id string, capacity float64, ss []float64, clientR
 		if !ok {
 			return fmt.Errorf("server %q RTT: %w %q", id, ErrUnknownClient, cid)
 		}
-		if d < 0 {
-			return fmt.Errorf("server %q RTT to client %q is %v ms, want >= 0", id, cid, d)
-		}
 		col[j] = d
 	}
 	add := b.pl.AddServer
@@ -433,9 +430,6 @@ func (b *IDBinding) LeaveBatch(ids []string) error {
 // migrations apply first, then one seeded repair scan covers the union of
 // touched zones. Validated before anything is applied.
 func (b *IDBinding) MoveBatch(ids []string, zones []int) error {
-	if len(zones) != len(ids) {
-		return fmt.Errorf("repair: batch of %d ids, %d zones", len(ids), len(zones))
-	}
 	js, err := b.batch(ids)
 	if err != nil {
 		return err

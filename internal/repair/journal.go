@@ -9,12 +9,12 @@ package repair
 // never interrupted.
 //
 // Its state is the machine's journal fields: the log writer, the checkpoint
-// cadence, the solver-epoch tripwire, the replaying/closed fences, the
-// checkpoint and recovery series and the crash-injection hook. A machine
-// with no log config is not durable: Append, Applied, Checkpoint and Close
-// are no-ops on it. The director makes every journal call under its write
-// sequencer — never under the lock its readers take, so the fsync in Append
-// and the snapshot write in Checkpoint do not stall reads.
+// cadence, the solver-epoch tripwire, the closed fence, the checkpoint and
+// recovery series and the crash-injection hook. A machine with no log
+// config is not durable: Commit only checks and applies on it, and
+// Checkpoint and Close are no-ops. The director makes every journal call
+// under its write sequencer — never under the lock its readers take, so the
+// fsync in append and the snapshot write in Checkpoint do not stall reads.
 
 import (
 	"encoding/json"
@@ -44,8 +44,8 @@ var ErrJournalFailed = wal.ErrFailed
 type JournalConfig struct {
 	// Dir holds the log segments and snapshots.
 	Dir string
-	// SnapshotEvery makes Applied report a checkpoint due every this many
-	// applied events (0 = only explicit checkpoints).
+	// SnapshotEvery makes Commit checkpoint every this many applied events
+	// (0 = only explicit checkpoints).
 	SnapshotEvery int
 	// Telemetry receives the WAL, checkpoint and recovery series; nil
 	// disables them.
@@ -58,7 +58,6 @@ type JournalConfig struct {
 func (m *Machine) attach(cfg JournalConfig) {
 	reg := cfg.Telemetry
 	m.cfg = cfg
-	m.lastFullSolves = m.b.pl.stats.FullSolves
 	m.snapDur = reg.Histogram("dvecap_snapshot_write_duration_seconds",
 		"Wall time to render and durably write one session snapshot.", nil)
 	m.snapBytes = reg.Counter("dvecap_snapshot_bytes_total",
@@ -142,43 +141,32 @@ type logEvent struct {
 }
 
 // Recover replays the log tail after the snapshot at lsn — the one the
-// machine was restored from (RestoreMachine) — through Apply and goes live,
-// returning the number of events replayed. Apply-level rejections are
+// machine was restored from (RestoreMachine) — through apply and goes live,
+// returning the number of events replayed. Rejections by apply are
 // swallowed: the live path journals before applying, so an event the apply
 // rejected is in the log too — and rejects again here, deterministically.
-// An unknown op (the log and this build disagree about what the events
-// MEAN), an undecodable record or an epoch marker the rebuilt trajectory
-// does not pass through aborts recovery. Planner telemetry attaches only
+// A record DecodeEvent refuses (the log and this build disagree about what
+// the events MEAN) or an epoch marker the rebuilt trajectory does not pass
+// through aborts recovery, naming its LSN. Planner telemetry attaches only
 // after the tail has replayed, so the repair series reflect live traffic,
 // and the one-shot recovery gauges record what the replay cost.
 //
 // The log is read, checked and decoded on a second goroutine while this one
 // applies, in LSN order; nothing a caller can see differs from a sequential
 // replay — the events applied before an error, the error and the LSN it
-// names. Both ends only read the data directory: while replaying, the
-// machine appends nothing (Applied only tracks epochs), and the log is
-// opened for writing once the reader has exited.
+// names. Both ends only read the data directory: replay appends nothing,
+// and the log is opened for writing once the reader has exited.
 func (m *Machine) Recover(cfg JournalConfig, lsn uint64) (int, error) {
 	m.attach(cfg)
-	m.base, m.replaying = lsn, true
+	m.base = lsn
 	start := time.Now()
-	replayed, err := m.replayLog(func(e *Event) error {
-		switch err := m.Apply(e); {
-		case errors.Is(err, errUnknownOp):
-			return err
-		case err != nil:
-			return nil
-		}
-		_, err := m.Applied()
-		return err
-	})
+	replayed, err := m.replayLog(func(e *Event) error { _ = m.apply(e); return nil })
 	if err != nil {
 		return 0, err
 	}
 	if err := m.openLog(); err != nil {
 		return 0, err
 	}
-	m.replaying = false
 	m.sinceSnap = replayed
 	if reg := cfg.Telemetry; reg != nil {
 		m.b.pl.SetTelemetry(reg)
@@ -248,7 +236,9 @@ func (m *Machine) replayLog(apply func(*Event) error) (replayed int, err error) 
 	return replayed, nil
 }
 
+// openLog opens the log for appends and restarts the epoch tripwire.
 func (m *Machine) openLog() (err error) {
+	m.lastFullSolves = m.b.pl.stats.FullSolves
 	m.w, err = wal.Open(m.cfg.Dir, m.base, wal.Options{CrashHook: m.crash, Telemetry: m.cfg.Telemetry})
 	return err
 }
@@ -272,12 +262,10 @@ func (m *Machine) SetCrashHook(hook func(point string) error) { m.hook = hook }
 // NextLSN returns the LSN the next journaled record will receive.
 func (m *Machine) NextLSN() uint64 { return m.w.NextLSN() }
 
-// Append journals the event's canonical encoding and syncs it. Call it
-// BEFORE applying the event; an event the apply then rejects replays as
-// rejected too (same inputs, same validation), so the log may legitimately
-// hold events that changed nothing.
-func (m *Machine) Append(e *Event) error {
-	if !m.Durable() || m.replaying {
+// append journals the event's canonical encoding and syncs it; Commit calls
+// it BEFORE the apply.
+func (m *Machine) append(e *Event) error {
+	if !m.Durable() {
 		return nil
 	}
 	if m.closed {
@@ -291,27 +279,6 @@ func (m *Machine) Append(e *Event) error {
 		return fmt.Errorf("journal %s: %w", e.Op, err)
 	}
 	return nil
-}
-
-// Applied runs the bookkeeping once an event has been applied: an advisory
-// epoch marker when the planner ran a full re-solve, and the checkpoint
-// cadence — due reports that the surface should checkpoint now. During
-// replay it only tracks the epoch counter.
-func (m *Machine) Applied() (due bool, err error) {
-	if !m.Durable() {
-		return false, nil
-	}
-	if fs := m.b.pl.stats.FullSolves; fs != m.lastFullSolves {
-		m.lastFullSolves = fs
-		if err := m.Append(&Event{Op: OpEpoch, FullSolves: fs}); err != nil {
-			return false, err
-		}
-	}
-	if m.replaying {
-		return false, nil
-	}
-	m.sinceSnap++
-	return m.cfg.SnapshotEvery > 0 && m.sinceSnap >= m.cfg.SnapshotEvery, nil
 }
 
 // Checkpoint writes the snapshot Render produces for the log head, truncates

@@ -56,26 +56,13 @@ func TestLoadSnapshotFallsBackAGeneration(t *testing.T) {
 // one record, not a stale epoch marker ahead of it.
 func TestRecoverTracksEpochsWhileReplaying(t *testing.T) {
 	dir := t.TempDir()
-	step := func(m *Machine, e *Event) {
-		t.Helper()
-		if err := m.Check(e); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Append(e); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Apply(e); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Applied(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	m := testMachine(t, false)
 	if err := m.MakeDurable(JournalConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	step(m, &Event{Op: OpResolve})
+	if err := m.Commit(&Event{Op: OpResolve}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	head := m.NextLSN() // the resolve and its epoch marker
 	// m is left without Close, as a kill leaves it.
 	snap, err := LoadSnapshot(dir)
@@ -92,7 +79,9 @@ func TestRecoverTracksEpochsWhileReplaying(t *testing.T) {
 	if got := r.NextLSN(); got != head {
 		t.Fatalf("recovered NextLSN %d, want %d", got, head)
 	}
-	step(r, &Event{Op: OpLeave, ID: "seed-0"})
+	if err := r.Commit(&Event{Op: OpLeave, ID: "seed-0"}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if got := r.NextLSN(); got != head+1 {
 		t.Fatalf("one live event after recovery took LSNs %d..%d, want one record", head, got-1)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 	"time"
 
 	"dvecap/internal/core"
@@ -16,16 +17,15 @@ import (
 
 // Machine is the one journaled assignment state machine (DESIGN.md §11): the
 // single owner of the client→server assignment, under both front ends. It
-// owns the ID binding over the planner, the journal (journal.go), the
-// interpreter (Apply — the only place an EventOp turns into a state change,
-// live and on replay alike), the snapshot body and the recover path. A front
-// end owns resolving a verb to an Event (ClusterSession: specs → zone,
-// bandwidth, row; the director: topology node → measured row, population →
-// bandwidth), its locks and its traces.
+// owns the ID binding over the planner, the admission rule (check), the
+// journal (journal.go), the interpreter (apply — the only place an EventOp
+// turns into a state change, live and on replay alike), the snapshot body
+// and the recover path. A front end owns resolving a verb to an Event
+// (ClusterSession: specs → zone, bandwidth, row; the director: topology
+// node → measured row, population → bandwidth), its locks and its traces.
 //
-// The live path is Append(e) → Apply(e) → Applied(); replay is Apply(e). The
-// steps are separate so the director can hold its state lock across Apply
-// alone. Not safe for concurrent use.
+// Commit is the one write path; Recover replays through the same apply.
+// Not safe for concurrent use.
 type Machine struct {
 	b        *IDBinding
 	algo     string
@@ -47,10 +47,7 @@ type Machine struct {
 	// advisory markers live and a divergence check on replay.
 	sinceSnap      int
 	lastFullSolves int
-	// replaying suspends journaling while Recover re-applies the log
-	// through the live mutators.
-	replaying bool
-	closed    bool
+	closed         bool
 	// hook is the fault tests' crash-injection point. It is consulted through
 	// the crash method, so tests can install it after the surface is open.
 	hook func(point string) error
@@ -135,14 +132,61 @@ func (m *Machine) ServerNodes() []int { return m.dir.ServerNodes }
 // ClientNode returns the topology node the client joined at.
 func (m *Machine) ClientNode(id string) int { return m.clientNode[id] }
 
-// errUnknownOp marks the one Apply error replay must not swallow.
-var errUnknownOp = errors.New("unknown journal op")
+// errRefused marks, adding no text, what check refuses and apply rejects.
+var errRefused = errors.New("")
 
-// Apply interprets one event against the binding: the refresh list first,
+// Refused prefixes the text of an error Commit returns for an event check
+// refused or apply rejected with the front end's name ("dvecap: …"), and
+// returns a journal or checkpoint fault as it is.
+func Refused(surface string, err error) error {
+	if errors.Is(err, errRefused) {
+		return fmt.Errorf("%s: %w", surface, err)
+	}
+	return err
+}
+
+// Commit is the machine's one write path: check (a refused event journals
+// nothing), append (synced BEFORE the apply), apply (holding lock when one
+// is given: the director's state lock), the durable bookkeeping (an epoch
+// marker after a full re-solve, the checkpoint cadence) and checkpoint when
+// one is due. An event apply rejects stays journaled (replay rejects it
+// again) and skips the bookkeeping. A machine that is not durable journals
+// nothing and never finds a checkpoint due.
+func (m *Machine) Commit(e *Event, lock sync.Locker, checkpoint func() error) error {
+	if err := m.check(e); err != nil {
+		return fmt.Errorf("%w%w", errRefused, err)
+	}
+	if err := m.append(e); err != nil {
+		return err
+	}
+	if lock != nil {
+		lock.Lock()
+	}
+	err := m.apply(e)
+	if lock != nil {
+		lock.Unlock()
+	}
+	if err != nil {
+		return fmt.Errorf("%w%w", errRefused, err)
+	}
+	if fs := m.b.pl.stats.FullSolves; fs != m.lastFullSolves {
+		m.lastFullSolves = fs
+		if err := m.append(&Event{Op: OpEpoch, FullSolves: fs}); err != nil {
+			return err
+		}
+	}
+	if m.sinceSnap++; m.cfg.SnapshotEvery > 0 && m.sinceSnap >= m.cfg.SnapshotEvery {
+		return checkpoint()
+	}
+	return nil
+}
+
+// apply interprets one event against the binding: the refresh list first,
 // then the event's own step through the binding's and planner's mutators (a
 // move re-prices the mover, then migrates it). An error means the step was
-// rejected and changed nothing.
-func (m *Machine) Apply(e *Event) error {
+// rejected and changed nothing. It sees only ops the schema holds (check,
+// DecodeEvent) and no epoch marker (replayLog).
+func (m *Machine) apply(e *Event) error {
 	b, pl := m.b, m.b.pl
 	if e.Auto && m.dir != nil {
 		// The ID was materialized from Seq+1 before journaling; a rejected
@@ -256,14 +300,13 @@ func (m *Machine) Apply(e *Event) error {
 		return pl.AddAdjacency(zs[0], zs[1], e.Weight)
 	case OpResolve:
 		return pl.FullSolve()
-	default:
-		return fmt.Errorf("%w %q", errUnknownOp, e.Op)
 	}
 	return nil
 }
 
-// Check is the admission rule for every event, under both front ends, which
-// call it before Append: it refuses, changing nothing, an event that names
+// check is the admission rule for every event Commit takes: it refuses,
+// changing nothing, an epoch marker (the journal's own record), an op or a
+// field the schema does not hold for it (Event.schema), an event that names
 // an unknown client, server or zone on any ID field (refresh list and RTT
 // keys included) or adds a present one, repeats a batch member, carries an
 // empty or inadmissible ID (CheckClientID), a delay row without one entry
@@ -271,8 +314,11 @@ func (m *Machine) Apply(e *Event) error {
 // finite > 0, a delay not finite >= 0, an edge weight not finite > 0 (a set
 // may remove with 0) or a self-edge. The director's auto-ID join that
 // collides with a taken ID passes: it is journaled bare so the ID sequence
-// replays, and Apply rejects it.
-func (m *Machine) Check(e *Event) error {
+// replays, and apply rejects it.
+func (m *Machine) check(e *Event) error {
+	if err := e.schema(); err != nil || e.Op == OpEpoch {
+		return first(err, errors.New("epoch markers are the journal's own"))
+	}
 	b := m.b
 	for _, r := range e.Refresh {
 		if err := b.checkZoneRT(r.Zone, r.RT); err != nil {
@@ -347,16 +393,6 @@ func (m *Machine) Check(e *Event) error {
 	return nil
 }
 
-// Exec is the write path of an in-process driver that journals nothing (the
-// churn simulator, the traffic experiment): the admission rule, then the
-// interpreter.
-func (m *Machine) Exec(e *Event) error {
-	if err := m.Check(e); err != nil {
-		return err
-	}
-	return m.Apply(e)
-}
-
 // Audit is Planner.Audit plus the machine's own tables: each ID table is the
 // inverse of its index map, one ID per dense index, and a director machine
 // holds a node per server and per client ID. It writes nothing.
@@ -406,7 +442,7 @@ func first(errs ...error) error {
 	return nil
 }
 
-// checkJoin is Check's rule for one joining client but its freshness.
+// checkJoin is check's rule for one joining client but its freshness.
 func (b *IDBinding) checkJoin(id, zone string, rt float64, row []float64) error {
 	return first(CheckClientID(id), known(b.ZoneIndex(zone)), checkRT(id, rt), b.checkRow("client", id, row))
 }

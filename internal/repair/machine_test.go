@@ -29,7 +29,7 @@ func testMachine(t *testing.T, dir bool) *Machine {
 	return m
 }
 
-// TestCheckIsTheAdmissionRule: Check admits a well-formed event of every op
+// TestCheckIsTheAdmissionRule: check admits a well-formed event of every op
 // and refuses each malformed one — on references, shapes, ranges and
 // self-edges — with the sentinel where one applies, changing nothing.
 func TestCheckIsTheAdmissionRule(t *testing.T) {
@@ -67,7 +67,7 @@ func TestCheckIsTheAdmissionRule(t *testing.T) {
 		{Op: OpResolve},
 	}
 	for _, e := range good {
-		if err := m.Check(e); err != nil {
+		if err := m.check(e); err != nil {
 			t.Errorf("%s %+v refused: %v", e.Op, e, err)
 		}
 	}
@@ -121,9 +121,9 @@ func TestCheckIsTheAdmissionRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range bad {
-		err := m.Check(tc.e)
+		err := m.check(tc.e)
 		if err == nil || (tc.is != nil && !errors.Is(err, tc.is)) {
-			t.Errorf("%s: Check = %v, want a refusal (sentinel %v)", tc.name, err, tc.is)
+			t.Errorf("%s: check = %v, want a refusal (sentinel %v)", tc.name, err, tc.is)
 		}
 	}
 	after, err := m.Render(0)
@@ -137,27 +137,27 @@ func TestCheckIsTheAdmissionRule(t *testing.T) {
 
 // TestCheckAdmitsCollidingAutoJoin: the director's auto-ID join whose ID a
 // caller already took is journaled bare so the sequence number replays —
-// Check lets it through, Apply rejects it and still advances the sequence.
+// check lets it through, apply rejects it and still advances the sequence.
 // The same ID chosen by a caller is refused.
 func TestCheckAdmitsCollidingAutoJoin(t *testing.T) {
 	m := testMachine(t, true)
 	bare := &Event{Op: OpJoin, ID: "seed-0", Zone: "z0", Auto: true}
-	if err := m.Check(bare); err != nil {
-		t.Fatalf("Check refused the bare auto join: %v", err)
+	if err := m.check(bare); err != nil {
+		t.Fatalf("check refused the bare auto join: %v", err)
 	}
-	if err := m.Apply(bare); !errors.Is(err, ErrDuplicateClient) {
-		t.Fatalf("Apply of the bare auto join = %v, want ErrDuplicateClient", err)
+	if err := m.apply(bare); !errors.Is(err, ErrDuplicateClient) {
+		t.Fatalf("apply of the bare auto join = %v, want ErrDuplicateClient", err)
 	}
 	if m.Seq() != 1 {
 		t.Fatalf("Seq = %d after a rejected auto join, want 1", m.Seq())
 	}
 	taken := &Event{Op: OpJoin, ID: "seed-0", Zone: "z0", RT: 0.5, Row: make([]float64, m.b.pl.NumServers())}
-	if err := m.Check(taken); !errors.Is(err, ErrDuplicateClient) {
-		t.Fatalf("Check of a caller's taken ID = %v, want ErrDuplicateClient", err)
+	if err := m.check(taken); !errors.Is(err, ErrDuplicateClient) {
+		t.Fatalf("check of a caller's taken ID = %v, want ErrDuplicateClient", err)
 	}
 }
 
-// TestCheckSingleEventsAllocateNothing pins the per-event cost Check adds to
+// TestCheckSingleEventsAllocateNothing pins the per-event cost check adds to
 // the hot single-client verbs: no allocation.
 func TestCheckSingleEventsAllocateNothing(t *testing.T) {
 	m := testMachine(t, false)
@@ -168,8 +168,8 @@ func TestCheckSingleEventsAllocateNothing(t *testing.T) {
 		{Op: OpDelayRow, ID: "seed-0", Row: row},
 		{Op: OpAddAdjacency, Zone: "z0", Zone2: "z1", Weight: 1},
 	} {
-		if n := testing.AllocsPerRun(100, func() { _ = m.Check(e) }); n != 0 {
-			t.Errorf("Check(%s) allocates %v times, want 0", e.Op, n)
+		if n := testing.AllocsPerRun(100, func() { _ = m.check(e) }); n != 0 {
+			t.Errorf("check(%s) allocates %v times, want 0", e.Op, n)
 		}
 	}
 }
@@ -184,7 +184,7 @@ func TestAuditIsReadOnly(t *testing.T) {
 		for e := 1; e <= 300; e++ {
 			d.run(t, m.b, 1)
 			if e%50 == 25 {
-				if err := m.Apply(&Event{Op: OpResolve}); err != nil {
+				if err := m.apply(&Event{Op: OpResolve}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -408,37 +408,60 @@ func TestImbalanceGuard(t *testing.T) {
 	}
 }
 
-// TestEventCodecRoundTrip pins the canonical encoding: every field
-// round-trips, empty ops are rejected on both sides.
+// TestEventCodecRoundTrip pins the canonical encoding: one event per op,
+// carrying every field the op reads and a refresh list, round-trips; an
+// unknown or empty op is refused on both sides.
 func TestEventCodecRoundTrip(t *testing.T) {
-	ev := &Event{
-		Op: OpAddServer, ID: "c1", IDs: []string{"a", "b"},
-		Zone: "z1", Zone2: "z3", Zones: []string{"z1", "z2"},
-		Server: "s1", Host: "s0",
-		RT: 0.25, RTs: []float64{0.1, 0.2}, Row: []float64{1, 2},
-		Rows: [][]float64{{1}, {2}}, RTTs: map[string]float64{"c9": 30},
-		ClientRTTs: map[string]float64{"c2": 12.5}, Capacity: 80,
-		Weight: 1.5, Refresh: []ZoneRT{{Zone: "z1", RT: 0.3}},
-		Node: 2, Auto: true, Spare: true, FullSolves: 7,
+	refresh := []ZoneRT{{Zone: "z1", RT: 0.3}}
+	for _, ev := range []*Event{
+		{Op: OpJoin, ID: "c1", Zone: "z1", RT: 0.25, Row: []float64{1, 2}, Node: 2, Auto: true},
+		{Op: OpJoinBatch, IDs: []string{"a", "b"}, Zones: []string{"z1", "z2"}, RTs: []float64{0.1, 0.2}, Rows: [][]float64{{1}, {2}}},
+		{Op: OpLeave, ID: "c1"},
+		{Op: OpLeaveBatch, IDs: []string{"a", "b"}},
+		{Op: OpMove, ID: "c1", Zone: "z2", RT: 0.5},
+		{Op: OpMoveBatch, IDs: []string{"a", "b"}, Zones: []string{"z1", "z2"}},
+		{Op: OpDelayRow, ID: "c1", Row: []float64{0, 3.5}},
+		{Op: OpServerDelays, Server: "s1", RTTs: map[string]float64{"c9": 30}},
+		{Op: OpSetBandwidth, ID: "c1", RT: 0.4},
+		{Op: OpSetZoneBW, Zone: "z1", RT: 0.4},
+		{Op: OpAddServer, Server: "s1", Capacity: 80, Row: []float64{1, 2}, ClientRTTs: map[string]float64{"c2": 12.5}, Node: 2, Spare: true},
+		{Op: OpRemoveServer, Server: "s1"},
+		{Op: OpDrainServer, Server: "s1"},
+		{Op: OpUncordon, Server: "s1"},
+		{Op: OpAddZone, Zone: "z3", Host: "s0"},
+		{Op: OpRetireZone, Zone: "z3"},
+		{Op: OpSetAdjacency, Zone: "z1", Zone2: "z3", Weight: 1.5},
+		{Op: OpAddAdjacency, Zone: "z1", Zone2: "z3", Weight: 1.5},
+		{Op: OpResolve},
+		{Op: OpEpoch, FullSolves: 7},
+	} {
+		ev.Refresh = refresh
+		if got, want := ev.present(), opFields[ev.Op]; got != want {
+			t.Errorf("%s: the literal carries fields %b, the schema admits %b", ev.Op, got, want)
+		}
+		raw, err := ev.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeEvent(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ev, back) {
+			t.Fatalf("codec round trip diverged:\n%+v\nvs\n%+v", ev, back)
+		}
 	}
-	raw, err := ev.Encode()
-	if err != nil {
-		t.Fatal(err)
+	if len(opFields) != 20 {
+		t.Fatalf("the schema holds %d ops; a new op needs a row here", len(opFields))
 	}
-	back, err := DecodeEvent(raw)
-	if err != nil {
-		t.Fatal(err)
+	for _, ev := range []*Event{{}, {Op: "nope"}} {
+		if _, err := ev.Encode(); err == nil {
+			t.Fatalf("op %q encoded", ev.Op)
+		}
 	}
-	if !reflect.DeepEqual(ev, back) {
-		t.Fatalf("codec round trip diverged:\n%+v\nvs\n%+v", ev, back)
-	}
-	if _, err := (&Event{}).Encode(); err == nil {
-		t.Fatal("empty op encoded")
-	}
-	if _, err := DecodeEvent([]byte(`{}`)); err == nil {
-		t.Fatal("empty op decoded")
-	}
-	if _, err := DecodeEvent([]byte(`not json`)); err == nil {
-		t.Fatal("junk decoded")
+	for _, raw := range []string{`{}`, `{"op":"nope"}`, `not json`, `{"op":"resolve"} {}`} {
+		if _, err := DecodeEvent([]byte(raw)); err == nil {
+			t.Fatalf("%s decoded", raw)
+		}
 	}
 }

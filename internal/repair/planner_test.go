@@ -415,7 +415,7 @@ func TestPlannerRejectsBadInput(t *testing.T) {
 }
 
 // TestVerbsRefuseNonFiniteValues: each verb taking a bandwidth or a
-// capacity refuses NaN, +Inf, 0 and −1 (FinitePos, as Machine.Check and
+// capacity refuses NaN, +Inf, 0 and −1 (FinitePos, as Machine.Commit and
 // Validate do), leaving a planner that passes Audit and whose next full
 // solve, which validates the problem, succeeds.
 func TestVerbsRefuseNonFiniteValues(t *testing.T) {

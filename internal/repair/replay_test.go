@@ -94,9 +94,9 @@ func replayWith(t *testing.T, dir string, apply func(n int, e *Event) error) ([]
 	}
 	var seen []string
 	m.attach(JournalConfig{Dir: dir})
-	m.base, m.replaying = snap.LSN, true
+	m.base = snap.LSN
 	_, err = m.replayLog(func(e *Event) error {
-		if err := m.Apply(e); err != nil {
+		if err := m.apply(e); err != nil {
 			return err
 		}
 		seen = append(seen, e.ID)
@@ -161,7 +161,7 @@ func TestReplayPipelineStopsWhereSequentialReplayDid(t *testing.T) {
 		}, damage: func(*testing.T, string) (string, int) { return "journal: replaying LSN 10: boom", 10 }},
 		{name: "undecodable record", bad: map[int][]byte{700: []byte(`{"op":`)},
 			damage: func(*testing.T, string) (string, int) {
-				return "journal: LSN 701: repair: decode event: unexpected end of JSON input", 700
+				return "journal: LSN 701: repair: decode event: unexpected EOF", 700
 			}},
 		{name: "diverged epoch", bad: map[int][]byte{500: []byte(`{"op":"epoch","full_solves":99}`)},
 			damage: func(*testing.T, string) (string, int) {

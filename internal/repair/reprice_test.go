@@ -46,7 +46,7 @@ func TestRepriceIsTheMembershipRule(t *testing.T) {
 	// Empty zone 3 down to its last client; that client's leave re-prices
 	// nothing.
 	for b.ZonePop(3) > 1 {
-		if err := m.Exec(&Event{Op: OpMove, ID: in(3), Zone: "z0"}); err != nil {
+		if err := m.Commit(&Event{Op: OpMove, ID: in(3), Zone: "z0"}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -163,7 +163,7 @@ func (d *Driver) setActive(i int, active bool) (string, error) {
 	if active {
 		op, delta = repair.OpUncordon, 1
 	}
-	if err := d.m.Exec(&repair.Event{Op: op, Server: id}); err != nil {
+	if err := d.m.Commit(&repair.Event{Op: op, Server: id}, nil, nil); err != nil {
 		return "", err
 	}
 	d.integrateServerSecs()

@@ -144,7 +144,7 @@ type Driver struct {
 	errs            []error
 
 	// Repair mode: a non-durable machine over the incremental planner, fed
-	// every churn and topology event through Check and Apply; each world
+	// every churn and topology event through Commit; each world
 	// client's ID, compacted with the world on leaves; the next joiner's
 	// ID number.
 	m      *repair.Machine
@@ -363,7 +363,7 @@ func (d *Driver) join(j int) error {
 	d.ids = append(d.ids, id)
 	e := &repair.Event{Op: repair.OpJoin, ID: id, Zone: b.ZoneID(w.ClientZones[j]), Row: d.csBuf}
 	b.Reprice(e, w.Cfg.ClientRTMbps, -1, w.ClientZones[j])
-	return d.m.Exec(e)
+	return d.m.Commit(e, nil, nil)
 }
 
 // leave removes the client that held world index r before World.Leave
@@ -379,7 +379,7 @@ func (d *Driver) leave(r int) error {
 	}
 	e := &repair.Event{Op: repair.OpLeave, ID: id}
 	b.Reprice(e, d.world.Cfg.ClientRTMbps, zone, -1)
-	return d.m.Exec(e)
+	return d.m.Commit(e, nil, nil)
 }
 
 // move migrates world client j, whose world zone World.Move already changed.
@@ -396,7 +396,7 @@ func (d *Driver) move(j int) error {
 	}
 	e := &repair.Event{Op: repair.OpMove, ID: d.ids[j], Zone: b.ZoneID(zone)}
 	b.Reprice(e, d.world.Cfg.ClientRTMbps, old, zone)
-	return d.m.Exec(e)
+	return d.m.Commit(e, nil, nil)
 }
 
 // absorb records a non-fatal driver error.
@@ -475,7 +475,7 @@ func (d *Driver) reassignEvent() {
 		// A "post-reassign" sample is emitted only when the fallback solve
 		// actually ran, so pre/post pairs always bracket a real solve.
 		if d.planner().Stats().LastDriftPQoS > fallbackDriftPQoS {
-			d.absorb(d.m.Exec(&repair.Event{Op: repair.OpResolve}))
+			d.absorb(d.m.Commit(&repair.Event{Op: repair.OpResolve}, nil, nil))
 			d.syncFromPlanner()
 			d.sampleWith(&d.prob, "post-reassign")
 		}
