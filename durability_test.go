@@ -740,10 +740,12 @@ func proveRejectsNonFinite(t *testing.T, sf durableSurface) {
 
 // proveGoldenFormat enforces "byte-identical on disk": for a fixed 60-event
 // script the baseline snapshot, the journal records and the final
-// checkpoint hash to recorded constants — the session's from the commit
-// before the two surfaces were moved onto one durability engine (unchanged
-// since, through the move onto one machine), the director's from the commit
-// that gave it the machine's format.
+// checkpoint hash to recorded constants. The journal records' are the
+// session's from the commit before the two surfaces were moved onto one
+// durability engine (unchanged since, through the move onto one machine)
+// and the director's from the commit that gave it the machine's format;
+// the snapshots' are version 3's, and the version-2 bytes they replace are
+// pinned on committed files by TestV2SnapshotsRecover.
 func proveGoldenFormat(t *testing.T, sf durableSurface) {
 	run := proofRun{dir: t.TempDir(), workers: 1, churnSeed: 2024, golden: true}
 	m := sf.open(t, run)
@@ -817,9 +819,9 @@ func sessionSurface(model DelayModel) durableSurface {
 			}}}
 		},
 		golden: [3]string{
-			"078f3ef5f83bce94f1b480b577707213a8941eff9afd51ac460fe11513ff5371",
+			"4487f9af4c3e87f016e807e13894822c4f4c18cb3412ebcdff6faf927a2b997c",
 			"f38a5244ce05c69034044b103b55362f0b7780c2657e24d0b060c8635534da78",
-			"2b9bd286266e8abff9cb5113669708bdd1c1789d08a0c85059d07b61ae5c2601",
+			"f5caa0eab005494e99cc933cd48bb68a289d0738e02f48314789121470346ce2",
 		},
 	}
 }
@@ -1141,14 +1143,14 @@ func directorSurface(t *testing.T, model string) durableSurface {
 				attempt("fingerprint", func(c *director.Config) { c.DelayBoundMs = 300 }),
 			}
 		},
-		// Recorded when the director moved onto the one machine: its WRITE
-		// format is the machine's snapshot and vocabulary from here on. What
-		// it wrote before is refused by name (TestDirectorRefusesOldDataDir,
-		// internal/director).
+		// The journal pin was recorded when the director moved onto the one
+		// machine: its WRITE format is the machine's snapshot and vocabulary
+		// from here on. What it wrote before is refused by name
+		// (TestDirectorRefusesOldDataDir, internal/director).
 		golden: [3]string{
-			"789e632661c057969015eae4e7b27649cb7d7d1c5002143c695d92261a2ee45d",
+			"3906274d0eb75bf07b416b26f0b6602bdb9b11897e8812697c87fe63f1042858",
 			"aba80eca5642174f7399513034143882e5c951b8a4135ff960d53f498559030a",
-			"e7863598e161bc2adbbf6f21e3a51439993fdfc9de4834d1180afbb827ad5ff7",
+			"7b9f09a858f54261bd36ec0805ec149190d90613358ca3f6cf0e2884d478b27f",
 		},
 	}
 }
@@ -1294,9 +1296,9 @@ func TestDurableGoldenFormat(t *testing.T) {
 	t.Run("coord", func(t *testing.T) {
 		sf := sessionSurface(CoordDelays)
 		sf.golden = [3]string{
-			"454047fd6d7c1e7107615fbe9177d0b6b4a438293d3a66d1a220a3bdfe192775",
+			"13c36718483e56fe12edff4024c2322b0dcc9286a1643d2de4e835916d47c1fc",
 			"f38a5244ce05c69034044b103b55362f0b7780c2657e24d0b060c8635534da78",
-			"8a9c6c26690ecb222824a90fbd66ff73aa1ae52c38f6b1d615b6b40a6ec9547b",
+			"ff3c3b1e8109df89e4f743810abfb0d3d18d72f061bbf1e7dd5cc7771ade1a12",
 		}
 		proveGoldenFormat(t, sf)
 	})
@@ -1306,9 +1308,9 @@ func TestDirectorGoldenFormat(t *testing.T) {
 	t.Run("coord", func(t *testing.T) {
 		sf := directorSurface(t, "coord")
 		sf.golden = [3]string{
-			"4542748f7db016eb89b85a0f28098d65dbe61d5854470663e808e492f49b884d",
+			"2526cd6845edaae6988cf23a74c7656ab333545cf7aae235e2b8f41b2695bc54",
 			"aba80eca5642174f7399513034143882e5c951b8a4135ff960d53f498559030a",
-			"ae7ae7a99cb29a1ba997ad6e007c76ca7bd9d7757e70c8a3b54294bf44c5e1a1",
+			"de7d3d1794062bae905fe31091f22bf79bea249eda720bbf091c02b3a0381d68",
 		}
 		proveGoldenFormat(t, sf)
 	})

@@ -8,11 +8,13 @@ import (
 	"strconv"
 )
 
-// FloatRow is a dense row of float64 values as the durable formats carry
-// it — a client's delay row in a cluster spec, a snapshot or a journal
-// record, and the coordinate store's arrays — with a JSON decoder that
-// parses the array itself instead of going through encoding/json's
-// reflection, which dominates the cost of loading a snapshot of dense rows.
+// FloatRow is a dense row of float64 values as the JSON formats carry it —
+// a client's delay row in a cluster spec, a journal record or a version-1–2
+// snapshot, and the coordinate store's arrays there — with a JSON decoder
+// that parses the array itself instead of going through encoding/json's
+// reflection, which dominated the cost of loading a snapshot of dense rows.
+// Version-3 snapshots keep these arrays as binary float64 instead
+// (repair.FloatBlock), so FloatRow reads them only from older snapshots.
 //
 // It decodes exactly what encoding/json decodes into a fresh []float64,
 // value for value or error for error: null is a nil row, a null element is

@@ -148,8 +148,9 @@ func await(t *testing.T, what string, done <-chan error) {
 func journalOps(t *testing.T, dir string) []string {
 	t.Helper()
 	var ops []string
+	var dec repair.EventDecoder
 	if _, err := wal.Replay(dir, 0, func(_ uint64, payload []byte) error {
-		e, err := repair.DecodeEvent(payload)
+		e, err := dec.Decode(payload)
 		if err != nil {
 			return err
 		}

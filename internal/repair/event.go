@@ -221,19 +221,31 @@ func (e *Event) Encode() ([]byte, error) {
 	return json.Marshal(e)
 }
 
-// DecodeEvent parses a journal payload back into an Event, refusing a key
-// Event does not have, trailing data and what the schema refuses.
-func DecodeEvent(payload []byte) (*Event, error) {
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
+// EventDecoder decodes a replay's payloads through one json.Decoder reset
+// onto each, refusing a key Event does not have, trailing data and what the
+// schema refuses; after a refusal it starts afresh. Its zero value is ready.
+type EventDecoder struct {
+	src bytes.Reader
+	dec *json.Decoder
+}
+
+// Decode parses one journal payload back into an Event.
+func (d *EventDecoder) Decode(payload []byte) (*Event, error) {
+	if d.dec == nil {
+		d.dec = json.NewDecoder(&d.src)
+		d.dec.DisallowUnknownFields()
+	}
+	d.src.Reset(payload)
+	start := d.dec.InputOffset()
 	var e Event
-	err := dec.Decode(&e)
-	if err == nil && dec.InputOffset() != int64(len(payload)) {
+	err := d.dec.Decode(&e)
+	if err == nil && d.dec.InputOffset()-start != int64(len(payload)) {
 		err = fmt.Errorf("trailing data after the event")
 	} else if err == nil {
 		err = e.schema()
 	}
 	if err != nil {
+		d.dec = nil
 		return nil, fmt.Errorf("repair: decode event: %w", err)
 	}
 	return &e, nil

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -127,9 +128,14 @@ func TestCommitJournalsNothingTheSchemaRefuses(t *testing.T) {
 	}
 }
 
+// DecodeEvent decodes one payload through a fresh EventDecoder.
+func DecodeEvent(payload []byte) (*Event, error) { return new(EventDecoder).Decode(payload) }
+
 // FuzzDecodeEvent: whatever DecodeEvent accepts carries only its op's
-// fields, and re-encodes to a payload that decodes to the same event. The
-// seeds are every record of the shipped journals.
+// fields, and re-encodes to a payload that decodes to the same event. One
+// EventDecoder, as a replay keeps it, decodes every input in turn and must
+// agree with the fresh one. The seeds are every record of the shipped
+// journals.
 func FuzzDecodeEvent(f *testing.F) {
 	dirs, err := filepath.Glob("../../testdata/shared-model/*/data")
 	if err != nil || len(dirs) == 0 {
@@ -143,8 +149,13 @@ func FuzzDecodeEvent(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
+	var stream EventDecoder
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		e, err := DecodeEvent(payload)
+		se, serr := stream.Decode(payload)
+		if fmt.Sprint(err) != fmt.Sprint(serr) || !reflect.DeepEqual(e, se) {
+			t.Fatalf("%q: a fresh decoder gives %+v, %v; the replay's gives %+v, %v", payload, e, err, se, serr)
+		}
 		if err != nil {
 			return
 		}
@@ -176,4 +187,30 @@ func canonical(e *Event) *Event {
 		}
 	}
 	return &c
+}
+
+// BenchmarkEventDecoder decodes the shipped journals' records in turn
+// through one EventDecoder, as a replay does; allocs/op is per record.
+func BenchmarkEventDecoder(b *testing.B) {
+	dirs, err := filepath.Glob("../../testdata/shared-model/*/data")
+	if err != nil || len(dirs) == 0 {
+		b.Fatalf("no shipped journals (%v)", err)
+	}
+	var payloads [][]byte
+	for _, dir := range dirs {
+		if _, err := wal.Replay(dir, 0, func(_ uint64, p []byte) error {
+			payloads = append(payloads, append([]byte(nil), p...))
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var dec EventDecoder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.Decode(payloads[i%len(payloads)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -17,11 +17,16 @@ package repair
 // fsync in append and the snapshot write in Checkpoint do not stall reads.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"time"
 
+	"dvecap/internal/core"
 	"dvecap/internal/wal"
 	"dvecap/telemetry"
 )
@@ -87,9 +92,9 @@ func (m *Machine) MakeDurable(cfg JournalConfig) error {
 }
 
 // LoadSnapshot decodes the newest usable snapshot in dir: a candidate that
-// does not parse, comes from a schema newer than SnapshotVersion or declares
-// another LSN than its file name is skipped in favour of the generation
-// before it.
+// does not parse (decodeSnapshot), comes from a schema newer than
+// SnapshotVersion or declares another LSN than its file name is skipped in
+// favour of the generation before it.
 func LoadSnapshot(dir string) (*Snapshot, error) {
 	start := time.Now()
 	lsns, err := wal.SnapshotLSNs(dir)
@@ -106,14 +111,10 @@ func LoadSnapshot(dir string) (*Snapshot, error) {
 			lastErr = err
 			continue
 		}
-		cand := new(Snapshot)
-		if err := json.Unmarshal(raw, cand); err != nil {
-			lastErr = fmt.Errorf("snapshot %d: %w", lsns[x], err)
-			continue
-		}
+		cand, err := decodeSnapshot(raw)
 		switch {
-		case cand.Version < 1 || cand.Version > SnapshotVersion:
-			lastErr = fmt.Errorf("snapshot %d has version %d, this build reads 1..%d", lsns[x], cand.Version, SnapshotVersion)
+		case err != nil:
+			lastErr = fmt.Errorf("snapshot %d: %w", lsns[x], err)
 		case cand.LSN != lsns[x]:
 			lastErr = fmt.Errorf("snapshot %d declares LSN %d", lsns[x], cand.LSN)
 		default:
@@ -122,6 +123,65 @@ func LoadSnapshot(dir string) (*Snapshot, error) {
 		}
 	}
 	return nil, fmt.Errorf("journal: no usable snapshot in %s: %w", dir, lastErr)
+}
+
+// decodeSnapshot parses one snapshot file. Versions 1–2 are one JSON
+// document. A version-3 file is a document line and the float block it
+// frames (Snapshot.encode); the block must fill the rest of the file, pass
+// its CRC and hold exactly the values the document gives its arrays, which
+// the document must not carry itself. Its arrays are decoded into one
+// buffer and sliced into the places versions 1–2 carry them — the stores
+// copy what they keep, so the rows may share it.
+func decodeSnapshot(raw []byte) (*Snapshot, error) {
+	doc, _, _ := bytes.Cut(raw, []byte{'\n'})
+	snap := new(Snapshot)
+	if err := json.Unmarshal(doc, snap); err != nil {
+		return nil, err
+	}
+	b := snap.Block
+	switch {
+	case snap.Version < 1 || snap.Version > SnapshotVersion:
+		return nil, fmt.Errorf("version %d, this build reads 1..%d", snap.Version, SnapshotVersion)
+	case snap.Version < 3 && (b != nil || len(bytes.TrimSpace(raw[len(doc):])) > 0):
+		return nil, fmt.Errorf("version-%d document followed by a float block", snap.Version)
+	case snap.Version < 3:
+		return snap, nil
+	case b == nil:
+		return nil, fmt.Errorf("names no float block")
+	case b.Offset != len(doc)+1 || b.Length != len(raw)-b.Offset:
+		return nil, fmt.Errorf("float block [%d,+%d) is not the %d bytes after the document", b.Offset, b.Length, len(raw)-len(doc)-1)
+	case b.Length < 0 || b.Length%8 != 0 || b.Count != b.Length/8:
+		return nil, fmt.Errorf("float block of %d bytes holds %d values", b.Length, b.Count)
+	case crc32.Checksum(raw[b.Offset:], castagnoli) != b.CRC32C:
+		return nil, fmt.Errorf("float block fails its CRC32-C")
+	}
+	// need turns -1 once the lengths the document gives overflow.
+	inline, need := false, 0
+	if pv := snap.Provider; pv != nil && pv.Coord != nil {
+		c := pv.Coord
+		inline = len(c.Cli) > 0 || len(c.OvVal) > 0
+		c.OvVal = make(core.FloatRows, len(c.OvSrv))
+	}
+	snap.eachBlockArray(func(a *[]float64, n int) {
+		inline = inline || len(*a) > 0
+		if need >= 0 && n >= 0 && n <= math.MaxInt-need {
+			need += n
+		} else {
+			need = -1
+		}
+	})
+	switch {
+	case inline:
+		return nil, fmt.Errorf("version-3 document carries a dense float array itself")
+	case need != b.Count:
+		return nil, fmt.Errorf("float block holds %d values, the document's arrays need %d", b.Count, need)
+	}
+	flat := make([]float64, b.Count)
+	for i := range flat {
+		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[b.Offset+8*i:]))
+	}
+	snap.eachBlockArray(func(a *[]float64, n int) { *a, flat = flat[:n:n], flat[n:] })
+	return snap, nil
 }
 
 // replayQueue bounds the decoded events in flight between Recover's log
@@ -134,18 +194,12 @@ const replayQueue = 1024
 // errReplayStopped ends the log reader once the applier has stopped.
 var errReplayStopped = errors.New("journal: replay stopped")
 
-// logEvent is one decoded journal record on its way to the applier.
-type logEvent struct {
-	lsn uint64
-	e   *Event
-}
-
 // Recover replays the log tail after the snapshot at lsn — the one the
 // machine was restored from (RestoreMachine) — through apply and goes live,
 // returning the number of events replayed. Rejections by apply are
 // swallowed: the live path journals before applying, so an event the apply
 // rejected is in the log too — and rejects again here, deterministically.
-// A record DecodeEvent refuses (the log and this build disagree about what
+// A record the decoder refuses (the log and this build disagree about what
 // the events MEAN) or an epoch marker the rebuilt trajectory does not pass
 // through aborts recovery, naming its LSN. Planner telemetry attaches only
 // after the tail has replayed, so the repair series reflect live traffic,
@@ -160,7 +214,7 @@ func (m *Machine) Recover(cfg JournalConfig, lsn uint64) (int, error) {
 	m.attach(cfg)
 	m.base = lsn
 	start := time.Now()
-	replayed, err := m.replayLog(func(e *Event) error { _ = m.apply(e); return nil })
+	replayed, err := m.replayLog()
 	if err != nil {
 		return 0, err
 	}
@@ -183,31 +237,28 @@ func (m *Machine) Recover(cfg JournalConfig, lsn uint64) (int, error) {
 	return replayed, nil
 }
 
-// replayLog is Recover's pipeline: a reader goroutine runs wal.Replay and
-// DecodeEvent and queues the events; this goroutine checks the epoch markers
-// and applies the rest. An error on either side stops both, and the reader
-// has exited by the time replayLog returns. The reader only fails on a
-// record after every event it queued, so an apply error, which comes from
-// an earlier record, takes precedence.
-func (m *Machine) replayLog(apply func(*Event) error) (replayed int, err error) {
-	events := make(chan logEvent, replayQueue)
+// replayLog is Recover's pipeline: the reader decodes and queues, the
+// crash hook's "replay:record" point before each record; this goroutine
+// checks the epoch markers and applies the rest. An error on either side
+// stops both, and the reader has exited by the time replayLog returns.
+func (m *Machine) replayLog() (replayed int, err error) {
+	events := make(chan *Event, replayQueue)
 	stop, done := make(chan struct{}), make(chan struct{})
 	var readErr error
 	go func() {
 		defer close(done)
 		defer close(events)
+		var dec EventDecoder
 		_, readErr = wal.Replay(m.cfg.Dir, m.base, func(lsn uint64, payload []byte) error {
-			select {
-			case <-stop:
-				return errReplayStopped
-			default:
+			if err := m.crash("replay:record"); err != nil {
+				return err
 			}
-			e, err := DecodeEvent(payload)
+			e, err := dec.Decode(payload)
 			if err != nil {
 				return fmt.Errorf("journal: LSN %d: %w", lsn, err)
 			}
 			select {
-			case events <- logEvent{lsn, e}:
+			case events <- e:
 				return nil
 			case <-stop:
 				return errReplayStopped
@@ -221,17 +272,17 @@ func (m *Machine) replayLog(apply func(*Event) error) (replayed int, err error) 
 			err = readErr
 		}
 	}()
-	for ev := range events {
-		if ev.e.Op == OpEpoch {
-			if fs := m.b.pl.stats.FullSolves; fs != ev.e.FullSolves {
-				return replayed, fmt.Errorf("journal: replaying LSN %d: replay diverged: %d full solves at epoch marker expecting %d", ev.lsn, fs, ev.e.FullSolves)
+	lsn := m.base
+	for e := range events {
+		lsn++ // wal.Replay delivers the LSNs after m.base without a gap
+		if e.Op == OpEpoch {
+			if fs := m.b.pl.stats.FullSolves; fs != e.FullSolves {
+				return replayed, fmt.Errorf("journal: replaying LSN %d: replay diverged: %d full solves at epoch marker expecting %d", lsn, fs, e.FullSolves)
 			}
 			continue
 		}
 		replayed++
-		if err := apply(ev.e); err != nil {
-			return replayed, fmt.Errorf("journal: replaying LSN %d: %w", ev.lsn, err)
-		}
+		_ = m.apply(e) // a rejection here is one the live path saw too
 	}
 	return replayed, nil
 }

@@ -1,7 +1,14 @@
 package repair
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,7 +28,7 @@ func TestLoadSnapshotFallsBackAGeneration(t *testing.T) {
 	}{
 		{"newest valid", good(9), 9},
 		{"torn JSON", `{"version":2,"ls`, 5},
-		{"future schema", `{"version":3,"lsn":9}`, 5},
+		{"future schema", `{"version":4,"lsn":9}`, 5},
 		{"version zero", `{"lsn":9}`, 5},
 		{"declares another LSN", good(8), 5},
 	} {
@@ -85,4 +92,147 @@ func TestRecoverTracksEpochsWhileReplaying(t *testing.T) {
 	if got := r.NextLSN(); got != head+1 {
 		t.Fatalf("one live event after recovery took LSNs %d..%d, want one record", head, got-1)
 	}
+}
+
+// TestLoadSnapshotRefusesDamagedBlocks: a version-3 candidate whose float
+// block is damaged, misframed or at odds with its document is skipped for
+// the generation before it, and refused alone, naming why.
+func TestLoadSnapshotRefusesDamagedBlocks(t *testing.T) {
+	m := testMachine(t, false)
+	render := func(lsn uint64) []byte {
+		raw, err := m.Render(lsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	good := render(9)
+	snap, err := decodeSnapshot(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, servers := snap.Cluster.Clients, len(snap.Cluster.Servers)
+	// document renders snap's document with the clients' rows kept in it
+	// (inline) or not, and no block member.
+	document := func(inline bool) []byte {
+		doc := *snap
+		doc.Block = nil
+		doc.Cluster.Clients = slices.Clone(rows)
+		if !inline {
+			for j := range doc.Cluster.Clients {
+				doc.Cluster.Clients[j].RTTRowMs = nil
+			}
+		}
+		raw, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	// reframe frames document(inline) around a block of the first n
+	// clients' rows.
+	reframe := func(inline bool, n int) []byte {
+		var block []byte
+		for _, c := range rows[:n] {
+			for _, v := range c.RTTRowMs {
+				block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
+			}
+		}
+		return frameBlock(document(inline), block)
+	}
+	if !bytes.Equal(reframe(false, len(rows)), good) {
+		t.Fatal("reframing the rendered snapshot changed its bytes")
+	}
+	doc, _, _ := bytes.Cut(good, []byte{'\n'})
+	off := fmt.Sprintf(`"offset":%d`, len(doc)+1)
+	for _, tc := range []struct {
+		name, why string
+		raw       []byte
+	}{
+		{"flipped block bit", "fails its CRC32-C", func() []byte {
+			raw := bytes.Clone(good)
+			raw[len(raw)-3] ^= 4
+			return raw
+		}()},
+		{"truncated block", "is not the", good[:len(good)-8]},
+		{"offset past end of file", "is not the", bytes.Replace(good, []byte(off), []byte(fmt.Sprintf(`"offset":%d`, 2*len(good))), 1)},
+		{"one row short", fmt.Sprintf("holds %d values, the document's arrays need %d", (len(rows)-1)*servers, len(rows)*servers), reframe(false, len(rows)-1)},
+		{"rows in the document too", "carries a dense float array itself", reframe(true, len(rows))},
+		{"no block", "names no float block", document(false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for lsn, raw := range map[uint64][]byte{5: render(5), 9: tc.raw} {
+				if err := wal.WriteSnapshot(dir, lsn, raw, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, err := LoadSnapshot(dir); err != nil || got.LSN != 5 {
+				t.Fatalf("loaded %v, %v; want the generation at LSN 5", got != nil, err)
+			}
+			if err := os.Remove(filepath.Join(dir, "snap-0000000000000005.json")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadSnapshot(dir); err == nil || !strings.Contains(err.Error(), tc.why) {
+				t.Fatalf("alone, the damaged candidate gives %v, want a refusal saying %q", err, tc.why)
+			}
+		})
+	}
+}
+
+// FuzzSnapshotDecode: LoadSnapshot never panics on a candidate file, and
+// what it accepts re-renders (Snapshot.encode) to a snapshot that decodes
+// to the same content: rendering that one again gives the same bytes. A
+// version-1–2 snapshot whose arrays disagree with its document may refuse
+// to render; a version-3 one cannot. The seeds are every committed
+// snapshot, each also re-rendered as version 3, and rendered test machines.
+func FuzzSnapshotDecode(f *testing.F) {
+	paths, err := filepath.Glob("../../testdata/*/*/data/snap-*.json")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no committed snapshots (%v)", err)
+	}
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		snap, err := decodeSnapshot(raw)
+		if err != nil {
+			f.Fatal(err)
+		}
+		v3, err := snap.encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(snap.LSN, raw)
+		f.Add(snap.LSN, v3)
+	}
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, lsn uint64, raw []byte) {
+		path := filepath.Join(dir, fmt.Sprintf("snap-%016d.json", lsn))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := LoadSnapshot(dir)
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if err != nil {
+			return
+		}
+		again, err := snap.encode()
+		if err != nil {
+			if snap.Version == SnapshotVersion {
+				t.Fatalf("accepted version-3 snapshot does not render: %v", err)
+			}
+			return
+		}
+		back, err := decodeSnapshot(again)
+		if err != nil {
+			t.Fatalf("accepted snapshot re-renders to one that does not decode: %v", err)
+		}
+		if twice, err := back.encode(); err != nil || !bytes.Equal(twice, again) {
+			t.Fatalf("accepted snapshot decodes differently once re-rendered (%v)", err)
+		}
+	})
 }

@@ -1,10 +1,14 @@
 package repair
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -185,7 +189,7 @@ func (m *Machine) Commit(e *Event, lock sync.Locker, checkpoint func() error) er
 // then the event's own step through the binding's and planner's mutators (a
 // move re-prices the mover, then migrates it). An error means the step was
 // rejected and changed nothing. It sees only ops the schema holds (check,
-// DecodeEvent) and no epoch marker (replayLog).
+// EventDecoder) and no epoch marker (replayLog).
 func (m *Machine) apply(e *Event) error {
 	b, pl := m.b, m.b.pl
 	if e.Auto && m.dir != nil {
@@ -494,8 +498,10 @@ func (b *IDBinding) checkClientRTTs(server string, rtts map[string]float64) erro
 // SnapshotVersion tags the Snapshot schema; recovery rejects snapshots from
 // a future schema rather than misreading them, and still reads every older
 // version. Version 2 added the delay-provider state (version-1 snapshots are
-// always dense and carry per-client rows instead).
-const SnapshotVersion = 2
+// always dense and carry per-client rows instead). Version 3 moved the dense
+// float arrays out of the JSON document into one binary block after it
+// (FloatBlock); versions 1–2 carry them as JSON numbers.
+const SnapshotVersion = 3
 
 // Snapshot is one durable checkpoint of a Machine: the full cluster spec (the
 // normalized WriteClusterJSON form), the planner sidecar (assignment,
@@ -503,6 +509,11 @@ const SnapshotVersion = 2
 // trajectory-shaping config. Everything a placement decision depends on is in
 // here; knobs that only affect throughput (worker count) or durability
 // housekeeping (checkpoint cadence) stay with the caller.
+//
+// On disk a version-3 snapshot is its compact JSON document, a newline and
+// the float block the document frames (encode, decodeSnapshot); loaded, the
+// block's arrays sit where versions 1–2 carry them, so every version reads
+// the same from here on.
 type Snapshot struct {
 	Version         int         `json:"version"`
 	LSN             uint64      `json:"lsn"`
@@ -521,6 +532,9 @@ type Snapshot struct {
 	// Director is the director front end's typed extra; absent from session
 	// snapshots, whose bytes are unchanged by it.
 	Director *DirectorState `json:"director,omitempty"`
+	// Block frames a version-3 snapshot's float block. It is the last
+	// member, so encode can append it to the rest of the document.
+	Block *FloatBlock `json:"block,omitempty"`
 
 	// loadTime is what LoadSnapshot spent reading and decoding it.
 	loadTime time.Duration
@@ -643,8 +657,7 @@ func (m *Machine) Render(lsn uint64) ([]byte, error) {
 		}
 		dir = &d
 	}
-	return json.Marshal(Snapshot{
-		Version:         SnapshotVersion,
+	return Snapshot{
 		LSN:             lsn,
 		Algo:            m.algo,
 		Overflow:        m.overflow,
@@ -654,7 +667,106 @@ func (m *Machine) Render(lsn uint64) ([]byte, error) {
 		Planner:         st,
 		Provider:        prov,
 		Director:        dir,
+	}.encode()
+}
+
+// FloatBlock frames the float block of a version-3 snapshot file: Count
+// little-endian float64 values, Length = 8·Count bytes from file offset
+// Offset — just past the document's newline — to the end of the file, and
+// their CRC32-C.
+type FloatBlock struct {
+	Offset int    `json:"offset"`
+	Length int    `json:"length"`
+	Count  int    `json:"count"`
+	CRC32C uint32 `json:"crc32c"`
+}
+
+// castagnoli is the CRC32-C table, the polynomial the log frames use too.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// eachBlockArray calls f, in block order, on every array a version-3
+// snapshot keeps in its float block, with the length its document gives
+// it: each client's delay row (one entry per server) when the snapshot
+// carries no provider state, else the coordinate store's client
+// coordinates (Dim per client) and each client's override values (one per
+// override server; OvVal must hold one list per client).
+func (snap *Snapshot) eachBlockArray(f func(a *[]float64, n int)) {
+	if snap.Provider == nil {
+		m := len(snap.Cluster.Servers)
+		for j := range snap.Cluster.Clients {
+			f((*[]float64)(&snap.Cluster.Clients[j].RTTRowMs), m)
+		}
+	} else if c := snap.Provider.Coord; c != nil {
+		f((*[]float64)(&c.Cli), c.Dim*len(c.OvSrv))
+		for j, srv := range c.OvSrv {
+			f(&c.OvVal[j], len(srv))
+		}
+	}
+}
+
+// encode renders snap as a version-3 snapshot file: the compact JSON
+// document without the block's arrays (json.Marshal never writes a raw
+// newline), a newline, then the float block. snap itself is left as it was.
+func (snap Snapshot) encode() ([]byte, error) {
+	snap.Version, snap.Block = SnapshotVersion, nil
+	snap.Cluster.Clients = slices.Clone(snap.Cluster.Clients)
+	var coord *core.CoordState
+	if pv := snap.Provider; pv != nil && pv.Coord != nil {
+		c, p := *pv.Coord, *pv
+		if len(c.OvVal) != len(c.OvSrv) {
+			return nil, fmt.Errorf("repair: snapshot: %d override value lists for %d clients", len(c.OvVal), len(c.OvSrv))
+		}
+		c.OvVal = slices.Clone(c.OvVal)
+		coord, p.Coord, snap.Provider = &c, &c, &p
+	}
+	count := 0
+	var err error
+	snap.eachBlockArray(func(a *[]float64, n int) {
+		if len(*a) != n && err == nil {
+			err = fmt.Errorf("repair: snapshot: an array of %d values where the document gives %d", len(*a), n)
+		}
+		count += len(*a)
 	})
+	if err != nil {
+		return nil, err
+	}
+	block := make([]byte, 0, 8*count)
+	snap.eachBlockArray(func(a *[]float64, _ int) {
+		for _, v := range *a {
+			block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
+		}
+		*a = nil
+	})
+	if coord != nil {
+		coord.OvVal = nil
+	}
+	doc, err := json.Marshal(snap)
+	if err != nil {
+		return nil, err
+	}
+	return frameBlock(doc, block), nil
+}
+
+// frameBlock appends to doc, a compact JSON object, the member that frames
+// block (a FloatBlock under "block", so the document is what json.Marshal
+// writes for the Snapshot with its Block set), then a newline and block.
+func frameBlock(doc, block []byte) []byte {
+	// The member names the block's offset, the document's length plus one:
+	// find the offset its own digits leave true.
+	blk := FloatBlock{Length: len(block), Count: len(block) / 8, CRC32C: crc32.Checksum(block, castagnoli)}
+	var member []byte
+	for {
+		member, _ = json.Marshal(blk) // a struct of numbers always marshals
+		off := len(doc) - 1 + len(`,"block":`) + len(member) + len("}\n")
+		if off == blk.Offset {
+			break
+		}
+		blk.Offset = off
+	}
+	out := make([]byte, 0, blk.Offset+len(block))
+	out = append(append(out, doc[:len(doc)-1]...), `,"block":`...)
+	out = append(append(out, member...), '}', '\n')
+	return append(out, block...)
 }
 
 // snapshotProvider decides what a snapshot stores for the delays: nothing

@@ -2,12 +2,12 @@ package repair
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -65,24 +65,33 @@ func replayFixture(t *testing.T, events int, bad map[int][]byte) string {
 // readDir reads every file of a flat data directory, by name.
 func readDir(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
-	ents, err := os.ReadDir(dir)
+	out, err := dirContents(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	out := map[string][]byte{}
-	for _, e := range ents {
-		if out[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return out
 }
 
+// dirContents is readDir for a goroutine that may not fail the test.
+func dirContents(dir string) (map[string][]byte, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string][]byte{}
+	for _, e := range ents {
+		if out[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // replayWith recovers the machine stored in dir and replays its tail
-// through Recover's pipeline, calling apply after the machine applied each
-// event, then opens the log as Recover does; it returns the pipeline's
-// error and the IDs of the events apply saw.
-func replayWith(t *testing.T, dir string, apply func(n int, e *Event) error) ([]string, error) {
+// through Recover's pipeline, with hook as the machine's crash hook, then
+// opens the log as Recover does; it returns the pipeline's error and the
+// IDs of the clients the tail's joins added.
+func replayWith(t *testing.T, dir string, hook func(point string) error) ([]string, error) {
 	t.Helper()
 	snap, err := LoadSnapshot(dir)
 	if err != nil {
@@ -92,16 +101,11 @@ func replayWith(t *testing.T, dir string, apply func(n int, e *Event) error) ([]
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seen []string
+	restored := len(m.b.clients.ids)
+	m.SetCrashHook(hook)
 	m.attach(JournalConfig{Dir: dir})
 	m.base = snap.LSN
-	_, err = m.replayLog(func(e *Event) error {
-		if err := m.apply(e); err != nil {
-			return err
-		}
-		seen = append(seen, e.ID)
-		return apply(len(seen), e)
-	})
+	_, err = m.replayLog()
 	if err == nil {
 		if err := m.openLog(); err != nil {
 			t.Fatal(err)
@@ -110,7 +114,7 @@ func replayWith(t *testing.T, dir string, apply func(n int, e *Event) error) ([]
 			t.Fatal(err)
 		}
 	}
-	return seen, err
+	return slices.Clone(m.b.clients.ids[restored:]), err
 }
 
 // waitGoroutines fails t unless the goroutine count falls back to base: a
@@ -141,24 +145,16 @@ func joinIDs(n int) []string {
 // applying exactly the records before it; the reader has exited by then,
 // and the data directory is untouched.
 func TestReplayPipelineStopsWhereSequentialReplayDid(t *testing.T) {
-	// More records than the queue holds, so an early apply error leaves the
-	// reader blocked on a full queue.
+	// More records than the queue holds, so a stop at the diverged epoch
+	// leaves the reader blocked on a full queue.
 	const events = 3 * replayQueue
-	boom := errors.New("boom")
 	for _, tc := range []struct {
-		name  string
-		bad   map[int][]byte
-		apply func(n int, e *Event) error
+		name string
+		bad  map[int][]byte
 		// damage corrupts the directory; it returns the error Replay must
 		// return and how many joins it applies first.
 		damage func(t *testing.T, dir string) (string, int)
 	}{
-		{name: "apply error", apply: func(n int, e *Event) error {
-			if n == 10 {
-				return boom
-			}
-			return nil
-		}, damage: func(*testing.T, string) (string, int) { return "journal: replaying LSN 10: boom", 10 }},
 		{name: "undecodable record", bad: map[int][]byte{700: []byte(`{"op":`)},
 			damage: func(*testing.T, string) (string, int) {
 				return "journal: LSN 701: repair: decode event: unexpected EOF", 700
@@ -173,17 +169,10 @@ func TestReplayPipelineStopsWhereSequentialReplayDid(t *testing.T) {
 			dir := replayFixture(t, events, tc.bad)
 			want, applied := tc.damage(t, dir)
 			before := readDir(t, dir)
-			apply := tc.apply
-			if apply == nil {
-				apply = func(int, *Event) error { return nil }
-			}
 			base := runtime.NumGoroutine()
-			seen, err := replayWith(t, dir, apply)
+			seen, err := replayWith(t, dir, nil)
 			if err == nil || err.Error() != want {
 				t.Fatalf("Replay: %v, want %q", err, want)
-			}
-			if tc.apply != nil && !errors.Is(err, boom) {
-				t.Fatalf("Replay: %v does not wrap the apply error", err)
 			}
 			if !reflect.DeepEqual(seen, joinIDs(applied)) {
 				t.Fatalf("applied %d events before failing, want exactly the %d before the damage", len(seen), applied)
@@ -229,21 +218,30 @@ func crcDamage(t *testing.T, dir string) (string, int) {
 // TestReplayWritesNothing pins what lets the log reader run beside the
 // applier without a lock: while the tail replays — the interpreter and the
 // journal's bookkeeping included — no byte of the data directory changes.
+// The reader probes it before every 50th record's decode.
 func TestReplayWritesNothing(t *testing.T) {
 	const events = 600
 	dir := replayFixture(t, events, nil)
 	before := readDir(t, dir)
-	seen, err := replayWith(t, dir, func(n int, _ *Event) error {
-		if n%50 == 0 && !reflect.DeepEqual(readDir(t, dir), before) {
-			return fmt.Errorf("data directory changed after %d events", n)
+	probes := 0
+	seen, err := replayWith(t, dir, func(point string) error {
+		if point != "replay:record" {
+			return fmt.Errorf("crash point %q during replay", point)
 		}
-		return nil
+		if probes++; probes%50 != 0 {
+			return nil
+		}
+		now, err := dirContents(dir)
+		if err == nil && !reflect.DeepEqual(now, before) {
+			err = fmt.Errorf("data directory changed before record %d", probes)
+		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != events {
-		t.Fatalf("replayed %d events, want %d", len(seen), events)
+	if len(seen) != events || probes != events {
+		t.Fatalf("replayed %d events past %d probe points, want %d", len(seen), probes, events)
 	}
 	if !reflect.DeepEqual(readDir(t, dir), before) {
 		t.Fatal("replaying a whole tail and reopening the log changed the data directory")

@@ -1,9 +1,12 @@
 package dvecap
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dvecap/internal/repair"
@@ -38,21 +41,17 @@ func oldDataCopy(t *testing.T, name string) (dir string, want []byte) {
 	return dir, want
 }
 
-// requireRowsSnapshot fails unless dir's newest snapshot stores delays as
-// per-client rows and no provider state.
+// requireRowsSnapshot fails unless dir's newest usable snapshot is of this
+// build's version and stores delays as per-client rows and no provider
+// state.
 func requireRowsSnapshot(t *testing.T, dir string) {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "snap-*.json"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no snapshot in %s: %v", dir, err)
-	}
-	raw, err := os.ReadFile(names[len(names)-1])
+	snap, err := repair.LoadSnapshot(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap repair.Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
+	if snap.Version != repair.SnapshotVersion {
+		t.Fatalf("checkpoint after recovery is version %d", snap.Version)
 	}
 	if snap.Provider != nil {
 		t.Fatalf("checkpoint after recovery stores provider state of kind %q", snap.Provider.Kind)
@@ -105,5 +104,94 @@ func TestSharedModelDirectorDataRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireRowsSnapshot(t, dir)
+	}
+}
+
+// The data directories under testdata/v2-snapshots were written by the last
+// build before snapshot version 3, running proveGoldenFormat's 60-event
+// script for each surface and delay store: the baseline snapshot, the
+// journal and the final checkpoint, whose version-2 bytes that build's
+// golden pins recorded (v2Golden: baseline, final). want.json is what the
+// writer showed after the final checkpoint. Recovery from the version-2
+// checkpoint must show the same; the checkpoint Close writes is version 3,
+// and a second recovery, from it, shows the same again.
+var v2Golden = map[string][2]string{
+	"session-dense": {
+		"078f3ef5f83bce94f1b480b577707213a8941eff9afd51ac460fe11513ff5371",
+		"2b9bd286266e8abff9cb5113669708bdd1c1789d08a0c85059d07b61ae5c2601",
+	},
+	"session-coord": {
+		"454047fd6d7c1e7107615fbe9177d0b6b4a438293d3a66d1a220a3bdfe192775",
+		"8a9c6c26690ecb222824a90fbd66ff73aa1ae52c38f6b1d615b6b40a6ec9547b",
+	},
+	"director-dense": {
+		"789e632661c057969015eae4e7b27649cb7d7d1c5002143c695d92261a2ee45d",
+		"e7863598e161bc2adbbf6f21e3a51439993fdfc9de4834d1180afbb827ad5ff7",
+	},
+	"director-coord": {
+		"4542748f7db016eb89b85a0f28098d65dbe61d5854470663e808e492f49b884d",
+		"ae7ae7a99cb29a1ba997ad6e007c76ca7bd9d7757e70c8a3b54294bf44c5e1a1",
+	},
+}
+
+func TestV2SnapshotsRecover(t *testing.T) {
+	for name, pins := range v2Golden {
+		t.Run(name, func(t *testing.T) {
+			src := filepath.Join("testdata", "v2-snapshots", name)
+			want, err := os.ReadFile(filepath.Join(src, "want.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps, err := filepath.Glob(filepath.Join(src, "data", "snap-*.json"))
+			if err != nil || len(snaps) != 2 {
+				t.Fatalf("want the baseline and the final checkpoint, have %v (%v)", snaps, err)
+			}
+			for x, path := range snaps {
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != pins[x] {
+					t.Fatalf("%s: sha256 %s, recorded %s", filepath.Base(path), got, pins[x])
+				}
+			}
+			dir := t.TempDir()
+			for name, raw := range dirFiles(t, filepath.Join(src, "data")) {
+				if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			session, model, _ := strings.Cut(name, "-")
+			for _, stage := range []string{"version-2 checkpoint", "version-3 checkpoint"} {
+				if session == "session" {
+					s := reopenDurable(t, dir, "GreZ-GreC", 1)
+					res, err := s.Result()
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameJSON(t, stage, struct {
+						Result  *Result        `json:"result"`
+						Clients []string       `json:"clients"`
+						Servers []ServerStatus `json:"servers"`
+					}{res, s.ClientIDs(), s.Servers()}, want)
+					err = s.Close()
+				} else {
+					m := directorSurface(t, model).open(t, proofRun{dir: dir, workers: 1}).(*directorMachine)
+					d := m.d
+					requireSameJSON(t, stage, []interface{}{d.Snapshot(), d.Servers(), d.Zones(), d.Adjacency(), d.Stats()}, want)
+					err = m.close()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap, err := repair.LoadSnapshot(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if snap.Version != repair.SnapshotVersion {
+					t.Fatalf("Close after recovery left a version-%d checkpoint", snap.Version)
+				}
+			}
+		})
 	}
 }
