@@ -307,7 +307,7 @@ func fleetProblem(b *testing.B) *core.Problem {
 
 // planeProblem embeds m servers, n zone centres and k clients in the unit
 // square (seed 271) and derives all delays from squared plane distance.
-func planeProblem(b *testing.B, m, n, k int) *core.Problem {
+func planeProblem(b testing.TB, m, n, k int) *core.Problem {
 	b.Helper()
 	rng := xrand.New(271)
 	sx := make([]float64, m)
@@ -844,6 +844,119 @@ func sessionOverProblem(b *testing.B, p *core.Problem, seed uint64) *ClusterSess
 		b.Fatal(err)
 	}
 	return &ClusterSession{m: m, binding: binding}
+}
+
+// crossingSession opens the hotspot_moves shape as an untraced in-memory
+// session: 40 servers, a side×side zone grid and clients plane-embedded
+// around their zones (planeProblem), traffic weight 2, one worker. The
+// drift guards stay off, so no full re-solve lands among the measured
+// events.
+func crossingSession(tb testing.TB, side, clients int) (*ClusterSession, *crossings) {
+	tb.Helper()
+	p := planeProblem(tb, 40, side*side, clients)
+	c, err := denseCluster(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := c.Open("GreZ-GreC", WithSeed(7), WithWorkers(1), WithTrafficWeight(2))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	x := &crossings{side: side, rng: xrand.New(29), zones: s.ZoneIDs(),
+		members: make([][]string, p.NumZones), entered: make([]int, p.NumZones)}
+	for j, z := range p.ClientZones {
+		x.members[z] = append(x.members[z], "c"+strconv.Itoa(j))
+	}
+	return s, x
+}
+
+// crossings draws avatar-mobility ticks on a zone grid: groups of clients
+// that cross from one zone into a grid neighbour together.
+type crossings struct {
+	side    int
+	rng     *xrand.RNG
+	zones   []string
+	members [][]string // client IDs by zone, as the ticks moved them
+	entered []int      // by zone, the last tick that moved clients into it
+	ticks   int
+	ids, to []string // the last tick's batch
+	pairs   [][2]int // the last tick's crossed zone pairs, one per group
+}
+
+// tick draws groups crossings of size members each into x.ids, x.to and
+// x.pairs.
+func (x *crossings) tick(groups, size int) {
+	x.ids, x.to, x.pairs = x.ids[:0], x.to[:0], x.pairs[:0]
+	x.ticks++
+	for len(x.pairs) < groups {
+		from := x.rng.IntN(len(x.members))
+		r, c := from/x.side, from%x.side
+		switch x.rng.IntN(4) {
+		case 0:
+			r++
+		case 1:
+			r--
+		case 2:
+			c++
+		default:
+			c--
+		}
+		// A zone entered this tick is not left by it: its last members
+		// would be this tick's movers.
+		on := x.members[from]
+		if len(on) < size || r < 0 || c < 0 || r >= x.side || c >= x.side || x.entered[from] == x.ticks {
+			continue
+		}
+		to := r*x.side + c
+		x.entered[to] = x.ticks
+		for _, id := range on[len(on)-size:] {
+			x.ids, x.to = append(x.ids, id), append(x.to, x.zones[to])
+		}
+		x.members[to] = append(x.members[to], on[len(on)-size:]...)
+		x.members[from] = on[:len(on)-size]
+		x.pairs = append(x.pairs, [2]int{from, to})
+	}
+}
+
+// apply commits the last tick the way hotspot_moves does: one MoveBatch,
+// then one AddAdjacencyWeight per crossing group.
+func (x *crossings) apply(s *ClusterSession) error {
+	if err := s.MoveBatch(x.ids, x.to); err != nil {
+		return err
+	}
+	for _, pr := range x.pairs {
+		w := 0.05 * float64(len(x.ids)/len(x.pairs))
+		if err := s.AddAdjacencyWeight(x.zones[pr[0]], x.zones[pr[1]], w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// BenchmarkSessionMoveBatch times the session write path of a
+// hotspot_moves tick at 20k clients on a 20×20 zone grid with the traffic
+// term on: a MoveBatch of 128 clients crossing in pairs plus one
+// AddAdjacencyWeight per pair. ns/client is the tick's cost per mover;
+// allocs/op counts the whole tick, the tick generator's amortized growth
+// included.
+func BenchmarkSessionMoveBatch(b *testing.B) {
+	const groups, size = 64, 2
+	s, x := crossingSession(b, 20, 20_000)
+	for i := 0; i < 64; i++ { // warm: every row built, every edge present
+		x.tick(groups, size)
+		if err := x.apply(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.tick(groups, size)
+		if err := x.apply(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*groups*size), "ns/client")
 }
 
 // BenchmarkExactIAP measures the branch-and-bound on the smallest

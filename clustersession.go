@@ -39,6 +39,7 @@ type ClusterSession struct {
 	// against.
 	binding *repair.IDBinding
 	rowBuf  []float64
+	ev      repair.Event // the event being committed (commit)
 
 	// tracer streams one JSON line per mutation when the session was opened
 	// WithTraceLog; nil otherwise. On recovered sessions it attaches only
@@ -47,22 +48,37 @@ type ClusterSession struct {
 	tracer *telemetry.Tracer
 }
 
-// span opens a trace span around one session mutation. Defer the returned
-// finish with a pointer to the named error result — `defer s.span(...)(&err)`
+// span opens a trace span around one session mutation. Defer its end with
+// a pointer to the named error result — `defer s.span(...).end(&err)`
 // evaluates span (sampling the start time) and &err immediately but runs
-// the finish at return, emitting the event with the final outcome. On
-// sessions without a trace log both halves are no-ops.
-func (s *ClusterSession) span(op string, attrs ...any) func(*error) {
+// end at return, emitting the event with the final outcome. Untraced, both
+// halves are no-ops that allocate nothing: the tracer gets copies of the
+// string and int attributes, so the caller's stay on its stack, and end is
+// a static call, so the error result does too.
+func (s *ClusterSession) span(op string, attrs ...any) spanEnd {
 	if s.tracer == nil {
-		return nopFinish
+		return nil
 	}
-	finish := s.tracer.Span(op, attrs...)
-	return func(errp *error) { finish(*errp) }
+	own := make([]any, len(attrs))
+	for i, a := range attrs {
+		switch v := a.(type) {
+		case string:
+			own[i] = v
+		case int:
+			own[i] = v
+		}
+	}
+	return s.tracer.Span(op, own...)
 }
 
-// nopFinish is the shared finish for untraced sessions — one allocation
-// for the whole package instead of one per call.
-var nopFinish = func(*error) {}
+// spanEnd emits an open span with its outcome; nil emits nothing.
+type spanEnd func(error)
+
+func (e spanEnd) end(errp *error) {
+	if e != nil {
+		e(*errp)
+	}
+}
 
 // ClusterClient is the externally visible state of one session client.
 type ClusterClient struct {
@@ -162,7 +178,7 @@ func (s *ClusterSession) ZoneIDs() []string {
 // around the zone it entered. The spec's zone must be one of the cluster's
 // zones; its RTTs must cover every server.
 func (s *ClusterSession) Join(id string, spec ClientSpec) (err error) {
-	defer s.span("join", "id", id, "zone", spec.Zone)(&err)
+	defer s.span("join", "id", id, "zone", spec.Zone).end(&err)
 	row, err := s.resolveJoin(id, spec)
 	if err != nil {
 		return err
@@ -203,7 +219,7 @@ func (s *ClusterSession) scratchRow() []float64 {
 // The batch is validated before anything is applied: an error means no
 // client was admitted.
 func (s *ClusterSession) JoinBatch(joins []ClientJoin) (err error) {
-	defer s.span("join_batch", "n", len(joins))(&err)
+	defer s.span("join_batch", "n", len(joins)).end(&err)
 	e := &repair.Event{
 		Op:    repair.OpJoinBatch,
 		IDs:   make([]string, len(joins)),
@@ -227,14 +243,14 @@ func (s *ClusterSession) JoinBatch(joins []ClientJoin) (err error) {
 // Leave removes the client, repairing around the zone it vacated. The ID
 // becomes available for reuse.
 func (s *ClusterSession) Leave(id string) (err error) {
-	defer s.span("leave", "id", id)(&err)
+	defer s.span("leave", "id", id).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpLeave, ID: id})
 }
 
 // Move migrates the client's avatar to another zone, re-attaches it, and
 // repairs around both the vacated and the entered zone.
 func (s *ClusterSession) Move(id, zone string) (err error) {
-	defer s.span("move", "id", id, "zone", zone)(&err)
+	defer s.span("move", "id", id, "zone", zone).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpMove, ID: id, Zone: zone})
 }
 
@@ -244,7 +260,7 @@ func (s *ClusterSession) Move(id, zone string) (err error) {
 // validated before anything is applied: an error (unknown or duplicated
 // ID) means no client left.
 func (s *ClusterSession) LeaveBatch(ids []string) (err error) {
-	defer s.span("leave_batch", "n", len(ids))(&err)
+	defer s.span("leave_batch", "n", len(ids)).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpLeaveBatch, IDs: ids})
 }
 
@@ -254,7 +270,7 @@ func (s *ClusterSession) LeaveBatch(ids []string) (err error) {
 // covers the union of vacated and entered zones. The batch is validated
 // before anything is applied: an error means no client moved.
 func (s *ClusterSession) MoveBatch(ids []string, zones []string) (err error) {
-	defer s.span("move_batch", "n", len(ids))(&err)
+	defer s.span("move_batch", "n", len(ids)).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpMoveBatch, IDs: ids, Zones: zones})
 }
 
@@ -266,7 +282,7 @@ func (s *ClusterSession) MoveBatch(ids []string, zones []string) (err error) {
 // unattractive until UpdateServerDelays streams real values in. The new
 // server participates in every subsequent placement decision immediately.
 func (s *ClusterSession) AddServer(id string, spec ServerSpec) (err error) {
-	defer s.span("server_add", "server", id)(&err)
+	defer s.span("server_add", "server", id).end(&err)
 	return s.addServer(id, spec, false)
 }
 
@@ -277,7 +293,7 @@ func (s *ClusterSession) AddServer(id string, spec ServerSpec) (err error) {
 // the warm-pool registration verb for an autoscaling control plane:
 // admission later is O(affected), never a full re-solve.
 func (s *ClusterSession) AddSpareServer(id string, spec ServerSpec) (err error) {
-	defer s.span("server_add_spare", "server", id)(&err)
+	defer s.span("server_add_spare", "server", id).end(&err)
 	return s.addServer(id, spec, true)
 }
 
@@ -315,7 +331,7 @@ func (s *ClusterSession) addServer(id string, spec ServerSpec, spare bool) error
 // indices renumber (the last server takes the vacated index); IDs are
 // stable.
 func (s *ClusterSession) RemoveServer(id string) (err error) {
-	defer s.span("server_remove", "server", id)(&err)
+	defer s.span("server_remove", "server", id).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpRemoveServer, Server: id})
 }
 
@@ -327,7 +343,7 @@ func (s *ClusterSession) RemoveServer(id string) (err error) {
 // O(affected), no full re-solve. Afterwards the server holds nothing:
 // RemoveServer retires it, or UncordonServer returns it to service.
 func (s *ClusterSession) DrainServer(id string) (err error) {
-	defer s.span("server_drain", "server", id)(&err)
+	defer s.span("server_drain", "server", id).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpDrainServer, Server: id})
 }
 
@@ -335,14 +351,14 @@ func (s *ClusterSession) DrainServer(id string) (err error) {
 // capacity restored — the tail end of a rolling deploy. A no-op when the
 // server is not draining.
 func (s *ClusterSession) UncordonServer(id string) (err error) {
-	defer s.span("server_uncordon", "server", id)(&err)
+	defer s.span("server_uncordon", "server", id).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpUncordon, Server: id})
 }
 
 // AddZone grows the virtual world by one (empty) zone, hosted per spec.
 // spec.Adjacency seeds the zone's interaction edges to existing zones.
 func (s *ClusterSession) AddZone(id string, spec ZoneSpec) (err error) {
-	defer s.span("zone_add", "zone", id)(&err)
+	defer s.span("zone_add", "zone", id).end(&err)
 	// Validate the adjacency seed before journaling anything, so a bad spec
 	// leaves neither the zone nor a partial edge set behind: the seed edges
 	// are events of their own, naming a zone the admission rule cannot see yet. A seed
@@ -378,7 +394,7 @@ func (s *ClusterSession) AddZone(id string, spec ZoneSpec) (err error) {
 // that later repair scans (and full solves via Resolve) optimise. With the
 // session's traffic weight at 0 the edge only feeds the traffic telemetry.
 func (s *ClusterSession) SetZoneAdjacency(zone1, zone2 string, weightMbps float64) (err error) {
-	defer s.span("adjacency_set", "zone", zone1, "zone2", zone2)(&err)
+	defer s.span("adjacency_set", "zone", zone1, "zone2", zone2).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpSetAdjacency, Zone: zone1, Zone2: zone2, Weight: weightMbps})
 }
 
@@ -387,7 +403,7 @@ func (s *ClusterSession) SetZoneAdjacency(zone1, zone2 string, weightMbps float6
 // avatar crossings are observed, creating the edge at deltaMbps when it
 // did not exist. Same bookkeeping-only semantics as SetZoneAdjacency.
 func (s *ClusterSession) AddAdjacencyWeight(zone1, zone2 string, deltaMbps float64) (err error) {
-	defer s.span("adjacency_add", "zone", zone1, "zone2", zone2)(&err)
+	defer s.span("adjacency_add", "zone", zone1, "zone2", zone2).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpAddAdjacency, Zone: zone1, Zone2: zone2, Weight: deltaMbps})
 }
 
@@ -406,7 +422,7 @@ func (s *ClusterSession) TrafficCost() float64 { return s.planner().TrafficCost(
 // Dense indices renumber (the last zone takes the vacated index); IDs are
 // stable.
 func (s *ClusterSession) RetireZone(id string) (err error) {
-	defer s.span("zone_retire", "zone", id)(&err)
+	defer s.span("zone_retire", "zone", id).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpRetireZone, Zone: id})
 }
 
@@ -436,7 +452,7 @@ func (s *ClusterSession) Servers() []ServerStatus {
 // keep their previous measurement — partial refreshes are the norm when
 // only a few paths were re-probed.
 func (s *ClusterSession) UpdateDelays(id string, rtts map[string]float64) (err error) {
-	defer s.span("delay_update", "id", id, "n", len(rtts))(&err)
+	defer s.span("delay_update", "id", id, "n", len(rtts)).end(&err)
 	row := s.scratchRow()
 	if err := s.binding.CopyDelays(id, row); err != nil {
 		return err
@@ -459,7 +475,7 @@ func (s *ClusterSession) UpdateDelays(id string, rtts map[string]float64) (err e
 // UpdateDelayRow is UpdateDelays with a full dense row in ServerIDs order
 // — the matrix-supplied form, replacing every measurement at once.
 func (s *ClusterSession) UpdateDelayRow(id string, rtts []float64) (err error) {
-	defer s.span("delay_row", "id", id)(&err)
+	defer s.span("delay_row", "id", id).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpDelayRow, ID: id, Row: rtts})
 }
 
@@ -470,7 +486,7 @@ func (s *ClusterSession) UpdateDelayRow(id string, rtts []float64) (err error) {
 // one seeded repair pass covers the union of touched zones; the whole
 // column counts as a single repair event.
 func (s *ClusterSession) UpdateServerDelays(server string, rtts map[string]float64) (err error) {
-	defer s.span("delay_column", "server", server, "n", len(rtts))(&err)
+	defer s.span("delay_column", "server", server, "n", len(rtts)).end(&err)
 	if len(rtts) == 0 {
 		// Validates the server ID, applies nothing — not a journaled event.
 		return s.binding.UpdateServerDelays(server, rtts)
@@ -482,7 +498,7 @@ func (s *ClusterSession) UpdateServerDelays(server string, rtts map[string]float
 // bookkeeping for population- or activity-dependent bandwidth models, not
 // a churn event (no repair pass).
 func (s *ClusterSession) SetBandwidth(id string, mbps float64) (err error) {
-	defer s.span("set_bandwidth", "id", id)(&err)
+	defer s.span("set_bandwidth", "id", id).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpSetBandwidth, ID: id, RT: mbps})
 }
 
@@ -491,14 +507,14 @@ func (s *ClusterSession) SetBandwidth(id string, mbps float64) (err error) {
 // covers the zone's whole population, so a membership change re-prices
 // every member (see the bandwidth model in DESIGN.md §4).
 func (s *ClusterSession) SetZoneBandwidth(zone string, perClientMbps float64) (err error) {
-	defer s.span("set_zone_bandwidth", "zone", zone)(&err)
+	defer s.span("set_zone_bandwidth", "zone", zone).end(&err)
 	return s.commit(&repair.Event{Op: repair.OpSetZoneBW, Zone: zone, RT: perClientMbps})
 }
 
 // Resolve forces one full two-phase re-solve, re-anchoring the drift
 // baseline.
 func (s *ClusterSession) Resolve() (err error) {
-	defer s.span("resolve")(&err)
+	defer s.span("resolve").end(&err)
 	return s.commit(&repair.Event{Op: repair.OpResolve})
 }
 

@@ -31,8 +31,13 @@ func (cfg config) journalConfig() repair.JournalConfig {
 
 // commit is the session's whole write path for an already resolved event;
 // its reads are not concurrent with its writes, so the apply takes no lock.
+// Commit keeps no reference to its event, so the session commits a copy it
+// owns (the journal encoder would move e to the heap) and clears it after.
 func (s *ClusterSession) commit(e *repair.Event) error {
-	return repair.Refused("dvecap", s.m.Commit(e, nil, s.Checkpoint))
+	s.ev = *e
+	err := s.m.Commit(&s.ev, nil, s.Checkpoint)
+	s.ev = repair.Event{}
+	return repair.Refused("dvecap", err)
 }
 
 // Checkpoint writes a snapshot of the session's current state and
@@ -45,7 +50,7 @@ func (s *ClusterSession) Checkpoint() (err error) {
 	if !s.m.Durable() {
 		return nil
 	}
-	defer s.span("checkpoint")(&err)
+	defer s.span("checkpoint").end(&err)
 	_, err = s.m.Checkpoint()
 	return err
 }

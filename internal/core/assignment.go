@@ -187,7 +187,7 @@ func TrafficCut(p *Problem, a *Assignment) float64 {
 // capacity checks throughout the greedy algorithms so float accumulation
 // never spuriously rejects a fitting item.
 func almostLE(a, b float64) bool {
-	return a <= b+1e-9*math.Max(1, math.Abs(b))
+	return a <= b+1e-9*max(1, math.Abs(b))
 }
 
 // almostEq reports a == b within the same relative-absolute tolerance as
@@ -195,5 +195,5 @@ func almostLE(a, b float64) bool {
 // through this helper so that values derived by different summation orders
 // (incremental deltas vs full re-summation) compare consistently.
 func almostEq(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+	return math.Abs(a-b) <= 1e-9*max(1, math.Abs(a), math.Abs(b))
 }

@@ -372,58 +372,58 @@ func (c *moveCache) row(z int) (dQoS []int32, dRap, dLoad []float64) {
 // nothing else — no bookkeeping — so shard workers rebuilding distinct
 // rows may run it concurrently. Multiplying by ±1 is exact, so a +1 pass
 // sums the operands a fresh build sums.
+// Its loops run over the spans between the old host and the contact and
+// carry no invariant branch; DESIGN.md §8 gives why that form is exact.
 func (c *moveCache) addContribution(p *Problem, z int, cs []float64, rt float64, sign int32, st standing) {
 	dQoS, dRap, dLoad := c.row(z)
 	old, contact := st.host, st.contact
-	fsign := float64(sign)
-	var excess float64
-	inQoS := st.delay <= p.D
-	if !inQoS {
-		excess = fsign * (st.delay - p.D)
+	k := clientTerm{d: p.D, sign: sign, fsign: float64(sign), inQoS: st.delay <= p.D}
+	if !k.inQoS {
+		k.excess = k.fsign * (st.delay - p.D)
 	}
-	if contact == old {
-		// Follower: lands directly on every destination (contact == s is
-		// impossible here since destinations exclude the old host).
+	nd, off := cs[:len(dQoS)], 0.0
+	if contact != old {
+		nd, off = p.SS[contact][:len(dQoS)], cs[contact]
+		dLoad[contact] -= k.fsign * 2 * rt
+		k.add(dQoS[contact:contact+1], dRap[contact:contact+1], cs[contact:contact+1], 0)
+	}
+	lo, hi := min(old, contact), max(old, contact)
+	k.add(dQoS[:lo], dRap[:lo], nd[:lo], off)
+	if lo < hi {
+		k.add(dQoS[lo+1:hi], dRap[lo+1:hi], nd[lo+1:hi], off)
+	}
+	k.add(dQoS[hi+1:], dRap[hi+1:], nd[hi+1:], off)
+}
+
+// clientTerm is one client's contribution to a row with its loop
+// invariants hoisted: the bound d, the sign and the signed excess delay.
+type clientTerm struct {
+	d, fsign, excess float64
+	sign             int32
+	inQoS            bool
+}
+
+// add applies the term to a span of destinations whose delay is off+nd[s].
+// In QoS, the retract's −sign and a destination's +sign cancel, so only
+// destinations not within d are written; out of QoS, the excess is retracted
+// before the new standing is added, as a fresh per-entry sum orders them.
+func (k clientTerm) add(dQoS []int32, dRap, nd []float64, off float64) {
+	dRap, nd = dRap[:len(dQoS)], nd[:len(dQoS)]
+	if k.inQoS {
 		for s := range dQoS {
-			if s == old {
-				continue
-			}
-			if inQoS {
-				dQoS[s] -= sign
-			} else {
-				dRap[s] -= excess
-			}
-			if nd := cs[s]; nd <= p.D {
-				dQoS[s] += sign
-			} else {
-				dRap[s] += fsign * (nd - p.D)
+			if v := off + nd[s]; !(v <= k.d) {
+				dQoS[s] -= k.sign
+				dRap[s] += k.fsign * (v - k.d)
 			}
 		}
 		return
 	}
-	base := cs[contact]
-	ss := p.SS[contact]
 	for s := range dQoS {
-		if s == old {
-			continue
-		}
-		var nd float64
-		if s == contact {
-			// The contact *is* the destination: direct, forwarding stops.
-			nd = cs[s]
-			dLoad[s] -= fsign * 2 * rt
+		dRap[s] -= k.excess
+		if v := off + nd[s]; v <= k.d {
+			dQoS[s] += k.sign
 		} else {
-			nd = base + ss[s]
-		}
-		if inQoS {
-			dQoS[s] -= sign
-		} else {
-			dRap[s] -= excess
-		}
-		if nd <= p.D {
-			dQoS[s] += sign
-		} else {
-			dRap[s] += fsign * (nd - p.D)
+			dRap[s] += k.fsign * (v - k.d)
 		}
 	}
 }

@@ -465,3 +465,85 @@ func TestAddContributionSigns(t *testing.T) {
 		})
 	}
 }
+
+// TestAddContributionEntries checks the row kernel entry by entry against
+// hand-computed rows on five servers with D = 100 and bandwidth 0.25: a
+// follower and a forwarded client, in and out of QoS, destinations within
+// (≤ D, 100 included) and past D, the contact entry (direct, −2·RT of
+// forwarding), the old host's entry untouched, contacts left of, right of
+// and next to the host, and sign ±1. An out-of-QoS client's retract must
+// round before the add, as a fresh per-entry sum does — the last case makes
+// that order observable. Every case with dyadic operands is then applied
+// with the opposite sign, which must restore the starting row bit for bit.
+func TestAddContributionEntries(t *testing.T) {
+	const m = 5
+	d := 100.0
+	p := &Problem{D: d, SS: [][]float64{
+		{0, 25, 35, 45, 30},
+		{25, 0, 15, 20, 45},
+		{35, 15, 0, 10, 40},
+		{45, 20, 10, 0, 50},
+		{30, 45, 40, 50, 0},
+	}}
+	cs := []float64{90, 130, 100, 150, 60}
+	// The observable-order case: excess e and destination term u on top of
+	// a row entry 0.1; (0.1−e)+u and (0.1+u)−e differ in the last bit.
+	e, u := 100.2-d, 100.3-d
+	for _, tc := range []struct {
+		name   string
+		st     standing
+		sign   int32
+		cs     []float64 // nil: cs above
+		rap0   float64   // every dRap entry before the call
+		qos    []int32
+		rap    []float64
+		load   []float64
+		dyadic bool
+	}{
+		{"follower in QoS", standing{1, 1, 90}, 1, nil, 0,
+			[]int32{0, 0, 0, -1, 0}, []float64{0, 0, 0, 50, 0}, []float64{0, 0, 0, 0, 0}, true},
+		{"follower out of QoS", standing{1, 1, 130}, 1, nil, 0,
+			[]int32{1, 0, 1, 0, 1}, []float64{-30, 0, -30, 20, -30}, []float64{0, 0, 0, 0, 0}, true},
+		{"forwarded in QoS, contact right of host", standing{1, 4, 90}, 1, nil, 0,
+			[]int32{0, 0, 0, -1, 0}, []float64{0, 0, 0, 10, 0}, []float64{0, 0, 0, 0, -0.5}, true},
+		{"forwarded out of QoS, contact left of host", standing{3, 0, 120}, 1, nil, 0,
+			[]int32{1, 0, 0, 0, 0}, []float64{-20, -5, 5, 0, 0}, []float64{-0.5, 0, 0, 0, 0}, true},
+		{"retract forwarded at D, contact next to host", standing{2, 1, 100}, -1, nil, 0,
+			[]int32{1, 1, 0, 1, 1}, []float64{-55, -30, 0, -50, -75}, []float64{0, 0.5, 0, 0, 0}, true},
+		{"retract forwarded out of QoS, host first and contact last", standing{0, 4, 150}, -1, nil, 0,
+			[]int32{0, 0, -1, 0, -1}, []float64{0, 45, 50, 40, 50}, []float64{0, 0, 0, 0, 0.5}, true},
+		{"out-of-QoS retract rounds before the add", standing{1, 1, 100.2}, 1, []float64{100.3, 0, 100.3, 50, 100.3}, 0.1,
+			[]int32{0, 0, 0, 1, 0}, []float64{(0.1 - e) + u, 0.1, (0.1 - e) + u, 0.1 - e, (0.1 - e) + u}, []float64{0, 0, 0, 0, 0}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			row := tc.cs
+			if row == nil {
+				row = cs
+			}
+			var c moveCache
+			c.ensure(1, m, false)
+			for s := range c.dRap {
+				c.dRap[s] = tc.rap0
+			}
+			c.addContribution(p, 0, row, 0.25, tc.sign, tc.st)
+			qos, rap, load := c.row(0)
+			for s := 0; s < m; s++ {
+				if qos[s] != tc.qos[s] || math.Float64bits(rap[s]) != math.Float64bits(tc.rap[s]) || math.Float64bits(load[s]) != math.Float64bits(tc.load[s]) {
+					t.Fatalf("entry %d: (%d, %v, %v), want (%d, %v, %v)", s, qos[s], rap[s], load[s], tc.qos[s], tc.rap[s], tc.load[s])
+				}
+			}
+			if !tc.dyadic {
+				if (0.1-e)+u == (0.1+u)-e {
+					t.Fatal("the operands do not make the order observable")
+				}
+				return
+			}
+			c.addContribution(p, 0, row, 0.25, -tc.sign, tc.st)
+			for s := 0; s < m; s++ {
+				if qos[s] != 0 || math.Float64bits(rap[s]) != math.Float64bits(tc.rap0) || math.Float64bits(load[s]) != 0 {
+					t.Fatalf("entry %d after the opposite sign: (%d, %v, %v), want the starting row back", s, qos[s], rap[s], load[s])
+				}
+			}
+		})
+	}
+}

@@ -171,8 +171,11 @@ func recoverDirector(cfg Config) (*Director, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.log.Info("recovered from journal",
-		"dir", dir, "snapshot_lsn", snap.LSN, "events_replayed", replayed,
-		"clients", m.Binding().Len(), "replay", time.Since(recStart))
+	attrs := []any{"dir", dir, "snapshot_lsn", snap.LSN, "events_replayed", replayed,
+		"clients", m.Binding().Len(), "replay", time.Since(recStart)}
+	if why := snap.Skipped(); why != nil {
+		attrs = append(attrs, "skipped", why.Error())
+	}
+	d.log.Info("recovered from journal", attrs...)
 	return d, nil
 }

@@ -8,10 +8,15 @@ package director
 // fixtures the autoscale durability test shares.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -136,6 +141,50 @@ func TestHTTPCheckpoint(t *testing.T) {
 	}
 	if res.Durable || res.LSN != 0 {
 		t.Fatalf("non-durable checkpoint = %+v, want {0 false}", res)
+	}
+}
+
+// TestRecoveryLogNamesSkippedSnapshots: a director that recovers from an
+// older generation because the newest snapshot is torn says so in its
+// "recovered from journal" line, naming the snapshot it skipped and why.
+func TestRecoveryLogNamesSkippedSnapshots(t *testing.T) {
+	cfg := durDirConfig(durDelays(t), 1)
+	cfg.DataDir = t.TempDir()
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := d.Join("", i, i%8); err != nil {
+			t.Fatal(err)
+		}
+		if i == 4 {
+			if _, err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	newest := d.m.NextLSN() - 1
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(cfg.DataDir, fmt.Sprintf("snap-%016d.json", newest))
+	if err := os.WriteFile(torn, []byte(`{"version":3,"ls`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	cfg.Logger = slog.New(slog.NewTextHandler(&log, nil))
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	line := log.String()
+	if want := fmt.Sprintf("skipped=\"snapshot %d: ", newest); !strings.Contains(line, "recovered from journal") || !strings.Contains(line, want) {
+		t.Fatalf("recovery log %q does not name the skipped snapshot (%s…)", line, want)
+	}
+	if st := r.Stats(); st.Clients != 10 {
+		t.Fatalf("recovered %d clients, want 10", st.Clients)
 	}
 }
 

@@ -49,16 +49,17 @@ func (t *names) index(id string) (int, error) {
 	return j, nil
 }
 
-// indices resolves a list of IDs.
-func (t *names) indices(ids []string) ([]int, error) {
-	js := make([]int, len(ids))
-	for x, id := range ids {
+// indices resolves a list of IDs into *buf's storage.
+func (t *names) indices(buf *[]int, ids []string) ([]int, error) {
+	js := (*buf)[:0]
+	for _, id := range ids {
 		j, err := t.index(id)
 		if err != nil {
 			return nil, err
 		}
-		js[x] = j
+		js = append(js, j)
 	}
+	*buf = js
 	return js, nil
 }
 
@@ -114,6 +115,9 @@ func (t *names) remove(i int) {
 type IDBinding struct {
 	pl                      *Planner
 	clients, servers, zones names
+	// js and zs hold a batch's resolved client and zone indices (batch,
+	// Machine.apply), reused so admitting a batch allocates nothing.
+	js, zs []int
 }
 
 // NewIDBinding pairs a planner with the IDs of the clients it already
@@ -388,21 +392,22 @@ func (b *IDBinding) JoinBatch(ids []string, zones []int, rts []float64, css [][]
 }
 
 // batch resolves the members of a LeaveBatch or MoveBatch to their dense
-// indices, refusing an unknown or repeated ID.
+// indices in the binding's buffer, refusing an unknown or repeated ID: one
+// lookup per member, the repeat found by index (Planner.enterBatch).
 func (b *IDBinding) batch(ids []string) ([]int, error) {
-	seen := make(map[string]bool, len(ids))
-	js := make([]int, len(ids))
+	b.pl.openBatch(len(ids))
+	js := b.js[:0]
 	for x, id := range ids {
-		if seen[id] {
-			return nil, fmt.Errorf("%w %q in batch", ErrDuplicateClient, id)
-		}
-		seen[id] = true
 		j, err := b.Index(id)
 		if err != nil {
 			return nil, err
 		}
-		js[x] = j
+		if b.pl.enterBatch(j, x) {
+			return nil, fmt.Errorf("%w %q in batch", ErrDuplicateClient, id)
+		}
+		js = append(js, j)
 	}
+	b.js = js
 	return js, nil
 }
 
@@ -451,7 +456,7 @@ func (b *IDBinding) UpdateServerDelays(server string, rtts map[string]float64) e
 		ids = append(ids, cid)
 	}
 	sort.Strings(ids)
-	js, err := b.clients.indices(ids)
+	js, err := b.clients.indices(new([]int), ids)
 	if err != nil {
 		return err
 	}

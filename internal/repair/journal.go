@@ -94,7 +94,8 @@ func (m *Machine) MakeDurable(cfg JournalConfig) error {
 // LoadSnapshot decodes the newest usable snapshot in dir: a candidate that
 // does not parse (decodeSnapshot), comes from a schema newer than
 // SnapshotVersion or declares another LSN than its file name is skipped in
-// favour of the generation before it.
+// favour of the generation before it, and the loaded snapshot keeps why
+// (Snapshot.Skipped).
 func LoadSnapshot(dir string) (*Snapshot, error) {
 	start := time.Now()
 	lsns, err := wal.SnapshotLSNs(dir)
@@ -104,25 +105,25 @@ func LoadSnapshot(dir string) (*Snapshot, error) {
 	if len(lsns) == 0 {
 		return nil, fmt.Errorf("journal: %s holds log segments but no snapshot", dir)
 	}
-	var lastErr error
+	var skipped error // each reason, newest first
 	for x := len(lsns) - 1; x >= 0; x-- {
 		raw, err := wal.ReadSnapshot(dir, lsns[x])
 		if err != nil {
-			lastErr = err
+			skipped = errors.Join(skipped, err)
 			continue
 		}
 		cand, err := decodeSnapshot(raw)
 		switch {
 		case err != nil:
-			lastErr = fmt.Errorf("snapshot %d: %w", lsns[x], err)
+			skipped = errors.Join(skipped, fmt.Errorf("snapshot %d: %w", lsns[x], err))
 		case cand.LSN != lsns[x]:
-			lastErr = fmt.Errorf("snapshot %d declares LSN %d", lsns[x], cand.LSN)
+			skipped = errors.Join(skipped, fmt.Errorf("snapshot %d declares LSN %d", lsns[x], cand.LSN))
 		default:
-			cand.loadTime = time.Since(start)
+			cand.loadTime, cand.skipped = time.Since(start), skipped
 			return cand, nil
 		}
 	}
-	return nil, fmt.Errorf("journal: no usable snapshot in %s: %w", dir, lastErr)
+	return nil, fmt.Errorf("journal: no usable snapshot in %s: %w", dir, skipped)
 }
 
 // decodeSnapshot parses one snapshot file. Versions 1–2 are one JSON
@@ -201,9 +202,11 @@ var errReplayStopped = errors.New("journal: replay stopped")
 // rejected is in the log too — and rejects again here, deterministically.
 // A record the decoder refuses (the log and this build disagree about what
 // the events MEAN) or an epoch marker the rebuilt trajectory does not pass
-// through aborts recovery, naming its LSN. Planner telemetry attaches only
-// after the tail has replayed, so the repair series reflect live traffic,
-// and the one-shot recovery gauges record what the replay cost.
+// through aborts recovery, naming its LSN, and why the snapshot it started
+// from is not the newest when it is not (Snapshot.Skipped). Planner
+// telemetry attaches only after the tail has replayed, so the repair series
+// reflect live traffic, and the one-shot recovery gauges record what the
+// replay cost.
 //
 // The log is read, checked and decoded on a second goroutine while this one
 // applies, in LSN order; nothing a caller can see differs from a sequential
@@ -215,6 +218,9 @@ func (m *Machine) Recover(cfg JournalConfig, lsn uint64) (int, error) {
 	m.base = lsn
 	start := time.Now()
 	replayed, err := m.replayLog()
+	if err != nil && m.skipped != nil {
+		err = fmt.Errorf("%w (recovering from snapshot %d: %w)", err, lsn, m.skipped)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -366,10 +372,13 @@ func (m *Machine) Checkpoint() (uint64, error) {
 		m.snapBytes.Add(uint64(len(payload)))
 		m.snaps.Inc()
 	}
-	if err := m.w.TruncateThrough(lsn); err != nil {
+	// The log keeps the tail of every generation kept: recovery falls back
+	// to the oldest when the newer ones are unreadable.
+	kept, err := wal.PruneSnapshots(m.cfg.Dir, keepSnapshots)
+	if err != nil {
 		return 0, err
 	}
-	if err := wal.PruneSnapshots(m.cfg.Dir, keepSnapshots); err != nil {
+	if err := m.w.TruncateThrough(kept[0]); err != nil {
 		return 0, err
 	}
 	m.sinceSnap = 0

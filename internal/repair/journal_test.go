@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"dvecap/internal/wal"
+	"dvecap/internal/xrand"
 )
 
 // TestLoadSnapshotFallsBackAGeneration: the newest snapshot that parses,
@@ -91,6 +93,116 @@ func TestRecoverTracksEpochsWhileReplaying(t *testing.T) {
 	}
 	if got := r.NextLSN(); got != head+1 {
 		t.Fatalf("one live event after recovery took LSNs %d..%d, want one record", head, got-1)
+	}
+}
+
+// TestFallbackGenerationKeepsItsTail: a checkpoint truncates the log only
+// through the oldest generation it keeps, so with the newest snapshot torn,
+// recovery falls back a generation and replays from it — across the
+// segments that rotated between the two checkpoints — to the state of the
+// uninterrupted machine, and the snapshot it loaded says why. Had the log
+// been truncated through the newest generation, the same recovery fails on
+// the gap, naming the torn snapshot too.
+func TestFallbackGenerationKeepsItsTail(t *testing.T) {
+	dir := t.TempDir()
+	rng := xrand.New(43)
+	pl, err := New(testConfig(), randProblem(rng.Split(), 200), rng.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(bindPlanner(t, pl), "GreZ-GreC", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.MakeDurable(JournalConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	// 4 KiB segments, so the events between the checkpoints rotate several.
+	if err := m.w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m.w, err = wal.Open(dir, 0, wal.Options{SegmentBytes: 4 << 10, NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(from, to int) {
+		for x := from; x < to; x++ {
+			e := &Event{Op: OpJoin, ID: fmt.Sprintf("n%04d", x), Zone: fmt.Sprintf("z%d", rng.IntN(pl.NumZones())),
+				RT: rng.Uniform(0.05, 0.5), Row: randRow(rng, pl.NumServers())}
+			if err := m.Commit(e, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	commit(0, 40)
+	older, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit(40, 200)
+	newer, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := m.NextLSN() - 1
+	want, err := m.Render(head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(dir, fmt.Sprintf("snap-%016d.json", newer))
+	raw, err := os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(torn, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gapped := t.TempDir()
+	for name, b := range readDir(t, dir) {
+		if err := os.WriteFile(filepath.Join(gapped, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	why := fmt.Sprintf("snapshot %d: ", newer)
+
+	recover := func(dir string) (*Machine, error) {
+		snap, err := LoadSnapshot(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.LSN != older || snap.Skipped() == nil || !strings.HasPrefix(snap.Skipped().Error(), why) {
+			t.Fatalf("loaded snapshot %d skipping %v, want %d skipping %q…", snap.LSN, snap.Skipped(), older, why)
+		}
+		r, err := RestoreMachine(snap, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.Recover(JournalConfig{Dir: dir}, snap.LSN)
+		return r, err
+	}
+	r, err := recover(dir)
+	if err != nil {
+		t.Fatalf("recovering from the older generation: %v", err)
+	}
+	if got, err := r.Render(head); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("recovered state differs from the uninterrupted machine's (%v)", err)
+	}
+	if err := r.w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Truncated through the newest generation, the older one's tail has a gap.
+	w, err := wal.Open(gapped, newer, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(w.TruncateThrough(newer), w.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recover(gapped); !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), why) {
+		t.Fatalf("recovering across the gap: %v, want a corrupt log naming %q", err, why)
 	}
 }
 

@@ -56,8 +56,10 @@ type Machine struct {
 	// the crash method, so tests can install it after the surface is open.
 	hook func(point string) error
 	// snapLoad is what loading and restoring the snapshot a recovering
-	// machine starts from cost; Recover reports it.
+	// machine starts from cost; Recover reports it, and wraps a failure in
+	// skipped, why that snapshot is not the newest (Snapshot.Skipped).
 	snapLoad time.Duration
+	skipped  error
 
 	snapDur   *telemetry.Histogram
 	snapBytes *telemetry.Counter
@@ -219,7 +221,7 @@ func (m *Machine) apply(e *Event) error {
 			m.clientNode[e.ID] = e.Node
 		}
 	case OpJoinBatch:
-		zs, err := b.zones.indices(e.Zones)
+		zs, err := b.zones.indices(&b.zs, e.Zones)
 		if err != nil {
 			return err
 		}
@@ -250,7 +252,7 @@ func (m *Machine) apply(e *Event) error {
 		}
 		return b.Move(e.ID, z)
 	case OpMoveBatch:
-		zs, err := b.zones.indices(e.Zones)
+		zs, err := b.zones.indices(&b.zs, e.Zones)
 		if err != nil {
 			return err
 		}
@@ -294,7 +296,7 @@ func (m *Machine) apply(e *Event) error {
 	case OpRetireZone:
 		return b.RetireZone(e.Zone)
 	case OpSetAdjacency, OpAddAdjacency:
-		zs, err := b.zones.indices([]string{e.Zone, e.Zone2})
+		zs, err := b.zones.indices(&b.zs, []string{e.Zone, e.Zone2})
 		if err != nil {
 			return err
 		}
@@ -536,9 +538,15 @@ type Snapshot struct {
 	// member, so encode can append it to the rest of the document.
 	Block *FloatBlock `json:"block,omitempty"`
 
-	// loadTime is what LoadSnapshot spent reading and decoding it.
+	// loadTime is what LoadSnapshot spent reading and decoding it; skipped
+	// is why it skipped the newer generations, nil when there were none.
 	loadTime time.Duration
+	skipped  error
 }
+
+// Skipped returns why LoadSnapshot passed over each newer generation,
+// newest first, as one error wrapping them; nil when it loaded the newest.
+func (s *Snapshot) Skipped() error { return s.skipped }
 
 // ClusterJSON is the interchange form of a cluster spec: the contract
 // between real deployments (measured inventories exported by ops tooling)
@@ -880,6 +888,6 @@ func RestoreMachine(snap *Snapshot, cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.snapLoad = snap.loadTime + time.Since(start)
+	m.snapLoad, m.skipped = snap.loadTime+time.Since(start), snap.skipped
 	return m, nil
 }

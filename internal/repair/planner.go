@@ -118,13 +118,14 @@ type Planner struct {
 	late core.LateIndex
 
 	// Batch scratch (topology.go), kept across calls so a steady stream of
-	// batches allocates nothing: batchPos maps a member's dense index to its
-	// position in a LeaveBatch/MoveBatch — the duplicate check, and how
-	// LeaveBatch follows a member the swap-remove moved — emptied again
-	// before they return; batchZones collects a batch's touched zones for the
-	// seeded repair scan.
-	batchPos   map[int]int
-	batchZones []int
+	// batches allocates nothing. batchMark[j] is batchBase+1+x while client j
+	// is member x of the open batch (openBatch), no member at or below
+	// batchBase; batchCur is LeaveBatch's copy of its members, batchZones a
+	// batch's touched zones for the seeded repair scan.
+	batchMark           []uint32
+	batchBase, batchEnd uint32
+	batchCur            []int
+	batchZones          []int
 
 	eventsSinceFull int
 	failBackoff     int // events to wait after a failed guard solve; doubles per failure
@@ -191,7 +192,7 @@ func prepare(cfg Config, p *core.Problem, rng *xrand.RNG) (*Planner, error) {
 	}
 	// The clone holds the delays in a store the planner's mutations write:
 	// raw rows are loaded into the exact store (core.Problem.Clone).
-	pl := &Planner{cfg: cfg, rng: rng, prob: p.Clone(), batchPos: map[int]int{}}
+	pl := &Planner{cfg: cfg, rng: rng, prob: p.Clone()}
 	// A caller's index filled for p describes the clone too; the planner
 	// takes a copy, since its evaluator will rewrite the bits.
 	if cfg.Opt.Late.ValidFor(p) {

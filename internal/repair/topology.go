@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -404,18 +403,41 @@ func (pl *Planner) JoinBatch(zones []int, rts []float64, css [][]float64) error 
 	return nil
 }
 
+// openBatch opens a batch of n members: every earlier mark falls at or
+// below the new base, so no pass over the clients empties the last batch.
+func (pl *Planner) openBatch(n int) {
+	if k := pl.ev.NumClients(); len(pl.batchMark) < k {
+		pl.batchMark = append(pl.batchMark, make([]uint32, k-len(pl.batchMark))...)
+	}
+	if uint64(pl.batchEnd)+uint64(n) > math.MaxUint32 {
+		clear(pl.batchMark)
+		pl.batchEnd = 0
+	}
+	pl.batchBase, pl.batchEnd = pl.batchEnd, pl.batchEnd+uint32(n)
+}
+
+// enterBatch makes client j member x of the open batch unless it already is
+// one: the one duplicate check of batch members, by index and by ID.
+func (pl *Planner) enterBatch(j, x int) (repeated bool) {
+	if pl.batchMark[j] > pl.batchBase {
+		return true
+	}
+	pl.batchMark[j] = pl.batchBase + 1 + uint32(x)
+	return false
+}
+
 // checkBatch validates the members of a LeaveBatch or MoveBatch — every
-// index live, none repeated — and leaves batchPos mapping each to its
-// position in js. The caller clears batchPos.
+// index live, none repeated — and opens the batch with each member at its
+// position in js.
 func (pl *Planner) checkBatch(js []int) error {
+	pl.openBatch(len(js))
 	for x, j := range js {
 		if err := pl.checkClient(j); err != nil {
 			return fmt.Errorf("repair: batch client %d: %w", x, err)
 		}
-		if _, dup := pl.batchPos[j]; dup {
+		if pl.enterBatch(j, x) {
 			return fmt.Errorf("repair: batch client %d: index %d repeated", x, j)
 		}
-		pl.batchPos[j] = x
 	}
 	return nil
 }
@@ -429,29 +451,28 @@ func (pl *Planner) checkBatch(js []int) error {
 // no duplicates) before anything is applied, so an error means no client
 // left. The drift guard runs once for the whole batch.
 func (pl *Planner) LeaveBatch(js []int) error {
-	pos := pl.batchPos
-	defer clear(pos)
 	if err := pl.checkBatch(js); err != nil {
 		return err
 	}
 	start := pl.teleStart()
-	cur := slices.Clone(js)
+	cur := append(pl.batchCur[:0], js...)
 	touched := pl.batchZones[:0]
+	mark := pl.batchMark
 	for x := range cur {
 		j := cur[x]
 		touched = append(touched, pl.prob.ClientZones[j])
-		delete(pos, j)
+		mark[j] = 0
 		// The last client takes index j: if it is a member still to
 		// leave, it does so from j.
 		if moved := pl.ev.RemoveClient(j); moved >= 0 {
-			if y, ok := pos[moved]; ok {
-				cur[y], pos[j] = j, y
-				delete(pos, moved)
+			if y := mark[moved]; y > pl.batchBase {
+				cur[y-pl.batchBase-1] = j
+				mark[j], mark[moved] = y, 0
 			}
 		}
 	}
 	pl.stats.Leaves += len(js)
-	pl.batchZones = touched
+	pl.batchCur, pl.batchZones = cur, touched
 	pl.repairZones(dedupZones(touched)...)
 	pl.afterEventN(len(js))
 	pl.teleEvent(evLeaveBatch, len(js), start)
@@ -468,7 +489,6 @@ func (pl *Planner) MoveBatch(js []int, zones []int) error {
 	if len(zones) != len(js) {
 		return fmt.Errorf("repair: batch of %d clients, %d zones", len(js), len(zones))
 	}
-	defer clear(pl.batchPos)
 	if err := pl.checkBatch(js); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package repair
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -340,9 +341,10 @@ func TestJoinBatchMatchesScript(t *testing.T) {
 }
 
 // TestMoveBatchSteadyStateAllocs pins the batch scratch: once the planner's
-// duplicate-check map, touched-zone slice and zone buckets have grown to
-// the batch's size, a MoveBatch allocates nothing — one runs per tick of a
-// mobility workload.
+// member marks, touched-zone slice and zone buckets have grown to the
+// batch's size, a MoveBatch allocates nothing — one runs per tick of a
+// mobility workload — and no batch, refused or applied, leaves a member
+// behind for the next one to trip over.
 func TestMoveBatchSteadyStateAllocs(t *testing.T) {
 	pl := newTopoPlanner(t, 4100, 0)
 	n := pl.NumZones()
@@ -367,18 +369,34 @@ func TestMoveBatchSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, move); avg != 0 {
 		t.Fatalf("steady-state MoveBatch allocates %.1f times per call, want 0", avg)
 	}
-	if len(pl.batchPos) != 0 {
-		t.Fatalf("duplicate-check scratch holds %d indices after MoveBatch", len(pl.batchPos))
+	// A batch opened on every client finds none of them a member.
+	pl.openBatch(pl.NumClients())
+	for j := range js {
+		if pl.batchMark[j] > pl.batchBase {
+			t.Fatalf("client %d is a member of a batch just opened", j)
+		}
 	}
-	// A rejected batch leaves the scratch empty too.
+	// Rejected batches leave nothing behind either: the same members pass
+	// next time.
 	if err := pl.MoveBatch([]int{0, 1, 0}, []int{0, 0, 0}); err == nil {
 		t.Fatal("repeated index accepted")
 	}
 	if err := pl.LeaveBatch([]int{0, 1, 0}); err == nil {
 		t.Fatal("repeated index accepted")
 	}
-	if len(pl.batchPos) != 0 {
-		t.Fatalf("duplicate-check scratch holds %d indices after rejected batches", len(pl.batchPos))
+	if err := pl.MoveBatch([]int{0, 1}, []int{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.LeaveBatch([]int{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	// At the top of the mark range the marks are cleared, not wrapped.
+	pl.batchEnd = math.MaxUint32 - 1
+	if err := pl.MoveBatch([]int{0, 1}, []int{1, 1}); err != nil || pl.batchBase != 0 {
+		t.Fatalf("batch past the mark range: %v, base %d, want the marks cleared", err, pl.batchBase)
+	}
+	if err := pl.MoveBatch([]int{2, 3, 2}, []int{0, 0, 0}); err == nil {
+		t.Fatal("repeated index accepted after the marks were cleared")
 	}
 	audit(t, pl)
 }

@@ -124,27 +124,28 @@ func LatestSnapshot(dir string) (uint64, []byte, error) {
 }
 
 // PruneSnapshots removes all but the newest keep snapshots, plus any
-// leftover .tmp files from interrupted writes.
-func PruneSnapshots(dir string, keep int) error {
+// leftover .tmp files from interrupted writes, and returns the LSNs of the
+// snapshots kept, oldest first.
+func PruneSnapshots(dir string, keep int) ([]uint64, error) {
 	lsns, err := SnapshotLSNs(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i := 0; i+keep < len(lsns); i++ {
 		if err := os.Remove(filepath.Join(dir, snapshotName(lsns[i]))); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, e := range ents {
 		if strings.HasPrefix(e.Name(), "snap-") && strings.HasSuffix(e.Name(), ".json.tmp") {
 			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	return syncDir(dir)
+	return lsns[max(0, len(lsns)-keep):], syncDir(dir)
 }

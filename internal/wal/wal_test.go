@@ -282,7 +282,7 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 	if lsn != 42 || string(payload) != "state@42" {
 		t.Fatalf("latest snapshot: %d %q", lsn, payload)
 	}
-	if err := PruneSnapshots(dir, 2); err != nil {
+	if _, err := PruneSnapshots(dir, 2); err != nil {
 		t.Fatal(err)
 	}
 	lsns, err := SnapshotLSNs(dir)
@@ -316,7 +316,7 @@ func TestSnapshotCrashLeavesOldStateReadable(t *testing.T) {
 		t.Fatalf("after temp-crash: %d %q %v", lsn, payload, err)
 	}
 	// Prune clears the leftover .tmp.
-	if err := PruneSnapshots(dir, 2); err != nil {
+	if _, err := PruneSnapshots(dir, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotName(20)+".tmp")); !os.IsNotExist(err) {
