@@ -2,6 +2,7 @@ package dvecap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dvecap/internal/core"
@@ -40,6 +41,10 @@ type ClusterSession struct {
 	binding *repair.IDBinding
 	rowBuf  []float64
 	ev      repair.Event // the event being committed (commit)
+	// batchEv is JoinBatch's event, kept from one call to the next, its rows
+	// copied into batchRows (the stores copy what they keep).
+	batchEv   repair.Event
+	batchRows []float64
 
 	// tracer streams one JSON line per mutation when the session was opened
 	// WithTraceLog; nil otherwise. On recovered sessions it attaches only
@@ -220,24 +225,30 @@ func (s *ClusterSession) scratchRow() []float64 {
 // client was admitted.
 func (s *ClusterSession) JoinBatch(joins []ClientJoin) (err error) {
 	defer s.span("join_batch", "n", len(joins)).end(&err)
-	e := &repair.Event{
-		Op:    repair.OpJoinBatch,
-		IDs:   make([]string, len(joins)),
-		Zones: make([]string, len(joins)),
-		RTs:   make([]float64, len(joins)),
-		Rows:  make([][]float64, len(joins)),
-	}
-	for x, cj := range joins {
-		row, err := s.resolveJoin(cj.ID, cj.Spec)
-		if err != nil {
-			return err
+	e, n := &s.batchEv, len(joins)
+	e.Op, e.IDs, e.Zones = repair.OpJoinBatch, slices.Grow(e.IDs[:0], n), slices.Grow(e.Zones[:0], n)
+	e.RTs, e.Rows, s.batchRows = slices.Grow(e.RTs[:0], n), slices.Grow(e.Rows[:0], n), slices.Grow(s.batchRows[:0], n*s.NumServers())
+	for _, cj := range joins {
+		var row []float64
+		if row, err = s.resolveJoin(cj.ID, cj.Spec); err != nil {
+			break
 		}
-		e.IDs[x], e.Zones[x], e.RTs[x] = cj.ID, cj.Spec.Zone, cj.Spec.BandwidthMbps
-		// resolveJoin may hand back s.rowBuf; every row must survive the
-		// whole batch.
-		e.Rows[x] = append([]float64(nil), row...)
+		e.IDs, e.Zones, e.RTs = append(e.IDs, cj.ID), append(e.Zones, cj.Spec.Zone), append(e.RTs, cj.Spec.BandwidthMbps)
+		// resolveJoin may hand back s.rowBuf: copy. A row of the wrong length
+		// may move batchRows; the rows before keep the array they point into.
+		at := len(s.batchRows)
+		s.batchRows = append(s.batchRows, row...)
+		e.Rows = append(e.Rows, s.batchRows[at:len(s.batchRows):len(s.batchRows)])
 	}
-	return s.commit(e)
+	if err == nil {
+		err = s.commit(e)
+	}
+	// Scratch past 512 KiB is not held for the session, admitted or not: a
+	// hotspot_moves tick joins 160 floats' worth, its recovery batch 820 000.
+	if cap(s.batchRows) > 1<<16 {
+		s.batchEv, s.batchRows = repair.Event{}, nil
+	}
+	return err
 }
 
 // Leave removes the client, repairing around the zone it vacated. The ID

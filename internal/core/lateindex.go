@@ -269,7 +269,9 @@ func (li *LateIndex) fillRow(j int, row []float64, bound float64) {
 // forgot the index's last holder.
 func (li *LateIndex) appendClient(row []float64, bound float64) {
 	j := len(li.words) / li.wpc
-	li.words = append(li.words, make([]uint64, li.wpc)...)
+	// Grown in place: append(words, make(…)...) allocates under -race.
+	li.words = slices.Grow(li.words, li.wpc)[:len(li.words)+li.wpc]
+	clear(li.words[j*li.wpc:])
 	li.writeRow(j, row, bound)
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 )
 
 // Client is the Go binding for the director's HTTP API.
@@ -27,14 +29,11 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// call issues one request and decodes a T from the response.
-func call[T any](c *Client, method, path string, body interface{}) (out T, err error) {
+// call issues one request (body nil: none) and decodes a T from the response.
+func call[T any](c *Client, method, path string, body []byte) (out T, err error) {
 	err = c.do(method, path, body, &out)
 	return out, err
 }
-
-// object is a JSON request body.
-type object = map[string]interface{}
 
 // Join registers a client in the zone at dense index zone; JoinRef also
 // takes the zone's stable ID.
@@ -44,7 +43,9 @@ func (c *Client) Join(id string, node, zone int) (ClientInfo, error) {
 
 // JoinRef registers a client.
 func (c *Client) JoinRef(id string, node int, zone Ref) (ClientInfo, error) {
-	return call[ClientInfo](c, http.MethodPost, "/v1/clients", object{"id": id, "node": node, "zone": zone.String()})
+	b := appendString(append(make([]byte, 0, 64), `{"id":`...), id)
+	b = appendString(append(strconv.AppendInt(append(b, `,"node":`...), int64(node), 10), `,"zone":`...), zone.String())
+	return call[ClientInfo](c, http.MethodPost, "/v1/clients", append(b, '}'))
 }
 
 // Leave removes a client.
@@ -58,14 +59,20 @@ func (c *Client) Move(id string, zone int) (ClientInfo, error) { return c.MoveRe
 
 // MoveRef relocates a client to another zone.
 func (c *Client) MoveRef(id string, zone Ref) (ClientInfo, error) {
-	return call[ClientInfo](c, http.MethodPost, clientPath(id)+"/move", object{"zone": zone.String()})
+	b := appendString(append(make([]byte, 0, 32), `{"zone":`...), zone.String())
+	return call[ClientInfo](c, http.MethodPost, clientPath(id)+"/move", append(b, '}'))
 }
 
 // UpdateDelays streams freshly measured RTTs (one entry per server, in
 // server order; ms) into the director, which repairs incrementally around
 // the client's zone.
 func (c *Client) UpdateDelays(id string, rttsMs []float64) (ClientInfo, error) {
-	return call[ClientInfo](c, http.MethodPost, clientPath(id)+"/delays", object{"rtts_ms": rttsMs})
+	row, err := json.Marshal(rttsMs)
+	if err != nil {
+		return ClientInfo{}, err
+	}
+	b := append(append(make([]byte, 0, 12+len(row)), `{"rtts_ms":`...), row...)
+	return call[ClientInfo](c, http.MethodPost, clientPath(id)+"/delays", append(b, '}'))
 }
 
 // Lookup fetches a client's current assignment.
@@ -81,18 +88,8 @@ func (c *Client) Reassign() (ReassignResult, error) {
 // Stats fetches current quality metrics.
 func (c *Client) Stats() (Stats, error) { return call[Stats](c, http.MethodGet, "/v1/stats", nil) }
 
-func (c *Client) do(method, path string, body interface{}, out interface{}) error {
-	var rdr *bytes.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rdr = bytes.NewReader(raw)
-	} else {
-		rdr = bytes.NewReader(nil)
-	}
-	req, err := http.NewRequest(method, c.BaseURL+path, rdr)
+func (c *Client) do(method, path string, body []byte, out interface{}) error {
+	req, err := http.NewRequest(method, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -112,5 +109,16 @@ func (c *Client) do(method, path string, body interface{}, out interface{}) erro
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	info, ok := out.(*ClientInfo)
+	if !ok {
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+	// A ClientInfo as the director writes it is read in one pass.
+	bp := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(bp)
+	b, err := readWire(resp.Body, *bp)
+	if err == io.EOF && readClientInfo(b, info) {
+		return nil
+	}
+	return json.NewDecoder(replay(b, err, resp.Body)).Decode(out)
 }

@@ -1,6 +1,7 @@
 package director
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/url"
 )
@@ -8,6 +9,19 @@ import (
 // The Client verbs below have no caller outside this package's tests: the
 // shipped binding (the benchmark's load generator) joins, moves, leaves,
 // looks up, streams delays, reassigns and reads stats.
+
+// object is a JSON request body.
+type object = map[string]interface{}
+
+// send is call with the body marshalled by encoding/json.
+func send[T any](c *Client, method, path string, body object) (T, error) {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return call[T](c, method, path, raw)
+}
 
 // NewClient returns a binding for the given base URL.
 func NewClient(baseURL string) *Client {
@@ -22,7 +36,7 @@ func (c *Client) Servers() ([]ServerInfo, error) {
 
 // AddServer brings a new server online at a topology node.
 func (c *Client) AddServer(node int, capacityMbps float64) (ServerInfo, error) {
-	return call[ServerInfo](c, http.MethodPost, "/v1/servers", object{"node": node, "capacity_mbps": capacityMbps})
+	return send[ServerInfo](c, http.MethodPost, "/v1/servers", object{"node": node, "capacity_mbps": capacityMbps})
 }
 
 // serverPath is the resource path of one server — ID("s3"), or the
@@ -70,14 +84,14 @@ func (c *Client) Adjacency() ([]AdjacencyInfo, error) {
 // SetAdjacency installs (or, with weight 0, removes) an interaction edge
 // at an absolute weight.
 func (c *Client) SetAdjacency(zone1, zone2 Ref, weightMbps float64) (AdjacencyInfo, error) {
-	return call[AdjacencyInfo](c, http.MethodPost, "/v1/adjacency",
+	return send[AdjacencyInfo](c, http.MethodPost, "/v1/adjacency",
 		object{"zone1": zone1.String(), "zone2": zone2.String(), "weight_mbps": weightMbps})
 }
 
 // AddAdjacencyWeight accumulates an observed crossing's weight onto an
 // interaction edge.
 func (c *Client) AddAdjacencyWeight(zone1, zone2 Ref, deltaMbps float64) (AdjacencyInfo, error) {
-	return call[AdjacencyInfo](c, http.MethodPost, "/v1/adjacency/add",
+	return send[AdjacencyInfo](c, http.MethodPost, "/v1/adjacency/add",
 		object{"zone1": zone1.String(), "zone2": zone2.String(), "delta_mbps": deltaMbps})
 }
 

@@ -18,7 +18,7 @@ import (
 	"dvecap/internal/xrand"
 )
 
-func testDirector(t *testing.T) *Director {
+func testDirector(t testing.TB) *Director {
 	t.Helper()
 	g, err := topology.Waxman(xrand.New(5), topology.DefaultWaxman(40))
 	if err != nil {

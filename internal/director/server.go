@@ -25,18 +25,19 @@ type apiError struct {
 // is the DEPRECATED dense-index alias, kept for one release: indices
 // renumber when a server or zone is removed, IDs do not (Ref).
 //
-// Status codes follow the usual discipline: 404 for unknown clients,
-// servers and zones (errors.Is on the sentinels) and unknown routes, 405
-// with an Allow header for a known route with the wrong method, 400 for
-// malformed or invalid request bodies — a required field absent or null,
-// an unknown field, bytes after the JSON value — (413 past the 1 MiB body
-// cap), 409 for topology conflicts — removing a non-empty server or zone,
-// draining or removing the last available server — and 503 for a mutation
-// on a director that can no longer journal (fail-stopped by a failed
-// append, or closed). A durable director recovers inside New, before any
-// handler exists, so every route serves recovered state from the first
-// request; capdirector binds its port only after recovery, and a
-// restarting instance refuses connections until it is ready.
+// Status codes follow the usual discipline: 404 for unknown clients, servers
+// and zones (errors.Is on the sentinels) and unknown routes, 405 with an
+// Allow header for a known route with the wrong method, 400 for malformed or
+// invalid request bodies — a required field absent or null, an unknown
+// field, bytes after the JSON value — (413 past the 1 MiB body cap), 409 for
+// topology conflicts — removing a non-empty server or zone, draining or
+// removing the last available server — and 503 for a mutation on a director
+// that can no longer journal (fail-stopped by a failed append, or closed). A
+// canonical client body takes the one-pass reader (wire.go), any other the
+// strict decoder: the answers are identical. A durable director recovers
+// inside New, before any handler exists, so every route serves recovered
+// state from the first request; capdirector binds its port only after
+// recovery, and a restarting instance refuses connections until it is ready.
 //
 // With Config.Telemetry set, every request is additionally recorded into
 // per-route counters and latency histograms (label cardinality bounded by
@@ -84,14 +85,10 @@ func Handler(d *Director) http.Handler {
 		writeJSON(w, http.StatusOK, d.Snapshot())
 	})
 	mux.HandleFunc("POST /v1/clients", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			ID   string `json:"id"` // optional: the director names the client
-			Node *int   `json:"node"`
-			Zone Ref    `json:"zone"`
-		}
-		if decodeJSON(w, r, &req) && need(w, "node", req.Node != nil) && need(w, "zone", req.Zone.set()) {
+		var req joinRequest
+		if decodeBody(w, r, &req, readJoin) && need(w, "node", req.Node != nil) && need(w, "zone", req.Zone.set()) {
 			info, err := d.JoinRef(req.ID, *req.Node, req.Zone)
-			reply(w, http.StatusCreated, info, err, http.StatusBadRequest)
+			replyClient(w, http.StatusCreated, info, err)
 		}
 	})
 	// A client ID is caller-chosen and may itself hold '/', '?', '#' or
@@ -102,27 +99,23 @@ func Handler(d *Director) http.Handler {
 	})
 	mux.HandleFunc("GET /v1/clients/{id}", func(w http.ResponseWriter, r *http.Request) {
 		info, err := d.Lookup(r.PathValue("id"))
-		reply(w, http.StatusOK, info, err, http.StatusBadRequest)
+		replyClient(w, http.StatusOK, info, err)
 	})
 	mux.HandleFunc("DELETE /v1/clients/{id}", func(w http.ResponseWriter, r *http.Request) {
 		reply(w, http.StatusNoContent, nil, d.Leave(r.PathValue("id")), http.StatusBadRequest)
 	})
 	mux.HandleFunc("POST /v1/clients/{id}/move", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Zone Ref `json:"zone"`
-		}
-		if decodeJSON(w, r, &req) && need(w, "zone", req.Zone.set()) {
+		var req moveRequest
+		if decodeBody(w, r, &req, readMove) && need(w, "zone", req.Zone.set()) {
 			info, err := d.MoveRef(r.PathValue("id"), req.Zone)
-			reply(w, http.StatusOK, info, err, http.StatusBadRequest)
+			replyClient(w, http.StatusOK, info, err)
 		}
 	})
 	mux.HandleFunc("POST /v1/clients/{id}/delays", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			RTTsMs []float64 `json:"rtts_ms"`
-		}
-		if decodeJSON(w, r, &req) {
+		var req delaysRequest
+		if decodeBody(w, r, &req, readDelays) {
 			info, err := d.UpdateDelays(r.PathValue("id"), req.RTTsMs)
-			reply(w, http.StatusOK, info, err, http.StatusBadRequest)
+			replyClient(w, http.StatusOK, info, err)
 		}
 	})
 
@@ -137,7 +130,7 @@ func Handler(d *Director) http.Handler {
 			// inventory for the autoscaler (or an explicit uncordon).
 			Spare bool `json:"spare"`
 		}
-		if decodeJSON(w, r, &req) && need(w, "node", req.Node != nil) {
+		if decodeBody(w, r, &req, nil) && need(w, "node", req.Node != nil) {
 			info, err := d.addServer(*req.Node, req.CapacityMbps, req.Spare)
 			reply(w, http.StatusCreated, info, err, http.StatusBadRequest)
 		}
@@ -172,7 +165,7 @@ func Handler(d *Director) http.Handler {
 	// Override the watermarks.
 	scaler("config", func(w http.ResponseWriter, r *http.Request, rec *autoscale.Reconciler) {
 		var cfg autoscale.Config
-		if decodeJSON(w, r, &cfg) {
+		if decodeBody(w, r, &cfg, nil) {
 			err := rec.SetConfig(cfg)
 			reply(w, http.StatusOK, d.AutoscaleStatus(), err, http.StatusBadRequest)
 		}
@@ -215,7 +208,7 @@ func Handler(d *Director) http.Handler {
 			Zone2      Ref      `json:"zone2"`
 			WeightMbps *float64 `json:"weight_mbps"`
 		}
-		if decodeJSON(w, r, &req) && need(w, "zone1", req.Zone1.set()) && need(w, "zone2", req.Zone2.set()) &&
+		if decodeBody(w, r, &req, nil) && need(w, "zone1", req.Zone1.set()) && need(w, "zone2", req.Zone2.set()) &&
 			need(w, "weight_mbps", req.WeightMbps != nil) {
 			info, err := d.SetAdjacency(req.Zone1, req.Zone2, *req.WeightMbps)
 			reply(w, http.StatusOK, info, err, http.StatusBadRequest)
@@ -228,7 +221,7 @@ func Handler(d *Director) http.Handler {
 			Zone2     Ref      `json:"zone2"`
 			DeltaMbps *float64 `json:"delta_mbps"`
 		}
-		if decodeJSON(w, r, &req) && need(w, "zone1", req.Zone1.set()) && need(w, "zone2", req.Zone2.set()) &&
+		if decodeBody(w, r, &req, nil) && need(w, "zone1", req.Zone1.set()) && need(w, "zone2", req.Zone2.set()) &&
 			need(w, "delta_mbps", req.DeltaMbps != nil) {
 			info, err := d.AddAdjacencyWeight(req.Zone1, req.Zone2, *req.DeltaMbps)
 			reply(w, http.StatusOK, info, err, http.StatusBadRequest)
@@ -280,12 +273,12 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 // maxBodyBytes caps every request body the API reads.
 const maxBodyBytes = 1 << 20
 
-// decodeJSON reads the request's JSON body into v, at most maxBodyBytes of
-// it: one value, with no field v lacks and nothing but space after it. On
-// failure it has answered — 413 for an oversized body, 400 for anything
-// else — and reports false.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeJSON reads a request's JSON body from body, a reader capped at
+// maxBodyBytes, into v: one value, with no field v lacks and nothing but
+// space after it. On failure it has answered — 413 for an oversized body,
+// 400 for anything else — and reports false.
+func decodeJSON(w http.ResponseWriter, body io.Reader, v interface{}) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {

@@ -250,7 +250,7 @@ func TestLoadSnapshotRefusesDamagedBlocks(t *testing.T) {
 				block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
 			}
 		}
-		return frameBlock(document(inline), block)
+		return frameBlock(document(inline), len(block), func(b []byte) { copy(b, block) })
 	}
 	if !bytes.Equal(reframe(false, len(rows)), good) {
 		t.Fatal("reframing the rendered snapshot changed its bytes")

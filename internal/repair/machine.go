@@ -651,7 +651,13 @@ func (m *Machine) Render(lsn uint64) ([]byte, error) {
 	// client list follows it, so recovery names the same clients the same.
 	ids := b.clients.ids
 	prov := snapshotProvider(p)
-	cj := NewClusterJSON(p, b.servers.ids, b.zones.ids, ids, prov == nil)
+	cj := NewClusterJSON(p, b.servers.ids, b.zones.ids, ids, false)
+	if prov == nil {
+		// The exact store's own rows, read-only: encode copies them once.
+		for j := range cj.Clients {
+			cj.Clients[j].RTTRowMs = p.CSRow(j, nil)
+		}
+	}
 	st, err := pl.ExportState()
 	if err != nil {
 		return nil, err
@@ -716,6 +722,7 @@ func (snap *Snapshot) eachBlockArray(f func(a *[]float64, n int)) {
 // document without the block's arrays (json.Marshal never writes a raw
 // newline), a newline, then the float block. snap itself is left as it was.
 func (snap Snapshot) encode() ([]byte, error) {
+	arrays := snap // its arrays fill the block
 	snap.Version, snap.Block = SnapshotVersion, nil
 	snap.Cluster.Clients = slices.Clone(snap.Cluster.Clients)
 	var coord *core.CoordState
@@ -738,13 +745,7 @@ func (snap Snapshot) encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	block := make([]byte, 0, 8*count)
-	snap.eachBlockArray(func(a *[]float64, _ int) {
-		for _, v := range *a {
-			block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
-		}
-		*a = nil
-	})
+	snap.eachBlockArray(func(a *[]float64, _ int) { *a = nil })
 	if coord != nil {
 		coord.OvVal = nil
 	}
@@ -752,16 +753,30 @@ func (snap Snapshot) encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return frameBlock(doc, block), nil
+	return frameBlock(doc, 8*count, func(block []byte) {
+		block = block[:0]
+		arrays.eachBlockArray(func(a *[]float64, _ int) {
+			for _, v := range *a {
+				block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
+			}
+		})
+	}), nil
 }
 
 // frameBlock appends to doc, a compact JSON object, the member that frames
-// block (a FloatBlock under "block", so the document is what json.Marshal
-// writes for the Snapshot with its Block set), then a newline and block.
-func frameBlock(doc, block []byte) []byte {
-	// The member names the block's offset, the document's length plus one:
-	// find the offset its own digits leave true.
-	blk := FloatBlock{Length: len(block), Count: len(block) / 8, CRC32C: crc32.Checksum(block, castagnoli)}
+// a block of n bytes (a FloatBlock under "block", so the document is what
+// json.Marshal writes for the Snapshot with its Block set), then a newline
+// and the block, which fill writes in place: the block is written once.
+func frameBlock(doc []byte, n int, fill func(block []byte)) []byte {
+	// The header goes in front of the block, whose CRC its member names:
+	// leave room for the longest member.
+	longest, _ := json.Marshal(FloatBlock{Offset: math.MaxInt, Length: math.MaxInt, Count: math.MaxInt, CRC32C: math.MaxUint32})
+	room := len(doc) - 1 + len(`,"block":`) + len(longest) + len("}\n")
+	out := make([]byte, room+n)
+	fill(out[room:])
+	// The member names the block's offset, the header's length: find the
+	// offset its own digits leave true.
+	blk := FloatBlock{Length: n, Count: n / 8, CRC32C: crc32.Checksum(out[room:], castagnoli)}
 	var member []byte
 	for {
 		member, _ = json.Marshal(blk) // a struct of numbers always marshals
@@ -771,10 +786,10 @@ func frameBlock(doc, block []byte) []byte {
 		}
 		blk.Offset = off
 	}
-	out := make([]byte, 0, blk.Offset+len(block))
-	out = append(append(out, doc[:len(doc)-1]...), `,"block":`...)
-	out = append(append(out, member...), '}', '\n')
-	return append(out, block...)
+	out = out[room-blk.Offset:]
+	head := append(append(out[:0], doc[:len(doc)-1]...), `,"block":`...)
+	_ = append(append(head, member...), '}', '\n')
+	return out
 }
 
 // snapshotProvider decides what a snapshot stores for the delays: nothing
