@@ -94,7 +94,7 @@ func (c *Cluster) WriteClusterJSON(w io.Writer) error {
 	}
 	// The spec format carries full rows: the store materializes to the
 	// dense interchange form.
-	cj := repair.NewClusterJSON(p, c.serverIDs, c.zoneIDs, c.clientIDs, true)
+	cj := repair.NewClusterJSON(p, c.serverIDs, c.zoneIDs, c.clientIDs)
 	if err := cj.Encode(w); err != nil {
 		return fmt.Errorf("dvecap: encoding cluster spec: %w", err)
 	}

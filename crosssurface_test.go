@@ -249,11 +249,8 @@ func TestMalformedCallsRefusedEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	auditSession(t, durable)
-	snap, err := repair.LoadSnapshot(cfg.DataDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := clusterFromJSON(&snap.Cluster)
+	spec := d.ClusterSpec() // what the checkpoint crossOrigin ends with holds
+	c, err := clusterFromJSON(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}

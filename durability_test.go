@@ -744,8 +744,9 @@ func proveRejectsNonFinite(t *testing.T, sf durableSurface) {
 // session's from the commit before the two surfaces were moved onto one
 // durability engine (unchanged since, through the move onto one machine)
 // and the director's from the commit that gave it the machine's format;
-// the snapshots' are version 3's, and the version-2 bytes they replace are
-// pinned on committed files by TestV2SnapshotsRecover.
+// the snapshots' are version 4's, and the version-2 and version-3 bytes
+// they replace are pinned on committed files by TestV2SnapshotsRecover and
+// TestV3SnapshotsRecover.
 func proveGoldenFormat(t *testing.T, sf durableSurface) {
 	run := proofRun{dir: t.TempDir(), workers: 1, churnSeed: 2024, golden: true}
 	m := sf.open(t, run)
@@ -819,9 +820,9 @@ func sessionSurface(model DelayModel) durableSurface {
 			}}}
 		},
 		golden: [3]string{
-			"4487f9af4c3e87f016e807e13894822c4f4c18cb3412ebcdff6faf927a2b997c",
+			"3721dad763d3fdb6567bf41e50ee2cada4554c91ca560c1e4aa1f350cefd5d38",
 			"f38a5244ce05c69034044b103b55362f0b7780c2657e24d0b060c8635534da78",
-			"f5caa0eab005494e99cc933cd48bb68a289d0738e02f48314789121470346ce2",
+			"41a5b6130ad1e096fb84b265628a8a88b79e422d7fd53f4be642f6de5ef79684",
 		},
 	}
 }
@@ -1148,9 +1149,9 @@ func directorSurface(t *testing.T, model string) durableSurface {
 		// from here on. What it wrote before is refused by name
 		// (TestDirectorRefusesOldDataDir, internal/director).
 		golden: [3]string{
-			"3906274d0eb75bf07b416b26f0b6602bdb9b11897e8812697c87fe63f1042858",
+			"129b8ec0502ea7b072ee8cf95e9dddee1ea889a23571cbae2df246399b35e10d",
 			"aba80eca5642174f7399513034143882e5c951b8a4135ff960d53f498559030a",
-			"7b9f09a858f54261bd36ec0805ec149190d90613358ca3f6cf0e2884d478b27f",
+			"68f32c5e7ab90c5a41446f1e0fc11d9b1f97802e4e20fe2ded3c22709c55c19e",
 		},
 	}
 }
@@ -1296,9 +1297,9 @@ func TestDurableGoldenFormat(t *testing.T) {
 	t.Run("coord", func(t *testing.T) {
 		sf := sessionSurface(CoordDelays)
 		sf.golden = [3]string{
-			"13c36718483e56fe12edff4024c2322b0dcc9286a1643d2de4e835916d47c1fc",
+			"5a19cb4f463c6d2168cfacb29eff9a26846bc3edfdd9f91197dd131224ebe59d",
 			"f38a5244ce05c69034044b103b55362f0b7780c2657e24d0b060c8635534da78",
-			"ff3c3b1e8109df89e4f743810abfb0d3d18d72f061bbf1e7dd5cc7771ade1a12",
+			"07d052b000e24aa6b85a937f1b582c8650cf425ce88b1adbe689bbb7bb1ba01d",
 		}
 		proveGoldenFormat(t, sf)
 	})
@@ -1308,9 +1309,9 @@ func TestDirectorGoldenFormat(t *testing.T) {
 	t.Run("coord", func(t *testing.T) {
 		sf := directorSurface(t, "coord")
 		sf.golden = [3]string{
-			"2526cd6845edaae6988cf23a74c7656ab333545cf7aae235e2b8f41b2695bc54",
+			"57380b228243c154543b137329a1a612949b567d5e0b30fa01fd22e1f6c35637",
 			"aba80eca5642174f7399513034143882e5c951b8a4135ff960d53f498559030a",
-			"de7d3d1794062bae905fe31091f22bf79bea249eda720bbf091c02b3a0381d68",
+			"7c841a3dbe312d330813c8dd751e6ac9d4de6faac6d783b75f94fa6eb75e7d68",
 		}
 		proveGoldenFormat(t, sf)
 	})

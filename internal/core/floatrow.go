@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"strconv"
+	"strings"
 )
 
 // FloatRow is a dense row of float64 values as the JSON formats carry it —
@@ -13,7 +14,7 @@ import (
 // snapshot, and the coordinate store's arrays there — with a JSON decoder
 // that parses the array itself instead of going through encoding/json's
 // reflection, which dominated the cost of loading a snapshot of dense rows.
-// Version-3 snapshots keep these arrays as binary float64 instead
+// Version-3 and later snapshots keep these arrays as binary float64 instead
 // (repair.FloatBlock), so FloatRow reads them only from older snapshots.
 //
 // It decodes exactly what encoding/json decodes into a fresh []float64,
@@ -274,4 +275,106 @@ func digits(b []byte, i int) int {
 		i++
 	}
 	return i
+}
+
+// Plain reports whether encoding/json writes s unescaped: no byte below
+// 0x20 or from 0x80 up (invalid UTF-8, U+2028), none of " \ < > &.
+func Plain[S string | []byte](s S) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || strings.IndexByte(`"\<>&`, c) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendString appends s as a JSON string: as is when plain, else as
+// encoding/json quotes it.
+func AppendString(b []byte, s string) []byte {
+	if Plain(s) {
+		return append(append(append(b, '"'), s...), '"')
+	}
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(b, q...)
+}
+
+// WireReader reads canonical JSON — members in a fixed order, no space
+// inside, nothing to escape — in one pass for the director's wire codec and
+// the journal's record reader: each step consumes what it expects from Rest
+// or clears OK, after which no step consumes anything.
+type WireReader struct {
+	Rest []byte
+	OK   bool
+}
+
+// Key consumes the literal s that comes before a value.
+func (r *WireReader) Key(s string) *WireReader {
+	if r.OK = r.OK && bytes.HasPrefix(r.Rest, []byte(s)); r.OK {
+		r.Rest = r.Rest[len(s):]
+	}
+	return r
+}
+
+// Str consumes a plain string.
+func (r *WireReader) Str() string {
+	end := bytes.IndexByte(r.Rest[min(1, len(r.Rest)):], '"') + 1
+	if r.OK = r.OK && end > 0 && r.Rest[0] == '"' && Plain(r.Rest[1:end]); !r.OK {
+		return ""
+	}
+	s := string(r.Rest[1:end])
+	r.Rest = r.Rest[end+1:]
+	return s
+}
+
+// number consumes a number that encoding/json's scanner accepts.
+func (r *WireReader) number() []byte {
+	i := 0
+	for i < len(r.Rest) && strings.IndexByte("+-.0123456789Ee", r.Rest[i]) >= 0 {
+		i++
+	}
+	text := r.Rest[:i]
+	if r.OK = r.OK && json.Valid(text); r.OK {
+		r.Rest = r.Rest[i:]
+	}
+	return text
+}
+
+// Float consumes a number as encoding/json decodes it into a float64; one
+// out of range, which encoding/json refuses, clears OK.
+func (r *WireReader) Float() float64 {
+	v, err := strconv.ParseFloat(string(r.number()), 64)
+	r.OK = r.OK && err == nil
+	return v
+}
+
+// Int consumes an integer short enough that no int overflows.
+func (r *WireReader) Int() (n int) {
+	text := r.number()
+	digits := bytes.TrimPrefix(text, []byte("-"))
+	r.OK = r.OK && len(digits) < strconv.IntSize*3/10 && !bytes.ContainsAny(digits, ".Ee")
+	for _, c := range digits {
+		n = 10*n + int(c-'0')
+	}
+	if len(digits) < len(text) {
+		return -n
+	}
+	return n
+}
+
+// Row consumes a row as FloatRow decodes it.
+func (r *WireReader) Row() []float64 {
+	if !r.OK {
+		return nil
+	}
+	s := rowScanner{b: r.Rest}
+	row, err := s.row(rowType)
+	if r.OK = err == nil; r.OK {
+		r.Rest = r.Rest[s.i:]
+	}
+	return row
+}
+
+// End consumes the closing s and reports whether only space follows.
+func (r *WireReader) End(s string) bool {
+	return r.Key(s).OK && len(bytes.TrimLeft(r.Rest, " \t\r\n")) == 0
 }

@@ -258,8 +258,8 @@ func TestProviderStateRefusesDenseKind(t *testing.T) {
 }
 
 // TestProviderStateRefusesInconsistentSharedRows: a shared-row state whose
-// refcounts, free list or dimensions disagree with its group table is
-// refused — accepted, a free list naming a live group let the next join
+// refcounts, free list or dimensions disagree with its group table, or
+// whose live row holds a negative or NaN delay, is refused — accepted, a free list naming a live group let the next join
 // overwrite a client's row, and a refcount above the member count let a
 // leave keep a dead row. The consistent control, with a freed slot, loads,
 // and a join reuses the free slot without touching the live row.
@@ -282,6 +282,8 @@ func TestProviderStateRefusesInconsistentSharedRows(t *testing.T) {
 		{"client in missing group", SharedRowState{Servers: 2, Group: []int32{3}, Rows: [][]float64{{1, 2}}, Refs: []int32{1}}, "client 0 in group 3"},
 		{"short live row", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1}}, Refs: []int32{1}}, "group 0 has 1 entries"},
 		{"rows and refcounts disagree", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, 2}}, Refs: []int32{1, 0}}, "1 rows and 2 refcounts"},
+		{"negative delay", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{1, -2}}, Refs: []int32{1}}, "negative or NaN"},
+		{"NaN delay", SharedRowState{Servers: 2, Group: []int32{0}, Rows: [][]float64{{math.NaN(), 2}}, Refs: []int32{1}}, "negative or NaN"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := tc.st

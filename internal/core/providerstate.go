@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // Provider kinds, the discriminator of ProviderState. These strings are
@@ -137,7 +139,8 @@ func NewProviderFromState(st *ProviderState) (DelayProvider, error) {
 // group table would let a later join overwrite a live row, or a leave keep
 // a dead one or free a live one. Every client names a group, every
 // refcount is its group's member count, every live row has one entry per
-// server, and the free list names each dead group exactly once.
+// server, none negative or NaN, and the free list names each dead group
+// exactly once.
 func (s *SharedRowState) check() error {
 	if s.Servers < 0 || len(s.Rows) != len(s.Refs) {
 		return fmt.Errorf("core: shared-row provider has %d servers, %d rows and %d refcounts", s.Servers, len(s.Rows), len(s.Refs))
@@ -158,6 +161,8 @@ func (s *SharedRowState) check() error {
 			dead++
 		case len(s.Rows[g]) != s.Servers:
 			return fmt.Errorf("core: shared-row provider group %d has %d entries, want %d", g, len(s.Rows[g]), s.Servers)
+		case slices.ContainsFunc(s.Rows[g], func(d float64) bool { return d < 0 || math.IsNaN(d) }):
+			return fmt.Errorf("core: shared-row provider group %d has a delay entry that is negative or NaN", g)
 		}
 	}
 	freed := make([]bool, len(s.Rows))

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+
+	"dvecap/internal/core"
 )
 
 // Client is the Go binding for the director's HTTP API.
@@ -43,8 +45,8 @@ func (c *Client) Join(id string, node, zone int) (ClientInfo, error) {
 
 // JoinRef registers a client.
 func (c *Client) JoinRef(id string, node int, zone Ref) (ClientInfo, error) {
-	b := appendString(append(make([]byte, 0, 64), `{"id":`...), id)
-	b = appendString(append(strconv.AppendInt(append(b, `,"node":`...), int64(node), 10), `,"zone":`...), zone.String())
+	b := core.AppendString(append(make([]byte, 0, 64), `{"id":`...), id)
+	b = core.AppendString(append(strconv.AppendInt(append(b, `,"node":`...), int64(node), 10), `,"zone":`...), zone.String())
 	return call[ClientInfo](c, http.MethodPost, "/v1/clients", append(b, '}'))
 }
 
@@ -59,7 +61,7 @@ func (c *Client) Move(id string, zone int) (ClientInfo, error) { return c.MoveRe
 
 // MoveRef relocates a client to another zone.
 func (c *Client) MoveRef(id string, zone Ref) (ClientInfo, error) {
-	b := appendString(append(make([]byte, 0, 32), `{"zone":`...), zone.String())
+	b := core.AppendString(append(make([]byte, 0, 32), `{"zone":`...), zone.String())
 	return call[ClientInfo](c, http.MethodPost, clientPath(id)+"/move", append(b, '}'))
 }
 

@@ -130,6 +130,7 @@ func recoverDirector(cfg Config) (*Director, error) {
 	if cfg.Delays == nil {
 		return nil, fmt.Errorf("director: nil delay matrix")
 	}
+	loadStart := time.Now()
 	snap, err := repair.LoadSnapshot(dir)
 	if err != nil {
 		return nil, err
@@ -172,7 +173,7 @@ func recoverDirector(cfg Config) (*Director, error) {
 		return nil, err
 	}
 	attrs := []any{"dir", dir, "snapshot_lsn", snap.LSN, "events_replayed", replayed,
-		"clients", m.Binding().Len(), "replay", time.Since(recStart)}
+		"clients", m.Binding().Len(), "snapshot_load", recStart.Sub(loadStart), "replay", time.Since(recStart)}
 	if why := snap.Skipped(); why != nil {
 		attrs = append(attrs, "skipped", why.Error())
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // Ref addresses a server or a zone: ID("s3") by its stable name, Index(3) by
@@ -34,7 +35,12 @@ func Index(i int) Ref { return Ref{idx: i, byIndex: true} }
 func (r Ref) set() bool { return r.byIndex || r.id != "" }
 
 // ParseRef reads the textual form: purely numeric is Index, the rest ID.
+// Only a string that starts with a digit or a sign can be numeric, so an
+// ID such as "z3" skips strconv.Atoi and the error it would allocate.
 func ParseRef(s string) Ref {
+	if s == "" || strings.IndexByte("+-0123456789", s[0]) < 0 {
+		return ID(s)
+	}
 	if i, err := strconv.Atoi(s); err == nil {
 		return Index(i)
 	}

@@ -665,7 +665,7 @@ func (d *Director) ClusterSpec() repair.ClusterJSON {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	b := d.m.Binding()
-	return repair.NewClusterJSON(d.problemLocked(), b.ServerNames(), b.ZoneNames(), b.DenseIDs(), true)
+	return repair.NewClusterJSON(d.problemLocked(), b.ServerNames(), b.ZoneNames(), b.DenseIDs())
 }
 
 // Snapshot lists all clients in the planner's dense order — a function of

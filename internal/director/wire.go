@@ -8,12 +8,10 @@ package director
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"dvecap/internal/core"
@@ -84,32 +82,11 @@ func replyClient(w http.ResponseWriter, status int, info ClientInfo, err error) 
 	_, _ = w.Write(b)
 }
 
-// plain reports whether encoding/json writes s unescaped: no byte below
-// 0x20 or from 0x80 up (invalid UTF-8, U+2028), none of " \ < > &.
-func plain[S string | []byte](s S) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || strings.IndexByte(`"\<>&`, c) >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// appendString appends s as a JSON string: as is when plain, else as
-// encoding/json quotes it.
-func appendString(b []byte, s string) []byte {
-	if plain(s) {
-		return append(append(append(b, '"'), s...), '"')
-	}
-	q, _ := json.Marshal(s) // a string always marshals
-	return append(b, q...)
-}
-
 // appendClientInfo appends in as json.NewEncoder(w).Encode(in) writes it,
 // newline included, and reports whether it could: a string that is not
 // plain, or a DelayMs that is not finite, is encoding/json's to write.
 func appendClientInfo(b []byte, in *ClientInfo) ([]byte, bool) {
-	if !plain(in.ID) || !plain(in.ZoneID) || !plain(in.ContactID) || !plain(in.TargetID) ||
+	if !core.Plain(in.ID) || !core.Plain(in.ZoneID) || !core.Plain(in.ContactID) || !core.Plain(in.TargetID) ||
 		math.IsInf(in.DelayMs, 0) || math.IsNaN(in.DelayMs) {
 		return b, false
 	}
@@ -133,64 +110,6 @@ func appendClientInfo(b []byte, in *ClientInfo) ([]byte, bool) {
 	return append(append(b, in.TargetID...), "\"}\n"...), true
 }
 
-// wireReader reads a canonical body: each step consumes what it expects
-// or clears ok, after which no step consumes anything.
-type wireReader struct {
-	b  []byte
-	ok bool
-}
-
-// key consumes the literal s that comes before a value.
-func (r *wireReader) key(s string) *wireReader {
-	if r.ok = r.ok && bytes.HasPrefix(r.b, []byte(s)); r.ok {
-		r.b = r.b[len(s):]
-	}
-	return r
-}
-
-// str consumes a plain string.
-func (r *wireReader) str() string {
-	end := bytes.IndexByte(r.b[min(1, len(r.b)):], '"') + 1
-	if r.ok = r.ok && end > 0 && r.b[0] == '"' && plain(r.b[1:end]); !r.ok {
-		return ""
-	}
-	s := string(r.b[1:end])
-	r.b = r.b[end+1:]
-	return s
-}
-
-// number consumes a number that encoding/json's scanner accepts.
-func (r *wireReader) number() []byte {
-	i := 0
-	for i < len(r.b) && strings.IndexByte("+-.0123456789Ee", r.b[i]) >= 0 {
-		i++
-	}
-	text := r.b[:i]
-	if r.ok = r.ok && json.Valid(text); r.ok {
-		r.b = r.b[i:]
-	}
-	return text
-}
-
-// int consumes an integer short enough that no int overflows.
-func (r *wireReader) int() (n int) {
-	text := r.number()
-	digits := bytes.TrimPrefix(text, []byte("-"))
-	r.ok = r.ok && len(digits) < strconv.IntSize*3/10 && !bytes.ContainsAny(digits, ".Ee")
-	for _, c := range digits {
-		n = 10*n + int(c-'0')
-	}
-	if len(digits) < len(text) {
-		return -n
-	}
-	return n
-}
-
-// end consumes the closing s and reports whether only space follows.
-func (r *wireReader) end(s string) bool {
-	return r.key(s).ok && len(bytes.TrimLeft(r.b, " \t\r\n")) == 0
-}
-
 // The client resource's request bodies: the handlers' unnamed struct types,
 // so the strict decoder reads them and words its errors (".zone") as before.
 type (
@@ -209,11 +128,11 @@ type (
 
 // readJoin reads {"id":"…","node":N,"zone":"…"}.
 func readJoin(b []byte, req *joinRequest) bool {
-	r := wireReader{b, true}
-	id := r.key(`{"id":`).str()
-	node := r.key(`,"node":`).int()
-	zone := r.key(`,"zone":`).str()
-	if !r.end("}") {
+	r := core.WireReader{Rest: b, OK: true}
+	id := r.Key(`{"id":`).Str()
+	node := r.Key(`,"node":`).Int()
+	zone := r.Key(`,"zone":`).Str()
+	if !r.End("}") {
 		return false
 	}
 	*req = joinRequest{ID: id, Node: &node, Zone: ParseRef(zone)}
@@ -222,22 +141,21 @@ func readJoin(b []byte, req *joinRequest) bool {
 
 // readMove reads {"zone":"…"}.
 func readMove(b []byte, req *moveRequest) bool {
-	r := wireReader{b, true}
-	zone := r.key(`{"zone":`).str()
-	if !r.end("}") {
+	r := core.WireReader{Rest: b, OK: true}
+	zone := r.Key(`{"zone":`).Str()
+	if !r.End("}") {
 		return false
 	}
 	req.Zone = ParseRef(zone)
 	return true
 }
 
-// readDelays reads {"rtts_ms":[…]}, the row up to the last '}' taken whole
-// by core.FloatRow, which decodes a row as encoding/json decodes a []float64.
+// readDelays reads {"rtts_ms":[…]}, the row as core.FloatRow decodes it,
+// which is as encoding/json decodes a []float64.
 func readDelays(b []byte, req *delaysRequest) bool {
-	r := wireReader{b, true}
-	k := bytes.LastIndexByte(r.key(`{"rtts_ms":`).b, '}')
-	var row core.FloatRow
-	if !r.ok || k < 0 || len(bytes.TrimLeft(r.b[k+1:], " \t\r\n")) > 0 || row.UnmarshalJSON(r.b[:k]) != nil {
+	r := core.WireReader{Rest: b, OK: true}
+	row := r.Key(`{"rtts_ms":`).Row()
+	if !r.End("}") {
 		return false
 	}
 	req.RTTsMs = row
@@ -247,23 +165,20 @@ func readDelays(b []byte, req *delaysRequest) bool {
 // readClientInfo reads what appendClientInfo writes.
 func readClientInfo(b []byte, out *ClientInfo) bool {
 	var in ClientInfo
-	r := wireReader{b, true}
-	in.ID = r.key(`{"id":`).str()
-	in.Node = r.key(`,"node":`).int()
-	in.Zone = r.key(`,"zone":`).int()
-	in.Contact = r.key(`,"contact":`).int()
-	in.Target = r.key(`,"target":`).int()
-	delay := r.key(`,"delay_ms":`).number()
-	in.QoS = bytes.HasPrefix(r.key(`,"qos":`).b, []byte("true"))
-	r.key(strconv.FormatBool(in.QoS))
-	in.ZoneID = r.key(`,"zone_id":`).str()
-	in.ContactID = r.key(`,"contact_id":`).str()
-	in.TargetID = r.key(`,"target_id":`).str()
-	var err error
-	if !r.end("}") {
+	r := core.WireReader{Rest: b, OK: true}
+	in.ID = r.Key(`{"id":`).Str()
+	in.Node = r.Key(`,"node":`).Int()
+	in.Zone = r.Key(`,"zone":`).Int()
+	in.Contact = r.Key(`,"contact":`).Int()
+	in.Target = r.Key(`,"target":`).Int()
+	in.DelayMs = r.Key(`,"delay_ms":`).Float() // out of range: encoding/json refuses it too
+	in.QoS = bytes.HasPrefix(r.Key(`,"qos":`).Rest, []byte("true"))
+	r.Key(strconv.FormatBool(in.QoS))
+	in.ZoneID = r.Key(`,"zone_id":`).Str()
+	in.ContactID = r.Key(`,"contact_id":`).Str()
+	in.TargetID = r.Key(`,"target_id":`).Str()
+	if !r.End("}") {
 		return false
-	} else if in.DelayMs, err = strconv.ParseFloat(string(delay), 64); err != nil {
-		return false // out of range: encoding/json refuses it too
 	}
 	*out = in
 	return true

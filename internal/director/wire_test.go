@@ -234,7 +234,7 @@ func TestMoveRoundTripAllocs(t *testing.T) {
 	for range 8 {
 		move()
 	}
-	const pin = 27
+	const pin = 25
 	if n := testing.AllocsPerRun(200, move); n > pin {
 		t.Errorf("a move round trip allocates %v objects, want at most %d", n, pin)
 	}

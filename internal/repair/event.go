@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strconv"
 	"strings"
 
 	"dvecap/internal/core"
@@ -249,4 +250,65 @@ func (d *EventDecoder) Decode(payload []byte) (*Event, error) {
 		return nil, fmt.Errorf("repair: decode event: %w", err)
 	}
 	return &e, nil
+}
+
+// fieldKeys are the members of the fields after Op as Encode writes them,
+// fieldNames' order: `,"id":` and so on.
+var fieldKeys = func() (keys []string) {
+	for _, name := range fieldNames {
+		keys = append(keys, `,"`+name+`":`)
+	}
+	return keys
+}()
+
+// readEvent reads, in one pass, a record of the ops a replay meets most as
+// Encode writes it — join, leave, move, delay_row, resolve and epoch, their
+// refresh lists included — and reports whether it could, yielding what
+// EventDecoder yields. Any other record (another op, a member out of
+// order, a string to unescape, space, what the decoder refuses) it leaves
+// to EventDecoder, the one authority on what a record means.
+func readEvent(payload []byte) (*Event, bool) {
+	r := core.WireReader{Rest: payload, OK: true}
+	e := &Event{Op: EventOp(r.Key(`{"op":`).Str())}
+	switch e.Op {
+	case OpJoin, OpLeave, OpMove, OpDelayRow, OpResolve, OpEpoch:
+	default:
+		return nil, false
+	}
+	set := opFields[e.Op]
+	for i, key := range fieldKeys {
+		if set&(1<<i) == 0 || !r.OK || !bytes.HasPrefix(r.Rest, []byte(key)) {
+			continue
+		}
+		switch r.Key(key); fieldNames[i] {
+		case "id":
+			e.ID = r.Str()
+		case "zone":
+			e.Zone = r.Str()
+		case "rt":
+			e.RT = r.Float()
+		case "row":
+			e.Row = r.Row()
+		case "refresh":
+			for sep := "["; r.OK && sep != "]"; {
+				zone := r.Key(sep).Key(`{"zone":`).Str()
+				e.Refresh = append(e.Refresh, ZoneRT{zone, r.Key(`,"rt":`).Float()})
+				if sep = ","; bytes.HasPrefix(r.Key("}").Rest, []byte("]")) {
+					sep = "]"
+					r.Key(sep)
+				}
+			}
+		case "node":
+			e.Node = r.Int()
+		case "auto":
+			e.Auto = bytes.HasPrefix(r.Rest, []byte("true"))
+			r.Key(strconv.FormatBool(e.Auto))
+		case "full_solves":
+			e.FullSolves = r.Int()
+		}
+	}
+	if !r.Key("}").OK || len(r.Rest) > 0 {
+		return nil, false
+	}
+	return e, true
 }

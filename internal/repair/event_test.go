@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"dvecap/internal/wal"
+	"dvecap/internal/xrand"
 )
 
 // TestSchemaBitsFollowTheStruct: bit i of the schema is Event's field after
@@ -176,6 +178,88 @@ func FuzzDecodeEvent(f *testing.F) {
 	})
 }
 
+// journalSeeds returns every record of the shipped journals (the data
+// directories under testdata/ and the director's legacy one) and of a
+// tail shaped like replayFixture's: joins with dense rows, leaves, moves,
+// delay rows, a resolve and an epoch marker.
+func journalSeeds(tb testing.TB) (payloads [][]byte) {
+	dirs, err := filepath.Glob("../../testdata/*/*/data")
+	if err != nil || len(dirs) == 0 {
+		tb.Fatalf("no shipped journals (%v)", err)
+	}
+	for _, dir := range append(dirs, "../director/testdata/legacy/data") {
+		if _, err := wal.Replay(dir, 0, func(_ uint64, p []byte) error {
+			payloads = append(payloads, append([]byte(nil), p...))
+			return nil
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	rng := xrand.New(41)
+	for x := 0; x < 40; x++ {
+		id, zone := fmt.Sprintf("n%04d", x), fmt.Sprintf("z%d", rng.IntN(6))
+		for _, e := range []*Event{
+			{Op: OpJoin, ID: id, Zone: zone, RT: rng.Uniform(0.1, 0.5), Row: randRow(rng, 5)},
+			{Op: OpMove, ID: id, Zone: zone, Refresh: []ZoneRT{{Zone: zone, RT: rng.Uniform(0.1, 0.5)}}},
+			{Op: OpDelayRow, ID: id, Row: randRow(rng, 5)},
+			{Op: OpLeave, ID: id},
+		} {
+			payload, err := e.Encode()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			payloads = append(payloads, payload)
+		}
+	}
+	return append(payloads, []byte(`{"op":"resolve"}`), []byte(`{"op":"epoch","full_solves":3}`))
+}
+
+// TestReadEventTakesCanonicalRecords: every seed record of an op readEvent
+// reads that is canonical (Encode writes it back byte for byte) is taken,
+// as EventDecoder decodes it — the replay's one-pass path is the one used.
+func TestReadEventTakesCanonicalRecords(t *testing.T) {
+	taken := 0
+	for _, payload := range journalSeeds(t) {
+		want, err := DecodeEvent(payload)
+		if err != nil {
+			continue
+		}
+		raw, _ := want.Encode()
+		switch want.Op {
+		case OpJoin, OpLeave, OpMove, OpDelayRow, OpResolve, OpEpoch:
+			if !bytes.Equal(raw, payload) {
+				continue
+			}
+			got, ok := readEvent(payload)
+			if !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: the one-pass reader gives %+v, %t; the decoder %+v", payload, got, ok, want)
+			}
+			taken++
+		}
+	}
+	if taken < 200 {
+		t.Fatalf("the one-pass reader took %d seed records", taken)
+	}
+}
+
+// FuzzReadEvent: on arbitrary bytes the one-pass reader declines, or yields
+// exactly the Event EventDecoder yields; it takes nothing the decoder
+// refuses. Seeded from journalSeeds.
+func FuzzReadEvent(f *testing.F) {
+	for _, payload := range journalSeeds(f) {
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, ok := readEvent(payload)
+		if !ok {
+			return
+		}
+		if want, err := DecodeEvent(payload); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: the one-pass reader gives %+v; the decoder %+v, %v", payload, got, want, err)
+		}
+	})
+}
+
 // canonical is e as its encoding carries it: an empty slice or map is
 // omitted, so it decodes back as nil.
 func canonical(e *Event) *Event {
@@ -213,4 +297,37 @@ func BenchmarkEventDecoder(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkReadEvent reads the records BenchmarkEventDecoder decodes as a
+// replay does: in one pass, or through an EventDecoder when readEvent
+// declines; allocs/op is per record, declined/op the share declined.
+func BenchmarkReadEvent(b *testing.B) {
+	dirs, err := filepath.Glob("../../testdata/shared-model/*/data")
+	if err != nil || len(dirs) == 0 {
+		b.Fatalf("no shipped journals (%v)", err)
+	}
+	var payloads [][]byte
+	for _, dir := range dirs {
+		if _, err := wal.Replay(dir, 0, func(_ uint64, p []byte) error {
+			payloads = append(payloads, append([]byte(nil), p...))
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var dec EventDecoder
+	declined := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := payloads[i%len(payloads)]
+		if _, ok := readEvent(p); !ok {
+			declined++
+			if _, err := dec.Decode(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(declined)/float64(b.N), "declined/op")
 }

@@ -18,12 +18,10 @@ package repair
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"time"
 
 	"dvecap/internal/core"
@@ -127,12 +125,12 @@ func LoadSnapshot(dir string) (*Snapshot, error) {
 }
 
 // decodeSnapshot parses one snapshot file. Versions 1–2 are one JSON
-// document. A version-3 file is a document line and the float block it
-// frames (Snapshot.encode); the block must fill the rest of the file, pass
-// its CRC and hold exactly the values the document gives its arrays, which
-// the document must not carry itself. Its arrays are decoded into one
-// buffer and sliced into the places versions 1–2 carry them — the stores
-// copy what they keep, so the rows may share it.
+// document. A version-3–4 file is a document line and the block it frames
+// (Snapshot.encode); the block must fill the rest of the file, pass its CRC
+// and hold exactly the columns the document gives it (eachBlockArray, or
+// version 3's float arrays, v3Arrays), which the document must not carry
+// itself. Older versions' client objects then move into version 4's
+// columns (fromClients).
 func decodeSnapshot(raw []byte) (*Snapshot, error) {
 	doc, _, _ := bytes.Cut(raw, []byte{'\n'})
 	snap := new(Snapshot)
@@ -146,43 +144,56 @@ func decodeSnapshot(raw []byte) (*Snapshot, error) {
 	case snap.Version < 3 && (b != nil || len(bytes.TrimSpace(raw[len(doc):])) > 0):
 		return nil, fmt.Errorf("version-%d document followed by a float block", snap.Version)
 	case snap.Version < 3:
-		return snap, nil
+		return snap, snap.fromClients()
 	case b == nil:
 		return nil, fmt.Errorf("names no float block")
-	case b.Offset != len(doc)+1 || b.Length != len(raw)-b.Offset:
+	case b.Offset != len(doc)+1 || b.Length < 0 || b.Length != len(raw)-b.Offset:
 		return nil, fmt.Errorf("float block [%d,+%d) is not the %d bytes after the document", b.Offset, b.Length, len(raw)-len(doc)-1)
-	case b.Length < 0 || b.Length%8 != 0 || b.Count != b.Length/8:
+	case snap.Version == 3 && (b.Length%8 != 0 || b.Count != b.Length/8):
 		return nil, fmt.Errorf("float block of %d bytes holds %d values", b.Length, b.Count)
 	case crc32.Checksum(raw[b.Offset:], castagnoli) != b.CRC32C:
 		return nil, fmt.Errorf("float block fails its CRC32-C")
+	case snap.Version == 4 && len(snap.Cluster.Clients) > 0:
+		return nil, fmt.Errorf("version-4 document carries client objects itself")
+	case snap.Version == 4 && (snap.Planner == nil || snap.Planner.Eval == nil || snap.Provider == nil):
+		return nil, fmt.Errorf("version-4 document misses the planner state or the delay store")
 	}
-	// need turns -1 once the lengths the document gives overflow.
-	inline, need := false, 0
-	if pv := snap.Provider; pv != nil && pv.Coord != nil {
-		c := pv.Coord
-		inline = len(c.Cli) > 0 || len(c.OvVal) > 0
-		c.OvVal = make(core.FloatRows, len(c.OvSrv))
+	c := blockCodec{mode: reading, b: raw[b.Offset:]}
+	if snap.Version == 3 {
+		snap.v3Arrays(&c)
+	} else {
+		snap.eachBlockArray(&c, b.Count)
 	}
-	snap.eachBlockArray(func(a *[]float64, n int) {
-		inline = inline || len(*a) > 0
-		if need >= 0 && n >= 0 && n <= math.MaxInt-need {
-			need += n
-		} else {
-			need = -1
-		}
-	})
 	switch {
-	case inline:
-		return nil, fmt.Errorf("version-3 document carries a dense float array itself")
-	case need != b.Count:
-		return nil, fmt.Errorf("float block holds %d values, the document's arrays need %d", b.Count, need)
+	case c.err != nil:
+		return nil, c.err
+	case len(c.b) > 0:
+		return nil, fmt.Errorf("block holds %d bytes past its columns", len(c.b))
+	case snap.Version == 3:
+		return snap, snap.fromClients()
 	}
-	flat := make([]float64, b.Count)
-	for i := range flat {
-		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[b.Offset+8*i:]))
-	}
-	snap.eachBlockArray(func(a *[]float64, n int) { *a, flat = flat[:n:n], flat[n:] })
 	return snap, nil
+}
+
+// v3Arrays visits the float arrays a version-3 block holds, back to back:
+// each client's delay row (one entry per server) when the snapshot carries
+// no provider state, else the coordinate store's client coordinates (Dim
+// per client) and each client's override values (one per override server).
+func (snap *Snapshot) v3Arrays(c *blockCodec) {
+	if pv := snap.Provider; pv == nil {
+		for j := range snap.Cluster.Clients {
+			column(c, (*[]float64)(&snap.Cluster.Clients[j].RTTRowMs), len(snap.Cluster.Servers))
+		}
+	} else if co := pv.Coord; co != nil {
+		column(c, (*[]float64)(&co.Cli), co.Dim*len(co.OvSrv))
+		if co.OvVal != nil {
+			c.err = errInline
+		}
+		co.OvVal = make(core.FloatRows, len(co.OvSrv))
+		for j := range co.OvVal {
+			column(c, &co.OvVal[j], len(co.OvSrv[j]))
+		}
+	}
 }
 
 // replayQueue bounds the decoded events in flight between Recover's log
@@ -209,10 +220,11 @@ var errReplayStopped = errors.New("journal: replay stopped")
 // replay cost.
 //
 // The log is read, checked and decoded on a second goroutine while this one
-// applies, in LSN order; nothing a caller can see differs from a sequential
-// replay — the events applied before an error, the error and the LSN it
-// names. Both ends only read the data directory: replay appends nothing,
-// and the log is opened for writing once the reader has exited.
+// applies, in LSN order — each record in one pass (readEvent) or, when that
+// declines, by one EventDecoder; nothing a caller can see differs from a
+// sequential replay — the events applied before an error, the error and the
+// LSN it names. Both ends only read the data directory: replay appends
+// nothing, and the log is opened for writing once the reader has exited.
 func (m *Machine) Recover(cfg JournalConfig, lsn uint64) (int, error) {
 	m.attach(cfg)
 	m.base = lsn
@@ -259,9 +271,12 @@ func (m *Machine) replayLog() (replayed int, err error) {
 			if err := m.crash("replay:record"); err != nil {
 				return err
 			}
-			e, err := dec.Decode(payload)
-			if err != nil {
-				return fmt.Errorf("journal: LSN %d: %w", lsn, err)
+			e, ok := readEvent(payload)
+			if !ok {
+				var err error
+				if e, err = dec.Decode(payload); err != nil {
+					return fmt.Errorf("journal: LSN %d: %w", lsn, err)
+				}
 			}
 			select {
 			case events <- e:

@@ -2,13 +2,13 @@ package repair
 
 import (
 	"bytes"
-	"encoding/binary"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -206,9 +206,10 @@ func TestFallbackGenerationKeepsItsTail(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotRefusesDamagedBlocks: a version-3 candidate whose float
-// block is damaged, misframed or at odds with its document is skipped for
-// the generation before it, and refused alone, naming why.
+// TestLoadSnapshotRefusesDamagedBlocks: a version-4 candidate whose block
+// is damaged, misframed or at odds with its document, or a committed
+// version-3 one whose float block is, is skipped for the generation before
+// it, and refused alone, naming why.
 func TestLoadSnapshotRefusesDamagedBlocks(t *testing.T) {
 	m := testMachine(t, false)
 	render := func(lsn uint64) []byte {
@@ -219,44 +220,28 @@ func TestLoadSnapshotRefusesDamagedBlocks(t *testing.T) {
 		return raw
 	}
 	good := render(9)
+	head, block, _ := bytes.Cut(good, []byte{'\n'})
+	at := bytes.LastIndex(head, []byte(`,"block":`))
+	document := append(bytes.Clone(head[:at]), '}')
 	snap, err := decodeSnapshot(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, servers := snap.Cluster.Clients, len(snap.Cluster.Servers)
-	// document renders snap's document with the clients' rows kept in it
-	// (inline) or not, and no block member.
-	document := func(inline bool) []byte {
-		doc := *snap
-		doc.Block = nil
-		doc.Cluster.Clients = slices.Clone(rows)
-		if !inline {
-			for j := range doc.Cluster.Clients {
-				doc.Cluster.Clients[j].RTTRowMs = nil
-			}
-		}
-		raw, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+	// reframe frames doc around block, naming count clients.
+	reframe := func(doc, block []byte, count int) []byte {
+		return frameBlock(doc, len(block), count, func(b []byte) { copy(b, block) })
 	}
-	// reframe frames document(inline) around a block of the first n
-	// clients' rows.
-	reframe := func(inline bool, n int) []byte {
-		var block []byte
-		for _, c := range rows[:n] {
-			for _, v := range c.RTTRowMs {
-				block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
-			}
-		}
-		return frameBlock(document(inline), len(block), func(b []byte) { copy(b, block) })
-	}
-	if !bytes.Equal(reframe(false, len(rows)), good) {
+	k := len(snap.ids)
+	if !bytes.Equal(reframe(document, block, k), good) {
 		t.Fatal("reframing the rendered snapshot changed its bytes")
 	}
-	doc, _, _ := bytes.Cut(good, []byte{'\n'})
-	off := fmt.Sprintf(`"offset":%d`, len(doc)+1)
+	off := fmt.Sprintf(`"offset":%d`, len(head)+1)
+	v3, err := os.ReadFile("../../testdata/v3-snapshots/session-dense/data/snap-0000000000000061.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3head, _, _ := bytes.Cut(v3, []byte{'\n'})
+	v3count := regexp.MustCompile(`"count":\d+`).Find(v3head)
 	for _, tc := range []struct {
 		name, why string
 		raw       []byte
@@ -268,9 +253,32 @@ func TestLoadSnapshotRefusesDamagedBlocks(t *testing.T) {
 		}()},
 		{"truncated block", "is not the", good[:len(good)-8]},
 		{"offset past end of file", "is not the", bytes.Replace(good, []byte(off), []byte(fmt.Sprintf(`"offset":%d`, 2*len(good))), 1)},
-		{"one row short", fmt.Sprintf("holds %d values, the document's arrays need %d", (len(rows)-1)*servers, len(rows)*servers), reframe(false, len(rows)-1)},
-		{"rows in the document too", "carries a dense float array itself", reframe(true, len(rows))},
-		{"no block", "names no float block", document(false)},
+		{"block one value short", "block ends before its columns", reframe(document, block[:len(block)-8], k)},
+		{"bytes past the columns", "block holds 4 bytes past its columns", reframe(document, append(bytes.Clone(block), 0, 0, 0, 0), k)},
+		{"a column in the document too", "carries a block column itself",
+			reframe(bytes.Replace(document, []byte(`"client_contact":null`), []byte(`"client_contact":[]`), 1), block, k)},
+		{"client objects in the document", "carries client objects itself",
+			reframe(bytes.Replace(document, []byte(`"clients":[]`), []byte(`"clients":[{"id":"x"}]`), 1), block, k)},
+		{"no block", "names no float block", document},
+		{"no newline, a block of -1 bytes", "is not the", func() []byte {
+			for off := 0; ; {
+				raw := fmt.Appendf(bytes.Clone(document[:len(document)-1]), `,"block":{"offset":%d,"length":-1,"count":%d,"crc32c":0}}`, off, k)
+				if off == len(raw)+1 {
+					return raw
+				}
+				off = len(raw) + 1
+			}
+		}()},
+		{"version 3, flipped block bit", "fails its CRC32-C", func() []byte {
+			raw := bytes.Clone(v3)
+			raw[len(raw)-3] ^= 4
+			return raw
+		}()},
+		{"version 3, miscounted", "holds", func() []byte {
+			miscount := bytes.Clone(v3count) // as long, so the offset stays true
+			miscount[len(miscount)-1] ^= 1
+			return bytes.Replace(v3, v3count, miscount, 1)
+		}()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -294,10 +302,10 @@ func TestLoadSnapshotRefusesDamagedBlocks(t *testing.T) {
 
 // FuzzSnapshotDecode: LoadSnapshot never panics on a candidate file, and
 // what it accepts re-renders (Snapshot.encode) to a snapshot that decodes
-// to the same content: rendering that one again gives the same bytes. A
-// version-1–2 snapshot whose arrays disagree with its document may refuse
-// to render; a version-3 one cannot. The seeds are every committed
-// snapshot, each also re-rendered as version 3, and rendered test machines.
+// to the same content: rendering that one again gives the same bytes. An
+// accepted snapshot of this build's version always renders. The seeds are
+// every committed snapshot (versions 2 and 3, session and director, dense
+// and coordinate stores), each also re-rendered as version 4.
 func FuzzSnapshotDecode(f *testing.F) {
 	paths, err := filepath.Glob("../../testdata/*/*/data/snap-*.json")
 	if err != nil || len(paths) == 0 {
@@ -312,12 +320,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		v3, err := snap.encode()
+		v4, err := snap.encode()
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(snap.LSN, raw)
-		f.Add(snap.LSN, v3)
+		f.Add(snap.LSN, v4)
 	}
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, lsn uint64, raw []byte) {
@@ -335,7 +343,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		again, err := snap.encode()
 		if err != nil {
 			if snap.Version == SnapshotVersion {
-				t.Fatalf("accepted version-3 snapshot does not render: %v", err)
+				t.Fatalf("accepted version-%d snapshot does not render: %v", snap.Version, err)
 			}
 			return
 		}
@@ -347,4 +355,77 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("accepted snapshot decodes differently once re-rendered (%v)", err)
 		}
 	})
+}
+
+// TestRecoveredExactStoreMatchesUninterrupted: a version-4 snapshot stores
+// the exact store's own state (group ids, refcounts, free list), so a
+// machine recovered from a checkpoint and its log tail holds the store the
+// uninterrupted machine holds — the same State() bytes — not one regrouped
+// from per-client rows. Rows come from a small pool, so clients share
+// groups, detach from them and free them on both sides of the checkpoint.
+func TestRecoveredExactStoreMatchesUninterrupted(t *testing.T) {
+	dir := t.TempDir()
+	rng := xrand.New(47)
+	m := testMachine(t, false)
+	if err := m.MakeDurable(JournalConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	pl := m.b.pl
+	pool := make([][]float64, 4)
+	for x := range pool {
+		pool[x] = randRow(rng, pl.NumServers())
+	}
+	live := slices.Clone(m.b.DenseIDs())
+	churn := func(events int) {
+		for x := 0; x < events; x++ {
+			var e *Event
+			switch r := rng.IntN(4); {
+			case r == 0 || len(live) < 4:
+				id := fmt.Sprintf("j%04d", rng.IntN(10000))
+				if slices.Contains(live, id) {
+					continue
+				}
+				e = &Event{Op: OpJoin, ID: id, Zone: fmt.Sprintf("z%d", rng.IntN(pl.NumZones())), RT: 0.1, Row: pool[rng.IntN(len(pool))]}
+				live = append(live, id)
+			case r == 1:
+				at := rng.IntN(len(live))
+				e = &Event{Op: OpLeave, ID: live[at]}
+				live = slices.Delete(live, at, at+1)
+			default:
+				e = &Event{Op: OpDelayRow, ID: live[rng.IntN(len(live))], Row: pool[rng.IntN(len(pool))]}
+			}
+			if err := m.Commit(e, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	state := func(m *Machine) string {
+		raw, err := json.Marshal(m.b.pl.prob.Delays.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(raw))
+	}
+	churn(150)
+	if _, err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	churn(150)
+	snap, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreMachine(snap, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Recover(JournalConfig{Dir: dir}, snap.LSN); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := state(r), state(m); got != want {
+		t.Fatalf("recovered exact store's State digest %s, uninterrupted %s", got, want)
+	}
+	if st := m.b.pl.prob.Delays.State().Shared; len(st.Free) == 0 || len(st.Refs) >= len(st.Group) {
+		t.Fatalf("the stream left %d free groups and %d groups for %d clients: no sharing or freeing to restore", len(st.Free), len(st.Refs), len(st.Group))
+	}
 }

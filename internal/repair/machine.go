@@ -502,8 +502,11 @@ func (b *IDBinding) checkClientRTTs(server string, rtts map[string]float64) erro
 // version. Version 2 added the delay-provider state (version-1 snapshots are
 // always dense and carry per-client rows instead). Version 3 moved the dense
 // float arrays out of the JSON document into one binary block after it
-// (FloatBlock); versions 1–2 carry them as JSON numbers.
-const SnapshotVersion = 3
+// (FloatBlock); versions 1–2 carry them as JSON numbers. Version 4 moved
+// every per-client column into that block too, and stores the exact store
+// as its own state, each distinct row once, so the document is
+// O(servers + zones).
+const SnapshotVersion = 4
 
 // Snapshot is one durable checkpoint of a Machine: the full cluster spec (the
 // normalized WriteClusterJSON form), the planner sidecar (assignment,
@@ -512,10 +515,11 @@ const SnapshotVersion = 3
 // here; knobs that only affect throughput (worker count) or durability
 // housekeeping (checkpoint cadence) stay with the caller.
 //
-// On disk a version-3 snapshot is its compact JSON document, a newline and
-// the float block the document frames (encode, decodeSnapshot); loaded, the
-// block's arrays sit where versions 1–2 carry them, so every version reads
-// the same from here on.
+// On disk a version-4 snapshot is its compact JSON document, a newline and
+// the block the document frames (encode, decodeSnapshot); loaded, the
+// block's columns sit in the structs the document names, and an older
+// version's client objects and rows are moved into the same places
+// (fromClients), so every version reads the same from here on.
 type Snapshot struct {
 	Version         int         `json:"version"`
 	LSN             uint64      `json:"lsn"`
@@ -525,18 +529,24 @@ type Snapshot struct {
 	DriftUtilSpread float64     `json:"drift_util_spread,omitempty"`
 	Cluster         ClusterJSON `json:"cluster"`
 	Planner         *State      `json:"planner"`
-	// Provider is the delay-provider state of a machine over the coordinate
-	// delay model (snapshot version >= 2; older builds also wrote the exact
-	// store's state here, kind "shared"). When set, the cluster's clients
-	// carry no rtt_row_ms — the provider state IS the delay store, and
-	// recovery reconstructs it bit-identically.
+	// Provider is the delay store's state (snapshot version >= 2; versions
+	// 2–3 wrote it for the coordinate store only, and the exact store's
+	// state, kind "shared", only under the former "shared" model). When
+	// set, the cluster's clients carry no rtt_row_ms — the provider state IS
+	// the delay store, and recovery reconstructs it bit-identically.
 	Provider *core.ProviderState `json:"provider,omitempty"`
 	// Director is the director front end's typed extra; absent from session
 	// snapshots, whose bytes are unchanged by it.
 	Director *DirectorState `json:"director,omitempty"`
-	// Block frames a version-3 snapshot's float block. It is the last
-	// member, so encode can append it to the rest of the document.
+	// Block frames a version-3–4 snapshot's block. It is the last member,
+	// so encode can append it to the rest of the document.
 	Block *FloatBlock `json:"block,omitempty"`
+
+	// ids, zones and bw are the population's columns in dense order:
+	// client IDs, zone indices and bandwidths.
+	ids   []string
+	zones []int
+	bw    []float64
 
 	// loadTime is what LoadSnapshot spent reading and decoding it; skipped
 	// is why it skipped the newer generations, nil when there were none.
@@ -590,15 +600,14 @@ type ClientJSON struct {
 
 // NewClusterJSON renders a problem as a cluster spec under the given names:
 // serverIDs and zoneIDs in dense order, clientIDs[j] the client at dense
-// index j — the one writer behind WriteClusterJSON and every snapshot. With
-// rows set each client carries its dense delay row (Problem.DenseRows);
-// otherwise none does. The interaction graph's
-// edges come out in canonical order and absent when there are none, so
-// pre-traffic specs and snapshots are byte-identical to what earlier builds
-// wrote.
-func NewClusterJSON(p *core.Problem, serverIDs, zoneIDs, clientIDs []string, rows bool) ClusterJSON {
+// index j with its dense delay row (Problem.DenseRows) — the one writer
+// behind WriteClusterJSON, GET /v1/problem and, with no client objects,
+// every snapshot document. The interaction graph's edges come out in
+// canonical order and absent when there are none, so pre-traffic specs and
+// snapshots are byte-identical to what earlier builds wrote.
+func NewClusterJSON(p *core.Problem, serverIDs, zoneIDs, clientIDs []string) ClusterJSON {
 	var cs [][]float64
-	if rows {
+	if len(clientIDs) > 0 {
 		cs = p.DenseRows()
 	}
 	cj := ClusterJSON{
@@ -613,10 +622,7 @@ func NewClusterJSON(p *core.Problem, serverIDs, zoneIDs, clientIDs []string, row
 		cj.Servers[i] = ServerJSON{ID: id, CapacityMbps: p.ServerCaps[i]}
 	}
 	for j, id := range clientIDs {
-		cj.Clients[j] = ClientJSON{ID: id, Zone: zoneIDs[p.ClientZones[j]], BandwidthMbps: p.ClientRT[j]}
-		if rows {
-			cj.Clients[j].RTTRowMs = cs[j]
-		}
+		cj.Clients[j] = ClientJSON{ID: id, Zone: zoneIDs[p.ClientZones[j]], BandwidthMbps: p.ClientRT[j], RTTRowMs: cs[j]}
 	}
 	if g := p.Adjacency; g != nil {
 		for _, e := range g.Edges() {
@@ -648,16 +654,11 @@ func (m *Machine) Render(lsn uint64) ([]byte, error) {
 	b, pl := m.b, m.b.pl
 	p := pl.prob
 	// Dense client order IS the planner's problem order; the snapshot's
-	// client list follows it, so recovery names the same clients the same.
+	// columns follow it, so recovery names the same clients the same. Its
+	// client columns are the machine's own: encode only reads them.
 	ids := b.clients.ids
-	prov := snapshotProvider(p)
-	cj := NewClusterJSON(p, b.servers.ids, b.zones.ids, ids, false)
-	if prov == nil {
-		// The exact store's own rows, read-only: encode copies them once.
-		for j := range cj.Clients {
-			cj.Clients[j].RTTRowMs = p.CSRow(j, nil)
-		}
-	}
+	prov := p.Delays.State()
+	cj := NewClusterJSON(p, b.servers.ids, b.zones.ids, nil)
 	st, err := pl.ExportState()
 	if err != nil {
 		return nil, err
@@ -681,13 +682,17 @@ func (m *Machine) Render(lsn uint64) ([]byte, error) {
 		Planner:         st,
 		Provider:        prov,
 		Director:        dir,
+		ids:             ids,
+		zones:           p.ClientZones,
+		bw:              p.ClientRT,
 	}.encode()
 }
 
-// FloatBlock frames the float block of a version-3 snapshot file: Count
-// little-endian float64 values, Length = 8·Count bytes from file offset
-// Offset — just past the document's newline — to the end of the file, and
-// their CRC32-C.
+// FloatBlock frames the block of a version-3–4 snapshot file: Length bytes
+// from file offset Offset — just past the document's newline — to the end
+// of the file, and their CRC32-C. Count is the number of little-endian
+// float64 values a version-3 block holds, and the number of clients whose
+// columns a version-4 block holds (eachBlockArray).
 type FloatBlock struct {
 	Offset int    `json:"offset"`
 	Length int    `json:"length"`
@@ -698,76 +703,207 @@ type FloatBlock struct {
 // castagnoli is the CRC32-C table, the polynomial the log frames use too.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// eachBlockArray calls f, in block order, on every array a version-3
-// snapshot keeps in its float block, with the length its document gives
-// it: each client's delay row (one entry per server) when the snapshot
-// carries no provider state, else the coordinate store's client
-// coordinates (Dim per client) and each client's override values (one per
-// override server; OvVal must hold one list per client).
-func (snap *Snapshot) eachBlockArray(f func(a *[]float64, n int)) {
-	if snap.Provider == nil {
-		m := len(snap.Cluster.Servers)
-		for j := range snap.Cluster.Clients {
-			f((*[]float64)(&snap.Cluster.Clients[j].RTTRowMs), m)
+// eachBlockArray visits, in block order, every column a version-4 snapshot
+// of k clients keeps in its block, with the length its document and the
+// columns before it give: per client its ID, zone index, bandwidth,
+// contact server and, in a director's snapshot, topology node; each zone's
+// members in the evaluator's bucket order; then the delay store — the
+// coordinate store's client coordinates (Dim per client), override servers
+// and values, or the exact store's group per client, refcounts, free list
+// and each group's row (a free slot's is empty).
+func (snap *Snapshot) eachBlockArray(c *blockCodec, k int) {
+	pl := snap.Planner
+	c.strs(&snap.ids, k)
+	column(c, &snap.zones, k)
+	column(c, &snap.bw, k)
+	column(c, &pl.ClientContact, k)
+	lists(c, &pl.Eval.ZoneMembers, len(snap.Cluster.Zones))
+	if d := snap.Director; d != nil {
+		column(c, &d.ClientNodes, k)
+	}
+	if co := snap.Provider.Coord; co != nil {
+		column(c, (*[]float64)(&co.Cli), co.Dim*k)
+		lists(c, &co.OvSrv, k)
+		lists(c, (*[][]float64)(&co.OvVal), k)
+	}
+	if s := snap.Provider.Shared; s != nil {
+		column(c, &s.Group, k)
+		column(c, &s.Refs, c.count(len(s.Refs)))
+		column(c, &s.Free, c.count(len(s.Free)))
+		lists(c, (*[][]float64)(&s.Rows), len(s.Refs))
+	}
+}
+
+// blockCodec is what eachBlockArray drives over the columns: it sizes them
+// (n), writes them into b, reads them from b or clears them (undo). An
+// integer is a little-endian int32 — every integer column holds indices or
+// lengths — and a float64 its 8 bytes. The first column that does not fit
+// stops it.
+type blockCodec struct {
+	mode byte
+	b    []byte
+	n    int
+	err  error
+	undo []func() // restores what clearing cleared
+}
+
+// stash clears *a, keeping what it held for undo.
+func stash[T any](c *blockCodec, a *T) {
+	held := *a
+	c.undo = append(c.undo, func() { *a = held })
+	*a = *new(T)
+}
+
+// The blockCodec modes.
+const (
+	sizing byte = iota
+	writing
+	reading
+	clearing
+)
+
+// errInline refuses a document that carries a column its block holds.
+var errInline = errors.New("document carries a block column itself")
+
+// column sizes, writes, reads or clears one column of n values.
+func column[T int | int32 | float64](c *blockCodec, a *[]T, n int) {
+	_, wide := any(T(0)).(float64)
+	width := 4
+	if wide {
+		width = 8
+	}
+	switch {
+	case c.err != nil:
+	case c.mode == clearing:
+		stash(c, a)
+	case c.mode == sizing && len(*a) != n:
+		c.err = fmt.Errorf("a column of %d values where the document gives %d", len(*a), n)
+	case c.mode == sizing:
+		c.n += width * n
+	case c.mode == writing:
+		for _, v := range *a {
+			if wide {
+				binary.LittleEndian.PutUint64(c.b, math.Float64bits(float64(v)))
+			} else {
+				binary.LittleEndian.PutUint32(c.b, uint32(int32(v)))
+			}
+			c.b = c.b[width:]
 		}
-	} else if c := snap.Provider.Coord; c != nil {
-		f((*[]float64)(&c.Cli), c.Dim*len(c.OvSrv))
-		for j, srv := range c.OvSrv {
-			f(&c.OvVal[j], len(srv))
+	case *a != nil:
+		c.err = errInline
+	case n < 0 || n > len(c.b)/width:
+		c.err = errors.New("block ends before its columns")
+	default:
+		out := make([]T, n)
+		for i := range out {
+			if wide {
+				out[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(c.b[8*i:])))
+			} else {
+				out[i] = T(int32(binary.LittleEndian.Uint32(c.b[4*i:])))
+			}
+		}
+		*a, c.b = out, c.b[width*n:]
+	}
+}
+
+// lengths visits a column of n lengths: those of the have elements lenOf
+// measures when sized or written, read into a fresh slice.
+func lengths(c *blockCodec, have int, lenOf func(x int) int, n int) (lens []int) {
+	for x := 0; x < have && c.mode != reading; x++ {
+		lens = append(lens, lenOf(x))
+	}
+	column(c, &lens, n)
+	return lens
+}
+
+// lists visits n lists: a column of their lengths, then each list.
+func lists[T int | int32 | float64](c *blockCodec, a *[][]T, n int) {
+	lens := lengths(c, len(*a), func(x int) int { return len((*a)[x]) }, n)
+	switch {
+	case c.err != nil:
+		return
+	case c.mode == clearing:
+		stash(c, a)
+		return
+	case c.mode == reading && *a != nil:
+		c.err = errInline
+		return
+	case c.mode == reading:
+		*a = make([][]T, n)
+	}
+	for x := range *a {
+		column(c, &(*a)[x], lens[x])
+	}
+}
+
+// count is a length the block carries itself: written as n, read back; 0
+// once the codec has failed or when clearing.
+func (c *blockCodec) count(n int) int {
+	return append(lengths(c, 1, func(int) int { return n }, 1), 0)[0]
+}
+
+// strs visits n strings as one table: a column of their lengths, then
+// their bytes back to back, read as one string the n share.
+func (c *blockCodec) strs(a *[]string, n int) {
+	lens, total := lengths(c, len(*a), func(x int) int { return len((*a)[x]) }, n), 0
+	for _, l := range lens {
+		total += max(l, 0)
+	}
+	switch {
+	case c.err != nil:
+	case c.mode == clearing:
+		stash(c, a)
+	case c.mode == sizing:
+		c.n += total
+	case c.mode == writing:
+		for _, s := range *a {
+			c.b = c.b[copy(c.b, s):]
+		}
+	case slices.ContainsFunc(lens, func(l int) bool { return l < 0 }) || total > len(c.b):
+		c.err = errors.New("block ends before its columns")
+	default:
+		table := string(c.b[:total])
+		*a, c.b = make([]string, n), c.b[total:]
+		for i, l := range lens {
+			(*a)[i], table = table[:l], table[l:]
 		}
 	}
 }
 
-// encode renders snap as a version-3 snapshot file: the compact JSON
-// document without the block's arrays (json.Marshal never writes a raw
-// newline), a newline, then the float block. snap itself is left as it was.
+// encode renders snap as a version-4 snapshot file: the compact JSON
+// document without the block's columns (json.Marshal never writes a raw
+// newline), a newline, then the block. The columns are cleared while the
+// document is marshaled and restored after, so snap is left as it was.
 func (snap Snapshot) encode() ([]byte, error) {
-	arrays := snap // its arrays fill the block
+	if snap.Planner == nil || snap.Planner.Eval == nil || snap.Provider == nil {
+		return nil, fmt.Errorf("repair: snapshot: no planner state or delay store")
+	}
+	k := len(snap.ids)
+	size := blockCodec{mode: sizing}
+	if snap.eachBlockArray(&size, k); size.err != nil {
+		return nil, fmt.Errorf("repair: snapshot: %w", size.err)
+	}
+	cleared := blockCodec{mode: clearing}
+	snap.eachBlockArray(&cleared, k)
 	snap.Version, snap.Block = SnapshotVersion, nil
-	snap.Cluster.Clients = slices.Clone(snap.Cluster.Clients)
-	var coord *core.CoordState
-	if pv := snap.Provider; pv != nil && pv.Coord != nil {
-		c, p := *pv.Coord, *pv
-		if len(c.OvVal) != len(c.OvSrv) {
-			return nil, fmt.Errorf("repair: snapshot: %d override value lists for %d clients", len(c.OvVal), len(c.OvSrv))
-		}
-		c.OvVal = slices.Clone(c.OvVal)
-		coord, p.Coord, snap.Provider = &c, &c, &p
+	raw, err := json.Marshal(snap)
+	for _, undo := range cleared.undo {
+		undo()
 	}
-	count := 0
-	var err error
-	snap.eachBlockArray(func(a *[]float64, n int) {
-		if len(*a) != n && err == nil {
-			err = fmt.Errorf("repair: snapshot: an array of %d values where the document gives %d", len(*a), n)
-		}
-		count += len(*a)
-	})
 	if err != nil {
 		return nil, err
 	}
-	snap.eachBlockArray(func(a *[]float64, _ int) { *a = nil })
-	if coord != nil {
-		coord.OvVal = nil
-	}
-	doc, err := json.Marshal(snap)
-	if err != nil {
-		return nil, err
-	}
-	return frameBlock(doc, 8*count, func(block []byte) {
-		block = block[:0]
-		arrays.eachBlockArray(func(a *[]float64, _ int) {
-			for _, v := range *a {
-				block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
-			}
-		})
+	return frameBlock(raw, size.n, k, func(block []byte) {
+		snap.eachBlockArray(&blockCodec{mode: writing, b: block}, k)
 	}), nil
 }
 
 // frameBlock appends to doc, a compact JSON object, the member that frames
-// a block of n bytes (a FloatBlock under "block", so the document is what
-// json.Marshal writes for the Snapshot with its Block set), then a newline
-// and the block, which fill writes in place: the block is written once.
-func frameBlock(doc []byte, n int, fill func(block []byte)) []byte {
+// a block of n bytes holding count values or clients (a FloatBlock under
+// "block", so the document is what json.Marshal writes for the Snapshot with
+// its Block set), then a newline and the block, which fill writes in place:
+// the block is written once.
+func frameBlock(doc []byte, n, count int, fill func(block []byte)) []byte {
 	// The header goes in front of the block, whose CRC its member names:
 	// leave room for the longest member.
 	longest, _ := json.Marshal(FloatBlock{Offset: math.MaxInt, Length: math.MaxInt, Count: math.MaxInt, CRC32C: math.MaxUint32})
@@ -776,7 +912,7 @@ func frameBlock(doc []byte, n int, fill func(block []byte)) []byte {
 	fill(out[room:])
 	// The member names the block's offset, the header's length: find the
 	// offset its own digits leave true.
-	blk := FloatBlock{Length: n, Count: n / 8, CRC32C: crc32.Checksum(out[room:], castagnoli)}
+	blk := FloatBlock{Length: n, Count: count, CRC32C: crc32.Checksum(out[room:], castagnoli)}
 	var member []byte
 	for {
 		member, _ = json.Marshal(blk) // a struct of numbers always marshals
@@ -792,63 +928,69 @@ func frameBlock(doc []byte, n int, fill func(block []byte)) []byte {
 	return out
 }
 
-// snapshotProvider decides what a snapshot stores for the delays: nothing
-// of the exact store's own — each client carries its row, and recovery
-// groups the rows afresh, since no read depends on a group id — and the
-// coordinate provider's state, whose internals (coordinates, override
-// lists) recovery must restore bit-identically.
-func snapshotProvider(p *core.Problem) *core.ProviderState {
-	if _, exact := p.Delays.(*core.SharedRowProvider); exact {
-		return nil
-	}
-	return p.Delays.State()
-}
-
-// problem rebuilds the planner's problem from the snapshot: topology and
-// population from the cluster spec, delays from the per-client rows (the
-// planner loads them into the exact store) or from the serialized provider
-// state (reconstructed bit-identically by core.NewProviderFromState; a
-// stored exact store, kind "shared", comes back as itself).
-func (snap *Snapshot) problem() (*core.Problem, error) {
+// fromClients moves a version-1–3 snapshot's client objects into the
+// columns version 4 keeps (their zone IDs resolved to indices) and, when it
+// carries no store state, their delay rows into the exact store's state,
+// grouped as the store groups them on insertion.
+func (snap *Snapshot) fromClients() error {
 	cj := &snap.Cluster
 	zoneIdx := make(map[string]int, len(cj.Zones))
 	for z, id := range cj.Zones {
 		zoneIdx[id] = z
 	}
-	k := len(cj.Clients)
+	k, m := len(cj.Clients), len(cj.Servers)
+	ids, zones, bw := make([]string, k), make([]int, k), make([]float64, k)
+	var sp *core.SharedRowProvider
+	if snap.Provider == nil {
+		sp = core.NewSharedRowProvider(m)
+	}
+	for j, c := range cj.Clients {
+		z, ok := zoneIdx[c.Zone]
+		if !ok {
+			return fmt.Errorf("client %q: unknown zone %q", c.ID, c.Zone)
+		}
+		ids[j], zones[j], bw[j] = c.ID, z, c.BandwidthMbps
+		if sp != nil {
+			if len(c.RTTRowMs) != m {
+				return fmt.Errorf("client %q carries %d delays for %d servers", c.ID, len(c.RTTRowMs), m)
+			}
+			sp.AppendClient(c.RTTRowMs)
+		}
+	}
+	if sp != nil {
+		snap.Provider = sp.State()
+	}
+	snap.ids, snap.zones, snap.bw, cj.Clients = ids, zones, bw, nil
+	return nil
+}
+
+// problem rebuilds the planner's problem from the snapshot: topology from
+// the cluster spec, population from the client columns, delays from the
+// store's state (reconstructed bit-identically by core.NewProviderFromState).
+func (snap *Snapshot) problem() (*core.Problem, error) {
+	cj := &snap.Cluster
+	dp, err := core.NewProviderFromState(snap.Provider)
+	if err != nil {
+		return nil, err
+	}
 	p := &core.Problem{
 		ServerCaps:    make([]float64, len(cj.Servers)),
-		ClientZones:   make([]int, k),
+		ClientZones:   snap.zones,
 		NumZones:      len(cj.Zones),
-		ClientRT:      make([]float64, k),
+		ClientRT:      snap.bw,
 		SS:            cj.ServerRTTsMs,
 		D:             cj.DelayBoundMs,
 		TrafficWeight: cj.TrafficWeight,
-	}
-	if snap.Provider != nil {
-		dp, err := core.NewProviderFromState(snap.Provider)
-		if err != nil {
-			return nil, err
-		}
-		p.Delays = dp
-	} else {
-		p.CS = make([][]float64, k)
+		Delays:        dp,
 	}
 	for i, sv := range cj.Servers {
 		p.ServerCaps[i] = sv.CapacityMbps
 	}
-	for j, cl := range cj.Clients {
-		z, ok := zoneIdx[cl.Zone]
-		if !ok {
-			return nil, fmt.Errorf("client %q: unknown zone %q", cl.ID, cl.Zone)
-		}
-		p.ClientZones[j] = z
-		p.ClientRT[j] = cl.BandwidthMbps
-		if p.CS != nil {
-			p.CS[j] = cl.RTTRowMs
-		}
-	}
 	if len(cj.ZoneAdjacency) > 0 {
+		zoneIdx := make(map[string]int, len(cj.Zones))
+		for z, id := range cj.Zones {
+			zoneIdx[id] = z
+		}
 		g := interact.New(p.NumZones)
 		for _, e := range cj.ZoneAdjacency {
 			a, okA := zoneIdx[e.Zone1]
@@ -887,15 +1029,11 @@ func RestoreMachine(snap *Snapshot, cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]string, len(snap.Cluster.Clients))
-	for j, cl := range snap.Cluster.Clients {
-		ids[j] = cl.ID
-	}
 	serverIDs := make([]string, len(snap.Cluster.Servers))
 	for i, sv := range snap.Cluster.Servers {
 		serverIDs[i] = sv.ID
 	}
-	b, err := RestoreIDBinding(pl, ids, serverIDs, snap.Cluster.Zones)
+	b, err := RestoreIDBinding(pl, snap.ids, serverIDs, snap.Cluster.Zones)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"dvecap/internal/core"
 	"dvecap/internal/repair"
 )
 
@@ -20,8 +21,9 @@ import (
 // after the newer one. want.json is what the writer showed right before it
 // was abandoned (no Close, no final checkpoint); recovery must show the
 // same. The stored "shared" state is read as the exact store, so the next
-// checkpoint writes per-client rows, the form of every exact snapshot, and
-// a second recovery from it shows the same again.
+// checkpoint writes the exact store's state, the form of every exact
+// snapshot since version 4, and a second recovery from it shows the same
+// again.
 
 // oldDataCopy copies a fixture data directory into a fresh temporary one,
 // so recovery may checkpoint without touching the fixture.
@@ -41,10 +43,10 @@ func oldDataCopy(t *testing.T, name string) (dir string, want []byte) {
 	return dir, want
 }
 
-// requireRowsSnapshot fails unless dir's newest usable snapshot is of this
-// build's version and stores delays as per-client rows and no provider
-// state.
-func requireRowsSnapshot(t *testing.T, dir string) {
+// requireStoreSnapshot fails unless dir's newest usable snapshot is of this
+// build's version and stores delays as the exact store's own state, a
+// group for every client.
+func requireStoreSnapshot(t *testing.T, dir string) {
 	t.Helper()
 	snap, err := repair.LoadSnapshot(dir)
 	if err != nil {
@@ -53,13 +55,8 @@ func requireRowsSnapshot(t *testing.T, dir string) {
 	if snap.Version != repair.SnapshotVersion {
 		t.Fatalf("checkpoint after recovery is version %d", snap.Version)
 	}
-	if snap.Provider != nil {
-		t.Fatalf("checkpoint after recovery stores provider state of kind %q", snap.Provider.Kind)
-	}
-	for _, c := range snap.Cluster.Clients {
-		if len(c.RTTRowMs) != len(snap.Cluster.Servers) {
-			t.Fatalf("checkpoint after recovery: client %s carries %d delays for %d servers", c.ID, len(c.RTTRowMs), len(snap.Cluster.Servers))
-		}
+	if pv := snap.Provider; pv == nil || pv.Kind != core.ProviderSharedRow || len(pv.Shared.Group) != len(snap.Planner.ClientContact) {
+		t.Fatalf("checkpoint after recovery stores %+v, not the exact store's state for %d clients", pv, len(snap.Planner.ClientContact))
 	}
 }
 
@@ -90,7 +87,7 @@ func TestSharedModelSessionDataRecovers(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		requireRowsSnapshot(t, dir)
+		requireStoreSnapshot(t, dir)
 	}
 }
 
@@ -103,7 +100,7 @@ func TestSharedModelDirectorDataRecovers(t *testing.T) {
 		if err := m.close(); err != nil {
 			t.Fatal(err)
 		}
-		requireRowsSnapshot(t, dir)
+		requireStoreSnapshot(t, dir)
 	}
 }
 
@@ -190,6 +187,85 @@ func TestV2SnapshotsRecover(t *testing.T) {
 				}
 				if snap.Version != repair.SnapshotVersion {
 					t.Fatalf("Close after recovery left a version-%d checkpoint", snap.Version)
+				}
+			}
+		})
+	}
+}
+
+// The data directories under testdata/v3-snapshots were written the same
+// way by the last build before snapshot version 4 (v3Golden: baseline,
+// final — that build's golden pins). Recovery from the version-3
+// checkpoint must show what the writer showed; the checkpoint Close writes
+// is version 4, and a second recovery, from it, shows the same again.
+var v3Golden = map[string][2]string{
+	"session-dense": {
+		"4487f9af4c3e87f016e807e13894822c4f4c18cb3412ebcdff6faf927a2b997c",
+		"f5caa0eab005494e99cc933cd48bb68a289d0738e02f48314789121470346ce2",
+	},
+	"session-coord": {
+		"13c36718483e56fe12edff4024c2322b0dcc9286a1643d2de4e835916d47c1fc",
+		"ff3c3b1e8109df89e4f743810abfb0d3d18d72f061bbf1e7dd5cc7771ade1a12",
+	},
+	"director-dense": {
+		"3906274d0eb75bf07b416b26f0b6602bdb9b11897e8812697c87fe63f1042858",
+		"7b9f09a858f54261bd36ec0805ec149190d90613358ca3f6cf0e2884d478b27f",
+	},
+	"director-coord": {
+		"2526cd6845edaae6988cf23a74c7656ab333545cf7aae235e2b8f41b2695bc54",
+		"de7d3d1794062bae905fe31091f22bf79bea249eda720bbf091c02b3a0381d68",
+	},
+}
+
+func TestV3SnapshotsRecover(t *testing.T) {
+	for name, pins := range v3Golden {
+		t.Run(name, func(t *testing.T) {
+			src := filepath.Join("testdata", "v3-snapshots", name)
+			want, err := os.ReadFile(filepath.Join(src, "want.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := dirFiles(t, filepath.Join(src, "data"))
+			snaps, _ := filepath.Glob(filepath.Join(src, "data", "snap-*.json"))
+			if len(snaps) != 2 {
+				t.Fatalf("want the baseline and the final checkpoint, have %v", snaps)
+			}
+			for x, path := range snaps {
+				if got := fmt.Sprintf("%x", sha256.Sum256(files[filepath.Base(path)])); got != pins[x] {
+					t.Fatalf("%s: sha256 %s, recorded %s", filepath.Base(path), got, pins[x])
+				}
+			}
+			dir := t.TempDir()
+			for name, raw := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			surface, model, _ := strings.Cut(name, "-")
+			for _, stage := range []string{"version-3 checkpoint", "version-4 checkpoint"} {
+				if surface == "session" {
+					s := reopenDurable(t, dir, "GreZ-GreC", 1)
+					res, err := s.Result()
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameJSON(t, stage, struct {
+						Result  *Result        `json:"result"`
+						Clients []string       `json:"clients"`
+						Servers []ServerStatus `json:"servers"`
+					}{res, s.ClientIDs(), s.Servers()}, want)
+					err = s.Close()
+				} else {
+					m := directorSurface(t, model).open(t, proofRun{dir: dir, workers: 1}).(*directorMachine)
+					d := m.d
+					requireSameJSON(t, stage, []interface{}{d.Snapshot(), d.Servers(), d.Zones(), d.Adjacency(), d.Stats()}, want)
+					err = m.close()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if snap, err := repair.LoadSnapshot(dir); err != nil || snap.Version != repair.SnapshotVersion {
+					t.Fatalf("Close after recovery left %v (%v), want a version-%d checkpoint", snap != nil, err, repair.SnapshotVersion)
 				}
 			}
 		})
