@@ -16,7 +16,6 @@ import (
 	"dvecap/internal/core"
 	"dvecap/internal/dve"
 	"dvecap/internal/experiments"
-	"dvecap/internal/lp"
 	"dvecap/internal/milp"
 	"dvecap/internal/repair"
 	"dvecap/internal/topology"
@@ -971,6 +970,22 @@ func BenchmarkExactIAP(b *testing.B) {
 	}
 }
 
+// BenchmarkExactRAP measures the branch-and-bound on the same
+// configuration's refined assignment, given its exact initial assignment.
+func BenchmarkExactRAP(b *testing.B) {
+	p := benchProblem(b, "5s-15z-200c-100cp")
+	iap, err := milp.SolveIAP(p, milp.SolverOptions{Deadline: 30 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := milp.SolveRAP(p, iap.ZoneServer, milp.SolverOptions{Deadline: 30 * time.Second}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHierTopology measures generating the paper's 500-node topology.
 func BenchmarkHierTopology(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -1008,23 +1023,6 @@ func BenchmarkWorldBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := dve.BuildWorld(rng.Split(), cfg, g, dm); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimplex measures the LP solver on a representative IAP
-// relaxation (5 servers × 15 zones).
-func BenchmarkSimplex(b *testing.B) {
-	p := benchProblem(b, "5s-15z-200c-100cp")
-	prob := milp.BuildIAP(p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := lp.Solve(prob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Status != lp.Optimal {
-			b.Fatalf("status %v", res.Status)
 		}
 	}
 }

@@ -97,6 +97,9 @@ func TestTable1WithLP(t *testing.T) {
 	if row.LP == nil {
 		t.Fatal("LP column missing")
 	}
+	if !row.LPOptimal {
+		t.Fatal("an exact run hit a node or time limit: the lp_solve cell is unproven")
+	}
 	// The exact solution can never lose to the heuristics on the IAP+RAP
 	// objective; on pQoS it should be at least competitive with GreZ-GreC
 	// minus sampling noise.

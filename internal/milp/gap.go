@@ -6,11 +6,10 @@ import (
 	"time"
 
 	"dvecap/internal/core"
-	"dvecap/internal/lp"
 )
 
-// This file casts the paper's two assignment problems into 0-1 programs and
-// solves them exactly, reproducing the paper's lp_solve baseline. As in the
+// This file casts the paper's two assignment problems into GAPs and solves
+// them exactly, reproducing the paper's lp_solve baseline. As in the
 // paper, the two phases are solved sequentially: the optimal IAP first,
 // then the optimal RAP given that initial assignment.
 
@@ -18,7 +17,8 @@ import (
 // needed 0.2 s and 41.5 s on the two small configurations and over 10 hours
 // on larger ones; Deadline makes that practical reality explicit.
 type SolverOptions struct {
-	MaxNodes int
+	// Deadline cuts each phase's search; zero means none. A cut search
+	// returns its best assignment so far with Optimal false.
 	Deadline time.Duration
 }
 
@@ -31,103 +31,46 @@ type IAPResult struct {
 	Elapsed    time.Duration
 }
 
-// BuildIAP constructs the Definition 2.2 integer program: variables x_{ij}
-// (zone j on server i) in zone-major order (var = j*m + i), assignment
-// equalities per zone, capacity inequalities per server, cost Σ CI_ij x_ij.
-func BuildIAP(p *core.Problem) *lp.Problem {
-	m, n := p.NumServers(), p.NumZones
-	ci := core.InitialCosts(p)
-	zoneRT := p.ZoneRT()
-	nv := m * n
-	prob := &lp.Problem{
-		C:   make([]float64, nv),
-		A:   make([][]float64, 0, n+m),
-		Rel: make([]lp.Relation, 0, n+m),
-		B:   make([]float64, 0, n+m),
-	}
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			prob.C[j*m+i] = float64(ci[i][j])
-		}
-	}
-	// Σ_i x_ij = 1 for every zone j (also implies x ≤ 1).
-	for j := 0; j < n; j++ {
-		row := make([]float64, nv)
-		for i := 0; i < m; i++ {
-			row[j*m+i] = 1
-		}
-		prob.A = append(prob.A, row)
-		prob.Rel = append(prob.Rel, lp.EQ)
-		prob.B = append(prob.B, 1)
-	}
-	// Σ_j Rz_j x_ij ≤ C_i for every server i.
-	for i := 0; i < m; i++ {
-		row := make([]float64, nv)
-		for j := 0; j < n; j++ {
-			row[j*m+i] = zoneRT[j]
-		}
-		prob.A = append(prob.A, row)
-		prob.Rel = append(prob.Rel, lp.LE)
-		prob.B = append(prob.B, p.ServerCaps[i])
-	}
-	return prob
-}
-
-// SolveIAP computes the optimal initial assignment, warm-started from the
-// GreZ heuristic.
+// SolveIAP computes the optimal initial assignment of Definition 2.2: zones
+// go on servers, zone j costing C^I_ij on server i and weighing its R_j
+// against the server's capacity. The search is warm-started from the better
+// of GreZ and GreZDynamic.
 func SolveIAP(p *core.Problem, opt SolverOptions) (*IAPResult, error) {
 	start := time.Now()
-	m, n := p.NumServers(), p.NumZones
-	prob := BuildIAP(p)
-
-	incumbentX, incumbentObj := iapIncumbent(p, m, n)
-	sol, err := Solve01(prob, Options{
-		MaxNodes:      opt.MaxNodes,
-		Deadline:      opt.Deadline,
-		ObjIsIntegral: true,
-	}, incumbentX, incumbentObj)
-	if err != nil {
-		return nil, err
-	}
-	if sol.X == nil {
+	ci := core.InitialCosts(p)
+	zoneRT := p.ZoneRT()
+	g := newGAP(p.NumZones, p.ServerCaps, func(j, i int) (float64, float64) {
+		return float64(ci[i][j]), zoneRT[j]
+	})
+	sol := g.solve(iapWarmStart(p), opt.Deadline)
+	if sol.x == nil {
 		return nil, fmt.Errorf("milp: IAP has no feasible assignment within limits")
 	}
-	target, err := decodeAssignmentVars(sol.X, m, n)
-	if err != nil {
-		return nil, fmt.Errorf("milp: IAP solution: %w", err)
-	}
 	return &IAPResult{
-		ZoneServer: target,
-		Cost:       core.IAPCost(p, target),
-		Nodes:      sol.Nodes,
-		Optimal:    sol.Optimal,
+		ZoneServer: sol.x,
+		Cost:       core.IAPCost(p, sol.x),
+		Nodes:      sol.nodes,
+		Optimal:    sol.optimal,
 		Elapsed:    time.Since(start),
 	}, nil
 }
 
-// iapIncumbent encodes the better of GreZ's and GreZDynamic's solutions as
-// a warm start, if either is feasible — a tighter incumbent prunes the
+// iapWarmStart returns the better of GreZ's and GreZDynamic's feasible
+// assignments, nil when neither is — a tighter incumbent prunes the
 // branch-and-bound tree substantially on hard instances.
-func iapIncumbent(p *core.Problem, m, n int) ([]float64, float64) {
-	bestCost := math.Inf(1)
-	var bestTarget []int
+func iapWarmStart(p *core.Problem) []int {
+	bestCost := math.MaxInt
+	var best []int
 	for _, heur := range []core.IAPFunc{core.GreZ, core.GreZDynamic} {
 		target, err := heur(nil, p, core.Options{Overflow: core.ErrorOnOverflow})
 		if err != nil {
 			continue
 		}
-		if c := float64(core.IAPCost(p, target)); c < bestCost {
-			bestCost, bestTarget = c, target
+		if c := core.IAPCost(p, target); c < bestCost {
+			bestCost, best = c, target
 		}
 	}
-	if bestTarget == nil {
-		return nil, math.Inf(1)
-	}
-	x := make([]float64, m*n)
-	for j, s := range bestTarget {
-		x[j*m+s] = 1
-	}
-	return x, bestCost
+	return best
 }
 
 // RAPResult carries the exact refined assignment.
@@ -155,13 +98,15 @@ type RAPResult struct {
 // GreC iterates over.
 func SolveRAP(p *core.Problem, zoneServer []int, opt SolverOptions) (*RAPResult, error) {
 	start := time.Now()
-	m := p.NumServers()
 
 	// Residual capacities after the initial assignment (constraint (10)).
 	resid := append([]float64(nil), p.ServerCaps...)
 	zoneRT := p.ZoneRT()
 	for z, s := range zoneServer {
 		resid[s] -= zoneRT[z]
+	}
+	for i := range resid {
+		resid[i] = math.Max(resid[i], 0) // an over-tight initial assignment leaves no slack
 	}
 
 	contact := make([]int, p.NumClients())
@@ -179,102 +124,46 @@ func SolveRAP(p *core.Problem, zoneServer []int, opt SolverOptions) (*RAPResult,
 		return &RAPResult{ClientContact: contact, Cost: 0, Optimal: true, Elapsed: time.Since(start)}, nil
 	}
 
-	nl := len(late)
-	nv := m * nl // var l*m + i: late client l takes contact server i
-	prob := &lp.Problem{C: make([]float64, nv)}
-	for l, j := range late {
+	// Late client l costs C^R on contact i and, off its target, forwards
+	// 2·R_j through it.
+	g := newGAP(len(late), resid, func(l, i int) (float64, float64) {
+		j := late[l]
 		t := zoneServer[p.ClientZones[j]]
-		for i := 0; i < m; i++ {
-			prob.C[l*m+i] = core.RefinedCost(p, j, i, t)
+		if i == t {
+			return core.RefinedCost(p, j, i, t), 0
 		}
-	}
-	for l := 0; l < nl; l++ {
-		row := make([]float64, nv)
-		for i := 0; i < m; i++ {
-			row[l*m+i] = 1
-		}
-		prob.A = append(prob.A, row)
-		prob.Rel = append(prob.Rel, lp.EQ)
-		prob.B = append(prob.B, 1)
-	}
-	for i := 0; i < m; i++ {
-		row := make([]float64, nv)
-		for l, j := range late {
-			t := zoneServer[p.ClientZones[j]]
-			if i != t {
-				row[l*m+i] = 2 * p.ClientRT[j]
-			}
-		}
-		prob.A = append(prob.A, row)
-		prob.Rel = append(prob.Rel, lp.LE)
-		b := resid[i]
-		if b < 0 {
-			b = 0 // an over-tight initial assignment leaves no slack
-		}
-		prob.B = append(prob.B, b)
-	}
-
-	incumbentX, incumbentObj := rapIncumbent(p, zoneServer, late, m)
-	sol, err := Solve01(prob, Options{MaxNodes: opt.MaxNodes, Deadline: opt.Deadline}, incumbentX, incumbentObj)
-	if err != nil {
-		return nil, err
-	}
-	if sol.X == nil {
+		return core.RefinedCost(p, j, i, t), 2 * p.ClientRT[j]
+	})
+	sol := g.solve(rapWarmStart(p, zoneServer, late), opt.Deadline)
+	if sol.x == nil {
 		return nil, fmt.Errorf("milp: RAP has no feasible assignment within limits")
 	}
-	lateContact, err := decodeAssignmentVars(sol.X, m, nl)
-	if err != nil {
-		return nil, fmt.Errorf("milp: RAP solution: %w", err)
-	}
 	for l, j := range late {
-		contact[j] = lateContact[l]
+		contact[j] = sol.x[l]
 	}
 	a := &core.Assignment{ZoneServer: zoneServer, ClientContact: contact}
 	return &RAPResult{
 		ClientContact: contact,
 		Cost:          core.RAPCost(p, a),
-		Nodes:         sol.Nodes,
-		Optimal:       sol.Optimal,
+		Nodes:         sol.nodes,
+		Optimal:       sol.optimal,
 		Elapsed:       time.Since(start),
-		LateClients:   nl,
+		LateClients:   len(late),
 	}, nil
 }
 
-// rapIncumbent warm-starts from GreC's choices for the late clients.
-func rapIncumbent(p *core.Problem, zoneServer []int, late []int, m int) ([]float64, float64) {
+// rapWarmStart returns GreC's contacts for the late clients, nil when GreC
+// fails.
+func rapWarmStart(p *core.Problem, zoneServer, late []int) []int {
 	gc, err := core.GreC(nil, p, zoneServer, core.Options{})
 	if err != nil {
-		return nil, math.Inf(1)
+		return nil
 	}
-	x := make([]float64, m*len(late))
-	var obj float64
+	x := make([]int, len(late))
 	for l, j := range late {
-		t := zoneServer[p.ClientZones[j]]
-		x[l*m+gc[j]] = 1
-		obj += core.RefinedCost(p, j, gc[j], t)
+		x[l] = gc[j]
 	}
-	return x, obj
-}
-
-// decodeAssignmentVars converts a 0-1 solution in item-major layout
-// (var = item*m + server) into an item → server map.
-func decodeAssignmentVars(x []float64, m, items int) ([]int, error) {
-	out := make([]int, items)
-	for j := 0; j < items; j++ {
-		out[j] = -1
-		for i := 0; i < m; i++ {
-			if x[j*m+i] > 0.5 {
-				if out[j] >= 0 {
-					return nil, fmt.Errorf("item %d assigned twice", j)
-				}
-				out[j] = i
-			}
-		}
-		if out[j] < 0 {
-			return nil, fmt.Errorf("item %d unassigned", j)
-		}
-	}
-	return out, nil
+	return x
 }
 
 // SolveCAP runs both exact phases in sequence and returns the resulting

@@ -2,96 +2,13 @@ package milp
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"dvecap/internal/core"
-	"dvecap/internal/lp"
 	"dvecap/internal/xrand"
 )
-
-func TestSolve01Knapsackish(t *testing.T) {
-	// min -(8x0 + 11x1 + 6x2 + 4x3) s.t. 5x0+7x1+4x2+3x3 ≤ 14, x binary.
-	// Classic: optimum picks x0,x1 (value 19)? 5+7=12 ≤ 14, add x3: 15 > 14.
-	// x0+x2+x3: 12 → 18. x1+x2+x3 = 14 → 21. Optimal = 21.
-	prob := &lp.Problem{
-		C:   []float64{-8, -11, -6, -4},
-		A:   [][]float64{{5, 7, 4, 3}, {1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}},
-		Rel: []lp.Relation{lp.LE, lp.LE, lp.LE, lp.LE, lp.LE},
-		B:   []float64{14, 1, 1, 1, 1},
-	}
-	sol, err := Solve01(prob, Options{}, nil, math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Optimal {
-		t.Fatal("search not exhausted")
-	}
-	if math.Abs(sol.Objective-(-21)) > 1e-6 {
-		t.Fatalf("objective %v, want -21", sol.Objective)
-	}
-	want := []float64{0, 1, 1, 1}
-	for j, v := range want {
-		if math.Abs(sol.X[j]-v) > 1e-6 {
-			t.Fatalf("x = %v, want %v", sol.X, want)
-		}
-	}
-}
-
-func TestSolve01UsesIncumbentWhenOptimal(t *testing.T) {
-	// Incumbent already optimal: solver must not return anything worse.
-	prob := &lp.Problem{
-		C:   []float64{1, 1},
-		A:   [][]float64{{1, 1}},
-		Rel: []lp.Relation{lp.GE},
-		B:   []float64{1},
-	}
-	incumbent := []float64{1, 0}
-	sol, err := Solve01(prob, Options{}, incumbent, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Objective > 1+1e-9 {
-		t.Fatalf("objective %v worse than incumbent", sol.Objective)
-	}
-}
-
-func TestSolve01InfeasibleKeepsNilX(t *testing.T) {
-	// x0 + x1 = 3 with binaries is infeasible.
-	prob := &lp.Problem{
-		C:   []float64{1, 1},
-		A:   [][]float64{{1, 1}, {1, 0}, {0, 1}},
-		Rel: []lp.Relation{lp.EQ, lp.LE, lp.LE},
-		B:   []float64{3, 1, 1},
-	}
-	sol, err := Solve01(prob, Options{}, nil, math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.X != nil {
-		t.Fatalf("infeasible model produced X = %v", sol.X)
-	}
-}
-
-func TestSolve01NodeLimitReturnsIncumbent(t *testing.T) {
-	prob := &lp.Problem{
-		C:   []float64{-1, -1, -1},
-		A:   [][]float64{{1, 1, 1}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}},
-		Rel: []lp.Relation{lp.LE, lp.LE, lp.LE, lp.LE},
-		B:   []float64{2, 1, 1, 1},
-	}
-	incumbent := []float64{1, 0, 0}
-	sol, err := Solve01(prob, Options{MaxNodes: 1}, incumbent, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.X == nil {
-		t.Fatal("node-limited solve lost the incumbent")
-	}
-	if sol.Optimal && sol.Nodes >= 1 && sol.Objective > -2 {
-		t.Fatalf("claimed optimal with objective %v after 1 node", sol.Objective)
-	}
-}
 
 // exactTiny solves the tiny CAP instance by brute force for cross-checks.
 func bruteForceIAP(p *core.Problem) ([]int, int) {
@@ -122,10 +39,16 @@ func bruteForceIAP(p *core.Problem) ([]int, int) {
 	return bestAssign, best
 }
 
-func randomCAP(rng *xrand.RNG) *core.Problem {
-	m := rng.IntRange(2, 3)
-	n := rng.IntRange(2, 5)
-	k := rng.IntRange(3, 15)
+// randomCAP draws a small instance. A loose one has 2–3 servers, 2–5 zones,
+// 3–15 clients and room for 1.5–3 of its largest zone on every server. A
+// tight one has 3–4 servers, 5–8 zones, 10–14 clients and capacities of
+// 1.0–1.6× the servers' mean share of the zone load, each raised where
+// needed so that one random placement of the zones fits.
+func randomCAP(rng *xrand.RNG, tight bool) *core.Problem {
+	m, n, k := rng.IntRange(2, 3), rng.IntRange(2, 5), rng.IntRange(3, 15)
+	if tight {
+		m, n, k = rng.IntRange(3, 4), rng.IntRange(5, 8), rng.IntRange(10, 14)
+	}
 	p := &core.Problem{
 		ServerCaps:  make([]float64, m),
 		ClientZones: make([]int, k),
@@ -153,6 +76,18 @@ func randomCAP(rng *xrand.RNG) *core.Problem {
 		}
 	}
 	zoneRT := p.ZoneRT()
+	if tight {
+		var total float64
+		placed := make([]float64, m)
+		for _, r := range zoneRT {
+			total += r
+			placed[rng.IntN(m)] += r
+		}
+		for i := range p.ServerCaps {
+			p.ServerCaps[i] = math.Max(total/float64(m)*rng.Uniform(1, 1.6), placed[i])
+		}
+		return p
+	}
 	var maxZone float64
 	for _, r := range zoneRT {
 		if r > maxZone {
@@ -167,8 +102,8 @@ func randomCAP(rng *xrand.RNG) *core.Problem {
 
 func TestSolveIAPMatchesBruteForce(t *testing.T) {
 	rng := xrand.New(42)
-	for trial := 0; trial < 25; trial++ {
-		p := randomCAP(rng.Split())
+	for trial := 0; trial < 25+60; trial++ {
+		p := randomCAP(rng.Split(), trial >= 25)
 		res, err := SolveIAP(p, SolverOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -186,7 +121,7 @@ func TestSolveIAPMatchesBruteForce(t *testing.T) {
 func TestSolveIAPNeverWorseThanGreZ(t *testing.T) {
 	rng := xrand.New(7)
 	for trial := 0; trial < 20; trial++ {
-		p := randomCAP(rng.Split())
+		p := randomCAP(rng.Split(), false)
 		res, err := SolveIAP(p, SolverOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -202,7 +137,7 @@ func TestSolveIAPNeverWorseThanGreZ(t *testing.T) {
 func TestSolveRAPNeverWorseThanGreC(t *testing.T) {
 	rng := xrand.New(13)
 	for trial := 0; trial < 20; trial++ {
-		p := randomCAP(rng.Split())
+		p := randomCAP(rng.Split(), false)
 		target, err := core.GreZ(nil, p, core.Options{})
 		if err != nil {
 			continue // infeasible random instance; skip
@@ -227,8 +162,8 @@ func TestSolveRAPNeverWorseThanGreC(t *testing.T) {
 
 func TestSolveRAPRespectsResidualCapacity(t *testing.T) {
 	rng := xrand.New(29)
-	for trial := 0; trial < 15; trial++ {
-		p := randomCAP(rng.Split())
+	for trial := 0; trial < 15+30; trial++ {
+		p := randomCAP(rng.Split(), trial >= 15)
 		target, err := core.GreZ(nil, p, core.Options{})
 		if err != nil {
 			continue
@@ -245,7 +180,7 @@ func TestSolveRAPRespectsResidualCapacity(t *testing.T) {
 }
 
 func TestSolveCAPEndToEnd(t *testing.T) {
-	p := randomCAP(xrand.New(99))
+	p := randomCAP(xrand.New(99), false)
 	a, iap, rap, err := SolveCAP(p, SolverOptions{Deadline: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -286,26 +221,69 @@ func TestSolveRAPAllDirectShortCircuits(t *testing.T) {
 	}
 }
 
-func TestMostFractional(t *testing.T) {
-	if got := mostFractional([]float64{0, 1, 0.5, 0.9}, 1e-6); got != 2 {
-		t.Fatalf("mostFractional = %d, want 2", got)
+func TestSolveIAPKeepsOptimalWarmStart(t *testing.T) {
+	// Each zone's cheapest server has room for it, so GreZ's warm start is
+	// optimal; the root's bound proves it without branching.
+	p := &core.Problem{
+		ServerCaps:  []float64{10, 10},
+		ClientZones: []int{0, 1},
+		NumZones:    2,
+		ClientRT:    []float64{1, 1},
+		CS:          [][]float64{{50, 400}, {400, 50}},
+		SS:          [][]float64{{0, 30}, {30, 0}},
+		D:           100,
 	}
-	if got := mostFractional([]float64{0, 1, 1, 0}, 1e-6); got != -1 {
-		t.Fatalf("integral vector reported fractional index %d", got)
+	res, err := SolveIAP(p, SolverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cost != 0 || !res.Optimal || res.Nodes != 1 {
+		t.Fatalf("warm start not kept: %+v", res)
 	}
 }
 
-func TestBuildIAPShape(t *testing.T) {
-	p := randomCAP(xrand.New(3))
-	prob := BuildIAP(p)
-	m, n := p.NumServers(), p.NumZones
-	if len(prob.C) != m*n {
-		t.Fatalf("vars = %d, want %d", len(prob.C), m*n)
+func TestSolveIAPInfeasibleErrors(t *testing.T) {
+	// Each zone weighs 1, and no server holds more than 0.5.
+	p := &core.Problem{
+		ServerCaps:  []float64{0.5, 0.5},
+		ClientZones: []int{0, 1},
+		NumZones:    2,
+		ClientRT:    []float64{1, 1},
+		CS:          [][]float64{{50, 400}, {400, 50}},
+		SS:          [][]float64{{0, 30}, {30, 0}},
+		D:           100,
 	}
-	if len(prob.A) != n+m {
-		t.Fatalf("rows = %d, want %d", len(prob.A), n+m)
+	if _, err := SolveIAP(p, SolverOptions{}); err == nil || !strings.Contains(err.Error(), "no feasible assignment") {
+		t.Fatalf("err = %v, want no feasible assignment", err)
 	}
-	if err := prob.Validate(); err != nil {
-		t.Fatal(err)
+}
+
+func TestSolveDeadlineReturnsWarmStart(t *testing.T) {
+	rng := xrand.New(61)
+	for trial := 0; trial < 20; trial++ {
+		p := randomCAP(rng.Split(), true)
+		warm := iapWarmStart(p)
+		if warm == nil {
+			continue
+		}
+		iap, err := SolveIAP(p, SolverOptions{Deadline: time.Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if iap.Optimal || iap.Cost > core.IAPCost(p, warm) {
+			t.Fatalf("trial %d: cut IAP search gave %+v, warm start costs %d", trial, iap, core.IAPCost(p, warm))
+		}
+		rap, err := SolveRAP(p, warm, SolverOptions{Deadline: time.Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc, err := core.GreC(nil, p, warm, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		greC := core.RAPCost(p, &core.Assignment{ZoneServer: warm, ClientContact: gc})
+		if rap.LateClients > 0 && rap.Optimal || rap.Cost > greC+1e-9 {
+			t.Fatalf("trial %d: cut RAP search gave %+v, GreC costs %v", trial, rap, greC)
+		}
 	}
 }

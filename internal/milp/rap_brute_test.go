@@ -57,9 +57,10 @@ func bruteForceRAP(p *core.Problem, zoneServer []int) float64 {
 func TestSolveRAPMatchesBruteForce(t *testing.T) {
 	rng := xrand.New(71)
 	tried := 0
-	for trial := 0; tried < 20 && trial < 200; trial++ {
-		p := randomCAP(rng.Split())
-		if p.NumClients() > 9 {
+	for trial := 0; tried < 20+60 && trial < 400; trial++ {
+		tight := tried >= 20
+		p := randomCAP(rng.Split(), tight)
+		if !tight && p.NumClients() > 9 {
 			continue // keep the m^k enumeration tractable
 		}
 		target, err := core.GreZ(nil, p, core.Options{})
@@ -72,6 +73,9 @@ func TestSolveRAPMatchesBruteForce(t *testing.T) {
 		}
 		if !res.Optimal {
 			t.Fatalf("trial %d: not proven optimal", trial)
+		}
+		if res.LateClients > 10 {
+			continue // likewise for the late clients it enumerates
 		}
 		brute := bruteForceRAP(p, target)
 		if math.IsInf(brute, 1) {
@@ -96,8 +100,8 @@ func TestSolveRAPMatchesBruteForce(t *testing.T) {
 // optimises C^I then C^R sequentially, as the paper does).
 func TestSolveCAPIAPCostOptimal(t *testing.T) {
 	rng := xrand.New(83)
-	for trial := 0; trial < 10; trial++ {
-		p := randomCAP(rng.Split())
+	for trial := 0; trial < 10+40; trial++ {
+		p := randomCAP(rng.Split(), trial >= 10)
 		a, iap, _, err := SolveCAP(p, SolverOptions{})
 		if err != nil {
 			t.Fatal(err)
