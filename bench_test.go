@@ -381,7 +381,7 @@ func BenchmarkLocalSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.LocalSearchOpt(p, a, 3, core.Options{})
+		core.NewEvaluator(p, a).LocalSearch(3)
 	}
 }
 

@@ -236,11 +236,8 @@ func (c *Cluster) SetZoneAdjacency(zone1, zone2 string, weightMbps float64) erro
 	if err != nil {
 		return err
 	}
-	if a == b {
-		return fmt.Errorf("dvecap: self-adjacency on zone %q", zone1)
-	}
-	if !repair.FiniteNonNeg(weightMbps) {
-		return fmt.Errorf("dvecap: adjacency (%q,%q) weight %v, want finite >= 0", zone1, zone2, weightMbps)
+	if err := repair.CheckEdge(repair.OpSetAdjacency, zone1, zone2, weightMbps); err != nil {
+		return fmt.Errorf("dvecap: %w", err)
 	}
 	if a > b {
 		a, b = b, a
@@ -588,9 +585,6 @@ func (c *Cluster) Solve(algorithm string, opts ...Option) (*Result, error) {
 	a, err := tp.Solve(rng.Split(), solveP, opt)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.lsRounds > 0 {
-		a = core.LocalSearchOpt(solveP, a, cfg.lsRounds, opt)
 	}
 	return newResult(algorithm, truth, a, core.Evaluate(truth, a), c.ClientIDs()), nil
 }

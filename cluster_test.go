@@ -191,7 +191,7 @@ func TestClusterSolveOptions(t *testing.T) {
 	}
 	// Same seed reproduces; options compose without changing this instance's
 	// (already optimal) outcome.
-	again, err := c.Solve("GreZ-GreC", WithSeed(1), WithWorkers(4), WithLocalSearchRounds(2))
+	again, err := c.Solve("GreZ-GreC", WithSeed(1), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@
 //	res, err := c.Solve("GreZ-GreC", dvecap.WithSeed(1))
 //
 // Solve and Open take functional options (WithWorkers, WithOverflow,
-// WithLocalSearchRounds, WithDriftGuard, WithEstimationError, WithSeed).
+// WithDriftGuard, WithEstimationError, WithSeed).
 // Open returns a ClusterSession whose Join/Leave/Move/UpdateDelays —
 // all by string ID — stream into the incremental repair planner, and
 // ReadClusterJSON/WriteClusterJSON round-trip the same instance through

@@ -1075,11 +1075,11 @@ type directorMachine struct {
 	churn *dirChurn
 }
 
-// directorSurface adapts the Director under the given delay model: four
-// servers on a 40-node Waxman topology, both drift guards and the traffic
-// term armed (adjacency edits and the maintained cut must survive the crash
-// boundary bit-identically too).
-func directorSurface(t *testing.T, model string) durableSurface {
+// directorSurface adapts the Director: four servers on a 40-node Waxman
+// topology, both drift guards and the traffic term armed (adjacency edits
+// and the maintained cut must survive the crash boundary bit-identically
+// too).
+func directorSurface(t *testing.T) durableSurface {
 	t.Helper()
 	g, err := topology.Waxman(xrand.New(5), topology.DefaultWaxman(40))
 	if err != nil {
@@ -1098,7 +1098,6 @@ func directorSurface(t *testing.T, model string) durableSurface {
 			DelayBoundMs:    250,
 			FrameRate:       25,
 			MessageBytes:    100,
-			DelayModel:      model,
 			Seed:            1,
 			DriftPQoS:       0.05,
 			DriftUtilSpread: 0.3,
@@ -1122,7 +1121,7 @@ func directorSurface(t *testing.T, model string) durableSurface {
 		},
 		recover: func(t *testing.T, r proofRun, from durableMachine) durableMachine {
 			cfg := config(r)
-			cfg.ServerNodes, cfg.ServerCaps, cfg.Zones, cfg.DelayModel = []int{1}, []float64{5}, 2, ""
+			cfg.ServerNodes, cfg.ServerCaps, cfg.Zones = []int{1}, []float64{5}, 2
 			d, err := director.New(cfg)
 			if err != nil {
 				t.Fatalf("recovery: %v", err)
@@ -1235,62 +1234,62 @@ func TestDurableKillRecoverBitIdentical(t *testing.T) {
 	proveKillRecoverWorkers(t, sessionSurface(DenseDelays))
 }
 func TestDirectorKillRecoverBitIdentical(t *testing.T) {
-	proveKillRecoverWorkers(t, directorSurface(t, "dense"))
+	proveKillRecoverWorkers(t, directorSurface(t))
 }
 
 func TestDurableKillRecoverAcrossResolve(t *testing.T) {
 	proveKillRecoverAcrossResolve(t, sessionSurface(CoordDelays))
 }
 func TestDirectorKillRecoverAcrossResolve(t *testing.T) {
-	proveKillRecoverAcrossResolve(t, directorSurface(t, "dense"))
+	proveKillRecoverAcrossResolve(t, directorSurface(t))
 }
 
 // The provider dimension: under the coordinate delay model the provider's
 // INTERNAL state (coordinates, override maps), not just the delays it
 // reports, must cross the crash boundary, so every post-recovery mutation
 // stays on the uncrashed trajectory. The exact store's legs are the dense
-// ones above: its snapshots carry rows, and recovery rebuilds the store.
+// ones above: its snapshots carry rows, and recovery rebuilds the store. A
+// director always starts on the exact store; one that recovers a data
+// directory stored under the coordinate model is proved in
+// internal/director (TestStoredCoordDirectorKeepsWorking).
 func TestDurableKillRecoverBitIdenticalProviders(t *testing.T) {
 	t.Run("coord", func(t *testing.T) { proveKillRecover(t, sessionSurface(CoordDelays), 0) })
-}
-func TestDirectorKillRecoverBitIdenticalProviders(t *testing.T) {
-	t.Run("coord", func(t *testing.T) { proveKillRecover(t, directorSurface(t, "coord"), 0) })
 }
 
 func TestClientIDsOrderSurvivesRecovery(t *testing.T) {
 	t.Run("session", func(t *testing.T) { proveClientOrder(t, sessionSurface(DenseDelays)) })
-	t.Run("director", func(t *testing.T) { proveClientOrder(t, directorSurface(t, "dense")) })
+	t.Run("director", func(t *testing.T) { proveClientOrder(t, directorSurface(t)) })
 }
 
 func TestDurableTornTailRecovery(t *testing.T)  { proveTornTail(t, sessionSurface(DenseDelays)) }
-func TestDirectorTornTailRecovery(t *testing.T) { proveTornTail(t, directorSurface(t, "dense")) }
+func TestDirectorTornTailRecovery(t *testing.T) { proveTornTail(t, directorSurface(t)) }
 
 func TestDurableCrashPointMatrix(t *testing.T) { proveCrashPointMatrix(t, sessionSurface(DenseDelays)) }
 func TestDirectorCrashPointMatrix(t *testing.T) {
-	proveCrashPointMatrix(t, directorSurface(t, "dense"))
+	proveCrashPointMatrix(t, directorSurface(t))
 }
 
 func TestDurableCheckpointCloseReopen(t *testing.T) {
 	proveCheckpointCloseReopen(t, sessionSurface(DenseDelays))
 }
 func TestDirectorCheckpointCloseReopen(t *testing.T) {
-	proveCheckpointCloseReopen(t, directorSurface(t, "dense"))
+	proveCheckpointCloseReopen(t, directorSurface(t))
 }
 
 func TestDurableOpenRejectsMismatch(t *testing.T) {
 	proveRejectsMismatch(t, sessionSurface(DenseDelays))
 }
 func TestDirectorRecoverRejectsMismatch(t *testing.T) {
-	proveRejectsMismatch(t, directorSurface(t, "dense"))
+	proveRejectsMismatch(t, directorSurface(t))
 }
 
 func TestDurableRejectsNonFinite(t *testing.T) { proveRejectsNonFinite(t, sessionSurface(DenseDelays)) }
 func TestDirectorRejectsNonFinite(t *testing.T) {
-	proveRejectsNonFinite(t, directorSurface(t, "dense"))
+	proveRejectsNonFinite(t, directorSurface(t))
 }
 
-// The coordinate legs pin the provider state a snapshot carries — client
-// coordinates fitted at join time included — beside the dense legs'
+// The session's coordinate leg pins the provider state a snapshot carries —
+// client coordinates fitted at join time included — beside the dense legs'
 // recorded constants.
 func TestDurableGoldenFormat(t *testing.T) {
 	t.Run("dense", func(t *testing.T) { proveGoldenFormat(t, sessionSurface(DenseDelays)) })
@@ -1305,16 +1304,7 @@ func TestDurableGoldenFormat(t *testing.T) {
 	})
 }
 func TestDirectorGoldenFormat(t *testing.T) {
-	t.Run("dense", func(t *testing.T) { proveGoldenFormat(t, directorSurface(t, "dense")) })
-	t.Run("coord", func(t *testing.T) {
-		sf := directorSurface(t, "coord")
-		sf.golden = [3]string{
-			"57380b228243c154543b137329a1a612949b567d5e0b30fa01fd22e1f6c35637",
-			"aba80eca5642174f7399513034143882e5c951b8a4135ff960d53f498559030a",
-			"7c841a3dbe312d330813c8dd751e6ac9d4de6faac6d783b75f94fa6eb75e7d68",
-		}
-		proveGoldenFormat(t, sf)
-	})
+	t.Run("dense", func(t *testing.T) { proveGoldenFormat(t, directorSurface(t)) })
 }
 
 // TestDurableOpenFailureReturnsNoSession: a durable Open whose baseline

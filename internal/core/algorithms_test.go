@@ -386,7 +386,9 @@ func TestLocalSearchNeverWorsens(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		improved := LocalSearchOpt(p, a, 3, Options{})
+		ev := NewEvaluator(p, a)
+		ev.LocalSearch(3)
+		improved := ev.Assignment()
 		if err := improved.Validate(p); err != nil {
 			return false
 		}
@@ -401,7 +403,9 @@ func TestLocalSearchFixesBadZonePlacement(t *testing.T) {
 	p := tinyProblem()
 	// Deliberately wrong: both zones on s0, c2 without QoS.
 	a := &Assignment{ZoneServer: []int{0, 0}, ClientContact: []int{0, 0, 0}}
-	improved := LocalSearchOpt(p, a, 5, Options{})
+	ev := NewEvaluator(p, a)
+	ev.LocalSearch(5)
+	improved := ev.Assignment()
 	if Evaluate(p, improved).WithQoS != 3 {
 		t.Fatalf("local search got %d with QoS, want 3", Evaluate(p, improved).WithQoS)
 	}

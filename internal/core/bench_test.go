@@ -105,7 +105,7 @@ func BenchmarkLocalSearchIncrementalMedium(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LocalSearchOpt(p, a, 3, Options{})
+		NewEvaluator(p, a).LocalSearch(3)
 	}
 }
 

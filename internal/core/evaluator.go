@@ -403,12 +403,35 @@ func (ev *Evaluator) ApplyContactSwitch(j, s int) {
 	ev.readjustRowForClient(j, from, standing{t, s, nd})
 }
 
-// LocalSearch runs the hill climber on the evaluator's current solution,
-// mutating it in place; it reports whether any move was accepted. Same
-// semantics as LocalSearchOpt. The zone-move scan runs
-// through the candidate-delta cache, sharded across the goroutines set by
-// SetWorkers (movecache.go); the accepted moves are identical for every
-// worker count.
+// LocalSearch is a best-improvement hill climber layered on top of any
+// two-phase result — an extension beyond the paper used to measure how much
+// headroom the greedy heuristics leave (DESIGN.md §5). It runs on the
+// evaluator's current solution, mutating it in place, and reports whether
+// any move was accepted. Two neighbourhoods:
+//
+//  1. zone moves: rehost one zone on a different server with capacity for
+//     it; clients of the zone whose contact was the old target follow to
+//     the new target, other contacts are kept;
+//  2. contact switches: change one client's contact server (respecting the
+//     2×RT forwarding load on a non-target contact).
+//
+// Moves are accepted when they improve (WithQoS, -RAPCost, -totalLoad)
+// lexicographically. The search stops after maxRounds full passes or when
+// no move improves.
+//
+// Scoring is incremental: a zone move costs O(clients of the zone) and a
+// contact switch O(1), with no cloning and no per-candidate allocation. The
+// zone-move scan runs through the candidate-delta cache (movecache.go), so
+// rounds after the first pay only for zones the previous round touched
+// (DESIGN.md §8). localSearchOracle retains the original clone-and-rescore
+// implementation as a test oracle; the equivalence tests in
+// evaluator_test.go prove both accept identical move sequences. To amortise
+// the evaluator's buffers across repeated searches (replication or churn
+// loops), hold an Evaluator and Reset it.
+//
+// SetWorkers > 1 shards the zone-move candidate scan across that many
+// goroutines, with accepted moves bit-identical to the sequential scan for
+// every worker count — see parallel_test.go.
 func (ev *Evaluator) LocalSearch(maxRounds int) bool {
 	any := false
 	for round := 0; round < maxRounds; round++ {

@@ -82,7 +82,9 @@ func TestLocalSearchMatchesOracle(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, rounds := range []int{1, 2, 4} {
-			got := LocalSearchOpt(p, start, rounds, Options{})
+			ev := NewEvaluator(p, start)
+			ev.LocalSearch(rounds)
+			got := ev.Assignment()
 			want := localSearchOracle(p, start, rounds)
 			for z := range want.ZoneServer {
 				if got.ZoneServer[z] != want.ZoneServer[z] {

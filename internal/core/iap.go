@@ -37,9 +37,8 @@ type Options struct {
 	// re-optimisation — should pass one Workspace per goroutine.
 	Scratch *Workspace
 	// Workers sets the goroutine count for the parallelisable scans: the
-	// evaluator's sharded zone-move search (LocalSearchOpt, and the repair
-	// planner's evaluator) and the greedy zone phase's O(clients × servers)
-	// cost-matrix build. 0 and 1 run sequentially, n > 1 shards across n
+	// repair planner's sharded zone-move search and the greedy zone phase's
+	// O(clients × servers) cost-matrix build. 0 and 1 run sequentially, n > 1 shards across n
 	// goroutines, negative uses runtime.GOMAXPROCS(0). Results are
 	// bit-identical for every setting — parallelism changes scheduling,
 	// never outcomes (DESIGN.md §8).

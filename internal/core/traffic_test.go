@@ -61,10 +61,14 @@ func TestTrafficZeroWeightBitIdentical(t *testing.T) {
 			attachAdjacency(xrand.New(seed+100), withGraph, 0)
 
 			a0 := initialAssignment(base)
-			ref := LocalSearchOpt(base, a0.Clone(), 50, Options{})
+			ev := NewEvaluator(base, a0.Clone())
+			ev.LocalSearch(50)
+			ref := ev.Assignment()
 			for _, workers := range []int{1, 4} {
-				got := LocalSearchOpt(withGraph, a0.Clone(), 50, Options{Workers: workers})
-				sameAssignment(t, fmt.Sprintf("seed %d tight %v workers %d", seed, tight, workers), ref, got)
+				ev := NewEvaluator(withGraph, a0.Clone())
+				ev.SetWorkers(workers)
+				ev.LocalSearch(50)
+				sameAssignment(t, fmt.Sprintf("seed %d tight %v workers %d", seed, tight, workers), ref, ev.Assignment())
 			}
 		}
 	}

@@ -4,8 +4,9 @@ package director
 // tail and fail-stop, the crash-point matrix, checkpoint-close-reopen,
 // mismatch rejection, the on-disk format pin) run in package dvecap's
 // durability_test.go, through the one harness both journaled surfaces
-// share. What stays here is the director's HTTP face of durability and the
-// fixtures the autoscale durability test shares.
+// share. What stays here is the director's HTTP face of durability, the
+// recovery of a data directory stored under the coordinate delay model, and
+// the fixtures the autoscale durability test shares.
 
 import (
 	"bytes"
@@ -21,6 +22,7 @@ import (
 	"testing"
 
 	"dvecap/internal/autoscale"
+	"dvecap/internal/core"
 	"dvecap/internal/topology"
 	"dvecap/internal/xrand"
 )
@@ -65,6 +67,80 @@ func durDirConfig(dm *topology.DelayMatrix, workers int) Config {
 		// survive the crash boundary bit-identically too.
 		TrafficWeight: 0.5,
 		Workers:       workers,
+	}
+}
+
+// storedCoordDirector recovers a copy of the version-3 data directory a
+// director wrote under the coordinate delay model, auto-checkpointing every
+// snapEvery events. Its config names no delay model: the stored one
+// supersedes the exact store a fresh director builds.
+func storedCoordDirector(t *testing.T, snapEvery int) (*Director, Config) {
+	t.Helper()
+	cfg := durDirConfig(durDelays(t), 1)
+	cfg.DataDir, cfg.SnapshotEvery = filepath.Join(t.TempDir(), "data"), snapEvery
+	if err := os.CopyFS(cfg.DataDir, os.DirFS("../../testdata/v3-snapshots/director-coord/data")); err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCoordStore(t, d)
+	return d, cfg
+}
+
+func requireCoordStore(t *testing.T, d *Director) {
+	t.Helper()
+	if p, ok := d.planner().Problem().Delays.(*core.CoordProvider); !ok {
+		t.Fatalf("recovered director stores delays in %T, want the stored *core.CoordProvider", p)
+	}
+}
+
+// TestStoredCoordDirectorKeepsWorking: a director recovered from a data
+// directory written under the coordinate delay model stays on it through
+// joins, moves, delay updates, a checkpoint and a second recovery, and
+// ends where a twin that never restarted ends.
+func TestStoredCoordDirectorKeepsWorking(t *testing.T) {
+	live, _ := storedCoordDirector(t, 0)
+	defer live.Close()
+	restarted, cfg := storedCoordDirector(t, 0)
+	for i := 0; i < 50; i++ {
+		// Every third event joins a client; the next two move it and
+		// replace its delay row.
+		id := fmt.Sprintf("k%02d", i/3*3)
+		for _, d := range []*Director{live, restarted} {
+			var err error
+			switch i % 3 {
+			case 0:
+				_, err = d.Join(id, (7*i)%40, i%10)
+			case 1:
+				_, err = d.Move(id, (3*i)%10)
+			case 2:
+				row := make([]float64, len(d.Servers()))
+				for s := range row {
+					row[s] = float64(20 + (13*i+29*s)%300)
+				}
+				_, err = d.UpdateDelays(id, row)
+			}
+			if err != nil {
+				t.Fatalf("event %d: %v", i, err)
+			}
+		}
+	}
+	if _, err := restarted.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	requireCoordStore(t, recovered)
+	if got, want := dirStateJSON(t, recovered), dirStateJSON(t, live); got != want {
+		t.Fatalf("recovered director diverges from its twin:\n got %s\nwant %s", got, want)
 	}
 }
 

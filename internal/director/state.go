@@ -56,17 +56,6 @@ type Config struct {
 	// Algorithm names the two-phase algorithm run on Reassign
 	// (default "GreZ-GreC").
 	Algorithm string
-	// DelayModel selects the client↔server delay representation backing the
-	// planner's problem: "dense" (or empty, the default) is the exact store
-	// (core.SharedRowProvider: every client's row, identical rows stored
-	// once — clients joining at the same topology node share one), "coord"
-	// binds a core.CoordProvider (coordinates plus exact measurement
-	// overrides). Assignments are bit-identical across models: the director
-	// always feeds full oracle-derived rows, so both models resolve the same
-	// delays (DESIGN.md §13). On recovery the stored model supersedes this
-	// field, like the rest of the deployment; a model stored as "shared" by
-	// older builds is the exact store.
-	DelayModel string
 	// Seed drives the algorithm's randomised choices.
 	Seed uint64
 	// DriftPQoS, when > 0, arms the repair planner's quality guard: a full
@@ -144,11 +133,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("director: TrafficWeight = %v, want finite >= 0", c.TrafficWeight)
 	case c.SnapshotEvery < 0:
 		return fmt.Errorf("director: SnapshotEvery = %v, want >= 0", c.SnapshotEvery)
-	}
-	switch c.DelayModel {
-	case "", "dense", "coord":
-	default:
-		return fmt.Errorf("director: DelayModel = %q, want dense or coord", c.DelayModel)
 	}
 	for i, n := range c.ServerNodes {
 		if n < 0 || n >= c.Delays.N() {
@@ -299,10 +283,10 @@ func (d *Director) planner() *repair.Planner { return d.m.Binding().Planner() }
 
 // emptyProblem snapshots the deployment's static side (servers, capacities,
 // inter-server delays, the bound) with zero clients — the planner's seed.
-// Config.DelayModel selects the delay representation: every join streams a
-// full oracle-derived row, which both stores keep exactly (the exact store
-// dedupes identical rows, coord keeps them as overrides), so the model never
-// changes an assignment.
+// Its delays live in the exact store (core.SharedRowProvider: identical
+// rows stored once). Every join streams a full oracle-derived row, which a
+// coordinate store would keep as per-client overrides at a higher cost
+// (DESIGN.md §13). Recovery adopts the stored delay model, coord included.
 func (c Config) emptyProblem() *core.Problem {
 	m := len(c.ServerNodes)
 	p := &core.Problem{
@@ -322,11 +306,7 @@ func (c Config) emptyProblem() *core.Problem {
 			p.SS[i][l] = c.Delays.ServerRTT(c.ServerNodes[i], c.ServerNodes[l])
 		}
 	}
-	if c.DelayModel == "coord" {
-		p.Delays = core.NewCoordProviderFromSS(p.SS, 0)
-	} else {
-		p.Delays = core.NewSharedRowProvider(m)
-	}
+	p.Delays = core.NewSharedRowProvider(m)
 	return p
 }
 

@@ -368,20 +368,15 @@ func TestWriteStageSeries(t *testing.T) {
 // GET /v1/problem's two readers run throughout full-row joins that cross
 // several checkpoints; under -race a reader that touched a coordinate being
 // fitted is a reported race. Afterwards the director equals a control that
-// never checkpointed, whose fits all waited for the final render.
+// never checkpointed, whose fits all waited for the final render. Both
+// recover a data directory written under the coordinate model, the one way
+// a director runs on it.
 func TestProblemSnapshotDuringCoordCheckpoints(t *testing.T) {
-	cfg := durDirConfig(durDelays(t), 1)
-	cfg.DelayModel = "coord"
-	control, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DataDir, cfg.SnapshotEvery = t.TempDir(), 3
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	control, _ := storedCoordDirector(t, 0)
+	defer control.Close()
+	d, _ := storedCoordDirector(t, 3)
 	defer d.Close()
+	servers := len(d.Servers())
 
 	stop, read := make(chan struct{}), make(chan error, 1)
 	go func() {
@@ -397,7 +392,7 @@ func TestProblemSnapshotDuringCoordCheckpoints(t *testing.T) {
 				return
 			}
 			for _, c := range d.ClusterSpec().Clients {
-				if len(c.RTTRowMs) != len(cfg.ServerNodes) {
+				if len(c.RTTRowMs) != servers {
 					read <- fmt.Errorf("cluster spec: client %s has %d delays", c.ID, len(c.RTTRowMs))
 					return
 				}

@@ -17,9 +17,11 @@ import (
 type AblationOptions struct {
 	// Scenario defaults to 20s-80z-1000c-500cp.
 	Scenario string
-	// LocalSearchRounds caps hill-climbing passes (default 3).
-	LocalSearchRounds int
 }
+
+// ablationLocalSearchRounds caps the hill-climbing passes of the
+// local-search variants.
+const ablationLocalSearchRounds = 3
 
 // AblationRow is one variant's quality.
 type AblationRow struct {
@@ -40,9 +42,6 @@ func Ablation(setup Setup, opt AblationOptions) (*AblationResult, error) {
 	setup = setup.withDefaults()
 	if opt.Scenario == "" {
 		opt.Scenario = "20s-80z-1000c-500cp"
-	}
-	if opt.LocalSearchRounds == 0 {
-		opt.LocalSearchRounds = 3
 	}
 	cfg, err := dve.ParseScenario(dve.DefaultConfig(), opt.Scenario)
 	if err != nil {
@@ -79,7 +78,7 @@ func Ablation(setup Setup, opt AblationOptions) (*AblationResult, error) {
 			}
 			if v.local {
 				ev.Reset(truth, a)
-				ev.LocalSearch(opt.LocalSearchRounds)
+				ev.LocalSearch(ablationLocalSearchRounds)
 				a = ev.Assignment()
 			}
 			sopt.Scratch.EvaluateInto(truth, a, &m)

@@ -25,59 +25,34 @@ import (
 // the oracle's server-hour saving does a causal controller keep, and
 // what does it cost in pQoS and topology churn?
 type AutoscaleOptions struct {
-	// HorizonSec is the simulated duration per run (default 6000: two
-	// diurnal periods, flash crowd on the second peak).
-	HorizonSec float64
-	// Scenario defaults to 8s-16z-40c-220cp: a fleet small enough that one
-	// server is a meaningful provisioning quantum.
-	Scenario string
-	// Trace overrides the default arrival trace.
-	Trace *sim.ArrivalTrace
-	// Policy overrides the reconciler configuration (default: the
-	// acceptance policy asserted in internal/sim's TestAutoscaleTracksOracle).
-	Policy *autoscale.Config
-	// SpareServers is the warm pool: the last N world servers start
-	// drained (default 5).
-	SpareServers int
-	// EverySec is the reconcile cadence (default 60).
-	EverySec float64
 	// JSONOut, when set, additionally receives the result as a
 	// BENCH_autoscale.json-shaped document.
 	JSONOut io.Writer
 }
 
-func (o AutoscaleOptions) withDefaults() AutoscaleOptions {
-	if o.HorizonSec == 0 {
-		o.HorizonSec = 6000
-	}
-	if o.Scenario == "" {
-		o.Scenario = "8s-16z-40c-220cp"
-	}
-	if o.Trace == nil {
-		o.Trace = &sim.ArrivalTrace{
-			BaseRate:         0.5,
-			DiurnalAmplitude: 0.8,
-			DiurnalPeriodSec: 3000,
-			Flashes:          []sim.Flash{{StartSec: 4200, DurationSec: 300, Multiplier: 1.4}},
-		}
-	}
-	if o.Policy == nil {
-		o.Policy = &autoscale.Config{
-			UtilHigh:          0.75,
-			UtilLow:           0.45,
-			HighWindowTicks:   2,
-			LowWindowTicks:    2,
-			UpCooldownTicks:   1,
-			DownCooldownTicks: 1,
-		}
-	}
-	if o.SpareServers == 0 {
-		o.SpareServers = 5
-	}
-	if o.EverySec == 0 {
-		o.EverySec = 60
-	}
-	return o
+const (
+	// autoscaleHorizonSec is the simulated duration per run: two diurnal
+	// periods, flash crowd on the second peak.
+	autoscaleHorizonSec = 6000
+	// autoscaleScenario is a fleet small enough that one server is a
+	// meaningful provisioning quantum.
+	autoscaleScenario = "8s-16z-40c-220cp"
+	// autoscaleSpareServers is the warm pool: the last 5 world servers
+	// start drained.
+	autoscaleSpareServers = 5
+	// autoscaleEverySec is the reconcile cadence.
+	autoscaleEverySec = 60
+)
+
+// autoscalePolicy is the reconciler configuration: the acceptance policy
+// asserted in internal/sim's TestAutoscaleTracksOracle.
+var autoscalePolicy = autoscale.Config{
+	UtilHigh:          0.75,
+	UtilLow:           0.45,
+	HighWindowTicks:   2,
+	LowWindowTicks:    2,
+	UpCooldownTicks:   1,
+	DownCooldownTicks: 1,
 }
 
 // AutoscaleMode is one provisioning mode's aggregate outcome.
@@ -105,13 +80,16 @@ type AutoscaleResult struct {
 // Autoscale runs the comparison with GreZ-GreC.
 func Autoscale(setup Setup, opt AutoscaleOptions) (*AutoscaleResult, error) {
 	setup = setup.withDefaults()
-	opt = opt.withDefaults()
-	cfg, err := dve.ParseScenario(dve.DefaultConfig(), opt.Scenario)
+	cfg, err := dve.ParseScenario(dve.DefaultConfig(), autoscaleScenario)
 	if err != nil {
 		return nil, err
 	}
-	if opt.SpareServers >= cfg.Servers {
-		return nil, fmt.Errorf("autoscale: %d spares leave no active server in a %d-server fleet", opt.SpareServers, cfg.Servers)
+	// The diurnal + flash-crowd arrival trace every mode replays.
+	trace := &sim.ArrivalTrace{
+		BaseRate:         0.5,
+		DiurnalAmplitude: 0.8,
+		DiurnalPeriodSec: 3000,
+		Flashes:          []sim.Flash{{StartSec: 4200, DurationSec: 300, Multiplier: 1.4}},
 	}
 
 	type out struct {
@@ -134,7 +112,7 @@ func Autoscale(setup Setup, opt AutoscaleOptions) (*AutoscaleResult, error) {
 			}
 			churn := sim.ChurnConfig{
 				Repair:            true,
-				Arrivals:          opt.Trace,
+				Arrivals:          trace,
 				MeanSessionSec:    300,
 				MoveRatePerClient: 0.002,
 				ReassignEverySec:  60,
@@ -142,9 +120,9 @@ func Autoscale(setup Setup, opt AutoscaleOptions) (*AutoscaleResult, error) {
 			}
 			if mode != modeStatic {
 				churn.Autoscale = &sim.AutoscaleConfig{
-					Policy:       *opt.Policy,
-					SpareServers: opt.SpareServers,
-					EverySec:     opt.EverySec,
+					Policy:       autoscalePolicy,
+					SpareServers: autoscaleSpareServers,
+					EverySec:     autoscaleEverySec,
 					Oracle:       mode == modeOracle,
 				}
 			}
@@ -154,7 +132,7 @@ func Autoscale(setup Setup, opt AutoscaleOptions) (*AutoscaleResult, error) {
 				return out{}, err
 			}
 			driver.Start()
-			eng.Run(opt.HorizonSec)
+			eng.Run(autoscaleHorizonSec)
 			if errs := driver.Errors(); len(errs) > 0 {
 				return out{}, fmt.Errorf("rep %d mode %d: %v", rep, mode, errs[0])
 			}
@@ -175,9 +153,9 @@ func Autoscale(setup Setup, opt AutoscaleOptions) (*AutoscaleResult, error) {
 		Static:     AutoscaleMode{Name: "static fleet"},
 		Oracle:     AutoscaleMode{Name: "clairvoyant oracle"},
 		Reconciler: AutoscaleMode{Name: "hysteresis reconciler"},
-		HorizonSec: opt.HorizonSec,
+		HorizonSec: autoscaleHorizonSec,
 	}
-	hours := opt.HorizonSec / 3600
+	hours := autoscaleHorizonSec / 3600.0
 	for _, r := range reps {
 		for mode, m := range []*AutoscaleMode{&res.Static, &res.Oracle, &res.Reconciler} {
 			m.ServerHours.Add(r.hours[mode])

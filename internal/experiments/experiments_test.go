@@ -97,8 +97,8 @@ func TestTable1WithLP(t *testing.T) {
 	if row.LP == nil {
 		t.Fatal("LP column missing")
 	}
-	if !row.LPOptimal {
-		t.Fatal("an exact run hit a node or time limit: the lp_solve cell is unproven")
+	if row.LPLimits != 0 {
+		t.Fatalf("an exact run stopped (%s): the lp_solve cell is unproven", row.LPLimits)
 	}
 	// The exact solution can never lose to the heuristics on the IAP+RAP
 	// objective; on pQoS it should be at least competitive with GreZ-GreC
@@ -304,6 +304,37 @@ func TestRuntimeSmoke(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "Runtime") {
 		t.Fatal("rendering broken")
+	}
+}
+
+// TestRuntimeNamesTheExactLimit: an unproven exact phase whose Elapsed
+// reached the deadline is labelled by it, any other unproven phase by
+// milp's node cap, and the runtime table prints the label.
+func TestRuntimeNamesTheExactLimit(t *testing.T) {
+	const deadline = time.Minute
+	for _, tc := range []struct {
+		name             string
+		iapOpt, rapOpt   bool
+		iapTime, rapTime time.Duration
+		want             string
+	}{
+		{"proven", true, true, time.Second, time.Second, " 14.2s"},
+		{"node cap", false, true, 14 * time.Second, 200 * time.Millisecond, " 14.2s (node cap hit)"},
+		{"deadline", true, false, time.Second, deadline, " 14.2s (deadline hit)"},
+		{"both", false, false, deadline + time.Millisecond, time.Second, " 14.2s (node cap and deadline hit)"},
+	} {
+		res := &RuntimeResult{Names: []string{"GreZ-GreC"}, Rows: []RuntimeRow{{
+			Scenario:  "5s-15z-200c-100cp",
+			Heuristic: map[string]time.Duration{"GreZ-GreC": time.Millisecond},
+			LP:        14200 * time.Millisecond,
+			LPRan:     true,
+			LPLimits: exactLimit(tc.iapOpt, tc.iapTime, deadline) |
+				exactLimit(tc.rapOpt, tc.rapTime, deadline),
+		}}}
+		lines := strings.Split(strings.TrimSpace(res.String()), "\n")
+		if row := strings.TrimRight(lines[len(lines)-1], " "); !strings.HasSuffix(row, tc.want) {
+			t.Errorf("%s: runtime row %q, want it to end in %q", tc.name, row, tc.want)
+		}
 	}
 }
 

@@ -17,9 +17,6 @@ type Fig4Options struct {
 	Scenario string
 	// Steps is the number of CDF sample points per series (default 25).
 	Steps int
-	// FromMs/ToMs bound the plotted delay range; the paper's Figure 4 axis
-	// runs from 250 ms (the delay bound) to 500 ms (the max RTT).
-	FromMs, ToMs float64
 }
 
 // Fig4Series is one algorithm's CDF curve.
@@ -51,12 +48,6 @@ func Fig4(setup Setup, opt Fig4Options) (*Fig4Result, error) {
 	cfg, err := dve.ParseScenario(dve.DefaultConfig(), opt.Scenario)
 	if err != nil {
 		return nil, err
-	}
-	if opt.FromMs == 0 {
-		opt.FromMs = cfg.DelayBoundMs
-	}
-	if opt.ToMs == 0 {
-		opt.ToMs = setup.MaxRTTMs
 	}
 	algos := core.PaperAlgorithms()
 	names := algorithmNames(algos)
@@ -92,8 +83,10 @@ func Fig4(setup Setup, opt Fig4Options) (*Fig4Result, error) {
 		cdf := metrics.NewCDF(pooled)
 		res.Series = append(res.Series, Fig4Series{
 			Algorithm: name,
-			Points:    cdf.Series(opt.FromMs, opt.ToMs, opt.Steps),
-			PAtBound:  cdf.At(cfg.DelayBoundMs),
+			// The paper's Figure 4 axis runs from the delay bound (250 ms)
+			// to the max RTT (500 ms).
+			Points:   cdf.Series(cfg.DelayBoundMs, maxRTTMs, opt.Steps),
+			PAtBound: cdf.At(cfg.DelayBoundMs),
 		})
 	}
 	return res, nil

@@ -13,11 +13,13 @@ import (
 type Fig5Options struct {
 	// Correlations lists the δ values; default {0, 0.2, 0.4, 0.6, 0.8, 1}.
 	Correlations []float64
-	// DelayBoundMs defaults to the paper's 200 ms for this experiment.
-	DelayBoundMs float64
 	// Scenario defaults to the paper's default 20s-80z-1000c-500cp.
 	Scenario string
 }
+
+// fig5DelayBoundMs is the delay bound of the sweep: the paper sets
+// D = 200 ms in Fig. 5.
+const fig5DelayBoundMs = 200
 
 // Fig5Point is one (δ, algorithm) measurement.
 type Fig5Point struct {
@@ -39,9 +41,6 @@ func Fig5(setup Setup, opt Fig5Options) (*Fig5Result, error) {
 	if opt.Correlations == nil {
 		opt.Correlations = []float64{0, 0.2, 0.4, 0.6, 0.8, 1}
 	}
-	if opt.DelayBoundMs == 0 {
-		opt.DelayBoundMs = 200 // the paper sets D = 200 ms in Fig. 5
-	}
 	if opt.Scenario == "" {
 		opt.Scenario = "20s-80z-1000c-500cp"
 	}
@@ -49,10 +48,10 @@ func Fig5(setup Setup, opt Fig5Options) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	base.DelayBoundMs = opt.DelayBoundMs
+	base.DelayBoundMs = fig5DelayBoundMs
 	algos := core.PaperAlgorithms()
 	names := algorithmNames(algos)
-	res := &Fig5Result{Names: names, Bound: opt.DelayBoundMs}
+	res := &Fig5Result{Names: names, Bound: fig5DelayBoundMs}
 	for _, delta := range opt.Correlations {
 		cfg := base
 		cfg.Correlation = delta

@@ -22,11 +22,6 @@ import (
 type RepairOptions struct {
 	// HorizonSec is the simulated duration per run (default 1800).
 	HorizonSec float64
-	// Churn overrides the default churn process (equilibrium-population
-	// turnover: JoinRate × MeanSessionSec ≈ the scenario's client count,
-	// 0.005 moves/client/s, reassign/fallback every 60 s, a quality sample
-	// every 10 s).
-	Churn *sim.ChurnConfig
 	// Scenario defaults to 20s-80z-1000c-500cp.
 	Scenario string
 	// Telemetry and MetricsLog, when set, are attached to the FIRST
@@ -69,15 +64,15 @@ func Repair(setup Setup, opt RepairOptions) (*RepairResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Equilibrium-population turnover (JoinRate × MeanSessionSec ≈ the
+	// scenario's client count), 0.005 moves/client/s, reassign/fallback
+	// every 60 s, a quality sample every 10 s.
 	churn := sim.ChurnConfig{
 		JoinRate:          float64(cfg.Clients) / 600,
 		MeanSessionSec:    600,
 		MoveRatePerClient: 0.005,
 		ReassignEverySec:  60,
 		SampleEverySec:    10,
-	}
-	if opt.Churn != nil {
-		churn = *opt.Churn
 	}
 
 	type out struct {

@@ -16,8 +16,6 @@ import (
 type RobustnessOptions struct {
 	// Scenario defaults to 20s-80z-1000c-500cp.
 	Scenario string
-	// Topologies defaults to {hier, transitstub, usbackbone}.
-	Topologies []TopologyKind
 }
 
 // RobustnessRow is one substrate's results.
@@ -39,9 +37,6 @@ func Robustness(setup Setup, opt RobustnessOptions) (*RobustnessResult, error) {
 	if opt.Scenario == "" {
 		opt.Scenario = "20s-80z-1000c-500cp"
 	}
-	if opt.Topologies == nil {
-		opt.Topologies = []TopologyKind{TopoHier, TopoTransitStub, TopoUSBackbone}
-	}
 	cfg, err := dve.ParseScenario(dve.DefaultConfig(), opt.Scenario)
 	if err != nil {
 		return nil, err
@@ -49,7 +44,7 @@ func Robustness(setup Setup, opt RobustnessOptions) (*RobustnessResult, error) {
 	algos := core.PaperAlgorithms()
 	names := algorithmNames(algos)
 	res := &RobustnessResult{Names: names}
-	for _, topo := range opt.Topologies {
+	for _, topo := range []TopologyKind{TopoHier, TopoTransitStub, TopoUSBackbone} {
 		s := setup
 		s.Topology = topo
 		reps, err := s.runAlgorithms(cfg, algos)

@@ -31,7 +31,38 @@ type RuntimeRow struct {
 	Heuristic map[string]time.Duration
 	LP        time.Duration
 	LPRan     bool
-	LPOptimal bool
+	// LPLimits names what ended the exact solve's unproven phases.
+	LPLimits ExactLimits
+}
+
+// ExactLimits records which limits ended unproven exact searches; zero
+// means every search proved optimality.
+type ExactLimits uint8
+
+const (
+	// NodeCapHit: a search stopped at milp's node cap.
+	NodeCapHit ExactLimits = 1 << iota
+	// DeadlineHit: a search ran until its deadline.
+	DeadlineHit
+)
+
+// exactLimit names the limit that ended one exact phase: none when it
+// proved optimality, the deadline when its Elapsed reached it, and milp's
+// node cap for any other unproven search.
+func exactLimit(optimal bool, elapsed, deadline time.Duration) ExactLimits {
+	switch {
+	case optimal:
+		return 0
+	case elapsed >= deadline:
+		return DeadlineHit
+	default:
+		return NodeCapHit
+	}
+}
+
+// String is the runtime table's label for l.
+func (l ExactLimits) String() string {
+	return [...]string{"proven", "node cap hit", "deadline hit", "node cap and deadline hit"}[l]
 }
 
 // RuntimeResult reproduces the execution-time remarks of §4.2.
@@ -82,7 +113,8 @@ func Runtime(setup Setup, opt RuntimeOptions) (*RuntimeResult, error) {
 			}
 			row.LP = time.Since(start)
 			row.LPRan = true
-			row.LPOptimal = iap.Optimal && rap.Optimal
+			row.LPLimits = exactLimit(iap.Optimal, iap.Elapsed, opt.LPDeadline) |
+				exactLimit(rap.Optimal, rap.Elapsed, opt.LPDeadline)
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -102,8 +134,8 @@ func (r *RuntimeResult) String() string {
 		switch {
 		case !row.LPRan:
 			cells = append(cells, "- (impractical)")
-		case !row.LPOptimal:
-			cells = append(cells, fmt.Sprintf("%s (deadline hit)", row.LP.Round(time.Millisecond)))
+		case row.LPLimits != 0:
+			cells = append(cells, fmt.Sprintf("%s (%s)", row.LP.Round(time.Millisecond), row.LPLimits))
 		default:
 			cells = append(cells, row.LP.Round(time.Millisecond).String())
 		}

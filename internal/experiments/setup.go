@@ -42,21 +42,22 @@ type Setup struct {
 	Reps int
 	// Topology selects the substrate (default TopoHier).
 	Topology TopologyKind
-	// MaxRTTMs scales the delay matrix; the paper uses 500 ms.
-	MaxRTTMs float64
-	// InterServerFactor discounts server-server delays; the paper uses 0.5.
-	InterServerFactor float64
 }
 
+const (
+	// maxRTTMs scales every delay matrix; the paper uses 500 ms.
+	maxRTTMs = 500
+	// interServerFactor discounts server-server delays; the paper uses 0.5.
+	interServerFactor = 0.5
+)
+
 // DefaultSetup mirrors the paper: 50 replications on the hierarchical
-// topology, 500 ms max RTT, 50% inter-server discount.
+// topology.
 func DefaultSetup() Setup {
 	return Setup{
-		Seed:              2006,
-		Reps:              50,
-		Topology:          TopoHier,
-		MaxRTTMs:          500,
-		InterServerFactor: 0.5,
+		Seed:     2006,
+		Reps:     50,
+		Topology: TopoHier,
 	}
 }
 
@@ -66,12 +67,6 @@ func (s Setup) withDefaults() Setup {
 	}
 	if s.Topology == "" {
 		s.Topology = TopoHier
-	}
-	if s.MaxRTTMs == 0 {
-		s.MaxRTTMs = 500
-	}
-	if s.InterServerFactor == 0 {
-		s.InterServerFactor = 0.5
 	}
 	return s
 }
@@ -97,7 +92,7 @@ func (s Setup) buildTopology(rng *xrand.RNG) (*topology.Graph, *topology.DelayMa
 	default:
 		return nil, nil, fmt.Errorf("experiments: unknown topology kind %q", s.Topology)
 	}
-	dm, err := topology.NewDelayMatrix(g, s.MaxRTTMs, s.InterServerFactor)
+	dm, err := topology.NewDelayMatrix(g, maxRTTMs, interServerFactor)
 	if err != nil {
 		return nil, nil, err
 	}

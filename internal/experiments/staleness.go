@@ -22,15 +22,6 @@ type StalenessOptions struct {
 	Periods []float64
 	// HorizonSec is the simulated duration per run (default 1800).
 	HorizonSec float64
-	// Churn overrides the default churn rates (2 joins/s, 600 s sessions,
-	// 0.005 moves/client/s — roughly 20%/minute population turnover on the
-	// default 1000-client world).
-	Churn *sim.ChurnConfig
-	// HandoffFreezeSec enables the zone-handoff cost model (clients of a
-	// migrating zone lose QoS for this long after each re-execution).
-	// With it, very frequent reassignment stops being free and the sweep
-	// exposes an interior optimum. Ignored when Churn is set explicitly.
-	HandoffFreezeSec float64
 	// Scenario defaults to 20s-80z-1000c-500cp.
 	Scenario string
 }
@@ -70,14 +61,12 @@ func Staleness(setup Setup, opt StalenessOptions) (*StalenessResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// 2 joins/s, 600 s sessions and 0.005 moves/client/s: roughly
+	// 20%/minute population turnover on the default 1000-client world.
 	churn := sim.ChurnConfig{
 		JoinRate:          2,
 		MeanSessionSec:    600,
 		MoveRatePerClient: 0.005,
-		HandoffFreezeSec:  opt.HandoffFreezeSec,
-	}
-	if opt.Churn != nil {
-		churn = *opt.Churn
 	}
 
 	res := &StalenessResult{}

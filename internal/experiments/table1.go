@@ -48,8 +48,9 @@ type Table1Row struct {
 	LP *Cell
 	// LPTime is the mean exact-solver wall time (both phases).
 	LPTime time.Duration
-	// LPOptimal reports whether every exact run proved optimality.
-	LPOptimal bool
+	// LPLimits names the limits that ended unproven exact runs; zero when
+	// every run proved optimality.
+	LPLimits ExactLimits
 }
 
 // Table1Result reproduces "Table 1. pQoS(R) with different configurations".
@@ -80,11 +81,11 @@ func Table1(setup Setup, opt Table1Options) (*Table1Result, error) {
 		}
 		row := Table1Row{Scenario: scenario, Cells: aggregate(reps, names)}
 		if opt.IncludeLP && si < LPScenarioLimit {
-			lpCell, lpTime, lpOpt, err := table1LP(setup, cfg, opt)
+			lpCell, lpTime, lpLimits, err := table1LP(setup, cfg, opt)
 			if err != nil {
 				return nil, fmt.Errorf("table1 %s lp: %w", scenario, err)
 			}
-			row.LP, row.LPTime, row.LPOptimal = lpCell, lpTime, lpOpt
+			row.LP, row.LPTime, row.LPLimits = lpCell, lpTime, lpLimits
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -92,7 +93,7 @@ func Table1(setup Setup, opt Table1Options) (*Table1Result, error) {
 }
 
 // table1LP runs the exact two-phase solver on a scenario.
-func table1LP(setup Setup, cfg dve.Config, opt Table1Options) (*Cell, time.Duration, bool, error) {
+func table1LP(setup Setup, cfg dve.Config, opt Table1Options) (*Cell, time.Duration, ExactLimits, error) {
 	lpReps := opt.LPReps
 	if lpReps <= 0 {
 		lpReps = setup.Reps
@@ -107,7 +108,7 @@ func table1LP(setup Setup, cfg dve.Config, opt Table1Options) (*Cell, time.Durat
 	type lpOut struct {
 		m       core.Metrics
 		elapsed time.Duration
-		optimal bool
+		limits  ExactLimits
 	}
 	lpSetup := setup
 	lpSetup.Reps = lpReps
@@ -125,22 +126,22 @@ func table1LP(setup Setup, cfg dve.Config, opt Table1Options) (*Cell, time.Durat
 		return lpOut{
 			m:       core.Evaluate(truth, a),
 			elapsed: time.Since(start),
-			optimal: iap.Optimal && rap.Optimal,
+			limits:  exactLimit(iap.Optimal, iap.Elapsed, deadline) | exactLimit(rap.Optimal, rap.Elapsed, deadline),
 		}, nil
 	})
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, 0, err
 	}
 	cell := &Cell{}
 	var total time.Duration
-	allOpt := true
+	var limits ExactLimits
 	for _, r := range results {
 		cell.PQoS.Add(r.m.PQoS)
 		cell.R.Add(r.m.Utilization)
 		total += r.elapsed
-		allOpt = allOpt && r.optimal
+		limits |= r.limits
 	}
-	return cell, total / time.Duration(len(results)), allOpt, nil
+	return cell, total / time.Duration(len(results)), limits, nil
 }
 
 // String renders the table in the paper's layout.
@@ -155,8 +156,10 @@ func (r *Table1Result) String() string {
 		}
 		if row.LP != nil {
 			suffix := ""
-			if !row.LPOptimal {
-				suffix = "*" // hit a node/time limit; value is a bound
+			if row.LPLimits != 0 {
+				// An exact run stopped at a limit (LPLimits names it); the
+				// cell averages in its incumbent's pQoS.
+				suffix = "*"
 			}
 			cells = append(cells, fmt.Sprintf("%s%s [%.1fs]", row.LP.String(), suffix, row.LPTime.Seconds()))
 		} else {

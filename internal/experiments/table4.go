@@ -14,8 +14,6 @@ import (
 
 // Table4Options tunes the imperfect-input experiment.
 type Table4Options struct {
-	// Models lists the error models; default {King e=1.2, IDMaps e=2}.
-	Models []estimator.Model
 	// Scenario defaults to the paper's 20s-80z-1000c-500cp.
 	Scenario string
 }
@@ -37,9 +35,6 @@ type Table4Result struct {
 // Table4 runs the experiment.
 func Table4(setup Setup, opt Table4Options) (*Table4Result, error) {
 	setup = setup.withDefaults()
-	if opt.Models == nil {
-		opt.Models = []estimator.Model{estimator.King(), estimator.IDMaps()}
-	}
 	if opt.Scenario == "" {
 		opt.Scenario = "20s-80z-1000c-500cp"
 	}
@@ -50,7 +45,8 @@ func Table4(setup Setup, opt Table4Options) (*Table4Result, error) {
 	algos := core.PaperAlgorithms()
 	names := algorithmNames(algos)
 	res := &Table4Result{Names: names}
-	for _, model := range opt.Models {
+	// The paper's two error models: King (e = 1.2) and IDMaps (e = 2).
+	for _, model := range []estimator.Model{estimator.King(), estimator.IDMaps()} {
 		reps, err := runner.Run(setup.Seed, setup.Reps, func(rep int, rng *xrand.RNG) (repMetrics, error) {
 			world, err := setup.buildWorld(rng.Split(), cfg)
 			if err != nil {

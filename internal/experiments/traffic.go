@@ -29,16 +29,12 @@ import (
 // handoffs — does the traffic term remove, and what does it cost in pQoS
 // and zone-rehosting disruption?
 type TrafficOptions struct {
-	// HorizonSec is the simulated duration per run (default 600).
-	HorizonSec float64
-	// WarmupSec is the observation window before measurement starts
-	// (default HorizonSec/3): crossings accumulate interaction weights and
-	// consolidation acts on them, but traffic and pQoS integrals only run
-	// from here — the arms are compared in steady state, not during the
+	// HorizonSec is the simulated duration per run (default 600). Its
+	// first third is the warm-up: crossings accumulate interaction weights
+	// and consolidation acts on them, but traffic and pQoS integrals only
+	// run after it — the arms are compared in steady state, not during the
 	// identical cold-start in which no observations exist yet.
-	WarmupSec float64
-	// TickSec is the mobility step (default 1).
-	TickSec float64
+	HorizonSec float64
 	// Scenario defaults to 20s-80z-1000c-800cp — the paper's default world
 	// with capacity headroom over the 500 Mbps baseline. Headroom matters:
 	// the quadratic bandwidth model makes a hotspot zone consume most of a
@@ -48,41 +44,36 @@ type TrafficOptions struct {
 	// Weight is the traffic-aware arm's λ (default 2; the delay-only arm
 	// always runs λ = 0).
 	Weight float64
-	// CrossingMbps is the interaction weight one observed crossing
-	// accumulates onto its (from, to) zone edge (default 0.05).
-	CrossingMbps float64
-	// HandoffMbits is the state-transfer volume one cross-server avatar
-	// handoff costs (default 1; co-hosted crossings are free).
-	HandoffMbits float64
-	// OptimizeEverySec is the consolidation cadence: both arms run the same
-	// periodic local-search passes, the traffic-aware one under the full
-	// objective (default 15).
-	OptimizeEverySec float64
-	// OptimizeRounds is the pass count per cadence tick (default 6; each
-	// round accepts at most one zone move, so this bounds moves per cadence).
-	OptimizeRounds int
 	// Workers configures the planner evaluator's worker count (default 1).
 	// Results are bit-identical for every value; see
 	// TestTrafficTraceDeterministicAcrossWorkers.
 	Workers int
-	// Mobility overrides the avatar model (Avatars is forced to the
-	// scenario's client count). Default: speeds 5–15 u/s on a 100-unit zone
-	// grid, 2 s mean pause, clients/10 movement groups at bias 0.85.
-	Mobility *vworld.Config
 	// JSONOut, when set, additionally receives the result as a
 	// BENCH_traffic.json-shaped document.
 	JSONOut io.Writer
 }
 
+const (
+	// trafficTickSec is the mobility step.
+	trafficTickSec = 1.0
+	// crossingMbps is the interaction weight one observed crossing
+	// accumulates onto its (from, to) zone edge.
+	crossingMbps = 0.05
+	// handoffMbits is the state-transfer volume one cross-server avatar
+	// handoff costs (co-hosted crossings are free).
+	handoffMbits = 1.0
+	// optimizeEveryTicks is the consolidation cadence (15 s of mobility
+	// ticks): both arms run the same periodic local-search passes, the
+	// traffic-aware one under the full objective.
+	optimizeEveryTicks = 15
+	// optimizeRounds is the pass count per cadence tick; each round accepts
+	// at most one zone move, so this bounds moves per cadence.
+	optimizeRounds = 6
+)
+
 func (o TrafficOptions) withDefaults() TrafficOptions {
 	if o.HorizonSec == 0 {
 		o.HorizonSec = 600
-	}
-	if o.WarmupSec == 0 {
-		o.WarmupSec = o.HorizonSec / 3
-	}
-	if o.TickSec == 0 {
-		o.TickSec = 1
 	}
 	if o.Scenario == "" {
 		o.Scenario = "20s-80z-1000c-800cp"
@@ -90,31 +81,16 @@ func (o TrafficOptions) withDefaults() TrafficOptions {
 	if o.Weight == 0 {
 		o.Weight = 2
 	}
-	if o.CrossingMbps == 0 {
-		o.CrossingMbps = 0.05
-	}
-	if o.HandoffMbits == 0 {
-		o.HandoffMbits = 1
-	}
-	if o.OptimizeEverySec == 0 {
-		o.OptimizeEverySec = 15
-	}
-	if o.OptimizeRounds == 0 {
-		o.OptimizeRounds = 6
-	}
 	if o.Workers == 0 {
 		o.Workers = 1
 	}
 	return o
 }
 
-// mobility resolves the avatar model for a scenario.
-func (o TrafficOptions) mobility(cfg dve.Config) vworld.Config {
-	if o.Mobility != nil {
-		m := *o.Mobility
-		m.Avatars = cfg.Clients
-		return m
-	}
+// mobility is the avatar model for a scenario: speeds 5–15 u/s on a
+// 100-unit zone grid, 2 s mean pause, clients/10 movement groups at bias
+// 0.85.
+func mobility(cfg dve.Config) vworld.Config {
 	groups := cfg.Clients / 10
 	if groups < 1 {
 		groups = 1
@@ -232,7 +208,7 @@ func runTrafficArm(setup Setup, opt TrafficOptions, cfg dve.Config, lambda float
 	if err != nil {
 		return res, err
 	}
-	vw, err := vworld.NewWorld(xrand.New(mobSeed), m, opt.mobility(cfg))
+	vw, err := vworld.NewWorld(xrand.New(mobSeed), m, mobility(cfg))
 	if err != nil {
 		return res, err
 	}
@@ -267,23 +243,20 @@ func runTrafficArm(setup Setup, opt TrafficOptions, cfg dve.Config, lambda float
 	b := mach.Binding()
 	ids := b.DenseIDs()
 
-	ticks := int(opt.HorizonSec/opt.TickSec + 0.5)
-	warmTicks := int(opt.WarmupSec/opt.TickSec + 0.5)
+	ticks := int(opt.HorizonSec/trafficTickSec + 0.5)
+	warmupSec := opt.HorizonSec / 3
+	warmTicks := int(warmupSec/trafficTickSec + 0.5)
 	if warmTicks >= ticks {
-		return res, fmt.Errorf("experiments: warmup %gs swallows the %gs horizon", opt.WarmupSec, opt.HorizonSec)
+		return res, fmt.Errorf("experiments: warmup %gs swallows the %gs horizon", warmupSec, opt.HorizonSec)
 	}
-	optEvery := int(opt.OptimizeEverySec/opt.TickSec + 0.5)
-	if optEvery < 1 {
-		optEvery = 1
-	}
-	measuredSec := float64(ticks-warmTicks) * opt.TickSec
+	measuredSec := float64(ticks-warmTicks) * trafficTickSec
 	touched := make([]bool, cfg.Zones)
 	var broadcastInt, pqosInt float64
 	crossings, crossHandoffs := 0, 0
 	res.digest = fnvOffset
 	for tick := 1; tick <= ticks; tick++ {
 		measuring := tick > warmTicks
-		cs := vw.StepCrossings(opt.TickSec)
+		cs := vw.StepCrossings(trafficTickSec)
 		for _, c := range cs {
 			if measuring {
 				crossings++
@@ -294,7 +267,7 @@ func runTrafficArm(setup Setup, opt TrafficOptions, cfg dve.Config, lambda float
 			if err := mach.Commit(&repair.Event{Op: repair.OpMove, ID: ids[c.Avatar], Zone: b.ZoneID(c.To)}, nil, nil); err != nil {
 				return res, err
 			}
-			if err := mach.Commit(&repair.Event{Op: repair.OpAddAdjacency, Zone: b.ZoneID(c.From), Zone2: b.ZoneID(c.To), Weight: opt.CrossingMbps}, nil, nil); err != nil {
+			if err := mach.Commit(&repair.Event{Op: repair.OpAddAdjacency, Zone: b.ZoneID(c.From), Zone2: b.ZoneID(c.To), Weight: crossingMbps}, nil, nil); err != nil {
 				return res, err
 			}
 			touched[c.From], touched[c.To] = true, true
@@ -311,12 +284,12 @@ func runTrafficArm(setup Setup, opt TrafficOptions, cfg dve.Config, lambda float
 				return res, err
 			}
 		}
-		if tick%optEvery == 0 {
-			pl.Optimize(opt.OptimizeRounds)
+		if tick%optimizeEveryTicks == 0 {
+			pl.Optimize(optimizeRounds)
 		}
 		if measuring {
-			broadcastInt += pl.TrafficCut() * opt.TickSec
-			pqosInt += pl.PQoS() * opt.TickSec
+			broadcastInt += pl.TrafficCut() * trafficTickSec
+			pqosInt += pl.PQoS() * trafficTickSec
 		}
 		for _, p := range pops {
 			res.digest = mix(res.digest, uint64(p))
@@ -330,7 +303,7 @@ func runTrafficArm(setup Setup, opt TrafficOptions, cfg dve.Config, lambda float
 		}
 	}
 	res.broadcastMbps = broadcastInt / measuredSec
-	res.crossTrafficMbps = res.broadcastMbps + opt.HandoffMbits*float64(crossHandoffs)/measuredSec
+	res.crossTrafficMbps = res.broadcastMbps + handoffMbits*float64(crossHandoffs)/measuredSec
 	if crossings > 0 {
 		res.crossHandoffFrac = float64(crossHandoffs) / float64(crossings)
 	}

@@ -366,7 +366,7 @@ func TestOpenCopiesClusterLateIndex(t *testing.T) {
 // contacts against one saved contact vector; on a churned director that
 // equals the diff of two full assignment copies it used to take.
 func TestReassignMovedMatchesAssignmentDiff(t *testing.T) {
-	dm := directorSurface(t, "dense").open(t, proofRun{churnSeed: 401}).(*directorMachine)
+	dm := directorSurface(t).open(t, proofRun{churnSeed: 401}).(*directorMachine)
 	d := dm.d
 	total := 0
 	for round := 0; round < 6; round++ {

@@ -94,7 +94,7 @@ func TestSharedModelSessionDataRecovers(t *testing.T) {
 func TestSharedModelDirectorDataRecovers(t *testing.T) {
 	dir, want := oldDataCopy(t, "director")
 	for _, stage := range []string{"recovered", "rows checkpoint"} {
-		m := directorSurface(t, "dense").open(t, proofRun{dir: dir, workers: 1, snapEvery: 25}).(*directorMachine)
+		m := directorSurface(t).open(t, proofRun{dir: dir, workers: 1, snapEvery: 25}).(*directorMachine)
 		d := m.d
 		requireSameJSON(t, stage, []interface{}{d.Snapshot(), d.Servers(), d.Zones(), d.Adjacency(), d.Stats()}, want)
 		if err := m.close(); err != nil {
@@ -158,7 +158,7 @@ func TestV2SnapshotsRecover(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			session, model, _ := strings.Cut(name, "-")
+			session, _, _ := strings.Cut(name, "-")
 			for _, stage := range []string{"version-2 checkpoint", "version-3 checkpoint"} {
 				if session == "session" {
 					s := reopenDurable(t, dir, "GreZ-GreC", 1)
@@ -173,7 +173,7 @@ func TestV2SnapshotsRecover(t *testing.T) {
 					}{res, s.ClientIDs(), s.Servers()}, want)
 					err = s.Close()
 				} else {
-					m := directorSurface(t, model).open(t, proofRun{dir: dir, workers: 1}).(*directorMachine)
+					m := directorSurface(t).open(t, proofRun{dir: dir, workers: 1}).(*directorMachine)
 					d := m.d
 					requireSameJSON(t, stage, []interface{}{d.Snapshot(), d.Servers(), d.Zones(), d.Adjacency(), d.Stats()}, want)
 					err = m.close()
@@ -241,7 +241,7 @@ func TestV3SnapshotsRecover(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			surface, model, _ := strings.Cut(name, "-")
+			surface, _, _ := strings.Cut(name, "-")
 			for _, stage := range []string{"version-3 checkpoint", "version-4 checkpoint"} {
 				if surface == "session" {
 					s := reopenDurable(t, dir, "GreZ-GreC", 1)
@@ -256,7 +256,7 @@ func TestV3SnapshotsRecover(t *testing.T) {
 					}{res, s.ClientIDs(), s.Servers()}, want)
 					err = s.Close()
 				} else {
-					m := directorSurface(t, model).open(t, proofRun{dir: dir, workers: 1}).(*directorMachine)
+					m := directorSurface(t).open(t, proofRun{dir: dir, workers: 1}).(*directorMachine)
 					d := m.d
 					requireSameJSON(t, stage, []interface{}{d.Snapshot(), d.Servers(), d.Zones(), d.Adjacency(), d.Stats()}, want)
 					err = m.close()

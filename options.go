@@ -57,7 +57,6 @@ type Option func(*config)
 type config struct {
 	workers  int
 	overflow OverflowPolicy
-	lsRounds int
 	drift    float64
 	estErr   float64
 	estSet   bool
@@ -127,13 +126,6 @@ func WithWorkers(n int) Option {
 // SpillLargestResidual).
 func WithOverflow(p OverflowPolicy) Option {
 	return func(c *config) { c.overflow = p }
-}
-
-// WithLocalSearchRounds layers up to n rounds of the best-improvement
-// local search (zone moves + contact switches, DESIGN.md §5) on top of the
-// two-phase result. 0 (the default) disables it.
-func WithLocalSearchRounds(n int) Option {
-	return func(c *config) { c.lsRounds = n }
 }
 
 // WithDriftGuard arms the session's quality guard at p: once the repaired

@@ -33,7 +33,7 @@ func TestRecoveryGaugesSplitLoadAndReplay(t *testing.T) {
 		{"session", sessionSurface(DenseDelays), func(dir string, reg *telemetry.Registry) (io.Closer, error) {
 			return NewCluster(1).Open("GreZ-GreC", WithDurability(dir), WithTelemetry(reg))
 		}},
-		{"director", directorSurface(t, "dense"), func(dir string, reg *telemetry.Registry) (io.Closer, error) {
+		{"director", directorSurface(t), func(dir string, reg *telemetry.Registry) (io.Closer, error) {
 			return director.New(director.Config{
 				ServerNodes: []int{1}, ServerCaps: []float64{5}, Zones: 2, Delays: dm,
 				DelayBoundMs: 250, FrameRate: 25, MessageBytes: 100, Seed: 1,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -215,6 +216,32 @@ func TestSessionAdjacencyVerbs(t *testing.T) {
 	} {
 		if err := call(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestBuilderAdjacencyRuleMatchesSession: the builder's SetZoneAdjacency
+// takes exactly the edges a session's set form takes, and names itself in
+// what it refuses.
+func TestBuilderAdjacencyRuleMatchesSession(t *testing.T) {
+	c := durTestCluster(t, 11)
+	s, err := durTestCluster(t, 11).Open("GreZ-GreC", WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		z1, z2 string
+		w      float64
+	}{
+		{"z0", "z1", 2.5}, {"z0", "z1", 0}, {"z0", "z0", 1}, {"z1", "z0", -1},
+		{"z0", "z1", math.NaN()}, {"z0", "z1", math.Inf(1)}, {"z0", "z1", math.Inf(-1)},
+	} {
+		built, live := c.SetZoneAdjacency(tc.z1, tc.z2, tc.w), s.SetZoneAdjacency(tc.z1, tc.z2, tc.w)
+		if (built == nil) != (live == nil) {
+			t.Errorf("(%s,%s,%v): builder %v, session %v", tc.z1, tc.z2, tc.w, built, live)
+		}
+		if built != nil && !strings.HasPrefix(built.Error(), "dvecap: ") {
+			t.Errorf("(%s,%s,%v): builder error %q lacks the package prefix", tc.z1, tc.z2, tc.w, built)
 		}
 	}
 }
