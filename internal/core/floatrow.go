@@ -374,6 +374,19 @@ func (r *WireReader) Row() []float64 {
 	return row
 }
 
+// Rows consumes rows of rows as FloatRows decodes them.
+func (r *WireReader) Rows() [][]float64 {
+	if !r.OK {
+		return nil
+	}
+	s := rowScanner{b: r.Rest}
+	rows, err := s.rows()
+	if r.OK = err == nil; r.OK {
+		r.Rest = r.Rest[s.i:]
+	}
+	return rows
+}
+
 // End consumes the closing s and reports whether only space follows.
 func (r *WireReader) End(s string) bool {
 	return r.Key(s).OK && len(bytes.TrimLeft(r.Rest, " \t\r\n")) == 0

@@ -261,21 +261,25 @@ var fieldKeys = func() (keys []string) {
 	return keys
 }()
 
-// readEvent reads, in one pass, a record of the ops a replay meets most as
-// Encode writes it — join, leave, move, delay_row, resolve and epoch, their
-// refresh lists included — and reports whether it could, yielding what
-// EventDecoder yields. Any other record (another op, a member out of
+// readEvent reads, in one pass, a record as Encode writes it — every field
+// of its op and its refresh list except the delay maps of server_delays and
+// add_server — and reports whether it could, yielding what EventDecoder
+// yields. Any other record (an unknown op, a delay map, a member out of
 // order, a string to unescape, space, what the decoder refuses) it leaves
 // to EventDecoder, the one authority on what a record means.
 func readEvent(payload []byte) (*Event, bool) {
 	r := core.WireReader{Rest: payload, OK: true}
 	e := &Event{Op: EventOp(r.Key(`{"op":`).Str())}
-	switch e.Op {
-	case OpJoin, OpLeave, OpMove, OpDelayRow, OpResolve, OpEpoch:
-	default:
+	set, ok := opFields[e.Op]
+	if !ok {
 		return nil, false
 	}
-	set := opFields[e.Op]
+	strs := func(into *[]string) { each(&r, func() { *into = append(*into, r.Str()) }) }
+	flag := func() bool {
+		v := bytes.HasPrefix(r.Rest, []byte("true"))
+		r.Key(strconv.FormatBool(v))
+		return v
+	}
 	for i, key := range fieldKeys {
 		if set&(1<<i) == 0 || !r.OK || !bytes.HasPrefix(r.Rest, []byte(key)) {
 			continue
@@ -283,32 +287,62 @@ func readEvent(payload []byte) (*Event, bool) {
 		switch r.Key(key); fieldNames[i] {
 		case "id":
 			e.ID = r.Str()
+		case "ids":
+			strs(&e.IDs)
 		case "zone":
 			e.Zone = r.Str()
+		case "zone2":
+			e.Zone2 = r.Str()
+		case "zones":
+			strs(&e.Zones)
+		case "server":
+			e.Server = r.Str()
+		case "host":
+			e.Host = r.Str()
 		case "rt":
 			e.RT = r.Float()
+		case "rts":
+			e.RTs = r.Row()
 		case "row":
 			e.Row = r.Row()
+		case "rows":
+			e.Rows = r.Rows()
+		case "capacity":
+			e.Capacity = r.Float()
+		case "weight":
+			e.Weight = r.Float()
 		case "refresh":
-			for sep := "["; r.OK && sep != "]"; {
-				zone := r.Key(sep).Key(`{"zone":`).Str()
+			each(&r, func() {
+				zone := r.Key(`{"zone":`).Str()
 				e.Refresh = append(e.Refresh, ZoneRT{zone, r.Key(`,"rt":`).Float()})
-				if sep = ","; bytes.HasPrefix(r.Key("}").Rest, []byte("]")) {
-					sep = "]"
-					r.Key(sep)
-				}
-			}
+				r.Key("}")
+			})
 		case "node":
 			e.Node = r.Int()
 		case "auto":
-			e.Auto = bytes.HasPrefix(r.Rest, []byte("true"))
-			r.Key(strconv.FormatBool(e.Auto))
+			e.Auto = flag()
+		case "spare":
+			e.Spare = flag()
 		case "full_solves":
 			e.FullSolves = r.Int()
+		default: // rtts, client_rtts
+			r.OK = false
 		}
 	}
 	if !r.Key("}").OK || len(r.Rest) > 0 {
 		return nil, false
 	}
 	return e, true
+}
+
+// each reads a non-empty array, calling item at each element.
+func each(r *core.WireReader, item func()) {
+	for sep := "["; r.OK && sep != "]"; {
+		r.Key(sep)
+		item()
+		if sep = ","; bytes.HasPrefix(r.Rest, []byte("]")) {
+			sep = "]"
+			r.Key(sep)
+		}
+	}
 }

@@ -12,6 +12,13 @@
 // snapshot that parses and replays only the log records after it — O(tail)
 // work, independent of session lifetime.
 //
+// An append is one write: the writer keeps the segment's last partial 4 KiB
+// block in memory and rewrites it, with the new frame and zero padding to
+// the next block boundary, through an O_DIRECT|O_DSYNC descriptor on
+// Linux. The active segment therefore ends in zeros, and an all-zero frame
+// header at a record boundary is the clean end of the log; rotation and
+// Close trim a segment to its last frame.
+//
 // Torn final records are expected, not fatal: a crash mid-append leaves a
 // half-written frame at the tail of the last segment, which Open truncates
 // away. Any framing damage before the final record of the final segment is
@@ -32,6 +39,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"dvecap/telemetry"
 )
@@ -51,6 +59,15 @@ const (
 	defaultSegmentBytes = 4 << 20
 	// scanBuffer is the read buffer of a segment scan.
 	scanBuffer = 64 << 10
+	// blockSize is the unit of an append's write: it rewrites the segment
+	// from the last 4 KiB boundary at or before the log's end, which direct
+	// I/O needs aligned in offset, length and memory.
+	blockSize = 4 << 10
+	// tailBytes is the tail buffer's first size and the step by which a
+	// segment grows: an append that would end past the file's end writes
+	// this much, its frame and then zeros, so the next appends overwrite
+	// blocks that are already allocated.
+	tailBytes = 64 << 10
 )
 
 // ErrCorrupt reports framing damage that is not a torn final record — a
@@ -73,8 +90,9 @@ type Options struct {
 	// SegmentBytes rotates to a fresh segment once the current one reaches
 	// this size (0 takes the 4 MiB default).
 	SegmentBytes int64
-	// NoSync skips the per-append fsync — only for tests that measure
-	// logical behaviour, never for durability.
+	// NoSync opens segments without O_DIRECT and O_DSYNC and never syncs an
+	// append — only for tests that measure logical behaviour, never for
+	// durability.
 	NoSync bool
 	// CrashHook, when set, is consulted at named points of the append path
 	// ("append:start", "append:torn", "append:unsynced"). Returning an
@@ -104,9 +122,9 @@ func newWALTele(reg *telemetry.Registry) walTele {
 	}
 	return walTele{
 		appendDur: reg.Histogram("dvecap_wal_append_duration_seconds",
-			"Wall time of one WAL append, including the durability fsync.", nil),
+			"Wall time of one WAL append, including its durable write.", nil),
 		fsyncDur: reg.Histogram("dvecap_wal_fsync_duration_seconds",
-			"Wall time of the per-append fsync alone.", nil),
+			"Wall time of the per-append durable write alone: one O_DIRECT|O_DSYNC pwrite on Linux, a write and fsync elsewhere.", nil),
 		bytes: reg.Counter("dvecap_wal_appended_bytes_total",
 			"Framed bytes appended to the WAL."),
 		records: reg.Counter("dvecap_wal_records_total",
@@ -121,15 +139,25 @@ type Writer struct {
 	dir     string
 	opt     Options
 	f       *os.File
-	size    int64  // current segment size
+	size    int64  // current segment's logical end, just past its last frame
+	alloc   int64  // bytes of the segment known to be written; zeros past size
 	nextLSN uint64 // LSN the next Append receives
 	closed  bool
 	failed  error // sticky append failure (wraps ErrFailed); nil while healthy
 	tele    walTele
-	// frame is the grow-only buffer every record is framed in: the writer is
-	// single-owner and a frame is dead once written, so appends do not
-	// allocate.
-	frame []byte
+	// tail holds the segment from its last block boundary at or before
+	// size: the size%blockSize bytes on disk there, then zeros. Every
+	// record is framed in it; it is block-aligned in memory and grow-only,
+	// so appends do not allocate.
+	tail []byte
+}
+
+// alignedBuffer returns n zero bytes starting at a block boundary in
+// memory, as direct I/O requires.
+func alignedBuffer(n int) []byte {
+	b := make([]byte, n+blockSize)
+	skip := int(-uintptr(unsafe.Pointer(&b[0])) & (blockSize - 1))
+	return b[skip : skip+n : skip+n]
 }
 
 // segmentName formats the segment holding records from lsn on.
@@ -221,6 +249,9 @@ func scanSegment(path string, fn func(payload []byte) error) (count int, end int
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
+		if length == 0 && sum == 0 {
+			return count, end, false, nil // zero padding: the active segment's clean end
+		}
 		if length == 0 || length > MaxRecord {
 			return count, end, true, nil
 		}
@@ -245,10 +276,12 @@ func scanSegment(path string, fn func(payload []byte) error) (count int, end int
 }
 
 // Open prepares dir for appending: it scans the existing segments,
-// truncates a torn final record off the last one, and returns a writer
-// positioned after the last whole record. base is the LSN already covered
-// by the snapshot the caller starts from — when the directory has no
-// segments at all, the first segment starts at base+1.
+// truncates a torn final record off the last one, reloads that segment's
+// last partial block and returns a writer positioned after the last whole
+// record. A final segment that ends in zero padding is left as it is.
+// base is the LSN already covered by the snapshot the caller starts from —
+// when the directory has no segments at all, the first segment starts at
+// base+1.
 func Open(dir string, base uint64, opt Options) (*Writer, error) {
 	if opt.SegmentBytes <= 0 {
 		opt.SegmentBytes = defaultSegmentBytes
@@ -260,7 +293,7 @@ func Open(dir string, base uint64, opt Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{dir: dir, opt: opt, tele: newWALTele(opt.Telemetry)}
+	w := &Writer{dir: dir, opt: opt, tele: newWALTele(opt.Telemetry), tail: alignedBuffer(tailBytes)}
 	if len(segs) == 0 {
 		w.nextLSN = base + 1
 		if err := w.rotate(); err != nil {
@@ -269,13 +302,14 @@ func Open(dir string, base uint64, opt Options) (*Writer, error) {
 		return w, nil
 	}
 	// Non-final segments must be whole — a torn record there means records
-	// after the damage were acknowledged, which truncation would lose.
-	for _, start := range segs[:len(segs)-1] {
-		_, _, torn, err := scanSegment(filepath.Join(dir, segmentName(start)), nil)
+	// after the damage were acknowledged, which truncation would lose — and
+	// hold every record up to the next segment's first.
+	for i, start := range segs[:len(segs)-1] {
+		count, _, torn, err := scanSegment(filepath.Join(dir, segmentName(start)), nil)
 		if err != nil {
 			return nil, err
 		}
-		if torn {
+		if torn || start+uint64(count) != segs[i+1] {
 			return nil, fmt.Errorf("%w: %s: torn record before final segment", ErrCorrupt, segmentName(start))
 		}
 	}
@@ -285,76 +319,111 @@ func Open(dir string, base uint64, opt Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if torn {
-		if end < int64(len(magic)) {
-			// The crash hit before even the segment magic was complete: the
-			// file holds nothing. Recreate it whole rather than appending
-			// records to a header-less file.
-			if err := os.Remove(path); err != nil {
-				return nil, err
-			}
-			w.nextLSN = last
-			if err := w.rotate(); err != nil {
-				return nil, err
-			}
-			return w, nil
-		}
-		// Recovery = truncate the torn final record; the file then ends at
-		// the last whole record boundary.
-		if err := os.Truncate(path, end); err != nil {
+	if torn && end < int64(len(magic)) {
+		// The crash hit before even the segment magic was complete: the
+		// file holds nothing. Recreate it whole rather than appending
+		// records to a header-less file.
+		if err := os.Remove(path); err != nil {
 			return nil, err
 		}
+		w.nextLSN = last
+		if err := w.rotate(); err != nil {
+			return nil, err
+		}
+		return w, nil
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	// The next append rewrites the last partial block: reload it, and drop
+	// what follows the last frame there. The read goes through the page
+	// cache the scan filled; a direct read would first write back the dirty
+	// pages of a freshly copied segment.
+	r, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	off := end &^ (blockSize - 1)
+	_, err = r.ReadAt(w.tail[:blockSize], off)
+	r.Close()
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	clear(w.tail[end-off:])
+	if w.f, err = openTail(path, os.O_RDWR, !opt.NoSync); err != nil {
+		return nil, err
+	}
+	w.size, w.alloc, w.nextLSN = end, end, last+uint64(count)
 	if torn {
-		if err := f.Sync(); err != nil {
-			f.Close()
+		// Recovery = truncate the torn final record; the file then ends at
+		// the last whole record boundary.
+		err = w.f.Truncate(end)
+		if err == nil {
+			err = w.f.Sync()
+		}
+		if err != nil {
+			w.f.Close()
 			return nil, err
 		}
 	}
-	w.f = f
-	w.size = end
-	w.nextLSN = last + uint64(count)
 	return w, nil
 }
 
-// rotate closes the current segment and starts a fresh one named by the
-// next LSN. The new segment is synced (magic on disk) and the directory
-// entry made durable before any record lands in it.
+// rotate trims and closes the current segment and starts a fresh one named
+// by the next LSN. The new segment's magic and first zero step are on disk
+// and its directory entry durable before any record lands in it.
 func (w *Writer) rotate() error {
 	if w.f != nil {
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
-		if err := w.f.Close(); err != nil {
+		if err := w.trim(); err != nil {
 			return err
 		}
 	}
-	path := filepath.Join(w.dir, segmentName(w.nextLSN))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := openTail(filepath.Join(w.dir, segmentName(w.nextLSN)), os.O_RDWR|os.O_CREATE|os.O_EXCL, !w.opt.NoSync)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write([]byte(magic)); err != nil {
-		f.Close()
+	clear(w.tail[:w.size%blockSize])
+	w.f, w.size, w.alloc = f, 0, 0
+	copy(w.tail, magic)
+	if err := w.writeTail(len(magic)); err != nil {
 		return err
 	}
+	w.size = int64(len(magic))
 	if !w.opt.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
 		if err := syncDir(w.dir); err != nil {
-			f.Close()
 			return err
 		}
 	}
-	w.f = f
-	w.size = int64(len(magic))
 	w.tele.rotations.Inc()
+	return nil
+}
+
+// trim cuts the segment's zero padding, so a closed segment ends at its
+// last frame, then syncs and closes it.
+func (w *Writer) trim() error {
+	err := w.f.Truncate(w.size)
+	if err == nil {
+		err = w.f.Sync()
+	}
+	return errors.Join(err, w.f.Close())
+}
+
+// writeTail writes the tail buffer's first n bytes, rounded up to whole
+// blocks, at the segment's last block boundary: one pwrite, durable when it
+// returns through O_DSYNC, or followed by f.Sync where the descriptor has
+// no such flag. The bytes it rewrites before the new ones are those on
+// disk, so a torn write can lose only the new frame. A write that would end
+// past the written part of the file writes at least tailBytes.
+func (w *Writer) writeTail(n int) error {
+	off := w.size &^ (blockSize - 1)
+	span := (n + blockSize - 1) &^ (blockSize - 1)
+	if off+int64(span) > w.alloc {
+		span = max(span, tailBytes)
+	}
+	if _, err := w.f.WriteAt(w.tail[:span], off); err != nil {
+		return err
+	}
+	w.alloc = max(w.alloc, off+int64(span))
+	if syncAfterWrite && !w.opt.NoSync {
+		return w.f.Sync()
+	}
 	return nil
 }
 
@@ -367,9 +436,9 @@ func (w *Writer) hook(point string) error {
 }
 
 // Append writes one record and makes it durable. The returned LSN is
-// assigned only after the record is synced — once Append returns nil, the
-// record survives any crash. A failure past validation is sticky: the
-// writer fail-stops (see ErrFailed) without touching the file again.
+// assigned only after the record's write is durable — once Append returns
+// nil, the record survives any crash. A failure past validation is sticky:
+// the writer fail-stops (see ErrFailed) without touching the file again.
 func (w *Writer) Append(payload []byte) (uint64, error) {
 	if w.closed {
 		return 0, fmt.Errorf("wal: writer closed")
@@ -401,41 +470,44 @@ func (w *Writer) append(payload []byte) (uint64, error) {
 	if w.tele.appendDur != nil {
 		start = time.Now()
 	}
-	n := frameHeader + len(payload)
-	if cap(w.frame) < n {
-		w.frame = make([]byte, n)
+	head := int(w.size % blockSize)
+	n := head + frameHeader + len(payload)
+	if need := (n + blockSize - 1) &^ (blockSize - 1); need > len(w.tail) {
+		grown := alignedBuffer(need)
+		copy(grown, w.tail[:head])
+		w.tail = grown
 	}
-	frame := w.frame[:n]
+	frame := w.tail[head:n]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 	copy(frame[frameHeader:], payload)
 	if err := w.hook("append:torn"); err != nil {
-		// Simulated power cut mid-write: half a frame reaches the file.
-		_, _ = w.f.Write(frame[:len(frame)/2])
-		_ = w.f.Sync()
+		// Simulated power cut mid-write: only the frame's first half lands.
+		clear(frame[len(frame)/2:])
+		_ = w.writeTail(n)
 		return 0, err
 	}
-	if _, err := w.f.Write(frame); err != nil {
+	var syncStart time.Time
+	if w.tele.fsyncDur != nil {
+		syncStart = time.Now()
+	}
+	if err := w.writeTail(n); err != nil {
 		return 0, err
+	}
+	if w.tele.fsyncDur != nil && !w.opt.NoSync {
+		w.tele.fsyncDur.Observe(time.Since(syncStart).Seconds())
 	}
 	if err := w.hook("append:unsynced"); err != nil {
 		return 0, err
 	}
-	if !w.opt.NoSync {
-		var syncStart time.Time
-		if w.tele.fsyncDur != nil {
-			syncStart = time.Now()
-		}
-		if err := w.f.Sync(); err != nil {
-			return 0, err
-		}
-		if w.tele.fsyncDur != nil {
-			w.tele.fsyncDur.Observe(time.Since(syncStart).Seconds())
-		}
-	}
 	lsn := w.nextLSN
 	w.nextLSN++
 	w.size += int64(len(frame))
+	// Keep the new last partial block at the buffer's front, zeros after.
+	if keep := int(w.size % blockSize); n-keep > 0 {
+		copy(w.tail, w.tail[n-keep:n])
+		clear(w.tail[keep:n])
+	}
 	if w.tele.appendDur != nil {
 		w.tele.appendDur.Observe(time.Since(start).Seconds())
 		w.tele.bytes.Add(uint64(len(frame)))
@@ -451,7 +523,8 @@ func (w *Writer) Err() error { return w.failed }
 // NextLSN returns the LSN the next Append will receive.
 func (w *Writer) NextLSN() uint64 { return w.nextLSN }
 
-// Close syncs and closes the active segment. Further Appends fail.
+// Close trims, syncs and closes the active segment; a fail-stopped
+// writer's segment it only closes. Further Appends fail.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
@@ -460,11 +533,10 @@ func (w *Writer) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
+	if w.failed != nil {
+		return w.f.Close()
 	}
-	return w.f.Close()
+	return w.trim()
 }
 
 // TruncateThrough deletes whole segments every record of which is ≤ lsn —

@@ -8,7 +8,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
+	"time"
 )
 
 // appendAll writes records 1..n with payloads derived from their LSN.
@@ -217,33 +220,44 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 }
 
 func TestCorruptionBeforeFinalSegmentIsFatal(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(dir, 0, Options{SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, w, 20)
-	w.Close()
-	segs, _ := segments(dir)
-	if len(segs) < 3 {
-		t.Fatalf("need ≥3 segments, got %d", len(segs))
-	}
-	// Flip a payload bit in the middle segment: acked records follow the
-	// damage, so recovery must refuse rather than silently drop them.
-	path := filepath.Join(dir, segmentName(segs[1]))
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(magic)+frameHeader+2] ^= 0x40
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Replay(dir, 0, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("replay over mid-log damage: %v, want ErrCorrupt", err)
-	}
-	if _, err := Open(dir, 0, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("open over mid-log damage: %v, want ErrCorrupt", err)
+	for name, damage := range map[string]func(b []byte){
+		// A flipped payload bit: acked records follow the damage, so
+		// recovery must refuse rather than silently drop them.
+		"crc": func(b []byte) { b[len(magic)+frameHeader+2] ^= 0x40 },
+		// Zeros from the second record on read as a clean end, so the
+		// segment holds fewer records than the next one's name says.
+		"zeroed tail": func(b []byte) {
+			clear(b[len(magic)+frameHeader+int(binary.LittleEndian.Uint32(b[len(magic):])):])
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(dir, 0, Options{SegmentBytes: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, w, 20)
+			w.Close()
+			segs, _ := segments(dir)
+			if len(segs) < 3 {
+				t.Fatalf("need ≥3 segments, got %d", len(segs))
+			}
+			path := filepath.Join(dir, segmentName(segs[1]))
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damage(b)
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Replay(dir, 0, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("replay over mid-log damage: %v, want ErrCorrupt", err)
+			}
+			if _, err := Open(dir, 0, Options{}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("open over mid-log damage: %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 
@@ -508,4 +522,240 @@ func TestAppendDoesNotAllocate(t *testing.T) {
 			t.Fatalf("LSN %d replays %d bytes, want the %d-byte record", lsn, len(got[lsn]), len(want))
 		}
 	}
+}
+
+// crash abandons w as a killed process does: its descriptor closes, and
+// nothing is trimmed or synced.
+func crash(t *testing.T, w *Writer) {
+	t.Helper()
+	if err := w.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reopen opens dir again and requires the writer to resume at next.
+func reopen(t *testing.T, dir string, opt Options, next uint64) *Writer {
+	t.Helper()
+	w, err := Open(dir, 0, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.NextLSN() != next {
+		t.Fatalf("reopened at LSN %d, want %d", w.NextLSN(), next)
+	}
+	return w
+}
+
+// requireLog requires dir's log to hold exactly the appendAll records
+// 1..last.
+func requireLog(t *testing.T, dir string, last uint64) {
+	t.Helper()
+	got, head := collect(t, dir, 0)
+	if head != last || len(got) != int(last) {
+		t.Fatalf("log holds %d records up to LSN %d, want 1..%d", len(got), head, last)
+	}
+	for lsn := uint64(1); lsn <= last; lsn++ {
+		if got[lsn] != string(payloadFor(lsn)) {
+			t.Fatalf("LSN %d replays %q", lsn, got[lsn])
+		}
+	}
+}
+
+// dirFiles reads every file of a flat directory, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range ents {
+		if out[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestTornSpanWriteLosesOnlyTheVictim: an append rewrites its segment from
+// the last block boundary, and a power cut may land any subset of the
+// span's 512-byte sectors. Whichever are lost — the victim frame's header
+// sector, the prefix sectors before it, which hold acknowledged records, or
+// the suffix sectors after it — every acknowledged record survives, the
+// victim is dropped, appending resumes at the log's end, and a second
+// recovery reads the same log.
+func TestTornSpanWriteLosesOnlyTheVictim(t *testing.T) {
+	const sector = 512
+	for _, tc := range []struct {
+		name string
+		lost func(sector, header int) bool
+	}{
+		{"header", func(s, h int) bool { return s == h }},
+		{"suffix", func(s, h int) bool { return s > h }},
+		{"prefix and suffix", func(s, h int) bool { return s != h }},
+		{"header and suffix", func(s, h int) bool { return s >= h }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(dir, 0, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Past 3000 bytes the victim's header sits mid-block, behind five
+			// prefix sectors, and its frame crosses into the next block.
+			for w.size < 3000 {
+				appendAll(t, w, 1)
+			}
+			path, off, at, victim := w.f.Name(), int(w.size&^(blockSize-1)), int(w.size), w.NextLSN()
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Append(bytes.Repeat([]byte("v"), 2000)); err != nil {
+				t.Fatal(err)
+			}
+			crash(t, w)
+			torn, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < 2*blockSize/sector; s++ {
+				if lo := off + s*sector; tc.lost(s, (at-off)/sector) {
+					copy(torn[lo:lo+sector], before[lo:lo+sector])
+				}
+			}
+			if err := os.WriteFile(path, torn, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w = reopen(t, dir, Options{}, victim)
+			requireLog(t, dir, victim-1)
+			appendAll(t, w, 3)
+			crash(t, w)
+			w = reopen(t, dir, Options{}, victim+3)
+			requireLog(t, dir, victim+2)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestZeroPaddedSegmentReopensUnchanged: the zeros after the last frame of
+// an active segment are its clean end. Reopening it after a crash changes
+// no byte and no size in the directory, and the next frame lands at the
+// log's end, behind the reloaded tail block.
+func TestZeroPaddedSegmentReopensUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, w, 50)
+	path, end := w.f.Name(), w.size
+	crash(t, w)
+	before := dirFiles(t, dir)
+	if n := int64(len(before[filepath.Base(path)])); n <= end {
+		t.Fatalf("active segment of %d bytes ends at its last frame, %d: no padding to reopen", n, end)
+	}
+	w = reopen(t, dir, Options{}, 51)
+	if !reflect.DeepEqual(dirFiles(t, dir), before) {
+		t.Fatal("reopening a zero-padded segment changed the directory")
+	}
+	appendAll(t, w, 1)
+	crash(t, w)
+	count, next, torn, err := scanSegment(path, nil)
+	if err != nil || torn || count != 51 || next != end+frameHeader+int64(len(payloadFor(51))) {
+		t.Fatalf("after one more append: %d records ending at %d (torn %v, %v), want 51 ending just past %d",
+			count, next, torn, err, end)
+	}
+	requireLog(t, dir, 51)
+}
+
+// TestFramesAcrossBlocksUpToMaxRecord appends frames that end exactly on a
+// block boundary, cross one or several, outgrow the tail buffer and reach
+// MaxRecord, reopening the log after each as a crash would: every record
+// replays intact.
+func TestFramesAcrossBlocksUpToMaxRecord(t *testing.T) {
+	dir := t.TempDir()
+	sizes := []int{blockSize - len(magic) - frameHeader, 1, blockSize, 3*blockSize + 17, tailBytes + 1, 5, MaxRecord, 2}
+	payload := func(lsn uint64) []byte { return bytes.Repeat([]byte{byte('a' + lsn)}, sizes[lsn-1]) }
+	w, err := Open(dir, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lsn := uint64(1); lsn <= uint64(len(sizes)); lsn++ {
+		if _, err := w.Append(payload(lsn)); err != nil {
+			t.Fatal(err)
+		}
+		crash(t, w)
+		w = reopen(t, dir, Options{}, lsn+1)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, last := collect(t, dir, 0)
+	if last != uint64(len(sizes)) || len(got) != len(sizes) {
+		t.Fatalf("replayed %d records up to LSN %d, want %d", len(got), last, len(sizes))
+	}
+	for lsn, p := range got {
+		if p != string(payload(lsn)) {
+			t.Fatalf("LSN %d replays %d bytes, want its %d", lsn, len(p), sizes[lsn-1])
+		}
+	}
+}
+
+// TestRotationAndCloseTrimSegments: a rotated segment and a closed one end
+// at their last frame, as segments did before the zero padding.
+func TestRotationAndCloseTrimSegments(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, 0, Options{SegmentBytes: blockSize + 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, w, 600)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := segments(dir)
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("want several segments, have %v (%v)", segs, err)
+	}
+	for _, start := range segs {
+		path := filepath.Join(dir, segmentName(start))
+		_, end, torn, err := scanSegment(path, nil)
+		if err != nil || torn {
+			t.Fatalf("%s: torn %v, %v", path, torn, err)
+		}
+		if size := fileSize(t, path); size != end {
+			t.Fatalf("%s: %d bytes, last frame ends at %d", segmentName(start), size, end)
+		}
+	}
+	requireLog(t, dir, 600)
+}
+
+// BenchmarkAppend times durable appends of 320-byte records, the size of a
+// churn_durable journal record, into a fresh directory: ns/op is the mean,
+// p50-us and p90-us the latency quantiles.
+func BenchmarkAppend(b *testing.B) {
+	w, err := Open(b.TempDir(), 0, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("r"), 320)
+	lat := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range lat {
+		t0 := time.Now()
+		if _, err := w.Append(payload); err != nil {
+			b.Fatal(err)
+		}
+		lat[i] = time.Since(t0)
+	}
+	b.StopTimer()
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50-us")
+	b.ReportMetric(float64(lat[len(lat)*9/10].Nanoseconds())/1e3, "p90-us")
 }
