@@ -611,6 +611,27 @@ func BenchmarkClusterSolve100k(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterOpen100k measures Cluster.Open on the cluster
+// BenchmarkClusterSolve100k solves, after one warm Solve: the problem clone,
+// the first solve and the evaluator on the calling goroutine, the client
+// name table beside them on one helper goroutine (repair.BindPlanner). On
+// one core the overlap costs nothing; on two the table is off the critical
+// path.
+func BenchmarkClusterOpen100k(b *testing.B) {
+	c := buildCoordCluster(b, xrand.New(1), 50, 500, 100_000)
+	opts := []Option{WithSeed(1), WithDelayProvider(CoordDelays), WithWorkers(1)}
+	if _, err := c.Solve("GreZ-GreC", opts...); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Open("GreZ-GreC", opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSessionResolve100k measures ClusterSession.Resolve() — a live
 // session's full two-phase re-solve, the stall every lookup queues behind —
 // on the churn-scale scenario after 1 000 mixed events (joins with full

@@ -623,24 +623,21 @@ func (c *Cluster) openSession(algorithm string, cfg config) (*ClusterSession, er
 	if p == c.built {
 		opt.Late = &c.late // the planner copies it, never writes it
 	}
-	pl, err := repair.New(repair.Config{
-		Algo:            tp,
-		Opt:             opt,
-		DriftPQoS:       cfg.drift,
-		DriftUtilSpread: cfg.spread,
-	}, p, cfg.rngFor().Split())
+	// The client name table is built beside the clone, first solve and
+	// evaluator (repair.BindPlanner; DESIGN.md §9).
+	binding, err := repair.BindPlanner(c.clientIDs, c.serverIDs, c.zoneIDs, func() (*repair.Planner, error) {
+		return repair.New(repair.Config{
+			Algo:            tp,
+			Opt:             opt,
+			DriftPQoS:       cfg.drift,
+			DriftUtilSpread: cfg.spread,
+		}, p, cfg.rngFor().Split())
+	})
 	if err != nil {
-		return nil, err
-	}
-	binding, err := repair.NewIDBinding(pl, c.clientIDs)
-	if err != nil {
-		return nil, err
-	}
-	if err := binding.NameTopology(c.serverIDs, c.zoneIDs); err != nil {
 		return nil, err
 	}
 	if cfg.tele != nil {
-		pl.SetTelemetry(cfg.tele)
+		binding.Planner().SetTelemetry(cfg.tele)
 	}
 	m, err := repair.NewMachine(binding, algorithm, int(cfg.overflow), nil)
 	if err != nil {

@@ -432,7 +432,9 @@ func (cp *CoordProvider) SwapRemoveServer(i int) {
 	}
 }
 
-// Clone implements DelayProvider.
+// Clone implements DelayProvider. The override lists are copied into one
+// []int32 and one []float64 arena, each list capped at its length: a
+// rewrite in place stays in the list's own span, and growth reallocates.
 func (cp *CoordProvider) Clone() DelayProvider {
 	q := &CoordProvider{
 		dim:   cp.dim,
@@ -442,9 +444,15 @@ func (cp *CoordProvider) Clone() DelayProvider {
 		ovVal: make([][]float64, len(cp.ovVal)),
 		unfit: maps.Clone(cp.unfit),
 	}
+	n := 0
+	for _, srvs := range cp.ovSrv {
+		n += len(srvs)
+	}
+	srvs, vals := make([]int32, 0, n), make([]float64, 0, n)
 	for j := range cp.ovSrv {
-		q.ovSrv[j] = append([]int32(nil), cp.ovSrv[j]...)
-		q.ovVal[j] = append([]float64(nil), cp.ovVal[j]...)
+		lo := len(srvs)
+		srvs, vals = append(srvs, cp.ovSrv[j]...), append(vals, cp.ovVal[j]...)
+		q.ovSrv[j], q.ovVal[j] = srvs[lo:len(srvs):len(srvs)], vals[lo:len(vals):len(vals)]
 	}
 	return q
 }

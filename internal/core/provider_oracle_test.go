@@ -496,3 +496,90 @@ func TestCoordMemoryCountsDeferredFits(t *testing.T) {
 		t.Fatalf("table counted as %d bytes (%d → %d), want %d", got, before, withTable, joins*unfitEntryBytes)
 	}
 }
+
+// TestCoordCloneOverrideArenas: Clone copies the override lists into two
+// arenas, each list capped at its length. Growing, shrinking and rewriting
+// a list, removing a client and appending one on either side of a clone —
+// neighbours in the arena included — leaves every row of the other side,
+// and every other row of its own, as it was.
+func TestCoordCloneOverrideArenas(t *testing.T) {
+	const m, k = 6, 12
+	rng := xrand.New(21)
+	ss := make([][]float64, m)
+	for i := range ss {
+		ss[i] = make([]float64, m)
+	}
+	for i := 0; i < m; i++ {
+		for l := i + 1; l < m; l++ {
+			ss[i][l] = rng.Uniform(10, 60)
+			ss[l][i] = ss[i][l]
+		}
+	}
+	cp := NewCoordProviderFromSS(ss, 0)
+	for j := 0; j < k; j++ {
+		coord := make([]float64, cp.Dim())
+		for c := range coord {
+			coord[c] = rng.Uniform(0, 80)
+		}
+		n := j % 4 // lists of 0 to 3 overrides, neighbours in the arena
+		srvs, vals := make([]int32, n), make([]float64, n)
+		for x := range srvs {
+			srvs[x], vals[x] = int32(x), rng.Uniform(5, 90)
+		}
+		cp.AddClientAt(coord, srvs, vals)
+	}
+	rows := func(p DelayProvider) [][]float64 {
+		out := make([][]float64, p.NumClients())
+		for j := range out {
+			out[j] = p.Row(j, make([]float64, m))
+		}
+		return out
+	}
+	row := func(measured int) []float64 {
+		r := make([]float64, m)
+		for i := range r {
+			r[i] = math.NaN()
+			if i < measured {
+				r[i] = rng.Uniform(5, 90)
+			}
+		}
+		return r
+	}
+	// Client 1's single override grows to m, over the spans of clients 2
+	// and 3 were it not capped; client 7's three shrink to one, client 10's
+	// two are rewritten in place; client 5 leaves, and the last takes its
+	// index.
+	mutate := func(p DelayProvider) {
+		p.SetClientDelays(1, row(m))
+		p.SetClientDelays(7, row(1))
+		p.SetClientDelays(10, row(2))
+		p.SwapRemoveClient(5)
+		p.AppendClient(row(4))
+	}
+	for _, side := range []string{"clone", "original"} {
+		t.Run(side, func(t *testing.T) {
+			orig := cp.Clone()
+			before := rows(orig)
+			cl := orig.Clone()
+			changed, kept := cl, orig
+			if side == "original" {
+				changed, kept = orig, cl
+			}
+			mutate(changed)
+			if !reflect.DeepEqual(rows(kept), before) {
+				t.Fatal("a mutation reached the other side of the clone")
+			}
+			want := append([][]float64(nil), before...)
+			want[5] = want[k-1]
+			got := rows(changed)
+			for j := 0; j < k-1; j++ {
+				if j == 1 || j == 7 || j == 10 {
+					continue
+				}
+				if !reflect.DeepEqual(got[j], want[j]) {
+					t.Fatalf("client %d row %v, want %v", j, got[j], want[j])
+				}
+			}
+		})
+	}
+}

@@ -91,6 +91,8 @@ type Config struct {
 	// evaluator's zone-move search and full solves' cost-matrix build —
 	// across this many goroutines (0 or 1 sequential, negative all CPUs).
 	// Assignments are bit-identical for every setting; see DESIGN.md §8.
+	// Recovery's log reader and the goroutine that builds the client name
+	// table beside the planner run whatever this says (DESIGN.md §11).
 	Workers int
 	// Telemetry, when set, attaches a metrics registry: the repair planner,
 	// evaluator cache and (with DataDir) the write-ahead log register their
@@ -227,17 +229,16 @@ func New(cfg Config) (*Director, error) {
 	for z := range roundRobin {
 		roundRobin[z] = z % len(cfg.ServerNodes)
 	}
-	pl, err := repair.NewWithAssignment(cfg.plannerConfig(algo), cfg.emptyProblem(), &core.Assignment{
-		ZoneServer:    roundRobin,
-		ClientContact: []int{},
-	}, xrand.New(cfg.Seed).Split())
+	b, err := repair.BindPlanner(nil, repair.Names("s", len(cfg.ServerNodes)), repair.Names("z", cfg.Zones), func() (*repair.Planner, error) {
+		return repair.NewWithAssignment(cfg.plannerConfig(algo), cfg.emptyProblem(), &core.Assignment{
+			ZoneServer:    roundRobin,
+			ClientContact: []int{},
+		}, xrand.New(cfg.Seed).Split())
+	})
 	if err != nil {
 		return nil, err
 	}
-	b, err := repair.RestoreIDBinding(pl, nil, repair.Names("s", len(cfg.ServerNodes)), repair.Names("z", cfg.Zones))
-	if err != nil {
-		return nil, err
-	}
+	pl := b.Planner()
 	m, err := repair.NewMachine(b, algo.Name, 0, &repair.DirectorState{
 		FrameRate:    cfg.FrameRate,
 		MessageBytes: cfg.MessageBytes,

@@ -28,14 +28,15 @@ type names struct {
 	unknown, dup error
 }
 
-// newNames builds a table naming dense index j ids[j].
+// newNames builds a table naming dense index j ids[j]. Each ID is hashed
+// once: a repeat leaves the map one entry short of the IDs inserted.
 func newNames(ids []string, unknown, dup error) (names, error) {
 	t := names{ids: append([]string(nil), ids...), idx: make(map[string]int, len(ids)), unknown: unknown, dup: dup}
 	for j, id := range ids {
-		if _, ok := t.idx[id]; ok {
+		t.idx[id] = j
+		if len(t.idx) != j+1 {
 			return names{}, fmt.Errorf("%w %q", dup, id)
 		}
-		t.idx[id] = j
 	}
 	return t, nil
 }
@@ -124,10 +125,46 @@ type IDBinding struct {
 // holds: ids[j] names the planner's client j. Pass nil for an empty
 // planner.
 func NewIDBinding(pl *Planner, ids []string) (*IDBinding, error) {
+	clients, err := newNames(ids, ErrUnknownClient, ErrDuplicateClient)
+	return bindClients(pl, ids, clients, err)
+}
+
+// BindPlanner builds a planner for an existing population and its ID
+// binding: build runs on the calling goroutine while one helper goroutine
+// builds the name table of ids (ids[j] names the planner's client j), then
+// serverIDs and zoneIDs name the topology. The table and the planner share
+// nothing until they are bound here, so the overlap changes no result; it
+// runs whatever the planner's worker count says. The helper is joined on
+// every path, and build's error comes before the table's.
+func BindPlanner(ids, serverIDs, zoneIDs []string, build func() (*Planner, error)) (*IDBinding, error) {
+	var clients names
+	var namesErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		clients, namesErr = newNames(ids, ErrUnknownClient, ErrDuplicateClient)
+	}()
+	pl, err := build()
+	<-done
+	if err != nil {
+		return nil, err
+	}
+	b, err := bindClients(pl, ids, clients, namesErr)
+	if err == nil {
+		err = b.NameTopology(serverIDs, zoneIDs)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// bindClients pairs pl with the client table newNames built from ids,
+// refusing a population of another size before the table's own error.
+func bindClients(pl *Planner, ids []string, clients names, err error) (*IDBinding, error) {
 	if got, want := len(ids), pl.NumClients(); got != want {
 		return nil, fmt.Errorf("repair: %d ids for %d planner clients", got, want)
 	}
-	clients, err := newNames(ids, ErrUnknownClient, ErrDuplicateClient)
 	if err != nil {
 		return nil, err
 	}

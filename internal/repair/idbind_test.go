@@ -235,3 +235,43 @@ func TestLeaveBatchFollowsSwapRemove(t *testing.T) {
 		})
 	}
 }
+
+// TestNewNamesNamesTheRepeat: a repeated client, server or zone ID fails with
+// the kind's wrapped duplicate sentinel, naming the first ID seen twice.
+func TestNewNamesNamesTheRepeat(t *testing.T) {
+	for _, tc := range []struct {
+		unknown, dup error
+		text         string
+	}{
+		{ErrUnknownClient, ErrDuplicateClient, `duplicate client "y"`},
+		{ErrUnknownServer, ErrDuplicateServer, `duplicate server "y"`},
+		{ErrUnknownZone, ErrDuplicateZone, `duplicate zone "y"`},
+	} {
+		_, err := newNames([]string{"x", "y", "w", "y", "x"}, tc.unknown, tc.dup)
+		if !errors.Is(err, tc.dup) || err.Error() != tc.text {
+			t.Errorf("err = %v, want %q wrapping %v", err, tc.text, tc.dup)
+		}
+	}
+	b, _ := testIDBinding(t)
+	pl := b.Planner()
+	servers, zones := Names("s", pl.NumServers()), Names("z", pl.NumZones())
+	servers[2], zones[3] = servers[1], zones[0]
+	if err := b.NameTopology(servers, Names("z", pl.NumZones())); !errors.Is(err, ErrDuplicateServer) || err.Error() != `duplicate server "s1"` {
+		t.Errorf("repeated server: %v", err)
+	}
+	if err := b.NameTopology(Names("s", pl.NumServers()), zones); !errors.Is(err, ErrDuplicateZone) || err.Error() != `duplicate zone "z0"` {
+		t.Errorf("repeated zone: %v", err)
+	}
+}
+
+// BenchmarkNewNames100k builds a 100k-client name table, the step Open and
+// RestoreMachine run beside the planner.
+func BenchmarkNewNames100k(b *testing.B) {
+	ids := Names("c", 100_000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := newNames(ids, ErrUnknownClient, ErrDuplicateClient); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

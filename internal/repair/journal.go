@@ -86,7 +86,7 @@ func (m *Machine) MakeDurable(cfg JournalConfig) error {
 	if err := wal.WriteSnapshot(cfg.Dir, 0, base, m.crash); err != nil {
 		return err
 	}
-	return m.openLog()
+	return m.openLog(nil)
 }
 
 // LoadSnapshot decodes the newest usable snapshot in dir: a candidate that
@@ -229,14 +229,15 @@ func (m *Machine) Recover(cfg JournalConfig, lsn uint64) (int, error) {
 	m.attach(cfg)
 	m.base = lsn
 	start := time.Now()
-	replayed, err := m.replayLog()
+	lay := wal.Layout{}
+	replayed, err := m.replayLog(lay)
 	if err != nil && m.skipped != nil {
 		err = fmt.Errorf("%w (recovering from snapshot %d: %w)", err, lsn, m.skipped)
 	}
 	if err != nil {
 		return 0, err
 	}
-	if err := m.openLog(); err != nil {
+	if err := m.openLog(lay); err != nil {
 		return 0, err
 	}
 	m.sinceSnap = replayed
@@ -258,8 +259,9 @@ func (m *Machine) Recover(cfg JournalConfig, lsn uint64) (int, error) {
 // replayLog is Recover's pipeline: the reader decodes and queues, the
 // crash hook's "replay:record" point before each record; this goroutine
 // checks the epoch markers and applies the rest. An error on either side
-// stops both, and the reader has exited by the time replayLog returns.
-func (m *Machine) replayLog() (replayed int, err error) {
+// stops both, and the reader has exited by the time replayLog returns,
+// having recorded the segments it read in lay.
+func (m *Machine) replayLog(lay wal.Layout) (replayed int, err error) {
 	events := make(chan *Event, replayQueue)
 	stop, done := make(chan struct{}), make(chan struct{})
 	var readErr error
@@ -267,7 +269,7 @@ func (m *Machine) replayLog() (replayed int, err error) {
 		defer close(done)
 		defer close(events)
 		var dec EventDecoder
-		_, readErr = wal.Replay(m.cfg.Dir, m.base, func(lsn uint64, payload []byte) error {
+		_, readErr = wal.ReplayLayout(m.cfg.Dir, m.base, lay, func(lsn uint64, payload []byte) error {
 			if err := m.crash("replay:record"); err != nil {
 				return err
 			}
@@ -308,10 +310,11 @@ func (m *Machine) replayLog() (replayed int, err error) {
 	return replayed, nil
 }
 
-// openLog opens the log for appends and restarts the epoch tripwire.
-func (m *Machine) openLog() (err error) {
+// openLog opens the log for appends, taking the segments replay read from
+// lay, and restarts the epoch tripwire.
+func (m *Machine) openLog(lay wal.Layout) (err error) {
 	m.lastFullSolves = m.b.pl.stats.FullSolves
-	m.w, err = wal.Open(m.cfg.Dir, m.base, wal.Options{CrashHook: m.crash, Telemetry: m.cfg.Telemetry})
+	m.w, err = wal.Open(m.cfg.Dir, m.base, wal.Options{CrashHook: m.crash, Telemetry: m.cfg.Telemetry, Layout: lay})
 	return err
 }
 

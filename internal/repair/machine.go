@@ -115,7 +115,8 @@ func Names(prefix string, n int) []string {
 // dense indices — server i is "s<i>", zone z "z<z>", client j "c<j>": the
 // machine of an in-process driver that addresses a generated world by index.
 func NewIndexedMachine(pl *Planner, algo string) (*Machine, error) {
-	b, err := RestoreIDBinding(pl, Names("c", pl.NumClients()), Names("s", pl.NumServers()), Names("z", pl.NumZones()))
+	b, err := BindPlanner(Names("c", pl.NumClients()), Names("s", pl.NumServers()), Names("z", pl.NumZones()),
+		func() (*Planner, error) { return pl, nil })
 	if err != nil {
 		return nil, err
 	}
@@ -1013,27 +1014,26 @@ func (snap *Snapshot) problem() (*core.Problem, error) {
 // RestoreMachine rebuilds the machine a snapshot captured: problem, planner
 // (NewFromState), ID binding, director extra. cfg carries what the front end
 // derives from the snapshot's fingerprint (algorithm, overflow policy) plus
-// the caller's worker count; the guard thresholds are the stored ones.
+// the caller's worker count; the guard thresholds are the stored ones. The
+// client name table is built beside the problem and planner (BindPlanner).
 // Follow with Recover.
 func RestoreMachine(snap *Snapshot, cfg Config) (*Machine, error) {
 	start := time.Now()
 	if snap.Planner == nil {
 		return nil, fmt.Errorf("repair: snapshot misses the planner state")
 	}
-	p, err := snap.problem()
-	if err != nil {
-		return nil, fmt.Errorf("snapshot cluster: %w", err)
-	}
 	cfg.DriftPQoS, cfg.DriftUtilSpread = snap.DriftPQoS, snap.DriftUtilSpread
-	pl, err := NewFromState(cfg, p, snap.Planner)
-	if err != nil {
-		return nil, err
-	}
 	serverIDs := make([]string, len(snap.Cluster.Servers))
 	for i, sv := range snap.Cluster.Servers {
 		serverIDs[i] = sv.ID
 	}
-	b, err := RestoreIDBinding(pl, snap.ids, serverIDs, snap.Cluster.Zones)
+	b, err := BindPlanner(snap.ids, serverIDs, snap.Cluster.Zones, func() (*Planner, error) {
+		p, err := snap.problem()
+		if err != nil {
+			return nil, fmt.Errorf("snapshot cluster: %w", err)
+		}
+		return NewFromState(cfg, p, snap.Planner)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ import (
 // "close enough" (DESIGN.md §11).
 //
 // Clients are in the planner's dense order, the order of the problem the
-// state is restored over; RestoreIDBinding names them in the same order.
+// state is restored over; BindPlanner names them in the same order.
 type State struct {
 	// ZoneServer and ClientContact are the maintained assignment in the
 	// planner's dense order.
@@ -101,18 +101,4 @@ func NewFromState(cfg Config, p *core.Problem, st *State) (*Planner, error) {
 	pl.eventsSinceFull = st.EventsSinceFull
 	pl.failBackoff = st.FailBackoff
 	return pl, nil
-}
-
-// RestoreIDBinding rebuilds the ID layer over a recovered planner: ids[j]
-// names the client at dense index j, serverIDs and zoneIDs name the
-// topology. One call replaces NewIDBinding + NameTopology for recovery.
-func RestoreIDBinding(pl *Planner, ids, serverIDs, zoneIDs []string) (*IDBinding, error) {
-	b, err := NewIDBinding(pl, ids)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.NameTopology(serverIDs, zoneIDs); err != nil {
-		return nil, err
-	}
-	return b, nil
 }

@@ -197,7 +197,7 @@ func requireSamePlanner(t *testing.T, a, b *IDBinding) {
 }
 
 // TestPlannerStateRoundTrip is the repair-layer half of the durability
-// guarantee: ExportState → JSON → NewFromState + RestoreIDBinding yields a
+// guarantee: ExportState → JSON → NewFromState under BindPlanner yields a
 // planner whose state is deeply equal to the live one AND whose further
 // trajectory under identical churn — including drift-guard and imbalance-
 // guard full solves drawing from the restored RNG — stays bit-identical.
@@ -231,13 +231,10 @@ func TestPlannerStateRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(raw, &back); err != nil {
 			t.Fatal(err)
 		}
-		pl2, err := NewFromState(cfg, pl.Problem().Clone(), &back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := RestoreIDBinding(pl2, denseIDs(t, live),
+		restored, err := BindPlanner(denseIDs(t, live),
 			append([]string(nil), live.ServerNames()...),
-			append([]string(nil), live.ZoneNames()...))
+			append([]string(nil), live.ZoneNames()...),
+			func() (*Planner, error) { return NewFromState(cfg, pl.Problem().Clone(), &back) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +248,7 @@ func TestPlannerStateRoundTrip(t *testing.T) {
 		d1.run(t, live, 120)
 		d2.run(t, restored, 120)
 		requireSamePlanner(t, live, restored)
-		audit(t, pl2)
+		audit(t, restored.Planner())
 	}
 }
 

@@ -105,9 +105,10 @@ func replayWith(t *testing.T, dir string, hook func(point string) error) ([]stri
 	m.SetCrashHook(hook)
 	m.attach(JournalConfig{Dir: dir})
 	m.base = snap.LSN
-	_, err = m.replayLog()
+	lay := wal.Layout{}
+	_, err = m.replayLog(lay)
 	if err == nil {
-		if err := m.openLog(); err != nil {
+		if err := m.openLog(lay); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.w.Close(); err != nil {

@@ -105,6 +105,21 @@ type Options struct {
 	// fsync latency histograms, appended bytes/records, and segment
 	// rotations. Nil disables all instrumentation at zero cost.
 	Telemetry *telemetry.Registry
+	// Layout, when set, is what ReplayLayout read of this directory's
+	// segments: Open takes each listed segment's scan from it instead of
+	// reading the segment again. The directory must not have changed since.
+	Layout Layout
+}
+
+// Layout maps a segment's first LSN to what a scan of it found — its whole
+// records, the offset just past the last one and whether a torn record
+// follows — so recovery reads each segment once (ReplayLayout, then Open).
+type Layout map[uint64]segmentScan
+
+type segmentScan struct {
+	count int
+	end   int64
+	torn  bool
 }
 
 // walTele holds the writer's metric handles; zero value disabled.
@@ -301,11 +316,17 @@ func Open(dir string, base uint64, opt Options) (*Writer, error) {
 		}
 		return w, nil
 	}
+	scan := func(start uint64) (int, int64, bool, error) {
+		if sc, ok := opt.Layout[start]; ok {
+			return sc.count, sc.end, sc.torn, nil
+		}
+		return scanSegment(filepath.Join(dir, segmentName(start)), nil)
+	}
 	// Non-final segments must be whole — a torn record there means records
 	// after the damage were acknowledged, which truncation would lose — and
 	// hold every record up to the next segment's first.
 	for i, start := range segs[:len(segs)-1] {
-		count, _, torn, err := scanSegment(filepath.Join(dir, segmentName(start)), nil)
+		count, _, torn, err := scan(start)
 		if err != nil {
 			return nil, err
 		}
@@ -315,7 +336,7 @@ func Open(dir string, base uint64, opt Options) (*Writer, error) {
 	}
 	last := segs[len(segs)-1]
 	path := filepath.Join(dir, segmentName(last))
-	count, end, torn, err := scanSegment(path, nil)
+	count, end, torn, err := scan(last)
 	if err != nil {
 		return nil, err
 	}
@@ -570,6 +591,12 @@ func (w *Writer) TruncateThrough(lsn uint64) error {
 // while damage in any earlier segment returns ErrCorrupt. fn errors abort
 // the replay.
 func Replay(dir string, after uint64, fn func(lsn uint64, payload []byte) error) (uint64, error) {
+	return ReplayLayout(dir, after, nil, fn)
+}
+
+// ReplayLayout is Replay that also records in lay, when it is not nil, the
+// scan of each segment it reads whole: the Layout a following Open takes.
+func ReplayLayout(dir string, after uint64, lay Layout, fn func(lsn uint64, payload []byte) error) (uint64, error) {
 	segs, err := segments(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -578,13 +605,17 @@ func Replay(dir string, after uint64, fn func(lsn uint64, payload []byte) error)
 		return after, err
 	}
 	last := after
+	var covered []uint64
 	for i, start := range segs {
 		final := i == len(segs)-1
 		if !final && segs[i+1] <= after+1 {
+			if lay != nil {
+				covered = append(covered, start)
+			}
 			continue // O(tail): every record of this segment predates the snapshot
 		}
 		lsn := start
-		_, _, torn, err := scanSegment(filepath.Join(dir, segmentName(start)), func(payload []byte) error {
+		count, end, torn, err := scanSegment(filepath.Join(dir, segmentName(start)), func(payload []byte) error {
 			cur := lsn
 			lsn++
 			if cur <= after {
@@ -601,6 +632,18 @@ func Replay(dir string, after uint64, fn func(lsn uint64, payload []byte) error)
 		}
 		if torn && !final {
 			return last, fmt.Errorf("%w: %s: torn record before final segment", ErrCorrupt, segmentName(start))
+		}
+		if lay != nil {
+			lay[start] = segmentScan{count, end, torn}
+		}
+	}
+	// The segments the snapshot covers are scanned last, for lay alone: on
+	// Recover's reader goroutine that overlaps the apply of the records still
+	// queued, and Open reads none of them. One that fails to scan is left
+	// out, for Open to refuse as it would without lay.
+	for _, start := range covered {
+		if count, end, torn, err := scanSegment(filepath.Join(dir, segmentName(start)), nil); err == nil {
+			lay[start] = segmentScan{count, end, torn}
 		}
 	}
 	return last, nil

@@ -759,3 +759,133 @@ func BenchmarkAppend(b *testing.B) {
 	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50-us")
 	b.ReportMetric(float64(lat[len(lat)*9/10].Nanoseconds())/1e3, "p90-us")
 }
+
+// TestOpenTakesReplaysLayout: on a rotated log, a log replayed from past its
+// first segments, a torn log and a zero-padded one, the layout ReplayLayout
+// hands over equals a fresh scan of every segment, and Open with it leaves
+// the writer and, after more appends, the directory as Open without it.
+func TestOpenTakesReplaysLayout(t *testing.T) {
+	type logCase struct {
+		name  string
+		after uint64
+		make  func(t *testing.T, dir string)
+	}
+	rotated := func(t *testing.T, dir string) {
+		w, err := Open(dir, 0, Options{SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, w, 40)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []logCase{
+		{"rotated", 0, rotated},
+		{"rotated-tail", 25, rotated},
+		{"zero-padded", 0, func(t *testing.T, dir string) {
+			w, err := Open(dir, 0, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, w, 50)
+			crash(t, w)
+		}},
+	}
+	for name, mutate := range tornVariants() {
+		cases = append(cases, logCase{"torn-" + name, 0, func(t *testing.T, dir string) {
+			rotated(t, dir)
+			segs, _ := segments(dir)
+			path := filepath.Join(dir, segmentName(segs[len(segs)-1]))
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, mutate(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, twin := t.TempDir(), t.TempDir()
+			tc.make(t, dir)
+			for name, b := range dirFiles(t, dir) {
+				if err := os.WriteFile(filepath.Join(twin, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lay := Layout{}
+			if _, err := ReplayLayout(dir, tc.after, lay, func(uint64, []byte) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			segs, _ := segments(dir)
+			for _, start := range segs {
+				sc, listed := lay[start]
+				count, end, torn, err := scanSegment(filepath.Join(dir, segmentName(start)), nil)
+				if !listed || err != nil || sc != (segmentScan{count, end, torn}) {
+					t.Fatalf("segment %d: layout %+v (listed %v), fresh scan %d records to %d, torn %v (%v)", start, sc, listed, count, end, torn, err)
+				}
+			}
+			w, err := Open(dir, 0, Options{Layout: lay})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Open(twin, 0, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.nextLSN != fresh.nextLSN || w.size != fresh.size || w.alloc != fresh.alloc || !bytes.Equal(w.tail, fresh.tail) {
+				t.Fatalf("writer at LSN %d, size %d, alloc %d; without the layout %d, %d, %d",
+					w.nextLSN, w.size, w.alloc, fresh.nextLSN, fresh.size, fresh.alloc)
+			}
+			if !reflect.DeepEqual(dirFiles(t, dir), dirFiles(t, twin)) {
+				t.Fatal("Open with the layout left another directory than Open without it")
+			}
+			appendAll(t, w, 3)
+			appendAll(t, fresh, 3)
+			crash(t, w)
+			crash(t, fresh)
+			if !reflect.DeepEqual(dirFiles(t, dir), dirFiles(t, twin)) {
+				t.Fatal("the log opened with the layout differs from the one opened without it")
+			}
+		})
+	}
+}
+
+// TestOpenRefusesACoveredSegmentLeftOutOfTheLayout: a segment the snapshot
+// covers whose magic is gone does not stop the replay after it, is left out
+// of the layout, and Open refuses it as it does without one.
+func TestOpenRefusesACoveredSegmentLeftOutOfTheLayout(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, 0, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, w, 40)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := segments(dir)
+	path := filepath.Join(dir, segmentName(segs[0]))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(b, "NOTAWAL!")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lay := Layout{}
+	if _, err := ReplayLayout(dir, 25, lay, func(uint64, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, listed := lay[segs[0]]; listed || len(lay) != len(segs)-1 {
+		t.Fatalf("layout lists %d of %d segments, the damaged one %v", len(lay), len(segs), listed)
+	}
+	_, withLayout := Open(dir, 0, Options{Layout: lay})
+	_, without := Open(dir, 0, Options{})
+	if !errors.Is(withLayout, ErrCorrupt) || withLayout.Error() != without.Error() {
+		t.Fatalf("Open with the layout: %v; without: %v", withLayout, without)
+	}
+}

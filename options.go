@@ -117,7 +117,9 @@ func (c config) rngFor() *xrand.RNG {
 // WithWorkers shards the engine's parallelisable scans — the zone-move
 // search and the greedy phase's cost-matrix build — across n goroutines.
 // 0 or 1 run sequentially, negative uses all CPUs. Results are
-// bit-identical for every setting (DESIGN.md §8).
+// bit-identical for every setting (DESIGN.md §8). It does not govern the
+// one helper goroutine Open and recovery build the client name table on,
+// nor recovery's log reader (DESIGN.md §9, §11).
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
