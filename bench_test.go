@@ -9,6 +9,8 @@ package dvecap
 //	go test -bench=BenchmarkTable1 -benchtime=3x
 
 import (
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"dvecap/internal/core"
 	"dvecap/internal/dve"
 	"dvecap/internal/experiments"
+	"dvecap/internal/interact"
 	"dvecap/internal/milp"
 	"dvecap/internal/repair"
 	"dvecap/internal/topology"
@@ -496,26 +499,44 @@ func BenchmarkRepair(b *testing.B) {
 // ≈ 0.3 µs per event — 2% of the 100 µs event the budget was written for,
 // ≈ 15% of the 2.3 µs event since rows are maintained under churn:
 // BENCH_observability.json records the measured gap, and DESIGN.md §12
-// states the commitment in absolute terms.
+// states the commitment in absolute terms. The adjacency pair runs the same
+// stream on the problem with an interaction graph of four edges a zone and
+// the traffic term on, where the gauges read the maintained cut instead of
+// walking every edge after each event.
 func BenchmarkRepairTelemetry(b *testing.B) {
-	p := largeProblem(b)
-	for _, on := range []bool{false, true} {
-		name := "off"
-		if on {
-			name = "on"
+	plain := largeProblem(b)
+	adj := *plain // the planner works on its own copy
+	adj.Adjacency, adj.TrafficWeight = interact.New(adj.NumZones), 0.5
+	rng := xrand.New(29)
+	for e := 0; e < 2*adj.NumZones; e++ {
+		if a, c := rng.IntN(adj.NumZones), rng.IntN(adj.NumZones); a != c {
+			if _, err := adj.Adjacency.Set(a, c, rng.Uniform(0.1, 2)); err != nil {
+				b.Fatal(err)
+			}
 		}
-		b.Run("telemetry="+name, func(b *testing.B) {
-			pl, live := benchRepairPlanner(b, p)
+	}
+	for _, leg := range []struct {
+		prefix string
+		p      *core.Problem
+	}{{"", plain}, {"adjacency/", &adj}} {
+		for _, on := range []bool{false, true} {
+			name := "off"
 			if on {
-				pl.SetTelemetry(telemetry.NewRegistry())
+				name = "on"
 			}
-			rng := xrand.New(23)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				repairEvent(b, pl, &live, p, rng, i)
-			}
-		})
+			b.Run(leg.prefix+"telemetry="+name, func(b *testing.B) {
+				pl, live := benchRepairPlanner(b, leg.p)
+				if on {
+					pl.SetTelemetry(telemetry.NewRegistry())
+				}
+				rng := xrand.New(23)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					repairEvent(b, pl, &live, plain, rng, i)
+				}
+			})
+		}
 	}
 }
 
@@ -552,7 +573,7 @@ func coordProblem(b *testing.B) *core.Problem {
 		for x, i := range rng.SampleWithout(m, len(srvs)) {
 			srvs[x], vals[x] = int32(i), row[i]
 		}
-		cp.AddClientFitted(srvs, vals)
+		cp.AddClientOwned(nil, slices.Clone(srvs), slices.Clone(vals)) // fitted: the lists miss servers
 	}
 	p.CS, p.Delays = nil, cp
 	return p
@@ -609,6 +630,40 @@ func BenchmarkClusterSolve100k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkClusterBuild100k measures building BenchmarkClusterSolve100k's
+// cluster: buildCoordCluster's AddClient calls, with its own generation of
+// their inputs, then the first CoordDelays problem build, one pass over the
+// client columns. builder-B/client is what the cluster keeps per client
+// before that build, after a GC; build-ms and build-allocs are the build's
+// alone.
+func BenchmarkClusterBuild100k(b *testing.B) {
+	const k = 100_000
+	var kept, allocs int64
+	var build time.Duration
+	var ms runtime.MemStats
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
+		c := buildCoordCluster(b, xrand.New(1), 50, 500, k)
+		b.StopTimer()
+		kept += liveHeap() - before
+		runtime.ReadMemStats(&ms)
+		mallocs, t0 := ms.Mallocs, time.Now()
+		b.StartTimer()
+		if _, err := c.problemFor(CoordDelays); err != nil {
+			b.Fatal(err)
+		}
+		build += time.Since(t0)
+		runtime.ReadMemStats(&ms)
+		allocs += int64(ms.Mallocs - mallocs)
+	}
+	b.ReportMetric(float64(kept)/float64(b.N*k), "builder-B/client")
+	b.ReportMetric(float64(build.Milliseconds())/float64(b.N), "build-ms")
+	b.ReportMetric(float64(allocs)/float64(b.N), "build-allocs")
 }
 
 // BenchmarkClusterOpen100k measures Cluster.Open on the cluster

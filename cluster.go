@@ -2,7 +2,6 @@ package dvecap
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"dvecap/internal/core"
@@ -80,11 +79,12 @@ type ClientSpec struct {
 	// the matrix-supplied form for callers that already hold one (e.g. a
 	// King/IDMaps estimator snapshot).
 	RTTRow []float64
-	// Coord is the client's network coordinate (length DelayModel
-	// dimensionality, core default 5) for CoordDelays clusters — the
-	// million-client join path: no per-server rows at all, delays beyond
-	// the RTTs subset are predicted from coordinate distance. Solving such
-	// a cluster under any other delay model fails.
+	// Coord is the client's network coordinate for CoordDelays clusters,
+	// exactly 5 entries (the coordinate provider's dimensionality; AddClient
+	// refuses any other length) — the million-client join path: no
+	// per-server rows at all, delays beyond the RTTs subset are predicted
+	// from coordinate distance. Solving such a cluster under any other
+	// delay model fails. Sessions refuse it: they take measured rows.
 	Coord []float64
 }
 
@@ -130,13 +130,35 @@ type Cluster struct {
 
 	clientIDs []string
 	clientIdx map[string]int
-	clients   []ClientSpec
+	// Clients, resolved as far as AddClient can (DESIGN.md §9): cliZone,
+	// cliBW and cliIn (the delay input's form and size) per client; the
+	// inputs, read in client order, in arenas — coordinates, (server ID,
+	// ms) pairs whose IDs resolve at build, and rows (rowLen floats in all)
+	// in chunks no row straddles, so the row arena grows without copying.
+	cliZone []int32
+	cliBW   []float64
+	cliIn   []int32
+	coords  []float64
+	rows    [][]float64
+	rowLen  int
+	pairSrv []string
+	pairMs  []float64
 
 	built      *core.Problem
 	builtModel DelayModel
 	dirty      bool
 	late       core.LateIndex // built's; see the type comment
 }
+
+// A client's delay input (Cluster.cliIn): its form in the low two bits, the
+// number of its pairs or row entries above them.
+const (
+	inMap   = iota // n (server ID, ms) pairs covering every server
+	inCoord        // a coordinate and n pairs
+	inRow          // a dense row of n entries
+)
+
+const rowChunk = 1 << 16 // floats in a row chunk (512 KiB), unless one row is longer
 
 // NewCluster starts an empty cluster with the given interactivity bound
 // D in milliseconds (the paper's default is 250).
@@ -198,25 +220,38 @@ func (c *Cluster) AddClient(id string, spec ClientSpec) error {
 	if _, dup := c.clientIdx[id]; dup {
 		return fmt.Errorf("dvecap: %w %q", ErrDuplicateClient, id)
 	}
-	if _, ok := c.zoneIdx[spec.Zone]; !ok {
+	z, ok := c.zoneIdx[spec.Zone]
+	if !ok {
 		return fmt.Errorf("dvecap: client %q: %w %q", id, ErrUnknownZone, spec.Zone)
 	}
 	if !repair.FinitePos(spec.BandwidthMbps) {
 		return fmt.Errorf("dvecap: client %q bandwidth %v Mbps, want finite > 0", id, spec.BandwidthMbps)
 	}
-	if spec.Coord != nil {
-		if spec.RTTRow != nil {
-			return fmt.Errorf("dvecap: client %q: Coord and RTTRow are mutually exclusive (partial RTTs may accompany a coordinate)", id)
-		}
-	} else if (spec.RTTs == nil) == (spec.RTTRow == nil) {
-		return fmt.Errorf("dvecap: client %q: set exactly one of RTTs and RTTRow", id)
-	}
 	// The builder keeps its own copies, as AddServer does: a caller reusing
 	// its slices or map must not reach into a cached build.
-	spec.RTTs, spec.RTTRow, spec.Coord = maps.Clone(spec.RTTs), slices.Clone(spec.RTTRow), slices.Clone(spec.Coord)
+	in := int32(len(spec.RTTs)) << 2
+	switch {
+	case spec.Coord != nil && spec.RTTRow != nil:
+		return fmt.Errorf("dvecap: client %q: Coord and RTTRow are mutually exclusive (partial RTTs may accompany a coordinate)", id)
+	case spec.Coord != nil && len(spec.Coord) != core.DefaultCoordDim:
+		return fmt.Errorf("dvecap: client %q coordinate has %d entries, want %d", id, len(spec.Coord), core.DefaultCoordDim)
+	case spec.Coord != nil:
+		in, c.coords = in|inCoord, append(c.coords, spec.Coord...)
+	case (spec.RTTs == nil) == (spec.RTTRow == nil):
+		return fmt.Errorf("dvecap: client %q: set exactly one of RTTs and RTTRow", id)
+	case spec.RTTRow != nil:
+		if l := len(c.rows) - 1; l < 0 || cap(c.rows[l])-len(c.rows[l]) < len(spec.RTTRow) {
+			c.rows = append(c.rows, make([]float64, 0, max(rowChunk, len(spec.RTTRow))))
+		}
+		l := len(c.rows) - 1
+		in, c.rows[l], c.rowLen = int32(len(spec.RTTRow))<<2|inRow, append(c.rows[l], spec.RTTRow...), c.rowLen+len(spec.RTTRow)
+	}
+	for sid, d := range spec.RTTs {
+		c.pairSrv, c.pairMs = append(c.pairSrv, sid), append(c.pairMs, d)
+	}
 	c.clientIdx[id] = len(c.clientIDs)
 	c.clientIDs = append(c.clientIDs, id)
-	c.clients = append(c.clients, spec)
+	c.cliZone, c.cliBW, c.cliIn = append(c.cliZone, int32(z)), append(c.cliBW, spec.BandwidthMbps), append(c.cliIn, in)
 	c.dirty = true
 	return nil
 }
@@ -303,13 +338,6 @@ func (c *Cluster) ZoneIDs() []string { return append([]string(nil), c.zoneIDs...
 // ClientIDs returns the client IDs in dense index order.
 func (c *Cluster) ClientIDs() []string { return append([]string(nil), c.clientIDs...) }
 
-// lookupServer resolves a server ID without error construction — the
-// builder's form of the lookup resolveRTTRow takes.
-func (c *Cluster) lookupServer(id string) (int, bool) {
-	i, ok := c.serverIdx[id]
-	return i, ok
-}
-
 // zoneIndex resolves a zone ID.
 func (c *Cluster) zoneIndex(id string) (int, error) {
 	z, ok := c.zoneIdx[id]
@@ -378,20 +406,23 @@ func (c *Cluster) problem() (*core.Problem, error) {
 }
 
 // problemFor validates the cluster into a core problem under the given
-// delay model. The dense model loads every client's row into the exact
-// store (identical rows stored once); a CoordDelays build of a
-// coordinate-native million-client cluster allocates O(clients) state.
+// delay model, in one pass over the client columns: the dense model loads
+// every row into the exact store, the coordinate model packs the override
+// lists as CoordProvider.Clone does, into two arenas of exact total size.
 func (c *Cluster) problemFor(model DelayModel) (*core.Problem, error) {
 	if c.built != nil && !c.dirty && c.builtModel == model {
 		return c.built, nil
 	}
-	k := len(c.clientIDs)
+	k, m := len(c.clientIDs), len(c.serverIDs)
 	p := &core.Problem{
 		ServerCaps:  append([]float64(nil), c.caps...),
 		ClientZones: make([]int, k),
 		NumZones:    len(c.zoneIDs),
-		ClientRT:    make([]float64, k),
+		ClientRT:    append([]float64(nil), c.cliBW...),
 		D:           c.delayBound,
+	}
+	for j, z := range c.cliZone {
+		p.ClientZones[j] = int(z)
 	}
 	ss, err := c.buildSS()
 	if err != nil {
@@ -400,56 +431,73 @@ func (c *Cluster) problemFor(model DelayModel) (*core.Problem, error) {
 	p.SS = ss
 
 	var coord *core.CoordProvider
-	m := len(c.serverIDs)
+	var srvs []int32
+	var vals []float64
 	switch model {
 	case DenseDelays:
 		p.Delays = core.NewSharedRowProvider(m)
 	case CoordDelays:
 		coord = core.NewCoordProviderFromSS(ss, 0)
+		coord.Reserve(k)
+		srvs, vals = make([]int32, 0, len(c.pairMs)+c.rowLen), make([]float64, 0, len(c.pairMs)+c.rowLen)
 		p.Delays = coord
 	default:
 		return nil, fmt.Errorf("dvecap: unknown delay model %d", model)
 	}
 
 	rowBuf := make([]float64, m)
-	for j, spec := range c.clients {
-		z, err := c.zoneIndex(spec.Zone)
-		if err != nil {
-			return nil, err
-		}
-		p.ClientZones[j] = z
-		p.ClientRT[j] = spec.BandwidthMbps
-		if spec.Coord != nil {
-			if coord == nil {
-				return nil, fmt.Errorf("dvecap: client %q supplies a coordinate; open the cluster WithDelayProvider(CoordDelays)", c.clientIDs[j])
+	var xAt, rc, rAt, pAt int // read positions in coords, rows (chunk, offset) and the pairs
+	for j, in := range c.cliIn {
+		form, n, id := in&3, int(in>>2), c.clientIDs[j]
+		var x, row []float64
+		lo := len(srvs)
+		switch {
+		case form == inRow:
+			if rAt+n > len(c.rows[rc]) { // the row did not fit: it starts the next chunk
+				rc, rAt = rc+1, 0
 			}
-			srvs, vals, err := c.resolveSparseRTTs(c.clientIDs[j], spec.RTTs)
-			if err != nil {
+			if row, rAt = c.rows[rc][rAt:rAt+n], rAt+n; n != m {
+				return nil, fmt.Errorf("dvecap: client %q RTT row has %d entries, want %d", id, n, m)
+			}
+		case form == inCoord && coord == nil:
+			return nil, fmt.Errorf("dvecap: client %q supplies a coordinate; open the cluster WithDelayProvider(CoordDelays)", id)
+		case form == inMap && (coord == nil || n >= m):
+			if row, err = c.mapRow(id, c.pairSrv[pAt:pAt+n], c.pairMs[pAt:pAt+n], rowBuf); err != nil {
 				return nil, err
 			}
-			coord.AddClientAt(spec.Coord, srvs, vals)
-			continue
-		}
-		if coord != nil && spec.RTTRow == nil && len(spec.RTTs) < m {
-			// Coordinate mode admits partial maps even without an explicit
-			// coordinate: the coordinate is fitted from the measurements.
-			srvs, vals, err := c.resolveSparseRTTs(c.clientIDs[j], spec.RTTs)
-			if err != nil {
-				return nil, err
+			pAt += n
+		default:
+			// A coordinate, or a partial map the coordinate model fits one to.
+			if form == inCoord {
+				x, xAt = c.coords[xAt:xAt+core.DefaultCoordDim], xAt+core.DefaultCoordDim
 			}
-			coord.AddClientFitted(srvs, vals)
-			continue
-		}
-		row, err := resolveRTTRow(c.clientIDs[j], spec, c.serverIDs, c.lookupServer, rowBuf)
-		if err != nil {
-			return nil, err
+			for end := pAt + n; pAt < end; pAt++ {
+				i, ok := c.serverIdx[c.pairSrv[pAt]]
+				if !ok {
+					return nil, fmt.Errorf("dvecap: client %q RTT: %w %q", id, ErrUnknownServer, c.pairSrv[pAt])
+				}
+				if d := c.pairMs[pAt]; !repair.FiniteNonNeg(d) {
+					return nil, fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want finite >= 0", id, c.pairSrv[pAt], d)
+				}
+				srvs, vals = append(srvs, int32(i)), append(vals, c.pairMs[pAt])
+			}
 		}
 		for i, d := range row {
 			if !repair.FiniteNonNeg(d) {
-				return nil, fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want finite >= 0", c.clientIDs[j], c.serverIDs[i], d)
+				return nil, fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want finite >= 0", id, c.serverIDs[i], d)
+			}
+			if coord != nil {
+				srvs, vals = append(srvs, int32(i)), append(vals, d)
 			}
 		}
-		p.Delays.AppendClient(row)
+		if coord == nil {
+			p.Delays.AppendClient(row)
+		} else {
+			coord.AddClientOwned(x, srvs[lo:len(srvs):len(srvs)], vals[lo:len(vals):len(vals)])
+		}
+	}
+	if coord != nil && len(c.coords) == k*core.DefaultCoordDim { // solves only read it; Open clones it
+		coord.ShareCoords(c.coords[:len(c.coords):len(c.coords)])
 	}
 	if len(c.adj) > 0 {
 		g := interact.New(p.NumZones)
@@ -469,6 +517,26 @@ func (c *Cluster) problemFor(model DelayModel) (*core.Problem, error) {
 	return p, nil
 }
 
+// mapRow resolves a map-form client's pairs to a dense row in buf, refusing
+// as resolveRTTRow does an unknown server first, then an uncovered one.
+func (c *Cluster) mapRow(id string, sids []string, ms, buf []float64) ([]float64, error) {
+	for x, sid := range sids {
+		i, ok := c.serverIdx[sid]
+		if !ok {
+			return nil, fmt.Errorf("dvecap: client %q RTT: %w %q", id, ErrUnknownServer, sid)
+		}
+		buf[i] = ms[x]
+	}
+	if len(sids) != len(buf) { // each listed server is known and listed once: one is missing
+		for _, sid := range c.serverIDs {
+			if !slices.Contains(sids, sid) {
+				return nil, fmt.Errorf("dvecap: client %q missing RTT to server %q", id, sid)
+			}
+		}
+	}
+	return buf, nil
+}
+
 // problemTrafficFor is problemFor plus the run-scoped WithTrafficWeight,
 // which overrides the builder's weight on a shallow copy so the builder's
 // cached problem stays untouched.
@@ -485,33 +553,11 @@ func (c *Cluster) problemTrafficFor(cfg config) (*core.Problem, error) {
 	return &q, nil
 }
 
-// resolveSparseRTTs turns a partial RTTs map into sorted-by-resolution
-// sparse (server index, delay) lists for the coordinate provider. Iteration
-// follows ServerIDs order so the result is deterministic.
-func (c *Cluster) resolveSparseRTTs(owner string, rtts map[string]float64) ([]int32, []float64, error) {
-	for sid, d := range rtts {
-		if _, ok := c.serverIdx[sid]; !ok {
-			return nil, nil, fmt.Errorf("dvecap: client %q RTT: %w %q", owner, ErrUnknownServer, sid)
-		}
-		if !repair.FiniteNonNeg(d) {
-			return nil, nil, fmt.Errorf("dvecap: client %q RTT to server %q is %v ms, want finite >= 0", owner, sid, d)
-		}
-	}
-	var srvs []int32
-	var vals []float64
-	for i, sid := range c.serverIDs {
-		if d, ok := rtts[sid]; ok {
-			srvs = append(srvs, int32(i))
-			vals = append(vals, d)
-		}
-	}
-	return srvs, vals, nil
-}
-
-// resolveRTTRow turns a ClientSpec's RTTs (map or dense row) into a dense
-// row in server order, writing into buf when it has capacity. lookup
-// resolves a server ID to its dense index. It resolves only: the builder
-// range-checks the row itself, a session's Machine.Commit does. The returned
+// resolveRTTRow turns a joining client's RTTs (map or dense row) into a
+// dense row in server order, writing into buf when it has capacity. lookup
+// resolves a server ID to its dense index. It resolves only: the session's
+// Machine.Commit range-checks the row (the builder resolves its stored
+// pairs with mapRow and checks them itself). The returned
 // slice may alias spec.RTTRow or buf — callers must copy to retain (the
 // planner always copies).
 func resolveRTTRow(owner string, spec ClientSpec, serverIDs []string, lookup func(string) (int, bool), buf []float64) ([]float64, error) {

@@ -2,9 +2,11 @@ package dvecap
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -94,6 +96,22 @@ func TestClusterBuilderValidation(t *testing.T) {
 	bad.RTTs = nil
 	if err := c.AddClient("a", bad); err == nil {
 		t.Fatal("neither RTTs nor RTTRow accepted")
+	}
+	// A coordinate has the coordinate provider's 5 entries: the builder
+	// would otherwise zero-pad or truncate it.
+	for _, tc := range []struct {
+		coord []float64
+		want  string
+	}{
+		{[]float64{}, `dvecap: client "a" coordinate has 0 entries, want 5`},
+		{[]float64{1, 2, 3, 4}, `dvecap: client "a" coordinate has 4 entries, want 5`},
+		{[]float64{1, 2, 3, 4, 5, 6}, `dvecap: client "a" coordinate has 6 entries, want 5`},
+	} {
+		bad = ok
+		bad.RTTRow, bad.Coord = nil, tc.coord
+		if err := c.AddClient("a", bad); err == nil || err.Error() != tc.want {
+			t.Fatalf("coordinate of %d entries: err = %v, want %q", len(tc.coord), err, tc.want)
+		}
 	}
 	if err := c.AddClient("a", ok); err != nil {
 		t.Fatal(err)
@@ -406,17 +424,21 @@ func TestClusterRefusesInfiniteServerRTT(t *testing.T) {
 }
 
 // TestAddClientCopiesItsInputs: the builder keeps its own copy of a client's
-// delay row and RTT map, so a caller that reuses or edits them after
-// AddClient does not change the instance — not even once a later builder
-// call invalidates the cached build and the problem is built again.
+// delay row, RTT map and coordinate, so a caller that reuses or edits them
+// after AddClient does not change the instance — not even once a later
+// builder call invalidates the cached build and the problem is built again.
 func TestAddClientCopiesItsInputs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
+		model  DelayModel
 		spec   ClientSpec
 		mutate func(ClientSpec)
 	}{
-		{"row", ClientSpec{RTTRow: []float64{10, 200}}, func(s ClientSpec) { s.RTTRow[0], s.RTTRow[1] = 200, 10 }},
-		{"map", ClientSpec{RTTs: map[string]float64{"fra": 10, "nyc": 200}}, func(s ClientSpec) { s.RTTs["fra"], s.RTTs["nyc"] = 200, 10 }},
+		{"row", DenseDelays, ClientSpec{RTTRow: []float64{10, 200}}, func(s ClientSpec) { s.RTTRow[0], s.RTTRow[1] = 200, 10 }},
+		{"map", DenseDelays, ClientSpec{RTTs: map[string]float64{"fra": 10, "nyc": 200}}, func(s ClientSpec) { s.RTTs["fra"], s.RTTs["nyc"] = 200, 10 }},
+		{"coord", CoordDelays, ClientSpec{Coord: []float64{10, 20, 30, 40, 50}}, func(s ClientSpec) { s.Coord[0], s.Coord[4] = -300, 300 }},
+		{"coord + partial RTTs", CoordDelays, ClientSpec{Coord: []float64{10, 20, 30, 40, 50}, RTTs: map[string]float64{"nyc": 200}},
+			func(s ClientSpec) { s.Coord[1], s.RTTs["nyc"], s.RTTs["fra"] = 500, 10, 5 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCluster(100)
@@ -434,17 +456,112 @@ func TestAddClientCopiesItsInputs(t *testing.T) {
 			if err := c.AddClient("solo", spec); err != nil {
 				t.Fatal(err)
 			}
+			row := func() []float64 {
+				t.Helper()
+				p, err := c.problemFor(tc.model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p.Delays.Row(0, make([]float64, 2))
+			}
+			want := row()
 			tc.mutate(spec)
 			if err := c.AddZone("forest"); err != nil { // forces a rebuild
 				t.Fatal(err)
 			}
-			res, err := c.Solve("GreZ-GreC", WithSeed(1))
+			if got := row(); !slices.Equal(got, want) {
+				t.Fatalf("delays %v after the caller's edit, %v before: the edit reached the instance", got, want)
+			}
+			res, err := c.Solve("GreZ-GreC", WithSeed(1), WithDelayProvider(tc.model))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.ZoneServer[0] != 0 {
+			if tc.model == DenseDelays && res.ZoneServer[0] != 0 {
 				t.Fatalf("plaza hosted on server %d: the caller's edit after AddClient reached the instance", res.ZoneServer[0])
 			}
 		})
+	}
+}
+
+// TestSessionJoinRefusesCoord: Join and JoinBatch refuse a coordinate by
+// name — alone, or beside a row or map it would otherwise be dropped from —
+// and admit no one.
+func TestSessionJoinRefusesCoord(t *testing.T) {
+	s, err := smallCluster(t).Open("GreZ-GreC", WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := []float64{1, 2, 3, 4, 5}
+	for name, spec := range map[string]ClientSpec{
+		"coord":       {Zone: "plaza", BandwidthMbps: 1, Coord: coord},
+		"coord + row": {Zone: "plaza", BandwidthMbps: 1, Coord: coord, RTTRow: []float64{10, 20}},
+		"coord + map": {Zone: "plaza", BandwidthMbps: 1, Coord: coord, RTTs: map[string]float64{"fra": 10, "nyc": 20}},
+	} {
+		for verb, join := range map[string]func() error{
+			"Join":      func() error { return s.Join("eve", spec) },
+			"JoinBatch": func() error { return s.JoinBatch([]ClientJoin{{ID: "eve", Spec: spec}}) },
+		} {
+			const want = `dvecap: client "eve": Coord is a builder input; sessions take measured rows (RTTs or RTTRow)`
+			if err := join(); err == nil || err.Error() != want {
+				t.Errorf("%s with %s: err = %v, want %q", verb, name, err, want)
+			}
+		}
+	}
+	if n := s.NumClients(); n != 4 {
+		t.Fatalf("%d clients after refused joins, want 4", n)
+	}
+}
+
+// TestBuiltRowsMatchTheirInputs: every client's delays in a built problem
+// are what AddClient was handed — rows, maps and coordinate overrides
+// interleaved, over enough 7-entry rows that the builder's row chunks end
+// mid-row many times — under both delay models.
+func TestBuiltRowsMatchTheirInputs(t *testing.T) {
+	const m, k = 7, 30000
+	c := NewCluster(100)
+	ss := make([][]float64, m)
+	for i := range ss {
+		ss[i] = make([]float64, m)
+		for l := range ss[i] {
+			ss[i][l] = float64(10 * (i - l) * (i - l))
+		}
+		if err := c.AddServer(fmt.Sprintf("s%d", i), ServerSpec{CapacityMbps: 1e6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SetServerRTTs(ss); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddZone("z"); err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]float64, k)
+	for j := range want {
+		want[j] = make([]float64, m)
+		for i := range want[j] {
+			want[j][i] = float64(j%997 + i)
+		}
+		spec := ClientSpec{Zone: "z", BandwidthMbps: 1, RTTRow: want[j]}
+		if j%5 == 0 {
+			spec.RTTRow, spec.RTTs = nil, map[string]float64{}
+			for i, d := range want[j] {
+				spec.RTTs[fmt.Sprintf("s%d", i)] = d
+			}
+		}
+		if err := c.AddClient(fmt.Sprintf("c%d", j), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, model := range []DelayModel{DenseDelays, CoordDelays} {
+		p, err := c.problemFor(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]float64, m)
+		for j, w := range want {
+			if got := p.Delays.Row(j, buf); !slices.Equal(got, w) {
+				t.Fatalf("model %d client %d: row %v, handed %v", model, j, got, w)
+			}
+		}
 	}
 }

@@ -197,11 +197,14 @@ func (s *ClusterSession) Join(id string, spec ClientSpec) (err error) {
 
 // resolveJoin resolves one joining client's RTTs to a dense delay row in
 // the current server order — shared by Join and JoinBatch. An unknown zone
-// is named before any RTT resolution error. The returned row may alias
-// s.rowBuf or spec.RTTRow.
+// is named before any RTT resolution error; a coordinate is refused, not
+// dropped. The returned row may alias s.rowBuf or spec.RTTRow.
 func (s *ClusterSession) resolveJoin(id string, spec ClientSpec) ([]float64, error) {
 	if _, err := s.zone(spec.Zone); err != nil {
 		return nil, err
+	}
+	if spec.Coord != nil {
+		return nil, fmt.Errorf("dvecap: client %q: Coord is a builder input; sessions take measured rows (RTTs or RTTRow)", id)
 	}
 	return resolveRTTRow(id, spec, s.binding.ServerNames(), s.binding.ServerIndexOf, s.scratchRow())
 }

@@ -55,7 +55,7 @@ func (ev *Evaluator) Audit() error {
 	if ev.withQoS != want.WithQoS {
 		return fmt.Errorf("core: audit: withQoS = %d, want %d", ev.withQoS, want.WithQoS)
 	}
-	var rapCost, totalLoad, trafficCut float64
+	var rapCost, totalLoad float64
 	for j, d := range want.Delays {
 		if ev.delay[j] != d {
 			return fmt.Errorf("core: audit: delay[%d] = %v, want %v", j, ev.delay[j], d)
@@ -82,8 +82,9 @@ func (ev *Evaluator) Audit() error {
 	for _, l := range ws.evLoads {
 		totalLoad += l
 	}
-	if ev.trafficOn {
-		trafficCut = TrafficCut(p, a)
+	trafficCut := TrafficCut(p, a)
+	if cut, _ := ev.CrossEdges(); ev.cutEdges != cut {
+		return fmt.Errorf("core: audit: cutEdges = %d, want %d", ev.cutEdges, cut)
 	}
 	for _, s := range []struct {
 		name      string

@@ -81,6 +81,7 @@ func TestAuditNamesEveryCorruptedField(t *testing.T) {
 		{"totalLoad", func(s auditScene) { s.ev.totalLoad++ }},
 		{"trafficOn", func(s auditScene) { s.ev.trafficOn = false }},
 		{"trafficCut", func(s auditScene) { s.ev.trafficCut++ }},
+		{"cutEdges", func(s auditScene) { s.ev.cutEdges++ }},
 		{"cache.servers", func(s auditScene) { s.ev.cache.servers++ }},
 		{"cache.dQoS", func(s auditScene) { s.ev.cache.dQoS[s.z*s.ev.cache.servers]++ }},
 		{"cache.dRap", func(s auditScene) { s.ev.cache.dRap[s.z*s.ev.cache.servers+1]++ }},

@@ -23,7 +23,7 @@ import (
 // hooks (AppendClient, SetClientDelays) store an override for every
 // non-NaN entry they are handed, so sessions that join clients with full
 // measured rows erode back toward dense storage client by client. The
-// native sparse joins (AddClientAt, AddClientFitted) are the
+// native sparse joins (AddClientAt, AddClientOwned) are the
 // million-client path.
 //
 // Deferred fits: a client that joins through AppendClient with a full row
@@ -110,48 +110,51 @@ func (cp *CoordProvider) ServerCoord(i int) []float64 {
 // server listed twice keeps the later value). Everything is copied.
 // Returns the new client's index.
 func (cp *CoordProvider) AddClientAt(coord []float64, srvs []int32, vals []float64) int {
-	j := len(cp.ovSrv)
 	c := make([]float64, cp.dim)
 	copy(c, coord)
-	cp.cli = append(cp.cli, c...)
 	var os []int32
 	var ov []float64
 	for x, s := range srvs {
-		if vals[x] != vals[x] { // NaN: unmeasured
-			continue
+		if vals[x] == vals[x] { // not NaN: measured
+			os, ov = append(os, s), append(ov, vals[x])
 		}
-		os = append(os, s)
-		ov = append(ov, vals[x])
 	}
-	os, ov = sortOverrides(os, ov)
-	cp.ovSrv = append(cp.ovSrv, os)
-	cp.ovVal = append(cp.ovVal, ov)
+	return cp.AddClientOwned(c, os, ov)
+}
+
+// AddClientOwned is AddClientAt keeping srvs and vals (no NaN; hand them
+// over capped at their length): it sorts them in place, and later writes
+// may rewrite them in place. A nil coord is fitted from the lists, at once
+// when they miss a server, on first need when they cover every server.
+func (cp *CoordProvider) AddClientOwned(coord []float64, srvs []int32, vals []float64) int {
+	j := len(cp.ovSrv)
+	srvs, vals = sortOverrides(srvs, vals)
+	cp.ovSrv, cp.ovVal = append(cp.ovSrv, srvs), append(cp.ovVal, vals)
+	cp.cli = append(cp.cli, make([]float64, cp.dim)...)
+	switch {
+	case coord != nil:
+		copy(cp.cli[j*cp.dim:], coord)
+	case len(srvs) < cp.NumServers():
+		cp.fitAt(j, uint64(j))
+	default:
+		if cp.unfit == nil {
+			cp.unfit = make(map[int32]uint32)
+		}
+		cp.unfit[int32(j)] = uint32(j)
+	}
 	return j
 }
 
-// AddClientFitted is AddClientAt with the coordinate fitted (deterministically)
-// from the measured delays instead of supplied — for callers that hold
-// sparse measurements but no client-side coordinate. Returns the new
-// client's index.
-func (cp *CoordProvider) AddClientFitted(srvs []int32, vals []float64) int {
-	var os []int32
-	var ov []float64
-	for x, s := range srvs {
-		if vals[x] != vals[x] { // NaN: unmeasured
-			continue
-		}
-		os = append(os, s)
-		ov = append(ov, vals[x])
-	}
-	os, ov = sortOverrides(os, ov)
-	coord := make([]float64, cp.dim)
-	fitPoint(coord, cp.srv, cp.dim, os, ov, uint64(len(cp.ovSrv)))
-	cp.cli = append(cp.cli, coord...)
-	j := len(cp.ovSrv)
-	cp.ovSrv = append(cp.ovSrv, os)
-	cp.ovVal = append(cp.ovVal, ov)
-	return j
+// Reserve makes room for k more clients, so that many adds append in place.
+func (cp *CoordProvider) Reserve(k int) {
+	cp.cli = slices.Grow(cp.cli, k*cp.dim)
+	cp.ovSrv, cp.ovVal = slices.Grow(cp.ovSrv, k), slices.Grow(cp.ovVal, k)
 }
+
+// ShareCoords replaces the client coordinates with cli, holding the same
+// values, so a caller keeping them too keeps one copy. Fits and removals
+// write them in place: share them only with a provider cloned before that.
+func (cp *CoordProvider) ShareCoords(cli []float64) { cp.cli = cli }
 
 // NumClients implements DelayProvider.
 func (cp *CoordProvider) NumClients() int { return len(cp.ovSrv) }
@@ -283,24 +286,11 @@ func (cp *CoordProvider) AppendClient(row []float64) {
 	srvs := make([]int32, 0, n)
 	vals := make([]float64, 0, n)
 	for i, d := range row {
-		if d != d {
-			continue
+		if d == d {
+			srvs, vals = append(srvs, int32(i)), append(vals, d)
 		}
-		srvs = append(srvs, int32(i))
-		vals = append(vals, d)
 	}
-	j := len(cp.ovSrv)
-	cp.cli = append(cp.cli, make([]float64, cp.dim)...)
-	cp.ovSrv = append(cp.ovSrv, srvs)
-	cp.ovVal = append(cp.ovVal, vals)
-	if len(srvs) < len(row) {
-		cp.fitAt(j, uint64(j))
-		return
-	}
-	if cp.unfit == nil {
-		cp.unfit = make(map[int32]uint32)
-	}
-	cp.unfit[int32(j)] = uint32(j)
+	cp.AddClientOwned(nil, srvs, vals)
 }
 
 // fitAt fits client j's coordinate, zero until now, against the servers

@@ -47,12 +47,13 @@ type Evaluator struct {
 
 	// Traffic term (DESIGN.md §15). trafficOn caches p.TrafficOn() at
 	// Reset (re-derived when adjacency CRUD flips it); trafficCut is the
-	// unweighted cross-server cut weight of the adjacency graph,
-	// maintained incrementally like rapCost — ApplyZoneMove walks the
-	// moved zone's neighbor row in O(degree), every other mutation is
-	// traffic-neutral. The score exposes TrafficWeight × trafficCut.
+	// cross-server cut weight of the adjacency graph and cutEdges its edge
+	// count, maintained like rapCost whenever there is a graph — a zone
+	// move walks the zone's neighbor row in O(degree), other mutations but
+	// edge edits are traffic-neutral. The score uses TrafficWeight × trafficCut.
 	trafficOn  bool
 	trafficCut float64
+	cutEdges   int
 
 	// Candidate-delta cache and scan parallelism (movecache.go). workers
 	// ≤ 1 scans sequentially; results are identical for every setting.
@@ -234,9 +235,10 @@ func (ev *Evaluator) load(hosts, contacts []int, adopt bool) (st Adoption) {
 	for _, l := range ev.loads {
 		ev.totalLoad += l
 	}
-	ev.trafficCut = 0
-	if ev.trafficOn {
+	ev.trafficCut, ev.cutEdges = 0, 0
+	if p.Adjacency != nil {
 		ev.trafficCut = p.Adjacency.CutWeight(ev.zoneServer)
+		ev.cutEdges, _ = ev.CrossEdges()
 	}
 	return st
 }
@@ -309,7 +311,7 @@ func (ev *Evaluator) ApplyZoneMove(z, s int) {
 	if s == old {
 		return
 	}
-	if ev.trafficOn {
+	if p.Adjacency != nil {
 		// O(degree): edges to zones on the old host become cut, edges to
 		// zones on the destination become internal; every neighbor's cached
 		// delta row saw z's host change (evaluator_traffic.go).

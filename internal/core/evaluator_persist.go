@@ -50,7 +50,9 @@ func (ev *Evaluator) ExportState() *EvaluatorState {
 		TotalLoad:   ev.totalLoad,
 		RAPCost:     ev.rapCost,
 		Cordoned:    append([]bool(nil), ev.cordoned...),
-		TrafficCut:  ev.trafficCut,
+	}
+	if ev.trafficOn { // with the term off, Reset re-derives the cut
+		st.TrafficCut = ev.trafficCut
 	}
 	for z, members := range ev.zoneMembers {
 		st.ZoneMembers[z] = append([]int(nil), members...)

@@ -141,8 +141,9 @@ func (ev *Evaluator) RemoveZone(z int) int {
 		nbr, wt := g.Row(z)
 		hz := ev.zoneServer[z]
 		for i, y := range nbr {
-			if ev.trafficOn && ev.zoneServer[y] != hz {
+			if ev.zoneServer[y] != hz {
 				ev.trafficCut -= wt[i]
+				ev.cutEdges--
 			}
 			ev.touchTraffic(int(y))
 		}

@@ -16,8 +16,8 @@ package core
 // sequences into each accumulator. dTraffic entries are never adjusted in
 // place — a stale row (its own traffic dirty bit, movecache.go) is
 // re-derived whole in O(degree + servers) — so they carry no drift. With
-// the term off, none of this code runs and every score carries
-// traffic == 0.0 — bit-identical to the pre-traffic solver.
+// the term off only the cut and its edge count are kept (for Cut), and every
+// score carries traffic == 0.0 — bit-identical to the pre-traffic solver.
 
 import (
 	"fmt"
@@ -30,9 +30,9 @@ import (
 // hosted apart — the solver's estimate of cross-server broadcast traffic.
 // 0 when no adjacency graph is bound. With the traffic term ON the value
 // is the incrementally maintained accumulator (may differ from a fresh
-// canonical summation by float rounding); with the term OFF (weight 0) no
-// accumulator exists, so the cut is summed canonically on demand — a
-// delay-only deployment can still *observe* its cross-server traffic.
+// canonical summation by float rounding); with the term OFF (weight 0) it
+// is summed canonically on demand (Cut reads the accumulator) — a delay-only
+// deployment can still *observe* its cross-server traffic.
 func (ev *Evaluator) TrafficCut() float64 {
 	if ev.trafficOn {
 		return ev.trafficCut
@@ -42,6 +42,10 @@ func (ev *Evaluator) TrafficCut() float64 {
 	}
 	return 0
 }
+
+// Cut returns the maintained cut in O(1), term on or off: its weight and
+// how many edges it holds (what CrossEdges counts by walking the graph).
+func (ev *Evaluator) Cut() (weight float64, edges int) { return ev.trafficCut, ev.cutEdges }
 
 // TrafficCost returns the weighted traffic term TrafficWeight × TrafficCut
 // as it enters the search objective; 0 when the term is off.
@@ -85,8 +89,10 @@ func (ev *Evaluator) applyTrafficMove(z, old, s int) {
 		switch ev.zoneServer[y] {
 		case old:
 			ev.trafficCut += wt[i]
+			ev.cutEdges++
 		case s:
 			ev.trafficCut -= wt[i]
+			ev.cutEdges--
 		}
 		ev.touchTraffic(int(y))
 	}
@@ -150,6 +156,15 @@ func (ev *Evaluator) adjacencyEdit(a, b int, edit func(*interact.Graph) (old, no
 	if err != nil {
 		return err
 	}
+	if ev.zoneServer[a] != ev.zoneServer[b] {
+		ev.trafficCut += now - old
+		switch {
+		case old == 0 && now != 0:
+			ev.cutEdges++
+		case old != 0 && now == 0:
+			ev.cutEdges--
+		}
+	}
 	wasOn := ev.trafficOn
 	ev.trafficOn = p.TrafficOn()
 	if ev.trafficOn && !wasOn {
@@ -159,9 +174,6 @@ func (ev *Evaluator) adjacencyEdit(a, b int, edit func(*interact.Graph) (old, no
 		ev.tele.invalidations.Add(ev.cache.invalidateAll())
 		ev.cache.ensure(n, p.NumServers(), true)
 		return nil
-	}
-	if ev.trafficOn && ev.zoneServer[a] != ev.zoneServer[b] {
-		ev.trafficCut += now - old
 	}
 	ev.touchTraffic(a)
 	ev.touchTraffic(b)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -443,7 +444,9 @@ func TestCoordDuplicateOverridesKeepLast(t *testing.T) {
 		{"AddClientAt", func(cp *CoordProvider, srvs []int32, vals []float64) int {
 			return cp.AddClientAt([]float64{3, 1, 4, 1, 5}, srvs, vals)
 		}},
-		{"AddClientFitted", (*CoordProvider).AddClientFitted},
+		{"AddClientOwned", func(cp *CoordProvider, srvs []int32, vals []float64) int {
+			return cp.AddClientOwned(nil, slices.Clone(srvs), slices.Clone(vals))
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cp := NewCoordProviderFromSS(ss, 0)

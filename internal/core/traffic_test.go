@@ -446,3 +446,82 @@ func TestTrafficReads(t *testing.T) {
 		}
 	}
 }
+
+// TestCutEdgesFollowCrossEdges checks the maintained cut (Cut) against a
+// walk of the graph after every step of a random stream — zone moves, edge
+// sets, removals and accumulations, local search, adoption, zones added
+// with edges and zones emptied and retired — with the traffic term off
+// (λ = 0, and no graph until the first edit) and on.
+func TestCutEdgesFollowCrossEdges(t *testing.T) {
+	for _, lambda := range []float64{0, 1.5} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			rng := xrand.New(seed)
+			p := randomProblem(rng, false).Clone()
+			if seed%2 == 0 {
+				attachAdjacency(xrand.New(seed+500), p, lambda)
+			} else {
+				p.TrafficWeight = lambda
+			}
+			ev := NewEvaluator(p, initialAssignment(p))
+			for step := 0; step < 400; step++ {
+				n, m := p.NumZones, p.NumServers()
+				a, b := rng.IntN(n), rng.IntN(n)
+				what := "zone move"
+				switch op := rng.IntN(8); {
+				case op < 2:
+					ev.ApplyZoneMove(a, rng.IntN(m))
+				case op == 2 && a != b:
+					what = "set adjacency"
+					if err := ev.SetZoneAdjacency(a, b, rng.Uniform(0.1, 3)); err != nil {
+						t.Fatal(err)
+					}
+				case op == 3 && a != b:
+					what = "remove adjacency"
+					if err := ev.SetZoneAdjacency(a, b, 0); err != nil {
+						t.Fatal(err)
+					}
+				case op == 4 && a != b:
+					what = "add adjacency"
+					if err := ev.AddZoneAdjacency(a, b, rng.Uniform(0.1, 1)); err != nil {
+						t.Fatal(err)
+					}
+				case op == 5:
+					what = "local search"
+					ev.LocalSearch(2)
+				case op == 6:
+					what = "adopt"
+					hosts := make([]int, n)
+					for z := range hosts {
+						hosts[z] = rng.IntN(m)
+					}
+					contacts := make([]int, p.NumClients())
+					for j, z := range p.ClientZones {
+						contacts[j] = hosts[z]
+					}
+					ev.Adopt(&Assignment{ZoneServer: hosts, ClientContact: contacts})
+				case op == 7 && n > 2:
+					what = "add zone, retire another"
+					z := ev.AddZone(rng.IntN(m))
+					if err := ev.SetZoneAdjacency(z, a, rng.Uniform(0.1, 3)); err != nil {
+						t.Fatal(err)
+					}
+					for len(ev.ZoneClients(a)) > 0 {
+						ev.MoveClient(ev.ZoneClients(a)[0], z)
+					}
+					ev.RemoveZone(a)
+				}
+				if _, edges := ev.Cut(); p.Adjacency != nil {
+					if cut, _ := ev.CrossEdges(); edges != cut {
+						t.Fatalf("λ=%v seed %d step %d (%s): maintained %d cut edges, the graph has %d", lambda, seed, step, what, edges, cut)
+					}
+				} else if edges != 0 {
+					t.Fatalf("λ=%v seed %d step %d (%s): %d cut edges without a graph", lambda, seed, step, what, edges)
+				}
+				if w, _ := ev.Cut(); !almostEq(w, TrafficCut(p, ev.Assignment())) {
+					t.Fatalf("λ=%v seed %d step %d (%s): maintained cut %v, canonical %v", lambda, seed, step, what, w, TrafficCut(p, ev.Assignment()))
+				}
+			}
+			audit(t, ev)
+		}
+	}
+}

@@ -208,10 +208,10 @@ func (pl *Planner) syncTele() {
 		t.adjEdits.Add(uint64(d))
 		t.prevAdjEdits = pl.stats.AdjacencyEdits
 	}
-	t.trafficCut.Set(pl.ev.TrafficCut())
+	cut, edges := pl.ev.Cut()
+	t.trafficCut.Set(cut)
 	t.trafficCost.Set(pl.ev.TrafficCost())
-	cut, _ := pl.ev.CrossEdges()
-	t.cutEdges.Set(float64(cut))
+	t.cutEdges.Set(float64(edges))
 }
 
 // teleFullSolve records one completed full solve under its trigger, with

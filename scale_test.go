@@ -26,12 +26,14 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"dvecap/internal/core"
 	"dvecap/internal/xrand"
 	"dvecap/telemetry"
 )
@@ -140,6 +142,42 @@ func TestCoordDelayModelMemoryDiet(t *testing.T) {
 	if q := s.PQoS(); q < 0 || q > 1 {
 		t.Fatalf("pQoS %v out of range", q)
 	}
+}
+
+// liveHeap returns the heap in use after two collections.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestClusterBuilderMemoryDiet is the builder's budget check (DESIGN.md
+// §13): a coordinate-native 20k-client Cluster keeps, per client, its
+// columns (zone, bandwidth, delay-input size), its coordinate, its share of
+// the pair arenas and its entry in the ID table — about 150 bytes, bounded
+// at 200, where one ClientSpec with its own coordinate and RTT map took
+// about 260 — and
+// its first CoordDelays build allocates O(1) objects, none per client.
+func TestClusterBuilderMemoryDiet(t *testing.T) {
+	const m, zones, k = 64, 200, 20000
+	before := liveHeap()
+	c := buildCoordCluster(t, xrand.New(9090), m, zones, k)
+	perClient := float64(liveHeap()-before) / k
+	if perClient > 200 {
+		t.Errorf("the builder keeps %.1f bytes a client, want at most 200", perClient)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		c.dirty = true
+		if _, err := c.problemFor(CoordDelays); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 1000 {
+		t.Errorf("a CoordDelays build of %d clients allocates %.0f objects, want < 1000", k, allocs)
+	}
+	t.Logf("%.1f bytes a client, %.0f allocations a build", perClient, allocs)
 }
 
 // Declared budgets for the gated million-client open (scaled linearly when
@@ -433,4 +471,64 @@ func TestScaleMillionClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote BENCH_scale.json (%d-client leg)", k)
+}
+
+// TestCoordBuildSharesBuilderCoords: a CoordDelays build of a cluster whose
+// every client carries a coordinate reads the builder's coordinate arena in
+// place, and nothing writes it — Solve plain, WithEstimationError and
+// WithTrafficWeight, and Open with session churn after it (each Leave moves
+// the last client's coordinate in the session's provider) leave its bytes
+// as they were.
+func TestCoordBuildSharesBuilderCoords(t *testing.T) {
+	c := buildCoordCluster(t, xrand.New(5), 8, 20, 400)
+	zones, servers := c.ZoneIDs(), c.ServerIDs()
+	if err := c.SetZoneAdjacency(zones[0], zones[1], 2); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(c.coords)
+	for name, extra := range map[string]Option{
+		"plain":            WithSeed(1),
+		"estimation error": WithEstimationError(1.3),
+		"traffic weight":   WithTrafficWeight(0.5),
+	} {
+		opts := []Option{WithSeed(1), WithDelayProvider(CoordDelays), extra}
+		if _, err := c.Solve("GreZ-GreC", opts...); err != nil {
+			t.Fatal(err)
+		}
+		s, err := c.Open("GreZ-GreC", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := c.ClientIDs()
+		for _, id := range ids[:50] {
+			if err := s.Leave(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Move(ids[60], zones[2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UpdateDelays(ids[70], map[string]float64{servers[0]: 5}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Result(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(c.coords, want) {
+			t.Fatalf("%s: the builder's coordinates changed under Solve and Open", name)
+		}
+	}
+	// The cached build reads the arena itself: an edit to it (undone at once)
+	// shows in client 1's predicted delays; client 1 has no overrides.
+	p, err := c.problemFor(CoordDelays)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := p.Delays.Row(1, make([]float64, len(servers)))
+	c.coords[core.DefaultCoordDim] += 100
+	after := p.Delays.Row(1, make([]float64, len(servers)))
+	c.coords[core.DefaultCoordDim] -= 100
+	if slices.Equal(before, after) {
+		t.Fatal("the CoordDelays build copied the builder's coordinates")
+	}
 }
