@@ -14,6 +14,8 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -48,9 +50,13 @@ func TestExportedAPIExposesNoInternalTypes(t *testing.T) {
 		"UpdateServerDelays": false, // PR 5 column-form refresh (method)
 	}
 	// Names taken off the surface stay off: the deduplicating row store is
-	// what DenseDelays names, not a delay model of its own, and a solve's
-	// local-search pass had no caller outside the tests.
-	gone := map[string]bool{"SharedRowDelays": false, "WithLocalSearchRounds": false}
+	// what DenseDelays names, not a delay model of its own, a solve's
+	// local-search pass had no caller outside the tests, and every solve
+	// spills on overflow, so there is no policy to choose.
+	gone := map[string]bool{
+		"SharedRowDelays": false, "WithLocalSearchRounds": false,
+		"WithOverflow": false, "OverflowPolicy": false, "SpillLargestResidual": false, "ErrorOnOverflow": false,
+	}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -79,6 +85,9 @@ func TestExportedAPIExposesNoInternalTypes(t *testing.T) {
 			case *ast.TypeSpec:
 				if _, ok := anchors[d.Name.Name]; ok {
 					anchors[d.Name.Name] = true
+				}
+				if _, ok := gone[d.Name.Name]; ok {
+					gone[d.Name.Name] = true
 				}
 			case *ast.ValueSpec:
 				for _, id := range d.Names {
@@ -230,6 +239,64 @@ func receiverTypeName(expr ast.Expr) string {
 			return t.Name
 		default:
 			return ""
+		}
+	}
+}
+
+// TestDocumentedOptionsExist: every With… name README.md, doc.go,
+// DESIGN.md §9 and the examples' READMEs mention is a func this package
+// declares, so a deleted option cannot linger in the docs.
+func TestDocumentedOptionsExist(t *testing.T) {
+	sources, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := map[string]bool{}
+	for _, name := range sources {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+				funcs[fd.Name.Name] = true
+			}
+		}
+	}
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec9, ok := strings.Cut(string(design), "\n## §9 ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §9")
+	}
+	sec9, _, _ = strings.Cut(sec9, "\n## ")
+	docs := map[string]string{"DESIGN.md §9": sec9}
+	examples, err := filepath.Glob("examples/*/README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range append([]string{"README.md", "doc.go"}, examples...) {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[name] = string(raw)
+	}
+	option := regexp.MustCompile(`\bWith[A-Z]\w*`)
+	for doc, text := range docs {
+		names := option.FindAllString(text, -1)
+		if len(names) == 0 && !strings.HasPrefix(doc, "examples") {
+			t.Errorf("%s names no With… option; the scan is running over the wrong text", doc)
+		}
+		for _, name := range names {
+			if !funcs[name] {
+				t.Errorf("%s names %s, which this package does not declare", doc, name)
+			}
 		}
 	}
 }

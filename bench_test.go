@@ -914,7 +914,7 @@ func sessionOverProblem(b *testing.B, p *core.Problem, seed uint64) *ClusterSess
 	if err := binding.NameTopology(names("s", p.NumServers()), names("z", p.NumZones)); err != nil {
 		b.Fatal(err)
 	}
-	m, err := repair.NewMachine(binding, "GreZ-GreC", int(SpillLargestResidual), nil)
+	m, err := repair.NewMachine(binding, "GreZ-GreC", nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -600,8 +600,9 @@ func resolveRTTRow(owner string, spec ClientSpec, serverIDs []string, lookup fun
 // Solve runs the named two-phase algorithm ("RanZ-VirC", "RanZ-GreC",
 // "GreZ-VirC", "GreZ-GreC", or the extension "DynZ-GreC") over the
 // cluster's current population. See Algorithms for the accepted names and
-// the Option funcs for the knobs (workers, overflow, local-search rounds,
-// estimation error, seed).
+// the Option funcs for the knobs (workers, delay model, traffic weight,
+// estimation error, seed). An item no server has room for spills onto the
+// one with the most residual capacity, so every solve completes.
 func (c *Cluster) Solve(algorithm string, opts ...Option) (*Result, error) {
 	cfg := resolveOptions(opts)
 	tp, ok := core.ByName(algorithm)
@@ -612,10 +613,7 @@ func (c *Cluster) Solve(algorithm string, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt, err := cfg.coreOptions()
-	if err != nil {
-		return nil, err
-	}
+	opt := cfg.coreOptions()
 	rng := cfg.rngFor()
 	solveP := truth
 	if cfg.estSet {
@@ -662,10 +660,7 @@ func (c *Cluster) openSession(algorithm string, cfg config) (*ClusterSession, er
 	if err != nil {
 		return nil, err
 	}
-	opt, err := cfg.coreOptions()
-	if err != nil {
-		return nil, err
-	}
+	opt := cfg.coreOptions()
 	if p == c.built {
 		opt.Late = &c.late // the planner copies it, never writes it
 	}
@@ -685,7 +680,7 @@ func (c *Cluster) openSession(algorithm string, cfg config) (*ClusterSession, er
 	if cfg.tele != nil {
 		binding.Planner().SetTelemetry(cfg.tele)
 	}
-	m, err := repair.NewMachine(binding, algorithm, int(cfg.overflow), nil)
+	m, err := repair.NewMachine(binding, algorithm, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -227,7 +227,8 @@ func TestClusterSolveOptions(t *testing.T) {
 	if _, err := c.Solve("GreZ-GreC", WithEstimationError(0.5)); err == nil {
 		t.Fatal("estimation factor < 1 accepted")
 	}
-	// ErrorOnOverflow surfaces infeasibility instead of spilling.
+	// An overcommitted cluster still solves: the item spills onto the
+	// server with the largest residual capacity.
 	tiny := NewCluster(100)
 	if err := tiny.AddServer("fra", ServerSpec{CapacityMbps: 1}); err != nil {
 		t.Fatal(err)
@@ -239,9 +240,6 @@ func TestClusterSolveOptions(t *testing.T) {
 		if err := tiny.AddClient(id, ClientSpec{Zone: "plaza", BandwidthMbps: 5, RTTRow: []float64{10}}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := tiny.Solve("GreZ-GreC", WithOverflow(ErrorOnOverflow)); err == nil {
-		t.Fatal("overcommitted cluster solved under ErrorOnOverflow")
 	}
 	if _, err := tiny.Solve("GreZ-GreC"); err != nil {
 		t.Fatalf("spill policy should complete: %v", err)

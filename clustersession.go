@@ -593,7 +593,8 @@ type SessionStats struct {
 	LastDriftPQoS  float64
 	LastUtilSpread float64
 	// LastSolveError reports a failed drift-guard full solve (empty when
-	// the last one succeeded).
+	// the last one succeeded). Solves spill on overflow, so it stays empty
+	// unless the planner's problem or result is malformed.
 	LastSolveError string
 }
 

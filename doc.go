@@ -33,8 +33,9 @@
 //		RTTs: map[string]float64{"fra": 18, "nyc": 95}})
 //	res, err := c.Solve("GreZ-GreC", dvecap.WithSeed(1))
 //
-// Solve and Open take functional options (WithWorkers, WithOverflow,
-// WithDriftGuard, WithEstimationError, WithSeed).
+// Solve and Open take functional options (WithWorkers, WithDriftGuard,
+// WithEstimationError, WithSeed). Solves spill on overflow: an item no
+// server has room for goes to the server with the most residual capacity.
 // Open returns a ClusterSession whose Join/Leave/Move/UpdateDelays —
 // all by string ID — stream into the incremental repair planner, and
 // ReadClusterJSON/WriteClusterJSON round-trip the same instance through

@@ -87,10 +87,11 @@ func (c *Cluster) openDurable(algorithm string, cfg config) (*ClusterSession, er
 // recoverSession rebuilds a session from the newest readable snapshot plus
 // the log tail after it, replayed through the SAME interpreter live traffic
 // uses. The stored trajectory-shaping config (algorithm must match what
-// the caller asked for; overflow policy and guard thresholds are adopted
-// from the snapshot) wins over the caller's options — only the worker
-// count is taken from the caller, since results are worker-invariant
-// (DESIGN.md §8).
+// the caller asked for; guard thresholds are adopted from the snapshot)
+// wins over the caller's options — only the worker count is taken from the
+// caller, since results are worker-invariant (DESIGN.md §8). A snapshot
+// recorded under a non-spilling overflow policy is refused
+// (repair.RestoreMachine).
 func recoverSession(algorithm string, cfg config) (*ClusterSession, error) {
 	dir := cfg.durDir
 	snap, err := repair.LoadSnapshot(dir)
@@ -104,12 +105,7 @@ func recoverSession(algorithm string, cfg config) (*ClusterSession, error) {
 	if !ok {
 		return nil, fmt.Errorf("dvecap: stored session uses unknown algorithm %q", snap.Algo)
 	}
-	cfg.overflow = OverflowPolicy(snap.Overflow)
-	opt, err := cfg.coreOptions()
-	if err != nil {
-		return nil, err
-	}
-	m, err := repair.RestoreMachine(snap, repair.Config{Algo: tp, Opt: opt})
+	m, err := repair.RestoreMachine(snap, repair.Config{Algo: tp, Opt: cfg.coreOptions()})
 	if err != nil {
 		return nil, fmt.Errorf("dvecap: %w", err)
 	}

@@ -18,7 +18,7 @@ var wallClockLine = regexp.MustCompile(`(?m)^\[.* completed in .*\]\n`)
 // — the user-visible numbers of the generator, the solve facade, a
 // hand-built Cluster's Solve and Open, the session topology verbs and batch
 // join, the churn
-// driver's two modes (full re-solves under a handoff freeze among them), the
+// driver's two modes (periodic full re-solves among them), the
 // autoscale loop and the one-instance command line in one net.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {

@@ -239,7 +239,7 @@ func New(cfg Config) (*Director, error) {
 		return nil, err
 	}
 	pl := b.Planner()
-	m, err := repair.NewMachine(b, algo.Name, 0, &repair.DirectorState{
+	m, err := repair.NewMachine(b, algo.Name, &repair.DirectorState{
 		FrameRate:    cfg.FrameRate,
 		MessageBytes: cfg.MessageBytes,
 		ServerNodes:  cfg.ServerNodes,
@@ -560,7 +560,8 @@ type Stats struct {
 	TrafficCost       float64 `json:"traffic_cost,omitempty"`
 	TrafficWeight     float64 `json:"traffic_weight,omitempty"`
 	// LastSolveError surfaces a failed drift-guard full solve (empty when
-	// the last one succeeded).
+	// the last one succeeded). Solves spill on overflow, so it stays empty
+	// unless the planner's problem or result is malformed.
 	LastSolveError string `json:"last_solve_error,omitempty"`
 }
 

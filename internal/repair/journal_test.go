@@ -110,7 +110,7 @@ func TestFallbackGenerationKeepsItsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(bindPlanner(t, pl), "GreZ-GreC", 0, nil)
+	m, err := NewMachine(bindPlanner(t, pl), "GreZ-GreC", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

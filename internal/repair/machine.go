@@ -31,9 +31,8 @@ import (
 // Commit is the one write path; Recover replays through the same apply.
 // Not safe for concurrent use.
 type Machine struct {
-	b        *IDBinding
-	algo     string
-	overflow int
+	b    *IDBinding
+	algo string
 
 	// dir is the director's typed extra, nil under a session; the
 	// interpreter maintains its Seq and ServerNodes, and clientNode — the
@@ -78,11 +77,11 @@ type DirectorState struct {
 	ClientNodes  []int   `json:"client_nodes"`
 }
 
-// NewMachine wraps a binding whose topology is named. algo and overflow are
-// recorded in snapshots as the front end spells them; dir, when set, makes
-// this a director-side machine.
-func NewMachine(b *IDBinding, algo string, overflow int, dir *DirectorState) (*Machine, error) {
-	m := &Machine{b: b, algo: algo, overflow: overflow}
+// NewMachine wraps a binding whose topology is named. algo is recorded in
+// snapshots as the front end spells it; dir, when set, makes this a
+// director-side machine.
+func NewMachine(b *IDBinding, algo string, dir *DirectorState) (*Machine, error) {
+	m := &Machine{b: b, algo: algo}
 	if dir == nil {
 		return m, nil
 	}
@@ -120,7 +119,7 @@ func NewIndexedMachine(pl *Planner, algo string) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewMachine(b, algo, 0, nil)
+	return NewMachine(b, algo, nil)
 }
 
 // Binding returns the ID binding the machine mutates — the read side.
@@ -522,9 +521,12 @@ const SnapshotVersion = 4
 // version's client objects and rows are moved into the same places
 // (fromClients), so every version reads the same from here on.
 type Snapshot struct {
-	Version         int         `json:"version"`
-	LSN             uint64      `json:"lsn"`
-	Algo            string      `json:"algo"`
+	Version int    `json:"version"`
+	LSN     uint64 `json:"lsn"`
+	Algo    string `json:"algo"`
+	// Overflow records the overflow policy: 0, spilling, the only one
+	// either front end runs and the only one RestoreMachine accepts (older
+	// builds could record 1, fail on overflow).
 	Overflow        int         `json:"overflow"`
 	DriftPQoS       float64     `json:"drift_pqos,omitempty"`
 	DriftUtilSpread float64     `json:"drift_util_spread,omitempty"`
@@ -676,7 +678,6 @@ func (m *Machine) Render(lsn uint64) ([]byte, error) {
 	return Snapshot{
 		LSN:             lsn,
 		Algo:            m.algo,
-		Overflow:        m.overflow,
 		DriftPQoS:       pl.cfg.DriftPQoS,
 		DriftUtilSpread: pl.cfg.DriftUtilSpread,
 		Cluster:         cj,
@@ -1013,14 +1014,19 @@ func (snap *Snapshot) problem() (*core.Problem, error) {
 
 // RestoreMachine rebuilds the machine a snapshot captured: problem, planner
 // (NewFromState), ID binding, director extra. cfg carries what the front end
-// derives from the snapshot's fingerprint (algorithm, overflow policy) plus
-// the caller's worker count; the guard thresholds are the stored ones. The
-// client name table is built beside the problem and planner (BindPlanner).
+// derives from the snapshot's fingerprint (algorithm) plus the caller's
+// worker count; the guard thresholds are the stored ones. The client name
+// table is built beside the problem and planner (BindPlanner). A snapshot
+// recorded under a policy other than spilling is refused: replayed under
+// spilling, its log could pass a solve the original run failed.
 // Follow with Recover.
 func RestoreMachine(snap *Snapshot, cfg Config) (*Machine, error) {
 	start := time.Now()
 	if snap.Planner == nil {
 		return nil, fmt.Errorf("repair: snapshot misses the planner state")
+	}
+	if snap.Overflow != 0 {
+		return nil, fmt.Errorf("repair: snapshot records overflow policy %d; only spilling (0) is supported", snap.Overflow)
 	}
 	cfg.DriftPQoS, cfg.DriftUtilSpread = snap.DriftPQoS, snap.DriftUtilSpread
 	serverIDs := make([]string, len(snap.Cluster.Servers))
@@ -1037,7 +1043,7 @@ func RestoreMachine(snap *Snapshot, cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := NewMachine(b, snap.Algo, snap.Overflow, snap.Director)
+	m, err := NewMachine(b, snap.Algo, snap.Director)
 	if err != nil {
 		return nil, err
 	}

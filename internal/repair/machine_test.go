@@ -22,7 +22,7 @@ func testMachine(t *testing.T, dir bool) *Machine {
 	if dir {
 		ds = &DirectorState{ServerNodes: make([]int, pl.NumServers()), ClientNodes: make([]int, b.Len())}
 	}
-	m, err := NewMachine(b, "GreZ-GreC", 0, ds)
+	m, err := NewMachine(b, "GreZ-GreC", ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,8 +99,9 @@ type Stats struct {
 	BaselineUtilSpread float64 `json:"baseline_util_spread"`
 	LastUtilSpread     float64 `json:"last_util_spread"`
 	// LastSolveError is the message of the most recent failed drift-guard
-	// full solve (empty when the last one succeeded). Possible only under
-	// restrictive overflow policies; failed solves back off exponentially.
+	// full solve (empty when the last one succeeded). The solve spills on
+	// overflow, so it fails only on a malformed problem or an invalid
+	// result; failed solves back off exponentially.
 	LastSolveError string `json:"last_solve_error,omitempty"`
 }
 
@@ -373,9 +374,9 @@ func (pl *Planner) repairZones(zones ...int) {
 // afterEvent updates drift tracking and fires the amortized full re-solve
 // when the quality guard trips. It never fails the event: by the time the
 // guard runs, the event is fully applied and the maintained solution is
-// valid, so a failing solve (possible only under restrictive overflow
-// policies) is recorded in Stats.LastSolveError and retried with exponential
-// event backoff so the O(affected) path never degrades into one failing full
+// valid, so a failing solve (see Stats.LastSolveError for the causes) is
+// recorded in Stats.LastSolveError and retried with exponential event
+// backoff so the O(affected) path never degrades into one failing full
 // solve per event.
 func (pl *Planner) afterEvent() { pl.afterEventN(1) }
 

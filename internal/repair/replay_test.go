@@ -28,7 +28,7 @@ func replayFixture(t *testing.T, events int, bad map[int][]byte) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(bindPlanner(t, pl), "GreZ-GreC", 0, nil)
+	m, err := NewMachine(bindPlanner(t, pl), "GreZ-GreC", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,6 @@ type ChurnConfig struct {
 	MoveRatePerClient float64
 	// ReassignEverySec re-runs the assignment algorithm at this period.
 	ReassignEverySec float64
-	// HandoffFreezeSec models the cost of migrating a zone's authoritative
-	// state between servers: for this long after a reassignment moves a
-	// zone, that zone's clients are counted without QoS (the zone is
-	// frozen mid-handoff). 0 disables the model, making re-execution free
-	// as the paper implicitly assumes.
-	HandoffFreezeSec float64
 	// SampleEverySec adds periodic "tick" quality samples between
 	// reassignments, so sample means are genuine time averages (without
 	// it, samples cluster at reassignment instants). 0 disables ticks.
@@ -50,10 +44,7 @@ type ChurnConfig struct {
 	// and move is applied through a repair.Planner in O(affected), and the
 	// ReassignEverySec tick becomes the fallback cadence — it samples
 	// quality and runs a full two-phase re-solve only when pQoS has
-	// drifted more than fallbackDriftPQoS below the last full solve. With
-	// HandoffFreezeSec > 0, repair-mode zone freezes are applied at
-	// sampling granularity (the driver notices planner-side rehostings
-	// when it syncs for a sample).
+	// drifted more than fallbackDriftPQoS below the last full solve.
 	Repair bool
 	// Telemetry, when set, is attached to the repair planner (repair mode)
 	// and fed live dvecap_sim_* gauges — virtual time, population, pQoS,
@@ -83,8 +74,6 @@ func (c ChurnConfig) Validate() error {
 		return fmt.Errorf("sim: MoveRatePerClient = %v, want >= 0", c.MoveRatePerClient)
 	case c.ReassignEverySec <= 0:
 		return fmt.Errorf("sim: ReassignEverySec = %v, want > 0", c.ReassignEverySec)
-	case c.HandoffFreezeSec < 0:
-		return fmt.Errorf("sim: HandoffFreezeSec = %v, want >= 0", c.HandoffFreezeSec)
 	case c.SampleEverySec < 0:
 		return fmt.Errorf("sim: SampleEverySec = %v, want >= 0", c.SampleEverySec)
 	}
@@ -138,10 +127,7 @@ type Driver struct {
 	// zoneMoves records, per re-execution, how many zones changed servers
 	// (full-solve mode; repair mode counts through the planner).
 	zoneMoves []int
-	// zoneFrozenUntil[z] is the virtual time until which zone z is frozen
-	// by an in-flight handoff (HandoffFreezeSec > 0 only).
-	zoneFrozenUntil []float64
-	errs            []error
+	errs      []error
 
 	// Repair mode: a non-durable machine over the incremental planner, fed
 	// every churn and topology event through Commit; each world
@@ -225,9 +211,6 @@ func NewDriver(eng *Engine, world *dve.World, algo core.TwoPhase, opt core.Optio
 		d.ids = d.m.Binding().DenseIDs()
 		d.nextID = len(d.ids)
 		d.csBuf = make([]float64, world.Cfg.Servers)
-		if cfg.HandoffFreezeSec > 0 && d.zoneFrozenUntil == nil {
-			d.zoneFrozenUntil = make([]float64, world.Cfg.Zones)
-		}
 	}
 	if cfg.Autoscale != nil {
 		for i := world.Cfg.Servers - spares; i < world.Cfg.Servers; i++ {
@@ -284,8 +267,8 @@ func (d *Driver) tickEvent() {
 // Samples returns the recorded observations in time order.
 func (d *Driver) Samples() []Sample { return d.samples }
 
-// Errors returns any non-fatal errors the driver absorbed (e.g. an
-// infeasible reassignment under ErrorOnOverflow).
+// Errors returns any non-fatal errors the driver absorbed (e.g. a churn
+// event or re-solve the planner refused, or a failed metrics-log write).
 func (d *Driver) Errors() []error { return d.errs }
 
 // Assignment returns the current assignment (aligned with the world's
@@ -487,19 +470,11 @@ func (d *Driver) reassignEvent() {
 }
 
 // syncFromPlanner projects the planner's maintained solution back onto the
-// driver's world-indexed assignment state. With the handoff model enabled,
-// zones the planner rehosted since the last sync enter their freeze window
-// now (repair-mode freezes are at sampling granularity).
+// driver's world-indexed assignment state.
 func (d *Driver) syncFromPlanner() {
 	b, pl := d.m.Binding(), d.planner()
-	n := d.world.Cfg.Zones
-	freezeUntil := d.eng.Now() + d.cfg.HandoffFreezeSec
-	for z := 0; z < n; z++ {
-		s := pl.ZoneHost(z)
-		if d.zoneFrozenUntil != nil && d.zoneServer[z] != s {
-			d.zoneFrozenUntil[z] = freezeUntil
-		}
-		d.zoneServer[z] = s
+	for z := range d.zoneServer {
+		d.zoneServer[z] = pl.ZoneHost(z)
 	}
 	k := len(d.ids)
 	if cap(d.contact) < k {
@@ -530,29 +505,10 @@ func (d *Driver) reassignWith(p *core.Problem, label string) error {
 		d.contactMoves = append(d.contactMoves, diff.ContactMoves)
 		d.zoneMoves = append(d.zoneMoves, diff.ZoneMoves)
 	}
-	if d.cfg.HandoffFreezeSec > 0 {
-		if d.zoneFrozenUntil == nil {
-			d.zoneFrozenUntil = make([]float64, d.world.Cfg.Zones)
-		}
-		if label != "initial" && d.zoneServer != nil {
-			until := d.eng.Now() + d.cfg.HandoffFreezeSec
-			for z, s := range a.ZoneServer {
-				if z < len(d.zoneServer) && d.zoneServer[z] != s {
-					d.zoneFrozenUntil[z] = until
-				}
-			}
-		}
-	}
 	d.zoneServer = a.ZoneServer
 	d.contact = a.ClientContact
 	d.sampleWith(p, label)
 	return nil
-}
-
-// frozen reports whether zone z is mid-handoff at the current time.
-func (d *Driver) frozen(z int) bool {
-	return d.zoneFrozenUntil != nil && z < len(d.zoneFrozenUntil) &&
-		d.zoneFrozenUntil[z] > d.eng.Now()
 }
 
 // MeanContactMovesPerReassign averages the disruption per re-execution
@@ -588,32 +544,17 @@ func (d *Driver) sampleWith(p *core.Problem, label string) {
 	}
 	d.ws.EvaluateInto(p, a, &d.evalM)
 	m := &d.evalM
-	pqos := m.PQoS
-	if d.zoneFrozenUntil != nil && p.NumClients() > 0 {
-		// Handoff model: clients of frozen zones have no QoS regardless of
-		// their delay — their zone's state is mid-migration.
-		withQoS := 0
-		for j, z := range p.ClientZones {
-			if d.frozen(z) {
-				continue
-			}
-			if m.Delays[j] <= p.D {
-				withQoS++
-			}
-		}
-		pqos = float64(withQoS) / float64(p.NumClients())
-	}
 	d.samples = append(d.samples, Sample{
 		Time:        d.eng.Now(),
 		Event:       label,
 		Clients:     p.NumClients(),
-		PQoS:        pqos,
+		PQoS:        m.PQoS,
 		Utilization: m.Utilization,
 	})
 	if reg := d.cfg.Telemetry; reg != nil {
 		reg.Gauge("dvecap_sim_time_seconds", "Virtual time of the latest quality sample.").Set(d.eng.Now())
 		reg.Gauge("dvecap_sim_clients", "Client population at the latest quality sample.").Set(float64(p.NumClients()))
-		reg.Gauge("dvecap_sim_pqos", "pQoS at the latest quality sample (handoff freezes included).").Set(pqos)
+		reg.Gauge("dvecap_sim_pqos", "pQoS at the latest quality sample.").Set(m.PQoS)
 		reg.Gauge("dvecap_sim_utilization", "Resource utilization R at the latest quality sample.").Set(m.Utilization)
 		reg.Counter("dvecap_sim_samples_total", "Quality samples recorded, by trigger.", "event", label).Inc()
 	}

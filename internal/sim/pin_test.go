@@ -67,43 +67,39 @@ func (h *pinHash) decisions(ds []autoscale.Decision) {
 }
 
 // TestRepairTrajectoryPinned pins the repair-mode trajectory — every sample,
-// the planner's counters and the handoff total — with and without the
-// handoff-freeze model, at workers 1 and 4.
+// the planner's counters and the handoff total — at workers 1 and 4.
 func TestRepairTrajectoryPinned(t *testing.T) {
-	want := map[float64]uint64{0: 0xf62713f7be6960eb, 30: 0xa175e23d6feae8b8}
-	for _, freeze := range []float64{0, 30} {
-		for _, workers := range []int{1, 4} {
-			w := buildSizedWorld(t, 30, 6, 20, 150, 300)
-			e := NewEngine()
-			opt := coreOpts()
-			opt.Workers = workers
-			cfg := repairChurn()
-			cfg.JoinRate = 1
-			cfg.MeanSessionSec = 150
-			cfg.MoveRatePerClient = 0.08
-			cfg.ReassignEverySec = 30
-			cfg.SampleEverySec = 10
-			cfg.HandoffFreezeSec = freeze
-			d, err := NewDriver(e, w, core.GreZGreC, opt, cfg, xrand.New(41))
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.Start()
-			e.Run(600)
-			for _, err := range d.Errors() {
-				t.Fatalf("freeze=%v workers=%d driver error: %v", freeze, workers, err)
-			}
-			st, _ := d.RepairStats()
-			if st.FullSolves < 2 || st.Joins == 0 || st.Leaves == 0 || st.Moves == 0 {
-				t.Fatalf("freeze=%v workers=%d: the run does not exercise every event kind and a fallback re-solve: %+v", freeze, workers, st)
-			}
-			h := newPinHash()
-			h.samples(d.Samples())
-			h.stats(st)
-			h.int(d.TotalZoneHandoffs())
-			if uint64(h) != want[freeze] {
-				t.Errorf("freeze=%v workers=%d: trajectory digest %#x, pinned %#x", freeze, workers, uint64(h), want[freeze])
-			}
+	const want = 0xf62713f7be6960eb
+	for _, workers := range []int{1, 4} {
+		w := buildSizedWorld(t, 30, 6, 20, 150, 300)
+		e := NewEngine()
+		opt := coreOpts()
+		opt.Workers = workers
+		cfg := repairChurn()
+		cfg.JoinRate = 1
+		cfg.MeanSessionSec = 150
+		cfg.MoveRatePerClient = 0.08
+		cfg.ReassignEverySec = 30
+		cfg.SampleEverySec = 10
+		d, err := NewDriver(e, w, core.GreZGreC, opt, cfg, xrand.New(41))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Start()
+		e.Run(600)
+		for _, err := range d.Errors() {
+			t.Fatalf("workers=%d driver error: %v", workers, err)
+		}
+		st, _ := d.RepairStats()
+		if st.FullSolves < 2 || st.Joins == 0 || st.Leaves == 0 || st.Moves == 0 {
+			t.Fatalf("workers=%d: the run does not exercise every event kind and a fallback re-solve: %+v", workers, st)
+		}
+		h := newPinHash()
+		h.samples(d.Samples())
+		h.stats(st)
+		h.int(d.TotalZoneHandoffs())
+		if uint64(h) != want {
+			t.Errorf("workers=%d: trajectory digest %#x, pinned %#x", workers, uint64(h), uint64(want))
 		}
 	}
 }

@@ -142,7 +142,6 @@ func TestChurnConfigValidate(t *testing.T) {
 		{"MeanSessionSec", func(c *ChurnConfig) { c.MeanSessionSec = 0 }},
 		{"MoveRatePerClient", func(c *ChurnConfig) { c.MoveRatePerClient = -1 }},
 		{"ReassignEverySec", func(c *ChurnConfig) { c.ReassignEverySec = 0 }},
-		{"HandoffFreezeSec", func(c *ChurnConfig) { c.HandoffFreezeSec = -1 }},
 		{"SampleEverySec", func(c *ChurnConfig) { c.SampleEverySec = -1 }},
 		{"ArrivalsWithJoinRate", func(c *ChurnConfig) { c.Arrivals = &ArrivalTrace{BaseRate: 1} }},
 		{"ArrivalsInvalid", func(c *ChurnConfig) { c.JoinRate, c.Arrivals = 0, &ArrivalTrace{BaseRate: -1} }},
@@ -284,71 +283,3 @@ func TestDriverReassignmentRestoresQoS(t *testing.T) {
 func coreAlgo() core.TwoPhase       { return core.GreZGreC }
 func coreOpts() core.Options        { return core.Options{Overflow: core.SpillLargestResidual} }
 func rngFor(seed uint64) *xrand.RNG { return xrand.New(seed) }
-
-func TestHandoffFreezeReducesPostReassignQoS(t *testing.T) {
-	run := func(freeze float64) []Sample {
-		w := buildTestWorld(t, 60)
-		e := NewEngine()
-		cfg := defaultChurn()
-		cfg.JoinRate = 2
-		cfg.MoveRatePerClient = 0.02 // heavy migration → zones move on reassign
-		cfg.HandoffFreezeSec = freeze
-		d, err := NewDriver(e, w, core.GreZGreC, coreOpts(), cfg, xrand.New(61))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Start()
-		e.Run(400)
-		return d.Samples()
-	}
-	postMean := func(samples []Sample) float64 {
-		var sum float64
-		n := 0
-		for _, s := range samples {
-			if s.Event == "post-reassign" {
-				sum += s.PQoS
-				n++
-			}
-		}
-		if n == 0 {
-			t.Fatal("no post-reassign samples")
-		}
-		return sum / float64(n)
-	}
-	free := postMean(run(0))
-	frozen := postMean(run(30)) // freeze covering half the reassign period
-	if frozen >= free {
-		t.Fatalf("handoff freeze did not cost anything: %v vs %v", frozen, free)
-	}
-}
-
-func TestHandoffFreezeExpires(t *testing.T) {
-	w := buildTestWorld(t, 62)
-	e := NewEngine()
-	cfg := defaultChurn()
-	cfg.HandoffFreezeSec = 1 // tiny freeze
-	d, err := NewDriver(e, w, core.GreZGreC, coreOpts(), cfg, xrand.New(63))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Start()
-	e.Run(200)
-	// After the engine is past all freezes, a fresh sample must not be
-	// suppressed: compare a forced sample against plain evaluation.
-	p := d.world.Problem()
-	a := &core.Assignment{ZoneServer: d.zoneServer, ClientContact: d.contact}
-	want := core.Evaluate(p, a).PQoS
-	d.sample("probe")
-	got := d.Samples()[len(d.Samples())-1].PQoS
-	if got != want {
-		t.Fatalf("expired freeze still suppressing: %v vs %v", got, want)
-	}
-}
-
-func TestChurnConfigRejectsNegativeFreeze(t *testing.T) {
-	cfg := defaultChurn()
-	cfg.HandoffFreezeSec = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative freeze accepted")
-	}
-}

@@ -91,6 +91,39 @@ func TestSharedModelSessionDataRecovers(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesNonSpillingSnapshot: a session recorded under the
+// fail-on-overflow policy older builds offered (overflow 1) is refused by
+// name. Replayed under spilling, its log could pass a full solve the
+// original run failed, so recovery stops instead of diverging.
+func TestRecoveryRefusesNonSpillingSnapshot(t *testing.T) {
+	dir, _ := oldDataCopy(t, "session")
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.json"))
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("want two snapshots, have %v (%v)", snaps, err)
+	}
+	for _, path := range snaps {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Count(string(raw), `"overflow":0`) != 1 {
+			t.Fatalf("%s does not record overflow 0 once", filepath.Base(path))
+		}
+		raw = []byte(strings.Replace(string(raw), `"overflow":0`, `"overflow":1`, 1))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := NewCluster(1).Open("GreZ-GreC", WithDurability(dir))
+	if err == nil {
+		s.Close()
+		t.Fatal("a snapshot recorded under overflow policy 1 recovered")
+	}
+	if !strings.Contains(err.Error(), "overflow policy 1") {
+		t.Fatalf("refusal does not name the overflow policy: %v", err)
+	}
+}
+
 func TestSharedModelDirectorDataRecovers(t *testing.T) {
 	dir, want := oldDataCopy(t, "director")
 	for _, stage := range []string{"recovered", "rows checkpoint"} {

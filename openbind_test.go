@@ -23,10 +23,7 @@ func sequentialOpen(t *testing.T, c *Cluster, algorithm string, opts ...Option) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := cfg.coreOptions()
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := cfg.coreOptions()
 	if p == c.built {
 		opt.Late = &c.late
 	}
@@ -41,7 +38,7 @@ func sequentialOpen(t *testing.T, c *Cluster, algorithm string, opts ...Option) 
 	if err := b.NameTopology(c.ServerIDs(), c.ZoneIDs()); err != nil {
 		t.Fatal(err)
 	}
-	m, err := repair.NewMachine(b, algorithm, int(cfg.overflow), nil)
+	m, err := repair.NewMachine(b, algorithm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

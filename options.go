@@ -1,26 +1,11 @@
 package dvecap
 
 import (
-	"fmt"
 	"io"
 
 	"dvecap/internal/core"
 	"dvecap/internal/xrand"
 	"dvecap/telemetry"
-)
-
-// OverflowPolicy controls what the assignment algorithms do when no server
-// has residual capacity for an item. It mirrors the engine's internal
-// policy without exposing it.
-type OverflowPolicy int
-
-const (
-	// SpillLargestResidual places the unplaceable item on the server with
-	// the largest residual capacity, accepting a capacity violation so the
-	// run always completes (the default everywhere in this package).
-	SpillLargestResidual OverflowPolicy = iota
-	// ErrorOnOverflow aborts the solve with an error instead.
-	ErrorOnOverflow
 )
 
 // DelayModel selects how a solved or opened cluster stores client↔server
@@ -55,15 +40,14 @@ type Option func(*config)
 // config is the resolved option set. It stays unexported so the exported
 // surface carries no engine types.
 type config struct {
-	workers  int
-	overflow OverflowPolicy
-	drift    float64
-	estErr   float64
-	estSet   bool
-	seed     uint64
-	seedSet  bool
-	corr     float64
-	corrSet  bool
+	workers int
+	drift   float64
+	estErr  float64
+	estSet  bool
+	seed    uint64
+	seedSet bool
+	corr    float64
+	corrSet bool
 	// durability (Open only): data directory, auto-checkpoint cadence and
 	// the imbalance-guard threshold.
 	durDir    string
@@ -91,18 +75,11 @@ func resolveOptions(opts []Option) config {
 	return cfg
 }
 
-// coreOptions maps the public knobs onto the engine's option struct.
-func (c config) coreOptions() (core.Options, error) {
-	opt := core.Options{Workers: c.workers}
-	switch c.overflow {
-	case SpillLargestResidual:
-		opt.Overflow = core.SpillLargestResidual
-	case ErrorOnOverflow:
-		opt.Overflow = core.ErrorOnOverflow
-	default:
-		return opt, fmt.Errorf("dvecap: unknown overflow policy %d", c.overflow)
-	}
-	return opt, nil
+// coreOptions maps the public knobs onto the engine's option struct. Every
+// solve spills on overflow, so it completes even past a server's capacity;
+// the engine's zero value would fail instead.
+func (c config) coreOptions() core.Options {
+	return core.Options{Workers: c.workers, Overflow: core.SpillLargestResidual}
 }
 
 // rngFor returns the configured random stream: the one withRNG supplied
@@ -122,12 +99,6 @@ func (c config) rngFor() *xrand.RNG {
 // nor recovery's log reader (DESIGN.md §9, §11).
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
-}
-
-// WithOverflow selects the capacity-overflow policy (default
-// SpillLargestResidual).
-func WithOverflow(p OverflowPolicy) Option {
-	return func(c *config) { c.overflow = p }
 }
 
 // WithDriftGuard arms the session's quality guard at p: once the repaired
