@@ -1,9 +1,11 @@
 package repair
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dvecap/internal/xrand"
@@ -249,6 +251,42 @@ func TestPlannerStateRoundTrip(t *testing.T) {
 		d2.run(t, restored, 120)
 		requireSamePlanner(t, live, restored)
 		audit(t, restored.Planner())
+	}
+}
+
+// TestRestoreMachineRefusesNonSpillingSnapshot: a rendered snapshot records
+// overflow policy 0, spilling, and restores; the same snapshot recording any
+// other policy is refused by a RestoreMachine error that names it.
+func TestRestoreMachineRefusesNonSpillingSnapshot(t *testing.T) {
+	rng := xrand.New(7)
+	pl, err := New(testConfig(), randProblem(rng.Split(), 40), rng.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(bindPlanner(t, pl), "GreZ-GreC", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := m.Render(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(raw, []byte(`"overflow":0`)); n != 1 {
+		t.Fatalf("rendered snapshot records overflow 0 %d times, want once", n)
+	}
+	for _, policy := range []int{0, 1, 2} {
+		snap, err := decodeSnapshot(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Overflow = policy
+		_, err = RestoreMachine(snap, testConfig())
+		switch {
+		case policy == 0 && err != nil:
+			t.Fatalf("spilling snapshot refused: %v", err)
+		case policy != 0 && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("overflow policy %d", policy))):
+			t.Fatalf("snapshot under overflow policy %d: %v, want a refusal naming the policy", policy, err)
+		}
 	}
 }
 

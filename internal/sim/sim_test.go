@@ -283,3 +283,36 @@ func TestDriverReassignmentRestoresQoS(t *testing.T) {
 func coreAlgo() core.TwoPhase       { return core.GreZGreC }
 func coreOpts() core.Options        { return core.Options{Overflow: core.SpillLargestResidual} }
 func rngFor(seed uint64) *xrand.RNG { return xrand.New(seed) }
+
+// TestSamplesArePlainEvaluation: a quality sample reports exactly what
+// core.Evaluate reports for the driver's current assignment, in both modes
+// and after reassignments that moved zones; no sample path recounts QoS
+// on its own.
+func TestSamplesArePlainEvaluation(t *testing.T) {
+	for _, repair := range []bool{false, true} {
+		w := buildTestWorld(t, 60)
+		e := NewEngine()
+		cfg := defaultChurn()
+		cfg.JoinRate = 2
+		cfg.MoveRatePerClient = 0.02 // heavy migration → zones move on reassign
+		cfg.Repair = repair
+		d, err := NewDriver(e, w, core.GreZGreC, coreOpts(), cfg, xrand.New(61))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Start()
+		e.Run(400)
+		for _, err := range d.Errors() {
+			t.Fatalf("repair=%v driver error: %v", repair, err)
+		}
+		if d.TotalZoneHandoffs() == 0 {
+			t.Fatalf("repair=%v: no reassignment moved a zone", repair)
+		}
+		d.sample("probe")
+		got := d.Samples()[len(d.Samples())-1]
+		want := core.Evaluate(d.world.Problem(), &core.Assignment{ZoneServer: d.zoneServer, ClientContact: d.contact})
+		if got.Event != "probe" || got.PQoS != want.PQoS || got.Utilization != want.Utilization {
+			t.Fatalf("repair=%v: sample %+v, Evaluate pQoS %v utilization %v", repair, got, want.PQoS, want.Utilization)
+		}
+	}
+}
